@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet symsimvet build test race lint bench chaos
+.PHONY: check fmt vet symsimvet build test race lint bench benchmark-check chaos
 
-check: build vet symsimvet fmt race
+check: build vet symsimvet fmt benchmark-check race
 
 # gofmt -l prints offending files; fail when any are listed.
 fmt:
@@ -30,6 +30,13 @@ test:
 
 race:
 	$(GO) test -race -timeout 10m ./...
+
+# benchmark/ is its own module (the PR driver's end-to-end benchmark), so
+# ./... never compiles it: vet and test it here, or a vvp/core API change
+# breaks the benchmark with no signal. Under 5 s.
+benchmark-check:
+	$(GO) vet -C benchmark .
+	$(GO) test -C benchmark .
 
 # Chaos gate: the fault-injection torture matrix under the race detector.
 # The crash-point sweep derives its matrix from a fault-free probe run

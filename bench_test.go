@@ -16,6 +16,7 @@ import (
 	"io"
 	"os"
 	"testing"
+	"time"
 
 	"symsim"
 	"symsim/internal/obs"
@@ -381,6 +382,13 @@ func BenchmarkEngineComparison(b *testing.B) {
 // kernel on the largest core — the hot loop of every co-analysis path.
 // The acceptance criterion is 0 allocs/op: after warm-up, stepping must
 // recycle every queue, scratch vector and NBA batch it touches.
+//
+// interp and kernel free-run with the Symbolic region off and time every
+// step. kernel/symbolic/{posedge,negedge} run tea8 the way Analyze does —
+// Symbolic region on, rewound to a post-reset snapshot each time the
+// program finishes — and time the steps of one clock edge only, so the
+// kernel's clock-edge fast path has a number per edge. Every sub-benchmark
+// reports the gate evaluations of a timed step.
 func BenchmarkSettleSteadyState(b *testing.B) {
 	for _, eng := range []struct {
 		name string
@@ -406,6 +414,7 @@ func BenchmarkSettleSteadyState(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			evals := sim.Evals()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -413,6 +422,66 @@ func BenchmarkSettleSteadyState(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(sim.Evals()-evals)/float64(b.N), "evals/step")
+		})
+	}
+	for _, edge := range []struct {
+		name   string
+		before symsim.Value // clock level ahead of a timed step
+	}{
+		{"kernel/symbolic/posedge", symsim.Lo},
+		{"kernel/symbolic/negedge", symsim.Hi},
+	} {
+		edge := edge
+		b.Run(edge.name, func(b *testing.B) {
+			p, err := symsim.BuildPlatform(symsim.BM32, "tea8")
+			if err != nil {
+				b.Fatal(err)
+			}
+			st := p.Stimulus()
+			sim := symsim.NewSimulator(p.Design, symsim.SimOptions{})
+			sim.SetMonitorX(&p.Monitor)
+			sim.BindStimulus(st)
+			for sim.Cycles() < uint64(p.ResetCycles)+4 {
+				if _, err := sim.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			start := sim.Snapshot(p.Spec)
+			for status := symsim.Running; status == symsim.Running; { // one whole program: queue warm-up
+				if status, err = sim.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := sim.Restore(p.Spec, start); err != nil {
+				b.Fatal(err)
+			}
+			var timed time.Duration
+			var evals uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; {
+				count := sim.Value(st.Clock) == edge.before
+				e0, t0 := sim.Evals(), time.Now()
+				status, err := sim.Step()
+				if count {
+					timed += time.Since(t0)
+					evals += sim.Evals() - e0
+					i++
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				if status != symsim.Running {
+					b.StopTimer()
+					if err := sim.Restore(p.Spec, start); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+			}
+			b.ReportMetric(float64(timed.Nanoseconds())/float64(b.N), "ns/op")
+			b.ReportMetric(float64(evals)/float64(b.N), "evals/step")
 		})
 	}
 }

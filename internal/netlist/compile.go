@@ -85,6 +85,53 @@ type Program struct {
 	LvlMems   []MemID
 
 	MaxLevel int32
+
+	// Clock is the design's clock-domain table, nil when the design does
+	// not qualify for the kernel's clock-edge fast path (see ClockDomain).
+	Clock *ClockDomain
+
+	// memFanBits has one bit per net, set when the net feeds a memory pin.
+	// Almost no net does, so the commit path tests the bit before paying
+	// for the MemFanIdx lookup.
+	memFanBits []uint64
+}
+
+// DomainDFF is one flip-flop of a ClockDomain: the three nets a capturing
+// edge reads or writes.
+type DomainDFF struct {
+	D, En, Out NetID
+}
+
+// ClockDomain describes a design whose every flip-flop hangs off one
+// primary-input clock, the shape that lets the kernel handle a clock edge
+// as one dense pass over Members instead of one dirty-bitmap event per
+// flip-flop. compile builds it only when all of the following hold, and
+// leaves Program.Clock nil otherwise:
+//
+//   - the design has flip-flops, and the CLK pin of every one is the same
+//     primary-input net;
+//   - every RSTN pin is on a primary-input net;
+//   - the clock net is on no D, EN or RSTN pin, so it reaches a flip-flop
+//     only through CLK;
+//   - the write clock of every writable memory is a primary input, so no
+//     memory write can fire in the middle of an Active-region drain.
+//
+// The per-edge conditions are the simulator's (vvp, Simulator.cleanEdge).
+type ClockDomain struct {
+	// Net is the clock.
+	Net NetID
+	// DFFs lists every flip-flop in ascending kernel ID — the order a
+	// level-major drain evaluates them in, and therefore the order their
+	// captures enter the NBA queue. Members[i] holds the pins of DFFs[i];
+	// the two are separate so that each pass over the domain reads only
+	// what it uses.
+	DFFs    []GateID
+	Members []DomainDFF
+	// Resets lists the distinct RSTN nets, ascending.
+	Resets []NetID
+	// Fan lists the combinational gates reading Net, ascending kernel ID:
+	// GateFan(Net) without the members.
+	Fan []GateID
 }
 
 // LevelRange returns the kernel gate ID range [lo, hi) of topological
@@ -112,6 +159,14 @@ func (p *Program) GateFan(id NetID) []GateID {
 //symsim:hotpath
 func (p *Program) MemFanOf(id NetID) []MemID {
 	return p.MemFan[p.MemFanIdx[id]:p.MemFanIdx[id+1]]
+}
+
+// HasMemFan reports whether MemFanOf(id) is non-empty, from a bitmap small
+// enough to stay cached where the MemFanIdx offsets are not.
+//
+//symsim:hotpath
+func (p *Program) HasMemFan(id NetID) bool {
+	return p.memFanBits[uint32(id)>>6]>>(uint32(id)&63)&1 != 0
 }
 
 // Program returns the compiled form of the netlist, building it on first
@@ -188,9 +243,13 @@ func compile(n *Netlist) *Program {
 		total += len(f)
 	}
 	p.MemFan = make([]MemID, 0, total)
+	p.memFanBits = make([]uint64, (len(n.Nets)+63)/64)
 	for id, f := range n.memFanout {
 		p.MemFanIdx[id] = uint32(len(p.MemFan))
 		p.MemFan = append(p.MemFan, f...)
+		if len(f) > 0 {
+			p.memFanBits[id>>6] |= 1 << (id & 63)
+		}
 	}
 	p.MemFanIdx[len(n.Nets)] = uint32(len(p.MemFan))
 
@@ -209,7 +268,48 @@ func compile(n *Netlist) *Program {
 		p.LvlMems[cursor[l]] = MemID(mi)
 		cursor[l]++
 	}
+	p.Clock = clockDomain(n, p)
 	return p
+}
+
+// clockDomain builds the clock-domain table of a compiled design, or
+// returns nil when the design fails one of the conditions documented on
+// ClockDomain.
+func clockDomain(n *Netlist, p *Program) *ClockDomain {
+	cd := &ClockDomain{Net: NoNet}
+	for k := range p.Gates {
+		d := &p.Gates[k]
+		if d.Kind != KindDFF {
+			continue
+		}
+		m := DomainDFF{D: d.In[DFFPinD], En: d.In[DFFPinEn], Out: d.Out}
+		clk, rstn := d.In[DFFPinClk], d.In[DFFPinRstn]
+		if cd.Net == NoNet {
+			cd.Net = clk
+		}
+		if clk != cd.Net || !n.Nets[rstn].IsInput || m.D == clk || m.En == clk || rstn == clk {
+			return nil
+		}
+		cd.DFFs = append(cd.DFFs, GateID(k))
+		cd.Members = append(cd.Members, m)
+		cd.Resets = append(cd.Resets, rstn)
+	}
+	if cd.Net == NoNet || !n.Nets[cd.Net].IsInput {
+		return nil
+	}
+	slices.Sort(cd.Resets)
+	cd.Resets = slices.Compact(cd.Resets)
+	for _, m := range n.Mems {
+		if !m.IsROM() && !n.Nets[m.Clk].IsInput {
+			return nil
+		}
+	}
+	for _, g := range p.GateFan(cd.Net) {
+		if p.Gates[g].Kind != KindDFF {
+			cd.Fan = append(cd.Fan, g)
+		}
+	}
+	return cd
 }
 
 // The branch-free combinational evaluator: a flat lookup table indexed by

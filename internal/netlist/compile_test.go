@@ -187,6 +187,35 @@ func TestProgramMatchesNetlist(t *testing.T) {
 					t.Fatalf("net %d memfanout[%d] mismatch", id, i)
 				}
 			}
+			if p.HasMemFan(NetID(id)) != (len(wantM) > 0) {
+				t.Fatalf("net %d: HasMemFan = %v with %d memory readers", id, p.HasMemFan(NetID(id)), len(wantM))
+			}
+		}
+		// Clock-domain table, when the random wiring left the design
+		// eligible: every DFF, ascending kernel ID, pins as in the netlist.
+		if cd := p.Clock; cd != nil {
+			var dffs []GateID
+			for k := range p.Gates {
+				if p.Gates[k].Kind == KindDFF {
+					dffs = append(dffs, GateID(k))
+				}
+			}
+			if !slices.Equal(cd.DFFs, dffs) || len(cd.Members) != len(dffs) {
+				t.Fatalf("clock domain lists DFFs %v, design has %v", cd.DFFs, dffs)
+			}
+			for i, k := range cd.DFFs {
+				g, m := &n.Gates[p.Orig[k]], cd.Members[i]
+				if g.In[DFFPinClk] != cd.Net || m.D != g.In[DFFPinD] || m.En != g.In[DFFPinEn] || m.Out != g.Out {
+					t.Fatalf("clock domain member %d does not match gate %d", i, p.Orig[k])
+				}
+				if !slices.Contains(cd.Resets, g.In[DFFPinRstn]) {
+					t.Fatalf("reset net of gate %d missing from Resets", p.Orig[k])
+				}
+			}
+			fan := slices.DeleteFunc(slices.Clone(p.GateFan(cd.Net)), func(g GateID) bool { return p.Gates[g].Kind == KindDFF })
+			if !slices.Equal(cd.Fan, fan) {
+				t.Fatalf("clock domain Fan %v, want %v", cd.Fan, fan)
+			}
 		}
 		// Level ranges: contiguous, covering, at the right levels.
 		if lo, _ := p.LevelRange(0); lo != 0 {
@@ -229,6 +258,84 @@ func TestProgramMatchesNetlist(t *testing.T) {
 				t.Fatalf("mem %d missing from level lists", mi)
 			}
 		}
+	}
+}
+
+// TestClockDomainEligibility pins the static conditions of the clock-domain
+// table one at a time: the plain design has one, and each single departure
+// from the conditions documented on ClockDomain leaves Program.Clock nil.
+func TestClockDomainEligibility(t *testing.T) {
+	type pins struct{ d, clk, en, rstn NetID }
+	build := func(twist func(n *Netlist, clk, rstn, x NetID, ff []pins) (ramClk NetID)) *Program {
+		n := New("cd")
+		clk, rstn, x := n.AddInput("clk"), n.AddInput("rst_n"), n.AddInput("x")
+		one := n.AddNet("one")
+		n.AddGate(KindConst1, one)
+		nx := n.AddNet("nx")
+		n.AddGate(KindNand, nx, x, clk) // the clock also feeds logic
+		ff := []pins{{x, clk, one, rstn}, {nx, clk, x, rstn}}
+		ramClk := clk
+		if twist != nil {
+			if c := twist(n, clk, rstn, x, ff); c != NoNet {
+				ramClk = c
+			}
+		}
+		for i, f := range ff {
+			n.AddDFF(n.AddNet(fmt.Sprintf("q%d", i)), f.d, f.clk, f.en, f.rstn, logic.Lo)
+		}
+		n.AddMem(&Mem{
+			Name: "ram", AddrBits: 1, DataBits: 1, Words: 2,
+			RAddr: []NetID{x}, RData: []NetID{n.AddNet("rd")},
+			Clk: ramClk, WEn: one, WAddr: []NetID{x}, WData: []NetID{nx},
+		})
+		if err := n.Freeze(); err != nil {
+			t.Fatal(err)
+		}
+		return n.Program()
+	}
+	gate := func(n *Netlist, kind GateKind, a, b NetID) NetID {
+		out := n.AddNet("")
+		n.AddGate(kind, out, a, b)
+		return out
+	}
+
+	p := build(nil)
+	if cd := p.Clock; cd == nil || len(cd.DFFs) != 2 || len(cd.Resets) != 1 || len(cd.Fan) != 1 {
+		t.Fatalf("plain design: clock domain = %+v", cd)
+	}
+	for _, tc := range []struct {
+		name  string
+		twist func(n *Netlist, clk, rstn, x NetID, ff []pins) NetID
+	}{
+		{"gated clock", func(n *Netlist, clk, _, x NetID, ff []pins) NetID { ff[1].clk = gate(n, KindAnd, clk, x); return NoNet }},
+		{"second clock", func(n *Netlist, _, _, _ NetID, ff []pins) NetID { ff[1].clk = n.AddInput("clk2"); return NoNet }},
+		{"clock is not a primary input", func(n *Netlist, clk, _, x NetID, ff []pins) NetID {
+			c := gate(n, KindAnd, clk, x)
+			ff[0].clk, ff[1].clk = c, c
+			return NoNet
+		}},
+		{"logic-driven reset", func(n *Netlist, _, rstn, x NetID, ff []pins) NetID {
+			ff[0].rstn = gate(n, KindOr, rstn, x)
+			return NoNet
+		}},
+		{"clock on D", func(_ *Netlist, clk, _, _ NetID, ff []pins) NetID { ff[0].d = clk; return NoNet }},
+		{"clock on EN", func(_ *Netlist, clk, _, _ NetID, ff []pins) NetID { ff[1].en = clk; return NoNet }},
+		{"clock on RSTN", func(_ *Netlist, clk, _, _ NetID, ff []pins) NetID { ff[1].rstn = clk; return NoNet }},
+		{"RAM on a gated clock", func(n *Netlist, clk, _, x NetID, _ []pins) NetID { return gate(n, KindAnd, clk, x) }},
+	} {
+		if cd := build(tc.twist).Clock; cd != nil {
+			t.Errorf("%s: design still has a clock domain: %+v", tc.name, cd)
+		}
+	}
+	n := New("comb")
+	a := n.AddInput("a")
+	o := n.AddNet("o")
+	n.AddGate(KindNot, o, a)
+	if err := n.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	if n.Program().Clock != nil {
+		t.Error("a design without flip-flops has a clock domain")
 	}
 }
 

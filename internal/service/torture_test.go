@@ -79,12 +79,30 @@ func runTortureLifetime(t *testing.T, dir string, vfs fault.FS) (accepted []stri
 	return accepted
 }
 
-// verifyRestartConsistency restarts a clean daemon over dir and asserts
-// the post-crash invariants: the store opens, no temp litter survives the
-// reap, every accepted job is still known (queued/repaired jobs re-run to
-// done), and every done job serves a valid JSON result.
+// verifyRestartConsistency restarts over dir and asserts the post-crash
+// invariants: the store opens, no temp litter survives the reap, every
+// accepted job is still known (queued/repaired jobs re-run to done), and
+// every done job serves a valid JSON result.
+//
+// The reap is checked on a bare openStore, before any daemon runs: a live
+// worker re-running an interrupted job writes its own records through
+// CreateTemp → Rename, and a directory listing taken meanwhile would
+// report those short-lived temp files as orphans.
 func verifyRestartConsistency(t *testing.T, dir string, accepted []string) {
 	t.Helper()
+	_, _, reapErrs, err := openStore(dir, nil)
+	if err != nil {
+		t.Fatalf("open crashed store: %v", err)
+	}
+	if len(reapErrs) != 0 {
+		t.Errorf("reap errors on the crashed store: %v", reapErrs)
+	}
+	for _, sub := range storeDirs {
+		if n := countTempFiles(t, filepath.Join(dir, sub)); n != 0 {
+			t.Errorf("%d orphan temp file(s) survived the reap in %s/", n, sub)
+		}
+	}
+
 	svc, err := New(Config{
 		DataDir:       dir,
 		Workers:       1,
@@ -95,18 +113,6 @@ func verifyRestartConsistency(t *testing.T, dir string, accepted []string) {
 		t.Fatalf("restart over crashed store: %v", err)
 	}
 	defer svc.Drain()
-
-	for _, sub := range storeDirs {
-		entries, err := os.ReadDir(filepath.Join(dir, sub))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if strings.Contains(e.Name(), ".tmp") {
-				t.Errorf("orphan temp file survived restart: %s/%s", sub, e.Name())
-			}
-		}
-	}
 
 	known := make(map[string]JobView)
 	for _, v := range svc.Jobs() {

@@ -1,7 +1,7 @@
 // The compiled simulation kernel: the default engine, executing the
 // structure-of-arrays netlist.Program instead of interpreting Gate records.
 //
-// Three things distinguish it from the reference interpreter, none of them
+// Four things distinguish it from the reference interpreter, none of them
 // semantic:
 //
 //  1. Gate descriptors are packed (inline pin array, no per-gate slice
@@ -17,6 +17,12 @@
 //     order — a radix sort in all but name, replacing the interpreter's
 //     scratch copy, comparison sort and per-gate queue bookkeeping with a
 //     few word operations per 64 gates.
+//  4. On a design with a netlist.ClockDomain table, a clean edge of the
+//     clock does not put the flip-flops on the dirty bitmap at all: their
+//     clock samples are stored in one pass and a rising edge is captured
+//     in a second one, after the Active region has drained (cleanEdge,
+//     clockEdge, sampleEdge at the end of this file). Every other clock
+//     change walks the fanout like any other commit.
 //
 // The renumbering is a stable counting sort by level, so ascending kernel
 // ID within a level is ascending netlist ID: every round evaluates the
@@ -31,6 +37,7 @@ package vvp
 import (
 	"math/bits"
 
+	"symsim/internal/logic"
 	"symsim/internal/netlist"
 )
 
@@ -109,6 +116,11 @@ func (s *Simulator) kernelLevel(lvl int32) error {
 // executed; always zero on the interpreter. Exposed for tests and tuning.
 func (s *Simulator) Sweeps() uint64 { return s.sweeps }
 
+// FastEdges returns the number of clock toggles the kernel has handled on
+// the clock-edge fast path; always zero on the interpreter and on designs
+// without a netlist.ClockDomain. Exposed for tests and tuning.
+func (s *Simulator) FastEdges() uint64 { return s.edges }
+
 // evalGateK processes one gate through its packed descriptor: flip-flops
 // share stepDFF with the interpreter, everything else is a single EvalLUT
 // load. Pins beyond the kind's input count are padded with net 0 and the
@@ -138,4 +150,87 @@ func (s *Simulator) evalGateK(g netlist.GateID) {
 		return
 	}
 	s.commit(d.Out, v, RegionActive)
+}
+
+// cleanEdge reports whether the clock toggle Step is about to commit may
+// take the fast path: the design has a clock-domain table for this clock
+// and, right now, the general path would do nothing with the flip-flops
+// but sample a known edge. That needs the old clock level known (the new
+// one always is), nothing dirty or queued, no stimulus event due in this
+// time step, and every reset net at 1. Nothing dirty also means every
+// member has been evaluated since the clock last changed, so every
+// lastClk entry holds the old level.
+//
+//symsim:hotpath
+func (s *Simulator) cleanEdge(st *Stimulus) bool {
+	if s.prog == nil {
+		return false
+	}
+	cd := s.prog.Clock
+	if cd == nil || cd.Net != st.Clock || !s.val[cd.Net].IsKnown() {
+		return false
+	}
+	if s.dirtyN != 0 || len(s.nba) != 0 || len(s.inactiveQ) != 0 {
+		return false
+	}
+	if s.stimCursor < len(st.Events) && st.Events[s.stimCursor].Time <= s.now {
+		return false
+	}
+	for _, r := range cd.Resets {
+		if s.val[r] != logic.Hi {
+			return false
+		}
+	}
+	return true
+}
+
+// clockEdge is commit's fanout step for a clock toggle cleanEdge accepted.
+// The general path would mark every member dirty and evaluate each one
+// once, at its level; with reset at 1 that evaluation commits nothing in
+// the Active region, so all it leaves behind is the new clock sample and,
+// on a rising edge, one NBA entry. clockEdge stores the sample at once — a
+// member that the drain evaluates anyway, because its D or EN moved, then
+// sees no edge — schedules the clock's other readers as commit would, and
+// leaves the capture to sampleEdge.
+//
+//symsim:hotpath
+func (s *Simulator) clockEdge(cd *netlist.ClockDomain, v logic.Value) {
+	lastClk := s.lastClk
+	for _, g := range cd.DFFs {
+		lastClk[g] = v
+	}
+	for _, g := range cd.Fan {
+		s.dirtyGateK(g)
+	}
+	for _, m := range s.prog.MemFanOf(cd.Net) {
+		s.dirtyMem(m)
+	}
+	s.edgePending = v == logic.Hi
+	s.edges++
+}
+
+// sampleEdge is the capture of a rising edge taken by clockEdge, run by
+// settle after the first Active drain of the step. The general path
+// samples a member when the drain reaches its level, which lies above its
+// whole input cone; nothing the drain does after that can change D or EN
+// (DESIGN.md §8 has the argument), so sampling them all here reads the
+// same values. Members are in ascending kernel ID, the order the drain
+// appends captures in. A capture that leaves Q as it is would commit
+// nothing, so it is not queued.
+//
+//symsim:hotpath
+func (s *Simulator) sampleEdge(cd *netlist.ClockDomain) {
+	s.edgePending = false
+	val := s.val
+	for i := range cd.Members {
+		m := &cd.Members[i]
+		en, old := val[m.En], val[m.Out]
+		if en == logic.Lo && old != logic.Z {
+			continue // disabled: Mux(0, Q, D) is Q
+		}
+		if q := logic.Mux(en, old, val[m.D]); q != old {
+			//symsim:allow SA001 nba reuses its capacity between cycles after the first
+			s.nba = append(s.nba, nbaAssign{net: m.Out, val: q})
+		}
+	}
 }

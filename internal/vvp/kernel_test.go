@@ -18,10 +18,37 @@ import (
 // against a naive oracle (oracle_test.go), so agreement here certifies the
 // kernel end to end.
 
+// circuitShape selects the structural twists randCircuit adds to the plain
+// design (one primary-input clock, one primary-input reset). Every bit
+// takes the design out of the kernel's clock-edge fast path, so the
+// differential suite fuzzes the fallback as well as the fast path.
+type circuitShape uint8
+
+const (
+	shapeGatedClock    circuitShape = 1 << iota // some DFFs on AND(clk, net)
+	shapeSecondClock                            // some DFFs on a second primary-input clock
+	shapeLogicReset                             // some DFFs reset by OR(rst_n, net)
+	shapeClockOnD                               // the clock on a D pin
+	shapeMemGatedClock                          // the RAM written on AND(clk, net)
+	shapeAll           = shapeMemGatedClock<<1 - 1
+)
+
 // randMemCircuit builds a random clocked design with k inputs, f DFFs, g
 // combinational gates and (optionally) a small RAM and ROM wired off the
 // net pool, so the differential runs exercise the memory paths too.
 func randMemCircuit(r *rand.Rand, k, f, g int, withMem bool) (*netlist.Netlist, []netlist.NetID) {
+	return randCircuit(r, k, f, g, withMem, 0)
+}
+
+// randCircuit is randMemCircuit with the twists of shape applied. Flip-flop
+// 0 always gets every twist that concerns flip-flops and flip-flop 1 never
+// moves to the second clock, so a non-zero shape never leaves the design
+// eligible for the fast path by chance. A second clock is the primary
+// input "clk2", declared after the data inputs.
+func randCircuit(r *rand.Rand, k, f, g int, withMem bool, shape circuitShape) (*netlist.Netlist, []netlist.NetID) {
+	if shape&shapeMemGatedClock != 0 {
+		withMem = true
+	}
 	n := netlist.New("randmem")
 	clk := n.AddInput("clk")
 	rstn := n.AddInput("rst_n")
@@ -43,22 +70,41 @@ func randMemCircuit(r *rand.Rand, k, f, g int, withMem bool) (*netlist.Netlist, 
 		netlist.KindNand, netlist.KindNor, netlist.KindXnor, netlist.KindNot,
 		netlist.KindBuf, netlist.KindMux2}
 	pick := func() netlist.NetID { return pool[r.Intn(len(pool))] }
+	// Combinational gates also read the clock now and then: logic in the
+	// clock's cone changes in the Active region of the edge itself.
+	pickC := func() netlist.NetID {
+		if i := r.Intn(len(pool) + 1); i < len(pool) {
+			return pool[i]
+		}
+		return clk
+	}
 	for i := 0; i < g; i++ {
 		kind := kinds[r.Intn(len(kinds))]
 		out := n.AddNet(fmt.Sprintf("c%d", i))
 		in := make([]netlist.NetID, kind.NumInputs())
 		for j := range in {
-			in[j] = pick()
+			in[j] = pickC()
 		}
 		n.AddGate(kind, out, in...)
 		pool = append(pool, out)
 	}
+	// derived returns a new net kind(a, pick()): a gated clock or a
+	// logic-driven reset.
+	derived := func(name string, kind netlist.GateKind, a netlist.NetID) netlist.NetID {
+		out := n.AddNet(name)
+		n.AddGate(kind, out, a, pick())
+		return out
+	}
 	if withMem {
+		memClk := clk
+		if shape&shapeMemGatedClock != 0 {
+			memClk = derived("mclk", netlist.KindAnd, clk)
+		}
 		rd := []netlist.NetID{n.AddNet("rd0"), n.AddNet("rd1")}
 		n.AddMem(&netlist.Mem{
 			Name: "ram", AddrBits: 2, DataBits: 2, Words: 4,
 			RAddr: []netlist.NetID{pick(), pick()}, RData: rd,
-			Clk: clk, WEn: pick(),
+			Clk: memClk, WEn: pick(),
 			WAddr: []netlist.NetID{pick(), pick()},
 			WData: []netlist.NetID{pick(), pick()},
 		})
@@ -77,8 +123,35 @@ func randMemCircuit(r *rand.Rand, k, f, g int, withMem bool) (*netlist.Netlist, 
 		n.AddGate(netlist.KindXor, out, rd[0], rrd[0])
 		pool = append(pool, out)
 	}
-	for _, q := range qs {
-		n.AddDFF(q, pick(), clk, pick(), rstn, logic.Bool(r.Intn(2) == 1))
+	var gclk, clk2, lrst netlist.NetID
+	if shape&shapeGatedClock != 0 {
+		gclk = derived("gclk", netlist.KindAnd, clk)
+	}
+	if shape&shapeSecondClock != 0 {
+		clk2 = n.AddInput("clk2")
+	}
+	if shape&shapeLogicReset != 0 {
+		lrst = derived("lrst", netlist.KindOr, rstn)
+	}
+	for i, q := range qs {
+		// twist reports whether flip-flop i takes the twist of bit b:
+		// always for flip-flop 0, a coin flip for the others.
+		twist := func(b circuitShape) bool { return shape&b != 0 && (i == 0 || r.Intn(2) == 0) }
+		d, c, en, rs := pick(), clk, pick(), rstn
+		init := logic.Bool(r.Intn(2) == 1)
+		if twist(shapeGatedClock) {
+			c = gclk
+		}
+		if i != 1 && twist(shapeSecondClock) {
+			c = clk2
+		}
+		if twist(shapeLogicReset) {
+			rs = lrst
+		}
+		if twist(shapeClockOnD) {
+			d = clk
+		}
+		n.AddDFF(q, d, c, en, rs, init)
 	}
 	n.MarkOutput(pool[len(pool)-1])
 	if err := n.Freeze(); err != nil {
@@ -108,6 +181,52 @@ func randStimulus(r *rand.Rand, n *netlist.Netlist, ins []netlist.NetID, nCycles
 	}
 	st.Finalize()
 	return st
+}
+
+// stimShape selects the events twistStimulus adds to a randStimulus
+// schedule. Each one makes some clock edges of an eligible design fall
+// back to the general path and leaves the others clean.
+type stimShape uint8
+
+const (
+	stimXClock        stimShape = 1 << iota // the clock passes through X, between and on toggles
+	stimPosedgeEvents                       // inputs change in the time step of a posedge
+	stimResetPulse                          // reset pulsed low mid-run
+	stimAll           = stimResetPulse<<1 - 1
+)
+
+// twistStimulus adds the events of shape to st, plus a toggling schedule
+// for the design's second clock when it has one. Everything lands inside
+// the first nCycles cycles.
+func twistStimulus(r *rand.Rand, st *Stimulus, n *netlist.Netlist, ins []netlist.NetID, nCycles int, shape stimShape) {
+	clk, rstn := n.Inputs[0], n.Inputs[1]
+	end := uint64(2 * hp * nCycles)
+	if clk2, ok := n.NetByName("clk2"); ok {
+		// Free-running against clk with a co-prime period, so its edges
+		// land before, after and on the edges of clk.
+		lvl := logic.Lo
+		for t := uint64(3); t < end; t += 7 {
+			st.At(t, clk2, lvl)
+			lvl = logic.Not(lvl)
+		}
+	}
+	if shape&stimXClock != 0 {
+		c := uint64(4 + r.Intn(3))
+		st.At(2*hp*c+2, clk, logic.X)      // between two toggles
+		st.At(2*hp*(c+3)+hp, clk, logic.X) // in the time step of a posedge
+	}
+	if shape&stimPosedgeEvents != 0 {
+		for c := 3; c < nCycles; c += 2 {
+			in := ins[r.Intn(len(ins))]
+			st.At(uint64(2*hp*c+hp), in, logic.Bool(r.Intn(2) == 1))
+		}
+	}
+	if shape&stimResetPulse != 0 {
+		c := uint64(5 + r.Intn(3))
+		st.At(2*hp*c+1, rstn, logic.Lo)
+		st.At(2*hp*(c+1)+hp+1, rstn, logic.Hi)
+	}
+	st.Finalize()
 }
 
 // enginePair builds an interpreter and a kernel simulator of the same
@@ -158,15 +277,48 @@ func checkAgreement(t *testing.T, ctx string, si, sk *Simulator) {
 	if pi != pk || ci != ck {
 		t.Fatalf("%s: peak activity %d@%d vs %d@%d", ctx, pi, ci, pk, ck)
 	}
+	// Clock samples: the fast path stores them for the whole domain at
+	// once, the general path one flip-flop at a time; after a settled step
+	// they must be the same.
+	for g := range si.d.Gates {
+		if si.d.Gates[g].Kind != netlist.KindDFF {
+			continue
+		}
+		gi, gk := si.gidx(netlist.GateID(g)), sk.gidx(netlist.GateID(g))
+		if si.lastClk[gi] != sk.lastClk[gk] {
+			t.Fatalf("%s: clock sample of DFF %s: %v (interp) vs %v (kernel)",
+				ctx, si.d.NetName(si.d.Gates[g].Out), si.lastClk[gi], sk.lastClk[gk])
+		}
+	}
 }
 
 // diffTrial runs one random circuit under both engines in lockstep,
 // comparing all observable state every step, with forces applied mid-run
-// and a snapshot/restore round-trip at the end.
+// and a snapshot/restore round-trip at the end. Half the seeds keep the
+// plain circuit, which is eligible for the clock-edge fast path; the rest
+// draw a random set of twists.
 func diffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 	r := rand.New(rand.NewSource(seed))
-	n, ins := randMemCircuit(r, 2+r.Intn(3), 2+r.Intn(4), 10+r.Intn(40), r.Intn(2) == 0)
-	st := randStimulus(r, n, ins, 10)
+	var shape circuitShape
+	if r.Intn(2) == 0 {
+		shape = circuitShape(r.Intn(int(shapeAll) + 1))
+	}
+	diffTrialShaped(t, r, seed, memx, shape, stimShape(r.Intn(int(stimAll)+1)))
+}
+
+// diffTrialShaped is diffTrial on a circuit and stimulus of the given
+// shapes. Besides agreement with the interpreter it pins which side of the
+// fast-path gate the run was on: a plain circuit must have a clock-domain
+// table and take clean edges through it, a twisted one must have no table
+// and never leave the general path.
+func diffTrialShaped(t *testing.T, r *rand.Rand, seed int64, memx MemXPolicy, shape circuitShape, stim stimShape) {
+	const nCycles = 10
+	n, ins := randCircuit(r, 2+r.Intn(3), 2+r.Intn(4), 10+r.Intn(40), r.Intn(2) == 0, shape)
+	st := randStimulus(r, n, ins, nCycles)
+	twistStimulus(r, st, n, ins, nCycles, stim)
+	if eligible := n.Program().Clock != nil; eligible != (shape == 0) {
+		t.Fatalf("seed %d shape %#x: clock-domain table present = %v", seed, shape, eligible)
+	}
 	si, sk, ti, tk := enginePair(n, st, memx)
 
 	si.StartRecording()
@@ -185,11 +337,17 @@ func diffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 		if erri != nil {
 			break
 		}
-		checkAgreement(t, fmt.Sprintf("seed %d step %d", seed, step), si, sk)
+		checkAgreement(t, fmt.Sprintf("seed %d shape %#x stim %#x step %d", seed, shape, stim, step), si, sk)
 	}
 	if !ti.Equal(tk) {
-		t.Fatalf("seed %d: commit traces diverged\ninterp:\n%s\nkernel:\n%s",
-			seed, ti.Dump(n), tk.Dump(n))
+		t.Fatalf("seed %d shape %#x stim %#x: commit traces diverged\ninterp:\n%s\nkernel:\n%s",
+			seed, shape, stim, ti.Dump(n), tk.Dump(n))
+	}
+	if si.FastEdges() != 0 {
+		t.Fatalf("seed %d: interpreter took %d fast edges", seed, si.FastEdges())
+	}
+	if fast := sk.FastEdges(); (fast != 0) != (shape == 0) {
+		t.Fatalf("seed %d shape %#x stim %#x: kernel took %d fast edges", seed, shape, stim, fast)
 	}
 
 	// Snapshot both, cross-restore into fresh simulators of the *other*
@@ -226,11 +384,22 @@ func diffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 }
 
 // TestKernelMatchesInterpreterRandom is the always-on differential sweep:
-// many random circuits, both X-address policies.
+// many random circuits, both X-address policies, then every circuit twist
+// against every stimulus twist one at a time, so no side of the fast-path
+// gate depends on what the random seeds happen to draw.
 func TestKernelMatchesInterpreterRandom(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		diffTrial(t, seed, MemXVerilog)
 		diffTrial(t, seed, MemXSound)
+	}
+	seed := int64(1000)
+	for _, shape := range []circuitShape{0, shapeGatedClock, shapeSecondClock, shapeLogicReset, shapeClockOnD, shapeMemGatedClock} {
+		for _, stim := range []stimShape{0, stimXClock, stimPosedgeEvents, stimResetPulse} {
+			for _, memx := range []MemXPolicy{MemXVerilog, MemXSound} {
+				seed++
+				diffTrialShaped(t, rand.New(rand.NewSource(seed)), seed, memx, shape, stim)
+			}
+		}
 	}
 }
 

@@ -88,8 +88,10 @@ const (
 	// EngineKernel is the compiled kernel (the default): the frozen
 	// netlist is flattened into structure-of-arrays tables (see
 	// netlist.Program), gates evaluate through a branch-free four-valued
-	// lookup table, and mostly-dirty topological levels are swept linearly
-	// instead of scheduled gate-by-gate.
+	// lookup table, the dirty set is a flat bitmap over a level-major gate
+	// numbering whose set bits each level round walks in ascending order,
+	// and a clean clock edge updates every flip-flop in one dense pass
+	// instead of one event each (see kernel.go).
 	EngineKernel Engine = iota
 	// EngineInterp is the scalar reference interpreter: per-gate dispatch
 	// through netlist.EvalGate and slice-of-slices fanout walks. It is the
@@ -229,6 +231,15 @@ type Simulator struct {
 	sweeps uint64 // level bitmap rounds executed (kernel statistics)
 	evals  uint64 // cumulative gate evaluations across the simulator's life
 
+	// The kernel's clock-edge fast path (kernel.go). edgeNet is the clock
+	// net while Step commits a toggle that cleanEdge accepted and NoNet at
+	// every other time, so it is the only thing commit tests; edgePending
+	// asks settle to sample the flip-flops once the Active region has
+	// drained; edges counts the toggles taken this way.
+	edgeNet     netlist.NetID
+	edgePending bool
+	edges       uint64
+
 	// glv/mlv cache the topological levels as flat slices (shared with the
 	// netlist or Program; built once in New) so the dirty-marking hot path
 	// indexes instead of calling accessors. Under the kernel engine glv is
@@ -302,6 +313,7 @@ func New(d *netlist.Netlist, opts Options) *Simulator {
 		toggled:    make([]bool, len(d.Nets)),
 		dirtyLo:    d.MaxLevel() + 1,
 		levels:     d.MaxLevel() + 1,
+		edgeNet:    netlist.NoNet,
 	}
 	if opts.Engine != EngineInterp {
 		s.prog = d.Program()
@@ -602,6 +614,10 @@ func (s *Simulator) commit(id netlist.NetID, v logic.Value, region Region) {
 		s.opts.Trace.record(s.now, region, id, old, v)
 	}
 	if p := s.prog; p != nil {
+		if id == s.edgeNet {
+			s.clockEdge(p.Clock, v)
+			return
+		}
 		// dirtyGateK with the hot loads hoisted out of the fanout loop.
 		dirtyW, glv, lvlW := s.dirtyW, s.glv, s.lvlW
 		lo, n := s.dirtyLo, 0
@@ -619,8 +635,10 @@ func (s *Simulator) commit(id netlist.NetID, v logic.Value, region Region) {
 		}
 		s.dirtyLo = lo
 		s.dirtyN += n
-		for _, m := range p.MemFanOf(id) {
-			s.dirtyMem(m)
+		if p.HasMemFan(id) {
+			for _, m := range p.MemFanOf(id) {
+				s.dirtyMem(m)
+			}
 		}
 		return
 	}
@@ -800,6 +818,9 @@ func (s *Simulator) settle() error {
 	for {
 		if err := s.drainActive(); err != nil {
 			return err
+		}
+		if s.edgePending {
+			s.sampleEdge(s.prog.Clock)
 		}
 		if len(s.inactiveQ) > 0 {
 			batch := s.inactiveQ
@@ -1000,7 +1021,11 @@ func (s *Simulator) applyStimulus() bool {
 		if v == logic.Hi && s.val[st.Clock] != logic.Hi {
 			posedge = true
 		}
+		if s.cleanEdge(st) {
+			s.edgeNet = st.Clock
+		}
 		s.commit(st.Clock, v, RegionActive)
+		s.edgeNet = netlist.NoNet
 	}
 	for s.stimCursor < len(st.Events) && st.Events[s.stimCursor].Time <= s.now {
 		// Events at the current time fire normally. Events whose time has

@@ -177,6 +177,7 @@ func (s *Simulator) Restore(sp *StateSpec, st State) error {
 	s.forces = s.forces[:0]
 	s.nba = s.nba[:0]
 	s.inactiveQ = s.inactiveQ[:0]
+	s.edgePending = false
 
 	// Primary inputs: clock level derived from the phase at st.Time, all
 	// other inputs take their latest scheduled value (X when none).
