@@ -95,7 +95,7 @@ func BenchmarkTable3GateCounts(b *testing.B) {
 }
 
 // BenchmarkTable4Paths regenerates the Table 4 measurement for every cell:
-// simulation paths created and skipped plus simulated cycles.
+// simulation paths created, skipped and superseded plus simulated cycles.
 func BenchmarkTable4Paths(b *testing.B) {
 	for _, c := range cells() {
 		c := c
@@ -106,6 +106,7 @@ func BenchmarkTable4Paths(b *testing.B) {
 			}
 			b.ReportMetric(float64(res.PathsCreated), "paths")
 			b.ReportMetric(float64(res.PathsSkipped), "skipped")
+			b.ReportMetric(float64(res.PathsSuperseded), "superseded")
 			b.ReportMetric(float64(res.SimulatedCycles), "cycles")
 		})
 	}
@@ -192,6 +193,7 @@ func BenchmarkPruneTable4(b *testing.B) {
 				b.ReportMetric(float64(res.PathsCreated), "paths")
 				b.ReportMetric(float64(res.PathsPruned), "pruned")
 				b.ReportMetric(float64(res.PathsSkipped), "skipped")
+				b.ReportMetric(float64(res.PathsSuperseded), "superseded")
 				b.ReportMetric(float64(res.ExercisableCount), "gates")
 			})
 		}

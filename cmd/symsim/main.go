@@ -278,12 +278,8 @@ func analyzeMain(args []string, printStats bool) {
 	fmt.Printf("policy      %s (%d conservative states)\n", res.Policy, res.CSMStates)
 	fmt.Printf("exercisable %d / %d gates  (%.2f%% reduction)\n",
 		res.ExercisableCount, res.TotalGates, res.ReductionPct())
-	if res.PathsPruned > 0 {
-		fmt.Printf("paths       %d created, %d skipped, %d pruned pre-fork\n",
-			res.PathsCreated, res.PathsSkipped, res.PathsPruned)
-	} else {
-		fmt.Printf("paths       %d created, %d skipped\n", res.PathsCreated, res.PathsSkipped)
-	}
+	fmt.Printf("paths       %d created, %d skipped, %d superseded, %d pruned pre-fork\n",
+		res.PathsCreated, res.PathsSkipped, res.PathsSuperseded, res.PathsPruned)
 	fmt.Printf("cycles      %d simulated\n", res.SimulatedCycles)
 
 	if deg := res.Degradation; deg != nil {

@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"symsim/internal/obs"
 	"symsim/internal/vvp"
 )
 
@@ -64,68 +63,6 @@ func (a *analysis) batchWorker() {
 		return evals, sweeps, wall
 	}
 
-	// publish mirrors the scalar worker's per-segment publication.
-	publish := func(out *pathOutcome, e entry, wall time.Duration, pending, inflight int) {
-		a.m.paths.With(out.stat.End.String()).Inc()
-		a.m.segCycles.Observe(float64(out.stat.Cycles))
-		a.m.segWall.Observe(wall.Seconds())
-		a.m.cycles.Add(out.stat.Cycles)
-		a.m.evals.Add(out.evals)
-		a.m.sweeps.Add(out.sweeps)
-		a.m.pending.Set(int64(pending))
-		a.m.inflight.Set(int64(inflight))
-		if out.stat.End == EndForked {
-			a.m.forkedByPC.With(pcLabel(out.stat.HaltPC)).Inc()
-		}
-		if out.quarantine != nil {
-			a.m.quarantines.Inc()
-		}
-		a.cfg.Tracer.Emit(obs.Span{
-			T:       obs.RecSpan,
-			ID:      out.stat.ID,
-			Parent:  e.parent,
-			StartPC: e.state.PC,
-			HaltPC:  out.stat.HaltPC,
-			Forced:  forcedLabel(e),
-			End:     out.stat.End.String(),
-			Cycles:  out.stat.Cycles,
-			WallUS:  wall.Microseconds(),
-		})
-	}
-
-	// settleLane runs the locked absorb/classify switch for one settled
-	// segment's outcome — the batch counterpart of the scalar worker's
-	// post-segment block — then publishes it.
-	settleLane := func(out *pathOutcome, e entry, wall time.Duration) {
-		a.mu.Lock()
-		a.active--
-		delete(a.inflight, out.stat.ID)
-		a.busy += wall
-		switch {
-		case out.quarantine != nil:
-			a.quarantined = append(a.quarantined, *out.quarantine)
-			a.res.Paths = append(a.res.Paths, out.stat)
-		case out.err != nil:
-			if a.fatal == nil {
-				a.fatal = out.err
-			}
-		case out.interrupted:
-			a.absorb(*out)
-			a.stack = append(a.stack, e)
-		default:
-			a.absorb(*out)
-			if out.stat.End == EndForked {
-				a.classify(out)
-			}
-		}
-		pending, inflight := len(a.stack), a.active
-		a.mu.Unlock()
-		a.cond.Broadcast()
-		if out.err == nil {
-			publish(out, e, wall, pending, inflight)
-		}
-	}
-
 	// laneOutcome scatters one lane's observable state into a pathOutcome
 	// (the batch counterpart of simulatePath's post-segment copy-out).
 	laneOutcome := func(l int) pathOutcome {
@@ -155,7 +92,7 @@ func (a *analysis) batchWorker() {
 			retire(l)
 			var wall time.Duration
 			out.evals, out.sweeps, wall = takeEffort()
-			settleLane(&out, e, wall)
+			a.settle(&out, e, wall)
 		}
 	}
 
@@ -173,7 +110,7 @@ func (a *analysis) batchWorker() {
 			},
 		}
 		_, _, wall := takeEffort()
-		settleLane(&out, e, wall)
+		a.settle(&out, e, wall)
 	}
 
 	// quarantineAll contains a panic that escaped the engine: every
@@ -217,7 +154,7 @@ func (a *analysis) batchWorker() {
 			a.cond.Broadcast()
 			return
 		}
-		if len(a.stack) == 0 && occupied == 0 {
+		if a.front.len() == 0 && occupied == 0 {
 			// Single scheduler goroutine: nothing pending, nothing running,
 			// and only this goroutine could add work — exploration is done.
 			a.mu.Unlock()
@@ -227,13 +164,11 @@ func (a *analysis) batchWorker() {
 		var admitLanes []int
 		var cold []laneSeg
 		free := ^occupied
-		for len(a.stack) > 0 && bits.OnesCount64(occupied)+len(admitLanes) < laneCap {
-			e := a.stack[len(a.stack)-1]
-			a.stack = a.stack[:len(a.stack)-1]
-			id := a.nextID
-			a.nextID++
-			a.active++
-			a.inflight[id] = e
+		for bits.OnesCount64(occupied)+len(admitLanes) < laneCap {
+			id, e, ok := a.admit()
+			if !ok {
+				break
+			}
 			if e.state.Bits.Width() == 0 {
 				cold = append(cold, laneSeg{id: id, e: e})
 				continue
@@ -251,7 +186,7 @@ func (a *analysis) batchWorker() {
 			segStart := time.Now()
 			out := a.simulatePath(c.id, c.e, &coldCached)
 			lastWall = time.Now() // cold wall is attributed here, not to lanes
-			settleLane(&out, c.e, time.Since(segStart))
+			a.settle(&out, c.e, time.Since(segStart))
 			a.maybeCheckpoint(false)
 		}
 
@@ -280,7 +215,7 @@ func (a *analysis) batchWorker() {
 							a.mu.Lock()
 							a.active--
 							delete(a.inflight, seg[ml].id)
-							a.stack = append(a.stack, seg[ml].e)
+							a.front.push(seg[ml].e)
 							a.mu.Unlock()
 						}
 					}
@@ -291,7 +226,7 @@ func (a *analysis) batchWorker() {
 						out := pathOutcome{stat: PathStat{ID: seg[l].id}}
 						out.err = fmt.Errorf("core: path %d: %w", seg[l].id, rerr)
 						_, _, wall := takeEffort()
-						settleLane(&out, seg[l].e, wall)
+						a.settle(&out, seg[l].e, wall)
 						return true
 					}
 					occupied |= uint64(1) << uint(l)
@@ -389,7 +324,7 @@ func (a *analysis) batchWorker() {
 				}
 			}
 			retire(l)
-			settleLane(&out, e, wall)
+			a.settle(&out, e, wall)
 		}
 		a.maybeCheckpoint(false)
 	}

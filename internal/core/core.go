@@ -189,6 +189,11 @@ type Config struct {
 	// this knob exists for A/B measurement (the bench harness runs each
 	// cell with pruning off and on), not as a safety valve.
 	DisablePrune bool
+
+	// keepSuperseded makes admit simulate the entries the frontier reports
+	// superseded, i.e. plain Algorithm 1; only the A/B oracle in _test.go
+	// sets it.
+	keepSuperseded bool
 }
 
 // PathEnd describes how one simulated path segment terminated.
@@ -259,12 +264,24 @@ type Result struct {
 	TotalGates int
 
 	// PathsCreated counts worklist entries (the initial path plus up to
-	// two per fork); PathsSkipped counts paths that ended subsumed by the
-	// CSM. PathsPruned counts forked children proven infeasible under the
-	// user's application facts and dropped before they were scheduled —
-	// they appear in neither of the other two counters. In-memory only,
-	// like BusyTime: checkpoints do not persist it.
-	PathsCreated, PathsSkipped, PathsPruned int
+	// two per fork), each counted when it is pushed. PathsSkipped counts
+	// segments that were simulated to their next halt and found covered
+	// there by the CSM (Paths entries ending EndSubsumed). PathsSuperseded
+	// counts entries dropped when popped, before any simulation, because a
+	// later fork at the same branch PC and direction had pushed a strictly
+	// wider start state; they get no path ID and no Paths entry. Every
+	// created entry is accounted for:
+	//
+	//	PathsCreated = len(Paths) - interrupted + PathsSuperseded + pending
+	//
+	// where interrupted counts Paths entries ending EndInterrupted (their
+	// entry went back to the worklist) and pending is
+	// Degradation.PendingPaths, 0 on a complete run. PathsPruned counts
+	// forked children proven infeasible under the user's application facts
+	// and dropped before they were scheduled — they appear in none of the
+	// other counters. PathsSuperseded and PathsPruned are in-memory only,
+	// like BusyTime: checkpoints do not persist them.
+	PathsCreated, PathsSkipped, PathsSuperseded, PathsPruned int
 	// SimulatedCycles sums clock cycles over all simulated paths.
 	SimulatedCycles uint64
 	// Paths lists the per-segment statistics sorted by path ID, so
@@ -482,7 +499,7 @@ func AnalyzeContext(ctx context.Context, p *Platform, cfg Config) (*Result, erro
 		}
 	} else {
 		// Initial path: cold boot through reset (no saved state).
-		a.stack = []entry{{parent: -1}}
+		a.front.push(entry{parent: -1})
 		a.res.PathsCreated = 1
 	}
 
@@ -518,7 +535,7 @@ type analysis struct {
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	stack     []entry
+	front     frontier
 	inflight  map[int]entry
 	active    int
 	fatal     error
@@ -680,7 +697,7 @@ func (a *analysis) progress() Progress {
 	return Progress{
 		Elapsed:         time.Since(a.start),
 		PathsDone:       len(a.res.Paths),
-		PathsPending:    len(a.stack),
+		PathsPending:    a.front.len(),
 		PathsInFlight:   a.active,
 		SimulatedCycles: a.liveCycles.Load(),
 		CSMStates:       a.cfg.Policy.States(),
@@ -695,94 +712,133 @@ func (a *analysis) worker() {
 	var cached *vvp.Simulator
 	for {
 		a.mu.Lock()
-		for len(a.stack) == 0 && a.active > 0 && a.fatal == nil && !a.stop.Load() {
+		id, e, ok := a.admit()
+		for !ok && a.active > 0 && a.fatal == nil && !a.stop.Load() {
 			a.cond.Wait()
+			id, e, ok = a.admit()
 		}
-		if len(a.stack) == 0 || a.fatal != nil || a.stop.Load() {
-			a.mu.Unlock()
+		a.mu.Unlock()
+		if !ok {
 			a.cond.Broadcast()
 			return
 		}
-		e := a.stack[len(a.stack)-1]
-		a.stack = a.stack[:len(a.stack)-1]
-		a.active++
-		id := a.nextID
-		a.nextID++
-		a.inflight[id] = e
-		a.mu.Unlock()
 
 		segStart := time.Now()
 		out := a.simulatePath(id, e, &cached)
-		wall := time.Since(segStart)
-
-		a.mu.Lock()
-		a.active--
-		delete(a.inflight, id)
-		a.busy += wall
-		switch {
-		case out.quarantine != nil:
-			// Crash containment: record the contained path and keep
-			// going. The simulator may have died mid-settle; discard it.
-			cached = nil
-			a.quarantined = append(a.quarantined, *out.quarantine)
-			a.res.Paths = append(a.res.Paths, out.stat)
-		case out.err != nil:
-			if a.fatal == nil {
-				a.fatal = out.err
-			}
-			a.mu.Unlock()
-			a.cond.Broadcast()
+		a.settle(&out, e, time.Since(segStart))
+		if out.err != nil {
 			return
-		case out.interrupted:
-			// Partial segment: its observations are sound (they did
-			// happen) and its entry goes back to the frontier for the
-			// degradation drain or a future resume.
-			a.absorb(out)
-			a.stack = append(a.stack, e)
-		default:
-			a.absorb(out)
-			if out.stat.End == EndForked {
-				a.classify(&out)
-			}
 		}
-		pending, inflight := len(a.stack), a.active
-		a.mu.Unlock()
-		a.cond.Broadcast()
-
-		// Segment-granularity publication, outside the scheduler lock:
-		// classify may have rewritten the provisional EndForked to
-		// EndSubsumed, so the span and counters read the settled verdict.
-		a.m.paths.With(out.stat.End.String()).Inc()
-		a.m.segCycles.Observe(float64(out.stat.Cycles))
-		a.m.segWall.Observe(wall.Seconds())
-		a.m.cycles.Add(out.stat.Cycles)
-		a.m.evals.Add(out.evals)
-		a.m.sweeps.Add(out.sweeps)
-		a.m.pending.Set(int64(pending))
-		a.m.inflight.Set(int64(inflight))
-		if out.stat.End == EndForked {
-			a.m.forkedByPC.With(pcLabel(out.stat.HaltPC)).Inc()
-		}
-		if out.pruned > 0 {
-			a.m.pruned.Add(out.pruned)
-			a.m.prunedByPC.With(pcLabel(out.stat.HaltPC)).Add(out.pruned)
-		}
-		if out.quarantine != nil {
-			a.m.quarantines.Inc()
-		}
-		a.cfg.Tracer.Emit(obs.Span{
-			T:       obs.RecSpan,
-			ID:      id,
-			Parent:  e.parent,
-			StartPC: e.state.PC,
-			HaltPC:  out.stat.HaltPC,
-			Forced:  forcedLabel(e),
-			End:     out.stat.End.String(),
-			Cycles:  out.stat.Cycles,
-			WallUS:  wall.Microseconds(),
-		})
 		a.maybeCheckpoint(false)
 	}
+}
+
+// admit pops the next live entry off the frontier and registers it as an
+// in-flight segment under a fresh path ID — the single admission point of
+// both drivers. Entries a wider sibling supersedes are dropped on the way:
+// counted, traced as a leaf of their parent, never given an ID or a
+// simulator. ok is false when the frontier is empty or the run is
+// stopping (pending entries then stay put for the drain). Caller holds
+// a.mu.
+func (a *analysis) admit() (id int, e entry, ok bool) {
+	if a.fatal != nil || a.stop.Load() {
+		return 0, entry{}, false
+	}
+	for {
+		var superseded bool
+		e, superseded, ok = a.front.pop()
+		if !ok {
+			return 0, entry{}, false
+		}
+		if !superseded || a.cfg.keepSuperseded {
+			break
+		}
+		a.res.PathsSuperseded++
+		a.m.paths.With(obs.EndSuperseded).Inc()
+		a.cfg.Tracer.Emit(obs.Span{
+			T:       obs.RecSpan,
+			ID:      -1,
+			Parent:  e.parent,
+			StartPC: e.state.PC,
+			Forced:  forcedLabel(e),
+			End:     obs.EndSuperseded,
+		})
+	}
+	id = a.nextID
+	a.nextID++
+	a.active++
+	a.inflight[id] = e
+	return id, e, true
+}
+
+// settle retires one segment for either driver: the locked
+// absorb/classify step, then the segment-granularity publication outside
+// the scheduler lock. A fatal outcome (out.err) is recorded and nothing
+// is published.
+func (a *analysis) settle(out *pathOutcome, e entry, wall time.Duration) {
+	a.mu.Lock()
+	a.active--
+	delete(a.inflight, out.stat.ID)
+	a.busy += wall
+	switch {
+	case out.quarantine != nil:
+		// Crash containment: record the contained path and keep going.
+		a.quarantined = append(a.quarantined, *out.quarantine)
+		a.res.Paths = append(a.res.Paths, out.stat)
+	case out.err != nil:
+		if a.fatal == nil {
+			a.fatal = out.err
+		}
+	case out.interrupted:
+		// Partial segment: its observations are sound (they did happen)
+		// and its entry goes back to the frontier for the degradation
+		// drain or a future resume.
+		a.absorb(*out)
+		a.front.push(e)
+	default:
+		a.absorb(*out)
+		if out.stat.End == EndForked {
+			a.classify(out)
+		}
+	}
+	pending, inflight := a.front.len(), a.active
+	a.mu.Unlock()
+	a.cond.Broadcast()
+	if out.err != nil {
+		return
+	}
+
+	// classify may have rewritten the provisional EndForked to
+	// EndSubsumed, so the span and counters read the settled verdict.
+	a.m.paths.With(out.stat.End.String()).Inc()
+	a.m.segCycles.Observe(float64(out.stat.Cycles))
+	a.m.segWall.Observe(wall.Seconds())
+	a.m.cycles.Add(out.stat.Cycles)
+	a.m.evals.Add(out.evals)
+	a.m.sweeps.Add(out.sweeps)
+	a.m.pending.Set(int64(pending))
+	a.m.inflight.Set(int64(inflight))
+	if out.stat.End == EndForked {
+		a.m.forkedByPC.With(pcLabel(out.stat.HaltPC)).Inc()
+	}
+	if out.pruned > 0 {
+		a.m.pruned.Add(out.pruned)
+		a.m.prunedByPC.With(pcLabel(out.stat.HaltPC)).Add(out.pruned)
+	}
+	if out.quarantine != nil {
+		a.m.quarantines.Inc()
+	}
+	a.cfg.Tracer.Emit(obs.Span{
+		T:       obs.RecSpan,
+		ID:      out.stat.ID,
+		Parent:  e.parent,
+		StartPC: e.state.PC,
+		HaltPC:  out.stat.HaltPC,
+		Forced:  forcedLabel(e),
+		End:     out.stat.End.String(),
+		Cycles:  out.stat.Cycles,
+		WallUS:  wall.Microseconds(),
+	})
 }
 
 // forcedLabel renders the branch interpretation an entry follows for the
@@ -871,7 +927,9 @@ func (a *analysis) classify(out *pathOutcome) {
 		}
 		return
 	}
-	a.stack = append(a.stack, children...)
+	for _, ch := range children {
+		a.front.pushFork(ch)
+	}
 	a.res.PathsCreated += len(children)
 	// The fork happened even if pruning dropped every child: the segment
 	// keeps its EndForked verdict and the fork counters advance, so heat
@@ -1088,7 +1146,7 @@ func (a *analysis) runSegment(sim *vvp.Simulator) (vvp.Status, bool, error) {
 // degradation drain for incomplete runs, the exercisable-gate dichotomy,
 // and deterministic ordering of the per-path statistics.
 func (a *analysis) finish() {
-	pending := len(a.stack)
+	pending := a.front.len()
 	if pending > 0 || len(a.quarantined) > 0 {
 		a.res.Complete = false
 		deg := &Degradation{Trip: a.trip, PendingPaths: pending, Quarantined: a.quarantined}
@@ -1111,7 +1169,7 @@ func (a *analysis) finish() {
 		// coordinator's authoritative CSM (see DisableDrainMerge).
 		if !a.cfg.DisableDrainMerge {
 			a.decisionPath = -1
-			for _, e := range a.stack {
+			for _, e := range a.front.stack {
 				if e.state.Bits.Width() > 0 && e.state.PCKnown {
 					a.cfg.Policy.Observe(e.state)
 					deg.ForcedMerges++
@@ -1175,15 +1233,16 @@ func (a *analysis) finish() {
 	a.m.pending.Set(0)
 	a.m.inflight.Set(0)
 	a.cfg.Tracer.Emit(obs.Done{
-		T:            obs.RecDone,
-		Complete:     a.res.Complete,
-		PathsCreated: a.res.PathsCreated,
-		PathsSkipped: a.res.PathsSkipped,
-		Cycles:       a.res.SimulatedCycles,
-		Exercisable:  a.res.ExercisableCount,
-		TotalGates:   a.res.TotalGates,
-		CSMStates:    a.res.CSMStates,
-		ElapsedMS:    time.Since(a.start).Milliseconds(),
+		T:               obs.RecDone,
+		Complete:        a.res.Complete,
+		PathsCreated:    a.res.PathsCreated,
+		PathsSkipped:    a.res.PathsSkipped,
+		PathsSuperseded: a.res.PathsSuperseded,
+		Cycles:          a.res.SimulatedCycles,
+		Exercisable:     a.res.ExercisableCount,
+		TotalGates:      a.res.TotalGates,
+		CSMStates:       a.res.CSMStates,
+		ElapsedMS:       time.Since(a.start).Milliseconds(),
 	})
 	// Flush so the trace is complete on disk before Analyze returns; a
 	// write error stays retained in the tracer (obs.Tracer.Err) for the
@@ -1251,7 +1310,7 @@ func (a *analysis) snapshotLocked() *Checkpoint {
 		Paths:           append([]PathStat(nil), a.res.Paths...),
 		Quarantined:     append([]Quarantine(nil), a.quarantined...),
 	}
-	for _, e := range a.stack {
+	for _, e := range a.front.stack {
 		c.Pending = append(c.Pending, PendingPath{State: e.state.Clone(), Forced: e.forced, HasForce: e.hasForce})
 	}
 	ids := make([]int, 0, len(a.inflight))
@@ -1292,8 +1351,9 @@ func (a *analysis) loadResume(c *Checkpoint) error {
 	a.quarantined = append(a.quarantined, c.Quarantined...)
 	for _, p := range c.Pending {
 		// Checkpoints do not persist fork ancestry; restored entries are
-		// trace-tree roots.
-		a.stack = append(a.stack, entry{state: p.State.Clone(), forced: p.Forced, hasForce: p.HasForce, parent: -1})
+		// trace-tree roots. Pushing them as forks rebuilds the supersession
+		// index from Pending order alone (see frontier.pop on strictness).
+		a.front.pushFork(entry{state: p.State.Clone(), forced: p.Forced, hasForce: p.HasForce, parent: -1})
 	}
 	return nil
 }

@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"symsim/internal/core"
+	"symsim/internal/csm"
 	"symsim/internal/obs"
+	"symsim/internal/report"
+	"symsim/internal/vvp"
 )
 
 // A traced run must populate the metrics registry from every layer
@@ -62,8 +65,8 @@ func TestAnalyzeObservability(t *testing.T) {
 	if log.Meta == nil || log.Meta.Design == "" || log.Meta.Policy != "merge-all" {
 		t.Fatalf("meta = %+v", log.Meta)
 	}
-	if len(log.Spans) != len(res.Paths) {
-		t.Fatalf("spans = %d, paths = %d", len(log.Spans), len(res.Paths))
+	if len(log.Spans) != len(res.Paths)+res.PathsSuperseded {
+		t.Fatalf("spans = %d, paths = %d + %d superseded", len(log.Spans), len(res.Paths), res.PathsSuperseded)
 	}
 	if log.Done == nil || log.Done.PathsCreated != res.PathsCreated || !log.Done.Complete {
 		t.Fatalf("done = %+v", log.Done)
@@ -128,5 +131,98 @@ func TestAnalyzeDefaultRegistry(t *testing.T) {
 	}
 	if got := obs.Default.Counter("symsim_runs_total", "").Value(); got != before+1 {
 		t.Errorf("runs counter = %d, want %d", got, before+1)
+	}
+}
+
+// Entries the frontier supersedes never become segments, yet every created
+// path must stay visible: one span each (no path ID, zero cycles, hanging
+// off the fork that created it), the existing paths-by-end vec, the Done
+// record, and a leaf line in the rendered fork tree.
+func TestSupersededObservability(t *testing.T) {
+	p, err := report.BuildPlatform(report.OMSP430, "tHold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	var traceBuf bytes.Buffer
+	res, err := core.Analyze(p, core.Config{Metrics: reg, Tracer: obs.NewTracer(&traceBuf)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PathsSuperseded == 0 {
+		t.Fatal("tHold superseded nothing; the test needs a fork-heavy cell")
+	}
+	byEnd := reg.CounterVec("symsim_paths_total", "", "end")
+	if got := byEnd.With(obs.EndSuperseded).Value(); got != uint64(res.PathsSuperseded) {
+		t.Errorf(`symsim_paths_total{end="superseded"} = %d, PathsSuperseded = %d`, got, res.PathsSuperseded)
+	}
+
+	log, err := obs.ReadTrace(bytes.NewReader(traceBuf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(log.Spans) != len(res.Paths)+res.PathsSuperseded {
+		t.Errorf("spans = %d, want %d segments + %d superseded", len(log.Spans), len(res.Paths), res.PathsSuperseded)
+	}
+	ends := make(map[int]string)
+	for _, s := range log.Spans {
+		if s.End != obs.EndSuperseded {
+			ends[s.ID] = s.End
+		}
+	}
+	for _, s := range log.Spans {
+		if s.End != obs.EndSuperseded {
+			continue
+		}
+		if s.ID != -1 || s.Cycles != 0 || s.Forced == "" {
+			t.Errorf("superseded span %+v: want ID -1, zero cycles and a forced direction", s)
+		}
+		if ends[s.Parent] != "forked" {
+			t.Errorf("superseded span's parent %d ended %q, want forked", s.Parent, ends[s.Parent])
+		}
+	}
+	if log.Done == nil || log.Done.PathsSuperseded != res.PathsSuperseded {
+		t.Errorf("done = %+v, want pathsSuperseded %d", log.Done, res.PathsSuperseded)
+	}
+
+	var render bytes.Buffer
+	if err := obs.Explain(&render, log); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(render.String(), "path - [superseded]"); got != res.PathsSuperseded {
+		t.Errorf("explain shows %d superseded leaves, want %d\n%s", got, res.PathsSuperseded, render.String())
+	}
+}
+
+// Both drivers publish a segment through the same function: the pruned-fork
+// series must follow Result.PathsPruned on the batch engine too (its own
+// publication block used to leave them at zero).
+func TestPrunedForksPublishedByBothDrivers(t *testing.T) {
+	p, err := report.BuildPlatform(report.OMSP430, "tHold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "No sample equals the threshold": the JEQ at 0x1e is never taken.
+	fact := csm.Constraint{PC: 0x1e, Bit: p.Spec.BitOfNet("sr_z")}
+	for _, eng := range []vvp.Engine{vvp.EngineKernel, vvp.EngineBatch} {
+		pol, err := csm.NewConstrained(p.Spec.Bits(), []csm.Constraint{fact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		res, err := core.Analyze(p, core.Config{Policy: pol, Engine: eng, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PathsPruned == 0 {
+			t.Fatalf("%v: the fact pruned nothing", eng)
+		}
+		if got := reg.Counter("symsim_csm_pruned_forks_total", "").Value(); got != uint64(res.PathsPruned) {
+			t.Errorf("%v: symsim_csm_pruned_forks_total = %d, PathsPruned = %d", eng, got, res.PathsPruned)
+		}
+		byPC := reg.CounterVec("symsim_csm_pruned_by_pc_total", "", "pc")
+		if got := byPC.With("0x1e").Value(); got != uint64(res.PathsPruned) {
+			t.Errorf(`%v: symsim_csm_pruned_by_pc_total{pc="0x1e"} = %d, PathsPruned = %d`, eng, got, res.PathsPruned)
+		}
 	}
 }

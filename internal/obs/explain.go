@@ -21,7 +21,17 @@ func Explain(w io.Writer, log *TraceLog) error {
 		ew.printf(" policy=%s engine=%s workers=%d\n", m.Policy, m.Engine, m.Workers)
 	}
 
-	ew.printf("\nfork tree (%d path segments):\n", len(log.Spans))
+	superseded := 0
+	for _, s := range log.Spans {
+		if s.End == EndSuperseded {
+			superseded++
+		}
+	}
+	ew.printf("\nfork tree (%d path segments", len(log.Spans)-superseded)
+	if superseded > 0 {
+		ew.printf(", %d superseded children", superseded)
+	}
+	ew.printf("):\n")
 	writeForkTree(ew, log.Spans)
 
 	if hs := hotSpots(log.Decisions); len(hs) > 0 {
@@ -40,8 +50,8 @@ func Explain(w io.Writer, log *TraceLog) error {
 		if !d.Complete {
 			status = "degraded"
 		}
-		ew.printf("\noutcome: %s  paths=%d skipped=%d cycles=%d csmStates=%d exercisable=%d/%d  %dms\n",
-			status, d.PathsCreated, d.PathsSkipped, d.Cycles, d.CSMStates,
+		ew.printf("\noutcome: %s  paths=%d skipped=%d superseded=%d cycles=%d csmStates=%d exercisable=%d/%d  %dms\n",
+			status, d.PathsCreated, d.PathsSkipped, d.PathsSuperseded, d.Cycles, d.CSMStates,
 			d.Exercisable, d.TotalGates, d.ElapsedMS)
 	}
 	if log.Skipped > 0 {
@@ -52,11 +62,15 @@ func Explain(w io.Writer, log *TraceLog) error {
 
 // writeForkTree prints spans as a tree indented by fork ancestry. Spans
 // whose parent is unknown (cold boot, checkpoint restores) are roots.
+// Superseded children carry no path ID; each prints as a leaf under the
+// path that forked it, so every created path appears exactly once.
 func writeForkTree(ew *errWriter, spans []Span) {
 	children := make(map[int][]Span)
 	ids := make(map[int]bool, len(spans))
 	for _, s := range spans {
-		ids[s.ID] = true
+		if s.End != EndSuperseded {
+			ids[s.ID] = true
+		}
 	}
 	var roots []Span
 	for _, s := range spans {
@@ -80,6 +94,10 @@ func writeForkTree(ew *errWriter, spans []Span) {
 		forced := ""
 		if s.Forced != "" {
 			forced = " forced=" + s.Forced
+		}
+		if s.End == EndSuperseded {
+			ew.printf("  %spath - [%s]%s startPc=0x%x cycles=0\n", indent, s.End, forced, s.StartPC)
+			return
 		}
 		haltPC := ""
 		if s.HaltPC != 0 || s.End == "forked" || s.End == "subsumed" {

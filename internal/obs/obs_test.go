@@ -258,6 +258,8 @@ func TestExplainRendersTreeAndHotSpots(t *testing.T) {
 			{ID: 1, Parent: 0, StartPC: 0x10, Forced: "1", End: "finished", Cycles: 50, WallUS: 1200},
 			{ID: 2, Parent: 0, StartPC: 0x10, Forced: "0", End: "subsumed", HaltPC: 0x10, Cycles: 10, WallUS: 90},
 			{ID: 3, Parent: 9999, End: "finished", Cycles: 5, WallUS: 10}, // orphan → root
+			{ID: -1, Parent: 1, StartPC: 0x20, Forced: "1", End: EndSuperseded},
+			{ID: -1, Parent: -1, StartPC: 0x30, Forced: "0", End: EndSuperseded}, // restored from a checkpoint → root
 		},
 		Decisions: []Decision{
 			{Path: 2, PC: 0x10, Verdict: "subsumed", States: 1},
@@ -265,7 +267,7 @@ func TestExplainRendersTreeAndHotSpots(t *testing.T) {
 			{Path: 1, PC: 0x20, Verdict: "new", States: 2},
 		},
 		Trips: []TripRec{{Trip: "cycle budget", ElapsedMS: 11}},
-		Done:  &Done{Complete: false, PathsCreated: 4, PathsSkipped: 1, Cycles: 165, Exercisable: 3, TotalGates: 9, CSMStates: 2, ElapsedMS: 12},
+		Done:  &Done{Complete: false, PathsCreated: 6, PathsSkipped: 1, PathsSuperseded: 2, Cycles: 165, Exercisable: 3, TotalGates: 9, CSMStates: 2, ElapsedMS: 12},
 	}
 	var buf bytes.Buffer
 	if err := Explain(&buf, log); err != nil {
@@ -277,6 +279,10 @@ func TestExplainRendersTreeAndHotSpots(t *testing.T) {
 		"path 0 [forked]",
 		"  path 1 [finished] forced=1", // indented under parent
 		"path 3 [finished]",            // orphan still printed
+		"fork tree (4 path segments, 2 superseded children)",
+		"    path - [superseded] forced=1 startPc=0x20 cycles=0", // leaf under path 1
+		"\n  path - [superseded] forced=0 startPc=0x30 cycles=0", // parent unknown → root
+		"skipped=1 superseded=2",
 		"0x00000010", "0x00000020",
 		"budget trip: cycle budget",
 		"outcome: degraded",

@@ -24,6 +24,10 @@ const (
 	RecDone     = "done"
 )
 
+// EndSuperseded is the Span.End of a forked child the frontier dropped when
+// it was popped, before any simulation, because a wider sibling covers it.
+const EndSuperseded = "superseded"
+
 // Meta opens a trace: what ran and under which knobs.
 type Meta struct {
 	T       string `json:"t"` // RecMeta
@@ -40,7 +44,9 @@ type Span struct {
 	T string `json:"t"` // RecSpan
 	// ID is the worklist path ID; Parent the ID of the path whose fork
 	// created it (-1 for the cold-boot path and for paths restored from a
-	// checkpoint, whose parentage the checkpoint does not preserve).
+	// checkpoint, whose parentage the checkpoint does not preserve). A
+	// forked child dropped before simulation (End EndSuperseded) never got
+	// a path ID: its span has ID -1 and zero cycles.
 	ID     int `json:"id"`
 	Parent int `json:"parent"`
 	// StartPC is the PC of the forked state this segment resumed from
@@ -51,7 +57,7 @@ type Span struct {
 	// empty for the cold-boot path.
 	Forced string `json:"forced,omitempty"`
 	// End is the core.PathEnd name: forked, subsumed, finished,
-	// interrupted, quarantined.
+	// interrupted, quarantined — or EndSuperseded (see ID).
 	End string `json:"end"`
 	// Cycles is the segment's simulated clock cycles; WallUS its wall-clock
 	// simulation time in microseconds (the per-path CPU attribution).
@@ -93,11 +99,14 @@ type Done struct {
 	Complete     bool   `json:"complete"`
 	PathsCreated int    `json:"pathsCreated"`
 	PathsSkipped int    `json:"pathsSkipped"`
-	Cycles       uint64 `json:"cycles"`
-	Exercisable  int    `json:"exercisable"`
-	TotalGates   int    `json:"totalGates"`
-	CSMStates    int    `json:"csmStates"`
-	ElapsedMS    int64  `json:"elapsedMs"`
+	// PathsSuperseded counts the entries dropped before simulation (the
+	// spans with End "superseded").
+	PathsSuperseded int    `json:"pathsSuperseded"`
+	Cycles          uint64 `json:"cycles"`
+	Exercisable     int    `json:"exercisable"`
+	TotalGates      int    `json:"totalGates"`
+	CSMStates       int    `json:"csmStates"`
+	ElapsedMS       int64  `json:"elapsedMs"`
 }
 
 // Tracer writes trace records as JSONL. It is safe for concurrent use

@@ -88,9 +88,10 @@ type Cell struct {
 	Exercisable  int
 	ReductionPct float64
 
-	PathsCreated int
-	PathsSkipped int
-	SimCycles    uint64
+	PathsCreated    int
+	PathsSkipped    int
+	PathsSuperseded int
+	SimCycles       uint64
 
 	Wall time.Duration
 }
@@ -141,15 +142,16 @@ func Run(opt Options) (*Sweep, error) {
 				return nil, fmt.Errorf("report: %s/%s: %w", b, d, err)
 			}
 			cell := Cell{
-				Benchmark:    b,
-				Design:       d,
-				TotalGates:   res.TotalGates,
-				Exercisable:  res.ExercisableCount,
-				ReductionPct: res.ReductionPct(),
-				PathsCreated: res.PathsCreated,
-				PathsSkipped: res.PathsSkipped,
-				SimCycles:    res.SimulatedCycles,
-				Wall:         time.Since(start),
+				Benchmark:       b,
+				Design:          d,
+				TotalGates:      res.TotalGates,
+				Exercisable:     res.ExercisableCount,
+				ReductionPct:    res.ReductionPct(),
+				PathsCreated:    res.PathsCreated,
+				PathsSkipped:    res.PathsSkipped,
+				PathsSuperseded: res.PathsSuperseded,
+				SimCycles:       res.SimulatedCycles,
+				Wall:            time.Since(start),
 			}
 			sweep.Cells = append(sweep.Cells, cell)
 			sweep.Policy = res.Policy
@@ -259,12 +261,12 @@ func (s *Sweep) Table4() string {
 	sb.WriteString("Table 4. Simulation path and runtime analysis\n")
 	fmt.Fprintf(&sb, "%-10s", "Benchmark")
 	for _, d := range Designs {
-		fmt.Fprintf(&sb, " | %-28s", d)
+		fmt.Fprintf(&sb, " | %-34s", d)
 	}
 	sb.WriteString("\n")
 	fmt.Fprintf(&sb, "%-10s", "")
 	for range Designs {
-		fmt.Fprintf(&sb, " | %7s %7s %12s", "created", "skipped", "sim cycles")
+		fmt.Fprintf(&sb, " | %7s %7s %6s %11s", "created", "skipped", "supers", "sim cycles")
 	}
 	sb.WriteString("\n")
 	for _, b := range s.benchmarks() {
@@ -272,10 +274,10 @@ func (s *Sweep) Table4() string {
 		for _, d := range Designs {
 			c, ok := s.cell(b, d)
 			if !ok {
-				fmt.Fprintf(&sb, " | %7s %7s %12s", "-", "-", "-")
+				fmt.Fprintf(&sb, " | %7s %7s %6s %11s", "-", "-", "-", "-")
 				continue
 			}
-			fmt.Fprintf(&sb, " | %7d %7d %12d", c.PathsCreated, c.PathsSkipped, c.SimCycles)
+			fmt.Fprintf(&sb, " | %7d %7d %6d %11d", c.PathsCreated, c.PathsSkipped, c.PathsSuperseded, c.SimCycles)
 		}
 		sb.WriteString("\n")
 	}
@@ -327,7 +329,7 @@ func (s *Sweep) figure(title string, value func(Cell) float64, scale float64, va
 // CSV renders the sweep as comma-separated values for external plotting.
 func (s *Sweep) CSV() string {
 	var sb strings.Builder
-	sb.WriteString("benchmark,design,total_gates,exercisable,reduction_pct,paths_created,paths_skipped,sim_cycles,wall_ms\n")
+	sb.WriteString("benchmark,design,total_gates,exercisable,reduction_pct,paths_created,paths_skipped,paths_superseded,sim_cycles,wall_ms\n")
 	cells := append([]Cell(nil), s.Cells...)
 	sort.Slice(cells, func(i, j int) bool {
 		if cells[i].Benchmark != cells[j].Benchmark {
@@ -336,9 +338,9 @@ func (s *Sweep) CSV() string {
 		return cells[i].Design < cells[j].Design
 	})
 	for _, c := range cells {
-		fmt.Fprintf(&sb, "%s,%s,%d,%d,%.2f,%d,%d,%d,%d\n",
+		fmt.Fprintf(&sb, "%s,%s,%d,%d,%.2f,%d,%d,%d,%d,%d\n",
 			c.Benchmark, c.Design, c.TotalGates, c.Exercisable, c.ReductionPct,
-			c.PathsCreated, c.PathsSkipped, c.SimCycles, c.Wall.Milliseconds())
+			c.PathsCreated, c.PathsSkipped, c.PathsSuperseded, c.SimCycles, c.Wall.Milliseconds())
 	}
 	return sb.String()
 }
