@@ -61,8 +61,9 @@ lint:
 # future changes have numbers to diff against. BENCH_obs.json records the
 # observability overhead comparison (tracing off vs on) the same way.
 # BENCH_batch.json records the bit-parallel batched kernel: aggregate
-# lane-steps/s of batch-N vs scalar-N (the >=4x at >=8 lanes acceptance
-# number) and the end-to-end kernel-vs-batch co-analysis comparison.
+# lane-steps/s of batch-N vs scalar-N, the cost of one lane turnover
+# (retire + restore + snapshot) and the end-to-end kernel-vs-batch
+# co-analysis comparison.
 # BENCH_cluster.json records distributed exploration: aggregate paths/s
 # of the Table-1 workload run single-node versus fanned out across a
 # 3-worker fleet behind a real HTTP coordinator (the fleet's speedup is
@@ -77,7 +78,7 @@ lint:
 BENCHTIME ?= 2x
 BENCH_PAT ?= BenchmarkTable3GateCounts|BenchmarkTable4Paths|BenchmarkEngineComparison|BenchmarkSettleSteadyState
 BENCH_OBS_PAT ?= BenchmarkObsOverhead
-BENCH_BATCH_PAT ?= BenchmarkBatchKernelSweep|BenchmarkBatchAnalyze
+BENCH_BATCH_PAT ?= BenchmarkBatchKernelSweep|BenchmarkBatchLaneTurnover|BenchmarkBatchAnalyze
 BENCH_CLUSTER_PAT ?= BenchmarkClusterSingleNode|BenchmarkClusterThreeWorkers
 BENCH_PRUNE_PAT ?= BenchmarkPruneTable4
 bench:

@@ -4,7 +4,8 @@
 // simulators, because one sweep over the level-major program serves all
 // lanes. `make bench` snapshots these under BENCH_batch.json; the
 // acceptance comparison is aggregate lane-steps/s of batch vs scalar at
-// equal lane counts N >= 8, plus 0 allocs/op at steady state.
+// equal lane counts N >= 8, plus 0 allocs/op at steady state, and the cost
+// of turning a lane over between path segments.
 package symsim_test
 
 import (
@@ -17,7 +18,7 @@ import (
 
 // warmState builds the platform, runs a scalar simulator past reset and
 // returns everything needed to admit lanes at that state.
-func warmState(b *testing.B, d symsim.Design, bench string) (*symsim.Platform, vvp.State) {
+func warmState(b testing.TB, d symsim.Design, bench string) (*symsim.Platform, vvp.State) {
 	b.Helper()
 	p, err := symsim.BuildPlatform(d, bench)
 	if err != nil {
@@ -77,6 +78,15 @@ func BenchmarkBatchKernelSweep(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			// Two untimed clock cycles first: the NBA queue is a pair of
+			// buffers swapped at every drain and each grows to its
+			// steady-state capacity on its first posedge, which a
+			// 2-iteration run would otherwise report as allocs/op.
+			for i := 0; i < 4; i++ {
+				if _, _, err := bs.StepAll(); err != nil {
+					b.Fatal(err)
+				}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -85,6 +95,46 @@ func BenchmarkBatchKernelSweep(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.N)*float64(lanes)/b.Elapsed().Seconds(), "lane-steps/s")
+		})
+	}
+}
+
+// BenchmarkBatchLaneTurnover measures what the lane scheduler pays per path
+// segment besides stepping: one op retires a lane, admits the next state
+// into the slot and snapshots it, on BM32/tHold with 0, 3 and 15 other
+// lanes occupied. Admissions alternate between two states ten clock cycles
+// apart — about one Table-4 segment — so each one re-evaluates a real
+// difference; evals/op is the gate visits that costs (the design has
+// 17,534 gates), and the occupied lanes show what a shared settle adds.
+func BenchmarkBatchLaneTurnover(b *testing.B) {
+	for _, others := range []int{0, 3, 15} {
+		others := others
+		b.Run(fmt.Sprintf("others=%d", others), func(b *testing.B) {
+			p, st := warmState(b, symsim.BM32, "tHold")
+			states := [2]vvp.State{st, stateCyclesLater(b, p, st, 10)}
+			bs := vvp.NewBatchSim(p.Design, vvp.BatchOptions{})
+			bs.BindStimulus(p.Stimulus())
+			for l := 0; l <= others; l++ {
+				if err := bs.RestoreLane(p.Spec, st, l); err != nil {
+					b.Fatal(err)
+				}
+			}
+			lane := others
+			var snap vvp.State
+			b.ReportAllocs()
+			b.ResetTimer()
+			e0 := bs.Evals()
+			for i := 0; i < b.N; i++ {
+				bs.RetireLane(lane)
+				if err := bs.RestoreLane(p.Spec, states[(i+1)&1], lane); err != nil {
+					b.Fatal(err)
+				}
+				snap = bs.SnapshotLane(p.Spec, lane)
+			}
+			b.ReportMetric(float64(bs.Evals()-e0)/float64(b.N), "evals/op")
+			if snap.Time != states[b.N&1].Time {
+				b.Fatalf("snapshot at t=%d, restored t=%d", snap.Time, states[b.N&1].Time)
+			}
 		})
 	}
 }

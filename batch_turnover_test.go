@@ -1,0 +1,96 @@
+package symsim_test
+
+import (
+	"testing"
+
+	"symsim"
+	"symsim/internal/logic"
+	"symsim/internal/vvp"
+)
+
+// stateCyclesLater restores st into a scalar kernel simulator, free-runs it
+// for the given number of clock cycles and returns the state it reached.
+func stateCyclesLater(t testing.TB, p *symsim.Platform, st vvp.State, cycles uint64) vvp.State {
+	t.Helper()
+	sim := vvp.New(p.Design, vvp.Options{Engine: vvp.EngineKernel, DisableSymbolic: true})
+	sim.BindStimulus(p.Stimulus())
+	if err := sim.Restore(p.Spec, st); err != nil {
+		t.Fatal(err)
+	}
+	for sim.Cycles() < cycles {
+		if _, err := sim.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sim.Snapshot(p.Spec)
+}
+
+// TestBatchLaneTurnoverCounts pins incremental admission by a count, on
+// bm32/tHold through BatchSim.Evals: building the simulator and admitting
+// the first lane each evaluate the design once at most, re-admitting the
+// state a retired lane still holds evaluates next to nothing, and
+// re-admitting a state ten cycles away evaluates only the cone of what
+// differs — never the whole design again.
+func TestBatchLaneTurnoverCounts(t *testing.T) {
+	p, st := warmState(t, symsim.BM32, "tHold")
+	away := stateCyclesLater(t, p, st, 10)
+	gates := uint64(len(p.Design.Gates))
+
+	bs := vvp.NewBatchSim(p.Design, vvp.BatchOptions{})
+	bs.BindStimulus(p.Stimulus())
+	if e := bs.Evals(); e > gates {
+		t.Errorf("time-zero evaluation visited %d gates, design has %d", e, gates)
+	}
+	admit := func(st vvp.State) uint64 {
+		e0 := bs.Evals()
+		if err := bs.RestoreLane(p.Spec, st, 0); err != nil {
+			t.Fatal(err)
+		}
+		return bs.Evals() - e0
+	}
+	if e := admit(st); e > gates {
+		t.Errorf("first admission visited %d gates, want at most the design's %d", e, gates)
+	}
+	bs.RetireLane(0)
+	if e := admit(st); e*20 >= gates {
+		t.Errorf("re-admitting the same state visited %d gates, want under 5%% of %d", e, gates)
+	}
+	bs.RetireLane(0)
+	if e := admit(away); e == 0 || e >= gates {
+		t.Errorf("re-admitting a state 10 cycles away visited %d gates, want some but fewer than %d", e, gates)
+	}
+}
+
+// TestBatchSnapshotOfRestoreIsIdentity checks, on all three processors,
+// that a state survives RestoreLane + SnapshotLane bit for bit — with a RAM
+// image of known and X bits that the word-chunked transplant must carry in
+// both directions — in a fresh lane and over a previous occupant.
+func TestBatchSnapshotOfRestoreIsIdentity(t *testing.T) {
+	for _, d := range []symsim.Design{symsim.BM32, symsim.OMSP430, symsim.DR5} {
+		p, st := warmState(t, d, "tHold")
+		patterned := st.Clone()
+		for i := len(p.Spec.DFFs); i < p.Spec.Bits(); i++ {
+			patterned.Bits.Set(i, []logic.Value{logic.Lo, logic.Hi, logic.X, logic.Hi, logic.X}[i%5])
+		}
+		bs := vvp.NewBatchSim(p.Design, vvp.BatchOptions{})
+		bs.BindStimulus(p.Stimulus())
+		for _, c := range []struct {
+			name string
+			st   vvp.State
+			lane int
+		}{
+			{"post-reset state, fresh lane", st, 37},
+			{"patterned RAM over an occupant", patterned, 37},
+			{"patterned RAM, fresh lane", patterned, 63},
+			{"post-reset state over patterned RAM", st, 63},
+		} {
+			if err := bs.RestoreLane(p.Spec, c.st, c.lane); err != nil {
+				t.Fatal(err)
+			}
+			got := bs.SnapshotLane(p.Spec, c.lane)
+			if !got.Bits.Equal(c.st.Bits) || got.Time != c.st.Time || got.PC != c.st.PC || got.PCKnown != c.st.PCKnown {
+				t.Errorf("%v: %s: snapshot of the restored lane differs from the state restored", d, c.name)
+			}
+		}
+	}
+}

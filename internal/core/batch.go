@@ -7,6 +7,7 @@ import (
 	"runtime/debug"
 	"time"
 
+	"symsim/internal/logic"
 	"symsim/internal/vvp"
 )
 
@@ -64,12 +65,18 @@ func (a *analysis) batchWorker() {
 	}
 
 	// laneOutcome scatters one lane's observable state into a pathOutcome
-	// (the batch counterpart of simulatePath's post-segment copy-out).
+	// (the batch counterpart of simulatePath's post-segment copy-out). The
+	// two net-sized slices are this goroutine's scratch, reused by every
+	// lane: settle only reads them under a.mu (absorb) and retains neither.
+	var toggled []bool
+	var endVals []logic.Value
 	laneOutcome := func(l int) pathOutcome {
+		toggled = b.ToggledLane(l, toggled)
+		endVals = b.LaneNetValues(l, endVals)
 		return pathOutcome{
 			stat:    PathStat{ID: seg[l].id, Cycles: b.CyclesLane(l)},
-			toggled: b.ToggledLane(l, nil),
-			endVals: b.LaneNetValues(l, nil),
+			toggled: toggled,
+			endVals: endVals,
 		}
 	}
 

@@ -85,6 +85,15 @@ func (v Vec) check(i int) {
 	}
 }
 
+// checkSpan panics unless [off, off+n) is a span of 1..64 bits inside v.
+func (v Vec) checkSpan(off, n int) {
+	if n <= 0 || n > 64 {
+		panic("logic: Vec word span must be 1..64 bits")
+	}
+	v.check(off)
+	v.check(off + n - 1)
+}
+
 // Get returns bit i of v (Lo, Hi or X).
 //
 //symsim:hotpath
@@ -286,6 +295,38 @@ func (v *Vec) CopyBitsFrom(dstOff int, src Vec, srcOff, n int) {
 		dstOff += c
 		srcOff += c
 		n -= c
+	}
+}
+
+// Word returns the n <= 64 bits of v starting at off as one packed word per
+// plane: bit j of known and val is vector bit off+j (val is zero wherever
+// known is). With SetWord it lets a caller that holds its own bit-packed
+// data — the batch engine's lane planes — exchange whole memory words with
+// a Vec without per-bit Get/Set calls. Out-of-range spans panic.
+//
+//symsim:hotpath
+func (v Vec) Word(off, n int) (known, val uint64) {
+	v.checkSpan(off, n)
+	return extractBits(v.known, off, n), extractBits(v.val, off, n)
+}
+
+// SetWord overwrites the n <= 64 bits of v starting at off from packed
+// plane words, the inverse of Word. Bits of known and val above n are
+// ignored, and val bits outside known are dropped, so v stays canonical.
+//
+//symsim:hotpath
+func (v *Vec) SetWord(off, n int, known, val uint64) {
+	v.checkSpan(off, n)
+	mask := chunkMask(n)
+	known &= mask
+	val &= known
+	w, b := off/64, uint(off%64)
+	v.known[w] = v.known[w]&^(mask<<b) | known<<b
+	v.val[w] = v.val[w]&^(mask<<b) | val<<b
+	if int(b)+n > 64 {
+		r := 64 - b
+		v.known[w+1] = v.known[w+1]&^(mask>>r) | known>>r
+		v.val[w+1] = v.val[w+1]&^(mask>>r) | val>>r
 	}
 }
 

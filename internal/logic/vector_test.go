@@ -331,3 +331,61 @@ func TestVecCopyBitsFrom(t *testing.T) {
 	v := NewVec(8)
 	v.CopyBitsFrom(4, NewVec(8), 0, 5)
 }
+
+// TestVecWordRoundTrip cross-checks Word and SetWord against per-bit
+// Get/Set on random vectors and (word-straddling) spans: Word packs the
+// span as known/val words, SetWord writes one back without touching its
+// neighbours and keeps the vector canonical whatever val bits it is handed.
+func TestVecWordRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 500; trial++ {
+		w := 1 + r.Intn(200)
+		v := NewVec(w)
+		for i := 0; i < w; i++ {
+			v.Set(i, []Value{Lo, Hi, X}[r.Intn(3)])
+		}
+		n := 1 + r.Intn(min(w, 64))
+		off := r.Intn(w - n + 1)
+
+		known, val := v.Word(off, n)
+		for j := 0; j < n; j++ {
+			want := X
+			if known>>uint(j)&1 == 1 {
+				want = Value(val >> uint(j) & 1)
+			}
+			if got := v.Get(off + j); got != want {
+				t.Fatalf("Word(%d,%d) bit %d = %v, Get says %v (%s)", off, n, j, want, got, v)
+			}
+		}
+		if n < 64 && (known>>uint(n) != 0 || val>>uint(n) != 0) {
+			t.Fatalf("Word(%d,%d) set bits above the span: %#x %#x", off, n, known, val)
+		}
+
+		// Random planes, val deliberately not confined to known.
+		k, x := r.Uint64(), r.Uint64()
+		want := v.Clone()
+		for j := 0; j < n; j++ {
+			bit := X
+			if k>>uint(j)&1 == 1 {
+				bit = Value(x >> uint(j) & 1)
+			}
+			want.Set(off+j, bit)
+		}
+		got := v.Clone()
+		got.SetWord(off, n, k, x)
+		if !got.Equal(want) {
+			t.Fatalf("SetWord(%d,%d,%#x,%#x) on %s:\n got %s\nwant %s", off, n, k, x, v, got, want)
+		}
+		for i := range got.val {
+			if got.val[i]&^got.known[i] != 0 {
+				t.Fatalf("SetWord(%d,%d) left val bits outside known in word %d", off, n, i)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("out-of-range Word did not panic")
+		}
+	}()
+	NewVec(8).Word(4, 5)
+}

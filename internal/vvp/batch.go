@@ -23,6 +23,23 @@
 //     its own next event time. Lanes join (RestoreLane) and leave
 //     (RetireLane) independently — divergence costs one lane, not the
 //     whole batch.
+//   - Memories are the exception to the plane layout: the read and write
+//     ports visit them one lane at a time anyway, so each writable memory is
+//     one logic.Vec per lane in the StateSpec segment layout and moves in
+//     and out of a State with a single word-chunked copy.
+//
+// Lane turnover rests on one invariant: every lane, occupied or not, holds
+// a settled fixpoint of its own inputs, flip-flop outputs, memory image
+// and forces. Lanes outside s.active are masked out of every gate,
+// flip-flop, NBA and memory-write commit, so a retired lane stops changing
+// at the instant it was last settled, and the constructor settles the
+// time-zero evaluation under an all-lanes mask so a never-occupied lane
+// starts from one too. RestoreLane therefore commits only what differs
+// between the lane's previous occupant and the new state and lets the
+// fanout of those changes re-evaluate — the scalar Restore's shape. The
+// one thing retirement leaves unsettled is a live force (the forced value
+// stays on the net with no force behind it); clearLaneForces remembers
+// those nets per lane and the next admission re-dirties them.
 //
 // Sweeps and Evals count once per pass and per gate visit respectively —
 // NOT once per lane — so batch throughput is directly comparable to the
@@ -74,14 +91,27 @@ type batchForce struct {
 	release [BatchLanes]uint64
 }
 
-// batchMem is the plane-encoded state of one memory: per word, one lane
-// word per data bit, plus the per-lane clock sample and pre-sized scratch
-// for the read port.
+// batchMem is the lane-major state of one memory: images in the StateSpec
+// segment layout (word w at bit w*DataBits), plus the per-lane clock sample
+// and pre-sized scratch for the read port.
 type batchMem struct {
-	wordsA, wordsX [][]uint64 // [word][dataBit] lane planes
-	lastClkA       uint64
-	lastClkX       uint64
-	rdA, rdX       []uint64 // read-port scratch, one lane word per data bit
+	// init is the power-on image: a ROM's only image, and what a lane
+	// that was never admitted reads.
+	init logic.Vec
+	// lane is a writable memory's private image per lane, allocated at the
+	// lane's first admission (zero-width until then).
+	lane     [BatchLanes]logic.Vec
+	lastClkA uint64
+	lastClkX uint64
+	rdA, rdX []uint64 // read-port scratch, one lane word per data bit
+}
+
+// image returns the memory contents lane l sees.
+func (ms *batchMem) image(l int) *logic.Vec {
+	if ms.lane[l].Width() != 0 {
+		return &ms.lane[l]
+	}
+	return &ms.init
 }
 
 // BatchSim simulates up to 64 independent scenarios of one frozen design in
@@ -100,6 +130,11 @@ type BatchSim struct {
 
 	mem    []batchMem
 	forces []batchForce
+	// unforced lists, per lane, the nets a force was dropped from while
+	// still live (retirement, or admission over an occupied lane): their
+	// value has nothing behind it until the next admission re-dirties them.
+	unforced [BatchLanes][]netlist.NetID
+	initErr  error // the constructor's time-zero settle failed
 
 	// Lane-agnostic dirty tracking — the scalar kernel's flat bitmap,
 	// verbatim (see kernel.go).
@@ -137,10 +172,11 @@ type BatchSim struct {
 }
 
 // NewBatchSim creates a batched simulator for the frozen design d. Like
-// New, it panics when d is not frozen. All lanes start unoccupied; the net
-// planes start all-X exactly like a fresh scalar simulator, and time-zero
-// initial evaluation settles constant cones on the first StepAll or
-// RestoreLane settle.
+// New, it panics when d is not frozen. All lanes start unoccupied, and all
+// of them — not just the ones admitted later — are taken through the
+// time-zero initial evaluation a fresh scalar simulator runs from all-X
+// nets, so every lane starts from a settled fixpoint (see the package
+// comment).
 func NewBatchSim(d *netlist.Netlist, opts BatchOptions) *BatchSim {
 	if opts.Lanes < 0 || opts.Lanes > BatchLanes {
 		panic(fmt.Sprintf("vvp: batch lane cap %d out of range [0,%d]", opts.Lanes, BatchLanes))
@@ -178,45 +214,31 @@ func NewBatchSim(d *netlist.Netlist, opts BatchOptions) *BatchSim {
 	s.mem = make([]batchMem, len(d.Mems))
 	for i, m := range d.Mems {
 		bm := batchMem{
-			wordsA:   make([][]uint64, m.Words),
-			wordsX:   make([][]uint64, m.Words),
+			init:     logic.NewVec(m.Words * m.DataBits),
 			lastClkX: ^uint64(0),
 			rdA:      make([]uint64, m.DataBits),
 			rdX:      make([]uint64, m.DataBits),
 		}
-		// Flat backing arrays: one allocation per plane, not per word.
-		backA := make([]uint64, m.Words*m.DataBits)
-		backX := make([]uint64, m.Words*m.DataBits)
-		for w := 0; w < m.Words; w++ {
-			bm.wordsA[w] = backA[w*m.DataBits : (w+1)*m.DataBits]
-			bm.wordsX[w] = backX[w*m.DataBits : (w+1)*m.DataBits]
-			if w < len(m.Init) && m.Init[w].Width() == m.DataBits {
-				for b := 0; b < m.DataBits; b++ {
-					switch m.Init[w].Get(b) {
-					case logic.Hi:
-						bm.wordsA[w][b] = ^uint64(0)
-					case logic.Lo:
-					default:
-						bm.wordsX[w][b] = ^uint64(0)
-					}
-				}
-			} else {
-				for b := 0; b < m.DataBits; b++ {
-					bm.wordsX[w][b] = ^uint64(0)
-				}
+		for w := 0; w < m.Words && w < len(m.Init); w++ {
+			if m.Init[w].Width() == m.DataBits {
+				bm.init.CopyBitsFrom(w*m.DataBits, m.Init[w], 0, m.DataBits)
 			}
 		}
 		s.mem[i] = bm
 	}
 	// Time-zero initial evaluation, as on the scalar engines: every gate
-	// and memory scheduled once so constant cones settle before any lane's
-	// first event.
+	// and memory evaluated once so constant cones settle before any lane's
+	// first event — under an all-lanes mask, because an admission only
+	// re-evaluates what it changes.
 	for gi := range d.Gates {
 		s.dirtyGateB(netlist.GateID(gi))
 	}
 	for mi := range d.Mems {
 		s.dirtyMemB(netlist.MemID(mi))
 	}
+	s.active = ^uint64(0)
+	s.initErr = s.settleB()
+	s.active = 0
 	return s
 }
 
@@ -402,7 +424,8 @@ func (s *BatchSim) redirtyNet(id netlist.NetID) {
 }
 
 // clearLaneForces removes one lane from every active force (lane retirement
-// and admission).
+// and admission). The forced value stays on the net, so the net is
+// remembered in s.unforced for the lane's next admission to recompute.
 func (s *BatchSim) clearLaneForces(lane int) {
 	if len(s.forces) == 0 {
 		return
@@ -411,7 +434,10 @@ func (s *BatchSim) clearLaneForces(lane int) {
 	kept := s.forces[:0]
 	for i := range s.forces {
 		f := &s.forces[i]
-		f.mask &^= lm
+		if f.mask&lm != 0 {
+			f.mask &^= lm
+			s.unforced[lane] = append(s.unforced[lane], f.net)
+		}
 		if f.mask != 0 {
 			kept = append(kept, *f)
 		}
@@ -630,88 +656,66 @@ func (s *BatchSim) evalMemB(id netlist.MemID) {
 	s.memReadB(m, ms)
 }
 
-// mergeWordLane merges the current write-data planes into one memory word
-// under a lane mask (conservative write: agreeing known bits kept, X
-// otherwise).
-func (s *BatchSim) mergeWordLane(m *netlist.Mem, wa, wx []uint64, lm uint64) {
-	for b, n := range m.WData {
-		da, dx := s.valA[n], s.valX[n]
-		mA := wa[b] & da
-		m0 := ^wa[b] & ^wx[b] & ^da & ^dx
-		wa[b] = wa[b]&^lm | mA&lm
-		wx[b] = wx[b]&^lm | ^(mA|m0)&lm
+// laneBits packs lane l's bit of up to 64 nets into one word per plane: bit
+// j of a and x is net nets[j]'s valA and valX bit in the lane.
+//
+//symsim:hotpath
+func (s *BatchSim) laneBits(nets []netlist.NetID, l int) (a, x uint64) {
+	valA, valX := s.valA, s.valX
+	for j, n := range nets {
+		a |= valA[n] >> uint(l) & 1 << uint(j)
+		x |= valX[n] >> uint(l) & 1 << uint(j)
 	}
+	return a, x
 }
 
-// addrCouldBeLane reports whether lane l's ternary address over nets could
-// equal w.
-func (s *BatchSim) addrCouldBeLane(addr []netlist.NetID, l int, w uint64) bool {
-	lm := uint64(1) << uint(l)
-	for j, n := range addr {
-		if s.valX[n]&lm != 0 {
-			continue
-		}
-		if (s.valA[n]&lm != 0) != (w>>uint(j)&1 == 1) {
-			return false
-		}
-	}
-	return true
-}
-
-// memWriteB performs the write port for the posedge lanes pe: write-enable
-// partitions lanes into skip (known 0), exact write (known 1) and
-// conservative merge (unknown); unknown addresses follow the MemX policy
-// per lane.
+// memWriteB performs the write port for the posedge lanes pe, one lane at a
+// time on the lane's own image: a known-0 enable skips, a known-1 enable
+// with a known address writes the word exactly, an unknown enable merges it
+// conservatively (agreeing known bits kept, X otherwise), and an unknown
+// address follows the MemX policy — dropped, or merged into every word the
+// address could be.
+//
+//symsim:hotpath
 func (s *BatchSim) memWriteB(m *netlist.Mem, ms *batchMem, pe uint64) {
 	weA, weX := s.valA[m.WEn], s.valX[m.WEn]
-	cand := pe & (weA | weX)
-	if cand == 0 {
-		return
-	}
-	var unknown uint64
-	for _, n := range m.WAddr {
-		unknown |= s.valX[n]
-	}
-	for lanes := cand &^ unknown; lanes != 0; lanes &= lanes - 1 {
+	for lanes := pe & (weA | weX); lanes != 0; lanes &= lanes - 1 {
 		l := bits.TrailingZeros64(lanes)
-		lm := uint64(1) << uint(l)
-		var a uint64
-		for j, n := range m.WAddr {
-			a |= s.valA[n] >> uint(l) & 1 << uint(j)
+		addr, addrX := s.laneBits(m.WAddr, l)
+		if addrX != 0 && s.opts.MemX == MemXVerilog {
+			continue // iverilog semantics: an unknown-address write is dropped
 		}
-		if int(a) >= m.Words {
-			continue
+		// The words the ternary address could name: one, or a scan.
+		lo, hi := 0, m.Words
+		if addrX == 0 {
+			lo, hi = int(addr), min(int(addr)+1, m.Words)
 		}
-		wa, wx := ms.wordsA[a], ms.wordsX[a]
-		if weX&lm != 0 {
-			// Unknown enable: the word may or may not update — merge.
-			s.mergeWordLane(m, wa, wx, lm)
-			continue
-		}
-		for b, n := range m.WData {
-			wa[b] = wa[b]&^lm | s.valA[n]&lm
-			wx[b] = wx[b]&^lm | s.valX[n]&lm
-		}
-	}
-	xLanes := cand & unknown
-	if xLanes == 0 || s.opts.MemX == MemXVerilog {
-		// MemXVerilog drops unknown-address writes (iverilog semantics).
-		return
-	}
-	for lanes := xLanes; lanes != 0; lanes &= lanes - 1 {
-		l := bits.TrailingZeros64(lanes)
-		lm := uint64(1) << uint(l)
-		for w := 0; w < m.Words; w++ {
-			if s.addrCouldBeLane(m.WAddr, l, uint64(w)) {
-				s.mergeWordLane(m, ms.wordsA[w], ms.wordsX[w], lm)
+		img := &ms.lane[l]
+		exact := addrX == 0 && weX>>uint(l)&1 == 0
+		for off := 0; off < m.DataBits; off += 64 {
+			c := min(64, m.DataBits-off)
+			da, dx := s.laneBits(m.WData[off:off+c], l)
+			for w := lo; w < hi; w++ {
+				if (uint64(w)^addr)&^addrX != 0 {
+					continue // a known address bit differs
+				}
+				if exact {
+					img.SetWord(w*m.DataBits+off, c, ^dx, da)
+					continue
+				}
+				k, v := img.Word(w*m.DataBits+off, c)
+				agree := k &^ dx &^ (v ^ da)
+				img.SetWord(w*m.DataBits+off, c, agree, v)
 			}
 		}
 	}
 }
 
 // memReadB recomputes the asynchronous read port for every active lane:
-// known in-range addresses gather their word's lane planes, unknown or
-// out-of-range addresses read X.
+// known in-range addresses scatter their word from the lane's image into
+// the read planes, unknown or out-of-range addresses read X.
+//
+//symsim:hotpath
 func (s *BatchSim) memReadB(m *netlist.Mem, ms *batchMem) {
 	for b := range ms.rdA {
 		ms.rdA[b] = 0
@@ -725,19 +729,21 @@ func (s *BatchSim) memReadB(m *netlist.Mem, ms *batchMem) {
 	xl := act & unknown
 	for lanes := act &^ unknown; lanes != 0; lanes &= lanes - 1 {
 		l := bits.TrailingZeros64(lanes)
-		var a uint64
-		for j, n := range m.RAddr {
-			a |= s.valA[n] >> uint(l) & 1 << uint(j)
-		}
-		if int(a) >= m.Words {
+		addr, _ := s.laneBits(m.RAddr, l)
+		if int(addr) >= m.Words {
 			xl |= uint64(1) << uint(l)
 			continue
 		}
-		lm := uint64(1) << uint(l)
-		wa, wx := ms.wordsA[a], ms.wordsX[a]
-		for b := range ms.rdA {
-			ms.rdA[b] |= wa[b] & lm
-			ms.rdX[b] |= wx[b] & lm
+		img := ms.image(l)
+		for off := 0; off < m.DataBits; off += 64 {
+			c := min(64, m.DataBits-off)
+			k, v := img.Word(int(addr)*m.DataBits+off, c)
+			x := ^k
+			rdA, rdX := ms.rdA[off:off+c], ms.rdX[off:off+c]
+			for b := range rdA {
+				rdA[b] |= v >> uint(b) & 1 << uint(l)
+				rdX[b] |= x >> uint(b) & 1 << uint(l)
+			}
 		}
 	}
 	for b, dnet := range m.RData {
@@ -980,20 +986,21 @@ func (s *BatchSim) StepAll() (finished, halted uint64, err error) {
 }
 
 // RestoreLane admits one scenario into lane lane: the per-lane analogue of
-// the scalar Restore ($initialize_state). The lane's clock phase, inputs,
-// memories and flip-flops are established from the saved state, then the
-// whole design is re-settled. Every gate is dirtied — not just the fanout
-// of the touched nets — because constant cones settled for earlier
-// occupants were committed under their lane masks only; the extra
-// evaluations are no-ops for the other lanes (see the confluence note in
-// the package comment). Admission must happen between StepAll calls, when
-// the NBA queue is empty.
+// the scalar Restore ($initialize_state), and incremental like it. The lane
+// already holds a settled fixpoint — its previous occupant's, or the
+// time-zero one (see the package comment) — so the saved state's inputs,
+// memories and flip-flop outputs are committed under the lane mask and only
+// the fanout of what actually differs re-evaluates. Admission must happen
+// between StepAll calls, when the NBA queue is empty.
 func (s *BatchSim) RestoreLane(sp *StateSpec, st State, lane int) error {
 	if s.stim == nil {
 		return fmt.Errorf("vvp: RestoreLane without stimulus")
 	}
 	if lane < 0 || lane >= s.laneCap {
 		return fmt.Errorf("vvp: lane %d out of range [0,%d)", lane, s.laneCap)
+	}
+	if s.initErr != nil {
+		return s.initErr
 	}
 	lm := uint64(1) << uint(lane)
 	s.active |= lm
@@ -1004,6 +1011,16 @@ func (s *BatchSim) RestoreLane(sp *StateSpec, st State, lane int) error {
 	for i := range s.nba {
 		s.nba[i].mask &^= lm
 	}
+	// Nets that lost a live force hold a value nothing drives: recompute
+	// them, and re-evaluate their readers in case the lane left before the
+	// forced value ever propagated.
+	for _, id := range s.unforced[lane] {
+		s.redirtyNet(id)
+		for _, g := range s.prog.GateFan(id) {
+			s.dirtyGateB(g)
+		}
+	}
+	s.unforced[lane] = s.unforced[lane][:0]
 
 	// Primary inputs: clock phase from the stimulus, everything else its
 	// latest scheduled value at or before the state's time.
@@ -1020,100 +1037,94 @@ func (s *BatchSim) RestoreLane(sp *StateSpec, st State, lane int) error {
 		s.stimCursor[lane]++
 	}
 
-	// Memories: transplant the saved words into this lane's plane bits and
-	// sample the clock so no spurious write edge fires.
+	// Memories: the lane's images take the saved words in one copy each and
+	// the clock is sampled so no spurious write edge fires. Every read port
+	// re-evaluates — the image changed under it, and a read-data net that
+	// lost a force has no gate driver to recompute it.
+	for mi, m := range s.d.Mems {
+		if ms := &s.mem[mi]; !m.IsROM() && ms.lane[lane].Width() == 0 {
+			ms.lane[lane] = ms.init.Clone()
+		}
+		s.dirtyMemB(netlist.MemID(mi))
+	}
 	for k, mid := range sp.Mems {
 		m := s.d.Mems[mid]
 		ms := &s.mem[mid]
-		base := sp.memBase[k]
-		for w := 0; w < m.Words; w++ {
-			wa, wx := ms.wordsA[w], ms.wordsX[w]
-			for b := 0; b < m.DataBits; b++ {
-				wa[b] &^= lm
-				wx[b] &^= lm
-				switch st.Bits.Get(base + w*m.DataBits + b) {
-				case logic.Hi:
-					wa[b] |= lm
-				case logic.Lo:
-				default:
-					wx[b] |= lm
-				}
-			}
-		}
+		ms.lane[lane].CopyBitsFrom(0, st.Bits, sp.memBase[k], m.Words*m.DataBits)
 		ms.lastClkA = ms.lastClkA&^lm | s.valA[m.Clk]&lm
 		ms.lastClkX = ms.lastClkX&^lm | s.valX[m.Clk]&lm
 	}
 
-	assertState := func() {
-		for i, g := range sp.DFFs {
-			k := s.prog.Renum[g]
-			d := &s.prog.Gates[k]
-			clkNet := d.In[netlist.DFFPinClk]
-			s.lastClkA[k] = s.lastClkA[k]&^lm | s.valA[clkNet]&lm
-			s.lastClkX[k] = s.lastClkX[k]&^lm | s.valX[clkNet]&lm
-			s.commitValueLane(d.Out, st.Bits.Get(i), lm)
-		}
-	}
-	assertState()
-	for gi := range s.prog.Gates {
-		s.dirtyGateB(netlist.GateID(gi))
-	}
-	for mi := range s.d.Mems {
-		s.dirtyMemB(netlist.MemID(mi))
-	}
+	s.assertLaneState(sp, st, lane)
 	if err := s.settleB(); err != nil {
 		return err
 	}
 	// Re-assert: combinational settling may have rippled through DFF
 	// evaluation for this lane, but Q values are state and must equal the
 	// snapshot exactly — the scalar Restore's second pass, lane-masked.
-	assertState()
+	s.assertLaneState(sp, st, lane)
 	return s.settleB()
+}
+
+// assertLaneState commits the saved flip-flop outputs into one lane and
+// samples each flip-flop's clock so no spurious edge fires on the next
+// settle.
+//
+//symsim:hotpath
+func (s *BatchSim) assertLaneState(sp *StateSpec, st State, lane int) {
+	lm := uint64(1) << uint(lane)
+	for i := 0; i < len(sp.DFFs); i += 64 {
+		dffs := sp.DFFs[i:min(i+64, len(sp.DFFs))]
+		known, val := st.Bits.Word(i, len(dffs))
+		for j, g := range dffs {
+			k := s.prog.Renum[g]
+			d := &s.prog.Gates[k]
+			clkNet := d.In[netlist.DFFPinClk]
+			s.lastClkA[k] = s.lastClkA[k]&^lm | s.valA[clkNet]&lm
+			s.lastClkX[k] = s.lastClkX[k]&^lm | s.valX[clkNet]&lm
+			// The lane's bit of each plane, spread over the word for
+			// commitB; the lane has no force left to override it, so an
+			// output already at its saved value needs no commit.
+			a, x := -(val >> uint(j) & 1), ^-(known >> uint(j) & 1)
+			if ((s.valA[d.Out]^a)|(s.valX[d.Out]^x))&lm != 0 {
+				s.commitB(d.Out, a, x, lm)
+			}
+		}
+	}
 }
 
 // SnapshotLane captures lane lane's machine state per spec — the per-lane
 // Snapshot used when a lane halts on a symbolic branch.
 func (s *BatchSim) SnapshotLane(sp *StateSpec, lane int) State {
 	v := logic.NewVec(sp.bits)
-	for i, g := range sp.DFFs {
-		v.Set(i, s.LaneValue(s.d.Gates[g].Out, lane))
+	var outs [64]netlist.NetID
+	for i := 0; i < len(sp.DFFs); i += 64 {
+		dffs := sp.DFFs[i:min(i+64, len(sp.DFFs))]
+		for j, g := range dffs {
+			outs[j] = s.d.Gates[g].Out
+		}
+		a, x := s.laneBits(outs[:len(dffs)], lane)
+		v.SetWord(i, len(dffs), ^x, a)
 	}
-	lm := uint64(1) << uint(lane)
 	for k, mid := range sp.Mems {
 		m := s.d.Mems[mid]
-		ms := &s.mem[mid]
-		base := sp.memBase[k]
-		for w := 0; w < m.Words; w++ {
-			wa, wx := ms.wordsA[w], ms.wordsX[w]
-			for b := 0; b < m.DataBits; b++ {
-				switch {
-				case wa[b]&lm != 0:
-					v.Set(base+w*m.DataBits+b, logic.Hi)
-				case wx[b]&lm != 0:
-					v.Set(base+w*m.DataBits+b, logic.X)
-				default:
-					v.Set(base+w*m.DataBits+b, logic.Lo)
-				}
-			}
-		}
+		v.CopyBitsFrom(sp.memBase[k], *s.mem[mid].image(lane), 0, m.Words*m.DataBits)
 	}
 	st := State{Bits: v, Time: s.now[lane]}
-	pcv := logic.NewVec(len(sp.PC))
-	for i, n := range sp.PC {
-		pcv.Set(i, s.LaneValue(n, lane))
-	}
-	if pc, ok := pcv.Uint64(); ok {
-		st.PC, st.PCKnown = pc, true
+	if len(sp.PC) <= 64 {
+		if pc, x := s.laneBits(sp.PC, lane); x == 0 {
+			st.PC, st.PCKnown = pc, true
+		}
 	}
 	return st
 }
 
 // RetireLane frees one lane: it leaves the shared schedule, its forces are
-// dropped and its toggle recording stops. The lane's plane bits keep their
-// last values until the next admission overwrites them — retired lanes are
-// masked out of every commit, so the stale bits are unobservable. This is
-// the compaction step of the lane scheduler: freed slots are simply reused
-// by the next RestoreLane.
+// dropped and its toggle recording stops. Retired lanes are masked out of
+// every commit, so the lane's plane bits and memory image stay exactly the
+// fixpoint it last settled to — which is what lets the next RestoreLane
+// into the slot pay only for what differs. This is the compaction step of
+// the lane scheduler: freed slots are simply reused.
 func (s *BatchSim) RetireLane(lane int) {
 	lm := uint64(1) << uint(lane)
 	s.active &^= lm

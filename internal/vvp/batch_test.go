@@ -1,7 +1,6 @@
 package vvp
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -36,20 +35,13 @@ func checkLane(t *testing.T, ctx string, b *BatchSim, ref *Simulator, lane int) 
 				ctx, lane, ref.d.NetName(netlist.NetID(id)), got, want)
 		}
 	}
-	lm := uint64(1) << uint(lane)
 	for mi := range ref.mem {
 		m := ref.d.Mems[mi]
-		bm := &b.mem[mi]
+		img := b.mem[mi].image(lane)
 		for w := range ref.mem[mi].words {
 			for bit := 0; bit < m.DataBits; bit++ {
 				want := ref.mem[mi].words[w].Get(bit)
-				got := logic.Lo
-				if bm.wordsA[w][bit]&lm != 0 {
-					got = logic.Hi
-				} else if bm.wordsX[w][bit]&lm != 0 {
-					got = logic.X
-				}
-				if got != want {
+				if got := img.Get(w*m.DataBits + bit); got != want {
 					t.Fatalf("%s: lane %d mem %d word %d bit %d: %v vs %v",
 						ctx, lane, mi, w, bit, got, want)
 				}
@@ -65,8 +57,51 @@ func checkLane(t *testing.T, ctx string, b *BatchSim, ref *Simulator, lane int) 
 	}
 }
 
-// batchDiffTrial runs one random circuit with several divergent scenarios
-// in batch lanes, each shadowed by a scalar interpreter, in lockstep.
+// checkLaneVsFresh compares a just-admitted lane with the same state
+// restored into lane 0 of a brand-new BatchSim: net values, memory images
+// and the clock samples of every flip-flop and memory. Whatever the lane's
+// previous occupants left behind must be unobservable — the incremental
+// admission has to land on the fixpoint a from-scratch one computes.
+func checkLaneVsFresh(t *testing.T, ctx string, b *BatchSim, lane int, sp *StateSpec, snap State) {
+	t.Helper()
+	fresh := NewBatchSim(b.d, b.opts)
+	fresh.BindStimulus(b.stim)
+	if err := fresh.RestoreLane(sp, snap, 0); err != nil {
+		t.Fatalf("%s: fresh RestoreLane: %v", ctx, err)
+	}
+	for id := range b.valA {
+		if got, want := b.LaneValue(netlist.NetID(id), lane), fresh.LaneValue(netlist.NetID(id), 0); got != want {
+			t.Fatalf("%s: lane %d net %s = %v, a fresh BatchSim restores %v",
+				ctx, lane, b.d.NetName(netlist.NetID(id)), got, want)
+		}
+	}
+	for mi := range b.mem {
+		if !b.mem[mi].image(lane).Equal(*fresh.mem[mi].image(0)) {
+			t.Fatalf("%s: lane %d mem %d image differs from a fresh BatchSim's", ctx, lane, mi)
+		}
+		if b.mem[mi].lastClkA>>uint(lane)&1 != fresh.mem[mi].lastClkA&1 ||
+			b.mem[mi].lastClkX>>uint(lane)&1 != fresh.mem[mi].lastClkX&1 {
+			t.Fatalf("%s: lane %d mem %d clock sample differs from a fresh BatchSim's", ctx, lane, mi)
+		}
+	}
+	for k := range b.lastClkA {
+		if b.lastClkA[k]>>uint(lane)&1 != fresh.lastClkA[k]&1 || b.lastClkX[k]>>uint(lane)&1 != fresh.lastClkX[k]&1 {
+			t.Fatalf("%s: lane %d gate %d clock sample differs from a fresh BatchSim's", ctx, lane, k)
+		}
+	}
+}
+
+// batchDiffTrial runs one random circuit (plain shape: on a derived clock a
+// restore is as history-dependent as the scalar Restore, see
+// TestBatchRestoreReassertsState) with several divergent scenarios
+// in batch lanes, each shadowed by a scalar interpreter, in lockstep, and
+// churns the lanes throughout: lanes are retired at random steps — often
+// within the three half-periods their branch force is still live — and
+// their slots (and the slots of lanes that finished or halted) re-used for
+// the very same state, the same state with another RAM image, a state at
+// the other clock phase or a state from elsewhere in the run; one lane is
+// first used late in the run. Every admission is checked against the
+// scalar shadow and against a fresh BatchSim.
 func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 	r := rand.New(rand.NewSource(seed))
 	n, ins := randMemCircuit(r, 2+r.Intn(3), 2+r.Intn(4), 10+r.Intn(40), r.Intn(2) == 0)
@@ -96,12 +131,17 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 	b.SetMonitorX(spec)
 
 	nl := 2 + r.Intn(10)
-	refs := make([]*Simulator, nl)
-	done := make([]bool, nl)
+	late := nl // a lane no scenario touches before lateStep
+	const lateStep = 25
+	refs := make([]*Simulator, nl+1)
+	snaps := make([]State, nl+1) // the state each lane was last admitted with
+	done := make([]bool, nl+1)
+	done[late] = true
 
-	admit := func(lane, warm int, ctx string) {
-		// Produce a mid-run state by warming a scratch interpreter, then
-		// restore it into the batch lane and a fresh scalar shadow.
+	// warmSnap produces a mid-run state by warming a scratch interpreter;
+	// with flip set it steps on until the clock is at the other level than
+	// lane flipLane currently holds.
+	warmSnap := func(warm int, flip bool, flipLane int, ctx string) State {
 		w := New(n, Options{Engine: EngineInterp, MemX: memx})
 		w.BindStimulus(st)
 		for i := 0; i < warm; i++ {
@@ -109,7 +149,15 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 				t.Fatalf("%s: warm-up: %v", ctx, err)
 			}
 		}
-		snap := w.Snapshot(sp)
+		for i := 0; flip && i < 4 && w.Value(st.Clock) == b.LaneValue(st.Clock, flipLane); i++ {
+			if _, err := w.Step(); err != nil {
+				t.Fatalf("%s: warm-up: %v", ctx, err)
+			}
+		}
+		return w.Snapshot(sp)
+	}
+
+	admit := func(lane int, snap State, ctx string) {
 		ref := New(n, Options{Engine: EngineInterp, MemX: memx})
 		ref.BindStimulus(st)
 		ref.SetMonitorX(spec)
@@ -119,7 +167,17 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 		if err := b.RestoreLane(sp, snap, lane); err != nil {
 			t.Fatalf("%s: RestoreLane(%d): %v", ctx, lane, err)
 		}
+		checkLaneVsFresh(t, ctx, b, lane, sp, snap)
+		if back := b.SnapshotLane(sp, lane); !back.Bits.Equal(snap.Bits) || back.Time != snap.Time {
+			t.Fatalf("%s: lane %d snapshot after restore diverged: %s vs %s", ctx, lane, back.Bits, snap.Bits)
+		}
 		if r.Intn(2) == 0 {
+			// The core's pattern: one net with little fanout, for three
+			// half-periods. (A force on an arbitrary net is settled by the
+			// next lane's admission, before this lane's first step, and
+			// can toggle nets the scalar shadow folds into that step — a
+			// sound over-approximation the batch engine has always had,
+			// and not what this suite is after.)
 			fn := n.Outputs[0]
 			rel := ref.Now() + 3*hp
 			ref.Force(fn, logic.Hi, rel)
@@ -127,17 +185,18 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 		}
 		ref.StartRecording()
 		b.StartRecordingLane(lane)
-		refs[lane] = ref
+		refs[lane], snaps[lane] = ref, snap
 		done[lane] = false
 		checkLane(t, ctx+" post-restore", b, ref, lane)
 	}
 
 	for lane := 0; lane < nl; lane++ {
-		admit(lane, r.Intn(8), fmt.Sprintf("seed %d admit %d", seed, lane))
+		ctx := fmt.Sprintf("seed %d admit %d", seed, lane)
+		admit(lane, warmSnap(r.Intn(8), false, 0, ctx), ctx)
 	}
 
 	for step := 0; step < 60; step++ {
-		if b.ActiveLanes() == 0 {
+		if b.ActiveLanes() == 0 && step > lateStep {
 			break
 		}
 		fin, hal, err := b.StepAll()
@@ -147,7 +206,7 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 		if fin&hal != 0 {
 			t.Fatalf("seed %d step %d: finish and halt masks overlap: %x & %x", seed, step, fin, hal)
 		}
-		for lane := 0; lane < nl; lane++ {
+		for lane := range refs {
 			if done[lane] {
 				continue
 			}
@@ -178,18 +237,49 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 				done[lane] = true
 			}
 		}
-		if step == 20 {
-			// Mid-run lane churn: retire one live lane, then re-use its
-			// slot for a brand-new scenario while the others keep running —
-			// the compaction path of the lane scheduler.
-			for lane := 0; lane < nl; lane++ {
-				if !done[lane] {
-					b.RetireLane(lane)
-					done[lane] = true
-					admit(lane, 2+r.Intn(6), fmt.Sprintf("seed %d readmit %d", seed, lane))
-					break
+
+		// Lane churn — the compaction path of the lane scheduler — while
+		// the other lanes keep running.
+		if step == lateStep {
+			ctx := fmt.Sprintf("seed %d late admit %d", seed, late)
+			admit(late, warmSnap(2+r.Intn(12), false, 0, ctx), ctx)
+		}
+		if r.Intn(3) != 0 {
+			continue
+		}
+		lane := r.Intn(nl)
+		if !done[lane] {
+			b.RetireLane(lane)
+			done[lane] = true
+		}
+		ctx := fmt.Sprintf("seed %d step %d readmit %d", seed, step, lane)
+		snap := snaps[lane]
+		switch kind := r.Intn(4); kind {
+		case 0:
+			// The very same state: nothing differs, so anything retirement
+			// left unsettled stays visible.
+			ctx += " (same state)"
+		case 1:
+			// Same flip-flops, another RAM image, X bits included: only
+			// the read ports can notice.
+			ctx += " (new RAM)"
+			snap = snap.Clone()
+			for i := len(sp.DFFs); i < sp.Bits(); i++ {
+				if r.Intn(3) == 0 {
+					snap.Bits.Set(i, []logic.Value{logic.Lo, logic.Hi, logic.X}[r.Intn(3)])
 				}
 			}
+		default:
+			ctx += " (other state)"
+			snap = warmSnap(2+r.Intn(12), kind == 2, lane, ctx)
+		}
+		admit(lane, snap, ctx)
+		if r.Intn(4) == 0 {
+			// Gone again before a single StepAll: a force, if it got one,
+			// was never settled, and the slot sits free until a later
+			// churn re-uses it.
+			b.RetireLane(lane)
+			done[lane] = true
 		}
 	}
 }
@@ -213,10 +303,151 @@ func FuzzBatchVsInterpreter(f *testing.F) {
 		if sound {
 			memx = MemXSound
 		}
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], seed)
 		batchDiffTrial(t, int64(seed%(1<<62)), memx)
 	})
+}
+
+// toggleFixture is a one-flip-flop design for the directed admission tests:
+// q toggles on every posedge of gclk = AND(clk, en), with en held high,
+// feeds a two-buffer chain q -> f -> g, and addresses a two-word, one-bit
+// RAM that is never written (its write enable is tied low), so the RAM
+// holds whatever image a state gives it.
+type toggleFixture struct {
+	n               *netlist.Netlist
+	st              *Stimulus
+	sp              *StateSpec
+	f               netlist.NetID
+	clkHigh, clkLow State // q = 1 at a high clock, q = 0 at a low one
+	clkLowQ1        State // q = 1 at a low clock
+}
+
+func newToggleFixture(t *testing.T) *toggleFixture {
+	t.Helper()
+	n := netlist.New("toggle")
+	clk := n.AddInput("clk")
+	rstn := n.AddInput("rst_n")
+	en := n.AddInput("en")
+	one := n.AddNet("one")
+	n.AddGate(netlist.KindConst1, one)
+	gclk := n.AddNet("gclk")
+	n.AddGate(netlist.KindAnd, gclk, clk, en)
+	q, nq, f, g := n.AddNet("q"), n.AddNet("nq"), n.AddNet("f"), n.AddNet("g")
+	n.AddGate(netlist.KindNot, nq, q)
+	n.AddGate(netlist.KindBuf, f, q)
+	n.AddGate(netlist.KindBuf, g, f)
+	n.AddDFF(q, nq, gclk, one, rstn, logic.Lo)
+	zero := n.AddNet("zero")
+	n.AddGate(netlist.KindConst0, zero)
+	n.AddMem(&netlist.Mem{
+		Name: "ram", AddrBits: 1, DataBits: 1, Words: 2,
+		RAddr: []netlist.NetID{q}, RData: []netlist.NetID{n.AddNet("rd")},
+		Clk: clk, WEn: zero, WAddr: []netlist.NetID{q}, WData: []netlist.NetID{q},
+	})
+	n.MarkOutput(g)
+	if err := n.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	st := NewStimulus(clk, hp)
+	st.At(1, rstn, logic.Lo)
+	st.At(1, en, logic.Hi)
+	st.At(2*hp+1, rstn, logic.Hi)
+	st.Finalize()
+	sp, err := SpecFor(n, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// stateAt warms a scalar simulator to the first step past reset where
+	// the clock and q are at the wanted levels.
+	stateAt := func(clkLevel, qLevel logic.Value) State {
+		w := New(n, Options{Engine: EngineInterp})
+		w.BindStimulus(st)
+		for w.Now() <= 2*hp+1 || w.Value(clk) != clkLevel || w.Value(q) != qLevel {
+			if _, err := w.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return w.Snapshot(sp)
+	}
+	return &toggleFixture{n: n, st: st, sp: sp, f: f,
+		clkHigh: stateAt(logic.Hi, logic.Hi), clkLow: stateAt(logic.Lo, logic.Lo),
+		clkLowQ1: stateAt(logic.Lo, logic.Hi)}
+}
+
+// checkAdmitted compares lane 0 of b, just restored from snap, with a fresh
+// scalar interpreter and a fresh BatchSim restored from the same state.
+func (fx *toggleFixture) checkAdmitted(t *testing.T, ctx string, b *BatchSim, snap State) {
+	t.Helper()
+	ref := New(fx.n, Options{Engine: EngineInterp})
+	ref.BindStimulus(fx.st)
+	if err := ref.Restore(fx.sp, snap); err != nil {
+		t.Fatal(err)
+	}
+	checkLane(t, ctx, b, ref, 0)
+	checkLaneVsFresh(t, ctx, b, 0, fx.sp, snap)
+}
+
+// TestBatchRestoreReassertsState pins RestoreLane's second flip-flop pass
+// on the one shape where the first settle moves an output: a flip-flop on a
+// gated clock. Its clock sample is taken before the gate has re-evaluated,
+// so admitting a clock-high state over a clock-low occupant shows the
+// flip-flop a posedge and it captures D = NOT Q; only the re-assertion puts
+// the saved Q back.
+func TestBatchRestoreReassertsState(t *testing.T) {
+	fx := newToggleFixture(t)
+	b := NewBatchSim(fx.n, BatchOptions{})
+	b.BindStimulus(fx.st)
+	if err := b.RestoreLane(fx.sp, fx.clkLow, 0); err != nil {
+		t.Fatal(err)
+	}
+	b.RetireLane(0)
+	if err := b.RestoreLane(fx.sp, fx.clkHigh, 0); err != nil {
+		t.Fatal(err)
+	}
+	fx.checkAdmitted(t, "clock-high state over a clock-low occupant", b, fx.clkHigh)
+}
+
+// TestBatchRestoreNewRAMImage re-admits the state a lane already holds with
+// nothing changed but the RAM word under the read address: no net the read
+// port listens to moves, so only the admission's own re-evaluation of the
+// port brings the read data along.
+func TestBatchRestoreNewRAMImage(t *testing.T) {
+	fx := newToggleFixture(t)
+	b := NewBatchSim(fx.n, BatchOptions{})
+	b.BindStimulus(fx.st)
+	if err := b.RestoreLane(fx.sp, fx.clkLowQ1, 0); err != nil {
+		t.Fatal(err)
+	}
+	b.RetireLane(0)
+	rewritten := fx.clkLowQ1.Clone()
+	rewritten.Bits.Set(len(fx.sp.DFFs)+1, logic.Hi) // word 1, the one q = 1 addresses
+	if err := b.RestoreLane(fx.sp, rewritten, 0); err != nil {
+		t.Fatal(err)
+	}
+	fx.checkAdmitted(t, "same state, another RAM word", b, rewritten)
+}
+
+// TestBatchUnsettledForceAcrossRetirement retires a lane whose force was
+// never settled: f is forced to 1 over its natural 0 and the lane leaves
+// before g has seen it; another lane's admission then drains the shared
+// dirty set with the lane masked out. Re-admitting a state at the same clock
+// phase whose natural f is 1 recomputes f to the value it already holds,
+// so only the explicit re-evaluation of f's readers brings g along.
+func TestBatchUnsettledForceAcrossRetirement(t *testing.T) {
+	fx := newToggleFixture(t)
+	b := NewBatchSim(fx.n, BatchOptions{})
+	b.BindStimulus(fx.st)
+	if err := b.RestoreLane(fx.sp, fx.clkLow, 0); err != nil {
+		t.Fatal(err)
+	}
+	b.ForceLane(fx.f, logic.Hi, 0, b.NowLane(0)+3*hp)
+	b.RetireLane(0)
+	if err := b.RestoreLane(fx.sp, fx.clkLow, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.RestoreLane(fx.sp, fx.clkLowQ1, 0); err != nil {
+		t.Fatal(err)
+	}
+	fx.checkAdmitted(t, "re-admission after an unsettled force", b, fx.clkLowQ1)
 }
 
 // TestBatchLaneRetireCompaction pins the lane lifecycle in isolation: a
