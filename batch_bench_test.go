@@ -99,7 +99,7 @@ func BenchmarkBatchKernelSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchLaneTurnover measures what the lane scheduler pays per path
+// BenchmarkBatchLaneTurnover measures what the explorer pays per path
 // segment besides stepping: one op retires a lane, admits the next state
 // into the slot and snapshots it, on BM32/tHold with 0, 3 and 15 other
 // lanes occupied. Admissions alternate between two states ten clock cycles
@@ -140,8 +140,8 @@ func BenchmarkBatchLaneTurnover(b *testing.B) {
 }
 
 // BenchmarkBatchAnalyze runs the whole co-analysis on the fork-heaviest
-// cell under the scalar kernel (the worker pool) and the batch engine (the
-// lane scheduler) — the end-to-end counterpart of BenchmarkBatchKernelSweep,
+// cell under the scalar kernel (one lane per explorer) and the batch engine
+// (up to 64 lanes) — the end-to-end counterpart of BenchmarkBatchKernelSweep,
 // where lane occupancy comes from real forked paths instead of replicated
 // scenarios.
 func BenchmarkBatchAnalyze(b *testing.B) {

@@ -49,7 +49,15 @@ type remoteCSM struct {
 	covered map[uint64]logic.Vec
 }
 
-var _ csm.Manager = (*remoteCSM)(nil)
+var (
+	_ csm.Manager = (*remoteCSM)(nil)
+	_ csm.Remote  = (*remoteCSM)(nil)
+)
+
+// RemoteCSM marks the manager as a delegate of the coordinator's
+// authoritative CSM: the worker's scheduler observes unlocked and never
+// drains a degraded unit into it (see csm.Remote).
+func (m *remoteCSM) RemoteCSM() {}
 
 // Observe delegates the verdict to the coordinator.
 func (m *remoteCSM) Observe(st vvp.State) csm.Decision {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"sync"
 	"time"
@@ -153,20 +152,16 @@ func (w *Worker) runUnit(ctx context.Context, cc *coordClient, name string, ls *
 		policyName: ls.PolicyName,
 	}
 	cfg := core.Config{
+		// The policy is a csm.Remote, which is all the scheduler needs to
+		// know: it observes unlocked, so sibling paths keep simulating
+		// behind each RPC, and a degraded unit is never drained into the
+		// coordinator's CSM (the report below is only sent for complete
+		// runs).
 		Policy:  rcsm,
 		Resume:  seed,
 		Workers: ls.Spec.Workers,
 		Lanes:   ls.Spec.Lanes,
 		Metrics: w.Metrics,
-		// A worker's CSM is remote: every fork lives at the coordinator,
-		// and a degraded local run must not drain its worklist into
-		// Observe (that would register children from states it never
-		// simulated). The report below is only sent for complete runs.
-		DisableDrainMerge: true,
-		// Each Observe is one RPC to the coordinator; let sibling path
-		// workers keep simulating while a verdict is in flight instead of
-		// stalling the whole scheduler behind the round-trip.
-		RemoteObserve: true,
 	}
 	if cfg.MemX, err = cliflags.ParseMemX(ls.Spec.MemX); err != nil {
 		w.failUnit(cc, name, ls, err.Error())
@@ -194,9 +189,7 @@ func (w *Worker) runUnit(ctx context.Context, cc *coordClient, name string, ls *
 	var lastFP uint64
 	var lastBeat time.Time
 	cfg.Progress = func(pr core.Progress) {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%d/%d/%d/%d/%d", pr.PathsDone, pr.PathsPending, pr.PathsInFlight, pr.SimulatedCycles, pr.CSMStates)
-		fp := h.Sum64()
+		fp := pr.Fingerprint()
 		if fp == lastFP {
 			return
 		}

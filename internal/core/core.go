@@ -12,7 +12,7 @@
 // Long runs are governed: Analyze honours context cancellation and
 // wall-clock/cycle/state/fork budgets with graceful degradation (the
 // result stays sound but over-approximate, see Degradation), contains
-// panicking path workers instead of crashing (see Quarantine), and can
+// panicking path segments instead of crashing (see Quarantine), and can
 // periodically checkpoint its full exploration state for later resume
 // (see CheckpointConfig and Config.Resume).
 package core
@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -90,11 +89,12 @@ func (p *Platform) Lint() *lint.Result {
 type Config struct {
 	// Policy is the conservative state manager; nil selects MergeAll.
 	Policy csm.Manager
-	// Workers is the number of parallel path workers (paper §3.3: "Since
+	// Workers is the number of parallel explorers (paper §3.3: "Since
 	// each branch of the simulation can be run by a separate process,
 	// launching these processes in parallel can drastically improve
 	// simulation time"). 0 or 1 runs the deterministic sequential order;
-	// negative values are rejected by validation.
+	// negative values are rejected by validation. EngineBatch always runs
+	// one explorer: its parallelism is the lanes.
 	Workers int
 	// MaxCyclesPerPath bounds one path segment; 0 means 1<<20. Exceeding
 	// it is a hard error (a runaway path is a platform bug, not a budget).
@@ -105,14 +105,15 @@ type Config struct {
 	MaxPaths int
 	// MemX selects memory X-address semantics (default Verilog).
 	MemX vvp.MemXPolicy
-	// Engine selects the simulation machinery every path worker runs on:
-	// the compiled kernel (default), the reference interpreter, or the
-	// bit-parallel batch engine. Results are identical either way; the
-	// interpreter exists as the differential-testing oracle and for perf
-	// comparison. EngineBatch replaces the worker pool with a single lane
-	// scheduler that packs up to Lanes pending paths into one bit-parallel
-	// simulator (Workers is ignored); the cold-boot path still runs on a
-	// scalar kernel.
+	// Engine selects the simulation machinery the explorers run on: the
+	// compiled kernel (default), the reference interpreter, or the
+	// bit-parallel batch engine, which packs up to Lanes pending paths into
+	// one simulator. The gate dichotomy and the tie-offs are identical on
+	// all three. Kernel and interpreter also agree on every path and cycle
+	// count; the batch engine admits entries a round at a time, so it
+	// explores in a different order and its counts differ (both are pinned
+	// in testdata/table4_counts.json). The cold-boot path always runs on a
+	// scalar simulator.
 	Engine vvp.Engine
 	// Lanes caps the scenarios the batch engine pipelines per sweep,
 	// 1..64; 0 means 64. Ignored by the scalar engines.
@@ -135,8 +136,8 @@ type Config struct {
 	ProgressEvery time.Duration
 	// OnHalt, when non-nil, receives every saved halt state before the
 	// CSM classifies it — the hook behind on-disk state dumps (the
-	// "sim_state.log" files of the paper's flow). Called from path
-	// workers; must be safe for concurrent use when Workers > 1.
+	// "sim_state.log" files of the paper's flow). Called from the
+	// explorers; must be safe for concurrent use when Workers > 1.
 	OnHalt func(pathID int, st vvp.State)
 	// Trace, when non-nil, records the event list of the initial
 	// (cold-boot) path — enough for a symbolic waveform showing the Xs
@@ -151,26 +152,6 @@ type Config struct {
 	// then only validated by Freeze, whose first-failure errors are far
 	// less descriptive).
 	SkipLint bool
-	// DisableDrainMerge stops a degraded run from force-merging its
-	// pending frontier into the CSM before finishing. The default merge
-	// keeps the local dichotomy sound; cluster workers disable it because
-	// an interrupted work unit is discarded and requeued whole by the
-	// coordinator, and merging un-simulated start states into the shared
-	// remote CSM would register forks for paths nobody simulated. Only
-	// set this when the incomplete result is thrown away.
-	DisableDrainMerge bool
-	// RemoteObserve declares that Policy.Observe is a slow remote call (a
-	// cluster worker's delegating manager, one RPC per halt): the
-	// scheduler releases its lock for the duration of the observe so
-	// sibling path workers keep simulating instead of stalling behind the
-	// round-trip. The in-observe halt stays counted as in-flight, so the
-	// worklist does not drain out from under a verdict that is about to
-	// fork. Incompatible with Checkpoint: an unlocked observe breaks the
-	// consistent-cut argument (a snapshot could capture the halt absorbed
-	// but its children not yet pushed), and AnalyzeContext rejects the
-	// combination. Decision-log records are attributed to path -1 in this
-	// mode — concurrent observes have no single "current" path.
-	RemoteObserve bool
 	// Metrics selects the registry the run publishes exploration metrics
 	// into (paths by end, per-PC fork/merge/skip counters, segment
 	// histograms, engine effort); nil selects obs.Default. Publication is
@@ -209,7 +190,8 @@ const (
 	// EndInterrupted: the segment was stopped mid-simulation by a budget
 	// trip or cancellation; its entry went back to the pending worklist.
 	EndInterrupted
-	// EndQuarantined: the segment's worker panicked and was contained.
+	// EndQuarantined: the segment's engine or OnHalt hook panicked and was
+	// contained.
 	EndQuarantined
 )
 
@@ -322,15 +304,14 @@ type entry struct {
 
 // pathOutcome carries what one simulated segment produced.
 type pathOutcome struct {
-	stat        PathStat
-	halt        vvp.State
-	toggled     []bool
-	endVals     []logic.Value
-	err         error
-	interrupted bool
-	quarantine  *Quarantine
-	// evals/sweeps are the engine-effort deltas this segment added to its
-	// worker's simulator, published as counters once the segment ends.
+	stat       PathStat
+	halt       vvp.State
+	toggled    []bool
+	endVals    []logic.Value
+	err        error
+	quarantine *Quarantine
+	// evals/sweeps are the engine effort charged to this segment (see the
+	// explorer's attribution marks), published as counters once it ends.
 	evals  uint64
 	sweeps uint64
 	// pruned counts fork children classify dropped as fact-infeasible,
@@ -442,11 +423,23 @@ func AnalyzeContext(ctx context.Context, p *Platform, cfg Config) (*Result, erro
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	if cfg.Lanes == 0 {
-		cfg.Lanes = vvp.BatchLanes
+	// An explorer drives as many lanes as its engine has: one for a scalar
+	// simulator, up to Lanes for the batch engine, whose single explorer
+	// gets its parallelism from the lanes instead of from goroutines.
+	if cfg.Engine != vvp.EngineBatch {
+		cfg.Lanes = 1
+	} else {
+		cfg.Workers = 1
+		if cfg.Lanes == 0 {
+			cfg.Lanes = vvp.BatchLanes
+		}
 	}
-	if cfg.RemoteObserve && cfg.Checkpoint != nil {
-		return nil, errors.New("core: RemoteObserve is incompatible with checkpointing (an unlocked observe breaks the checkpoint's consistent cut)")
+	// Capture the policy's optional capabilities here, before the
+	// Instrument wrap below hides them: the wrapper forwards only the
+	// Manager surface.
+	_, remote := cfg.Policy.(csm.Remote)
+	if remote && cfg.Checkpoint != nil {
+		return nil, errors.New("core: a remote CSM policy is incompatible with checkpointing (its unlocked observes break the checkpoint's consistent cut)")
 	}
 	// Structural pre-check before Freeze: lint tolerates broken designs
 	// and reports every hazard at once, where Freeze stops at the first.
@@ -459,24 +452,22 @@ func AnalyzeContext(ctx context.Context, p *Platform, cfg Config) (*Result, erro
 		return nil, err
 	}
 
-	a := &analysis{p: p, cfg: cfg, inflight: make(map[int]entry), decisionPath: -1}
+	a := &analysis{p: p, cfg: cfg, remote: remote, inflight: make(map[int]entry), decisionPath: -1}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.Default
 	}
 	a.m = newCoreMetrics(reg)
-	// Capture the policy's optional capabilities BEFORE the Instrument
-	// wrap below hides them: the wrapper forwards only the Manager surface.
 	if !cfg.DisablePrune {
 		a.pruner, _ = cfg.Policy.(csm.Pruner)
 	}
-	if hs, ok := cfg.Policy.(csm.HeatSink); ok && !cfg.RemoteObserve {
+	if hs, ok := cfg.Policy.(csm.HeatSink); ok && !remote {
 		// Per-PC fork counts drive the policy's merge-ordering heuristic.
 		// The map is this run's own state (not the process-global metrics
 		// registry, which other concurrent runs would pollute); reads and
 		// writes are serialized by a.mu, the same lock every locked
-		// Observe runs under. RemoteObserve runs observes unlocked, so the
-		// heat source is withheld there and the policy stays eager.
+		// Observe runs under. A remote policy's observes run unlocked, so
+		// the heat source is withheld there and the policy stays eager.
 		a.forksByPC = make(map[uint64]int)
 		hs.SetHeat(func(pc uint64) int { return a.forksByPC[pc] })
 	}
@@ -526,8 +517,9 @@ type analysis struct {
 
 	start time.Time
 
-	// stop requests draining: workers finish (or interrupt) their current
-	// segment and exit; the pending frontier is then handled by finish().
+	// stop requests draining: explorers retire (or interrupt) the segments
+	// in their lanes and exit; the pending frontier is then handled by
+	// finish().
 	stop atomic.Bool
 	// liveCycles tracks simulated cycles including partial in-flight
 	// segments, for the cycle budget and progress heartbeats.
@@ -541,8 +533,8 @@ type analysis struct {
 	fatal     error
 	constSeen []bool
 	nextID    int
-	// anchored reports that at least one absorbed segment carried a full
-	// net valuation (possibly partial-progress), so untoggled-net
+	// anchored reports that at least one segment was absorbed. Each carries
+	// a full net valuation (possibly of partial progress), so untoggled-net
 	// constants are grounded in a real observation.
 	anchored bool
 
@@ -553,6 +545,12 @@ type analysis struct {
 	ckptBusy    bool
 	ckptErr     error
 
+	// remote reports that the policy is a csm.Remote: the authoritative CSM
+	// lives elsewhere. Observes then run with a.mu released, a degraded
+	// run does not drain its frontier into the policy, the heat source is
+	// withheld and checkpointing is rejected. Immutable after
+	// AnalyzeContext.
+	remote bool
 	// pruner is the policy's pre-fork feasibility test (nil when the
 	// policy has none or Config.DisablePrune is set). Immutable after
 	// AnalyzeContext; FeasibleChild is safe without a.mu but classify
@@ -567,7 +565,7 @@ type analysis struct {
 	// decisionPath is the path ID the next CSM Observe classifies (-1 for
 	// the degradation drain). Written and read under a.mu — Observe only
 	// runs from classify (lock held) and the single-threaded finish drain.
-	// Under RemoteObserve it stays -1: observes run unlocked and
+	// With a remote policy it stays -1: observes run unlocked and
 	// concurrently, so no single path is "the" decision path.
 	decisionPath int
 	// busy accumulates per-segment wall time (Result.BusyTime).
@@ -575,16 +573,16 @@ type analysis struct {
 }
 
 // run executes the worklist until exhaustion (Algorithm 1 line 11) or
-// until governance stops it. With one worker the order is the
-// deterministic LIFO of the paper's pseudo-code; with more workers paths
-// run concurrently against the shared CSM.
+// until governance stops it. One explorer over a one-lane engine is the
+// deterministic LIFO of the paper's pseudo-code; more explorers, or more
+// lanes, run paths concurrently against the shared CSM.
 func (a *analysis) run(ctx context.Context) error {
 	a.cond = sync.NewCond(&a.mu)
 	a.start = time.Now()
 	a.lastCkpt = a.start
 
 	// An already-canceled context must trip before any work is admitted;
-	// leaving it to the watcher goroutine races against workers fast
+	// leaving it to the watcher goroutine races against explorers fast
 	// enough to finish the whole run first.
 	if ctx.Err() != nil {
 		a.tripStop(TripCanceled)
@@ -636,24 +634,12 @@ func (a *analysis) run(ctx context.Context) error {
 	}
 
 	var wg sync.WaitGroup
-	if a.cfg.Engine == vvp.EngineBatch {
-		// The batch engine runs all paths through one lane scheduler: one
-		// goroutine owns the 64-lane simulator and the worker pool is
-		// replaced entirely (parallelism comes from the lanes, not from
-		// goroutines).
+	for w := 0; w < a.cfg.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			a.batchWorker()
+			a.explore()
 		}()
-	} else {
-		for w := 0; w < a.cfg.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				a.worker()
-			}()
-		}
 	}
 	wg.Wait()
 	close(done)
@@ -704,38 +690,9 @@ func (a *analysis) progress() Progress {
 	}
 }
 
-func (a *analysis) worker() {
-	// One reusable simulator per worker: Restore overrides the entire
-	// processor and simulator state (the paper's $initialize_state
-	// semantics), so forked paths do not need a fresh instance — only the
-	// cold-boot path does.
-	var cached *vvp.Simulator
-	for {
-		a.mu.Lock()
-		id, e, ok := a.admit()
-		for !ok && a.active > 0 && a.fatal == nil && !a.stop.Load() {
-			a.cond.Wait()
-			id, e, ok = a.admit()
-		}
-		a.mu.Unlock()
-		if !ok {
-			a.cond.Broadcast()
-			return
-		}
-
-		segStart := time.Now()
-		out := a.simulatePath(id, e, &cached)
-		a.settle(&out, e, time.Since(segStart))
-		if out.err != nil {
-			return
-		}
-		a.maybeCheckpoint(false)
-	}
-}
-
 // admit pops the next live entry off the frontier and registers it as an
-// in-flight segment under a fresh path ID — the single admission point of
-// both drivers. Entries a wider sibling supersedes are dropped on the way:
+// in-flight segment under a fresh path ID — the single admission point.
+// Entries a wider sibling supersedes are dropped on the way:
 // counted, traced as a leaf of their parent, never given an ID or a
 // simulator. ok is false when the frontier is empty or the run is
 // stopping (pending entries then stay put for the drain). Caller holds
@@ -771,10 +728,9 @@ func (a *analysis) admit() (id int, e entry, ok bool) {
 	return id, e, true
 }
 
-// settle retires one segment for either driver: the locked
-// absorb/classify step, then the segment-granularity publication outside
-// the scheduler lock. A fatal outcome (out.err) is recorded and nothing
-// is published.
+// settle retires one segment: the locked absorb/classify step, then the
+// segment-granularity publication outside the scheduler lock. A fatal
+// outcome (out.err) is recorded and nothing is published.
 func (a *analysis) settle(out *pathOutcome, e entry, wall time.Duration) {
 	a.mu.Lock()
 	a.active--
@@ -789,7 +745,7 @@ func (a *analysis) settle(out *pathOutcome, e entry, wall time.Duration) {
 		if a.fatal == nil {
 			a.fatal = out.err
 		}
-	case out.interrupted:
+	case out.stat.End == EndInterrupted:
 		// Partial segment: its observations are sound (they did happen)
 		// and its entry goes back to the frontier for the degradation
 		// drain or a future resume.
@@ -859,19 +815,19 @@ func forcedLabel(e entry) string {
 // for checkpoints: a halt is either still pending or fully absorbed —
 // never observed by the CSM with its children missing from the worklist.
 //
-// Under Config.RemoteObserve the observe itself runs with the lock
+// With a remote policy (csm.Remote) the observe itself runs with the lock
 // RELEASED: the verdict is one network round-trip to a cluster
 // coordinator, and holding the scheduler lock across it would serialize
-// every sibling path worker behind each RPC. The halt is re-counted as
+// every sibling explorer behind each RPC. The halt is re-counted as
 // in-flight for the window so the worklist cannot drain out from under a
 // verdict about to fork, and the consistent-cut argument is not needed —
-// RemoteObserve excludes checkpointing (enforced at AnalyzeContext).
+// a remote policy excludes checkpointing (enforced at AnalyzeContext).
 func (a *analysis) classify(out *pathOutcome) {
 	// absorb just appended this path; the index stays valid across an
 	// unlocked window because a.res.Paths is append-only while running.
 	idx := len(a.res.Paths) - 1
 	var d csm.Decision
-	if a.cfg.RemoteObserve {
+	if a.remote {
 		a.active++
 		a.mu.Unlock()
 		d = a.cfg.Policy.Observe(out.halt)
@@ -961,9 +917,7 @@ func (a *analysis) tripStopLocked(t Trip) {
 func (a *analysis) absorb(out pathOutcome) {
 	a.res.SimulatedCycles += out.stat.Cycles
 	a.res.Paths = append(a.res.Paths, out.stat)
-	if out.endVals != nil {
-		a.anchored = true
-	}
+	a.anchored = true
 	for n, t := range out.toggled {
 		if t {
 			a.res.ToggledNets[n] = true
@@ -978,166 +932,6 @@ func (a *analysis) absorb(out pathOutcome) {
 			// paths: no single tie-off value exists, so it counts as
 			// exercisable.
 			a.res.ToggledNets[n] = true
-		}
-	}
-}
-
-// simulatePath runs one worklist entry to its halt/finish (Algorithm 1
-// lines 12–19). A panic anywhere inside the segment — the simulation
-// engine, a Specialize hook, an OnHalt callback — is contained into a
-// Quarantine outcome instead of taking the whole analysis down. cached
-// holds the worker's reusable simulator.
-func (a *analysis) simulatePath(id int, e entry, cached **vvp.Simulator) (out pathOutcome) {
-	defer func() {
-		if r := recover(); r != nil {
-			*cached = nil
-			out = pathOutcome{
-				stat: PathStat{ID: id, HaltPC: e.state.PC, End: EndQuarantined},
-				quarantine: &Quarantine{
-					PathID: id,
-					PC:     e.state.PC,
-					Time:   e.state.Time,
-					Panic:  fmt.Sprint(r),
-					Stack:  string(debug.Stack()),
-				},
-			}
-		}
-	}()
-	out.stat = PathStat{ID: id}
-	var sim *vvp.Simulator
-	if e.state.Bits.Width() != 0 && *cached != nil {
-		sim = *cached
-	} else {
-		opts := vvp.Options{MemX: a.cfg.MemX, Engine: a.cfg.Engine}
-		if e.state.Bits.Width() == 0 {
-			opts.Trace = a.cfg.Trace
-		}
-		sim = vvp.New(a.p.Design, opts)
-		sim.SetMonitorX(&a.p.Monitor)
-		sim.BindStimulus(a.p.Stimulus())
-	}
-
-	if e.state.Bits.Width() == 0 {
-		// Initial path: simulate the reset sequence, then start the
-		// toggle profile at the application's initial state. The
-		// cold-boot simulator is not recycled (its memory contents have
-		// advanced past the image's initial values).
-		resetEnd := a.p.resetEndTime()
-		for sim.Now() <= resetEnd {
-			if a.stop.Load() {
-				// Interrupted before recording started: nothing to
-				// absorb, the cold-boot entry just returns to the
-				// frontier.
-				out.interrupted = true
-				out.stat.End = EndInterrupted
-				return out
-			}
-			if _, err := sim.Step(); err != nil {
-				out.err = err
-				return out
-			}
-		}
-		sim.StartRecording()
-	} else {
-		*cached = sim
-		if err := sim.Restore(a.p.Spec, e.state); err != nil {
-			out.err = err
-			return out
-		}
-		if e.hasForce {
-			// Continue down one execution path: force the resolved
-			// branch condition across the capturing clock edge
-			// (paper §3 step 3, "set control signals").
-			release := sim.Now() + 3*a.p.HalfPeriod
-			sim.Force(a.p.Monitor.Cond, e.forced, release)
-		}
-		sim.StartRecording()
-	}
-
-	startCycles := sim.Cycles()
-	startEvals, startSweeps := sim.Evals(), sim.Sweeps()
-	status, interrupted, err := a.runSegment(sim)
-	out.stat.Cycles = sim.Cycles() - startCycles
-	out.evals = sim.Evals() - startEvals
-	out.sweeps = sim.Sweeps() - startSweeps
-	if err != nil {
-		out.err = fmt.Errorf("core: path %d: %w", id, err)
-		return out
-	}
-
-	// Copy the profile before the simulator is discarded.
-	out.toggled = append([]bool(nil), sim.Toggled()...)
-	out.endVals = make([]logic.Value, len(a.p.Design.Nets))
-	for n := range out.endVals {
-		out.endVals[n] = sim.Value(netlist.NetID(n))
-	}
-
-	if interrupted {
-		out.interrupted = true
-		out.stat.End = EndInterrupted
-		return out
-	}
-
-	switch status {
-	case vvp.Finished:
-		out.stat.End = EndFinished
-		return out
-	case vvp.HaltX:
-		st := sim.Snapshot(a.p.Spec)
-		if !st.PCKnown {
-			out.err = errors.New("core: program counter contained X at halt; cannot index conservative states")
-			return out
-		}
-		out.stat.HaltPC = st.PC
-		if a.cfg.OnHalt != nil {
-			a.cfg.OnHalt(id, st)
-		}
-		// The CSM classifies the halt under the scheduler lock (see
-		// classify); EndForked here is provisional.
-		out.stat.End = EndForked
-		out.halt = st
-		return out
-	}
-	out.err = fmt.Errorf("core: path %d ended in unexpected status %v", id, status)
-	return out
-}
-
-// runSegment advances sim until the segment halts, finishes, errors or is
-// interrupted by a drain request. It feeds the live cycle counter and
-// trips the cycle budget mid-segment, so a single long path cannot
-// overshoot Budget.MaxCycles unchecked.
-func (a *analysis) runSegment(sim *vvp.Simulator) (vvp.Status, bool, error) {
-	start := sim.Cycles()
-	flushed := start
-	flush := func() {
-		if c := sim.Cycles(); c > flushed {
-			total := a.liveCycles.Add(c - flushed)
-			flushed = c
-			if a.cfg.Budget.MaxCycles > 0 && total > a.cfg.Budget.MaxCycles {
-				a.tripStop(TripCycles)
-			}
-		}
-	}
-	for n := 0; ; n++ {
-		if a.stop.Load() {
-			flush()
-			return vvp.Running, true, nil
-		}
-		st, err := sim.Step()
-		if err != nil {
-			flush()
-			return st, false, err
-		}
-		if st != vvp.Running {
-			flush()
-			return st, false, nil
-		}
-		if sim.Cycles()-start >= a.cfg.MaxCyclesPerPath {
-			flush()
-			return vvp.Running, false, fmt.Errorf("vvp: cycle limit %d reached at t=%d", a.cfg.MaxCyclesPerPath, sim.Now())
-		}
-		if n&127 == 0 {
-			flush()
 		}
 	}
 }
@@ -1163,11 +957,12 @@ func (a *analysis) finish() {
 		// Drain the frontier: merge every pending state into the CSM
 		// conservative superstate for its PC, so the stored states keep
 		// covering the unexplored behaviours. The drain's decisions are
-		// logged against path -1 (no segment simulated them). Cluster
-		// workers skip the drain — their incomplete result is discarded
-		// and the unit requeued, so the merge would only pollute the
-		// coordinator's authoritative CSM (see DisableDrainMerge).
-		if !a.cfg.DisableDrainMerge {
+		// logged against path -1 (no segment simulated them). A remote
+		// policy skips the drain: a cluster worker's incomplete result is
+		// discarded and its unit requeued whole, so the merge would only
+		// register forks at the coordinator's authoritative CSM for paths
+		// nobody simulated.
+		if !a.remote {
 			a.decisionPath = -1
 			for _, e := range a.front.stack {
 				if e.state.Bits.Width() > 0 && e.state.PCKnown {
@@ -1252,7 +1047,7 @@ func (a *analysis) finish() {
 
 // maybeCheckpoint writes a periodic checkpoint when one is due. The
 // snapshot is taken under the scheduler lock (a consistent cut); the file
-// write happens outside it so workers keep simulating, with ckptBusy
+// write happens outside it so explorers keep simulating, with ckptBusy
 // serializing concurrent writers.
 func (a *analysis) maybeCheckpoint(final bool) {
 	c := a.cfg.Checkpoint

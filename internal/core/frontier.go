@@ -28,9 +28,9 @@ type forkKey struct {
 
 func (f *frontier) len() int { return len(f.stack) }
 
-// push puts e on the stack without touching the index: the cold-boot entry,
-// interrupted segments going back and quarantine re-queues are not new
-// forks, and refreshing latest with one of them could narrow it.
+// push puts e on the stack without touching the index: the cold-boot entry
+// and interrupted segments going back are not new forks, and refreshing
+// latest with one of them could narrow it.
 func (f *frontier) push(e entry) { f.stack = append(f.stack, e) }
 
 // pushFork pushes a child classify just created — or, on resume, a pending

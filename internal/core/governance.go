@@ -12,7 +12,7 @@ import (
 // crash containment and progress reporting. The governing principle is the
 // same over-approximation argument as the CSM's conservative merge (paper
 // Fig. 3): a run that cannot finish — budget exhausted, context canceled,
-// a path worker crashed — must still return a *sound* dichotomy, where
+// a path segment crashed — must still return a *sound* dichotomy, where
 // every gate the full exploration could have exercised is reported
 // exercisable. Degradation therefore only ever moves gates from the
 // never-exercisable set into the exercisable set, never the other way.
@@ -71,10 +71,12 @@ func (t Trip) String() string {
 	return fmt.Sprintf("Trip(%d)", uint8(t))
 }
 
-// Quarantine records one path worker that panicked. The path is contained
-// — its starting state, panic value and stack are preserved for post-mortem
-// — and the run continues; soundness is restored by the degradation drain,
-// which over-approximates whatever the lost path would have exercised.
+// Quarantine records one path segment lost to a panic in its engine or in
+// the OnHalt hook. The path is contained — its starting state, panic value
+// and stack are preserved for post-mortem — and the run continues;
+// soundness is restored by the degradation drain, which over-approximates
+// whatever the lost path would have exercised. The lanes of a batch engine
+// share its state, so one panic there quarantines every occupied lane.
 type Quarantine struct {
 	// PathID is the worklist ID of the crashed path segment.
 	PathID int
@@ -123,6 +125,18 @@ type Progress struct {
 	SimulatedCycles uint64
 	// CSMStates is the number of conservative states currently live.
 	CSMStates int
+}
+
+// Fingerprint hashes everything in the snapshot except Elapsed. It is the
+// one definition of lease liveness: heartbeat tickers fire even when every
+// explorer is wedged, and Elapsed always moves, so only a changing
+// fingerprint counts as progress.
+func (p Progress) Fingerprint() uint64 {
+	fp := uint64(p.PathsDone)
+	for _, v := range [...]uint64{uint64(p.PathsPending), uint64(p.PathsInFlight), p.SimulatedCycles, uint64(p.CSMStates)} {
+		fp = fp*1099511628211 + v
+	}
+	return fp
 }
 
 // ValidationError reports an invalid Platform or Config field, detected

@@ -94,6 +94,30 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// The lease-liveness fingerprint must ignore the passage of time and
+// notice every other kind of progress.
+func TestProgressFingerprint(t *testing.T) {
+	base := core.Progress{Elapsed: time.Second, PathsDone: 3, PathsPending: 5, PathsInFlight: 2, SimulatedCycles: 700, CSMStates: 4}
+	later := base
+	later.Elapsed += time.Hour
+	if later.Fingerprint() != base.Fingerprint() {
+		t.Error("Elapsed alone moved the fingerprint")
+	}
+	for name, bump := range map[string]func(*core.Progress){
+		"PathsDone":       func(p *core.Progress) { p.PathsDone++ },
+		"PathsPending":    func(p *core.Progress) { p.PathsPending++ },
+		"PathsInFlight":   func(p *core.Progress) { p.PathsInFlight++ },
+		"SimulatedCycles": func(p *core.Progress) { p.SimulatedCycles++ },
+		"CSMStates":       func(p *core.Progress) { p.CSMStates++ },
+	} {
+		moved := base
+		bump(&moved)
+		if moved.Fingerprint() == base.Fingerprint() {
+			t.Errorf("%s moved but the fingerprint did not", name)
+		}
+	}
+}
+
 // Per-path statistics must come back in path-ID order regardless of the
 // nondeterministic completion order of parallel workers.
 func TestPathsSortedByIDUnderParallelWorkers(t *testing.T) {
@@ -116,59 +140,85 @@ func TestPathsSortedByIDUnderParallelWorkers(t *testing.T) {
 	}
 }
 
+// forEngine runs f once per simulation engine. The governance properties
+// below are the explorer's, so each must hold on every engine it drives:
+// the one-lane scalar engines and the batch engine's shared lanes. The race
+// detector slows the interpreter the most and it takes the same one-lane
+// path through the explorer as the kernel, so race runs drop that leg.
+func forEngine(t *testing.T, f func(t *testing.T, eng vvp.Engine)) {
+	engines := []vvp.Engine{vvp.EngineKernel, vvp.EngineInterp, vvp.EngineBatch}
+	if raceDetector {
+		engines = []vvp.Engine{vvp.EngineKernel, vvp.EngineBatch}
+	}
+	for _, eng := range engines {
+		t.Run(eng.String(), func(t *testing.T) { f(t, eng) })
+	}
+}
+
+// soundAgainst fails when the degraded run res proves a gate unexercisable
+// that the full run exercised: degradation may only over-approximate.
+func soundAgainst(t *testing.T, res, full *core.Result) {
+	t.Helper()
+	for gi := range res.ExercisableGates {
+		if !res.ExercisableGates[gi] && full.ExercisableGates[gi] {
+			t.Fatalf("gate %d proven unexercisable by the degraded run but exercisable in the full run", gi)
+		}
+	}
+}
+
 // A canceled context must stop the run cleanly: no error, a sound
 // Complete=false result blaming the cancellation, every goroutine joined,
 // and a final progress heartbeat delivered.
 func TestCancellationReturnsPartialResultWithoutLeaks(t *testing.T) {
-	p := buildLoop(t, 0xFF)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already canceled: the run must stop almost immediately
-
-	before := runtime.NumGoroutine()
-	var beats atomic.Int64
-	start := time.Now()
-	res, err := core.AnalyzeContext(ctx, p, core.Config{
-		Workers:       4,
-		Progress:      func(core.Progress) { beats.Add(1) },
-		ProgressEvery: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("cancellation took %v to honour", elapsed)
-	}
-	if res.Complete {
-		t.Fatal("canceled run reported Complete")
-	}
-	if res.Degradation == nil || res.Degradation.Trip != core.TripCanceled {
-		t.Fatalf("degradation = %+v, want TripCanceled", res.Degradation)
-	}
-	if beats.Load() == 0 {
-		t.Error("no progress heartbeat delivered")
-	}
-	// The degraded dichotomy stays sound: with no (or partial)
-	// exploration, unexplored behaviour must be over-approximated, never
-	// reported as proven-unexercisable gates it didn't prove.
 	full, err := core.Analyze(buildLoop(t, 0xFF), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for gi := range res.ExercisableGates {
-		if !res.ExercisableGates[gi] && full.ExercisableGates[gi] {
-			t.Fatalf("gate %d proven unexercisable by a canceled run but exercisable in the full run", gi)
-		}
-	}
+	forEngine(t, func(t *testing.T, eng vvp.Engine) {
+		p := buildLoop(t, 0xFF)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // already canceled: the run must stop almost immediately
 
-	// All worker/watcher/heartbeat goroutines must have joined.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		buf := make([]byte, 1<<20)
-		t.Fatalf("goroutines leaked: %d before, %d after\n%s", before, n, buf[:runtime.Stack(buf, true)])
-	}
+		before := runtime.NumGoroutine()
+		var beats atomic.Int64
+		start := time.Now()
+		res, err := core.AnalyzeContext(ctx, p, core.Config{
+			Engine:        eng,
+			Workers:       4,
+			Progress:      func(core.Progress) { beats.Add(1) },
+			ProgressEvery: time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if elapsed := time.Since(start); elapsed > 10*time.Second {
+			t.Fatalf("cancellation took %v to honour", elapsed)
+		}
+		if res.Complete {
+			t.Fatal("canceled run reported Complete")
+		}
+		if res.Degradation == nil || res.Degradation.Trip != core.TripCanceled {
+			t.Fatalf("degradation = %+v, want TripCanceled", res.Degradation)
+		}
+		if beats.Load() == 0 {
+			t.Error("no progress heartbeat delivered")
+		}
+		// The degraded dichotomy stays sound: with no (or partial)
+		// exploration, unexplored behaviour must be over-approximated, never
+		// reported as proven-unexercisable gates it didn't prove.
+		soundAgainst(t, res, full)
+		checkAccounting(t, "canceled", res)
+
+		// All explorer/watcher/heartbeat goroutines must have joined.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutines leaked: %d before, %d after\n%s", before, n, buf[:runtime.Stack(buf, true)])
+		}
+	})
 }
 
 // A tripped fork budget must degrade gracefully: no error, Complete=false,
@@ -182,108 +232,142 @@ func TestForkBudgetDegradesSoundly(t *testing.T) {
 	if !full.Complete {
 		t.Fatal("unbudgeted run did not complete")
 	}
-
-	res, err := core.Analyze(buildLoop(t, 0xF), core.Config{Budget: core.Budget{MaxForks: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Complete {
-		t.Fatal("budgeted run reported Complete")
-	}
-	deg := res.Degradation
-	if deg == nil || deg.Trip != core.TripForks {
-		t.Fatalf("degradation = %+v, want TripForks", deg)
-	}
-	if deg.PendingPaths == 0 || deg.ForcedMerges == 0 {
-		t.Errorf("degradation did not drain: %+v", deg)
-	}
-	if deg.ConeNets == 0 {
-		t.Error("degradation marked no cone nets")
-	}
-	for gi := range res.ExercisableGates {
-		if !res.ExercisableGates[gi] && full.ExercisableGates[gi] {
-			t.Fatalf("gate %d pruned by the degraded run but exercisable in the full run", gi)
+	forEngine(t, func(t *testing.T, eng vvp.Engine) {
+		res, err := core.Analyze(buildLoop(t, 0xF), core.Config{Engine: eng, Budget: core.Budget{MaxForks: 1}})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if res.ExercisableCount < full.ExercisableCount {
-		t.Errorf("degraded run claims fewer exercisable gates (%d) than the full run (%d)",
-			res.ExercisableCount, full.ExercisableCount)
-	}
+		if res.Complete {
+			t.Fatal("budgeted run reported Complete")
+		}
+		deg := res.Degradation
+		if deg == nil || deg.Trip != core.TripForks {
+			t.Fatalf("degradation = %+v, want TripForks", deg)
+		}
+		if deg.PendingPaths == 0 || deg.ForcedMerges == 0 {
+			t.Errorf("degradation did not drain: %+v", deg)
+		}
+		if deg.ConeNets == 0 {
+			t.Error("degradation marked no cone nets")
+		}
+		soundAgainst(t, res, full)
+		if res.ExercisableCount < full.ExercisableCount {
+			t.Errorf("degraded run claims fewer exercisable gates (%d) than the full run (%d)",
+				res.ExercisableCount, full.ExercisableCount)
+		}
+		checkAccounting(t, "fork budget", res)
+	})
 }
 
 // The cycle budget must interrupt even a single long-running path segment
 // mid-simulation.
 func TestCycleBudgetInterruptsMidSegment(t *testing.T) {
-	res, err := core.Analyze(buildLoop(t, 0xFF), core.Config{Budget: core.Budget{MaxCycles: 40}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Complete {
-		t.Fatal("cycle-budgeted run reported Complete")
-	}
-	if res.Degradation.Trip != core.TripCycles {
-		t.Fatalf("trip = %v, want cycle-budget", res.Degradation.Trip)
-	}
+	forEngine(t, func(t *testing.T, eng vvp.Engine) {
+		res, err := core.Analyze(buildLoop(t, 0xFF), core.Config{Engine: eng, Budget: core.Budget{MaxCycles: 40}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Complete {
+			t.Fatal("cycle-budgeted run reported Complete")
+		}
+		if res.Degradation.Trip != core.TripCycles {
+			t.Fatalf("trip = %v, want cycle-budget", res.Degradation.Trip)
+		}
+		checkAccounting(t, "cycle budget", res)
+	})
 }
 
 // The wall-clock budget is a Budget trip, distinct from cancellation. The
 // exact (no-merge) policy turns the 255-iteration X loop into a path
 // enumeration far outlasting the one-millisecond budget.
 func TestWallClockBudgetTrips(t *testing.T) {
-	res, err := core.Analyze(buildLoop(t, 0xFF), core.Config{
-		Policy: csm.NewExact(0),
-		Budget: core.Budget{WallClock: time.Millisecond},
+	forEngine(t, func(t *testing.T, eng vvp.Engine) {
+		res, err := core.Analyze(buildLoop(t, 0xFF), core.Config{
+			Engine: eng,
+			Policy: csm.NewExact(0),
+			Budget: core.Budget{WallClock: time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Complete {
+			t.Fatal("wall-clock-budgeted run reported Complete")
+		}
+		if res.Degradation.Trip != core.TripWallClock {
+			t.Fatalf("trip = %v, want wall-clock", res.Degradation.Trip)
+		}
+		checkAccounting(t, "wall clock", res)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Complete {
-		t.Fatal("wall-clock-budgeted run reported Complete")
-	}
-	if res.Degradation.Trip != core.TripWallClock {
-		t.Fatalf("trip = %v, want wall-clock", res.Degradation.Trip)
-	}
 }
 
-// A panicking path worker must be contained, not crash the analysis: the
+// A panic in a path segment must be contained, not crash the analysis: the
 // panic value and stack are preserved in a Quarantine record and the rest
-// of the run proceeds.
+// of the run proceeds. The hook panics once, either on the cold-boot path
+// or on the first forked path to halt — on the batch engine that one is a
+// lane path, whose OnHalt call runs while sibling lanes are occupied.
 func TestPanicIsQuarantined(t *testing.T) {
-	p := buildLoop(t, 0x3)
-	var panicked atomic.Bool
-	res, err := core.Analyze(p, core.Config{
-		OnHalt: func(id int, st vvp.State) {
-			if id == 0 && !panicked.Swap(true) {
-				panic("injected fault in halt hook")
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Complete {
-		t.Fatal("run with a quarantined path reported Complete")
-	}
-	deg := res.Degradation
-	if deg == nil || len(deg.Quarantined) != 1 {
-		t.Fatalf("degradation = %+v, want exactly one quarantined path", deg)
-	}
-	q := deg.Quarantined[0]
-	if q.PathID != 0 || !strings.Contains(q.Panic, "injected fault") || !strings.Contains(q.Stack, "goroutine") {
-		t.Errorf("quarantine record incomplete: %+v", q)
-	}
-	if deg.Trip != core.TripNone {
-		t.Errorf("trip = %v, want none (quarantine only)", deg.Trip)
-	}
-	// The quarantined segment shows up in the per-path stats too.
-	found := false
-	for _, ps := range res.Paths {
-		if ps.End == core.EndQuarantined {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("no EndQuarantined path stat recorded")
+	for _, tc := range []struct {
+		name string
+		hit  func(id int) bool
+	}{
+		{"cold-boot path", func(id int) bool { return id == 0 }},
+		{"forked path", func(id int) bool { return id != 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			forEngine(t, func(t *testing.T, eng vvp.Engine) {
+				var panicked atomic.Bool
+				var victim atomic.Int64
+				res, err := core.Analyze(buildLoop(t, 0x3), core.Config{
+					Engine: eng,
+					OnHalt: func(id int, st vvp.State) {
+						if tc.hit(id) && !panicked.Swap(true) {
+							victim.Store(int64(id))
+							panic("injected fault in halt hook")
+						}
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !panicked.Load() {
+					t.Fatal("the hook never fired")
+				}
+				if res.Complete {
+					t.Fatal("run with a quarantined path reported Complete")
+				}
+				deg := res.Degradation
+				if deg == nil || len(deg.Quarantined) == 0 {
+					t.Fatalf("degradation = %+v, want a quarantined path", deg)
+				}
+				// A scalar engine loses exactly the panicking path; the
+				// batch engine loses every lane that shared the simulator.
+				if eng != vvp.EngineBatch && len(deg.Quarantined) != 1 {
+					t.Errorf("%d paths quarantined on a one-lane engine, want 1", len(deg.Quarantined))
+				}
+				if deg.Trip != core.TripNone {
+					t.Errorf("trip = %v, want none (quarantine only)", deg.Trip)
+				}
+				ended := map[int]core.PathEnd{}
+				for _, ps := range res.Paths {
+					ended[ps.ID] = ps.End
+				}
+				sawVictim := false
+				for _, q := range deg.Quarantined {
+					if !strings.Contains(q.Panic, "injected fault") || !strings.Contains(q.Stack, "goroutine") {
+						t.Errorf("quarantine record incomplete: %+v", q)
+					}
+					// The quarantined segment shows up in the per-path stats too.
+					if ended[q.PathID] != core.EndQuarantined {
+						t.Errorf("path %d quarantined but its stat ends %v", q.PathID, ended[q.PathID])
+					}
+					sawVictim = sawVictim || q.PathID == int(victim.Load())
+				}
+				if !sawVictim {
+					t.Errorf("panicking path %d has no quarantine record: %+v", victim.Load(), deg.Quarantined)
+				}
+				checkAccounting(t, "quarantine", res)
+			})
+		})
 	}
 }
 
@@ -295,41 +379,44 @@ func TestKillAndResumeReproducesTieOffs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	forEngine(t, func(t *testing.T, eng vvp.Engine) {
+		ck := t.TempDir() + "/run.ckpt"
+		killed, err := core.Analyze(buildLoop(t, 0xF), core.Config{
+			Engine:     eng,
+			Budget:     core.Budget{MaxForks: 2},
+			Checkpoint: &core.CheckpointConfig{Path: ck},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if killed.Complete {
+			t.Fatal("budgeted run reported Complete")
+		}
+		checkAccounting(t, "killed", killed)
 
-	ck := t.TempDir() + "/run.ckpt"
-	killed, err := core.Analyze(buildLoop(t, 0xF), core.Config{
-		Budget:     core.Budget{MaxForks: 2},
-		Checkpoint: &core.CheckpointConfig{Path: ck},
+		ckpt, err := core.LoadCheckpoint(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ckpt.Pending) == 0 {
+			t.Fatal("final checkpoint has no pending frontier")
+		}
+		resumed, err := core.Analyze(buildLoop(t, 0xF), core.Config{Engine: eng, Resume: ckpt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resumed.Complete {
+			t.Fatalf("resumed run did not complete: %+v", resumed.Degradation)
+		}
+
+		if resumed.ExercisableCount != full.ExercisableCount {
+			t.Errorf("resumed exercisable = %d, uninterrupted = %d",
+				resumed.ExercisableCount, full.ExercisableCount)
+		}
+		if !tieOffsEqual(resumed.TieOffs(), full.TieOffs()) {
+			t.Error("resumed tie-off list differs from the uninterrupted run's")
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if killed.Complete {
-		t.Fatal("budgeted run reported Complete")
-	}
-
-	ckpt, err := core.LoadCheckpoint(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ckpt.Pending) == 0 {
-		t.Fatal("final checkpoint has no pending frontier")
-	}
-	resumed, err := core.Analyze(buildLoop(t, 0xF), core.Config{Resume: ckpt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resumed.Complete {
-		t.Fatalf("resumed run did not complete: %+v", resumed.Degradation)
-	}
-
-	if resumed.ExercisableCount != full.ExercisableCount {
-		t.Errorf("resumed exercisable = %d, uninterrupted = %d",
-			resumed.ExercisableCount, full.ExercisableCount)
-	}
-	if !tieOffsEqual(resumed.TieOffs(), full.TieOffs()) {
-		t.Error("resumed tie-off list differs from the uninterrupted run's")
-	}
 }
 
 // Resuming against the wrong platform or policy must be rejected by
@@ -362,21 +449,24 @@ func TestResumeValidation(t *testing.T) {
 // Periodic checkpoints must decode to the exact state they encoded
 // (pointer-free deep equality through the binary format).
 func TestPeriodicCheckpointRoundTripsThroughDisk(t *testing.T) {
-	ck := t.TempDir() + "/run.ckpt"
-	if _, err := core.Analyze(buildLoop(t, 0x7), core.Config{
-		Checkpoint: &core.CheckpointConfig{Path: ck}, // Interval 0: every path
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ckpt, err := core.LoadCheckpoint(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, err := core.DecodeCheckpoint(ckpt.EncodeBinary())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ckpt, re) {
-		t.Error("checkpoint does not survive an encode/decode round trip")
-	}
+	forEngine(t, func(t *testing.T, eng vvp.Engine) {
+		ck := t.TempDir() + "/run.ckpt"
+		if _, err := core.Analyze(buildLoop(t, 0x7), core.Config{
+			Engine:     eng,
+			Checkpoint: &core.CheckpointConfig{Path: ck}, // Interval 0: every path
+		}); err != nil {
+			t.Fatal(err)
+		}
+		ckpt, err := core.LoadCheckpoint(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		re, err := core.DecodeCheckpoint(ckpt.EncodeBinary())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ckpt, re) {
+			t.Error("checkpoint does not survive an encode/decode round trip")
+		}
+	})
 }

@@ -183,10 +183,10 @@ func checkAccounting(t *testing.T, name string, res *core.Result) {
 	}
 }
 
-// The accounting identity must hold on complete runs of both drivers and
-// on degraded runs, whether the budget stopped the run between segments
-// (forks) or in the middle of one (cycles: the interrupted segment is in
-// Paths and its entry is pending again).
+// The accounting identity must hold on complete runs of the one-lane and
+// batch engines and on degraded runs, whether the budget stopped the run
+// between segments (forks) or in the middle of one (cycles: the interrupted
+// segment is in Paths and its entry is pending again).
 func TestPathAccountingWithSupersession(t *testing.T) {
 	p, err := report.BuildPlatform(report.OMSP430, "tHold")
 	if err != nil {
@@ -202,7 +202,7 @@ func TestPathAccountingWithSupersession(t *testing.T) {
 		{"workers=4", core.Config{Workers: 4}, true},
 		{"fork budget", core.Config{Budget: core.Budget{MaxForks: 12}}, false},
 		{"cycle budget", core.Config{Budget: core.Budget{MaxCycles: 200}}, false},
-		// The lane scheduler drains every occupied lane as an interrupted
+		// The batch explorer drains every occupied lane as an interrupted
 		// segment, so this case exercises the identity's interrupted term.
 		{"cycle budget, batch", core.Config{Engine: vvp.EngineBatch, Budget: core.Budget{MaxCycles: 800}}, false},
 	} {
@@ -213,7 +213,7 @@ func TestPathAccountingWithSupersession(t *testing.T) {
 		if res.Complete != tc.complete {
 			t.Fatalf("%s: Complete = %v", tc.name, res.Complete)
 		}
-		// With one worker (or one lane scheduler) the count is deterministic.
+		// With one explorer the count is deterministic.
 		// Degraded runs may drop nothing: narrower entries sit deep in the
 		// stack and the budget can trip before they surface.
 		if tc.complete && tc.cfg.Workers <= 1 && res.PathsSuperseded == 0 {

@@ -356,6 +356,21 @@ type HeatSink interface {
 	SetHeat(heat func(pc uint64) int)
 }
 
+// Remote is implemented by a manager that only forwards to an
+// authoritative CSM living elsewhere — a cluster worker's delegate to its
+// coordinator, one RPC per Observe. Everything a scheduler must do
+// differently follows from that one fact: it releases its lock around
+// Observe so sibling paths keep simulating behind the round-trip, it never
+// drains a degraded run's frontier into Observe (the unit is discarded and
+// requeued whole, and the drain would register forks for paths nobody
+// simulated), it withholds the heat source (unlocked observes would race
+// it) and it refuses to checkpoint (an unlocked observe breaks the
+// consistent cut).
+type Remote interface {
+	// RemoteCSM marks the manager; it is never called.
+	RemoteCSM()
+}
+
 // Merge-ordering knobs for the constrained policy.
 const (
 	// HotForkThreshold is the per-PC fork count at which the policy

@@ -729,13 +729,8 @@ func (s *Service) analyze(ctx context.Context, jb *job, id string, spec JobSpec,
 		prCopy := pr
 		// Lease heartbeat: the snapshot ticker fires even when every path
 		// worker is wedged, so only a *changing* snapshot counts as
-		// liveness. Elapsed is excluded from the fingerprint — it always
-		// moves.
-		fp := uint64(pr.PathsDone)
-		for _, v := range []uint64{uint64(pr.PathsPending), uint64(pr.PathsInFlight), pr.SimulatedCycles, uint64(pr.CSMStates)} {
-			fp = fp*1099511628211 + v
-		}
-		if jb.progFP.Swap(fp) != fp {
+		// liveness (see core.Progress.Fingerprint).
+		if fp := pr.Fingerprint(); jb.progFP.Swap(fp) != fp {
 			jb.beat.Store(time.Now().UnixNano())
 		}
 		s.hub.Publish(Event{Type: "progress", Job: id, Progress: &prCopy})

@@ -1124,7 +1124,7 @@ func (s *BatchSim) SnapshotLane(sp *StateSpec, lane int) State {
 // every commit, so the lane's plane bits and memory image stay exactly the
 // fixpoint it last settled to — which is what lets the next RestoreLane
 // into the slot pay only for what differs. This is the compaction step of
-// the lane scheduler: freed slots are simply reused.
+// the core's explorer: freed slots are simply reused.
 func (s *BatchSim) RetireLane(lane int) {
 	lm := uint64(1) << uint(lane)
 	s.active &^= lm

@@ -99,10 +99,10 @@ const (
 	EngineInterp
 	// EngineBatch is the bit-parallel batched kernel: up to 64 independent
 	// scenarios packed into two bitplanes per net, swept together over the
-	// compiled Program (see BatchSim). Selecting it on a scalar Simulator
-	// falls back to the kernel machinery — the batch data layout lives in
-	// BatchSim, and the core's lane scheduler boots cold paths on the
-	// scalar kernel before packing them into lanes.
+	// compiled Program (see BatchSim). The batch data layout lives only in
+	// BatchSim: a scalar Simulator asked for it runs the kernel machinery
+	// instead. The core does not rely on that — it asks for EngineKernel
+	// when it boots a batch run's cold path on a scalar simulator.
 	EngineBatch
 )
 
