@@ -64,11 +64,8 @@ lint:
 # lane-steps/s of batch-N vs scalar-N, the cost of one lane turnover
 # (retire + restore + snapshot) and the end-to-end kernel-vs-batch
 # co-analysis comparison.
-# BENCH_cluster.json records distributed exploration: aggregate paths/s
-# of the Table-1 workload run single-node versus fanned out across a
-# 3-worker fleet behind a real HTTP coordinator (the fleet's speedup is
-# bounded by min(workers, cores) — on a single-core host the recorded
-# ratio is the pure coordination overhead).
+# The fleet is measured by benchmark/ alone (workload table4_fleet,
+# cluster.fleet_speedup and cluster.rpcs_per_path; DESIGN.md §14).
 # BENCH_prune.json records constraint-aware forking on the paper's
 # counter-trend cell (openMSP430/tHold x both MemX policies): Table-4
 # paths-created and wall time with pre-fork pruning off vs on, same
@@ -79,7 +76,6 @@ BENCHTIME ?= 2x
 BENCH_PAT ?= BenchmarkTable3GateCounts|BenchmarkTable4Paths|BenchmarkEngineComparison|BenchmarkSettleSteadyState
 BENCH_OBS_PAT ?= BenchmarkObsOverhead
 BENCH_BATCH_PAT ?= BenchmarkBatchKernelSweep|BenchmarkBatchLaneTurnover|BenchmarkBatchAnalyze
-BENCH_CLUSTER_PAT ?= BenchmarkClusterSingleNode|BenchmarkClusterThreeWorkers
 BENCH_PRUNE_PAT ?= BenchmarkPruneTable4
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PAT)' -benchmem -benchtime $(BENCHTIME) -timeout 30m . \
@@ -97,11 +93,6 @@ bench:
 	$(GO) run ./cmd/benchjson -o BENCH_batch.json bench_batch_output.txt
 	@rm -f bench_batch_output.txt
 	@echo "wrote BENCH_batch.json"
-	$(GO) test -run '^$$' -bench '$(BENCH_CLUSTER_PAT)' -benchmem -benchtime $(BENCHTIME) -timeout 30m ./internal/cluster/ \
-		| tee bench_cluster_output.txt
-	$(GO) run ./cmd/benchjson -o BENCH_cluster.json bench_cluster_output.txt
-	@rm -f bench_cluster_output.txt
-	@echo "wrote BENCH_cluster.json"
 	$(GO) test -run '^$$' -bench '$(BENCH_PRUNE_PAT)' -benchmem -benchtime $(BENCHTIME) -timeout 30m . \
 		| tee bench_prune_output.txt
 	$(GO) run ./cmd/benchjson -o BENCH_prune.json bench_prune_output.txt

@@ -67,7 +67,7 @@ func main() {
 
 	logger := log.New(os.Stderr, "symsimd: ", log.LstdFlags)
 	if clusterCfg.Coordinator && clusterCfg.Worker != "" {
-		logger.Fatalf("-coordinator and -worker are mutually exclusive: a daemon either owns the authoritative CSM or delegates to one")
+		logger.Fatalf("-coordinator and -worker are mutually exclusive: a daemon either hosts the runs' state or drives it")
 	}
 	var vfs fault.FS
 	if *faultPlan != "" {
@@ -110,16 +110,15 @@ func main() {
 		// Coordinator mode mounts the cluster API next to the job API. The
 		// co-located service doubles as the fleet's memo table.
 		coord = cluster.NewCoordinator(cluster.Config{
-			Memo:      svc,
-			ShardSize: clusterCfg.ShardSize,
-			LeaseTTL:  clusterCfg.LeaseTTL,
-			Logf:      func(format string, args ...any) { logger.Printf(format, args...) },
+			Memo:     svc,
+			LeaseTTL: clusterCfg.LeaseTTL,
+			Logf:     func(format string, args ...any) { logger.Printf(format, args...) },
 		})
 		mux := http.NewServeMux()
 		mux.Handle("/cluster/", coord.Handler())
 		mux.Handle("/", handler)
 		handler = mux
-		logger.Printf("cluster coordinator enabled (shard %d, lease TTL %v)", clusterCfg.ShardSize, clusterCfg.LeaseTTL)
+		logger.Printf("cluster coordinator enabled (lease TTL %v)", clusterCfg.LeaseTTL)
 	}
 
 	server := &http.Server{Addr: *listen, Handler: handler}
@@ -187,9 +186,9 @@ func main() {
 		logger.Printf("http shutdown: %v", err)
 	}
 	// The worker's lease loop stops with the signal context; wait for its
-	// in-flight units to settle (their analyses observe the cancellation)
-	// before draining. Abandoned units simply lease-expire and requeue at
-	// the coordinator — by design, nothing is lost.
+	// explorers to hand their segments back (settled as interrupted, partial
+	// progress included) before draining. A segment that does not make it
+	// simply lease-expires at the coordinator — by design, nothing is lost.
 	select {
 	case <-workerDone:
 	case <-shutdownCtx.Done():

@@ -31,7 +31,7 @@ var sharedFlagNames = []string{
 // clusterFlagNames is the cmd/symsimd cluster-mode vocabulary registered
 // through RegisterCluster, pinned the same way.
 var clusterFlagNames = []string{
-	"coordinator", "shard-lease-ttl", "shard-size", "worker", "worker-slots",
+	"coordinator", "shard-lease-ttl", "worker", "worker-slots",
 }
 
 func registered(fs *flag.FlagSet) []string {
@@ -96,11 +96,11 @@ func TestClusterFlagsPinnedAndDisjoint(t *testing.T) {
 	}
 
 	if err := fs.Parse([]string{
-		"-coordinator", "-shard-size", "16", "-shard-lease-ttl", "3s", "-worker-slots", "2",
+		"-coordinator", "-shard-lease-ttl", "3s", "-worker-slots", "2",
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !cl.Coordinator || cl.ShardSize != 16 || cl.LeaseTTL != 3*time.Second || cl.Slots != 2 {
+	if !cl.Coordinator || cl.LeaseTTL != 3*time.Second || cl.Slots != 2 {
 		t.Errorf("parsed cluster flags = %+v", cl)
 	}
 	if cl.Worker != "" {

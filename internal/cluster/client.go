@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"time"
 
@@ -17,13 +18,9 @@ import (
 // through the shared hardened unary client (internal/httpx): a real
 // overall timeout and jittered retry backoff — never a zero-timeout
 // default client. The RPCs it retries are all idempotent at the
-// coordinator: a replayed observe carries the same per-unit sequence
-// number and is answered from the memoized original verdict (so a fork
-// whose response was lost is re-delivered, not re-judged "subsumed" with
-// the worker left unaware of the two children registered on its unit), a
-// replayed report of the retiring epoch is acknowledged without double
-// retirement, and a replayed fail of a requeued unit bounces off the
-// epoch fence.
+// coordinator: a replayed report of the epoch that settled the segment is
+// acknowledged without absorbing it twice, and a replayed fail of a
+// segment already put back bounces off the epoch fence.
 type coordClient struct {
 	base string
 	hc   *http.Client
@@ -36,12 +33,13 @@ func newCoordClient(base string, hc *http.Client) *coordClient {
 	return &coordClient{base: strings.TrimRight(base, "/"), hc: hc}
 }
 
-// call issues one JSON-in/JSON-out request with idempotent-retry
-// semantics and maps the protocol statuses back to the package errors.
-// A 204 returns (204, nil) with out untouched.
+// call issues one request with idempotent-retry semantics and maps the
+// protocol statuses back to the package errors. in is the JSON request
+// body, or a []byte sent as it is; a 200 body is JSON-decoded into out. A
+// 204 returns (204, nil) with out untouched.
 func (cc *coordClient) call(method, path string, in, out any) (int, error) {
-	var body []byte
-	if in != nil {
+	body, raw := in.([]byte)
+	if in != nil && !raw {
 		var err error
 		if body, err = json.Marshal(in); err != nil {
 			return 0, err
@@ -60,7 +58,10 @@ func (cc *coordClient) call(method, path string, in, out any) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if in != nil {
+		switch {
+		case raw:
+			req.Header.Set("Content-Type", "application/octet-stream")
+		case in != nil:
 			req.Header.Set("Content-Type", "application/json")
 		}
 		resp, err := cc.hc.Do(req)
@@ -111,8 +112,8 @@ func (cc *coordClient) createRun(spec RunSpec) (string, error) {
 	return resp.ID, nil
 }
 
-// lease long-polls for one work unit; ok is false when the coordinator
-// had no work within its poll window.
+// lease long-polls for work for one slot; ok is false when the coordinator
+// had none within its poll window.
 func (cc *coordClient) lease(worker string) (*leaseResponse, bool, error) {
 	var ls leaseResponse
 	status, err := cc.call(http.MethodPost, "/cluster/lease", leaseRequest{Worker: worker}, &ls)
@@ -125,36 +126,34 @@ func (cc *coordClient) lease(worker string) (*leaseResponse, bool, error) {
 	return &ls, true, nil
 }
 
-// observe presents a halted state to the authoritative CSM. seq is the
-// 1-based per-unit sequence number; call's transport retries replay the
-// identical body, so a retried observe reaches the coordinator with the
-// same seq and is answered from the memoized verdict.
-func (cc *coordClient) observe(runID string, unit, epoch, seq int, state []byte) (observeResponse, error) {
-	var resp observeResponse
-	_, err := cc.call(http.MethodPost, "/cluster/runs/"+url.PathEscape(runID)+"/observe",
-		observeRequest{Unit: unit, Epoch: epoch, Seq: seq, State: state}, &resp)
-	return resp, err
+// report settles a segment and returns the slot's next work. The outcome
+// is the request body as it is — it is the bulk of the fleet's traffic, and
+// base64 inside JSON cost more than the settle it carried — with the lease
+// it belongs to in the query.
+func (cc *coordClient) report(runID, worker string, id, epoch int, outcome []byte, want int) (*reportResponse, error) {
+	q := url.Values{
+		"worker": {worker},
+		"path":   {strconv.Itoa(id)},
+		"epoch":  {strconv.Itoa(epoch)},
+		"want":   {strconv.Itoa(want)},
+	}
+	var resp reportResponse
+	_, err := cc.call(http.MethodPost, "/cluster/runs/"+url.PathEscape(runID)+"/report?"+q.Encode(), outcome, &resp)
+	return &resp, err
 }
 
-// report retires a completed unit.
-func (cc *coordClient) report(runID string, unit, epoch int, rep []byte) error {
-	_, err := cc.call(http.MethodPost, "/cluster/runs/"+url.PathEscape(runID)+"/report",
-		reportRequest{Unit: unit, Epoch: epoch, Report: rep}, nil)
-	return err
-}
-
-// fail returns a unit for requeue.
-func (cc *coordClient) fail(runID string, unit, epoch int, reason string) error {
+// fail hands a segment back for another attempt.
+func (cc *coordClient) fail(runID string, id, epoch int, reason string) error {
 	_, err := cc.call(http.MethodPost, "/cluster/runs/"+url.PathEscape(runID)+"/fail",
-		failRequest{Unit: unit, Epoch: epoch, Reason: reason}, nil)
+		failRequest{ID: id, Epoch: epoch, Reason: reason}, nil)
 	return err
 }
 
-// heartbeat extends a unit's lease. Single attempt, best effort: a missed
-// beat only matters if every beat inside the TTL misses, and by then the
-// lease SHOULD lapse.
-func (cc *coordClient) heartbeat(runID string, unit, epoch int) error {
-	body, err := json.Marshal(heartbeatRequest{Unit: unit, Epoch: epoch})
+// heartbeat extends leases. Single attempt, best effort: a missed beat
+// only matters if every beat inside the TTL misses, and by then the lease
+// SHOULD lapse.
+func (cc *coordClient) heartbeat(runID string, refs []leaseRef) error {
+	body, err := json.Marshal(heartbeatRequest{Leases: refs})
 	if err != nil {
 		return err
 	}

@@ -1,37 +1,21 @@
-// Package cluster distributes one symbolic co-analysis across a fleet of
-// symsimd processes: a coordinator owns the authoritative Conservative
-// State Manager and a shared frontier of pending-path work units, and
-// workers pull units, simulate them with the existing kernel/batch
-// engines, and report fork children and merge candidates back.
+// Package cluster runs one symbolic co-analysis across a fleet of symsimd
+// processes by splitting Algorithm 1 where internal/core already splits it,
+// at admit and settle: a coordinator hosts the run's state — core.Run: the
+// frontier, the Conservative State Manager, the toggle profile, path IDs —
+// and workers run the driver, core.Explore, against it over HTTP. There is
+// no second frontier, fork rule or profile fold: what a worker leases is
+// what core.Run.Admit handed out, and what it reports is what
+// core.Run.Settle absorbs, forks and publishes (DESIGN.md §14).
 //
-// The design leans entirely on seams the repository already has:
-//
-//   - A work unit travels as a SYMSIMC1 seed checkpoint
-//     (core.SeedCheckpoint) and is executed through Config.Resume — the
-//     same fuzz-hardened codec and entry point single-node resume uses.
-//   - CSM decisions flow through a remote-delegating csm.Manager
-//     (remoteCSM): the worker's scheduler calls Observe exactly as it
-//     would a local policy, and the verdict is computed by the
-//     coordinator's authoritative manager. A non-subsumed verdict
-//     registers both fork children at the coordinator before it returns;
-//     scheduling is locality-first — by default the children join the
-//     observing unit's own path set and the worker forks locally from
-//     the merged explore state, and only when another worker is starving
-//     (parked in Lease with no leasable work anywhere) do the children
-//     spill to the shared frontier (Decision.Remote tells the local
-//     scheduler to fork nothing).
-//   - A completed unit reports back as a SYMSIMC1 report checkpoint
-//     (core.UnitReport) carrying the shard's toggle profile; the
-//     coordinator folds reports with core.Profile — the identical merge
-//     arithmetic a single-node run applies per path segment — so the
-//     distributed dichotomy is the same computation, just partitioned.
-//   - Work units carry a lease epoch exactly like the PR-7 job leases: a
-//     unit whose worker stops heartbeating is requeued under epoch+1, and
-//     every RPC from the dead epoch is fenced with 409. Exactly-once path
-//     accounting survives worker crashes because fork children register
-//     at observe time (a re-simulated path halts in a state the CSM has
-//     already covered, so the retry observes "subsumed" and registers
-//     nothing) and retirement counts once per unit at report time.
+//   - A lease is one path segment per free lane of the asking worker slot:
+//     a path ID, the work encoding of its frontier entry, and a lease epoch.
+//     A report settles one segment and its response carries the slot's next
+//     segments, so a busy worker costs one round trip per segment.
+//   - Leases lapse like the job leases of internal/service: a segment whose
+//     worker stops heartbeating is put back on the frontier and handed out
+//     again under the same path ID and epoch+1, and every RPC from the dead
+//     epoch is fenced with 409. A segment is absorbed exactly once because
+//     settling takes it out of flight, whatever the retries.
 //   - The SYMSIMK1 content-addressed result cache becomes a cluster-wide
 //     memo table: the coordinator serves its service's cache over
 //     /cluster/cache/{key}, and worker daemons consult it through
@@ -39,8 +23,7 @@
 //
 // Transport is the stdlib HTTP the daemon already speaks, through the
 // shared hardened client in internal/httpx (real timeouts, jittered
-// retries) — the cluster endpoints never reintroduce the zero-timeout
-// default client PR 7 eliminated.
+// retries).
 package cluster
 
 import (
@@ -49,30 +32,28 @@ import (
 
 // RunSpec describes one distributed co-analysis. It mirrors the
 // result-affecting subset of the service's JobSpec vocabulary plus the
-// worker-side simulation knobs the coordinator hands out with each lease.
+// engine knobs the coordinator hands out with each lease.
 type RunSpec struct {
 	// Design and Bench select the platform, e.g. "dr5" / "tHold".
 	Design string `json:"design"`
 	Bench  string `json:"bench"`
 
-	// Policy selects the authoritative CSM policy: merge-all | clustered
-	// | exact (constrained needs a local file and is not accepted over
-	// the cluster API). K and MaxStates parameterize clustered and exact.
+	// Policy selects the CSM policy: merge-all | clustered | exact
+	// (constrained needs a local file and is not accepted over the cluster
+	// API). K and MaxStates parameterize clustered and exact.
 	Policy    string `json:"policy,omitempty"`
 	K         int    `json:"k,omitempty"`
 	MaxStates int    `json:"maxStates,omitempty"`
 
-	// Engine, MemX, Workers and Lanes tune the simulation machinery each
-	// worker runs its units on. Engine, Workers and Lanes never change a
-	// complete dichotomy (the single-node engine-equivalence guarantee).
-	Engine  string `json:"engine,omitempty"`
-	MemX    string `json:"memx,omitempty"`
-	Workers int    `json:"workers,omitempty"`
-	Lanes   int    `json:"lanes,omitempty"`
-
-	// ShardSize caps the pending paths bundled per leased work unit;
-	// 0 uses the coordinator's default.
-	ShardSize int `json:"shardSize,omitempty"`
+	// Engine, MemX and Lanes select the engine every worker slot explores
+	// on. Engine and Lanes never change a complete dichotomy (the
+	// single-node engine-equivalence guarantee).
+	Engine string `json:"engine,omitempty"`
+	MemX   string `json:"memx,omitempty"`
+	Lanes  int    `json:"lanes,omitempty"`
+	// Workers is the number of explorers per worker slot and must be 0 or
+	// 1: a slot is one explorer, and a fleet's parallelism is its slots.
+	Workers int `json:"workers,omitempty"`
 }
 
 // Errors the coordinator API maps onto HTTP statuses (and back).
@@ -80,10 +61,10 @@ var (
 	// ErrUnknownRun is returned for operations on a run ID the
 	// coordinator has never seen (404).
 	ErrUnknownRun = errors.New("cluster: unknown run")
-	// ErrStale fences RPCs from a dead lease epoch: the unit was requeued
-	// (or already retired under another epoch) and the caller's outcome
-	// is void (409).
-	ErrStale = errors.New("cluster: stale unit epoch")
+	// ErrStale fences RPCs from a dead lease epoch: the segment was put
+	// back (or already settled under another epoch), or the run is over,
+	// and the caller's outcome is void (409).
+	ErrStale = errors.New("cluster: stale lease epoch")
 	// ErrClosed is returned once the coordinator has shut down (503).
 	ErrClosed = errors.New("cluster: coordinator closed")
 	// ErrNotDone is returned by Result for a run still exploring (409).
@@ -100,84 +81,55 @@ type Memo interface {
 	CachePut(key string, data []byte) error
 }
 
-// --- wire messages (JSON bodies of the /cluster endpoints) ---
+// --- wire messages (JSON bodies of the /cluster endpoints; the one
+// exception is the report request, see reportResponse) ---
 
-// leaseRequest asks for one work unit.
+// leaseRequest asks for work for one worker slot.
 type leaseRequest struct {
 	Worker string `json:"worker,omitempty"`
 }
 
-// leaseResponse grants one work unit: a shard of pending paths encoded as
-// a SYMSIMC1 seed checkpoint, the lease epoch every subsequent RPC about
-// the unit must echo, and the run spec the worker simulates under.
+// segment is one leased path segment: its path ID, the lease epoch every
+// RPC about it must echo, and the work core.Run.Admit encoded.
+type segment struct {
+	ID    int    `json:"id"`
+	Epoch int    `json:"epoch"`
+	Work  []byte `json:"work"`
+}
+
+// leaseResponse grants segments of one run, at most one per lane of the
+// engine its spec selects, and the spec the slot explores them under.
 type leaseResponse struct {
-	RunID      string  `json:"runId"`
-	Unit       int     `json:"unit"`
-	Epoch      int     `json:"epoch"`
-	LeaseTTLMS int64   `json:"leaseTtlMs"`
-	Spec       RunSpec `json:"spec"`
-	// PolicyName is the authoritative manager's Name(); the worker's
-	// remote CSM client reports it so the seed checkpoint validates.
-	PolicyName string `json:"policyName"`
-	// Seed is the SYMSIMC1 seed checkpoint (JSON base64).
-	Seed []byte `json:"seed"`
+	RunID      string    `json:"runId"`
+	LeaseTTLMS int64     `json:"leaseTtlMs"`
+	Spec       RunSpec   `json:"spec"`
+	Lanes      int       `json:"lanes"`
+	Segments   []segment `json:"segments"`
 }
 
-// observeRequest presents one halted state to the authoritative CSM.
-type observeRequest struct {
-	Unit  int `json:"unit"`
-	Epoch int `json:"epoch"`
-	// Seq is the worker's 1-based observe sequence number within this
-	// unit lease. A retry of a lost response replays the same Seq, and
-	// the coordinator answers it from the memoized original verdict — a
-	// fresh policy observe would answer "subsumed" for a state the first
-	// delivery already merged, desyncing the worker's path count from the
-	// unit's registered path set.
-	Seq int `json:"seq"`
-	// State is the halt state (vvp.State.AppendBinary, JSON base64).
-	State []byte `json:"state"`
+// reportResponse acknowledges a report — POST .../report with the lease in
+// the query and the segment's outcome, in the encoding core.Run.Settle
+// takes, as the raw body — and carries the slot's next work.
+type reportResponse struct {
+	Segments []segment `json:"segments,omitempty"`
 }
 
-// observeResponse is the authoritative verdict. A non-subsumed verdict
-// means the coordinator registered both fork children — either on the
-// observing worker's own unit (Keep) or on the shared frontier.
-type observeResponse struct {
-	Subsumed bool `json:"subsumed"`
-	// Keep is true when the fork children were appended to the observing
-	// unit's own path set (locality-first forking): the worker forks
-	// locally from Explore and keeps simulating, no frontier round-trip.
-	// When false on a non-subsumed verdict, the children were spilled to
-	// the shared frontier for an idle worker and the local scheduler must
-	// fork nothing (Decision.Remote).
-	Keep bool `json:"keep,omitempty"`
-	// Explore is the merged explore state (vvp.State binary) the local
-	// fork starts from; present only when Keep.
-	Explore []byte `json:"explore,omitempty"`
-	// States is the conservative-state count after the decision, for the
-	// worker's progress reporting.
-	States int `json:"states"`
-}
-
-// reportRequest retires a completed unit with its SYMSIMC1 report
-// checkpoint (core.UnitReport).
-type reportRequest struct {
-	Unit   int    `json:"unit"`
-	Epoch  int    `json:"epoch"`
-	Report []byte `json:"report"`
-}
-
-// failRequest returns a unit the worker could not complete; the
-// coordinator requeues it under a new epoch.
+// failRequest hands back a segment the worker could not simulate; the
+// coordinator puts it back for another attempt.
 type failRequest struct {
-	Unit   int    `json:"unit"`
+	ID     int    `json:"id"`
 	Epoch  int    `json:"epoch"`
 	Reason string `json:"reason,omitempty"`
 }
 
-// heartbeatRequest extends a unit's lease while its simulation is making
-// observable progress.
+// heartbeatRequest extends the leases of segments that are advancing.
 type heartbeatRequest struct {
-	Unit  int `json:"unit"`
+	Leases []leaseRef `json:"leases"`
+}
+
+// leaseRef names one lease.
+type leaseRef struct {
+	ID    int `json:"id"`
 	Epoch int `json:"epoch"`
 }
 
@@ -186,25 +138,21 @@ type createRunResponse struct {
 	ID string `json:"id"`
 }
 
-// RunStatusView is the externally visible state of a run.
+// RunStatusView is the externally visible state of a run: its lifecycle
+// state plus the core.Progress snapshot of the analysis behind it.
 type RunStatusView struct {
 	ID    string  `json:"id"`
 	State string  `json:"state"`
 	Error string  `json:"error,omitempty"`
 	Spec  RunSpec `json:"spec"`
-	// Created counts frontier entries ever registered (genesis plus two
-	// per fork); Retired counts paths simulated to completion by retired
-	// units. A finished run has Created == Retired — anything else is
-	// paths_lost and fails the run.
-	Created int `json:"pathsCreated"`
-	Retired int `json:"pathsRetired"`
-	Skipped int `json:"pathsSkipped"`
-	// Pending is the unbundled frontier depth; LeasedUnits and
-	// RequeuedUnits the units out with workers / waiting for re-lease.
-	Pending       int `json:"pathsPending"`
-	LeasedUnits   int `json:"leasedUnits"`
-	RequeuedUnits int `json:"requeuedUnits"`
-	CSMStates     int `json:"csmStates"`
+	// PathsDone counts settled segments, PathsPending the frontier depth
+	// and PathsInFlight the segments leased out; a finished run has no
+	// pending and none in flight.
+	PathsDone       int    `json:"pathsDone"`
+	PathsPending    int    `json:"pathsPending"`
+	PathsInFlight   int    `json:"pathsInFlight"`
+	SimulatedCycles uint64 `json:"simulatedCycles"`
+	CSMStates       int    `json:"csmStates"`
 }
 
 // RunResultView is the result summary served for a finished run.

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -19,7 +22,7 @@ import (
 
 // testCluster is one in-process fleet: a coordinator behind a real HTTP
 // server and n workers pulling from it over the wire — the full
-// lease/observe/report round-trip, nothing short-circuited.
+// lease/report round-trip, nothing short-circuited.
 type testCluster struct {
 	coord   *Coordinator
 	ts      *httptest.Server
@@ -88,34 +91,101 @@ func requireDichotomyEqual(t *testing.T, got, want *core.Result) {
 	}
 }
 
-// TestClusterEquivalenceEndToEnd is the distributed differential check:
-// a 3-worker fleet must reproduce the single-node kernel dichotomy and
-// tie-off lists exactly, on all three CPUs and under both X-memory
-// policies. ShardSize 2 forces many lease/observe/report round-trips so
-// the frontier really is partitioned across workers, not handed out as
-// one unit.
+// requireAccounted asserts the path accounting of a complete run: every
+// created entry was simulated exactly once or dropped as superseded — the
+// same invariant core's own tests hold a single-node run to.
+func requireAccounted(t *testing.T, res *core.Result) {
+	t.Helper()
+	if res.PathsCreated != len(res.Paths)+res.PathsSuperseded {
+		t.Errorf("path accounting violated: created %d, simulated %d, superseded %d",
+			res.PathsCreated, len(res.Paths), res.PathsSuperseded)
+	}
+	for i, ps := range res.Paths {
+		if ps.ID != i {
+			t.Fatalf("path IDs not dense: Paths[%d].ID = %d (a segment settled twice or never)", i, ps.ID)
+		}
+	}
+}
+
+// TestClusterEquivalenceEndToEnd is the distributed differential check, in
+// two legs. A 1-worker × 1-slot fleet is Algorithm 1's deterministic order
+// with an HTTP round trip between the frontier and the simulator, so it
+// must reproduce the kernel's pinned path and cycle counts of every Table-4
+// cell exactly. A 3-worker fleet explores in whatever order the network
+// gives it and must still reproduce the single-node dichotomy and tie-off
+// lists exactly, on all three CPUs, under both X-memory policies and under
+// every policy the cluster accepts.
 func TestClusterEquivalenceEndToEnd(t *testing.T) {
-	tc := startCluster(t, Config{ShardSize: 2}, 3)
+	t.Run("one-slot/table4-counts", func(t *testing.T) {
+		b, err := os.ReadFile("../../testdata/table4_counts.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pinned []struct {
+			Bench, Design                string
+			Created, Skipped, Superseded int
+			Cycles                       uint64
+		}
+		if err := json.Unmarshal(b, &pinned); err != nil {
+			t.Fatal(err)
+		}
+		tc := startCluster(t, Config{}, 1)
+		for _, want := range pinned {
+			id, err := tc.coord.NewRun(RunSpec{Design: want.Design, Bench: want.Bench})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+			got, err := tc.coord.Wait(ctx, id)
+			cancel()
+			if err != nil {
+				st, _ := tc.coord.Status(id)
+				t.Fatalf("%s/%s: %v (status %+v)", want.Design, want.Bench, err, st)
+			}
+			if got.PathsCreated != want.Created || got.PathsSkipped != want.Skipped ||
+				got.PathsSuperseded != want.Superseded || got.SimulatedCycles != want.Cycles {
+				t.Errorf("%s/%s: fleet created/skipped/superseded/cycles = %d/%d/%d/%d, kernel pins %d/%d/%d/%d",
+					want.Design, want.Bench, got.PathsCreated, got.PathsSkipped, got.PathsSuperseded, got.SimulatedCycles,
+					want.Created, want.Skipped, want.Superseded, want.Cycles)
+			}
+			requireAccounted(t, got)
+		}
+	})
+
+	tc := startCluster(t, Config{}, 3)
 	for _, d := range []report.Design{report.BM32, report.OMSP430, report.DR5} {
-		for _, memx := range []string{"verilog", "sound"} {
-			t.Run(fmt.Sprintf("%s/memx=%s", d, memx), func(t *testing.T) {
+		for _, v := range []struct {
+			memx, policy string
+			k, max       int
+		}{
+			{memx: "verilog", policy: "merge-all"},
+			{memx: "sound", policy: "merge-all"},
+			{memx: "verilog", policy: "clustered", k: 3},
+			{memx: "verilog", policy: "exact", max: 64},
+		} {
+			t.Run(fmt.Sprintf("%s/memx=%s/%s", d, v.memx, v.policy), func(t *testing.T) {
 				p, err := report.BuildPlatform(d, "tHold")
 				if err != nil {
 					t.Fatal(err)
 				}
-				mx, err := cliflags.ParseMemX(memx)
+				mx, err := cliflags.ParseMemX(v.memx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := cliflags.NewPolicy(v.policy, v.k, v.max)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want, err := core.Analyze(p, core.Config{
-					Engine: vvp.EngineKernel, MemX: mx, Metrics: obs.NewRegistry(),
+					Engine: vvp.EngineKernel, MemX: mx, Policy: m, Metrics: obs.NewRegistry(),
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 
 				id, err := tc.coord.NewRun(RunSpec{
-					Design: string(d), Bench: "tHold", MemX: memx, Engine: "kernel",
+					Design: string(d), Bench: "tHold", MemX: v.memx, Engine: "kernel",
+					Policy: v.policy, K: v.k, MaxStates: v.max,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -127,25 +197,26 @@ func TestClusterEquivalenceEndToEnd(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireDichotomyEqual(t, got, want)
+				requireAccounted(t, got)
 
 				st, err := tc.coord.Status(id)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if st.State != "done" || st.Retired != st.Created {
-					t.Errorf("exactly-once accounting violated: state=%s created=%d retired=%d",
-						st.State, st.Created, st.Retired)
+				if st.State != "done" || st.PathsPending != 0 || st.PathsInFlight != 0 || st.PathsDone != len(got.Paths) {
+					t.Errorf("finished run's status disagrees with its result: %+v vs %d paths", st, len(got.Paths))
 				}
 			})
 		}
 	}
 }
 
-// TestClusterPolicySweep checks the remaining authoritative policies
-// round-trip through the remote CSM: clustered and exact runs must each
+// TestClusterPolicySweep runs the non-default policies on a 2-worker fleet
+// whose slots explore on the batch engine — several segments per lease,
+// several reports per retire round: clustered and exact runs must each
 // match their single-node counterpart's dichotomy.
 func TestClusterPolicySweep(t *testing.T) {
-	tc := startCluster(t, Config{ShardSize: 2}, 2)
+	tc := startCluster(t, Config{}, 2)
 	for _, pc := range []struct {
 		policy string
 		k      int
@@ -171,7 +242,7 @@ func TestClusterPolicySweep(t *testing.T) {
 			}
 
 			id, err := tc.coord.NewRun(RunSpec{
-				Design: "dr5", Bench: "tHold",
+				Design: "dr5", Bench: "tHold", Engine: "batch", Lanes: 4,
 				Policy: pc.policy, K: pc.k, MaxStates: pc.max,
 			})
 			if err != nil {
@@ -184,6 +255,7 @@ func TestClusterPolicySweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireDichotomyEqual(t, got, want)
+			requireAccounted(t, got)
 		})
 	}
 }
@@ -197,6 +269,9 @@ func TestClusterRejectsBadSpecs(t *testing.T) {
 		{Design: "dr5"},                  // no bench
 		{Design: "nope", Bench: "tHold"}, // unknown design
 		{Design: "dr5", Bench: "tHold", Policy: "constrained"}, // needs local file
+		{Design: "dr5", Bench: "tHold", Policy: "nope"},
+		{Design: "dr5", Bench: "tHold", Engine: "batch", Lanes: 65},
+		{Design: "dr5", Bench: "tHold", Workers: 2}, // a slot is one explorer
 	} {
 		if _, err := coord.NewRun(spec); err == nil {
 			t.Errorf("spec %+v accepted", spec)
@@ -222,6 +297,73 @@ func TestClusterRejectsConstrainedActionably(t *testing.T) {
 	for _, want := range []string{"-constraints", "locally"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("rejection %q does not mention %q", msg, want)
+		}
+	}
+}
+
+// TestClusterRunTracesLikeALocalOne pins what hosting core's own analysis
+// buys the trace: a fleet run traced with Config.Tracer yields the same
+// kind of trace a laptop run does — every CSM decision is logged against
+// the path whose halt it classified (a remote CSM logged them all against
+// -1; only a degradation drain may still do so, and a complete run has
+// none), and the spans form one fork tree under the cold-boot path.
+func TestClusterRunTracesLikeALocalOne(t *testing.T) {
+	var buf bytes.Buffer
+	tc := startCluster(t, Config{}, 2)
+	tc.coord.tuneConfig = func(cc *core.Config) { cc.Tracer = obs.NewTracer(&buf) }
+	id, err := tc.coord.NewRun(RunSpec{Design: "dr5", Bench: "tHold"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	res, err := tc.coord.Wait(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := obs.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if log.Meta == nil || log.Done == nil || !log.Done.Complete || log.Done.PathsCreated != res.PathsCreated {
+		t.Fatalf("trace is not bracketed by the run's meta and done records: %+v %+v", log.Meta, log.Done)
+	}
+
+	halted := 0
+	simulated := make(map[int]bool)
+	roots := 0
+	for _, s := range log.Spans {
+		if s.Parent == -1 {
+			roots++
+		}
+		if s.End == obs.EndSuperseded {
+			continue
+		}
+		if simulated[s.ID] {
+			t.Errorf("path %d has two spans", s.ID)
+		}
+		simulated[s.ID] = true
+		if s.End == core.EndForked.String() || s.End == core.EndSubsumed.String() {
+			halted++
+		}
+	}
+	if roots != 1 {
+		t.Errorf("span tree has %d roots, want 1 (the cold-boot path)", roots)
+	}
+	if len(simulated) != len(res.Paths) {
+		t.Errorf("%d simulated spans for %d paths", len(simulated), len(res.Paths))
+	}
+	for _, s := range log.Spans {
+		if s.Parent != -1 && !simulated[s.Parent] {
+			t.Errorf("span of path %d hangs off path %d, which has no span", s.ID, s.Parent)
+		}
+	}
+	if len(log.Decisions) != halted {
+		t.Errorf("%d CSM decisions for %d halted segments", len(log.Decisions), halted)
+	}
+	for _, d := range log.Decisions {
+		if !simulated[d.Path] {
+			t.Errorf("decision at pc %#x is logged against path %d, which no span simulated", d.PC, d.Path)
 		}
 	}
 }

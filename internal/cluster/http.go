@@ -7,10 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
-
-	"symsim/internal/core"
-	"symsim/internal/vvp"
 )
 
 // Handler serves the coordinator's cluster API (stdlib net/http, JSON
@@ -20,11 +18,11 @@ import (
 //	POST /cluster/runs                   register a RunSpec -> {id}
 //	GET  /cluster/runs/{id}              run status
 //	GET  /cluster/runs/{id}/result      result summary (409 until done)
-//	POST /cluster/lease                 long-poll one work unit (204 = none)
-//	POST /cluster/runs/{id}/observe     authoritative CSM verdict
-//	POST /cluster/runs/{id}/report      retire a unit with its profile
-//	POST /cluster/runs/{id}/fail        hand a unit back for requeue
-//	POST /cluster/runs/{id}/heartbeat   extend a unit's lease
+//	POST /cluster/lease                 long-poll segments for one slot (204 = none)
+//	POST /cluster/runs/{id}/report      settle a segment (?worker&path&epoch&want, body = its
+//	                                    outcome, raw) -> the slot's next segments
+//	POST /cluster/runs/{id}/fail        hand a segment back for another attempt
+//	POST /cluster/runs/{id}/heartbeat   extend the leases of advancing segments
 //	GET  /cluster/cache/{key}           cluster-wide memo table lookup
 //	PUT  /cluster/cache/{key}           cluster-wide memo table publish
 //
@@ -103,45 +101,26 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		c.writeJSON(w, http.StatusOK, ls)
 	})
-	mux.HandleFunc("POST /cluster/runs/{id}/observe", func(w http.ResponseWriter, r *http.Request) {
-		c.om.rpcs.With("observe").Inc()
-		var req observeRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&req); err != nil {
-			c.writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding observe: %w", err))
+	mux.HandleFunc("POST /cluster/runs/{id}/report", func(w http.ResponseWriter, r *http.Request) {
+		c.om.rpcs.With("report").Inc()
+		q := r.URL.Query()
+		id, err1 := strconv.Atoi(q.Get("path"))
+		epoch, err2 := strconv.Atoi(q.Get("epoch"))
+		want, err3 := strconv.Atoi(q.Get("want"))
+		// A body of the declared length in one allocation; io.ReadAll would
+		// make several per report on its way there.
+		outcome := make([]byte, max(0, min(r.ContentLength, 64<<20)))
+		_, err4 := io.ReadFull(r.Body, outcome)
+		if err := errors.Join(err1, err2, err3, err4); err != nil {
+			c.writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding report: %w", err))
 			return
 		}
-		st, rest, err := vvp.DecodeState(req.State)
-		if err != nil || len(rest) != 0 {
-			if err == nil {
-				err = fmt.Errorf("%d trailing bytes", len(rest))
-			}
-			c.writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding halt state: %w", err))
-			return
-		}
-		resp, err := c.Observe(r.PathValue("id"), req.Unit, req.Epoch, req.Seq, st)
+		resp, err := c.Report(r.PathValue("id"), q.Get("worker"), id, epoch, outcome, want)
 		if err != nil {
 			c.writeErr(w, statusOf(err), err)
 			return
 		}
 		c.writeJSON(w, http.StatusOK, resp)
-	})
-	mux.HandleFunc("POST /cluster/runs/{id}/report", func(w http.ResponseWriter, r *http.Request) {
-		c.om.rpcs.With("report").Inc()
-		var req reportRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&req); err != nil {
-			c.writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding report: %w", err))
-			return
-		}
-		rep, err := core.DecodeCheckpoint(req.Report)
-		if err != nil {
-			c.writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding report checkpoint: %w", err))
-			return
-		}
-		if err := c.Report(r.PathValue("id"), req.Unit, req.Epoch, rep); err != nil {
-			c.writeErr(w, statusOf(err), err)
-			return
-		}
-		c.writeJSON(w, http.StatusOK, map[string]string{"status": "retired"})
 	})
 	mux.HandleFunc("POST /cluster/runs/{id}/fail", func(w http.ResponseWriter, r *http.Request) {
 		c.om.rpcs.With("fail").Inc()
@@ -150,7 +129,7 @@ func (c *Coordinator) Handler() http.Handler {
 			c.writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding fail: %w", err))
 			return
 		}
-		if err := c.Fail(r.PathValue("id"), req.Unit, req.Epoch, req.Reason); err != nil {
+		if err := c.Fail(r.PathValue("id"), req.ID, req.Epoch, req.Reason); err != nil {
 			c.writeErr(w, statusOf(err), err)
 			return
 		}
@@ -163,7 +142,7 @@ func (c *Coordinator) Handler() http.Handler {
 			c.writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding heartbeat: %w", err))
 			return
 		}
-		if err := c.Heartbeat(r.PathValue("id"), req.Unit, req.Epoch); err != nil {
+		if err := c.Heartbeat(r.PathValue("id"), req.Leases); err != nil {
 			c.writeErr(w, statusOf(err), err)
 			return
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"sync"
@@ -15,14 +16,13 @@ import (
 )
 
 // TestClusterWorkerCrashMidShard is the coordinator torture drill: a
-// worker takes the genesis unit and wedges mid-shard (its OnHalt hook
-// blocks before the first halt ever reaches the remote CSM, so the unit
-// makes no observable progress and its heartbeats stop). The lease must
-// lapse, the intact unit must requeue under a new epoch, a healthy fleet
-// must finish the run with the exact single-node dichotomy, and the
-// exactly-once accounting must hold: no paths lost, no double
-// retirement. When the wedged worker finally revives, every RPC from its
-// dead epoch must fence off as stale instead of corrupting the run.
+// worker takes the cold-boot segment and wedges mid-segment (its OnHalt
+// hook blocks before the outcome is ever reported, so its lanes stop
+// advancing and its heartbeats stop). The lease must lapse, the same path
+// ID must go out again under epoch+1, a healthy fleet must finish the run
+// with the exact single-node dichotomy, and every path must be settled
+// exactly once. When the wedged worker finally revives, the report from
+// its dead epoch must fence off as stale instead of corrupting the run.
 func TestClusterWorkerCrashMidShard(t *testing.T) {
 	p, err := report.BuildPlatform(report.DR5, "tHold")
 	if err != nil {
@@ -35,7 +35,6 @@ func TestClusterWorkerCrashMidShard(t *testing.T) {
 
 	coord := NewCoordinator(Config{
 		Metrics:    obs.NewRegistry(),
-		ShardSize:  2,
 		LeaseTTL:   300 * time.Millisecond,
 		SweepEvery: 50 * time.Millisecond,
 	})
@@ -43,8 +42,7 @@ func TestClusterWorkerCrashMidShard(t *testing.T) {
 	t.Cleanup(func() { coord.Close(); ts.Close() })
 
 	// The wedge: the victim's first simulated path blocks inside OnHalt —
-	// before the halt is presented to the remote CSM — until the test
-	// revives it. From the coordinator's side this is indistinguishable
+	// before its outcome is reported — until the test revives it. From the coordinator's side this is indistinguishable
 	// from a crash: progress stops, heartbeats stop, the lease lapses.
 	gotUnit := make(chan struct{})
 	blockCh := make(chan struct{})
@@ -57,7 +55,7 @@ func TestClusterWorkerCrashMidShard(t *testing.T) {
 		Name:        "victim",
 		Metrics:     obs.NewRegistry(),
 		PollEvery:   10 * time.Millisecond,
-		tuneConfig: func(runID string, unit int, cc *core.Config) {
+		tuneConfig: func(runID string, cc *core.Config) {
 			cc.OnHalt = func(pathID int, st vvp.State) {
 				wedgeOnce.Do(func() { close(gotUnit) })
 				<-blockCh
@@ -76,15 +74,15 @@ func TestClusterWorkerCrashMidShard(t *testing.T) {
 	}
 
 	// The victim is the only worker: it must be the one holding the
-	// genesis unit when it wedges.
+	// cold-boot segment when it wedges.
 	select {
 	case <-gotUnit:
 	case <-time.After(30 * time.Second):
-		t.Fatal("victim never leased the genesis unit")
+		t.Fatal("victim never leased the cold-boot segment")
 	}
 
 	// Now start the healthy fleet. It can only make progress once the
-	// sweeper lapses the victim's lease and requeues the unit.
+	// sweeper lapses the victim's lease and puts the segment back.
 	for i := 0; i < 2; i++ {
 		w := &Worker{
 			Coordinator: ts.URL,
@@ -103,32 +101,33 @@ func TestClusterWorkerCrashMidShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireDichotomyEqual(t, got, want)
+	requireAccounted(t, got)
 
 	st, err := coord.Status(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != "done" || st.Retired != st.Created {
-		t.Errorf("exactly-once accounting violated: state=%s created=%d retired=%d",
-			st.State, st.Created, st.Retired)
+	if st.State != "done" {
+		t.Errorf("run state = %q, want done", st.State)
 	}
 	if n := coord.om.requeues.Value(); n < 1 {
-		t.Errorf("expected at least one requeue of the wedged unit, got %d", n)
+		t.Errorf("expected at least one put-back of the wedged segment, got %d", n)
 	}
 	if n := coord.om.expiries.Value(); n < 1 {
 		t.Errorf("expected at least one lease expiry, got %d", n)
 	}
-	if n := coord.om.pathsLost.Value(); n != 0 {
-		t.Errorf("paths lost: %d", n)
-	}
-	if n := coord.om.doubleRetires.Value(); n != 0 {
-		t.Errorf("double retirements: %d", n)
+	// The wedged segment is path 0: it kept its ID across the put-back
+	// and settled under the epoch after the victim's.
+	coord.mu.Lock()
+	epoch := coord.runs[id].settled[0]
+	coord.mu.Unlock()
+	if epoch != 2 {
+		t.Errorf("path 0 settled under epoch %d, want 2 (victim's lease + 1)", epoch)
 	}
 
-	// Revive the victim. Its analysis resumes, but its epoch is dead:
-	// every observe/report/fail it issues must bounce off the 409 fence —
-	// observed on its side as a stale unit — and must not disturb the
-	// finished run's accounting.
+	// Revive the victim. Its explorer resumes, but its epoch is dead: the
+	// report it issues must bounce off the 409 fence — observed on its side
+	// as a stale segment — and must not disturb the finished run.
 	revive()
 	deadline := time.Now().Add(30 * time.Second)
 	for victim.om.unitsStale.Value() == 0 && time.Now().Before(deadline) {
@@ -143,19 +142,19 @@ func TestClusterWorkerCrashMidShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Retired != st.Retired || st2.Created != st.Created || st2.State != "done" {
+	if st2 != st {
 		t.Errorf("revived victim disturbed the finished run: before %+v after %+v", st, st2)
 	}
 }
 
 // TestClusterUnitExhaustsAttemptsFailsRun pins the other side of the
-// requeue policy: a unit that keeps dying doesn't spin forever — after
+// put-back policy: a segment that keeps dying doesn't spin forever — after
 // MaxAttempts leases the run fails loudly, with the error naming the
-// unit, and Wait returns the failure.
+// path, and Wait returns the failure.
 func TestClusterUnitExhaustsAttemptsFailsRun(t *testing.T) {
 	coord := NewCoordinator(Config{
 		Metrics:     obs.NewRegistry(),
-		LeaseTTL:    time.Hour, // failures drive the requeue, not expiry
+		LeaseTTL:    time.Hour, // failures drive the put-back, not expiry
 		MaxAttempts: 3,
 	})
 	ts := httptest.NewServer(coord.Handler())
@@ -168,11 +167,18 @@ func TestClusterUnitExhaustsAttemptsFailsRun(t *testing.T) {
 	cc := newCoordClient(ts.URL, nil)
 	for i := 0; i < 3; i++ {
 		ls, ok, err := cc.lease("crashy")
-		if err != nil || !ok {
-			t.Fatalf("lease %d: ok=%v err=%v", i, ok, err)
+		if err != nil || !ok || len(ls.Segments) != 1 {
+			t.Fatalf("lease %d: ls=%+v ok=%v err=%v", i, ls, ok, err)
 		}
-		if err := cc.fail(ls.RunID, ls.Unit, ls.Epoch, "simulated crash"); err != nil {
+		// The same path every time, one epoch later each.
+		if sg := ls.Segments[0]; sg.ID != 0 || sg.Epoch != i+1 {
+			t.Fatalf("lease %d granted path %d epoch %d, want path 0 epoch %d", i, sg.ID, sg.Epoch, i+1)
+		}
+		if err := cc.fail(ls.RunID, ls.Segments[0].ID, ls.Segments[0].Epoch, "simulated crash"); err != nil {
 			t.Fatalf("fail %d: %v", i, err)
+		}
+		if err := cc.fail(ls.RunID, ls.Segments[0].ID, ls.Segments[0].Epoch, "replayed"); !errors.Is(err, ErrStale) {
+			t.Fatalf("replayed fail %d: err = %v, want ErrStale (409)", i, err)
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

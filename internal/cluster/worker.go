@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"symsim/internal/cliflags"
@@ -14,11 +15,10 @@ import (
 	"symsim/internal/report"
 )
 
-// Worker pulls leased work units from a coordinator, simulates them with
-// the existing single-node machinery (Config.Resume over the seed
-// checkpoint, CSM decisions through the remote manager) and reports the
-// outcome back. One Worker runs Slots units concurrently; a symsimd in
-// worker mode embeds exactly one.
+// Worker leases path segments from a coordinator and drives them with
+// core.Explore, the single-node explorer loop, reporting each outcome
+// back. One Worker runs Slots explorers concurrently; a symsimd in worker
+// mode embeds exactly one.
 type Worker struct {
 	// Coordinator is the coordinator's base URL, e.g. "http://host:8466".
 	Coordinator string
@@ -27,15 +27,14 @@ type Worker struct {
 	Client *http.Client
 	// BuildPlatform constructs platforms for leased specs; nil uses the
 	// report catalogue. Platforms are cached per design/bench, so the
-	// compiled kernel is built once per worker, not once per unit.
+	// compiled kernel is built once per worker, not once per lease.
 	BuildPlatform func(design, bench string) (*core.Platform, error)
 	// Name identifies the worker in coordinator logs.
 	Name string
-	// Slots is the number of units simulated concurrently (default 1).
+	// Slots is the number of explorers run concurrently (default 1).
 	Slots int
-	// Metrics receives worker metrics — including the engine metrics of
-	// every unit simulation (lane occupancy per worker). Nil uses
-	// obs.Default.
+	// Metrics receives worker metrics, the explorers' lane occupancy
+	// among them. Nil uses obs.Default.
 	Metrics *obs.Registry
 	// Logf receives operational logging; nil discards.
 	Logf func(format string, args ...any)
@@ -43,9 +42,9 @@ type Worker struct {
 	// 250ms; the coordinator additionally long-polls server-side).
 	PollEvery time.Duration
 
-	// tuneConfig, when non-nil, may adjust each unit's core.Config before
-	// simulation. Test seam (fault injection: wedging a unit mid-shard).
-	tuneConfig func(runID string, unit int, cc *core.Config)
+	// tuneConfig, when non-nil, may adjust an explorer's core.Config before
+	// it starts. Test seam (fault injection: wedging a segment).
+	tuneConfig func(runID string, cc *core.Config)
 
 	om *workerMetrics
 
@@ -53,7 +52,7 @@ type Worker struct {
 	platforms map[string]*core.Platform
 }
 
-// Run pulls and simulates units until ctx ends. It returns ctx.Err().
+// Run leases and explores segments until ctx ends. It returns ctx.Err().
 func (w *Worker) Run(ctx context.Context) error {
 	if w.Metrics == nil {
 		w.Metrics = obs.Default
@@ -114,7 +113,7 @@ func (w *Worker) pull(ctx context.Context, cc *coordClient, slot int) {
 			}
 			continue
 		}
-		w.runUnit(ctx, cc, name, ls)
+		w.explore(ctx, cc, name, ls)
 	}
 }
 
@@ -134,118 +133,173 @@ func (w *Worker) platform(design, bench string) (*core.Platform, error) {
 	return p, nil
 }
 
-// runUnit simulates one leased unit and reports or fails it.
-func (w *Worker) runUnit(ctx context.Context, cc *coordClient, name string, ls *leaseResponse) {
-	p, err := w.platform(ls.Spec.Design, ls.Spec.Bench)
+// explore drives the leased segments, and whatever the coordinator hands
+// back with each report, through core.Explore — the same loop a single-node
+// run's explorers execute — until the run has nothing more for this slot.
+func (w *Worker) explore(ctx context.Context, cc *coordClient, name string, ls *leaseResponse) {
+	src := &leased{w: w, cc: cc, name: name, runID: ls.RunID, ctx: ctx, lanes: ls.Lanes, queue: ls.Segments, held: make(map[int]int)}
+	for _, sg := range ls.Segments {
+		src.held[sg.ID] = sg.Epoch
+	}
+	p, cfg, err := w.engine(ls)
 	if err != nil {
-		w.failUnit(cc, name, ls, fmt.Sprintf("platform: %v", err))
-		return
-	}
-	seed, err := core.DecodeCheckpoint(ls.Seed)
-	if err != nil {
-		w.failUnit(cc, name, ls, fmt.Sprintf("seed checkpoint: %v", err))
-		return
-	}
-	rcsm := &remoteCSM{
-		cc: cc, om: w.om,
-		runID: ls.RunID, unit: ls.Unit, epoch: ls.Epoch,
-		policyName: ls.PolicyName,
-	}
-	cfg := core.Config{
-		// The policy is a csm.Remote, which is all the scheduler needs to
-		// know: it observes unlocked, so sibling paths keep simulating
-		// behind each RPC, and a degraded unit is never drained into the
-		// coordinator's CSM (the report below is only sent for complete
-		// runs).
-		Policy:  rcsm,
-		Resume:  seed,
-		Workers: ls.Spec.Workers,
-		Lanes:   ls.Spec.Lanes,
-		Metrics: w.Metrics,
-	}
-	if cfg.MemX, err = cliflags.ParseMemX(ls.Spec.MemX); err != nil {
-		w.failUnit(cc, name, ls, err.Error())
-		return
-	}
-	if cfg.Engine, err = cliflags.ParseEngine(ls.Spec.Engine); err != nil {
-		w.failUnit(cc, name, ls, err.Error())
+		src.failHeld(err.Error())
 		return
 	}
 
-	// Progress heartbeats keep the lease alive only while the unit makes
-	// observable progress: the beat is sent when the progress fingerprint
-	// CHANGES, so a wedged simulation stops beating and the coordinator
-	// requeues the unit. (Elapsed is excluded from the fingerprint — time
-	// passing is not progress.)
+	// Heartbeats keep the leases alive only while the explorer's lanes
+	// advance: a wedged simulation stops beating and the coordinator puts
+	// its segments back.
 	ttl := time.Duration(ls.LeaseTTLMS) * time.Millisecond
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
-	every := ttl / 6
-	if every < 10*time.Millisecond {
-		every = 10 * time.Millisecond
-	}
-	cfg.ProgressEvery = every
-	var lastFP uint64
-	var lastBeat time.Time
-	cfg.Progress = func(pr core.Progress) {
-		fp := pr.Fingerprint()
-		if fp == lastFP {
-			return
-		}
-		lastFP = fp
-		if time.Since(lastBeat) < ttl/4 {
-			return
-		}
-		lastBeat = time.Now()
-		w.om.heartbeats.Inc()
-		if err := cc.heartbeat(ls.RunID, ls.Unit, ls.Epoch); err != nil {
-			w.Logf("cluster: %s: heartbeat: %v", name, err)
-		}
-	}
-	if w.tuneConfig != nil {
-		w.tuneConfig(ls.RunID, ls.Unit, &cfg)
-	}
-
-	res, err := core.AnalyzeContext(ctx, p, cfg)
-	switch {
-	case err != nil:
-		w.failUnit(cc, name, ls, fmt.Sprintf("analysis: %v", err))
-	case rcsm.Err() != nil:
-		// Some decisions were poisoned locals, not authoritative
-		// verdicts: the unit's profile cannot be trusted. Hand it back.
-		w.failUnit(cc, name, ls, fmt.Sprintf("remote csm: %v", rcsm.Err()))
-	case !res.Complete:
-		w.failUnit(cc, name, ls, fmt.Sprintf("incomplete: %v", res.Degradation))
-	default:
-		rep := core.UnitReport(p, rcsm.Name(), res)
-		if err := cc.report(ls.RunID, ls.Unit, ls.Epoch, rep.EncodeBinary()); err != nil {
-			if errors.Is(err, ErrStale) {
-				// The lease lapsed mid-unit (e.g. this worker stalled and
-				// recovered): the unit is someone else's now.
-				w.om.unitsStale.Inc()
-				w.Logf("cluster: %s: run %s unit %d: report fenced as stale", name, ls.RunID, ls.Unit)
+	every := max(ttl/4, 10*time.Millisecond)
+	beatDone := make(chan struct{})
+	var beat sync.WaitGroup
+	beat.Add(1)
+	go func() {
+		defer beat.Done()
+		tick := time.NewTicker(every)
+		defer tick.Stop()
+		for {
+			select {
+			case <-beatDone:
 				return
+			case <-tick.C:
+				src.heartbeat()
 			}
-			w.om.rpcErrors.With("report").Inc()
-			w.Logf("cluster: %s: run %s unit %d: report: %v (lease will lapse)", name, ls.RunID, ls.Unit, err)
-			return
 		}
-		w.om.unitsReported.Inc()
+	}()
+	err = core.Explore(p, cfg, src)
+	close(beatDone)
+	beat.Wait()
+	if err != nil {
+		src.failHeld(fmt.Sprintf("explore: %v", err))
 	}
 }
 
-// failUnit hands a unit back for requeue.
-func (w *Worker) failUnit(cc *coordClient, name string, ls *leaseResponse, reason string) {
-	if err := cc.fail(ls.RunID, ls.Unit, ls.Epoch, reason); err != nil {
-		if errors.Is(err, ErrStale) {
-			w.om.unitsStale.Inc()
-			return
+// engine resolves a lease's spec into the platform and the driver half of
+// a core.Config.
+func (w *Worker) engine(ls *leaseResponse) (*core.Platform, core.Config, error) {
+	cfg := core.Config{Lanes: ls.Spec.Lanes, Metrics: w.Metrics}
+	p, err := w.platform(ls.Spec.Design, ls.Spec.Bench)
+	if err != nil {
+		return nil, cfg, fmt.Errorf("platform: %w", err)
+	}
+	if cfg.MemX, err = cliflags.ParseMemX(ls.Spec.MemX); err != nil {
+		return nil, cfg, err
+	}
+	if cfg.Engine, err = cliflags.ParseEngine(ls.Spec.Engine); err != nil {
+		return nil, cfg, err
+	}
+	if w.tuneConfig != nil {
+		w.tuneConfig(ls.RunID, &cfg)
+	}
+	return p, cfg, nil
+}
+
+// leased is a worker slot's core.Source: the segments of one run the
+// coordinator has leased to it. Admit hands the explorer what the last
+// lease or report response carried; Settle reports an outcome and takes
+// the response's segments in turn — one round trip per segment.
+type leased struct {
+	w     *Worker
+	cc    *coordClient
+	name  string
+	runID string
+	ctx   context.Context
+	lanes int
+	// moved records that the lanes advanced since the last heartbeat tick.
+	// The lanes of one engine step together, so it speaks for every
+	// segment the slot holds.
+	moved atomic.Bool
+
+	// mu guards queue and held against the heartbeat goroutine.
+	mu    sync.Mutex
+	queue []segment   // leased, not yet admitted
+	held  map[int]int // path ID → epoch of every lease not yet reported
+}
+
+func (s *leased) Admit() (id int, work []byte, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.queue) == 0 {
+		return 0, nil, false
+	}
+	sg := s.queue[0]
+	s.queue = s.queue[1:]
+	return sg.ID, sg.Work, true
+}
+
+func (s *leased) Settle(id int, outcome []byte) {
+	s.mu.Lock()
+	epoch := s.held[id]
+	delete(s.held, id)
+	want := s.lanes - len(s.held)
+	s.mu.Unlock()
+
+	resp, err := s.cc.report(s.runID, s.name, id, epoch, outcome, want)
+	switch {
+	case errors.Is(err, ErrStale):
+		// The lease lapsed mid-segment (this worker stalled and recovered)
+		// or the run is over: the segment is someone else's now.
+		s.w.om.unitsStale.Inc()
+		s.w.Logf("cluster: %s: run %s path %d: report fenced as stale", s.name, s.runID, id)
+	case err != nil:
+		s.w.om.rpcErrors.With("report").Inc()
+		s.w.Logf("cluster: %s: run %s path %d: report: %v (lease will lapse)", s.name, s.runID, id, err)
+	default:
+		s.w.om.unitsReported.Inc()
+		s.mu.Lock()
+		for _, sg := range resp.Segments {
+			s.held[sg.ID] = sg.Epoch
 		}
-		w.om.rpcErrors.With("fail").Inc()
-		w.Logf("cluster: %s: run %s unit %d: fail RPC: %v (lease will lapse)", name, ls.RunID, ls.Unit, err)
+		s.queue = append(s.queue, resp.Segments...)
+		s.mu.Unlock()
+	}
+}
+
+func (s *leased) Stopping() bool { return s.ctx.Err() != nil }
+func (s *leased) Advance(uint64) { s.moved.Store(true) }
+
+// heartbeat extends the held leases if the lanes advanced since last asked.
+func (s *leased) heartbeat() {
+	if !s.moved.Swap(false) {
 		return
 	}
-	w.om.unitsFailed.Inc()
-	w.Logf("cluster: %s: run %s unit %d failed: %s", name, ls.RunID, ls.Unit, reason)
+	s.mu.Lock()
+	refs := make([]leaseRef, 0, len(s.held))
+	for id, epoch := range s.held {
+		refs = append(refs, leaseRef{ID: id, Epoch: epoch})
+	}
+	s.mu.Unlock()
+	if len(refs) == 0 {
+		return
+	}
+	s.w.om.heartbeats.Inc()
+	if err := s.cc.heartbeat(s.runID, refs); err != nil {
+		s.w.Logf("cluster: %s: heartbeat: %v", s.name, err)
+	}
+}
+
+// failHeld hands every lease the slot still holds back to the coordinator.
+func (s *leased) failHeld(reason string) {
+	s.mu.Lock()
+	held := s.held
+	s.held, s.queue = map[int]int{}, nil
+	s.mu.Unlock()
+	for id, epoch := range held {
+		err := s.cc.fail(s.runID, id, epoch, reason)
+		switch {
+		case errors.Is(err, ErrStale):
+			s.w.om.unitsStale.Inc()
+		case err != nil:
+			s.w.om.rpcErrors.With("fail").Inc()
+			s.w.Logf("cluster: %s: run %s path %d: fail RPC: %v (lease will lapse)", s.name, s.runID, id, err)
+		default:
+			s.w.om.unitsFailed.Inc()
+			s.w.Logf("cluster: %s: run %s path %d handed back: %s", s.name, s.runID, id, reason)
+		}
+	}
 }

@@ -117,14 +117,7 @@ func (c *Checkpoint) EncodeBinary() []byte {
 
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(c.Pending)))
 	for _, p := range c.Pending {
-		var flags uint8
-		forced := logic.Lo
-		if p.HasForce {
-			flags = 1
-			forced = p.Forced
-		}
-		b = append(b, flags, uint8(forced))
-		b = p.State.AppendBinary(b)
+		b = appendPending(b, p)
 	}
 
 	b = appendBitmap(b, c.Toggled)
@@ -160,9 +153,7 @@ func (c *Checkpoint) EncodeBinary() []byte {
 // never a panic — and a successful decode re-encodes byte-identically.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	r := &byteReader{b: data}
-	if magic := r.bytes(len(checkpointMagic)); r.err == nil && string(magic) != checkpointMagic {
-		return nil, corruptf("not a checkpoint file (magic %q)", magic)
-	}
+	r.magic(checkpointMagic)
 	c := &Checkpoint{}
 	c.Design = r.str()
 	c.Policy = r.str()
@@ -181,28 +172,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 
 	nPend := int(r.u32())
 	for i := 0; i < nPend && r.err == nil; i++ {
-		flags := r.u8()
-		forced := r.u8()
-		st := r.state()
-		if r.err != nil {
-			break
-		}
-		if flags > 1 {
-			return nil, corruptf("pending path %d has flags byte %d", i, flags)
-		}
-		p := PendingPath{State: st, HasForce: flags == 1}
-		if p.HasForce {
-			if forced > uint8(logic.Hi) {
-				return nil, corruptf("pending path %d forces non-binary value %d", i, forced)
-			}
-			p.Forced = logic.Value(forced)
-		} else if forced != 0 {
-			return nil, corruptf("pending path %d has force value without force flag", i)
-		}
-		if st.Bits.Width() != 0 && st.Bits.Width() != c.StateBits {
-			return nil, corruptf("pending path %d has %d state bits, header says %d", i, st.Bits.Width(), c.StateBits)
-		}
-		c.Pending = append(c.Pending, p)
+		c.Pending = append(c.Pending, r.pending(c.StateBits))
 	}
 
 	c.Toggled = r.bitmap(c.Nets)
@@ -252,11 +222,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		c.Quarantined = append(c.Quarantined, q)
 	}
 
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.b) != r.off {
-		return nil, corruptf("%d trailing bytes", len(r.b)-r.off)
+	if err := r.end(); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -330,18 +297,12 @@ func appendString(b []byte, s string) []byte {
 // appendBitmap packs a []bool as ceil(n/8) bytes, LSB first.
 func appendBitmap(b []byte, bits []bool) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(bits)))
-	var cur uint8
+	off := len(b)
+	b = append(b, make([]byte, (len(bits)+7)/8)...)
 	for i, v := range bits {
 		if v {
-			cur |= 1 << (i % 8)
+			b[off+i/8] |= 1 << (i % 8)
 		}
-		if i%8 == 7 {
-			b = append(b, cur)
-			cur = 0
-		}
-	}
-	if len(bits)%8 != 0 {
-		b = append(b, cur)
 	}
 	return b
 }
@@ -349,16 +310,10 @@ func appendBitmap(b []byte, bits []bool) []byte {
 // appendValues packs a []logic.Value as 2 bits per entry, LSB first.
 func appendValues(b []byte, vals []logic.Value) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(vals)))
-	var cur uint8
+	off := len(b)
+	b = append(b, make([]byte, (len(vals)+3)/4)...)
 	for i, v := range vals {
-		cur |= uint8(v&3) << ((i % 4) * 2)
-		if i%4 == 3 {
-			b = append(b, cur)
-			cur = 0
-		}
-	}
-	if len(vals)%4 != 0 {
-		b = append(b, cur)
+		b[off+i/4] |= uint8(v&3) << ((i % 4) * 2)
 	}
 	return b
 }

@@ -19,7 +19,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -300,6 +299,11 @@ type entry struct {
 	// (the checkpoint format does not persist ancestry). In-memory only:
 	// it feeds the trace's fork tree.
 	parent int
+	// id is the path ID of an earlier admission the entry keeps, valid when
+	// readmit is set: a segment put back unsettled (putBack) is the same
+	// segment when it is admitted again. In-memory only.
+	id      int
+	readmit bool
 }
 
 // pathOutcome carries what one simulated segment produced.
@@ -317,6 +321,10 @@ type pathOutcome struct {
 	// pruned counts fork children classify dropped as fact-infeasible,
 	// published with the other segment counters after the lock is released.
 	pruned uint64
+	// uncounted is the part of stat.Cycles no advance has reported yet:
+	// nothing of a local explorer's segment, which flushes as it steps, all
+	// of one simulated in another process.
+	uncounted uint64
 }
 
 // Stimulus builds the testbench stimulus for p: clock, reset sequence and
@@ -404,15 +412,35 @@ func Analyze(p *Platform, cfg Config) (*Result, error) {
 }
 
 // AnalyzeContext is Analyze under a caller-supplied context. Cancellation
-// (or an expired deadline) stops the exploration cleanly — workers drain,
+// (or an expired deadline) stops the exploration cleanly — explorers drain,
 // no goroutines leak — and returns a partial but sound Result with
-// Complete=false rather than an error.
+// Complete=false rather than an error. It is Open, Config.Workers local
+// explorers, and Wait.
 func AnalyzeContext(ctx context.Context, p *Platform, cfg Config) (*Result, error) {
-	if err := validate(p, &cfg); err != nil {
+	r, err := Open(ctx, p, cfg)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Policy == nil {
-		cfg.Policy = csm.NewMergeAll()
+	a := r.a
+	for w := 0; w < a.cfg.Workers; w++ {
+		a.drivers.Add(1)
+		go func() {
+			defer a.drivers.Done()
+			x := explorer{p: p, cfg: &a.cfg, src: a, laneOcc: a.m.laneOcc}
+			if err := x.explore(); err != nil {
+				a.fail(err)
+			}
+		}()
+	}
+	return r.Wait()
+}
+
+// prepare validates p and cfg, fills cfg's defaults and readies the design
+// (structural pre-check, freeze) — everything both halves of a run, the
+// state (Open) and a driver (Explore), need before they touch the netlist.
+func prepare(p *Platform, cfg *Config) error {
+	if err := validate(p, cfg); err != nil {
+		return err
 	}
 	if cfg.MaxCyclesPerPath == 0 {
 		cfg.MaxCyclesPerPath = 1 << 20
@@ -422,6 +450,9 @@ func AnalyzeContext(ctx context.Context, p *Platform, cfg Config) (*Result, erro
 	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.Default
 	}
 	// An explorer drives as many lanes as its engine has: one for a scalar
 	// simulator, up to Lanes for the batch engine, whose single explorer
@@ -434,82 +465,20 @@ func AnalyzeContext(ctx context.Context, p *Platform, cfg Config) (*Result, erro
 			cfg.Lanes = vvp.BatchLanes
 		}
 	}
-	// Capture the policy's optional capabilities here, before the
-	// Instrument wrap below hides them: the wrapper forwards only the
-	// Manager surface.
-	_, remote := cfg.Policy.(csm.Remote)
-	if remote && cfg.Checkpoint != nil {
-		return nil, errors.New("core: a remote CSM policy is incompatible with checkpointing (its unlocked observes break the checkpoint's consistent cut)")
-	}
 	// Structural pre-check before Freeze: lint tolerates broken designs
 	// and reports every hazard at once, where Freeze stops at the first.
 	if !cfg.SkipLint {
-		if err := preCheck(p, &cfg); err != nil {
-			return nil, err
+		if err := preCheck(p, cfg); err != nil {
+			return err
 		}
 	}
-	if err := p.Design.Freeze(); err != nil {
-		return nil, err
-	}
-
-	a := &analysis{p: p, cfg: cfg, remote: remote, inflight: make(map[int]entry), decisionPath: -1}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.Default
-	}
-	a.m = newCoreMetrics(reg)
-	if !cfg.DisablePrune {
-		a.pruner, _ = cfg.Policy.(csm.Pruner)
-	}
-	if hs, ok := cfg.Policy.(csm.HeatSink); ok && !remote {
-		// Per-PC fork counts drive the policy's merge-ordering heuristic.
-		// The map is this run's own state (not the process-global metrics
-		// registry, which other concurrent runs would pollute); reads and
-		// writes are serialized by a.mu, the same lock every locked
-		// Observe runs under. A remote policy's observes run unlocked, so
-		// the heat source is withheld there and the policy stays eager.
-		a.forksByPC = make(map[uint64]int)
-		hs.SetHeat(func(pc uint64) int { return a.forksByPC[pc] })
-	}
-	// Instrument the policy so every Observe feeds the per-PC counters and
-	// the decision log. The wrapper delegates Name/Export/Import, so
-	// checkpoint policy validation still sees the inner policy.
-	a.cfg.Policy = csm.Instrument(a.cfg.Policy, a.onDecision)
-	a.res = &Result{
-		Design:      p.Design,
-		ToggledNets: make([]bool, len(p.Design.Nets)),
-		ConstNets:   make([]logic.Value, len(p.Design.Nets)),
-		TotalGates:  len(p.Design.Gates),
-		Policy:      cfg.Policy.Name(),
-	}
-	a.constSeen = make([]bool, len(p.Design.Nets))
-
-	if cfg.Resume != nil {
-		if err := a.loadResume(cfg.Resume); err != nil {
-			return nil, err
-		}
-	} else {
-		// Initial path: cold boot through reset (no saved state).
-		a.front.push(entry{parent: -1})
-		a.res.PathsCreated = 1
-	}
-
-	a.m.runs.Inc()
-	cfg.Tracer.Emit(obs.Meta{
-		T:       obs.RecMeta,
-		Design:  p.Design.Name,
-		Bench:   p.Bench,
-		Policy:  a.cfg.Policy.Name(),
-		Engine:  cfg.Engine.String(),
-		Workers: cfg.Workers,
-	})
-	if err := a.run(ctx); err != nil {
-		return nil, err
-	}
-	a.finish()
-	return a.res, nil
+	return p.Design.Freeze()
 }
 
+// analysis is the state of one run of Algorithm 1: the frontier, the CSM,
+// the toggle profile, path IDs, budgets, checkpointing and progress.
+// Drivers — explorers, here or on another machine — reach it through
+// admit and settle only (see source).
 type analysis struct {
 	p   *Platform
 	cfg Config
@@ -518,12 +487,18 @@ type analysis struct {
 	start time.Time
 
 	// stop requests draining: explorers retire (or interrupt) the segments
-	// in their lanes and exit; the pending frontier is then handled by
-	// finish().
+	// in their lanes and exit, nothing more is admitted, and the pending
+	// frontier is handled by finish().
 	stop atomic.Bool
 	// liveCycles tracks simulated cycles including partial in-flight
 	// segments, for the cycle budget and progress heartbeats.
 	liveCycles atomic.Uint64
+
+	// done ends the governance watcher and the heartbeat (aux); drivers
+	// counts the local explorers Wait joins.
+	done    chan struct{}
+	aux     sync.WaitGroup
+	drivers sync.WaitGroup
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -545,112 +520,23 @@ type analysis struct {
 	ckptBusy    bool
 	ckptErr     error
 
-	// remote reports that the policy is a csm.Remote: the authoritative CSM
-	// lives elsewhere. Observes then run with a.mu released, a degraded
-	// run does not drain its frontier into the policy, the heat source is
-	// withheld and checkpointing is rejected. Immutable after
-	// AnalyzeContext.
-	remote bool
 	// pruner is the policy's pre-fork feasibility test (nil when the
 	// policy has none or Config.DisablePrune is set). Immutable after
-	// AnalyzeContext; FeasibleChild is safe without a.mu but classify
-	// happens to hold it anyway.
+	// Open; FeasibleChild is safe without a.mu but classify happens to
+	// hold it anyway.
 	pruner csm.Pruner
 	// forksByPC feeds the policy's merge-ordering heat function; nil
 	// unless the policy is a csm.HeatSink. Guarded by a.mu.
 	forksByPC map[uint64]int
 
-	// m caches the run's metric handles; never nil after AnalyzeContext.
+	// m caches the run's metric handles; never nil after Open.
 	m *coreMetrics
 	// decisionPath is the path ID the next CSM Observe classifies (-1 for
 	// the degradation drain). Written and read under a.mu — Observe only
 	// runs from classify (lock held) and the single-threaded finish drain.
-	// With a remote policy it stays -1: observes run unlocked and
-	// concurrently, so no single path is "the" decision path.
 	decisionPath int
 	// busy accumulates per-segment wall time (Result.BusyTime).
 	busy time.Duration
-}
-
-// run executes the worklist until exhaustion (Algorithm 1 line 11) or
-// until governance stops it. One explorer over a one-lane engine is the
-// deterministic LIFO of the paper's pseudo-code; more explorers, or more
-// lanes, run paths concurrently against the shared CSM.
-func (a *analysis) run(ctx context.Context) error {
-	a.cond = sync.NewCond(&a.mu)
-	a.start = time.Now()
-	a.lastCkpt = a.start
-
-	// An already-canceled context must trip before any work is admitted;
-	// leaving it to the watcher goroutine races against explorers fast
-	// enough to finish the whole run first.
-	if ctx.Err() != nil {
-		a.tripStop(TripCanceled)
-	}
-
-	done := make(chan struct{})
-	var aux sync.WaitGroup
-
-	// Governance watcher: translates context cancellation and the
-	// wall-clock budget into a drain request.
-	aux.Add(1)
-	go func() {
-		defer aux.Done()
-		var wallC <-chan time.Time
-		if a.cfg.Budget.WallClock > 0 {
-			t := time.NewTimer(a.cfg.Budget.WallClock)
-			defer t.Stop()
-			wallC = t.C
-		}
-		select {
-		case <-ctx.Done():
-			a.tripStop(TripCanceled)
-		case <-wallC:
-			a.tripStop(TripWallClock)
-		case <-done:
-		}
-	}()
-
-	// Heartbeat.
-	if a.cfg.Progress != nil {
-		every := a.cfg.ProgressEvery
-		if every <= 0 {
-			every = time.Second
-		}
-		aux.Add(1)
-		go func() {
-			defer aux.Done()
-			tick := time.NewTicker(every)
-			defer tick.Stop()
-			for {
-				select {
-				case <-done:
-					return
-				case <-tick.C:
-					a.cfg.Progress(a.progress())
-				}
-			}
-		}()
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < a.cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			a.explore()
-		}()
-	}
-	wg.Wait()
-	close(done)
-	aux.Wait()
-	if a.cfg.Progress != nil {
-		a.cfg.Progress(a.progress())
-	}
-	if a.fatal != nil {
-		return a.fatal
-	}
-	return a.ckptErr
 }
 
 // tripStop records the first trip cause and requests draining.
@@ -690,15 +576,54 @@ func (a *analysis) progress() Progress {
 	}
 }
 
+// source is the state of a run as an explorer sees it. *analysis is the
+// source of the explorers AnalyzeContext starts; wireSource stands in for
+// an analysis in another process (see Explore).
+type source interface {
+	// admit hands out the next segment. idle says the caller holds no
+	// other segment: admit then waits while segments in flight elsewhere
+	// may still fork. ok is false when there is nothing to admit.
+	admit(idle bool) (id int, e entry, ok bool)
+	// settle retires the admitted segment out.stat.ID and reports whether
+	// it was still in flight. wall is the time charged to the segment.
+	settle(out *pathOutcome, wall time.Duration) bool
+	// stopping reports a drain request: lanes are retired as interrupted.
+	stopping() bool
+	// advance counts cycles the explorer's lanes simulated.
+	advance(cycles uint64)
+}
+
 // admit pops the next live entry off the frontier and registers it as an
-// in-flight segment under a fresh path ID — the single admission point.
-// Entries a wider sibling supersedes are dropped on the way:
-// counted, traced as a leaf of their parent, never given an ID or a
-// simulator. ok is false when the frontier is empty or the run is
-// stopping (pending entries then stay put for the drain). Caller holds
-// a.mu.
-func (a *analysis) admit() (id int, e entry, ok bool) {
-	if a.fatal != nil || a.stop.Load() {
+// in-flight segment — the single admission point. It waits only for an
+// idle caller, and only while another segment may still fork.
+func (a *analysis) admit(idle bool) (id int, e entry, ok bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for {
+		id, e, ok = a.admitLocked()
+		if ok {
+			return id, e, true
+		}
+		if !idle || a.active == 0 || a.stop.Load() {
+			// The pop may have dropped the last, superseded, entries and
+			// left the run exhausted, and an explorer that gets nothing
+			// here is about to leave: whoever waits — Wait, idle peers —
+			// must look again.
+			a.cond.Broadcast()
+			return 0, entry{}, false
+		}
+		a.cond.Wait()
+	}
+}
+
+// admitLocked is admit's pop. Entries a wider sibling supersedes are
+// dropped on the way: counted, traced as a leaf of their parent, never
+// given an ID or a simulator. An entry that was put back keeps the path ID
+// of its first admission; every other gets a fresh one. ok is false when
+// the frontier is empty or the run is stopping (pending entries then stay
+// put for the drain). Caller holds a.mu.
+func (a *analysis) admitLocked() (id int, e entry, ok bool) {
+	if a.stop.Load() {
 		return 0, entry{}, false
 	}
 	for {
@@ -721,30 +646,74 @@ func (a *analysis) admit() (id int, e entry, ok bool) {
 			End:     obs.EndSuperseded,
 		})
 	}
-	id = a.nextID
-	a.nextID++
+	if e.readmit {
+		id, e.readmit = e.id, false
+	} else {
+		id = a.nextID
+		a.nextID++
+	}
 	a.active++
 	a.inflight[id] = e
 	return id, e, true
 }
 
-// settle retires one segment: the locked absorb/classify step, then the
-// segment-granularity publication outside the scheduler lock. A fatal
-// outcome (out.err) is recorded and nothing is published.
-func (a *analysis) settle(out *pathOutcome, e entry, wall time.Duration) {
+func (a *analysis) stopping() bool { return a.stop.Load() }
+
+// advance moves freshly simulated cycles into the live counter behind
+// progress heartbeats and the cycle budget.
+func (a *analysis) advance(cycles uint64) {
+	if a.overBudget(cycles) {
+		a.tripStop(TripCycles)
+	}
+}
+
+// overBudget counts cycles and reports whether the cycle budget is spent.
+func (a *analysis) overBudget(cycles uint64) bool {
+	total := a.liveCycles.Add(cycles)
+	return a.cfg.Budget.MaxCycles > 0 && total > a.cfg.Budget.MaxCycles
+}
+
+// fail records the first fatal error and stops the run.
+func (a *analysis) fail(err error) {
 	a.mu.Lock()
+	a.failLocked(err)
+	a.mu.Unlock()
+	a.cond.Broadcast()
+}
+
+// failLocked is fail for callers already holding a.mu.
+func (a *analysis) failLocked(err error) {
+	if a.fatal == nil {
+		a.fatal = err
+	}
+	a.stop.Store(true)
+}
+
+// settle retires one segment: the locked absorb/classify step, then the
+// segment-granularity publication and the periodic checkpoint outside the
+// scheduler lock. A fatal outcome (out.err) is recorded and nothing is
+// published. It reports false, having done nothing, when the segment is not
+// in flight.
+func (a *analysis) settle(out *pathOutcome, wall time.Duration) bool {
+	a.mu.Lock()
+	e, ok := a.inflight[out.stat.ID]
+	if !ok {
+		a.mu.Unlock()
+		return false
+	}
 	a.active--
 	delete(a.inflight, out.stat.ID)
 	a.busy += wall
+	if out.uncounted != 0 && a.overBudget(out.uncounted) {
+		a.tripStopLocked(TripCycles)
+	}
 	switch {
 	case out.quarantine != nil:
 		// Crash containment: record the contained path and keep going.
 		a.quarantined = append(a.quarantined, *out.quarantine)
 		a.res.Paths = append(a.res.Paths, out.stat)
 	case out.err != nil:
-		if a.fatal == nil {
-			a.fatal = out.err
-		}
+		a.failLocked(out.err)
 	case out.stat.End == EndInterrupted:
 		// Partial segment: its observations are sound (they did happen)
 		// and its entry goes back to the frontier for the degradation
@@ -761,7 +730,7 @@ func (a *analysis) settle(out *pathOutcome, e entry, wall time.Duration) {
 	a.mu.Unlock()
 	a.cond.Broadcast()
 	if out.err != nil {
-		return
+		return true
 	}
 
 	// classify may have rewritten the provisional EndForked to
@@ -795,6 +764,10 @@ func (a *analysis) settle(out *pathOutcome, e entry, wall time.Duration) {
 		Cycles:  out.stat.Cycles,
 		WallUS:  wall.Microseconds(),
 	})
+	if out.stat.End != EndInterrupted {
+		a.maybeCheckpoint()
+	}
+	return true
 }
 
 // forcedLabel renders the branch interpretation an entry follows for the
@@ -814,41 +787,15 @@ func forcedLabel(e entry) string {
 // held, which keeps the (CSM, worklist, result) triple a consistent cut
 // for checkpoints: a halt is either still pending or fully absorbed —
 // never observed by the CSM with its children missing from the worklist.
-//
-// With a remote policy (csm.Remote) the observe itself runs with the lock
-// RELEASED: the verdict is one network round-trip to a cluster
-// coordinator, and holding the scheduler lock across it would serialize
-// every sibling explorer behind each RPC. The halt is re-counted as
-// in-flight for the window so the worklist cannot drain out from under a
-// verdict about to fork, and the consistent-cut argument is not needed —
-// a remote policy excludes checkpointing (enforced at AnalyzeContext).
 func (a *analysis) classify(out *pathOutcome) {
-	// absorb just appended this path; the index stays valid across an
-	// unlocked window because a.res.Paths is append-only while running.
+	// absorb just appended this path.
 	idx := len(a.res.Paths) - 1
-	var d csm.Decision
-	if a.remote {
-		a.active++
-		a.mu.Unlock()
-		d = a.cfg.Policy.Observe(out.halt)
-		a.mu.Lock()
-		a.active--
-	} else {
-		a.decisionPath = out.stat.ID
-		d = a.cfg.Policy.Observe(out.halt)
-	}
+	a.decisionPath = out.stat.ID
+	d := a.cfg.Policy.Observe(out.halt)
 	if d.Subsumed {
 		out.stat.End = EndSubsumed
 		a.res.Paths[idx].End = EndSubsumed
 		a.res.PathsSkipped++
-		return
-	}
-	if d.Remote {
-		// The authoritative manager lives elsewhere (a cluster
-		// coordinator) and has already registered both children on its
-		// own frontier: the segment keeps its EndForked verdict but this
-		// scheduler pushes nothing and counts nothing — path creation is
-		// accounted exactly once, at the coordinator.
 		return
 	}
 	taken, notTaken := d.Explore.Clone(), d.Explore.Clone()
@@ -878,9 +825,7 @@ func (a *analysis) classify(out *pathOutcome) {
 		children = kept
 	}
 	if a.res.PathsCreated+len(children) > a.cfg.MaxPaths {
-		if a.fatal == nil {
-			a.fatal = fmt.Errorf("core: path budget %d exhausted", a.cfg.MaxPaths)
-		}
+		a.failLocked(fmt.Errorf("core: path budget %d exhausted", a.cfg.MaxPaths))
 		return
 	}
 	for _, ch := range children {
@@ -938,7 +883,7 @@ func (a *analysis) absorb(out pathOutcome) {
 
 // finish turns the raw exploration outcome into the final Result: the
 // degradation drain for incomplete runs, the exercisable-gate dichotomy,
-// and deterministic ordering of the per-path statistics.
+// and deterministic ordering of the per-path statistics. Caller holds a.mu.
 func (a *analysis) finish() {
 	pending := a.front.len()
 	if pending > 0 || len(a.quarantined) > 0 {
@@ -949,7 +894,7 @@ func (a *analysis) finish() {
 		// run continues the exact frontier this run abandoned rather
 		// than the over-approximated superstates.
 		if a.cfg.Checkpoint != nil {
-			if err := a.snapshot().WriteFile(a.cfg.Checkpoint.Path); err != nil && a.ckptErr == nil {
+			if err := a.snapshotLocked().WriteFile(a.cfg.Checkpoint.Path); err != nil && a.ckptErr == nil {
 				a.ckptErr = err
 			}
 		}
@@ -957,18 +902,12 @@ func (a *analysis) finish() {
 		// Drain the frontier: merge every pending state into the CSM
 		// conservative superstate for its PC, so the stored states keep
 		// covering the unexplored behaviours. The drain's decisions are
-		// logged against path -1 (no segment simulated them). A remote
-		// policy skips the drain: a cluster worker's incomplete result is
-		// discarded and its unit requeued whole, so the merge would only
-		// register forks at the coordinator's authoritative CSM for paths
-		// nobody simulated.
-		if !a.remote {
-			a.decisionPath = -1
-			for _, e := range a.front.stack {
-				if e.state.Bits.Width() > 0 && e.state.PCKnown {
-					a.cfg.Policy.Observe(e.state)
-					deg.ForcedMerges++
-				}
+		// logged against path -1 (no segment simulated them).
+		a.decisionPath = -1
+		for _, e := range a.front.stack {
+			if e.state.Bits.Width() > 0 && e.state.PCKnown {
+				a.cfg.Policy.Observe(e.state)
+				deg.ForcedMerges++
 			}
 		}
 
@@ -1049,13 +988,13 @@ func (a *analysis) finish() {
 // snapshot is taken under the scheduler lock (a consistent cut); the file
 // write happens outside it so explorers keep simulating, with ckptBusy
 // serializing concurrent writers.
-func (a *analysis) maybeCheckpoint(final bool) {
+func (a *analysis) maybeCheckpoint() {
 	c := a.cfg.Checkpoint
 	if c == nil {
 		return
 	}
 	a.mu.Lock()
-	if a.ckptBusy || (!final && c.Interval > 0 && time.Since(a.lastCkpt) < c.Interval) {
+	if a.ckptBusy || a.stop.Load() || (c.Interval > 0 && time.Since(a.lastCkpt) < c.Interval) {
 		a.mu.Unlock()
 		return
 	}
@@ -1076,13 +1015,6 @@ func (a *analysis) maybeCheckpoint(final bool) {
 	}
 	a.mu.Unlock()
 	a.cond.Broadcast()
-}
-
-// snapshot takes a.mu and builds a consistent checkpoint.
-func (a *analysis) snapshot() *Checkpoint {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.snapshotLocked()
 }
 
 // snapshotLocked builds a checkpoint from the current cut. Caller holds
@@ -1108,16 +1040,22 @@ func (a *analysis) snapshotLocked() *Checkpoint {
 	for _, e := range a.front.stack {
 		c.Pending = append(c.Pending, PendingPath{State: e.state.Clone(), Forced: e.forced, HasForce: e.hasForce})
 	}
+	for _, id := range a.inflightIDs() {
+		e := a.inflight[id]
+		c.Pending = append(c.Pending, PendingPath{State: e.state.Clone(), Forced: e.forced, HasForce: e.hasForce})
+	}
+	return c
+}
+
+// inflightIDs lists the segments in flight in ascending path ID, the order
+// a checkpoint and the final put-back keep them in. Caller holds a.mu.
+func (a *analysis) inflightIDs() []int {
 	ids := make([]int, 0, len(a.inflight))
 	for id := range a.inflight {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	for _, id := range ids {
-		e := a.inflight[id]
-		c.Pending = append(c.Pending, PendingPath{State: e.state.Clone(), Forced: e.forced, HasForce: e.hasForce})
-	}
-	return c
+	return ids
 }
 
 // loadResume seeds the analysis from a checkpoint.

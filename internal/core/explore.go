@@ -9,6 +9,7 @@ import (
 
 	"symsim/internal/logic"
 	"symsim/internal/netlist"
+	"symsim/internal/obs"
 	"symsim/internal/vvp"
 )
 
@@ -101,14 +102,14 @@ func (s *scalarLane) Sweeps() uint64                                  { return s
 // newSimulator builds a scalar simulator bound to the platform's testbench.
 // Under EngineBatch it is the compiled kernel: the batch data layout lives
 // only in BatchSim.
-func (a *analysis) newSimulator(trace *vvp.Trace) *vvp.Simulator {
-	opts := vvp.Options{MemX: a.cfg.MemX, Engine: a.cfg.Engine, Trace: trace}
+func (x *explorer) newSimulator(trace *vvp.Trace) *vvp.Simulator {
+	opts := vvp.Options{MemX: x.cfg.MemX, Engine: x.cfg.Engine, Trace: trace}
 	if opts.Engine == vvp.EngineBatch {
 		opts.Engine = vvp.EngineKernel
 	}
-	sim := vvp.New(a.p.Design, opts)
-	sim.SetMonitorX(&a.p.Monitor)
-	sim.BindStimulus(a.p.Stimulus())
+	sim := vvp.New(x.p.Design, opts)
+	sim.SetMonitorX(&x.p.Monitor)
+	sim.BindStimulus(x.p.Stimulus())
 	return sim
 }
 
@@ -116,9 +117,9 @@ func (a *analysis) newSimulator(trace *vvp.Trace) *vvp.Simulator {
 // returns it standing at the application's initial state (Algorithm 1
 // lines 4–5). Every engine boots this way: reset is a one-off, and the
 // scalar simulator is the one that can record Config.Trace.
-func (a *analysis) coldBoot() (*vvp.Simulator, error) {
-	sim := a.newSimulator(a.cfg.Trace)
-	for resetEnd := a.p.resetEndTime(); sim.Now() <= resetEnd; {
+func (x *explorer) coldBoot() (*vvp.Simulator, error) {
+	sim := x.newSimulator(x.cfg.Trace)
+	for resetEnd := x.p.resetEndTime(); sim.Now() <= resetEnd; {
 		if _, err := sim.Step(); err != nil {
 			return nil, err
 		}
@@ -130,12 +131,18 @@ func (a *analysis) coldBoot() (*vvp.Simulator, error) {
 type segment struct {
 	id      int
 	e       entry
-	flushed uint64 // cycles already added to a.liveCycles
+	flushed uint64 // cycles already passed to the source's advance
 }
 
-// explorer is the state of one explore goroutine.
+// explorer is one driver of Algorithm 1: the platform and the engine half
+// of the configuration, the source it admits from and settles to, and the
+// lanes in between.
 type explorer struct {
-	a *analysis
+	p   *Platform
+	cfg *Config
+	src source
+	// laneOcc is symsim_vvp_lane_occupancy in the driver's registry.
+	laneOcc *obs.Histogram
 	// eng is built on first use and dropped when a panic escapes it.
 	eng laneEngine
 	// cold marks eng as a cold-boot simulator: it runs its one segment and
@@ -146,7 +153,7 @@ type explorer struct {
 	occupied uint64
 	lane     []segment
 	// toggled and endVals are the scratch every outcome's profile is read
-	// into: settle reads them under a.mu (absorb) and retains neither.
+	// into: the source's settle absorbs or encodes them and retains neither.
 	toggled []bool
 	endVals []logic.Value
 	// Attribution marks. Lanes share each engine pass, so a settled
@@ -156,17 +163,16 @@ type explorer struct {
 	mark          time.Time
 }
 
-// explore is the body of every exploration goroutine (Algorithm 1 lines
-// 11–27): admit → step → retire until the frontier is exhausted, the run
-// is stopped, or a fatal error is recorded.
-func (a *analysis) explore() {
-	x := explorer{a: a, lane: make([]segment, a.cfg.Lanes)}
-	// Whatever ends this explorer, peers waiting on its lanes must look again.
-	defer a.cond.Broadcast()
+// explore is the body of every driver (Algorithm 1 lines 11–27): admit →
+// step → retire until the source has nothing left to admit, asks to stop,
+// or a fatal error ends the run. A fatal error is returned with the
+// occupied lanes unsettled: the run yields the error and no result.
+func (x *explorer) explore() error {
+	x.lane = make([]segment, x.cfg.Lanes)
 	for {
 		fresh, ok := x.admit()
 		if !ok {
-			return
+			return nil
 		}
 		if fresh == x.occupied {
 			// The lanes were empty: the wait for work is nobody's segment.
@@ -182,41 +188,25 @@ func (a *analysis) explore() {
 			continue
 		}
 		if err != nil {
-			// Fatal: the run returns the error and no result, so the
-			// occupied lanes need no settling.
-			a.mu.Lock()
-			if a.fatal == nil {
-				a.fatal = err
-			}
-			a.mu.Unlock()
-			return
+			return err
 		}
 		if fin|hal == 0 {
 			// Stop requested: every lane goes back to the frontier with
 			// its partial progress absorbed.
 			x.retire(x.occupied, 0, 0)
-			return
+			return nil
 		}
 		x.retire(fin|hal, fin, hal)
-		a.maybeCheckpoint(false)
 	}
 }
 
-// admit fills the free lanes from the frontier and returns the lanes it
-// filled. It waits for work only while this explorer holds none and
-// another explorer's segment may still fork. ok is false when the explorer
-// is done: a fatal error was recorded, or its lanes are empty and nothing
+// admit fills the free lanes from the source and returns the lanes it
+// filled. Only an explorer holding nothing lets the source wait for work.
+// ok is false when the explorer is done: its lanes are empty and nothing
 // is left (or allowed) to fill them.
 func (x *explorer) admit() (fresh uint64, ok bool) {
-	a := x.a
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for bits.OnesCount64(x.occupied) < a.cfg.Lanes {
-		id, e, got := a.admit()
-		for !got && x.occupied == 0 && a.active > 0 && a.fatal == nil && !a.stop.Load() {
-			a.cond.Wait()
-			id, e, got = a.admit()
-		}
+	for bits.OnesCount64(x.occupied) < x.cfg.Lanes {
+		id, e, got := x.src.admit(x.occupied == 0)
 		if !got {
 			break
 		}
@@ -225,13 +215,12 @@ func (x *explorer) admit() (fresh uint64, ok bool) {
 		x.occupied |= 1 << uint(l)
 		fresh |= 1 << uint(l)
 	}
-	return fresh, a.fatal == nil && x.occupied != 0
+	return fresh, x.occupied != 0
 }
 
 // restore loads each newly admitted entry into its lane: saved state,
 // branch force, toggle recording from the segment's first cycle.
 func (x *explorer) restore(fresh uint64) error {
-	a := x.a
 	for m := fresh; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros64(m)
 		s := &x.lane[l]
@@ -241,37 +230,37 @@ func (x *explorer) restore(fresh uint64) error {
 			if x.occupied != fresh || fresh&(fresh-1) != 0 {
 				return errors.New("core: cold-boot entry admitted beside other paths")
 			}
-			sim, err := a.coldBoot()
+			sim, err := x.coldBoot()
 			if err != nil {
 				return x.pathErr(l, err)
 			}
 			x.setEngine(&scalarLane{sim: sim, base: sim.Cycles()}, true)
 		} else {
 			if x.eng == nil {
-				if a.cfg.Engine == vvp.EngineBatch {
-					b := vvp.NewBatchSim(a.p.Design, vvp.BatchOptions{MemX: a.cfg.MemX, Lanes: a.cfg.Lanes})
-					b.SetMonitorX(&a.p.Monitor)
-					b.BindStimulus(a.p.Stimulus())
+				if x.cfg.Engine == vvp.EngineBatch {
+					b := vvp.NewBatchSim(x.p.Design, vvp.BatchOptions{MemX: x.cfg.MemX, Lanes: x.cfg.Lanes})
+					b.SetMonitorX(&x.p.Monitor)
+					b.BindStimulus(x.p.Stimulus())
 					x.setEngine(b, false)
 				} else {
-					x.setEngine(&scalarLane{sim: a.newSimulator(nil)}, false)
+					x.setEngine(&scalarLane{sim: x.newSimulator(nil)}, false)
 				}
 			}
-			if err := x.eng.RestoreLane(a.p.Spec, s.e.state, l); err != nil {
+			if err := x.eng.RestoreLane(x.p.Spec, s.e.state, l); err != nil {
 				return x.pathErr(l, err)
 			}
 			if s.e.hasForce {
 				// Continue down one execution path: force the resolved
 				// branch condition across the capturing clock edge
 				// (paper §3 step 3, "set control signals").
-				release := x.eng.NowLane(l) + 3*a.p.HalfPeriod
-				x.eng.ForceLane(a.p.Monitor.Cond, s.e.forced, l, release)
+				release := x.eng.NowLane(l) + 3*x.p.HalfPeriod
+				x.eng.ForceLane(x.p.Monitor.Cond, s.e.forced, l, release)
 			}
 		}
 		x.eng.StartRecordingLane(l)
 	}
-	if a.cfg.Lanes > 1 && !x.cold && fresh != 0 {
-		a.m.laneOcc.Observe(float64(bits.OnesCount64(x.occupied)))
+	if x.cfg.Lanes > 1 && !x.cold && fresh != 0 {
+		x.laneOcc.Observe(float64(bits.OnesCount64(x.occupied)))
 	}
 	return nil
 }
@@ -289,8 +278,7 @@ func (x *explorer) setEngine(eng laneEngine, cold bool) {
 // live cycles are flushed every 128 steps, so one long segment cannot
 // overshoot Budget.MaxCycles unchecked.
 func (x *explorer) step() (fin, hal uint64, err error) {
-	a := x.a
-	for n := 0; !a.stop.Load(); n++ {
+	for n := 0; !x.src.stopping(); n++ {
 		if fin, hal, err = x.eng.StepAll(); err != nil {
 			if x.occupied&(x.occupied-1) == 0 {
 				// One lane: the engine's error is that path's.
@@ -302,8 +290,8 @@ func (x *explorer) step() (fin, hal uint64, err error) {
 			break
 		}
 		for m := x.occupied; m != 0 && err == nil; m &= m - 1 {
-			if l := bits.TrailingZeros64(m); x.eng.CyclesLane(l) >= a.cfg.MaxCyclesPerPath {
-				err = x.pathErr(l, fmt.Errorf("vvp: cycle limit %d reached at t=%d", a.cfg.MaxCyclesPerPath, x.eng.NowLane(l)))
+			if l := bits.TrailingZeros64(m); x.eng.CyclesLane(l) >= x.cfg.MaxCyclesPerPath {
+				err = x.pathErr(l, fmt.Errorf("vvp: cycle limit %d reached at t=%d", x.cfg.MaxCyclesPerPath, x.eng.NowLane(l)))
 			}
 		}
 		if err != nil {
@@ -322,8 +310,9 @@ func (x *explorer) pathErr(l int, err error) error {
 	return fmt.Errorf("core: path %d: %w", x.lane[l].id, err)
 }
 
-// flush moves the cycles the lanes simulated since the last flush into the
-// live counter behind progress heartbeats and the cycle budget.
+// flush reports the cycles the lanes simulated since the last flush to the
+// source: they feed progress heartbeats, the cycle budget and lease
+// liveness.
 func (x *explorer) flush() {
 	var delta uint64
 	for m := x.occupied; m != 0; m &= m - 1 {
@@ -332,12 +321,8 @@ func (x *explorer) flush() {
 		delta += c - x.lane[l].flushed
 		x.lane[l].flushed = c
 	}
-	if delta == 0 {
-		return
-	}
-	a := x.a
-	if total := a.liveCycles.Add(delta); a.cfg.Budget.MaxCycles > 0 && total > a.cfg.Budget.MaxCycles {
-		a.tripStop(TripCycles)
+	if delta != 0 {
+		x.src.advance(delta)
 	}
 }
 
@@ -361,7 +346,6 @@ func (x *explorer) retire(m, fin, hal uint64) {
 
 // outcome reads lane l out of the engine (Algorithm 1 lines 17–19).
 func (x *explorer) outcome(l int, fin, hal bool) pathOutcome {
-	a := x.a
 	x.toggled = x.eng.ToggledLane(l, x.toggled)
 	x.endVals = x.eng.LaneNetValues(l, x.endVals)
 	out := pathOutcome{
@@ -373,14 +357,14 @@ func (x *explorer) outcome(l int, fin, hal bool) pathOutcome {
 	case fin:
 		out.stat.End = EndFinished
 	case hal:
-		st := x.eng.SnapshotLane(a.p.Spec, l)
+		st := x.eng.SnapshotLane(x.p.Spec, l)
 		if !st.PCKnown {
 			out.err = errors.New("core: program counter contained X at halt; cannot index conservative states")
 			break
 		}
 		out.stat.HaltPC = st.PC
-		if a.cfg.OnHalt != nil {
-			a.cfg.OnHalt(out.stat.ID, st)
+		if x.cfg.OnHalt != nil {
+			x.cfg.OnHalt(out.stat.ID, st)
 		}
 		// The CSM classifies the halt under the scheduler lock (see
 		// classify); EndForked here is provisional.
@@ -392,7 +376,7 @@ func (x *explorer) outcome(l int, fin, hal bool) pathOutcome {
 	return out
 }
 
-// settle frees lane l and hands its outcome to the analysis, charged with
+// settle frees lane l and hands its outcome to the source, charged with
 // the effort and wall time since the explorer's previous settlement. A
 // quarantined lane has no engine left to free or to read effort from.
 func (x *explorer) settle(l int, out *pathOutcome) {
@@ -406,7 +390,7 @@ func (x *explorer) settle(l int, out *pathOutcome) {
 	now := time.Now()
 	wall := now.Sub(x.mark)
 	x.mark = now
-	x.a.settle(out, x.lane[l].e, wall)
+	x.src.settle(out, wall)
 }
 
 // contain runs f — any part of a segment between admission and settle: the

@@ -1,8 +1,26 @@
 package core
 
+import (
+	"symsim/internal/logic"
+	"symsim/internal/vvp"
+)
+
 // KeepSuperseded returns cfg with frontier supersession turned off, so a
 // test can compare a run against plain Algorithm 1.
 func KeepSuperseded(cfg Config) Config {
 	cfg.keepSuperseded = true
 	return cfg
+}
+
+// StrandSuperseded replaces r's frontier with one forked child that a
+// strictly wider sibling — already popped — supersedes: the next Admit
+// drops it and finds the run exhausted.
+func StrandSuperseded(r *Run) {
+	a := r.a
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	narrow := vvp.State{Bits: logic.MustVec("01"), PC: 0x40, PCKnown: true}
+	a.front = frontier{}
+	a.front.pushFork(entry{state: narrow, forced: logic.Hi, hasForce: true})
+	a.front.latest[forkKey{narrow.PC, logic.Hi}] = logic.MustVec("XX")
 }

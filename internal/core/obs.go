@@ -72,8 +72,7 @@ func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 			"Unprocessed worklist entries."),
 		inflight: reg.Gauge("symsim_paths_inflight",
 			"Path segments currently simulating."),
-		laneOcc: reg.Histogram("symsim_vvp_lane_occupancy",
-			"Occupied lanes per batch-engine admission round.", obs.ExpBuckets(1, 2, 7)),
+		laneOcc: laneOccupancy(reg),
 		trips: reg.CounterVec("symsim_budget_trips_total",
 			"Governance stops by cause.", "trip"),
 		quarantines: reg.Counter("symsim_quarantines_total",
@@ -83,6 +82,13 @@ func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 		prunedByPC: reg.CounterVec("symsim_csm_pruned_by_pc_total",
 			"Pruned forked children by the PC of the X branch that forked them.", "pc"),
 	}
+}
+
+// laneOccupancy is the one series an explorer publishes itself; a driver
+// away from the run's state (Explore) registers it alone.
+func laneOccupancy(reg *obs.Registry) *obs.Histogram {
+	return reg.Histogram("symsim_vvp_lane_occupancy",
+		"Occupied lanes per batch-engine admission round.", obs.ExpBuckets(1, 2, 7))
 }
 
 // pcLabel renders a PC the way every per-PC metric and the explain

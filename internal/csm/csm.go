@@ -31,15 +31,8 @@ type Decision struct {
 	// conservative state for the same PC; the path needs no further
 	// exploration (Algorithm 1 line 26).
 	Subsumed bool
-	// Remote is true when the decision was made by a remote authoritative
-	// Manager (a cluster coordinator) that registered the fork children on
-	// its own frontier. The local scheduler must then not fork: the path
-	// segment is finished here and its children will be simulated by
-	// whichever worker leases them. Remote decisions carry a zero-width
-	// Explore state.
-	Remote bool
 	// Explore is the (possibly merged, possibly constrained) state to
-	// continue simulating when Subsumed is false. Zero-width when Remote.
+	// continue simulating when Subsumed is false.
 	Explore vvp.State
 }
 
@@ -333,11 +326,9 @@ func (c *clustered) Observe(st vvp.State) Decision {
 
 // Pruner is implemented by managers that can prove a forked child state
 // infeasible under designer constraints. The scheduler consults it
-// *before* a fork child is pushed onto the worklist (and the cluster
-// coordinator before a child is registered on a unit or spilled to the
-// shared frontier), so provably-impossible paths are never scheduled at
-// all — the constraint-aware answer to path explosion, versus merging
-// the damage away after the fork.
+// *before* a fork child is pushed onto the worklist, so provably-impossible
+// paths are never scheduled at all — the constraint-aware answer to path
+// explosion, versus merging the damage away after the fork.
 type Pruner interface {
 	// FeasibleChild reports whether st is consistent with every
 	// constraint scoped to its PC. Must be safe for concurrent use and
@@ -354,21 +345,6 @@ type HeatSink interface {
 	// run has observed at pc so far. A nil heat source (the default)
 	// selects eager merging everywhere.
 	SetHeat(heat func(pc uint64) int)
-}
-
-// Remote is implemented by a manager that only forwards to an
-// authoritative CSM living elsewhere — a cluster worker's delegate to its
-// coordinator, one RPC per Observe. Everything a scheduler must do
-// differently follows from that one fact: it releases its lock around
-// Observe so sibling paths keep simulating behind the round-trip, it never
-// drains a degraded run's frontier into Observe (the unit is discarded and
-// requeued whole, and the drain would register forks for paths nobody
-// simulated), it withholds the heat source (unlocked observes would race
-// it) and it refuses to checkpoint (an unlocked observe breaks the
-// consistent cut).
-type Remote interface {
-	// RemoteCSM marks the manager; it is never called.
-	RemoteCSM()
 }
 
 // Merge-ordering knobs for the constrained policy.

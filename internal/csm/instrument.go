@@ -72,12 +72,7 @@ func (i *instrumented) Observe(st vvp.State) Decision {
 		ev.Verdict = VerdictNew
 	default:
 		ev.Verdict = VerdictMerged
-		// Remote decisions carry no Explore state (the authoritative
-		// manager forked elsewhere); a zero-width vector would make the
-		// delta a bogus negative.
-		if d.Explore.Bits.Width() != 0 {
-			ev.XGained = d.Explore.Bits.CountX() - xBefore
-		}
+		ev.XGained = d.Explore.Bits.CountX() - xBefore
 	}
 	i.hook(ev)
 	return d

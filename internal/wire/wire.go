@@ -32,6 +32,12 @@ const (
 	// hash construction (internal/netlist hash.go). Digest-only — bump it
 	// whenever the label refinement changes.
 	HashMagic = "SYMSIMH1"
+	// WorkMagic and OutcomeMagic identify version 1 of the two halves of
+	// the segment encoding (internal/core segment.go): one frontier entry
+	// on its way from a run's state to a driver in another process, and
+	// what simulating it produced on its way back.
+	WorkMagic    = "SYMSIMW1"
+	OutcomeMagic = "SYMSIMO1"
 )
 
 // Format describes one registered wire format.
@@ -57,6 +63,8 @@ var Formats = []Format{
 	{Magic: HashMagic, Name: "netlist content hash", Package: "symsim/internal/netlist", DigestOnly: true},
 	{Magic: JobMagic, Name: "job record", Package: "symsim/internal/service", Fuzz: "FuzzJobRecordRoundTrip"},
 	{Magic: CacheKeyMagic, Name: "result cache key", Package: "symsim/internal/service", DigestOnly: true},
+	{Magic: OutcomeMagic, Name: "segment outcome", Package: "symsim/internal/core", Fuzz: "FuzzSegmentRoundTrip"},
+	{Magic: WorkMagic, Name: "segment work", Package: "symsim/internal/core", Fuzz: "FuzzSegmentRoundTrip"},
 }
 
 // ByMagic returns the registered format for magic, or nil.
