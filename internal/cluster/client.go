@@ -181,7 +181,7 @@ func (cc *coordClient) status(runID string) (RunStatusView, error) {
 }
 
 // MemoClient consults a coordinator's cluster-wide result memo table —
-// the SYMSIMK1 content-addressed cache served over /cluster/cache/{key}.
+// the SYMSIMK2 content-addressed cache served over /cluster/cache/{key}.
 // It implements the service's CacheClient seam, so a worker daemon plugs
 // it in as Config.RemoteCache: local cache misses fall through to the
 // cluster, and completed results publish back for the whole fleet.

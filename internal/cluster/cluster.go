@@ -16,7 +16,7 @@
 //     again under the same path ID and epoch+1, and every RPC from the dead
 //     epoch is fenced with 409. A segment is absorbed exactly once because
 //     settling takes it out of flight, whatever the retries.
-//   - The SYMSIMK1 content-addressed result cache becomes a cluster-wide
+//   - The SYMSIMK2 content-addressed result cache becomes a cluster-wide
 //     memo table: the coordinator serves its service's cache over
 //     /cluster/cache/{key}, and worker daemons consult it through
 //     MemoClient on local misses.
@@ -75,7 +75,7 @@ var (
 
 // Memo is the cluster-wide result memo table the coordinator serves over
 // /cluster/cache/{key}. *service.Service implements it with its
-// content-addressed SYMSIMK1 cache.
+// content-addressed SYMSIMK2 cache.
 type Memo interface {
 	CacheGet(key string) (data []byte, ok bool, err error)
 	CachePut(key string, data []byte) error

@@ -10,6 +10,7 @@ import (
 
 	"symsim/internal/csm"
 	"symsim/internal/logic"
+	"symsim/internal/netlist"
 	"symsim/internal/vvp"
 	"symsim/internal/wire"
 )
@@ -76,6 +77,11 @@ type Checkpoint struct {
 	Design    string
 	Nets      int
 	StateBits int
+	// DesignHash is the content hash of the platform's netlist, program
+	// and data image included: resuming under another benchmark of the
+	// same processor is rejected. Zero in a file written before the field
+	// existed, which resumes unchecked.
+	DesignHash netlist.Digest
 	// Policy names the CSM policy; resuming under a different policy is
 	// rejected (the stored states would be re-interpreted unsoundly).
 	Policy string
@@ -144,6 +150,11 @@ func (c *Checkpoint) EncodeBinary() []byte {
 		b = binary.LittleEndian.AppendUint64(b, q.Time)
 		b = appendString(b, q.Panic)
 		b = appendString(b, q.Stack)
+	}
+	// The design hash trails the version-1 layout and is left out when
+	// zero, so a file without it is still canonical.
+	if c.DesignHash != (netlist.Digest{}) {
+		b = append(b, c.DesignHash[:]...)
 	}
 	return b
 }
@@ -222,6 +233,12 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		c.Quarantined = append(c.Quarantined, q)
 	}
 
+	if r.err == nil && r.off < len(r.b) {
+		copy(c.DesignHash[:], r.bytes(len(c.DesignHash)))
+		if r.err == nil && c.DesignHash == (netlist.Digest{}) {
+			return nil, corruptf("zero design hash is encoded by omission")
+		}
+	}
 	if err := r.end(); err != nil {
 		return nil, err
 	}
@@ -277,6 +294,11 @@ func (c *Checkpoint) validateFor(p *Platform, policy csm.Manager) error {
 	}
 	if c.StateBits != p.Spec.Bits() {
 		return &ValidationError{Field: "Config.Resume", Reason: fmt.Sprintf("checkpoint has %d state bits, spec has %d", c.StateBits, p.Spec.Bits())}
+	}
+	if c.DesignHash != (netlist.Digest{}) {
+		if h := p.Design.Hash(); h != c.DesignHash {
+			return &ValidationError{Field: "Config.Resume", Reason: fmt.Sprintf("checkpoint is for design and image %s, platform is %s (another benchmark of %q?)", c.DesignHash, h, p.Design.Name)}
+		}
 	}
 	if c.Policy != policy.Name() {
 		return &ValidationError{Field: "Config.Resume", Reason: fmt.Sprintf("checkpoint used policy %q, run configures %q", c.Policy, policy.Name())}

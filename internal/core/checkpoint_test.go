@@ -11,6 +11,7 @@ import (
 	"symsim/internal/core"
 	"symsim/internal/csm"
 	"symsim/internal/logic"
+	"symsim/internal/netlist"
 	"symsim/internal/vvp"
 )
 
@@ -26,8 +27,11 @@ func sampleCheckpoint() *core.Checkpoint {
 		Design:    "sample",
 		Nets:      11,
 		StateBits: 5,
-		Policy:    "merge-all",
-		CSM:       []csm.SavedState{{PC: 0x42, Bits: bits.Clone()}},
+		// Trails the encoding; the zero value (a file from before the
+		// field) is the fuzz target's second seed.
+		DesignHash: netlist.Digest{0: 0xC0, 7: 0x01, 31: 0xFE},
+		Policy:     "merge-all",
+		CSM:        []csm.SavedState{{PC: 0x42, Bits: bits.Clone()}},
 		Pending: []core.PendingPath{
 			{State: vvp.State{}}, // cold boot
 			{State: vvp.State{Bits: bits.Clone(), Time: 99, PC: 0x44, PCKnown: true}, Forced: logic.Hi, HasForce: true},
@@ -60,7 +64,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	if !bytes.Equal(enc, re) {
 		t.Fatal("decode-then-encode is not byte-identical")
 	}
-	if dec.Design != c.Design || dec.NextID != c.NextID || len(dec.Pending) != len(c.Pending) {
+	if dec.Design != c.Design || dec.NextID != c.NextID || len(dec.Pending) != len(c.Pending) || dec.DesignHash != c.DesignHash {
 		t.Fatalf("decoded checkpoint lost fields: %+v", dec)
 	}
 	if !dec.Pending[1].HasForce || dec.Pending[1].Forced != logic.Hi {
@@ -86,6 +90,17 @@ func TestDecodeCheckpointRejectsMalformed(t *testing.T) {
 	}
 	if _, err := core.DecodeCheckpoint(append(append([]byte(nil), enc...), 0)); err == nil {
 		t.Error("trailing byte accepted")
+	}
+	// The design hash is left out when zero; spelling the zero out is a
+	// second encoding of the same checkpoint and must not decode.
+	c := sampleCheckpoint()
+	c.DesignHash = netlist.Digest{}
+	bare := c.EncodeBinary()
+	if len(bare) != len(enc)-len(c.DesignHash) {
+		t.Fatalf("zero design hash encodes to %d bytes, want %d", len(bare), len(enc)-len(c.DesignHash))
+	}
+	if _, err := core.DecodeCheckpoint(append(bare, make([]byte, len(c.DesignHash))...)); !errors.Is(err, core.ErrCheckpointCorrupt) {
+		t.Errorf("explicit zero design hash: err = %v, want ErrCheckpointCorrupt", err)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,7 +47,9 @@ type Platform struct {
 	Bench string
 	// Design is the frozen gate-level netlist with the application binary
 	// preloaded in its program ROM and input-dependent memory regions
-	// initialized to X.
+	// initialized to X: for the shipped processors a view (netlist.Bind)
+	// of the one design each is elaborated into, so platforms of the same
+	// processor share everything but the memory contents.
 	Design *netlist.Netlist
 	// Spec locates the machine state (all DFFs, writable memories, PC).
 	Spec *vvp.StateSpec
@@ -68,18 +71,24 @@ type Platform struct {
 	// registers (bm32, dr5) cannot refine their state this way and leave
 	// it nil.
 	Specialize func(st vvp.State, taken bool) vvp.State
-
-	lintOnce sync.Once
-	lintRes  *lint.Result
 }
 
-// Lint returns the structural lint result for the platform's design,
-// running the pass on first use and caching it: the design is frozen, so
-// the result can never change across the many Analyze calls (engine
-// comparisons, forked explorations, resumed runs) a platform serves.
+// Lint returns the structural lint result for the platform's design. The
+// result depends on the structure, on the platform's monitored nets and on
+// the image only through lint.ImageFacts, so it is kept with the frozen
+// design under exactly those (Netlist.Derived): the benchmarks of one
+// processor, and the many Analyze calls a platform serves, read one
+// result. It is shared — callers must not modify it.
 func (p *Platform) Lint() *lint.Result {
-	p.lintOnce.Do(func() { p.lintRes = lint.Run(p.Design, p.LintOptions()) })
-	return p.lintRes
+	opts := p.LintOptions()
+	key := make([]byte, 0, 128)
+	for _, id := range opts.KeepAlive {
+		key = strconv.AppendInt(key, int64(id), 10)
+		key = append(key, ',')
+	}
+	type lintKey struct{ keepAlive, image string }
+	k := lintKey{string(key), lint.ImageFacts(p.Design)}
+	return p.Design.Derived(k, func() any { return lint.Run(p.Design, opts) }).(*lint.Result)
 }
 
 // Config tunes one co-analysis run. The zero value selects the paper's
@@ -1025,6 +1034,7 @@ func (a *analysis) snapshotLocked() *Checkpoint {
 		Design:          a.p.Design.Name,
 		Nets:            len(a.p.Design.Nets),
 		StateBits:       a.p.Spec.Bits(),
+		DesignHash:      a.p.Design.Hash(),
 		Policy:          a.cfg.Policy.Name(),
 		CSM:             a.cfg.Policy.Export(),
 		Toggled:         append([]bool(nil), a.res.ToggledNets...),

@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -443,6 +445,49 @@ func TestResumeValidation(t *testing.T) {
 	wrong.Policy = "exact"
 	if _, err := core.Analyze(buildLoop(t, 0x3), core.Config{Resume: &wrong}); err == nil {
 		t.Error("resume accepted a checkpoint from a different CSM policy")
+	}
+
+	// Another program on the same processor agrees with the checkpoint on
+	// name, net count and state bits; only the design hash tells them
+	// apart.
+	var verr *core.ValidationError
+	_, err = core.Analyze(buildLoop(t, 0x7), core.Config{Resume: ckpt})
+	if !errors.As(err, &verr) || verr.Field != "Config.Resume" {
+		t.Errorf("resume under another image of dr5: err = %v, want a ValidationError on Config.Resume", err)
+	}
+}
+
+// A checkpoint written before the design hash was recorded has no trailer.
+// It must still load, re-encode to the bytes on disk, and resume to the
+// uninterrupted run's tie-offs. testdata/pr16_dr5_loop_0xF.ckpt is the
+// final checkpoint of buildLoop(0xF) under Budget.MaxForks 2, written by
+// the commit before the field was added.
+func TestResumeFromCheckpointWithoutDesignHash(t *testing.T) {
+	const path = "testdata/pr16_dr5_loop_0xF.ckpt"
+	ckpt, err := core.LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ckpt.DesignHash != (netlist.Digest{}) {
+		t.Fatalf("file carries design hash %s", ckpt.DesignHash)
+	}
+	disk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ckpt.EncodeBinary(), disk) {
+		t.Error("checkpoint does not re-encode to the bytes on disk")
+	}
+	full, err := core.Analyze(buildLoop(t, 0xF), core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := core.Analyze(buildLoop(t, 0xF), core.Config{Resume: ckpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resumed.Complete || !tieOffsEqual(resumed.TieOffs(), full.TieOffs()) {
+		t.Errorf("resumed run: complete=%v, tie-offs equal=%v", resumed.Complete, tieOffsEqual(resumed.TieOffs(), full.TieOffs()))
 	}
 }
 

@@ -10,9 +10,12 @@ package bm32
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"symsim/internal/core"
 	"symsim/internal/isa"
+	"symsim/internal/logic"
 	"symsim/internal/netlist"
 	"symsim/internal/rtl"
 	"symsim/internal/vvp"
@@ -35,14 +38,15 @@ const (
 	MulBits = 32
 )
 
-// Build elaborates the bm32 core with the given program preloaded.
-func Build(img *isa.Image) (*core.Platform, error) {
-	if len(img.ROM) > ROMWords {
-		return nil, fmt.Errorf("bm32: program of %d words exceeds ROM (%d)", len(img.ROM), ROMWords)
-	}
+// bare is the bm32 platform without a program: the core elaborated,
+// frozen and compiled, its state specification and its monitor, built on
+// first use and then shared by every Build of the process. Nothing writes
+// to a frozen design, and Build hands out views of this one.
+var bare = sync.OnceValues(func() (*core.Platform, error) {
+	elaborations.Add(1)
 	m := rtl.NewModule("bm32")
 	b := &builder{Module: m}
-	b.elaborate(img)
+	b.elaborate()
 	if err := m.N.Freeze(); err != nil {
 		return nil, err
 	}
@@ -62,6 +66,30 @@ func Build(img *isa.Image) (*core.Platform, error) {
 		HalfPeriod:  5,
 		ResetCycles: 2,
 	}, nil
+})
+
+// elaborations counts runs of bare's body; the tests read it.
+var elaborations atomic.Int32
+
+// Build returns the bm32 platform with the given program loaded: the
+// shared design bound to the image's program and data memory contents.
+func Build(img *isa.Image) (*core.Platform, error) {
+	if len(img.ROM) > ROMWords {
+		return nil, fmt.Errorf("bm32: program of %d words exceeds ROM (%d)", len(img.ROM), ROMWords)
+	}
+	base, err := bare()
+	if err != nil {
+		return nil, err
+	}
+	p := *base
+	p.Design, err = base.Design.Bind(map[string][]logic.Vec{
+		"prom": img.ROM,
+		"dmem": img.DataVec(RAMWords, 32),
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &p, nil
 }
 
 func monitorSpec(n *netlist.Netlist) (vvp.MonitorXSpec, error) {
@@ -111,7 +139,7 @@ func (b *builder) drive(dst, src rtl.Bus) {
 	}
 }
 
-func (b *builder) elaborate(img *isa.Image) {
+func (b *builder) elaborate() {
 	m := b.Module
 
 	// --- Architectural state ---
@@ -135,7 +163,7 @@ func (b *builder) elaborate(img *isa.Image) {
 	m.Output("halted", m.Named("halted", halted))
 
 	// --- Program memory ---
-	insn := m.ROM("prom", pc[2:2+10], 32, ROMWords, img.ROM)
+	insn := m.ROM("prom", pc[2:2+10], 32, ROMWords, nil)
 	b.drive(irD, insn)
 	b.drive(irEn, rtl.Bus{fetch})
 
@@ -280,7 +308,7 @@ func (b *builder) elaborate(img *isa.Image) {
 	// --- Data memory ---
 	ramWen := m.AndBit(exec, isSW)
 	memIdx := addRes[2 : 2+8]
-	rdata := m.RAM("dmem", memIdx, 32, RAMWords, img.DataVec(RAMWords, 32), ramWen, memIdx, rtd)
+	rdata := m.RAM("dmem", memIdx, 32, RAMWords, nil, ramWen, memIdx, rtd)
 
 	// --- Write-back ---
 	link := m.ZeroExtend(pc4, 32)

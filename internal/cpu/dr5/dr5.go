@@ -12,6 +12,8 @@ package dr5
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"symsim/internal/core"
 	"symsim/internal/isa"
@@ -33,15 +35,15 @@ const (
 	WatchBits = 16
 )
 
-// Build elaborates the dr5 core with the given program preloaded and
-// returns the co-analysis platform for it.
-func Build(img *isa.Image) (*core.Platform, error) {
-	if len(img.ROM) > ROMWords {
-		return nil, fmt.Errorf("dr5: program of %d words exceeds ROM (%d)", len(img.ROM), ROMWords)
-	}
+// bare is the dr5 platform without a program: the core elaborated,
+// frozen and compiled, its state specification and its monitor, built on
+// first use and then shared by every Build of the process. Nothing writes
+// to a frozen design, and Build hands out views of this one.
+var bare = sync.OnceValues(func() (*core.Platform, error) {
+	elaborations.Add(1)
 	m := rtl.NewModule("dr5")
 	b := &builder{Module: m}
-	b.elaborate(img)
+	b.elaborate()
 	if err := m.N.Freeze(); err != nil {
 		return nil, err
 	}
@@ -61,6 +63,30 @@ func Build(img *isa.Image) (*core.Platform, error) {
 		HalfPeriod:  5,
 		ResetCycles: 2,
 	}, nil
+})
+
+// elaborations counts runs of bare's body; the tests read it.
+var elaborations atomic.Int32
+
+// Build returns the dr5 platform with the given program loaded: the
+// shared design bound to the image's program and data memory contents.
+func Build(img *isa.Image) (*core.Platform, error) {
+	if len(img.ROM) > ROMWords {
+		return nil, fmt.Errorf("dr5: program of %d words exceeds ROM (%d)", len(img.ROM), ROMWords)
+	}
+	base, err := bare()
+	if err != nil {
+		return nil, err
+	}
+	p := *base
+	p.Design, err = base.Design.Bind(map[string][]logic.Vec{
+		"prom": img.ROM,
+		"dmem": img.DataVec(RAMWords, 32),
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &p, nil
 }
 
 func monitorSpec(n *netlist.Netlist) (vvp.MonitorXSpec, error) {
@@ -115,7 +141,7 @@ func (b *builder) drive(dst, src rtl.Bus) {
 	}
 }
 
-func (b *builder) elaborate(img *isa.Image) {
+func (b *builder) elaborate() {
 	m := b.Module
 
 	// --- Architectural state ---
@@ -141,7 +167,7 @@ func (b *builder) elaborate(img *isa.Image) {
 
 	// --- Program memory ---
 	romAddr := pc[2 : 2+10] // word index of the 16-bit byte PC
-	insn := m.ROM("prom", romAddr, 32, ROMWords, img.ROM)
+	insn := m.ROM("prom", romAddr, 32, ROMWords, nil)
 	b.drive(irD, insn)
 	b.drive(irEn, rtl.Bus{fetch})
 
@@ -252,7 +278,7 @@ func (b *builder) elaborate(img *isa.Image) {
 	// --- Data memory ---
 	memIdx := addRes[2 : 2+8] // 256 words
 	ramWen := m.AndBit(exec, isStore)
-	rdata := m.RAM("dmem", memIdx, 32, RAMWords, b.dataInit(img), ramWen, memIdx, rs2d)
+	rdata := m.RAM("dmem", memIdx, 32, RAMWords, nil, ramWen, memIdx, rs2d)
 
 	// --- Write-back ---
 	link := m.ZeroExtend(pc4, 32)
@@ -269,8 +295,4 @@ func (b *builder) elaborate(img *isa.Image) {
 	// architecturally visible behaviour.
 	m.Output("pc_out", pc)
 	m.Output("wb_out", wbData)
-}
-
-func (b *builder) dataInit(img *isa.Image) []logic.Vec {
-	return img.DataVec(RAMWords, 32)
 }

@@ -16,6 +16,8 @@ package omsp430
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"symsim/internal/core"
 	"symsim/internal/isa"
@@ -36,14 +38,15 @@ const (
 	PCBits = 16
 )
 
-// Build elaborates the openMSP430 platform with the given program.
-func Build(img *isa.Image) (*core.Platform, error) {
-	if len(img.ROM) > ROMWords {
-		return nil, fmt.Errorf("omsp430: program of %d words exceeds ROM (%d)", len(img.ROM), ROMWords)
-	}
+// bare is the omsp430 platform without a program: the core elaborated,
+// frozen and compiled, its state specification and its monitor, built on
+// first use and then shared by every Build of the process. Nothing writes
+// to a frozen design, and Build hands out views of this one.
+var bare = sync.OnceValues(func() (*core.Platform, error) {
+	elaborations.Add(1)
 	m := rtl.NewModule("omsp430")
 	b := &builder{Module: m}
-	b.elaborate(img)
+	b.elaborate()
 	if err := m.N.Freeze(); err != nil {
 		return nil, err
 	}
@@ -64,6 +67,30 @@ func Build(img *isa.Image) (*core.Platform, error) {
 		ResetCycles: 2,
 		Specialize:  specializer(spec),
 	}, nil
+})
+
+// elaborations counts runs of bare's body; the tests read it.
+var elaborations atomic.Int32
+
+// Build returns the omsp430 platform with the given program loaded: the
+// shared design bound to the image's program and data memory contents.
+func Build(img *isa.Image) (*core.Platform, error) {
+	if len(img.ROM) > ROMWords {
+		return nil, fmt.Errorf("omsp430: program of %d words exceeds ROM (%d)", len(img.ROM), ROMWords)
+	}
+	base, err := bare()
+	if err != nil {
+		return nil, err
+	}
+	p := *base
+	p.Design, err = base.Design.Bind(map[string][]logic.Vec{
+		"prom": img.ROM,
+		"dmem": img.DataVec(RAMWords, 16),
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &p, nil
 }
 
 // specializer implements the paper's §3.3 fork semantics for the MSP430:
@@ -173,7 +200,7 @@ func (b *builder) drive(dst, src rtl.Bus) {
 	}
 }
 
-func (b *builder) elaborate(img *isa.Image) {
+func (b *builder) elaborate() {
 	m := b.Module
 
 	// --- Architectural state ---
@@ -202,7 +229,7 @@ func (b *builder) elaborate(img *isa.Image) {
 	m.Output("halted", m.Named("halted", halted))
 
 	// --- Program memory ---
-	insn := m.ROM("prom", pc[1:1+10], 16, ROMWords, img.ROM)
+	insn := m.ROM("prom", pc[1:1+10], 16, ROMWords, nil)
 	b.drive(irD, insn)
 	b.drive(irEn, rtl.Bus{stFetch})
 	b.drive(extD, insn)
@@ -289,7 +316,7 @@ func (b *builder) elaborate(img *isa.Image) {
 	baseVal := m.Mux(srcMemF1, dstRegVal, srcRegVal)
 	memAddr, _ := m.Add(baseVal, extw, m.Lo())
 
-	periph := b.peripherals(img, memAddr)
+	periph := b.peripherals(memAddr)
 
 	// --- Operand selection ---
 	srcVal := srcRegVal

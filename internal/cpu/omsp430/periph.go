@@ -1,7 +1,6 @@
 package omsp430
 
 import (
-	"symsim/internal/isa"
 	"symsim/internal/isa/msp430"
 	"symsim/internal/netlist"
 	"symsim/internal/rtl"
@@ -21,7 +20,7 @@ type periphPorts struct {
 // GPIO and TimerA — memory-mapped below the RAM. Benchmarks that never
 // touch a peripheral leave its logic unexercised, which is exactly why the
 // paper reports the largest bespoke reductions on openMSP430 (Figure 5).
-func (b *builder) peripherals(img *isa.Image, memAddr rtl.Bus) periphPorts {
+func (b *builder) peripherals(memAddr rtl.Bus) periphPorts {
 	m := b.Module
 	p := periphPorts{
 		wen:   b.wire("dm_wen", 1),
@@ -40,7 +39,7 @@ func (b *builder) peripherals(img *isa.Image, memAddr rtl.Bus) periphPorts {
 	// --- Data RAM ---
 	ramIdx := memAddr[1 : 1+8]
 	ramWen := m.AndBit(p.wen[0], isRAM)
-	ram := m.RAM("dmem", ramIdx, 16, RAMWords, img.DataVec(RAMWords, 16), ramWen, ramIdx, p.wdata)
+	ram := m.RAM("dmem", ramIdx, 16, RAMWords, nil, ramWen, ramIdx, p.wdata)
 
 	// --- GPIO port 1 ---
 	p1in := m.Input("p1in", 8) // application inputs: X unless driven

@@ -17,6 +17,7 @@ package lint
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"symsim/internal/diag"
@@ -350,11 +351,8 @@ func (l *linter) checkShape() bool {
 			bad("memory %q write port is %dx%d nets, want %dx%d",
 				m.Name, len(m.WAddr), len(m.WData), m.AddrBits, m.DataBits)
 		}
-		for _, w := range m.Init {
-			if w.Width() != m.DataBits {
-				bad("memory %q init word is %d bits, want %d", m.Name, w.Width(), m.DataBits)
-				break
-			}
+		if w := factsOf(m).badWidth; w >= 0 {
+			bad("memory %q init word is %d bits, want %d", m.Name, w, m.DataBits)
 		}
 		for _, p := range memPins(m) {
 			if p != netlist.NoNet && !l.validNet(p) {
@@ -373,6 +371,46 @@ func (l *linter) checkShape() bool {
 		}
 	}
 	return ok
+}
+
+// memFacts is all that Run reads from one memory's contents.
+type memFacts struct {
+	// badWidth is the width of the first Init word that is not DataBits
+	// wide (NL000 names it), -1 when every word fits.
+	badWidth int
+	// initX reports a word that is unwritten (unwritten words default to
+	// all-X) or holds an X: the memory then seeds the NL009 X cone.
+	initX bool
+}
+
+func factsOf(m *netlist.Mem) memFacts {
+	f := memFacts{badWidth: -1, initX: m.Words > len(m.Init)}
+	for _, w := range m.Init {
+		if w.Width() != m.DataBits {
+			f.badWidth = w.Width()
+			break
+		}
+		f.initX = f.initX || !w.IsAllKnown()
+	}
+	return f
+}
+
+// ImageFacts renders, as a comparable key, the facts through which a lint
+// result depends on the memory contents of n (memFacts, per memory). Two
+// netlists of one structure with equal ImageFacts get the same diagnostics
+// from Run, whatever else their images hold — which is what lets the
+// benchmarks of one processor share a single lint result.
+func ImageFacts(n *netlist.Netlist) string {
+	key := make([]byte, 0, 8*len(n.Mems))
+	for _, m := range n.Mems {
+		if m != nil {
+			f := factsOf(m)
+			key = strconv.AppendInt(key, int64(f.badWidth), 10)
+			key = strconv.AppendBool(append(key, ','), f.initX)
+		}
+		key = append(key, ';')
+	}
+	return string(key)
 }
 
 // memPins returns every net a memory touches: read port, then write port.
@@ -906,24 +944,7 @@ func (l *linter) checkXCone(sources []netlist.NetID) {
 	}
 	memInitX := make([]bool, len(n.Mems))
 	for mi, m := range n.Mems {
-		if m.Words > len(m.Init) {
-			memInitX[mi] = true // unwritten words default to all-X
-			continue
-		}
-		for _, w := range m.Init {
-			for b := 0; b < w.Width(); b++ {
-				if !w.Get(b).IsKnown() {
-					memInitX[mi] = true
-					break
-				}
-			}
-			if memInitX[mi] {
-				break
-			}
-		}
-		if memInitX[mi] {
-			continue
-		}
+		memInitX[mi] = factsOf(m).initX
 	}
 
 	anyReach := func(ids []netlist.NetID) bool {

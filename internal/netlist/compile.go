@@ -171,10 +171,10 @@ func (p *Program) HasMemFan(id NetID) bool {
 
 // Program returns the compiled form of the netlist, building it on first
 // use (the build is linear in design size and cached: every simulator of
-// this netlist shares one Program). It panics when the netlist is not
+// this netlist and of its views shares one Program). It panics when the netlist is not
 // frozen — compilation bakes in the fanout and level tables Freeze builds.
 func (n *Netlist) Program() *Program {
-	if !n.frozen {
+	if n.tables == nil {
 		panic(fmt.Sprintf("netlist %s: Program before Freeze", n.Name))
 	}
 	n.progOnce.Do(func() { n.prog = compile(n) })

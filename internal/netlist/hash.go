@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -27,13 +28,27 @@ import (
 //     program image lives in ROM init, so the application binary is
 //     covered) changes the hash.
 //
-// The construction is Weisfeiler–Lehman style label refinement: every net
-// starts from a label derived solely from the kind of its driver (with
-// primary inputs anchored to their port position), then hashRounds times
-// each net's label is re-derived from its driver's kind and the labels on
-// the driver's input pins. The final digest combines the position-ordered
-// port labels with the sorted multiset of all net labels, which is what
-// makes the result independent of declaration order.
+// It has two levels, because a processor is elaborated once and run under
+// many images. The structure level is Weisfeiler–Lehman style label
+// refinement over everything but the memory contents: every net starts
+// from a label derived solely from the kind of its driver (with primary
+// inputs anchored to their port position), then hashRounds times each
+// net's label is re-derived from its driver's kind and the labels on the
+// driver's input pins. Its digest combines the position-ordered port
+// labels with the sorted multiset of all net labels, which is what makes
+// the result independent of declaration order; it costs a pass over the
+// design per round and is kept with the tables a frozen netlist shares
+// with its views. The image level pairs each memory's structural label —
+// one more refinement of the memory as a node, from its geometry and the
+// final labels on its pins — with the SHA-256 of its Init and sorts the
+// pairs; it costs a pass over the image. Hash is the digest of both.
+//
+// Labels flow from drivers to readers only, so two memories of one geometry
+// behind the same address and write cones carry one label whatever reads
+// them, and the sorted pairs alone could not tell which of the two holds
+// which contents. When such a pair holds different contents the refinement
+// is run again with the contents folded into the memory labels, where they
+// reach every reader; no shipped processor has such a pair.
 
 // Digest is a canonical netlist content hash.
 type Digest [32]byte
@@ -56,18 +71,64 @@ const hashRounds = 8
 
 type label = [32]byte
 
-// Hash computes the canonical content digest of the netlist. It works on
-// frozen and unfrozen designs alike (undriven nets hash under a distinct
-// tag); frozen designs cache the digest since they can no longer change.
-func (n *Netlist) Hash() Digest {
-	if !n.frozen {
-		return n.computeHash()
-	}
-	n.hashOnce.Do(func() { n.hashVal = n.computeHash() })
-	return n.hashVal
+// structure is the outcome of one label refinement: the digest over the
+// port and net labels, and the structural label of each memory.
+type structure struct {
+	digest Digest
+	mems   []label
 }
 
-func (n *Netlist) computeHash() Digest {
+// Hash computes the canonical content digest of the netlist. It works on
+// frozen and unfrozen designs alike (undriven nets hash under a distinct
+// tag). On a frozen design, view or not, only the image level is computed
+// per call — tens of microseconds for a processor's program and data
+// memories; the structure level is computed once per design.
+func (n *Netlist) Hash() Digest {
+	var st structure
+	if n.tables == nil {
+		st = n.refine(false)
+	} else {
+		n.structOnce.Do(func() { n.structure = n.refine(false) })
+		st = n.structure
+	}
+
+	type pair struct{ mem, init label }
+	pairs := make([]pair, len(n.Mems))
+	var buf []byte
+	for mi, m := range n.Mems {
+		buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(len(m.Init)))
+		for _, w := range m.Init {
+			buf = w.AppendBinary(buf)
+		}
+		pairs[mi] = pair{st.mems[mi], sha256.Sum256(buf)}
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		if c := bytes.Compare(pairs[i].mem[:], pairs[j].mem[:]); c != 0 {
+			return c < 0
+		}
+		return bytes.Compare(pairs[i].init[:], pairs[j].init[:]) < 0
+	})
+
+	out := []byte(hashMagic)
+	for i, p := range pairs {
+		if i > 0 && p.mem == pairs[i-1].mem && p.init != pairs[i-1].init {
+			folded := n.refine(true).digest
+			return sha256.Sum256(append(append(out, "folded:"...), folded[:]...))
+		}
+	}
+	out = append(out, st.digest[:]...)
+	for _, p := range pairs {
+		out = append(out, p.mem[:]...)
+		out = append(out, p.init[:]...)
+	}
+	return sha256.Sum256(out)
+}
+
+// refine runs the label refinement. With foldInit the memory contents are
+// part of each memory's parameters, so they reach the label of every net
+// downstream of a read port; without, the result depends on the structure
+// alone.
+func (n *Netlist) refine(foldInit bool) structure {
 	// Per-memory structural parameter hash (ports excluded: they are
 	// folded in through the read-data labels each round).
 	memParam := make([]label, len(n.Mems))
@@ -82,8 +143,10 @@ func (n *Netlist) computeHash() Digest {
 		} else {
 			buf = append(buf, 0)
 		}
-		for _, w := range m.Init {
-			buf = w.AppendBinary(buf)
+		if foldInit {
+			for _, w := range m.Init {
+				buf = w.AppendBinary(buf)
+			}
 		}
 		memParam[mi] = sha256.Sum256(buf)
 	}
@@ -121,6 +184,22 @@ func (n *Netlist) computeHash() Digest {
 		}
 		buf = append(buf, prev[p][:]...)
 	}
+	// memRefs folds the labels on a memory's input pins into buf.
+	memRefs := func(prev []label, m *Mem) {
+		for _, p := range m.RAddr {
+			ref(prev, p)
+		}
+		if !m.IsROM() {
+			ref(prev, m.Clk)
+			ref(prev, m.WEn)
+			for _, p := range m.WAddr {
+				ref(prev, p)
+			}
+			for _, p := range m.WData {
+				ref(prev, p)
+			}
+		}
+	}
 	relabel := func(id NetID, prev []label) label {
 		buf = buf[:0]
 		if pos, ok := inputPos[id]; ok {
@@ -134,19 +213,7 @@ func (n *Netlist) computeHash() Digest {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(rd.bit))
 			buf = append(buf, memParam[rd.mem][:]...)
 			if prev != nil {
-				for _, p := range m.RAddr {
-					ref(prev, p)
-				}
-				if !m.IsROM() {
-					ref(prev, m.Clk)
-					ref(prev, m.WEn)
-					for _, p := range m.WAddr {
-						ref(prev, p)
-					}
-					for _, p := range m.WData {
-						ref(prev, p)
-					}
-				}
+				memRefs(prev, m)
 			}
 			return sha256.Sum256(buf)
 		}
@@ -180,7 +247,7 @@ func (n *Netlist) computeHash() Digest {
 
 	// Final digest: global shape, position-ordered ports, then the sorted
 	// multiset of every net label (declaration-order independence).
-	out := []byte(hashMagic)
+	var out []byte
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(n.Nets)))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(n.Gates)))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(n.Mems)))
@@ -213,5 +280,11 @@ func (n *Netlist) computeHash() Digest {
 	for _, l := range all {
 		out = append(out, l[:]...)
 	}
-	return sha256.Sum256(out)
+	st := structure{digest: sha256.Sum256(out), mems: make([]label, len(n.Mems))}
+	for mi, m := range n.Mems {
+		buf = append(buf[:0], memParam[mi][:]...)
+		memRefs(cur, m)
+		st.mems[mi] = sha256.Sum256(buf)
+	}
+	return st
 }

@@ -1,6 +1,7 @@
 package netlist_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -179,5 +180,99 @@ func TestHashToleratesDanglingReferences(t *testing.T) {
 	}
 	if h1 == (netlist.Digest{}) {
 		t.Error("hash is zero")
+	}
+}
+
+// Every single init word enters the hash, through a view and through a
+// netlist elaborated with the word in place.
+func TestHashSensitiveToEveryInitWord(t *testing.T) {
+	base := hashDesign(t, baseOpts("u_"))
+	if err := base.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[netlist.Digest]string{base.Hash(): "base"}
+	init := base.Mems[0].Init
+	for w := range init {
+		for _, flip := range []string{"known", "x"} {
+			mut := append([]logic.Vec(nil), init...)
+			mut[w] = logic.NewVec(1) // all X
+			if flip == "known" {
+				v, _ := init[w].Uint64()
+				mut[w] = logic.NewVecUint64(1, v^1)
+			}
+			v, err := base.Bind(map[string][]logic.Vec{"u_ram": mut})
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("word %d -> %s", w, flip)
+			if prev, dup := seen[v.Hash()]; dup {
+				t.Errorf("%s hashes like %s", what, prev)
+			}
+			seen[v.Hash()] = what
+		}
+	}
+	short, err := base.Bind(map[string][]logic.Vec{"u_ram": init[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prev, dup := seen[short.Hash()]; dup {
+		t.Errorf("dropping the last init word hashes like %s", prev)
+	}
+}
+
+// twoROMs builds two ROMs of one geometry whose read data drive the two
+// outputs in order. With shared the ROMs sit behind the same address net,
+// so nothing upstream tells them apart (the labels flow from drivers to
+// readers only); otherwise each has its own address input. second declares
+// the memories in the opposite order, contents and outputs staying with
+// their ROM.
+func twoROMs(shared, second bool, first, other uint64) *netlist.Netlist {
+	n := netlist.New("roms")
+	_ = n.AddInput("clk")
+	_ = n.AddInput("rst")
+	a := n.AddInput("a")
+	b := a
+	if !shared {
+		b = n.AddInput("b")
+	}
+	rd0, rd1 := n.AddNet("rd0"), n.AddNet("rd1")
+	rom := func(name string, addr, rd netlist.NetID, word uint64) *netlist.Mem {
+		return &netlist.Mem{
+			Name: name, AddrBits: 1, DataBits: 1, Words: 2,
+			Init:  []logic.Vec{logic.NewVecUint64(1, word), logic.NewVecUint64(1, 1)},
+			RAddr: []netlist.NetID{addr}, RData: []netlist.NetID{rd},
+			Clk: netlist.NoNet, WEn: netlist.NoNet,
+		}
+	}
+	m0, m1 := rom("rom0", a, rd0, first), rom("rom1", b, rd1, other)
+	if second {
+		n.AddMem(m1)
+		n.AddMem(m0)
+	} else {
+		n.AddMem(m0)
+		n.AddMem(m1)
+	}
+	n.MarkOutput(rd0)
+	n.MarkOutput(rd1)
+	return n
+}
+
+// Two structurally identical memories with swapped contents are a
+// different machine — whether the structure level can tell the memories
+// apart (own address inputs) or not (one address net, where the contents
+// have to be folded into the labels to reach the outputs) — while
+// declaring them in the other order is the same machine.
+func TestHashBindsContentsToTheirMemory(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		base := twoROMs(shared, false, 0, 1).Hash()
+		if twoROMs(shared, false, 1, 0).Hash() == base {
+			t.Errorf("shared address=%v: swapping the contents of two same-geometry ROMs did not change the hash", shared)
+		}
+		if twoROMs(shared, true, 0, 1).Hash() != base {
+			t.Errorf("shared address=%v: declaring the ROMs in the other order changed the hash", shared)
+		}
+		if twoROMs(shared, false, 1, 1).Hash() == base {
+			t.Errorf("shared address=%v: changing one ROM word did not change the hash", shared)
+		}
 	}
 }

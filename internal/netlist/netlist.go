@@ -166,6 +166,39 @@ type Mem struct {
 // IsROM reports whether m has no write port.
 func (m *Mem) IsROM() bool { return m.WEn == NoNet }
 
+// tables holds what is computed from a frozen netlist's structure — its
+// nets, gates, ports and memory geometry, never the memory contents — and
+// is therefore shared, through one pointer, by the netlist and every view
+// bound to it: the fanout and level tables Freeze builds, and the compiled
+// Program, structure digest and caller-derived analyses built on first use.
+type tables struct {
+	// fanout[net] lists gates with net on an input pin.
+	fanout [][]GateID
+	// memFanout[net] lists memories with net on an input pin (address,
+	// data, clock or enable).
+	memFanout [][]MemID
+	// gateLevel/memLevel are topological evaluation levels (inputs and
+	// flip-flop outputs are level 0). Levelized event processing keeps
+	// zero-delay settling linear in the design size.
+	gateLevel []int32
+	memLevel  []int32
+	maxLevel  int32
+
+	// prog is the compiled structure-of-arrays form built by Program();
+	// every simulator of the design, whichever view it runs, shares it.
+	progOnce sync.Once
+	prog     *Program
+
+	// structure is the content digest of everything but the memory
+	// contents (see Hash).
+	structOnce sync.Once
+	structure  structure
+
+	// derived caches structure-determined analyses of other packages
+	// (see Derived).
+	derived sync.Map
+}
+
 // Netlist is a flat gate-level design.
 type Netlist struct {
 	Name string
@@ -178,28 +211,9 @@ type Netlist struct {
 	Inputs  []NetID
 	Outputs []NetID
 
-	// fanout[net] lists gates with net on an input pin; built by Freeze.
-	fanout [][]GateID
-	// memFanout[net] lists memories with net on an input pin (address,
-	// data, clock or enable); built by Freeze.
-	memFanout [][]MemID
-	// gateLevel/memLevel are topological evaluation levels (inputs and
-	// flip-flop outputs are level 0); built by Freeze. Levelized event
-	// processing keeps zero-delay settling linear in the design size.
-	gateLevel []int32
-	memLevel  []int32
-	maxLevel  int32
-	frozen    bool
-
-	// prog is the compiled structure-of-arrays form built lazily by
-	// Program() after Freeze; every simulator of this netlist shares it.
-	prog     *Program
-	progOnce sync.Once
-
-	// hashOnce/hashVal cache the canonical content digest (Hash) once the
-	// design is frozen and can no longer change.
-	hashOnce sync.Once
-	hashVal  Digest
+	// tables is everything Freeze derives from the structure; nil until
+	// the design is frozen. A view (Bind) points at its base's instance.
+	*tables
 
 	names map[string]NetID
 }
@@ -302,7 +316,7 @@ func (n *Netlist) AddMem(m *Mem) MemID {
 }
 
 func (n *Netlist) mutable() {
-	if n.frozen {
+	if n.tables != nil {
 		panic("netlist: modified after Freeze")
 	}
 }
@@ -310,17 +324,19 @@ func (n *Netlist) mutable() {
 // Freeze validates the design and builds the fanout tables. After Freeze
 // the netlist is immutable and safe for concurrent simulation.
 func (n *Netlist) Freeze() error {
-	if n.frozen {
+	if n.tables != nil {
 		return nil
 	}
-	n.fanout = make([][]GateID, len(n.Nets))
-	n.memFanout = make([][]MemID, len(n.Nets))
+	t := &tables{
+		fanout:    make([][]GateID, len(n.Nets)),
+		memFanout: make([][]MemID, len(n.Nets)),
+	}
 	for gi := range n.Gates {
 		for _, in := range n.Gates[gi].In {
 			if in == NoNet {
 				return fmt.Errorf("netlist %s: gate %d (%s) has an unconnected input", n.Name, gi, n.Gates[gi].Kind)
 			}
-			n.fanout[in] = append(n.fanout[in], GateID(gi))
+			t.fanout[in] = append(t.fanout[in], GateID(gi))
 		}
 	}
 	for mi, m := range n.Mems {
@@ -335,7 +351,7 @@ func (n *Netlist) Freeze() error {
 			if p == NoNet {
 				return fmt.Errorf("netlist %s: memory %q has an unconnected pin", n.Name, m.Name)
 			}
-			n.memFanout[p] = append(n.memFanout[p], MemID(mi))
+			t.memFanout[p] = append(t.memFanout[p], MemID(mi))
 		}
 		for _, d := range m.RData {
 			if n.Nets[d].Driver != NoGate {
@@ -346,15 +362,71 @@ func (n *Netlist) Freeze() error {
 	if err := n.checkDrivers(); err != nil {
 		return err
 	}
-	if err := n.computeLevels(); err != nil {
+	if err := n.computeLevels(t); err != nil {
 		return err
 	}
-	n.frozen = true
+	n.tables = t
 	// Compile the structure-of-arrays Program eagerly: flattening is
 	// elaboration work (linear, one-time, shared by every simulator of the
 	// design), not something the first analysis should pay for.
 	n.Program()
 	return nil
+}
+
+// Bind returns a view of the frozen design n loaded with an image: a
+// netlist that shares n's nets, gates, ports and every table Freeze and
+// Program built (none of which is copied, so the view costs a few hundred
+// bytes and is itself frozen), and owns a Mems slice in which each memory
+// named in init has those words as its Init. A memory not named keeps n's
+// contents — unwritten, hence all-X, for a design elaborated without an
+// image. The view takes the init slices as they are, so the caller must
+// not write to them afterwards. It panics when n is not frozen (the
+// structure could still change under the view) and reports a name that is
+// not a memory of n; init words of the wrong width are lint's to report
+// (NL000), as they are for a design read from a file.
+func (n *Netlist) Bind(init map[string][]logic.Vec) (*Netlist, error) {
+	if n.tables == nil {
+		panic(fmt.Sprintf("netlist %s: Bind before Freeze", n.Name))
+	}
+	for name := range init {
+		if _, ok := n.MemByName(name); !ok {
+			return nil, fmt.Errorf("netlist %s: no memory %q to bind", n.Name, name)
+		}
+	}
+	v := *n
+	v.Mems = make([]*Mem, len(n.Mems))
+	for i, m := range n.Mems {
+		c := *m
+		if words, ok := init[m.Name]; ok {
+			c.Init = words
+		}
+		v.Mems[i] = &c
+	}
+	return &v, nil
+}
+
+// Derived returns compute's result for key, running compute at most once
+// per design: the result is kept with the tables a frozen netlist shares
+// with its views, so an analysis that depends on the structure — and on
+// the memory contents only through facts the caller has put into key — is
+// paid once per design instead of once per image. key must be comparable.
+// On a netlist that is not frozen nothing is kept, since the structure
+// can still change.
+func (n *Netlist) Derived(key any, compute func() any) any {
+	if n.tables == nil {
+		return compute()
+	}
+	type entry struct {
+		once sync.Once
+		val  any
+	}
+	e, ok := n.derived.Load(key)
+	if !ok {
+		e, _ = n.derived.LoadOrStore(key, new(entry))
+	}
+	ent := e.(*entry)
+	ent.once.Do(func() { ent.val = compute() })
+	return ent.val
 }
 
 // GateLevel returns the evaluation level of gate g. Valid after Freeze.
@@ -372,7 +444,7 @@ func (n *Netlist) MaxLevel() int32 { return n.maxLevel }
 // at level 0; every combinational gate and memory evaluates strictly after
 // its inputs. A cycle anywhere in this graph (even one running through a
 // memory read port, which a gate-only check would miss) is rejected.
-func (n *Netlist) computeLevels() error {
+func (n *Netlist) computeLevels(t *tables) error {
 	// Node ids: gates [0, G), memories [G, G+M). Only the asynchronous
 	// read path of a memory is combinational: RAddr -> RData. The write
 	// port (Clk/WEn/WAddr/WData) samples on the clock edge like a
@@ -391,7 +463,7 @@ func (n *Netlist) computeLevels() error {
 		}
 	}
 	netConsumers := func(id NetID, f func(node int)) {
-		for _, g := range n.fanout[id] {
+		for _, g := range t.fanout[id] {
 			if !n.Gates[g].Kind.IsSequential() {
 				f(int(g))
 			}
@@ -428,8 +500,8 @@ func (n *Netlist) computeLevels() error {
 		countIn(G+mi, mm.RAddr)
 	}
 
-	n.gateLevel = make([]int32, G)
-	n.memLevel = make([]int32, M)
+	t.gateLevel = make([]int32, G)
+	t.memLevel = make([]int32, M)
 	level := make([]int32, G+M)
 	queue := make([]int, 0, G+M)
 	for node := 0; node < G+M; node++ {
@@ -452,8 +524,8 @@ func (n *Netlist) computeLevels() error {
 		node := queue[0]
 		queue = queue[1:]
 		processed++
-		if level[node] > n.maxLevel {
-			n.maxLevel = level[node]
+		if level[node] > t.maxLevel {
+			t.maxLevel = level[node]
 		}
 		for _, out := range nodeOutNets(node) {
 			netConsumers(out, func(next int) {
@@ -473,7 +545,7 @@ func (n *Netlist) computeLevels() error {
 	for gi := range n.Gates {
 		g := &n.Gates[gi]
 		if !g.Kind.IsSequential() {
-			n.gateLevel[gi] = level[gi]
+			t.gateLevel[gi] = level[gi]
 			continue
 		}
 		// Flip-flops evaluate after their entire input cone so captures
@@ -484,13 +556,13 @@ func (n *Netlist) computeLevels() error {
 				lvl = l
 			}
 		}
-		n.gateLevel[gi] = lvl + 1
-		if n.gateLevel[gi] > n.maxLevel {
-			n.maxLevel = n.gateLevel[gi]
+		t.gateLevel[gi] = lvl + 1
+		if t.gateLevel[gi] > t.maxLevel {
+			t.maxLevel = t.gateLevel[gi]
 		}
 	}
 	for mi := range n.Mems {
-		n.memLevel[mi] = level[G+mi]
+		t.memLevel[mi] = level[G+mi]
 	}
 	return nil
 }
@@ -581,8 +653,10 @@ func (n *Netlist) CombOrder() ([]GateID, error) {
 			ready = append(ready, GateID(gi))
 		}
 	}
-	fan := n.fanout
-	if fan == nil {
+	var fan [][]GateID
+	if n.tables != nil {
+		fan = n.fanout
+	} else {
 		fan = make([][]GateID, len(n.Nets))
 		for gi := range n.Gates {
 			for _, in := range n.Gates[gi].In {

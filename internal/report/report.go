@@ -46,8 +46,9 @@ func isaOf(d Design) (prog.ISA, error) {
 	return "", fmt.Errorf("report: unknown design %q", d)
 }
 
-// BuildPlatform assembles the benchmark for the design's ISA and
-// elaborates the processor with the program preloaded.
+// BuildPlatform assembles the benchmark for the design's ISA and binds it
+// to the processor, which is elaborated on the first call of the process
+// for that design and shared by every later one.
 func BuildPlatform(d Design, benchmark string) (*core.Platform, error) {
 	isa, err := isaOf(d)
 	if err != nil {
@@ -73,8 +74,9 @@ func BuildPlatform(d Design, benchmark string) (*core.Platform, error) {
 	}
 	p.Bench = benchmark
 	// Run the structural lint now: it validates the elaborated design, is
-	// cached on the platform, and every subsequent Analyze reads the
-	// cached result instead of re-linting an immutable netlist.
+	// kept with it, and every subsequent Analyze — of this benchmark or of
+	// another with the same lint.ImageFacts — reads that result instead of
+	// re-linting an immutable netlist.
 	p.Lint()
 	return p, nil
 }

@@ -72,7 +72,7 @@ type Config struct {
 	// cache: local cache misses fall through to it, remote hits are
 	// adopted into the local store, and completed results publish back so
 	// the whole worker fleet shares one memo table (the coordinator's
-	// SYMSIMK1 cache; see internal/cluster.MemoClient). Remote trouble is
+	// SYMSIMK2 cache; see internal/cluster.MemoClient). Remote trouble is
 	// always a miss, never an error — the analysis just runs.
 	RemoteCache CacheClient
 

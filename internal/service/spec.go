@@ -182,8 +182,11 @@ func policyKey(spec JobSpec) string {
 
 // cacheKey derives the content address of a job's complete result. It
 // covers everything that can change a *complete* analysis outcome: the
-// canonical design content hash (which includes the program image preloaded
-// in ROM init), the design/bench pair that selected the platform harness
+// canonical design content hash (netlist.Hash: the structure digest of the
+// processor, computed once per process, combined with the digest of each
+// memory's contents, so the program image is covered and a submission
+// hashes the image, not the netlist), the design/bench pair that selected
+// the platform harness
 // (monitors, stimulus, state spec), the CSM policy with its parameters and
 // the memory-X semantics. Engine, worker count and budgets are deliberately
 // excluded: engines are result-identical, parallelism does not change the

@@ -23,15 +23,19 @@ const (
 	// (internal/service store.go): one fully-validated record per job,
 	// crash-repaired on daemon restart.
 	JobMagic = "SYMSIMJ1"
-	// CacheKeyMagic identifies version 1 of the content-addressed result
+	// CacheKeyMagic identifies version 2 of the content-addressed result
 	// cache key (internal/service spec.go): a digest over the canonical
 	// netlist hash plus normalized analysis parameters. Digest-only —
-	// keys are derived, never decoded.
-	CacheKeyMagic = "SYMSIMK1"
-	// HashMagic identifies version 1 of the canonical netlist content
-	// hash construction (internal/netlist hash.go). Digest-only — bump it
-	// whenever the label refinement changes.
-	HashMagic = "SYMSIMH1"
+	// keys are derived, never decoded. Version 1 (SYMSIMK1) was keyed on
+	// the version-1 netlist hash; its entries can no longer be reached.
+	CacheKeyMagic = "SYMSIMK2"
+	// HashMagic identifies version 2 of the canonical netlist content
+	// hash construction (internal/netlist hash.go): a structure digest
+	// that leaves the memory contents out, combined with one digest per
+	// memory image. Digest-only — bump it whenever the label refinement
+	// changes. Version 1 (SYMSIMH1) folded the contents into the memory
+	// labels.
+	HashMagic = "SYMSIMH2"
 	// WorkMagic and OutcomeMagic identify version 1 of the two halves of
 	// the segment encoding (internal/core segment.go): one frontier entry
 	// on its way from a run's state to a driver in another process, and

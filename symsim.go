@@ -72,8 +72,9 @@ func Benchmarks() []string {
 }
 
 // BuildPlatform assembles the named benchmark for the design's ISA and
-// elaborates the processor's gate-level netlist with the program loaded
-// and its input words initialized to X.
+// binds it to the processor's gate-level netlist — elaborated once per
+// process and shared by every platform of that design — with the program
+// loaded and its input words initialized to X.
 func BuildPlatform(d Design, benchmark string) (*Platform, error) {
 	return report.BuildPlatform(d, benchmark)
 }
