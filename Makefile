@@ -66,17 +66,11 @@ lint:
 # co-analysis comparison.
 # The fleet is measured by benchmark/ alone (workload table4_fleet,
 # cluster.fleet_speedup and cluster.rpcs_per_path; DESIGN.md §14).
-# BENCH_prune.json records constraint-aware forking on the paper's
-# counter-trend cell (openMSP430/tHold x both MemX policies): Table-4
-# paths-created and wall time with pre-fork pruning off vs on, same
-# constrained policy and fact both ways. The acceptance comparison is
-# strictly fewer paths in the prune-on rows at identical gate counts.
 # BENCHTIME trades accuracy for wall time; CI uses 1x.
 BENCHTIME ?= 2x
 BENCH_PAT ?= BenchmarkTable3GateCounts|BenchmarkTable4Paths|BenchmarkEngineComparison|BenchmarkSettleSteadyState
 BENCH_OBS_PAT ?= BenchmarkObsOverhead
 BENCH_BATCH_PAT ?= BenchmarkBatchKernelSweep|BenchmarkBatchLaneTurnover|BenchmarkBatchAnalyze
-BENCH_PRUNE_PAT ?= BenchmarkPruneTable4
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PAT)' -benchmem -benchtime $(BENCHTIME) -timeout 30m . \
 		| tee bench_output.txt
@@ -93,8 +87,3 @@ bench:
 	$(GO) run ./cmd/benchjson -o BENCH_batch.json bench_batch_output.txt
 	@rm -f bench_batch_output.txt
 	@echo "wrote BENCH_batch.json"
-	$(GO) test -run '^$$' -bench '$(BENCH_PRUNE_PAT)' -benchmem -benchtime $(BENCHTIME) -timeout 30m . \
-		| tee bench_prune_output.txt
-	$(GO) run ./cmd/benchjson -o BENCH_prune.json bench_prune_output.txt
-	@rm -f bench_prune_output.txt
-	@echo "wrote BENCH_prune.json"

@@ -151,55 +151,6 @@ func BenchmarkFigure6Paths(b *testing.B) {
 	}
 }
 
-// BenchmarkPruneTable4 measures constraint-aware forking on the paper's
-// counter-trend cell (openMSP430/tHold, §5.0.3) under both X-memory
-// policies: the same constrained policy and fact file, with pre-fork
-// pruning off and on. The acceptance comparison for the pruning tentpole
-// is paths-created strictly lower in the "on" rows of BENCH_prune.json
-// with identical gates — the tie-off identity itself is asserted by
-// TestConstraintPruningReducesPathsSoundly.
-func BenchmarkPruneTable4(b *testing.B) {
-	p, err := symsim.BuildPlatform(symsim.OMSP430, "tHold")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cons := tHoldPruneFacts(b, p)
-	for _, memx := range []struct {
-		name string
-		m    symsim.MemXPolicy
-	}{
-		{"verilog", symsim.MemXVerilog},
-		{"sound", symsim.MemXSound},
-	} {
-		for _, mode := range []struct {
-			name    string
-			disable bool
-		}{
-			{"prune-off", true},
-			{"prune-on", false},
-		} {
-			memx, mode := memx, mode
-			b.Run(fmt.Sprintf("tHold/omsp430/%s/%s", memx.name, mode.name), func(b *testing.B) {
-				var res *symsim.Result
-				for i := 0; i < b.N; i++ {
-					pol, err := symsim.ConstrainedPolicy(p.Spec.Bits(), cons)
-					if err != nil {
-						b.Fatal(err)
-					}
-					res = analyzeOnce(b, symsim.OMSP430, "tHold", symsim.Config{
-						Policy: pol, MemX: memx.m, DisablePrune: mode.disable,
-					})
-				}
-				b.ReportMetric(float64(res.PathsCreated), "paths")
-				b.ReportMetric(float64(res.PathsPruned), "pruned")
-				b.ReportMetric(float64(res.PathsSkipped), "skipped")
-				b.ReportMetric(float64(res.PathsSuperseded), "superseded")
-				b.ReportMetric(float64(res.ExercisableCount), "gates")
-			})
-		}
-	}
-}
-
 // BenchmarkTable2Synthesis measures platform elaboration (the "synthesis"
 // substrate producing the Table 2 gate counts).
 func BenchmarkTable2Synthesis(b *testing.B) {

@@ -10,9 +10,8 @@ import (
 // TestEngineEquivalenceEndToEnd is the whole-stack differential check,
 // swept across all three evaluation cores (Table 2), both X-memory
 // policies and two CSM policies (the merge-all default and constrained,
-// whose fact trimming, fork pruning and heat-ordered merging all sit on
-// the observe path the engines share). For each cell a full co-analysis
-// must produce:
+// whose fact trimming and fork pruning sit on the observe path the engines
+// share). For each cell a full co-analysis must produce:
 //
 //   - interp vs kernel: the identical everything — exercisable set,
 //     tie-offs, path counts, simulated cycles, conservative-state count.

@@ -534,16 +534,9 @@ type analysis struct {
 	// Open; FeasibleChild is safe without a.mu but classify happens to
 	// hold it anyway.
 	pruner csm.Pruner
-	// forksByPC feeds the policy's merge-ordering heat function; nil
-	// unless the policy is a csm.HeatSink. Guarded by a.mu.
-	forksByPC map[uint64]int
 
 	// m caches the run's metric handles; never nil after Open.
 	m *coreMetrics
-	// decisionPath is the path ID the next CSM Observe classifies (-1 for
-	// the degradation drain). Written and read under a.mu — Observe only
-	// runs from classify (lock held) and the single-threaded finish drain.
-	decisionPath int
 	// busy accumulates per-segment wall time (Result.BusyTime).
 	busy time.Duration
 }
@@ -799,8 +792,8 @@ func forcedLabel(e entry) string {
 func (a *analysis) classify(out *pathOutcome) {
 	// absorb just appended this path.
 	idx := len(a.res.Paths) - 1
-	a.decisionPath = out.stat.ID
 	d := a.cfg.Policy.Observe(out.halt)
+	a.onDecision(out.stat.ID, out.halt, d)
 	if d.Subsumed {
 		out.stat.End = EndSubsumed
 		a.res.Paths[idx].End = EndSubsumed
@@ -842,13 +835,9 @@ func (a *analysis) classify(out *pathOutcome) {
 	}
 	a.res.PathsCreated += len(children)
 	// The fork happened even if pruning dropped every child: the segment
-	// keeps its EndForked verdict and the fork counters advance, so heat
-	// and the fork budget see the same exploration shape with and without
-	// pruning.
+	// keeps its EndForked verdict and the fork counter advances, so the
+	// fork budget sees the same exploration shape with and without pruning.
 	a.forks++
-	if a.forksByPC != nil {
-		a.forksByPC[out.stat.HaltPC]++
-	}
 	if a.cfg.Budget.MaxForks > 0 && a.forks >= a.cfg.Budget.MaxForks {
 		a.tripStopLocked(TripForks)
 	}
@@ -912,10 +901,9 @@ func (a *analysis) finish() {
 		// conservative superstate for its PC, so the stored states keep
 		// covering the unexplored behaviours. The drain's decisions are
 		// logged against path -1 (no segment simulated them).
-		a.decisionPath = -1
 		for _, e := range a.front.stack {
 			if e.state.Bits.Width() > 0 && e.state.PCKnown {
-				a.cfg.Policy.Observe(e.state)
+				a.onDecision(-1, e.state, a.cfg.Policy.Observe(e.state))
 				deg.ForcedMerges++
 			}
 		}

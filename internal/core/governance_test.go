@@ -16,6 +16,7 @@ import (
 	"symsim/internal/cpu/dr5"
 	"symsim/internal/csm"
 	"symsim/internal/isa/rv32"
+	"symsim/internal/logic"
 	"symsim/internal/netlist"
 	"symsim/internal/vvp"
 )
@@ -419,6 +420,75 @@ func TestKillAndResumeReproducesTieOffs(t *testing.T) {
 			t.Error("resumed tie-off list differs from the uninterrupted run's")
 		}
 	})
+}
+
+// A constrained run's checkpoint may hold several states under one PC (a
+// run could write one while cold PCs were merged lazily, by fork heat).
+// The one-state-per-PC table folds them on import, and the resumed run
+// still reaches the uninterrupted dichotomy.
+func TestResumeFoldsMultiStateConstrainedCheckpoint(t *testing.T) {
+	constrained := func(p *core.Platform) csm.Manager {
+		m, err := csm.NewConstrained(p.Spec.Bits(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	p := buildLoop(t, 0xF)
+	full, err := core.Analyze(p, core.Config{Policy: constrained(p)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := t.TempDir() + "/run.ckpt"
+	if _, err := core.Analyze(p, core.Config{
+		Policy:     constrained(p),
+		Budget:     core.Budget{MaxForks: 2},
+		Checkpoint: &core.CheckpointConfig{Path: ck},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := core.LoadCheckpoint(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Split every stored state on its first X bit: two narrower states
+	// per PC whose merge is the original.
+	var split []csm.SavedState
+	for _, s := range ckpt.CSM {
+		x := -1
+		for b := 0; b < s.Bits.Width() && x < 0; b++ {
+			if s.Bits.Get(b) == logic.X {
+				x = b
+			}
+		}
+		if x < 0 {
+			split = append(split, s)
+			continue
+		}
+		for _, v := range []logic.Value{logic.Lo, logic.Hi} {
+			half := s.Bits.Clone()
+			half.Set(x, v)
+			split = append(split, csm.SavedState{PC: s.PC, Bits: half})
+		}
+	}
+	if len(split) == len(ckpt.CSM) {
+		t.Fatal("no stored state had an X bit to split on")
+	}
+	ckpt.CSM = split
+
+	resumed, err := core.Analyze(p, core.Config{Policy: constrained(p), Resume: ckpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resumed.Complete {
+		t.Fatalf("resumed run did not complete: %+v", resumed.Degradation)
+	}
+	if resumed.CSMStates != full.CSMStates {
+		t.Errorf("resumed run ends with %d conservative states, uninterrupted %d", resumed.CSMStates, full.CSMStates)
+	}
+	if !tieOffsEqual(resumed.TieOffs(), full.TieOffs()) {
+		t.Error("resumed tie-off list differs from the uninterrupted run's")
+	}
 }
 
 // Resuming against the wrong platform or policy must be rejected by

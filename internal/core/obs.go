@@ -5,6 +5,7 @@ import (
 
 	"symsim/internal/csm"
 	"symsim/internal/obs"
+	"symsim/internal/vvp"
 )
 
 // coreMetrics caches the metric handles one analysis publishes into, so
@@ -95,31 +96,36 @@ func laneOccupancy(reg *obs.Registry) *obs.Histogram {
 // renderer do.
 func pcLabel(pc uint64) string { return fmt.Sprintf("0x%x", pc) }
 
-// onDecision is the csm.Instrument hook: it feeds the per-PC merge/skip
-// counters and, when tracing, the decision log. Observe calls are
-// serialized by the scheduler lock (classify and the degradation drain),
-// so reading a.decisionPath here is race-free.
-func (a *analysis) onDecision(ev csm.DecisionEvent) {
-	pc := pcLabel(ev.PC)
-	switch ev.Verdict {
+// onDecision publishes the CSM's verdict d on st — the halt state of
+// segment path, or a pending state the degradation drain merges (path -1)
+// — to the per-PC merge/skip counters and, when tracing, the decision log.
+// Caller holds a.mu (finish's drain runs after every driver has left).
+func (a *analysis) onDecision(path int, st vvp.State, d csm.Decision) {
+	pc := pcLabel(st.PC)
+	verdict := d.Verdict()
+	// xGained is the over-approximation cost of a merge: known bits the
+	// superstate turned unknown.
+	xGained := 0
+	switch verdict {
 	case csm.VerdictSubsumed:
 		a.m.skippedByPC.With(pc).Inc()
 	case csm.VerdictMerged:
 		a.m.mergedByPC.With(pc).Inc()
-		if ev.XGained > 0 {
-			a.m.xGained.Add(uint64(ev.XGained))
+		if xGained = d.Explore.Bits.CountX() - st.Bits.CountX(); xGained > 0 {
+			a.m.xGained.Add(uint64(xGained))
 		}
 	case csm.VerdictNew:
 		a.m.newByPC.With(pc).Inc()
 	}
-	a.m.decisions.With(ev.Verdict).Inc()
-	a.m.csmStates.Set(int64(ev.States))
+	states := a.cfg.Policy.States()
+	a.m.decisions.With(verdict).Inc()
+	a.m.csmStates.Set(int64(states))
 	a.cfg.Tracer.Emit(obs.Decision{
 		T:       obs.RecDecision,
-		Path:    a.decisionPath,
-		PC:      ev.PC,
-		Verdict: ev.Verdict,
-		XGained: ev.XGained,
-		States:  ev.States,
+		Path:    path,
+		PC:      st.PC,
+		Verdict: verdict,
+		XGained: xGained,
+		States:  states,
 	})
 }

@@ -26,11 +26,11 @@ import (
 // once; it releases the run's goroutines.
 type Run struct{ a *analysis }
 
-// Open validates p and cfg and opens a run: the policy is constructed and
-// instrumented, the frontier holds the cold-boot entry (or cfg.Resume's
-// pending paths), and the governance of cfg.Budget, ctx and cfg.Progress is
-// live. Nothing is simulated until a driver admits work — local explorers
-// under AnalyzeContext, or anything that calls Admit and Settle.
+// Open validates p and cfg and opens a run: the policy is constructed, the
+// frontier holds the cold-boot entry (or cfg.Resume's pending paths), and
+// the governance of cfg.Budget, ctx and cfg.Progress is live. Nothing is
+// simulated until a driver admits work — local explorers under
+// AnalyzeContext, or anything that calls Admit and Settle.
 func Open(ctx context.Context, p *Platform, cfg Config) (*Run, error) {
 	if err := prepare(p, &cfg); err != nil {
 		return nil, err
@@ -38,27 +38,12 @@ func Open(ctx context.Context, p *Platform, cfg Config) (*Run, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = csm.NewMergeAll()
 	}
-	a := &analysis{p: p, cfg: cfg, inflight: make(map[int]entry), decisionPath: -1, done: make(chan struct{})}
+	a := &analysis{p: p, cfg: cfg, inflight: make(map[int]entry), done: make(chan struct{})}
 	a.cond = sync.NewCond(&a.mu)
 	a.m = newCoreMetrics(cfg.Metrics)
-	// Capture the policy's optional capabilities here, before the
-	// Instrument wrap below hides them: the wrapper forwards only the
-	// Manager surface.
 	if !cfg.DisablePrune {
 		a.pruner, _ = cfg.Policy.(csm.Pruner)
 	}
-	if hs, ok := cfg.Policy.(csm.HeatSink); ok {
-		// Per-PC fork counts drive the policy's merge-ordering heuristic.
-		// The map is this run's own state (not the process-global metrics
-		// registry, which other concurrent runs would pollute); reads and
-		// writes are serialized by a.mu, the lock every Observe runs under.
-		a.forksByPC = make(map[uint64]int)
-		hs.SetHeat(func(pc uint64) int { return a.forksByPC[pc] })
-	}
-	// Instrument the policy so every Observe feeds the per-PC counters and
-	// the decision log. The wrapper delegates Name/Export/Import, so
-	// checkpoint policy validation still sees the inner policy.
-	a.cfg.Policy = csm.Instrument(a.cfg.Policy, a.onDecision)
 	a.res = &Result{
 		Design:      p.Design,
 		ToggledNets: make([]bool, len(p.Design.Nets)),
@@ -83,7 +68,7 @@ func Open(ctx context.Context, p *Platform, cfg Config) (*Run, error) {
 		T:       obs.RecMeta,
 		Design:  p.Design.Name,
 		Bench:   p.Bench,
-		Policy:  a.cfg.Policy.Name(),
+		Policy:  cfg.Policy.Name(),
 		Engine:  cfg.Engine.String(),
 		Workers: cfg.Workers,
 	})

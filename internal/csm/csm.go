@@ -6,14 +6,15 @@
 // simulation required) or produces a more conservative superstate covering
 // both, to be pushed onto the unprocessed-path worklist.
 //
-// How conservative states are formed is configurable (paper Figure 3):
-// MergeAll reproduces the single-uber-state approach of prior work [4],
-// Clustered keeps up to k states per PC trading simulation effort for less
-// over-approximation, Exact never merges (exhaustive path enumeration),
-// and Constrained refines states with user-supplied application facts in
-// the style of [15] — trimming each observation before the subsumption
-// test, proving forked children infeasible before they are scheduled
-// (Pruner), and ordering merges by per-PC fork heat (HeatSink).
+// It is one mechanism — states indexed by PC, a subset test, a merge — and
+// the policies of paper Figure 3 are points on one axis, how many states a
+// PC may hold before arrivals merge: one (MergeAll, the single uber-state
+// of prior work [4]), k (Clustered, trading simulation effort for less
+// over-approximation) or all of them (Exact, exhaustive path enumeration).
+// Constrained is the one-state point refined by user-supplied application
+// facts in the style of [15]: each observation is trimmed before the
+// subsumption test, and forked children the facts prove infeasible are
+// dropped before they are scheduled (Pruner).
 package csm
 
 import (
@@ -31,9 +32,32 @@ type Decision struct {
 	// conservative state for the same PC; the path needs no further
 	// exploration (Algorithm 1 line 26).
 	Subsumed bool
+	// Merged is true when the state was absorbed into a stored state,
+	// producing a superstate, and false when it was stored as an additional
+	// conservative state. Always false when Subsumed.
+	Merged bool
 	// Explore is the (possibly merged, possibly constrained) state to
 	// continue simulating when Subsumed is false.
 	Explore vvp.State
+}
+
+// Verdict values: what the decision log and the per-PC metrics call the
+// three outcomes of an Observe.
+const (
+	VerdictSubsumed = "subsumed"
+	VerdictNew      = "new"
+	VerdictMerged   = "merged"
+)
+
+// Verdict names the outcome.
+func (d Decision) Verdict() string {
+	switch {
+	case d.Subsumed:
+		return VerdictSubsumed
+	case d.Merged:
+		return VerdictMerged
+	}
+	return VerdictNew
 }
 
 // SavedState is one exported conservative state: the PC it is indexed by
@@ -65,265 +89,6 @@ type Manager interface {
 	Import(states []SavedState) error
 }
 
-// checkWidths rejects an import batch whose states disagree on width —
-// such a batch cannot have come from one Export and would poison later
-// Subset/Merge calls.
-func checkWidths(states []SavedState) error {
-	for i := 1; i < len(states); i++ {
-		if states[i].Bits.Width() != states[0].Bits.Width() {
-			return fmt.Errorf("csm: import width mismatch: state %d has %d bits, state 0 has %d",
-				i, states[i].Bits.Width(), states[0].Bits.Width())
-		}
-	}
-	return nil
-}
-
-// sortedPCs returns the keys of a per-PC table in ascending order.
-func sortedPCs[V any](table map[uint64]V) []uint64 {
-	pcs := make([]uint64, 0, len(table))
-	for pc := range table {
-		pcs = append(pcs, pc)
-	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	return pcs
-}
-
-// --- MergeAll: the prior-work policy [4] ---
-
-// mergeAll keeps exactly one conservative state per PC and merges every
-// non-subsumed arrival into it, replacing all differing bits with X: the
-// quickest-converging, most conservative policy (Figure 3, red).
-type mergeAll struct {
-	mu    sync.Mutex
-	table map[uint64]logic.Vec
-}
-
-// NewMergeAll returns the default CSM policy: one uber-conservative state
-// per PC.
-func NewMergeAll() Manager {
-	return &mergeAll{table: make(map[uint64]logic.Vec)}
-}
-
-func (m *mergeAll) Name() string { return "merge-all" }
-
-func (m *mergeAll) States() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.table)
-}
-
-func (m *mergeAll) Export() []SavedState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []SavedState
-	for _, pc := range sortedPCs(m.table) {
-		out = append(out, SavedState{PC: pc, Bits: m.table[pc].Clone()})
-	}
-	return out
-}
-
-func (m *mergeAll) Import(states []SavedState) error {
-	if err := checkWidths(states); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, s := range states {
-		if c, ok := m.table[s.PC]; ok {
-			m.table[s.PC] = c.Merge(s.Bits)
-		} else {
-			m.table[s.PC] = s.Bits.Clone()
-		}
-	}
-	return nil
-}
-
-func (m *mergeAll) Observe(st vvp.State) Decision {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.table[st.PC]
-	if ok && st.Bits.Subset(c) {
-		return Decision{Subsumed: true}
-	}
-	var merged logic.Vec
-	if ok {
-		merged = c.Merge(st.Bits)
-	} else {
-		merged = st.Bits.Clone()
-	}
-	m.table[st.PC] = merged
-	out := st
-	out.Bits = merged.Clone()
-	return Decision{Explore: out}
-}
-
-// --- Exact: no merging ---
-
-// exact records every distinct state and never merges: full path
-// enumeration, intractable for complex control flow (the motivation for
-// conservative states) but exact. Bounded by MaxStates as a safety valve.
-type exact struct {
-	mu    sync.Mutex
-	table map[uint64][]logic.Vec
-	n     int
-	max   int
-}
-
-// NewExact returns a no-merge policy that explores every distinct state.
-// maxStates bounds total stored states (0 = unlimited).
-func NewExact(maxStates int) Manager {
-	return &exact{table: make(map[uint64][]logic.Vec), max: maxStates}
-}
-
-func (e *exact) Name() string { return "exact" }
-
-func (e *exact) States() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.n
-}
-
-func (e *exact) Export() []SavedState {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var out []SavedState
-	for _, pc := range sortedPCs(e.table) {
-		for _, v := range e.table[pc] {
-			out = append(out, SavedState{PC: pc, Bits: v.Clone()})
-		}
-	}
-	return out
-}
-
-func (e *exact) Import(states []SavedState) error {
-	if err := checkWidths(states); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, s := range states {
-		e.table[s.PC] = append(e.table[s.PC], s.Bits.Clone())
-		e.n++
-	}
-	return nil
-}
-
-func (e *exact) Observe(st vvp.State) Decision {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, c := range e.table[st.PC] {
-		if st.Bits.Subset(c) {
-			return Decision{Subsumed: true}
-		}
-	}
-	if e.max > 0 && e.n >= e.max {
-		// Safety valve: behave like merge-all once the budget is spent,
-		// guaranteeing convergence.
-		if len(e.table[st.PC]) > 0 {
-			c := e.table[st.PC][0]
-			merged := c.Merge(st.Bits)
-			e.table[st.PC][0] = merged
-			out := st
-			out.Bits = merged.Clone()
-			return Decision{Explore: out}
-		}
-	}
-	e.table[st.PC] = append(e.table[st.PC], st.Bits.Clone())
-	e.n++
-	return Decision{Explore: st.Clone()}
-}
-
-// --- Clustered: up to k conservative states per PC ---
-
-// clustered keeps up to k conservative states per PC; a non-subsumed
-// arrival merges into the nearest existing state (ternary Hamming
-// distance) once the budget is full — the middle ground of Figure 3
-// (blue): more simulation effort than merge-all, less over-approximation.
-type clustered struct {
-	mu    sync.Mutex
-	k     int
-	table map[uint64][]logic.Vec
-	n     int
-}
-
-// NewClustered returns a policy keeping up to k conservative states per
-// PC. k must be at least 1; k == 1 degenerates to MergeAll.
-func NewClustered(k int) Manager {
-	if k < 1 {
-		panic("csm: NewClustered requires k >= 1")
-	}
-	return &clustered{k: k, table: make(map[uint64][]logic.Vec)}
-}
-
-func (c *clustered) Name() string { return fmt.Sprintf("clustered-%d", c.k) }
-
-func (c *clustered) States() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-func (c *clustered) Export() []SavedState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []SavedState
-	for _, pc := range sortedPCs(c.table) {
-		for _, v := range c.table[pc] {
-			out = append(out, SavedState{PC: pc, Bits: v.Clone()})
-		}
-	}
-	return out
-}
-
-func (c *clustered) Import(states []SavedState) error {
-	if err := checkWidths(states); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, s := range states {
-		// Respect the per-PC budget on import: overflow merges into the
-		// first cluster rather than growing past k.
-		if len(c.table[s.PC]) < c.k {
-			c.table[s.PC] = append(c.table[s.PC], s.Bits.Clone())
-			c.n++
-		} else {
-			c.table[s.PC][0] = c.table[s.PC][0].Merge(s.Bits)
-		}
-	}
-	return nil
-}
-
-func (c *clustered) Observe(st vvp.State) Decision {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	states := c.table[st.PC]
-	for _, cs := range states {
-		if st.Bits.Subset(cs) {
-			return Decision{Subsumed: true}
-		}
-	}
-	if len(states) < c.k {
-		c.table[st.PC] = append(states, st.Bits.Clone())
-		c.n++
-		return Decision{Explore: st.Clone()}
-	}
-	best, bestD := 0, -1
-	for i, cs := range states {
-		d := st.Bits.HammingKnown(cs)
-		if bestD < 0 || d < bestD {
-			best, bestD = i, d
-		}
-	}
-	merged := states[best].Merge(st.Bits)
-	states[best] = merged
-	out := st
-	out.Bits = merged.Clone()
-	return Decision{Explore: out}
-}
-
-// --- Constrained: merge-all refined by application constraints [15] ---
-
 // Pruner is implemented by managers that can prove a forked child state
 // infeasible under designer constraints. The scheduler consults it
 // *before* a fork child is pushed onto the worklist, so provably-impossible
@@ -336,150 +101,176 @@ type Pruner interface {
 	FeasibleChild(st vvp.State) bool
 }
 
-// HeatSink is implemented by managers whose merge ordering consults
-// per-PC fork heat. The analysis injects a heat source (its per-run
-// fork-by-PC counters) before instrumenting the policy; heat calls are
-// serialized by the same scheduler-lock discipline as Observe.
-type HeatSink interface {
-	// SetHeat installs the heat source: heat(pc) is how many forks the
-	// run has observed at pc so far. A nil heat source (the default)
-	// selects eager merging everywhere.
-	SetHeat(heat func(pc uint64) int)
-}
-
-// Merge-ordering knobs for the constrained policy.
-const (
-	// HotForkThreshold is the per-PC fork count at which the policy
-	// switches from lazy clustering to eager merge-all for that PC: a PC
-	// forking this often is a convergence point (a loop branch) where
-	// one wide superstate ends the explosion fastest.
-	HotForkThreshold = 4
-	// ColdMaxStates bounds the distinct states a cold PC may accumulate
-	// before it collapses regardless of heat — lazy merging trades
-	// precision for extra paths, and the trade is only worth it while
-	// the PC stays quiet.
-	ColdMaxStates = 4
-)
-
-// constrained owns a per-PC table of conservative states refined by
-// designer facts (paper §3.3 [15]). Every incoming halt state is trimmed
-// by the facts *before* the subsumption test — so a trimmed state an
-// existing conservative state already covers is recognized as subsumed
-// instead of being reported as a fresh fork (the pre-PR-10 verdict leak).
-// Merge ordering is heat-directed: hot PCs merge eagerly into one
-// superstate (fast convergence where paths concentrate), cold PCs keep up
-// to ColdMaxStates distinct states (less over-approximation where the
-// extra paths are cheap). Without a heat source every PC merges eagerly,
-// reproducing merge-all-with-trim.
-type constrained struct {
-	mu    sync.Mutex
+// table is the one conservative-state repository behind every policy.
+type table struct {
+	name string
+	// perPC is how many states one PC may hold; an arrival at a full PC
+	// merges into the nearest stored state (ternary Hamming distance).
+	// Zero is unbounded.
+	perPC int
+	// total is the safety valve of an unbounded table: once this many
+	// states are stored, an arrival at a PC that already holds one merges
+	// into its first state, which guarantees convergence. Zero is no valve.
+	total int
+	// facts, when set, trim every observation before the subset test and
+	// answer FeasibleChild. Immutable.
 	facts *Facts
-	table map[uint64][]logic.Vec
-	n     int
-	heat  func(pc uint64) int
+
+	mu     sync.Mutex
+	states map[uint64][]logic.Vec
+	n      int
 }
 
-// NewConstrained builds the constrained policy from application
-// constraints. bits is the state width (vvp.StateSpec.Bits()). Invalid
-// constraints — an out-of-range bit, a non-binary pin value, an empty
-// range — are rejected with a *ConstraintError instead of being silently
-// skipped at observe time.
+func newTable(name string, perPC, total int, facts *Facts) *table {
+	return &table{name: name, perPC: perPC, total: total, facts: facts, states: make(map[uint64][]logic.Vec)}
+}
+
+// NewMergeAll returns the default CSM policy: one uber-conservative state
+// per PC, every non-subsumed arrival merged into it — the
+// quickest-converging, most conservative policy (Figure 3, red).
+func NewMergeAll() Manager { return newTable("merge-all", 1, 0, nil) }
+
+// NewClustered returns a policy keeping up to k conservative states per
+// PC, the middle ground of Figure 3 (blue): more simulation effort than
+// merge-all, less over-approximation. k must be at least 1; k == 1 is
+// MergeAll.
+func NewClustered(k int) Manager {
+	if k < 1 {
+		panic("csm: NewClustered requires k >= 1")
+	}
+	return newTable(fmt.Sprintf("clustered-%d", k), k, 0, nil)
+}
+
+// NewExact returns a no-merge policy that explores every distinct state:
+// full path enumeration, intractable for complex control flow (the
+// motivation for conservative states) but exact. maxStates bounds total
+// stored states as a safety valve (0 = unlimited).
+func NewExact(maxStates int) Manager { return newTable("exact", 0, maxStates, nil) }
+
+// NewConstrained builds the constrained policy — merge-all over states
+// trimmed by application constraints (paper §3.3 [15]). bits is the state
+// width (vvp.StateSpec.Bits()). Invalid constraints — an out-of-range bit,
+// a non-binary pin value, an empty range — are rejected with a
+// *ConstraintError instead of being silently skipped at observe time.
 func NewConstrained(bits int, cons []Constraint) (Manager, error) {
 	f, err := NewFacts(bits, cons)
 	if err != nil {
 		return nil, err
 	}
-	return &constrained{facts: f, table: make(map[uint64][]logic.Vec)}, nil
+	return newTable("constrained", 1, 0, f), nil
 }
 
-func (c *constrained) Name() string { return "constrained" }
+func (t *table) Name() string { return t.name }
 
-func (c *constrained) States() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
+func (t *table) States() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.n
 }
 
-func (c *constrained) SetHeat(heat func(pc uint64) int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.heat = heat
+// FeasibleChild implements Pruner; a table without facts disproves nothing.
+func (t *table) FeasibleChild(st vvp.State) bool {
+	return t.facts == nil || t.facts.Feasible(st)
 }
 
-// FeasibleChild implements Pruner: facts are immutable after
-// construction, so the check needs no lock.
-func (c *constrained) FeasibleChild(st vvp.State) bool {
-	return c.facts.Feasible(st)
-}
-
-func (c *constrained) Export() []SavedState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (t *table) Export() []SavedState {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	pcs := make([]uint64, 0, len(t.states))
+	for pc := range t.states {
+		pcs = append(pcs, pc)
+	}
+	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
 	var out []SavedState
-	for _, pc := range sortedPCs(c.table) {
-		for _, v := range c.table[pc] {
+	for _, pc := range pcs {
+		for _, v := range t.states[pc] {
 			out = append(out, SavedState{PC: pc, Bits: v.Clone()})
 		}
 	}
 	return out
 }
 
-// Import appends the states verbatim (like exact), so Export/Import
-// round-trips losslessly; a PC restored above ColdMaxStates collapses on
-// its next eager observe.
-func (c *constrained) Import(states []SavedState) error {
-	if err := checkWidths(states); err != nil {
-		return err
+// Import places the states verbatim up to the per-PC capacity, so a
+// policy's own Export round-trips losslessly; what exceeds the capacity —
+// a table written under a wider policy — merges like an arrival at a full
+// PC. The total-states valve does not apply: it bounds growth by
+// observation, not what a checkpoint restores.
+func (t *table) Import(states []SavedState) error {
+	for i := 1; i < len(states); i++ {
+		// Such a batch cannot have come from one Export and would poison
+		// later Subset/Merge calls.
+		if states[i].Bits.Width() != states[0].Bits.Width() {
+			return fmt.Errorf("csm: import width mismatch: state %d has %d bits, state 0 has %d",
+				i, states[i].Bits.Width(), states[0].Bits.Width())
+		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for _, s := range states {
-		c.table[s.PC] = append(c.table[s.PC], s.Bits.Clone())
-		c.n++
+		t.place(s.PC, s.Bits, false)
 	}
 	return nil
 }
 
-func (c *constrained) Observe(st vvp.State) Decision {
+func (t *table) Observe(st vvp.State) Decision {
 	// Trim the observation with the designer facts before anything else:
 	// the subsumption test must see the state that would actually be
-	// simulated. Pre-PR-10 the pins were applied after the merge verdict,
-	// so a pinned state the stored state already covered was still
-	// reported as a fork.
-	trimmed := st.Bits.Clone()
-	c.facts.Apply(st.PC, trimmed)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	states := c.table[st.PC]
-	for _, cs := range states {
-		if trimmed.Subset(cs) {
+	// simulated, or a pinned state the stored state already covers is
+	// reported as a fork. Nothing is re-applied after a merge: stored
+	// states must keep covering every trimmed observation, and merging
+	// trimmed states preserves that on its own — pins the observations
+	// agree on survive a merge unaided.
+	bits := st.Bits
+	if t.facts != nil {
+		bits = bits.Clone()
+		t.facts.Apply(st.PC, bits)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, c := range t.states[st.PC] {
+		if bits.Subset(c) {
 			return Decision{Subsumed: true}
 		}
 	}
-	// Merge ordering: cold PCs accumulate distinct states lazily; hot PCs
-	// (and everything, absent a heat source) collapse eagerly into one
-	// superstate.
-	eager := c.heat == nil || c.heat(st.PC) >= HotForkThreshold
-	if !eager && len(states) < ColdMaxStates {
-		c.table[st.PC] = append(states, trimmed.Clone())
-		c.n++
-		out := st
-		out.Bits = trimmed
-		return Decision{Explore: out}
-	}
-	// No fact re-application after the merge: stored states must keep
-	// covering every trimmed observation (the cluster replay lemma), and
-	// merging trimmed states preserves that on its own — pins the
-	// observations agree on survive a merge unaided.
-	merged := trimmed
-	for _, cs := range states {
-		merged = merged.Merge(cs)
-	}
-	c.n -= len(states)
-	c.table[st.PC] = []logic.Vec{merged}
-	c.n++
+	stored, merged := t.place(st.PC, bits, true)
 	out := st
-	out.Bits = merged.Clone()
-	return Decision{Explore: out}
+	out.Bits = stored.Clone()
+	return Decision{Merged: merged, Explore: out}
+}
+
+// place stores a copy of v under pc, or merges v into a stored state when
+// the PC is full (into the nearest) or, with valve set, when the table is
+// (into the PC's first). It returns the stored state and whether it is a
+// merge. Caller holds t.mu.
+func (t *table) place(pc uint64, v logic.Vec, valve bool) (logic.Vec, bool) {
+	states := t.states[pc]
+	into := -1
+	switch {
+	case t.perPC > 0 && len(states) >= t.perPC:
+		into = nearest(states, v)
+	case valve && t.total > 0 && t.n >= t.total && len(states) > 0:
+		into = 0
+	}
+	if into < 0 {
+		t.states[pc] = append(states, v.Clone())
+		t.n++
+		return v, false
+	}
+	states[into] = states[into].Merge(v)
+	return states[into], true
+}
+
+// nearest returns the index of the state closest to v in ternary Hamming
+// distance, the first of equals.
+func nearest(states []logic.Vec, v logic.Vec) int {
+	if len(states) == 1 {
+		return 0
+	}
+	best, bestD := 0, -1
+	for i, s := range states {
+		if d := v.HammingKnown(s); bestD < 0 || d < bestD {
+			best, bestD = i, d
+		}
+	}
+	return best
 }

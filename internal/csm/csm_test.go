@@ -249,44 +249,6 @@ func TestNewConstrainedRejectsBadConstraints(t *testing.T) {
 	}
 }
 
-// The heat-directed merge ordering: a cold PC keeps distinct states
-// (lazy), a hot PC collapses everything into one superstate (eager), and
-// a cold PC that outgrows ColdMaxStates collapses regardless.
-func TestConstrainedMergeOrderingByHeat(t *testing.T) {
-	c := mustConstrained(t, 4, nil)
-	heat := map[uint64]int{1: 0, 2: HotForkThreshold}
-	c.(HeatSink).SetHeat(func(pc uint64) int { return heat[pc] })
-
-	// Cold PC: two differing states stay distinct.
-	c.Observe(st(1, "0000"))
-	d := c.Observe(st(1, "1111"))
-	if d.Subsumed || d.Explore.Bits.CountX() != 0 {
-		t.Fatalf("cold PC merged eagerly: %+v", d.Explore.Bits)
-	}
-	if c.States() != 2 {
-		t.Fatalf("cold states = %d, want 2", c.States())
-	}
-
-	// Hot PC: the same pair collapses into one superstate.
-	c.Observe(st(2, "0000"))
-	d = c.Observe(st(2, "1111"))
-	if d.Subsumed || d.Explore.Bits.String() != "xxxx" {
-		t.Fatalf("hot PC did not merge: %+v", d.Explore.Bits)
-	}
-	if c.States() != 3 {
-		t.Fatalf("states after hot merge = %d, want 3", c.States())
-	}
-
-	// Cold overflow: past ColdMaxStates the PC collapses regardless.
-	for _, bits := range []string{"0011", "1100", "0101", "1010"} {
-		c.Observe(st(1, bits))
-	}
-	if got := len(c.Export()); got != 2 {
-		// PC 1 must have collapsed to a single state; PC 2 already has one.
-		t.Fatalf("exported states = %d, want 2 (cold PC did not collapse)", got)
-	}
-}
-
 func TestManagersAreConcurrencySafe(t *testing.T) {
 	cons := mustConstrained(t, 16, []Constraint{{AnyPC: true, Bit: 15, Val: logic.Lo}})
 	for _, m := range []Manager{NewMergeAll(), NewClustered(3), NewExact(100), cons} {

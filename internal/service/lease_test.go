@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"symsim/internal/core"
+	"symsim/internal/obs"
 	"symsim/internal/vvp"
 )
 
@@ -117,7 +118,10 @@ func TestLeaseExpiryRequeuesWedgedJob(t *testing.T) {
 // are never expired.
 func TestLeaseWatchdogLeavesHealthyJobsAlone(t *testing.T) {
 	svc, err := New(Config{
-		DataDir:         t.TempDir(),
+		DataDir: t.TempDir(),
+		// Own registry: the counter assertions below are about this
+		// service alone.
+		Metrics:         obs.NewRegistry(),
 		Workers:         2,
 		ProgressEvery:   time.Millisecond,
 		LeaseTTL:        2 * time.Second,

@@ -145,11 +145,12 @@ type Service struct {
 	// stopLease ends the lease watchdog on drain.
 	stopLease chan struct{}
 
-	m metricsState
+	// engines accumulates per-engine throughput for Metrics (mu-guarded).
+	engines map[string]*engineStat
 }
 
-// svcObs caches the service's Prometheus-exposed counters; they mirror
-// the JSON Metrics snapshot and are incremented at the same sites.
+// svcObs caches the service's counters: the one set behind both the
+// Prometheus series and the JSON Metrics snapshot.
 type svcObs struct {
 	accepted    *obs.Counter
 	cacheHits   *obs.Counter
@@ -188,26 +189,6 @@ func newSvcObs(reg *obs.Registry) *svcObs {
 		remoteMiss:  reg.Counter("symsim_service_remote_cache_misses_total", "Cluster memo-table lookups that missed."),
 		remoteErrs:  reg.Counter("symsim_service_remote_cache_errors_total", "Cluster memo-table operations that failed (treated as misses)."),
 	}
-}
-
-// metricsState is the mutable counter set behind Metrics (guarded by
-// Service.mu).
-type metricsState struct {
-	accepted     uint64
-	cacheHits    uint64
-	cacheMisses  uint64
-	coalesced    uint64
-	degraded     uint64
-	resumed      uint64
-	requeued     uint64
-	failed       uint64
-	storeFaults  uint64
-	leaseExpired uint64
-	tmpReaped    uint64
-	remoteHits   uint64
-	remoteMiss   uint64
-	remoteErrs   uint64
-	engines      map[string]*engineStat
 }
 
 // CacheClient is the cluster-wide second-level result cache seam (see
@@ -306,10 +287,10 @@ func New(cfg Config) (*Service, error) {
 		inflightByKey: make(map[string]string),
 		followers:     make(map[string][]string),
 		stopLease:     make(chan struct{}),
+		engines:       make(map[string]*engineStat),
 	}
 	s.om = newSvcObs(s.reg)
 	s.om.tmpReaped.Add(uint64(reaped))
-	s.m.tmpReaped = uint64(reaped)
 	s.reg.GaugeFunc("symsim_service_queue_depth", "Pending jobs in the queue.",
 		func() float64 { return float64(s.queue.Len()) })
 	s.reg.GaugeFunc("symsim_service_degraded", "1 while the durable store is failing writes (degraded mode), else 0.",
@@ -331,7 +312,6 @@ func New(cfg Config) (*Service, error) {
 			}
 			return float64(n)
 		})
-	s.m.engines = make(map[string]*engineStat)
 
 	recs, errs := st.loadJobs()
 	for _, e := range errs {
@@ -351,7 +331,6 @@ func New(cfg Config) (*Service, error) {
 				// the job still runs; the stale on-disk "running" record
 				// would simply be repaired again by the next restart.
 				cfg.Logf("service: persisting crash repair of job %s: %v", rec.ID, err)
-				s.m.storeFaults++
 				s.om.storeFaults.Inc()
 				s.noteStoreFaultLocked(err)
 			}
@@ -436,17 +415,13 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 	if s.draining {
 		return JobView{}, ErrDraining
 	}
-	s.m.accepted++
 	publish = append(publish, s.om.accepted)
 	switch {
 	case cl.remoteHit:
-		s.m.remoteHits++
 		publish = append(publish, s.om.remoteHits)
 	case cl.remoteMiss:
-		s.m.remoteMiss++
 		publish = append(publish, s.om.remoteMiss)
 	case cl.remoteErr:
-		s.m.remoteErrs++
 		publish = append(publish, s.om.remoteErrs)
 	}
 
@@ -454,7 +429,6 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 		// A faulting or corrupt cache entry is a miss, never an error to
 		// the client: the submission simply runs instead.
 		s.cfg.Logf("service: job %s: cache read: %v", rec.ID, cacheErr)
-		s.m.storeFaults++
 		publish = append(publish, s.om.storeFaults)
 		s.noteStoreFaultLocked(cacheErr)
 	} else if ok {
@@ -470,7 +444,6 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 		}
 		if werr == nil {
 			s.noteStoreOKLocked()
-			s.m.cacheHits++
 			publish = append(publish, s.om.cacheHits)
 			s.jobs[rec.ID] = &job{rec: rec}
 			s.hub.Publish(Event{Type: "state", Job: rec.ID, State: StateDone})
@@ -480,20 +453,17 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 		// refuses only if the record itself can't be saved) rather than
 		// failing a submission the analysis engine can still satisfy.
 		s.cfg.Logf("service: job %s: persisting cache hit: %v", rec.ID, werr)
-		s.m.storeFaults++
 		publish = append(publish, s.om.storeFaults)
 		s.noteStoreFaultLocked(werr)
 		rec.State = StateQueued
 		rec.Cached = false
 		rec.Started, rec.Finished = 0, 0
 	}
-	s.m.cacheMisses++
 	publish = append(publish, s.om.cacheMisses)
 
 	if err := s.store.saveJob(rec); err != nil {
 		// Refuse rather than accept a job the daemon could lose on
 		// restart: with no durable record, a crash would silently drop it.
-		s.m.storeFaults++
 		publish = append(publish, s.om.storeFaults)
 		s.noteStoreFaultLocked(err)
 		return JobView{}, fmt.Errorf("%w: %v", ErrDegraded, err)
@@ -508,7 +478,6 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 	if leaderID, ok := s.inflightByKey[key]; ok {
 		if lj := s.jobs[leaderID]; lj != nil && !terminal(lj.rec.State) {
 			s.followers[leaderID] = append(s.followers[leaderID], rec.ID)
-			s.m.coalesced++
 			publish = append(publish, s.om.coalesced)
 			s.hub.Publish(Event{Type: "state", Job: rec.ID, State: StateQueued})
 			return viewOf(s.jobs[rec.ID]), nil
@@ -614,7 +583,6 @@ func (s *Service) CacheGet(key string) ([]byte, bool, error) {
 	if err != nil {
 		s.cfg.Logf("service: memo get %s: %v", key, err)
 		s.mu.Lock()
-		s.m.storeFaults++
 		s.noteStoreFaultLocked(err)
 		s.mu.Unlock()
 		s.om.storeFaults.Inc()
@@ -636,7 +604,6 @@ func (s *Service) CachePut(key string, data []byte) error {
 	if err := s.store.writeCache(key, data); err != nil {
 		s.cfg.Logf("service: memo put %s: %v", key, err)
 		s.mu.Lock()
-		s.m.storeFaults++
 		s.noteStoreFaultLocked(err)
 		s.mu.Unlock()
 		s.om.storeFaults.Inc()
@@ -743,9 +710,6 @@ func (s *Service) analyze(ctx context.Context, jb *job, id string, spec JobSpec,
 			s.cfg.Logf("service: job %s: checkpoint unusable, restarting: %v", id, err)
 		} else {
 			cc.Resume = ckpt
-			s.mu.Lock()
-			s.m.resumed++
-			s.mu.Unlock()
 			s.om.resumed.Inc()
 			s.cfg.Logf("service: job %s: resuming from checkpoint (%d pending paths)", id, len(ckpt.Pending))
 		}
@@ -783,9 +747,6 @@ func (s *Service) finishJob(id string, attempt int, res *core.Result, err error)
 		if perr := s.cfg.RemoteCache.Put(remoteKey, remoteData); perr != nil {
 			s.cfg.Logf("service: job %s: remote cache put: %v", id, perr)
 			s.om.remoteErrs.Inc()
-			s.mu.Lock()
-			s.m.remoteErrs++
-			s.mu.Unlock()
 		}
 	}()
 	s.mu.Lock()
@@ -824,7 +785,6 @@ func (s *Service) finishJob(id string, attempt int, res *core.Result, err error)
 		j.rec.State = StateFailed
 		j.rec.Error = err.Error()
 		j.rec.Finished = now
-		s.m.failed++
 		publish = append(publish, s.om.failed)
 		s.store.removeCheckpoint(id)
 
@@ -852,7 +812,6 @@ func (s *Service) finishJob(id string, attempt int, res *core.Result, err error)
 			s.cfg.Logf("service: job %s: persisting result: %v (serving from memory)", id, werr)
 			j.resultData = data
 			memOnly = true
-			s.m.storeFaults++
 			s.noteStoreFaultLocked(werr)
 			publish = append(publish, s.om.storeFaults)
 		} else {
@@ -864,7 +823,6 @@ func (s *Service) finishJob(id string, attempt int, res *core.Result, err error)
 			// bypassed outright — it would only burn another fault.
 			if werr := s.store.writeCache(j.rec.CacheKey, data); werr != nil {
 				s.cfg.Logf("service: job %s: caching result: %v", id, werr)
-				s.m.storeFaults++
 				s.noteStoreFaultLocked(werr)
 				publish = append(publish, s.om.storeFaults)
 			}
@@ -885,7 +843,6 @@ func (s *Service) finishJob(id string, attempt int, res *core.Result, err error)
 		j.rec.State = StateQueued
 		j.rec.Started = 0
 		j.rec.Resumable = s.store.hasCheckpoint(id)
-		s.m.requeued++
 		publish = append(publish, s.om.requeued)
 
 	default:
@@ -893,7 +850,6 @@ func (s *Service) finishJob(id string, attempt int, res *core.Result, err error)
 		// cached.
 		j.rec.State = StateDone
 		j.rec.Finished = now
-		s.m.degraded++
 		publish = append(publish, s.om.degraded)
 		data, merr := json.Marshal(summarize(j.rec.Spec, res))
 		if merr != nil {
@@ -905,7 +861,6 @@ func (s *Service) finishJob(id string, attempt int, res *core.Result, err error)
 			s.cfg.Logf("service: job %s: persisting degraded result: %v (serving from memory)", id, werr)
 			j.resultData = data
 			memOnly = true
-			s.m.storeFaults++
 			s.noteStoreFaultLocked(werr)
 			publish = append(publish, s.om.storeFaults)
 		} else {
@@ -986,7 +941,6 @@ func (s *Service) settleFollowersLocked(leaderID string, data []byte, publish *[
 			s.cfg.Logf("service: job %s: persisting coalesced result: %v (serving from memory)", fid, werr)
 			fj.resultData = data
 			memOnly = true
-			s.m.storeFaults++
 			s.noteStoreFaultLocked(werr)
 			*publish = append(*publish, s.om.storeFaults)
 		} else {
@@ -1017,10 +971,10 @@ func (s *Service) removeFollowerLocked(id string) bool {
 
 // noteEngineLocked accrues per-engine throughput counters (mu held).
 func (s *Service) noteEngineLocked(rec *jobRecord, res *core.Result) {
-	st := s.m.engines[rec.Spec.Engine]
+	st := s.engines[rec.Spec.Engine]
 	if st == nil {
 		st = &engineStat{}
-		s.m.engines[rec.Spec.Engine] = st
+		s.engines[rec.Spec.Engine] = st
 	}
 	st.cycles += res.SimulatedCycles
 	if rec.Finished > rec.Started && rec.Started > 0 {
@@ -1035,7 +989,6 @@ func (s *Service) noteEngineLocked(rec *jobRecord, res *core.Result) {
 func (s *Service) persistJobLocked(j *job) (faulted bool) {
 	if err := s.store.saveJob(j.rec); err != nil {
 		s.cfg.Logf("service: persisting job %s: %v", j.rec.ID, err)
-		s.m.storeFaults++
 		s.noteStoreFaultLocked(err)
 		return true
 	}
@@ -1109,7 +1062,6 @@ func (s *Service) leaseSweep() {
 		j.rec.State = StateQueued
 		j.rec.Started = 0
 		j.rec.Resumable = s.store.hasCheckpoint(id)
-		s.m.leaseExpired++
 		publish = append(publish, s.om.leaseExpiry)
 		if s.persistJobLocked(j) {
 			publish = append(publish, s.om.storeFaults)
@@ -1400,30 +1352,33 @@ type EngineMetrics struct {
 // into, for the Prometheus /metrics endpoint and the debug listener.
 func (s *Service) Registry() *obs.Registry { return s.reg }
 
-// MetricsSnapshot assembles the current metrics.
+// MetricsSnapshot assembles the current metrics. The counters are the
+// registry's (Config.Metrics): services sharing one registry, as every
+// service of a process does by default, share them too.
 func (s *Service) MetricsSnapshot() Metrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	// Counters first: obs calls stay out of s.mu (SA003).
 	m := Metrics{
-		QueueDepth:        s.queue.Len(),
 		JobsByState:       make(map[State]int),
-		Accepted:          s.m.accepted,
-		CacheHits:         s.m.cacheHits,
-		CacheMisses:       s.m.cacheMisses,
-		Coalesced:         s.m.coalesced,
-		Degraded:          s.m.degraded,
-		Resumed:           s.m.resumed,
-		Requeued:          s.m.requeued,
-		Failed:            s.m.failed,
-		StoreFaults:       s.m.storeFaults,
+		Accepted:          s.om.accepted.Value(),
+		CacheHits:         s.om.cacheHits.Value(),
+		CacheMisses:       s.om.cacheMisses.Value(),
+		Coalesced:         s.om.coalesced.Value(),
+		Degraded:          s.om.degraded.Value(),
+		Resumed:           s.om.resumed.Value(),
+		Requeued:          s.om.requeued.Value(),
+		Failed:            s.om.failed.Value(),
+		StoreFaults:       s.om.storeFaults.Value(),
 		StoreDegraded:     s.degraded.Load(),
-		LeaseExpiries:     s.m.leaseExpired,
-		TmpReaped:         s.m.tmpReaped,
-		RemoteCacheHits:   s.m.remoteHits,
-		RemoteCacheMisses: s.m.remoteMiss,
-		RemoteCacheErrors: s.m.remoteErrs,
+		LeaseExpiries:     s.om.leaseExpiry.Value(),
+		TmpReaped:         s.om.tmpReaped.Value(),
+		RemoteCacheHits:   s.om.remoteHits.Value(),
+		RemoteCacheMisses: s.om.remoteMiss.Value(),
+		RemoteCacheErrors: s.om.remoteErrs.Value(),
 		Engines:           make(map[string]EngineMetrics),
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m.QueueDepth = s.queue.Len()
 	for _, j := range s.jobs {
 		m.JobsByState[j.rec.State]++
 		if j.rec.State == StateRunning {
@@ -1433,7 +1388,7 @@ func (s *Service) MetricsSnapshot() Metrics {
 	if lookups := m.CacheHits + m.CacheMisses; lookups > 0 {
 		m.CacheHitRate = float64(m.CacheHits) / float64(lookups)
 	}
-	for name, st := range s.m.engines {
+	for name, st := range s.engines {
 		em := EngineMetrics{SimulatedCycles: st.cycles, BusySeconds: st.seconds}
 		if st.seconds > 0 {
 			em.CyclesPerSec = float64(st.cycles) / st.seconds

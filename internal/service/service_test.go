@@ -380,7 +380,10 @@ func TestDrainCheckpointsAndRestartResumes(t *testing.T) {
 	// Restart over the same data directory: the job is recovered from the
 	// durable store, resumes from its checkpoint and completes.
 	svc2, err := New(Config{
-		DataDir:       dir,
+		DataDir: dir,
+		// Own registry: the counter assertions below are about this
+		// service alone.
+		Metrics:       obs.NewRegistry(),
 		Workers:       1,
 		ProgressEvery: time.Millisecond,
 		BuildPlatform: loopPlatform(t, mask),
@@ -473,7 +476,10 @@ func TestBackpressureAndCancel(t *testing.T) {
 // cache — degradation must never be frozen into the content cache.
 func TestDegradedResultIsServedButNotCached(t *testing.T) {
 	svc, err := New(Config{
-		DataDir:       t.TempDir(),
+		DataDir: t.TempDir(),
+		// Own registry: the counter assertions below are about this
+		// service alone.
+		Metrics:       obs.NewRegistry(),
 		Workers:       1,
 		ProgressEvery: time.Millisecond,
 		BuildPlatform: loopPlatform(t, 0xF),

@@ -62,8 +62,12 @@ type jobRecord struct {
 	Resumable bool
 }
 
-// jobMagic identifies version 1 of the job record format.
-const jobMagic = wire.JobMagic
+// jobMagic identifies the job record format written: version 2.
+// jobMagicV1 records, which lack Spec.Lanes, are still read.
+const (
+	jobMagic   = wire.JobMagic2
+	jobMagicV1 = wire.JobMagic
+)
 
 // ErrJobRecordCorrupt tags every job record decode failure, so callers can
 // distinguish corruption from I/O errors with errors.Is.
@@ -77,6 +81,7 @@ func (r *jobRecord) encode() []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(r.Spec.K))
 	b = binary.LittleEndian.AppendUint32(b, uint32(r.Spec.MaxStates))
 	b = binary.LittleEndian.AppendUint32(b, uint32(r.Spec.Workers))
+	b = binary.LittleEndian.AppendUint32(b, uint32(r.Spec.Lanes))
 	b = binary.LittleEndian.AppendUint32(b, uint32(int32(r.Spec.Priority)))
 	b = binary.LittleEndian.AppendUint64(b, uint64(r.Spec.DeadlineMS))
 	b = binary.LittleEndian.AppendUint64(b, r.Spec.MaxCycles)
@@ -109,10 +114,12 @@ func (r *jobRecord) encode() []byte {
 
 // decodeJobRecord parses a job record image; malformed input yields an
 // error wrapping ErrJobRecordCorrupt, never a panic, and any accepted
-// input re-encodes byte-identically.
+// input re-encodes byte-identically — a version-1 input as the version-2
+// image of the same record.
 func decodeJobRecord(data []byte) (*jobRecord, error) {
 	r := &recReader{b: data}
-	if magic := r.take(len(jobMagic)); r.err == nil && string(magic) != jobMagic {
+	magic := string(r.take(len(jobMagic)))
+	if r.err == nil && magic != jobMagic && magic != jobMagicV1 {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrJobRecordCorrupt, magic)
 	}
 	rec := &jobRecord{}
@@ -125,6 +132,9 @@ func decodeJobRecord(data []byte) (*jobRecord, error) {
 	rec.Spec.K = int(r.u32())
 	rec.Spec.MaxStates = int(r.u32())
 	rec.Spec.Workers = int(r.u32())
+	if magic == jobMagic {
+		rec.Spec.Lanes = int(r.u32())
+	}
 	rec.Spec.Priority = int(int32(r.u32()))
 	rec.Spec.DeadlineMS = r.i64()
 	rec.Spec.MaxCycles = r.u64()

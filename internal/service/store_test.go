@@ -14,7 +14,7 @@ func sampleRecord() *jobRecord {
 		ID: "a1b2c3",
 		Spec: JobSpec{
 			Design: "dr5", Bench: "tea8", Policy: "clustered", K: 4,
-			Engine: "kernel", MemX: "verilog", Workers: 2, Priority: -3,
+			Engine: "batch", MemX: "verilog", Workers: 2, Lanes: 4, Priority: -3,
 			DeadlineMS: 90_000, MaxCycles: 1 << 40, MaxForks: 7, MaxCSMStates: 11,
 		},
 		State:      StateQueued,
@@ -41,6 +41,37 @@ func TestJobRecordRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(got.encode(), data) {
 		t.Error("re-encode is not byte-identical")
+	}
+}
+
+// v1Image rewrites a version-2 record image into the version-1 layout:
+// the old magic, and no lane count after the worker count.
+func v1Image(t testing.TB, rec *jobRecord) []byte {
+	t.Helper()
+	v2 := rec.encode()
+	lanes := len(jobMagic)
+	for _, s := range []string{rec.ID, rec.Spec.Design, rec.Spec.Bench, rec.Spec.Policy, rec.Spec.Engine, rec.Spec.MemX} {
+		lanes += 4 + len(s)
+	}
+	lanes += 3 * 4 // K, MaxStates, Workers
+	v1 := append([]byte(jobMagicV1), v2[len(jobMagic):lanes]...)
+	return append(v1, v2[lanes+4:]...)
+}
+
+// A record written before Lanes was persisted still decodes, with the
+// engine-default lane count, and is rewritten in the current version.
+func TestJobRecordVersion1StillDecodes(t *testing.T) {
+	want := sampleRecord()
+	want.Spec.Lanes = 0
+	got, err := decodeJobRecord(v1Image(t, sampleRecord()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("version-1 decode:\n got %+v\nwant %+v", got, want)
+	}
+	if !bytes.Equal(got.encode(), want.encode()) {
+		t.Error("version-1 record does not re-encode as its version-2 image")
 	}
 }
 
@@ -95,7 +126,9 @@ func TestJobRecordBitFlips(t *testing.T) {
 
 func FuzzJobRecordRoundTrip(f *testing.F) {
 	f.Add(sampleRecord().encode())
+	f.Add(v1Image(f, sampleRecord()))
 	f.Add([]byte(jobMagic))
+	f.Add([]byte(jobMagicV1))
 	f.Add([]byte("SYMSIMJ9junk"))
 	trunc := sampleRecord().encode()
 	f.Add(trunc[:len(trunc)-3])
@@ -107,7 +140,16 @@ func FuzzJobRecordRoundTrip(f *testing.F) {
 			}
 			return
 		}
-		if !bytes.Equal(rec.encode(), data) {
+		enc := rec.encode()
+		if bytes.HasPrefix(data, []byte(jobMagicV1)) {
+			// A version-1 input is rewritten as version 2: same record.
+			again, err := decodeJobRecord(enc)
+			if err != nil || !reflect.DeepEqual(again, rec) {
+				t.Fatalf("version-1 input does not survive its rewrite: %v", err)
+			}
+			return
+		}
+		if !bytes.Equal(enc, data) {
 			t.Fatal("accepted input does not re-encode byte-identically")
 		}
 	})

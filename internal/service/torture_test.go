@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"symsim/internal/fault"
+	"symsim/internal/obs"
 )
 
 // This file is the store torture matrix: every filesystem operation the
@@ -341,7 +342,10 @@ func TestCorruptCacheEndToEnd(t *testing.T) {
 	}
 
 	svc2, err := New(Config{
-		DataDir:       dir,
+		DataDir: dir,
+		// Own registry: the counter assertions below are about this
+		// service alone.
+		Metrics:       obs.NewRegistry(),
 		Workers:       1,
 		ProgressEvery: time.Millisecond,
 		BuildPlatform: loopPlatform(t, 0x3),

@@ -23,6 +23,10 @@ const (
 	// (internal/service store.go): one fully-validated record per job,
 	// crash-repaired on daemon restart.
 	JobMagic = "SYMSIMJ1"
+	// JobMagic2 identifies version 2 of the durable job record, the one
+	// written: version 1 plus the spec's lane count. Version-1 records
+	// still decode, with Lanes 0 (the engine default).
+	JobMagic2 = "SYMSIMJ2"
 	// CacheKeyMagic identifies version 2 of the content-addressed result
 	// cache key (internal/service spec.go): a digest over the canonical
 	// netlist hash plus normalized analysis parameters. Digest-only —
@@ -65,7 +69,8 @@ type Format struct {
 var Formats = []Format{
 	{Magic: CheckpointMagic, Name: "checkpoint", Package: "symsim/internal/core", Fuzz: "FuzzCheckpointRoundTrip"},
 	{Magic: HashMagic, Name: "netlist content hash", Package: "symsim/internal/netlist", DigestOnly: true},
-	{Magic: JobMagic, Name: "job record", Package: "symsim/internal/service", Fuzz: "FuzzJobRecordRoundTrip"},
+	{Magic: JobMagic, Name: "job record v1", Package: "symsim/internal/service", Fuzz: "FuzzJobRecordRoundTrip"},
+	{Magic: JobMagic2, Name: "job record", Package: "symsim/internal/service", Fuzz: "FuzzJobRecordRoundTrip"},
 	{Magic: CacheKeyMagic, Name: "result cache key", Package: "symsim/internal/service", DigestOnly: true},
 	{Magic: OutcomeMagic, Name: "segment outcome", Package: "symsim/internal/core", Fuzz: "FuzzSegmentRoundTrip"},
 	{Magic: WorkMagic, Name: "segment work", Package: "symsim/internal/core", Fuzz: "FuzzSegmentRoundTrip"},

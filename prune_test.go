@@ -27,10 +27,11 @@ func tHoldPruneFacts(t testing.TB, p *symsim.Platform) []symsim.Constraint {
 
 // TestConstraintPruningReducesPathsSoundly is the acceptance gate of the
 // pre-fork pruner: with the tHold fact, every engine x MemX cell must
-// create strictly fewer paths with pruning on — and produce the
-// byte-identical tie-off list, because the pruned children are redundant
-// under the fact. DisablePrune is the only knob flipped between the two
-// runs, so any divergence is the pruner's.
+// create strictly fewer paths with pruning on — the pinned created-path
+// counts, off and on — and produce the byte-identical tie-off list, because
+// the pruned children are redundant under the fact. DisablePrune is the
+// only knob flipped between the two runs, so any divergence is the
+// pruner's.
 func TestConstraintPruningReducesPathsSoundly(t *testing.T) {
 	p, err := symsim.BuildPlatform(symsim.OMSP430, "tHold")
 	if err != nil {
@@ -39,12 +40,13 @@ func TestConstraintPruningReducesPathsSoundly(t *testing.T) {
 	cons := tHoldPruneFacts(t, p)
 	for _, memx := range []symsim.MemXPolicy{symsim.MemXVerilog, symsim.MemXSound} {
 		for _, eng := range []struct {
-			name string
-			e    symsim.SimEngine
+			name    string
+			e       symsim.SimEngine
+			off, on int // paths created without and with pruning
 		}{
-			{"interp", symsim.EngineInterp},
-			{"kernel", symsim.EngineKernel},
-			{"batch", symsim.EngineBatch},
+			{"interp", symsim.EngineInterp, 95, 78},
+			{"kernel", symsim.EngineKernel, 95, 78},
+			{"batch", symsim.EngineBatch, 175, 154},
 		} {
 			t.Run(fmt.Sprintf("memx=%v/%s", memx, eng.name), func(t *testing.T) {
 				run := func(disable bool) *symsim.Result {
@@ -70,9 +72,9 @@ func TestConstraintPruningReducesPathsSoundly(t *testing.T) {
 				if on.PathsPruned == 0 {
 					t.Error("pruning run pruned nothing")
 				}
-				if on.PathsCreated >= off.PathsCreated {
-					t.Errorf("paths created: pruned %d, unpruned %d — want strict drop",
-						on.PathsCreated, off.PathsCreated)
+				if off.PathsCreated != eng.off || on.PathsCreated != eng.on {
+					t.Errorf("paths created: unpruned %d, pruned %d — pinned %d, %d",
+						off.PathsCreated, on.PathsCreated, eng.off, eng.on)
 				}
 				toOff, toOn := off.TieOffs(), on.TieOffs()
 				if len(toOff) != len(toOn) {
