@@ -129,7 +129,7 @@ func BenchmarkBatchLaneTurnover(b *testing.B) {
 				if err := bs.RestoreLane(p.Spec, states[(i+1)&1], lane); err != nil {
 					b.Fatal(err)
 				}
-				snap = bs.SnapshotLane(p.Spec, lane)
+				snap = bs.SnapshotLane(p.Spec, lane, snap)
 			}
 			b.ReportMetric(float64(bs.Evals()-e0)/float64(b.N), "evals/op")
 			if snap.Time != states[b.N&1].Time {

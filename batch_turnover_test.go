@@ -87,7 +87,7 @@ func TestBatchSnapshotOfRestoreIsIdentity(t *testing.T) {
 			if err := bs.RestoreLane(p.Spec, c.st, c.lane); err != nil {
 				t.Fatal(err)
 			}
-			got := bs.SnapshotLane(p.Spec, c.lane)
+			got := bs.SnapshotLane(p.Spec, c.lane, vvp.State{})
 			if !got.Bits.Equal(c.st.Bits) || got.Time != c.st.Time || got.PC != c.st.PC || got.PCKnown != c.st.PCKnown {
 				t.Errorf("%v: %s: snapshot of the restored lane differs from the state restored", d, c.name)
 			}

@@ -439,6 +439,32 @@ func BenchmarkSettleSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkNewSimulator builds one scalar simulator per processor the way
+// an explorer does (kernel engine, monitor and stimulus bound): B/op and
+// allocs/op are the machine's mutable state — net values, flip-flop clock
+// samples, dirty bitmaps, the RAM slab — and none of the ROM, which is the
+// view's own. An analysis pays it once per explorer.
+func BenchmarkNewSimulator(b *testing.B) {
+	for _, d := range []symsim.Design{symsim.BM32, symsim.OMSP430, symsim.DR5} {
+		d := d
+		b.Run(string(d), func(b *testing.B) {
+			p, err := symsim.BuildPlatform(d, "tea8")
+			if err != nil {
+				b.Fatal(err)
+			}
+			p.Design.Program()
+			st := p.Stimulus()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sim := symsim.NewSimulator(p.Design, symsim.SimOptions{})
+				sim.SetMonitorX(&p.Monitor)
+				sim.BindStimulus(st)
+			}
+		})
+	}
+}
+
 // BenchmarkObsOverhead measures the cost of the observability layer on a
 // fork-heavy co-analysis: "off" is the default path (metrics only, the
 // always-on configuration every run pays), "trace" additionally streams

@@ -11,6 +11,11 @@
 // ns/op or allocs/op, per-cycle figures (ns/cycle is already reported by
 // the harness; allocs/cycle is computed here) are added — the quantities
 // the perf trajectory tracks per CPU x benchmark.
+//
+// Repeated runs: with `go test -count N` a benchmark prints N lines. They
+// are folded into one entry whose metrics are the medians over the runs,
+// with the minima beside them — on a shared machine the minimum is the
+// run least disturbed and the median says how typical it was.
 package main
 
 import (
@@ -21,15 +26,23 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
 
-// Benchmark is one benchmark result line.
+// Benchmark is one benchmark: a single result line, or the fold of the
+// lines `-count N` printed for it.
 type Benchmark struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
+	Name       string `json:"name"`
+	Iterations int64  `json:"iterations"`
+	// Runs is the number of lines folded; omitted for a single run, where
+	// Metrics is that run's and Min is omitted too.
+	Runs int `json:"runs,omitempty"`
+	// Metrics is the median of each metric over the runs.
+	Metrics map[string]float64 `json:"metrics"`
+	// Min is the minimum of each metric over the runs.
+	Min map[string]float64 `json:"min,omitempty"`
 }
 
 // Report is the whole converted run.
@@ -99,7 +112,45 @@ func parse(r io.Reader) (*Report, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	rep.Benchmarks = fold(rep.Benchmarks)
 	return rep, nil
+}
+
+// fold merges result lines of the same name, in order of first appearance:
+// each metric becomes its median over the lines (the mean of the middle two
+// for an even count) with its minimum in Min. A metric some lines lack is
+// folded over the lines that have it.
+func fold(lines []Benchmark) []Benchmark {
+	var out []Benchmark
+	var samples []map[string][]float64 // per entry of out, per unit
+	index := map[string]int{}
+	for _, b := range lines {
+		i, seen := index[b.Name]
+		if !seen {
+			i = len(out)
+			index[b.Name] = i
+			out = append(out, b)
+			samples = append(samples, map[string][]float64{})
+		}
+		out[i].Runs++
+		for unit, v := range b.Metrics {
+			samples[i][unit] = append(samples[i][unit], v)
+		}
+	}
+	for i := range out {
+		b := &out[i]
+		if b.Runs == 1 {
+			b.Runs = 0
+			continue
+		}
+		b.Min = map[string]float64{}
+		for unit, xs := range samples[i] {
+			sort.Float64s(xs)
+			b.Min[unit] = xs[0]
+			b.Metrics[unit] = (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2
+		}
+	}
+	return out
 }
 
 func main() {

@@ -65,3 +65,27 @@ func TestParseIgnoresNoise(t *testing.T) {
 		t.Fatalf("noise parsed as benchmarks: %+v", rep.Benchmarks)
 	}
 }
+
+// Lines repeated by -count fold into one entry: median and minimum per
+// metric, in order of first appearance; a single line stays as it was.
+func TestParseFoldsRepeatedRuns(t *testing.T) {
+	rep, err := parse(strings.NewReader(`BenchmarkA/x-2   10   300 ns/op   7 allocs/op
+BenchmarkB-2     5    50 ns/op
+BenchmarkA/x-2   10   100 ns/op   7 allocs/op
+BenchmarkA/x-2   10   200 ns/op   9 allocs/op
+BenchmarkA/x-2   10   900 ns/op   7 allocs/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 2 || rep.Benchmarks[0].Name != "BenchmarkA/x" || rep.Benchmarks[1].Name != "BenchmarkB" {
+		t.Fatalf("folded to %+v", rep.Benchmarks)
+	}
+	a, b := rep.Benchmarks[0], rep.Benchmarks[1]
+	if a.Runs != 4 || a.Metrics["ns/op"] != 250 || a.Min["ns/op"] != 100 || a.Metrics["allocs/op"] != 7 || a.Min["allocs/op"] != 7 {
+		t.Errorf("four runs folded to %+v", a)
+	}
+	if b.Runs != 0 || b.Min != nil || b.Metrics["ns/op"] != 50 {
+		t.Errorf("single run folded to %+v", b)
+	}
+}

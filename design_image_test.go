@@ -43,8 +43,8 @@ func unshared(t *testing.T, p *symsim.Platform) *symsim.Platform {
 // like an unshared netlist holding the same image, and on the three
 // straight-line tea8 cells plus one forking cell per processor the
 // analysis must produce byte-identical tie-offs on it, under both
-// engines that read the image differently (kernel: per-word clones at
-// vvp.New; batch: one packed power-on image).
+// engines that read the image differently (kernel: the view's own ROM
+// words, shared, and a copy of its RAM; batch: one packed power-on image).
 func TestDesignImageOracle(t *testing.T) {
 	for _, c := range cells() {
 		p, err := symsim.BuildPlatform(c.Design, c.Bench)
@@ -174,6 +174,118 @@ func TestPlatformsShareDesign(t *testing.T) {
 			a.Mems, b.Mems = nil, nil
 			if !reflect.DeepEqual(a, b) {
 				t.Errorf("%s/%s: netlist differs from %s's beyond Mems", d, bench, first.Bench)
+			}
+		}
+	}
+}
+
+// TestTwoViewsTwoSimulators guards what scalar simulators share: the ROM
+// words of a simulator are its view's Mem.Init, not a copy. Two views of
+// each processor get two simulators apiece, all four running at once: each
+// must read its own view's ROM, and a testbench write in one — SetMemWord on
+// a ROM word, which copies the ROM first, or on a RAM word — must reach
+// neither the view's Init, nor the simulator beside it on the same view,
+// nor the other view. Under the race detector a write through to a shared
+// Init word is a race with the reader stepping on it.
+func TestTwoViewsTwoSimulators(t *testing.T) {
+	newSim := func(p *symsim.Platform) *vvp.Simulator {
+		sim := vvp.New(p.Design, vvp.Options{})
+		sim.SetMonitorX(&p.Monitor)
+		sim.BindStimulus(p.Stimulus())
+		return sim
+	}
+	for _, d := range []symsim.Design{symsim.BM32, symsim.OMSP430, symsim.DR5} {
+		var views [2]*symsim.Platform
+		var inits [2][][]symsim.Vec // per view, per memory: Init as bound
+		for v, bench := range []string{"tea8", "mult"} {
+			p, err := symsim.BuildPlatform(d, bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			views[v] = p
+			for _, m := range p.Design.Mems {
+				var words []symsim.Vec
+				for _, w := range m.Init {
+					words = append(words, w.Clone())
+				}
+				inits[v] = append(inits[v], words)
+			}
+		}
+		rom, ram := netlist.MemID(-1), netlist.MemID(-1)
+		for mi, m := range views[0].Design.Mems {
+			if m.IsROM() {
+				rom = netlist.MemID(mi)
+			} else {
+				ram = netlist.MemID(mi)
+			}
+		}
+		if rom < 0 || ram < 0 {
+			t.Fatalf("%s: want a ROM and a RAM", d)
+		}
+		differ := len(inits[0][rom]) != len(inits[1][rom])
+		for w := 0; !differ && w < len(inits[0][rom]); w++ {
+			differ = !inits[0][rom][w].Equal(inits[1][rom][w])
+		}
+		if !differ {
+			t.Fatalf("%s: the two images hold the same ROM", d)
+		}
+		width := views[0].Design.Mems[rom].DataBits
+		poison := symsim.NewVecUint64(width, 0x5a5a)
+
+		// sims[v][0] writes, sims[v][1] only runs.
+		var sims [2][2]*vvp.Simulator
+		var wg sync.WaitGroup
+		for v := range views {
+			for k := 0; k < 2; k++ {
+				wg.Add(1)
+				go func(v, k int) {
+					defer wg.Done()
+					sim := newSim(views[v])
+					sims[v][k] = sim
+					for i := 0; i < 40; i++ {
+						if i == 10 && k == 0 {
+							sim.SetMemWord(rom, 0, poison)
+							sim.SetMemWord(ram, 3, poison)
+						}
+						if _, err := sim.Step(); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(v, k)
+			}
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		for v, p := range views {
+			for mi, m := range p.Design.Mems {
+				for w := range m.Init {
+					if !m.Init[w].Equal(inits[v][mi][w]) {
+						t.Fatalf("%s/%s: a simulator wrote through to %s.Init[%d]", d, p.Bench, m.Name, w)
+					}
+				}
+			}
+			writer, reader := sims[v][0], sims[v][1]
+			if got := writer.MemWord(rom, 0); !got.Equal(poison) {
+				t.Errorf("%s/%s: SetMemWord on the ROM did not take: %v", d, p.Bench, got)
+			}
+			for _, sim := range []*vvp.Simulator{reader, newSim(p)} {
+				for w, want := range inits[v][rom] {
+					if got := sim.MemWord(rom, w); !got.Equal(want) {
+						t.Fatalf("%s/%s: ROM word %d reads %v, the view holds %v", d, p.Bench, w, got, want)
+					}
+				}
+				if last := p.Design.Mems[rom].Words - 1; last >= len(inits[v][rom]) && sim.MemWord(rom, last).CountX() != width {
+					t.Errorf("%s/%s: ROM word %d, past the image, is not all-X", d, p.Bench, last)
+				}
+			}
+			if got := writer.MemWord(rom, 1); !got.Equal(inits[v][rom][1]) {
+				t.Errorf("%s/%s: the writer's ROM copy lost word 1: %v", d, p.Bench, got)
+			}
+			if reader.MemWord(ram, 3).Equal(poison) {
+				t.Errorf("%s/%s: a RAM write in one simulator shows in another", d, p.Bench)
 			}
 		}
 	}

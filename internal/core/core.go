@@ -65,7 +65,8 @@ type Platform struct {
 	Inputs []vvp.InputEvent
 	// Specialize, when non-nil, refines a forked child's starting state
 	// with the chosen branch interpretation — the paper's "Xs in the
-	// monitored state are re-interpreted as ones or zeros" (§3.3). The
+	// monitored state are re-interpreted as ones or zeros" (§3.3). st is the
+	// child's own copy, which the function may rewrite and return. The
 	// openMSP430 platform uses it to pin the status flag a conditional
 	// jump tests; designs whose branch conditions are relations between
 	// registers (bm32, dr5) cannot refine their state this way and leave
@@ -800,10 +801,13 @@ func (a *analysis) classify(out *pathOutcome) {
 		a.res.PathsSkipped++
 		return
 	}
-	taken, notTaken := d.Explore.Clone(), d.Explore.Clone()
+	// Both children start from the CSM's copy: an entry's state is only
+	// ever read (restored, compared, encoded), so they share it. A platform
+	// that specializes rewrites each child's state, so there they part.
+	taken, notTaken := d.Explore, d.Explore
 	if a.p.Specialize != nil {
+		notTaken = a.p.Specialize(notTaken.Clone(), false)
 		taken = a.p.Specialize(taken, true)
-		notTaken = a.p.Specialize(notTaken, false)
 	}
 	children := []entry{
 		{state: taken, forced: logic.Hi, hasForce: true, parent: out.stat.ID},

@@ -35,12 +35,13 @@ type laneEngine interface {
 	StepAll() (finished, halted uint64, err error)
 	// CyclesLane counts clock cycles since the lane was last restored.
 	CyclesLane(lane int) uint64
-	// ToggledLane and LaneNetValues return the lane's toggle profile and
-	// net valuation. dst is storage the engine may use or ignore; the
-	// result is only valid until the engine next steps or restores.
+	// ToggledLane, LaneNetValues and SnapshotLane return the lane's toggle
+	// profile, net valuation and machine state. dst is storage the engine
+	// may use or ignore; the result is only valid until the engine next
+	// steps or restores, or the same call is made again.
 	ToggledLane(lane int, dst []bool) []bool
 	LaneNetValues(lane int, dst []logic.Value) []logic.Value
-	SnapshotLane(sp *vvp.StateSpec, lane int) vvp.State
+	SnapshotLane(sp *vvp.StateSpec, lane int, dst vvp.State) vvp.State
 	RetireLane(lane int)
 	Evals() uint64
 	Sweeps() uint64
@@ -84,20 +85,15 @@ func (s *scalarLane) CyclesLane(int) uint64 { return s.sim.Cycles() - s.base }
 
 func (s *scalarLane) ToggledLane(int, []bool) []bool { return s.sim.Toggled() }
 
-func (s *scalarLane) LaneNetValues(_ int, dst []logic.Value) []logic.Value {
-	if n := len(s.sim.Design().Nets); len(dst) != n {
-		dst = make([]logic.Value, n)
-	}
-	for i := range dst {
-		dst[i] = s.sim.Value(netlist.NetID(i))
-	}
-	return dst
+func (s *scalarLane) LaneNetValues(int, []logic.Value) []logic.Value { return s.sim.Values() }
+
+func (s *scalarLane) SnapshotLane(sp *vvp.StateSpec, _ int, dst vvp.State) vvp.State {
+	return s.sim.SnapshotInto(sp, dst)
 }
 
-func (s *scalarLane) SnapshotLane(sp *vvp.StateSpec, _ int) vvp.State { return s.sim.Snapshot(sp) }
-func (s *scalarLane) RetireLane(int)                                  {}
-func (s *scalarLane) Evals() uint64                                   { return s.sim.Evals() }
-func (s *scalarLane) Sweeps() uint64                                  { return s.sim.Sweeps() }
+func (s *scalarLane) RetireLane(int) {}
+func (s *scalarLane) Evals() uint64  { return s.sim.Evals() }
+func (s *scalarLane) Sweeps() uint64 { return s.sim.Sweeps() }
 
 // newSimulator builds a scalar simulator bound to the platform's testbench.
 // Under EngineBatch it is the compiled kernel: the batch data layout lives
@@ -116,7 +112,8 @@ func (x *explorer) newSimulator(trace *vvp.Trace) *vvp.Simulator {
 // coldBoot simulates the reset sequence on a fresh scalar simulator and
 // returns it standing at the application's initial state (Algorithm 1
 // lines 4–5). Every engine boots this way: reset is a one-off, and the
-// scalar simulator is the one that can record Config.Trace.
+// scalar simulator is the one that can record Config.Trace. A scalar run
+// keeps the simulator for every later segment (see explorer.cold).
 func (x *explorer) coldBoot() (*vvp.Simulator, error) {
 	sim := x.newSimulator(x.cfg.Trace)
 	for resetEnd := x.p.resetEndTime(); sim.Now() <= resetEnd; {
@@ -145,17 +142,21 @@ type explorer struct {
 	laneOcc *obs.Histogram
 	// eng is built on first use and dropped when a panic escapes it.
 	eng laneEngine
-	// cold marks eng as a cold-boot simulator: it runs its one segment and
-	// is dropped, because it would keep writing Config.Trace.
+	// cold marks eng as a cold-boot simulator that cannot serve the rest of
+	// the run — it would keep writing Config.Trace, or the run's engine is
+	// the batch one — so it is dropped after its one segment.
 	cold bool
 	// occupied marks the lanes holding an admitted segment; lane[l] is
 	// meaningful for those.
 	occupied uint64
 	lane     []segment
-	// toggled and endVals are the scratch every outcome's profile is read
-	// into: the source's settle absorbs or encodes them and retains neither.
+	// toggled, endVals and halt are the scratch every outcome's profile and
+	// halt state are read into: the source's settle absorbs, copies or
+	// encodes them and retains none. A scalar engine hands out its own
+	// toggle and value storage instead and leaves the first two nil.
 	toggled []bool
 	endVals []logic.Value
+	halt    vvp.State
 	// Attribution marks. Lanes share each engine pass, so a settled
 	// segment is charged the engine effort and wall time since this
 	// explorer's previous settlement; the sums over a run are exact.
@@ -234,7 +235,8 @@ func (x *explorer) restore(fresh uint64) error {
 			if err != nil {
 				return x.pathErr(l, err)
 			}
-			x.setEngine(&scalarLane{sim: sim, base: sim.Cycles()}, true)
+			x.setEngine(&scalarLane{sim: sim, base: sim.Cycles()},
+				x.cfg.Trace != nil || x.cfg.Engine == vvp.EngineBatch)
 		} else {
 			if x.eng == nil {
 				if x.cfg.Engine == vvp.EngineBatch {
@@ -357,14 +359,16 @@ func (x *explorer) outcome(l int, fin, hal bool) pathOutcome {
 	case fin:
 		out.stat.End = EndFinished
 	case hal:
-		st := x.eng.SnapshotLane(x.p.Spec, l)
+		x.halt = x.eng.SnapshotLane(x.p.Spec, l, x.halt)
+		st := x.halt
 		if !st.PCKnown {
 			out.err = errors.New("core: program counter contained X at halt; cannot index conservative states")
 			break
 		}
 		out.stat.HaltPC = st.PC
 		if x.cfg.OnHalt != nil {
-			x.cfg.OnHalt(out.stat.ID, st)
+			// The hook may keep what it is handed; the scratch is reused.
+			x.cfg.OnHalt(out.stat.ID, st.Clone())
 		}
 		// The CSM classifies the halt under the scheduler lock (see
 		// classify); EndForked here is provisional.

@@ -37,7 +37,10 @@ type Decision struct {
 	// conservative state. Always false when Subsumed.
 	Merged bool
 	// Explore is the (possibly merged, possibly constrained) state to
-	// continue simulating when Subsumed is false.
+	// continue simulating when Subsumed is false. It is the caller's own
+	// copy: the manager keeps no reference to it, so it may be retained —
+	// by both children of a fork at once — or rewritten, and a later merge
+	// into the stored state does not reach it.
 	Explore vvp.State
 }
 
@@ -73,7 +76,8 @@ type SavedState struct {
 // safe for concurrent use; parallel path workers share one Manager.
 type Manager interface {
 	// Observe presents the state saved at a halt and returns the
-	// exploration decision.
+	// exploration decision. The manager neither keeps nor writes st: the
+	// caller may reuse its storage for the next halt.
 	Observe(st vvp.State) Decision
 	// Name identifies the policy for reports.
 	Name() string
@@ -233,15 +237,18 @@ func (t *table) Observe(st vvp.State) Decision {
 		}
 	}
 	stored, merged := t.place(st.PC, bits, true)
+	// The one copy a fork costs: the stored state is merged into in place
+	// from here on, so what leaves the table must not alias it.
 	out := st
 	out.Bits = stored.Clone()
 	return Decision{Merged: merged, Explore: out}
 }
 
-// place stores a copy of v under pc, or merges v into a stored state when
-// the PC is full (into the nearest) or, with valve set, when the table is
-// (into the PC's first). It returns the stored state and whether it is a
-// merge. Caller holds t.mu.
+// place stores a copy of v under pc, or merges v in place into a stored
+// state when the PC is full (into the nearest) or, with valve set, when the
+// table is (into the PC's first). It returns the stored state — the table's
+// own vector, for the caller to read before it unlocks, not to keep — and
+// whether it is a merge. Caller holds t.mu.
 func (t *table) place(pc uint64, v logic.Vec, valve bool) (logic.Vec, bool) {
 	states := t.states[pc]
 	into := -1
@@ -256,7 +263,7 @@ func (t *table) place(pc uint64, v logic.Vec, valve bool) (logic.Vec, bool) {
 		t.n++
 		return v, false
 	}
-	states[into] = states[into].Merge(v)
+	states[into].MergeInPlace(v)
 	return states[into], true
 }
 

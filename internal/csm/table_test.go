@@ -194,3 +194,64 @@ func TestConstrainedImportFoldsToOneStatePerPC(t *testing.T) {
 		}
 	}
 }
+
+// TestNothingAliasesTheTable guards the in-place merge: a stored state is
+// rewritten by every later merge at its PC, so nothing that leaves the table
+// — a Decision's Explore, which the frontier keeps for both children, or an
+// Export — and nothing that enters it may share a vector with it. One
+// scratch vector carries every observation in, as the explorer's halt
+// snapshot does; a reference manager fed private copies must decide
+// identically, and every Explore and Export taken on the way must still
+// read what it read when it was handed out.
+func TestNothingAliasesTheTable(t *testing.T) {
+	for _, mk := range []func() Manager{
+		NewMergeAll,
+		func() Manager { return NewClustered(4) },
+		func() Manager { return NewExact(64) },
+	} {
+		m, ref := mk(), mk()
+		type kept struct {
+			at        int
+			got, want logic.Vec
+		}
+		var explores, exports []kept
+		scratch := logic.NewVec(10)
+		merges := 0
+		for i, s := range randomStream(7, 600, 10) {
+			scratch.CopyFrom(s.Bits)
+			in := s
+			in.Bits = scratch
+			d, want := m.Observe(in), ref.Observe(s.Clone())
+			if !scratch.Equal(s.Bits) {
+				t.Fatalf("%s observe %d: Observe wrote to the state it was handed", m.Name(), i)
+			}
+			if d.Subsumed != want.Subsumed || d.Merged != want.Merged || !d.Explore.Bits.Equal(want.Explore.Bits) {
+				t.Fatalf("%s observe %d: decided %+v on a reused vector, %+v on a private one", m.Name(), i, d, want)
+			}
+			if d.Merged {
+				merges++
+			}
+			if !d.Subsumed {
+				explores = append(explores, kept{i, d.Explore.Bits, d.Explore.Bits.Clone()})
+			}
+			if i%50 == 0 {
+				for _, e := range m.Export() {
+					exports = append(exports, kept{i, e.Bits, e.Bits.Clone()})
+				}
+			}
+		}
+		if merges < 10 || len(exports) == 0 {
+			t.Fatalf("%s: %d merges, %d exported states: the stream proves nothing", m.Name(), merges, len(exports))
+		}
+		for _, k := range explores {
+			if !k.got.Equal(k.want) {
+				t.Errorf("%s: the Explore of observe %d changed under a later merge: %v, was %v", m.Name(), k.at, k.got, k.want)
+			}
+		}
+		for _, k := range exports {
+			if !k.got.Equal(k.want) {
+				t.Errorf("%s: a state exported at observe %d changed under a later merge: %v, was %v", m.Name(), k.at, k.got, k.want)
+			}
+		}
+	}
+}

@@ -27,8 +27,27 @@ func NewVec(width int) Vec {
 	if width < 0 {
 		panic("logic: negative Vec width")
 	}
-	n := (width + 63) / 64
-	return Vec{width: width, known: make([]uint64, n), val: make([]uint64, n)}
+	// Both planes share one backing array: a vector is one allocation.
+	w := (width + 63) / 64
+	slab := make([]uint64, 2*w)
+	return Vec{width: width, known: slab[:w:w], val: slab[w:]}
+}
+
+// NewVecs returns n all-X vectors of the given width laid out in one backing
+// array, so a memory's words cost two allocations however many there are.
+// The vectors are independent: no operation on one reaches another's words.
+func NewVecs(n, width int) []Vec {
+	if n < 0 || width < 0 {
+		panic("logic: negative Vec count or width")
+	}
+	w := (width + 63) / 64
+	slab := make([]uint64, 2*n*w)
+	vs := make([]Vec, n)
+	for i := range vs {
+		vs[i] = Vec{width: width, known: slab[:w:w], val: slab[w : 2*w : 2*w]}
+		slab = slab[2*w:]
+	}
+	return vs
 }
 
 // NewVecUint64 returns a fully-known vector of the given width holding v.
@@ -72,7 +91,7 @@ func (v Vec) Width() int { return v.width }
 
 // Clone returns a deep copy of v.
 func (v Vec) Clone() Vec {
-	c := Vec{width: v.width, known: make([]uint64, len(v.known)), val: make([]uint64, len(v.val))}
+	c := NewVec(v.width)
 	copy(c.known, v.known)
 	copy(c.val, v.val)
 	return c

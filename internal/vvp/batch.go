@@ -1094,9 +1094,10 @@ func (s *BatchSim) assertLaneState(sp *StateSpec, st State, lane int) {
 }
 
 // SnapshotLane captures lane lane's machine state per spec — the per-lane
-// Snapshot used when a lane halts on a symbolic branch.
-func (s *BatchSim) SnapshotLane(sp *StateSpec, lane int) State {
-	v := logic.NewVec(sp.bits)
+// Snapshot used when a lane halts on a symbolic branch — into dst's storage
+// when it has the spec's width (see Simulator.SnapshotInto).
+func (s *BatchSim) SnapshotLane(sp *StateSpec, lane int, dst State) State {
+	v := sp.bitsFor(dst)
 	var outs [64]netlist.NetID
 	for i := 0; i < len(sp.DFFs); i += 64 {
 		dffs := sp.DFFs[i:min(i+64, len(sp.DFFs))]

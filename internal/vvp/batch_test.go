@@ -168,7 +168,7 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 			t.Fatalf("%s: RestoreLane(%d): %v", ctx, lane, err)
 		}
 		checkLaneVsFresh(t, ctx, b, lane, sp, snap)
-		if back := b.SnapshotLane(sp, lane); !back.Bits.Equal(snap.Bits) || back.Time != snap.Time {
+		if back := b.SnapshotLane(sp, lane, State{}); !back.Bits.Equal(snap.Bits) || back.Time != snap.Time {
 			t.Fatalf("%s: lane %d snapshot after restore diverged: %s vs %s", ctx, lane, back.Bits, snap.Bits)
 		}
 		if r.Intn(2) == 0 {
@@ -226,7 +226,7 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 			if stt != Running {
 				// The exit snapshot the core hands to the explorer must
 				// match the scalar engine's bit for bit.
-				bs := b.SnapshotLane(sp, lane)
+				bs := b.SnapshotLane(sp, lane, State{})
 				rs := refs[lane].Snapshot(sp)
 				if !bs.Bits.Equal(rs.Bits) || bs.Time != rs.Time ||
 					bs.PCKnown != rs.PCKnown || bs.PC != rs.PC {

@@ -282,7 +282,13 @@ type Simulator struct {
 }
 
 type memState struct {
-	words   []logic.Vec
+	words []logic.Vec
+	// shared marks words as the design's own Mem.Init rather than a copy: a
+	// ROM is outside every StateSpec and no gate writes it, so simulators of
+	// one view read the same words. Init may stop short of the memory's
+	// size; the words past its end read all-X, as unwritten words do.
+	// SetMemWord, the only writer, takes a full private copy first.
+	shared  bool
 	lastClk logic.Value
 
 	// Scratch vectors for the read/write ports, sized once at construction
@@ -292,6 +298,15 @@ type memState struct {
 	waddr logic.Vec
 	wdata logic.Vec
 	xword logic.Vec
+}
+
+// word returns word a of the memory: the never-written all-X word when a is
+// past the stored words — out of range, or beyond a shared ROM image.
+func (ms *memState) word(a uint64) *logic.Vec {
+	if a < uint64(len(ms.words)) {
+		return &ms.words[a]
+	}
+	return &ms.xword
 }
 
 type nbaAssign struct {
@@ -343,19 +358,16 @@ func New(d *netlist.Netlist, opts Options) *Simulator {
 	s.mem = make([]memState, len(d.Mems))
 	for i, m := range d.Mems {
 		ms := memState{
-			words:   make([]logic.Vec, m.Words),
 			lastClk: logic.X,
 			raddr:   logic.NewVec(len(m.RAddr)),
 			waddr:   logic.NewVec(len(m.WAddr)),
 			wdata:   logic.NewVec(m.DataBits),
 			xword:   logic.NewVec(m.DataBits),
 		}
-		for w := range ms.words {
-			if w < len(m.Init) && m.Init[w].Width() == m.DataBits {
-				ms.words[w] = m.Init[w].Clone()
-			} else {
-				ms.words[w] = logic.NewVec(m.DataBits)
-			}
+		if m.IsROM() && wellFormedInit(m) {
+			ms.words, ms.shared = m.Init, true
+		} else {
+			ms.words = privateWords(m, m.Init)
 		}
 		s.mem[i] = ms
 	}
@@ -364,9 +376,20 @@ func New(d *netlist.Netlist, opts Options) *Simulator {
 	// the first stimulus event, as a Verilog simulator's initialization
 	// pass does.
 	if s.prog != nil {
-		for gi := range d.Gates {
-			s.dirtyGateK(netlist.GateID(gi))
+		// Every bit of the bitmap at once, and every level that has a gate.
+		for i := range s.dirtyW {
+			s.dirtyW[i] = ^uint64(0)
 		}
+		if r := uint(len(d.Gates)) & 63; r != 0 {
+			s.dirtyW[len(s.dirtyW)-1] = uint64(1)<<r - 1
+		}
+		for lvl := s.levels - 1; lvl >= 0; lvl-- {
+			if lo, hi := s.prog.LevelRange(lvl); lo != hi {
+				s.lvlW[uint32(lvl)>>6] |= uint64(1) << (uint32(lvl) & 63)
+				s.dirtyLo = lvl
+			}
+		}
+		s.dirtyN = len(d.Gates)
 	} else {
 		for gi := range d.Gates {
 			s.dirtyGate(netlist.GateID(gi))
@@ -376,6 +399,34 @@ func New(d *netlist.Netlist, opts Options) *Simulator {
 		s.dirtyMem(netlist.MemID(mi))
 	}
 	return s
+}
+
+// wellFormedInit reports whether m.Init can stand in for the memory's
+// leading words as it is: no more words than the memory has, each of the
+// data width (lint's NL000 reports the rest).
+func wellFormedInit(m *netlist.Mem) bool {
+	if len(m.Init) > m.Words {
+		return false
+	}
+	for _, w := range m.Init {
+		if w.Width() != m.DataBits {
+			return false
+		}
+	}
+	return true
+}
+
+// privateWords returns a simulator-owned copy of a memory's contents, all
+// words in one backing slab: from[w] where it has the data width, all-X
+// where it is missing or malformed.
+func privateWords(m *netlist.Mem, from []logic.Vec) []logic.Vec {
+	words := logic.NewVecs(m.Words, m.DataBits)
+	for w := range words {
+		if w < len(from) && from[w].Width() == m.DataBits {
+			words[w].CopyFrom(from[w])
+		}
+	}
+	return words
 }
 
 // Design returns the netlist under simulation.
@@ -396,6 +447,11 @@ func (s *Simulator) Evals() uint64 { return s.evals }
 
 // Value returns the current value of a net.
 func (s *Simulator) Value(id netlist.NetID) logic.Value { return s.val[id] }
+
+// Values returns the current value of every net, indexed by NetID. Like
+// Toggled, the slice aliases simulator storage: it is valid until the next
+// step or restore, and callers must not write to it.
+func (s *Simulator) Values() []logic.Value { return s.val }
 
 // VecValue reads a bus as a ternary vector, nets[0] being bit 0.
 func (s *Simulator) VecValue(nets []netlist.NetID) logic.Vec {
@@ -419,15 +475,22 @@ func (s *Simulator) ScheduleZeroDelay(id netlist.NetID, v logic.Value) {
 	s.inactiveQ = append(s.inactiveQ, nbaAssign{net: id, val: v})
 }
 
-// MemWord returns the current contents of one memory word.
+// MemWord returns the current contents of one memory word; a word the
+// memory does not have reads all-X, as it does through the read port.
 func (s *Simulator) MemWord(id netlist.MemID, word int) logic.Vec {
-	return s.mem[id].words[word].Clone()
+	return s.mem[id].word(uint64(word)).Clone()
 }
 
 // SetMemWord overwrites one memory word (testbench initialization). It
 // panics when v's width differs from the memory's data width.
 func (s *Simulator) SetMemWord(id netlist.MemID, word int, v logic.Vec) {
-	s.mem[id].words[word].CopyFrom(v)
+	ms := &s.mem[id]
+	if ms.shared {
+		// Copy on write: the words are the view's Mem.Init, which every
+		// other simulator of the view reads.
+		ms.words, ms.shared = privateWords(s.d.Mems[id], ms.words), false
+	}
+	ms.words[word].CopyFrom(v)
 	s.dirtyMem(id)
 }
 
@@ -783,8 +846,8 @@ func (s *Simulator) memRead(m *netlist.Mem, ms *memState) {
 	// Unknown or out-of-range address reads X (Verilog semantics); xword
 	// is the simulator's never-written all-X word.
 	word := &ms.xword
-	if a, ok := ms.raddr.Uint64(); ok && int(a) < m.Words {
-		word = &ms.words[a]
+	if a, ok := ms.raddr.Uint64(); ok {
+		word = ms.word(a)
 	}
 	for i, d := range m.RData {
 		s.commit(d, word.Get(i), RegionActive)

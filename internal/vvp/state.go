@@ -141,9 +141,15 @@ func (st State) Clone() State {
 }
 
 // Snapshot captures the machine state per spec (paper §3 modification 2:
-// "save the simulation state").
-func (s *Simulator) Snapshot(sp *StateSpec) State {
-	v := logic.NewVec(sp.bits)
+// "save the simulation state") in a state of its own.
+func (s *Simulator) Snapshot(sp *StateSpec) State { return s.SnapshotInto(sp, State{}) }
+
+// SnapshotInto is Snapshot into dst's storage: every bit of dst.Bits is
+// overwritten when it has the spec's width, and a fresh vector is allocated
+// when it has not. A caller that consumes each halt state before it takes
+// the next one — the explorer — saves the allocation.
+func (s *Simulator) SnapshotInto(sp *StateSpec, dst State) State {
+	v := sp.bitsFor(dst)
 	for i, g := range sp.DFFs {
 		v.Set(i, s.val[s.d.Gates[g].Out])
 	}
@@ -155,11 +161,29 @@ func (s *Simulator) Snapshot(sp *StateSpec) State {
 		}
 	}
 	st := State{Bits: v, Time: s.now}
-	pcv := s.VecValue(sp.PC)
-	if pc, ok := pcv.Uint64(); ok {
+	pc, known := uint64(0), len(sp.PC) <= 64
+	for i, n := range sp.PC {
+		switch s.val[n] {
+		case logic.Hi:
+			pc |= 1 << uint(i)
+		case logic.Lo:
+		default:
+			known = false
+		}
+	}
+	if known {
 		st.PC, st.PCKnown = pc, true
 	}
 	return st
+}
+
+// bitsFor returns the vector a snapshot per sp is written into: dst's when
+// it already has the spec's width, a new one otherwise.
+func (sp *StateSpec) bitsFor(dst State) logic.Vec {
+	if sp.bits > 0 && dst.Bits.Width() == sp.bits {
+		return dst.Bits
+	}
+	return logic.NewVec(sp.bits)
 }
 
 // Restore implements the $initialize_state system task (paper §3
