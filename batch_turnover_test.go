@@ -61,6 +61,52 @@ func TestBatchLaneTurnoverCounts(t *testing.T) {
 	}
 }
 
+// TestRestoreTurnoverCounts is the scalar analogue: Restore re-evaluates the
+// cone of what differs between the state the simulator holds and the state
+// it is given, and nothing else. Restoring the state already held evaluates
+// no gate and commits nothing; restoring a state ten cycles away evaluates,
+// in either direction and on both scalar engines, exactly the gates it did
+// when Restore committed every flip-flop without comparing first (the counts
+// were taken at that commit).
+func TestRestoreTurnoverCounts(t *testing.T) {
+	for _, c := range []struct {
+		design symsim.Design
+		evals  uint64 // gate evaluations between post-reset and ten cycles on
+	}{
+		{symsim.BM32, 7359},
+		{symsim.OMSP430, 357},
+		{symsim.DR5, 2597},
+	} {
+		p, st := warmState(t, c.design, "tHold")
+		away := stateCyclesLater(t, p, st, 10)
+		for _, eng := range []vvp.Engine{vvp.EngineKernel, vvp.EngineInterp} {
+			tr := &vvp.Trace{}
+			sim := vvp.New(p.Design, vvp.Options{Engine: eng, Trace: tr})
+			sim.BindStimulus(p.Stimulus())
+			restore := func(st vvp.State) (evals uint64, commits int) {
+				e0, c0 := sim.Evals(), len(tr.Events)
+				if err := sim.Restore(p.Spec, st); err != nil {
+					t.Fatal(err)
+				}
+				if got := sim.Snapshot(p.Spec); !got.Bits.Equal(st.Bits) || got.Time != st.Time {
+					t.Fatalf("%v/%v: snapshot of the restored simulator differs from the state restored", c.design, eng)
+				}
+				return sim.Evals() - e0, len(tr.Events) - c0
+			}
+			restore(st)
+			if e, n := restore(st); e != 0 || n != 0 {
+				t.Errorf("%v/%v: restoring the state already held evaluated %d gates and committed %d values, want 0 and 0", c.design, eng, e, n)
+			}
+			if e, _ := restore(away); e != c.evals {
+				t.Errorf("%v/%v: restoring a state 10 cycles on evaluated %d gates, want %d", c.design, eng, e, c.evals)
+			}
+			if e, _ := restore(st); e != c.evals {
+				t.Errorf("%v/%v: restoring the state 10 cycles back evaluated %d gates, want %d", c.design, eng, e, c.evals)
+			}
+		}
+	}
+}
+
 // TestBatchSnapshotOfRestoreIsIdentity checks, on all three processors,
 // that a state survives RestoreLane + SnapshotLane bit for bit — with a RAM
 // image of known and X bits that the word-chunked transplant must carry in

@@ -20,6 +20,7 @@ import (
 
 	"symsim"
 	"symsim/internal/obs"
+	"symsim/internal/vvp"
 )
 
 // analyzeOnce runs one co-analysis cell and reports the paper's metrics.
@@ -337,7 +338,12 @@ func BenchmarkEngineComparison(b *testing.B) {
 // recycle every queue, scratch vector and NBA batch it touches.
 //
 // interp and kernel free-run with the Symbolic region off and time every
-// step. kernel/symbolic/{posedge,negedge} run tea8 the way Analyze does —
+// step; kernel/ports does the same on openMSP430, whose tHold has finished
+// by then: the idle core evaluates no gate, so a step is the clock-domain
+// pass, the level rounds that reach the two memories and their ports (the
+// RAM re-evaluates on every clock toggle) — the row a change to
+// memRead/memWrite shows in.
+// kernel/symbolic/{posedge,negedge} run tea8 the way Analyze does —
 // Symbolic region on, rewound to a post-reset snapshot each time the
 // program finishes — and time the steps of one clock edge only, so the
 // kernel's clock-edge fast path has a number per edge. Every sub-benchmark
@@ -346,13 +352,15 @@ func BenchmarkSettleSteadyState(b *testing.B) {
 	for _, eng := range []struct {
 		name string
 		e    symsim.SimEngine
+		d    symsim.Design
 	}{
-		{"interp", symsim.EngineInterp},
-		{"kernel", symsim.EngineKernel},
+		{"interp", symsim.EngineInterp, symsim.BM32},
+		{"kernel", symsim.EngineKernel, symsim.BM32},
+		{"kernel/ports", symsim.EngineKernel, symsim.OMSP430},
 	} {
 		eng := eng
 		b.Run(eng.name, func(b *testing.B) {
-			p, err := symsim.BuildPlatform(symsim.BM32, "tHold")
+			p, err := symsim.BuildPlatform(eng.d, "tHold")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -435,6 +443,42 @@ func BenchmarkSettleSteadyState(b *testing.B) {
 			}
 			b.ReportMetric(float64(timed.Nanoseconds())/float64(b.N), "ns/op")
 			b.ReportMetric(float64(evals)/float64(b.N), "evals/step")
+		})
+	}
+}
+
+// BenchmarkRestoreTurnover measures what a scalar explorer pays per path
+// segment besides stepping, the counterpart of BenchmarkBatchLaneTurnover:
+// one op restores a state into the simulator and snapshots it into reused
+// storage. Restores alternate between two states ten clock cycles apart —
+// about one Table-4 segment — so each one re-evaluates a real difference;
+// evals/op is the gate visits that costs.
+func BenchmarkRestoreTurnover(b *testing.B) {
+	for _, d := range []symsim.Design{symsim.BM32, symsim.OMSP430, symsim.DR5} {
+		d := d
+		b.Run(string(d), func(b *testing.B) {
+			p, st := warmState(b, d, "tHold")
+			states := [2]vvp.State{st, stateCyclesLater(b, p, st, 10)}
+			sim := vvp.New(p.Design, vvp.Options{Engine: vvp.EngineKernel})
+			sim.SetMonitorX(&p.Monitor)
+			sim.BindStimulus(p.Stimulus())
+			if err := sim.Restore(p.Spec, st); err != nil {
+				b.Fatal(err)
+			}
+			var snap vvp.State
+			b.ReportAllocs()
+			b.ResetTimer()
+			e0 := sim.Evals()
+			for i := 0; i < b.N; i++ {
+				if err := sim.Restore(p.Spec, states[(i+1)&1]); err != nil {
+					b.Fatal(err)
+				}
+				snap = sim.SnapshotInto(p.Spec, snap)
+			}
+			b.ReportMetric(float64(sim.Evals()-e0)/float64(b.N), "evals/op")
+			if !snap.Bits.Equal(states[b.N&1].Bits) {
+				b.Fatal("snapshot of the restored simulator differs from the state restored")
+			}
 		})
 	}
 }

@@ -698,6 +698,12 @@ func (a *analysis) failLocked(err error) {
 // published. It reports false, having done nothing, when the segment is not
 // in flight.
 func (a *analysis) settle(out *pathOutcome, wall time.Duration) bool {
+	// A halt's PC is formatted once, outside the lock, for the decision log
+	// and every per-PC counter it lands in.
+	var pc string
+	if out.stat.End == EndForked {
+		pc = pcLabel(out.stat.HaltPC)
+	}
 	a.mu.Lock()
 	e, ok := a.inflight[out.stat.ID]
 	if !ok {
@@ -726,7 +732,7 @@ func (a *analysis) settle(out *pathOutcome, wall time.Duration) bool {
 	default:
 		a.absorb(*out)
 		if out.stat.End == EndForked {
-			a.classify(out)
+			a.classify(out, pc)
 		}
 	}
 	pending, inflight := a.front.len(), a.active
@@ -747,11 +753,11 @@ func (a *analysis) settle(out *pathOutcome, wall time.Duration) bool {
 	a.m.pending.Set(int64(pending))
 	a.m.inflight.Set(int64(inflight))
 	if out.stat.End == EndForked {
-		a.m.forkedByPC.With(pcLabel(out.stat.HaltPC)).Inc()
+		a.m.forkedByPC.With(pc).Inc()
 	}
 	if out.pruned > 0 {
 		a.m.pruned.Add(out.pruned)
-		a.m.prunedByPC.With(pcLabel(out.stat.HaltPC)).Add(out.pruned)
+		a.m.prunedByPC.With(pc).Add(out.pruned)
 	}
 	if out.quarantine != nil {
 		a.m.quarantines.Inc()
@@ -790,11 +796,12 @@ func forcedLabel(e entry) string {
 // held, which keeps the (CSM, worklist, result) triple a consistent cut
 // for checkpoints: a halt is either still pending or fully absorbed —
 // never observed by the CSM with its children missing from the worklist.
-func (a *analysis) classify(out *pathOutcome) {
+// pc is the label of the halt's PC.
+func (a *analysis) classify(out *pathOutcome, pc string) {
 	// absorb just appended this path.
 	idx := len(a.res.Paths) - 1
 	d := a.cfg.Policy.Observe(out.halt)
-	a.onDecision(out.stat.ID, out.halt, d)
+	a.onDecision(out.stat.ID, pc, out.halt, d)
 	if d.Subsumed {
 		out.stat.End = EndSubsumed
 		a.res.Paths[idx].End = EndSubsumed
@@ -865,9 +872,15 @@ func (a *analysis) absorb(out pathOutcome) {
 	a.res.SimulatedCycles += out.stat.Cycles
 	a.res.Paths = append(a.res.Paths, out.stat)
 	a.anchored = true
+	exercisable := a.res.ToggledNets
 	for n, t := range out.toggled {
+		if exercisable[n] {
+			// Nothing this path saw can change that, and nothing reads the
+			// constant of a toggled net.
+			continue
+		}
 		if t {
-			a.res.ToggledNets[n] = true
+			exercisable[n] = true
 			continue
 		}
 		v := out.endVals[n]
@@ -878,7 +891,7 @@ func (a *analysis) absorb(out pathOutcome) {
 			// The net is constant within each path but differs between
 			// paths: no single tie-off value exists, so it counts as
 			// exercisable.
-			a.res.ToggledNets[n] = true
+			exercisable[n] = true
 		}
 	}
 }
@@ -907,7 +920,7 @@ func (a *analysis) finish() {
 		// logged against path -1 (no segment simulated them).
 		for _, e := range a.front.stack {
 			if e.state.Bits.Width() > 0 && e.state.PCKnown {
-				a.onDecision(-1, e.state, a.cfg.Policy.Observe(e.state))
+				a.onDecision(-1, pcLabel(e.state.PC), e.state, a.cfg.Policy.Observe(e.state))
 				deg.ForcedMerges++
 			}
 		}

@@ -98,10 +98,10 @@ func pcLabel(pc uint64) string { return fmt.Sprintf("0x%x", pc) }
 
 // onDecision publishes the CSM's verdict d on st — the halt state of
 // segment path, or a pending state the degradation drain merges (path -1)
-// — to the per-PC merge/skip counters and, when tracing, the decision log.
-// Caller holds a.mu (finish's drain runs after every driver has left).
-func (a *analysis) onDecision(path int, st vvp.State, d csm.Decision) {
-	pc := pcLabel(st.PC)
+// — to the per-PC merge/skip counters (pc is pcLabel(st.PC)) and, when
+// tracing, the decision log. Caller holds a.mu (finish's drain runs after
+// every driver has left).
+func (a *analysis) onDecision(path int, pc string, st vvp.State, d csm.Decision) {
 	verdict := d.Verdict()
 	// xGained is the over-approximation cost of a merge: known bits the
 	// superstate turned unknown.

@@ -349,6 +349,19 @@ func (v *Vec) SetWord(off, n int, known, val uint64) {
 	}
 }
 
+// Planes returns v as one bit of each plane of a Vec word: known is 1 for Lo
+// and Hi, val is the level of a known bit (Z reads as X, as in Set).
+func (v Value) Planes() (known, val uint64) {
+	x := uint64(v) >> 1
+	return x ^ 1, uint64(v) & 1 &^ x
+}
+
+// PlaneBit is the inverse of Planes on bit j of a plane pair as Word returns
+// it: Lo or Hi where known has the bit, X elsewhere.
+func PlaneBit(known, val uint64, j int) Value {
+	return Value(val>>uint(j)&1 | (^known>>uint(j)&1)<<1)
+}
+
 // chunkMask returns a mask of the low c bits, 1 <= c <= 64.
 func chunkMask(c int) uint64 {
 	if c == 64 {

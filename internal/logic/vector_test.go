@@ -332,6 +332,27 @@ func TestVecCopyBitsFrom(t *testing.T) {
 	v.CopyBitsFrom(4, NewVec(8), 0, 5)
 }
 
+// TestPlanesAgreeWithSetAndGet: a value packed with Planes and written with
+// SetWord is what Set would have stored (Z as X), and PlaneBit reads it back
+// from the planes as Get does from the vector.
+func TestPlanesAgreeWithSetAndGet(t *testing.T) {
+	for _, j := range []int{0, 1, 31, 63} {
+		for _, bit := range []Value{Lo, Hi, X, Z} {
+			got, want := NewVec(64), NewVec(64)
+			k, l := bit.Planes()
+			got.SetWord(0, 64, k<<uint(j), l<<uint(j))
+			want.Set(j, bit)
+			if !got.Equal(want) {
+				t.Errorf("%v at bit %d: Planes stored %s, Set stores %s", bit, j, got, want)
+			}
+			known, val := want.Word(0, 64)
+			if b := PlaneBit(known, val, j); b != want.Get(j) {
+				t.Errorf("%v at bit %d: PlaneBit reads %v, Get reads %v", bit, j, b, want.Get(j))
+			}
+		}
+	}
+}
+
 // TestVecWordRoundTrip cross-checks Word and SetWord against per-bit
 // Get/Set on random vectors and (word-straddling) spans: Word packs the
 // span as known/val words, SetWord writes one back without touching its

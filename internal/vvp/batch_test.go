@@ -38,9 +38,10 @@ func checkLane(t *testing.T, ctx string, b *BatchSim, ref *Simulator, lane int) 
 	for mi := range ref.mem {
 		m := ref.d.Mems[mi]
 		img := b.mem[mi].image(lane)
-		for w := range ref.mem[mi].words {
+		for w := 0; w < m.Words; w++ {
+			word := ref.MemWord(netlist.MemID(mi), w)
 			for bit := 0; bit < m.DataBits; bit++ {
-				want := ref.mem[mi].words[w].Get(bit)
+				want := word.Get(bit)
 				if got := img.Get(w*m.DataBits + bit); got != want {
 					t.Fatalf("%s: lane %d mem %d word %d bit %d: %v vs %v",
 						ctx, lane, mi, w, bit, got, want)

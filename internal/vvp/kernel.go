@@ -51,30 +51,6 @@ func (s *Simulator) kernelLevel(lvl int32) error {
 	if lo != hi {
 		w0 := lo >> 6
 		w1 := (hi - 1) >> 6
-		if w0 == w1 {
-			// Levels spanning one bitmap word (the common case on real
-			// designs) claim and sweep without the scratch round-trip.
-			w := s.dirtyW[w0] &^ (uint64(1)<<(lo&63) - 1)
-			if hi&63 != 0 {
-				w &= uint64(1)<<(hi&63) - 1
-			}
-			if w != 0 {
-				s.dirtyW[w0] &^= w
-				n := bits.OnesCount64(w)
-				s.sweeps++
-				s.dirtyN -= n
-				base := netlist.GateID(w0 << 6)
-				for w != 0 {
-					s.evalGateK(base + netlist.GateID(bits.TrailingZeros64(w)))
-					w &= w - 1
-				}
-				if err := s.countDeltas(n); err != nil {
-					return err
-				}
-			}
-			s.drainLevelMems(lvl)
-			return nil
-		}
 		sw := s.scratchW[:0]
 		n := 0
 		for wi := w0; wi <= w1; wi++ {

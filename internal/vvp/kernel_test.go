@@ -19,9 +19,10 @@ import (
 // kernel end to end.
 
 // circuitShape selects the structural twists randCircuit adds to the plain
-// design (one primary-input clock, one primary-input reset). Every bit
-// takes the design out of the kernel's clock-edge fast path, so the
-// differential suite fuzzes the fallback as well as the fast path.
+// design (one primary-input clock, one primary-input reset). Every bit of
+// shapeOffFastPath takes the design out of the kernel's clock-edge fast
+// path, so the differential suite fuzzes the fallback as well as the fast
+// path; shapeWideMem leaves it there.
 type circuitShape uint8
 
 const (
@@ -30,7 +31,13 @@ const (
 	shapeLogicReset                             // some DFFs reset by OR(rst_n, net)
 	shapeClockOnD                               // the clock on a D pin
 	shapeMemGatedClock                          // the RAM written on AND(clk, net)
-	shapeAll           = shapeMemGatedClock<<1 - 1
+	// The RAM is 72 bits wide (two chunks of a word-at-a-time port) and has
+	// 5 words behind a 3-bit address (so addresses 5..7 name no word); its
+	// write enable and low address bits are primary inputs, so the X and Z
+	// the stimulus drives reach the ports unfiltered.
+	shapeWideMem
+	shapeAll         = shapeWideMem<<1 - 1
+	shapeOffFastPath = shapeWideMem - 1
 )
 
 // randMemCircuit builds a random clocked design with k inputs, f DFFs, g
@@ -46,7 +53,7 @@ func randMemCircuit(r *rand.Rand, k, f, g int, withMem bool) (*netlist.Netlist, 
 // eligible for the fast path by chance. A second clock is the primary
 // input "clk2", declared after the data inputs.
 func randCircuit(r *rand.Rand, k, f, g int, withMem bool, shape circuitShape) (*netlist.Netlist, []netlist.NetID) {
-	if shape&shapeMemGatedClock != 0 {
+	if shape&(shapeMemGatedClock|shapeWideMem) != 0 {
 		withMem = true
 	}
 	n := netlist.New("randmem")
@@ -100,14 +107,24 @@ func randCircuit(r *rand.Rand, k, f, g int, withMem bool, shape circuitShape) (*
 		if shape&shapeMemGatedClock != 0 {
 			memClk = derived("mclk", netlist.KindAnd, clk)
 		}
-		rd := []netlist.NetID{n.AddNet("rd0"), n.AddNet("rd1")}
-		n.AddMem(&netlist.Mem{
-			Name: "ram", AddrBits: 2, DataBits: 2, Words: 4,
-			RAddr: []netlist.NetID{pick(), pick()}, RData: rd,
-			Clk: memClk, WEn: pick(),
-			WAddr: []netlist.NetID{pick(), pick()},
-			WData: []netlist.NetID{pick(), pick()},
-		})
+		ram := &netlist.Mem{Name: "ram", AddrBits: 2, DataBits: 2, Words: 4, Clk: memClk, WEn: pick()}
+		if shape&shapeWideMem != 0 {
+			ram.AddrBits, ram.DataBits, ram.Words, ram.WEn = 3, 72, 5, ins[0]
+		}
+		var rd []netlist.NetID
+		for i := 0; i < ram.DataBits; i++ {
+			rd = append(rd, n.AddNet(fmt.Sprintf("rd%d", i)))
+			ram.WData = append(ram.WData, pick())
+		}
+		for i := 0; i < ram.AddrBits; i++ {
+			ram.RAddr = append(ram.RAddr, pick())
+			ram.WAddr = append(ram.WAddr, pick())
+		}
+		if shape&shapeWideMem != 0 {
+			ram.RAddr[0], ram.WAddr[0], ram.WAddr[1] = ins[1], ins[1], ins[0]
+		}
+		ram.RData = rd
+		n.AddMem(ram)
 		pool = append(pool, rd...)
 		rrd := []netlist.NetID{n.AddNet("rrd0")}
 		rom := &netlist.Mem{
@@ -192,7 +209,8 @@ const (
 	stimXClock        stimShape = 1 << iota // the clock passes through X, between and on toggles
 	stimPosedgeEvents                       // inputs change in the time step of a posedge
 	stimResetPulse                          // reset pulsed low mid-run
-	stimAll           = stimResetPulse<<1 - 1
+	stimZInputs                             // inputs float (Z) now and then
+	stimAll           = stimZInputs<<1 - 1
 )
 
 // twistStimulus adds the events of shape to st, plus a toggling schedule
@@ -226,6 +244,13 @@ func twistStimulus(r *rand.Rand, st *Stimulus, n *netlist.Netlist, ins []netlist
 		st.At(2*hp*c+1, rstn, logic.Lo)
 		st.At(2*hp*(c+1)+hp+1, rstn, logic.Hi)
 	}
+	if shape&stimZInputs != 0 {
+		for c := 2; c < nCycles; c++ {
+			if in := ins[r.Intn(len(ins))]; r.Intn(2) == 0 {
+				st.At(uint64(2*hp*c)+1, in, logic.Z)
+			}
+		}
+	}
 	st.Finalize()
 }
 
@@ -253,11 +278,10 @@ func checkAgreement(t *testing.T, ctx string, si, sk *Simulator) {
 				ctx, si.d.NetName(netlist.NetID(id)), si.val[id], sk.val[id])
 		}
 	}
-	for i := range si.mem {
-		for w := range si.mem[i].words {
-			if !si.mem[i].words[w].Equal(sk.mem[i].words[w]) {
-				t.Fatalf("%s: mem %d word %d: %s vs %s", ctx, i, w,
-					si.mem[i].words[w], sk.mem[i].words[w])
+	for i, m := range si.d.Mems {
+		for w := 0; w < m.Words; w++ {
+			if wi, wk := si.MemWord(netlist.MemID(i), w), sk.MemWord(netlist.MemID(i), w); !wi.Equal(wk) {
+				t.Fatalf("%s: mem %d word %d: %s vs %s", ctx, i, w, wi, wk)
 			}
 		}
 	}
@@ -299,11 +323,16 @@ func checkAgreement(t *testing.T, ctx string, si, sk *Simulator) {
 // draw a random set of twists.
 func diffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 	r := rand.New(rand.NewSource(seed))
-	var shape circuitShape
+	shape, stim := drawShapes(r)
+	diffTrialShaped(t, r, seed, memx, shape, stim)
+}
+
+// drawShapes is the draw diffTrial makes from a fresh seed.
+func drawShapes(r *rand.Rand) (shape circuitShape, stim stimShape) {
 	if r.Intn(2) == 0 {
 		shape = circuitShape(r.Intn(int(shapeAll) + 1))
 	}
-	diffTrialShaped(t, r, seed, memx, shape, stimShape(r.Intn(int(stimAll)+1)))
+	return shape, stimShape(r.Intn(int(stimAll) + 1))
 }
 
 // diffTrialShaped is diffTrial on a circuit and stimulus of the given
@@ -316,7 +345,7 @@ func diffTrialShaped(t *testing.T, r *rand.Rand, seed int64, memx MemXPolicy, sh
 	n, ins := randCircuit(r, 2+r.Intn(3), 2+r.Intn(4), 10+r.Intn(40), r.Intn(2) == 0, shape)
 	st := randStimulus(r, n, ins, nCycles)
 	twistStimulus(r, st, n, ins, nCycles, stim)
-	if eligible := n.Program().Clock != nil; eligible != (shape == 0) {
+	if eligible := n.Program().Clock != nil; eligible != (shape&shapeOffFastPath == 0) {
 		t.Fatalf("seed %d shape %#x: clock-domain table present = %v", seed, shape, eligible)
 	}
 	si, sk, ti, tk := enginePair(n, st, memx)
@@ -346,7 +375,7 @@ func diffTrialShaped(t *testing.T, r *rand.Rand, seed int64, memx MemXPolicy, sh
 	if si.FastEdges() != 0 {
 		t.Fatalf("seed %d: interpreter took %d fast edges", seed, si.FastEdges())
 	}
-	if fast := sk.FastEdges(); (fast != 0) != (shape == 0) {
+	if fast := sk.FastEdges(); (fast != 0) != (shape&shapeOffFastPath == 0) {
 		t.Fatalf("seed %d shape %#x stim %#x: kernel took %d fast edges", seed, shape, stim, fast)
 	}
 
@@ -393,8 +422,8 @@ func TestKernelMatchesInterpreterRandom(t *testing.T) {
 		diffTrial(t, seed, MemXSound)
 	}
 	seed := int64(1000)
-	for _, shape := range []circuitShape{0, shapeGatedClock, shapeSecondClock, shapeLogicReset, shapeClockOnD, shapeMemGatedClock} {
-		for _, stim := range []stimShape{0, stimXClock, stimPosedgeEvents, stimResetPulse} {
+	for _, shape := range []circuitShape{0, shapeGatedClock, shapeSecondClock, shapeLogicReset, shapeClockOnD, shapeMemGatedClock, shapeWideMem, shapeWideMem | shapeMemGatedClock} {
+		for _, stim := range []stimShape{0, stimXClock, stimPosedgeEvents, stimResetPulse, stimZInputs} {
 			for _, memx := range []MemXPolicy{MemXVerilog, MemXSound} {
 				seed++
 				diffTrialShaped(t, rand.New(rand.NewSource(seed)), seed, memx, shape, stim)
@@ -409,6 +438,15 @@ func FuzzKernelVsInterpreter(f *testing.F) {
 	f.Add(uint64(1), false)
 	f.Add(uint64(42), true)
 	f.Add(uint64(0xdeadbeef), false)
+	// The first two seeds that draw the wide RAM under floating inputs.
+	for seed, need := uint64(0), 2; need > 0; seed++ {
+		shape, stim := drawShapes(rand.New(rand.NewSource(int64(seed))))
+		if shape&shapeWideMem != 0 && stim&stimZInputs != 0 {
+			f.Add(seed, false)
+			f.Add(seed, true)
+			need--
+		}
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, sound bool) {
 		memx := MemXVerilog
 		if sound {

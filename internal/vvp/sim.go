@@ -282,31 +282,36 @@ type Simulator struct {
 }
 
 type memState struct {
-	words []logic.Vec
-	// shared marks words as the design's own Mem.Init rather than a copy: a
-	// ROM is outside every StateSpec and no gate writes it, so simulators of
-	// one view read the same words. Init may stop short of the memory's
-	// size; the words past its end read all-X, as unwritten words do.
-	// SetMemWord, the only writer, takes a full private copy first.
-	shared  bool
+	// words holds a ROM, and shared marks it as the design's own Mem.Init
+	// rather than a copy: a ROM is outside every StateSpec and no gate
+	// writes it, so simulators of one view read the same words. Init may
+	// stop short of the memory's size; the words past its end read all-X,
+	// as unwritten words do. SetMemWord, the only writer, takes a full
+	// private copy first.
+	words  []logic.Vec
+	shared bool
+	// image holds a writable memory, as one vector in the StateSpec segment
+	// layout (word w at bit w*DataBits) like a batch lane's: Restore and
+	// Snapshot move it with one copy, the ports a word at a time.
+	image   logic.Vec
 	lastClk logic.Value
 
-	// Scratch vectors for the read/write ports, sized once at construction
-	// so steady-state memory evaluation never allocates. xword stays all-X
-	// for the lifetime of the simulator and backs unknown-address reads.
-	raddr logic.Vec
-	waddr logic.Vec
-	wdata logic.Vec
+	// xword stays all-X for the lifetime of the simulator and backs
+	// unknown-address and past-the-end reads.
 	xword logic.Vec
 }
 
-// word returns word a of the memory: the never-written all-X word when a is
-// past the stored words — out of range, or beyond a shared ROM image.
-func (ms *memState) word(a uint64) *logic.Vec {
-	if a < uint64(len(ms.words)) {
-		return &ms.words[a]
+// word returns where word a of the memory is: a vector and the word's bit
+// offset in it. A word the memory does not store — out of range, or beyond a
+// shared ROM image — is the never-written all-X word.
+func (ms *memState) word(m *netlist.Mem, a uint64) (*logic.Vec, int) {
+	switch {
+	case m.IsROM() && a < uint64(len(ms.words)):
+		return &ms.words[a], 0
+	case !m.IsROM() && a < uint64(m.Words):
+		return &ms.image, int(a) * m.DataBits
 	}
-	return &ms.xword
+	return &ms.xword, 0
 }
 
 type nbaAssign struct {
@@ -359,14 +364,19 @@ func New(d *netlist.Netlist, opts Options) *Simulator {
 	for i, m := range d.Mems {
 		ms := memState{
 			lastClk: logic.X,
-			raddr:   logic.NewVec(len(m.RAddr)),
-			waddr:   logic.NewVec(len(m.WAddr)),
-			wdata:   logic.NewVec(m.DataBits),
 			xword:   logic.NewVec(m.DataBits),
 		}
-		if m.IsROM() && wellFormedInit(m) {
+		switch {
+		case !m.IsROM():
+			ms.image = logic.NewVec(m.Words * m.DataBits)
+			for w, init := range m.Init {
+				if w < m.Words && init.Width() == m.DataBits {
+					ms.image.CopyBitsFrom(w*m.DataBits, init, 0, m.DataBits)
+				}
+			}
+		case wellFormedInit(m):
 			ms.words, ms.shared = m.Init, true
-		} else {
+		default:
 			ms.words = privateWords(m, m.Init)
 		}
 		s.mem[i] = ms
@@ -416,7 +426,7 @@ func wellFormedInit(m *netlist.Mem) bool {
 	return true
 }
 
-// privateWords returns a simulator-owned copy of a memory's contents, all
+// privateWords returns a simulator-owned copy of a ROM's contents, all
 // words in one backing slab: from[w] where it has the data width, all-X
 // where it is missing or malformed.
 func privateWords(m *netlist.Mem, from []logic.Vec) []logic.Vec {
@@ -478,19 +488,27 @@ func (s *Simulator) ScheduleZeroDelay(id netlist.NetID, v logic.Value) {
 // MemWord returns the current contents of one memory word; a word the
 // memory does not have reads all-X, as it does through the read port.
 func (s *Simulator) MemWord(id netlist.MemID, word int) logic.Vec {
-	return s.mem[id].word(uint64(word)).Clone()
+	m := s.d.Mems[id]
+	from, off := s.mem[id].word(m, uint64(word))
+	v := logic.NewVec(m.DataBits)
+	v.CopyBitsFrom(0, *from, off, m.DataBits)
+	return v
 }
 
 // SetMemWord overwrites one memory word (testbench initialization). It
-// panics when v's width differs from the memory's data width.
+// panics when the memory has no such word or v is not of its data width.
 func (s *Simulator) SetMemWord(id netlist.MemID, word int, v logic.Vec) {
-	ms := &s.mem[id]
+	m, ms := s.d.Mems[id], &s.mem[id]
+	if word < 0 || word >= m.Words || v.Width() != m.DataBits {
+		panic(fmt.Sprintf("vvp: SetMemWord(%q, %d) of %d bits: the memory has %d words of %d", m.Name, word, v.Width(), m.Words, m.DataBits))
+	}
 	if ms.shared {
 		// Copy on write: the words are the view's Mem.Init, which every
 		// other simulator of the view reads.
-		ms.words, ms.shared = privateWords(s.d.Mems[id], ms.words), false
+		ms.words, ms.shared = privateWords(m, ms.words), false
 	}
-	ms.words[word].CopyFrom(v)
+	to, off := ms.word(m, uint64(word))
+	to.CopyBitsFrom(off, v, 0, m.DataBits)
 	s.dirtyMem(id)
 }
 
@@ -529,13 +547,8 @@ func (s *Simulator) PeakActivity() (toggles, cycle uint64) {
 // line 4–5).
 func (s *Simulator) StartRecording() {
 	s.recording = true
-	for i := range s.toggled {
-		s.toggled[i] = false
-	}
 	for i, v := range s.val {
-		if !v.IsKnown() {
-			s.toggled[i] = true
-		}
+		s.toggled[i] = !v.IsKnown()
 	}
 	if s.opts.CountActivity {
 		s.toggleCount = make([]uint64, len(s.d.Nets))
@@ -787,70 +800,67 @@ func (s *Simulator) evalMem(id netlist.MemID) {
 	s.memRead(m, ms)
 }
 
-// readVec samples a bus into the pre-sized scratch vector dst without
-// allocating; nets[0] is bit 0, as in VecValue.
-func (s *Simulator) readVec(dst *logic.Vec, nets []netlist.NetID) {
-	for i, n := range nets {
-		dst.Set(i, s.val[n])
-	}
-}
-
+// memWrite performs the write port on a rising clock: a known-0 enable
+// skips, a known-1 enable with a known address writes the word exactly, an
+// unknown enable merges into it (agreeing known bits kept, X otherwise), and
+// an unknown address follows the MemX policy — dropped, or merged into every
+// word the address could name. Address and data come straight from val, the
+// data in chunks of at most 64 bits (netlist.AddMem keeps an address under
+// 63).
+//
+//symsim:hotpath
 func (s *Simulator) memWrite(m *netlist.Mem, ms *memState) {
 	we := s.val[m.WEn]
 	if we == logic.Lo {
 		return
 	}
-	s.readVec(&ms.waddr, m.WAddr)
-	s.readVec(&ms.wdata, m.WData)
-	conservative := !we.IsKnown() // unknown enable: word may or may not update
-	if a, ok := ms.waddr.Uint64(); ok {
-		if int(a) >= m.Words {
-			return
-		}
-		if conservative {
-			ms.words[a].MergeInPlace(ms.wdata)
-		} else {
-			ms.words[a].CopyFrom(ms.wdata)
-		}
-		s.memRead(m, ms)
-		return
+	addr, addrX := s.busBits(m.WAddr)
+	if addrX != 0 && s.opts.MemX == MemXVerilog {
+		return // iverilog reg-array semantics: the write is dropped
 	}
-	// Unknown address.
-	switch s.opts.MemX {
-	case MemXVerilog:
-		// iverilog reg-array semantics: the write is dropped.
-		return
-	case MemXSound:
-		for w := 0; w < m.Words; w++ {
-			if addrCouldBe(ms.waddr, uint64(w)) {
-				ms.words[w].MergeInPlace(ms.wdata)
+	lo, hi := uint64(0), uint64(m.Words)
+	if addrX == 0 {
+		lo, hi = addr, min(addr+1, hi)
+	}
+	exact := addrX == 0 && we == logic.Hi
+	for off := 0; off < m.DataBits; off += 64 {
+		c := min(64, m.DataBits-off)
+		da, dx := s.busBits(m.WData[off : off+c])
+		for w := lo; w < hi; w++ {
+			if (w^addr)&^addrX != 0 {
+				continue // a known address bit differs
+			}
+			at := int(w)*m.DataBits + off
+			if exact {
+				ms.image.SetWord(at, c, ^dx, da)
+				continue
+			}
+			k, v := ms.image.Word(at, c)
+			ms.image.SetWord(at, c, k&^dx&^(v^da), v)
+		}
+	}
+}
+
+// memRead recomputes the asynchronous read port. An unknown or out-of-range
+// address reads X (Verilog semantics; xword is the simulator's never-written
+// all-X word). Only data bits that differ from their net are committed — a
+// forced net holds its forced value, so commit would do nothing there either.
+//
+//symsim:hotpath
+func (s *Simulator) memRead(m *netlist.Mem, ms *memState) {
+	word, base := &ms.xword, 0
+	if addr, addrX := s.busBits(m.RAddr); addrX == 0 {
+		word, base = ms.word(m, addr)
+	}
+	val := s.val
+	for off := 0; off < m.DataBits; off += 64 {
+		c := min(64, m.DataBits-off)
+		known, level := word.Word(base+off, c)
+		for j, d := range m.RData[off : off+c] {
+			if q := logic.PlaneBit(known, level, j); val[d] != q {
+				s.commit(d, q, RegionActive)
 			}
 		}
-		s.memRead(m, ms)
-	}
-}
-
-// addrCouldBe reports whether the ternary address vector could equal w.
-func addrCouldBe(addr logic.Vec, w uint64) bool {
-	for i := 0; i < addr.Width(); i++ {
-		b := addr.Get(i)
-		if b.IsKnown() && b != logic.Bool(w>>uint(i)&1 == 1) {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *Simulator) memRead(m *netlist.Mem, ms *memState) {
-	s.readVec(&ms.raddr, m.RAddr)
-	// Unknown or out-of-range address reads X (Verilog semantics); xword
-	// is the simulator's never-written all-X word.
-	word := &ms.xword
-	if a, ok := ms.raddr.Uint64(); ok {
-		word = ms.word(a)
-	}
-	for i, d := range m.RData {
-		s.commit(d, word.Get(i), RegionActive)
 	}
 }
 

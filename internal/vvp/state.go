@@ -25,6 +25,10 @@ type StateSpec struct {
 	bits     int
 	memBase  []int // bit offset of each entry in Mems
 	dffIndex map[netlist.GateID]int
+	// outs and clks are the output and clock net of each entry in DFFs: what
+	// Snapshot and Restore touch per flip-flop, gathered once so that neither
+	// walks Gate records.
+	outs, clks []netlist.NetID
 }
 
 // SpecFor builds the state specification for a design: all DFFs, all
@@ -36,6 +40,8 @@ func SpecFor(d *netlist.Netlist, pcName string) (*StateSpec, error) {
 		if d.Gates[gi].Kind == netlist.KindDFF {
 			sp.dffIndex[netlist.GateID(gi)] = len(sp.DFFs)
 			sp.DFFs = append(sp.DFFs, netlist.GateID(gi))
+			sp.outs = append(sp.outs, d.Gates[gi].Out)
+			sp.clks = append(sp.clks, d.Gates[gi].In[netlist.DFFPinClk])
 		}
 	}
 	sp.bits = len(sp.DFFs)
@@ -150,31 +156,37 @@ func (s *Simulator) Snapshot(sp *StateSpec) State { return s.SnapshotInto(sp, St
 // the next one — the explorer — saves the allocation.
 func (s *Simulator) SnapshotInto(sp *StateSpec, dst State) State {
 	v := sp.bitsFor(dst)
-	for i, g := range sp.DFFs {
-		v.Set(i, s.val[s.d.Gates[g].Out])
+	for i := 0; i < len(sp.outs); i += 64 {
+		c := min(64, len(sp.outs)-i)
+		a, x := s.busBits(sp.outs[i : i+c])
+		v.SetWord(i, c, ^x, a)
 	}
 	for k, mid := range sp.Mems {
-		m := s.d.Mems[mid]
-		base := sp.memBase[k]
-		for w := 0; w < m.Words; w++ {
-			v.CopyBitsFrom(base+w*m.DataBits, s.mem[mid].words[w], 0, m.DataBits)
-		}
+		img := s.mem[mid].image
+		v.CopyBitsFrom(sp.memBase[k], img, 0, img.Width())
 	}
 	st := State{Bits: v, Time: s.now}
-	pc, known := uint64(0), len(sp.PC) <= 64
-	for i, n := range sp.PC {
-		switch s.val[n] {
-		case logic.Hi:
-			pc |= 1 << uint(i)
-		case logic.Lo:
-		default:
-			known = false
+	if len(sp.PC) <= 64 {
+		if pc, x := s.busBits(sp.PC); x == 0 {
+			st.PC, st.PCKnown = pc, true
 		}
 	}
-	if known {
-		st.PC, st.PCKnown = pc, true
-	}
 	return st
+}
+
+// busBits packs the current values of up to 64 nets into one word per
+// plane, nets[0] being bit 0: x marks the bits that are X or Z, a holds the
+// level of the others (zero where x is set).
+//
+//symsim:hotpath
+func (s *Simulator) busBits(nets []netlist.NetID) (a, x uint64) {
+	val := s.val
+	for j, n := range nets {
+		k, v := val[n].Planes()
+		a |= v << uint(j)
+		x |= (k ^ 1) << uint(j)
+	}
+	return a, x
 }
 
 // bitsFor returns the vector a snapshot per sp is written into: dst's when
@@ -220,38 +232,45 @@ func (s *Simulator) Restore(sp *StateSpec, st State) error {
 
 	// Memories.
 	for k, mid := range sp.Mems {
-		m := s.d.Mems[mid]
-		base := sp.memBase[k]
-		for w := 0; w < m.Words; w++ {
-			s.mem[mid].words[w].CopyBitsFrom(0, st.Bits, base+w*m.DataBits, m.DataBits)
-		}
-		s.mem[mid].lastClk = s.val[m.Clk]
-		s.dirtyMem(mid)
+		ms := &s.mem[mid]
+		ms.image.CopyBitsFrom(0, st.Bits, sp.memBase[k], ms.image.Width())
+		ms.lastClk = s.val[s.d.Mems[mid].Clk]
 	}
-	// ROM read ports must also re-evaluate after input changes.
+	// Every read port re-evaluates: RAM contents and inputs both moved.
 	for mi := range s.d.Mems {
 		s.dirtyMem(netlist.MemID(mi))
 	}
 
-	// Flip-flops: commit Q values and sample clocks so no spurious edge
-	// fires on the first settle.
-	for i, g := range sp.DFFs {
-		gt := &s.d.Gates[g]
-		s.lastClk[s.gidx(g)] = s.val[gt.In[netlist.DFFPinClk]]
-		s.commit(gt.Out, st.Bits.Get(i), RegionActive)
-	}
+	s.assertState(sp, st)
 	if err := s.settle(); err != nil {
 		return err
 	}
 	// Re-assert flip-flop outputs: combinational settling may have rippled
 	// through DFF evaluation paths, but Q values are state and must equal
 	// the snapshot exactly.
-	for i, g := range sp.DFFs {
-		gt := &s.d.Gates[g]
-		s.lastClk[s.gidx(g)] = s.val[gt.In[netlist.DFFPinClk]]
-		s.commit(gt.Out, st.Bits.Get(i), RegionActive)
-	}
+	s.assertState(sp, st)
 	return s.settle()
+}
+
+// assertState commits the saved flip-flop outputs, 64 to a read of the saved
+// planes, and samples each flip-flop's clock so no spurious edge fires on
+// the next settle. Restore has dropped every force, so an output already at
+// its saved value needs no commit: the cost past the clock samples is
+// proportional to what differs.
+//
+//symsim:hotpath
+func (s *Simulator) assertState(sp *StateSpec, st State) {
+	val, lastClk := s.val, s.lastClk
+	for i := 0; i < len(sp.DFFs); i += 64 {
+		c := min(64, len(sp.DFFs)-i)
+		known, level := st.Bits.Word(i, c)
+		for j, out := range sp.outs[i : i+c] {
+			lastClk[s.gidx(sp.DFFs[i+j])] = val[sp.clks[i+j]]
+			if q := logic.PlaneBit(known, level, j); val[out] != q {
+				s.commit(out, q, RegionActive)
+			}
+		}
+	}
 }
 
 // gidx maps a netlist gate ID to the index of the per-gate simulator
@@ -276,8 +295,12 @@ func (st State) MarshalBinary() ([]byte, error) {
 	}
 	out = append(out, known)
 	out = binary.LittleEndian.AppendUint32(out, uint32(st.Bits.Width()))
-	for i := 0; i < st.Bits.Width(); i++ {
-		out = append(out, uint8(st.Bits.Get(i)))
+	for i := 0; i < st.Bits.Width(); i += 64 {
+		c := min(64, st.Bits.Width()-i)
+		kw, lw := st.Bits.Word(i, c)
+		for j := 0; j < c; j++ {
+			out = append(out, uint8(logic.PlaneBit(kw, lw, j)))
+		}
 	}
 	return out, nil
 }
@@ -304,13 +327,20 @@ func (st *State) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("vvp: state body is %d bytes, width says %d", len(body), width)
 	}
 	v := logic.NewVec(int(width))
-	for i, b := range body {
-		// Snapshot never records Z (Get folds it to X), so only 0/1/x
-		// bytes are canonical.
-		if b > uint8(logic.X) {
-			return fmt.Errorf("vvp: state bit %d has invalid value byte %d", i, b)
+	for i := 0; i < len(body); i += 64 {
+		chunk := body[i:min(i+64, len(body))]
+		var kw, lw uint64
+		for j, b := range chunk {
+			// Snapshot never records Z (Get folds it to X), so only 0/1/x
+			// bytes are canonical.
+			if b > uint8(logic.X) {
+				return fmt.Errorf("vvp: state bit %d has invalid value byte %d", i+j, b)
+			}
+			k, l := logic.Value(b).Planes()
+			kw |= k << uint(j)
+			lw |= l << uint(j)
 		}
-		v.Set(i, logic.Value(b))
+		v.SetWord(i, len(chunk), kw, lw)
 	}
 	st.Time, st.PC, st.PCKnown, st.Bits = t, pc, known == 1, v
 	return nil
