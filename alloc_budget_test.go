@@ -1,6 +1,7 @@
 package symsim_test
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -77,5 +78,56 @@ func TestAllocationBudget(t *testing.T) {
 	t.Logf("vvp.New on bm32: %d B, %d mallocs", bytes, mallocs)
 	if bytes > 100<<10 || mallocs > 40 {
 		t.Errorf("vvp.New on bm32 allocated %d B in %d objects, budget %d B in 40", bytes, mallocs, 100<<10)
+	}
+}
+
+// reachable returns the bytes v points to beyond its own storage: backing
+// arrays at their capacity, pointees, and whatever those reach in turn.
+func reachable(v reflect.Value) uintptr {
+	var n uintptr
+	switch v.Kind() {
+	case reflect.Slice:
+		n = uintptr(v.Cap()) * v.Type().Elem().Size()
+		for i := 0; i < v.Len(); i++ {
+			n += reachable(v.Index(i))
+		}
+	case reflect.Pointer:
+		if !v.IsNil() {
+			n = v.Type().Elem().Size() + reachable(v.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			n += reachable(v.Field(i))
+		}
+	}
+	return n
+}
+
+// TestProgramFootprint pins the size of the compiled tables of each
+// processor — what every process that touches the design keeps for good,
+// and so the part of peak RSS that compile decides. The fanout runs (one
+// 16-byte run where the per-gate CSR had 1.8 four-byte entries, and a
+// second copy per gate for the level round's in-line commit) took bm32 from
+// 963,220 B to 1,435,772, openMSP430 from 318,844 to 478,068 and dr5 from
+// 249,268 to 368,788; the budgets sit 2 % above what the tables measure, so
+// a third fanout table, or runs built with slack capacity, fails here.
+func TestProgramFootprint(t *testing.T) {
+	for _, c := range []struct {
+		design symsim.Design
+		bytes  uintptr
+	}{
+		{symsim.BM32, 1_465_000},
+		{symsim.OMSP430, 488_000},
+		{symsim.DR5, 376_000},
+	} {
+		p, err := symsim.BuildPlatform(c.design, "tea8")
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes := reachable(reflect.ValueOf(p.Design.Program()))
+		t.Logf("%s: compiled tables %d B", c.design, bytes)
+		if bytes > c.bytes {
+			t.Errorf("%s: compiled tables take %d B, budget %d", c.design, bytes, c.bytes)
+		}
 	}
 }

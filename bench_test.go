@@ -344,8 +344,8 @@ func BenchmarkEngineComparison(b *testing.B) {
 // RAM re-evaluates on every clock toggle) — the row a change to
 // memRead/memWrite shows in.
 // kernel/symbolic/{posedge,negedge} run tea8 the way Analyze does —
-// Symbolic region on, rewound to a post-reset snapshot each time the
-// program finishes — and time the steps of one clock edge only, so the
+// Symbolic region on, recording, rewound to a post-reset snapshot each time
+// the program finishes — and time the steps of one clock edge only, so the
 // kernel's clock-edge fast path has a number per edge. Every sub-benchmark
 // reports the gate evaluations of a timed step.
 func BenchmarkSettleSteadyState(b *testing.B) {
@@ -417,6 +417,7 @@ func BenchmarkSettleSteadyState(b *testing.B) {
 			if err := sim.Restore(p.Spec, start); err != nil {
 				b.Fatal(err)
 			}
+			sim.StartRecording() // a path of Analyze records: the level round commits in line
 			var timed time.Duration
 			var evals uint64
 			b.ReportAllocs()

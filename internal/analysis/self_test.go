@@ -46,7 +46,7 @@ func TestKernelSweepIsHot(t *testing.T) {
 	hot := analysis.HotFunctions(prog)
 	for _, want := range []string{
 		"symsim/internal/vvp.(Simulator).kernelLevel",
-		"symsim/internal/vvp.(Simulator).evalGateK",
+		"symsim/internal/vvp.(Simulator).dirtyRuns",
 		"symsim/internal/vvp.(Simulator).commit",
 		"symsim/internal/logic.(Vec).Get",
 		"symsim/internal/logic.(Vec).Set",

@@ -13,6 +13,7 @@ package netlist
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"symsim/internal/logic"
@@ -46,10 +47,11 @@ type GateDesc struct {
 //   - Gates holds one packed descriptor per gate (structure-of-arrays
 //     relative to the interpreter's Gate, which carries a heap-allocated
 //     input slice and a name string per instance).
-//   - Fan/FanIdx and MemFan/MemFanIdx store the per-net fanout in CSR form:
-//     one backing array plus offsets, so walking a net's consumers is a
-//     single contiguous slice scan instead of a [][]GateID double
-//     indirection.
+//   - Runs/RunIdx store the per-net gate fanout as runs of the kernel's
+//     dirty bitmap (see FanRun): the level-major numbering puts the
+//     consumers of one net in adjacent bits, so scheduling them is one OR
+//     per run — almost always one per net — instead of one event per gate.
+//     MemFan/MemFanIdx store the memory fanout in CSR form.
 //   - LvlMems/LvlMemIdx group memories by topological level, ascending ID.
 //
 // A Program is immutable and shared by every simulator of its netlist.
@@ -69,12 +71,19 @@ type Program struct {
 	GateLevel []int32
 	MemLevel  []int32
 
-	// FanIdx has len(Nets)+1 entries; gates reading net n are
-	// Fan[FanIdx[n]:FanIdx[n+1]], ascending kernel ID.
-	FanIdx []uint32
-	Fan    []GateID
-	// MemFanIdx/MemFan are the memory analogue (address, data, clock and
-	// enable pins), ascending MemID.
+	// RunIdx has len(Nets)+1 entries; the gates reading net n are the runs
+	// Runs[RunIdx[n]:RunIdx[n+1]], ascending.
+	RunIdx []uint32
+	Runs   []FanRun
+	// GateRun holds, per kernel gate, the whole fanout of its output when
+	// that is a single run, feeds no memory pin and lies at a level above
+	// the gate's own: a commit the level round may make in line, without
+	// touching dirtyLo (see vvp's kernelLevel). Every other gate has the
+	// zero FanRun and commits through the general path.
+	GateRun []FanRun
+	// MemFanIdx has len(Nets)+1 entries; the memories reading net n
+	// (address, data, clock and enable pins) are
+	// MemFan[MemFanIdx[n]:MemFanIdx[n+1]], ascending MemID.
 	MemFanIdx []uint32
 	MemFan    []MemID
 
@@ -94,6 +103,15 @@ type Program struct {
 	// Almost no net does, so the commit path tests the bit before paying
 	// for the MemFanIdx lookup.
 	memFanBits []uint64
+}
+
+// FanRun is the part of a net's gate fanout that shares one 64-bit word of
+// the kernel's dirty bitmap and one topological level: bit b of Mask is
+// kernel gate Word<<6|b. A gate reading the net on several pins is one bit.
+type FanRun struct {
+	Mask  uint64
+	Word  uint32
+	Level int32
 }
 
 // DomainDFF is one flip-flop of a ClockDomain: the three nets a capturing
@@ -129,9 +147,9 @@ type ClockDomain struct {
 	Members []DomainDFF
 	// Resets lists the distinct RSTN nets, ascending.
 	Resets []NetID
-	// Fan lists the combinational gates reading Net, ascending kernel ID:
-	// GateFan(Net) without the members.
-	Fan []GateID
+	// Fan is the combinational gates reading Net: FanRuns(Net) without the
+	// members.
+	Fan []FanRun
 }
 
 // LevelRange returns the kernel gate ID range [lo, hi) of topological
@@ -147,11 +165,12 @@ func (p *Program) LevelMems(l int32) []MemID {
 	return p.LvlMems[p.LvlMemIdx[l]:p.LvlMemIdx[l+1]]
 }
 
-// GateFan returns the kernel IDs of the gates reading net id, ascending.
+// FanRuns returns the gates reading net id as runs of the dirty bitmap,
+// ascending.
 //
 //symsim:hotpath
-func (p *Program) GateFan(id NetID) []GateID {
-	return p.Fan[p.FanIdx[id]:p.FanIdx[id+1]]
+func (p *Program) FanRuns(id NetID) []FanRun {
+	return p.Runs[p.RunIdx[id]:p.RunIdx[id+1]]
 }
 
 // MemFanOf returns the memories reading net id, ascending MemID.
@@ -219,26 +238,41 @@ func compile(n *Netlist) *Program {
 		p.GateLevel[k] = n.gateLevel[gi]
 	}
 
-	// Fanout CSR in kernel numbering. Freeze appends consumers in
+	// Fanout runs in kernel numbering. Freeze appends consumers in
 	// ascending netlist order; mapping through Renum breaks that, so each
-	// run is re-sorted (once, at compile time).
-	p.FanIdx = make([]uint32, len(n.Nets)+1)
-	total := 0
-	for _, f := range n.fanout {
-		total += len(f)
-	}
-	p.Fan = make([]GateID, 0, total)
+	// net's consumers are re-sorted (once, at compile time) and then cut
+	// wherever the bitmap word or the level changes.
+	p.RunIdx = make([]uint32, len(n.Nets)+1)
+	var runs []FanRun
+	var fan []GateID
 	for id, f := range n.fanout {
-		p.FanIdx[id] = uint32(len(p.Fan))
+		p.RunIdx[id] = uint32(len(runs))
+		fan = fan[:0]
 		for _, g := range f {
-			p.Fan = append(p.Fan, p.Renum[g])
+			fan = append(fan, p.Renum[g])
 		}
-		slices.Sort(p.Fan[p.FanIdx[id]:])
+		slices.Sort(fan)
+		first := len(runs)
+		for _, g := range fan {
+			w, lvl := uint32(g)>>6, p.GateLevel[g]
+			if last := len(runs) - 1; last < first || runs[last].Word != w || runs[last].Level != lvl {
+				runs = append(runs, FanRun{Word: w, Level: lvl})
+			}
+			runs[len(runs)-1].Mask |= 1 << (uint32(g) & 63)
+		}
 	}
-	p.FanIdx[len(n.Nets)] = uint32(len(p.Fan))
+	p.RunIdx[len(n.Nets)] = uint32(len(runs))
+	p.Runs = append(make([]FanRun, 0, len(runs)), runs...) // exact size: the table lives as long as the design
+	p.GateRun = make([]FanRun, len(p.Gates))
+	for k := range p.Gates {
+		out := p.Gates[k].Out
+		if r := p.FanRuns(out); len(r) == 1 && len(n.memFanout[out]) == 0 && r[0].Level > p.GateLevel[k] {
+			p.GateRun[k] = r[0]
+		}
+	}
 
 	p.MemFanIdx = make([]uint32, len(n.Nets)+1)
-	total = 0
+	total := 0
 	for _, f := range n.memFanout {
 		total += len(f)
 	}
@@ -304,9 +338,14 @@ func clockDomain(n *Netlist, p *Program) *ClockDomain {
 			return nil
 		}
 	}
-	for _, g := range p.GateFan(cd.Net) {
-		if p.Gates[g].Kind != KindDFF {
-			cd.Fan = append(cd.Fan, g)
+	for _, r := range p.FanRuns(cd.Net) {
+		for m := r.Mask; m != 0; m &= m - 1 {
+			if b := uint32(bits.TrailingZeros64(m)); p.Gates[r.Word<<6|b].Kind == KindDFF {
+				r.Mask &^= 1 << b
+			}
+		}
+		if r.Mask != 0 {
+			cd.Fan = append(cd.Fan, r)
 		}
 	}
 	return cd

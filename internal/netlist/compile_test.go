@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -53,9 +54,25 @@ func TestEvalLUTMatchesEvalGate(t *testing.T) {
 	}
 }
 
-// randProgNetlist builds a random frozen netlist with gates, DFFs and a
-// small RAM + ROM, exercising every CSR table.
-func randProgNetlist(r *rand.Rand) *Netlist {
+// progShape selects the twists randProgNetlist adds to the plain design —
+// the ones of internal/vvp's randCircuit, which decide what levels the
+// flip-flops and the RAM land on and whether the design keeps its
+// clock-domain table.
+type progShape uint8
+
+const (
+	progGatedClock    progShape = 1 << iota // flip-flop 0 on AND(clk, net)
+	progSecondClock                         // flip-flop 1 on a second primary-input clock
+	progLogicReset                          // flip-flop 0 reset by OR(rst_n, net)
+	progClockOnD                            // the clock on flip-flop 2's D pin
+	progMemGatedClock                       // the RAM written on AND(clk, net)
+	progWideMem                             // a 72-bit RAM: two words of read-data nets
+	progAll           = progWideMem<<1 - 1
+)
+
+// randProgNetlist builds a random frozen netlist with gates combinational
+// gates, four DFFs and a small RAM + ROM, exercising every compiled table.
+func randProgNetlist(r *rand.Rand, gates int, shape progShape) *Netlist {
 	n := New("randprog")
 	clk := n.AddInput("clk")
 	rstn := n.AddInput("rst_n")
@@ -70,41 +87,176 @@ func randProgNetlist(r *rand.Rand) *Netlist {
 		qs = append(qs, n.AddNet(fmt.Sprintf("q%d", i)))
 	}
 	pool = append(pool, qs...)
+	pick := func() NetID { return pool[r.Intn(len(pool))] }
 	kinds := []GateKind{KindAnd, KindOr, KindXor, KindNand, KindNor, KindXnor, KindNot, KindBuf, KindMux2}
-	for i := 0; i < 30; i++ {
+	for i := 0; i < gates; i++ {
 		kind := kinds[r.Intn(len(kinds))]
 		out := n.AddNet(fmt.Sprintf("c%d", i))
 		in := make([]NetID, kind.NumInputs())
 		for j := range in {
-			in[j] = pool[r.Intn(len(pool))]
+			in[j] = pick()
 		}
 		n.AddGate(kind, out, in...)
 		pool = append(pool, out)
 	}
-	for _, q := range qs {
-		n.AddDFF(q, pool[r.Intn(len(pool))], clk, one, rstn, logic.Lo)
+	derived := func(name string, kind GateKind, a NetID) NetID {
+		out := n.AddNet(name)
+		n.AddGate(kind, out, a, pick())
+		return out
 	}
-	// A 4-word RAM and ROM off the pool.
-	addr := []NetID{pool[r.Intn(len(pool))], pool[r.Intn(len(pool))]}
-	rd := []NetID{n.AddNet("rd0"), n.AddNet("rd1")}
-	n.AddMem(&Mem{
-		Name: "ram", AddrBits: 2, DataBits: 2, Words: 4,
-		RAddr: addr, RData: rd,
-		Clk: clk, WEn: pool[r.Intn(len(pool))],
-		WAddr: []NetID{pool[r.Intn(len(pool))], pool[r.Intn(len(pool))]},
-		WData: []NetID{pool[r.Intn(len(pool))], pool[r.Intn(len(pool))]},
-	})
+	for i, q := range qs {
+		d, c, rs := pick(), clk, rstn
+		switch {
+		case i == 0 && shape&progGatedClock != 0:
+			c = derived("gclk", KindAnd, clk)
+		case i == 1 && shape&progSecondClock != 0:
+			c = n.AddInput("clk2")
+		case i == 2 && shape&progClockOnD != 0:
+			d = clk
+		}
+		if i == 0 && shape&progLogicReset != 0 {
+			rs = derived("lrst", KindOr, rstn)
+		}
+		n.AddDFF(q, d, c, one, rs, logic.Lo)
+	}
+	// A RAM and a 4-word ROM off the pool.
+	ram := &Mem{Name: "ram", AddrBits: 2, DataBits: 2, Words: 4, Clk: clk, WEn: pick()}
+	if shape&progMemGatedClock != 0 {
+		ram.Clk = derived("mclk", KindAnd, clk)
+	}
+	if shape&progWideMem != 0 {
+		ram.DataBits = 72
+	}
+	for i := 0; i < ram.AddrBits; i++ {
+		ram.RAddr, ram.WAddr = append(ram.RAddr, pick()), append(ram.WAddr, pick())
+	}
+	for i := 0; i < ram.DataBits; i++ {
+		ram.RData, ram.WData = append(ram.RData, n.AddNet(fmt.Sprintf("rd%d", i))), append(ram.WData, pick())
+	}
+	n.AddMem(ram)
 	rrd := []NetID{n.AddNet("rrd0"), n.AddNet("rrd1")}
 	n.AddMem(&Mem{
 		Name: "rom", AddrBits: 2, DataBits: 2, Words: 4,
 		RAddr: []NetID{pool[0], pool[1]}, RData: rrd,
 		WEn: NoNet,
 	})
-	n.MarkOutput(pool[len(pool)-1])
+	// One more layer of logic on the read ports, so memory-driven nets have
+	// gate fanout too.
+	out := n.AddNet("cmem")
+	n.AddGate(KindXor, out, ram.RData[0], rrd[0])
+	n.MarkOutput(out)
 	if err := n.Freeze(); err != nil {
 		panic(err)
 	}
 	return n
+}
+
+// checkFanRuns checks the compiled gate fanout of n against Freeze's: the
+// runs of a net expand to exactly its consumers through Renum, ascending
+// (a gate on two pins once), each run within one bitmap word and one level
+// and no two adjacent runs mergeable; a gate's GateRun is its output's
+// fanout exactly when that is one run, feeds no memory pin and lies above
+// the gate's level, and zero otherwise; and the clock domain's Fan is the
+// clock's runs without the members. Shared with the three CPUs
+// (fanruns_cpu_test.go) through CheckFanRuns.
+func checkFanRuns(t testing.TB, n *Netlist) {
+	t.Helper()
+	p := n.Program()
+	expand := func(runs []FanRun) (gates []GateID) {
+		for i, r := range runs {
+			if r.Mask == 0 || i > 0 && runs[i-1].Word == r.Word && runs[i-1].Level == r.Level {
+				t.Fatalf("run %d of %+v is empty or continues the one before it", i, runs)
+			}
+			for m := r.Mask; m != 0; m &= m - 1 {
+				g := GateID(r.Word<<6 | uint32(bits.TrailingZeros64(m)))
+				if p.GateLevel[g] != r.Level {
+					t.Fatalf("run %+v holds gate %d of level %d", r, g, p.GateLevel[g])
+				}
+				gates = append(gates, g)
+			}
+		}
+		return gates
+	}
+	if len(p.Runs) != cap(p.Runs) || int(p.RunIdx[len(n.Nets)]) != len(p.Runs) {
+		t.Fatalf("Runs has len %d cap %d, RunIdx ends at %d", len(p.Runs), cap(p.Runs), p.RunIdx[len(n.Nets)])
+	}
+	for id := range n.Nets {
+		var want []GateID
+		for _, g := range n.Fanout(NetID(id)) {
+			want = append(want, p.Renum[g])
+		}
+		slices.Sort(want)
+		want = slices.Compact(want)
+		if got := expand(p.FanRuns(NetID(id))); !slices.Equal(got, want) {
+			t.Fatalf("net %d: runs expand to %v, fanout is %v", id, got, want)
+		}
+	}
+	for k := range p.Gates {
+		out := p.Gates[k].Out
+		var want FanRun
+		if r := p.FanRuns(out); len(r) == 1 && len(n.MemFanout(out)) == 0 && r[0].Level > p.GateLevel[k] {
+			want = r[0]
+		}
+		if p.GateRun[k] != want {
+			t.Fatalf("gate %d (level %d, %d runs, %d memory pins): GateRun %+v, want %+v",
+				k, p.GateLevel[k], len(p.FanRuns(out)), len(n.MemFanout(out)), p.GateRun[k], want)
+		}
+	}
+	if cd := p.Clock; cd != nil {
+		want := slices.DeleteFunc(expand(p.FanRuns(cd.Net)), func(g GateID) bool { return p.Gates[g].Kind == KindDFF })
+		if got := expand(cd.Fan); !slices.Equal(got, want) {
+			t.Fatalf("clock domain Fan expands to %v, want %v", got, want)
+		}
+	}
+}
+
+// CheckFanRuns is checkFanRuns for the external test package, which can
+// import the processors.
+var CheckFanRuns = checkFanRuns
+
+// TestFanRuns checks the fanout runs on random designs of every shape,
+// small enough to sit in one bitmap word and large enough to straddle
+// several, so that one-run nets, multi-word nets and multi-level nets all
+// occur; and that every kind of GateRun verdict does.
+func TestFanRuns(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	var inline, multi, memPin int
+	for shape := progShape(0); shape <= progAll; shape++ {
+		for _, gates := range []int{30, 200, 700} {
+			n := randProgNetlist(r, gates, shape)
+			checkFanRuns(t, n)
+			p := n.Program()
+			for k := range p.Gates {
+				switch out := p.Gates[k].Out; {
+				case p.GateRun[k].Mask != 0:
+					inline++
+				case len(p.FanRuns(out)) > 1:
+					multi++
+				case len(n.MemFanout(out)) > 0:
+					memPin++
+				}
+			}
+		}
+	}
+	if inline == 0 || multi == 0 || memPin == 0 {
+		t.Fatalf("verdicts seen: %d in-line, %d multi-run, %d memory-feeding; want all three", inline, multi, memPin)
+	}
+	// A flip-flop's output feeding logic below the flip-flop's own level is
+	// one run that must not be in-line.
+	n := New("below")
+	clk, rstn, a := n.AddInput("clk"), n.AddInput("rst_n"), n.AddInput("a")
+	q, x, y := n.AddNet("q"), n.AddNet("x"), n.AddNet("y")
+	n.AddGate(KindAnd, x, q, a)
+	n.AddGate(KindNot, y, x)
+	n.AddDFF(q, y, clk, a, rstn, logic.Lo)
+	if err := n.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	checkFanRuns(t, n)
+	p := n.Program()
+	if dff := p.Renum[2]; len(p.FanRuns(q)) != 1 || p.GateRun[dff].Mask != 0 {
+		t.Fatalf("flip-flop above its reader: runs %+v, GateRun %+v", p.FanRuns(q), p.GateRun[dff])
+	}
 }
 
 // TestProgramMatchesNetlist cross-checks every compiled table against the
@@ -112,7 +264,7 @@ func randProgNetlist(r *rand.Rand) *Netlist {
 func TestProgramMatchesNetlist(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
-		n := randProgNetlist(r)
+		n := randProgNetlist(r, 30, 0)
 		p := n.Program()
 		if p != n.Program() {
 			t.Fatal("Program not cached")
@@ -159,24 +311,9 @@ func TestProgramMatchesNetlist(t *testing.T) {
 				}
 			}
 		}
-		// Fanout CSR vs slice-of-slices: same consumers through Renum
-		// (duplicates preserved — a gate reading a net on two pins is listed
-		// twice in both forms), sorted ascending by kernel ID.
+		// Memory fanout CSR vs slice-of-slices (the gate fanout is
+		// TestFanRuns').
 		for id := range n.Nets {
-			var want []GateID
-			for _, g := range n.Fanout(NetID(id)) {
-				want = append(want, p.Renum[g])
-			}
-			slices.Sort(want)
-			got := p.GateFan(NetID(id))
-			if len(got) != len(want) {
-				t.Fatalf("net %d fanout len %d != %d", id, len(got), len(want))
-			}
-			for i, g := range got {
-				if g != want[i] {
-					t.Fatalf("net %d fanout[%d] %d != %d", id, i, g, want[i])
-				}
-			}
 			wantM := n.MemFanout(NetID(id))
 			gotM := p.MemFanOf(NetID(id))
 			if len(gotM) != len(wantM) {
@@ -211,10 +348,6 @@ func TestProgramMatchesNetlist(t *testing.T) {
 				if !slices.Contains(cd.Resets, g.In[DFFPinRstn]) {
 					t.Fatalf("reset net of gate %d missing from Resets", p.Orig[k])
 				}
-			}
-			fan := slices.DeleteFunc(slices.Clone(p.GateFan(cd.Net)), func(g GateID) bool { return p.Gates[g].Kind == KindDFF })
-			if !slices.Equal(cd.Fan, fan) {
-				t.Fatalf("clock domain Fan %v, want %v", cd.Fan, fan)
 			}
 		}
 		// Level ranges: contiguous, covering, at the right levels.

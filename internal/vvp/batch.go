@@ -462,6 +462,16 @@ func (s *BatchSim) dirtyGateB(g netlist.GateID) {
 	}
 }
 
+// dirtyRunsB marks the gates of runs dirty for every lane — the scalar
+// kernel's dirtyRuns on the batch engine's bitmap.
+//
+//symsim:hotpath
+func (s *BatchSim) dirtyRunsB(runs []netlist.FanRun) {
+	lo, n := markRuns(s.dirtyW, s.lvlW, runs, s.dirtyLo)
+	s.dirtyLo = lo
+	s.dirtyN += n
+}
+
 func (s *BatchSim) dirtyMemB(m netlist.MemID) {
 	if !s.memInQ[m] {
 		s.memInQ[m] = true
@@ -502,24 +512,7 @@ func (s *BatchSim) commitB(id netlist.NetID, a, x, mask uint64) {
 	if rec := s.recording & changed; rec != 0 {
 		s.toggledP[id] |= rec
 	}
-	// Lane-agnostic fanout dirtying with the hot loads hoisted, exactly as
-	// the scalar kernel's commit.
-	dirtyW, glv, lvlW := s.dirtyW, s.glv, s.lvlW
-	lo, n := s.dirtyLo, 0
-	for _, g := range s.prog.GateFan(id) {
-		wi, m := uint32(g)>>6, uint64(1)<<(uint32(g)&63)
-		if dirtyW[wi]&m == 0 {
-			dirtyW[wi] |= m
-			lvl := glv[g]
-			lvlW[uint32(lvl)>>6] |= uint64(1) << (uint32(lvl) & 63)
-			if lvl < lo {
-				lo = lvl
-			}
-			n++
-		}
-	}
-	s.dirtyLo = lo
-	s.dirtyN += n
+	s.dirtyRunsB(s.prog.FanRuns(id))
 	for _, m := range s.prog.MemFanOf(id) {
 		s.dirtyMemB(m)
 	}
@@ -889,8 +882,9 @@ func (s *BatchSim) drainActiveB() error {
 	for s.dirtyN > 0 {
 		lvl = s.nextDirtyLevelB(lvl)
 		if lvl >= s.levels {
-			lvl = 0
-			continue
+			if lvl = s.nextDirtyLevelB(0); lvl >= s.levels {
+				panic("vvp: dirty count out of step with the level marks")
+			}
 		}
 		s.lvlW[uint32(lvl)>>6] &^= uint64(1) << (uint32(lvl) & 63)
 		s.dirtyLo = s.levels
@@ -1016,9 +1010,7 @@ func (s *BatchSim) RestoreLane(sp *StateSpec, st State, lane int) error {
 	// forced value ever propagated.
 	for _, id := range s.unforced[lane] {
 		s.redirtyNet(id)
-		for _, g := range s.prog.GateFan(id) {
-			s.dirtyGateB(g)
-		}
+		s.dirtyRunsB(s.prog.FanRuns(id))
 	}
 	s.unforced[lane] = s.unforced[lane][:0]
 

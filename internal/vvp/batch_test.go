@@ -95,8 +95,11 @@ func checkLaneVsFresh(t *testing.T, ctx string, b *BatchSim, lane int, sp *State
 // batchDiffTrial runs one random circuit (plain shape: on a derived clock a
 // restore is as history-dependent as the scalar Restore, see
 // TestBatchRestoreReassertsState) with several divergent scenarios
-// in batch lanes, each shadowed by a scalar interpreter, in lockstep, and
-// churns the lanes throughout: lanes are retired at random steps — often
+// in batch lanes, each shadowed by a scalar interpreter — itself shadowed by
+// a bare kernel, restored, forced and recording the way a path of Analyze
+// is, so that the kernel's in-line commits meet every admission the lanes
+// do — in lockstep, and churns the lanes throughout: lanes are retired at
+// random steps — often
 // within the three half-periods their branch force is still live — and
 // their slots (and the slots of lanes that finished or halted) re-used for
 // the very same state, the same state with another RAM image, a state at
@@ -135,7 +138,8 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 	late := nl // a lane no scenario touches before lateStep
 	const lateStep = 25
 	refs := make([]*Simulator, nl+1)
-	snaps := make([]State, nl+1) // the state each lane was last admitted with
+	krefs := make([]*Simulator, nl+1) // the bare-kernel shadow of each ref
+	snaps := make([]State, nl+1)      // the state each lane was last admitted with
 	done := make([]bool, nl+1)
 	done[late] = true
 
@@ -162,8 +166,13 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 		ref := New(n, Options{Engine: EngineInterp, MemX: memx})
 		ref.BindStimulus(st)
 		ref.SetMonitorX(spec)
-		if err := ref.Restore(sp, snap); err != nil {
-			t.Fatalf("%s: scalar restore: %v", ctx, err)
+		kref := New(n, Options{Engine: EngineKernel, MemX: memx})
+		kref.BindStimulus(st)
+		kref.SetMonitorX(spec)
+		for _, s := range []*Simulator{ref, kref} {
+			if err := s.Restore(sp, snap); err != nil {
+				t.Fatalf("%s: scalar restore: %v", ctx, err)
+			}
 		}
 		if err := b.RestoreLane(sp, snap, lane); err != nil {
 			t.Fatalf("%s: RestoreLane(%d): %v", ctx, lane, err)
@@ -182,11 +191,13 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 			fn := n.Outputs[0]
 			rel := ref.Now() + 3*hp
 			ref.Force(fn, logic.Hi, rel)
+			kref.Force(fn, logic.Hi, rel)
 			b.ForceLane(fn, logic.Hi, lane, rel)
 		}
 		ref.StartRecording()
+		kref.StartRecording()
 		b.StartRecordingLane(lane)
-		refs[lane], snaps[lane] = ref, snap
+		refs[lane], krefs[lane], snaps[lane] = ref, kref, snap
 		done[lane] = false
 		checkLane(t, ctx+" post-restore", b, ref, lane)
 	}
@@ -224,6 +235,10 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 				t.Fatalf("%s: lane %d halted = %v, scalar status %v", ctx, lane, got, stt)
 			}
 			checkLane(t, ctx, b, refs[lane], lane)
+			if sttk, kerr := krefs[lane].Step(); kerr != nil || sttk != stt {
+				t.Fatalf("%s: lane %d bare kernel step: %v (%v), interpreter %v", ctx, lane, sttk, kerr, stt)
+			}
+			checkAgreement(t, fmt.Sprintf("%s lane %d bare kernel", ctx, lane), refs[lane], krefs[lane])
 			if stt != Running {
 				// The exit snapshot the core hands to the explorer must
 				// match the scalar engine's bit for bit.

@@ -6,8 +6,11 @@
 //
 //  1. Gate descriptors are packed (inline pin array, no per-gate slice
 //     header) and renumbered level-major, so each topological level is one
-//     contiguous descriptor run; fanout walks run over CSR tables — one
-//     contiguous scan per net instead of a [][]GateID double indirection.
+//     contiguous descriptor run, and the consumers of one net sit in
+//     adjacent bits of the dirty set: a net's fanout is a list of
+//     netlist.FanRun — word, level, mask — almost always of length one, and
+//     scheduling it is one OR per run (dirtyRuns) where the interpreter
+//     walks a [][]GateID one consumer at a time.
 //  2. Combinational evaluation is a single branch-free load from
 //     netlist.EvalLUT, generated from EvalGate itself; only flip-flops
 //     retain control flow (stepDFF, shared verbatim with the interpreter).
@@ -16,7 +19,10 @@
 //     range in word-sized chunks and sweeps the set bits in ascending ID
 //     order — a radix sort in all but name, replacing the interpreter's
 //     scratch copy, comparison sort and per-gate queue bookkeeping with a
-//     few word operations per 64 gates.
+//     few word operations per 64 gates. The round evaluates in line, and
+//     commits in line too where a commit is no more than a store, a toggle
+//     mark and one run (kernelLevel): through commit it costs about what
+//     the evaluation did, and 40–55 % of evaluations end in one.
 //  4. On a design with a netlist.ClockDomain table, a clean edge of the
 //     clock does not put the flip-flops on the dirty bitmap at all: their
 //     clock samples are stored in one pass and a rising edge is captured
@@ -43,7 +49,17 @@ import (
 
 // kernelLevel runs one round of level lvl on the compiled kernel: claim
 // the level's slice of the dirty bitmap, then evaluate the claimed gates
-// in ascending kernel ID order via trailing-zero iteration.
+// in ascending kernel ID order via trailing-zero iteration. A flip-flop
+// goes through stepDFF, shared verbatim with the interpreter; everything
+// else is one EvalLUT load — pins beyond the kind's input count are padded
+// with net 0 and the LUT ignores their operands, so the loads are
+// unconditional — and, when the output changed, a commit.
+//
+// The commit is made in line when nothing but the value, the toggle mark
+// and the fanout is at stake — the run is recording, with no force, trace
+// or activity counters — and the gate's whole fanout is one GateRun: store,
+// mark, OR the run. dirtyLo stays as it is because such a run lies above
+// lvl, by construction of the table. Every other commit is commit's.
 //
 //symsim:hotpath
 func (s *Simulator) kernelLevel(lvl int32) error {
@@ -72,13 +88,49 @@ func (s *Simulator) kernelLevel(lvl int32) error {
 		if n > 0 {
 			s.sweeps++
 			s.dirtyN -= n
+			gates, runs := s.prog.Gates, s.prog.GateRun
+			val, lastClk, toggled, dirtyW, lvlW := s.val, s.lastClk, s.toggled, s.dirtyW, s.lvlW
+			inline := s.recording && len(s.forces) == 0 && s.opts.Trace == nil && s.toggleCount == nil
+			fresh := 0
 			for i, w := range sw {
-				base := netlist.GateID((w0 + uint32(i)) << 6)
-				for w != 0 {
-					s.evalGateK(base + netlist.GateID(bits.TrailingZeros64(w)))
-					w &= w - 1
+				base := (w0 + uint32(i)) << 6
+				for ; w != 0; w &= w - 1 {
+					g := base + uint32(bits.TrailingZeros64(w))
+					d := &gates[g]
+					if d.Kind == netlist.KindDFF {
+						// Reached through D or EN alone, with reset at 1 and
+						// the clock sample current, stepDFF does nothing.
+						clk, rstn := val[d.In[netlist.DFFPinClk]], val[d.In[netlist.DFFPinRstn]]
+						if rstn != logic.Hi || clk != lastClk[g] {
+							s.stepDFF(netlist.GateID(g), d.Out,
+								val[d.In[netlist.DFFPinD]], clk, val[d.In[netlist.DFFPinEn]], rstn, d.Init)
+						}
+						continue
+					}
+					v := netlist.EvalLUT[uint32(d.Kind)<<6|
+						uint32(val[d.In[0]])<<4|
+						uint32(val[d.In[1]])<<2|
+						uint32(val[d.In[2]])]
+					// No-change fast path. Sound with forces too: a forced net
+					// already holds its forced value, so commit would be a
+					// no-op either way.
+					if v == val[d.Out] {
+						continue
+					}
+					r := &runs[g]
+					if !inline || r.Mask == 0 {
+						s.commit(d.Out, v, RegionActive)
+						continue
+					}
+					val[d.Out] = v
+					toggled[d.Out] = true
+					add := r.Mask &^ dirtyW[r.Word]
+					dirtyW[r.Word] |= add
+					lvlW[uint32(r.Level)>>6] |= uint64(1) << (uint32(r.Level) & 63)
+					fresh += bits.OnesCount64(add)
 				}
 			}
+			s.dirtyN += fresh
 			if err := s.countDeltas(n); err != nil {
 				return err
 			}
@@ -96,37 +148,6 @@ func (s *Simulator) Sweeps() uint64 { return s.sweeps }
 // the clock-edge fast path; always zero on the interpreter and on designs
 // without a netlist.ClockDomain. Exposed for tests and tuning.
 func (s *Simulator) FastEdges() uint64 { return s.edges }
-
-// evalGateK processes one gate through its packed descriptor: flip-flops
-// share stepDFF with the interpreter, everything else is a single EvalLUT
-// load. Pins beyond the kind's input count are padded with net 0 and the
-// LUT ignores their operands, so the loads are unconditional. g is a
-// kernel gate ID; every per-gate array the kernel touches (descriptors,
-// levels, lastClk) is indexed by it.
-//
-//symsim:hotpath
-func (s *Simulator) evalGateK(g netlist.GateID) {
-	d := &s.prog.Gates[g]
-	if d.Kind == netlist.KindDFF {
-		s.stepDFF(g, d.Out,
-			s.val[d.In[netlist.DFFPinD]],
-			s.val[d.In[netlist.DFFPinClk]],
-			s.val[d.In[netlist.DFFPinEn]],
-			s.val[d.In[netlist.DFFPinRstn]],
-			d.Init)
-		return
-	}
-	v := netlist.EvalLUT[uint32(d.Kind)<<6|
-		uint32(s.val[d.In[0]])<<4|
-		uint32(s.val[d.In[1]])<<2|
-		uint32(s.val[d.In[2]])]
-	// No-change fast path. Sound with forces too: a forced net already
-	// holds its forced value, so commit would be a no-op either way.
-	if v == s.val[d.Out] {
-		return
-	}
-	s.commit(d.Out, v, RegionActive)
-}
 
 // cleanEdge reports whether the clock toggle Step is about to commit may
 // take the fast path: the design has a clock-domain table for this clock
@@ -175,9 +196,7 @@ func (s *Simulator) clockEdge(cd *netlist.ClockDomain, v logic.Value) {
 	for _, g := range cd.DFFs {
 		lastClk[g] = v
 	}
-	for _, g := range cd.Fan {
-		s.dirtyGateK(g)
-	}
+	s.dirtyRuns(cd.Fan)
 	for _, m := range s.prog.MemFanOf(cd.Net) {
 		s.dirtyMem(m)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"symsim/internal/logic"
@@ -266,7 +267,8 @@ func enginePair(n *netlist.Netlist, st *Stimulus, memx MemXPolicy) (si, sk *Simu
 	return si, sk, ti, tk
 }
 
-// checkAgreement compares every piece of observable simulator state.
+// checkAgreement compares every piece of observable simulator state; the
+// activity counters only when sk keeps them.
 func checkAgreement(t *testing.T, ctx string, si, sk *Simulator) {
 	t.Helper()
 	if si.Now() != sk.Now() || si.Cycles() != sk.Cycles() {
@@ -290,16 +292,18 @@ func checkAgreement(t *testing.T, ctx string, si, sk *Simulator) {
 			t.Fatalf("%s: toggle profile diverged on %s", ctx, si.d.NetName(netlist.NetID(id)))
 		}
 	}
-	for id := range si.toggleCount {
-		if si.toggleCount[id] != sk.toggleCount[id] {
-			t.Fatalf("%s: toggle count diverged on %s: %d vs %d",
-				ctx, si.d.NetName(netlist.NetID(id)), si.toggleCount[id], sk.toggleCount[id])
+	if sk.opts.CountActivity {
+		for id := range si.toggleCount {
+			if si.toggleCount[id] != sk.toggleCount[id] {
+				t.Fatalf("%s: toggle count diverged on %s: %d vs %d",
+					ctx, si.d.NetName(netlist.NetID(id)), si.toggleCount[id], sk.toggleCount[id])
+			}
 		}
-	}
-	pi, ci := si.PeakActivity()
-	pk, ck := sk.PeakActivity()
-	if pi != pk || ci != ck {
-		t.Fatalf("%s: peak activity %d@%d vs %d@%d", ctx, pi, ci, pk, ck)
+		pi, ci := si.PeakActivity()
+		pk, ck := sk.PeakActivity()
+		if pi != pk || ci != ck {
+			t.Fatalf("%s: peak activity %d@%d vs %d@%d", ctx, pi, ci, pk, ck)
+		}
 	}
 	// Clock samples: the fast path stores them for the whole domain at
 	// once, the general path one flip-flop at a time; after a settled step
@@ -316,11 +320,32 @@ func checkAgreement(t *testing.T, ctx string, si, sk *Simulator) {
 	}
 }
 
-// diffTrial runs one random circuit under both engines in lockstep,
-// comparing all observable state every step, with forces applied mid-run
-// and a snapshot/restore round-trip at the end. Half the seeds keep the
-// plain circuit, which is eligible for the clock-edge fast path; the rest
-// draw a random set of twists.
+// checkSameKernel compares the scheduling state of two kernel simulators
+// that have been through the same steps: the level round commits in line on
+// one of them (bare) and through commit on the other (traced), and the two
+// routes must leave the same clock samples, the same dirty bitmap word for
+// word, and have evaluated the same gates in the same rounds.
+func checkSameKernel(t *testing.T, ctx string, traced, bare *Simulator) {
+	t.Helper()
+	if traced.Evals() != bare.Evals() || traced.Sweeps() != bare.Sweeps() || traced.FastEdges() != bare.FastEdges() {
+		t.Fatalf("%s: evals %d/%d sweeps %d/%d fast edges %d/%d (traced/bare kernel)", ctx,
+			traced.Evals(), bare.Evals(), traced.Sweeps(), bare.Sweeps(), traced.FastEdges(), bare.FastEdges())
+	}
+	if traced.dirtyN != bare.dirtyN || !slices.Equal(traced.dirtyW, bare.dirtyW) || !slices.Equal(traced.lvlW, bare.lvlW) {
+		t.Fatalf("%s: dirty set diverged: %d in %x levels %x (traced) vs %d in %x levels %x (bare)", ctx,
+			traced.dirtyN, traced.dirtyW, traced.lvlW, bare.dirtyN, bare.dirtyW, bare.lvlW)
+	}
+	if !slices.Equal(traced.lastClk, bare.lastClk) {
+		t.Fatalf("%s: clock samples diverged between the traced and the bare kernel", ctx)
+	}
+}
+
+// diffTrial runs one random circuit under both engines in lockstep — the
+// kernel twice, traced and bare — comparing all observable state every
+// step, with forces applied mid-run and a snapshot/restore round-trip (the
+// continuation recording, as a restored path does) at the end. Half the
+// seeds keep the plain circuit, which is eligible for the clock-edge fast
+// path; the rest draw a random set of twists.
 func diffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 	r := rand.New(rand.NewSource(seed))
 	shape, stim := drawShapes(r)
@@ -342,31 +367,47 @@ func drawShapes(r *rand.Rand) (shape circuitShape, stim stimShape) {
 // and never leave the general path.
 func diffTrialShaped(t *testing.T, r *rand.Rand, seed int64, memx MemXPolicy, shape circuitShape, stim stimShape) {
 	const nCycles = 10
-	n, ins := randCircuit(r, 2+r.Intn(3), 2+r.Intn(4), 10+r.Intn(40), r.Intn(2) == 0, shape)
+	// One seed in four gets a design of several bitmap words, so that fanout
+	// runs differ in their word and not only in their level.
+	k, f, g := 2+r.Intn(3), 2+r.Intn(4), 10+r.Intn(40)
+	if seed%4 == 3 {
+		g += 150
+	}
+	n, ins := randCircuit(r, k, f, g, r.Intn(2) == 0, shape)
 	st := randStimulus(r, n, ins, nCycles)
 	twistStimulus(r, st, n, ins, nCycles, stim)
 	if eligible := n.Program().Clock != nil; eligible != (shape&shapeOffFastPath == 0) {
 		t.Fatalf("seed %d shape %#x: clock-domain table present = %v", seed, shape, eligible)
 	}
 	si, sk, ti, tk := enginePair(n, st, memx)
+	// The configuration Analyze runs, and the only one in which the level
+	// round commits in line: kernel, no trace, no counters, recording.
+	sb := New(n, Options{Engine: EngineKernel, MemX: memx})
+	sb.BindStimulus(st)
 
 	si.StartRecording()
 	sk.StartRecording()
+	sb.StartRecording()
 	forceNet := netlist.NetID(int(n.Outputs[0]))
 	for step := 0; step < 120; step++ {
 		if step == 30 {
 			si.Force(forceNet, logic.Hi, si.Now()+3*hp)
 			sk.Force(forceNet, logic.Hi, sk.Now()+3*hp)
+			sb.Force(forceNet, logic.Hi, sb.Now()+3*hp)
 		}
 		sti, erri := si.Step()
 		stk, errk := sk.Step()
-		if (erri == nil) != (errk == nil) || sti != stk {
-			t.Fatalf("seed %d step %d: status %v/%v err %v/%v", seed, step, sti, stk, erri, errk)
+		stb, errb := sb.Step()
+		if (erri == nil) != (errk == nil) || sti != stk || (erri == nil) != (errb == nil) || sti != stb {
+			t.Fatalf("seed %d step %d: status %v/%v/%v err %v/%v/%v", seed, step, sti, stk, stb, erri, errk, errb)
 		}
 		if erri != nil {
 			break
 		}
-		checkAgreement(t, fmt.Sprintf("seed %d shape %#x stim %#x step %d", seed, shape, stim, step), si, sk)
+		ctx := fmt.Sprintf("seed %d shape %#x stim %#x step %d", seed, shape, stim, step)
+		checkAgreement(t, ctx, si, sk)
+		checkAgreement(t, ctx+" (bare kernel)", si, sb)
+		checkSameKernel(t, ctx, sk, sb)
 	}
 	if !ti.Equal(tk) {
 		t.Fatalf("seed %d shape %#x stim %#x: commit traces diverged\ninterp:\n%s\nkernel:\n%s",
@@ -399,6 +440,10 @@ func diffTrialShaped(t *testing.T, r *rand.Rand, seed int64, memx MemXPolicy, sh
 	if err := rk.Restore(sp, stk); err != nil {
 		t.Fatal(err)
 	}
+	// Nothing is marked toggled before the path records.
+	checkAgreement(t, fmt.Sprintf("seed %d restored", seed), ri, rk)
+	ri.StartRecording()
+	rk.StartRecording()
 	for step := 0; step < 20; step++ {
 		s1, e1 := ri.Step()
 		s2, e2 := rk.Step()

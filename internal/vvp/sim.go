@@ -645,6 +645,36 @@ func (s *Simulator) dirtyGateK(g netlist.GateID) {
 	}
 }
 
+// dirtyRuns marks the gates of runs dirty: one OR of the bitmap a run, not
+// one test a gate. A run that adds no bit changes nothing: a dirty gate's
+// level is already marked, and where that level is not above the running
+// round's, whatever dirtied the gate lowered dirtyLo then.
+//
+//symsim:hotpath
+func (s *Simulator) dirtyRuns(runs []netlist.FanRun) {
+	lo, n := markRuns(s.dirtyW, s.lvlW, runs, s.dirtyLo)
+	s.dirtyLo = lo
+	s.dirtyN += n
+}
+
+// markRuns is dirtyRuns on a bare bitmap and its level marks, shared with
+// the batch engine: it returns lo lowered to the lowest level of runs, and
+// the number of gates that were not dirty before.
+//
+//symsim:hotpath
+func markRuns(dirtyW, lvlW []uint64, runs []netlist.FanRun, lo int32) (int32, int) {
+	n := 0
+	for i := range runs {
+		r := &runs[i]
+		fresh := r.Mask &^ dirtyW[r.Word]
+		dirtyW[r.Word] |= fresh
+		lvlW[uint32(r.Level)>>6] |= uint64(1) << (uint32(r.Level) & 63)
+		lo = min(lo, r.Level)
+		n += bits.OnesCount64(fresh)
+	}
+	return lo, n
+}
+
 func (s *Simulator) dirtyMem(m netlist.MemID) {
 	if !s.memInQ[m] {
 		s.memInQ[m] = true
@@ -694,23 +724,7 @@ func (s *Simulator) commit(id netlist.NetID, v logic.Value, region Region) {
 			s.clockEdge(p.Clock, v)
 			return
 		}
-		// dirtyGateK with the hot loads hoisted out of the fanout loop.
-		dirtyW, glv, lvlW := s.dirtyW, s.glv, s.lvlW
-		lo, n := s.dirtyLo, 0
-		for _, g := range p.GateFan(id) {
-			wi, m := uint32(g)>>6, uint64(1)<<(uint32(g)&63)
-			if dirtyW[wi]&m == 0 {
-				dirtyW[wi] |= m
-				lvl := glv[g]
-				lvlW[uint32(lvl)>>6] |= uint64(1) << (uint32(lvl) & 63)
-				if lvl < lo {
-					lo = lvl
-				}
-				n++
-			}
-		}
-		s.dirtyLo = lo
-		s.dirtyN += n
+		s.dirtyRuns(p.FanRuns(id))
 		if p.HasMemFan(id) {
 			for _, m := range p.MemFanOf(id) {
 				s.dirtyMem(m)
@@ -930,8 +944,10 @@ func (s *Simulator) drainActive() error {
 		for s.dirtyN > 0 {
 			lvl = s.nextDirtyLevel(lvl)
 			if lvl >= s.levels {
-				lvl = 0 // all remaining work is a rewind below the cursor
-				continue
+				// All remaining work is a rewind below the cursor.
+				if lvl = s.nextDirtyLevel(0); lvl >= s.levels {
+					panic("vvp: dirty count out of step with the level marks")
+				}
 			}
 			s.lvlW[uint32(lvl)>>6] &^= uint64(1) << (uint32(lvl) & 63)
 			s.dirtyLo = s.levels // lowered back by dirty*
