@@ -15,7 +15,7 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-vet: symsimvet
+vet:
 	$(GO) vet ./...
 
 # The self-hosted static-analysis suite (SA000-SA006, see DESIGN.md §11).

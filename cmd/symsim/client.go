@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"symsim/internal/cliflags"
+	"symsim/internal/httpx"
 	"symsim/internal/service"
 )
 
@@ -76,28 +77,19 @@ func submitCmd(args []string) int {
 		return 2
 	}
 
-	spec := service.JobSpec{
-		Design:       *design,
-		Bench:        *bench,
-		Policy:       tuning.Policy,
-		K:            tuning.K,
-		MaxStates:    tuning.MaxStates,
-		Engine:       tuning.Engine,
-		MemX:         tuning.MemX,
-		Workers:      tuning.Workers,
-		Priority:     *priority,
-		DeadlineMS:   tuning.Deadline.Milliseconds(),
-		MaxCycles:    tuning.MaxCycles,
-		MaxForks:     tuning.MaxForks,
-		MaxCSMStates: tuning.MaxCSMStates,
-	}
+	spec := service.SpecFromFlags(tuning)
+	spec.Design, spec.Bench, spec.Priority = *design, *bench, *priority
 	body, err := json.Marshal(spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "symsim:", err)
 		return 1
 	}
-	resp, err := postOnce(*server+"/jobs", "application/json", func() (*http.Request, error) {
-		return http.NewRequest(http.MethodPost, *server+"/jobs", bytes.NewReader(body))
+	resp, err := postOnce(func() (*http.Request, error) {
+		req, err := http.NewRequest(http.MethodPost, *server+"/jobs", bytes.NewReader(body))
+		if err == nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		return req, err
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "symsim:", err)
@@ -177,7 +169,7 @@ func followJob(server, id string) (service.State, error) {
 			}
 			return "", err
 		}
-		d := backoff(failures - 1)
+		d := httpx.Backoff(failures - 1)
 		fmt.Fprintf(os.Stderr, "symsim: event stream interrupted, reconnecting in %v\n", d.Round(time.Millisecond))
 		time.Sleep(d)
 	}
@@ -195,7 +187,7 @@ func streamEventsOnce(server, id string, lastEventID *string) (gotAny bool, st s
 	if *lastEventID != "" {
 		req.Header.Set("Last-Event-ID", *lastEventID)
 	}
-	resp, err := streamClient.Do(req)
+	resp, err := httpx.Stream.Do(req)
 	if err != nil {
 		return false, "", err
 	}

@@ -2,11 +2,14 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
+	"symsim/internal/httpx"
 	"symsim/internal/service"
 )
 
@@ -134,7 +137,7 @@ func TestPostOnceNeverRetriesTransportError(t *testing.T) {
 	url := ts.URL
 	ts.Close() // every dial now fails: a pure transport error
 	builds := 0
-	_, err := postOnce(url, "application/json", func() (*http.Request, error) {
+	_, err := postOnce(func() (*http.Request, error) {
 		builds++
 		return http.NewRequest(http.MethodPost, url, nil)
 	})
@@ -158,7 +161,7 @@ func TestPostOnceRetriesRefusedSubmission(t *testing.T) {
 		w.WriteHeader(http.StatusAccepted)
 	}))
 	defer ts.Close()
-	resp, err := postOnce(ts.URL, "application/json", func() (*http.Request, error) {
+	resp, err := postOnce(func() (*http.Request, error) {
 		return http.NewRequest(http.MethodPost, ts.URL, nil)
 	})
 	if err != nil {
@@ -177,12 +180,12 @@ func TestPostOnceRetriesRefusedSubmission(t *testing.T) {
 // a burst of bounced clients must not reconverge in lockstep.
 func TestBackoffBoundsAndJitter(t *testing.T) {
 	for n := 0; n < 12; n++ {
-		uncapped := retryBase << uint(n)
-		if uncapped > retryMaxDelay || uncapped < 0 {
-			uncapped = retryMaxDelay
+		uncapped := httpx.RetryBase << uint(n)
+		if uncapped > httpx.RetryMaxDelay || uncapped < 0 {
+			uncapped = httpx.RetryMaxDelay
 		}
 		for i := 0; i < 200; i++ {
-			d := backoff(n)
+			d := httpx.Backoff(n)
 			if d < uncapped/2 || d > uncapped {
 				t.Fatalf("backoff(%d) = %v outside [%v, %v]", n, d, uncapped/2, uncapped)
 			}
@@ -190,9 +193,32 @@ func TestBackoffBoundsAndJitter(t *testing.T) {
 	}
 	seen := map[int64]bool{}
 	for i := 0; i < 50; i++ {
-		seen[int64(backoff(3))] = true
+		seen[int64(httpx.Backoff(3))] = true
 	}
 	if len(seen) < 2 {
 		t.Error("backoff(3) returned a constant 50 times: jitter missing")
+	}
+}
+
+// Every tuning flag of the shared vocabulary reaches the server: submit
+// builds its body with the mapping the daemon applies to its own defaults,
+// so a flag cannot be known to one and dropped by the other (-lanes was).
+func TestSubmitSendsLanes(t *testing.T) {
+	var body atomic.Value
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, _ := io.ReadAll(r.Body)
+		body.Store(string(b))
+		w.WriteHeader(http.StatusAccepted)
+		fmt.Fprint(w, `{"id":"j1","state":"queued"}`)
+	}))
+	defer ts.Close()
+	if code := submitCmd([]string{"-server", ts.URL, "-design", "dr5", "-bench", "tea8", "-engine", "batch", "-lanes", "8"}); code != 0 {
+		t.Fatalf("submit exited %d", code)
+	}
+	got, _ := body.Load().(string)
+	for _, want := range []string{`"lanes":8`, `"engine":"batch"`, `"design":"dr5"`, `"bench":"tea8"`} {
+		if !strings.Contains(got, want) {
+			t.Errorf("submitted spec %s lacks %s", got, want)
+		}
 	}
 }

@@ -9,66 +9,23 @@ import (
 	"symsim/internal/httpx"
 )
 
-// This file is the client's transport hardening. The clients themselves
-// live in internal/httpx — one shared unary client with a real timeout
-// (the zero-value default client never times out, so a dead server used
-// to hang every subcommand forever) serves both `symsim submit` and the
-// cluster worker's pull RPCs, and one stream client serves SSE. This
-// file keeps the retry choreography: exponential backoff with jitter for
-// requests the server handles idempotently, and the reconnect budget the
-// SSE follower draws on.
+// The client's transport hardening lives in internal/httpx: one unary
+// client with a real timeout (the zero-value default client never times
+// out, so a dead server used to hang every subcommand forever) shared with
+// the cluster worker's pull RPCs, one stream client for SSE, and the one
+// retry loop. This file says which requests may be repeated.
 
-// unaryClient and streamClient alias the shared hardened clients so every
-// call site in this command goes through the same pool and timeouts as
-// the cluster worker.
-var (
-	unaryClient  = httpx.Unary
-	streamClient = httpx.Stream
-)
-
-const (
-	retryAttempts = httpx.RetryAttempts
-	retryBase     = httpx.RetryBase
-	retryMaxDelay = httpx.RetryMaxDelay
-)
-
-// backoff returns the jittered exponential delay before retry n
-// (0-based); see httpx.Backoff.
-func backoff(n int) time.Duration { return httpx.Backoff(n) }
-
-// retryStatus reports whether an HTTP status signals a transient refusal
-// worth retrying; see httpx.RetryStatus.
-func retryStatus(code int) bool { return httpx.RetryStatus(code) }
+// logRetry tells the user why a request is being tried again.
+func logRetry(cause error, wait time.Duration) {
+	fmt.Fprintf(os.Stderr, "symsim: %v, retrying in %v\n", cause, wait.Round(time.Millisecond))
+}
 
 // doIdempotent issues the request built by build, retrying on transport
-// errors and retryable statuses with jittered backoff. Only requests that
-// are safe to repeat belong here (GETs, and cancel — requesting a stop
-// twice stops the job once).
+// errors and retryable statuses. Only requests that are safe to repeat
+// belong here (GETs, and cancel — requesting a stop twice stops the job
+// once).
 func doIdempotent(build func() (*http.Request, error)) (*http.Response, error) {
-	var lastErr error
-	for n := 0; n < retryAttempts; n++ {
-		if n > 0 {
-			d := backoff(n - 1)
-			fmt.Fprintf(os.Stderr, "symsim: %v, retrying in %v\n", lastErr, d.Round(time.Millisecond))
-			time.Sleep(d)
-		}
-		req, err := build()
-		if err != nil {
-			return nil, err
-		}
-		resp, err := unaryClient.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if retryStatus(resp.StatusCode) && n < retryAttempts-1 {
-			_ = resp.Body.Close()
-			lastErr = fmt.Errorf("server: %s", resp.Status)
-			continue
-		}
-		return resp, nil
-	}
-	return nil, lastErr
+	return httpx.Do(httpx.Unary, build, true, logRetry)
 }
 
 // clientGet is doIdempotent over a plain GET.
@@ -90,29 +47,6 @@ func postIdempotent(url string) (*http.Response, error) {
 // error is never retried — the request may have been accepted and a retry
 // would submit a duplicate job — but a received 429/503 means the server
 // refused before accepting, which is safe to retry with backoff.
-func postOnce(url, contentType string, body func() (*http.Request, error)) (*http.Response, error) {
-	var lastErr error
-	for n := 0; n < retryAttempts; n++ {
-		if n > 0 {
-			d := backoff(n - 1)
-			fmt.Fprintf(os.Stderr, "symsim: %v, retrying in %v\n", lastErr, d.Round(time.Millisecond))
-			time.Sleep(d)
-		}
-		req, err := body()
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", contentType)
-		resp, err := unaryClient.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		if retryStatus(resp.StatusCode) && n < retryAttempts-1 {
-			_ = resp.Body.Close()
-			lastErr = fmt.Errorf("server: %s", resp.Status)
-			continue
-		}
-		return resp, nil
-	}
-	return nil, lastErr
+func postOnce(build func() (*http.Request, error)) (*http.Response, error) {
+	return httpx.Do(httpx.Unary, build, false, logRetry)
 }

@@ -46,7 +46,10 @@ func TestKernelSweepIsHot(t *testing.T) {
 	hot := analysis.HotFunctions(prog)
 	for _, want := range []string{
 		"symsim/internal/vvp.(Simulator).kernelLevel",
-		"symsim/internal/vvp.(Simulator).dirtyRuns",
+		"symsim/internal/vvp.(BatchSim).batchLevel",
+		"symsim/internal/vvp.(dirtySet).claim",
+		"symsim/internal/vvp.(dirtySet).markRuns",
+		"symsim/internal/vvp.(dirtySet).markGate",
 		"symsim/internal/vvp.(Simulator).commit",
 		"symsim/internal/logic.(Vec).Get",
 		"symsim/internal/logic.(Vec).Set",

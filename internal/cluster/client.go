@@ -9,7 +9,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"time"
 
 	"symsim/internal/httpx"
 )
@@ -45,18 +44,14 @@ func (cc *coordClient) call(method, path string, in, out any) (int, error) {
 			return 0, err
 		}
 	}
-	var lastErr error
-	for n := 0; n < httpx.RetryAttempts; n++ {
-		if n > 0 {
-			time.Sleep(httpx.Backoff(n - 1))
-		}
+	resp, err := httpx.Do(cc.hc, func() (*http.Request, error) {
 		var rd io.Reader
 		if in != nil {
 			rd = bytes.NewReader(body)
 		}
 		req, err := http.NewRequest(method, cc.base+path, rd)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		switch {
 		case raw:
@@ -64,20 +59,12 @@ func (cc *coordClient) call(method, path string, in, out any) (int, error) {
 		case in != nil:
 			req.Header.Set("Content-Type", "application/json")
 		}
-		resp, err := cc.hc.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if httpx.RetryStatus(resp.StatusCode) && n < httpx.RetryAttempts-1 {
-			_ = resp.Body.Close()
-			lastErr = fmt.Errorf("cluster: server: %s", resp.Status)
-			continue
-		}
-		status, err := cc.finish(resp, out)
-		return status, err
+		return req, nil
+	}, true, nil)
+	if err != nil {
+		return 0, err
 	}
-	return 0, lastErr
+	return cc.finish(resp, out)
 }
 
 // finish consumes one response: decodes 200 bodies into out and maps
@@ -198,63 +185,39 @@ func NewMemoClient(base string) *MemoClient {
 // Get fetches a memoized result; ok is false on miss. Both the GET and
 // the retry are safe: the table is content-addressed, keys never remap.
 func (m *MemoClient) Get(key string) ([]byte, bool, error) {
-	var lastErr error
-	for n := 0; n < httpx.RetryAttempts; n++ {
-		if n > 0 {
-			time.Sleep(httpx.Backoff(n - 1))
-		}
-		resp, err := m.cc.hc.Get(m.cc.base + "/cluster/cache/" + url.PathEscape(key))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-			_ = resp.Body.Close()
-			return data, err == nil, err
-		case resp.StatusCode == http.StatusNotFound:
-			_ = resp.Body.Close()
-			return nil, false, nil
-		case httpx.RetryStatus(resp.StatusCode) && n < httpx.RetryAttempts-1:
-			_ = resp.Body.Close()
-			lastErr = fmt.Errorf("cluster: memo get: %s", resp.Status)
-		default:
-			_ = resp.Body.Close()
-			return nil, false, fmt.Errorf("cluster: memo get: %s", resp.Status)
-		}
+	resp, err := httpx.Do(m.cc.hc, func() (*http.Request, error) {
+		return http.NewRequest(http.MethodGet, m.cc.base+"/cluster/cache/"+url.PathEscape(key), nil)
+	}, true, nil)
+	if err != nil {
+		return nil, false, err
 	}
-	return nil, false, lastErr
+	defer func() { _ = resp.Body.Close() }()
+	switch resp.StatusCode {
+	case http.StatusOK:
+		data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+		return data, err == nil, err
+	case http.StatusNotFound:
+		return nil, false, nil
+	}
+	return nil, false, fmt.Errorf("cluster: memo get: %s", resp.Status)
 }
 
 // Put publishes a result to the memo table. Idempotent by construction
 // (same key, same content), so retried freely.
 func (m *MemoClient) Put(key string, data []byte) error {
-	var lastErr error
-	for n := 0; n < httpx.RetryAttempts; n++ {
-		if n > 0 {
-			time.Sleep(httpx.Backoff(n - 1))
-		}
+	resp, err := httpx.Do(m.cc.hc, func() (*http.Request, error) {
 		req, err := http.NewRequest(http.MethodPut, m.cc.base+"/cluster/cache/"+url.PathEscape(key), bytes.NewReader(data))
-		if err != nil {
-			return err
+		if err == nil {
+			req.Header.Set("Content-Type", "application/json")
 		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := m.cc.hc.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		code := resp.StatusCode
-		_ = resp.Body.Close()
-		switch {
-		case code == http.StatusNoContent || code == http.StatusOK:
-			return nil
-		case httpx.RetryStatus(code) && n < httpx.RetryAttempts-1:
-			lastErr = fmt.Errorf("cluster: memo put: status %d", code)
-		default:
-			return fmt.Errorf("cluster: memo put: status %d", code)
-		}
+		return req, err
+	}, true, nil)
+	if err != nil {
+		return err
 	}
-	return lastErr
+	_ = resp.Body.Close()
+	if code := resp.StatusCode; code != http.StatusNoContent && code != http.StatusOK {
+		return fmt.Errorf("cluster: memo put: status %d", code)
+	}
+	return nil
 }

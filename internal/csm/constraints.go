@@ -189,9 +189,6 @@ func (f *Facts) forEach(pc uint64, fn func(Constraint) bool) {
 	}
 }
 
-// Empty reports whether the set holds no facts at all.
-func (f *Facts) Empty() bool { return len(f.any) == 0 && len(f.byPC) == 0 }
-
 // Feasible reports whether st is consistent with every fact scoped to its
 // PC. A state is infeasible only when a fact is provably violated by
 // *known* bits — X bits can always still take the asserted values, so

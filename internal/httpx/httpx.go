@@ -8,6 +8,7 @@
 package httpx
 
 import (
+	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
@@ -46,7 +47,7 @@ func NewTransport() *http.Transport {
 	}
 }
 
-// Retry policy shared by every idempotent caller.
+// Retry policy shared by every caller of Do.
 const (
 	// RetryAttempts is the total number of tries (first + retries).
 	RetryAttempts = 4
@@ -77,4 +78,42 @@ func RetryStatus(code int) bool {
 		return true
 	}
 	return false
+}
+
+// Do issues the request build returns on c, making up to RetryAttempts
+// tries with a jittered Backoff between them. A response whose status
+// RetryStatus accepts is tried again — the server refused before it
+// accepted anything — and the last try's response is returned whatever its
+// status. A transport error is tried again only when retryTransport is set:
+// leave it unset for a request that must not reach the server twice, since
+// the failed try may have. onRetry, when non-nil, hears the cause and the
+// wait before each further try.
+func Do(c *http.Client, build func() (*http.Request, error), retryTransport bool, onRetry func(cause error, wait time.Duration)) (*http.Response, error) {
+	var lastErr error
+	for n := 0; n < RetryAttempts; n++ {
+		if n > 0 {
+			d := Backoff(n - 1)
+			if onRetry != nil {
+				onRetry(lastErr, d)
+			}
+			time.Sleep(d)
+		}
+		req, err := build()
+		if err != nil {
+			return nil, err
+		}
+		resp, err := c.Do(req)
+		switch {
+		case err != nil && !retryTransport:
+			return nil, err
+		case err != nil:
+			lastErr = err
+		case RetryStatus(resp.StatusCode) && n < RetryAttempts-1:
+			_ = resp.Body.Close()
+			lastErr = fmt.Errorf("server: %s", resp.Status)
+		default:
+			return resp, nil
+		}
+	}
+	return nil, lastErr
 }

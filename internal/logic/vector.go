@@ -153,14 +153,6 @@ func (v *Vec) SetUint64(u uint64) {
 	}
 }
 
-// SetAllX makes every bit of v unknown.
-func (v *Vec) SetAllX() {
-	for i := range v.known {
-		v.known[i] = 0
-		v.val[i] = 0
-	}
-}
-
 // IsAllKnown reports whether every bit of v is determined.
 func (v Vec) IsAllKnown() bool {
 	return v.CountX() == 0

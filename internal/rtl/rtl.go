@@ -426,13 +426,6 @@ func (m *Module) Reg(name string, d Bus, en netlist.NetID, init uint64) Bus {
 	return q
 }
 
-// RegHold creates a register whose next value is its own output unless en
-// is high, in which case it loads d: the common "load-enable" register,
-// expressed via the DFF EN pin.
-func (m *Module) RegHold(name string, d Bus, en netlist.NetID, init uint64) Bus {
-	return m.Reg(name, d, en, init)
-}
-
 // RegFile builds a words × width register file with one write port and
 // count read ports. All storage is DFFs, so the register file contributes
 // to the design's gate count exactly as a synthesized flop-based register

@@ -375,7 +375,7 @@ func (s *Service) worker() {
 func (s *Service) Submit(spec JobSpec) (JobView, error) {
 	var def JobSpec
 	if s.cfg.Defaults != nil {
-		def = specDefaults(s.cfg.Defaults)
+		def = SpecFromFlags(s.cfg.Defaults)
 	}
 	spec, err := normalize(spec, def)
 	if err != nil {

@@ -61,9 +61,11 @@ type JobSpec struct {
 	MaxCSMStates int    `json:"maxCsmStates,omitempty"`
 }
 
-// specDefaults converts the daemon's parsed flag defaults into the
-// JobSpec fallbacks applied to submissions that leave fields zero.
-func specDefaults(a *cliflags.Analysis) JobSpec {
+// SpecFromFlags is the one mapping from the shared analysis flags to a
+// JobSpec's tuning fields: the daemon's defaults for submissions that leave
+// fields zero, and what `symsim submit` sends. Design, Bench and Priority
+// are not flags of that vocabulary and stay zero.
+func SpecFromFlags(a *cliflags.Analysis) JobSpec {
 	return JobSpec{
 		Policy:       a.Policy,
 		K:            a.K,

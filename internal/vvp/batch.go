@@ -10,12 +10,14 @@
 // through:
 //
 //   - The dirty set is lane-agnostic: a gate is dirty when ANY lane changed
-//     one of its inputs, and a level round claims and sweeps the same flat
-//     bitmap the scalar kernel uses. Lanes that did not change recompute
-//     identical planes and the commit's changed mask excludes them, so the
-//     extra evaluations are observationally neutral per lane — which is the
-//     confluence argument behind per-lane bit-identity with the scalar
-//     engines (enforced by the differential suite in batch_test.go).
+//     one of its inputs, and the schedule is the scalar kernel's own type
+//     (dirtySet, dirtyset.go) — marking, claiming a level round and stepping
+//     the drain are one implementation; batchLevel only walks the claimed
+//     words. Lanes that did not change recompute identical planes and the
+//     commit's changed mask excludes them, so the extra evaluations are
+//     observationally neutral per lane — which is the confluence argument
+//     behind per-lane bit-identity with the scalar engines (enforced by the
+//     differential suite in batch_test.go).
 //   - Flip-flops and memories partition the lanes by edge/reset/enable
 //     conditions into disjoint masks and commit plane-wise under each.
 //   - Every lane carries its own simulation clock: now, stimulus cursor and
@@ -136,24 +138,9 @@ type BatchSim struct {
 	unforced [BatchLanes][]netlist.NetID
 	initErr  error // the constructor's time-zero settle failed
 
-	// Lane-agnostic dirty tracking — the scalar kernel's flat bitmap,
-	// verbatim (see kernel.go).
-	dirtyW     []uint64
-	lvlW       []uint64
-	scratchW   []uint64
-	memBuckets [][]netlist.MemID
-	memInQ     []bool
-	scratchM   []netlist.MemID
-	dirtyLo    int32
-	dirtyN     int
-	levels     int32
-
-	sweeps uint64 // level rounds, once per pass over all lanes
-	evals  uint64 // gate visits, once per visit (not per lane)
-	deltas int
-
-	glv []int32
-	mlv []int32
+	// Lane-agnostic dirty tracking: the scalar kernel's schedule (see
+	// dirtyset.go), its counters once per pass and per gate visit.
+	dirtySet
 
 	nba     []batchAssign
 	nbaBack []batchAssign
@@ -187,29 +174,20 @@ func NewBatchSim(d *netlist.Netlist, opts BatchOptions) *BatchSim {
 	}
 	prog := d.Program()
 	s := &BatchSim{
-		d:          d,
-		prog:       prog,
-		opts:       opts,
-		vals:       logic.NewPVec(len(d.Nets)),
-		lastClkA:   make([]uint64, len(d.Gates)),
-		lastClkX:   make([]uint64, len(d.Gates)),
-		memBuckets: make([][]netlist.MemID, d.MaxLevel()+1),
-		memInQ:     make([]bool, len(d.Mems)),
-		toggledP:   make([]uint64, len(d.Nets)),
-		dirtyLo:    d.MaxLevel() + 1,
-		levels:     d.MaxLevel() + 1,
-		glv:        prog.GateLevel,
-		mlv:        prog.MemLevel,
-		laneCap:    cap,
+		d:        d,
+		prog:     prog,
+		opts:     opts,
+		vals:     logic.NewPVec(len(d.Nets)),
+		lastClkA: make([]uint64, len(d.Gates)),
+		lastClkX: make([]uint64, len(d.Gates)),
+		dirtySet: newDirtySet(d.MaxLevel()+1, prog.MemLevel, prog),
+		toggledP: make([]uint64, len(d.Nets)),
+		laneCap:  cap,
 	}
 	s.valA, s.valX = s.vals.Planes()
 	for i := range s.lastClkX {
 		s.lastClkX[i] = ^uint64(0)
 	}
-	nw := (len(d.Gates) + 63) / 64
-	s.dirtyW = make([]uint64, nw)
-	s.scratchW = make([]uint64, 0, nw+1)
-	s.lvlW = make([]uint64, (int(s.levels)+63)/64)
 
 	s.mem = make([]batchMem, len(d.Mems))
 	for i, m := range d.Mems {
@@ -230,12 +208,7 @@ func NewBatchSim(d *netlist.Netlist, opts BatchOptions) *BatchSim {
 	// and memory evaluated once so constant cones settle before any lane's
 	// first event — under an all-lanes mask, because an admission only
 	// re-evaluates what it changes.
-	for gi := range d.Gates {
-		s.dirtyGateB(netlist.GateID(gi))
-	}
-	for mi := range d.Mems {
-		s.dirtyMemB(netlist.MemID(mi))
-	}
+	s.markAll()
 	s.active = ^uint64(0)
 	s.initErr = s.settleB()
 	s.active = 0
@@ -257,13 +230,6 @@ func (s *BatchSim) NowLane(lane int) uint64 { return s.now[lane] }
 // CyclesLane returns the clock posedges lane lane has executed since it was
 // admitted.
 func (s *BatchSim) CyclesLane(lane int) uint64 { return s.cycles[lane] }
-
-// Sweeps returns the level rounds executed — once per pass over all lanes,
-// the batched-sweep accounting the throughput comparison relies on.
-func (s *BatchSim) Sweeps() uint64 { return s.sweeps }
-
-// Evals returns cumulative gate visits (once per visit, not per lane).
-func (s *BatchSim) Evals() uint64 { return s.evals }
 
 // SetMonitorX installs the $monitor_x specification shared by all lanes.
 func (s *BatchSim) SetMonitorX(spec *MonitorXSpec) { s.monitorSpc = spec }
@@ -416,10 +382,10 @@ func (s *BatchSim) releaseExpiredB() {
 // value recomputes (force release, lane admission).
 func (s *BatchSim) redirtyNet(id netlist.NetID) {
 	if d := s.d.Nets[id].Driver; d != netlist.NoGate {
-		s.dirtyGateB(s.prog.Renum[d])
+		s.markGate(s.prog.Renum[d])
 	}
 	for _, m := range s.prog.MemFanOf(id) {
-		s.dirtyMemB(m)
+		s.markMem(m)
 	}
 }
 
@@ -443,47 +409,6 @@ func (s *BatchSim) clearLaneForces(lane int) {
 		}
 	}
 	s.forces = kept
-}
-
-// dirtyGateB marks one kernel gate dirty — the scalar kernel's bitmap
-// marking, shared across all lanes.
-//
-//symsim:hotpath
-func (s *BatchSim) dirtyGateB(g netlist.GateID) {
-	wi, m := uint32(g)>>6, uint64(1)<<(uint32(g)&63)
-	if s.dirtyW[wi]&m == 0 {
-		s.dirtyW[wi] |= m
-		lvl := s.glv[g]
-		s.lvlW[uint32(lvl)>>6] |= uint64(1) << (uint32(lvl) & 63)
-		if lvl < s.dirtyLo {
-			s.dirtyLo = lvl
-		}
-		s.dirtyN++
-	}
-}
-
-// dirtyRunsB marks the gates of runs dirty for every lane — the scalar
-// kernel's dirtyRuns on the batch engine's bitmap.
-//
-//symsim:hotpath
-func (s *BatchSim) dirtyRunsB(runs []netlist.FanRun) {
-	lo, n := markRuns(s.dirtyW, s.lvlW, runs, s.dirtyLo)
-	s.dirtyLo = lo
-	s.dirtyN += n
-}
-
-func (s *BatchSim) dirtyMemB(m netlist.MemID) {
-	if !s.memInQ[m] {
-		s.memInQ[m] = true
-		lvl := s.mlv[m]
-		//symsim:allow SA001 memory buckets are pre-sized at Freeze; append reuses their capacity
-		s.memBuckets[lvl] = append(s.memBuckets[lvl], m)
-		s.lvlW[uint32(lvl)>>6] |= uint64(1) << (uint32(lvl) & 63)
-		if lvl < s.dirtyLo {
-			s.dirtyLo = lvl
-		}
-		s.dirtyN++
-	}
 }
 
 // commitB assigns plane values to a net under a lane mask, honouring
@@ -512,9 +437,9 @@ func (s *BatchSim) commitB(id netlist.NetID, a, x, mask uint64) {
 	if rec := s.recording & changed; rec != 0 {
 		s.toggledP[id] |= rec
 	}
-	s.dirtyRunsB(s.prog.FanRuns(id))
+	s.markRuns(s.prog.FanRuns(id))
 	for _, m := range s.prog.MemFanOf(id) {
-		s.dirtyMemB(m)
+		s.markMem(m)
 	}
 }
 
@@ -744,115 +669,27 @@ func (s *BatchSim) memReadB(m *netlist.Mem, ms *batchMem) {
 	}
 }
 
-func (s *BatchSim) countDeltasB(n int) error {
-	s.deltas += n
-	s.evals += uint64(n)
-	if s.deltas > maxDeltas {
-		//symsim:allow SA001 the oscillation error is the abort path, not steady state
-		return fmt.Errorf("vvp: delta-cycle limit exceeded (oscillating netlist?)")
-	}
-	return nil
-}
-
-// batchLevel runs one round of level lvl — the scalar kernelLevel with
-// evalGateB in place of evalGateK. One sweep covers every occupied lane.
+// batchLevel runs one round of level lvl: kernelLevel's walk of the
+// claimed words with evalGateB in place of the scalar evaluation, one sweep
+// covering every occupied lane.
 //
 //symsim:hotpath
 func (s *BatchSim) batchLevel(lvl int32) error {
-	lo, hi := s.prog.LevelRange(lvl)
-	if lo != hi {
-		w0 := lo >> 6
-		w1 := (hi - 1) >> 6
-		if w0 == w1 {
-			w := s.dirtyW[w0] &^ (uint64(1)<<(lo&63) - 1)
-			if hi&63 != 0 {
-				w &= uint64(1)<<(hi&63) - 1
+	if sw, w0, n := s.claim(lvl); n > 0 {
+		for i, w := range sw {
+			base := netlist.GateID((w0 + uint32(i)) << 6)
+			for ; w != 0; w &= w - 1 {
+				s.evalGateB(base + netlist.GateID(bits.TrailingZeros64(w)))
 			}
-			if w != 0 {
-				s.dirtyW[w0] &^= w
-				n := bits.OnesCount64(w)
-				s.sweeps++
-				s.dirtyN -= n
-				base := netlist.GateID(w0 << 6)
-				for w != 0 {
-					s.evalGateB(base + netlist.GateID(bits.TrailingZeros64(w)))
-					w &= w - 1
-				}
-				if err := s.countDeltasB(n); err != nil {
-					return err
-				}
-			}
-			s.drainLevelMemsB(lvl)
-			return nil
 		}
-		sw := s.scratchW[:0]
-		n := 0
-		for wi := w0; wi <= w1; wi++ {
-			w := s.dirtyW[wi]
-			if wi == w0 {
-				w &^= uint64(1)<<(lo&63) - 1
-			}
-			if wi == w1 && hi&63 != 0 {
-				w &= uint64(1)<<(hi&63) - 1
-			}
-			s.dirtyW[wi] &^= w
-			n += bits.OnesCount64(w)
-			//symsim:allow SA001 scratchW is pre-sized at construction; append reuses its capacity
-			sw = append(sw, w)
-		}
-		s.scratchW = sw
-		if n > 0 {
-			s.sweeps++
-			s.dirtyN -= n
-			for i, w := range sw {
-				base := netlist.GateID((w0 + uint32(i)) << 6)
-				for w != 0 {
-					s.evalGateB(base + netlist.GateID(bits.TrailingZeros64(w)))
-					w &= w - 1
-				}
-			}
-			if err := s.countDeltasB(n); err != nil {
-				return err
-			}
+		if err := s.countDeltas(n); err != nil {
+			return err
 		}
 	}
-	s.drainLevelMemsB(lvl)
+	for _, m := range s.takeMems(lvl) {
+		s.evalMemB(m)
+	}
 	return nil
-}
-
-func (s *BatchSim) drainLevelMemsB(lvl int32) {
-	if b := s.memBuckets[lvl]; len(b) > 0 {
-		//symsim:allow SA001 scratchM reuses its capacity; memBuckets bound it
-		s.scratchM = append(s.scratchM[:0], b...)
-		s.memBuckets[lvl] = b[:0]
-		for i := 1; i < len(s.scratchM); i++ {
-			for j := i; j > 0 && s.scratchM[j] < s.scratchM[j-1]; j-- {
-				s.scratchM[j], s.scratchM[j-1] = s.scratchM[j-1], s.scratchM[j]
-			}
-		}
-		for _, m := range s.scratchM {
-			s.memInQ[m] = false
-			s.dirtyN--
-			s.evalMemB(m)
-		}
-	}
-}
-
-// nextDirtyLevelB returns the lowest level >= from whose lvlW bit is set.
-func (s *BatchSim) nextDirtyLevelB(from int32) int32 {
-	wi := uint32(from) >> 6
-	if int(wi) >= len(s.lvlW) {
-		return s.levels
-	}
-	w := s.lvlW[wi] &^ (uint64(1)<<(uint32(from)&63) - 1)
-	for w == 0 {
-		wi++
-		if int(wi) >= len(s.lvlW) {
-			return s.levels
-		}
-		w = s.lvlW[wi]
-	}
-	return int32(wi<<6) + int32(bits.TrailingZeros64(w))
 }
 
 // settleB drains the Active and NBA regions to a fixpoint — the scalar
@@ -861,8 +698,10 @@ func (s *BatchSim) nextDirtyLevelB(from int32) int32 {
 func (s *BatchSim) settleB() error {
 	s.deltas = 0
 	for {
-		if err := s.drainActiveB(); err != nil {
-			return err
+		for lvl := s.nextLevel(0); lvl < s.levels; lvl = s.nextLevel(lvl + 1) {
+			if err := s.batchLevel(lvl); err != nil {
+				return err
+			}
 		}
 		if len(s.nba) > 0 {
 			batch := s.nba
@@ -875,29 +714,6 @@ func (s *BatchSim) settleB() error {
 		}
 		return nil
 	}
-}
-
-func (s *BatchSim) drainActiveB() error {
-	var lvl int32
-	for s.dirtyN > 0 {
-		lvl = s.nextDirtyLevelB(lvl)
-		if lvl >= s.levels {
-			if lvl = s.nextDirtyLevelB(0); lvl >= s.levels {
-				panic("vvp: dirty count out of step with the level marks")
-			}
-		}
-		s.lvlW[uint32(lvl)>>6] &^= uint64(1) << (uint32(lvl) & 63)
-		s.dirtyLo = s.levels
-		if err := s.batchLevel(lvl); err != nil {
-			return err
-		}
-		if s.dirtyLo <= lvl {
-			lvl = s.dirtyLo
-		} else {
-			lvl++
-		}
-	}
-	return nil
 }
 
 // applyStimulusLane commits the stimulus assignments scheduled at lane
@@ -1010,7 +826,7 @@ func (s *BatchSim) RestoreLane(sp *StateSpec, st State, lane int) error {
 	// forced value ever propagated.
 	for _, id := range s.unforced[lane] {
 		s.redirtyNet(id)
-		s.dirtyRunsB(s.prog.FanRuns(id))
+		s.markRuns(s.prog.FanRuns(id))
 	}
 	s.unforced[lane] = s.unforced[lane][:0]
 
@@ -1037,7 +853,7 @@ func (s *BatchSim) RestoreLane(sp *StateSpec, st State, lane int) error {
 		if ms := &s.mem[mi]; !m.IsROM() && ms.lane[lane].Width() == 0 {
 			ms.lane[lane] = ms.init.Clone()
 		}
-		s.dirtyMemB(netlist.MemID(mi))
+		s.markMem(netlist.MemID(mi))
 	}
 	for k, mid := range sp.Mems {
 		m := s.d.Mems[mid]

@@ -133,6 +133,12 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 	b := NewBatchSim(n, BatchOptions{MemX: memx})
 	b.BindStimulus(st)
 	b.SetMonitorX(spec)
+	// b1 is lane 0 of b on a BatchSim of its own: with one occupant its
+	// lane-agnostic schedule is that scenario's, so it must match the bare
+	// kernel's — the two embeddings of dirtySet side by side.
+	b1 := NewBatchSim(n, BatchOptions{MemX: memx, Lanes: 1})
+	b1.BindStimulus(st)
+	b1.SetMonitorX(spec)
 
 	nl := 2 + r.Intn(10)
 	late := nl // a lane no scenario touches before lateStep
@@ -177,6 +183,11 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 		if err := b.RestoreLane(sp, snap, lane); err != nil {
 			t.Fatalf("%s: RestoreLane(%d): %v", ctx, lane, err)
 		}
+		if lane == 0 {
+			if err := b1.RestoreLane(sp, snap, 0); err != nil {
+				t.Fatalf("%s: one-lane RestoreLane: %v", ctx, err)
+			}
+		}
 		checkLaneVsFresh(t, ctx, b, lane, sp, snap)
 		if back := b.SnapshotLane(sp, lane, State{}); !back.Bits.Equal(snap.Bits) || back.Time != snap.Time {
 			t.Fatalf("%s: lane %d snapshot after restore diverged: %s vs %s", ctx, lane, back.Bits, snap.Bits)
@@ -193,13 +204,29 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 			ref.Force(fn, logic.Hi, rel)
 			kref.Force(fn, logic.Hi, rel)
 			b.ForceLane(fn, logic.Hi, lane, rel)
+			if lane == 0 {
+				b1.ForceLane(fn, logic.Hi, 0, rel)
+			}
 		}
 		ref.StartRecording()
 		kref.StartRecording()
 		b.StartRecordingLane(lane)
+		if lane == 0 {
+			// The force, if any, sits unsettled in both schedules.
+			b1.StartRecordingLane(0)
+			checkSameSchedule(t, ctx+" one-lane batch vs bare kernel", &b1.dirtySet, &kref.dirtySet)
+		}
 		refs[lane], krefs[lane], snaps[lane] = ref, kref, snap
 		done[lane] = false
 		checkLane(t, ctx+" post-restore", b, ref, lane)
+	}
+
+	retire := func(lane int) {
+		b.RetireLane(lane)
+		if lane == 0 {
+			b1.RetireLane(0)
+		}
+		done[lane] = true
 	}
 
 	for lane := 0; lane < nl; lane++ {
@@ -214,6 +241,10 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 		fin, hal, err := b.StepAll()
 		if err != nil {
 			t.Fatalf("seed %d step %d: StepAll: %v", seed, step, err)
+		}
+		evals1, sweeps1 := b1.Evals(), b1.Sweeps()
+		if _, _, err := b1.StepAll(); err != nil {
+			t.Fatalf("seed %d step %d: one-lane StepAll: %v", seed, step, err)
 		}
 		if fin&hal != 0 {
 			t.Fatalf("seed %d step %d: finish and halt masks overlap: %x & %x", seed, step, fin, hal)
@@ -235,10 +266,23 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 				t.Fatalf("%s: lane %d halted = %v, scalar status %v", ctx, lane, got, stt)
 			}
 			checkLane(t, ctx, b, refs[lane], lane)
-			if sttk, kerr := krefs[lane].Step(); kerr != nil || sttk != stt {
+			kref := krefs[lane]
+			evalsK, sweepsK, edgesK := kref.Evals(), kref.Sweeps(), kref.FastEdges()
+			if sttk, kerr := kref.Step(); kerr != nil || sttk != stt {
 				t.Fatalf("%s: lane %d bare kernel step: %v (%v), interpreter %v", ctx, lane, sttk, kerr, stt)
 			}
-			checkAgreement(t, fmt.Sprintf("%s lane %d bare kernel", ctx, lane), refs[lane], krefs[lane])
+			checkAgreement(t, fmt.Sprintf("%s lane %d bare kernel", ctx, lane), refs[lane], kref)
+			if lane == 0 {
+				checkLane(t, ctx+" one-lane batch", b1, refs[0], 0)
+				checkSameSchedule(t, ctx+" one-lane batch vs bare kernel", &b1.dirtySet, &kref.dirtySet)
+				// Off the clock-edge fast path, which only the scalar kernel
+				// has, the step ran the same rounds over the same gates.
+				if de, ds := b1.Evals()-evals1, b1.Sweeps()-sweeps1; kref.FastEdges() == edgesK &&
+					(de != kref.Evals()-evalsK || ds != kref.Sweeps()-sweepsK) {
+					t.Fatalf("%s: one-lane batch ran %d evaluations in %d rounds, the bare kernel %d in %d",
+						ctx, de, ds, kref.Evals()-evalsK, kref.Sweeps()-sweepsK)
+				}
+			}
 			if stt != Running {
 				// The exit snapshot the core hands to the explorer must
 				// match the scalar engine's bit for bit.
@@ -249,8 +293,7 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 					t.Fatalf("%s: lane %d exit snapshot diverged: %s@%d vs %s@%d",
 						ctx, lane, bs.Bits, bs.Time, rs.Bits, rs.Time)
 				}
-				b.RetireLane(lane)
-				done[lane] = true
+				retire(lane)
 			}
 		}
 
@@ -265,8 +308,7 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 		}
 		lane := r.Intn(nl)
 		if !done[lane] {
-			b.RetireLane(lane)
-			done[lane] = true
+			retire(lane)
 		}
 		ctx := fmt.Sprintf("seed %d step %d readmit %d", seed, step, lane)
 		snap := snaps[lane]
@@ -294,8 +336,7 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 			// Gone again before a single StepAll: a force, if it got one,
 			// was never settled, and the slot sits free until a later
 			// churn re-uses it.
-			b.RetireLane(lane)
-			done[lane] = true
+			retire(lane)
 		}
 	}
 }

@@ -9,20 +9,22 @@
 //     contiguous descriptor run, and the consumers of one net sit in
 //     adjacent bits of the dirty set: a net's fanout is a list of
 //     netlist.FanRun — word, level, mask — almost always of length one, and
-//     scheduling it is one OR per run (dirtyRuns) where the interpreter
-//     walks a [][]GateID one consumer at a time.
+//     scheduling it is one OR per run (dirtySet.markRuns) where the
+//     interpreter walks a [][]GateID one consumer at a time.
 //  2. Combinational evaluation is a single branch-free load from
 //     netlist.EvalLUT, generated from EvalGate itself; only flip-flops
 //     retain control flow (stepDFF, shared verbatim with the interpreter).
-//  3. The dirty set is a flat bitmap over the level-major numbering
-//     instead of per-level queues. A level round claims the level's bit
-//     range in word-sized chunks and sweeps the set bits in ascending ID
-//     order — a radix sort in all but name, replacing the interpreter's
-//     scratch copy, comparison sort and per-gate queue bookkeeping with a
-//     few word operations per 64 gates. The round evaluates in line, and
-//     commits in line too where a commit is no more than a store, a toggle
-//     mark and one run (kernelLevel): through commit it costs about what
-//     the evaluation did, and 40–55 % of evaluations end in one.
+//  3. The dirty set is dirtySet (dirtyset.go), the one schedule this
+//     engine and the batch engine share: a flat bitmap over the level-major
+//     numbering instead of per-level queues. A level round claims the
+//     level's bit range in word-sized chunks and sweeps the set bits in
+//     ascending ID order — a radix sort in all but name, replacing the
+//     interpreter's scratch copy, comparison sort and per-gate queue
+//     bookkeeping with a few word operations per 64 gates. What is this
+//     engine's own is the walk of the claimed words (kernelLevel): it
+//     evaluates in line, and commits in line too where a commit is no more
+//     than a store, a toggle mark and one run: through commit it costs
+//     about what the evaluation did, and 40–55 % of evaluations end in one.
 //  4. On a design with a netlist.ClockDomain table, a clean edge of the
 //     clock does not put the flip-flops on the dirty bitmap at all: their
 //     clock samples are stored in one pass and a rising edge is captured
@@ -48,8 +50,8 @@ import (
 )
 
 // kernelLevel runs one round of level lvl on the compiled kernel: claim
-// the level's slice of the dirty bitmap, then evaluate the claimed gates
-// in ascending kernel ID order via trailing-zero iteration. A flip-flop
+// the level's gates from the dirty set, then evaluate them in ascending
+// kernel ID order via trailing-zero iteration. A flip-flop
 // goes through stepDFF, shared verbatim with the interpreter; everything
 // else is one EvalLUT load — pins beyond the kind's input count are padded
 // with net 0 and the LUT ignores their operands, so the loads are
@@ -63,86 +65,59 @@ import (
 //
 //symsim:hotpath
 func (s *Simulator) kernelLevel(lvl int32) error {
-	lo, hi := s.prog.LevelRange(lvl)
-	if lo != hi {
-		w0 := lo >> 6
-		w1 := (hi - 1) >> 6
-		sw := s.scratchW[:0]
-		n := 0
-		for wi := w0; wi <= w1; wi++ {
-			w := s.dirtyW[wi]
-			if wi == w0 {
-				w &^= uint64(1)<<(lo&63) - 1
-			}
-			if wi == w1 && hi&63 != 0 {
-				w &= uint64(1)<<(hi&63) - 1
-			}
-			// Claim this round's set; gates dirtied during the round set
-			// their bit back in dirtyW and defer to the next round.
-			s.dirtyW[wi] &^= w
-			n += bits.OnesCount64(w)
-			//symsim:allow SA001 scratchW is pre-sized at Freeze; append reuses its capacity
-			sw = append(sw, w)
-		}
-		s.scratchW = sw
-		if n > 0 {
-			s.sweeps++
-			s.dirtyN -= n
-			gates, runs := s.prog.Gates, s.prog.GateRun
-			val, lastClk, toggled, dirtyW, lvlW := s.val, s.lastClk, s.toggled, s.dirtyW, s.lvlW
-			inline := s.recording && len(s.forces) == 0 && s.opts.Trace == nil && s.toggleCount == nil
-			fresh := 0
-			for i, w := range sw {
-				base := (w0 + uint32(i)) << 6
-				for ; w != 0; w &= w - 1 {
-					g := base + uint32(bits.TrailingZeros64(w))
-					d := &gates[g]
-					if d.Kind == netlist.KindDFF {
-						// Reached through D or EN alone, with reset at 1 and
-						// the clock sample current, stepDFF does nothing.
-						clk, rstn := val[d.In[netlist.DFFPinClk]], val[d.In[netlist.DFFPinRstn]]
-						if rstn != logic.Hi || clk != lastClk[g] {
-							s.stepDFF(netlist.GateID(g), d.Out,
-								val[d.In[netlist.DFFPinD]], clk, val[d.In[netlist.DFFPinEn]], rstn, d.Init)
-						}
-						continue
+	if sw, w0, n := s.claim(lvl); n > 0 {
+		gates, runs := s.prog.Gates, s.prog.GateRun
+		val, lastClk, toggled, dirtyW, lvlW := s.val, s.lastClk, s.toggled, s.dirtyW, s.lvlW
+		inline := s.recording && len(s.forces) == 0 && s.opts.Trace == nil && s.toggleCount == nil
+		fresh := 0
+		for i, w := range sw {
+			base := (w0 + uint32(i)) << 6
+			for ; w != 0; w &= w - 1 {
+				g := base + uint32(bits.TrailingZeros64(w))
+				d := &gates[g]
+				if d.Kind == netlist.KindDFF {
+					// Reached through D or EN alone, with reset at 1 and
+					// the clock sample current, stepDFF does nothing.
+					clk, rstn := val[d.In[netlist.DFFPinClk]], val[d.In[netlist.DFFPinRstn]]
+					if rstn != logic.Hi || clk != lastClk[g] {
+						s.stepDFF(netlist.GateID(g), d.Out,
+							val[d.In[netlist.DFFPinD]], clk, val[d.In[netlist.DFFPinEn]], rstn, d.Init)
 					}
-					v := netlist.EvalLUT[uint32(d.Kind)<<6|
-						uint32(val[d.In[0]])<<4|
-						uint32(val[d.In[1]])<<2|
-						uint32(val[d.In[2]])]
-					// No-change fast path. Sound with forces too: a forced net
-					// already holds its forced value, so commit would be a
-					// no-op either way.
-					if v == val[d.Out] {
-						continue
-					}
-					r := &runs[g]
-					if !inline || r.Mask == 0 {
-						s.commit(d.Out, v, RegionActive)
-						continue
-					}
-					val[d.Out] = v
-					toggled[d.Out] = true
-					add := r.Mask &^ dirtyW[r.Word]
-					dirtyW[r.Word] |= add
-					lvlW[uint32(r.Level)>>6] |= uint64(1) << (uint32(r.Level) & 63)
-					fresh += bits.OnesCount64(add)
+					continue
 				}
+				v := netlist.EvalLUT[uint32(d.Kind)<<6|
+					uint32(val[d.In[0]])<<4|
+					uint32(val[d.In[1]])<<2|
+					uint32(val[d.In[2]])]
+				// No-change fast path. Sound with forces too: a forced net
+				// already holds its forced value, so commit would be a
+				// no-op either way.
+				if v == val[d.Out] {
+					continue
+				}
+				r := &runs[g]
+				if !inline || r.Mask == 0 {
+					s.commit(d.Out, v, RegionActive)
+					continue
+				}
+				val[d.Out] = v
+				toggled[d.Out] = true
+				add := r.Mask &^ dirtyW[r.Word]
+				dirtyW[r.Word] |= add
+				lvlW[uint32(r.Level)>>6] |= uint64(1) << (uint32(r.Level) & 63)
+				fresh += bits.OnesCount64(add)
 			}
-			s.dirtyN += fresh
-			if err := s.countDeltas(n); err != nil {
-				return err
-			}
+		}
+		s.dirtyN += fresh
+		if err := s.countDeltas(n); err != nil {
+			return err
 		}
 	}
-	s.drainLevelMems(lvl)
+	for _, m := range s.takeMems(lvl) {
+		s.evalMem(m)
+	}
 	return nil
 }
-
-// Sweeps returns the number of bitmap level rounds the kernel has
-// executed; always zero on the interpreter. Exposed for tests and tuning.
-func (s *Simulator) Sweeps() uint64 { return s.sweeps }
 
 // FastEdges returns the number of clock toggles the kernel has handled on
 // the clock-edge fast path; always zero on the interpreter and on designs
@@ -196,9 +171,9 @@ func (s *Simulator) clockEdge(cd *netlist.ClockDomain, v logic.Value) {
 	for _, g := range cd.DFFs {
 		lastClk[g] = v
 	}
-	s.dirtyRuns(cd.Fan)
+	s.markRuns(cd.Fan)
 	for _, m := range s.prog.MemFanOf(cd.Net) {
-		s.dirtyMem(m)
+		s.markMem(m)
 	}
 	s.edgePending = v == logic.Hi
 	s.edges++

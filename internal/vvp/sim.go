@@ -18,7 +18,6 @@ package vvp
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -212,24 +211,12 @@ type Simulator struct {
 	// dirtied during the round defer to the next one. The fixed order is
 	// what makes kernel and interpreter traces bit-identical.
 	//
-	// The interpreter keeps explicit per-level buckets plus an in-queue
-	// flag per gate; the kernel replaces both with dirtyW, a flat bitmap
-	// over its level-major gate numbering — each level is a contiguous bit
-	// range, so claiming a round and walking it in sorted order are word
-	// operations (see kernelLevel). Memories are few; both engines bucket
-	// them.
-	buckets    [][]netlist.GateID // interpreter only
-	inQ        []bool             // interpreter only
-	dirtyW     []uint64           // kernel only: dirty bitmap, kernel gate IDs
-	lvlW       []uint64           // kernel only: bit l set when level l has dirty work
-	memBuckets [][]netlist.MemID
-	memInQ     []bool
-	dirtyLo    int32 // lowest level with dirty entries
-	dirtyN     int   // total dirty gates + memories
-	levels     int32 // MaxLevel+1; dirtyLo sentinel when nothing is dirty
-
-	sweeps uint64 // level bitmap rounds executed (kernel statistics)
-	evals  uint64 // cumulative gate evaluations across the simulator's life
+	// The kernel schedules gates through the dirtySet's bitmap; the
+	// interpreter keeps explicit per-level buckets plus an in-queue flag
+	// per gate, and shares the set's memory buckets, dirtyLo and dirtyN.
+	dirtySet
+	buckets [][]netlist.GateID // interpreter only
+	inQ     []bool             // interpreter only
 
 	// The kernel's clock-edge fast path (kernel.go). edgeNet is the clock
 	// net while Step commits a toggle that cleanEdge accepted and NoNet at
@@ -240,22 +227,11 @@ type Simulator struct {
 	edgePending bool
 	edges       uint64
 
-	// glv/mlv cache the topological levels as flat slices (shared with the
-	// netlist or Program; built once in New) so the dirty-marking hot path
-	// indexes instead of calling accessors. Under the kernel engine glv is
-	// indexed by kernel gate IDs, matching everything else the kernel
-	// touches per gate.
-	glv []int32
-	mlv []int32
-
 	// Scratch buffers recycled across settle rounds (steady-state stepping
 	// allocates nothing).
-	scratchG     []netlist.GateID
-	scratchM     []netlist.MemID
-	scratchW     []uint64 // kernel only: claimed bitmap words of one round
+	scratchG     []netlist.GateID // interpreter only
 	nbaBack      []nbaAssign
 	inactiveBack []nbaAssign
-	deltas       int
 
 	nba        []nbaAssign
 	inactiveQ  []nbaAssign // #0-delayed assignments, drained before NBA
@@ -324,35 +300,24 @@ type nbaAssign struct {
 // relies on for termination).
 func New(d *netlist.Netlist, opts Options) *Simulator {
 	s := &Simulator{
-		d:          d,
-		opts:       opts,
-		val:        make([]logic.Value, len(d.Nets)),
-		lastClk:    make([]logic.Value, len(d.Gates)),
-		memBuckets: make([][]netlist.MemID, d.MaxLevel()+1),
-		memInQ:     make([]bool, len(d.Mems)),
-		toggled:    make([]bool, len(d.Nets)),
-		dirtyLo:    d.MaxLevel() + 1,
-		levels:     d.MaxLevel() + 1,
-		edgeNet:    netlist.NoNet,
+		d:       d,
+		opts:    opts,
+		val:     make([]logic.Value, len(d.Nets)),
+		lastClk: make([]logic.Value, len(d.Gates)),
+		toggled: make([]bool, len(d.Nets)),
+		edgeNet: netlist.NoNet,
 	}
 	if opts.Engine != EngineInterp {
 		s.prog = d.Program()
-		s.glv, s.mlv = s.prog.GateLevel, s.prog.MemLevel
-		nw := (len(d.Gates) + 63) / 64
-		s.dirtyW = make([]uint64, nw)
-		s.scratchW = make([]uint64, 0, nw+1)
-		s.lvlW = make([]uint64, (int(s.levels)+63)/64)
+		s.dirtySet = newDirtySet(d.MaxLevel()+1, s.prog.MemLevel, s.prog)
 	} else {
+		mlv := make([]int32, len(d.Mems))
+		for mi := range mlv {
+			mlv[mi] = d.MemLevel(netlist.MemID(mi))
+		}
+		s.dirtySet = newDirtySet(d.MaxLevel()+1, mlv, nil)
 		s.buckets = make([][]netlist.GateID, d.MaxLevel()+1)
 		s.inQ = make([]bool, len(d.Gates))
-		s.glv = make([]int32, len(d.Gates))
-		for gi := range s.glv {
-			s.glv[gi] = d.GateLevel(netlist.GateID(gi))
-		}
-		s.mlv = make([]int32, len(d.Mems))
-		for mi := range s.mlv {
-			s.mlv[mi] = d.MemLevel(netlist.MemID(mi))
-		}
 	}
 	for i := range s.val {
 		s.val[i] = logic.X
@@ -385,28 +350,11 @@ func New(d *netlist.Netlist, opts Options) *Simulator {
 	// once so constant drivers and input-independent cones settle before
 	// the first stimulus event, as a Verilog simulator's initialization
 	// pass does.
-	if s.prog != nil {
-		// Every bit of the bitmap at once, and every level that has a gate.
-		for i := range s.dirtyW {
-			s.dirtyW[i] = ^uint64(0)
-		}
-		if r := uint(len(d.Gates)) & 63; r != 0 {
-			s.dirtyW[len(s.dirtyW)-1] = uint64(1)<<r - 1
-		}
-		for lvl := s.levels - 1; lvl >= 0; lvl-- {
-			if lo, hi := s.prog.LevelRange(lvl); lo != hi {
-				s.lvlW[uint32(lvl)>>6] |= uint64(1) << (uint32(lvl) & 63)
-				s.dirtyLo = lvl
-			}
-		}
-		s.dirtyN = len(d.Gates)
-	} else {
+	s.markAll()
+	if s.prog == nil {
 		for gi := range d.Gates {
 			s.dirtyGate(netlist.GateID(gi))
 		}
-	}
-	for mi := range d.Mems {
-		s.dirtyMem(netlist.MemID(mi))
 	}
 	return s
 }
@@ -448,12 +396,6 @@ func (s *Simulator) Now() uint64 { return s.now }
 // Cycles returns the number of clock posedges executed so far; the
 // "simulated cycles" metric of paper Table 4.
 func (s *Simulator) Cycles() uint64 { return s.cycles }
-
-// Evals returns the cumulative gate evaluations executed over the
-// simulator's lifetime — the engine-effort counter behind the
-// symsim_vvp_gate_evals_total metric. It is a plain accumulator bumped
-// once per settle round, so reading it costs nothing on the hot path.
-func (s *Simulator) Evals() uint64 { return s.evals }
 
 // Value returns the current value of a net.
 func (s *Simulator) Value(id netlist.NetID) logic.Value { return s.val[id] }
@@ -509,14 +451,11 @@ func (s *Simulator) SetMemWord(id netlist.MemID, word int, v logic.Vec) {
 	}
 	to, off := ms.word(m, uint64(word))
 	to.CopyBitsFrom(off, v, 0, m.DataBits)
-	s.dirtyMem(id)
+	s.markMem(id)
 }
 
 // SetMonitorX installs the $monitor_x specification (paper §3.2 step 1).
 func (s *Simulator) SetMonitorX(spec *MonitorXSpec) { s.monitorSpc = spec }
-
-// MonitorX returns the installed $monitor_x specification.
-func (s *Simulator) MonitorX() *MonitorXSpec { return s.monitorSpc }
 
 // BindStimulus attaches the testbench stimulus (clock, reset and input
 // schedule) and drives the clock to its t=0 level. It must be called
@@ -603,13 +542,13 @@ func (s *Simulator) releaseExpired() {
 		// Reassert the driver.
 		if d := s.d.Nets[f.net].Driver; d != netlist.NoGate {
 			if s.prog != nil {
-				s.dirtyGateK(s.prog.Renum[d])
+				s.markGate(s.prog.Renum[d])
 			} else {
 				s.dirtyGate(d)
 			}
 		}
 		for _, m := range s.d.MemFanout(f.net) {
-			s.dirtyMem(m)
+			s.markMem(m)
 		}
 	}
 	s.forces = kept
@@ -618,72 +557,9 @@ func (s *Simulator) releaseExpired() {
 func (s *Simulator) dirtyGate(g netlist.GateID) {
 	if !s.inQ[g] {
 		s.inQ[g] = true
-		lvl := s.glv[g]
+		lvl := s.d.GateLevel(g)
 		//symsim:allow SA001 level buckets are pre-sized at Freeze; append reuses their capacity
 		s.buckets[lvl] = append(s.buckets[lvl], g)
-		if lvl < s.dirtyLo {
-			s.dirtyLo = lvl
-		}
-		s.dirtyN++
-	}
-}
-
-// dirtyGateK is the kernel's dirty marking: one bit in the level-major
-// bitmap. g is a kernel gate ID.
-//
-//symsim:hotpath
-func (s *Simulator) dirtyGateK(g netlist.GateID) {
-	wi, m := uint32(g)>>6, uint64(1)<<(uint32(g)&63)
-	if s.dirtyW[wi]&m == 0 {
-		s.dirtyW[wi] |= m
-		lvl := s.glv[g]
-		s.lvlW[uint32(lvl)>>6] |= uint64(1) << (uint32(lvl) & 63)
-		if lvl < s.dirtyLo {
-			s.dirtyLo = lvl
-		}
-		s.dirtyN++
-	}
-}
-
-// dirtyRuns marks the gates of runs dirty: one OR of the bitmap a run, not
-// one test a gate. A run that adds no bit changes nothing: a dirty gate's
-// level is already marked, and where that level is not above the running
-// round's, whatever dirtied the gate lowered dirtyLo then.
-//
-//symsim:hotpath
-func (s *Simulator) dirtyRuns(runs []netlist.FanRun) {
-	lo, n := markRuns(s.dirtyW, s.lvlW, runs, s.dirtyLo)
-	s.dirtyLo = lo
-	s.dirtyN += n
-}
-
-// markRuns is dirtyRuns on a bare bitmap and its level marks, shared with
-// the batch engine: it returns lo lowered to the lowest level of runs, and
-// the number of gates that were not dirty before.
-//
-//symsim:hotpath
-func markRuns(dirtyW, lvlW []uint64, runs []netlist.FanRun, lo int32) (int32, int) {
-	n := 0
-	for i := range runs {
-		r := &runs[i]
-		fresh := r.Mask &^ dirtyW[r.Word]
-		dirtyW[r.Word] |= fresh
-		lvlW[uint32(r.Level)>>6] |= uint64(1) << (uint32(r.Level) & 63)
-		lo = min(lo, r.Level)
-		n += bits.OnesCount64(fresh)
-	}
-	return lo, n
-}
-
-func (s *Simulator) dirtyMem(m netlist.MemID) {
-	if !s.memInQ[m] {
-		s.memInQ[m] = true
-		lvl := s.mlv[m]
-		//symsim:allow SA001 memory buckets are pre-sized at Freeze; append reuses their capacity
-		s.memBuckets[lvl] = append(s.memBuckets[lvl], m)
-		if s.lvlW != nil {
-			s.lvlW[uint32(lvl)>>6] |= uint64(1) << (uint32(lvl) & 63)
-		}
 		if lvl < s.dirtyLo {
 			s.dirtyLo = lvl
 		}
@@ -724,10 +600,10 @@ func (s *Simulator) commit(id netlist.NetID, v logic.Value, region Region) {
 			s.clockEdge(p.Clock, v)
 			return
 		}
-		s.dirtyRuns(p.FanRuns(id))
+		s.markRuns(p.FanRuns(id))
 		if p.HasMemFan(id) {
 			for _, m := range p.MemFanOf(id) {
-				s.dirtyMem(m)
+				s.markMem(m)
 			}
 		}
 		return
@@ -736,7 +612,7 @@ func (s *Simulator) commit(id netlist.NetID, v logic.Value, region Region) {
 		s.dirtyGate(g)
 	}
 	for _, m := range s.d.MemFanout(id) {
-		s.dirtyMem(m)
+		s.markMem(m)
 	}
 }
 
@@ -878,21 +754,6 @@ func (s *Simulator) memRead(m *netlist.Mem, ms *memState) {
 	}
 }
 
-// maxDeltas bounds the gate evaluations of one settle; a runaway
-// oscillation (possible only with a buggy netlist that escaped validation)
-// is cut off and reported rather than hanging the analysis.
-const maxDeltas = 1 << 26
-
-func (s *Simulator) countDeltas(n int) error {
-	s.deltas += n
-	s.evals += uint64(n)
-	if s.deltas > maxDeltas {
-		//symsim:allow SA001 the oscillation error is the abort path, not steady state
-		return fmt.Errorf("vvp: delta-cycle limit exceeded at t=%d (oscillating netlist?)", s.now)
-	}
-	return nil
-}
-
 // settle drains the Active, Inactive and NBA regions until the time step is
 // stable. Dirty gates are evaluated in topological level order, so every
 // gate is visited a bounded number of times per wave; combinational edges
@@ -904,7 +765,7 @@ func (s *Simulator) settle() error {
 	s.deltas = 0
 	for {
 		if err := s.drainActive(); err != nil {
-			return err
+			return fmt.Errorf("%w at t=%d", err, s.now)
 		}
 		if s.edgePending {
 			s.sampleEdge(s.prog.Clock)
@@ -931,41 +792,24 @@ func (s *Simulator) settle() error {
 	}
 }
 
-// drainActive empties the levelized dirty buckets. Each level drains in
-// sorted rounds — see interpLevel/kernelLevel — and a commit that dirties
-// the current or a lower level rewinds the cursor. Both engines follow the
-// same order, which the differential suite relies on.
+// drainActive empties the Active region. Each level drains in sorted
+// rounds — see interpLevel/kernelLevel — and a commit that dirties the
+// current or a lower level rewinds the cursor. Both engines follow the same
+// order, which the differential suite relies on: the kernel jumps from
+// marked level to marked level (dirtySet.nextLevel), the interpreter walks
+// every level from dirtyLo up.
 func (s *Simulator) drainActive() error {
 	if s.prog != nil {
-		// Kernel: lvlW knows exactly which levels hold work, so the drain
-		// jumps from dirty level to dirty level instead of walking every
-		// level of the design per wave.
-		var lvl int32
-		for s.dirtyN > 0 {
-			lvl = s.nextDirtyLevel(lvl)
-			if lvl >= s.levels {
-				// All remaining work is a rewind below the cursor.
-				if lvl = s.nextDirtyLevel(0); lvl >= s.levels {
-					panic("vvp: dirty count out of step with the level marks")
-				}
-			}
-			s.lvlW[uint32(lvl)>>6] &^= uint64(1) << (uint32(lvl) & 63)
-			s.dirtyLo = s.levels // lowered back by dirty*
+		for lvl := s.nextLevel(0); lvl < s.levels; lvl = s.nextLevel(lvl + 1) {
 			if err := s.kernelLevel(lvl); err != nil {
 				return err
-			}
-			if s.dirtyLo <= lvl {
-				// A commit dirtied this or a lower level; rewind.
-				lvl = s.dirtyLo
-			} else {
-				lvl++
 			}
 		}
 		return nil
 	}
 	for s.dirtyN > 0 {
 		lvl := s.dirtyLo
-		s.dirtyLo = s.levels // raised back by dirty*
+		s.dirtyLo = s.levels // lowered back by dirtyGate and markMem
 		for ; lvl < s.levels; lvl++ {
 			if err := s.interpLevel(lvl); err != nil {
 				return err
@@ -978,24 +822,6 @@ func (s *Simulator) drainActive() error {
 		}
 	}
 	return nil
-}
-
-// nextDirtyLevel returns the lowest level >= from whose lvlW bit is set,
-// or s.levels when none is.
-func (s *Simulator) nextDirtyLevel(from int32) int32 {
-	wi := uint32(from) >> 6
-	if int(wi) >= len(s.lvlW) {
-		return s.levels
-	}
-	w := s.lvlW[wi] &^ (uint64(1)<<(uint32(from)&63) - 1)
-	for w == 0 {
-		wi++
-		if int(wi) >= len(s.lvlW) {
-			return s.levels
-		}
-		w = s.lvlW[wi]
-	}
-	return int32(wi<<6) + int32(bits.TrailingZeros64(w))
 }
 
 // interpLevel runs one sorted round of level lvl on the interpreter: the
@@ -1018,28 +844,10 @@ func (s *Simulator) interpLevel(lvl int32) error {
 			return err
 		}
 	}
-	s.drainLevelMems(lvl)
-	return nil
-}
-
-// drainLevelMems runs one sorted memory round of level lvl (shared by both
-// engines: a design's few memories never warrant a sweep).
-func (s *Simulator) drainLevelMems(lvl int32) {
-	if b := s.memBuckets[lvl]; len(b) > 0 {
-		//symsim:allow SA001 scratchM reuses its capacity; memBuckets bound it
-		s.scratchM = append(s.scratchM[:0], b...)
-		s.memBuckets[lvl] = b[:0]
-		//symsim:allow SA001 slices.IsSorted on a MemID slice compares in place
-		if !slices.IsSorted(s.scratchM) {
-			//symsim:allow SA001 slices.Sort sorts in place without allocating
-			slices.Sort(s.scratchM)
-		}
-		for _, m := range s.scratchM {
-			s.memInQ[m] = false
-			s.dirtyN--
-			s.evalMem(m)
-		}
+	for _, m := range s.takeMems(lvl) {
+		s.evalMem(m)
 	}
+	return nil
 }
 
 // Step advances simulation to the next scheduled time point, runs all event

@@ -238,7 +238,7 @@ func (s *Simulator) Restore(sp *StateSpec, st State) error {
 	}
 	// Every read port re-evaluates: RAM contents and inputs both moved.
 	for mi := range s.d.Mems {
-		s.dirtyMem(netlist.MemID(mi))
+		s.markMem(netlist.MemID(mi))
 	}
 
 	s.assertState(sp, st)
