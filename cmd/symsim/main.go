@@ -100,7 +100,7 @@ func analyzeMain(args []string, printStats bool) {
 		design  = fs.String("design", "omsp430", "processor: bm32 | omsp430 | dr5")
 		bench   = fs.String("bench", "tHold", "benchmark: Div | inSort | binSearch | tHold | mult | tea8")
 		verbose = fs.Bool("v", false, "print per-path details")
-		dumpDir = fs.String("dump-states", "", "write every saved halt state to this directory (sim_state.log files)")
+		dumpDir = fs.String("dump-states", "", "write every saved halt state to this directory (sim_state.log files in the vvp.State binary encoding checkpoints embed; vvp.DecodeState reads them)")
 		vcdOut  = fs.String("vcd", "", "dump the initial symbolic path's waveform (X values visible) to this file")
 
 		// The analysis-tuning flags (policy, engine, memx, workers and the

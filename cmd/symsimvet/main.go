@@ -1,8 +1,10 @@
 // Command symsimvet runs symsim's self-hosted static-analysis suite
-// (internal/analysis, codes SA000–SA006) over the repository's own
-// source tree — the same contract `symsim lint` applies to netlists,
-// pointed at the tool itself: stable diagnostic codes, text or JSON
-// output, and a -fail-on severity threshold that decides the exit code.
+// (internal/analysis: SA000 directives, SA001 hotpath, SA004 wireformat,
+// SA005 diagcodes, SA006 errdrop; SA002 and SA003 are retired and have
+// no analyzer) over the repository's own source tree — the same
+// contract `symsim lint` applies to netlists, pointed at the tool
+// itself: stable diagnostic codes, text or JSON output, and a -fail-on
+// severity threshold that decides the exit code.
 //
 //	symsimvet ./...            # analyze the whole module (the default)
 //	symsimvet -json ./...      # machine-readable report
@@ -33,7 +35,7 @@ func run(args []string) int {
 	var (
 		jsonOut = fs.Bool("json", false, "emit machine-readable JSON instead of text")
 		failOn  = fs.String("fail-on", "error", "lowest severity that fails the run: error | warn | info")
-		codes   = fs.String("codes", "", "comma-separated SA codes to report (default: all)")
+		codes   = fs.String("codes", "", "comma-separated SA codes to report: SA000, SA001, SA004, SA005, SA006 (default: all)")
 		listHot = fs.Bool("hot", false, "list the hotpath-reachable functions instead of analyzing")
 		rootDir = fs.String("C", "", "module root to analyze (default: walk up from the working directory)")
 	)

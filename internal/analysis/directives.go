@@ -20,9 +20,6 @@ import (
 //	    On a function's doc comment: the function is an acknowledged
 //	    slow path (error construction, logging); SA001 does not descend
 //	    into it and calls to it from hot code are permitted.
-//	//symsim:slow
-//	    On a function's doc comment: calling this function while holding
-//	    a mutex is an SA003 violation (the lock-scope contract).
 //	//symsim:allow SA00x reason
 //	    On the flagged line, the line above it, or an enclosing
 //	    function's doc comment: suppress that code there. The reason is
@@ -35,7 +32,6 @@ import (
 const (
 	verbHotpath  = "hotpath"
 	verbColdpath = "coldpath"
-	verbSlow     = "slow"
 	verbAllow    = "allow"
 )
 
@@ -48,8 +44,8 @@ type allowSite struct {
 
 // funcMarks are the directive bits attached to one function declaration.
 type funcMarks struct {
-	hotpath, coldpath, slow bool
-	allows                  map[diag.Code]bool
+	hotpath, coldpath bool
+	allows            map[diag.Code]bool
 }
 
 // directiveIndex is every //symsim: annotation in the program, indexed
@@ -104,7 +100,7 @@ func indexDirectives(prog *Program) *directiveIndex {
 					pos := prog.Fset.Position(c.Pos())
 					fd := docOf[cg]
 					switch verb {
-					case verbHotpath, verbColdpath, verbSlow:
+					case verbHotpath, verbColdpath:
 						if fd == nil {
 							idx.bad = append(idx.bad, diag.Diag{
 								Code: CodeDirective, Sev: diag.SevError,
@@ -119,8 +115,6 @@ func indexDirectives(prog *Program) *directiveIndex {
 							m.hotpath = true
 						case verbColdpath:
 							m.coldpath = true
-						case verbSlow:
-							m.slow = true
 						}
 					case verbAllow:
 						code, reason, _ := strings.Cut(strings.TrimSpace(arg), " ")

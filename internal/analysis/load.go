@@ -51,9 +51,6 @@ type Program struct {
 	dirs *directiveIndex
 }
 
-// ByPath returns the loaded package with the given import path, or nil.
-func (p *Program) ByPath(path string) *Package { return p.byPath[path] }
-
 // skipDirs are directory names never descended into during Load.
 var skipDirs = map[string]bool{
 	".git": true, "testdata": true, "related": true, ".claude": true,

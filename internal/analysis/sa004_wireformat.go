@@ -3,21 +3,17 @@ package analysis
 import (
 	"go/ast"
 	"go/constant"
-	"go/types"
+	"go/token"
 	"regexp"
 	"strings"
 )
 
-// SA004: the SYMSIM wire-format discipline. Three sub-checks:
+// SA004: the SYMSIM wire-format discipline. Two sub-checks:
 //
-//  1. encoding/binary's reflective Read/Write must only see fixed-size
-//     data (no int/uint/uintptr, strings, maps or interfaces) — the
-//     SYMSIM codecs are fixed-layout by contract, and a platform-sized
-//     int silently changes the format between architectures.
-//  2. Format magics ("SYMSIM??") live in exactly one registry,
+//  1. Format magics ("SYMSIM??") live in exactly one registry,
 //     internal/wire. A magic literal minted anywhere else can collide
 //     with a registered format and misparse stale files.
-//  3. The registry itself is sound: no duplicate magics, and every
+//  2. The registry itself is sound: no duplicate magics, and every
 //     decodable format names a fuzz target that actually exists in the
 //     tree's test files (the corpus that keeps the decoder honest).
 
@@ -32,14 +28,9 @@ func runWireFormat(p *Pass) {
 		isWirePkg := pkgPathHasSuffix(pkg.Path, wirePkgSuffix)
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.BasicLit:
-					if !isWirePkg && n.Kind.String() == "STRING" && magicPat.MatchString(n.Value) {
-						p.Reportf(n.Pos(), "wire-format magic %s minted outside the internal/wire registry",
-							magicPat.FindString(n.Value))
-					}
-				case *ast.CallExpr:
-					checkBinaryCall(p, pkg, n)
+				if n, ok := n.(*ast.BasicLit); ok && !isWirePkg && n.Kind == token.STRING && magicPat.MatchString(n.Value) {
+					p.Reportf(n.Pos(), "wire-format magic %s minted outside the internal/wire registry",
+						magicPat.FindString(n.Value))
 				}
 				return true
 			})
@@ -48,68 +39,8 @@ func runWireFormat(p *Pass) {
 	checkWireRegistry(p)
 }
 
-// checkBinaryCall verifies the data argument of binary.Read/Write.
-func checkBinaryCall(p *Pass, pkg *Package, call *ast.CallExpr) {
-	c := calleeOf(pkg, call)
-	if c.fn == nil || c.fn.Pkg() == nil || c.fn.Pkg().Path() != "encoding/binary" {
-		return
-	}
-	if name := c.fn.Name(); name != "Read" && name != "Write" {
-		return
-	}
-	if len(call.Args) != 3 {
-		return
-	}
-	tv, ok := pkg.Info.Types[call.Args[2]]
-	if !ok || tv.Type == nil {
-		return
-	}
-	if bad := nonFixedSize(tv.Type); bad != "" {
-		p.Reportf(call.Args[2].Pos(), "binary.%s data contains non-fixed-size type %s (use sized types in wire formats)",
-			c.fn.Name(), bad)
-	}
-}
-
-// nonFixedSize returns the name of the first non-fixed-size component of
-// t, or "" when t is fully fixed-size per encoding/binary's rules
-// (pointers and slices of fixed-size elements are fine).
-func nonFixedSize(t types.Type) string {
-	seen := map[types.Type]bool{}
-	var walk func(types.Type) string
-	walk = func(t types.Type) string {
-		if seen[t] {
-			return ""
-		}
-		seen[t] = true
-		switch u := t.Underlying().(type) {
-		case *types.Basic:
-			switch u.Kind() {
-			case types.Bool,
-				types.Int8, types.Int16, types.Int32, types.Int64,
-				types.Uint8, types.Uint16, types.Uint32, types.Uint64,
-				types.Float32, types.Float64, types.Complex64, types.Complex128:
-				return ""
-			}
-			return u.Name()
-		case *types.Array:
-			return walk(u.Elem())
-		case *types.Slice:
-			return walk(u.Elem())
-		case *types.Pointer:
-			return walk(u.Elem())
-		case *types.Struct:
-			for i := 0; i < u.NumFields(); i++ {
-				if bad := walk(u.Field(i).Type()); bad != "" {
-					return bad
-				}
-			}
-			return ""
-		case *types.Interface:
-			return "interface (statically unverifiable; pass a concrete fixed-size value)"
-		}
-		return t.String()
-	}
-	return walk(t)
+func pkgPathHasSuffix(path, suffix string) bool {
+	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }
 
 // checkWireRegistry statically evaluates the registry's Formats table

@@ -142,7 +142,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 // Close fails every live run, stops the sweeper and wakes every lease
 // long-poller with ErrClosed. Finished runs stay queryable.
 func (c *Coordinator) Close() {
-	var publish []*obs.Counter
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -150,14 +149,11 @@ func (c *Coordinator) Close() {
 	}
 	c.closed = true
 	for _, id := range c.order {
-		publish = append(publish, c.failRunLocked(c.runs[id], "coordinator closed")...)
+		c.failRunLocked(c.runs[id], "coordinator closed")
 	}
 	close(c.stopSweep)
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	for _, ctr := range publish {
-		ctr.Inc()
-	}
 	c.wg.Wait()
 }
 
@@ -257,29 +253,25 @@ func (c *Coordinator) await(r *run) {
 	res, err := r.h.Wait()
 	r.cancel()
 
-	var publish []*obs.Counter
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	switch {
 	case r.state != "running":
 		// Already failed (attempts exhausted, coordinator closed): the
 		// canceled analysis's degraded result is of no use to anyone.
 	case err != nil:
-		publish = c.failRunLocked(r, err.Error())
+		c.failRunLocked(r, err.Error())
 	case !res.Complete:
 		d := res.Degradation
-		publish = c.failRunLocked(r, fmt.Sprintf("exploration incomplete: trip %s, %d paths quarantined, %d pending", d.Trip, len(d.Quarantined), d.PendingPaths))
+		c.failRunLocked(r, fmt.Sprintf("exploration incomplete: trip %s, %d paths quarantined, %d pending", d.Trip, len(d.Quarantined), d.PendingPaths))
 	default:
 		r.res = res
 		r.state = "done"
 		close(r.doneCh)
 		c.cond.Broadcast()
-		publish = []*obs.Counter{c.om.runsDone}
+		c.om.runsDone.Inc()
 		c.cfg.Logf("cluster: run %s done: %d/%d gates exercisable, %d paths, %d csm states",
 			r.id, res.ExercisableCount, res.TotalGates, res.PathsCreated, res.CSMStates)
-	}
-	c.mu.Unlock()
-	for _, ctr := range publish {
-		ctr.Inc()
 	}
 }
 
@@ -437,13 +429,6 @@ func (c *Coordinator) Report(runID, worker string, id, epoch int, outcome []byte
 // Fail hands back a segment the worker could not simulate; it is put back
 // for another attempt (or the run fails once attempts are exhausted).
 func (c *Coordinator) Fail(runID string, id, epoch int, reason string) error {
-	var publish []*obs.Counter
-	defer func() {
-		for _, ctr := range publish {
-			ctr.Inc()
-		}
-	}()
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r, ok := c.runs[runID]
@@ -452,11 +437,11 @@ func (c *Coordinator) Fail(runID string, id, epoch int, reason string) error {
 	}
 	l := r.heldLocked(id, epoch)
 	if l == nil {
-		publish = append(publish, c.om.staleRPCs)
+		c.om.staleRPCs.Inc()
 		return ErrStale
 	}
 	c.cfg.Logf("cluster: run %s: path %d failed by %s (epoch %d): %s", r.id, id, l.worker, epoch, reason)
-	publish = append(publish, c.putBackLocked(r, id, l, reason)...)
+	c.putBackLocked(r, id, l, reason)
 	return nil
 }
 
@@ -464,9 +449,9 @@ func (c *Coordinator) Fail(runID string, id, epoch int, reason string) error {
 // ErrStale when none of them is.
 func (c *Coordinator) Heartbeat(runID string, refs []leaseRef) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	r, ok := c.runs[runID]
 	if !ok {
-		c.mu.Unlock()
 		return ErrUnknownRun
 	}
 	held := 0
@@ -476,7 +461,6 @@ func (c *Coordinator) Heartbeat(runID string, refs []leaseRef) error {
 			held++
 		}
 	}
-	c.mu.Unlock()
 	c.om.heartbeats.Add(uint64(held))
 	if held == 0 {
 		c.om.staleRPCs.Inc()
@@ -487,25 +471,26 @@ func (c *Coordinator) Heartbeat(runID string, refs []leaseRef) error {
 
 // putBackLocked ends a lease without an outcome: the segment goes back on
 // the run's frontier under its path ID, to be leased again under the next
-// epoch, or the run fails when the segment is out of attempts. It returns
-// the counters to publish after unlock. Caller holds c.mu.
-func (c *Coordinator) putBackLocked(r *run, id int, l *lease, reason string) []*obs.Counter {
+// epoch, or the run fails when the segment is out of attempts. Caller
+// holds c.mu.
+func (c *Coordinator) putBackLocked(r *run, id int, l *lease, reason string) {
 	l.out = false
 	if l.attempts >= c.cfg.MaxAttempts {
-		return c.failRunLocked(r, fmt.Sprintf("path %d exhausted %d attempts (last: %s)", id, l.attempts, reason))
+		c.failRunLocked(r, fmt.Sprintf("path %d exhausted %d attempts (last: %s)", id, l.attempts, reason))
+		return
 	}
 	r.h.PutBack(id)
 	c.cond.Broadcast()
-	return []*obs.Counter{c.om.requeues}
+	c.om.requeues.Inc()
 }
 
 // failRunLocked marks a run failed, stops its analysis and wakes waiters.
 // Idempotent: sweep can exhaust several of a run's segments in one pass,
 // and each exhaustion lands here — only the first closes doneCh and
 // records the failure. Caller holds c.mu.
-func (c *Coordinator) failRunLocked(r *run, msg string) []*obs.Counter {
+func (c *Coordinator) failRunLocked(r *run, msg string) {
 	if r.state != "running" {
-		return nil
+		return
 	}
 	r.state = "failed"
 	r.errMsg = msg
@@ -513,7 +498,7 @@ func (c *Coordinator) failRunLocked(r *run, msg string) []*obs.Counter {
 	close(r.doneCh)
 	c.cond.Broadcast() // parked lease waiters must re-check the state
 	c.cfg.Logf("cluster: run %s FAILED: %s", r.id, msg)
-	return []*obs.Counter{c.om.runsFailed}
+	c.om.runsFailed.Inc()
 }
 
 // sweeper periodically puts back segments whose lease expired — the
@@ -536,13 +521,6 @@ func (c *Coordinator) sweeper() {
 
 // sweep puts back every expired lease.
 func (c *Coordinator) sweep(now time.Time) {
-	var publish []*obs.Counter
-	defer func() {
-		for _, ctr := range publish {
-			ctr.Inc()
-		}
-	}()
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, rid := range c.order {
@@ -557,8 +535,8 @@ func (c *Coordinator) sweep(now time.Time) {
 				continue
 			}
 			c.cfg.Logf("cluster: run %s: path %d lease expired (worker %s, epoch %d)", r.id, id, l.worker, l.epoch)
-			publish = append(publish, c.om.expiries)
-			publish = append(publish, c.putBackLocked(r, id, l, "lease expired")...)
+			c.om.expiries.Inc()
+			c.putBackLocked(r, id, l, "lease expired")
 		}
 	}
 }

@@ -1,8 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,18 +40,27 @@ func (o *oneShot) Advance(uint64)           {}
 // simulate runs one leased segment of dr5/tHold to its outcome.
 func simulate(t *testing.T, sg segment) []byte {
 	t.Helper()
-	p, err := report.BuildPlatform(report.DR5, "tHold")
+	outcome, err := simulateSegment(sg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return outcome
+}
+
+// simulateSegment is simulate for goroutines that may not call t.Fatal.
+func simulateSegment(sg segment) ([]byte, error) {
+	p, err := report.BuildPlatform(report.DR5, "tHold")
+	if err != nil {
+		return nil, err
+	}
 	src := &oneShot{seg: &sg}
 	if err := core.Explore(p, core.Config{Metrics: obs.NewRegistry()}, src); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	if src.outcome == nil {
-		t.Fatalf("path %d produced no outcome", sg.ID)
+		return nil, fmt.Errorf("path %d produced no outcome", sg.ID)
 	}
-	return src.outcome
+	return src.outcome, nil
 }
 
 // leaseOne takes the single segment a one-lane lease grants.
@@ -181,5 +196,139 @@ func TestReportRetryIsAcknowledgedNotAbsorbedTwice(t *testing.T) {
 	}
 	if _, err := coord.Report(id, "w", child.ID, child.Epoch, simulate(t, child), 0); err != nil {
 		t.Fatalf("report after a refused one: %v", err)
+	}
+}
+
+// counterSamples parses the *_total samples of a Prometheus text scrape,
+// keyed by series (name plus label set).
+func counterSamples(t *testing.T, text string) map[string]uint64 {
+	out := make(map[string]uint64)
+	for _, line := range strings.Split(text, "\n") {
+		series, val, ok := strings.Cut(line, " ")
+		name, _, _ := strings.Cut(series, "{")
+		if !ok || strings.HasPrefix(line, "#") || !strings.HasSuffix(name, "_total") {
+			continue
+		}
+		n, err := strconv.ParseUint(val, 10, 64)
+		if err != nil {
+			t.Errorf("counter sample %q: %v", line, err)
+			continue
+		}
+		out[series] = n
+	}
+	return out
+}
+
+// TestScrapeWhileMutating is what the retired lock-scope rule (SA003)
+// claimed to protect, as a test: the coordinator counts under c.mu, and a
+// scrape renders GaugeFuncs that take c.mu (and, through Progress, the
+// analysis's own lock). Three hand-driven workers lease, heartbeat, report
+// and fail segments of back-to-back runs while a sweeper expires leases
+// and a scraper renders the registry in a loop; nothing may deadlock and
+// no counter may go backwards. Run under -race.
+func TestScrapeWhileMutating(t *testing.T) {
+	reg := obs.NewRegistry()
+	coord := NewCoordinator(Config{
+		Metrics:     reg,
+		MaxAttempts: 1 << 20, // expiries below must not fail the run
+		LeaseTTL:    time.Hour,
+		SweepEvery:  time.Hour, // the test drives sweep by hand
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	var wg sync.WaitGroup
+	spawn := func(f func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				f()
+			}
+		}()
+	}
+
+	spawn(func() {
+		id, err := coord.NewRun(RunSpec{Design: "dr5", Bench: "tHold"})
+		if err != nil {
+			t.Errorf("new run: %v", err)
+			return
+		}
+		if _, err := coord.Wait(ctx, id); err != nil && ctx.Err() == nil {
+			t.Errorf("run %s: %v", id, err)
+		}
+	})
+	for w := 0; w < 3; w++ {
+		name, n := fmt.Sprintf("w%d", w), 0
+		spawn(func() {
+			ls, err := coord.Lease(ctx, name, 10*time.Millisecond)
+			if err != nil || ls == nil {
+				return
+			}
+			// A lapsed lease (the sweeper below) fences every RPC about it.
+			for segs := ls.Segments; len(segs) > 0 && ctx.Err() == nil; n++ {
+				sg := segs[0]
+				if err := coord.Heartbeat(ls.RunID, []leaseRef{{ID: sg.ID, Epoch: sg.Epoch}}); err != nil && !errors.Is(err, ErrStale) {
+					t.Errorf("heartbeat: %v", err)
+				}
+				if n%7 == 6 {
+					if err := coord.Fail(ls.RunID, sg.ID, sg.Epoch, "drill"); err != nil && !errors.Is(err, ErrStale) {
+						t.Errorf("fail: %v", err)
+					}
+					return
+				}
+				outcome, err := simulateSegment(sg)
+				if err != nil {
+					t.Errorf("simulate: %v", err)
+					return
+				}
+				resp, err := coord.Report(ls.RunID, name, sg.ID, sg.Epoch, outcome, 1)
+				if err != nil {
+					if !errors.Is(err, ErrStale) {
+						t.Errorf("report: %v", err)
+					}
+					return
+				}
+				segs = resp.Segments
+			}
+		})
+	}
+	sweeps := 0
+	spawn(func() {
+		// Every tenth sweep runs two hours ahead and expires every lease out.
+		if sweeps++; sweeps%10 == 0 {
+			coord.sweep(time.Now().Add(2 * time.Hour))
+		} else {
+			coord.sweep(time.Now())
+		}
+		time.Sleep(time.Millisecond)
+	})
+	scrapes := 0
+	last := map[string]uint64{}
+	spawn(func() {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Errorf("scrape: %v", err)
+		}
+		now := counterSamples(t, buf.String())
+		for series, was := range last {
+			if now[series] < was {
+				t.Errorf("%s went backwards: %d then %d", series, was, now[series])
+			}
+		}
+		last = now
+		scrapes++
+	})
+
+	done := make(chan struct{})
+	go func() { wg.Wait(); coord.Close(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("deadlock: workers, sweeper, scraper or Close still running 30 s after the deadline\n%s", buf[:runtime.Stack(buf, true)])
+	}
+	if scrapes == 0 || last["symsim_cluster_units_retired_total"] == 0 || last["symsim_cluster_lease_expiries_total"] == 0 {
+		t.Errorf("%d scrapes, %d segments settled, %d leases expired: the test exercised nothing",
+			scrapes, last["symsim_cluster_units_retired_total"], last["symsim_cluster_lease_expiries_total"])
 	}
 }

@@ -4,11 +4,12 @@ import (
 	"symsim/internal/obs"
 )
 
-// Coordinator metrics. Counters touched while holding c.mu are collected
-// into a publish slice and incremented after unlock (the repo-wide SA003
-// discipline); the gauges are GaugeFuncs that take the mutex themselves
-// when a scrape renders them. What the runs explore — paths, forks, CSM
-// verdicts, cycles — is published by core into the same registry.
+// Coordinator metrics. A counter is an atomic add, made where its event
+// happens, under c.mu or not; the gauges are GaugeFuncs that take the
+// mutex themselves when a scrape renders them (the registry calls them
+// outside its own lock — TestScrapeWhileMutating). What the runs explore
+// — paths, forks, CSM verdicts, cycles — is published by core into the
+// same registry.
 type coordMetrics struct {
 	runs             *obs.Counter
 	runsDone         *obs.Counter

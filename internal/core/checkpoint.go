@@ -110,8 +110,8 @@ type Checkpoint struct {
 // EncodeBinary serializes c into the canonical checkpoint format.
 func (c *Checkpoint) EncodeBinary() []byte {
 	b := []byte(checkpointMagic)
-	b = appendString(b, c.Design)
-	b = appendString(b, c.Policy)
+	b = wire.AppendString(b, c.Design)
+	b = wire.AppendString(b, c.Policy)
 	b = binary.LittleEndian.AppendUint32(b, uint32(c.Nets))
 	b = binary.LittleEndian.AppendUint32(b, uint32(c.StateBits))
 
@@ -148,8 +148,8 @@ func (c *Checkpoint) EncodeBinary() []byte {
 		b = binary.LittleEndian.AppendUint64(b, uint64(q.PathID))
 		b = binary.LittleEndian.AppendUint64(b, q.PC)
 		b = binary.LittleEndian.AppendUint64(b, q.Time)
-		b = appendString(b, q.Panic)
-		b = appendString(b, q.Stack)
+		b = wire.AppendString(b, q.Panic)
+		b = wire.AppendString(b, q.Stack)
 	}
 	// The design hash trails the version-1 layout and is left out when
 	// zero, so a file without it is still canonical.
@@ -163,26 +163,26 @@ func (c *Checkpoint) EncodeBinary() []byte {
 // field — truncated, oversized or non-canonical input yields an error,
 // never a panic — and a successful decode re-encodes byte-identically.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	r := &byteReader{b: data}
+	r := newByteReader(data)
 	r.magic(checkpointMagic)
 	c := &Checkpoint{}
-	c.Design = r.str()
-	c.Policy = r.str()
-	c.Nets = int(r.u32())
-	c.StateBits = int(r.u32())
+	c.Design = r.Str()
+	c.Policy = r.Str()
+	c.Nets = int(r.U32())
+	c.StateBits = int(r.U32())
 
-	nCSM := int(r.u32())
-	for i := 0; i < nCSM && r.err == nil; i++ {
-		pc := r.u64()
+	nCSM := int(r.U32())
+	for i := 0; i < nCSM && r.Err() == nil; i++ {
+		pc := r.U64()
 		bits := r.vec()
-		if r.err == nil && bits.Width() != c.StateBits {
+		if r.Err() == nil && bits.Width() != c.StateBits {
 			return nil, corruptf("CSM state %d has %d bits, header says %d", i, bits.Width(), c.StateBits)
 		}
 		c.CSM = append(c.CSM, csm.SavedState{PC: pc, Bits: bits})
 	}
 
-	nPend := int(r.u32())
-	for i := 0; i < nPend && r.err == nil; i++ {
+	nPend := int(r.U32())
+	for i := 0; i < nPend && r.Err() == nil; i++ {
 		c.Pending = append(c.Pending, r.pending(c.StateBits))
 	}
 
@@ -192,17 +192,17 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 
 	c.PathsCreated = r.count()
 	c.PathsSkipped = r.count()
-	c.SimulatedCycles = r.u64()
+	c.SimulatedCycles = r.U64()
 	c.NextID = r.count()
 
-	nPaths := int(r.u32())
-	for i := 0; i < nPaths && r.err == nil; i++ {
+	nPaths := int(r.U32())
+	for i := 0; i < nPaths && r.Err() == nil; i++ {
 		var p PathStat
-		id := r.u64()
-		p.Cycles = r.u64()
-		p.HaltPC = r.u64()
-		end := r.u8()
-		if r.err != nil {
+		id := r.U64()
+		p.Cycles = r.U64()
+		p.HaltPC = r.U64()
+		end := r.U8()
+		if r.Err() != nil {
 			break
 		}
 		if id > 1<<31 {
@@ -215,15 +215,15 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		c.Paths = append(c.Paths, p)
 	}
 
-	nQuar := int(r.u32())
-	for i := 0; i < nQuar && r.err == nil; i++ {
+	nQuar := int(r.U32())
+	for i := 0; i < nQuar && r.Err() == nil; i++ {
 		var q Quarantine
-		id := r.u64()
-		q.PC = r.u64()
-		q.Time = r.u64()
-		q.Panic = r.str()
-		q.Stack = r.str()
-		if r.err != nil {
+		id := r.U64()
+		q.PC = r.U64()
+		q.Time = r.U64()
+		q.Panic = r.Str()
+		q.Stack = r.Str()
+		if r.Err() != nil {
 			break
 		}
 		if id > 1<<31 {
@@ -233,13 +233,13 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		c.Quarantined = append(c.Quarantined, q)
 	}
 
-	if r.err == nil && r.off < len(r.b) {
-		copy(c.DesignHash[:], r.bytes(len(c.DesignHash)))
-		if r.err == nil && c.DesignHash == (netlist.Digest{}) {
+	if len(r.Rest()) > 0 {
+		copy(c.DesignHash[:], r.Bytes(len(c.DesignHash)))
+		if r.Err() == nil && c.DesignHash == (netlist.Digest{}) {
 			return nil, corruptf("zero design hash is encoded by omission")
 		}
 	}
-	if err := r.end(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -311,11 +311,6 @@ func (c *Checkpoint) validateFor(p *Platform, policy csm.Manager) error {
 
 // --- framing helpers ---
 
-func appendString(b []byte, s string) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
 // appendBitmap packs a []bool as ceil(n/8) bytes, LSB first.
 func appendBitmap(b []byte, bits []bool) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(bits)))
@@ -340,112 +335,63 @@ func appendValues(b []byte, vals []logic.Value) []byte {
 	return b
 }
 
-// byteReader is a cursor over a checkpoint image that accumulates the
-// first error instead of panicking; every read after an error is a no-op
-// returning zero values.
-type byteReader struct {
-	b   []byte
-	off int
-	err error
+// byteReader is the strict cursor (wire.Reader, errors wrapping
+// ErrCheckpointCorrupt) with the reads the checkpoint and segment formats
+// are built from.
+type byteReader struct{ *wire.Reader }
+
+func newByteReader(data []byte) byteReader {
+	return byteReader{wire.NewReader(data, ErrCheckpointCorrupt)}
 }
 
-func (r *byteReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = corruptf(format, args...)
+// magic consumes a format magic.
+func (r byteReader) magic(want string) {
+	if got := r.Bytes(len(want)); r.Err() == nil && string(got) != want {
+		r.Failf("bad magic %q, want %q", got, want)
 	}
-}
-
-func (r *byteReader) bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || len(r.b)-r.off < n {
-		r.fail("truncated at offset %d (want %d bytes, have %d)", r.off, n, len(r.b)-r.off)
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *byteReader) u8() uint8 {
-	b := r.bytes(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *byteReader) u32() uint32 {
-	b := r.bytes(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *byteReader) u64() uint64 {
-	b := r.bytes(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
 }
 
 // count reads a u64 that must fit comfortably in an int.
-func (r *byteReader) count() int {
-	v := r.u64()
-	if r.err == nil && v > 1<<31 {
-		r.fail("counter %d out of range at offset %d", v, r.off)
+func (r byteReader) count() int {
+	v := r.U64()
+	if v > 1<<31 {
+		r.Failf("counter %d out of range", v)
 		return 0
 	}
 	return int(v)
 }
 
-func (r *byteReader) str() string {
-	n := int(r.u32())
-	return string(r.bytes(n))
-}
-
-func (r *byteReader) vec() logic.Vec {
-	if r.err != nil {
-		return logic.Vec{}
-	}
-	v, rest, err := logic.DecodeVec(r.b[r.off:])
+// nested hands the unread bytes to another package's decoder and consumes
+// what it took.
+func nested[T any](r byteReader, decode func([]byte) (T, []byte, error)) T {
+	rest := r.Rest() // nil after an error, which the decoders reject
+	v, after, err := decode(rest)
 	if err != nil {
-		r.fail("at offset %d: %v", r.off, err)
-		return logic.Vec{}
+		r.Failf("%v", err)
+		var zero T
+		return zero
 	}
-	r.off = len(r.b) - len(rest)
+	r.Bytes(len(rest) - len(after))
 	return v
 }
 
-func (r *byteReader) state() vvp.State {
-	if r.err != nil {
-		return vvp.State{}
-	}
-	st, rest, err := vvp.DecodeState(r.b[r.off:])
-	if err != nil {
-		r.fail("at offset %d: %v", r.off, err)
-		return vvp.State{}
-	}
-	r.off = len(r.b) - len(rest)
-	return st
-}
+func (r byteReader) vec() logic.Vec { return nested(r, logic.DecodeVec) }
+
+func (r byteReader) state() vvp.State { return nested(r, vvp.DecodeState) }
 
 // bitmap reads a []bool whose length must equal want; padding bits in the
 // final byte must be zero (canonical form).
-func (r *byteReader) bitmap(want int) []bool {
-	n := int(r.u32())
-	if r.err != nil {
+func (r byteReader) bitmap(want int) []bool {
+	n := int(r.U32())
+	if r.Err() != nil {
 		return nil
 	}
 	if n != want {
-		r.fail("bitmap length %d, want %d", n, want)
+		r.Failf("bitmap length %d, want %d", n, want)
 		return nil
 	}
-	body := r.bytes((n + 7) / 8)
-	if r.err != nil {
+	body := r.Bytes((n + 7) / 8)
+	if r.Err() != nil {
 		return nil
 	}
 	out := make([]bool, n)
@@ -453,7 +399,7 @@ func (r *byteReader) bitmap(want int) []bool {
 		out[i] = body[i/8]>>(i%8)&1 == 1
 	}
 	if n%8 != 0 && body[len(body)-1]>>(n%8) != 0 {
-		r.fail("bitmap has padding bits set")
+		r.Failf("bitmap has padding bits set")
 		return nil
 	}
 	return out
@@ -461,17 +407,17 @@ func (r *byteReader) bitmap(want int) []bool {
 
 // values reads a []logic.Value whose length must equal want; padding
 // entries in the final byte must be zero.
-func (r *byteReader) values(want int) []logic.Value {
-	n := int(r.u32())
-	if r.err != nil {
+func (r byteReader) values(want int) []logic.Value {
+	n := int(r.U32())
+	if r.Err() != nil {
 		return nil
 	}
 	if n != want {
-		r.fail("value array length %d, want %d", n, want)
+		r.Failf("value array length %d, want %d", n, want)
 		return nil
 	}
-	body := r.bytes((n + 3) / 4)
-	if r.err != nil {
+	body := r.Bytes((n + 3) / 4)
+	if r.Err() != nil {
 		return nil
 	}
 	out := make([]logic.Value, n)
@@ -479,7 +425,7 @@ func (r *byteReader) values(want int) []logic.Value {
 		out[i] = logic.Value(body[i/4] >> ((i % 4) * 2) & 3)
 	}
 	if n%4 != 0 && body[len(body)-1]>>((n%4)*2) != 0 {
-		r.fail("value array has padding bits set")
+		r.Failf("value array has padding bits set")
 		return nil
 	}
 	return out

@@ -33,10 +33,10 @@ func appendWork(b []byte, e entry) []byte {
 // decodeWork parses appendWork's output for a platform whose machine state
 // is stateBits wide.
 func decodeWork(stateBits int, data []byte) (entry, error) {
-	r := &byteReader{b: data}
+	r := newByteReader(data)
 	r.magic(wire.WorkMagic)
 	pp := r.pending(stateBits)
-	if err := r.end(); err != nil {
+	if err := r.End(); err != nil {
 		return entry{}, err
 	}
 	return entry{state: pp.State, forced: pp.Forced, hasForce: pp.HasForce, parent: -1}, nil
@@ -57,14 +57,14 @@ func appendOutcome(b []byte, out *pathOutcome, wall time.Duration) []byte {
 	switch {
 	case out.err != nil:
 		b = append(b, outcomeFailed)
-		b = appendString(b, out.err.Error())
+		b = wire.AppendString(b, out.err.Error())
 	case out.quarantine != nil:
 		q := out.quarantine
 		b = append(b, outcomeQuarantined)
 		b = binary.LittleEndian.AppendUint64(b, q.PC)
 		b = binary.LittleEndian.AppendUint64(b, q.Time)
-		b = appendString(b, q.Panic)
-		b = appendString(b, q.Stack)
+		b = wire.AppendString(b, q.Panic)
+		b = wire.AppendString(b, q.Stack)
 	default:
 		b = append(b, outcomeProfiled)
 		b = appendBitmap(b, out.toggled)
@@ -88,49 +88,34 @@ const (
 // and stateBits state bits. The path ID fields (stat.ID, quarantine.PathID)
 // are the caller's to fill.
 func decodeOutcome(nets, stateBits int, data []byte) (out pathOutcome, wall time.Duration, err error) {
-	r := &byteReader{b: data}
+	r := newByteReader(data)
 	r.magic(wire.OutcomeMagic)
-	end := PathEnd(r.u8())
-	out.stat = PathStat{End: end, Cycles: r.u64(), HaltPC: r.u64()}
-	out.evals, out.sweeps = r.u64(), r.u64()
-	wall = time.Duration(r.u64())
-	switch shape := r.u8(); {
-	case r.err != nil:
+	end := PathEnd(r.U8())
+	out.stat = PathStat{End: end, Cycles: r.U64(), HaltPC: r.U64()}
+	out.evals, out.sweeps = r.U64(), r.U64()
+	wall = time.Duration(r.U64())
+	switch shape := r.U8(); {
+	case r.Err() != nil:
 	case wall < 0:
-		r.fail("wall time out of range")
+		r.Failf("wall time out of range")
 	case shape == outcomeFailed:
-		out.err = errors.New(r.str())
+		out.err = errors.New(r.Str())
 	case shape == outcomeQuarantined && end == EndQuarantined:
-		out.quarantine = &Quarantine{PC: r.u64(), Time: r.u64(), Panic: r.str(), Stack: r.str()}
+		out.quarantine = &Quarantine{PC: r.U64(), Time: r.U64(), Panic: r.Str(), Stack: r.Str()}
 	case shape == outcomeProfiled && end <= EndInterrupted && end != EndSubsumed:
 		out.toggled = r.bitmap(nets)
 		out.endVals = r.values(nets)
 		if end == EndForked {
 			// classify files the halt under its PC; an X there is the
 			// driver's error to report, not a state to store.
-			if out.halt = r.state(); r.err == nil && (out.halt.Bits.Width() != stateBits || !out.halt.PCKnown || out.halt.PC != out.stat.HaltPC) {
-				r.fail("halt state does not match the platform or the halt PC")
+			if out.halt = r.state(); r.Err() == nil && (out.halt.Bits.Width() != stateBits || !out.halt.PCKnown || out.halt.PC != out.stat.HaltPC) {
+				r.Failf("halt state does not match the platform or the halt PC")
 			}
 		}
 	default:
-		r.fail("outcome shape %d does not fit path end %d", shape, end)
+		r.Failf("outcome shape %d does not fit path end %d", shape, end)
 	}
-	return out, wall, r.end()
-}
-
-// magic consumes a format magic.
-func (r *byteReader) magic(want string) {
-	if got := r.bytes(len(want)); r.err == nil && string(got) != want {
-		r.fail("bad magic %q, want %q", got, want)
-	}
-}
-
-// end reports the first error, or trailing bytes.
-func (r *byteReader) end() error {
-	if r.err == nil && len(r.b) != r.off {
-		r.fail("%d trailing bytes", len(r.b)-r.off)
-	}
-	return r.err
+	return out, wall, r.End()
 }
 
 // appendPending encodes one worklist entry: a flags byte, the forced value
@@ -148,23 +133,23 @@ func appendPending(b []byte, p PendingPath) []byte {
 
 // pending reads one worklist entry whose state, unless it is the zero-width
 // cold-boot state, must be stateBits wide.
-func (r *byteReader) pending(stateBits int) PendingPath {
-	flags := r.u8()
-	forced := r.u8()
+func (r byteReader) pending(stateBits int) PendingPath {
+	flags := r.U8()
+	forced := r.U8()
 	st := r.state()
-	if r.err != nil {
+	if r.Err() != nil {
 		return PendingPath{}
 	}
 	p := PendingPath{State: st, HasForce: flags == 1}
 	switch {
 	case flags > 1:
-		r.fail("pending path has flags byte %d", flags)
+		r.Failf("pending path has flags byte %d", flags)
 	case p.HasForce && forced > uint8(logic.Hi):
-		r.fail("pending path forces non-binary value %d", forced)
+		r.Failf("pending path forces non-binary value %d", forced)
 	case !p.HasForce && forced != 0:
-		r.fail("pending path has force value without force flag")
+		r.Failf("pending path has force value without force flag")
 	case st.Bits.Width() != 0 && st.Bits.Width() != stateBits:
-		r.fail("pending path has %d state bits, want %d", st.Bits.Width(), stateBits)
+		r.Failf("pending path has %d state bits, want %d", st.Bits.Width(), stateBits)
 	}
 	if p.HasForce {
 		p.Forced = logic.Value(forced)

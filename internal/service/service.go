@@ -331,7 +331,6 @@ func New(cfg Config) (*Service, error) {
 				// the job still runs; the stale on-disk "running" record
 				// would simply be repaired again by the next restart.
 				cfg.Logf("service: persisting crash repair of job %s: %v", rec.ID, err)
-				s.om.storeFaults.Inc()
 				s.noteStoreFaultLocked(err)
 			}
 		}
@@ -371,7 +370,9 @@ func (s *Service) worker() {
 // Submit normalizes and accepts a job. If an identical analysis (by
 // content-addressed cache key) already completed, the job is satisfied
 // instantly from the cache without queueing. A full queue returns
-// ErrQueueFull; an invalid spec a *BadSpecError.
+// ErrQueueFull; an invalid spec a *BadSpecError. Only a submission that
+// comes back as a JobView counts as accepted (and, unless the cache served
+// it, as a cache miss): the three returns that hand one out count it.
 func (s *Service) Submit(spec JobSpec) (JobView, error) {
 	var def JobSpec
 	if s.cfg.Defaults != nil {
@@ -402,34 +403,24 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 	// concurrent submission behind s.mu.
 	cl := s.lookupCache(rec.ID, key)
 
-	// Counter publication is deferred to after the unlock: the lock-scope
-	// contract (SA003) keeps internal/obs calls out of critical sections.
-	var publish []*obs.Counter
-	defer func() {
-		for _, c := range publish {
-			c.Inc()
-		}
-	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return JobView{}, ErrDraining
 	}
-	publish = append(publish, s.om.accepted)
 	switch {
 	case cl.remoteHit:
-		publish = append(publish, s.om.remoteHits)
+		s.om.remoteHits.Inc()
 	case cl.remoteMiss:
-		publish = append(publish, s.om.remoteMiss)
+		s.om.remoteMiss.Inc()
 	case cl.remoteErr:
-		publish = append(publish, s.om.remoteErrs)
+		s.om.remoteErrs.Inc()
 	}
 
 	if data, ok, cacheErr := cl.data, cl.ok, cl.err; cacheErr != nil {
 		// A faulting or corrupt cache entry is a miss, never an error to
 		// the client: the submission simply runs instead.
 		s.cfg.Logf("service: job %s: cache read: %v", rec.ID, cacheErr)
-		publish = append(publish, s.om.storeFaults)
 		s.noteStoreFaultLocked(cacheErr)
 	} else if ok {
 		// Content-addressed hit: the exact analysis already ran to
@@ -444,7 +435,8 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 		}
 		if werr == nil {
 			s.noteStoreOKLocked()
-			publish = append(publish, s.om.cacheHits)
+			s.om.accepted.Inc()
+			s.om.cacheHits.Inc()
 			s.jobs[rec.ID] = &job{rec: rec}
 			s.hub.Publish(Event{Type: "state", Job: rec.ID, State: StateDone})
 			return viewOf(s.jobs[rec.ID]), nil
@@ -453,18 +445,15 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 		// refuses only if the record itself can't be saved) rather than
 		// failing a submission the analysis engine can still satisfy.
 		s.cfg.Logf("service: job %s: persisting cache hit: %v", rec.ID, werr)
-		publish = append(publish, s.om.storeFaults)
 		s.noteStoreFaultLocked(werr)
 		rec.State = StateQueued
 		rec.Cached = false
 		rec.Started, rec.Finished = 0, 0
 	}
-	publish = append(publish, s.om.cacheMisses)
 
 	if err := s.store.saveJob(rec); err != nil {
 		// Refuse rather than accept a job the daemon could lose on
 		// restart: with no durable record, a crash would silently drop it.
-		publish = append(publish, s.om.storeFaults)
 		s.noteStoreFaultLocked(err)
 		return JobView{}, fmt.Errorf("%w: %v", ErrDegraded, err)
 	}
@@ -478,7 +467,9 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 	if leaderID, ok := s.inflightByKey[key]; ok {
 		if lj := s.jobs[leaderID]; lj != nil && !terminal(lj.rec.State) {
 			s.followers[leaderID] = append(s.followers[leaderID], rec.ID)
-			publish = append(publish, s.om.coalesced)
+			s.om.accepted.Inc()
+			s.om.cacheMisses.Inc()
+			s.om.coalesced.Inc()
 			s.hub.Publish(Event{Type: "state", Job: rec.ID, State: StateQueued})
 			return viewOf(s.jobs[rec.ID]), nil
 		}
@@ -495,6 +486,8 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 		return JobView{}, err
 	}
 	s.inflightByKey[key] = rec.ID
+	s.om.accepted.Inc()
+	s.om.cacheMisses.Inc()
 	s.hub.Publish(Event{Type: "state", Job: rec.ID, State: StateQueued})
 	return viewOf(s.jobs[rec.ID]), nil
 }
@@ -585,7 +578,6 @@ func (s *Service) CacheGet(key string) ([]byte, bool, error) {
 		s.mu.Lock()
 		s.noteStoreFaultLocked(err)
 		s.mu.Unlock()
-		s.om.storeFaults.Inc()
 		return nil, false, err
 	}
 	return data, ok, nil
@@ -606,7 +598,6 @@ func (s *Service) CachePut(key string, data []byte) error {
 		s.mu.Lock()
 		s.noteStoreFaultLocked(err)
 		s.mu.Unlock()
-		s.om.storeFaults.Inc()
 		return err
 	}
 	s.mu.Lock()
@@ -625,18 +616,12 @@ func (s *Service) runJob(id string) {
 		return
 	}
 	if j.cancelRequested {
-		var publish []*obs.Counter
 		j.rec.State = StateCanceled
 		j.rec.Finished = time.Now().UnixNano()
-		if s.persistJobLocked(j) {
-			publish = append(publish, s.om.storeFaults)
-		}
+		s.persistJobLocked(j)
 		s.hub.Publish(Event{Type: "state", Job: id, State: StateCanceled})
-		s.settleFollowersLocked(id, nil, &publish)
+		s.settleFollowersLocked(id, nil)
 		s.mu.Unlock()
-		for _, c := range publish {
-			c.Inc()
-		}
 		return
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -650,12 +635,9 @@ func (s *Service) runJob(id string) {
 	j.beat.Store(time.Now().UnixNano())
 	resumable := j.rec.Resumable
 	spec := j.rec.Spec
-	faulted := s.persistJobLocked(j)
+	s.persistJobLocked(j)
 	s.hub.Publish(Event{Type: "state", Job: id, State: StateRunning})
 	s.mu.Unlock()
-	if faulted {
-		s.om.storeFaults.Inc()
-	}
 	defer cancel()
 
 	res, err := s.analyze(ctx, j, id, spec, resumable)
@@ -726,14 +708,6 @@ func (s *Service) analyze(ctx context.Context, jb *job, id string, spec JobSpec,
 // re-queued the job (or a newer attempt ran it), and the stale result is
 // discarded without touching the record.
 func (s *Service) finishJob(id string, attempt int, res *core.Result, err error) {
-	// As in Submit, terminal-state counters publish only after the lock
-	// releases (SA003).
-	var publish []*obs.Counter
-	defer func() {
-		for _, c := range publish {
-			c.Inc()
-		}
-	}()
 	// A complete result also publishes to the cluster memo table. The RPC
 	// runs in this deferred step — registered before the lock so it
 	// executes after the unlock (defers are LIFO) — because a network
@@ -785,13 +759,13 @@ func (s *Service) finishJob(id string, attempt int, res *core.Result, err error)
 		j.rec.State = StateFailed
 		j.rec.Error = err.Error()
 		j.rec.Finished = now
-		publish = append(publish, s.om.failed)
+		s.om.failed.Inc()
 		s.store.removeCheckpoint(id)
 
 	case j.cancelRequested && !res.Complete:
 		j.rec.State = StateCanceled
 		j.rec.Finished = now
-		publish = append(publish, s.om.canceled)
+		s.om.canceled.Inc()
 		s.store.removeCheckpoint(id)
 
 	case res.Complete:
@@ -813,7 +787,6 @@ func (s *Service) finishJob(id string, attempt int, res *core.Result, err error)
 			j.resultData = data
 			memOnly = true
 			s.noteStoreFaultLocked(werr)
-			publish = append(publish, s.om.storeFaults)
 		} else {
 			s.noteStoreOKLocked()
 			// Only complete results enter the content cache: a degraded
@@ -824,7 +797,6 @@ func (s *Service) finishJob(id string, attempt int, res *core.Result, err error)
 			if werr := s.store.writeCache(j.rec.CacheKey, data); werr != nil {
 				s.cfg.Logf("service: job %s: caching result: %v", id, werr)
 				s.noteStoreFaultLocked(werr)
-				publish = append(publish, s.om.storeFaults)
 			}
 			if s.cfg.RemoteCache != nil {
 				// Publish to the fleet after the unlock (see the deferred
@@ -834,7 +806,7 @@ func (s *Service) finishJob(id string, attempt int, res *core.Result, err error)
 		}
 		s.store.removeCheckpoint(id)
 		s.noteEngineLocked(j.rec, res)
-		publish = append(publish, s.om.done)
+		s.om.done.Inc()
 
 	case s.draining:
 		// Drain interruption: the final checkpoint was written by the
@@ -843,14 +815,14 @@ func (s *Service) finishJob(id string, attempt int, res *core.Result, err error)
 		j.rec.State = StateQueued
 		j.rec.Started = 0
 		j.rec.Resumable = s.store.hasCheckpoint(id)
-		publish = append(publish, s.om.requeued)
+		s.om.requeued.Inc()
 
 	default:
 		// Budget-degraded completion: terminal, result served, never
 		// cached.
 		j.rec.State = StateDone
 		j.rec.Finished = now
-		publish = append(publish, s.om.degraded)
+		s.om.degraded.Inc()
 		data, merr := json.Marshal(summarize(j.rec.Spec, res))
 		if merr != nil {
 			j.rec.State = StateFailed
@@ -862,7 +834,6 @@ func (s *Service) finishJob(id string, attempt int, res *core.Result, err error)
 			j.resultData = data
 			memOnly = true
 			s.noteStoreFaultLocked(werr)
-			publish = append(publish, s.om.storeFaults)
 		} else {
 			s.noteStoreOKLocked()
 		}
@@ -871,11 +842,11 @@ func (s *Service) finishJob(id string, attempt int, res *core.Result, err error)
 	}
 
 	j.cancel = nil
-	if !memOnly && s.persistJobLocked(j) {
-		publish = append(publish, s.om.storeFaults)
+	if !memOnly {
+		s.persistJobLocked(j)
 	}
 	s.hub.Publish(Event{Type: "state", Job: id, State: j.rec.State})
-	s.settleFollowersLocked(id, settleData, &publish)
+	s.settleFollowersLocked(id, settleData)
 }
 
 // settleFollowersLocked dissolves a leader's coalition (mu held). With a
@@ -885,7 +856,7 @@ func (s *Service) finishJob(id string, attempt int, res *core.Result, err error)
 // for the cache key and re-queued; the rest stay coalesced behind it, so
 // at most one duplicate analysis runs at a time no matter how the leader
 // ends.
-func (s *Service) settleFollowersLocked(leaderID string, data []byte, publish *[]*obs.Counter) {
+func (s *Service) settleFollowersLocked(leaderID string, data []byte) {
 	ids := s.followers[leaderID]
 	delete(s.followers, leaderID)
 	var key string
@@ -904,10 +875,8 @@ func (s *Service) settleFollowersLocked(leaderID string, data []byte, publish *[
 		if fj.cancelRequested {
 			fj.rec.State = StateCanceled
 			fj.rec.Finished = time.Now().UnixNano()
-			if s.persistJobLocked(fj) {
-				*publish = append(*publish, s.om.storeFaults)
-			}
-			*publish = append(*publish, s.om.canceled)
+			s.persistJobLocked(fj)
+			s.om.canceled.Inc()
 			s.hub.Publish(Event{Type: "state", Job: fid, State: StateCanceled})
 			continue
 		}
@@ -942,14 +911,13 @@ func (s *Service) settleFollowersLocked(leaderID string, data []byte, publish *[
 			fj.resultData = data
 			memOnly = true
 			s.noteStoreFaultLocked(werr)
-			*publish = append(*publish, s.om.storeFaults)
 		} else {
 			s.noteStoreOKLocked()
 		}
-		if !memOnly && s.persistJobLocked(fj) {
-			*publish = append(*publish, s.om.storeFaults)
+		if !memOnly {
+			s.persistJobLocked(fj)
 		}
-		*publish = append(*publish, s.om.done)
+		s.om.done.Inc()
 		s.hub.Publish(Event{Type: "state", Job: fid, State: StateDone})
 	}
 }
@@ -982,24 +950,21 @@ func (s *Service) noteEngineLocked(rec *jobRecord, res *core.Result) {
 	}
 }
 
-// persistJobLocked saves the job record, tracking store health. It
-// reports whether the write faulted so callers can publish the
-// storeFaults counter after releasing s.mu (SA003 keeps obs calls out of
-// critical sections).
-func (s *Service) persistJobLocked(j *job) (faulted bool) {
+// persistJobLocked saves the job record, tracking store health.
+func (s *Service) persistJobLocked(j *job) {
 	if err := s.store.saveJob(j.rec); err != nil {
 		s.cfg.Logf("service: persisting job %s: %v", j.rec.ID, err)
 		s.noteStoreFaultLocked(err)
-		return true
+		return
 	}
 	s.noteStoreOKLocked()
-	return false
 }
 
-// noteStoreFaultLocked records a durable-store I/O failure: the service
+// noteStoreFaultLocked counts a durable-store I/O failure: the service
 // enters (or stays in) degraded mode until a store write succeeds again.
 // Callers hold s.mu (or, during New, have not yet published the Service).
 func (s *Service) noteStoreFaultLocked(err error) {
+	s.om.storeFaults.Inc()
 	s.degradedReason = err.Error()
 	if s.degraded.CompareAndSwap(false, true) {
 		s.cfg.Logf("service: entering degraded mode: %v", err)
@@ -1041,7 +1006,6 @@ func (s *Service) leaseWatchdog() {
 // outcome.
 func (s *Service) leaseSweep() {
 	now := time.Now()
-	var publish []*obs.Counter
 	var expired []string
 	s.mu.Lock()
 	if s.draining {
@@ -1062,10 +1026,8 @@ func (s *Service) leaseSweep() {
 		j.rec.State = StateQueued
 		j.rec.Started = 0
 		j.rec.Resumable = s.store.hasCheckpoint(id)
-		publish = append(publish, s.om.leaseExpiry)
-		if s.persistJobLocked(j) {
-			publish = append(publish, s.om.storeFaults)
-		}
+		s.om.leaseExpiry.Inc()
+		s.persistJobLocked(j)
 		if err := s.queue.Push(id, j.rec.Spec.Priority, true); err != nil {
 			// Push only fails after Close; the restart repair path will
 			// re-queue this job from its durable record then.
@@ -1075,9 +1037,6 @@ func (s *Service) leaseSweep() {
 		expired = append(expired, id)
 	}
 	s.mu.Unlock()
-	for _, c := range publish {
-		c.Inc()
-	}
 	for _, id := range expired {
 		s.cfg.Logf("service: lease expired for job %s: no progress for %v, requeued", id, s.cfg.LeaseTTL)
 		// The wedged worker still occupies its pool slot (blocked inside
@@ -1095,12 +1054,6 @@ func (s *Service) leaseSweep() {
 // analysis context canceled (the core drains soundly and the job settles
 // as canceled).
 func (s *Service) Cancel(id string) error {
-	var publish []*obs.Counter
-	defer func() {
-		for _, c := range publish {
-			c.Inc()
-		}
-	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j := s.jobs[id]
@@ -1113,13 +1066,11 @@ func (s *Service) Cancel(id string) error {
 		if s.queue.Remove(id) || s.removeFollowerLocked(id) {
 			j.rec.State = StateCanceled
 			j.rec.Finished = time.Now().UnixNano()
-			if s.persistJobLocked(j) {
-				publish = append(publish, s.om.storeFaults)
-			}
-			publish = append(publish, s.om.canceled)
+			s.persistJobLocked(j)
+			s.om.canceled.Inc()
 			s.hub.Publish(Event{Type: "state", Job: id, State: StateCanceled})
 			// A withdrawn queued leader releases its coalition.
-			s.settleFollowersLocked(id, nil, &publish)
+			s.settleFollowersLocked(id, nil)
 		}
 		// If both misses, a worker has already popped the ID and will
 		// observe cancelRequested in runJob.
@@ -1356,7 +1307,6 @@ func (s *Service) Registry() *obs.Registry { return s.reg }
 // registry's (Config.Metrics): services sharing one registry, as every
 // service of a process does by default, share them too.
 func (s *Service) MetricsSnapshot() Metrics {
-	// Counters first: obs calls stay out of s.mu (SA003).
 	m := Metrics{
 		JobsByState:       make(map[State]int),
 		Accepted:          s.om.accepted.Value(),

@@ -76,7 +76,7 @@ var ErrJobRecordCorrupt = errors.New("service: corrupt job record")
 func (r *jobRecord) encode() []byte {
 	b := []byte(jobMagic)
 	for _, s := range []string{r.ID, r.Spec.Design, r.Spec.Bench, r.Spec.Policy, r.Spec.Engine, r.Spec.MemX} {
-		b = appendStr(b, s)
+		b = wire.AppendString(b, s)
 	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(r.Spec.K))
 	b = binary.LittleEndian.AppendUint32(b, uint32(r.Spec.MaxStates))
@@ -98,9 +98,9 @@ func (r *jobRecord) encode() []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(r.Submitted))
 	b = binary.LittleEndian.AppendUint64(b, uint64(r.Started))
 	b = binary.LittleEndian.AppendUint64(b, uint64(r.Finished))
-	b = appendStr(b, r.Error)
-	b = appendStr(b, r.CacheKey)
-	b = appendStr(b, r.DesignHash)
+	b = wire.AppendString(b, r.Error)
+	b = wire.AppendString(b, r.CacheKey)
+	b = wire.AppendString(b, r.DesignHash)
 	var flags uint8
 	if r.Cached {
 		flags |= 1
@@ -117,42 +117,39 @@ func (r *jobRecord) encode() []byte {
 // input re-encodes byte-identically — a version-1 input as the version-2
 // image of the same record.
 func decodeJobRecord(data []byte) (*jobRecord, error) {
-	r := &recReader{b: data}
-	magic := string(r.take(len(jobMagic)))
-	if r.err == nil && magic != jobMagic && magic != jobMagicV1 {
+	r := wire.NewReader(data, ErrJobRecordCorrupt)
+	magic := string(r.Bytes(len(jobMagic)))
+	if r.Err() == nil && magic != jobMagic && magic != jobMagicV1 {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrJobRecordCorrupt, magic)
 	}
 	rec := &jobRecord{}
-	rec.ID = r.str()
-	rec.Spec.Design = r.str()
-	rec.Spec.Bench = r.str()
-	rec.Spec.Policy = r.str()
-	rec.Spec.Engine = r.str()
-	rec.Spec.MemX = r.str()
-	rec.Spec.K = int(r.u32())
-	rec.Spec.MaxStates = int(r.u32())
-	rec.Spec.Workers = int(r.u32())
+	rec.ID = r.Str()
+	rec.Spec.Design = r.Str()
+	rec.Spec.Bench = r.Str()
+	rec.Spec.Policy = r.Str()
+	rec.Spec.Engine = r.Str()
+	rec.Spec.MemX = r.Str()
+	rec.Spec.K = int(r.U32())
+	rec.Spec.MaxStates = int(r.U32())
+	rec.Spec.Workers = int(r.U32())
 	if magic == jobMagic {
-		rec.Spec.Lanes = int(r.u32())
+		rec.Spec.Lanes = int(r.U32())
 	}
-	rec.Spec.Priority = int(int32(r.u32()))
-	rec.Spec.DeadlineMS = r.i64()
-	rec.Spec.MaxCycles = r.u64()
-	rec.Spec.MaxForks = int(r.u32())
-	rec.Spec.MaxCSMStates = int(r.u32())
-	code := r.u8()
-	rec.Submitted = r.i64()
-	rec.Started = r.i64()
-	rec.Finished = r.i64()
-	rec.Error = r.str()
-	rec.CacheKey = r.str()
-	rec.DesignHash = r.str()
-	flags := r.u8()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.b) != r.off {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrJobRecordCorrupt, len(r.b)-r.off)
+	rec.Spec.Priority = int(int32(r.U32()))
+	rec.Spec.DeadlineMS = int64(r.U64())
+	rec.Spec.MaxCycles = r.U64()
+	rec.Spec.MaxForks = int(r.U32())
+	rec.Spec.MaxCSMStates = int(r.U32())
+	code := r.U8()
+	rec.Submitted = int64(r.U64())
+	rec.Started = int64(r.U64())
+	rec.Finished = int64(r.U64())
+	rec.Error = r.Str()
+	rec.CacheKey = r.Str()
+	rec.DesignHash = r.Str()
+	flags := r.U8()
+	if err := r.End(); err != nil {
+		return nil, err
 	}
 	if int(code) >= len(stateCodes) {
 		return nil, fmt.Errorf("%w: unknown state code %d", ErrJobRecordCorrupt, code)
@@ -164,63 +161,6 @@ func decodeJobRecord(data []byte) (*jobRecord, error) {
 	rec.Cached = flags&1 != 0
 	rec.Resumable = flags&2 != 0
 	return rec, nil
-}
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-// recReader is an error-accumulating cursor over a record image.
-type recReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *recReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || len(r.b)-r.off < n {
-		r.err = fmt.Errorf("%w: truncated at offset %d (want %d bytes, have %d)",
-			ErrJobRecordCorrupt, r.off, n, len(r.b)-r.off)
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *recReader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *recReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *recReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *recReader) i64() int64 { return int64(r.u64()) }
-
-func (r *recReader) str() string {
-	n := int(r.u32())
-	return string(r.take(n))
 }
 
 // store lays the service's durable state out under one root directory:

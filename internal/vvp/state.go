@@ -284,73 +284,29 @@ func (s *Simulator) gidx(g netlist.GateID) netlist.GateID {
 }
 
 // MarshalBinary serializes st (the on-disk "sim_state.log" of the paper's
-// flow).
+// flow) in the one State encoding, AppendBinary's.
 func (st State) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, 8+8+1+4+st.Bits.Width())
-	out = binary.LittleEndian.AppendUint64(out, st.Time)
-	out = binary.LittleEndian.AppendUint64(out, st.PC)
-	var known uint8
-	if st.PCKnown {
-		known = 1
-	}
-	out = append(out, known)
-	out = binary.LittleEndian.AppendUint32(out, uint32(st.Bits.Width()))
-	for i := 0; i < st.Bits.Width(); i += 64 {
-		c := min(64, st.Bits.Width()-i)
-		kw, lw := st.Bits.Word(i, c)
-		for j := 0; j < c; j++ {
-			out = append(out, uint8(logic.PlaneBit(kw, lw, j)))
-		}
-	}
-	return out, nil
+	return st.AppendBinary(nil), nil
 }
 
-// UnmarshalBinary deserializes a state written by MarshalBinary. It is
-// strict: truncated input, trailing bytes, an out-of-range value byte or a
-// non-boolean PCKnown byte are rejected rather than silently tolerated, so
-// a state file can never decode to something MarshalBinary would not have
-// produced.
+// UnmarshalBinary deserializes a state written by MarshalBinary: one
+// DecodeState with nothing after it.
 func (st *State) UnmarshalBinary(data []byte) error {
-	const header = 8 + 8 + 1 + 4
-	if len(data) < header {
-		return fmt.Errorf("vvp: state truncated: %d bytes", len(data))
+	got, rest, err := DecodeState(data)
+	if err != nil {
+		return err
 	}
-	t := binary.LittleEndian.Uint64(data)
-	pc := binary.LittleEndian.Uint64(data[8:])
-	known := data[16]
-	if known > 1 {
-		return fmt.Errorf("vvp: state PCKnown byte %d not 0/1", known)
+	if len(rest) != 0 {
+		return fmt.Errorf("vvp: %d trailing bytes after state", len(rest))
 	}
-	width := binary.LittleEndian.Uint32(data[17:])
-	body := data[header:]
-	if len(body) != int(width) {
-		return fmt.Errorf("vvp: state body is %d bytes, width says %d", len(body), width)
-	}
-	v := logic.NewVec(int(width))
-	for i := 0; i < len(body); i += 64 {
-		chunk := body[i:min(i+64, len(body))]
-		var kw, lw uint64
-		for j, b := range chunk {
-			// Snapshot never records Z (Get folds it to X), so only 0/1/x
-			// bytes are canonical.
-			if b > uint8(logic.X) {
-				return fmt.Errorf("vvp: state bit %d has invalid value byte %d", i+j, b)
-			}
-			k, l := logic.Value(b).Planes()
-			kw |= k << uint(j)
-			lw |= l << uint(j)
-		}
-		v.SetWord(i, len(chunk), kw, lw)
-	}
-	st.Time, st.PC, st.PCKnown, st.Bits = t, pc, known == 1, v
+	*st = got
 	return nil
 }
 
 // AppendBinary appends the compact canonical encoding of st to b: the
-// fixed header followed by the packed-bitplane Vec encoding. This is the
-// form run-governance checkpoints embed; it is ~8x smaller than the
-// byte-per-bit MarshalBinary state files and round-trips byte-identically
-// through DecodeState.
+// fixed header followed by the packed-bitplane Vec encoding. It is the
+// form checkpoints, segments and -dump-states files all hold, and
+// round-trips byte-identically through DecodeState.
 func (st State) AppendBinary(b []byte) []byte {
 	b = binary.LittleEndian.AppendUint64(b, st.Time)
 	b = binary.LittleEndian.AppendUint64(b, st.PC)

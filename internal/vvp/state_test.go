@@ -1,6 +1,7 @@
 package vvp
 
 import (
+	"bytes"
 	"testing"
 
 	"symsim/internal/logic"
@@ -173,6 +174,9 @@ func TestStateMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Equal(data, st.AppendBinary(nil)) {
+		t.Fatal("MarshalBinary is not the AppendBinary encoding")
+	}
 	var got State
 	if err := got.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
@@ -185,9 +189,16 @@ func TestStateMarshalRoundTrip(t *testing.T) {
 func TestStateUnmarshalTruncated(t *testing.T) {
 	st := State{Bits: logic.MustVec("0101"), Time: 7, PC: 1, PCKnown: true}
 	data, _ := st.MarshalBinary()
-	var got State
-	if err := got.UnmarshalBinary(data[:len(data)-2]); err == nil {
-		t.Error("truncated unmarshal succeeded")
+	for name, bad := range map[string][]byte{
+		"truncated body":   data[:len(data)-2],
+		"truncated header": data[:10],
+		"trailing byte":    append(append([]byte(nil), data...), 0),
+		"PCKnown byte 2":   append(append(append([]byte(nil), data[:16]...), 2), data[17:]...),
+	} {
+		var got State
+		if err := got.UnmarshalBinary(bad); err == nil {
+			t.Errorf("%s: unmarshal succeeded", name)
+		}
 	}
 }
 

@@ -6,6 +6,9 @@
 // constants live here, once, so two formats can never collide and the
 // SA004 analyzer can verify that no magic literal is minted outside this
 // file and that every decodable format keeps a round-trip fuzz target.
+// The framing the decodable formats share — length-prefixed strings and
+// the strict first-error cursor their decoders read through — is here too
+// (reader.go).
 //
 // Bumping a format version means adding a new constant and registry row —
 // never editing an existing one; old magics stay reserved so stale files

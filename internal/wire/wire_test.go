@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -37,5 +38,38 @@ func TestByMagic(t *testing.T) {
 	}
 	if f := ByMagic("SYMSIMZ9"); f != nil {
 		t.Fatalf("ByMagic(unknown) = %+v, want nil", f)
+	}
+}
+
+// TestReaderKeepsFirstErrorUnderSentinel: a read past the end fails with
+// an error wrapping the caller's sentinel, later reads and failures leave
+// it in place and return zero values, and End rejects trailing bytes.
+func TestReaderKeepsFirstErrorUnderSentinel(t *testing.T) {
+	corrupt := errors.New("corrupt")
+	img := AppendString([]byte{7, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0}, "ab")
+
+	r := NewReader(img, corrupt)
+	if r.U8() != 7 || r.U32() != 1 || r.U64() != 2 || r.Str() != "ab" || r.End() != nil {
+		t.Fatalf("well-formed image: err %v", r.Err())
+	}
+
+	r = NewReader(img[:len(img)-1], corrupt)
+	r.Bytes(13)
+	if s := r.Str(); s != "" || !errors.Is(r.Err(), corrupt) {
+		t.Fatalf("truncated string = %q, err %v; want the sentinel", s, r.Err())
+	}
+	first := r.Err()
+	r.Failf("a later failure")
+	if r.U64() != 0 || r.Rest() != nil || r.End() != first {
+		t.Errorf("reads after an error must be zero and keep it; err now %v", r.Err())
+	}
+
+	r = NewReader(img, corrupt)
+	r.Bytes(5)
+	if rest := r.Rest(); len(rest) != len(img)-5 || r.Err() != nil {
+		t.Errorf("Rest = %d bytes, err %v", len(rest), r.Err())
+	}
+	if err := r.End(); !errors.Is(err, corrupt) {
+		t.Errorf("trailing bytes: End = %v, want the sentinel", err)
 	}
 }
