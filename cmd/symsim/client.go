@@ -77,7 +77,7 @@ func submitCmd(args []string) int {
 		return 2
 	}
 
-	spec := service.SpecFromFlags(tuning)
+	spec := tuning.Spec
 	spec.Design, spec.Bench, spec.Priority = *design, *bench, *priority
 	body, err := json.Marshal(spec)
 	if err != nil {

@@ -159,6 +159,7 @@ func analyzeMain(args []string, printStats bool) {
 		fatal(err)
 	}
 
+	tuning.Design, tuning.Bench = *design, *bench
 	cfg, err := tuning.Config(p.Spec)
 	if err != nil {
 		fatal(err)

@@ -10,10 +10,13 @@
 //	symsimd -listen localhost:8466 -data /var/lib/symsimd
 //	symsimd -jobs 4 -queue 128 -policy clustered -k 4   # server-side defaults
 //
-// The analysis-tuning flags (policy, engine, memx, workers, budgets) set
-// the daemon-side defaults applied to submissions that leave those fields
-// empty; they are the same flag vocabulary as cmd/symsim (see
-// internal/cliflags). SIGINT/SIGTERM drain gracefully: the HTTP listener
+// The analysis-tuning flags (policy, engine, memx, workers, budgets) are
+// the same vocabulary as cmd/symsim's (internal/cliflags, which is also the
+// JSON spec of both APIs). Here they are defaults for POST /jobs: a
+// submission that leaves a field empty gets the daemon's value, then the
+// flag default. POST /cluster/runs (-coordinator) fills from the flag
+// defaults alone, so a run means the same analysis on every coordinator.
+// SIGINT/SIGTERM drain gracefully: the HTTP listener
 // stops, running jobs are canceled and checkpointed, and the queue is
 // preserved on disk for the next start.
 //
@@ -56,8 +59,7 @@ func main() {
 		ckptEvery  = flag.Duration("checkpoint-every", 15*time.Second, "periodic checkpoint interval for running jobs")
 		progress   = flag.Duration("progress-every", 250*time.Millisecond, "progress heartbeat interval streamed to subscribers")
 		keepAlive  = flag.Duration("sse-keepalive", 15*time.Second, "SSE comment-line keep-alive interval (defeats proxy idle timeouts)")
-		leaseTTL   = flag.Duration("lease-ttl", 0, "job lease TTL: a running job making no observable progress this long is requeued under a new lease (0 = watchdog off)")
-		leaseCheck = flag.Duration("lease-check-every", 0, "lease watchdog sweep interval (default lease-ttl/4)")
+		leaseTTL   = flag.Duration("lease-ttl", 0, "job lease TTL: a running job making no observable progress this long is requeued under a new lease; the watchdog sweeps every quarter of it (0 = watchdog off)")
 		faultPlan  = flag.String("fault-plan", "", "chaos testing: inject store faults per internal/fault plan spec (e.g. 'rename@3=eio,write@2=short' or 'seed:42:5'); NOT for production")
 		debug      = flag.String("debug", "", "debug listen address for net/http/pprof (e.g. localhost:8467; empty = off)")
 		defaults   = cliflags.Register(flag.CommandLine)
@@ -89,9 +91,8 @@ func main() {
 		ProgressEvery:   *progress,
 		SSEKeepAlive:    *keepAlive,
 		LeaseTTL:        *leaseTTL,
-		LeaseCheckEvery: *leaseCheck,
 		FS:              vfs,
-		Defaults:        defaults,
+		Defaults:        &defaults.Spec,
 		Logf:            func(format string, args ...any) { logger.Printf(format, args...) },
 	}
 	if clusterCfg.Worker != "" {

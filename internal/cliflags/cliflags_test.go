@@ -3,6 +3,7 @@ package cliflags_test
 import (
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -60,7 +61,7 @@ func TestBothCommandsParseTheSameFlagSet(t *testing.T) {
 
 	args := []string{
 		"-policy", "clustered", "-k", "7", "-workers", "3",
-		"-engine", "interp", "-memx", "sound",
+		"-engine", "batch", "-memx", "sound",
 		"-deadline", "90s", "-max-sim-cycles", "123456",
 		"-max-forks", "9", "-max-csm-states", "11",
 	}
@@ -73,7 +74,7 @@ func TestBothCommandsParseTheSameFlagSet(t *testing.T) {
 	if !reflect.DeepEqual(aCLI, aDaemon) {
 		t.Errorf("same args parsed differently:\n cli    %+v\n daemon %+v", aCLI, aDaemon)
 	}
-	if aCLI.Deadline != 90*time.Second || aCLI.K != 7 {
+	if aCLI.DeadlineMS != 90_000 || aCLI.K != 7 {
 		t.Errorf("parsed values wrong: %+v", aCLI)
 	}
 }
@@ -121,9 +122,10 @@ func TestClusterFlagsPinnedAndDisjoint(t *testing.T) {
 func TestConfigInterpretsFlags(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	a := cliflags.Register(fs)
-	if err := fs.Parse([]string{"-policy", "exact", "-max-states", "32", "-engine", "interp", "-memx", "sound", "-workers", "2", "-max-forks", "5"}); err != nil {
+	if err := fs.Parse([]string{"-policy", "exact", "-max-states", "32", "-engine", "batch", "-memx", "sound", "-workers", "2", "-max-forks", "5", "-deadline", "1500ms"}); err != nil {
 		t.Fatal(err)
 	}
+	a.Design, a.Bench = "dr5", "tea8"
 	cfg, err := a.Config(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -131,23 +133,25 @@ func TestConfigInterpretsFlags(t *testing.T) {
 	if cfg.Policy.Name() != "exact" {
 		t.Errorf("policy = %q", cfg.Policy.Name())
 	}
-	if cfg.Engine != vvp.EngineInterp || cfg.MemX != vvp.MemXSound || cfg.Workers != 2 {
+	if cfg.Engine != vvp.EngineBatch || cfg.MemX != vvp.MemXSound || cfg.Workers != 2 {
 		t.Errorf("config = %+v", cfg)
 	}
-	if want := (core.Budget{MaxForks: 5}); cfg.Budget != want {
+	if want := (core.Budget{MaxForks: 5, WallClock: 1500 * time.Millisecond}); cfg.Budget != want {
 		t.Errorf("budget = %+v", cfg.Budget)
 	}
 }
 
 // TestBatchEngineFlags pins the batch-engine vocabulary: -engine=batch
 // parses to vvp.EngineBatch, -lanes flows into Config.Lanes, and the
-// unknown-engine error names all three engines.
+// unknown-engine error names the two engines a request may select — the
+// interpreter is the differential suites' oracle, not an option.
 func TestBatchEngineFlags(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	a := cliflags.Register(fs)
 	if err := fs.Parse([]string{"-engine", "batch", "-lanes", "16"}); err != nil {
 		t.Fatal(err)
 	}
+	a.Design, a.Bench = "dr5", "tea8"
 	cfg, err := a.Config(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -155,24 +159,38 @@ func TestBatchEngineFlags(t *testing.T) {
 	if cfg.Engine != vvp.EngineBatch || cfg.Lanes != 16 {
 		t.Errorf("config = engine %v lanes %d, want batch/16", cfg.Engine, cfg.Lanes)
 	}
-	if _, err := cliflags.ParseEngine("warp"); err == nil ||
-		!strings.Contains(err.Error(), "kernel | interp | batch") {
-		t.Errorf("unknown-engine error should list all engines, got %v", err)
+	for _, name := range []string{"warp", "interp"} {
+		if _, err := cliflags.ParseEngine(name); err == nil ||
+			!strings.Contains(err.Error(), "want kernel | batch") {
+			t.Errorf("-engine %s: error should list the selectable engines, got %v", name, err)
+		}
 	}
 }
 
 func TestConfigRejectsBadValues(t *testing.T) {
+	// The budget is carried in whole milliseconds; a finer -deadline would
+	// otherwise read as "no budget".
+	fine := flag.NewFlagSet("t", flag.ContinueOnError)
+	fine.SetOutput(io.Discard)
+	cliflags.Register(fine)
+	if err := fine.Parse([]string{"-deadline", "500us"}); err == nil {
+		t.Error("-deadline 500us accepted")
+	}
 	for _, args := range [][]string{
 		{"-memx", "bogus"},
 		{"-engine", "bogus"},
 		{"-policy", "bogus"},
 		{"-policy", "constrained"}, // no spec/constraint file
+		{"-policy", "clustered", "-k", "-1"},
+		{"-lanes", "65"},
+		{"-max-forks", "-1"},
 	} {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
 		a := cliflags.Register(fs)
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
+		a.Design, a.Bench = "dr5", "tea8"
 		if _, err := a.Config(nil); err == nil {
 			t.Errorf("args %v accepted", args)
 		}

@@ -90,15 +90,6 @@ func (cc *coordClient) finish(resp *http.Response, out any) (int, error) {
 	return resp.StatusCode, fmt.Errorf("cluster: server: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 }
 
-// createRun registers a run and returns its ID.
-func (cc *coordClient) createRun(spec RunSpec) (string, error) {
-	var resp createRunResponse
-	if _, err := cc.call(http.MethodPost, "/cluster/runs", spec, &resp); err != nil {
-		return "", err
-	}
-	return resp.ID, nil
-}
-
 // lease long-polls for work for one slot; ok is false when the coordinator
 // had none within its poll window.
 func (cc *coordClient) lease(worker string) (*leaseResponse, bool, error) {
@@ -158,13 +149,6 @@ func (cc *coordClient) heartbeat(runID string, refs []leaseRef) error {
 		return fmt.Errorf("cluster: heartbeat: status %d", status)
 	}
 	return err
-}
-
-// status fetches a run's status view.
-func (cc *coordClient) status(runID string) (RunStatusView, error) {
-	var v RunStatusView
-	_, err := cc.call(http.MethodGet, "/cluster/runs/"+url.PathEscape(runID), nil, &v)
-	return v, err
 }
 
 // MemoClient consults a coordinator's cluster-wide result memo table —

@@ -20,6 +20,8 @@
 //     memo table: the coordinator serves its service's cache over
 //     /cluster/cache/{key}, and worker daemons consult it through
 //     MemoClient on local misses.
+//   - A run is requested with the job API's spec (RunSpec) and answered
+//     with the job API's result view, tie-off list included.
 //
 // Transport is the stdlib HTTP the daemon already speaks, through the
 // shared hardened client in internal/httpx (real timeouts, jittered
@@ -28,33 +30,16 @@ package cluster
 
 import (
 	"errors"
+
+	"symsim/internal/cliflags"
 )
 
-// RunSpec describes one distributed co-analysis. It mirrors the
-// result-affecting subset of the service's JobSpec vocabulary plus the
-// engine knobs the coordinator hands out with each lease.
-type RunSpec struct {
-	// Design and Bench select the platform, e.g. "dr5" / "tHold".
-	Design string `json:"design"`
-	Bench  string `json:"bench"`
-
-	// Policy selects the CSM policy: merge-all | clustered | exact
-	// (constrained needs a local file and is not accepted over the cluster
-	// API). K and MaxStates parameterize clustered and exact.
-	Policy    string `json:"policy,omitempty"`
-	K         int    `json:"k,omitempty"`
-	MaxStates int    `json:"maxStates,omitempty"`
-
-	// Engine, MemX and Lanes select the engine every worker slot explores
-	// on. Engine and Lanes never change a complete dichotomy (the
-	// single-node engine-equivalence guarantee).
-	Engine string `json:"engine,omitempty"`
-	MemX   string `json:"memx,omitempty"`
-	Lanes  int    `json:"lanes,omitempty"`
-	// Workers is the number of explorers per worker slot and must be 0 or
-	// 1: a slot is one explorer, and a fleet's parallelism is its slots.
-	Workers int `json:"workers,omitempty"`
-}
+// RunSpec describes one distributed co-analysis. It is the analysis spec
+// of the shared vocabulary (cliflags.Spec), normalized exactly as a job's
+// is; what a fleet cannot honour — more than one explorer per slot, the
+// constrained policy, budgets, a queue priority — NewRun rejects by name.
+// The normalized spec rides with every lease.
+type RunSpec = cliflags.Spec
 
 // Errors the coordinator API maps onto HTTP statuses (and back).
 var (
@@ -133,11 +118,6 @@ type leaseRef struct {
 	Epoch int `json:"epoch"`
 }
 
-// createRunResponse answers POST /cluster/runs.
-type createRunResponse struct {
-	ID string `json:"id"`
-}
-
 // RunStatusView is the externally visible state of a run: its lifecycle
 // state plus the core.Progress snapshot of the analysis behind it.
 type RunStatusView struct {
@@ -153,20 +133,4 @@ type RunStatusView struct {
 	PathsInFlight   int    `json:"pathsInFlight"`
 	SimulatedCycles uint64 `json:"simulatedCycles"`
 	CSMStates       int    `json:"csmStates"`
-}
-
-// RunResultView is the result summary served for a finished run.
-type RunResultView struct {
-	Design           string  `json:"design"`
-	Bench            string  `json:"bench"`
-	Policy           string  `json:"policy"`
-	Complete         bool    `json:"complete"`
-	ExercisableCount int     `json:"exercisableGates"`
-	TotalGates       int     `json:"totalGates"`
-	ReductionPct     float64 `json:"reductionPct"`
-	PathsCreated     int     `json:"pathsCreated"`
-	PathsSkipped     int     `json:"pathsSkipped"`
-	SimulatedCycles  uint64  `json:"simulatedCycles"`
-	CSMStates        int     `json:"csmStates"`
-	TieOffs          int     `json:"tieOffs"`
 }

@@ -2,12 +2,10 @@ package cluster
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"sync"
 	"time"
 
-	"symsim/internal/cliflags"
 	"symsim/internal/core"
 	"symsim/internal/obs"
 	"symsim/internal/report"
@@ -31,7 +29,8 @@ type Config struct {
 	// before it is put back and leased again under a new epoch
 	// (DefaultLeaseTTL).
 	LeaseTTL time.Duration
-	// SweepEvery is the lease-expiry scan period (LeaseTTL/4).
+	// SweepEvery is the lease-expiry scan period: LeaseTTL/4, at least
+	// 10ms, unless a test sets it to drive sweeps its own way.
 	SweepEvery time.Duration
 	// MaxAttempts bounds lease attempts per segment before the whole run
 	// is failed (DefaultMaxAttempts).
@@ -53,10 +52,6 @@ const (
 type Coordinator struct {
 	cfg Config
 	om  *coordMetrics
-	// def holds the analysis flag defaults (cliflags.Register) that fill a
-	// spec's zero fields, so the fleet and the CLI cannot drift.
-	def *cliflags.Analysis
-
 	// tuneConfig, when non-nil, may adjust a run's core.Config before it
 	// opens. Test seam (tracing a fleet run).
 	tuneConfig func(cc *core.Config)
@@ -118,7 +113,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		cfg.LeaseTTL = DefaultLeaseTTL
 	}
 	if cfg.SweepEvery <= 0 {
-		cfg.SweepEvery = cfg.LeaseTTL / 4
+		cfg.SweepEvery = max(cfg.LeaseTTL/4, 10*time.Millisecond)
 	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = DefaultMaxAttempts
@@ -128,7 +123,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 	}
 	c := &Coordinator{
 		cfg:       cfg,
-		def:       cliflags.Register(flag.NewFlagSet("cluster", flag.ContinueOnError)),
 		runs:      make(map[string]*run),
 		stopSweep: make(chan struct{}),
 	}
@@ -157,51 +151,39 @@ func (c *Coordinator) Close() {
 	c.wg.Wait()
 }
 
-// NewRun registers a distributed run: it builds the platform and opens the
-// analysis — policy, frontier with the cold-boot entry, toggle profile —
-// exactly as a single-node run would, minus the explorers. It returns the
-// run ID workers will see in their leases.
+// NewRun registers a distributed run: it normalizes the spec as every
+// door does, builds the platform and opens the analysis — policy, frontier
+// with the cold-boot entry, toggle profile — exactly as a single-node run
+// would, minus the explorers. What a fleet cannot honour is rejected here,
+// by name, rather than ignored. It returns the run ID workers will see in
+// their leases.
 func (c *Coordinator) NewRun(spec RunSpec) (string, error) {
-	if spec.Design == "" || spec.Bench == "" {
-		return "", fmt.Errorf("%w: design and bench are required", ErrBadPayload)
-	}
-	if spec.Policy == "" {
-		spec.Policy = c.def.Policy
-	}
-	if spec.K <= 0 {
-		spec.K = c.def.K
-	}
-	if spec.MaxStates <= 0 {
-		spec.MaxStates = c.def.MaxStates
-	}
-	if spec.Engine == "" {
-		spec.Engine = c.def.Engine
-	}
-	if spec.MemX == "" {
-		spec.MemX = c.def.MemX
+	spec, err := spec.Normalize(nil)
+	if err != nil {
+		return "", fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
 	if spec.Workers > 1 {
 		return "", fmt.Errorf("%w: workers=%d: a worker slot is one explorer; raise the fleet's -worker-slots instead", ErrBadPayload, spec.Workers)
 	}
-	spec.Workers = 1
-	if spec.Policy == "constrained" {
-		// Deliberately unsupported rather than unknown: the constrained
-		// policy is built from a -constraints fact file resolved against
-		// the submitting machine's platform state spec, and the RunSpec
-		// wire format carries neither. Run it locally with cmd/symsim.
-		return "", fmt.Errorf("%w: the constrained policy needs a local -constraints fact file and platform state spec, which the cluster API does not carry; run constrained analyses locally with symsim -policy constrained", ErrBadPayload)
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"priority", spec.Priority != 0},
+		{"deadlineMs", spec.DeadlineMS != 0},
+		{"maxCycles", spec.MaxCycles != 0},
+		{"maxForks", spec.MaxForks != 0},
+		{"maxCsmStates", spec.MaxCSMStates != 0},
+	} {
+		if f.set {
+			return "", fmt.Errorf("%w: %s: the cluster API has no queue and carries no budgets", ErrBadPayload, f.name)
+		}
 	}
-	cc := core.Config{Lanes: spec.Lanes, Metrics: c.cfg.Metrics}
-	var err error
-	if cc.Policy, err = cliflags.NewPolicy(spec.Policy, spec.K, spec.MaxStates); err != nil {
+	cc, err := spec.Config()
+	if err != nil {
 		return "", fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
-	if cc.Engine, err = cliflags.ParseEngine(spec.Engine); err != nil {
-		return "", fmt.Errorf("%w: %v", ErrBadPayload, err)
-	}
-	if cc.MemX, err = cliflags.ParseMemX(spec.MemX); err != nil {
-		return "", fmt.Errorf("%w: %v", ErrBadPayload, err)
-	}
+	cc.Metrics = c.cfg.Metrics
 	p, err := c.cfg.BuildPlatform(spec.Design, spec.Bench)
 	if err != nil {
 		return "", fmt.Errorf("%w: %v", ErrBadPayload, err)

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -17,6 +19,7 @@ import (
 	"symsim/internal/core"
 	"symsim/internal/obs"
 	"symsim/internal/report"
+	"symsim/internal/service"
 	"symsim/internal/vvp"
 )
 
@@ -298,6 +301,125 @@ func TestClusterRejectsConstrainedActionably(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Errorf("rejection %q does not mention %q", msg, want)
 		}
+	}
+}
+
+// TestClusterRejectsWhatItCannotHonour: the run spec is the job spec, but a
+// fleet has no queue and carries no budgets. A field it would have to
+// ignore is a 400 that names the field, not a silently different analysis.
+func TestClusterRejectsWhatItCannotHonour(t *testing.T) {
+	coord := NewCoordinator(Config{Metrics: obs.NewRegistry()})
+	defer coord.Close()
+	for field, spec := range map[string]RunSpec{
+		"deadlineMs":   {Design: "dr5", Bench: "tHold", DeadlineMS: 5000},
+		"maxCycles":    {Design: "dr5", Bench: "tHold", MaxCycles: 1 << 20},
+		"maxForks":     {Design: "dr5", Bench: "tHold", MaxForks: 10},
+		"maxCsmStates": {Design: "dr5", Bench: "tHold", MaxCSMStates: 10},
+		"priority":     {Design: "dr5", Bench: "tHold", Priority: 3},
+		"workers":      {Design: "dr5", Bench: "tHold", Workers: 2},
+	} {
+		_, err := coord.NewRun(spec)
+		if !errors.Is(err, ErrBadPayload) || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s set: err = %v, want ErrBadPayload naming the field", field, err)
+		}
+	}
+}
+
+// TestClusterRunOverHTTP drives the fleet's user-facing surface the way
+// curl does — POST /cluster/runs, poll GET /cluster/runs/{id}, GET
+// .../result — against a coordinator with one worker, and holds the
+// answer to the job API's: the tie-off list, the product of the whole
+// tool, is byte for byte the one /jobs/{id}/result serves for the cell.
+func TestClusterRunOverHTTP(t *testing.T) {
+	tc := startCluster(t, Config{}, 1)
+	body := `{"design":"dr5","bench":"tHold","policy":"merge-all","k":7}`
+	resp, err := http.Post(tc.ts.URL+"/cluster/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var created struct{ ID string }
+	decodeBody(t, resp, http.StatusCreated, &created)
+
+	var st RunStatusView
+	for deadline := time.Now().Add(3 * time.Minute); st.State != "done"; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get(tc.ts.URL + "/cluster/runs/" + created.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodeBody(t, resp, http.StatusOK, &st)
+		if st.State == "failed" || time.Now().After(deadline) {
+			t.Fatalf("run %s: state %q, error %q", created.ID, st.State, st.Error)
+		}
+	}
+	if want := (RunSpec{Design: "dr5", Bench: "tHold", Policy: "merge-all", Engine: "kernel", MemX: "verilog", Workers: 1}); st.Spec != want {
+		t.Errorf("status echoes spec %+v, want the normalized %+v", st.Spec, want)
+	}
+	resp, err = http.Get(tc.ts.URL + "/cluster/runs/" + created.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fleet struct {
+		report.ResultSummary
+		TieOffs json.RawMessage `json:"tieOffs"`
+	}
+	decodeBody(t, resp, http.StatusOK, &fleet)
+
+	svc, err := service.New(service.Config{DataDir: t.TempDir(), Workers: 1, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	js := httptest.NewServer(service.Handler(svc))
+	defer js.Close()
+	resp, err = http.Post(js.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view service.JobView
+	decodeBody(t, resp, http.StatusCreated, &view)
+	if view.Spec != st.Spec {
+		t.Errorf("job view echoes spec %+v, run status %+v", view.Spec, st.Spec)
+	}
+	var job struct {
+		report.ResultSummary
+		TieOffs json.RawMessage `json:"tieOffs"`
+	}
+	for deadline := time.Now().Add(3 * time.Minute); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get(js.URL + "/jobs/" + view.ID + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusConflict && time.Now().Before(deadline) {
+			resp.Body.Close()
+			continue
+		}
+		decodeBody(t, resp, http.StatusOK, &job)
+		break
+	}
+	if !bytes.Equal(fleet.TieOffs, job.TieOffs) {
+		t.Errorf("tie-off lists differ: fleet %d bytes, job API %d bytes", len(fleet.TieOffs), len(job.TieOffs))
+	}
+	f, j := fleet.ResultSummary, job.ResultSummary
+	var ties []report.TieOffView
+	if err := json.Unmarshal(fleet.TieOffs, &ties); err != nil || len(ties) == 0 || len(ties) != f.TotalGates-f.ExercisableCount {
+		t.Errorf("fleet result lists %d tie-offs (err %v) for %d of %d gates exercisable", len(ties), err, f.ExercisableCount, f.TotalGates)
+	}
+	if f.Design != j.Design || f.Bench != j.Bench || f.Policy != j.Policy || !f.Complete || !j.Complete ||
+		f.TotalGates != j.TotalGates || f.ExercisableCount != j.ExercisableCount || f.ReductionPct != j.ReductionPct {
+		t.Errorf("dichotomy differs:\n fleet %+v\n job   %+v", f, j)
+	}
+}
+
+// decodeBody checks a response's status and decodes its JSON body into v.
+func decodeBody(t *testing.T, resp *http.Response, status int, v any) {
+	t.Helper()
+	defer resp.Body.Close()
+	if resp.StatusCode != status {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("%s %s: status %s, want %d: %s", resp.Request.Method, resp.Request.URL.Path, resp.Status, status, msg)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("%s %s: %v", resp.Request.Method, resp.Request.URL.Path, err)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"symsim/internal/cliflags"
 	"symsim/internal/core"
 	"symsim/internal/obs"
 	"symsim/internal/report"
@@ -179,19 +178,17 @@ func (w *Worker) explore(ctx context.Context, cc *coordClient, name string, ls *
 	}
 }
 
-// engine resolves a lease's spec into the platform and the driver half of
-// a core.Config.
+// engine resolves a lease's spec into the platform and the core.Config
+// it describes, of which core.Explore reads the driver's half.
 func (w *Worker) engine(ls *leaseResponse) (*core.Platform, core.Config, error) {
-	cfg := core.Config{Lanes: ls.Spec.Lanes, Metrics: w.Metrics}
+	cfg, err := ls.Spec.Config()
+	if err != nil {
+		return nil, cfg, err
+	}
+	cfg.Metrics = w.Metrics
 	p, err := w.platform(ls.Spec.Design, ls.Spec.Bench)
 	if err != nil {
 		return nil, cfg, fmt.Errorf("platform: %w", err)
-	}
-	if cfg.MemX, err = cliflags.ParseMemX(ls.Spec.MemX); err != nil {
-		return nil, cfg, err
-	}
-	if cfg.Engine, err = cliflags.ParseEngine(ls.Spec.Engine); err != nil {
-		return nil, cfg, err
 	}
 	if w.tuneConfig != nil {
 		w.tuneConfig(ls.RunID, &cfg)

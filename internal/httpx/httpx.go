@@ -1,4 +1,5 @@
-// Package httpx is the one place symsim constructs HTTP clients. The
+// Package httpx is the one place symsim constructs HTTP clients, and the
+// one place its two servers read and write JSON bodies. The
 // zero-value http.Client never times out, so a dead server used to hang
 // every subcommand forever; the PR-7 hardening fixed that for cmd/symsim,
 // and this package hoists the hardened clients so the cluster worker, the
@@ -8,7 +9,9 @@
 package httpx
 
 import (
+	"encoding/json"
 	"fmt"
+	"log"
 	"math/rand"
 	"net"
 	"net/http"
@@ -116,4 +119,32 @@ func Do(c *http.Client, build func() (*http.Request, error), retryTransport bool
 		}
 	}
 	return nil, lastErr
+}
+
+// ReadJSON decodes a request's JSON body into v, reading at most 1 MiB of
+// it: no request this tree defines comes near that, and an unbounded body
+// is memory a stranger controls. On failure it answers 400 and reports
+// false.
+func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(v); err != nil {
+		WriteErr(w, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))
+		return false
+	}
+	return true
+}
+
+// WriteJSON answers status with v as the JSON body. An encode error this
+// late is unreportable to the client (the status line is already gone),
+// so it lands in the process log instead of vanishing.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		log.Printf("httpx: writing JSON response: %v", err)
+	}
+}
+
+// WriteErr answers status with err as an {"error": ...} body.
+func WriteErr(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }

@@ -1,13 +1,14 @@
-package service
+package report
 
 import (
 	"symsim/internal/core"
 )
 
-// ResultSummary is the JSON-serializable digest of a finished analysis
-// that the service persists and serves. It carries the paper's dichotomy
-// metrics plus the full tie-off list, so the bespoke-pruning flow can run
-// from a cached result without re-analyzing.
+// ResultSummary is the JSON-serializable digest of a finished analysis:
+// what the job service persists, caches and serves at /jobs/{id}/result
+// and what the coordinator serves at /cluster/runs/{id}/result. It carries
+// the paper's dichotomy metrics plus the full tie-off list, so the
+// bespoke-pruning flow can run from a served result without re-analyzing.
 type ResultSummary struct {
 	Design string `json:"design"`
 	Bench  string `json:"bench"`
@@ -51,15 +52,15 @@ type DegradationView struct {
 	Quarantined  int    `json:"quarantined"`
 }
 
-// summarize flattens a core result into its persisted digest. Tie-off
-// gates are identified by the name of the net they drive, which the
+// Summarize flattens the result of analyzing design/bench into its
+// digest. Tie-off gates are identified by the name of the net they drive, which the
 // canonical netlist hash guarantees is stable only in structure — the
 // names are for humans; resubmission equality is by value list order,
 // which TieOffs() emits in gate-index order deterministically.
-func summarize(spec JobSpec, res *core.Result) *ResultSummary {
+func Summarize(design, bench string, res *core.Result) *ResultSummary {
 	sum := &ResultSummary{
-		Design:           spec.Design,
-		Bench:            spec.Bench,
+		Design:           design,
+		Bench:            bench,
 		Policy:           res.Policy,
 		Complete:         res.Complete,
 		TotalGates:       res.TotalGates,

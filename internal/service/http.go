@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"symsim/internal/httpx"
 )
 
 // Handler wraps a Service in its HTTP API (stdlib net/http, JSON bodies):
@@ -30,7 +32,7 @@ func Handler(s *Service) http.Handler {
 		// Degraded mode still answers 200 — the daemon is alive and
 		// serving — but the body says the store is failing writes so
 		// orchestrators and humans can see it before submissions bounce.
-		s.writeJSON(w, http.StatusOK, s.Health())
+		httpx.WriteJSON(w, http.StatusOK, s.Health())
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -39,41 +41,40 @@ func Handler(s *Service) http.Handler {
 		}
 	})
 	mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		s.writeJSON(w, http.StatusOK, s.MetricsSnapshot())
+		httpx.WriteJSON(w, http.StatusOK, s.MetricsSnapshot())
 	})
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
+		if !httpx.ReadJSON(w, r, &spec) {
 			return
 		}
 		view, err := s.Submit(spec)
 		if err != nil {
-			s.writeErr(w, submitStatus(err), err)
+			httpx.WriteErr(w, submitStatus(err), err)
 			return
 		}
-		s.writeJSON(w, http.StatusCreated, view)
+		httpx.WriteJSON(w, http.StatusCreated, view)
 	})
 	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
-		s.writeJSON(w, http.StatusOK, s.Jobs())
+		httpx.WriteJSON(w, http.StatusOK, s.Jobs())
 	})
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		view, err := s.Job(r.PathValue("id"))
 		if err != nil {
-			s.writeErr(w, http.StatusNotFound, err)
+			httpx.WriteErr(w, http.StatusNotFound, err)
 			return
 		}
-		s.writeJSON(w, http.StatusOK, view)
+		httpx.WriteJSON(w, http.StatusOK, view)
 	})
 	mux.HandleFunc("GET /jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
 		data, err := s.Result(r.PathValue("id"))
 		switch {
 		case errors.Is(err, ErrUnknownJob):
-			s.writeErr(w, http.StatusNotFound, err)
+			httpx.WriteErr(w, http.StatusNotFound, err)
 		case errors.Is(err, ErrNotDone):
-			s.writeErr(w, http.StatusConflict, err)
+			httpx.WriteErr(w, http.StatusConflict, err)
 		case err != nil:
-			s.writeErr(w, http.StatusInternalServerError, err)
+			httpx.WriteErr(w, http.StatusInternalServerError, err)
 		default:
 			w.Header().Set("Content-Type", "application/json")
 			if _, werr := w.Write(data); werr != nil {
@@ -87,13 +88,13 @@ func Handler(s *Service) http.Handler {
 		err := s.Cancel(r.PathValue("id"))
 		switch {
 		case errors.Is(err, ErrUnknownJob):
-			s.writeErr(w, http.StatusNotFound, err)
+			httpx.WriteErr(w, http.StatusNotFound, err)
 		case errors.Is(err, ErrJobFinished):
-			s.writeErr(w, http.StatusConflict, err)
+			httpx.WriteErr(w, http.StatusConflict, err)
 		case err != nil:
-			s.writeErr(w, http.StatusInternalServerError, err)
+			httpx.WriteErr(w, http.StatusInternalServerError, err)
 		default:
-			s.writeJSON(w, http.StatusOK, map[string]string{"status": "canceling"})
+			httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "canceling"})
 		}
 	})
 	mux.HandleFunc("GET /jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
@@ -128,12 +129,12 @@ func submitStatus(err error) int {
 func serveEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, err := s.Job(id); err != nil {
-		s.writeErr(w, http.StatusNotFound, err)
+		httpx.WriteErr(w, http.StatusNotFound, err)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		s.writeErr(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
+		httpx.WriteErr(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
 		return
 	}
 	afterSeq := ^uint64(0) // fresh connect: no replay
@@ -223,19 +224,4 @@ func serveEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 
 func terminal(st State) bool {
 	return st == StateDone || st == StateFailed || st == StateCanceled
-}
-
-// writeJSON encodes v as the response body. An encode error this late is
-// unreportable to the client (the status line is already gone), so it
-// lands in the daemon log instead of vanishing.
-func (s *Service) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.cfg.Logf("service: writing JSON response: %v", err)
-	}
-}
-
-func (s *Service) writeErr(w http.ResponseWriter, status int, err error) {
-	s.writeJSON(w, status, map[string]string{"error": err.Error()})
 }

@@ -10,6 +10,7 @@ import (
 
 	"symsim/internal/core"
 	"symsim/internal/obs"
+	"symsim/internal/report"
 	"symsim/internal/vvp"
 )
 
@@ -33,11 +34,11 @@ func TestLeaseExpiryRequeuesWedgedJob(t *testing.T) {
 	if !refRes.Complete {
 		t.Fatal("reference run incomplete")
 	}
-	normSpec, err := normalize(spec, JobSpec{})
+	normSpec, err := normalize(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := summarize(normSpec, refRes)
+	ref := report.Summarize(normSpec.Design, normSpec.Bench, refRes)
 
 	wedge := make(chan struct{})
 	var wedgeOnce sync.Once

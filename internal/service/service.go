@@ -11,11 +11,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"symsim/internal/cliflags"
 	"symsim/internal/core"
 	"symsim/internal/fault"
 	"symsim/internal/obs"
 	"symsim/internal/report"
+	"symsim/internal/wire"
 )
 
 // Config configures a Service.
@@ -36,10 +36,9 @@ type Config struct {
 	// ProgressEvery is the heartbeat interval streamed to subscribers.
 	// Default 250ms.
 	ProgressEvery time.Duration
-	// Defaults fills zero-valued tuning fields of submitted specs
-	// (typically the daemon's parsed cliflags). Nil means the built-in
-	// fallbacks (merge-all, kernel engine, verilog MemX, 1 path worker).
-	Defaults *cliflags.Analysis
+	// Defaults fills zero-valued tuning fields of submitted specs before
+	// the flag defaults do (typically the daemon's own parsed flags).
+	Defaults *JobSpec
 	// BuildPlatform resolves a design/bench pair to a platform. Nil means
 	// the shipped evaluation platforms (report.BuildPlatform). Tests
 	// inject small synthetic platforms here.
@@ -66,7 +65,8 @@ type Config struct {
 	// *content* — the heartbeat ticker keeps firing when a path worker is
 	// stuck, so only advancing counters count as a heartbeat.
 	LeaseTTL time.Duration
-	// LeaseCheckEvery is the watchdog sweep interval. Default LeaseTTL/4.
+	// LeaseCheckEvery is the watchdog sweep interval: LeaseTTL/4, at least
+	// 10ms, unless a test sets it to drive sweeps its own way.
 	LeaseCheckEvery time.Duration
 	// RemoteCache, when non-nil, is a cluster-wide second-level result
 	// cache: local cache misses fall through to it, remote hits are
@@ -261,10 +261,7 @@ func New(cfg Config) (*Service, error) {
 		cfg.Metrics = obs.Default
 	}
 	if cfg.LeaseTTL > 0 && cfg.LeaseCheckEvery <= 0 {
-		cfg.LeaseCheckEvery = cfg.LeaseTTL / 4
-		if cfg.LeaseCheckEvery < 10*time.Millisecond {
-			cfg.LeaseCheckEvery = 10 * time.Millisecond
-		}
+		cfg.LeaseCheckEvery = max(cfg.LeaseTTL/4, 10*time.Millisecond)
 	}
 
 	st, reaped, reapErrs, err := openStore(cfg.DataDir, cfg.FS)
@@ -374,11 +371,7 @@ func (s *Service) worker() {
 // comes back as a JobView counts as accepted (and, unless the cache served
 // it, as a cache miss): the three returns that hand one out count it.
 func (s *Service) Submit(spec JobSpec) (JobView, error) {
-	var def JobSpec
-	if s.cfg.Defaults != nil {
-		def = SpecFromFlags(s.cfg.Defaults)
-	}
-	spec, err := normalize(spec, def)
+	spec, err := normalize(spec, s.cfg.Defaults)
 	if err != nil {
 		return JobView{}, err
 	}
@@ -550,26 +543,12 @@ func (s *Service) lookupCache(jobID, key string) cacheLookup {
 // come from cacheKey, and path metacharacters must not reach the store.
 var ErrBadCacheKey = errors.New("service: cache keys are 64 lowercase hex digits")
 
-// validCacheKey reports whether key has the exact shape cacheKey mints.
-func validCacheKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		ch := key[i]
-		if (ch < '0' || ch > '9') && (ch < 'a' || ch > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 // CacheGet serves one content-addressed cache entry — the coordinator
 // side of the cluster-wide memo table (it makes *Service satisfy
 // internal/cluster's Memo seam). A store fault counts toward degraded
 // mode exactly as every other cache read.
 func (s *Service) CacheGet(key string) ([]byte, bool, error) {
-	if !validCacheKey(key) {
+	if !wire.ValidCacheKey(key) {
 		return nil, false, ErrBadCacheKey
 	}
 	data, ok, err := s.store.readCache(key)
@@ -587,7 +566,7 @@ func (s *Service) CacheGet(key string) ([]byte, bool, error) {
 // JSON is accepted — the entries are result summaries, and a corrupt
 // peer must not be able to poison every fleet member's cache.
 func (s *Service) CachePut(key string, data []byte) error {
-	if !validCacheKey(key) {
+	if !wire.ValidCacheKey(key) {
 		return ErrBadCacheKey
 	}
 	if !json.Valid(data) {
@@ -652,28 +631,13 @@ func (s *Service) analyze(ctx context.Context, jb *job, id string, spec JobSpec,
 	if err != nil {
 		return nil, err
 	}
-	cc := core.Config{
-		Workers: spec.Workers,
-		Lanes:   spec.Lanes,
-		Budget: core.Budget{
-			WallClock:    time.Duration(spec.DeadlineMS) * time.Millisecond,
-			MaxCycles:    spec.MaxCycles,
-			MaxForks:     spec.MaxForks,
-			MaxCSMStates: spec.MaxCSMStates,
-		},
-		Checkpoint:    &core.CheckpointConfig{Path: s.store.checkpointPath(id), Interval: s.cfg.CheckpointEvery},
-		ProgressEvery: s.cfg.ProgressEvery,
-		Metrics:       s.reg,
-	}
-	if cc.Policy, err = cliflags.NewPolicy(spec.Policy, spec.K, spec.MaxStates); err != nil {
+	cc, err := spec.Config()
+	if err != nil {
 		return nil, err
 	}
-	if cc.Engine, err = cliflags.ParseEngine(spec.Engine); err != nil {
-		return nil, err
-	}
-	if cc.MemX, err = cliflags.ParseMemX(spec.MemX); err != nil {
-		return nil, err
-	}
+	cc.Checkpoint = &core.CheckpointConfig{Path: s.store.checkpointPath(id), Interval: s.cfg.CheckpointEvery}
+	cc.ProgressEvery = s.cfg.ProgressEvery
+	cc.Metrics = s.reg
 	cc.Progress = func(pr core.Progress) {
 		prCopy := pr
 		// Lease heartbeat: the snapshot ticker fires even when every path
@@ -771,7 +735,7 @@ func (s *Service) finishJob(id string, attempt int, res *core.Result, err error)
 	case res.Complete:
 		j.rec.State = StateDone
 		j.rec.Finished = now
-		data, merr := json.Marshal(summarize(j.rec.Spec, res))
+		data, merr := json.Marshal(report.Summarize(j.rec.Spec.Design, j.rec.Spec.Bench, res))
 		if merr != nil {
 			// A marshal failure is a bug, not a disk fault: fail the job.
 			j.rec.State = StateFailed
@@ -823,7 +787,7 @@ func (s *Service) finishJob(id string, attempt int, res *core.Result, err error)
 		j.rec.State = StateDone
 		j.rec.Finished = now
 		s.om.degraded.Inc()
-		data, merr := json.Marshal(summarize(j.rec.Spec, res))
+		data, merr := json.Marshal(report.Summarize(j.rec.Spec.Design, j.rec.Spec.Bench, res))
 		if merr != nil {
 			j.rec.State = StateFailed
 			j.rec.Error = merr.Error()

@@ -18,6 +18,7 @@ import (
 	"symsim/internal/cpu/dr5"
 	"symsim/internal/isa/rv32"
 	"symsim/internal/obs"
+	"symsim/internal/report"
 	"symsim/internal/vvp"
 )
 
@@ -323,11 +324,11 @@ func TestDrainCheckpointsAndRestartResumes(t *testing.T) {
 	if !refRes.Complete {
 		t.Fatal("reference run incomplete")
 	}
-	normSpec, err := normalize(spec, JobSpec{})
+	normSpec, err := normalize(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := summarize(normSpec, refRes)
+	ref := report.Summarize(normSpec.Design, normSpec.Bench, refRes)
 
 	dir := t.TempDir()
 	midRun := make(chan struct{})
