@@ -69,7 +69,6 @@ import (
 	"symsim/internal/cliflags"
 	"symsim/internal/core"
 	"symsim/internal/lint"
-	"symsim/internal/netlist"
 	"symsim/internal/obs"
 	"symsim/internal/report"
 	"symsim/internal/vvp"
@@ -321,7 +320,6 @@ func analyzeMain(args []string, printStats bool) {
 			fatal(err)
 		}
 	}
-	_ = netlist.NoNet
 }
 
 // explainMain renders a -trace JSONL file as a fork tree with per-PC

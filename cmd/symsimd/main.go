@@ -83,7 +83,7 @@ func main() {
 		vfs = inj
 		logger.Printf("CHAOS MODE: store faults injected per plan %q", *faultPlan)
 	}
-	svcCfg := service.Config{
+	svc, err := service.New(service.Config{
 		DataDir:         *dataDir,
 		Workers:         *jobs,
 		QueueCap:        *queueCap,
@@ -94,13 +94,7 @@ func main() {
 		FS:              vfs,
 		Defaults:        &defaults.Spec,
 		Logf:            func(format string, args ...any) { logger.Printf(format, args...) },
-	}
-	if clusterCfg.Worker != "" {
-		// Worker mode routes local cache misses through the coordinator's
-		// cluster-wide memo table (and publishes completed results back).
-		svcCfg.RemoteCache = cluster.NewMemoClient(clusterCfg.Worker)
-	}
-	svc, err := service.New(svcCfg)
+	})
 	if err != nil {
 		logger.Fatal(err)
 	}
@@ -108,10 +102,8 @@ func main() {
 	handler := service.Handler(svc)
 	var coord *cluster.Coordinator
 	if clusterCfg.Coordinator {
-		// Coordinator mode mounts the cluster API next to the job API. The
-		// co-located service doubles as the fleet's memo table.
+		// Coordinator mode mounts the cluster API next to the job API.
 		coord = cluster.NewCoordinator(cluster.Config{
-			Memo:     svc,
 			LeaseTTL: clusterCfg.LeaseTTL,
 			Logf:     func(format string, args ...any) { logger.Printf(format, args...) },
 		})

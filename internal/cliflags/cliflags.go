@@ -195,8 +195,8 @@ type Cluster struct {
 // pins these names too.
 func RegisterCluster(fs *flag.FlagSet) *Cluster {
 	c := &Cluster{}
-	fs.BoolVar(&c.Coordinator, "coordinator", false, "serve the cluster coordination API under /cluster/ next to the job API: the state of every distributed run (frontier, CSM, toggle profile) and the cluster-wide result memo table")
-	fs.StringVar(&c.Worker, "worker", "", "lease path segments from the coordinator at this base URL (e.g. http://host:8466), simulate them and report back; also routes local cache misses through the coordinator's memo table")
+	fs.BoolVar(&c.Coordinator, "coordinator", false, "serve the cluster coordination API under /cluster/ next to the job API: the state of every distributed run (frontier, CSM, toggle profile)")
+	fs.StringVar(&c.Worker, "worker", "", "lease path segments from the coordinator at this base URL (e.g. http://host:8466), simulate them and report back")
 	fs.DurationVar(&c.LeaseTTL, "shard-lease-ttl", 10*time.Second, "path-segment lease TTL: a leased segment with no progress heartbeat this long is put back and leased again under a new epoch (coordinator mode)")
 	fs.IntVar(&c.Slots, "worker-slots", 1, "explorers this worker runs concurrently (worker mode)")
 	return c

@@ -150,58 +150,3 @@ func (cc *coordClient) heartbeat(runID string, refs []leaseRef) error {
 	}
 	return err
 }
-
-// MemoClient consults a coordinator's cluster-wide result memo table —
-// the SYMSIMK2 content-addressed cache served over /cluster/cache/{key}.
-// It implements the service's CacheClient seam, so a worker daemon plugs
-// it in as Config.RemoteCache: local cache misses fall through to the
-// cluster, and completed results publish back for the whole fleet.
-type MemoClient struct {
-	cc *coordClient
-}
-
-// NewMemoClient returns a memo client for the coordinator at base
-// (e.g. "http://coordinator:8466"). It shares the hardened unary client.
-func NewMemoClient(base string) *MemoClient {
-	return &MemoClient{cc: newCoordClient(base, nil)}
-}
-
-// Get fetches a memoized result; ok is false on miss. Both the GET and
-// the retry are safe: the table is content-addressed, keys never remap.
-func (m *MemoClient) Get(key string) ([]byte, bool, error) {
-	resp, err := httpx.Do(m.cc.hc, func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, m.cc.base+"/cluster/cache/"+url.PathEscape(key), nil)
-	}, true, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-		return data, err == nil, err
-	case http.StatusNotFound:
-		return nil, false, nil
-	}
-	return nil, false, fmt.Errorf("cluster: memo get: %s", resp.Status)
-}
-
-// Put publishes a result to the memo table. Idempotent by construction
-// (same key, same content), so retried freely.
-func (m *MemoClient) Put(key string, data []byte) error {
-	resp, err := httpx.Do(m.cc.hc, func() (*http.Request, error) {
-		req, err := http.NewRequest(http.MethodPut, m.cc.base+"/cluster/cache/"+url.PathEscape(key), bytes.NewReader(data))
-		if err == nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		return req, err
-	}, true, nil)
-	if err != nil {
-		return err
-	}
-	_ = resp.Body.Close()
-	if code := resp.StatusCode; code != http.StatusNoContent && code != http.StatusOK {
-		return fmt.Errorf("cluster: memo put: status %d", code)
-	}
-	return nil
-}

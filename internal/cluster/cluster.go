@@ -16,10 +16,6 @@
 //     again under the same path ID and epoch+1, and every RPC from the dead
 //     epoch is fenced with 409. A segment is absorbed exactly once because
 //     settling takes it out of flight, whatever the retries.
-//   - The SYMSIMK2 content-addressed result cache becomes a cluster-wide
-//     memo table: the coordinator serves its service's cache over
-//     /cluster/cache/{key}, and worker daemons consult it through
-//     MemoClient on local misses.
 //   - A run is requested with the job API's spec (RunSpec) and answered
 //     with the job API's result view, tie-off list included.
 //
@@ -57,14 +53,6 @@ var (
 	// ErrBadPayload tags malformed request payloads (400).
 	ErrBadPayload = errors.New("cluster: bad payload")
 )
-
-// Memo is the cluster-wide result memo table the coordinator serves over
-// /cluster/cache/{key}. *service.Service implements it with its
-// content-addressed SYMSIMK2 cache.
-type Memo interface {
-	CacheGet(key string) (data []byte, ok bool, err error)
-	CachePut(key string, data []byte) error
-}
 
 // --- wire messages (JSON bodies of the /cluster endpoints; the one
 // exception is the report request, see reportResponse) ---

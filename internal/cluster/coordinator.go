@@ -18,10 +18,6 @@ type Config struct {
 	// bench names. Nil uses the report catalogue (bm32 | omsp430 | dr5 ×
 	// the embedded benchmark programs).
 	BuildPlatform func(design, bench string) (*core.Platform, error)
-	// Memo, when non-nil, is served over /cluster/cache/{key} as the
-	// cluster-wide result memo table (usually the co-located
-	// *service.Service).
-	Memo Memo
 	// Metrics receives coordinator metrics and the exploration metrics of
 	// every run it hosts; nil uses obs.Default.
 	Metrics *obs.Registry

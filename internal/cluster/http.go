@@ -11,7 +11,6 @@ import (
 
 	"symsim/internal/httpx"
 	"symsim/internal/report"
-	"symsim/internal/wire"
 )
 
 // Handler serves the coordinator's cluster API (stdlib net/http, JSON
@@ -26,8 +25,6 @@ import (
 //	                                    outcome, raw) -> the slot's next segments
 //	POST /cluster/runs/{id}/fail        hand a segment back for another attempt
 //	POST /cluster/runs/{id}/heartbeat   extend the leases of advancing segments
-//	GET  /cluster/cache/{key}           cluster-wide memo table lookup
-//	PUT  /cluster/cache/{key}           cluster-wide memo table publish
 //
 // Error mapping: bad payload -> 400, unknown run -> 404, stale epoch or
 // not-done result -> 409, coordinator closed -> 503.
@@ -129,57 +126,6 @@ func (c *Coordinator) Handler() http.Handler {
 			return
 		}
 		httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "extended"})
-	})
-	mux.HandleFunc("GET /cluster/cache/{key}", func(w http.ResponseWriter, r *http.Request) {
-		c.om.rpcs.With("cache_get").Inc()
-		key := r.PathValue("key")
-		if !wire.ValidCacheKey(key) {
-			httpx.WriteErr(w, http.StatusBadRequest, errors.New("cluster: memo keys are 64 lowercase hex digits"))
-			return
-		}
-		if c.cfg.Memo == nil {
-			httpx.WriteErr(w, http.StatusNotFound, errors.New("cluster: no memo table configured"))
-			return
-		}
-		data, ok, err := c.cfg.Memo.CacheGet(key)
-		if err != nil {
-			c.om.memoErrors.Inc()
-			httpx.WriteErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		if !ok {
-			c.om.memoMisses.Inc()
-			httpx.WriteErr(w, http.StatusNotFound, errors.New("cluster: memo miss"))
-			return
-		}
-		c.om.memoHits.Inc()
-		w.Header().Set("Content-Type", "application/json")
-		if _, werr := w.Write(data); werr != nil {
-			c.cfg.Logf("cluster: writing memo %s: %v", key, werr)
-		}
-	})
-	mux.HandleFunc("PUT /cluster/cache/{key}", func(w http.ResponseWriter, r *http.Request) {
-		c.om.rpcs.With("cache_put").Inc()
-		key := r.PathValue("key")
-		if !wire.ValidCacheKey(key) {
-			httpx.WriteErr(w, http.StatusBadRequest, errors.New("cluster: memo keys are 64 lowercase hex digits"))
-			return
-		}
-		if c.cfg.Memo == nil {
-			httpx.WriteErr(w, http.StatusNotFound, errors.New("cluster: no memo table configured"))
-			return
-		}
-		data, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-		if err != nil {
-			httpx.WriteErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := c.cfg.Memo.CachePut(key, data); err != nil {
-			c.om.memoErrors.Inc()
-			httpx.WriteErr(w, http.StatusBadRequest, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
 	})
 	return mux
 }

@@ -21,9 +21,6 @@ type coordMetrics struct {
 	heartbeats       *obs.Counter
 	staleRPCs        *obs.Counter
 	duplicateReports *obs.Counter
-	memoHits         *obs.Counter
-	memoMisses       *obs.Counter
-	memoErrors       *obs.Counter
 	rpcs             *obs.CounterVec
 }
 
@@ -39,9 +36,6 @@ func newCoordMetrics(reg *obs.Registry, c *Coordinator) *coordMetrics {
 		heartbeats:       reg.Counter("symsim_cluster_heartbeats_total", "Lease extensions accepted."),
 		staleRPCs:        reg.Counter("symsim_cluster_stale_rpcs_total", "RPCs fenced off for carrying a dead lease epoch (zombie workers)."),
 		duplicateReports: reg.Counter("symsim_cluster_duplicate_reports_total", "Same-epoch report retransmissions acknowledged without absorbing twice."),
-		memoHits:         reg.Counter("symsim_cluster_memo_hits_total", "Cluster memo-table lookups that returned a cached result."),
-		memoMisses:       reg.Counter("symsim_cluster_memo_misses_total", "Cluster memo-table lookups that missed."),
-		memoErrors:       reg.Counter("symsim_cluster_memo_errors_total", "Cluster memo-table operations that failed."),
 		rpcs:             reg.CounterVec("symsim_cluster_rpcs_total", "Cluster API requests served, by endpoint.", "endpoint"),
 	}
 	// live sums f over the running runs under c.mu.

@@ -2,10 +2,10 @@
 // one place its two servers read and write JSON bodies. The
 // zero-value http.Client never times out, so a dead server used to hang
 // every subcommand forever; the PR-7 hardening fixed that for cmd/symsim,
-// and this package hoists the hardened clients so the cluster worker, the
-// remote-CSM client and the memo-table client share the exact same
-// transport discipline (and the same connection pool) instead of minting
-// fresh zero-timeout clients next to every new endpoint.
+// and this package hoists the hardened clients so the cluster worker
+// shares the exact same transport discipline (and the same connection
+// pool) instead of minting fresh zero-timeout clients next to every new
+// endpoint.
 package httpx
 
 import (
@@ -20,8 +20,8 @@ import (
 
 // Unary serves request/response calls. The overall timeout bounds a
 // wedged server: no single call may take longer. Shared by `symsim
-// submit`, the cluster worker's lease/observe/report RPCs and the memo
-// client — one client, one pool, one timeout policy.
+// submit` and the cluster worker's lease/report/heartbeat RPCs — one
+// client, one pool, one timeout policy.
 var Unary = &http.Client{
 	Timeout:   30 * time.Second,
 	Transport: NewTransport(),

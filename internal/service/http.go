@@ -117,15 +117,16 @@ func submitStatus(err error) int {
 }
 
 // serveEvents streams a job's events as server-sent events, each with an
-// `id:` line carrying its per-job sequence number. A fresh stream starts
-// with the job's current state (so late subscribers see where it stands);
-// a reconnect with a Last-Event-ID header instead replays the buffered
-// events after that sequence number — exactly once, no gaps — from the
-// hub's bounded ring. The stream then forwards live hub events and closes
-// once the job reaches a terminal state or the client disconnects.
-// Between events it emits SSE comment lines every Config.SSEKeepAlive so
-// proxy idle timeouts don't sever streams of long-quiet jobs (e.g.
-// queued behind a full pool).
+// `id:` line carrying its per-job sequence number. The stream is a cursor
+// over the job's event log (hub.since) and one loop serves every kind of
+// connection: a Last-Event-ID header sets the cursor, so a reconnect is
+// handed the buffered events after it — exactly once, no gaps; a fresh
+// connect, or a stale cursor, starts from a snapshot of the job's current
+// state (so late subscribers see where it stands). The stream closes once
+// the job reaches a terminal state or the client disconnects. Between
+// events it emits SSE comment lines every Config.SSEKeepAlive so proxy
+// idle timeouts don't sever streams of long-quiet jobs (e.g. queued
+// behind a full pool).
 func serveEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, err := s.Job(id); err != nil {
@@ -137,72 +138,57 @@ func serveEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 		httpx.WriteErr(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
 		return
 	}
-	afterSeq := ^uint64(0) // fresh connect: no replay
-	resuming := false
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		if n, perr := strconv.ParseUint(v, 10, 64); perr == nil {
-			afterSeq, resuming = n, true
-		}
-	}
-	// The replay snapshot and the subscription are atomic under the hub
-	// lock, so nothing published between them can be lost or duplicated.
-	replay, latest, ch, cancel := s.hub.SubscribeFrom(id, afterSeq)
-	defer cancel()
-	if resuming && afterSeq > latest {
-		// Stale cursor (e.g. from before a daemon restart renumbered the
-		// stream): the replay window is meaningless, fall back to a fresh
-		// snapshot.
-		resuming = false
+	// Without a Last-Event-ID the cursor is past anything ever published,
+	// which is what a stale one looks like too.
+	cursor := ^uint64(0)
+	if n, err := strconv.ParseUint(r.Header.Get("Last-Event-ID"), 10, 64); err == nil {
+		cursor = n
 	}
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	send := func(ev Event) bool {
-		data, err := json.Marshal(ev)
+	keepAlive := time.NewTicker(s.cfg.SSEKeepAlive)
+	defer keepAlive.Stop()
+	for {
+		// The state is read before the log: a transition sets the state and
+		// publishes its event under one s.mu, so a terminal state seen here
+		// has its event at or before `latest` below.
+		view, err := s.Job(id)
 		if err != nil {
-			return false
+			return
 		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
-			return false
+		events, latest, wake := s.hub.since(id, cursor)
+		if cursor > latest {
+			// Fresh connect, or a cursor from before a daemon restart
+			// renumbered the stream: start from where the job stands. The
+			// snapshot carries the latest sequence number, so the stream —
+			// or an immediate reconnect — continues after it without
+			// replaying the history it summarizes.
+			events = []Event{{Type: "state", Job: id, State: view.State, Seq: latest}}
 		}
-		flusher.Flush()
-		return true
-	}
-
-	if resuming {
-		for _, ev := range replay {
-			if !send(ev) {
+		for _, ev := range events {
+			data, err := json.Marshal(ev)
+			if err != nil {
 				return
 			}
+			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
+				return
+			}
+			flusher.Flush()
+			cursor = ev.Seq
 			if ev.Type == "state" && terminal(ev.State) {
 				return
 			}
 		}
-		// The replay held no terminal event; if the job is terminal
-		// anyway, the client saw that event before it disconnected (state
-		// events are never shed while heartbeats remain), so the stream
-		// simply ends.
-		view, err := s.Job(id)
-		if err != nil || terminal(view.State) {
-			return
-		}
-	} else {
-		// Snapshot carries the latest sequence number so an immediate
-		// reconnect resumes without replaying history the snapshot
-		// already summarized.
-		view, _ := s.Job(id)
-		if !send(Event{Type: "state", Job: id, State: view.State, Seq: latest}) {
-			return
-		}
 		if terminal(view.State) {
+			// No terminal event after the cursor, yet the job is terminal:
+			// the client saw that event before it disconnected (state
+			// events are never shed while heartbeats remain), so the stream
+			// simply ends.
 			return
 		}
-	}
-	keepAlive := time.NewTicker(s.cfg.SSEKeepAlive)
-	defer keepAlive.Stop()
-	for {
 		select {
 		case <-r.Context().Done():
 			return
@@ -211,13 +197,7 @@ func serveEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			flusher.Flush()
-		case ev := <-ch:
-			if !send(ev) {
-				return
-			}
-			if ev.Type == "state" && terminal(ev.State) {
-				return
-			}
+		case <-wake:
 		}
 	}
 }

@@ -1,12 +1,14 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,7 +17,6 @@ import (
 	"symsim/internal/fault"
 	"symsim/internal/obs"
 	"symsim/internal/report"
-	"symsim/internal/wire"
 )
 
 // Config configures a Service.
@@ -68,13 +69,6 @@ type Config struct {
 	// LeaseCheckEvery is the watchdog sweep interval: LeaseTTL/4, at least
 	// 10ms, unless a test sets it to drive sweeps its own way.
 	LeaseCheckEvery time.Duration
-	// RemoteCache, when non-nil, is a cluster-wide second-level result
-	// cache: local cache misses fall through to it, remote hits are
-	// adopted into the local store, and completed results publish back so
-	// the whole worker fleet shares one memo table (the coordinator's
-	// SYMSIMK2 cache; see internal/cluster.MemoClient). Remote trouble is
-	// always a miss, never an error — the analysis just runs.
-	RemoteCache CacheClient
 
 	// tuneConfig, when non-nil, is applied to each job's core.Config just
 	// before the analysis starts — a test seam for installing hooks
@@ -90,8 +84,8 @@ type job struct {
 	cancelRequested bool
 	// cpuSeconds accumulates the analysis' BusyTime (summed path-segment
 	// wall time — the job's CPU attribution) across run segments.
-	// In-memory only: the SYMSIMJ1 record format is strict and
-	// intentionally unchanged, so the figure resets on daemon restart.
+	// In-memory only: the job record (SYMSIMJ2) does not carry it, so the
+	// figure resets on daemon restart.
 	cpuSeconds float64
 	// attempt is the lease epoch: it increments each time a worker starts
 	// the job, and a finishing worker whose attempt is stale (the lease
@@ -165,9 +159,6 @@ type svcObs struct {
 	storeFaults *obs.Counter
 	leaseExpiry *obs.Counter
 	tmpReaped   *obs.Counter
-	remoteHits  *obs.Counter
-	remoteMiss  *obs.Counter
-	remoteErrs  *obs.Counter
 }
 
 func newSvcObs(reg *obs.Registry) *svcObs {
@@ -185,20 +176,7 @@ func newSvcObs(reg *obs.Registry) *svcObs {
 		storeFaults: reg.Counter("symsim_service_store_faults_total", "Durable-store I/O failures observed (each one trips or extends degraded mode)."),
 		leaseExpiry: reg.Counter("symsim_service_lease_expiries_total", "Running jobs re-queued by the lease watchdog after their worker stopped making progress."),
 		tmpReaped:   reg.Counter("symsim_service_tmp_reaped_total", "Orphan temp files reaped from the store at startup."),
-		remoteHits:  reg.Counter("symsim_service_remote_cache_hits_total", "Local cache misses satisfied by the cluster memo table."),
-		remoteMiss:  reg.Counter("symsim_service_remote_cache_misses_total", "Cluster memo-table lookups that missed."),
-		remoteErrs:  reg.Counter("symsim_service_remote_cache_errors_total", "Cluster memo-table operations that failed (treated as misses)."),
 	}
-}
-
-// CacheClient is the cluster-wide second-level result cache seam (see
-// Config.RemoteCache). Implementations must be safe for concurrent use;
-// internal/cluster.MemoClient is the HTTP one.
-type CacheClient interface {
-	// Get fetches a memoized result summary; ok is false on miss.
-	Get(key string) (data []byte, ok bool, err error)
-	// Put publishes a complete result summary under its cache key.
-	Put(key string, data []byte) error
 }
 
 type engineStat struct {
@@ -364,12 +342,14 @@ func (s *Service) worker() {
 	}
 }
 
-// Submit normalizes and accepts a job. If an identical analysis (by
-// content-addressed cache key) already completed, the job is satisfied
-// instantly from the cache without queueing. A full queue returns
-// ErrQueueFull; an invalid spec a *BadSpecError. Only a submission that
-// comes back as a JobView counts as accepted (and, unless the cache served
-// it, as a cache miss): the three returns that hand one out count it.
+// Submit normalizes and accepts a job. Acceptance is the job's first move
+// (moveLocked) landing on disk: to queued, or — if an identical analysis
+// (by content-addressed cache key) already completed — straight to done
+// from the cache, without queueing. A job whose first record the store
+// cannot write is refused with ErrDegraded; a full queue returns
+// ErrQueueFull before anything is written; an invalid spec a
+// *BadSpecError. Only a submission that comes back as a JobView counts as
+// accepted (and, unless the cache served it, as a cache miss).
 func (s *Service) Submit(spec JobSpec) (JobView, error) {
 	spec, err := normalize(spec, s.cfg.Defaults)
 	if err != nil {
@@ -382,207 +362,213 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 	hash := p.Design.Hash()
 	key := cacheKey(hash, spec)
 
-	rec := &jobRecord{
+	// State stays empty until the first move lands: the job is not accepted.
+	j := &job{rec: &jobRecord{
 		ID:         newJobID(),
 		Spec:       spec,
-		State:      StateQueued,
 		Submitted:  time.Now().UnixNano(),
 		CacheKey:   key,
 		DesignHash: hash.String(),
-	}
+	}}
+	id := j.rec.ID
 
-	// The cache lookup happens before the lock: the local read is cheap,
-	// but the remote fallback is a network RPC that must not stall every
-	// concurrent submission behind s.mu.
-	cl := s.lookupCache(rec.ID, key)
+	// The cache read happens before the lock: a file read must not stall
+	// every concurrent submission behind s.mu.
+	data, hit, cacheErr := s.store.readCache(key)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return JobView{}, ErrDraining
 	}
-	switch {
-	case cl.remoteHit:
-		s.om.remoteHits.Inc()
-	case cl.remoteMiss:
-		s.om.remoteMiss.Inc()
-	case cl.remoteErr:
-		s.om.remoteErrs.Inc()
-	}
-
-	if data, ok, cacheErr := cl.data, cl.ok, cl.err; cacheErr != nil {
+	if cacheErr != nil {
 		// A faulting or corrupt cache entry is a miss, never an error to
 		// the client: the submission simply runs instead.
-		s.cfg.Logf("service: job %s: cache read: %v", rec.ID, cacheErr)
+		s.cfg.Logf("service: job %s: cache read: %v", id, cacheErr)
 		s.noteStoreFaultLocked(cacheErr)
-	} else if ok {
-		// Content-addressed hit: the exact analysis already ran to
-		// completion. Serve the stored result without spending a cycle.
-		now := time.Now().UnixNano()
-		rec.State = StateDone
-		rec.Cached = true
-		rec.Started, rec.Finished = now, now
-		werr := s.store.writeResult(rec.ID, data)
-		if werr == nil {
-			werr = s.store.saveJob(rec)
-		}
-		if werr == nil {
-			s.noteStoreOKLocked()
-			s.om.accepted.Inc()
-			s.om.cacheHits.Inc()
-			s.jobs[rec.ID] = &job{rec: rec}
-			s.hub.Publish(Event{Type: "state", Job: rec.ID, State: StateDone})
-			return viewOf(s.jobs[rec.ID]), nil
-		}
-		// The hit couldn't persist: fall through to the queued path (which
-		// refuses only if the record itself can't be saved) rather than
-		// failing a submission the analysis engine can still satisfy.
-		s.cfg.Logf("service: job %s: persisting cache hit: %v", rec.ID, werr)
-		s.noteStoreFaultLocked(werr)
-		rec.State = StateQueued
-		rec.Cached = false
-		rec.Started, rec.Finished = 0, 0
 	}
 
-	if err := s.store.saveJob(rec); err != nil {
-		// Refuse rather than accept a job the daemon could lose on
-		// restart: with no durable record, a crash would silently drop it.
-		s.noteStoreFaultLocked(err)
-		return JobView{}, fmt.Errorf("%w: %v", ErrDegraded, err)
-	}
-	s.noteStoreOKLocked()
-	s.jobs[rec.ID] = &job{rec: rec}
-
-	// Single-flight: an identical analysis is already in flight. Park this
-	// submission behind it instead of queueing a duplicate run — its
+	// Single-flight: when an identical analysis is already in flight the
+	// submission parks behind it instead of queueing a duplicate run — its
 	// durable record is saved (a restart would just re-queue it), but no
 	// worker will pick it up until the leader settles.
-	if leaderID, ok := s.inflightByKey[key]; ok {
-		if lj := s.jobs[leaderID]; lj != nil && !terminal(lj.rec.State) {
-			s.followers[leaderID] = append(s.followers[leaderID], rec.ID)
-			s.om.accepted.Inc()
-			s.om.cacheMisses.Inc()
-			s.om.coalesced.Inc()
-			s.hub.Publish(Event{Type: "state", Job: rec.ID, State: StateQueued})
-			return viewOf(s.jobs[rec.ID]), nil
+	leaderID, coalesce := s.inflightByKey[key]
+	queue := !hit && !coalesce
+	if queue {
+		// No worker gets to the job before this function returns: runJob
+		// starts by taking s.mu.
+		if err := s.queue.Push(id, spec.Priority, false); err != nil {
+			return JobView{}, err
 		}
-		delete(s.inflightByKey, key)
 	}
-
-	if err := s.queue.Push(rec.ID, spec.Priority, false); err != nil {
-		delete(s.jobs, rec.ID)
-		// Best effort: the record file is orphaned on error; restart
-		// would re-queue it, which is acceptable for a rejected submit.
-		if rmErr := s.removeJobFile(rec.ID); rmErr != nil {
-			s.cfg.Logf("service: removing rejected job record: %v", rmErr)
+	to, why := StateQueued, causeAccept
+	if hit {
+		// Content-addressed hit: the exact analysis already ran to
+		// completion. Serve the stored result without spending a cycle.
+		to, why = StateDone, causeCacheHit
+	}
+	if !s.moveLocked(j, to, why, data) { // data is nil on a miss
+		// Refuse rather than accept a job the daemon could lose on
+		// restart: with no durable record, a crash would silently drop it.
+		if queue {
+			s.queue.Remove(id)
 		}
-		return JobView{}, err
+		return JobView{}, fmt.Errorf("%w: %s", ErrDegraded, s.degradedReason)
 	}
-	s.inflightByKey[key] = rec.ID
+	s.jobs[id] = j
 	s.om.accepted.Inc()
-	s.om.cacheMisses.Inc()
-	s.hub.Publish(Event{Type: "state", Job: rec.ID, State: StateQueued})
-	return viewOf(s.jobs[rec.ID]), nil
+	switch {
+	case hit:
+	case coalesce:
+		s.followers[leaderID] = append(s.followers[leaderID], id)
+		s.om.coalesced.Inc()
+		s.om.cacheMisses.Inc()
+	default:
+		s.inflightByKey[key] = id
+		s.om.cacheMisses.Inc()
+	}
+	return viewOf(j), nil
 }
 
-func (s *Service) removeJobFile(id string) error {
-	return s.store.removeFile(s.store.jobPath(id))
-}
+// cause is why a job changes state. With the target state it names one
+// edge of the lifecycle (DESIGN.md §9 has the table), and each cause owns
+// at most one counter.
+type cause int
 
-// cacheLookup is the outcome of the two-level cache probe.
-type cacheLookup struct {
-	data []byte
-	ok   bool
-	// err is a LOCAL store fault (degraded-mode accounting applies);
-	// remote trouble is never an error, only remoteErr.
-	err error
-	// remoteHit/remoteMiss/remoteErr record whether the cluster memo
-	// table answered, for the metrics published under s.mu.
-	remoteHit  bool
-	remoteMiss bool
-	remoteErr  bool
-}
+const (
+	causeAccept    cause = iota // Submit, the job's first move (Submit counts what a submission is: accepted, miss, coalesced)
+	causeStart                  // a worker took the job off the queue (no counter)
+	causeComplete               // the analysis explored every path: jobs_done
+	causeBudget                 // a budget tripped, the result is sound but over-approximate: jobs_degraded
+	causeCacheHit               // Submit found the finished analysis in the cache: cache_hits
+	causeCoalesced              // the leader this job was parked behind completed: jobs_done
+	causeError                  // the analysis (or encoding its result) failed: jobs_failed
+	causeCancel                 // a client asked: jobs_canceled
+	causeDrain                  // shutdown interrupted the analysis: jobs_requeued
+	causeLease                  // the watchdog saw no progress for LeaseTTL: lease_expiries
+)
 
-// lookupCache probes the local result cache and, on a clean local miss,
-// the cluster-wide memo table. Called WITHOUT s.mu held — the remote
-// probe is a network round-trip. A remote hit is adopted into the local
-// store (best effort) so the next identical submission never leaves the
-// machine.
-func (s *Service) lookupCache(jobID, key string) cacheLookup {
-	data, ok, err := s.store.readCache(key)
-	if err != nil || ok {
-		return cacheLookup{data: data, ok: ok, err: err}
+// moveLocked is the one place a job changes state once New's recovery loop
+// is over (mu held). From the target state, the cause and the result bytes
+// (non-nil exactly on the way to done) it stamps the record's times, writes
+// result then record, counts the cause, publishes the state event, drops
+// the cancel handle of the state being left and, for a terminal job,
+// removes the checkpoint and dissolves its coalition. Callers say where to
+// and why, and do only what is theirs alone: the queue, the cache, the
+// error text.
+//
+// It reports whether the move landed: the record on disk shows the new
+// state. An accepted job moves in memory either way — the daemon degrades,
+// it does not fail work — but a job's first move is its acceptance, and if
+// that does not land nothing has happened: no count, no event, false.
+func (s *Service) moveLocked(j *job, to State, why cause, data []byte) (landed bool) {
+	rec := j.rec
+	from := rec.State
+	now := time.Now().UnixNano()
+	switch {
+	case to == StateRunning:
+		rec.Started = now
+	case to == StateQueued:
+		if from == StateRunning {
+			// Queued with history: a drain wrote its final checkpoint
+			// before the core returned, a lapsed lease may have a periodic
+			// one, and the next run resumes from whichever survived.
+			rec.Started = 0
+			rec.Resumable = s.store.hasCheckpoint(rec.ID)
+		}
+	default:
+		rec.Finished = now
+		if from != StateRunning && to == StateDone {
+			// Served without running, from the cache or a leader's bytes.
+			rec.Cached, rec.Started = true, now
+		}
 	}
-	rc := s.cfg.RemoteCache
-	if rc == nil {
-		return cacheLookup{}
-	}
-	rdata, rok, rerr := rc.Get(key)
-	if rerr != nil {
-		s.cfg.Logf("service: job %s: remote cache get: %v", jobID, rerr)
-		return cacheLookup{remoteErr: true}
-	}
-	if !rok {
-		return cacheLookup{remoteMiss: true}
-	}
-	if !json.Valid(rdata) {
-		// The memo table serves opaque bytes; a corrupt peer must not be
-		// able to park garbage in front of a runnable analysis.
-		s.cfg.Logf("service: job %s: remote cache entry %s is not JSON, ignoring", jobID, key)
-		return cacheLookup{remoteErr: true}
-	}
-	if werr := s.store.writeCache(key, rdata); werr != nil {
-		// Adoption is an optimization; the authoritative copy is remote.
-		s.cfg.Logf("service: job %s: adopting remote cache entry: %v", jobID, werr)
-	}
-	return cacheLookup{data: rdata, ok: true, remoteHit: true}
-}
+	rec.State = to
+	j.cancel = nil
 
-// ErrBadCacheKey rejects memo-table keys that are not the 64 lowercase
-// hex digits the service mints (SHA-256): anything else could never have
-// come from cacheKey, and path metacharacters must not reach the store.
-var ErrBadCacheKey = errors.New("service: cache keys are 64 lowercase hex digits")
+	// Result before record: a done record is never on disk without its
+	// result file (the half-written state the torture sweep hunts). When
+	// the bytes cannot be persisted the job still finished — they are kept
+	// in memory so Result serves them, the service enters degraded mode
+	// instead of failing work that is already done, and the durable record
+	// is NOT advanced: it stays at its last persisted state, so a restart
+	// runs the job again.
+	if data != nil {
+		if err := s.store.writeResult(rec.ID, data); err != nil {
+			s.cfg.Logf("service: job %s: persisting result: %v (serving from memory)", rec.ID, err)
+			s.noteStoreFaultLocked(err)
+			j.resultData = data
+		}
+	}
+	if j.resultData == nil {
+		if err := s.store.saveJob(rec); err != nil {
+			s.cfg.Logf("service: persisting job %s: %v", rec.ID, err)
+			s.noteStoreFaultLocked(err)
+		} else {
+			s.noteStoreOKLocked()
+			landed = true
+		}
+	}
+	if from == "" && !landed {
+		return false
+	}
 
-// CacheGet serves one content-addressed cache entry — the coordinator
-// side of the cluster-wide memo table (it makes *Service satisfy
-// internal/cluster's Memo seam). A store fault counts toward degraded
-// mode exactly as every other cache read.
-func (s *Service) CacheGet(key string) ([]byte, bool, error) {
-	if !wire.ValidCacheKey(key) {
-		return nil, false, ErrBadCacheKey
+	switch why {
+	case causeComplete, causeCoalesced:
+		s.om.done.Inc()
+	case causeBudget:
+		s.om.degraded.Inc()
+	case causeCacheHit:
+		s.om.cacheHits.Inc()
+	case causeError:
+		s.om.failed.Inc()
+	case causeCancel:
+		s.om.canceled.Inc()
+	case causeDrain:
+		s.om.requeued.Inc()
+	case causeLease:
+		s.om.leaseExpiry.Inc()
 	}
-	data, ok, err := s.store.readCache(key)
-	if err != nil {
-		s.cfg.Logf("service: memo get %s: %v", key, err)
-		s.mu.Lock()
-		s.noteStoreFaultLocked(err)
-		s.mu.Unlock()
-		return nil, false, err
-	}
-	return data, ok, nil
-}
+	s.hub.Publish(Event{Type: "state", Job: rec.ID, State: to})
 
-// CachePut stores one memo-table entry published by a worker. Only valid
-// JSON is accepted — the entries are result summaries, and a corrupt
-// peer must not be able to poison every fleet member's cache.
-func (s *Service) CachePut(key string, data []byte) error {
-	if !wire.ValidCacheKey(key) {
-		return ErrBadCacheKey
+	if !terminal(to) {
+		// A job back in the queue will run again: it keeps its checkpoint
+		// and is still its coalition's leader.
+		return landed
 	}
-	if !json.Valid(data) {
-		return fmt.Errorf("service: memo put %s: payload is not JSON", key)
+	s.store.removeCheckpoint(rec.ID)
+	followers := s.followers[rec.ID]
+	delete(s.followers, rec.ID)
+	if s.inflightByKey[rec.CacheKey] == rec.ID {
+		delete(s.inflightByKey, rec.CacheKey)
 	}
-	if err := s.store.writeCache(key, data); err != nil {
-		s.cfg.Logf("service: memo put %s: %v", key, err)
-		s.mu.Lock()
-		s.noteStoreFaultLocked(err)
-		s.mu.Unlock()
-		return err
+	if why == causeComplete {
+		// The coalescing payoff: every follower is done with the same bytes.
+		for _, fid := range followers {
+			s.moveLocked(s.jobs[fid], StateDone, causeCoalesced, data)
+		}
+		return landed
 	}
-	s.mu.Lock()
-	s.noteStoreOKLocked()
-	s.mu.Unlock()
-	return nil
+	if len(followers) == 0 {
+		return landed
+	}
+	// No complete result to share (failure, cancel, budget degradation):
+	// the first follower becomes the leader for the cache key and runs; the
+	// rest stay coalesced behind it, so at most one duplicate analysis runs
+	// at a time no matter how the leader ends.
+	first := s.jobs[followers[0]]
+	s.inflightByKey[rec.CacheKey] = first.rec.ID
+	if len(followers) > 1 {
+		s.followers[first.rec.ID] = followers[1:]
+	}
+	// Recovered=true: the job was already accepted; releasing it must not
+	// bounce off a full queue.
+	if err := s.queue.Push(first.rec.ID, first.rec.Spec.Priority, true); err != nil {
+		// Push only fails after Close (drain); the durable queued record
+		// re-queues on restart.
+		s.cfg.Logf("service: releasing coalesced job %s: %v", first.rec.ID, err)
+	}
+	return landed
 }
 
 // runJob executes one queued job to a terminal state (or back to the
@@ -595,18 +581,15 @@ func (s *Service) runJob(id string) {
 		return
 	}
 	if j.cancelRequested {
-		j.rec.State = StateCanceled
-		j.rec.Finished = time.Now().UnixNano()
-		s.persistJobLocked(j)
-		s.hub.Publish(Event{Type: "state", Job: id, State: StateCanceled})
-		s.settleFollowersLocked(id, nil)
+		// Cancel found the job neither queued nor parked: this worker had
+		// already popped it.
+		s.moveLocked(j, StateCanceled, causeCancel, nil)
 		s.mu.Unlock()
 		return
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	s.moveLocked(j, StateRunning, causeStart, nil)
 	j.cancel = cancel
-	j.rec.State = StateRunning
-	j.rec.Started = time.Now().UnixNano()
 	// A fresh lease: the attempt epoch marks this worker's run, and the
 	// liveness beat starts now.
 	j.attempt++
@@ -614,8 +597,6 @@ func (s *Service) runJob(id string) {
 	j.beat.Store(time.Now().UnixNano())
 	resumable := j.rec.Resumable
 	spec := j.rec.Spec
-	s.persistJobLocked(j)
-	s.hub.Publish(Event{Type: "state", Job: id, State: StateRunning})
 	s.mu.Unlock()
 	defer cancel()
 
@@ -666,27 +647,12 @@ func (s *Service) analyze(ctx context.Context, jb *job, id string, spec JobSpec,
 	return core.AnalyzeContext(ctx, p, cc)
 }
 
-// finishJob settles a finished analysis into its terminal state — or back
-// into the queue when a drain interrupted it. attempt is the lease epoch
-// the finishing worker ran under; a stale epoch means the lease watchdog
-// re-queued the job (or a newer attempt ran it), and the stale result is
-// discarded without touching the record.
+// finishJob decides where a finished analysis goes — a terminal state, or
+// back into the queue when a drain interrupted it — and moves it there.
+// attempt is the lease epoch the finishing worker ran under; a stale epoch
+// means the lease watchdog re-queued the job (or a newer attempt ran it),
+// and the stale result is discarded without touching the record.
 func (s *Service) finishJob(id string, attempt int, res *core.Result, err error) {
-	// A complete result also publishes to the cluster memo table. The RPC
-	// runs in this deferred step — registered before the lock so it
-	// executes after the unlock (defers are LIFO) — because a network
-	// round-trip has no business inside s.mu.
-	var remoteKey string
-	var remoteData []byte
-	defer func() {
-		if remoteData == nil {
-			return
-		}
-		if perr := s.cfg.RemoteCache.Put(remoteKey, remoteData); perr != nil {
-			s.cfg.Logf("service: job %s: remote cache put: %v", id, perr)
-			s.om.remoteErrs.Inc()
-		}
-	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j := s.jobs[id]
@@ -701,188 +667,48 @@ func (s *Service) finishJob(id string, attempt int, res *core.Result, err error)
 			id, attempt, j.attempt, j.rec.State)
 		return
 	}
-	now := time.Now().UnixNano()
 	if res != nil {
 		// Accumulate across segments: a drained-and-resumed job keeps the
 		// CPU it already spent.
 		j.cpuSeconds += res.BusyTime.Seconds()
 	}
 
-	// settleData is the complete-result bytes handed verbatim to coalesced
-	// followers; nil means the followers must run for themselves.
-	var settleData []byte
-	// Set when the result bytes could not be persisted and live only in
-	// j.resultData: the durable record must then NOT be advanced to done —
-	// a done record without its result file is exactly the half-written
-	// state the torture sweep hunts. The record stays at its last
-	// persisted state (running), so a restart re-runs the job.
-	memOnly := false
-
+	// An incomplete result with nobody having interrupted it is a budget
+	// degradation: terminal, result served, never cached.
+	to, why := StateDone, causeBudget
 	switch {
-	case err != nil:
-		j.rec.State = StateFailed
-		j.rec.Error = err.Error()
-		j.rec.Finished = now
-		s.om.failed.Inc()
-		s.store.removeCheckpoint(id)
-
-	case j.cancelRequested && !res.Complete:
-		j.rec.State = StateCanceled
-		j.rec.Finished = now
-		s.om.canceled.Inc()
-		s.store.removeCheckpoint(id)
-
+	case err != nil: // failed, below — like a marshal error
 	case res.Complete:
-		j.rec.State = StateDone
-		j.rec.Finished = now
-		data, merr := json.Marshal(report.Summarize(j.rec.Spec.Design, j.rec.Spec.Bench, res))
-		if merr != nil {
-			// A marshal failure is a bug, not a disk fault: fail the job.
-			j.rec.State = StateFailed
-			j.rec.Error = merr.Error()
-			break
-		}
-		settleData = data
-		if werr := s.store.writeResult(id, data); werr != nil {
-			// Disk fault: the job still finished — keep the result bytes
-			// in memory so Result serves them, and enter degraded mode
-			// instead of failing work that is already done.
-			s.cfg.Logf("service: job %s: persisting result: %v (serving from memory)", id, werr)
-			j.resultData = data
-			memOnly = true
-			s.noteStoreFaultLocked(werr)
-		} else {
-			s.noteStoreOKLocked()
-			// Only complete results enter the content cache: a degraded
-			// dichotomy is sound but over-approximate, and caching it
-			// would freeze the degradation into every future identical
-			// submission. While the store is degraded the cache write is
-			// bypassed outright — it would only burn another fault.
-			if werr := s.store.writeCache(j.rec.CacheKey, data); werr != nil {
-				s.cfg.Logf("service: job %s: caching result: %v", id, werr)
-				s.noteStoreFaultLocked(werr)
-			}
-			if s.cfg.RemoteCache != nil {
-				// Publish to the fleet after the unlock (see the deferred
-				// remote put above).
-				remoteKey, remoteData = j.rec.CacheKey, data
-			}
-		}
-		s.store.removeCheckpoint(id)
-		s.noteEngineLocked(j.rec, res)
-		s.om.done.Inc()
-
+		why = causeComplete
+	case j.cancelRequested:
+		to, why = StateCanceled, causeCancel
 	case s.draining:
-		// Drain interruption: the final checkpoint was written by the
-		// core before it force-merged, so the job re-queues resumable
-		// and the restarted daemon continues where this one stopped.
-		j.rec.State = StateQueued
-		j.rec.Started = 0
-		j.rec.Resumable = s.store.hasCheckpoint(id)
-		s.om.requeued.Inc()
-
-	default:
-		// Budget-degraded completion: terminal, result served, never
-		// cached.
-		j.rec.State = StateDone
-		j.rec.Finished = now
-		s.om.degraded.Inc()
-		data, merr := json.Marshal(report.Summarize(j.rec.Spec.Design, j.rec.Spec.Bench, res))
-		if merr != nil {
-			j.rec.State = StateFailed
-			j.rec.Error = merr.Error()
-			break
-		}
-		if werr := s.store.writeResult(id, data); werr != nil {
-			s.cfg.Logf("service: job %s: persisting degraded result: %v (serving from memory)", id, werr)
-			j.resultData = data
-			memOnly = true
-			s.noteStoreFaultLocked(werr)
-		} else {
-			s.noteStoreOKLocked()
-		}
-		s.store.removeCheckpoint(id)
+		to, why = StateQueued, causeDrain
+	}
+	var data []byte
+	if err == nil && to == StateDone {
+		data, err = json.Marshal(report.Summarize(j.rec.Spec.Design, j.rec.Spec.Bench, res))
+	}
+	if err != nil {
+		// A marshal failure is a bug, not a disk fault: it fails the job
+		// like an analysis error does.
+		to, why, data = StateFailed, causeError, nil
+		j.rec.Error = err.Error()
+	}
+	landed := s.moveLocked(j, to, why, data)
+	if to == StateDone {
 		s.noteEngineLocked(j.rec, res)
 	}
-
-	j.cancel = nil
-	if !memOnly {
-		s.persistJobLocked(j)
-	}
-	s.hub.Publish(Event{Type: "state", Job: id, State: j.rec.State})
-	s.settleFollowersLocked(id, settleData)
-}
-
-// settleFollowersLocked dissolves a leader's coalition (mu held). With a
-// complete result (data != nil) every follower settles done with the same
-// bytes — the coalescing payoff. Without one (failure, cancel, drain,
-// budget degradation) the first surviving follower is promoted to leader
-// for the cache key and re-queued; the rest stay coalesced behind it, so
-// at most one duplicate analysis runs at a time no matter how the leader
-// ends.
-func (s *Service) settleFollowersLocked(leaderID string, data []byte) {
-	ids := s.followers[leaderID]
-	delete(s.followers, leaderID)
-	var key string
-	for k, lid := range s.inflightByKey {
-		if lid == leaderID {
-			key = k
-			delete(s.inflightByKey, k)
-		}
-	}
-	newLeader := ""
-	for _, fid := range ids {
-		fj := s.jobs[fid]
-		if fj == nil || fj.rec.State != StateQueued {
-			continue
-		}
-		if fj.cancelRequested {
-			fj.rec.State = StateCanceled
-			fj.rec.Finished = time.Now().UnixNano()
-			s.persistJobLocked(fj)
-			s.om.canceled.Inc()
-			s.hub.Publish(Event{Type: "state", Job: fid, State: StateCanceled})
-			continue
-		}
-		if data == nil {
-			if newLeader == "" {
-				newLeader = fid
-				if key != "" {
-					s.inflightByKey[key] = fid
-				}
-				// Recovered=true: the job was already accepted; releasing it
-				// must not bounce off a full queue.
-				if err := s.queue.Push(fid, fj.rec.Spec.Priority, true); err != nil {
-					// Push only fails after Close (drain); the durable queued
-					// record re-queues on restart.
-					s.cfg.Logf("service: releasing coalesced job %s: %v", fid, err)
-				}
-			} else {
-				s.followers[newLeader] = append(s.followers[newLeader], fid)
-			}
-			continue
-		}
-		now := time.Now().UnixNano()
-		fj.rec.State = StateDone
-		fj.rec.Cached = true
-		fj.rec.Started, fj.rec.Finished = now, now
-		memOnly := false
-		if werr := s.store.writeResult(fid, data); werr != nil {
-			// Same degraded-mode contract as the leader: serve from memory,
-			// leave the durable record at queued so a restart re-runs rather
-			// than leaving a done record without its result file.
-			s.cfg.Logf("service: job %s: persisting coalesced result: %v (serving from memory)", fid, werr)
-			fj.resultData = data
-			memOnly = true
+	// Only complete results enter the content cache: a degraded dichotomy
+	// is sound but over-approximate, and caching it would freeze the
+	// degradation into every future identical submission. When the job's
+	// own files did not land the cache write is bypassed outright — it
+	// would only burn another fault.
+	if why == causeComplete && landed {
+		if werr := s.store.writeCache(j.rec.CacheKey, data); werr != nil {
+			s.cfg.Logf("service: job %s: caching result: %v", id, werr)
 			s.noteStoreFaultLocked(werr)
-		} else {
-			s.noteStoreOKLocked()
 		}
-		if !memOnly {
-			s.persistJobLocked(fj)
-		}
-		s.om.done.Inc()
-		s.hub.Publish(Event{Type: "state", Job: fid, State: StateDone})
 	}
 }
 
@@ -912,16 +738,6 @@ func (s *Service) noteEngineLocked(rec *jobRecord, res *core.Result) {
 	if rec.Finished > rec.Started && rec.Started > 0 {
 		st.seconds += time.Duration(rec.Finished - rec.Started).Seconds()
 	}
-}
-
-// persistJobLocked saves the job record, tracking store health.
-func (s *Service) persistJobLocked(j *job) {
-	if err := s.store.saveJob(j.rec); err != nil {
-		s.cfg.Logf("service: persisting job %s: %v", j.rec.ID, err)
-		s.noteStoreFaultLocked(err)
-		return
-	}
-	s.noteStoreOKLocked()
 }
 
 // noteStoreFaultLocked counts a durable-store I/O failure: the service
@@ -985,19 +801,13 @@ func (s *Service) leaseSweep() {
 		}
 		if j.cancel != nil {
 			j.cancel()
-			j.cancel = nil
 		}
-		j.rec.State = StateQueued
-		j.rec.Started = 0
-		j.rec.Resumable = s.store.hasCheckpoint(id)
-		s.om.leaseExpiry.Inc()
-		s.persistJobLocked(j)
+		s.moveLocked(j, StateQueued, causeLease, nil)
 		if err := s.queue.Push(id, j.rec.Spec.Priority, true); err != nil {
 			// Push only fails after Close; the restart repair path will
 			// re-queue this job from its durable record then.
 			s.cfg.Logf("service: lease requeue of job %s: %v", id, err)
 		}
-		s.hub.Publish(Event{Type: "state", Job: id, State: StateQueued})
 		expired = append(expired, id)
 	}
 	s.mu.Unlock()
@@ -1028,13 +838,7 @@ func (s *Service) Cancel(id string) error {
 	case StateQueued:
 		j.cancelRequested = true
 		if s.queue.Remove(id) || s.removeFollowerLocked(id) {
-			j.rec.State = StateCanceled
-			j.rec.Finished = time.Now().UnixNano()
-			s.persistJobLocked(j)
-			s.om.canceled.Inc()
-			s.hub.Publish(Event{Type: "state", Job: id, State: StateCanceled})
-			// A withdrawn queued leader releases its coalition.
-			s.settleFollowersLocked(id, nil)
+			s.moveLocked(j, StateCanceled, causeCancel, nil)
 		}
 		// If both misses, a worker has already popped the ID and will
 		// observe cancelRequested in runJob.
@@ -1069,7 +873,9 @@ func (s *Service) Jobs() []JobView {
 	for _, j := range s.jobs {
 		views = append(views, viewOf(j))
 	}
-	sortViews(views)
+	slices.SortFunc(views, func(a, b JobView) int {
+		return cmp.Or(cmp.Compare(a.Submitted, b.Submitted), cmp.Compare(a.ID, b.ID))
+	})
 	return views
 }
 
@@ -1113,19 +919,6 @@ func (s *Service) Health() HealthView {
 	reason := s.degradedReason
 	s.mu.Unlock()
 	return HealthView{Status: "degraded", Reason: reason}
-}
-
-// Subscribe streams a job's events (progress heartbeats and state
-// transitions); call the returned cancel when done.
-func (s *Service) Subscribe(id string) (<-chan Event, func(), error) {
-	s.mu.Lock()
-	known := s.jobs[id] != nil
-	s.mu.Unlock()
-	if !known {
-		return nil, nil, ErrUnknownJob
-	}
-	ch, cancel := s.hub.Subscribe(id)
-	return ch, cancel, nil
 }
 
 // beginDrain makes the shutdown decision visible everywhere at once:
@@ -1207,21 +1000,6 @@ func viewOf(j *job) JobView {
 	}
 }
 
-func sortViews(views []JobView) {
-	for i := 1; i < len(views); i++ {
-		for k := i; k > 0 && less(views[k], views[k-1]); k-- {
-			views[k], views[k-1] = views[k-1], views[k]
-		}
-	}
-}
-
-func less(a, b JobView) bool {
-	if a.Submitted != b.Submitted {
-		return a.Submitted < b.Submitted
-	}
-	return a.ID < b.ID
-}
-
 // Metrics is a snapshot of the service's observable counters.
 type Metrics struct {
 	QueueDepth   int           `json:"queueDepth"`
@@ -1245,15 +1023,9 @@ type Metrics struct {
 	StoreDegraded bool   `json:"storeDegraded"`
 	// LeaseExpiries counts running jobs re-queued by the lease watchdog;
 	// TmpReaped counts orphan temp files reaped at startup.
-	LeaseExpiries uint64 `json:"leaseExpiries"`
-	TmpReaped     uint64 `json:"tmpReaped"`
-	// RemoteCacheHits counts local misses the cluster memo table
-	// satisfied; errors are operations against it that failed (always
-	// treated as misses).
-	RemoteCacheHits   uint64                   `json:"remoteCacheHits"`
-	RemoteCacheMisses uint64                   `json:"remoteCacheMisses"`
-	RemoteCacheErrors uint64                   `json:"remoteCacheErrors"`
-	Engines           map[string]EngineMetrics `json:"engines"`
+	LeaseExpiries uint64                   `json:"leaseExpiries"`
+	TmpReaped     uint64                   `json:"tmpReaped"`
+	Engines       map[string]EngineMetrics `json:"engines"`
 }
 
 // EngineMetrics is accumulated per-engine throughput.
@@ -1272,23 +1044,20 @@ func (s *Service) Registry() *obs.Registry { return s.reg }
 // service of a process does by default, share them too.
 func (s *Service) MetricsSnapshot() Metrics {
 	m := Metrics{
-		JobsByState:       make(map[State]int),
-		Accepted:          s.om.accepted.Value(),
-		CacheHits:         s.om.cacheHits.Value(),
-		CacheMisses:       s.om.cacheMisses.Value(),
-		Coalesced:         s.om.coalesced.Value(),
-		Degraded:          s.om.degraded.Value(),
-		Resumed:           s.om.resumed.Value(),
-		Requeued:          s.om.requeued.Value(),
-		Failed:            s.om.failed.Value(),
-		StoreFaults:       s.om.storeFaults.Value(),
-		StoreDegraded:     s.degraded.Load(),
-		LeaseExpiries:     s.om.leaseExpiry.Value(),
-		TmpReaped:         s.om.tmpReaped.Value(),
-		RemoteCacheHits:   s.om.remoteHits.Value(),
-		RemoteCacheMisses: s.om.remoteMiss.Value(),
-		RemoteCacheErrors: s.om.remoteErrs.Value(),
-		Engines:           make(map[string]EngineMetrics),
+		JobsByState:   make(map[State]int),
+		Accepted:      s.om.accepted.Value(),
+		CacheHits:     s.om.cacheHits.Value(),
+		CacheMisses:   s.om.cacheMisses.Value(),
+		Coalesced:     s.om.coalesced.Value(),
+		Degraded:      s.om.degraded.Value(),
+		Resumed:       s.om.resumed.Value(),
+		Requeued:      s.om.requeued.Value(),
+		Failed:        s.om.failed.Value(),
+		StoreFaults:   s.om.storeFaults.Value(),
+		StoreDegraded: s.degraded.Load(),
+		LeaseExpiries: s.om.leaseExpiry.Value(),
+		TmpReaped:     s.om.tmpReaped.Value(),
+		Engines:       make(map[string]EngineMetrics),
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

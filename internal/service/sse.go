@@ -1,6 +1,8 @@
 package service
 
 import (
+	"slices"
+	"sort"
 	"sync"
 
 	"symsim/internal/core"
@@ -23,26 +25,28 @@ type Event struct {
 	Seq uint64 `json:"seq,omitempty"`
 }
 
-// ringCap bounds the per-job replay buffer. 256 events comfortably holds
-// every lifecycle transition a job can have plus a long tail of recent
-// heartbeats; when full, heartbeats are shed first so lifecycle replay
-// stays lossless.
+// ringCap bounds the per-job event log. 256 events comfortably holds every
+// lifecycle transition a job can have plus a long tail of recent
+// heartbeats; when full, heartbeats are shed first so the lifecycle stays
+// lossless.
 const ringCap = 256
 
-// jobStream is the hub's per-job state: the sequence counter, the bounded
-// replay ring, and the live subscriber set. The stream outlives its
-// subscribers — the ring must still serve Last-Event-ID reconnects that
+// jobStream is one job's event log: the sequence counter, the bounded ring
+// and the wake channel of whoever waits for the next event. The log
+// outlives its readers — it must still serve Last-Event-ID reconnects that
 // arrive after the job went terminal and every watcher hung up.
 type jobStream struct {
 	seq  uint64
 	ring []Event
-	subs map[chan Event]struct{}
+	// wake is closed by the next Publish and made again by the next reader
+	// that has to wait; nil while nobody does.
+	wake chan struct{}
 }
 
-// appendRing records ev for replay. A full ring sheds its oldest
-// "progress" heartbeat; only if the ring somehow holds nothing but state
-// events does the oldest state go (it is superseded by the transitions
-// still buffered behind it).
+// appendRing records ev. A full ring sheds its oldest "progress"
+// heartbeat; only if the ring holds nothing but state events does the
+// oldest state go (it is superseded by the transitions still buffered
+// behind it).
 func (st *jobStream) appendRing(ev Event) {
 	if len(st.ring) < ringCap {
 		st.ring = append(st.ring, ev)
@@ -58,13 +62,12 @@ func (st *jobStream) appendRing(ev Event) {
 	st.ring = append(append(st.ring[:shed], st.ring[shed+1:]...), ev)
 }
 
-// hub fans job events out to stream subscribers and keeps a bounded
-// per-job replay ring. Subscriber channels are buffered; heartbeats are
-// lossy — a slow SSE client drops them rather than stalling the analysis
-// worker that publishes them — but lifecycle "state" events are never
-// dropped: a full buffer sheds its oldest heartbeat to make room, so a
-// slow subscriber still observes the terminal transition that ends its
-// stream.
+// hub keeps one event log per job. A reader holds no buffer of its own,
+// only a cursor — the sequence number of the last event it has seen — so
+// there is one shed policy, the ring's: heartbeats are lossy for a reader
+// that falls more than a ring behind, the analysis worker that publishes
+// them never waits for one, and a slow reader still finds the terminal
+// transition that ends its stream.
 type hub struct {
 	mu   sync.Mutex
 	jobs map[string]*jobStream
@@ -76,52 +79,14 @@ func newHub() *hub { return &hub{jobs: make(map[string]*jobStream)} }
 func (h *hub) streamLocked(id string) *jobStream {
 	st := h.jobs[id]
 	if st == nil {
-		st = &jobStream{subs: make(map[chan Event]struct{})}
+		st = &jobStream{}
 		h.jobs[id] = st
 	}
 	return st
 }
 
-// Subscribe returns a channel of events for job id and a cancel func that
-// must be called exactly once when the subscriber is done.
-func (h *hub) Subscribe(id string) (<-chan Event, func()) {
-	_, _, ch, cancel := h.SubscribeFrom(id, ^uint64(0))
-	return ch, cancel
-}
-
-// SubscribeFrom subscribes to job id and atomically returns the buffered
-// events with Seq > afterSeq (oldest first) plus the latest Seq the job
-// has been assigned. Because the replay snapshot and the subscription
-// happen under one lock, a reconnecting client replaying from its
-// Last-Event-ID sees every event exactly once: ring events up to the
-// subscription point come back in replay, everything published after
-// arrives on the channel. Pass afterSeq ^uint64(0) for no replay.
-func (h *hub) SubscribeFrom(id string, afterSeq uint64) (replay []Event, latest uint64, ch <-chan Event, cancel func()) {
-	c := make(chan Event, 32)
-	h.mu.Lock()
-	st := h.streamLocked(id)
-	st.subs[c] = struct{}{}
-	latest = st.seq
-	for _, ev := range st.ring {
-		if ev.Seq > afterSeq {
-			replay = append(replay, ev)
-		}
-	}
-	h.mu.Unlock()
-	return replay, latest, c, func() {
-		h.mu.Lock()
-		if st := h.jobs[id]; st != nil {
-			// The stream itself stays: its ring serves late reconnects.
-			delete(st.subs, c)
-		}
-		h.mu.Unlock()
-	}
-}
-
-// Publish assigns ev its per-job sequence number, records it for replay,
-// and delivers it to every subscriber of its job. "progress" heartbeats
-// are dropped for subscribers whose buffer is full; "state" lifecycle
-// events always land (see requeueWithState).
+// Publish assigns ev its per-job sequence number, appends it to the job's
+// log and wakes the readers waiting at its end.
 func (h *hub) Publish(ev Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -129,53 +94,27 @@ func (h *hub) Publish(ev Event) {
 	st.seq++
 	ev.Seq = st.seq
 	st.appendRing(ev)
-	for ch := range st.subs {
-		select {
-		case ch <- ev:
-			continue
-		default:
-		}
-		if ev.Type == "state" {
-			requeueWithState(ch, ev)
-		}
+	if st.wake != nil {
+		close(st.wake)
+		st.wake = nil
 	}
 }
 
-// requeueWithState makes room for an undroppable lifecycle event in a
-// full subscriber buffer: drain the channel, shed the oldest heartbeat
-// (or, if the buffer somehow holds only state events, the oldest state —
-// it is superseded by the transitions still queued behind it), re-queue
-// the rest in order and append ev.
-//
-// This is only safe because Publish under h.mu is the sole sender on a
-// subscriber channel: nothing can inject an event between the drain and
-// the re-queue, and the concurrent receiver can only make more room, so
-// the re-queue sends below can never block.
-func requeueWithState(ch chan Event, ev Event) {
-	buf := make([]Event, 0, cap(ch))
-drain:
-	for {
-		select {
-		case e := <-ch:
-			buf = append(buf, e)
-		default:
-			break drain
-		}
+// since reads job id's log from a cursor: the buffered events with Seq >
+// after (oldest first), the latest Seq the job has been assigned, and a
+// channel the next Publish closes. All three come from under one lock, so
+// a reader that moves its cursor to the last event it was handed and calls
+// again when wake fires sees every event the ring kept exactly once:
+// nothing at or before the cursor comes back, nothing after it is skipped.
+func (h *hub) since(id string, after uint64) (events []Event, latest uint64, wake <-chan struct{}) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	st := h.streamLocked(id)
+	// The ring is in sequence order; the copy is the reader's to keep.
+	first := sort.Search(len(st.ring), func(i int) bool { return st.ring[i].Seq > after })
+	events = slices.Clone(st.ring[first:])
+	if st.wake == nil {
+		st.wake = make(chan struct{})
 	}
-	shed := false
-	kept := buf[:0]
-	for _, e := range buf {
-		if !shed && e.Type == "progress" {
-			shed = true
-			continue
-		}
-		kept = append(kept, e)
-	}
-	if !shed && len(kept) == cap(ch) {
-		kept = kept[1:]
-	}
-	for _, e := range kept {
-		ch <- e
-	}
-	ch <- ev
+	return events, st.seq, st.wake
 }

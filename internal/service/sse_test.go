@@ -6,9 +6,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,108 +19,117 @@ func progressEv(job string, n int) Event {
 	return Event{Type: "progress", Job: job, Progress: &core.Progress{PathsDone: n}}
 }
 
-// The headline regression: a subscriber that never drains its buffer must
-// still receive the terminal "state" event. On the old hub, Publish
-// silently dropped it along with the heartbeats and the stream looped
-// forever waiting for a transition that was already gone.
+// statesOf returns the lifecycle states among events, in order.
+func statesOf(events []Event) []State {
+	var out []State
+	for _, ev := range events {
+		if ev.Type == "state" {
+			out = append(out, ev.State)
+		}
+	}
+	return out
+}
+
+// The headline regression: a reader that falls arbitrarily far behind must
+// still find the terminal "state" event. On the first hub, Publish silently
+// dropped it along with the heartbeats and the stream looped forever
+// waiting for a transition that was already gone. A cursor 4×ringCap
+// heartbeats behind still reads queued, running, done in order.
 func TestPublishNeverDropsStateForSlowSubscriber(t *testing.T) {
 	h := newHub()
-	ch, cancel := h.Subscribe("j")
-	defer cancel()
-
-	// A slow client: fill the entire buffer with heartbeats before the
-	// lifecycle event lands.
-	for i := 0; cap(ch) > len(ch); i++ {
+	h.Publish(Event{Type: "state", Job: "j", State: StateQueued})
+	h.Publish(Event{Type: "state", Job: "j", State: StateRunning})
+	for i := 0; i < 4*ringCap; i++ {
 		h.Publish(progressEv("j", i))
 	}
 	h.Publish(Event{Type: "state", Job: "j", State: StateDone})
 
-	var got []Event
-	for len(ch) > 0 {
-		got = append(got, <-ch)
+	got, latest, _ := h.since("j", 0)
+	if want := uint64(4*ringCap + 3); latest != want {
+		t.Fatalf("latest = %d, want %d", latest, want)
 	}
-	last := got[len(got)-1]
-	if last.Type != "state" || last.State != StateDone {
-		t.Fatalf("terminal state event lost; buffer ended with %+v", last)
+	if len(got) != ringCap {
+		t.Errorf("slow cursor read %d events, want a full ring of %d", len(got), ringCap)
 	}
-	// Exactly one heartbeat was shed to make room, and order held.
-	if len(got) != cap(ch) {
-		t.Errorf("drained %d events, want %d", len(got), cap(ch))
+	if last := got[len(got)-1]; last.Type != "state" || last.State != StateDone || last.Seq != latest {
+		t.Fatalf("terminal state event lost; log ended with %+v", last)
 	}
-	if got[0].Progress == nil || got[0].Progress.PathsDone != 1 {
-		t.Errorf("oldest surviving heartbeat = %+v, want the second published", got[0])
+	if states := statesOf(got); !reflect.DeepEqual(states, []State{StateQueued, StateRunning, StateDone}) {
+		t.Fatalf("lifecycle read by the slow cursor = %v, want queued, running, done", states)
 	}
-	for i := 1; i < len(got)-1; i++ {
+	// The heartbeats that survived are the newest, still in order.
+	for i := 3; i < len(got)-1; i++ {
 		if got[i].Progress.PathsDone != got[i-1].Progress.PathsDone+1 {
 			t.Fatalf("heartbeat order broken at %d: %+v after %+v", i, got[i], got[i-1])
 		}
 	}
+	if newest := got[len(got)-2].Progress.PathsDone; newest != 4*ringCap-1 {
+		t.Errorf("newest surviving heartbeat = %d, want the last published", newest)
+	}
 }
 
-// Heartbeats stay lossy: a full buffer drops them without disturbing what
-// is already queued.
+// Heartbeats stay lossy: a full ring sheds its oldest heartbeat to take the
+// newest, without disturbing the order of what it keeps.
 func TestPublishDropsProgressWhenFull(t *testing.T) {
 	h := newHub()
-	ch, cancel := h.Subscribe("j")
-	defer cancel()
-
-	for i := 0; cap(ch) > len(ch); i++ {
+	for i := 0; i < ringCap; i++ {
 		h.Publish(progressEv("j", i))
 	}
 	h.Publish(progressEv("j", 999))
-	if len(ch) != cap(ch) {
-		t.Fatalf("buffer length %d after overflow publish, want %d", len(ch), cap(ch))
+	got, _, _ := h.since("j", 0)
+	if len(got) != ringCap {
+		t.Fatalf("ring length %d after overflow publish, want %d", len(got), ringCap)
 	}
-	first := <-ch
-	if first.Progress == nil || first.Progress.PathsDone != 0 {
-		t.Errorf("oldest heartbeat = %+v, want the first published", first)
+	if first := got[0]; first.Progress.PathsDone != 1 || first.Seq != 2 {
+		t.Errorf("oldest heartbeat = %+v, want the second published", first)
+	}
+	if last := got[len(got)-1]; last.Progress.PathsDone != 999 {
+		t.Errorf("newest heartbeat = %+v, want the overflow publish", last)
 	}
 }
 
-// A buffer already full of lifecycle events (no heartbeat to shed) drops
-// its oldest state — it is superseded by the transitions queued behind it
-// — and the new terminal event still lands last.
-func TestRequeueWithStateAllStateBuffer(t *testing.T) {
+// A ring already full of lifecycle events (no heartbeat to shed) drops its
+// oldest state — it is superseded by the transitions buffered behind it —
+// and the new terminal event still lands last.
+func TestRingOfStatesShedsOldestState(t *testing.T) {
 	h := newHub()
-	ch, cancel := h.Subscribe("j")
-	defer cancel()
-
-	for cap(ch) > len(ch) {
+	for i := 0; i < ringCap; i++ {
 		h.Publish(Event{Type: "state", Job: "j", State: StateRunning})
 	}
 	h.Publish(Event{Type: "state", Job: "j", State: StateDone})
 
-	var last Event
-	n := 0
-	for len(ch) > 0 {
-		last = <-ch
-		n++
+	got, _, _ := h.since("j", 0)
+	if len(got) != ringCap {
+		t.Errorf("ring holds %d events, want %d", len(got), ringCap)
 	}
-	if n != cap(ch) {
-		t.Errorf("drained %d events, want %d", n, cap(ch))
+	if got[0].Seq != 2 {
+		t.Errorf("oldest surviving state has seq %d, want 2 (the first was shed)", got[0].Seq)
 	}
-	if last.State != StateDone {
+	if last := got[len(got)-1]; last.State != StateDone {
 		t.Errorf("last event state = %s, want done", last.State)
 	}
 }
 
-// Concurrent receive during Publish must not trip the race detector or
-// lose a state event (run under -race in CI).
+// A reader following its cursor while Publish runs flat out must not trip
+// the race detector or miss the terminal event (run under -race in CI).
 func TestPublishConcurrentWithReceive(t *testing.T) {
 	h := newHub()
-	ch, cancel := h.Subscribe("j")
-	defer cancel()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
 	gotState := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		for ev := range ch {
-			if ev.Type == "state" && terminal(ev.State) {
-				close(gotState)
-				return
+		cursor := uint64(0)
+		for {
+			events, _, wake := h.since("j", cursor)
+			for _, ev := range events {
+				if ev.Seq <= cursor {
+					t.Errorf("event %d came back at cursor %d", ev.Seq, cursor)
+				}
+				cursor = ev.Seq
+				if ev.Type == "state" && terminal(ev.State) {
+					close(gotState)
+					return
+				}
 			}
+			<-wake
 		}
 	}()
 	for i := 0; i < 10_000; i++ {
@@ -130,9 +139,8 @@ func TestPublishConcurrentWithReceive(t *testing.T) {
 	select {
 	case <-gotState:
 	case <-time.After(10 * time.Second):
-		t.Fatal("terminal state never observed by concurrent receiver")
+		t.Fatal("terminal state never observed by concurrent reader")
 	}
-	wg.Wait()
 }
 
 // End-to-end variant of the headline bug: an SSE client that doesn't read
@@ -191,16 +199,16 @@ func TestSSEStreamTerminatesForSlowClient(t *testing.T) {
 	}
 }
 
-// SubscribeFrom must hand back the buffered window after the cursor and
-// the live channel atomically: every event lands exactly once, either in
-// the replay slice or on the channel, never both, never neither.
+// since hands back the buffered window after the cursor, the latest
+// sequence number and the wake channel atomically: every event comes
+// exactly once — nothing at or before the cursor ever returns, nothing
+// after it is skipped — and wake fires for what was published later.
 func TestSubscribeFromReplaysExactlyOnce(t *testing.T) {
 	h := newHub()
 	for i := 1; i <= 5; i++ {
 		h.Publish(progressEv("j", i))
 	}
-	replay, latest, ch, cancel := h.SubscribeFrom("j", 2)
-	defer cancel()
+	replay, latest, wake := h.since("j", 2)
 	if latest != 5 {
 		t.Fatalf("latest = %d, want 5", latest)
 	}
@@ -212,14 +220,25 @@ func TestSubscribeFromReplaysExactlyOnce(t *testing.T) {
 			t.Errorf("replay[%d].Seq = %d, want %d", i, ev.Seq, want)
 		}
 	}
-	// Published after subscription: on the channel only.
-	h.Publish(Event{Type: "state", Job: "j", State: StateDone})
-	ev := <-ch
-	if ev.Seq != 6 || ev.State != StateDone {
-		t.Errorf("live event = %+v, want done at seq 6", ev)
+	select {
+	case <-wake:
+		t.Fatal("wake fired with nothing published after the read")
+	default:
 	}
-	if len(ch) != 0 {
-		t.Errorf("%d extra events on channel", len(ch))
+	// Published after the read: wake fires, and the moved cursor reads it
+	// and nothing it has already been handed.
+	h.Publish(Event{Type: "state", Job: "j", State: StateDone})
+	select {
+	case <-wake:
+	default:
+		t.Fatal("wake did not fire on publish")
+	}
+	live, latest, _ := h.since("j", 5)
+	if len(live) != 1 || live[0].Seq != 6 || live[0].State != StateDone || latest != 6 {
+		t.Errorf("after the cursor = %+v (latest %d), want done at seq 6 alone", live, latest)
+	}
+	if again, _, _ := h.since("j", 6); len(again) != 0 {
+		t.Errorf("cursor at the end read %d events, want none", len(again))
 	}
 }
 
@@ -234,8 +253,7 @@ func TestRingShedsHeartbeatsKeepsStates(t *testing.T) {
 	}
 	h.Publish(Event{Type: "state", Job: "j", State: StateDone})
 
-	replay, _, _, cancel := h.SubscribeFrom("j", 0)
-	defer cancel()
+	replay, _, _ := h.since("j", 0)
 	if len(replay) > ringCap {
 		t.Fatalf("ring grew past its bound: %d > %d", len(replay), ringCap)
 	}

@@ -165,7 +165,7 @@ func decodeJobRecord(data []byte) (*jobRecord, error) {
 
 // store lays the service's durable state out under one root directory:
 //
-//	jobs/<id>.job      canonical job records (SYMSIMJ1)
+//	jobs/<id>.job      canonical job records (SYMSIMJ2)
 //	results/<id>.json  per-job result summaries
 //	cache/<key>.json   content-addressed complete results
 //	ckpt/<id>.ckpt     per-job exploration checkpoints (SYMSIMC1)
@@ -314,8 +314,6 @@ func (s *store) hasCheckpoint(id string) bool {
 	_, err := s.fs.Stat(s.checkpointPath(id))
 	return err == nil
 }
-
-func (s *store) removeFile(path string) error { return s.fs.Remove(path) }
 
 // atomicWrite lands data in a temp file in the target's directory and
 // renames it over path, so a crash mid-write never corrupts a record.

@@ -88,20 +88,3 @@ func ByMagic(magic string) *Format {
 	}
 	return nil
 }
-
-// ValidCacheKey reports whether key has the shape of a CacheKeyMagic key:
-// the 64 lowercase hex digits of a SHA-256. Anything else could never have
-// been derived, and path metacharacters must not reach the store that
-// files results under their key.
-func ValidCacheKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		ch := key[i]
-		if (ch < '0' || ch > '9') && (ch < 'a' || ch > 'f') {
-			return false
-		}
-	}
-	return true
-}
