@@ -242,9 +242,10 @@ func Validate(sym *core.Result, bsp *Result, p *core.Platform, inputs []MemInit,
 		}
 	}
 
-	// Exercised-subset check.
+	// Exercised-subset check: a net the run changed, or left unknown (the
+	// profile holds only the first; core's absorb has the rule).
 	for n, togg := range orig.sim.Toggled() {
-		if !togg {
+		if !togg && orig.sim.Value(netlist.NetID(n)).IsKnown() {
 			continue
 		}
 		rep.ExercisedConcrete++

@@ -242,7 +242,8 @@ type Result struct {
 	// Degradation is nil on a complete run.
 	Degradation *Degradation
 
-	// ToggledNets marks every net that toggled or carried X in some path.
+	// ToggledNets marks every net that toggled in some path or was unknown
+	// at the end of one (absorb has the rule).
 	ToggledNets []bool
 	// ConstNets holds, for untoggled nets, the constant value observed
 	// throughout the whole analysis (indexed by net).
@@ -316,7 +317,9 @@ type entry struct {
 	readmit bool
 }
 
-// pathOutcome carries what one simulated segment produced.
+// pathOutcome carries what one simulated segment produced: toggled marks
+// the nets that changed while it recorded and endVals is every net's value
+// at its end; absorb reads the two together.
 type pathOutcome struct {
 	stat       PathStat
 	halt       vvp.State
@@ -867,7 +870,12 @@ func (a *analysis) tripStopLocked(t Trip) {
 }
 
 // absorb merges one path's toggle profile and untoggled-net constants into
-// the global result (Algorithm 1 lines 29–39). Caller holds a.mu.
+// the global result (Algorithm 1 lines 29–39). A net is exercisable when it
+// changed on some path, or is unknown at the end of one: an unknown means
+// some input could toggle it, and a net that was X when the path began to
+// record either changed since — the profile has it — or still is. So the
+// engines start a profile empty and the X rule is applied here, before the
+// constants are looked at: an X was never a tie-off value. Caller holds a.mu.
 func (a *analysis) absorb(out pathOutcome) {
 	a.res.SimulatedCycles += out.stat.Cycles
 	a.res.Paths = append(a.res.Paths, out.stat)
@@ -879,11 +887,11 @@ func (a *analysis) absorb(out pathOutcome) {
 			// constant of a toggled net.
 			continue
 		}
-		if t {
+		v := out.endVals[n]
+		if t || !v.IsKnown() {
 			exercisable[n] = true
 			continue
 		}
-		v := out.endVals[n]
 		if !a.constSeen[n] {
 			a.constSeen[n] = true
 			a.res.ConstNets[n] = v

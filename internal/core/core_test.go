@@ -460,3 +460,61 @@ func TestBatchEngineMatchesKernelDichotomy(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownEndValueIsExercisable: a net that is X from the moment a path
+// starts recording to its last step never changes, so no engine marks it in
+// the path's profile, and it is exercisable all the same — an unknown means
+// some input could toggle it. absorb applies that rule to the end values,
+// before it looks for a tie-off constant: an X was never one. The design
+// counts to three on two flip-flops, branches on an input nobody drives when
+// the count is one — so the run is the cold path and two forked ones, and
+// abuf is X in all three — and finishes at three.
+func TestUnknownEndValueIsExercisable(t *testing.T) {
+	n := netlist.New("xnet")
+	clk, rstn, a := n.AddInput("clk"), n.AddInput("rst_n"), n.AddInput("a")
+	net := func(name string, kind netlist.GateKind, in ...netlist.NetID) netlist.NetID {
+		out := n.AddNet(name)
+		n.AddGate(kind, out, in...)
+		return out
+	}
+	one := net("one", netlist.KindConst1)
+	c0, c1 := n.AddNet("c0"), n.AddNet("c1")
+	n.AddDFF(c0, net("d0", netlist.KindNot, c0), clk, one, rstn, logic.Lo)
+	n.AddDFF(c1, net("d1", netlist.KindXor, c1, c0), clk, one, rstn, logic.Lo)
+	abuf := net("abuf", netlist.KindBuf, a)
+	cond := net("cond", netlist.KindAnd, abuf, one)
+	taken := n.AddNet("taken")
+	n.AddDFF(taken, cond, clk, one, rstn, logic.Lo)
+	br := net("br", netlist.KindAnd, c0, net("nc1", netlist.KindNot, c1))
+	fin := net("fin", netlist.KindAnd, c0, c1)
+	n.MarkOutput(taken)
+	n.MarkOutput(fin)
+	if err := n.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := vvp.SpecFor(n, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &core.Platform{Name: "xnet", Design: n, Spec: spec, HalfPeriod: 5, ResetCycles: 2,
+		Monitor: vvp.MonitorXSpec{BranchActive: br, Cond: cond, Finish: fin}}
+	for _, eng := range []vvp.Engine{vvp.EngineKernel, vvp.EngineBatch} {
+		res, err := core.Analyze(p, core.Config{Engine: eng, SkipLint: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PathsCreated != 3 || !res.Complete {
+			t.Fatalf("%v: %d paths, complete = %v; want the cold path and both sides of one fork", eng, res.PathsCreated, res.Complete)
+		}
+		if !res.ToggledNets[abuf] || !res.ExercisableGates[n.Nets[abuf].Driver] {
+			t.Errorf("%v: abuf is X from restore to finish on every path and is not exercisable", eng)
+		}
+		if res.ConstNets[abuf] == logic.X {
+			t.Errorf("%v: X recorded as the tie-off constant of abuf", eng)
+		}
+		// The rule marks nothing that holds a value: one is 1 on every path.
+		if res.ToggledNets[one] || res.ConstNets[one] != logic.Hi {
+			t.Errorf("%v: the constant net is exercisable = %v with constant %v", eng, res.ToggledNets[one], res.ConstNets[one])
+		}
+	}
+}

@@ -36,7 +36,9 @@ type laneEngine interface {
 	// CyclesLane counts clock cycles since the lane was last restored.
 	CyclesLane(lane int) uint64
 	// ToggledLane, LaneNetValues and SnapshotLane return the lane's toggle
-	// profile, net valuation and machine state. dst is storage the engine
+	// profile — the nets that changed since StartRecordingLane, which starts
+	// it empty; a net that is X throughout is in the valuation, not here —
+	// net valuation and machine state. dst is storage the engine
 	// may use or ignore; the result is only valid until the engine next
 	// steps or restores, or the same call is made again.
 	ToggledLane(lane int, dst []bool) []bool

@@ -51,6 +51,9 @@ type GateDesc struct {
 //     dirty bitmap (see FanRun): the level-major numbering puts the
 //     consumers of one net in adjacent bits, so scheduling them is one OR
 //     per run — almost always one per net — instead of one event per gate.
+//     A flip-flop that reads the net on D or EN alone is not among them:
+//     it is in DataRunTab/DataIdx, the same shape, which a commit marks
+//     only while some reset net is not at 1 (see DataRuns).
 //     MemFan/MemFanIdx store the memory fanout in CSR form.
 //   - LvlMems/LvlMemIdx group memories by topological level, ascending ID.
 //
@@ -71,16 +74,28 @@ type Program struct {
 	GateLevel []int32
 	MemLevel  []int32
 
-	// RunIdx has len(Nets)+1 entries; the gates reading net n are the runs
-	// Runs[RunIdx[n]:RunIdx[n+1]], ascending.
+	// RunIdx has len(Nets)+1 entries; the gates a change of net n always
+	// schedules — its combinational readers and the flip-flops that read it
+	// on CLK or RSTN — are the runs Runs[RunIdx[n]:RunIdx[n+1]], ascending.
 	RunIdx []uint32
 	Runs   []FanRun
-	// GateRun holds, per kernel gate, the whole fanout of its output when
-	// that is a single run, feeds no memory pin and lies at a level above
-	// the gate's own: a commit the level round may make in line, without
-	// touching dirtyLo (see vvp's kernelLevel). Every other gate has the
-	// zero FanRun and commits through the general path.
+	// DataIdx and DataRunTab are the same table for the flip-flops that
+	// read net n on D or EN only (see DataRuns).
+	DataIdx    []uint32
+	DataRunTab []FanRun
+	// GateRun holds, per kernel gate, the whole of FanRuns of its output
+	// when that is a single run, the output is on no memory or RSTN pin
+	// and the run lies at a level above the gate's own: a commit the level
+	// round may make in line, without touching dirtyLo (see vvp's
+	// kernelLevel). Every other gate has the zero FanRun and commits
+	// through the general path.
 	GateRun []FanRun
+	// Resets lists the distinct nets on an RSTN pin, ascending. While every
+	// one of them is at 1 a simulator leaves DataRuns unmarked.
+	Resets []NetID
+	// FFMask has one word per word of the dirty bitmap: the bits that are
+	// flip-flops.
+	FFMask []uint64
 	// MemFanIdx has len(Nets)+1 entries; the memories reading net n
 	// (address, data, clock and enable pins) are
 	// MemFan[MemFanIdx[n]:MemFanIdx[n+1]], ascending MemID.
@@ -99,10 +114,11 @@ type Program struct {
 	// not qualify for the kernel's clock-edge fast path (see ClockDomain).
 	Clock *ClockDomain
 
-	// memFanBits has one bit per net, set when the net feeds a memory pin.
-	// Almost no net does, so the commit path tests the bit before paying
-	// for the MemFanIdx lookup.
-	memFanBits []uint64
+	// slowBits has one bit per net, set when a commit of the net has more
+	// to do than mark FanRuns: the net feeds a memory pin, or it is one of
+	// Resets. Almost no net does either, so the commit path tests the bit
+	// before paying for the MemFanIdx lookup.
+	slowBits []uint64
 }
 
 // FanRun is the part of a net's gate fanout that shares one 64-bit word of
@@ -145,8 +161,6 @@ type ClockDomain struct {
 	// what it uses.
 	DFFs    []GateID
 	Members []DomainDFF
-	// Resets lists the distinct RSTN nets, ascending.
-	Resets []NetID
 	// Fan is the combinational gates reading Net: FanRuns(Net) without the
 	// members.
 	Fan []FanRun
@@ -165,12 +179,23 @@ func (p *Program) LevelMems(l int32) []MemID {
 	return p.LvlMems[p.LvlMemIdx[l]:p.LvlMemIdx[l+1]]
 }
 
-// FanRuns returns the gates reading net id as runs of the dirty bitmap,
-// ascending.
+// FanRuns returns the gates a change of net id always schedules, as runs of
+// the dirty bitmap, ascending: every reader but the flip-flops of DataRuns.
 //
 //symsim:hotpath
 func (p *Program) FanRuns(id NetID) []FanRun {
 	return p.Runs[p.RunIdx[id]:p.RunIdx[id+1]]
+}
+
+// DataRuns returns the flip-flops that read net id on D or EN and on no
+// other pin, as runs of the dirty bitmap, ascending. Such a flip-flop has
+// nothing to do when id moves unless its reset is not at 1 — its clock pin
+// schedules the capture — so a simulator marks these runs only while some
+// net of Resets is not at 1.
+//
+//symsim:hotpath
+func (p *Program) DataRuns(id NetID) []FanRun {
+	return p.DataRunTab[p.DataIdx[id]:p.DataIdx[id+1]]
 }
 
 // MemFanOf returns the memories reading net id, ascending MemID.
@@ -180,12 +205,14 @@ func (p *Program) MemFanOf(id NetID) []MemID {
 	return p.MemFan[p.MemFanIdx[id]:p.MemFanIdx[id+1]]
 }
 
-// HasMemFan reports whether MemFanOf(id) is non-empty, from a bitmap small
-// enough to stay cached where the MemFanIdx offsets are not.
+// SlowCommit reports whether a commit of net id has more to do than mark
+// FanRuns and DataRuns — MemFanOf(id) is non-empty, or id is one of Resets —
+// from a bitmap small enough to stay cached where the MemFanIdx offsets are
+// not.
 //
 //symsim:hotpath
-func (p *Program) HasMemFan(id NetID) bool {
-	return p.memFanBits[uint32(id)>>6]>>(uint32(id)&63)&1 != 0
+func (p *Program) SlowCommit(id NetID) bool {
+	return p.slowBits[uint32(id)>>6]>>(uint32(id)&63)&1 != 0
 }
 
 // Program returns the compiled form of the netlist, building it on first
@@ -241,16 +268,13 @@ func compile(n *Netlist) *Program {
 	// Fanout runs in kernel numbering. Freeze appends consumers in
 	// ascending netlist order; mapping through Renum breaks that, so each
 	// net's consumers are re-sorted (once, at compile time) and then cut
-	// wherever the bitmap word or the level changes.
+	// wherever the bitmap word or the level changes. A flip-flop that reads
+	// the net on D or EN but on neither CLK nor RSTN goes to the data table.
 	p.RunIdx = make([]uint32, len(n.Nets)+1)
-	var runs []FanRun
-	var fan []GateID
-	for id, f := range n.fanout {
-		p.RunIdx[id] = uint32(len(runs))
-		fan = fan[:0]
-		for _, g := range f {
-			fan = append(fan, p.Renum[g])
-		}
+	p.DataIdx = make([]uint32, len(n.Nets)+1)
+	var runs, dataRuns []FanRun
+	var fan, dataFan []GateID
+	cut := func(runs []FanRun, fan []GateID) []FanRun {
 		slices.Sort(fan)
 		first := len(runs)
 		for _, g := range fan {
@@ -260,16 +284,37 @@ func compile(n *Netlist) *Program {
 			}
 			runs[len(runs)-1].Mask |= 1 << (uint32(g) & 63)
 		}
+		return runs
 	}
-	p.RunIdx[len(n.Nets)] = uint32(len(runs))
-	p.Runs = append(make([]FanRun, 0, len(runs)), runs...) // exact size: the table lives as long as the design
-	p.GateRun = make([]FanRun, len(p.Gates))
+	for id, f := range n.fanout {
+		p.RunIdx[id], p.DataIdx[id] = uint32(len(runs)), uint32(len(dataRuns))
+		fan, dataFan = fan[:0], dataFan[:0]
+		for _, g := range f {
+			if d := &p.Gates[p.Renum[g]]; d.Kind == KindDFF && d.In[DFFPinClk] != NetID(id) && d.In[DFFPinRstn] != NetID(id) {
+				dataFan = append(dataFan, p.Renum[g])
+			} else {
+				fan = append(fan, p.Renum[g])
+			}
+		}
+		runs, dataRuns = cut(runs, fan), cut(dataRuns, dataFan)
+	}
+	p.RunIdx[len(n.Nets)], p.DataIdx[len(n.Nets)] = uint32(len(runs)), uint32(len(dataRuns))
+	// Exact size: the tables live as long as the design.
+	p.Runs = append(make([]FanRun, 0, len(runs)), runs...)
+	p.DataRunTab = append(make([]FanRun, 0, len(dataRuns)), dataRuns...)
+
+	p.slowBits = make([]uint64, (len(n.Nets)+63)/64)
+	p.FFMask = make([]uint64, (len(p.Gates)+63)/64)
 	for k := range p.Gates {
-		out := p.Gates[k].Out
-		if r := p.FanRuns(out); len(r) == 1 && len(n.memFanout[out]) == 0 && r[0].Level > p.GateLevel[k] {
-			p.GateRun[k] = r[0]
+		if d := &p.Gates[k]; d.Kind == KindDFF {
+			p.FFMask[k>>6] |= 1 << (k & 63)
+			if r := d.In[DFFPinRstn]; p.slowBits[r>>6]>>(r&63)&1 == 0 {
+				p.slowBits[r>>6] |= 1 << (r & 63)
+				p.Resets = append(p.Resets, r)
+			}
 		}
 	}
+	slices.Sort(p.Resets)
 
 	p.MemFanIdx = make([]uint32, len(n.Nets)+1)
 	total := 0
@@ -277,15 +322,22 @@ func compile(n *Netlist) *Program {
 		total += len(f)
 	}
 	p.MemFan = make([]MemID, 0, total)
-	p.memFanBits = make([]uint64, (len(n.Nets)+63)/64)
 	for id, f := range n.memFanout {
 		p.MemFanIdx[id] = uint32(len(p.MemFan))
 		p.MemFan = append(p.MemFan, f...)
 		if len(f) > 0 {
-			p.memFanBits[id>>6] |= 1 << (id & 63)
+			p.slowBits[id>>6] |= 1 << (id & 63)
 		}
 	}
 	p.MemFanIdx[len(n.Nets)] = uint32(len(p.MemFan))
+
+	p.GateRun = make([]FanRun, len(p.Gates))
+	for k := range p.Gates {
+		out := p.Gates[k].Out
+		if r := p.FanRuns(out); len(r) == 1 && !p.SlowCommit(out) && r[0].Level > p.GateLevel[k] {
+			p.GateRun[k] = r[0]
+		}
+	}
 
 	// Memory level grouping CSR: counting sort by level, ascending ID
 	// within a level (memory IDs are appended in increasing order).
@@ -326,13 +378,10 @@ func clockDomain(n *Netlist, p *Program) *ClockDomain {
 		}
 		cd.DFFs = append(cd.DFFs, GateID(k))
 		cd.Members = append(cd.Members, m)
-		cd.Resets = append(cd.Resets, rstn)
 	}
 	if cd.Net == NoNet || !n.Nets[cd.Net].IsInput {
 		return nil
 	}
-	slices.Sort(cd.Resets)
-	cd.Resets = slices.Compact(cd.Resets)
 	for _, m := range n.Mems {
 		if !m.IsROM() && !n.Nets[m.Clk].IsInput {
 			return nil

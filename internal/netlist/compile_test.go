@@ -152,13 +152,17 @@ func randProgNetlist(r *rand.Rand, gates int, shape progShape) *Netlist {
 }
 
 // checkFanRuns checks the compiled gate fanout of n against Freeze's: the
-// runs of a net expand to exactly its consumers through Renum, ascending
-// (a gate on two pins once), each run within one bitmap word and one level
-// and no two adjacent runs mergeable; a gate's GateRun is its output's
-// fanout exactly when that is one run, feeds no memory pin and lies above
-// the gate's level, and zero otherwise; and the clock domain's Fan is the
-// clock's runs without the members. Shared with the three CPUs
-// (fanruns_cpu_test.go) through CheckFanRuns.
+// runs of a net — FanRuns and DataRuns together, which share no gate —
+// expand to exactly its consumers through Renum, ascending (a gate on two
+// pins once), each run within one bitmap word and one level and no two
+// adjacent runs mergeable; DataRuns holds the flip-flops that read the net on
+// neither CLK nor RSTN, and FanRuns holds no such flip-flop; Resets is the
+// distinct RSTN nets, FFMask the flip-flops, and SlowCommit marks the reset
+// nets and the nets on a memory pin; a gate's GateRun is its output's FanRuns
+// exactly when that is one run, the output is on no memory or RSTN pin and
+// the run lies above the gate's level, and zero otherwise; and the clock
+// domain's Fan is the clock's runs without the members. Shared with the three
+// CPUs (fanruns_cpu_test.go) through CheckFanRuns.
 func checkFanRuns(t testing.TB, n *Netlist) {
 	t.Helper()
 	p := n.Program()
@@ -180,26 +184,65 @@ func checkFanRuns(t testing.TB, n *Netlist) {
 	if len(p.Runs) != cap(p.Runs) || int(p.RunIdx[len(n.Nets)]) != len(p.Runs) {
 		t.Fatalf("Runs has len %d cap %d, RunIdx ends at %d", len(p.Runs), cap(p.Runs), p.RunIdx[len(n.Nets)])
 	}
+	if len(p.DataRunTab) != cap(p.DataRunTab) || int(p.DataIdx[len(n.Nets)]) != len(p.DataRunTab) {
+		t.Fatalf("DataRunTab has len %d cap %d, DataIdx ends at %d", len(p.DataRunTab), cap(p.DataRunTab), p.DataIdx[len(n.Nets)])
+	}
+	// dataOnly reports whether gate g is a flip-flop with neither its clock
+	// nor its reset on net id.
+	dataOnly := func(g GateID, id NetID) bool {
+		d := &p.Gates[g]
+		return d.Kind == KindDFF && d.In[DFFPinClk] != id && d.In[DFFPinRstn] != id
+	}
+	var resets []NetID
 	for id := range n.Nets {
+		id := NetID(id)
 		var want []GateID
-		for _, g := range n.Fanout(NetID(id)) {
+		for _, g := range n.Fanout(id) {
 			want = append(want, p.Renum[g])
 		}
 		slices.Sort(want)
 		want = slices.Compact(want)
-		if got := expand(p.FanRuns(NetID(id))); !slices.Equal(got, want) {
-			t.Fatalf("net %d: runs expand to %v, fanout is %v", id, got, want)
+		fan, data := expand(p.FanRuns(id)), expand(p.DataRuns(id))
+		for _, g := range fan {
+			if dataOnly(g, id) {
+				t.Fatalf("net %d: FanRuns holds flip-flop %d, which reads it on D or EN alone", id, g)
+			}
+		}
+		for _, g := range data {
+			if !dataOnly(g, id) {
+				t.Fatalf("net %d: DataRuns holds gate %d, which is no flip-flop or has the net on CLK or RSTN", id, g)
+			}
+		}
+		got := append(fan, data...)
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("net %d: FanRuns %v and DataRuns %v together are not the fanout %v", id, fan, data, want)
+		}
+		isReset := slices.ContainsFunc(n.Fanout(id), func(g GateID) bool {
+			return n.Gates[g].Kind == KindDFF && n.Gates[g].In[DFFPinRstn] == id
+		})
+		if isReset {
+			resets = append(resets, id)
+		}
+		if slow := isReset || len(n.MemFanout(id)) > 0; p.SlowCommit(id) != slow {
+			t.Fatalf("net %d: SlowCommit = %v; reset net %v, %d memory readers", id, !slow, isReset, len(n.MemFanout(id)))
 		}
 	}
+	if !slices.Equal(p.Resets, resets) {
+		t.Fatalf("Resets = %v, the RSTN pins are on %v", p.Resets, resets)
+	}
 	for k := range p.Gates {
+		if ff := p.FFMask[k>>6]>>(k&63)&1 != 0; ff != (p.Gates[k].Kind == KindDFF) {
+			t.Fatalf("gate %d (%v): FFMask bit %v", k, p.Gates[k].Kind, ff)
+		}
 		out := p.Gates[k].Out
 		var want FanRun
-		if r := p.FanRuns(out); len(r) == 1 && len(n.MemFanout(out)) == 0 && r[0].Level > p.GateLevel[k] {
+		if r := p.FanRuns(out); len(r) == 1 && !p.SlowCommit(out) && r[0].Level > p.GateLevel[k] {
 			want = r[0]
 		}
 		if p.GateRun[k] != want {
-			t.Fatalf("gate %d (level %d, %d runs, %d memory pins): GateRun %+v, want %+v",
-				k, p.GateLevel[k], len(p.FanRuns(out)), len(n.MemFanout(out)), p.GateRun[k], want)
+			t.Fatalf("gate %d (level %d, %d runs, slow commit %v): GateRun %+v, want %+v",
+				k, p.GateLevel[k], len(p.FanRuns(out)), p.SlowCommit(out), p.GateRun[k], want)
 		}
 	}
 	if cd := p.Clock; cd != nil {
@@ -217,29 +260,40 @@ var CheckFanRuns = checkFanRuns
 // TestFanRuns checks the fanout runs on random designs of every shape,
 // small enough to sit in one bitmap word and large enough to straddle
 // several, so that one-run nets, multi-word nets and multi-level nets all
-// occur; and that every kind of GateRun verdict does.
+// occur; that every kind of GateRun verdict does; and that the split of a
+// net's readers meets each case: a flip-flop on D alone, one with the same
+// net on D and CLK (which stays in FanRuns), and a reset net driven by logic
+// (whose driver has no GateRun).
 func TestFanRuns(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	var inline, multi, memPin int
+	var inline, multi, memPin, rstPin, dataPin, clkAndD int
 	for shape := progShape(0); shape <= progAll; shape++ {
 		for _, gates := range []int{30, 200, 700} {
 			n := randProgNetlist(r, gates, shape)
 			checkFanRuns(t, n)
 			p := n.Program()
 			for k := range p.Gates {
-				switch out := p.Gates[k].Out; {
+				d := &p.Gates[k]
+				switch out := d.Out; {
 				case p.GateRun[k].Mask != 0:
 					inline++
 				case len(p.FanRuns(out)) > 1:
 					multi++
 				case len(n.MemFanout(out)) > 0:
 					memPin++
+				case slices.Contains(p.Resets, out):
+					rstPin++
+				}
+				if d.Kind == KindDFF && d.In[DFFPinD] == d.In[DFFPinClk] {
+					clkAndD++ // checkFanRuns found it in FanRuns of that net
 				}
 			}
+			dataPin += len(p.DataRunTab)
 		}
 	}
-	if inline == 0 || multi == 0 || memPin == 0 {
-		t.Fatalf("verdicts seen: %d in-line, %d multi-run, %d memory-feeding; want all three", inline, multi, memPin)
+	if inline == 0 || multi == 0 || memPin == 0 || rstPin == 0 || dataPin == 0 || clkAndD == 0 {
+		t.Fatalf("seen: %d in-line, %d multi-run, %d memory-feeding, %d reset-driving gates, %d data runs, %d flip-flops with one net on D and CLK; want all six",
+			inline, multi, memPin, rstPin, dataPin, clkAndD)
 	}
 	// A flip-flop's output feeding logic below the flip-flop's own level is
 	// one run that must not be in-line.
@@ -324,9 +378,6 @@ func TestProgramMatchesNetlist(t *testing.T) {
 					t.Fatalf("net %d memfanout[%d] mismatch", id, i)
 				}
 			}
-			if p.HasMemFan(NetID(id)) != (len(wantM) > 0) {
-				t.Fatalf("net %d: HasMemFan = %v with %d memory readers", id, p.HasMemFan(NetID(id)), len(wantM))
-			}
 		}
 		// Clock-domain table, when the random wiring left the design
 		// eligible: every DFF, ascending kernel ID, pins as in the netlist.
@@ -345,7 +396,7 @@ func TestProgramMatchesNetlist(t *testing.T) {
 				if g.In[DFFPinClk] != cd.Net || m.D != g.In[DFFPinD] || m.En != g.In[DFFPinEn] || m.Out != g.Out {
 					t.Fatalf("clock domain member %d does not match gate %d", i, p.Orig[k])
 				}
-				if !slices.Contains(cd.Resets, g.In[DFFPinRstn]) {
+				if !slices.Contains(p.Resets, g.In[DFFPinRstn]) {
 					t.Fatalf("reset net of gate %d missing from Resets", p.Orig[k])
 				}
 			}
@@ -433,7 +484,7 @@ func TestClockDomainEligibility(t *testing.T) {
 	}
 
 	p := build(nil)
-	if cd := p.Clock; cd == nil || len(cd.DFFs) != 2 || len(cd.Resets) != 1 || len(cd.Fan) != 1 {
+	if cd := p.Clock; cd == nil || len(cd.DFFs) != 2 || len(p.Resets) != 1 || len(cd.Fan) != 1 {
 		t.Fatalf("plain design: clock domain = %+v", cd)
 	}
 	for _, tc := range []struct {

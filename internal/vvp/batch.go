@@ -152,7 +152,14 @@ type BatchSim struct {
 	stimCursor [BatchLanes]int
 	cycles     [BatchLanes]uint64
 
-	active    uint64 // occupied lanes
+	active uint64 // occupied lanes
+	// quiet is the scalar kernel's flag over the occupied lanes: every net
+	// of prog.Resets is at 1 in every lane of active, and commitB then
+	// leaves prog.DataRuns unmarked (see Simulator.quiet; the invariant is
+	// per occupied lane, and a lane's clock samples are stored when it is
+	// admitted). It is recomputed when a reset net commits and when active
+	// changes.
+	quiet     bool
 	recording uint64 // lanes with toggle profiling enabled
 	toggledP  []uint64
 	laneCap   int
@@ -209,10 +216,29 @@ func NewBatchSim(d *netlist.Netlist, opts BatchOptions) *BatchSim {
 	// first event — under an all-lanes mask, because an admission only
 	// re-evaluates what it changes.
 	s.markAll()
-	s.active = ^uint64(0)
+	s.setActive(^uint64(0))
 	s.initErr = s.settleB()
-	s.active = 0
+	s.setActive(0)
 	return s
+}
+
+// setActive changes the set of occupied lanes, and quiet with it.
+func (s *BatchSim) setActive(lanes uint64) {
+	s.active = lanes
+	s.quiet = s.resetsHighB()
+}
+
+// resetsHighB reports whether every reset net is at 1 in every occupied
+// lane.
+//
+//symsim:hotpath
+func (s *BatchSim) resetsHighB() bool {
+	for _, r := range s.prog.Resets {
+		if s.active&^s.valA[r] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Design returns the netlist under simulation.
@@ -273,14 +299,14 @@ func (s *BatchSim) LaneNetValues(lane int, dst []logic.Value) []logic.Value {
 }
 
 // StartRecordingLane begins toggle profiling for one lane from its current
-// state: nets currently X in the lane are immediately exercisable, every
-// subsequent lane change marks its net — the per-lane analogue of
-// StartRecording.
+// state: the lane's profile starts empty and every subsequent lane change
+// marks its net — the per-lane analogue of StartRecording, with the same
+// contract for a net that is X and never changes.
 func (s *BatchSim) StartRecordingLane(lane int) {
 	lm := uint64(1) << uint(lane)
 	s.recording |= lm
 	for id := range s.toggledP {
-		s.toggledP[id] = s.toggledP[id]&^lm | s.valX[id]&lm
+		s.toggledP[id] &^= lm
 	}
 }
 
@@ -437,9 +463,24 @@ func (s *BatchSim) commitB(id netlist.NetID, a, x, mask uint64) {
 	if rec := s.recording & changed; rec != 0 {
 		s.toggledP[id] |= rec
 	}
+	if s.prog.SlowCommit(id) {
+		// A reset net, a net on a memory pin, or both.
+		s.quiet = s.resetsHighB()
+		for _, m := range s.prog.MemFanOf(id) {
+			s.markMem(m)
+		}
+	}
+	s.markFan(id)
+}
+
+// markFan schedules the gates reading net id: FanRuns, and unless quiet the
+// flip-flops that read it on D or EN alone.
+//
+//symsim:hotpath
+func (s *BatchSim) markFan(id netlist.NetID) {
 	s.markRuns(s.prog.FanRuns(id))
-	for _, m := range s.prog.MemFanOf(id) {
-		s.markMem(m)
+	if !s.quiet {
+		s.markRuns(s.prog.DataRuns(id))
 	}
 }
 
@@ -813,7 +854,7 @@ func (s *BatchSim) RestoreLane(sp *StateSpec, st State, lane int) error {
 		return s.initErr
 	}
 	lm := uint64(1) << uint(lane)
-	s.active |= lm
+	s.setActive(s.active | lm)
 	s.recording &^= lm
 	s.now[lane] = st.Time
 	s.cycles[lane] = 0
@@ -826,7 +867,7 @@ func (s *BatchSim) RestoreLane(sp *StateSpec, st State, lane int) error {
 	// forced value ever propagated.
 	for _, id := range s.unforced[lane] {
 		s.redirtyNet(id)
-		s.markRuns(s.prog.FanRuns(id))
+		s.markFan(id)
 	}
 	s.unforced[lane] = s.unforced[lane][:0]
 
@@ -936,7 +977,7 @@ func (s *BatchSim) SnapshotLane(sp *StateSpec, lane int, dst State) State {
 // the core's explorer: freed slots are simply reused.
 func (s *BatchSim) RetireLane(lane int) {
 	lm := uint64(1) << uint(lane)
-	s.active &^= lm
+	s.setActive(s.active &^ lm)
 	s.recording &^= lm
 	s.clearLaneForces(lane)
 	for i := range s.nba {

@@ -2,6 +2,7 @@ package vvp
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -21,18 +22,36 @@ import (
 // a scalar reference simulator.
 func checkLane(t *testing.T, ctx string, b *BatchSim, ref *Simulator, lane int) {
 	t.Helper()
+	compareLane(t, ctx, b, ref, lane, false)
+}
+
+// checkLaneCovers is checkLane where the lane may run ahead of the scalar
+// reference on the way to X (see batchDiffTrial's xReset): a net or memory
+// bit holds the reference's value or X, and whatever the reference has
+// marked toggled the lane has marked too or holds at X (what core's absorb
+// asks of a profile). Never the other way round — a lane that knows a value
+// the reference has lost is a flip-flop that was not scheduled.
+func checkLaneCovers(t *testing.T, ctx string, b *BatchSim, ref *Simulator, lane int) {
+	t.Helper()
+	compareLane(t, ctx, b, ref, lane, true)
+}
+
+func compareLane(t *testing.T, ctx string, b *BatchSim, ref *Simulator, lane int, cover bool) {
+	t.Helper()
 	if b.NowLane(lane) != ref.Now() || b.CyclesLane(lane) != ref.Cycles() {
 		t.Fatalf("%s: lane %d time %d/%d cycles %d/%d diverged",
 			ctx, lane, b.NowLane(lane), ref.Now(), b.CyclesLane(lane), ref.Cycles())
 	}
-	for id := range ref.val {
-		want := ref.val[id]
+	differs := func(got, want logic.Value) bool {
 		if want == logic.Z {
 			want = logic.X // the plane encoding folds Z at commit
 		}
-		if got := b.LaneValue(netlist.NetID(id), lane); got != want {
+		return got != want && !(cover && got == logic.X)
+	}
+	for id := range ref.val {
+		if got := b.LaneValue(netlist.NetID(id), lane); differs(got, ref.val[id]) {
 			t.Fatalf("%s: lane %d net %s = %v (batch) vs %v (interp)",
-				ctx, lane, ref.d.NetName(netlist.NetID(id)), got, want)
+				ctx, lane, ref.d.NetName(netlist.NetID(id)), got, ref.val[id])
 		}
 	}
 	for mi := range ref.mem {
@@ -41,8 +60,7 @@ func checkLane(t *testing.T, ctx string, b *BatchSim, ref *Simulator, lane int) 
 		for w := 0; w < m.Words; w++ {
 			word := ref.MemWord(netlist.MemID(mi), w)
 			for bit := 0; bit < m.DataBits; bit++ {
-				want := word.Get(bit)
-				if got := img.Get(w*m.DataBits + bit); got != want {
+				if got, want := img.Get(w*m.DataBits+bit), word.Get(bit); differs(got, want) {
 					t.Fatalf("%s: lane %d mem %d word %d bit %d: %v vs %v",
 						ctx, lane, mi, w, bit, got, want)
 				}
@@ -51,10 +69,40 @@ func checkLane(t *testing.T, ctx string, b *BatchSim, ref *Simulator, lane int) 
 	}
 	tg := b.ToggledLane(lane, nil)
 	for id, want := range ref.toggled {
-		if tg[id] != want {
+		if tg[id] != want && !(cover && (tg[id] || b.LaneValue(netlist.NetID(id), lane) == logic.X)) {
 			t.Fatalf("%s: lane %d toggle profile diverged on %s: %v vs %v",
 				ctx, lane, ref.d.NetName(netlist.NetID(id)), tg[id], want)
 		}
+	}
+}
+
+// checkLaneClockSamples is checkClockSamples for a BatchSim: in every
+// occupied lane a flip-flop that is not dirty holds the lane's current clock
+// level, and quiet says what the reset nets do in the occupied lanes.
+func checkLaneClockSamples(t *testing.T, ctx string, b *BatchSim) {
+	t.Helper()
+	want := true // from the pins and the lanes, not from what quiet is computed from
+	for g := range b.prog.Gates {
+		d := &b.prog.Gates[g]
+		if d.Kind != netlist.KindDFF {
+			continue
+		}
+		for lanes := b.active; lanes != 0; lanes &= lanes - 1 {
+			if b.LaneValue(d.In[netlist.DFFPinRstn], bits.TrailingZeros64(lanes)) != logic.Hi {
+				want = false
+			}
+		}
+		if b.dirtyW[g>>6]>>(g&63)&1 != 0 {
+			continue
+		}
+		clk := d.In[netlist.DFFPinClk]
+		if stale := ((b.lastClkA[g] ^ b.valA[clk]) | (b.lastClkX[g] ^ b.valX[clk])) & b.active; stale != 0 {
+			t.Fatalf("%s: DFF %s is not dirty and its clock sample is stale in the lanes %#x",
+				ctx, b.d.NetName(d.Out), stale)
+		}
+	}
+	if b.quiet != want {
+		t.Fatalf("%s: quiet = %v with every reset at 1 in the lanes %#x = %v", ctx, b.quiet, b.active, want)
 	}
 }
 
@@ -106,10 +154,33 @@ func checkLaneVsFresh(t *testing.T, ctx string, b *BatchSim, lane int, sp *State
 // the other clock phase or a state from elsewhere in the run; one lane is
 // first used late in the run. Every admission is checked against the
 // scalar shadow and against a fresh BatchSim.
-func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
+//
+// With xReset the stimulus parks reset at X for a few cycles, early enough
+// that lanes are admitted before, into and after the phase and run through
+// it side by side, in different reset states (BatchSim.quiet is over all of
+// them). While reset is X in a lane a flip-flop re-merges Q whenever it is
+// evaluated, and the schedule is shared: another lane's D can bring the
+// lane's X forward, past the point where a scalar run of that lane alone
+// would have kept the captured value (as old as the engine, and sound — but
+// not bit-identical; ROADMAP open item 2). So on such a trial a lane of the
+// multi-lane batch must cover its scalar shadow (checkLaneCovers) rather
+// than equal it, its halt and finish decisions and exit snapshots are not
+// compared, and the X-address policy has to be the monotone one, MemXSound;
+// the one-lane batch beside it, which has nobody to share a schedule with,
+// stays bit-identical to the interpreter and the bare kernel, decisions
+// included.
+func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy, xReset bool) {
 	r := rand.New(rand.NewSource(seed))
 	n, ins := randMemCircuit(r, 2+r.Intn(3), 2+r.Intn(4), 10+r.Intn(40), r.Intn(2) == 0)
 	st := randStimulus(r, n, ins, 40)
+	checkLaneVsRef := checkLane
+	if xReset {
+		if memx != MemXSound {
+			t.Fatalf("seed %d: an X reset trial needs MemXSound", seed)
+		}
+		twistStimulus(r, st, n, ins, 40, stimXReset)
+		checkLaneVsRef = checkLaneCovers
+	}
 	sp, err := SpecFor(n, "")
 	if err != nil {
 		t.Fatal(err)
@@ -189,8 +260,19 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 			}
 		}
 		checkLaneVsFresh(t, ctx, b, lane, sp, snap)
-		if back := b.SnapshotLane(sp, lane, State{}); !back.Bits.Equal(snap.Bits) || back.Time != snap.Time {
+		back := b.SnapshotLane(sp, lane, State{})
+		if xReset {
+			// The admission's own settle can re-merge a Q the state holds.
+			for i := 0; i < sp.Bits(); i++ {
+				if v := back.Bits.Get(i); v != snap.Bits.Get(i) && v != logic.X {
+					t.Fatalf("%s: lane %d snapshot after restore does not cover the state: %s vs %s", ctx, lane, back.Bits, snap.Bits)
+				}
+			}
+		} else if !back.Bits.Equal(snap.Bits) {
 			t.Fatalf("%s: lane %d snapshot after restore diverged: %s vs %s", ctx, lane, back.Bits, snap.Bits)
+		}
+		if back.Time != snap.Time {
+			t.Fatalf("%s: lane %d snapshot after restore is at time %d, the state at %d", ctx, lane, back.Time, snap.Time)
 		}
 		if r.Intn(2) == 0 {
 			// The core's pattern: one net with little fanout, for three
@@ -218,7 +300,9 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 		}
 		refs[lane], krefs[lane], snaps[lane] = ref, kref, snap
 		done[lane] = false
-		checkLane(t, ctx+" post-restore", b, ref, lane)
+		checkLaneVsRef(t, ctx+" post-restore", b, ref, lane)
+		checkLaneClockSamples(t, ctx, b)
+		checkClockSamples(t, ctx+" bare kernel", kref)
 	}
 
 	retire := func(lane int) {
@@ -243,12 +327,15 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 			t.Fatalf("seed %d step %d: StepAll: %v", seed, step, err)
 		}
 		evals1, sweeps1 := b1.Evals(), b1.Sweeps()
-		if _, _, err := b1.StepAll(); err != nil {
+		fin1, hal1, err := b1.StepAll()
+		if err != nil {
 			t.Fatalf("seed %d step %d: one-lane StepAll: %v", seed, step, err)
 		}
 		if fin&hal != 0 {
 			t.Fatalf("seed %d step %d: finish and halt masks overlap: %x & %x", seed, step, fin, hal)
 		}
+		checkLaneClockSamples(t, fmt.Sprintf("seed %d step %d", seed, step), b)
+		checkLaneClockSamples(t, fmt.Sprintf("seed %d step %d one-lane batch", seed, step), b1)
 		for lane := range refs {
 			if done[lane] {
 				continue
@@ -259,20 +346,26 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 				t.Fatalf("%s: lane %d scalar step: %v", ctx, lane, rerr)
 			}
 			lm := uint64(1) << uint(lane)
-			if got, want := fin&lm != 0, stt == Finished; got != want {
-				t.Fatalf("%s: lane %d finished = %v, scalar status %v", ctx, lane, got, stt)
+			if !xReset {
+				if got, want := fin&lm != 0, stt == Finished; got != want {
+					t.Fatalf("%s: lane %d finished = %v, scalar status %v", ctx, lane, got, stt)
+				}
+				if got, want := hal&lm != 0, stt == HaltX; got != want {
+					t.Fatalf("%s: lane %d halted = %v, scalar status %v", ctx, lane, got, stt)
+				}
 			}
-			if got, want := hal&lm != 0, stt == HaltX; got != want {
-				t.Fatalf("%s: lane %d halted = %v, scalar status %v", ctx, lane, got, stt)
-			}
-			checkLane(t, ctx, b, refs[lane], lane)
+			checkLaneVsRef(t, ctx, b, refs[lane], lane)
 			kref := krefs[lane]
 			evalsK, sweepsK, edgesK := kref.Evals(), kref.Sweeps(), kref.FastEdges()
 			if sttk, kerr := kref.Step(); kerr != nil || sttk != stt {
 				t.Fatalf("%s: lane %d bare kernel step: %v (%v), interpreter %v", ctx, lane, sttk, kerr, stt)
 			}
 			checkAgreement(t, fmt.Sprintf("%s lane %d bare kernel", ctx, lane), refs[lane], kref)
+			checkClockSamples(t, fmt.Sprintf("%s lane %d bare kernel", ctx, lane), kref)
 			if lane == 0 {
+				if (fin1 != 0) != (stt == Finished) || (hal1 != 0) != (stt == HaltX) {
+					t.Fatalf("%s: one-lane batch finished %x halted %x, scalar status %v", ctx, fin1, hal1, stt)
+				}
 				checkLane(t, ctx+" one-lane batch", b1, refs[0], 0)
 				checkSameSchedule(t, ctx+" one-lane batch vs bare kernel", &b1.dirtySet, &kref.dirtySet)
 				// Off the clock-edge fast path, which only the scalar kernel
@@ -288,8 +381,8 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 				// match the scalar engine's bit for bit.
 				bs := b.SnapshotLane(sp, lane, State{})
 				rs := refs[lane].Snapshot(sp)
-				if !bs.Bits.Equal(rs.Bits) || bs.Time != rs.Time ||
-					bs.PCKnown != rs.PCKnown || bs.PC != rs.PC {
+				if !xReset && (!bs.Bits.Equal(rs.Bits) || bs.Time != rs.Time ||
+					bs.PCKnown != rs.PCKnown || bs.PC != rs.PC) {
 					t.Fatalf("%s: lane %d exit snapshot diverged: %s@%d vs %s@%d",
 						ctx, lane, bs.Bits, bs.Time, rs.Bits, rs.Time)
 				}
@@ -345,22 +438,27 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy) {
 // sweep: many random circuits, both X-address policies.
 func TestBatchMatchesInterpreterPerLane(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		batchDiffTrial(t, seed, MemXVerilog)
-		batchDiffTrial(t, seed, MemXSound)
+		batchDiffTrial(t, seed, MemXVerilog, false)
+		batchDiffTrial(t, seed, MemXSound, false)
+		// Seeds 0 and 16 run a lane ahead of its scalar shadow; on seed 13 a
+		// quiet computed over one lane leaves a lane knowing a value its
+		// scalar run has lost.
+		batchDiffTrial(t, seed, MemXSound, true)
 	}
 }
 
 // FuzzBatchVsInterpreter lets the fuzzer hunt for lane interference beyond
 // the fixed sweep.
 func FuzzBatchVsInterpreter(f *testing.F) {
-	f.Add(uint64(1), false)
-	f.Add(uint64(42), true)
-	f.Fuzz(func(t *testing.T, seed uint64, sound bool) {
+	f.Add(uint64(1), false, false)
+	f.Add(uint64(42), true, false)
+	f.Add(uint64(13), true, true)
+	f.Fuzz(func(t *testing.T, seed uint64, sound, xReset bool) {
 		memx := MemXVerilog
-		if sound {
-			memx = MemXSound
+		if sound || xReset {
+			memx = MemXSound // the only policy an X reset trial can hold a lane to
 		}
-		batchDiffTrial(t, int64(seed%(1<<62)), memx)
+		batchDiffTrial(t, int64(seed%(1<<62)), memx, xReset)
 	})
 }
 

@@ -25,12 +25,17 @@
 //     evaluates in line, and commits in line too where a commit is no more
 //     than a store, a toggle mark and one run: through commit it costs
 //     about what the evaluation did, and 40–55 % of evaluations end in one.
-//  4. On a design with a netlist.ClockDomain table, a clean edge of the
-//     clock does not put the flip-flops on the dirty bitmap at all: their
+//  4. A flip-flop is scheduled by its clock and its reset. While every
+//     reset net is at 1 (Simulator.quiet) a move of D or EN marks no
+//     flip-flop: netlist.Program keeps those pins in a table of their own
+//     (DataRuns), which commit marks only while some reset is not at 1.
+//     And on a design with a netlist.ClockDomain table a clean edge of the
+//     clock does not put the flip-flops on the dirty bitmap either: their
 //     clock samples are stored in one pass and a rising edge is captured
 //     in a second one, after the Active region has drained (cleanEdge,
-//     clockEdge, sampleEdge at the end of this file). Every other clock
-//     change walks the fanout like any other commit.
+//     clockEdge, sampleEdge at the end of this file) — so in the steady
+//     state no flip-flop is evaluated at all. Every other clock change
+//     walks the fanout like any other commit.
 //
 // The renumbering is a stable counting sort by level, so ascending kernel
 // ID within a level is ascending netlist ID: every round evaluates the
@@ -59,16 +64,22 @@ import (
 //
 // The commit is made in line when nothing but the value, the toggle mark
 // and the fanout is at stake — the run is recording, with no force, trace
-// or activity counters — and the gate's whole fanout is one GateRun: store,
+// or activity counters, and every reset is at 1, so that FanRuns is all
+// there is to mark — and the gate's whole FanRuns is one GateRun: store,
 // mark, OR the run. dirtyLo stays as it is because such a run lies above
-// lvl, by construction of the table. Every other commit is commit's.
+// lvl, by construction of the table. Every other commit is commit's. Of
+// those conditions only quiet can change inside a round, and only where a
+// gate drives a reset net: that gate has no GateRun, so quiet is read again
+// after the call of commit. (A flip-flop commits in the Active region only
+// while its own reset is not at 1, which leaves quiet false as it was.)
 //
 //symsim:hotpath
 func (s *Simulator) kernelLevel(lvl int32) error {
 	if sw, w0, n := s.claim(lvl); n > 0 {
 		gates, runs := s.prog.Gates, s.prog.GateRun
 		val, lastClk, toggled, dirtyW, lvlW := s.val, s.lastClk, s.toggled, s.dirtyW, s.lvlW
-		inline := s.recording && len(s.forces) == 0 && s.opts.Trace == nil && s.toggleCount == nil
+		bare := s.recording && len(s.forces) == 0 && s.opts.Trace == nil && s.toggleCount == nil
+		inline := bare && s.quiet
 		fresh := 0
 		for i, w := range sw {
 			base := (w0 + uint32(i)) << 6
@@ -76,8 +87,9 @@ func (s *Simulator) kernelLevel(lvl int32) error {
 				g := base + uint32(bits.TrailingZeros64(w))
 				d := &gates[g]
 				if d.Kind == netlist.KindDFF {
-					// Reached through D or EN alone, with reset at 1 and
-					// the clock sample current, stepDFF does nothing.
+					// Reached through D or EN alone (a reset elsewhere in the
+					// design is not at 1), with its own reset at 1 and the
+					// clock sample current, stepDFF does nothing.
 					clk, rstn := val[d.In[netlist.DFFPinClk]], val[d.In[netlist.DFFPinRstn]]
 					if rstn != logic.Hi || clk != lastClk[g] {
 						s.stepDFF(netlist.GateID(g), d.Out,
@@ -98,6 +110,7 @@ func (s *Simulator) kernelLevel(lvl int32) error {
 				r := &runs[g]
 				if !inline || r.Mask == 0 {
 					s.commit(d.Out, v, RegionActive)
+					inline = bare && s.quiet
 					continue
 				}
 				val[d.Out] = v
@@ -128,10 +141,13 @@ func (s *Simulator) FastEdges() uint64 { return s.edges }
 // take the fast path: the design has a clock-domain table for this clock
 // and, right now, the general path would do nothing with the flip-flops
 // but sample a known edge. That needs the old clock level known (the new
-// one always is), nothing dirty or queued, no stimulus event due in this
-// time step, and every reset net at 1. Nothing dirty also means every
-// member has been evaluated since the clock last changed, so every
-// lastClk entry holds the old level.
+// one always is), no flip-flop dirty and nothing queued, no stimulus event
+// due in this time step, and every reset net at 1. A flip-flop that is not
+// dirty holds the current clock level in lastClk (see Simulator.quiet), so
+// with none dirty every sample is the old level. Other work may be pending —
+// the cone a fork's Force(Cond) left dirty, a memory SetMemWord touched: it
+// commits no Q and queues no capture, and the drain orders it below the
+// flip-flops that read it either way (DESIGN.md §8).
 //
 //symsim:hotpath
 func (s *Simulator) cleanEdge(st *Stimulus) bool {
@@ -142,15 +158,17 @@ func (s *Simulator) cleanEdge(st *Stimulus) bool {
 	if cd == nil || cd.Net != st.Clock || !s.val[cd.Net].IsKnown() {
 		return false
 	}
-	if s.dirtyN != 0 || len(s.nba) != 0 || len(s.inactiveQ) != 0 {
+	if !s.quiet || len(s.nba) != 0 || len(s.inactiveQ) != 0 {
 		return false
 	}
 	if s.stimCursor < len(st.Events) && st.Events[s.stimCursor].Time <= s.now {
 		return false
 	}
-	for _, r := range cd.Resets {
-		if s.val[r] != logic.Hi {
-			return false
+	if s.dirtyN != 0 {
+		for i, ff := range s.prog.FFMask {
+			if s.dirtyW[i]&ff != 0 {
+				return false
+			}
 		}
 	}
 	return true
@@ -160,9 +178,9 @@ func (s *Simulator) cleanEdge(st *Stimulus) bool {
 // The general path would mark every member dirty and evaluate each one
 // once, at its level; with reset at 1 that evaluation commits nothing in
 // the Active region, so all it leaves behind is the new clock sample and,
-// on a rising edge, one NBA entry. clockEdge stores the sample at once — a
-// member that the drain evaluates anyway, because its D or EN moved, then
-// sees no edge — schedules the clock's other readers as commit would, and
+// on a rising edge, one NBA entry. clockEdge stores the sample at once —
+// which is what keeps "not dirty" meaning "sample current" for a member it
+// does not mark — schedules the clock's other readers as commit would, and
 // leaves the capture to sampleEdge.
 //
 //symsim:hotpath

@@ -221,11 +221,13 @@ func TestForceAcrossCapturingEdge(t *testing.T) {
 			}
 		}
 	})
-	// Steps 8..13 are t=35..60: the force commit left gates dirty for the
-	// toggle at t=35 and the release at t=60 dirties the driver; the four
-	// toggles in between are clean edges with the force active.
-	if got := after - during; got != 4 {
-		t.Fatalf("%d fast edges while D was forced, want 4", got)
+	// Steps 9..13 are t=40..60: four clean edges with the force active, and
+	// the release at t=60, which dirties d's driver — a buffer, not a
+	// flip-flop, so that toggle is a clean edge too (it fell back while any
+	// dirty gate did, and the count was 4; so did the toggle at t=35, which
+	// the force commit's dirty cone no longer keeps off the fast path).
+	if got := after - during; got != 5 {
+		t.Fatalf("%d fast edges while D was forced, want 5", got)
 	}
 	if sk.Value(q[0]) != logic.Hi || si.Value(q2[0]) != logic.Hi {
 		t.Fatalf("registers did not recover after release: q=%v q2=%v", sk.Value(q[0]), sk.Value(q2[0]))
@@ -396,5 +398,328 @@ func TestDisabledRegisterHoldingZ(t *testing.T) {
 				t.Fatalf("q = %v/%v after the posedge, want x (Mux folds z)", si.Value(q[0]), sk.Value(q[0]))
 			}
 		}
+	})
+}
+
+// forkFixture is what the tests of a path's first edge share: a two-register
+// pipeline a -> d -> q -> q2 beside a RAM on the domain clock whose read data
+// feeds a third register, run past reset and snapshotted with the clock low.
+type forkFixture struct {
+	n          *netlist.Netlist
+	st         *Stimulus
+	sp         *StateSpec
+	snap       State
+	rstn, d, q netlist.NetID
+	ram        netlist.MemID
+}
+
+func newForkFixture(t *testing.T) *forkFixture {
+	t.Helper()
+	m := rtl.NewModule("fork")
+	a := m.Input("a", 1)
+	d := m.N.AddNet("d")
+	m.N.AddGate(netlist.KindBuf, d, a[0])
+	q := m.Reg("q", rtl.Bus{d}, m.Hi(), 0)
+	q2 := m.Reg("q2", q, m.Hi(), 0)
+	rd := m.N.AddNet("rd")
+	ram := m.N.AddMem(&netlist.Mem{
+		Name: "ram", AddrBits: 1, DataBits: 1, Words: 2,
+		RAddr: []netlist.NetID{q2[0]}, RData: []netlist.NetID{rd},
+		Clk: m.N.Inputs[0], WEn: q[0],
+		WAddr: []netlist.NetID{q2[0]}, WData: []netlist.NetID{d},
+	})
+	q3 := m.Reg("q3", rtl.Bus{rd}, m.Hi(), 0)
+	m.Output("q3", q3)
+	n := m.N
+	if err := n.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	if n.Program().Clock == nil {
+		t.Fatal("fixture has no clock-domain table")
+	}
+	st := resetStimulus(n)
+	st.At(2*hp+1, a[0], logic.Hi)
+	st.Finalize()
+	sp, err := SpecFor(n, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := New(n, Options{})
+	src.BindStimulus(st)
+	for src.Now() < 12*hp { // t=60: clock low, the next toggle is a posedge
+		if _, err := src.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &forkFixture{n: n, st: st, sp: sp, snap: src.Snapshot(sp),
+		rstn: n.Inputs[1], d: d, q: q[0], ram: ram}
+}
+
+// TestFirstEdgeOfAPath: what a path of Algorithm 1 does before its first
+// clock toggle — Restore, then a force that leaves a cone dirty — and three
+// other kinds of work pending at a toggle. The toggle is a clean edge unless
+// a flip-flop is dirty: combinational gates and memories that await
+// evaluation are ordered below the flip-flops that read them by the drain
+// either way. Each case runs the interpreter, a traced kernel and a bare,
+// recording kernel (the configuration Analyze runs) through the same steps,
+// compares them after each, and says through FastEdges which way the first
+// toggle went.
+func TestFirstEdgeOfAPath(t *testing.T) {
+	fx := newForkFixture(t)
+	for _, tc := range []struct {
+		name    string
+		pending func(s *Simulator)
+		fast    bool
+	}{
+		{"restore alone", func(*Simulator) {}, true},
+		// The fork: the forced net's cone is dirty, no flip-flop is.
+		{"force on the branch cone", func(s *Simulator) { s.Force(fx.d, logic.Lo, s.Now()+3*hp) }, true},
+		// A reset that moved marks every flip-flop, and is not at 1.
+		{"pending Drive on the reset", func(s *Simulator) { s.Drive(fx.rstn, logic.X) }, false},
+		// A force on a Q that expires at the toggle re-dirties the flip-flop.
+		{"released force on a Q", func(s *Simulator) { s.Force(fx.q, logic.Lo, s.Now()+hp) }, false},
+		// A memory awaiting evaluation is not a flip-flop: its write port
+		// fires on the edge and its read data reaches q3's D below q3.
+		{"pending SetMemWord on the domain's RAM", func(s *Simulator) {
+			s.SetMemWord(fx.ram, 0, logic.MustVec("1"))
+			s.SetMemWord(fx.ram, 1, logic.MustVec("1"))
+		}, true},
+	} {
+		si, sk, ti, tk := enginePair(fx.n, fx.st, MemXVerilog)
+		sb := New(fx.n, Options{})
+		sb.BindStimulus(fx.st)
+		for _, s := range []*Simulator{si, sk, sb} {
+			if err := s.Restore(fx.sp, fx.snap); err != nil {
+				t.Fatal(err)
+			}
+			tc.pending(s)
+			s.StartRecording()
+		}
+		checkClockSamples(t, tc.name+": pending", sk)
+		edges := sk.FastEdges()
+		for step := 0; step < 8; step++ {
+			for _, s := range []*Simulator{si, sk, sb} {
+				if _, err := s.Step(); err != nil {
+					t.Fatalf("%s: step %d: %v", tc.name, step, err)
+				}
+			}
+			ctx := fmt.Sprintf("%s: step %d", tc.name, step)
+			checkAgreement(t, ctx, si, sk)
+			checkAgreement(t, ctx+" (bare kernel)", si, sb)
+			checkSameKernel(t, ctx, sk, sb)
+			checkClockSamples(t, ctx, sk)
+			if step == 0 {
+				if got := sk.FastEdges() - edges; (got == 1) != tc.fast {
+					t.Fatalf("%s: the path's first toggle took %d fast edges, want fast = %v", tc.name, got, tc.fast)
+				}
+			}
+		}
+		if !ti.Equal(tk) {
+			t.Fatalf("%s: commit traces diverged\ninterp:\n%s\nkernel:\n%s", tc.name, ti.Dump(fx.n), tk.Dump(fx.n))
+		}
+	}
+}
+
+// xResetDesign is two togglers, qa on reset ra and qb on reset rb, both
+// enabled by en: under an X reset a toggler's own output moves its D, which
+// is the one thing that schedules the re-merge of Q after a capture.
+func xResetDesign(t *testing.T) (n *netlist.Netlist, ra, rb, en, qa, qb netlist.NetID) {
+	t.Helper()
+	n = netlist.New("xreset")
+	n.AddInput("clk")
+	ra, rb, en = n.AddInput("ra_n"), n.AddInput("rb_n"), n.AddInput("en")
+	for i, rs := range []netlist.NetID{ra, rb} {
+		q, d := n.AddNet(fmt.Sprintf("q%c", 'a'+i)), n.AddNet(fmt.Sprintf("d%c", 'a'+i))
+		n.AddGate(netlist.KindNot, d, q)
+		n.AddDFF(q, d, n.Inputs[0], en, rs, logic.Lo)
+		n.MarkOutput(q)
+	}
+	if err := n.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	qa, _ = n.NetByName("qa")
+	qb, _ = n.NetByName("qb")
+	return n, ra, rb, en, qa, qb
+}
+
+// TestDataPinsScheduleUnderXReset: with a reset at X a flip-flop that
+// captures re-merges Q in the very time step of the capture — the NBA commit
+// of Q moves D, D schedules the flip-flop, and stepDFF folds the reset value
+// back in — where a kernel that left data pins out of the schedule for good
+// would show the captured value until the next clock toggle. The resets go
+// to X one at a time, so a quiet flag that looks at one reset net, or is
+// never cleared, leaves one of the two togglers at its captured value; the
+// bare kernel is the one whose level round commits in line. On the batch
+// engine the same state is admitted beside a lane whose resets are at 1.
+func TestDataPinsScheduleUnderXReset(t *testing.T) {
+	n, ra, rb, en, qa, qb := xResetDesign(t)
+	const (
+		xa    = 6*hp + 1  // ra goes to X at t=31, clock low, both togglers at 0
+		pulse = 10*hp + 1 // both resets low from t=51 to t=71, to start over from 0
+		xb    = 18*hp + 1 // rb goes to X at t=91, both togglers at 0 again
+		idle  = 24*hp + 1 // en falls at t=121: nothing moves after that
+	)
+	st := NewStimulus(n.Inputs[0], hp)
+	for _, r := range []netlist.NetID{ra, rb} {
+		st.At(1, r, logic.Lo)
+		st.At(2*hp+1, r, logic.Hi)
+		st.At(pulse, r, logic.Lo)
+		st.At(pulse+4*hp, r, logic.Hi)
+	}
+	st.At(1, en, logic.Hi)
+	st.At(xa, ra, logic.X)
+	st.At(xb, rb, logic.X)
+	st.At(xb+4*hp, rb, logic.Hi)
+	st.At(idle, en, logic.Lo)
+	st.Finalize()
+	sp, err := SpecFor(n, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sb := New(n, Options{})
+	sb.BindStimulus(st)
+	var underX, atIdle State
+	lockstep(t, n, st, 60, func(step int, si, sk *Simulator) {
+		if step == 0 {
+			si.StartRecording()
+			sk.StartRecording()
+			sb.StartRecording()
+		} else {
+			if _, err := sb.Step(); err != nil {
+				t.Fatal(err)
+			}
+			ctx := fmt.Sprintf("t=%d (bare kernel)", sb.Now())
+			checkAgreement(t, ctx, si, sb)
+			checkClockSamples(t, ctx, sb)
+			checkClockSamples(t, fmt.Sprintf("t=%d", sk.Now()), sk)
+		}
+		switch si.Now() { // the time of the step just taken
+		case xa, xb:
+			if si.Value(qa) != logic.Lo || si.Value(qb) != logic.Lo {
+				t.Fatalf("t=%d: togglers at %v/%v when the reset goes to X, want 0/0", si.Now(), si.Value(qa), si.Value(qb))
+			}
+			if si.Now() == xb {
+				underX = si.Snapshot(sp)
+			}
+		case xa + hp - 1, xb + hp - 1: // the first posedge under the X reset
+			merged, clean := qa, qb
+			if si.Now() > xb {
+				merged, clean = qb, qa
+			}
+			for _, s := range []*Simulator{si, sk, sb} {
+				if s.Value(merged) != logic.X || s.Value(clean) != logic.Hi {
+					t.Fatalf("t=%d: %v engine: toggler under the X reset = %v, the other = %v; want x (re-merged in the step of the capture) and 1",
+						s.Now(), s.opts.Engine, s.Value(merged), s.Value(clean))
+				}
+			}
+		case idle + 2*hp - 1:
+			atIdle = si.Snapshot(sp)
+		}
+	})
+
+	// Lane 0 idles with both resets at 1; lane 1 starts where rb has just
+	// gone to X.
+	b := NewBatchSim(n, BatchOptions{})
+	b.BindStimulus(st)
+	ref := New(n, Options{Engine: EngineInterp})
+	ref.BindStimulus(st)
+	if err := b.RestoreLane(sp, atIdle, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !b.quiet {
+		t.Fatal("one lane with its resets at 1: batch not quiet")
+	}
+	// Twice, as a slot is re-used: the second admission finds every input
+	// where the state wants it, so no reset net commits and only the change
+	// of the occupied lanes can tell the batch that it is no longer quiet.
+	for i := 0; i < 2; i++ {
+		if i > 0 {
+			b.RetireLane(1)
+		}
+		if err := b.RestoreLane(sp, underX, 1); err != nil {
+			t.Fatal(err)
+		}
+		if b.quiet {
+			t.Fatalf("admission %d of a lane under an X reset: batch still quiet", i)
+		}
+	}
+	if err := ref.Restore(sp, underX); err != nil {
+		t.Fatal(err)
+	}
+	b.StartRecordingLane(1)
+	ref.StartRecording()
+	checkLaneClockSamples(t, "lane admitted under an X reset", b)
+	for step := 0; step < 6; step++ {
+		if _, _, err := b.StepAll(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.Step(); err != nil {
+			t.Fatal(err)
+		}
+		ctx := fmt.Sprintf("batch step %d", step)
+		checkLane(t, ctx, b, ref, 1)
+		checkLaneClockSamples(t, ctx, b)
+	}
+	if got := b.LaneValue(qb, 1); got != logic.X {
+		t.Fatalf("batch lane under the X reset: qb = %v, want x", got)
+	}
+	b.RetireLane(1)
+	if !b.quiet {
+		t.Fatal("the lane under the X reset retired: batch not quiet again")
+	}
+}
+
+// TestQuietMovesInsideARound: a reset driven by logic goes low in the middle
+// of a level round, and a gate later in the same round moves the D pin of a
+// flip-flop on another reset. commit, which the traced kernel takes, marks
+// that flip-flop because the design is no longer quiet; the bare kernel's
+// in-line commit must give way to commit from that gate on, or the two
+// kernels stop evaluating the same gates.
+func TestQuietMovesInsideARound(t *testing.T) {
+	n := netlist.New("midround")
+	clk, rstn, x := n.AddInput("clk"), n.AddInput("rst_n"), n.AddInput("x")
+	one := n.AddNet("one")
+	n.AddGate(netlist.KindConst1, one)
+	lrst, bx := n.AddNet("lrst"), n.AddNet("bx")
+	n.AddGate(netlist.KindAnd, lrst, rstn, x) // before bx's driver in the round
+	n.AddGate(netlist.KindBuf, bx, x)
+	q1, q2 := n.AddNet("q1"), n.AddNet("q2")
+	n.AddDFF(q1, one, clk, one, lrst, logic.Lo)
+	n.AddDFF(q2, bx, clk, one, rstn, logic.Lo)
+	nbx := n.AddNet("nbx") // a reader besides q2's D pin gives bx's driver a GateRun
+	n.AddGate(netlist.KindNot, nbx, bx)
+	n.MarkOutput(q1)
+	n.MarkOutput(q2)
+	n.MarkOutput(nbx)
+	if err := n.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	p := n.Program()
+	if a, b := p.Renum[n.Nets[lrst].Driver], p.Renum[n.Nets[bx].Driver]; p.GateLevel[a] != p.GateLevel[b] || a > b || p.GateRun[a].Mask != 0 || p.GateRun[b].Mask == 0 {
+		t.Fatalf("fixture: lrst's driver %d (level %d, GateRun %+v) must commit through commit and precede bx's %d (level %d, GateRun %+v) in one round",
+			a, p.GateLevel[a], p.GateRun[a], b, p.GateLevel[b], p.GateRun[b])
+	}
+	st := resetStimulus(n)
+	st.At(2*hp+1, x, logic.Hi)
+	st.At(6*hp+1, x, logic.Lo) // lrst falls and bx moves in the same round
+	st.At(8*hp+1, x, logic.Hi)
+	st.Finalize()
+	sb := New(n, Options{})
+	sb.BindStimulus(st)
+	lockstep(t, n, st, 24, func(step int, si, sk *Simulator) {
+		if step == 0 {
+			si.StartRecording()
+			sk.StartRecording()
+			sb.StartRecording()
+			return
+		}
+		if _, err := sb.Step(); err != nil {
+			t.Fatal(err)
+		}
+		ctx := fmt.Sprintf("t=%d", sb.Now())
+		checkAgreement(t, ctx+" (bare kernel)", si, sb)
+		checkSameKernel(t, ctx, sk, sb)
+		checkClockSamples(t, ctx, sb)
 	})
 }

@@ -211,7 +211,12 @@ const (
 	stimPosedgeEvents                       // inputs change in the time step of a posedge
 	stimResetPulse                          // reset pulsed low mid-run
 	stimZInputs                             // inputs float (Z) now and then
-	stimAll           = stimZInputs<<1 - 1
+	// Reset goes to X for two and a half cycles mid-run and returns to 1,
+	// with the inputs — and so D and EN — moving under it: while it lasts a
+	// flip-flop re-merges Q whenever it is evaluated, and a move of a data pin
+	// is what schedules that (Simulator.quiet).
+	stimXReset
+	stimAll = stimXReset<<1 - 1
 )
 
 // twistStimulus adds the events of shape to st, plus a toggling schedule
@@ -244,6 +249,11 @@ func twistStimulus(r *rand.Rand, st *Stimulus, n *netlist.Netlist, ins []netlist
 		c := uint64(5 + r.Intn(3))
 		st.At(2*hp*c+1, rstn, logic.Lo)
 		st.At(2*hp*(c+1)+hp+1, rstn, logic.Hi)
+	}
+	if shape&stimXReset != 0 {
+		c := uint64(3 + r.Intn(3))
+		st.At(2*hp*c+1, rstn, logic.X)
+		st.At(2*hp*(c+2)+hp+1, rstn, logic.Hi)
 	}
 	if shape&stimZInputs != 0 {
 		for c := 2; c < nCycles; c++ {
@@ -317,6 +327,34 @@ func checkAgreement(t *testing.T, ctx string, si, sk *Simulator) {
 			t.Fatalf("%s: clock sample of DFF %s: %v (interp) vs %v (kernel)",
 				ctx, si.d.NetName(si.d.Gates[g].Out), si.lastClk[gi], sk.lastClk[gk])
 		}
+	}
+}
+
+// checkClockSamples asserts what lets the kernel leave a flip-flop's data
+// pins out of the schedule: a flip-flop that is not dirty holds the current
+// level of its clock net in lastClk, and quiet says what the reset nets do.
+func checkClockSamples(t *testing.T, ctx string, sk *Simulator) {
+	t.Helper()
+	p := sk.prog
+	want := true // from the pins, not from what quiet is computed from
+	for g := range p.Gates {
+		d := &p.Gates[g]
+		if d.Kind != netlist.KindDFF {
+			continue
+		}
+		if sk.val[d.In[netlist.DFFPinRstn]] != logic.Hi {
+			want = false
+		}
+		if sk.dirtyW[g>>6]>>(g&63)&1 != 0 {
+			continue
+		}
+		if clk := sk.val[d.In[netlist.DFFPinClk]]; sk.lastClk[g] != clk {
+			t.Fatalf("%s: DFF %s is not dirty and its clock sample is %v, the clock %v",
+				ctx, sk.d.NetName(d.Out), sk.lastClk[g], clk)
+		}
+	}
+	if sk.quiet != want {
+		t.Fatalf("%s: quiet = %v with every reset at 1 = %v", ctx, sk.quiet, want)
 	}
 }
 
@@ -394,6 +432,7 @@ func diffTrialShaped(t *testing.T, r *rand.Rand, seed int64, memx MemXPolicy, sh
 			si.Force(forceNet, logic.Hi, si.Now()+3*hp)
 			sk.Force(forceNet, logic.Hi, sk.Now()+3*hp)
 			sb.Force(forceNet, logic.Hi, sb.Now()+3*hp)
+			checkClockSamples(t, fmt.Sprintf("seed %d forced", seed), sk)
 		}
 		sti, erri := si.Step()
 		stk, errk := sk.Step()
@@ -408,6 +447,8 @@ func diffTrialShaped(t *testing.T, r *rand.Rand, seed int64, memx MemXPolicy, sh
 		checkAgreement(t, ctx, si, sk)
 		checkAgreement(t, ctx+" (bare kernel)", si, sb)
 		checkSameKernel(t, ctx, sk, sb)
+		checkClockSamples(t, ctx, sk)
+		checkClockSamples(t, ctx+" (bare kernel)", sb)
 	}
 	if !ti.Equal(tk) {
 		t.Fatalf("seed %d shape %#x stim %#x: commit traces diverged\ninterp:\n%s\nkernel:\n%s",
@@ -454,6 +495,7 @@ func diffTrialShaped(t *testing.T, r *rand.Rand, seed int64, memx MemXPolicy, sh
 			break
 		}
 		checkAgreement(t, fmt.Sprintf("seed %d restored step %d", seed, step), ri, rk)
+		checkClockSamples(t, fmt.Sprintf("seed %d restored step %d", seed, step), ri)
 	}
 }
 
@@ -468,7 +510,7 @@ func TestKernelMatchesInterpreterRandom(t *testing.T) {
 	}
 	seed := int64(1000)
 	for _, shape := range []circuitShape{0, shapeGatedClock, shapeSecondClock, shapeLogicReset, shapeClockOnD, shapeMemGatedClock, shapeWideMem, shapeWideMem | shapeMemGatedClock} {
-		for _, stim := range []stimShape{0, stimXClock, stimPosedgeEvents, stimResetPulse, stimZInputs} {
+		for _, stim := range []stimShape{0, stimXClock, stimPosedgeEvents, stimResetPulse, stimZInputs, stimXReset} {
 			for _, memx := range []MemXPolicy{MemXVerilog, MemXSound} {
 				seed++
 				diffTrialShaped(t, rand.New(rand.NewSource(seed)), seed, memx, shape, stim)

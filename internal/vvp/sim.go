@@ -227,6 +227,17 @@ type Simulator struct {
 	edgePending bool
 	edges       uint64
 
+	// quiet is true while every net of prog.Resets is at 1 (kernel only),
+	// and commit then leaves prog.DataRuns unmarked. With its reset at 1 a
+	// flip-flop acts only on a change of its clock, and that marks it
+	// through FanRuns or is handled by clockEdge: a flip-flop that is not
+	// dirty has lastClk[g] == val[clk], so evaluating it for a move of D or
+	// EN would do nothing. With a reset at X it would do something — stepDFF
+	// re-merges Q on every evaluation, and a move of D is what schedules
+	// one — so then the data pins are marked like any other. commit
+	// recomputes quiet when a reset net moves; nothing else writes it.
+	quiet bool
+
 	// Scratch buffers recycled across settle rounds (steady-state stepping
 	// allocates nothing).
 	scratchG     []netlist.GateID // interpreter only
@@ -325,6 +336,7 @@ func New(d *netlist.Netlist, opts Options) *Simulator {
 	for i := range s.lastClk {
 		s.lastClk[i] = logic.X
 	}
+	s.quiet = s.prog != nil && s.resetsHigh() // no flip-flop, no reset to wait for
 	s.mem = make([]memState, len(d.Mems))
 	for i, m := range d.Mems {
 		ms := memState{
@@ -480,24 +492,30 @@ func (s *Simulator) PeakActivity() (toggles, cycle uint64) {
 }
 
 // StartRecording begins toggle-activity profiling from the current state:
-// every net currently X is immediately exercisable (an unknown means some
-// input could toggle it) and every subsequent value change marks its net
+// the profile starts empty and every subsequent value change marks its net
 // toggled. Called once the reset sequence has propagated (Algorithm 1
-// line 4–5).
+// line 4–5). A net that is X now is exercisable too — an unknown means some
+// input could toggle it — but it needs no mark here: it either changes, and
+// is marked then, or is still X at the end of the path, which is where the
+// reader of the profile looks (core's absorb).
 func (s *Simulator) StartRecording() {
 	s.recording = true
-	for i, v := range s.val {
-		s.toggled[i] = !v.IsKnown()
-	}
+	clear(s.toggled)
 	if s.opts.CountActivity {
-		s.toggleCount = make([]uint64, len(s.d.Nets))
+		if len(s.toggleCount) == len(s.d.Nets) {
+			clear(s.toggleCount)
+		} else {
+			s.toggleCount = make([]uint64, len(s.d.Nets))
+		}
 		s.cycleToggles, s.peakToggles, s.peakCycle = 0, 0, 0
 	}
 }
 
 // Toggled returns the per-net activity profile accumulated since
-// StartRecording. The returned slice aliases internal state; callers must
-// copy it if they outlive the simulator.
+// StartRecording: the nets whose value changed. A net that never changed and
+// is unknown (see Values) is exercisable all the same. The returned slice
+// aliases internal state; callers must copy it if they outlive the
+// simulator.
 func (s *Simulator) Toggled() []bool { return s.toggled }
 
 // forceIdx returns the position of net id in the sorted forces slice, or
@@ -600,11 +618,17 @@ func (s *Simulator) commit(id netlist.NetID, v logic.Value, region Region) {
 			s.clockEdge(p.Clock, v)
 			return
 		}
-		s.markRuns(p.FanRuns(id))
-		if p.HasMemFan(id) {
+		if p.SlowCommit(id) {
+			// A reset net, a net on a memory pin, or both; the first is
+			// what quiet is a function of.
+			s.quiet = s.resetsHigh()
 			for _, m := range p.MemFanOf(id) {
 				s.markMem(m)
 			}
+		}
+		s.markRuns(p.FanRuns(id))
+		if !s.quiet {
+			s.markRuns(p.DataRuns(id))
 		}
 		return
 	}
@@ -614,6 +638,18 @@ func (s *Simulator) commit(id netlist.NetID, v logic.Value, region Region) {
 	for _, m := range s.d.MemFanout(id) {
 		s.markMem(m)
 	}
+}
+
+// resetsHigh reports whether every reset net of the compiled design is at 1.
+//
+//symsim:hotpath
+func (s *Simulator) resetsHigh() bool {
+	for _, r := range s.prog.Resets {
+		if s.val[r] != logic.Hi {
+			return false
+		}
+	}
+	return true
 }
 
 // evalGate processes one dirty gate in the Active region.

@@ -1,6 +1,7 @@
 package vvp
 
 import (
+	"slices"
 	"testing"
 
 	"symsim/internal/logic"
@@ -337,7 +338,7 @@ func TestForceAndRelease(t *testing.T) {
 
 func TestToggleRecording(t *testing.T) {
 	d, q := counterDesign(t)
-	s := startSim(t, d, Options{})
+	s := startSim(t, d, Options{CountActivity: true})
 	stepCycles(t, s, 1) // through reset
 	s.StartRecording()
 	stepCycles(t, s, 1)
@@ -348,24 +349,13 @@ func TestToggleRecording(t *testing.T) {
 	if tog[q[3]] {
 		t.Error("q[3] cannot toggle after one increment")
 	}
-}
-
-func TestStartRecordingMarksXNets(t *testing.T) {
-	m := rtl.NewModule("xrec")
-	a := m.Input("a", 1)
-	buf := m.Named("abuf", a)
-	m.Output("abuf", buf)
-	if err := m.N.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	s := New(m.N, Options{})
-	st := NewStimulus(m.N.Inputs[0], hp)
-	st.At(1, m.N.Inputs[1], logic.Hi)
-	st.Finalize()
-	s.BindStimulus(st)
-	stepCycles(t, s, 1)
+	// A profile starts empty, the counters with it and in the same storage.
+	counts := s.ActivityCounts()
 	s.StartRecording()
-	if !s.Toggled()[buf[0]] {
-		t.Error("X net at recording start not marked exercisable")
+	if slices.Contains(s.Toggled(), true) || slices.ContainsFunc(s.ActivityCounts(), func(c uint64) bool { return c != 0 }) {
+		t.Error("StartRecording left marks or counts of the profile before")
+	}
+	if &counts[0] != &s.ActivityCounts()[0] {
+		t.Error("StartRecording re-allocated the activity counters")
 	}
 }
