@@ -56,8 +56,9 @@ lint:
 	$(GO) run ./cmd/symsim lint -design all
 
 # Performance trajectory: the Table-3/4 evaluation benchmarks plus the
-# engine comparison, the steady-state allocation check (with the
-# memory-port step row, kernel/ports) and the scalar restore + snapshot
+# engine comparison, the steady-state allocation check (with the idle
+# core's edge rows, kernel/idle/*, whose posedge holds the memory ports)
+# and the scalar restore + snapshot
 # turnover, recorded as BENCH_kernel.json (ns/cycle, allocs/cycle per CPU x
 # benchmark) so future changes have numbers to diff against.
 # BENCH_obs.json records the observability overhead comparison (tracing

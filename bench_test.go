@@ -338,43 +338,31 @@ func BenchmarkEngineComparison(b *testing.B) {
 // recycle every queue, scratch vector and NBA batch it touches.
 //
 // interp and kernel free-run with the Symbolic region off and time every
-// step; kernel/ports does the same on openMSP430, whose tHold has finished
-// by then: the idle core evaluates no gate, so a step is the clock-domain
-// pass, the level rounds that reach the two memories and their ports (the
-// RAM re-evaluates on every clock toggle) — the row a change to
-// memRead/memWrite shows in.
+// step. The other rows time the steps of one clock edge only, so the
+// kernel's clock-edge fast path has a number per edge:
+// kernel/idle/{posedge,negedge} free-run openMSP430's tHold the same way,
+// into a state where every register and memory pin is X and no gate
+// changes — a negedge is the clock-edge pass alone (the RAM cannot write at
+// a falling edge, so it stays unqueued), a posedge adds the capture and the
+// RAM's two ports (its write enable is X, so it may write: the write is
+// dropped, the address being X too, and the read reads X), which makes the
+// difference of the two rows what the ports cost, and the posedge row the
+// one a change to memRead/memWrite shows in;
 // kernel/symbolic/{posedge,negedge} run tea8 the way Analyze does —
 // Symbolic region on, recording, rewound to a post-reset snapshot each time
-// the program finishes — and time the steps of one clock edge only, so the
-// kernel's clock-edge fast path has a number per edge. Every sub-benchmark
-// reports the gate evaluations of a timed step.
+// the program finishes. Every sub-benchmark reports the gate evaluations of
+// a timed step.
 func BenchmarkSettleSteadyState(b *testing.B) {
 	for _, eng := range []struct {
 		name string
 		e    symsim.SimEngine
-		d    symsim.Design
 	}{
-		{"interp", symsim.EngineInterp, symsim.BM32},
-		{"kernel", symsim.EngineKernel, symsim.BM32},
-		{"kernel/ports", symsim.EngineKernel, symsim.OMSP430},
+		{"interp", symsim.EngineInterp},
+		{"kernel", symsim.EngineKernel},
 	} {
 		eng := eng
 		b.Run(eng.name, func(b *testing.B) {
-			p, err := symsim.BuildPlatform(eng.d, "tHold")
-			if err != nil {
-				b.Fatal(err)
-			}
-			sim := symsim.NewSimulator(p.Design, symsim.SimOptions{
-				Engine:          eng.e,
-				DisableSymbolic: true, // free-run: no halts, no finish
-			})
-			sim.SetMonitorX(&p.Monitor)
-			sim.BindStimulus(p.Stimulus())
-			for i := 0; i < 2000; i++ { // past reset + queue warm-up
-				if _, err := sim.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
+			sim, _ := freeRun(b, symsim.BM32, eng.e)
 			evals := sim.Evals()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -390,11 +378,15 @@ func BenchmarkSettleSteadyState(b *testing.B) {
 		name   string
 		before symsim.Value // clock level ahead of a timed step
 	}{
-		{"kernel/symbolic/posedge", symsim.Lo},
-		{"kernel/symbolic/negedge", symsim.Hi},
+		{"posedge", symsim.Lo},
+		{"negedge", symsim.Hi},
 	} {
 		edge := edge
-		b.Run(edge.name, func(b *testing.B) {
+		b.Run("kernel/idle/"+edge.name, func(b *testing.B) {
+			sim, st := freeRun(b, symsim.OMSP430, symsim.EngineKernel)
+			timeEdge(b, sim, st, edge.before, nil)
+		})
+		b.Run("kernel/symbolic/"+edge.name, func(b *testing.B) {
 			p, err := symsim.BuildPlatform(symsim.BM32, "tea8")
 			if err != nil {
 				b.Fatal(err)
@@ -418,34 +410,68 @@ func BenchmarkSettleSteadyState(b *testing.B) {
 				b.Fatal(err)
 			}
 			sim.StartRecording() // a path of Analyze records: the level round commits in line
-			var timed time.Duration
-			var evals uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; {
-				count := sim.Value(st.Clock) == edge.before
-				e0, t0 := sim.Evals(), time.Now()
-				status, err := sim.Step()
-				if count {
-					timed += time.Since(t0)
-					evals += sim.Evals() - e0
-					i++
-				}
-				if err != nil {
+			timeEdge(b, sim, st, edge.before, func() {
+				if err := sim.Restore(p.Spec, start); err != nil {
 					b.Fatal(err)
 				}
-				if status != symsim.Running {
-					b.StopTimer()
-					if err := sim.Restore(p.Spec, start); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-				}
-			}
-			b.ReportMetric(float64(timed.Nanoseconds())/float64(b.N), "ns/op")
-			b.ReportMetric(float64(evals)/float64(b.N), "evals/step")
+			})
 		})
 	}
+}
+
+// freeRun returns a simulator of design d's tHold on engine e, Symbolic
+// region off, stepped 2000 times: past reset and the queues' warm-up.
+func freeRun(b *testing.B, d symsim.Design, e symsim.SimEngine) (*symsim.Simulator, *symsim.Stimulus) {
+	b.Helper()
+	p, err := symsim.BuildPlatform(d, "tHold")
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := p.Stimulus()
+	sim := symsim.NewSimulator(p.Design, symsim.SimOptions{
+		Engine:          e,
+		DisableSymbolic: true, // free-run: no halts, no finish
+	})
+	sim.SetMonitorX(&p.Monitor)
+	sim.BindStimulus(st)
+	for i := 0; i < 2000; i++ {
+		if _, err := sim.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return sim, st
+}
+
+// timeEdge steps sim b.N times through the edge of st's clock that starts
+// at level before, stepping the other edge untimed, and reports the time
+// and gate evaluations of a timed step. restart, when non-nil, runs untimed
+// after a step that did not return Running.
+func timeEdge(b *testing.B, sim *symsim.Simulator, st *symsim.Stimulus, before symsim.Value, restart func()) {
+	b.Helper()
+	var timed time.Duration
+	var evals uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; {
+		count := sim.Value(st.Clock) == before
+		e0, t0 := sim.Evals(), time.Now()
+		status, err := sim.Step()
+		if count {
+			timed += time.Since(t0)
+			evals += sim.Evals() - e0
+			i++
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if status != symsim.Running && restart != nil {
+			b.StopTimer()
+			restart()
+			b.StartTimer()
+		}
+	}
+	b.ReportMetric(float64(timed.Nanoseconds())/float64(b.N), "ns/op")
+	b.ReportMetric(float64(evals)/float64(b.N), "evals/step")
 }
 
 // BenchmarkRestoreTurnover measures what a scalar explorer pays per path

@@ -12,6 +12,7 @@
 package netlist
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -115,9 +116,9 @@ type Program struct {
 	Clock *ClockDomain
 
 	// slowBits has one bit per net, set when a commit of the net has more
-	// to do than mark FanRuns: the net feeds a memory pin, or it is one of
-	// Resets. Almost no net does either, so the commit path tests the bit
-	// before paying for the MemFanIdx lookup.
+	// to do than mark FanRuns: the net feeds a memory pin, it is one of
+	// Resets, or it is the clock of Clock. Almost no net is any of these, so
+	// the commit path tests the bit before paying for the MemFanIdx lookup.
 	slowBits []uint64
 }
 
@@ -138,7 +139,7 @@ type DomainDFF struct {
 
 // ClockDomain describes a design whose every flip-flop hangs off one
 // primary-input clock, the shape that lets the kernel handle a clock edge
-// as one dense pass over Members instead of one dirty-bitmap event per
+// as one pass over the enabled Members instead of one dirty-bitmap event per
 // flip-flop. compile builds it only when all of the following hold, and
 // leaves Program.Clock nil otherwise:
 //
@@ -154,16 +155,26 @@ type DomainDFF struct {
 type ClockDomain struct {
 	// Net is the clock.
 	Net NetID
-	// DFFs lists every flip-flop in ascending kernel ID — the order a
-	// level-major drain evaluates them in, and therefore the order their
-	// captures enter the NBA queue. Members[i] holds the pins of DFFs[i];
-	// the two are separate so that each pass over the domain reads only
-	// what it uses.
+	// DFFs lists every flip-flop, ordered by enable net and, among the
+	// flip-flops of one enable, by ascending kernel ID. Members[i] holds the
+	// pins of DFFs[i]; the two are separate so that each pass over the
+	// domain reads only what it uses. A level-major drain evaluates — and
+	// queues the captures of — the flip-flops in ascending kernel ID, which
+	// is DFFs sorted by value.
 	DFFs    []GateID
 	Members []DomainDFF
+	// Groups has one entry per distinct enable net, plus one: the members
+	// Members[Groups[k]:Groups[k+1]] share one EN net, so a capture reads
+	// that net once and skips the group when it is 0.
+	Groups []uint32
 	// Fan is the combinational gates reading Net: FanRuns(Net) without the
 	// members.
 	Fan []FanRun
+	// ClockPinsOnly is true when Net is on no pin but the members' CLK and
+	// the write clocks of memories: Fan is empty and no memory reads Net as
+	// an address, data or enable bit. An edge of such a clock at which no
+	// memory can write moves no net but the members' Q.
+	ClockPinsOnly bool
 }
 
 // LevelRange returns the kernel gate ID range [lo, hi) of topological
@@ -206,9 +217,9 @@ func (p *Program) MemFanOf(id NetID) []MemID {
 }
 
 // SlowCommit reports whether a commit of net id has more to do than mark
-// FanRuns and DataRuns — MemFanOf(id) is non-empty, or id is one of Resets —
-// from a bitmap small enough to stay cached where the MemFanIdx offsets are
-// not.
+// FanRuns and DataRuns — MemFanOf(id) is non-empty, id is one of Resets, or
+// it is Clock.Net — from a bitmap small enough to stay cached where the
+// MemFanIdx offsets are not.
 //
 //symsim:hotpath
 func (p *Program) SlowCommit(id NetID) bool {
@@ -354,7 +365,10 @@ func compile(n *Netlist) *Program {
 		p.LvlMems[cursor[l]] = MemID(mi)
 		cursor[l]++
 	}
-	p.Clock = clockDomain(n, p)
+	if p.Clock = clockDomain(n, p); p.Clock != nil {
+		c := p.Clock.Net
+		p.slowBits[c>>6] |= 1 << (c & 63)
+	}
 	return p
 }
 
@@ -368,16 +382,14 @@ func clockDomain(n *Netlist, p *Program) *ClockDomain {
 		if d.Kind != KindDFF {
 			continue
 		}
-		m := DomainDFF{D: d.In[DFFPinD], En: d.In[DFFPinEn], Out: d.Out}
 		clk, rstn := d.In[DFFPinClk], d.In[DFFPinRstn]
 		if cd.Net == NoNet {
 			cd.Net = clk
 		}
-		if clk != cd.Net || !n.Nets[rstn].IsInput || m.D == clk || m.En == clk || rstn == clk {
+		if clk != cd.Net || !n.Nets[rstn].IsInput || d.In[DFFPinD] == clk || d.In[DFFPinEn] == clk || rstn == clk {
 			return nil
 		}
 		cd.DFFs = append(cd.DFFs, GateID(k))
-		cd.Members = append(cd.Members, m)
 	}
 	if cd.Net == NoNet || !n.Nets[cd.Net].IsInput {
 		return nil
@@ -387,6 +399,17 @@ func clockDomain(n *Netlist, p *Program) *ClockDomain {
 			return nil
 		}
 	}
+	en := func(g GateID) NetID { return p.Gates[g].In[DFFPinEn] }
+	slices.SortFunc(cd.DFFs, func(a, b GateID) int { return cmp.Or(cmp.Compare(en(a), en(b)), cmp.Compare(a, b)) })
+	cd.Members = make([]DomainDFF, len(cd.DFFs))
+	for i, g := range cd.DFFs {
+		d := &p.Gates[g]
+		cd.Members[i] = DomainDFF{D: d.In[DFFPinD], En: d.In[DFFPinEn], Out: d.Out}
+		if i == 0 || en(cd.DFFs[i-1]) != en(g) {
+			cd.Groups = append(cd.Groups, uint32(i))
+		}
+	}
+	cd.Groups = append(cd.Groups, uint32(len(cd.DFFs)))
 	for _, r := range p.FanRuns(cd.Net) {
 		for m := r.Mask; m != 0; m &= m - 1 {
 			if b := uint32(bits.TrailingZeros64(m)); p.Gates[r.Word<<6|b].Kind == KindDFF {
@@ -395,6 +418,14 @@ func clockDomain(n *Netlist, p *Program) *ClockDomain {
 		}
 		if r.Mask != 0 {
 			cd.Fan = append(cd.Fan, r)
+		}
+	}
+	cd.ClockPinsOnly = len(cd.Fan) == 0
+	for _, mi := range p.MemFanOf(cd.Net) {
+		m := n.Mems[mi]
+		if m.IsROM() || m.Clk != cd.Net || m.WEn == cd.Net ||
+			slices.Contains(m.RAddr, cd.Net) || slices.Contains(m.WAddr, cd.Net) || slices.Contains(m.WData, cd.Net) {
+			cd.ClockPinsOnly = false
 		}
 	}
 	return cd

@@ -158,10 +158,12 @@ func randProgNetlist(r *rand.Rand, gates int, shape progShape) *Netlist {
 // adjacent runs mergeable; DataRuns holds the flip-flops that read the net on
 // neither CLK nor RSTN, and FanRuns holds no such flip-flop; Resets is the
 // distinct RSTN nets, FFMask the flip-flops, and SlowCommit marks the reset
-// nets and the nets on a memory pin; a gate's GateRun is its output's FanRuns
-// exactly when that is one run, the output is on no memory or RSTN pin and
-// the run lies above the gate's level, and zero otherwise; and the clock
-// domain's Fan is the clock's runs without the members. Shared with the three
+// nets, the domain clock and the nets on a memory pin; a gate's GateRun is
+// its output's FanRuns exactly when that is one run, the output is on no
+// memory or RSTN pin and the run lies above the gate's level, and zero
+// otherwise; and the clock domain's Fan is the clock's runs without the
+// members, its groups are what checkGroups wants and ClockPinsOnly says
+// whether anything but a write clock reads the clock. Shared with the three
 // CPUs (fanruns_cpu_test.go) through CheckFanRuns.
 func checkFanRuns(t testing.TB, n *Netlist) {
 	t.Helper()
@@ -224,8 +226,9 @@ func checkFanRuns(t testing.TB, n *Netlist) {
 		if isReset {
 			resets = append(resets, id)
 		}
-		if slow := isReset || len(n.MemFanout(id)) > 0; p.SlowCommit(id) != slow {
-			t.Fatalf("net %d: SlowCommit = %v; reset net %v, %d memory readers", id, !slow, isReset, len(n.MemFanout(id)))
+		isClock := p.Clock != nil && p.Clock.Net == id
+		if slow := isReset || isClock || len(n.MemFanout(id)) > 0; p.SlowCommit(id) != slow {
+			t.Fatalf("net %d: SlowCommit = %v; reset net %v, domain clock %v, %d memory readers", id, !slow, isReset, isClock, len(n.MemFanout(id)))
 		}
 	}
 	if !slices.Equal(p.Resets, resets) {
@@ -249,6 +252,46 @@ func checkFanRuns(t testing.TB, n *Netlist) {
 		want := slices.DeleteFunc(expand(p.FanRuns(cd.Net)), func(g GateID) bool { return p.Gates[g].Kind == KindDFF })
 		if got := expand(cd.Fan); !slices.Equal(got, want) {
 			t.Fatalf("clock domain Fan expands to %v, want %v", got, want)
+		}
+		checkGroups(t, p, cd)
+		// Only write clocks: no gate reads the clock but the members, and a
+		// memory that reads it has it on one pin, its write clock.
+		only := len(want) == 0
+		for _, mi := range n.MemFanout(cd.Net) {
+			m := n.Mems[mi]
+			pins := slices.Concat(m.RAddr, []NetID{m.Clk, m.WEn}, m.WAddr, m.WData)
+			if m.IsROM() || m.Clk != cd.Net || len(slices.DeleteFunc(pins, func(id NetID) bool { return id != cd.Net })) != 1 {
+				only = false
+			}
+		}
+		if cd.ClockPinsOnly != only {
+			t.Fatalf("clock domain ClockPinsOnly = %v; %d combinational readers, memories %v", cd.ClockPinsOnly, len(want), n.MemFanout(cd.Net))
+		}
+	}
+}
+
+// checkGroups checks the enable groups of a clock domain: Groups cuts
+// Members from the first to the last into non-empty runs, every member of a
+// run has one EN net — the one of its gate — the runs' nets ascend, and
+// within a run DFFs ascend.
+func checkGroups(t testing.TB, p *Program, cd *ClockDomain) {
+	t.Helper()
+	g := cd.Groups
+	if len(g) < 2 || g[0] != 0 || int(g[len(g)-1]) != len(cd.Members) || len(cd.DFFs) != len(cd.Members) {
+		t.Fatalf("clock domain groups %v over %d members, %d flip-flops", g, len(cd.Members), len(cd.DFFs))
+	}
+	for k := 0; k+1 < len(g); k++ {
+		lo, hi := g[k], g[k+1]
+		if lo >= hi || k > 0 && cd.Members[g[k-1]].En >= cd.Members[lo].En {
+			t.Fatalf("clock domain group %d [%d, %d) is empty or its enable does not ascend: %v", k, lo, hi, g)
+		}
+		for i := lo; i < hi; i++ {
+			if en := cd.Members[i].En; en != cd.Members[lo].En || p.Gates[cd.DFFs[i]].In[DFFPinEn] != en {
+				t.Fatalf("clock domain member %d (gate %d) is in the group of enable %d", i, cd.DFFs[i], cd.Members[lo].En)
+			}
+			if i > lo && cd.DFFs[i-1] >= cd.DFFs[i] {
+				t.Fatalf("clock domain group %d: gates %d, %d out of kernel order", k, cd.DFFs[i-1], cd.DFFs[i])
+			}
 		}
 	}
 }
@@ -380,15 +423,19 @@ func TestProgramMatchesNetlist(t *testing.T) {
 			}
 		}
 		// Clock-domain table, when the random wiring left the design
-		// eligible: every DFF, ascending kernel ID, pins as in the netlist.
+		// eligible: every DFF once, pins as in the netlist, grouped by enable
+		// net in ascending order and by kernel ID within a group.
 		if cd := p.Clock; cd != nil {
+			checkGroups(t, p, cd)
 			var dffs []GateID
 			for k := range p.Gates {
 				if p.Gates[k].Kind == KindDFF {
 					dffs = append(dffs, GateID(k))
 				}
 			}
-			if !slices.Equal(cd.DFFs, dffs) || len(cd.Members) != len(dffs) {
+			got := slices.Clone(cd.DFFs)
+			slices.Sort(got)
+			if !slices.Equal(got, dffs) || len(cd.Members) != len(dffs) {
 				t.Fatalf("clock domain lists DFFs %v, design has %v", cd.DFFs, dffs)
 			}
 			for i, k := range cd.DFFs {
@@ -457,7 +504,7 @@ func TestClockDomainEligibility(t *testing.T) {
 		n.AddGate(KindConst1, one)
 		nx := n.AddNet("nx")
 		n.AddGate(KindNand, nx, x, clk) // the clock also feeds logic
-		ff := []pins{{x, clk, one, rstn}, {nx, clk, x, rstn}}
+		ff := []pins{{x, clk, one, rstn}, {nx, clk, x, rstn}, {nx, clk, one, rstn}}
 		ramClk := clk
 		if twist != nil {
 			if c := twist(n, clk, rstn, x, ff); c != NoNet {
@@ -484,8 +531,40 @@ func TestClockDomainEligibility(t *testing.T) {
 	}
 
 	p := build(nil)
-	if cd := p.Clock; cd == nil || len(cd.DFFs) != 2 || len(p.Resets) != 1 || len(cd.Fan) != 1 {
+	if cd := p.Clock; cd == nil || len(cd.DFFs) != 3 || len(p.Resets) != 1 || len(cd.Fan) != 1 || cd.ClockPinsOnly {
 		t.Fatalf("plain design: clock domain = %+v", cd)
+	}
+	// Two enable groups, x (net 2) before one (net 3): flip-flop 1 (netlist
+	// gate 3) alone, then flip-flops 0 and 2 (gates 2 and 4).
+	cd := p.Clock
+	orig := []GateID{p.Orig[cd.DFFs[0]], p.Orig[cd.DFFs[1]], p.Orig[cd.DFFs[2]]}
+	if !slices.Equal(cd.Groups, []uint32{0, 1, 3}) || cd.Members[0].En != 2 || cd.Members[1].En != 3 || !slices.Equal(orig, []GateID{3, 2, 4}) {
+		t.Fatalf("plain design: groups %v, members %+v, flip-flops %v (netlist gates %v)", cd.Groups, cd.Members, cd.DFFs, orig)
+	}
+	// ClockPinsOnly: the clock on flip-flops and write clocks alone, then on
+	// one more pin of the RAM.
+	for _, tc := range []struct {
+		name   string
+		onAddr bool
+	}{{"flip-flops and a write clock", false}, {"the RAM's read address too", true}} {
+		n := New("pins")
+		clk, rstn, x := n.AddInput("clk"), n.AddInput("rst_n"), n.AddInput("x")
+		n.AddDFF(n.AddNet("q"), x, clk, x, rstn, logic.Lo)
+		raddr := x
+		if tc.onAddr {
+			raddr = clk
+		}
+		n.AddMem(&Mem{
+			Name: "ram", AddrBits: 1, DataBits: 1, Words: 2,
+			RAddr: []NetID{raddr}, RData: []NetID{n.AddNet("rd")},
+			Clk: clk, WEn: x, WAddr: []NetID{x}, WData: []NetID{x},
+		})
+		if err := n.Freeze(); err != nil {
+			t.Fatal(err)
+		}
+		if cd := n.Program().Clock; cd == nil || cd.ClockPinsOnly == tc.onAddr {
+			t.Errorf("%s: clock domain = %+v", tc.name, cd)
+		}
 	}
 	for _, tc := range []struct {
 		name  string

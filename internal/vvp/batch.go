@@ -464,7 +464,8 @@ func (s *BatchSim) commitB(id netlist.NetID, a, x, mask uint64) {
 		s.toggledP[id] |= rec
 	}
 	if s.prog.SlowCommit(id) {
-		// A reset net, a net on a memory pin, or both.
+		// A reset net, a net on a memory pin, or the domain clock, which
+		// is slow for the scalar kernel's clock-edge pass alone.
 		s.quiet = s.resetsHighB()
 		for _, m := range s.prog.MemFanOf(id) {
 			s.markMem(m)

@@ -30,12 +30,14 @@
 //     flip-flop: netlist.Program keeps those pins in a table of their own
 //     (DataRuns), which commit marks only while some reset is not at 1.
 //     And on a design with a netlist.ClockDomain table a clean edge of the
-//     clock does not put the flip-flops on the dirty bitmap either: their
-//     clock samples are stored in one pass and a rising edge is captured
-//     in a second one, after the Active region has drained (cleanEdge,
-//     clockEdge, sampleEdge at the end of this file) — so in the steady
-//     state no flip-flop is evaluated at all. Every other clock change
-//     walks the fanout like any other commit.
+//     clock does not put the flip-flops on the dirty bitmap either, and
+//     costs only the registers it can load: the flip-flops' clock samples
+//     follow the clock instead of being stored, a rising edge is captured
+//     after the Active region has drained by a pass over the flip-flops
+//     whose enable is not 0, and an edge at which no memory can write leaves
+//     the memories unqueued (cleanEdge, clockEdge, sampleEdge at the end of
+//     this file) — so in the steady state no flip-flop is evaluated at all.
+//     Every other clock change walks the fanout like any other commit.
 //
 // The renumbering is a stable counting sort by level, so ascending kernel
 // ID within a level is ascending netlist ID: every round evaluates the
@@ -77,7 +79,7 @@ import (
 func (s *Simulator) kernelLevel(lvl int32) error {
 	if sw, w0, n := s.claim(lvl); n > 0 {
 		gates, runs := s.prog.Gates, s.prog.GateRun
-		val, lastClk, toggled, dirtyW, lvlW := s.val, s.lastClk, s.toggled, s.dirtyW, s.lvlW
+		val, toggled, dirtyW, lvlW := s.val, s.toggled, s.dirtyW, s.lvlW
 		bare := s.recording && len(s.forces) == 0 && s.opts.Trace == nil && s.toggleCount == nil
 		inline := bare && s.quiet
 		fresh := 0
@@ -91,7 +93,7 @@ func (s *Simulator) kernelLevel(lvl int32) error {
 					// design is not at 1), with its own reset at 1 and the
 					// clock sample current, stepDFF does nothing.
 					clk, rstn := val[d.In[netlist.DFFPinClk]], val[d.In[netlist.DFFPinRstn]]
-					if rstn != logic.Hi || clk != lastClk[g] {
+					if rstn != logic.Hi || clk != s.clkSample(netlist.GateID(g)) {
 						s.stepDFF(netlist.GateID(g), d.Out,
 							val[d.In[netlist.DFFPinD]], clk, val[d.In[netlist.DFFPinEn]], rstn, d.Init)
 					}
@@ -143,11 +145,11 @@ func (s *Simulator) FastEdges() uint64 { return s.edges }
 // but sample a known edge. That needs the old clock level known (the new
 // one always is), no flip-flop dirty and nothing queued, no stimulus event
 // due in this time step, and every reset net at 1. A flip-flop that is not
-// dirty holds the current clock level in lastClk (see Simulator.quiet), so
-// with none dirty every sample is the old level. Other work may be pending —
-// the cone a fork's Force(Cond) left dirty, a memory SetMemWord touched: it
-// commits no Q and queues no capture, and the drain orders it below the
-// flip-flops that read it either way (DESIGN.md §8).
+// dirty has sampled the current clock level (clkSample; see
+// Simulator.quiet), so with none dirty every sample is the old level. Other
+// work may be pending — the cone a fork's Force(Cond) left dirty, a memory
+// SetMemWord touched: it commits no Q and queues no capture, and the drain
+// orders it below the flip-flops that read it either way (DESIGN.md §8).
 //
 //symsim:hotpath
 func (s *Simulator) cleanEdge(st *Stimulus) bool {
@@ -178,23 +180,51 @@ func (s *Simulator) cleanEdge(st *Stimulus) bool {
 // The general path would mark every member dirty and evaluate each one
 // once, at its level; with reset at 1 that evaluation commits nothing in
 // the Active region, so all it leaves behind is the new clock sample and,
-// on a rising edge, one NBA entry. clockEdge stores the sample at once —
-// which is what keeps "not dirty" meaning "sample current" for a member it
-// does not mark — schedules the clock's other readers as commit would, and
-// leaves the capture to sampleEdge.
+// on a rising edge, one NBA entry. clockEdge stores no sample: it sets
+// follow, which makes the clock's level every member's sample — and keeps
+// "not dirty" meaning "sample current" for the members it does not mark —
+// and it leaves the capture to sampleEdge.
+//
+// The clock's other readers are scheduled as commit would, unless the edge
+// can change nothing there: the clock reaches no pin but clock pins, no
+// other work is pending, and no memory on the clock can write at this
+// edge (it falls, or it rises with every write enable at 0). Evaluating
+// the memories then would store their clock samples and re-read the words
+// their read ports show, so clockEdge stores the samples and queues none.
+// The rule is all or nothing: one memory's write can move another's pins,
+// and pending work — the cone of a released force — can move a write
+// enable before the memory's level.
 //
 //symsim:hotpath
 func (s *Simulator) clockEdge(cd *netlist.ClockDomain, v logic.Value) {
-	lastClk := s.lastClk
-	for _, g := range cd.DFFs {
-		lastClk[g] = v
+	s.follow = true
+	mems := s.prog.MemFanOf(cd.Net)
+	idle := cd.ClockPinsOnly && s.dirtyN == 0
+	for _, m := range mems {
+		idle = idle && (v == logic.Lo || s.val[s.d.Mems[m].WEn] == logic.Lo)
 	}
-	s.markRuns(cd.Fan)
-	for _, m := range s.prog.MemFanOf(cd.Net) {
-		s.markMem(m)
+	if idle {
+		for _, m := range mems {
+			s.mem[m].lastClk = v
+		}
+	} else {
+		s.markRuns(cd.Fan)
+		for _, m := range mems {
+			s.markMem(m)
+		}
 	}
 	s.edgePending = v == logic.Hi
 	s.edges++
+}
+
+// unfollow ends a run of clean edges. commit calls it when the domain clock
+// moves from old on the general path, before anything reads a sample: every
+// member last sampled old, and from now on lastClk says so.
+func (s *Simulator) unfollow(cd *netlist.ClockDomain, old logic.Value) {
+	for _, g := range cd.DFFs {
+		s.lastClk[g] = old
+	}
+	s.follow = false
 }
 
 // sampleEdge is the capture of a rising edge taken by clockEdge, run by
@@ -202,23 +232,44 @@ func (s *Simulator) clockEdge(cd *netlist.ClockDomain, v logic.Value) {
 // samples a member when the drain reaches its level, which lies above its
 // whole input cone; nothing the drain does after that can change D or EN
 // (DESIGN.md §8 has the argument), so sampling them all here reads the
-// same values. Members are in ascending kernel ID, the order the drain
-// appends captures in. A capture that leaves Q as it is would commit
-// nothing, so it is not queued.
+// same values. A capture that leaves Q as it is would commit nothing, so it
+// is not queued; with EN at 0 that is every capture unless Q is Z, which
+// Mux folds to X, so until a Z has been committed (zSeen) a group of
+// members whose enable is 0 is skipped whole. The drain appends captures in
+// ascending kernel ID, and so does this pass: it queues each one under its
+// kernel ID, sorts what it queued in place, and then gives each its net.
 //
 //symsim:hotpath
 func (s *Simulator) sampleEdge(cd *netlist.ClockDomain) {
 	s.edgePending = false
-	val := s.val
-	for i := range cd.Members {
-		m := &cd.Members[i]
-		en, old := val[m.En], val[m.Out]
-		if en == logic.Lo && old != logic.Z {
-			continue // disabled: Mux(0, Q, D) is Q
+	val, from := s.val, len(s.nba)
+	for k := 1; k < len(cd.Groups); k++ {
+		lo, hi := cd.Groups[k-1], cd.Groups[k]
+		en := val[cd.Members[lo].En]
+		if en == logic.Lo && !s.zSeen {
+			continue
 		}
-		if q := logic.Mux(en, old, val[m.D]); q != old {
-			//symsim:allow SA001 nba reuses its capacity between cycles after the first
-			s.nba = append(s.nba, nbaAssign{net: m.Out, val: q})
+		for i := lo; i < hi; i++ {
+			m := &cd.Members[i]
+			old := val[m.Out]
+			if en == logic.Lo && old != logic.Z {
+				continue // disabled: Mux(0, Q, D) is Q
+			}
+			if q := logic.Mux(en, old, val[m.D]); q != old {
+				//symsim:allow SA001 nba reuses its capacity between cycles after the first
+				s.nba = append(s.nba, nbaAssign{net: netlist.NetID(cd.DFFs[i]), val: q})
+			}
 		}
+	}
+	// An insertion sort: the captures of an edge are few and mostly in order
+	// (on the Table-4 cells at most 66, with at most 150 pairs out of order).
+	captures, gates := s.nba[from:], s.prog.Gates
+	for i := 1; i < len(captures); i++ {
+		for j := i; j > 0 && captures[j].net < captures[j-1].net; j-- {
+			captures[j], captures[j-1] = captures[j-1], captures[j]
+		}
+	}
+	for i := range captures {
+		captures[i].net = gates[captures[i].net].Out
 	}
 }

@@ -2,6 +2,7 @@ package vvp
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"symsim/internal/logic"
@@ -12,7 +13,7 @@ import (
 // Directed tests of the kernel's clock-edge fast path (kernel.go,
 // DESIGN.md §8): each one drives the kernel and the interpreter in lockstep
 // through a situation where the fast path either must hand the edge to the
-// general path or must do something a naive dense pass would get wrong, and
+// general path or must do something a naive pass would get wrong, and
 // checks through FastEdges which of the two the kernel did.
 
 // lockstep steps an interpreter and a kernel simulator of n through steps
@@ -39,6 +40,46 @@ func lockstep(t *testing.T, n *netlist.Netlist, st *Stimulus, steps int, each fu
 		t.Fatalf("interpreter took %d fast edges", si.FastEdges())
 	}
 	return si, sk
+}
+
+// trio steps three simulators of n through steps time steps of st: an
+// interpreter, a traced kernel, and a bare, recording kernel — the
+// configuration Analyze runs, and the only one whose level round commits in
+// line. prep, when non-nil, runs on each before it starts recording, and
+// each, when non-nil, before every step. All three are compared after every
+// step — the kernels with the interpreter, with each other and with their
+// clock-sample invariant — and the commit traces at the end.
+func trio(t *testing.T, n *netlist.Netlist, st *Stimulus, steps int, prep func(s *Simulator), each func(step int, si, sk, sb *Simulator)) (si, sk, sb *Simulator) {
+	t.Helper()
+	si, sk, ti, tk := enginePair(n, st, MemXVerilog)
+	sb = New(n, Options{})
+	sb.BindStimulus(st)
+	for _, s := range []*Simulator{si, sk, sb} {
+		if prep != nil {
+			prep(s)
+		}
+		s.StartRecording()
+	}
+	for step := 0; step < steps; step++ {
+		if each != nil {
+			each(step, si, sk, sb)
+		}
+		for _, s := range []*Simulator{si, sk, sb} {
+			if _, err := s.Step(); err != nil {
+				t.Fatalf("step %d: %v engine: %v", step, s.opts.Engine, err)
+			}
+		}
+		ctx := fmt.Sprintf("step %d (t=%d)", step, si.Now())
+		checkAgreement(t, ctx, si, sk)
+		checkAgreement(t, ctx+" (bare kernel)", si, sb)
+		checkSameKernel(t, ctx, sk, sb)
+		checkClockSamples(t, ctx, sk)
+		checkClockSamples(t, ctx+" (bare kernel)", sb)
+	}
+	if !ti.Equal(tk) {
+		t.Fatalf("commit traces diverged\ninterp:\n%s\nkernel:\n%s", ti.Dump(n), tk.Dump(n))
+	}
+	return si, sk, sb
 }
 
 // resetStimulus is the plain testbench: clock on Inputs[0], reset on
@@ -363,8 +404,9 @@ func TestClockThroughXMerges(t *testing.T) {
 }
 
 // TestDisabledRegisterHoldingZ: a capture with EN=0 holds Q — except that
-// the hold goes through Mux, which folds a Z on Q to X. The dense pass may
-// skip a disabled register only when that fold changes nothing.
+// the hold goes through Mux, which folds a Z on Q to X. The capture pass may
+// skip a disabled register, or a disabled group of them, only when that fold
+// changes nothing.
 func TestDisabledRegisterHoldingZ(t *testing.T) {
 	m := rtl.NewModule("zq")
 	en := m.Input("en", 1)
@@ -402,15 +444,16 @@ func TestDisabledRegisterHoldingZ(t *testing.T) {
 }
 
 // forkFixture is what the tests of a path's first edge share: a two-register
-// pipeline a -> d -> q -> q2 beside a RAM on the domain clock whose read data
-// feeds a third register, run past reset and snapshotted with the clock low.
+// pipeline a -> d -> q -> q2 beside a RAM on the domain clock, enabled by
+// we = buf(q), whose read data feeds a third register, run past reset and
+// snapshotted with the clock low. The clock reaches nothing but clock pins.
 type forkFixture struct {
-	n          *netlist.Netlist
-	st         *Stimulus
-	sp         *StateSpec
-	snap       State
-	rstn, d, q netlist.NetID
-	ram        netlist.MemID
+	n              *netlist.Netlist
+	st             *Stimulus
+	sp             *StateSpec
+	snap           State
+	rstn, d, q, we netlist.NetID
+	ram            netlist.MemID
 }
 
 func newForkFixture(t *testing.T) *forkFixture {
@@ -421,11 +464,13 @@ func newForkFixture(t *testing.T) *forkFixture {
 	m.N.AddGate(netlist.KindBuf, d, a[0])
 	q := m.Reg("q", rtl.Bus{d}, m.Hi(), 0)
 	q2 := m.Reg("q2", q, m.Hi(), 0)
+	we := m.N.AddNet("we")
+	m.N.AddGate(netlist.KindBuf, we, q[0])
 	rd := m.N.AddNet("rd")
 	ram := m.N.AddMem(&netlist.Mem{
 		Name: "ram", AddrBits: 1, DataBits: 1, Words: 2,
 		RAddr: []netlist.NetID{q2[0]}, RData: []netlist.NetID{rd},
-		Clk: m.N.Inputs[0], WEn: q[0],
+		Clk: m.N.Inputs[0], WEn: we,
 		WAddr: []netlist.NetID{q2[0]}, WData: []netlist.NetID{d},
 	})
 	q3 := m.Reg("q3", rtl.Bus{rd}, m.Hi(), 0)
@@ -434,8 +479,8 @@ func newForkFixture(t *testing.T) *forkFixture {
 	if err := n.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	if n.Program().Clock == nil {
-		t.Fatal("fixture has no clock-domain table")
+	if cd := n.Program().Clock; cd == nil || !cd.ClockPinsOnly {
+		t.Fatalf("fixture's clock-domain table = %+v, want one whose clock reaches clock pins only", cd)
 	}
 	st := resetStimulus(n)
 	st.At(2*hp+1, a[0], logic.Hi)
@@ -452,7 +497,7 @@ func newForkFixture(t *testing.T) *forkFixture {
 		}
 	}
 	return &forkFixture{n: n, st: st, sp: sp, snap: src.Snapshot(sp),
-		rstn: n.Inputs[1], d: d, q: q[0], ram: ram}
+		rstn: n.Inputs[1], d: d, q: q[0], we: we, ram: ram}
 }
 
 // TestFirstEdgeOfAPath: what a path of Algorithm 1 does before its first
@@ -485,38 +530,180 @@ func TestFirstEdgeOfAPath(t *testing.T) {
 			s.SetMemWord(fx.ram, 1, logic.MustVec("1"))
 		}, true},
 	} {
-		si, sk, ti, tk := enginePair(fx.n, fx.st, MemXVerilog)
-		sb := New(fx.n, Options{})
-		sb.BindStimulus(fx.st)
+		t.Run(tc.name, func(t *testing.T) {
+			var edges uint64
+			trio(t, fx.n, fx.st, 8, func(s *Simulator) {
+				if err := s.Restore(fx.sp, fx.snap); err != nil {
+					t.Fatal(err)
+				}
+				tc.pending(s)
+			}, func(step int, _, sk, _ *Simulator) {
+				switch step {
+				case 0:
+					checkClockSamples(t, "pending", sk)
+					edges = sk.FastEdges()
+				case 1:
+					if got := sk.FastEdges() - edges; (got == 1) != tc.fast {
+						t.Fatalf("the path's first toggle took %d fast edges, want fast = %v", got, tc.fast)
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestReleasedForceOnAWriteEnable: a path that forced the RAM's write enable
+// low, with the force expiring at the second posedge after. The release
+// re-dirties the enable's driver, a buffer of q (which is 1), so that toggle
+// is a clean edge with work pending: the enable is 0 when the clock rises
+// and 1 by the time the drain reaches the RAM's level, so the RAM must be
+// queued at the edge, and write. Word 1, the one q2 addresses, is cleared
+// first, so that the write shows.
+func TestReleasedForceOnAWriteEnable(t *testing.T) {
+	fx := newForkFixture(t)
+	zero, one := logic.MustVec("0"), logic.MustVec("1")
+	var edges uint64
+	trio(t, fx.n, fx.st, 8, func(s *Simulator) {
+		if err := s.Restore(fx.sp, fx.snap); err != nil {
+			t.Fatal(err)
+		}
+		s.SetMemWord(fx.ram, 1, zero)
+		s.Force(fx.we, logic.Lo, s.Now()+3*hp) // released at the posedge at t=75
+	}, func(step int, si, sk, sb *Simulator) {
+		want := zero
+		switch step {
+		case 2: // t=70: the posedge at t=65 ran with the enable forced low
+			edges = sk.FastEdges()
+		case 3: // t=75 has run
+			if sk.FastEdges() != edges+1 {
+				t.Fatal("the toggle that released the force left the fast path")
+			}
+			want = one
+		default:
+			return
+		}
 		for _, s := range []*Simulator{si, sk, sb} {
-			if err := s.Restore(fx.sp, fx.snap); err != nil {
-				t.Fatal(err)
-			}
-			tc.pending(s)
-			s.StartRecording()
-		}
-		checkClockSamples(t, tc.name+": pending", sk)
-		edges := sk.FastEdges()
-		for step := 0; step < 8; step++ {
-			for _, s := range []*Simulator{si, sk, sb} {
-				if _, err := s.Step(); err != nil {
-					t.Fatalf("%s: step %d: %v", tc.name, step, err)
-				}
-			}
-			ctx := fmt.Sprintf("%s: step %d", tc.name, step)
-			checkAgreement(t, ctx, si, sk)
-			checkAgreement(t, ctx+" (bare kernel)", si, sb)
-			checkSameKernel(t, ctx, sk, sb)
-			checkClockSamples(t, ctx, sk)
-			if step == 0 {
-				if got := sk.FastEdges() - edges; (got == 1) != tc.fast {
-					t.Fatalf("%s: the path's first toggle took %d fast edges, want fast = %v", tc.name, got, tc.fast)
-				}
+			if got := s.MemWord(fx.ram, 1); !got.Equal(want) {
+				t.Fatalf("t=%d: %v engine: word 1 = %s, want %s", s.Now(), s.opts.Engine, got, want)
 			}
 		}
-		if !ti.Equal(tk) {
-			t.Fatalf("%s: commit traces diverged\ninterp:\n%s\nkernel:\n%s", tc.name, ti.Dump(fx.n), tk.Dump(fx.n))
+	})
+}
+
+// TestGeneralToggleAfterCleanEdges: a run of clean edges, a posedge that an
+// input event in its time step sends down the general path, and clean edges
+// again. While the edges were clean no flip-flop stored a clock sample — the
+// samples followed the clock — so the general path must first give every
+// flip-flop the old level, or it loses that posedge's capture. The
+// registers are togglers on two enables whose groups interleave in kernel
+// order, so the captures of one edge also pin the NBA order, and one of the
+// enables falls for two posedges, whose captures skip its group.
+func TestGeneralToggleAfterCleanEdges(t *testing.T) {
+	n := netlist.New("follow")
+	clk, rstn := n.AddInput("clk"), n.AddInput("rst_n")
+	enb, ena, x := n.AddInput("enb"), n.AddInput("ena"), n.AddInput("x")
+	var qs []netlist.NetID
+	for i := 0; i < 4; i++ {
+		en, name := ena, fmt.Sprintf("a%d", i/2)
+		if i%2 == 1 {
+			en, name = enb, fmt.Sprintf("b%d", i/2)
 		}
+		q, d := n.AddNet(name), n.AddNet(name+"_d")
+		n.AddGate(netlist.KindNot, d, q)
+		n.AddDFF(q, d, clk, en, rstn, logic.Lo)
+		n.MarkOutput(q)
+		qs = append(qs, q)
+	}
+	if err := n.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	if cd := n.Program().Clock; cd == nil || len(cd.Groups) != 3 || slices.IsSorted(cd.DFFs) {
+		t.Fatalf("clock-domain table = %+v, want two groups out of kernel order", cd)
+	}
+	const general = 9 * hp // t=45, a posedge
+	st := resetStimulus(n)
+	st.At(1, ena, logic.Hi)
+	st.At(1, enb, logic.Hi)
+	st.At(general, x, logic.Hi)
+	st.At(12*hp+1, enb, logic.Lo) // the b group holds over the posedges at t=65, 75
+	st.At(16*hp+1, enb, logic.Hi)
+	st.Finalize()
+	var last uint64
+	_, sk, _ := trio(t, n, st, 28, nil, func(_ int, _, sk, _ *Simulator) {
+		fast := sk.FastEdges() - last
+		last = sk.FastEdges()
+		now := sk.Now() // the time of the step just taken
+		toggle := now > 2*hp+1 && now%hp == 0
+		if want := toggle && now != general; (fast == 1) != want {
+			t.Fatalf("t=%d: %d fast edges, want one = %v", now, fast, want)
+		}
+	})
+	// The run ends at t=120: the a togglers saw the eleven posedges from
+	// t=15 to t=115, the b togglers nine of them.
+	for _, q := range qs {
+		if got := sk.Value(q); got != logic.Hi {
+			t.Fatalf("%s = %v after an odd number of captures", n.NetName(q), got)
+		}
+	}
+}
+
+// TestTwoRAMsOnTheClock: RAM a is written on every posedge with a toggler's
+// value, and its read data is RAM b's write enable, so b writes at the
+// posedges at which a's write takes that enable from 0 to 1 in the drain —
+// it is 0 when the clock rises. The clock reaches nothing but clock pins,
+// so a falling edge leaves both RAMs unqueued; a rising one must queue
+// both, b too, because a can write. At the posedge at t=45 a's own enable
+// is X and b's is 0: a may write, and its word merges to X.
+func TestTwoRAMsOnTheClock(t *testing.T) {
+	n := netlist.New("tworams")
+	clk, rstn, wa := n.AddInput("clk"), n.AddInput("rst_n"), n.AddInput("wa")
+	one, zero := n.AddNet("one"), n.AddNet("zero")
+	n.AddGate(netlist.KindConst1, one)
+	n.AddGate(netlist.KindConst0, zero)
+	tq, td := n.AddNet("t"), n.AddNet("td")
+	n.AddGate(netlist.KindNot, td, tq)
+	n.AddDFF(tq, td, clk, one, rstn, logic.Lo)
+	rdA, rdB := n.AddNet("rda"), n.AddNet("rdb")
+	ram := func(name string, wen, rd netlist.NetID) netlist.MemID {
+		return n.AddMem(&netlist.Mem{
+			Name: name, AddrBits: 1, DataBits: 1, Words: 2,
+			RAddr: []netlist.NetID{zero}, RData: []netlist.NetID{rd},
+			Clk: clk, WEn: wen,
+			WAddr: []netlist.NetID{zero}, WData: []netlist.NetID{tq},
+		})
+	}
+	a, b := ram("a", wa, rdA), ram("b", rdA, rdB)
+	sq := n.AddNet("s")
+	n.AddDFF(sq, rdB, clk, one, rstn, logic.Lo)
+	n.MarkOutput(sq)
+	if err := n.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	// A write pin carries no level: b shares a's, and a's lower ID evaluates
+	// it first.
+	if cd := n.Program().Clock; cd == nil || !cd.ClockPinsOnly || n.MemLevel(b) != n.MemLevel(a) || a > b {
+		t.Fatalf("clock-domain table %+v, RAMs %d and %d at levels %d and %d", cd, a, b, n.MemLevel(a), n.MemLevel(b))
+	}
+	st := resetStimulus(n)
+	st.At(1, wa, logic.Hi)
+	st.At(8*hp, wa, logic.X) // over the posedge at t=45, where a holds 0
+	st.At(10*hp, wa, logic.Hi)
+	st.Finalize()
+	var last uint64
+	_, sk, _ := trio(t, n, st, 40, nil, func(_ int, _, sk, _ *Simulator) {
+		fast := sk.FastEdges() - last
+		last = sk.FastEdges()
+		now := sk.Now()
+		toggle := now > 2*hp+1 && now%hp == 0
+		if want := toggle && now != 8*hp && now != 10*hp; (fast == 1) != want {
+			t.Fatalf("t=%d: %d fast edges, want one = %v", now, fast, want)
+		}
+		if now == 9*hp && sk.Value(rdA).IsKnown() {
+			t.Fatalf("t=%d: a's word = %v after a write with its enable at X", now, sk.Value(rdA))
+		}
+	})
+	if got := sk.MemWord(b, 0); !got.Equal(logic.MustVec("1")) {
+		t.Fatalf("RAM b word 0 = %s after the run, want 1 (written whenever a's write raised its enable)", got)
 	}
 }
 
@@ -705,21 +892,5 @@ func TestQuietMovesInsideARound(t *testing.T) {
 	st.At(6*hp+1, x, logic.Lo) // lrst falls and bx moves in the same round
 	st.At(8*hp+1, x, logic.Hi)
 	st.Finalize()
-	sb := New(n, Options{})
-	sb.BindStimulus(st)
-	lockstep(t, n, st, 24, func(step int, si, sk *Simulator) {
-		if step == 0 {
-			si.StartRecording()
-			sk.StartRecording()
-			sb.StartRecording()
-			return
-		}
-		if _, err := sb.Step(); err != nil {
-			t.Fatal(err)
-		}
-		ctx := fmt.Sprintf("t=%d", sb.Now())
-		checkAgreement(t, ctx+" (bare kernel)", si, sb)
-		checkSameKernel(t, ctx, sk, sb)
-		checkClockSamples(t, ctx, sb)
-	})
+	trio(t, n, st, 24, nil, nil)
 }

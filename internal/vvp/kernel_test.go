@@ -315,24 +315,26 @@ func checkAgreement(t *testing.T, ctx string, si, sk *Simulator) {
 			t.Fatalf("%s: peak activity %d@%d vs %d@%d", ctx, pi, ci, pk, ck)
 		}
 	}
-	// Clock samples: the fast path stores them for the whole domain at
-	// once, the general path one flip-flop at a time; after a settled step
-	// they must be the same.
+	// Clock samples: the fast path lets the whole domain's follow the
+	// clock, the general path stores them one flip-flop at a time; after a
+	// settled step they must be the same.
 	for g := range si.d.Gates {
 		if si.d.Gates[g].Kind != netlist.KindDFF {
 			continue
 		}
 		gi, gk := si.gidx(netlist.GateID(g)), sk.gidx(netlist.GateID(g))
-		if si.lastClk[gi] != sk.lastClk[gk] {
+		if si.clkSample(gi) != sk.clkSample(gk) {
 			t.Fatalf("%s: clock sample of DFF %s: %v (interp) vs %v (kernel)",
-				ctx, si.d.NetName(si.d.Gates[g].Out), si.lastClk[gi], sk.lastClk[gk])
+				ctx, si.d.NetName(si.d.Gates[g].Out), si.clkSample(gi), sk.clkSample(gk))
 		}
 	}
 }
 
 // checkClockSamples asserts what lets the kernel leave a flip-flop's data
-// pins out of the schedule: a flip-flop that is not dirty holds the current
-// level of its clock net in lastClk, and quiet says what the reset nets do.
+// pins out of the schedule and a clean edge's memories off it: a flip-flop
+// that is not dirty has sampled the current level of its clock net, a
+// writable memory that is not queued holds its clock's current level in
+// memState.lastClk, and quiet says what the reset nets do.
 func checkClockSamples(t *testing.T, ctx string, sk *Simulator) {
 	t.Helper()
 	p := sk.prog
@@ -348,13 +350,22 @@ func checkClockSamples(t *testing.T, ctx string, sk *Simulator) {
 		if sk.dirtyW[g>>6]>>(g&63)&1 != 0 {
 			continue
 		}
-		if clk := sk.val[d.In[netlist.DFFPinClk]]; sk.lastClk[g] != clk {
+		if clk, last := sk.val[d.In[netlist.DFFPinClk]], sk.clkSample(netlist.GateID(g)); last != clk {
 			t.Fatalf("%s: DFF %s is not dirty and its clock sample is %v, the clock %v",
-				ctx, sk.d.NetName(d.Out), sk.lastClk[g], clk)
+				ctx, sk.d.NetName(d.Out), last, clk)
 		}
 	}
 	if sk.quiet != want {
 		t.Fatalf("%s: quiet = %v with every reset at 1 = %v", ctx, sk.quiet, want)
+	}
+	for mi, m := range sk.d.Mems {
+		if m.IsROM() || sk.memInQ[mi] {
+			continue
+		}
+		if clk := sk.val[m.Clk]; sk.mem[mi].lastClk != clk {
+			t.Fatalf("%s: memory %s is not queued and its clock sample is %v, the clock %v",
+				ctx, m.Name, sk.mem[mi].lastClk, clk)
+		}
 	}
 }
 
@@ -373,8 +384,10 @@ func checkSameKernel(t *testing.T, ctx string, traced, bare *Simulator) {
 		t.Fatalf("%s: dirty set diverged: %d in %x levels %x (traced) vs %d in %x levels %x (bare)", ctx,
 			traced.dirtyN, traced.dirtyW, traced.lvlW, bare.dirtyN, bare.dirtyW, bare.lvlW)
 	}
-	if !slices.Equal(traced.lastClk, bare.lastClk) {
-		t.Fatalf("%s: clock samples diverged between the traced and the bare kernel", ctx)
+	for g := range traced.prog.Gates {
+		if traced.clkSample(netlist.GateID(g)) != bare.clkSample(netlist.GateID(g)) {
+			t.Fatalf("%s: clock samples diverged between the traced and the bare kernel at gate %d", ctx, g)
+		}
 	}
 }
 

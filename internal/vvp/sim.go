@@ -89,7 +89,7 @@ const (
 	// netlist.Program), gates evaluate through a branch-free four-valued
 	// lookup table, the dirty set is a flat bitmap over a level-major gate
 	// numbering whose set bits each level round walks in ascending order,
-	// and a clean clock edge updates every flip-flop in one dense pass
+	// and a clean clock edge captures the enabled flip-flops in one pass
 	// instead of one event each (see kernel.go).
 	EngineKernel Engine = iota
 	// EngineInterp is the scalar reference interpreter: per-gate dispatch
@@ -193,7 +193,7 @@ type Simulator struct {
 	prog *netlist.Program
 
 	val     []logic.Value // current net values
-	lastClk []logic.Value // previous clock sample per gate (DFFs only)
+	lastClk []logic.Value // previous clock sample per gate (DFFs only); read it through clkSample
 
 	mem []memState
 	// forces holds the active Verilog forces sorted by net. Almost every
@@ -226,12 +226,22 @@ type Simulator struct {
 	edgeNet     netlist.NetID
 	edgePending bool
 	edges       uint64
+	// follow is true from a clean edge to the next commit of the domain
+	// clock that is not one: while it is, every flip-flop's clock sample is
+	// the clock's current level, whatever lastClk holds (clkSample), so a
+	// clean edge stores no sample. commit writes the old level into lastClk
+	// before it clears the flag.
+	follow bool
+	// zSeen is set by the first commit of a Z and never cleared. Until then
+	// no net holds Z, so a capture with EN at 0 holds Q — Mux folds a Z on
+	// Q to X, and nothing else — and sampleEdge skips a disabled group whole.
+	zSeen bool
 
 	// quiet is true while every net of prog.Resets is at 1 (kernel only),
 	// and commit then leaves prog.DataRuns unmarked. With its reset at 1 a
 	// flip-flop acts only on a change of its clock, and that marks it
 	// through FanRuns or is handled by clockEdge: a flip-flop that is not
-	// dirty has lastClk[g] == val[clk], so evaluating it for a move of D or
+	// dirty has clkSample(g) == val[clk], so evaluating it for a move of D or
 	// EN would do nothing. With a reset at X it would do something — stepDFF
 	// re-merges Q on every evaluation, and a move of D is what schedules
 	// one — so then the data pins are marked like any other. commit
@@ -603,6 +613,9 @@ func (s *Simulator) commit(id netlist.NetID, v logic.Value, region Region) {
 		return
 	}
 	s.val[id] = v
+	if v == logic.Z {
+		s.zSeen = true
+	}
 	if s.recording {
 		s.toggled[id] = true
 		if s.toggleCount != nil {
@@ -619,8 +632,12 @@ func (s *Simulator) commit(id netlist.NetID, v logic.Value, region Region) {
 			return
 		}
 		if p.SlowCommit(id) {
-			// A reset net, a net on a memory pin, or both; the first is
-			// what quiet is a function of.
+			// A reset net, a net on a memory pin, the domain clock; the
+			// first is what quiet is a function of, and the last ends a
+			// run of clean edges when it commits here.
+			if s.follow && id == p.Clock.Net {
+				s.unfollow(p.Clock, old)
+			}
 			s.quiet = s.resetsHigh()
 			for _, m := range p.MemFanOf(id) {
 				s.markMem(m)
@@ -689,7 +706,7 @@ func (s *Simulator) stepDFF(g netlist.GateID, out netlist.NetID, d, clk, en, rst
 		// Unknown reset: output covers both the reset and held value.
 		s.commit(out, logic.MergeValue(s.val[out], init), RegionActive)
 	}
-	last := s.lastClk[g]
+	last := s.clkSample(g)
 	if clk != last {
 		if last == logic.Lo && clk == logic.Hi {
 			// Positive edge: sample D gated by EN. Mux merges when the
@@ -706,6 +723,18 @@ func (s *Simulator) stepDFF(g netlist.GateID, out netlist.NetID, d, clk, en, rst
 		}
 		s.lastClk[g] = clk
 	}
+}
+
+// clkSample returns the clock level flip-flop g last sampled (a kernel ID
+// on the kernel, a netlist ID on the interpreter): lastClk[g], or the
+// domain clock's current level while the samples follow it.
+//
+//symsim:hotpath
+func (s *Simulator) clkSample(g netlist.GateID) logic.Value {
+	if s.follow {
+		return s.val[s.prog.Clock.Net]
+	}
+	return s.lastClk[g]
 }
 
 // evalMem processes one dirty memory: recompute the read port and perform
