@@ -18,7 +18,7 @@ import (
 // the values the commit trace gives the nets by the end of the step's first
 // Active drain, and a memory could write at an edge that rises while its
 // write enable is not 0. The bounds are loose; the logged figures are the
-// ones DESIGN.md §8 quotes.
+// ones EXPERIMENTS.md "Kernel layers" quotes.
 func TestCleanEdgeCost(t *testing.T) {
 	for _, d := range []symsim.Design{symsim.BM32, symsim.OMSP430, symsim.DR5} {
 		p, err := symsim.BuildPlatform(d, "tea8")

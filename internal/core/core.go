@@ -157,10 +157,6 @@ type Config struct {
 	// Error-severity findings always abort Analyze; warnings are
 	// tolerated and, with a nil LintWarn, silently dropped.
 	LintWarn func(lint.Diag)
-	// SkipLint disables the structural pre-check entirely (the netlist is
-	// then only validated by Freeze, whose first-failure errors are far
-	// less descriptive).
-	SkipLint bool
 	// Metrics selects the registry the run publishes exploration metrics
 	// into (paths by end, per-PC fork/merge/skip counters, segment
 	// histograms, engine effort); nil selects obs.Default. Publication is
@@ -184,6 +180,10 @@ type Config struct {
 	// superseded, i.e. plain Algorithm 1; only the A/B oracle in _test.go
 	// sets it.
 	keepSuperseded bool
+	// skipLint disables the structural pre-check (the netlist is then only
+	// validated by Freeze, whose first-failure errors are far less
+	// descriptive); only tests in _test.go set it.
+	skipLint bool
 }
 
 // PathEnd describes how one simulated path segment terminated.
@@ -480,7 +480,7 @@ func prepare(p *Platform, cfg *Config) error {
 	}
 	// Structural pre-check before Freeze: lint tolerates broken designs
 	// and reports every hazard at once, where Freeze stops at the first.
-	if !cfg.SkipLint {
+	if !cfg.skipLint {
 		if err := preCheck(p, cfg); err != nil {
 			return err
 		}

@@ -391,14 +391,14 @@ func TestAnalyzeRejectsCombLoopViaLint(t *testing.T) {
 		t.Fatalf("error should carry the lint code NL001: %v", err)
 	}
 
-	// SkipLint falls through to Freeze, which still rejects the design —
-	// but with its own error, not a coded diagnostic.
-	_, err = core.Analyze(p, core.Config{SkipLint: true})
+	// Without the pre-check Freeze still rejects the design — but with its
+	// own error, not a coded diagnostic.
+	_, err = core.Analyze(p, core.SkipLint(core.Config{}))
 	if err == nil {
 		t.Fatal("comb loop passed Freeze")
 	}
 	if strings.Contains(err.Error(), "NL001") {
-		t.Fatalf("SkipLint error should come from Freeze, got: %v", err)
+		t.Fatalf("with lint skipped the error should come from Freeze, got: %v", err)
 	}
 }
 
@@ -499,7 +499,7 @@ func TestUnknownEndValueIsExercisable(t *testing.T) {
 	p := &core.Platform{Name: "xnet", Design: n, Spec: spec, HalfPeriod: 5, ResetCycles: 2,
 		Monitor: vvp.MonitorXSpec{BranchActive: br, Cond: cond, Finish: fin}}
 	for _, eng := range []vvp.Engine{vvp.EngineKernel, vvp.EngineBatch} {
-		res, err := core.Analyze(p, core.Config{Engine: eng, SkipLint: true})
+		res, err := core.Analyze(p, core.SkipLint(core.Config{Engine: eng}))
 		if err != nil {
 			t.Fatal(err)
 		}

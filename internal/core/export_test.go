@@ -12,6 +12,13 @@ func KeepSuperseded(cfg Config) Config {
 	return cfg
 }
 
+// SkipLint returns cfg with the structural pre-check turned off, so a test
+// can reach what Freeze and the engines do with a design lint rejects.
+func SkipLint(cfg Config) Config {
+	cfg.skipLint = true
+	return cfg
+}
+
 // StrandSuperseded replaces r's frontier with one forked child that a
 // strictly wider sibling — already popped — supersedes: the next Admit
 // drops it and finds the run exhausted.

@@ -56,7 +56,6 @@ type GateDesc struct {
 //     it is in DataRunTab/DataIdx, the same shape, which a commit marks
 //     only while some reset net is not at 1 (see DataRuns).
 //     MemFan/MemFanIdx store the memory fanout in CSR form.
-//   - LvlMems/LvlMemIdx group memories by topological level, ascending ID.
 //
 // A Program is immutable and shared by every simulator of its netlist.
 type Program struct {
@@ -105,9 +104,7 @@ type Program struct {
 
 	// LvlStart has MaxLevel+2 entries; the gates of level l are the kernel
 	// IDs LvlStart[l] to LvlStart[l+1] exclusive.
-	LvlStart  []uint32
-	LvlMemIdx []uint32
-	LvlMems   []MemID
+	LvlStart []uint32
 
 	MaxLevel int32
 
@@ -175,19 +172,6 @@ type ClockDomain struct {
 	// an address, data or enable bit. An edge of such a clock at which no
 	// memory can write moves no net but the members' Q.
 	ClockPinsOnly bool
-}
-
-// LevelRange returns the kernel gate ID range [lo, hi) of topological
-// level l.
-//
-//symsim:hotpath
-func (p *Program) LevelRange(l int32) (lo, hi uint32) {
-	return p.LvlStart[l], p.LvlStart[l+1]
-}
-
-// LevelMems returns the memories of topological level l, ascending ID.
-func (p *Program) LevelMems(l int32) []MemID {
-	return p.LvlMems[p.LvlMemIdx[l]:p.LvlMemIdx[l+1]]
 }
 
 // FanRuns returns the gates a change of net id always schedules, as runs of
@@ -350,21 +334,6 @@ func compile(n *Netlist) *Program {
 		}
 	}
 
-	// Memory level grouping CSR: counting sort by level, ascending ID
-	// within a level (memory IDs are appended in increasing order).
-	p.LvlMemIdx = make([]uint32, levels+1)
-	for _, l := range n.memLevel {
-		p.LvlMemIdx[l+1]++
-	}
-	for l := 0; l < levels; l++ {
-		p.LvlMemIdx[l+1] += p.LvlMemIdx[l]
-	}
-	p.LvlMems = make([]MemID, len(n.Mems))
-	cursor = append(cursor[:0], p.LvlMemIdx...)
-	for mi, l := range n.memLevel {
-		p.LvlMems[cursor[l]] = MemID(mi)
-		cursor[l]++
-	}
 	if p.Clock = clockDomain(n, p); p.Clock != nil {
 		c := p.Clock.Net
 		p.slowBits[c>>6] |= 1 << (c & 63)

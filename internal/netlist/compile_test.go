@@ -448,20 +448,15 @@ func TestProgramMatchesNetlist(t *testing.T) {
 				}
 			}
 		}
-		// Level ranges: contiguous, covering, at the right levels.
-		if lo, _ := p.LevelRange(0); lo != 0 {
-			t.Fatalf("level 0 starts at %d", lo)
+		// Level ranges: LvlStart starts at 0, never decreases, ends at the
+		// gate count, and puts every kernel gate in its own level's range.
+		if len(p.LvlStart) != int(p.MaxLevel)+2 || p.LvlStart[0] != 0 || int(p.LvlStart[p.MaxLevel+1]) != len(n.Gates) {
+			t.Fatalf("LvlStart %v does not cover %d gates in %d levels", p.LvlStart, len(n.Gates), p.MaxLevel+1)
 		}
 		for l := int32(0); l <= p.MaxLevel; l++ {
-			lo, hi := p.LevelRange(l)
+			lo, hi := p.LvlStart[l], p.LvlStart[l+1]
 			if lo > hi {
 				t.Fatalf("level %d range inverted", l)
-			}
-			if l < p.MaxLevel {
-				next, _ := p.LevelRange(l + 1)
-				if next != hi {
-					t.Fatalf("level %d..%d ranges not contiguous", l, l+1)
-				}
 			}
 			for k := lo; k < hi; k++ {
 				if p.GateLevel[k] != l {
@@ -469,24 +464,12 @@ func TestProgramMatchesNetlist(t *testing.T) {
 				}
 			}
 		}
-		if _, hi := p.LevelRange(p.MaxLevel); int(hi) != len(n.Gates) {
-			t.Fatalf("level ranges cover %d gates, want %d", hi, len(n.Gates))
+		if len(p.MemLevel) != len(n.Mems) {
+			t.Fatalf("MemLevel has %d entries for %d memories", len(p.MemLevel), len(n.Mems))
 		}
-		seenM := make([]bool, len(n.Mems))
-		for l := int32(0); l <= p.MaxLevel; l++ {
-			for _, m := range p.LevelMems(l) {
-				if seenM[m] {
-					t.Fatalf("mem %d appears twice", m)
-				}
-				seenM[m] = true
-				if p.MemLevel[m] != l {
-					t.Fatalf("mem %d level mismatch", m)
-				}
-			}
-		}
-		for mi, ok := range seenM {
-			if !ok {
-				t.Fatalf("mem %d missing from level lists", mi)
+		for m := range n.Mems {
+			if l := p.MemLevel[m]; l != n.MemLevel(MemID(m)) || l < 0 || l > p.MaxLevel {
+				t.Fatalf("mem %d at level %d, the netlist says %d", m, l, n.MemLevel(MemID(m)))
 			}
 		}
 	}

@@ -56,6 +56,7 @@ package vvp
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"symsim/internal/logic"
 	"symsim/internal/netlist"
@@ -155,10 +156,8 @@ type BatchSim struct {
 	active uint64 // occupied lanes
 	// quiet is the scalar kernel's flag over the occupied lanes: every net
 	// of prog.Resets is at 1 in every lane of active, and commitB then
-	// leaves prog.DataRuns unmarked (see Simulator.quiet; the invariant is
-	// per occupied lane, and a lane's clock samples are stored when it is
-	// admitted). It is recomputed when a reset net commits and when active
-	// changes.
+	// leaves prog.DataRuns unmarked (setQuiet; DESIGN.md §8 "Data pins off
+	// the schedule").
 	quiet     bool
 	recording uint64 // lanes with toggle profiling enabled
 	toggledP  []uint64
@@ -225,20 +224,21 @@ func NewBatchSim(d *netlist.Netlist, opts BatchOptions) *BatchSim {
 // setActive changes the set of occupied lanes, and quiet with it.
 func (s *BatchSim) setActive(lanes uint64) {
 	s.active = lanes
-	s.quiet = s.resetsHighB()
+	s.setQuiet()
 }
 
-// resetsHighB reports whether every reset net is at 1 in every occupied
-// lane.
+// setQuiet recomputes quiet, and is the one place that writes it: true
+// exactly while every net of prog.Resets is at 1 in every occupied lane.
 //
 //symsim:hotpath
-func (s *BatchSim) resetsHighB() bool {
+func (s *BatchSim) setQuiet() {
+	s.quiet = true
 	for _, r := range s.prog.Resets {
 		if s.active&^s.valA[r] != 0 {
-			return false
+			s.quiet = false
+			return
 		}
 	}
-	return true
 }
 
 // Design returns the netlist under simulation.
@@ -323,30 +323,30 @@ func (s *BatchSim) ToggledLane(lane int, dst []bool) []bool {
 	return dst
 }
 
-// forceIdxB returns the position of net id in the sorted forces slice, or
-// its insertion point.
-func (s *BatchSim) forceIdxB(id netlist.NetID) int {
+// forceAt returns the position of net id in the sorted forces slice and
+// whether a force on id is there; without one, the position is where it
+// would be inserted. A hand-written search, because slices.BinarySearchFunc
+// would hand its comparator a copy of each batchForce, release times and
+// all.
+func (s *BatchSim) forceAt(id netlist.NetID) (int, bool) {
 	lo, hi := 0, len(s.forces)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.forces[mid].net < id {
+		if mid := int(uint(lo+hi) >> 1); s.forces[mid].net < id {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo
+	return lo, lo < len(s.forces) && s.forces[lo].net == id
 }
 
 // ForceLane forces net id to v in one lane until the lane's simulation time
 // reaches release — the per-lane Verilog force used when continuing down
 // one path of a forked branch.
 func (s *BatchSim) ForceLane(id netlist.NetID, v logic.Value, lane int, release uint64) {
-	i := s.forceIdxB(id)
-	if i == len(s.forces) || s.forces[i].net != id {
-		s.forces = append(s.forces, batchForce{})
-		copy(s.forces[i+1:], s.forces[i:])
-		s.forces[i] = batchForce{net: id}
+	i, ok := s.forceAt(id)
+	if !ok {
+		s.forces = slices.Insert(s.forces, i, batchForce{net: id})
 	}
 	f := &s.forces[i]
 	lm := uint64(1) << uint(lane)
@@ -366,11 +366,7 @@ func (s *BatchSim) ForceLane(id netlist.NetID, v logic.Value, lane int, release 
 
 // ForcedLanes returns the lanes in which net id currently has a force.
 func (s *BatchSim) ForcedLanes(id netlist.NetID) uint64 {
-	if len(s.forces) == 0 {
-		return 0
-	}
-	i := s.forceIdxB(id)
-	if i < len(s.forces) && s.forces[i].net == id {
+	if i, ok := s.forceAt(id); ok {
 		return s.forces[i].mask
 	}
 	return 0
@@ -444,9 +440,7 @@ func (s *BatchSim) clearLaneForces(lane int) {
 //symsim:hotpath
 func (s *BatchSim) commitB(id netlist.NetID, a, x, mask uint64) {
 	if len(s.forces) != 0 {
-		//symsim:allow SA001 force lookup runs only while forces are active; the benchmarked steady state has none
-		i := s.forceIdxB(id)
-		if i < len(s.forces) && s.forces[i].net == id {
+		if i, ok := s.forceAt(id); ok {
 			f := &s.forces[i]
 			fm := f.mask & mask
 			a = a&^fm | f.a&fm
@@ -466,7 +460,7 @@ func (s *BatchSim) commitB(id netlist.NetID, a, x, mask uint64) {
 	if s.prog.SlowCommit(id) {
 		// A reset net, a net on a memory pin, or the domain clock, which
 		// is slow for the scalar kernel's clock-edge pass alone.
-		s.quiet = s.resetsHighB()
+		s.setQuiet()
 		for _, m := range s.prog.MemFanOf(id) {
 			s.markMem(m)
 		}

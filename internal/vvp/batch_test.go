@@ -2,7 +2,6 @@ package vvp
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -73,36 +72,6 @@ func compareLane(t *testing.T, ctx string, b *BatchSim, ref *Simulator, lane int
 			t.Fatalf("%s: lane %d toggle profile diverged on %s: %v vs %v",
 				ctx, lane, ref.d.NetName(netlist.NetID(id)), tg[id], want)
 		}
-	}
-}
-
-// checkLaneClockSamples is checkClockSamples for a BatchSim: in every
-// occupied lane a flip-flop that is not dirty holds the lane's current clock
-// level, and quiet says what the reset nets do in the occupied lanes.
-func checkLaneClockSamples(t *testing.T, ctx string, b *BatchSim) {
-	t.Helper()
-	want := true // from the pins and the lanes, not from what quiet is computed from
-	for g := range b.prog.Gates {
-		d := &b.prog.Gates[g]
-		if d.Kind != netlist.KindDFF {
-			continue
-		}
-		for lanes := b.active; lanes != 0; lanes &= lanes - 1 {
-			if b.LaneValue(d.In[netlist.DFFPinRstn], bits.TrailingZeros64(lanes)) != logic.Hi {
-				want = false
-			}
-		}
-		if b.dirtyW[g>>6]>>(g&63)&1 != 0 {
-			continue
-		}
-		clk := d.In[netlist.DFFPinClk]
-		if stale := ((b.lastClkA[g] ^ b.valA[clk]) | (b.lastClkX[g] ^ b.valX[clk])) & b.active; stale != 0 {
-			t.Fatalf("%s: DFF %s is not dirty and its clock sample is stale in the lanes %#x",
-				ctx, b.d.NetName(d.Out), stale)
-		}
-	}
-	if b.quiet != want {
-		t.Fatalf("%s: quiet = %v with every reset at 1 in the lanes %#x = %v", ctx, b.quiet, b.active, want)
 	}
 }
 
@@ -301,8 +270,10 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy, xReset bool) {
 		refs[lane], krefs[lane], snaps[lane] = ref, kref, snap
 		done[lane] = false
 		checkLaneVsRef(t, ctx+" post-restore", b, ref, lane)
-		checkLaneClockSamples(t, ctx, b)
-		checkClockSamples(t, ctx+" bare kernel", kref)
+		b.checkInvariants(t, ctx)
+		b1.checkInvariants(t, ctx+" one-lane batch")
+		ref.checkInvariants(t, ctx+" interpreter")
+		kref.checkInvariants(t, ctx+" bare kernel")
 	}
 
 	retire := func(lane int) {
@@ -334,8 +305,8 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy, xReset bool) {
 		if fin&hal != 0 {
 			t.Fatalf("seed %d step %d: finish and halt masks overlap: %x & %x", seed, step, fin, hal)
 		}
-		checkLaneClockSamples(t, fmt.Sprintf("seed %d step %d", seed, step), b)
-		checkLaneClockSamples(t, fmt.Sprintf("seed %d step %d one-lane batch", seed, step), b1)
+		b.checkInvariants(t, fmt.Sprintf("seed %d step %d", seed, step))
+		b1.checkInvariants(t, fmt.Sprintf("seed %d step %d one-lane batch", seed, step))
 		for lane := range refs {
 			if done[lane] {
 				continue
@@ -361,7 +332,8 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy, xReset bool) {
 				t.Fatalf("%s: lane %d bare kernel step: %v (%v), interpreter %v", ctx, lane, sttk, kerr, stt)
 			}
 			checkAgreement(t, fmt.Sprintf("%s lane %d bare kernel", ctx, lane), refs[lane], kref)
-			checkClockSamples(t, fmt.Sprintf("%s lane %d bare kernel", ctx, lane), kref)
+			refs[lane].checkInvariants(t, fmt.Sprintf("%s lane %d interpreter", ctx, lane))
+			kref.checkInvariants(t, fmt.Sprintf("%s lane %d bare kernel", ctx, lane))
 			if lane == 0 {
 				if (fin1 != 0) != (stt == Finished) || (hal1 != 0) != (stt == HaltX) {
 					t.Fatalf("%s: one-lane batch finished %x halted %x, scalar status %v", ctx, fin1, hal1, stt)

@@ -115,9 +115,11 @@ func (m *setModel) nextLevel(from int32) (lvl int32, ok bool) {
 	return best, true
 }
 
-// check compares every field of ds the model has an opinion on.
+// check holds ds to the schedule's half of the contract (checkSet) and
+// compares every field of it the model has an opinion on.
 func (m *setModel) check(t *testing.T, ctx string, ds *dirtySet) {
 	t.Helper()
+	checkSet(t, ctx, ds, 0)
 	if ds.dirtyN != len(m.gates)+len(m.mems) || ds.dirtyLo != m.lo || ds.sweeps != m.sweeps {
 		t.Fatalf("%s: dirtyN %d dirtyLo %d sweeps %d, model %d+%d, %d, %d", ctx,
 			ds.dirtyN, ds.dirtyLo, ds.sweeps, len(m.gates), len(m.mems), m.lo, m.sweeps)
@@ -261,28 +263,16 @@ func TestDirtySetOutOfStepPanics(t *testing.T) {
 	ds.nextLevel(0)
 }
 
-// checkSameSchedule compares what two dirty sets hold — the count, the
-// bitmap word for word, the queued memories — and checks on each that every
-// level with an entry is marked. Stale marks are left out: they depend on
-// the route the entries were claimed by, which the scalar kernel (clock-edge
-// fast path, a fresh simulator per restore) and a BatchSim lane do not share.
+// checkSameSchedule compares what two dirty sets hold: the count, the
+// bitmap word for word, the queued memories. Level marks are left out: a
+// stale one depends on the route its entries were claimed by, which the
+// scalar kernel (clock-edge fast path, a fresh simulator per restore) and a
+// BatchSim lane do not share; checkInvariants holds each set's marks to its
+// entries.
 func checkSameSchedule(t *testing.T, ctx string, a, b *dirtySet) {
 	t.Helper()
 	if a.dirtyN != b.dirtyN || !slices.Equal(a.dirtyW, b.dirtyW) || !slices.Equal(a.memInQ, b.memInQ) {
 		t.Fatalf("%s: schedules diverged: %d in %x mems %v vs %d in %x mems %v", ctx,
 			a.dirtyN, a.dirtyW, a.memInQ, b.dirtyN, b.dirtyW, b.memInQ)
-	}
-	for _, ds := range []*dirtySet{a, b} {
-		marked := func(l int32) bool { return ds.lvlW[l>>6]>>(uint(l)&63)&1 != 0 }
-		for g, l := range ds.glv {
-			if ds.dirtyW[g>>6]>>(uint(g)&63)&1 != 0 && !marked(l) {
-				t.Fatalf("%s: gate %d is dirty and its level %d is not marked", ctx, g, l)
-			}
-		}
-		for id, in := range ds.memInQ {
-			if in && !marked(ds.mlv[id]) {
-				t.Fatalf("%s: memory %d is queued and its level %d is not marked", ctx, id, ds.mlv[id])
-			}
-		}
 	}
 }

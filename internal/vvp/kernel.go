@@ -1,52 +1,22 @@
 // The compiled simulation kernel: the default engine, executing the
 // structure-of-arrays netlist.Program instead of interpreting Gate records.
+// It evaluates the same gates in the same order as the reference
+// interpreter, so traces, toggle profiles and halt cycles match bit for bit
+// (the differential suite in kernel_test.go). What is its own is a walk of
+// the shared schedule (dirtySet) that evaluates through netlist.EvalLUT,
+// and a few fast paths, each a shortcut in front of the one general path
+// with a stated precondition — DESIGN.md §8 "The contract" lists what each
+// relies on and the check that asserts it:
 //
-// Four things distinguish it from the reference interpreter, none of them
-// semantic:
-//
-//  1. Gate descriptors are packed (inline pin array, no per-gate slice
-//     header) and renumbered level-major, so each topological level is one
-//     contiguous descriptor run, and the consumers of one net sit in
-//     adjacent bits of the dirty set: a net's fanout is a list of
-//     netlist.FanRun — word, level, mask — almost always of length one, and
-//     scheduling it is one OR per run (dirtySet.markRuns) where the
-//     interpreter walks a [][]GateID one consumer at a time.
-//  2. Combinational evaluation is a single branch-free load from
-//     netlist.EvalLUT, generated from EvalGate itself; only flip-flops
-//     retain control flow (stepDFF, shared verbatim with the interpreter).
-//  3. The dirty set is dirtySet (dirtyset.go), the one schedule this
-//     engine and the batch engine share: a flat bitmap over the level-major
-//     numbering instead of per-level queues. A level round claims the
-//     level's bit range in word-sized chunks and sweeps the set bits in
-//     ascending ID order — a radix sort in all but name, replacing the
-//     interpreter's scratch copy, comparison sort and per-gate queue
-//     bookkeeping with a few word operations per 64 gates. What is this
-//     engine's own is the walk of the claimed words (kernelLevel): it
-//     evaluates in line, and commits in line too where a commit is no more
-//     than a store, a toggle mark and one run: through commit it costs
-//     about what the evaluation did, and 40–55 % of evaluations end in one.
-//  4. A flip-flop is scheduled by its clock and its reset. While every
-//     reset net is at 1 (Simulator.quiet) a move of D or EN marks no
-//     flip-flop: netlist.Program keeps those pins in a table of their own
-//     (DataRuns), which commit marks only while some reset is not at 1.
-//     And on a design with a netlist.ClockDomain table a clean edge of the
-//     clock does not put the flip-flops on the dirty bitmap either, and
-//     costs only the registers it can load: the flip-flops' clock samples
-//     follow the clock instead of being stored, a rising edge is captured
-//     after the Active region has drained by a pass over the flip-flops
-//     whose enable is not 0, and an edge at which no memory can write leaves
-//     the memories unqueued (cleanEdge, clockEdge, sampleEdge at the end of
-//     this file) — so in the steady state no flip-flop is evaluated at all.
-//     Every other clock change walks the fanout like any other commit.
-//
-// The renumbering is a stable counting sort by level, so ascending kernel
-// ID within a level is ascending netlist ID: every round evaluates the
-// same gates in the same order as the interpreter's sorted rounds, and a
-// bit set while its round is running lands in the already-claimed word's
-// live slot — deferred to the next round, exactly like the interpreter's
-// emptied bucket. Traces, toggle profiles and halt cycles therefore match
-// the interpreter bit for bit — enforced by the differential suite in
-// kernel_test.go.
+//   - the level round's in-line commit and flip-flop test (kernelLevel; §8
+//     "The level round");
+//   - data pins off the schedule while every reset is at 1 (commit, quiet;
+//     §8 "Data pins off the schedule");
+//   - the clean clock edge (cleanEdge, clockEdge; §8 "The clean edge"), with
+//     samples that follow the clock (follow, unfollow; §8 "Samples follow
+//     the clock"), a capture that visits enabled registers (sampleEdge; §8
+//     "Enable-group capture") and memories left unqueued at an edge that
+//     cannot write (clockEdge; §8 "The RAM skip").
 package vvp
 
 import (
@@ -57,23 +27,14 @@ import (
 )
 
 // kernelLevel runs one round of level lvl on the compiled kernel: claim
-// the level's gates from the dirty set, then evaluate them in ascending
-// kernel ID order via trailing-zero iteration. A flip-flop
-// goes through stepDFF, shared verbatim with the interpreter; everything
-// else is one EvalLUT load — pins beyond the kind's input count are padded
-// with net 0 and the LUT ignores their operands, so the loads are
-// unconditional — and, when the output changed, a commit.
-//
-// The commit is made in line when nothing but the value, the toggle mark
-// and the fanout is at stake — the run is recording, with no force, trace
-// or activity counters, and every reset is at 1, so that FanRuns is all
-// there is to mark — and the gate's whole FanRuns is one GateRun: store,
-// mark, OR the run. dirtyLo stays as it is because such a run lies above
-// lvl, by construction of the table. Every other commit is commit's. Of
-// those conditions only quiet can change inside a round, and only where a
-// gate drives a reset net: that gate has no GateRun, so quiet is read again
-// after the call of commit. (A flip-flop commits in the Active region only
-// while its own reset is not at 1, which leaves quiet false as it was.)
+// the level's gates from the dirty set and evaluate them in ascending
+// kernel ID. A flip-flop goes through stepDFF, shared with the
+// interpreter, unless its reset is at 1 and its clock sample current;
+// everything else is one EvalLUT load (padded pins are ignored by the
+// table) and, when the output changed, a commit — in line, as a store, a
+// toggle mark and one OR of the gate's GateRun, when the simulator is bare
+// and quiet. quiet can change only inside commit, so it is read again after
+// each call (DESIGN.md §8 "The level round").
 //
 //symsim:hotpath
 func (s *Simulator) kernelLevel(lvl int32) error {
@@ -89,9 +50,8 @@ func (s *Simulator) kernelLevel(lvl int32) error {
 				g := base + uint32(bits.TrailingZeros64(w))
 				d := &gates[g]
 				if d.Kind == netlist.KindDFF {
-					// Reached through D or EN alone (a reset elsewhere in the
-					// design is not at 1), with its own reset at 1 and the
-					// clock sample current, stepDFF does nothing.
+					// With its own reset at 1 and the clock sample current,
+					// stepDFF would do nothing.
 					clk, rstn := val[d.In[netlist.DFFPinClk]], val[d.In[netlist.DFFPinRstn]]
 					if rstn != logic.Hi || clk != s.clkSample(netlist.GateID(g)) {
 						s.stepDFF(netlist.GateID(g), d.Out,
@@ -140,16 +100,10 @@ func (s *Simulator) kernelLevel(lvl int32) error {
 func (s *Simulator) FastEdges() uint64 { return s.edges }
 
 // cleanEdge reports whether the clock toggle Step is about to commit may
-// take the fast path: the design has a clock-domain table for this clock
-// and, right now, the general path would do nothing with the flip-flops
-// but sample a known edge. That needs the old clock level known (the new
-// one always is), no flip-flop dirty and nothing queued, no stimulus event
-// due in this time step, and every reset net at 1. A flip-flop that is not
-// dirty has sampled the current clock level (clkSample; see
-// Simulator.quiet), so with none dirty every sample is the old level. Other
-// work may be pending — the cone a fork's Force(Cond) left dirty, a memory
-// SetMemWord touched: it commits no Q and queues no capture, and the drain
-// orders it below the flip-flops that read it either way (DESIGN.md §8).
+// take the fast path: the design has a clock-domain table for this clock,
+// the old level is known, every reset is at 1, no flip-flop is dirty,
+// both queues are empty and no stimulus event is due in this time step.
+// Other work may be pending (DESIGN.md §8 "The clean edge").
 //
 //symsim:hotpath
 func (s *Simulator) cleanEdge(st *Stimulus) bool {
@@ -177,23 +131,12 @@ func (s *Simulator) cleanEdge(st *Stimulus) bool {
 }
 
 // clockEdge is commit's fanout step for a clock toggle cleanEdge accepted.
-// The general path would mark every member dirty and evaluate each one
-// once, at its level; with reset at 1 that evaluation commits nothing in
-// the Active region, so all it leaves behind is the new clock sample and,
-// on a rising edge, one NBA entry. clockEdge stores no sample: it sets
-// follow, which makes the clock's level every member's sample — and keeps
-// "not dirty" meaning "sample current" for the members it does not mark —
-// and it leaves the capture to sampleEdge.
-//
-// The clock's other readers are scheduled as commit would, unless the edge
-// can change nothing there: the clock reaches no pin but clock pins, no
-// other work is pending, and no memory on the clock can write at this
-// edge (it falls, or it rises with every write enable at 0). Evaluating
-// the memories then would store their clock samples and re-read the words
-// their read ports show, so clockEdge stores the samples and queues none.
-// The rule is all or nothing: one memory's write can move another's pins,
-// and pending work — the cone of a released force — can move a write
-// enable before the memory's level.
+// It marks no flip-flop and stores no flip-flop sample: it sets follow
+// (DESIGN.md §8 "Samples follow the clock") and, on a rising edge, leaves
+// the capture to sampleEdge. The clock's other readers are scheduled as
+// commit would, except that when the clock reaches clock pins alone,
+// nothing else is pending and no memory on the clock can write at this
+// edge, every memory only stores its sample (§8 "The RAM skip").
 //
 //symsim:hotpath
 func (s *Simulator) clockEdge(cd *netlist.ClockDomain, v logic.Value) {
@@ -228,16 +171,11 @@ func (s *Simulator) unfollow(cd *netlist.ClockDomain, old logic.Value) {
 }
 
 // sampleEdge is the capture of a rising edge taken by clockEdge, run by
-// settle after the first Active drain of the step. The general path
-// samples a member when the drain reaches its level, which lies above its
-// whole input cone; nothing the drain does after that can change D or EN
-// (DESIGN.md §8 has the argument), so sampling them all here reads the
-// same values. A capture that leaves Q as it is would commit nothing, so it
-// is not queued; with EN at 0 that is every capture unless Q is Z, which
-// Mux folds to X, so until a Z has been committed (zSeen) a group of
-// members whose enable is 0 is skipped whole. The drain appends captures in
-// ascending kernel ID, and so does this pass: it queues each one under its
-// kernel ID, sorts what it queued in place, and then gives each its net.
+// settle after the first Active drain of the step, when D and EN hold what
+// the general path would have sampled (DESIGN.md §8 "The clean edge"). It
+// queues only captures that move Q, skips an enable group at 0 until a Z
+// has been committed, and leaves the queue in ascending kernel ID, the
+// drain's order (§8 "Enable-group capture").
 //
 //symsim:hotpath
 func (s *Simulator) sampleEdge(cd *netlist.ClockDomain) {
@@ -261,8 +199,7 @@ func (s *Simulator) sampleEdge(cd *netlist.ClockDomain) {
 			}
 		}
 	}
-	// An insertion sort: the captures of an edge are few and mostly in order
-	// (on the Table-4 cells at most 66, with at most 150 pairs out of order).
+	// An insertion sort: the captures of an edge are few and mostly in order.
 	captures, gates := s.nba[from:], s.prog.Gates
 	for i := 1; i < len(captures); i++ {
 		for j := i; j > 0 && captures[j].net < captures[j-1].net; j-- {

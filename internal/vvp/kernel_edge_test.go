@@ -11,7 +11,7 @@ import (
 )
 
 // Directed tests of the kernel's clock-edge fast path (kernel.go,
-// DESIGN.md §8): each one drives the kernel and the interpreter in lockstep
+// DESIGN.md §8 "The clean edge"): each one drives the kernel and the interpreter in lockstep
 // through a situation where the fast path either must hand the edge to the
 // general path or must do something a naive pass would get wrong, and
 // checks through FastEdges which of the two the kernel did.
@@ -31,7 +31,10 @@ func lockstep(t *testing.T, n *netlist.Netlist, st *Stimulus, steps int, each fu
 		if erri != nil || errk != nil || sti != stk {
 			t.Fatalf("step %d: status %v/%v err %v/%v", step, sti, stk, erri, errk)
 		}
-		checkAgreement(t, fmt.Sprintf("step %d (t=%d)", step, si.Now()), si, sk)
+		ctx := fmt.Sprintf("step %d (t=%d)", step, si.Now())
+		checkAgreement(t, ctx, si, sk)
+		si.checkInvariants(t, ctx+" (interpreter)")
+		sk.checkInvariants(t, ctx)
 	}
 	if !ti.Equal(tk) {
 		t.Fatalf("commit traces diverged\ninterp:\n%s\nkernel:\n%s", ti.Dump(n), tk.Dump(n))
@@ -46,9 +49,10 @@ func lockstep(t *testing.T, n *netlist.Netlist, st *Stimulus, steps int, each fu
 // interpreter, a traced kernel, and a bare, recording kernel — the
 // configuration Analyze runs, and the only one whose level round commits in
 // line. prep, when non-nil, runs on each before it starts recording, and
-// each, when non-nil, before every step. All three are compared after every
-// step — the kernels with the interpreter, with each other and with their
-// clock-sample invariant — and the commit traces at the end.
+// each, when non-nil, before every step. All three are held to the contract
+// after prep and after every step, and compared after every step — the
+// kernels with the interpreter and with each other — and the commit traces
+// at the end.
 func trio(t *testing.T, n *netlist.Netlist, st *Stimulus, steps int, prep func(s *Simulator), each func(step int, si, sk, sb *Simulator)) (si, sk, sb *Simulator) {
 	t.Helper()
 	si, sk, ti, tk := enginePair(n, st, MemXVerilog)
@@ -59,6 +63,7 @@ func trio(t *testing.T, n *netlist.Netlist, st *Stimulus, steps int, prep func(s
 			prep(s)
 		}
 		s.StartRecording()
+		s.checkInvariants(t, fmt.Sprintf("prepared %v engine", s.opts.Engine))
 	}
 	for step := 0; step < steps; step++ {
 		if each != nil {
@@ -73,8 +78,9 @@ func trio(t *testing.T, n *netlist.Netlist, st *Stimulus, steps int, prep func(s
 		checkAgreement(t, ctx, si, sk)
 		checkAgreement(t, ctx+" (bare kernel)", si, sb)
 		checkSameKernel(t, ctx, sk, sb)
-		checkClockSamples(t, ctx, sk)
-		checkClockSamples(t, ctx+" (bare kernel)", sb)
+		si.checkInvariants(t, ctx+" (interpreter)")
+		sk.checkInvariants(t, ctx)
+		sb.checkInvariants(t, ctx+" (bare kernel)")
 	}
 	if !ti.Equal(tk) {
 		t.Fatalf("commit traces diverged\ninterp:\n%s\nkernel:\n%s", ti.Dump(n), tk.Dump(n))
@@ -201,11 +207,14 @@ func TestRestoreAtEitherPhaseFiresNoEdge(t *testing.T) {
 			t.Fatalf("%s: Restore took the clock toggle through the fast path", tc.name)
 		}
 		checkAgreement(t, tc.name+": after Restore", si, sk)
+		sk.checkInvariants(t, tc.name+": after Restore")
 		cyc := sk.Cycles()
 		for i := 0; i < 10; i++ {
 			si.Step()
 			sk.Step()
-			checkAgreement(t, fmt.Sprintf("%s: step %d after Restore", tc.name, i), si, sk)
+			ctx := fmt.Sprintf("%s: step %d after Restore", tc.name, i)
+			checkAgreement(t, ctx, si, sk)
+			sk.checkInvariants(t, ctx)
 		}
 		if got, ok := sk.VecValue(q).Uint64(); !ok || got != (want+sk.Cycles()-cyc)%16 {
 			t.Fatalf("%s: counter = %s, want %d + %d cycles", tc.name, sk.VecValue(q), want, sk.Cycles()-cyc)
@@ -540,7 +549,6 @@ func TestFirstEdgeOfAPath(t *testing.T) {
 			}, func(step int, _, sk, _ *Simulator) {
 				switch step {
 				case 0:
-					checkClockSamples(t, "pending", sk)
 					edges = sk.FastEdges()
 				case 1:
 					if got := sk.FastEdges() - edges; (got == 1) != tc.fast {
@@ -778,8 +786,7 @@ func TestDataPinsScheduleUnderXReset(t *testing.T) {
 			}
 			ctx := fmt.Sprintf("t=%d (bare kernel)", sb.Now())
 			checkAgreement(t, ctx, si, sb)
-			checkClockSamples(t, ctx, sb)
-			checkClockSamples(t, fmt.Sprintf("t=%d", sk.Now()), sk)
+			sb.checkInvariants(t, ctx)
 		}
 		switch si.Now() { // the time of the step just taken
 		case xa, xb:
@@ -836,7 +843,7 @@ func TestDataPinsScheduleUnderXReset(t *testing.T) {
 	}
 	b.StartRecordingLane(1)
 	ref.StartRecording()
-	checkLaneClockSamples(t, "lane admitted under an X reset", b)
+	b.checkInvariants(t, "lane admitted under an X reset")
 	for step := 0; step < 6; step++ {
 		if _, _, err := b.StepAll(); err != nil {
 			t.Fatal(err)
@@ -846,7 +853,7 @@ func TestDataPinsScheduleUnderXReset(t *testing.T) {
 		}
 		ctx := fmt.Sprintf("batch step %d", step)
 		checkLane(t, ctx, b, ref, 1)
-		checkLaneClockSamples(t, ctx, b)
+		b.checkInvariants(t, ctx)
 	}
 	if got := b.LaneValue(qb, 1); got != logic.X {
 		t.Fatalf("batch lane under the X reset: qb = %v, want x", got)

@@ -330,45 +330,6 @@ func checkAgreement(t *testing.T, ctx string, si, sk *Simulator) {
 	}
 }
 
-// checkClockSamples asserts what lets the kernel leave a flip-flop's data
-// pins out of the schedule and a clean edge's memories off it: a flip-flop
-// that is not dirty has sampled the current level of its clock net, a
-// writable memory that is not queued holds its clock's current level in
-// memState.lastClk, and quiet says what the reset nets do.
-func checkClockSamples(t *testing.T, ctx string, sk *Simulator) {
-	t.Helper()
-	p := sk.prog
-	want := true // from the pins, not from what quiet is computed from
-	for g := range p.Gates {
-		d := &p.Gates[g]
-		if d.Kind != netlist.KindDFF {
-			continue
-		}
-		if sk.val[d.In[netlist.DFFPinRstn]] != logic.Hi {
-			want = false
-		}
-		if sk.dirtyW[g>>6]>>(g&63)&1 != 0 {
-			continue
-		}
-		if clk, last := sk.val[d.In[netlist.DFFPinClk]], sk.clkSample(netlist.GateID(g)); last != clk {
-			t.Fatalf("%s: DFF %s is not dirty and its clock sample is %v, the clock %v",
-				ctx, sk.d.NetName(d.Out), last, clk)
-		}
-	}
-	if sk.quiet != want {
-		t.Fatalf("%s: quiet = %v with every reset at 1 = %v", ctx, sk.quiet, want)
-	}
-	for mi, m := range sk.d.Mems {
-		if m.IsROM() || sk.memInQ[mi] {
-			continue
-		}
-		if clk := sk.val[m.Clk]; sk.mem[mi].lastClk != clk {
-			t.Fatalf("%s: memory %s is not queued and its clock sample is %v, the clock %v",
-				ctx, m.Name, sk.mem[mi].lastClk, clk)
-		}
-	}
-}
-
 // checkSameKernel compares the scheduling state of two kernel simulators
 // that have been through the same steps: the level round commits in line on
 // one of them (bare) and through commit on the other (traced), and the two
@@ -445,7 +406,9 @@ func diffTrialShaped(t *testing.T, r *rand.Rand, seed int64, memx MemXPolicy, sh
 			si.Force(forceNet, logic.Hi, si.Now()+3*hp)
 			sk.Force(forceNet, logic.Hi, sk.Now()+3*hp)
 			sb.Force(forceNet, logic.Hi, sb.Now()+3*hp)
-			checkClockSamples(t, fmt.Sprintf("seed %d forced", seed), sk)
+			for _, s := range []*Simulator{si, sk, sb} {
+				s.checkInvariants(t, fmt.Sprintf("seed %d forced, %v engine", seed, s.opts.Engine))
+			}
 		}
 		sti, erri := si.Step()
 		stk, errk := sk.Step()
@@ -460,8 +423,9 @@ func diffTrialShaped(t *testing.T, r *rand.Rand, seed int64, memx MemXPolicy, sh
 		checkAgreement(t, ctx, si, sk)
 		checkAgreement(t, ctx+" (bare kernel)", si, sb)
 		checkSameKernel(t, ctx, sk, sb)
-		checkClockSamples(t, ctx, sk)
-		checkClockSamples(t, ctx+" (bare kernel)", sb)
+		si.checkInvariants(t, ctx+" (interpreter)")
+		sk.checkInvariants(t, ctx)
+		sb.checkInvariants(t, ctx+" (bare kernel)")
 	}
 	if !ti.Equal(tk) {
 		t.Fatalf("seed %d shape %#x stim %#x: commit traces diverged\ninterp:\n%s\nkernel:\n%s",
@@ -484,31 +448,50 @@ func diffTrialShaped(t *testing.T, r *rand.Rand, seed int64, memx MemXPolicy, sh
 	if !sti.Bits.Equal(stk.Bits) || sti.Time != stk.Time {
 		t.Fatalf("seed %d: snapshots diverged: %s vs %s", seed, sti.Bits, stk.Bits)
 	}
+	// ri is bare, so it commits in line from a restored state; rc counts
+	// activity with no trace, the configuration neither the traced pair nor
+	// a bare kernel covers, and commits through commit beside it. The
+	// interpreter counts too, so rc's counters have a reference.
 	ri := New(n, Options{Engine: EngineKernel, MemX: memx})
-	rk := New(n, Options{Engine: EngineInterp, MemX: memx})
+	rk := New(n, Options{Engine: EngineInterp, MemX: memx, CountActivity: true})
+	rc := New(n, Options{Engine: EngineKernel, MemX: memx, CountActivity: true})
 	ri.BindStimulus(st)
 	rk.BindStimulus(st)
+	rc.BindStimulus(st)
 	if err := ri.Restore(sp, sti); err != nil {
 		t.Fatal(err)
 	}
 	if err := rk.Restore(sp, stk); err != nil {
 		t.Fatal(err)
 	}
+	if err := rc.Restore(sp, stk); err != nil {
+		t.Fatal(err)
+	}
 	// Nothing is marked toggled before the path records.
-	checkAgreement(t, fmt.Sprintf("seed %d restored", seed), ri, rk)
+	checkRestored := func(ctx string) {
+		t.Helper()
+		checkAgreement(t, ctx, rk, ri)
+		checkAgreement(t, ctx+" (counting kernel)", rk, rc)
+		checkSameKernel(t, ctx, rc, ri)
+		ri.checkInvariants(t, ctx+" kernel")
+		rk.checkInvariants(t, ctx+" interpreter")
+		rc.checkInvariants(t, ctx+" counting kernel")
+	}
+	checkRestored(fmt.Sprintf("seed %d restored", seed))
 	ri.StartRecording()
 	rk.StartRecording()
+	rc.StartRecording()
 	for step := 0; step < 20; step++ {
 		s1, e1 := ri.Step()
 		s2, e2 := rk.Step()
-		if (e1 == nil) != (e2 == nil) || s1 != s2 {
-			t.Fatalf("seed %d restored step %d: %v/%v %v/%v", seed, step, s1, s2, e1, e2)
+		s3, e3 := rc.Step()
+		if (e1 == nil) != (e2 == nil) || s1 != s2 || (e1 == nil) != (e3 == nil) || s1 != s3 {
+			t.Fatalf("seed %d restored step %d: %v/%v/%v %v/%v/%v", seed, step, s1, s2, s3, e1, e2, e3)
 		}
 		if e1 != nil {
 			break
 		}
-		checkAgreement(t, fmt.Sprintf("seed %d restored step %d", seed, step), ri, rk)
-		checkClockSamples(t, fmt.Sprintf("seed %d restored step %d", seed, step), ri)
+		checkRestored(fmt.Sprintf("seed %d restored step %d", seed, step))
 	}
 }
 

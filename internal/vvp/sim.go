@@ -19,7 +19,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"symsim/internal/logic"
 	"symsim/internal/netlist"
@@ -218,35 +217,21 @@ type Simulator struct {
 	buckets [][]netlist.GateID // interpreter only
 	inQ     []bool             // interpreter only
 
-	// The kernel's clock-edge fast path (kernel.go). edgeNet is the clock
-	// net while Step commits a toggle that cleanEdge accepted and NoNet at
-	// every other time, so it is the only thing commit tests; edgePending
-	// asks settle to sample the flip-flops once the Active region has
-	// drained; edges counts the toggles taken this way.
+	// The kernel's regime bits, each written only where DESIGN.md §8 "The
+	// contract" says. edgeNet is the clock net while Step commits a toggle
+	// cleanEdge accepted, NoNet otherwise; edgePending asks settle for
+	// sampleEdge once the Active region has drained; edges counts the clean
+	// edges. follow makes the domain clock's level every flip-flop's clock
+	// sample (clkSample) from a clean edge to the clock's next general
+	// commit. zSeen is set by the first commit of a Z and never cleared.
+	// quiet is true on the kernel while every net of prog.Resets is at 1,
+	// and commit then leaves prog.DataRuns unmarked (setQuiet).
 	edgeNet     netlist.NetID
 	edgePending bool
 	edges       uint64
-	// follow is true from a clean edge to the next commit of the domain
-	// clock that is not one: while it is, every flip-flop's clock sample is
-	// the clock's current level, whatever lastClk holds (clkSample), so a
-	// clean edge stores no sample. commit writes the old level into lastClk
-	// before it clears the flag.
-	follow bool
-	// zSeen is set by the first commit of a Z and never cleared. Until then
-	// no net holds Z, so a capture with EN at 0 holds Q — Mux folds a Z on
-	// Q to X, and nothing else — and sampleEdge skips a disabled group whole.
-	zSeen bool
-
-	// quiet is true while every net of prog.Resets is at 1 (kernel only),
-	// and commit then leaves prog.DataRuns unmarked. With its reset at 1 a
-	// flip-flop acts only on a change of its clock, and that marks it
-	// through FanRuns or is handled by clockEdge: a flip-flop that is not
-	// dirty has clkSample(g) == val[clk], so evaluating it for a move of D or
-	// EN would do nothing. With a reset at X it would do something — stepDFF
-	// re-merges Q on every evaluation, and a move of D is what schedules
-	// one — so then the data pins are marked like any other. commit
-	// recomputes quiet when a reset net moves; nothing else writes it.
-	quiet bool
+	follow      bool
+	zSeen       bool
+	quiet       bool
 
 	// Scratch buffers recycled across settle rounds (steady-state stepping
 	// allocates nothing).
@@ -346,7 +331,7 @@ func New(d *netlist.Netlist, opts Options) *Simulator {
 	for i := range s.lastClk {
 		s.lastClk[i] = logic.X
 	}
-	s.quiet = s.prog != nil && s.resetsHigh() // no flip-flop, no reset to wait for
+	s.setQuiet()
 	s.mem = make([]memState, len(d.Mems))
 	for i, m := range d.Mems {
 		ms := memState{
@@ -528,10 +513,14 @@ func (s *Simulator) StartRecording() {
 // simulator.
 func (s *Simulator) Toggled() []bool { return s.toggled }
 
-// forceIdx returns the position of net id in the sorted forces slice, or
-// the insertion point when no force on id exists.
-func (s *Simulator) forceIdx(id netlist.NetID) int {
-	return sort.Search(len(s.forces), func(i int) bool { return s.forces[i].net >= id })
+// forceAt returns the position of net id in the sorted forces slice and
+// whether a force on id is there; without one, the position is where it
+// would be inserted.
+func (s *Simulator) forceAt(id netlist.NetID) (int, bool) {
+	//symsim:allow SA001 force lookup runs only while forces are active; the benchmarked steady state has none
+	return slices.BinarySearchFunc(s.forces, id, func(f force, id netlist.NetID) int {
+		return cmp.Compare(f.net, id)
+	})
 }
 
 // Force overrides the value of a net until the given absolute release
@@ -540,21 +529,18 @@ func (s *Simulator) forceIdx(id netlist.NetID) int {
 // reasserts itself at release.
 func (s *Simulator) Force(id netlist.NetID, v logic.Value, release uint64) {
 	f := force{net: id, val: v, release: release}
-	i := s.forceIdx(id)
-	if i < len(s.forces) && s.forces[i].net == id {
+	if i, ok := s.forceAt(id); ok {
 		s.forces[i] = f
 	} else {
-		s.forces = append(s.forces, force{})
-		copy(s.forces[i+1:], s.forces[i:])
-		s.forces[i] = f
+		s.forces = slices.Insert(s.forces, i, f)
 	}
 	s.commit(id, v, RegionActive)
 }
 
 // Forced reports whether net id currently has a force applied.
 func (s *Simulator) Forced(id netlist.NetID) bool {
-	i := s.forceIdx(id)
-	return i < len(s.forces) && s.forces[i].net == id
+	_, ok := s.forceAt(id)
+	return ok
 }
 
 func (s *Simulator) releaseExpired() {
@@ -601,10 +587,7 @@ func (s *Simulator) commit(id netlist.NetID, v logic.Value, region Region) {
 	if len(s.forces) != 0 {
 		// A forced net holds its forced value against driver updates
 		// until released (Verilog force/release semantics).
-		//symsim:allow SA001 force lookup runs only while forces are active; the benchmarked steady state has none
-		if i, ok := slices.BinarySearchFunc(s.forces, id, func(f force, id netlist.NetID) int {
-			return cmp.Compare(f.net, id)
-		}); ok {
+		if i, ok := s.forceAt(id); ok {
 			v = s.forces[i].val
 		}
 	}
@@ -632,13 +615,13 @@ func (s *Simulator) commit(id netlist.NetID, v logic.Value, region Region) {
 			return
 		}
 		if p.SlowCommit(id) {
-			// A reset net, a net on a memory pin, the domain clock; the
-			// first is what quiet is a function of, and the last ends a
-			// run of clean edges when it commits here.
+			// A reset net, a net on a memory pin, the domain clock: quiet
+			// follows the first, and the last ends a run of clean edges
+			// when it commits here.
 			if s.follow && id == p.Clock.Net {
 				s.unfollow(p.Clock, old)
 			}
-			s.quiet = s.resetsHigh()
+			s.setQuiet()
 			for _, m := range p.MemFanOf(id) {
 				s.markMem(m)
 			}
@@ -657,16 +640,21 @@ func (s *Simulator) commit(id netlist.NetID, v logic.Value, region Region) {
 	}
 }
 
-// resetsHigh reports whether every reset net of the compiled design is at 1.
+// setQuiet recomputes quiet, and is the one place that writes it: true on
+// the kernel exactly while every net of prog.Resets is at 1 (a design with
+// no flip-flop has no reset to wait for).
 //
 //symsim:hotpath
-func (s *Simulator) resetsHigh() bool {
-	for _, r := range s.prog.Resets {
-		if s.val[r] != logic.Hi {
-			return false
+func (s *Simulator) setQuiet() {
+	s.quiet = s.prog != nil
+	if s.quiet {
+		for _, r := range s.prog.Resets {
+			if s.val[r] != logic.Hi {
+				s.quiet = false
+				return
+			}
 		}
 	}
-	return true
 }
 
 // evalGate processes one dirty gate in the Active region.
