@@ -8,6 +8,28 @@ import (
 	"symsim/internal/vvp"
 )
 
+// warmState builds the platform, runs a scalar simulator past reset and
+// returns everything needed to admit lanes at that state.
+func warmState(b testing.TB, d symsim.Design, bench string) (*symsim.Platform, vvp.State) {
+	b.Helper()
+	p, err := symsim.BuildPlatform(d, bench)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := p.Design.Freeze(); err != nil {
+		b.Fatal(err)
+	}
+	warm := vvp.New(p.Design, vvp.Options{DisableSymbolic: true})
+	warm.SetMonitorX(&p.Monitor)
+	warm.BindStimulus(p.Stimulus())
+	for warm.Now() <= uint64(2*p.ResetCycles)*p.HalfPeriod+1 {
+		if _, err := warm.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return p, warm.Snapshot(p.Spec)
+}
+
 // stateCyclesLater restores st into a scalar kernel simulator, free-runs it
 // for the given number of clock cycles and returns the state it reached.
 func stateCyclesLater(t testing.TB, p *symsim.Platform, st vvp.State, cycles uint64) vvp.State {

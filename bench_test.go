@@ -1,35 +1,36 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation section, plus ablations for the design choices called
-// out in DESIGN.md. Run everything with
+// Go benchmarks for what no whole-analysis number shows. The performance
+// record is benchmark/ (go run -C benchmark .; benchmark/README.md): the
+// Table-3/4 counts, platform set-up, engine and batch throughput, tracing
+// overhead and the bespoke step are its metrics, and nothing records these
+// benchmarks. Each stays for one reason:
 //
-//	go test -bench=. -benchmem
+//   - SettleSteadyState: 0 allocs/op of a steady-state step, and ns and evaluations per clock edge.
+//   - RestoreTurnover: a scalar Restore + SnapshotInto between states ten cycles apart.
+//   - NewSimulator: the B/op of one simulator, the machine state an explorer allocates.
+//   - BatchKernelSweep: batch-N against N scalar kernels; benchmark/'s vvp.batch_lane_step_ns applies its load.
+//   - BatchLaneTurnover: retire + admit + snapshot of one batch lane beside 0, 3 and 15 occupied lanes.
+//   - AblationMergePolicy (E8): paths and gates under four CSM policies; benchmark/ runs merge-all only.
+//   - AblationSymbolTracking (E9): anonymous X against identified symbols; no workload runs symeval.
+//   - AblationParallelism (E10): path workers 1 to 8; benchmark/ fixes them at 1 or 2.
+//   - AblationMemX: Verilog-compatible against sound X-address writes; benchmark/ runs Verilog only.
 //
-// Absolute wall-clock numbers are this reproduction's, not the paper's
-// (their substrate was a C++ iverilog fork on a Xeon server); the custom
-// metrics attached to each benchmark (reduction %, path counts, simulated
-// cycles) are the quantities the paper reports and are what the shape
-// comparison in EXPERIMENTS.md is based on.
+// Run them with
+//
+//	go test -run '^$' -bench . -benchmem .
 package symsim_test
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"testing"
 	"time"
 
 	"symsim"
-	"symsim/internal/obs"
 	"symsim/internal/vvp"
 )
 
-// analyzeOnce runs one co-analysis cell and reports the paper's metrics.
-// The build phase — platform elaboration, the netlist freeze and the
-// level-major Program compile — is kept off the clock: elaboration is
-// measured by BenchmarkTable2Synthesis, and Freeze/Program are one-time
-// per-netlist costs (cached) that would otherwise dilute every analysis
-// benchmark by a constant. What remains on the clock is the run phase:
-// pure path exploration.
+// analyzeOnce runs one co-analysis cell with the build phase — platform
+// elaboration, the netlist freeze and the level-major Program compile —
+// off the clock, so what is timed is path exploration alone.
 func analyzeOnce(b *testing.B, d symsim.Design, bench string, cfg symsim.Config) *symsim.Result {
 	b.Helper()
 	b.StopTimer()
@@ -44,147 +45,11 @@ func analyzeOnce(b *testing.B, d symsim.Design, bench string, cfg symsim.Config)
 	}
 	p.Design.Program()
 	b.StartTimer()
-	// SYMSIM_BENCH_ENGINE=interp flips benchmarks that run the default
-	// engine (the kernel) onto the interpreter, so the whole Table-3/4
-	// matrix can be timed under either engine — the acceptance comparison
-	// for the compiled kernel. Benchmarks that pin an engine explicitly
-	// (EngineComparison) are unaffected.
-	if cfg.Engine == symsim.EngineKernel && os.Getenv("SYMSIM_BENCH_ENGINE") == "interp" {
-		cfg.Engine = symsim.EngineInterp
-	}
 	res, err := symsim.Analyze(p, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return res
-}
-
-// cells enumerates the full benchmark x design evaluation matrix.
-func cells() []struct {
-	Bench  string
-	Design symsim.Design
-} {
-	var out []struct {
-		Bench  string
-		Design symsim.Design
-	}
-	for _, bench := range symsim.Benchmarks() {
-		for _, d := range []symsim.Design{symsim.BM32, symsim.OMSP430, symsim.DR5} {
-			out = append(out, struct {
-				Bench  string
-				Design symsim.Design
-			}{bench, d})
-		}
-	}
-	return out
-}
-
-// BenchmarkTable3GateCounts regenerates the Table 3 measurement for every
-// benchmark x design cell: exercisable gate count and percent reduction.
-func BenchmarkTable3GateCounts(b *testing.B) {
-	for _, c := range cells() {
-		c := c
-		b.Run(fmt.Sprintf("%s/%s", c.Bench, c.Design), func(b *testing.B) {
-			var res *symsim.Result
-			for i := 0; i < b.N; i++ {
-				res = analyzeOnce(b, c.Design, c.Bench, symsim.Config{})
-			}
-			b.ReportMetric(float64(res.ExercisableCount), "gates")
-			b.ReportMetric(res.ReductionPct(), "%reduction")
-		})
-	}
-}
-
-// BenchmarkTable4Paths regenerates the Table 4 measurement for every cell:
-// simulation paths created, skipped and superseded plus simulated cycles.
-func BenchmarkTable4Paths(b *testing.B) {
-	for _, c := range cells() {
-		c := c
-		b.Run(fmt.Sprintf("%s/%s", c.Bench, c.Design), func(b *testing.B) {
-			var res *symsim.Result
-			for i := 0; i < b.N; i++ {
-				res = analyzeOnce(b, c.Design, c.Bench, symsim.Config{})
-			}
-			b.ReportMetric(float64(res.PathsCreated), "paths")
-			b.ReportMetric(float64(res.PathsSkipped), "skipped")
-			b.ReportMetric(float64(res.PathsSuperseded), "superseded")
-			b.ReportMetric(float64(res.SimulatedCycles), "cycles")
-		})
-	}
-}
-
-// BenchmarkFigure5Reduction regenerates the Figure 5 series: the toggled
-// gate-count reduction per benchmark, one sub-benchmark per design, with
-// the series value attached as a metric.
-func BenchmarkFigure5Reduction(b *testing.B) {
-	for _, d := range []symsim.Design{symsim.BM32, symsim.OMSP430, symsim.DR5} {
-		d := d
-		b.Run(string(d), func(b *testing.B) {
-			var total float64
-			for i := 0; i < b.N; i++ {
-				total = 0
-				for _, bench := range symsim.Benchmarks() {
-					res := analyzeOnce(b, d, bench, symsim.Config{})
-					total += res.ReductionPct()
-				}
-			}
-			b.ReportMetric(total/float64(len(symsim.Benchmarks())), "mean%reduction")
-		})
-	}
-}
-
-// BenchmarkFigure6Paths regenerates the Figure 6 series: simulated paths
-// per benchmark, one sub-benchmark per design.
-func BenchmarkFigure6Paths(b *testing.B) {
-	for _, d := range []symsim.Design{symsim.BM32, symsim.OMSP430, symsim.DR5} {
-		d := d
-		b.Run(string(d), func(b *testing.B) {
-			var total int
-			for i := 0; i < b.N; i++ {
-				total = 0
-				for _, bench := range symsim.Benchmarks() {
-					res := analyzeOnce(b, d, bench, symsim.Config{})
-					total += res.PathsCreated
-				}
-			}
-			b.ReportMetric(float64(total), "paths-total")
-		})
-	}
-}
-
-// BenchmarkTable2Synthesis measures platform elaboration (the "synthesis"
-// substrate producing the Table 2 gate counts).
-func BenchmarkTable2Synthesis(b *testing.B) {
-	for _, d := range []symsim.Design{symsim.BM32, symsim.OMSP430, symsim.DR5} {
-		d := d
-		b.Run(string(d), func(b *testing.B) {
-			var gates int
-			for i := 0; i < b.N; i++ {
-				p, err := symsim.BuildPlatform(d, "tea8")
-				if err != nil {
-					b.Fatal(err)
-				}
-				gates = len(p.Design.Gates)
-			}
-			b.ReportMetric(float64(gates), "gates")
-		})
-	}
-}
-
-// BenchmarkBespokeFlow measures the pruning + re-synthesis step of the
-// bespoke generation (paper §3) on the largest design.
-func BenchmarkBespokeFlow(b *testing.B) {
-	res := analyzeOnce(b, symsim.BM32, "tHold", symsim.Config{})
-	b.ResetTimer()
-	var out *symsim.BespokeResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		out, err = symsim.Bespoke(res)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(out.BespokeGates), "bespoke-gates")
 }
 
 // --- Ablations (DESIGN.md experiment index E8-E10) ---
@@ -302,34 +167,6 @@ func BenchmarkAblationMemX(b *testing.B) {
 		}
 		b.ReportMetric(float64(res.ExercisableCount), "gates")
 	})
-}
-
-// BenchmarkEngineComparison runs the same tHold co-analysis on every CPU
-// under both engines — the before/after of the compiled-kernel tentpole.
-// The speedup quoted in README.md is interp ns/op over kernel ns/op per
-// design; ns/cycle normalizes by the simulated cycle count.
-func BenchmarkEngineComparison(b *testing.B) {
-	engines := []struct {
-		name string
-		e    symsim.SimEngine
-	}{
-		{"interp", symsim.EngineInterp},
-		{"kernel", symsim.EngineKernel},
-		{"batch", symsim.EngineBatch},
-	}
-	for _, d := range []symsim.Design{symsim.BM32, symsim.OMSP430, symsim.DR5} {
-		for _, eng := range engines {
-			d, eng := d, eng
-			b.Run(fmt.Sprintf("%s/%s", d, eng.name), func(b *testing.B) {
-				var res *symsim.Result
-				for i := 0; i < b.N; i++ {
-					res = analyzeOnce(b, d, "tHold", symsim.Config{Engine: eng.e})
-				}
-				b.ReportMetric(float64(res.SimulatedCycles), "cycles")
-				b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/float64(res.SimulatedCycles), "ns/cycle")
-			})
-		}
-	}
 }
 
 // BenchmarkSettleSteadyState measures one steady-state clock step of the
@@ -536,56 +373,103 @@ func BenchmarkNewSimulator(b *testing.B) {
 	}
 }
 
-// BenchmarkObsOverhead measures the cost of the observability layer on a
-// fork-heavy co-analysis: "off" is the default path (metrics only, the
-// always-on configuration every run pays), "trace" additionally streams
-// the JSONL span/decision log. The acceptance criterion for the tentpole
-// is that "off" stays within noise of the pre-observability baseline; the
-// off-vs-trace delta in BENCH_obs.json is the advertised cost of -trace.
-func BenchmarkObsOverhead(b *testing.B) {
-	for _, mode := range []string{"off", "trace"} {
-		mode := mode
-		b.Run(mode, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// Fresh registry per iteration: steady-state per-PC label
-				// sets stay bounded and both modes do identical registry
-				// work, isolating the tracer cost.
-				cfg := symsim.Config{Metrics: obs.NewRegistry()}
-				if mode == "trace" {
-					cfg.Tracer = obs.NewTracer(io.Discard)
+// BenchmarkBatchKernelSweep measures one steady-state stimulus step of N
+// concurrent scenarios, free-running BM32/tHold from the same post-reset
+// state. scalar-N steps N independent compiled-kernel simulators; batch-N
+// packs the N scenarios as lanes of one BatchSim, so every sweep over the
+// level bitmap serves all N at once. ns/op is the cost of advancing ALL N
+// scenarios by one half-period; lane-steps/s is the aggregate throughput,
+// and batch-N over scalar-N the sweep's speedup at N lanes.
+func BenchmarkBatchKernelSweep(b *testing.B) {
+	for _, lanes := range []int{1, 8, 16, 64} {
+		lanes := lanes
+		b.Run(fmt.Sprintf("scalar/lanes=%d", lanes), func(b *testing.B) {
+			p, st := warmState(b, symsim.BM32, "tHold")
+			sims := make([]*vvp.Simulator, lanes)
+			for i := range sims {
+				sims[i] = vvp.New(p.Design, vvp.Options{Engine: vvp.EngineKernel, DisableSymbolic: true})
+				sims[i].BindStimulus(p.Stimulus())
+				if err := sims[i].Restore(p.Spec, st); err != nil {
+					b.Fatal(err)
 				}
-				analyzeOnce(b, symsim.DR5, "mult", cfg)
 			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, sim := range sims {
+					if _, err := sim.Step(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.N)*float64(lanes)/b.Elapsed().Seconds(), "lane-steps/s")
+		})
+		b.Run(fmt.Sprintf("batch/lanes=%d", lanes), func(b *testing.B) {
+			p, st := warmState(b, symsim.BM32, "tHold")
+			bs := vvp.NewBatchSim(p.Design, vvp.BatchOptions{})
+			bs.BindStimulus(p.Stimulus())
+			for l := 0; l < lanes; l++ {
+				if err := bs.RestoreLane(p.Spec, st, l); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Two untimed clock cycles first: the NBA queue is a pair of
+			// buffers swapped at every drain and each grows to its
+			// steady-state capacity on its first posedge, which a
+			// 2-iteration run would otherwise report as allocs/op.
+			for i := 0; i < 4; i++ {
+				if _, _, err := bs.StepAll(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := bs.StepAll(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)*float64(lanes)/b.Elapsed().Seconds(), "lane-steps/s")
 		})
 	}
 }
 
-// BenchmarkEngineThroughput measures the raw event-driven engine: concrete
-// cycles per second on the largest core running tea8.
-func BenchmarkEngineThroughput(b *testing.B) {
-	p, err := symsim.BuildPlatform(symsim.BM32, "tea8")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := p.Design.Freeze(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	cycles := uint64(0)
-	for i := 0; i < b.N; i++ {
-		sim := symsim.NewSimulator(p.Design, symsim.SimOptions{})
-		sim.SetMonitorX(&p.Monitor)
-		sim.BindStimulus(p.Stimulus())
-		for {
-			st, err := sim.Step()
-			if err != nil {
-				b.Fatal(err)
+// BenchmarkBatchLaneTurnover measures what the explorer pays per path
+// segment besides stepping: one op retires a lane, admits the next state
+// into the slot and snapshots it, on BM32/tHold with 0, 3 and 15 other
+// lanes occupied. Admissions alternate between two states ten clock cycles
+// apart — about one Table-4 segment — so each one re-evaluates a real
+// difference; evals/op is the gate visits that costs (the design has
+// 17,534 gates), and the occupied lanes show what a shared settle adds.
+func BenchmarkBatchLaneTurnover(b *testing.B) {
+	for _, others := range []int{0, 3, 15} {
+		others := others
+		b.Run(fmt.Sprintf("others=%d", others), func(b *testing.B) {
+			p, st := warmState(b, symsim.BM32, "tHold")
+			states := [2]vvp.State{st, stateCyclesLater(b, p, st, 10)}
+			bs := vvp.NewBatchSim(p.Design, vvp.BatchOptions{})
+			bs.BindStimulus(p.Stimulus())
+			for l := 0; l <= others; l++ {
+				if err := bs.RestoreLane(p.Spec, st, l); err != nil {
+					b.Fatal(err)
+				}
 			}
-			if st != symsim.Running {
-				break
+			lane := others
+			var snap vvp.State
+			b.ReportAllocs()
+			b.ResetTimer()
+			e0 := bs.Evals()
+			for i := 0; i < b.N; i++ {
+				bs.RetireLane(lane)
+				if err := bs.RestoreLane(p.Spec, states[(i+1)&1], lane); err != nil {
+					b.Fatal(err)
+				}
+				snap = bs.SnapshotLane(p.Spec, lane, snap)
 			}
-		}
-		cycles += sim.Cycles()
+			b.ReportMetric(float64(bs.Evals()-e0)/float64(b.N), "evals/op")
+			if snap.Time != states[b.N&1].Time {
+				b.Fatalf("snapshot at t=%d, restored t=%d", snap.Time, states[b.N&1].Time)
+			}
+		})
 	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 }

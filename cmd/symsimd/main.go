@@ -45,8 +45,6 @@ import (
 
 	"symsim/internal/cliflags"
 	"symsim/internal/cluster"
-	"symsim/internal/fault"
-	"symsim/internal/obs"
 	"symsim/internal/service"
 )
 
@@ -60,7 +58,6 @@ func main() {
 		progress   = flag.Duration("progress-every", 250*time.Millisecond, "progress heartbeat interval streamed to subscribers")
 		keepAlive  = flag.Duration("sse-keepalive", 15*time.Second, "SSE comment-line keep-alive interval (defeats proxy idle timeouts)")
 		leaseTTL   = flag.Duration("lease-ttl", 0, "job lease TTL: a running job making no observable progress this long is requeued under a new lease; the watchdog sweeps every quarter of it (0 = watchdog off)")
-		faultPlan  = flag.String("fault-plan", "", "chaos testing: inject store faults per internal/fault plan spec (e.g. 'rename@3=eio,write@2=short' or 'seed:42:5'); NOT for production")
 		debug      = flag.String("debug", "", "debug listen address for net/http/pprof (e.g. localhost:8467; empty = off)")
 		defaults   = cliflags.Register(flag.CommandLine)
 		clusterCfg = cliflags.RegisterCluster(flag.CommandLine)
@@ -71,18 +68,6 @@ func main() {
 	if clusterCfg.Coordinator && clusterCfg.Worker != "" {
 		logger.Fatalf("-coordinator and -worker are mutually exclusive: a daemon either hosts the runs' state or drives it")
 	}
-	var vfs fault.FS
-	if *faultPlan != "" {
-		plan, err := fault.ParsePlan(*faultPlan)
-		if err != nil {
-			logger.Fatalf("-fault-plan: %v", err)
-		}
-		inj := fault.NewInjector(fault.OS{}, plan)
-		inj.Logf = func(format string, args ...any) { logger.Printf(format, args...) }
-		inj.Counter = obs.Default.Counter("symsim_fault_injected_total", "Faults injected into the store by the chaos fault plan.")
-		vfs = inj
-		logger.Printf("CHAOS MODE: store faults injected per plan %q", *faultPlan)
-	}
 	svc, err := service.New(service.Config{
 		DataDir:         *dataDir,
 		Workers:         *jobs,
@@ -91,7 +76,6 @@ func main() {
 		ProgressEvery:   *progress,
 		SSEKeepAlive:    *keepAlive,
 		LeaseTTL:        *leaseTTL,
-		FS:              vfs,
 		Defaults:        &defaults.Spec,
 		Logf:            func(format string, args ...any) { logger.Printf(format, args...) },
 	})

@@ -9,9 +9,9 @@ import (
 
 // SA001: functions transitively reachable from a //symsim:hotpath root
 // must be allocation-free. The kernel's 0 allocs/op steady state is a
-// benchmark-verified property (BENCH_kernel.json); this analyzer makes it
-// a compile-time gate by flagging every construct that allocates or that
-// defeats static verification:
+// benchmark-verified property (BenchmarkSettleSteadyState); this analyzer
+// makes it a compile-time gate by flagging every construct that allocates
+// or that defeats static verification:
 //
 //   - make / new / append (growth cannot be ruled out statically)
 //   - composite literals of slice or map type, and &T{…}

@@ -105,9 +105,6 @@ type Config struct {
 	// negative values are rejected by validation. EngineBatch always runs
 	// one explorer: its parallelism is the lanes.
 	Workers int
-	// MaxCyclesPerPath bounds one path segment; 0 means 1<<20. Exceeding
-	// it is a hard error (a runaway path is a platform bug, not a budget).
-	MaxCyclesPerPath uint64
 	// MaxPaths bounds total created paths; 0 means 1<<20. Exhausting it
 	// is a hard error ("no silent caps"); use Budget.MaxForks for the
 	// gracefully-degrading bound.
@@ -172,8 +169,8 @@ type Config struct {
 	// application facts (csm.Pruner), the scheduler normally drops the
 	// child before it is ever created. Pruning is sound by construction —
 	// only states contradicting a designer-supplied fact are dropped — so
-	// this knob exists for A/B measurement (the bench harness runs each
-	// cell with pruning off and on), not as a safety valve.
+	// this knob exists for A/B comparison (prune_test.go runs
+	// openMSP430/tHold with pruning off and on), not as a safety valve.
 	DisablePrune bool
 
 	// keepSuperseded makes admit simulate the entries the frontier reports
@@ -184,6 +181,10 @@ type Config struct {
 	// validated by Freeze, whose first-failure errors are far less
 	// descriptive); only tests in _test.go set it.
 	skipLint bool
+	// maxCyclesPerPath bounds one path segment; 0 means 1<<20. Exceeding
+	// it is a hard error (a runaway path is a platform bug, not a budget);
+	// only tests in _test.go lower it.
+	maxCyclesPerPath uint64
 }
 
 // PathEnd describes how one simulated path segment terminated.
@@ -455,8 +456,8 @@ func prepare(p *Platform, cfg *Config) error {
 	if err := validate(p, cfg); err != nil {
 		return err
 	}
-	if cfg.MaxCyclesPerPath == 0 {
-		cfg.MaxCyclesPerPath = 1 << 20
+	if cfg.maxCyclesPerPath == 0 {
+		cfg.maxCyclesPerPath = 1 << 20
 	}
 	if cfg.MaxPaths == 0 {
 		cfg.MaxPaths = 1 << 20

@@ -348,6 +348,8 @@ func TestPathBudgetExhaustionErrors(t *testing.T) {
 }
 
 // A per-path cycle budget too small for the reset-to-halt run must error.
+// Past the cold boot it must too, on every engine, naming the forked
+// segment that ran into it.
 func TestCycleBudgetExhaustionErrors(t *testing.T) {
 	a := rv32.NewAsm()
 	a.LI(rv32.T0, 100)
@@ -359,8 +361,29 @@ func TestCycleBudgetExhaustionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.Analyze(p, core.Config{MaxCyclesPerPath: 8}); err == nil {
+	if _, err := core.Analyze(p, core.MaxCyclesPerPath(core.Config{}, 8)); err == nil {
 		t.Fatal("exhausted cycle budget did not error")
+	}
+
+	// The cold boot (path 0) halts at a branch on an X input. The not-taken
+	// side, popped first and so path 1, finishes at once; the taken side,
+	// path 2, spins on a concrete condition.
+	a = rv32.NewAsm()
+	a.XWord(0)
+	a.LW(rv32.T0, rv32.X0, 0)
+	a.BNE(rv32.T0, rv32.X0, "spin")
+	a.Halt()
+	a.Label("spin")
+	a.ADDI(rv32.T1, rv32.T1, 1)
+	a.BEQ(rv32.X0, rv32.X0, "spin")
+	if p, err = dr5.Build(a.MustAssemble()); err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []vvp.Engine{vvp.EngineKernel, vvp.EngineBatch} {
+		_, err := core.Analyze(p, core.MaxCyclesPerPath(core.Config{Engine: eng}, 64))
+		if want := "core: path 2: vvp: cycle limit 64 reached"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v: error %v, want one containing %q", eng, err, want)
+		}
 	}
 }
 

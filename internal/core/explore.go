@@ -294,8 +294,8 @@ func (x *explorer) step() (fin, hal uint64, err error) {
 			break
 		}
 		for m := x.occupied; m != 0 && err == nil; m &= m - 1 {
-			if l := bits.TrailingZeros64(m); x.eng.CyclesLane(l) >= x.cfg.MaxCyclesPerPath {
-				err = x.pathErr(l, fmt.Errorf("vvp: cycle limit %d reached at t=%d", x.cfg.MaxCyclesPerPath, x.eng.NowLane(l)))
+			if l := bits.TrailingZeros64(m); x.eng.CyclesLane(l) >= x.cfg.maxCyclesPerPath {
+				err = x.pathErr(l, fmt.Errorf("vvp: cycle limit %d reached at t=%d", x.cfg.maxCyclesPerPath, x.eng.NowLane(l)))
 			}
 		}
 		if err != nil {

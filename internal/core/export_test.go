@@ -19,6 +19,13 @@ func SkipLint(cfg Config) Config {
 	return cfg
 }
 
+// MaxCyclesPerPath returns cfg with the per-path cycle limit lowered to n,
+// so a test can trip it on a short program.
+func MaxCyclesPerPath(cfg Config, n uint64) Config {
+	cfg.maxCyclesPerPath = n
+	return cfg
+}
+
 // StrandSuperseded replaces r's frontier with one forked child that a
 // strictly wider sibling — already popped — supersedes: the next Admit
 // drops it and finds the run exhausted.

@@ -261,8 +261,8 @@ type Source interface {
 // admit → restore → step → retire loop AnalyzeContext runs locally, over
 // the engine cfg selects, until src has nothing to admit and every lane
 // has settled. Of cfg it reads the driver's half — Engine, Lanes, MemX,
-// MaxCyclesPerPath, OnHalt, Trace, Metrics and the lint fields; policy,
-// budgets, checkpointing and progress belong to the state. A fatal error
+// OnHalt, Trace, Metrics and the lint fields; policy, budgets,
+// checkpointing and progress belong to the state. A fatal error
 // (a simulator fault, the per-path cycle limit, undecodable work) is
 // returned with the segments admitted so far left unsettled.
 func Explore(p *Platform, cfg Config, src Source) error {

@@ -22,8 +22,6 @@ import (
 	"sync"
 	"syscall"
 	"time"
-
-	"symsim/internal/obs"
 )
 
 // FS is the filesystem seam the service store writes through. It mirrors
@@ -186,7 +184,7 @@ func CrashPlan(nthOp int) *Plan {
 	return &Plan{Rules: []Rule{{Op: OpAny, Nth: nthOp, Kind: KindCrash}}}
 }
 
-// ParsePlan parses the fault-plan DSL:
+// ParsePlan parses the plan DSL:
 //
 //	plan  = spec *("," spec)
 //	spec  = rule | "seed:" int [":" count]
@@ -286,12 +284,6 @@ type Injector struct {
 	inner FS
 	plan  *Plan
 
-	// Counter, when set, counts every injected fault into the
-	// observability registry (symsim_fault_injected_total in symsimd).
-	Counter *obs.Counter
-	// Logf, when set, receives one line per injected fault.
-	Logf func(format string, args ...any)
-
 	mu      sync.Mutex
 	seen    []int // matches observed per rule
 	totalOp int   // global operation count (OpAny matching)
@@ -377,14 +369,8 @@ func (in *Injector) check(op Op, path string) decision {
 			d.short = op == OpWrite // a crash mid-write tears the buffer
 		}
 		in.faults++
-		if in.Logf != nil {
-			in.Logf("fault: injected %s at %s #%d (%s)", r.Kind, op, in.seen[i], path)
-		}
 	}
 	in.mu.Unlock()
-	if d.err != nil || d.latency > 0 {
-		in.Counter.Inc()
-	}
 	if d.latency > 0 {
 		time.Sleep(d.latency)
 	}

@@ -253,7 +253,7 @@ func newTransitionFixture(t *testing.T, vfs fault.FS) *transitionFixture {
 		Workers:       1,
 		BuildPlatform: loopPlatform(t, 0x1),
 		Metrics:       obs.NewRegistry(),
-		FS:            vfs,
+		fs:            vfs,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ func TestRefusedSubmitIsNotAccepted(t *testing.T) {
 		ProgressEvery: time.Millisecond,
 		BuildPlatform: loopPlatform(t, 0x3),
 		Metrics:       obs.NewRegistry(),
-		FS:            fault.NewInjector(nil, plan),
+		fs:            fault.NewInjector(nil, plan),
 		tuneConfig:    func(string, *core.Config) { <-gate },
 	})
 	if err != nil {

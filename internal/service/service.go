@@ -54,10 +54,6 @@ type Config struct {
 	// core analysis) publishes into, served at /metrics in Prometheus
 	// text format. Nil selects obs.Default.
 	Metrics *obs.Registry
-	// FS is the filesystem the durable store writes through. Nil means
-	// the real OS; the fault-injection harness (and symsimd's chaos flag)
-	// installs a fault.Injector here.
-	FS fault.FS
 	// LeaseTTL enables the job-lease watchdog: a running job whose
 	// analysis makes no observable progress for LeaseTTL is presumed
 	// wedged, its context is canceled, and the job re-queues under a new
@@ -74,6 +70,10 @@ type Config struct {
 	// before the analysis starts — a test seam for installing hooks
 	// (e.g. an OnHalt that blocks mid-run to make drain deterministic).
 	tuneConfig func(jobID string, cc *core.Config)
+	// fs, when non-nil, is the filesystem the durable store writes
+	// through instead of the real OS — the fault-injection tests' seam
+	// for a fault.Injector.
+	fs fault.FS
 }
 
 // job is the in-memory view of one job: its persisted record plus the
@@ -242,7 +242,7 @@ func New(cfg Config) (*Service, error) {
 		cfg.LeaseCheckEvery = max(cfg.LeaseTTL/4, 10*time.Millisecond)
 	}
 
-	st, reaped, reapErrs, err := openStore(cfg.DataDir, cfg.FS)
+	st, reaped, reapErrs, err := openStore(cfg.DataDir, cfg.fs)
 	if err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func runTortureLifetime(t *testing.T, dir string, vfs fault.FS) (accepted []stri
 		// final drain checkpoint is the one that matters here.
 		CheckpointEvery: time.Hour,
 		BuildPlatform:   loopPlatform(t, 0x3),
-		FS:              vfs,
+		fs:              vfs,
 	})
 	if err != nil {
 		// The injected fault killed the store open itself — a legal
@@ -394,7 +394,7 @@ func TestSubmitRefusedWhileStoreDown(t *testing.T) {
 		Workers:       1,
 		ProgressEvery: time.Millisecond,
 		BuildPlatform: loopPlatform(t, 0x3),
-		FS:            fault.NewInjector(nil, plan),
+		fs:            fault.NewInjector(nil, plan),
 	})
 	if err != nil {
 		t.Fatal(err)

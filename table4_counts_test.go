@@ -11,6 +11,23 @@ import (
 
 var updateCounts = flag.Bool("update", false, "rewrite testdata/table4_counts*.json from this run")
 
+// cell is one benchmark x design cell of the Table-4 matrix.
+type cell struct {
+	Bench  string
+	Design symsim.Design
+}
+
+// cells enumerates the 18 cells, benchmark-major.
+func cells() []cell {
+	var out []cell
+	for _, bench := range symsim.Benchmarks() {
+		for _, d := range []symsim.Design{symsim.BM32, symsim.OMSP430, symsim.DR5} {
+			out = append(out, cell{bench, d})
+		}
+	}
+	return out
+}
+
 // cellCounts are the deterministic exploration counts of one Table-4 cell
 // (kernel engine, one worker) under one CSM policy. Policy is empty for
 // merge-all, the default. Gates is the exercisable-gate count, recorded on
