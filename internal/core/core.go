@@ -155,9 +155,11 @@ type Config struct {
 	// tolerated and, with a nil LintWarn, silently dropped.
 	LintWarn func(lint.Diag)
 	// Metrics selects the registry the run publishes exploration metrics
-	// into (paths by end, per-PC fork/merge/skip counters, segment
-	// histograms, engine effort); nil selects obs.Default. Publication is
-	// per path segment and per CSM decision, never per cycle.
+	// into (paths by end, CSM verdicts, segment cycles, engine effort,
+	// budget trips); nil selects obs.Default. Every series is a sum the runs
+	// sharing the registry add to: what one run did at a PC is in its
+	// Tracer's records, where it stands in Progress. Publication is per path
+	// segment and per CSM decision, never per cycle.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, receives the structured exploration trace:
 	// one span per path segment plus the CSM decision log, as rendered by
@@ -333,7 +335,8 @@ type pathOutcome struct {
 	evals  uint64
 	sweeps uint64
 	// pruned counts fork children classify dropped as fact-infeasible,
-	// published with the other segment counters after the lock is released.
+	// published with the other segment counters and in the segment's span
+	// after the lock is released.
 	pruned uint64
 	// uncounted is the part of stat.Cycles no advance has reported yet:
 	// nothing of a local explorer's segment, which flushes as it steps, all
@@ -702,12 +705,6 @@ func (a *analysis) failLocked(err error) {
 // published. It reports false, having done nothing, when the segment is not
 // in flight.
 func (a *analysis) settle(out *pathOutcome, wall time.Duration) bool {
-	// A halt's PC is formatted once, outside the lock, for the decision log
-	// and every per-PC counter it lands in.
-	var pc string
-	if out.stat.End == EndForked {
-		pc = pcLabel(out.stat.HaltPC)
-	}
 	a.mu.Lock()
 	e, ok := a.inflight[out.stat.ID]
 	if !ok {
@@ -736,10 +733,9 @@ func (a *analysis) settle(out *pathOutcome, wall time.Duration) bool {
 	default:
 		a.absorb(*out)
 		if out.stat.End == EndForked {
-			a.classify(out, pc)
+			a.classify(out)
 		}
 	}
-	pending, inflight := a.front.len(), a.active
 	a.mu.Unlock()
 	a.cond.Broadcast()
 	if out.err != nil {
@@ -750,18 +746,11 @@ func (a *analysis) settle(out *pathOutcome, wall time.Duration) bool {
 	// EndSubsumed, so the span and counters read the settled verdict.
 	a.m.paths.With(out.stat.End.String()).Inc()
 	a.m.segCycles.Observe(float64(out.stat.Cycles))
-	a.m.segWall.Observe(wall.Seconds())
 	a.m.cycles.Add(out.stat.Cycles)
 	a.m.evals.Add(out.evals)
 	a.m.sweeps.Add(out.sweeps)
-	a.m.pending.Set(int64(pending))
-	a.m.inflight.Set(int64(inflight))
-	if out.stat.End == EndForked {
-		a.m.forkedByPC.With(pc).Inc()
-	}
 	if out.pruned > 0 {
 		a.m.pruned.Add(out.pruned)
-		a.m.prunedByPC.With(pc).Add(out.pruned)
 	}
 	if out.quarantine != nil {
 		a.m.quarantines.Inc()
@@ -776,6 +765,7 @@ func (a *analysis) settle(out *pathOutcome, wall time.Duration) bool {
 		End:     out.stat.End.String(),
 		Cycles:  out.stat.Cycles,
 		WallUS:  wall.Microseconds(),
+		Pruned:  out.pruned,
 	})
 	if out.stat.End != EndInterrupted {
 		a.maybeCheckpoint()
@@ -800,12 +790,11 @@ func forcedLabel(e entry) string {
 // held, which keeps the (CSM, worklist, result) triple a consistent cut
 // for checkpoints: a halt is either still pending or fully absorbed —
 // never observed by the CSM with its children missing from the worklist.
-// pc is the label of the halt's PC.
-func (a *analysis) classify(out *pathOutcome, pc string) {
+func (a *analysis) classify(out *pathOutcome) {
 	// absorb just appended this path.
 	idx := len(a.res.Paths) - 1
 	d := a.cfg.Policy.Observe(out.halt)
-	a.onDecision(out.stat.ID, pc, out.halt, d)
+	a.onDecision(out.stat.ID, out.halt, d)
 	if d.Subsumed {
 		out.stat.End = EndSubsumed
 		a.res.Paths[idx].End = EndSubsumed
@@ -929,7 +918,7 @@ func (a *analysis) finish() {
 		// logged against path -1 (no segment simulated them).
 		for _, e := range a.front.stack {
 			if e.state.Bits.Width() > 0 && e.state.PCKnown {
-				a.onDecision(-1, pcLabel(e.state.PC), e.state, a.cfg.Policy.Observe(e.state))
+				a.onDecision(-1, e.state, a.cfg.Policy.Observe(e.state))
 				deg.ForcedMerges++
 			}
 		}
@@ -986,9 +975,6 @@ func (a *analysis) finish() {
 	if a.res.Complete {
 		a.m.runsComplete.Inc()
 	}
-	a.m.csmStates.Set(int64(a.res.CSMStates))
-	a.m.pending.Set(0)
-	a.m.inflight.Set(0)
 	a.cfg.Tracer.Emit(obs.Done{
 		T:               obs.RecDone,
 		Complete:        a.res.Complete,

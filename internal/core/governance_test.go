@@ -18,6 +18,7 @@ import (
 	"symsim/internal/isa/rv32"
 	"symsim/internal/logic"
 	"symsim/internal/netlist"
+	"symsim/internal/obs"
 	"symsim/internal/vvp"
 )
 
@@ -236,7 +237,8 @@ func TestForkBudgetDegradesSoundly(t *testing.T) {
 		t.Fatal("unbudgeted run did not complete")
 	}
 	forEngine(t, func(t *testing.T, eng vvp.Engine) {
-		res, err := core.Analyze(buildLoop(t, 0xF), core.Config{Engine: eng, Budget: core.Budget{MaxForks: 1}})
+		reg := obs.NewRegistry()
+		res, err := core.Analyze(buildLoop(t, 0xF), core.Config{Engine: eng, Budget: core.Budget{MaxForks: 1}, Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,6 +248,9 @@ func TestForkBudgetDegradesSoundly(t *testing.T) {
 		deg := res.Degradation
 		if deg == nil || deg.Trip != core.TripForks {
 			t.Fatalf("degradation = %+v, want TripForks", deg)
+		}
+		if got := reg.CounterVec("symsim_budget_trips_total", "", "trip").With("fork-budget").Value(); got != 1 {
+			t.Errorf(`symsim_budget_trips_total{trip="fork-budget"} = %d, want 1`, got)
 		}
 		if deg.PendingPaths == 0 || deg.ForcedMerges == 0 {
 			t.Errorf("degradation did not drain: %+v", deg)
@@ -320,8 +325,10 @@ func TestPanicIsQuarantined(t *testing.T) {
 			forEngine(t, func(t *testing.T, eng vvp.Engine) {
 				var panicked atomic.Bool
 				var victim atomic.Int64
+				reg := obs.NewRegistry()
 				res, err := core.Analyze(buildLoop(t, 0x3), core.Config{
-					Engine: eng,
+					Engine:  eng,
+					Metrics: reg,
 					OnHalt: func(id int, st vvp.State) {
 						if tc.hit(id) && !panicked.Swap(true) {
 							victim.Store(int64(id))
@@ -367,6 +374,9 @@ func TestPanicIsQuarantined(t *testing.T) {
 				}
 				if !sawVictim {
 					t.Errorf("panicking path %d has no quarantine record: %+v", victim.Load(), deg.Quarantined)
+				}
+				if got := reg.Counter("symsim_quarantines_total", "").Value(); got != uint64(len(deg.Quarantined)) {
+					t.Errorf("symsim_quarantines_total = %d, want %d quarantined paths", got, len(deg.Quarantined))
 				}
 				checkAccounting(t, "quarantine", res)
 			})

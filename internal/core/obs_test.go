@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -57,6 +58,12 @@ func TestAnalyzeObservability(t *testing.T) {
 	if cycles := reg.Counter("symsim_cycles_total", ""); cycles.Value() != res.SimulatedCycles {
 		t.Errorf("cycles counter = %d, result = %d", cycles.Value(), res.SimulatedCycles)
 	}
+	if sweeps := reg.Counter("symsim_vvp_kernel_sweeps_total", "").Value(); sweeps == 0 {
+		t.Error("the kernel's sweep counter never moved")
+	}
+	if seg := reg.Histogram("symsim_segment_cycles", "", nil); seg.Count() != uint64(len(res.Paths)) || seg.Sum() != float64(res.SimulatedCycles) {
+		t.Errorf("segment cycles histogram: %d segments, %v cycles; result %d and %d", seg.Count(), seg.Sum(), len(res.Paths), res.SimulatedCycles)
+	}
 
 	log, err := obs.ReadTrace(bytes.NewReader(traceBuf.Bytes()))
 	if err != nil {
@@ -109,6 +116,22 @@ func TestAnalyzeObservability(t *testing.T) {
 	}
 	if subVerdicts != res.PathsSkipped {
 		t.Errorf("subsumed decisions = %d, PathsSkipped = %d", subVerdicts, res.PathsSkipped)
+	}
+	// The verdict counters and the X-gain counter are the decision log's,
+	// counted and summed.
+	xGained, verdicts := 0, make(map[string]uint64)
+	for _, d := range log.Decisions {
+		xGained += d.XGained
+		verdicts[d.Verdict]++
+	}
+	byVerdict := reg.CounterVec("symsim_csm_decisions_total", "", "verdict")
+	for _, v := range []string{csm.VerdictSubsumed, csm.VerdictMerged, csm.VerdictNew} {
+		if got := byVerdict.With(v).Value(); got != verdicts[v] {
+			t.Errorf(`symsim_csm_decisions_total{verdict=%q} = %d, decision log has %d`, v, got, verdicts[v])
+		}
+	}
+	if got := reg.Counter("symsim_csm_x_gained_bits_total", "").Value(); xGained == 0 || got != uint64(xGained) {
+		t.Errorf("symsim_csm_x_gained_bits_total = %d, decision log sums %d (want > 0)", got, xGained)
 	}
 
 	// The whole trace must render.
@@ -195,8 +218,9 @@ func TestSupersededObservability(t *testing.T) {
 }
 
 // Both drivers publish a segment through the same function: the pruned-fork
-// series must follow Result.PathsPruned on the batch engine too (its own
-// publication block used to leave them at zero).
+// counter must follow Result.PathsPruned on the batch engine too (its own
+// publication block used to leave it at zero), and so must the per-PC count
+// the forked spans carry, all of it at the one PC the fact names.
 func TestPrunedForksPublishedByBothDrivers(t *testing.T) {
 	p, err := report.BuildPlatform(report.OMSP430, "tHold")
 	if err != nil {
@@ -210,7 +234,8 @@ func TestPrunedForksPublishedByBothDrivers(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := obs.NewRegistry()
-		res, err := core.Analyze(p, core.Config{Policy: pol, Engine: eng, Metrics: reg})
+		var traceBuf bytes.Buffer
+		res, err := core.Analyze(p, core.Config{Policy: pol, Engine: eng, Metrics: reg, Tracer: obs.NewTracer(&traceBuf)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,9 +245,118 @@ func TestPrunedForksPublishedByBothDrivers(t *testing.T) {
 		if got := reg.Counter("symsim_csm_pruned_forks_total", "").Value(); got != uint64(res.PathsPruned) {
 			t.Errorf("%v: symsim_csm_pruned_forks_total = %d, PathsPruned = %d", eng, got, res.PathsPruned)
 		}
-		byPC := reg.CounterVec("symsim_csm_pruned_by_pc_total", "", "pc")
-		if got := byPC.With("0x1e").Value(); got != uint64(res.PathsPruned) {
-			t.Errorf(`%v: symsim_csm_pruned_by_pc_total{pc="0x1e"} = %d, PathsPruned = %d`, eng, got, res.PathsPruned)
+		log, err := obs.ReadTrace(&traceBuf)
+		if err != nil {
+			t.Fatal(err)
 		}
+		byPC := make(map[uint64]uint64)
+		for _, s := range log.Spans {
+			if s.Pruned > 0 {
+				if s.End != "forked" {
+					t.Errorf("%v: span %d ended %q with %d pruned children, want forked", eng, s.ID, s.End, s.Pruned)
+				}
+				byPC[s.HaltPC] += s.Pruned
+			}
+		}
+		if byPC[0x1e] != uint64(res.PathsPruned) || len(byPC) != 1 {
+			t.Errorf("%v: pruned children by span PC = %v, want all %d at 0x1e", eng, byPC, res.PathsPruned)
+		}
+	}
+}
+
+// familyNames lists the metric families of reg's exposition, in its
+// (sorted) order.
+func familyNames(t *testing.T, reg *obs.Registry) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// The catalog of a core run's registry (DESIGN §10). Each series sums over
+// the runs sharing the registry; a new one is added here, deliberately,
+// along with the test or benchmark metric that reads it.
+func TestCoreMetricsCatalog(t *testing.T) {
+	reg := obs.NewRegistry()
+	if _, err := core.Analyze(buildLoop(t, 0x3), core.Config{Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"symsim_budget_trips_total",
+		"symsim_csm_decisions_total",
+		"symsim_csm_pruned_forks_total",
+		"symsim_csm_x_gained_bits_total",
+		"symsim_cycles_total",
+		"symsim_paths_total",
+		"symsim_quarantines_total",
+		"symsim_runs_complete_total",
+		"symsim_runs_total",
+		"symsim_segment_cycles",
+		"symsim_vvp_gate_evals_total",
+		"symsim_vvp_kernel_sweeps_total",
+		"symsim_vvp_lane_occupancy",
+	}
+	if got := familyNames(t, reg); !reflect.DeepEqual(got, want) {
+		t.Errorf("core families:\n got %q\nwant %q", got, want)
+	}
+}
+
+// The fork tree of a real run deeper than 64 forks prints one line per
+// span: bm32/inSort forks 95 deep.
+func TestExplainDeepRealTrace(t *testing.T) {
+	p, err := report.BuildPlatform(report.BM32, "inSort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traceBuf bytes.Buffer
+	res, err := core.Analyze(p, core.Config{Metrics: obs.NewRegistry(), Tracer: obs.NewTracer(&traceBuf)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := obs.ReadTrace(&traceBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(log.Spans) != len(res.Paths)+res.PathsSuperseded {
+		t.Fatalf("spans = %d, want %d segments + %d superseded", len(log.Spans), len(res.Paths), res.PathsSuperseded)
+	}
+	parent := make(map[int]int)
+	for _, s := range log.Spans {
+		if s.End != obs.EndSuperseded {
+			parent[s.ID] = s.Parent
+		}
+	}
+	deepest := 0
+	for id := range parent {
+		d := 0
+		for p := parent[id]; p >= 0; p = parent[p] {
+			d++
+		}
+		deepest = max(deepest, d)
+	}
+	if deepest <= 64 {
+		t.Fatalf("deepest fork chain is %d; the test needs one deeper than 64", deepest)
+	}
+	var render bytes.Buffer
+	if err := obs.Explain(&render, log); err != nil {
+		t.Fatal(err)
+	}
+	lines := 0
+	for _, line := range strings.Split(render.String(), "\n") {
+		if strings.HasPrefix(strings.TrimLeft(line, " "), "path ") {
+			lines++
+		}
+	}
+	if lines != len(log.Spans) {
+		t.Errorf("explain prints %d fork-tree lines for %d spans (deepest chain %d)", lines, len(log.Spans), deepest)
 	}
 }

@@ -34,11 +34,11 @@ func Explain(w io.Writer, log *TraceLog) error {
 	ew.printf("):\n")
 	writeForkTree(ew, log.Spans)
 
-	if hs := hotSpots(log.Decisions); len(hs) > 0 {
+	if hs := hotSpots(log.Decisions, log.Spans); len(hs) > 0 {
 		ew.printf("\ncsm decisions by PC (%d total):\n", len(log.Decisions))
-		ew.printf("  %-12s %8s %8s %8s %10s\n", "pc", "subsumed", "merged", "new", "xGained")
+		ew.printf("  %-12s %8s %8s %8s %10s %8s\n", "pc", "subsumed", "merged", "new", "xGained", "pruned")
 		for _, h := range hs {
-			ew.printf("  0x%08x %8d %8d %8d %10d\n", h.pc, h.subsumed, h.merged, h.new, h.xGained)
+			ew.printf("  0x%08x %8d %8d %8d %10d %8d\n", h.pc, h.subsumed, h.merged, h.new, h.xGained, h.pruned)
 		}
 	}
 
@@ -60,36 +60,45 @@ func Explain(w io.Writer, log *TraceLog) error {
 	return ew.err
 }
 
-// writeForkTree prints spans as a tree indented by fork ancestry. Spans
-// whose parent is unknown (cold boot, checkpoint restores) are roots.
-// Superseded children carry no path ID; each prints as a leaf under the
-// path that forked it, so every created path appears exactly once.
+// writeForkTree prints spans as a tree indented by fork ancestry, one line
+// per span. Spans whose parent is unknown (cold boot, checkpoint restores)
+// are roots. Superseded children carry no path ID; each prints as a leaf
+// under the path that forked it, so every created path appears exactly
+// once. A span is printed once however the parent links run: a malformed
+// trace whose links form a cycle has no root, and its spans print after
+// the tree, each cycle from its first span in trace order.
 func writeForkTree(ew *errWriter, spans []Span) {
-	children := make(map[int][]Span)
 	ids := make(map[int]bool, len(spans))
 	for _, s := range spans {
 		if s.End != EndSuperseded {
 			ids[s.ID] = true
 		}
 	}
-	var roots []Span
-	for _, s := range spans {
+	children := make(map[int][]int) // parent ID → span indices
+	var roots []int
+	for i, s := range spans {
 		if s.Parent >= 0 && ids[s.Parent] && s.Parent != s.ID {
-			children[s.Parent] = append(children[s.Parent], s)
+			children[s.Parent] = append(children[s.Parent], i)
 		} else {
-			roots = append(roots, s)
+			roots = append(roots, i)
 		}
 	}
-	for m := range children {
-		sort.Slice(children[m], func(i, j int) bool { return children[m][i].ID < children[m][j].ID })
+	byID := func(list []int) {
+		sort.SliceStable(list, func(i, j int) bool { return spans[list[i]].ID < spans[list[j]].ID })
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].ID < roots[j].ID })
+	for _, list := range children {
+		byID(list)
+	}
+	byID(roots)
 
-	var walk func(s Span, depth int)
-	walk = func(s Span, depth int) {
-		if depth > 64 { // cycles cannot happen in a well-formed trace; stay safe anyway
+	printed := make([]bool, len(spans))
+	var walk func(i, depth int)
+	walk = func(i, depth int) {
+		if printed[i] {
 			return
 		}
+		printed[i] = true
+		s := spans[i]
 		indent := strings.Repeat("  ", depth)
 		forced := ""
 		if s.Forced != "" {
@@ -112,6 +121,9 @@ func writeForkTree(ew *errWriter, spans []Span) {
 	for _, r := range roots {
 		walk(r, 0)
 	}
+	for i := range spans {
+		walk(i, 0)
+	}
 }
 
 func fmtWall(us int64) string {
@@ -131,18 +143,29 @@ type pcStat struct {
 	merged   int
 	new      int
 	xGained  int
+	pruned   uint64
 }
 
-// hotSpots aggregates decisions per PC, ordered by total activity so the
-// PCs where merging concentrates come first.
-func hotSpots(decisions []Decision) []pcStat {
+// hotSpots aggregates decisions, and the children pruned at each fork, per
+// PC, ordered by total decisions so the PCs where merging concentrates come
+// first.
+func hotSpots(decisions []Decision, spans []Span) []pcStat {
 	agg := make(map[uint64]*pcStat)
-	for _, d := range decisions {
-		s := agg[d.PC]
+	at := func(pc uint64) *pcStat {
+		s := agg[pc]
 		if s == nil {
-			s = &pcStat{pc: d.PC}
-			agg[d.PC] = s
+			s = &pcStat{pc: pc}
+			agg[pc] = s
 		}
+		return s
+	}
+	for _, sp := range spans {
+		if sp.Pruned > 0 {
+			at(sp.HaltPC).pruned += sp.Pruned
+		}
+	}
+	for _, d := range decisions {
+		s := at(d.PC)
 		switch d.Verdict {
 		case "subsumed":
 			s.subsumed++

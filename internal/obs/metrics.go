@@ -1,8 +1,8 @@
 // Package obs is symsim's zero-dependency observability layer: a
-// lock-cheap metrics registry (atomic counters, gauges and histograms with
-// Prometheus text exposition) plus a structured JSONL trace of one
-// exploration (per-path spans and CSM decisions) with the reader and
-// renderer behind `symsim explain`.
+// lock-cheap metrics registry (atomic counters and histograms, and gauges
+// read from a function at scrape time, with Prometheus text exposition)
+// plus a structured JSONL trace of one exploration (per-path spans and CSM
+// decisions) with the reader and renderer behind `symsim explain`.
 //
 // The package deliberately depends on nothing but the standard library and
 // nothing inside symsim, so every layer — vvp, csm, core, service, the
@@ -45,33 +45,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is an atomic instantaneous value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Add moves the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // Histogram is a fixed-bucket histogram: bucket upper bounds are chosen at
@@ -130,20 +103,15 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// CounterVec is a family of counters keyed by one label value (e.g. a
-// program counter). Children are created on first use; the family is
-// bounded by maxVecChildren — beyond it new label values collapse into the
-// "other" child so a pathological run cannot grow the exposition without
-// bound (the cap is visible in the exposition, not silent: "other" carries
-// the overflow).
+// CounterVec is a family of counters keyed by one label value (e.g. how a
+// path ended). Children are created on first use. Nothing bounds the
+// family, so a label's values must come from a fixed set: a value a run
+// computes — a PC, a path ID — belongs in its trace, not in a label.
 type CounterVec struct {
 	label string
 	mu    sync.RWMutex
 	m     map[string]*Counter
 }
-
-// maxVecChildren bounds the distinct label values one CounterVec exposes.
-const maxVecChildren = 1024
 
 // With returns the counter for one label value, creating it on first use.
 func (v *CounterVec) With(value string) *Counter {
@@ -161,12 +129,6 @@ func (v *CounterVec) With(value string) *Counter {
 	if c = v.m[value]; c != nil {
 		return c
 	}
-	if len(v.m) >= maxVecChildren {
-		value = "other"
-		if c = v.m[value]; c != nil {
-			return c
-		}
-	}
 	c = &Counter{}
 	v.m[value] = c
 	return c
@@ -177,7 +139,6 @@ type metricKind uint8
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindGaugeFunc
 	kindHistogram
 	kindCounterVec
@@ -189,7 +150,6 @@ type family struct {
 	kind metricKind
 
 	counter *Counter
-	gauge   *Gauge
 	fn      func() float64
 	histo   *Histogram
 	vec     *CounterVec
@@ -228,11 +188,6 @@ func (r *Registry) get(name, help string, kind metricKind, mk func() *family) *f
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name, help string) *Counter {
 	return r.get(name, help, kindCounter, func() *family { return &family{counter: &Counter{}} }).counter
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.get(name, help, kindGauge, func() *family { return &family{gauge: &Gauge{}} }).gauge
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at exposition
@@ -296,7 +251,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, f := range fams {
 		typ := "counter"
 		switch f.kind {
-		case kindGauge, kindGaugeFunc:
+		case kindGaugeFunc:
 			typ = "gauge"
 		case kindHistogram:
 			typ = "histogram"
@@ -313,8 +268,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch f.kind {
 		case kindCounter:
 			_, err = fmt.Fprintf(w, "%s %d\n", f.name, f.counter.Value())
-		case kindGauge:
-			_, err = fmt.Fprintf(w, "%s %d\n", f.name, f.gauge.Value())
 		case kindGaugeFunc:
 			r.mu.Lock()
 			fn := f.fn

@@ -2,24 +2,17 @@ package obs
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
 )
 
-func TestCounterGaugeNilSafe(t *testing.T) {
+func TestNilHandlesSafe(t *testing.T) {
 	var c *Counter
 	c.Add(3)
 	c.Inc()
 	if c.Value() != 0 {
 		t.Fatal("nil counter must read 0")
-	}
-	var g *Gauge
-	g.Set(5)
-	g.Add(-2)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge must read 0")
 	}
 	var h *Histogram
 	h.Observe(1)
@@ -86,24 +79,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestCounterVecOverflow(t *testing.T) {
-	r := NewRegistry()
-	v := r.CounterVec("v_test", "", "pc")
-	for i := 0; i < maxVecChildren+50; i++ {
-		v.With(fmt.Sprintf("0x%x", i)).Inc()
-	}
-	other := v.With("other")
-	if other.Value() == 0 {
-		t.Fatal("overflow label values must collapse into \"other\"")
-	}
-	v.mu.RLock()
-	n := len(v.m)
-	v.mu.RUnlock()
-	if n > maxVecChildren+1 {
-		t.Fatalf("vec grew to %d children, cap is %d", n, maxVecChildren)
-	}
-}
-
 func TestRegistryReuseAndKindMismatch(t *testing.T) {
 	r := NewRegistry()
 	c1 := r.Counter("same", "h")
@@ -116,7 +91,7 @@ func TestRegistryReuseAndKindMismatch(t *testing.T) {
 			t.Fatal("kind mismatch must panic")
 		}
 	}()
-	r.Gauge("same", "boom")
+	r.Histogram("same", "boom", nil)
 }
 
 func TestGaugeFunc(t *testing.T) {
@@ -145,7 +120,7 @@ func TestGaugeFunc(t *testing.T) {
 func TestPrometheusExpositionShape(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_counter", "a counter").Add(2)
-	r.Gauge("a_gauge", "a gauge").Set(-3)
+	r.GaugeFunc("a_gauge", "a gauge", func() float64 { return -3 })
 	r.CounterVec("c_vec", "per pc", "pc").With(`quo"te\n`).Inc()
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -295,6 +270,90 @@ func TestExplainRendersTreeAndHotSpots(t *testing.T) {
 	// Hot-spot ordering: PC 0x10 (2 decisions) before 0x20 (1).
 	if strings.Index(out, "0x00000010") > strings.Index(out, "0x00000020") {
 		t.Fatalf("hot spots not sorted by activity:\n%s", out)
+	}
+}
+
+// forkTreeLines returns the fork-tree lines of an Explain rendering.
+func forkTreeLines(t *testing.T, log *TraceLog) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Explain(&buf, log); err != nil {
+		t.Fatal(err)
+	}
+	_, tree, ok := strings.Cut(buf.String(), "fork tree")
+	if !ok {
+		t.Fatalf("no fork tree in:\n%s", buf.String())
+	}
+	tree, _, _ = strings.Cut(tree, "\n\n")
+	return strings.Split(strings.TrimSpace(tree), "\n")[1:]
+}
+
+// A fork chain deeper than any fixed cap prints every span, each indented
+// one level below its parent, and the superseded sibling at each level too.
+func TestExplainDeepForkTree(t *testing.T) {
+	const depth = 200
+	log := &TraceLog{}
+	for id := 0; id < depth; id++ {
+		log.Spans = append(log.Spans,
+			Span{ID: id, Parent: id - 1, End: "forked", HaltPC: 0x10, Cycles: 1},
+			Span{ID: -1, Parent: id, StartPC: 0x10, Forced: "0", End: EndSuperseded})
+	}
+	lines := forkTreeLines(t, log)
+	if len(lines) != len(log.Spans) {
+		t.Fatalf("fork tree prints %d lines for %d spans", len(lines), len(log.Spans))
+	}
+	last := strings.Repeat("  ", depth) + "path - [superseded]"
+	if got := lines[len(lines)-1]; !strings.HasPrefix(got, "  "+last) {
+		t.Errorf("deepest line = %q, want it indented %d levels", got, depth)
+	}
+}
+
+// A malformed trace whose parent links form a cycle has no root; its spans
+// still print, once each.
+func TestExplainCyclicTrace(t *testing.T) {
+	log := &TraceLog{Spans: []Span{
+		{ID: 0, Parent: -1, End: "finished"},
+		{ID: 1, Parent: 2, End: "forked"},
+		{ID: 2, Parent: 1, End: "forked"},
+		{ID: 3, Parent: 3, End: "finished"}, // its own parent: a root
+	}}
+	lines := forkTreeLines(t, log)
+	if len(lines) != len(log.Spans) {
+		t.Fatalf("fork tree prints %d lines for %d spans:\n%s", len(lines), len(log.Spans), strings.Join(lines, "\n"))
+	}
+	for _, want := range []string{"path 1 [forked]", "path 2 [forked]"} {
+		if n := strings.Count(strings.Join(lines, "\n"), want); n != 1 {
+			t.Errorf("%q printed %d times", want, n)
+		}
+	}
+}
+
+// The per-PC table carries the children pruned at each fork, read from the
+// forked spans.
+func TestExplainPrunedColumn(t *testing.T) {
+	log := &TraceLog{
+		Spans: []Span{
+			{ID: 0, Parent: -1, End: "forked", HaltPC: 0x1e, Pruned: 1},
+			{ID: 1, Parent: 0, End: "forked", HaltPC: 0x1e, Pruned: 1},
+			{ID: 2, Parent: 1, End: "finished"},
+		},
+		Decisions: []Decision{
+			{Path: 0, PC: 0x1e, Verdict: "new", States: 1},
+			{Path: 1, PC: 0x1e, Verdict: "merged", States: 1},
+		},
+	}
+	var buf bytes.Buffer
+	if err := Explain(&buf, log); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"subsumed   merged      new    xGained   pruned",
+		"0x0000001e        0        1        1          0        2",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("explain output missing %q:\n%s", want, out)
+		}
 	}
 }
 

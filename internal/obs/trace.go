@@ -63,6 +63,9 @@ type Span struct {
 	// simulation time in microseconds (the per-path CPU attribution).
 	Cycles uint64 `json:"cycles"`
 	WallUS int64  `json:"wallUs"`
+	// Pruned is the number of children of this segment's fork (at HaltPC)
+	// proven infeasible under the application facts and never created.
+	Pruned uint64 `json:"pruned,omitempty"`
 }
 
 // Decision records one CSM verdict: the decision log entry behind the

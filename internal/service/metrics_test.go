@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -190,5 +191,74 @@ func TestScrapeWhileMutating(t *testing.T) {
 	}
 	if scrapes == 0 || last["symsim_service_jobs_accepted_total"] == 0 {
 		t.Errorf("%d scrapes, %d jobs accepted: the test exercised nothing", scrapes, last["symsim_service_jobs_accepted_total"])
+	}
+}
+
+// familyNames lists the metric families of reg's exposition, in its
+// (sorted) order.
+func familyNames(t *testing.T, reg *obs.Registry) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// The catalog of a service's registry (DESIGN §10): its own series and
+// those of the core runs its jobs make. A new series is added here,
+// deliberately, along with the test or benchmark metric that reads it.
+func TestServiceMetricsCatalog(t *testing.T) {
+	reg := obs.NewRegistry()
+	svc, err := New(Config{DataDir: t.TempDir(), Workers: 1, BuildPlatform: loopPlatform(t, 0x3), Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	job, err := svc.Submit(JobSpec{Design: "dr5", Bench: "loop", Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, svc, job.ID, StateDone)
+	want := []string{
+		"symsim_budget_trips_total",
+		"symsim_csm_decisions_total",
+		"symsim_csm_pruned_forks_total",
+		"symsim_csm_x_gained_bits_total",
+		"symsim_cycles_total",
+		"symsim_paths_total",
+		"symsim_quarantines_total",
+		"symsim_runs_complete_total",
+		"symsim_runs_total",
+		"symsim_segment_cycles",
+		"symsim_service_cache_hits_total",
+		"symsim_service_cache_misses_total",
+		"symsim_service_coalesced_total",
+		"symsim_service_degraded",
+		"symsim_service_jobs_accepted_total",
+		"symsim_service_jobs_canceled_total",
+		"symsim_service_jobs_degraded_total",
+		"symsim_service_jobs_done_total",
+		"symsim_service_jobs_failed_total",
+		"symsim_service_jobs_requeued_total",
+		"symsim_service_jobs_resumed_total",
+		"symsim_service_jobs_running",
+		"symsim_service_lease_expiries_total",
+		"symsim_service_queue_depth",
+		"symsim_service_store_faults_total",
+		"symsim_service_tmp_reaped_total",
+		"symsim_vvp_gate_evals_total",
+		"symsim_vvp_kernel_sweeps_total",
+		"symsim_vvp_lane_occupancy",
+	}
+	if got := familyNames(t, reg); !reflect.DeepEqual(got, want) {
+		t.Errorf("service families:\n got %q\nwant %q", got, want)
 	}
 }
