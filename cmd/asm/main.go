@@ -24,6 +24,7 @@ import (
 	"symsim/internal/isa/mips"
 	"symsim/internal/isa/msp430"
 	"symsim/internal/isa/rv32"
+	"symsim/internal/vvp"
 )
 
 func main() {
@@ -63,11 +64,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sim, err := cputest.Run(p, *cycles)
+	var ran uint64
+	sim, err := p.RunConcrete(vvp.Options{}, nil, *cycles, func(*vvp.Simulator) { ran++ })
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("\nhalted after %d cycles on %s\n", sim.Cycles(), p.Name)
+	fmt.Printf("\nhalted after %d cycles from reset release on %s\n", ran, p.Name)
 	for i := 0; i < *dump; i++ {
 		v, err := cputest.MemWord(sim, "dmem", i)
 		if err != nil {

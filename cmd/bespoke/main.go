@@ -12,11 +12,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
-
-	"io"
 
 	"symsim/internal/bespoke"
 	"symsim/internal/core"
@@ -78,18 +77,23 @@ func main() {
 	if !*validate && !*powerRep && *vcdOut == "" {
 		return
 	}
-	var mi []bespoke.MemInit
-	width := 32
-	if *design == "omsp430" {
-		width = 16
-	}
+	var mi []core.MemInit
 	if *inputs != "" {
 		// Re-derive the benchmark's input words: rebuild the image to
 		// learn the X word indices, then pin them in order.
-		img, err := prog.Build(*bench, benchISA(*design))
+		target, err := report.ISAOf(report.Design(*design))
 		if err != nil {
 			fatal(err)
 		}
+		img, err := prog.Build(*bench, target)
+		if err != nil {
+			fatal(err)
+		}
+		dmem, ok := p.Design.MemByName("dmem")
+		if !ok {
+			fatal(fmt.Errorf("design %s has no dmem", p.Name))
+		}
+		width := p.Design.Mems[dmem].DataBits
 		vals := strings.Split(*inputs, ",")
 		for i, w := range img.XWords {
 			if i >= len(vals) {
@@ -99,7 +103,7 @@ func main() {
 			if err != nil {
 				fatal(fmt.Errorf("bad input %q: %w", vals[i], err))
 			}
-			mi = append(mi, bespoke.MemInit{Mem: "dmem", Word: w, Val: logic.NewVecUint64(width, v)})
+			mi = append(mi, core.MemInit{Mem: "dmem", Word: w, Val: logic.NewVecUint64(width, v)})
 		}
 	}
 	if *validate {
@@ -113,18 +117,18 @@ func main() {
 			rep.ExercisedConcrete, res.ExercisableCount)
 	}
 	if *powerRep {
-		pmi := make([]power.MemInit, len(mi))
-		for i, in := range mi {
-			pmi[i] = power.MemInit{Mem: in.Mem, Word: in.Word, Val: in.Val}
-		}
-		pf, err := power.Measure(p, pmi, 1<<22)
+		pf, err := power.Measure(p, mi, 1<<22)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Print(pf.Report(res))
 	}
 	if *vcdOut != "" {
-		if err := dumpVCD(*vcdOut, p, mi); err != nil {
+		tr := &vvp.Trace{}
+		if _, err := p.RunConcrete(vvp.Options{Trace: tr}, mi, 1<<22, nil); err != nil {
+			fatal(err)
+		}
+		if err := writeFile(*vcdOut, func(w io.Writer) error { return vvp.WriteVCD(w, p.Design, tr, "1ns") }); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote             %s (waveform)\n", *vcdOut)
@@ -142,55 +146,6 @@ func writeFile(path string, gen func(w io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// dumpVCD reruns the application concretely with tracing and writes the
-// waveform.
-func dumpVCD(path string, p *core.Platform, mi []bespoke.MemInit) error {
-	if err := p.Design.Freeze(); err != nil {
-		return err
-	}
-	tr := &vvp.Trace{}
-	sim := vvp.New(p.Design, vvp.Options{Trace: tr})
-	sim.SetMonitorX(&p.Monitor)
-	sim.BindStimulus(p.Stimulus())
-	for _, in := range mi {
-		id, ok := p.Design.MemByName(in.Mem)
-		if !ok {
-			return fmt.Errorf("no memory %q", in.Mem)
-		}
-		sim.SetMemWord(id, in.Word, in.Val)
-	}
-	for {
-		status, err := sim.Step()
-		if err != nil {
-			return err
-		}
-		if status == vvp.Finished {
-			break
-		}
-		if status == vvp.HaltX {
-			return fmt.Errorf("run halted on X; provide -inputs for a concrete waveform")
-		}
-		if sim.Cycles() > 1<<22 {
-			return fmt.Errorf("no finish")
-		}
-	}
-	return writeFile(path, func(w io.Writer) error {
-		return vvp.WriteVCD(w, p.Design, tr, "1ns")
-	})
-}
-
-// benchISA maps a design name to its benchmark ISA.
-func benchISA(design string) prog.ISA {
-	switch design {
-	case "bm32":
-		return prog.ISAMips
-	case "omsp430":
-		return prog.ISAMsp430
-	default:
-		return prog.ISARV32
-	}
 }
 
 func fatal(err error) {

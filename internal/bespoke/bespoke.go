@@ -73,18 +73,11 @@ func Generate(res *core.Result) (*Result, error) {
 	}, nil
 }
 
-// MemInit pins one memory word to a concrete value before a validation
-// run: the "fixed known inputs" of paper §5.0.1, injected into the
-// application-input words the symbolic analysis left as X.
-type MemInit struct {
-	Mem  string
-	Word int
-	Val  logic.Vec
-}
-
 // ValidationReport is the outcome of the §5.0.1 validation run.
 type ValidationReport struct {
-	// Cycles is the length of the concrete run on the original design.
+	// Cycles is the length of the concrete run on the original design,
+	// counted from reset release as PathStat.Cycles counts a path: the
+	// reset sequence and the clock edge that ends it are not in it.
 	Cycles uint64
 	// OutputsCompared counts per-cycle primary-output observations.
 	OutputsCompared int
@@ -98,75 +91,45 @@ type ValidationReport struct {
 	SubsetViolations int
 }
 
-// concreteRunner drives one design to its terminating condition while
-// sampling primary outputs every clock cycle.
-type concreteRunner struct {
-	sim     *vvp.Simulator
-	outputs []netlist.NetID
-	samples []logic.Value
-}
-
-func newRunner(d *netlist.Netlist, mon *vvp.MonitorXSpec, stim *vvp.Stimulus, inputs []MemInit) (*concreteRunner, error) {
-	if err := d.Freeze(); err != nil {
-		return nil, err
-	}
-	sim := vvp.New(d, vvp.Options{})
-	sim.SetMonitorX(mon)
-	sim.BindStimulus(stim)
-	for _, in := range inputs {
-		id, ok := d.MemByName(in.Mem)
-		if !ok {
-			return nil, fmt.Errorf("bespoke: no memory %q", in.Mem)
-		}
-		sim.SetMemWord(id, in.Word, in.Val)
-	}
-	return &concreteRunner{sim: sim, outputs: d.Outputs}, nil
-}
-
-// skipTo steps the simulation through the reset prefix so both designs
-// start sampling at the same cycle.
-func (cr *concreteRunner) skipTo(time uint64) error {
-	for cr.sim.Now() <= time {
-		if _, err := cr.sim.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (cr *concreteRunner) run(maxCycles uint64) error {
-	lastCycle := cr.sim.Cycles()
-	for {
-		status, err := cr.sim.Step()
-		if err != nil {
-			return err
-		}
-		if cr.sim.Cycles() != lastCycle {
-			lastCycle = cr.sim.Cycles()
-			for _, o := range cr.outputs {
-				cr.samples = append(cr.samples, cr.sim.Value(o))
-			}
-		}
-		switch status {
-		case vvp.Finished:
-			return nil
-		case vvp.HaltX:
-			return fmt.Errorf("bespoke: validation run halted on X at t=%d", cr.sim.Now())
-		}
-		if cr.sim.Cycles() > maxCycles {
-			return fmt.Errorf("bespoke: validation run exceeded %d cycles", maxCycles)
-		}
-	}
-}
-
-// bespokeMonitor builds the reduced $monitor_x spec for the pruned design:
-// only the terminating-condition net is required for a concrete run.
-func bespokeMonitor(d *netlist.Netlist) (vvp.MonitorXSpec, error) {
+// bespokePlatform is p's testbench around the bespoke netlist d.
+// Re-synthesis keeps the primary inputs in order but renumbers them, so the
+// clock, reset and every input event drive the input at the same position
+// of d; only the terminating condition is monitored.
+func bespokePlatform(p *core.Platform, d *netlist.Netlist) (*core.Platform, error) {
 	finish, ok := d.NetByName("halted")
 	if !ok {
-		return vvp.MonitorXSpec{}, fmt.Errorf("bespoke: pruned design lost its halted net")
+		return nil, fmt.Errorf("bespoke: pruned design lost its halted net")
 	}
-	return vvp.MonitorXSpec{BranchActive: netlist.NoNet, Cond: netlist.NoNet, Finish: finish}, nil
+	pos := make(map[netlist.NetID]int, len(p.Design.Inputs))
+	for i, id := range p.Design.Inputs {
+		pos[id] = i
+	}
+	events := make([]vvp.InputEvent, len(p.Inputs))
+	for i, e := range p.Inputs {
+		k, ok := pos[e.Net]
+		if !ok {
+			return nil, fmt.Errorf("bespoke: input event on %q, which is not a primary input", p.Design.NetName(e.Net))
+		}
+		e.Net = d.Inputs[k]
+		events[i] = e
+	}
+	return &core.Platform{
+		Name:        p.Name,
+		Bench:       p.Bench,
+		Design:      d,
+		Monitor:     vvp.MonitorXSpec{BranchActive: netlist.NoNet, Cond: netlist.NoNet, Finish: finish},
+		HalfPeriod:  p.HalfPeriod,
+		ResetCycles: p.ResetCycles,
+		Inputs:      events,
+	}, nil
+}
+
+// sampleOutputs appends the simulator's primary-output values to dst.
+func sampleOutputs(dst []logic.Value, sim *vvp.Simulator) []logic.Value {
+	for _, o := range sim.Design().Outputs {
+		dst = append(dst, sim.Value(o))
+	}
+	return dst
 }
 
 // Validate reruns the application with fixed known inputs on both the
@@ -174,49 +137,35 @@ func bespokeMonitor(d *netlist.Netlist) (vvp.MonitorXSpec, error) {
 // outputs and final data memory (paper §5.0.1). It also verifies that the
 // set of gates exercised by the fixed-input run is a subset of the set of
 // exercisable gates reported by the symbolic analysis.
-func Validate(sym *core.Result, bsp *Result, p *core.Platform, inputs []MemInit, maxCycles uint64) (*ValidationReport, error) {
+func Validate(sym *core.Result, bsp *Result, p *core.Platform, inputs []core.MemInit, maxCycles uint64) (*ValidationReport, error) {
+	bp, err := bespokePlatform(p, bsp.Bespoke)
+	if err != nil {
+		return nil, err
+	}
 	rep := &ValidationReport{}
-
-	orig, err := newRunner(p.Design, &p.Monitor, p.Stimulus(), inputs)
+	var want, got []logic.Value
+	orig, err := p.RunConcrete(vvp.Options{}, inputs, maxCycles, func(sim *vvp.Simulator) {
+		rep.Cycles++
+		want = sampleOutputs(want, sim)
+	})
 	if err != nil {
 		return nil, err
 	}
-	resetEnd := (uint64(2*p.ResetCycles))*p.HalfPeriod + 1
-	if err := orig.skipTo(resetEnd); err != nil {
-		return nil, err
-	}
-	orig.sim.StartRecording()
-	if err := orig.run(maxCycles); err != nil {
-		return nil, err
-	}
-
-	mon, err := bespokeMonitor(bsp.Bespoke)
+	besp, err := bp.RunConcrete(vvp.Options{}, inputs, maxCycles, func(sim *vvp.Simulator) {
+		got = sampleOutputs(got, sim)
+	})
 	if err != nil {
-		return nil, err
-	}
-	stim := p.Stimulus()
-	stim.Clock = bsp.Bespoke.Inputs[0]
-	besp, err := newRunner(bsp.Bespoke, &mon, stim, inputs)
-	if err != nil {
-		return nil, err
-	}
-	if err := besp.skipTo(resetEnd); err != nil {
-		return nil, err
-	}
-	if err := besp.run(maxCycles); err != nil {
 		return nil, err
 	}
 
 	// Output streams must agree wherever the original produced a known
 	// value (an X output admits any concrete implementation behaviour).
-	if len(orig.samples) != len(besp.samples) {
-		return nil, fmt.Errorf("bespoke: output sample counts differ: %d vs %d (cycle counts %d vs %d)",
-			len(orig.samples), len(besp.samples), orig.sim.Cycles(), besp.sim.Cycles())
+	if len(want) != len(got) {
+		return nil, fmt.Errorf("bespoke: output sample counts differ: %d vs %d", len(want), len(got))
 	}
-	for i := range orig.samples {
-		a, b := orig.samples[i], besp.samples[i]
-		if a.IsKnown() && a != b {
-			return nil, fmt.Errorf("bespoke: output sample %d differs: original %v, bespoke %v", i, a, b)
+	for i, a := range want {
+		if a.IsKnown() && a != got[i] {
+			return nil, fmt.Errorf("bespoke: output sample %d differs: original %v, bespoke %v", i, a, got[i])
 		}
 		rep.OutputsCompared++
 	}
@@ -231,8 +180,8 @@ func Validate(sym *core.Result, bsp *Result, p *core.Platform, inputs []MemInit,
 			return nil, fmt.Errorf("bespoke: memory %q missing from bespoke design", m.Name)
 		}
 		for w := 0; w < m.Words; w++ {
-			av := orig.sim.MemWord(netlist.MemID(mi), w)
-			bv := besp.sim.MemWord(bmi, w)
+			av := orig.MemWord(netlist.MemID(mi), w)
+			bv := besp.MemWord(bmi, w)
 			for bit := 0; bit < av.Width(); bit++ {
 				if x := av.Get(bit); x.IsKnown() && x != bv.Get(bit) {
 					return nil, fmt.Errorf("bespoke: %s[%d] bit %d differs: %v vs %v", m.Name, w, bit, x, bv.Get(bit))
@@ -244,8 +193,8 @@ func Validate(sym *core.Result, bsp *Result, p *core.Platform, inputs []MemInit,
 
 	// Exercised-subset check: a net the run changed, or left unknown (the
 	// profile holds only the first; core's absorb has the rule).
-	for n, togg := range orig.sim.Toggled() {
-		if !togg && orig.sim.Value(netlist.NetID(n)).IsKnown() {
+	for n, togg := range orig.Toggled() {
+		if !togg && orig.Value(netlist.NetID(n)).IsKnown() {
 			continue
 		}
 		rep.ExercisedConcrete++
@@ -256,6 +205,5 @@ func Validate(sym *core.Result, bsp *Result, p *core.Platform, inputs []MemInit,
 	if rep.SubsetViolations > 0 {
 		return rep, fmt.Errorf("bespoke: %d concretely exercised nets were not symbolically exercisable", rep.SubsetViolations)
 	}
-	rep.Cycles = orig.sim.Cycles()
 	return rep, nil
 }

@@ -353,8 +353,7 @@ func (p *Platform) Stimulus() *vvp.Stimulus {
 	// ResetCycles posedges.
 	rstn := p.Design.Inputs[1]
 	st.At(1, rstn, logic.Lo)
-	release := (uint64(2*p.ResetCycles))*p.HalfPeriod + 1
-	st.At(release, rstn, logic.Hi)
+	st.At(p.resetEndTime(), rstn, logic.Hi)
 	for _, e := range p.Inputs {
 		st.At(e.Time, e.Net, e.Val)
 	}

@@ -118,10 +118,8 @@ func (x *explorer) newSimulator(trace *vvp.Trace) *vvp.Simulator {
 // keeps the simulator for every later segment (see explorer.cold).
 func (x *explorer) coldBoot() (*vvp.Simulator, error) {
 	sim := x.newSimulator(x.cfg.Trace)
-	for resetEnd := x.p.resetEndTime(); sim.Now() <= resetEnd; {
-		if _, err := sim.Step(); err != nil {
-			return nil, err
-		}
+	if err := x.p.stepReset(sim); err != nil {
+		return nil, err
 	}
 	return sim, nil
 }

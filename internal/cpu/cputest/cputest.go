@@ -1,45 +1,15 @@
-// Package cputest provides the shared concrete-execution harness the three
-// processor packages use in their functional tests and that the bespoke
-// validation flow reuses: run a platform with fully known inputs to the
-// terminating condition, then inspect registers and memory.
+// Package cputest provides the readers the processor packages' functional
+// tests (and cmd/asm) use on a finished concrete run,
+// core.Platform.RunConcrete: memory words and buses by name.
 package cputest
 
 import (
 	"fmt"
 
-	"symsim/internal/core"
 	"symsim/internal/logic"
 	"symsim/internal/netlist"
 	"symsim/internal/vvp"
 )
-
-// Run simulates the platform concretely (whatever X remains in the image
-// stays X) until the design's finish net rises or maxCycles elapse.
-// It returns the simulator stopped at the finish step.
-func Run(p *core.Platform, maxCycles uint64) (*vvp.Simulator, error) {
-	if err := p.Design.Freeze(); err != nil {
-		return nil, err
-	}
-	sim := vvp.New(p.Design, vvp.Options{})
-	sim.SetMonitorX(&p.Monitor)
-	sim.BindStimulus(p.Stimulus())
-	for {
-		status, err := sim.Step()
-		if err != nil {
-			return sim, err
-		}
-		switch status {
-		case vvp.Finished:
-			return sim, nil
-		case vvp.HaltX:
-			return sim, fmt.Errorf("cputest: unexpected X halt at t=%d pc=%s (concrete run should not fork)",
-				sim.Now(), sim.VecValue(p.Spec.PC))
-		}
-		if sim.Cycles() > maxCycles {
-			return sim, fmt.Errorf("cputest: no finish within %d cycles (pc=%s)", maxCycles, sim.VecValue(p.Spec.PC))
-		}
-	}
-}
 
 // MemWord reads word index of the named memory as a ternary vector.
 func MemWord(sim *vvp.Simulator, memName string, index int) (logic.Vec, error) {
@@ -62,26 +32,6 @@ func MemUint(sim *vvp.Simulator, memName string, index int) (uint64, error) {
 		return 0, fmt.Errorf("cputest: %s[%d] = %s contains X", memName, index, v)
 	}
 	return u, nil
-}
-
-// SetMemWord overwrites one word of the named memory before a run
-// (concrete-input injection for validation runs).
-func SetMemWord(sim *vvp.Simulator, memName string, index int, v logic.Vec) error {
-	id, ok := sim.Design().MemByName(memName)
-	if !ok {
-		return fmt.Errorf("cputest: no memory %q", memName)
-	}
-	sim.SetMemWord(id, index, v)
-	return nil
-}
-
-// NetValue reads a named scalar net.
-func NetValue(sim *vvp.Simulator, name string) (logic.Value, error) {
-	id, ok := sim.Design().NetByName(name)
-	if !ok {
-		return logic.X, fmt.Errorf("cputest: no net %q", name)
-	}
-	return sim.Value(id), nil
 }
 
 // BusValue reads a named bus ("name[0]", "name[1]", ... or scalar "name").

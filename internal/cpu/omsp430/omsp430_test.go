@@ -20,7 +20,7 @@ func run(t *testing.T, build func(a *msp430.Asm)) *vvp.Simulator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := cputest.Run(p, 200000)
+	sim, err := p.RunConcrete(vvp.Options{}, nil, 200000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ loop:   add  t1, t1, t0
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := cputest.Run(p, 100000)
+	sim, err := p.RunConcrete(vvp.Options{}, nil, 100000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestMIPSSourceProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := cputest.Run(p, 100000)
+	sim, err := p.RunConcrete(vvp.Options{}, nil, 100000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestMSP430SourceProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := cputest.Run(p, 100000)
+	sim, err := p.RunConcrete(vvp.Options{}, nil, 100000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestSamplePrograms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim, err = cputest.Run(p, 100000)
+			sim, err = p.RunConcrete(vvp.Options{}, nil, 100000, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,7 +221,7 @@ func TestSamplePrograms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim, err = cputest.Run(p, 100000)
+			sim, err = p.RunConcrete(vvp.Options{}, nil, 100000, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,7 +230,7 @@ func TestSamplePrograms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim, err = cputest.Run(p, 100000)
+			sim, err = p.RunConcrete(vvp.Options{}, nil, 100000, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

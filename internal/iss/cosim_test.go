@@ -110,7 +110,7 @@ func TestCosimRV32(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim, err := cputest.Run(p, cosimCycles)
+			sim, err := p.RunConcrete(vvp.Options{}, nil, cosimCycles, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +199,7 @@ func TestCosimMIPS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim, err := cputest.Run(p, cosimCycles)
+			sim, err := p.RunConcrete(vvp.Options{}, nil, cosimCycles, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -295,7 +295,7 @@ func TestCosimMSP430(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim, err := cputest.Run(p, cosimCycles)
+			sim, err := p.RunConcrete(vvp.Options{}, nil, cosimCycles, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -64,7 +64,7 @@ func TestProcessorRoundTripExecutes(t *testing.T) {
 		Inputs:      p.Inputs,
 		Specialize:  p.Specialize,
 	}
-	sim, err := cputest.Run(&p2, 100000)
+	sim, err := p2.RunConcrete(vvp.Options{}, nil, 100000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"symsim/internal/core"
-	"symsim/internal/logic"
 	"symsim/internal/netlist"
 	"symsim/internal/vvp"
 )
@@ -21,7 +20,8 @@ import (
 // Profile is the switching-activity measurement of one concrete run.
 type Profile struct {
 	Design *netlist.Netlist
-	// Cycles is the length of the measured window.
+	// Cycles is the length of the measured window, counted from reset
+	// release as PathStat.Cycles is.
 	Cycles uint64
 	// NetToggles counts value commits per net.
 	NetToggles []uint64
@@ -33,58 +33,16 @@ type Profile struct {
 	PeakCycle        uint64
 }
 
-// MemInit pins one data-memory word before the measurement run.
-type MemInit struct {
-	Mem  string
-	Word int
-	Val  logic.Vec
-}
-
 // Measure runs the platform's application with the given concrete inputs
-// and collects its switching activity from reset release to the
-// terminating condition.
-func Measure(p *core.Platform, inputs []MemInit, maxCycles uint64) (*Profile, error) {
-	if err := p.Design.Freeze(); err != nil {
+// (one Platform.RunConcrete) and collects its switching activity from reset
+// release to the terminating condition.
+func Measure(p *core.Platform, inputs []core.MemInit, maxCycles uint64) (*Profile, error) {
+	pf := &Profile{Design: p.Design}
+	sim, err := p.RunConcrete(vvp.Options{CountActivity: true}, inputs, maxCycles, func(*vvp.Simulator) { pf.Cycles++ })
+	if err != nil {
 		return nil, err
 	}
-	sim := vvp.New(p.Design, vvp.Options{CountActivity: true})
-	sim.SetMonitorX(&p.Monitor)
-	sim.BindStimulus(p.Stimulus())
-	for _, in := range inputs {
-		id, ok := p.Design.MemByName(in.Mem)
-		if !ok {
-			return nil, fmt.Errorf("power: no memory %q", in.Mem)
-		}
-		sim.SetMemWord(id, in.Word, in.Val)
-	}
-	resetEnd := (uint64(2*p.ResetCycles))*p.HalfPeriod + 1
-	for sim.Now() <= resetEnd {
-		if _, err := sim.Step(); err != nil {
-			return nil, err
-		}
-	}
-	sim.StartRecording()
-	startCycles := sim.Cycles()
-	for {
-		status, err := sim.Step()
-		if err != nil {
-			return nil, err
-		}
-		if status == vvp.Finished {
-			break
-		}
-		if status == vvp.HaltX {
-			return nil, fmt.Errorf("power: measurement run halted on X at t=%d", sim.Now())
-		}
-		if sim.Cycles()-startCycles > maxCycles {
-			return nil, fmt.Errorf("power: no finish within %d cycles", maxCycles)
-		}
-	}
-	pf := &Profile{
-		Design:     p.Design,
-		Cycles:     sim.Cycles() - startCycles,
-		NetToggles: append([]uint64(nil), sim.ActivityCounts()...),
-	}
+	pf.NetToggles = sim.ActivityCounts()
 	for _, c := range pf.NetToggles {
 		pf.TotalToggles += c
 	}

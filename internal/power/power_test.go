@@ -4,16 +4,14 @@ import (
 	"testing"
 
 	"symsim/internal/core"
-	"symsim/internal/cpu/omsp430"
 	"symsim/internal/logic"
 	"symsim/internal/power"
-	"symsim/internal/prog"
+	"symsim/internal/report"
 )
 
 func measure(t *testing.T, bench string, inputs map[int]uint64) (*core.Platform, *core.Result, *power.Profile) {
 	t.Helper()
-	img := prog.MustBuild(bench, prog.ISAMsp430)
-	p, err := omsp430.Build(img)
+	p, err := report.BuildPlatform(report.OMSP430, bench)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,9 +19,9 @@ func measure(t *testing.T, bench string, inputs map[int]uint64) (*core.Platform,
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mi []power.MemInit
+	var mi []core.MemInit
 	for w, v := range inputs {
-		mi = append(mi, power.MemInit{Mem: "dmem", Word: w, Val: logic.NewVecUint64(16, v)})
+		mi = append(mi, core.MemInit{Mem: "dmem", Word: w, Val: logic.NewVecUint64(16, v)})
 	}
 	pf, err := power.Measure(p, mi, 1<<20)
 	if err != nil {

@@ -54,7 +54,7 @@ func buildPlatform(t *testing.T, b string, target ISA, concrete map[int]uint64) 
 func runConcrete(t *testing.T, b string, target ISA, in map[int]uint64) func(i int) uint64 {
 	t.Helper()
 	p, _ := buildPlatform(t, b, target, in)
-	sim, err := cputest.Run(p, 500000)
+	sim, err := p.RunConcrete(vvp.Options{}, nil, 500000, nil)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", b, target, err)
 	}

@@ -33,8 +33,8 @@ const (
 // Designs lists the evaluation processors in the paper's column order.
 var Designs = []Design{BM32, OMSP430, DR5}
 
-// isaOf maps a design to its benchmark ISA.
-func isaOf(d Design) (prog.ISA, error) {
+// ISAOf maps a design to the ISA its benchmarks are assembled for.
+func ISAOf(d Design) (prog.ISA, error) {
 	switch d {
 	case BM32:
 		return prog.ISAMips, nil
@@ -50,7 +50,7 @@ func isaOf(d Design) (prog.ISA, error) {
 // to the processor, which is elaborated on the first call of the process
 // for that design and shared by every later one.
 func BuildPlatform(d Design, benchmark string) (*core.Platform, error) {
-	isa, err := isaOf(d)
+	isa, err := ISAOf(d)
 	if err != nil {
 		return nil, err
 	}

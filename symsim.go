@@ -197,8 +197,9 @@ type BespokeResult = bespoke.Result
 // their fanout to the observed constants and re-synthesizes the netlist.
 func Bespoke(res *Result) (*BespokeResult, error) { return bespoke.Generate(res) }
 
-// MemInit pins a memory word for a validation run.
-type MemInit = bespoke.MemInit
+// MemInit pins a memory word for a concrete run (ValidateBespoke,
+// MeasurePower).
+type MemInit = core.MemInit
 
 // ValidationReport is the outcome of the paper's §5.0.1 validation.
 type ValidationReport = bespoke.ValidationReport
@@ -439,11 +440,7 @@ type PowerProfile = power.Profile
 // peak — the data behind the peak-power [5] and power-gating [6] analyses
 // the co-analysis enables.
 func MeasurePower(p *Platform, inputs []MemInit, maxCycles uint64) (*PowerProfile, error) {
-	mi := make([]power.MemInit, len(inputs))
-	for i, in := range inputs {
-		mi[i] = power.MemInit{Mem: in.Mem, Word: in.Word, Val: in.Val}
-	}
-	return power.Measure(p, mi, maxCycles)
+	return power.Measure(p, inputs, maxCycles)
 }
 
 // SymbolicPeakBound is the static per-cycle switching bound the symbolic

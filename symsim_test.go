@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"symsim"
+	"symsim/internal/vvp"
 )
 
 func TestPublicAPIEndToEnd(t *testing.T) {
@@ -62,6 +63,29 @@ func TestTables(t *testing.T) {
 // microcoded FSM with a branch on an unknown input; the analysis must fork
 // at the branch and cover both sides.
 func TestCustomDesignAnalysis(t *testing.T) {
+	p, _ := seqPlatform(t)
+	res, err := symsim.Analyze(p, symsim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PathsCreated < 3 {
+		t.Errorf("custom design paths = %d, want >= 3 (one fork)", res.PathsCreated)
+	}
+	finished := 0
+	for _, ps := range res.Paths {
+		if ps.End.String() == "finished" {
+			finished++
+		}
+	}
+	if finished < 2 {
+		t.Errorf("finished paths = %d, want both branch directions", finished)
+	}
+}
+
+// seqPlatform builds the sequencer of TestCustomDesignAnalysis and returns
+// its platform and the 2-bit input bus in.
+func seqPlatform(t *testing.T) (*symsim.Platform, symsim.Bus) {
+	t.Helper()
 	m := symsim.NewModule("seq")
 	b := func(name string, width int) symsim.Bus {
 		out := make(symsim.Bus, width)
@@ -153,25 +177,73 @@ func TestCustomDesignAnalysis(t *testing.T) {
 	mon.BranchActive, mon.Cond, mon.Finish = ba, cn, fin
 	mon.Watch = append(mon.Watch, w0, w1)
 
-	p := &symsim.Platform{
+	return &symsim.Platform{
 		Name: "seq", Design: m.N, Spec: spec, Monitor: mon,
 		HalfPeriod: 5, ResetCycles: 2,
+	}, in
+}
+
+// Validation drives the bespoke netlist's inputs by position: re-synthesis
+// keeps the primary inputs in order but renumbers them, so an input event
+// must reach the bespoke run's own input, not the net that has the
+// original's ID there. The events land after recording starts (the first
+// clock edge after reset release, t=25) and before the sequencer loads in
+// (t=35), so in toggles and the logic it drives survives pruning.
+func TestValidateBespokeDrivesInputsByPosition(t *testing.T) {
+	p, in := seqPlatform(t)
+	for i, v := range []symsim.Value{symsim.Hi, symsim.Lo} {
+		p.Inputs = append(p.Inputs, vvp.InputEvent{Time: 27, Net: in[i], Val: v})
 	}
 	res, err := symsim.Analyze(p, symsim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PathsCreated < 3 {
-		t.Errorf("custom design paths = %d, want >= 3 (one fork)", res.PathsCreated)
+	bsp, err := symsim.Bespoke(res)
+	if err != nil {
+		t.Fatal(err)
 	}
-	finished := 0
-	for _, ps := range res.Paths {
-		if ps.End.String() == "finished" {
-			finished++
+	rep, err := symsim.ValidateBespoke(res, bsp, p, nil, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OutputsCompared == 0 {
+		t.Error("validation compared no outputs")
+	}
+}
+
+// A malformed input word is an error naming the memory, the word and both
+// widths, not a panic inside the simulator, on both public concrete runs.
+func TestMalformedMemInitIsAnError(t *testing.T) {
+	p, err := symsim.BuildPlatform(symsim.DR5, "tea8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := symsim.Analyze(p, symsim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bsp, err := symsim.Bespoke(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		in   symsim.MemInit
+		want []string
+	}{
+		{"unknown memory", symsim.MemInit{Mem: "nomem", Word: 0, Val: symsim.NewVecUint64(32, 1)}, []string{`no memory "nomem"`}},
+		{"narrow value", symsim.MemInit{Mem: "dmem", Word: 0, Val: symsim.NewVecUint64(16, 1)}, []string{"dmem[0] of 16 bits", "words of 32 bits"}},
+		{"word past the end", symsim.MemInit{Mem: "dmem", Word: 1 << 20, Val: symsim.NewVecUint64(32, 1)}, []string{"dmem[1048576] of 32 bits", "words of 32 bits"}},
+	} {
+		inputs := []symsim.MemInit{c.in}
+		_, verr := symsim.ValidateBespoke(res, bsp, p, inputs, 1<<20)
+		_, perr := symsim.MeasurePower(p, inputs, 1<<20)
+		for _, err := range []error{verr, perr} {
+			for _, w := range c.want {
+				if err == nil || !strings.Contains(err.Error(), w) {
+					t.Errorf("%s: error %v, want one containing %q", c.name, err, w)
+				}
+			}
 		}
 	}
-	if finished < 2 {
-		t.Errorf("finished paths = %d, want both branch directions", finished)
-	}
-	_ = cond
 }
