@@ -12,7 +12,6 @@
 //   - AblationMergePolicy (E8): paths and gates under four CSM policies; benchmark/ runs merge-all only.
 //   - AblationSymbolTracking (E9): anonymous X against identified symbols; no workload runs symeval.
 //   - AblationParallelism (E10): path workers 1 to 8; benchmark/ fixes them at 1 or 2.
-//   - AblationMemX: Verilog-compatible against sound X-address writes; benchmark/ runs Verilog only.
 //
 // Run them with
 //
@@ -146,26 +145,6 @@ func BenchmarkAblationSymbolTracking(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(unknown), "unknown-outputs")
-	})
-}
-
-// BenchmarkAblationMemX compares the Verilog-compatible and sound
-// X-address write semantics (DESIGN.md substitution table) on the
-// store-heavy insertion sort.
-func BenchmarkAblationMemX(b *testing.B) {
-	b.Run("verilog", func(b *testing.B) {
-		var res *symsim.Result
-		for i := 0; i < b.N; i++ {
-			res = analyzeOnce(b, symsim.DR5, "inSort", symsim.Config{})
-		}
-		b.ReportMetric(float64(res.ExercisableCount), "gates")
-	})
-	b.Run("sound", func(b *testing.B) {
-		var res *symsim.Result
-		for i := 0; i < b.N; i++ {
-			res = analyzeOnce(b, symsim.DR5, "inSort", symsim.Config{MemX: symsim.MemXSound})
-		}
-		b.ReportMetric(float64(res.ExercisableCount), "gates")
 	})
 }
 

@@ -102,7 +102,7 @@ func analyzeMain(args []string, printStats bool) {
 		dumpDir = fs.String("dump-states", "", "write every saved halt state to this directory (sim_state.log files in the vvp.State binary encoding checkpoints embed; vvp.DecodeState reads them)")
 		vcdOut  = fs.String("vcd", "", "dump the initial symbolic path's waveform (X values visible) to this file")
 
-		// The analysis-tuning flags (policy, engine, memx, workers and the
+		// The analysis-tuning flags (policy, engine, workers, lanes and the
 		// budget family) are shared with cmd/symsimd via cliflags, so the
 		// one-shot CLI and the daemon cannot drift.
 		tuning = cliflags.Register(fs)

@@ -10,7 +10,7 @@
 //	symsimd -listen localhost:8466 -data /var/lib/symsimd
 //	symsimd -jobs 4 -queue 128 -policy clustered -k 4   # server-side defaults
 //
-// The analysis-tuning flags (policy, engine, memx, workers, budgets) are
+// The analysis-tuning flags (policy, engine, workers, lanes, budgets) are
 // the same vocabulary as cmd/symsim's (internal/cliflags, which is also the
 // JSON spec of both APIs). Here they are defaults for POST /jobs: a
 // submission that leaves a field empty gets the daemon's value, then the

@@ -39,13 +39,11 @@ type Spec struct {
 	K         int    `json:"k,omitempty"`
 	MaxStates int    `json:"maxStates,omitempty"`
 
-	// Engine (kernel | batch), MemX (verilog | sound), Workers and Lanes
-	// tune the simulation machinery. Engine, Workers and Lanes never
-	// change a complete result, so they do not enter the cache key. Lanes
-	// caps the scenarios the batch engine packs per sweep (1..64, 0 = 64);
-	// the kernel ignores it.
+	// Engine (kernel | batch), Workers and Lanes tune the simulation
+	// machinery. They never change a complete result, so they do not
+	// enter the cache key. Lanes caps the scenarios the batch engine packs
+	// per sweep (1..64, 0 = 64); the kernel ignores it.
 	Engine  string `json:"engine,omitempty"`
-	MemX    string `json:"memx,omitempty"`
 	Workers int    `json:"workers,omitempty"`
 	Lanes   int    `json:"lanes,omitempty"`
 
@@ -79,7 +77,6 @@ func Register(fs *flag.FlagSet) *Analysis {
 	fs.IntVar(&a.MaxStates, "max-states", 4096, "state budget for the exact policy")
 	fs.StringVar(&a.Constraints, "constraints", "", "constraint file for the constrained policy")
 	fs.IntVar(&a.Workers, "workers", 1, "parallel path workers")
-	fs.StringVar(&a.MemX, "memx", "verilog", "X-address write semantics: verilog | sound")
 	fs.StringVar(&a.Engine, "engine", "kernel", "simulation engine: kernel (compiled) | batch (bit-parallel, up to 64 paths per sweep)")
 	fs.IntVar(&a.Lanes, "lanes", 0, "scenario lanes the batch engine packs per sweep, 1..64 (0 = 64; ignored by the kernel)")
 	fs.Func("deadline", "wall-clock budget; on expiry the run degrades soundly instead of erroring", func(s string) error {
@@ -122,7 +119,6 @@ func (s Spec) Normalize(def *Spec) (Spec, error) {
 	s.K = cmp.Or(s.K, d.K, f.K)
 	s.MaxStates = cmp.Or(s.MaxStates, d.MaxStates, f.MaxStates)
 	s.Engine = cmp.Or(s.Engine, d.Engine, f.Engine)
-	s.MemX = cmp.Or(s.MemX, d.MemX, f.MemX)
 	s.Workers = cmp.Or(s.Workers, d.Workers, f.Workers)
 	s.Lanes = cmp.Or(s.Lanes, d.Lanes, f.Lanes)
 	s.DeadlineMS = cmp.Or(s.DeadlineMS, d.DeadlineMS, f.DeadlineMS)
@@ -153,9 +149,9 @@ func (s Spec) Normalize(def *Spec) (Spec, error) {
 }
 
 // Config maps a spec to the core.Config it describes: policy, engine,
-// memory-X semantics, workers, lanes and budgets. It is the one such
-// mapping; the job service, the coordinator and its workers add only what
-// is theirs (checkpoints, progress, metrics). A name or policy parameter
+// workers, lanes and budgets. It is the one such mapping; the job service,
+// the coordinator and its workers add only what is theirs (checkpoints,
+// progress, metrics). A name or policy parameter
 // outside the vocabulary is an error, so a spec that did not come through
 // Normalize — a lease from another version's coordinator — cannot panic
 // the policy constructors.
@@ -172,9 +168,6 @@ func (s Spec) Config() (core.Config, error) {
 	}
 	var err error
 	if cfg.Policy, err = NewPolicy(s.Policy, s.K, s.MaxStates); err != nil {
-		return cfg, err
-	}
-	if cfg.MemX, err = ParseMemX(s.MemX); err != nil {
 		return cfg, err
 	}
 	cfg.Engine, err = ParseEngine(s.Engine)
@@ -200,17 +193,6 @@ func RegisterCluster(fs *flag.FlagSet) *Cluster {
 	fs.DurationVar(&c.LeaseTTL, "shard-lease-ttl", 10*time.Second, "path-segment lease TTL: a leased segment with no progress heartbeat this long is put back and leased again under a new epoch (coordinator mode)")
 	fs.IntVar(&c.Slots, "worker-slots", 1, "explorers this worker runs concurrently (worker mode)")
 	return c
-}
-
-// ParseMemX maps a -memx flag value to its policy.
-func ParseMemX(s string) (vvp.MemXPolicy, error) {
-	switch s {
-	case "verilog":
-		return vvp.MemXVerilog, nil
-	case "sound":
-		return vvp.MemXSound, nil
-	}
-	return 0, fmt.Errorf("unknown -memx %q (want verilog | sound)", s)
 }
 
 // ParseEngine maps an -engine flag value to its engine. The reference

@@ -25,8 +25,7 @@ import (
 // so a flag added or renamed in only one place fails here.
 var sharedFlagNames = []string{
 	"constraints", "deadline", "engine", "k", "lanes", "max-csm-states",
-	"max-forks", "max-sim-cycles", "max-states", "memx", "policy",
-	"workers",
+	"max-forks", "max-sim-cycles", "max-states", "policy", "workers",
 }
 
 // clusterFlagNames is the cmd/symsimd cluster-mode vocabulary registered
@@ -61,7 +60,7 @@ func TestBothCommandsParseTheSameFlagSet(t *testing.T) {
 
 	args := []string{
 		"-policy", "clustered", "-k", "7", "-workers", "3",
-		"-engine", "batch", "-memx", "sound",
+		"-engine", "batch",
 		"-deadline", "90s", "-max-sim-cycles", "123456",
 		"-max-forks", "9", "-max-csm-states", "11",
 	}
@@ -122,7 +121,7 @@ func TestClusterFlagsPinnedAndDisjoint(t *testing.T) {
 func TestConfigInterpretsFlags(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	a := cliflags.Register(fs)
-	if err := fs.Parse([]string{"-policy", "exact", "-max-states", "32", "-engine", "batch", "-memx", "sound", "-workers", "2", "-max-forks", "5", "-deadline", "1500ms"}); err != nil {
+	if err := fs.Parse([]string{"-policy", "exact", "-max-states", "32", "-engine", "batch", "-workers", "2", "-max-forks", "5", "-deadline", "1500ms"}); err != nil {
 		t.Fatal(err)
 	}
 	a.Design, a.Bench = "dr5", "tea8"
@@ -133,7 +132,7 @@ func TestConfigInterpretsFlags(t *testing.T) {
 	if cfg.Policy.Name() != "exact" {
 		t.Errorf("policy = %q", cfg.Policy.Name())
 	}
-	if cfg.Engine != vvp.EngineBatch || cfg.MemX != vvp.MemXSound || cfg.Workers != 2 {
+	if cfg.Engine != vvp.EngineBatch || cfg.Workers != 2 {
 		t.Errorf("config = %+v", cfg)
 	}
 	if want := (core.Budget{MaxForks: 5, WallClock: 1500 * time.Millisecond}); cfg.Budget != want {
@@ -177,7 +176,6 @@ func TestConfigRejectsBadValues(t *testing.T) {
 		t.Error("-deadline 500us accepted")
 	}
 	for _, args := range [][]string{
-		{"-memx", "bogus"},
 		{"-engine", "bogus"},
 		{"-policy", "bogus"},
 		{"-policy", "constrained"}, // no spec/constraint file

@@ -27,7 +27,7 @@ func TestOneVocabulary(t *testing.T) {
 	coord := cluster.NewCoordinator(cluster.Config{Metrics: obs.NewRegistry()})
 	defer coord.Close()
 
-	base := cliflags.Spec{Design: "dr5", Bench: "tea8", Policy: "merge-all", Engine: "kernel", MemX: "verilog", Workers: 1}
+	base := cliflags.Spec{Design: "dr5", Bench: "tea8", Policy: "merge-all", Engine: "kernel", Workers: 1}
 	with := func(edit func(*cliflags.Spec)) *cliflags.Spec {
 		s := base
 		edit(&s)
@@ -47,14 +47,13 @@ func TestOneVocabulary(t *testing.T) {
 		{"merge-all with stray k", []string{"-k", "9", "-max-states", "77"}, cliflags.Spec{Policy: "merge-all", K: 9, MaxStates: 77}, &base},
 		{"clustered with stray maxStates", []string{"-policy", "clustered", "-k", "2", "-max-states", "77"}, cliflags.Spec{Policy: "clustered", K: 2, MaxStates: 77},
 			with(func(s *cliflags.Spec) { s.Policy, s.K = "clustered", 2 })},
-		{"batch with lanes", []string{"-engine", "batch", "-lanes", "8", "-memx", "sound"}, cliflags.Spec{Engine: "batch", Lanes: 8, MemX: "sound"},
-			with(func(s *cliflags.Spec) { s.Engine, s.Lanes, s.MemX = "batch", 8, "sound" })},
+		{"batch with lanes", []string{"-engine", "batch", "-lanes", "8"}, cliflags.Spec{Engine: "batch", Lanes: 8},
+			with(func(s *cliflags.Spec) { s.Engine, s.Lanes = "batch", 8 })},
 		{"negative k", []string{"-policy", "clustered", "-k", "-1"}, cliflags.Spec{Policy: "clustered", K: -1}, nil},
 		{"negative maxStates", []string{"-policy", "exact", "-max-states", "-5"}, cliflags.Spec{Policy: "exact", MaxStates: -5}, nil},
 		{"lanes over the cap", []string{"-lanes", "65"}, cliflags.Spec{Lanes: 65}, nil},
 		{"unknown engine", []string{"-engine", "warp"}, cliflags.Spec{Engine: "warp"}, nil},
 		{"the interpreter", []string{"-engine", "interp"}, cliflags.Spec{Engine: "interp"}, nil},
-		{"unknown memx", []string{"-memx", "maybe"}, cliflags.Spec{MemX: "maybe"}, nil},
 		{"unknown policy", []string{"-policy", "bogus"}, cliflags.Spec{Policy: "bogus"}, nil},
 		{"constrained without its file", []string{"-policy", "constrained"}, cliflags.Spec{Policy: "constrained"}, nil},
 	} {

@@ -116,8 +116,8 @@ func requireAccounted(t *testing.T, res *core.Result) {
 // must reproduce the kernel's pinned path and cycle counts of every Table-4
 // cell exactly. A 3-worker fleet explores in whatever order the network
 // gives it and must still reproduce the single-node dichotomy and tie-off
-// lists exactly, on all three CPUs, under both X-memory policies and under
-// every policy the cluster accepts.
+// lists exactly, on all three CPUs, under every policy the cluster
+// accepts.
 func TestClusterEquivalenceEndToEnd(t *testing.T) {
 	t.Run("one-slot/table4-counts", func(t *testing.T) {
 		b, err := os.ReadFile("../../testdata/table4_counts.json")
@@ -158,20 +158,15 @@ func TestClusterEquivalenceEndToEnd(t *testing.T) {
 	tc := startCluster(t, Config{}, 3)
 	for _, d := range []report.Design{report.BM32, report.OMSP430, report.DR5} {
 		for _, v := range []struct {
-			memx, policy string
-			k, max       int
+			policy string
+			k, max int
 		}{
-			{memx: "verilog", policy: "merge-all"},
-			{memx: "sound", policy: "merge-all"},
-			{memx: "verilog", policy: "clustered", k: 3},
-			{memx: "verilog", policy: "exact", max: 64},
+			{policy: "merge-all"},
+			{policy: "clustered", k: 3},
+			{policy: "exact", max: 64},
 		} {
-			t.Run(fmt.Sprintf("%s/memx=%s/%s", d, v.memx, v.policy), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s", d, v.policy), func(t *testing.T) {
 				p, err := report.BuildPlatform(d, "tHold")
-				if err != nil {
-					t.Fatal(err)
-				}
-				mx, err := cliflags.ParseMemX(v.memx)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -180,14 +175,14 @@ func TestClusterEquivalenceEndToEnd(t *testing.T) {
 					t.Fatal(err)
 				}
 				want, err := core.Analyze(p, core.Config{
-					Engine: vvp.EngineKernel, MemX: mx, Policy: m, Metrics: obs.NewRegistry(),
+					Engine: vvp.EngineKernel, Policy: m, Metrics: obs.NewRegistry(),
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 
 				id, err := tc.coord.NewRun(RunSpec{
-					Design: string(d), Bench: "tHold", MemX: v.memx, Engine: "kernel",
+					Design: string(d), Bench: "tHold", Engine: "kernel",
 					Policy: v.policy, K: v.k, MaxStates: v.max,
 				})
 				if err != nil {
@@ -351,7 +346,7 @@ func TestClusterRunOverHTTP(t *testing.T) {
 			t.Fatalf("run %s: state %q, error %q", created.ID, st.State, st.Error)
 		}
 	}
-	if want := (RunSpec{Design: "dr5", Bench: "tHold", Policy: "merge-all", Engine: "kernel", MemX: "verilog", Workers: 1}); st.Spec != want {
+	if want := (RunSpec{Design: "dr5", Bench: "tHold", Policy: "merge-all", Engine: "kernel", Workers: 1}); st.Spec != want {
 		t.Errorf("status echoes spec %+v, want the normalized %+v", st.Spec, want)
 	}
 	resp, err = http.Get(tc.ts.URL + "/cluster/runs/" + created.ID + "/result")

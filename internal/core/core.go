@@ -109,8 +109,6 @@ type Config struct {
 	// is a hard error ("no silent caps"); use Budget.MaxForks for the
 	// gracefully-degrading bound.
 	MaxPaths int
-	// MemX selects memory X-address semantics (default Verilog).
-	MemX vvp.MemXPolicy
 	// Engine selects the simulation machinery the explorers run on: the
 	// compiled kernel (default), the reference interpreter, or the
 	// bit-parallel batch engine, which packs up to Lanes pending paths into

@@ -143,39 +143,73 @@ func TestDichotomyDetectsUnexercisedGates(t *testing.T) {
 // The exercised set of a concrete run must be a subset of the exercisable
 // set reported by the symbolic analysis (paper §5.0.1 validation), under
 // absorb's rule: a net the run toggled, or left X, is exercised.
-// bespoke.Validate holds the one copy of that check.
+// bespoke.Validate holds the one copy of that check, and the bespoke
+// processor must reproduce the original's outputs on every input.
 func TestConcreteExercisedSubsetOfSymbolic(t *testing.T) {
-	a := rv32.NewAsm()
-	a.XWord(0)
-	a.LW(rv32.T0, rv32.X0, 0)
-	a.SLTI(rv32.T1, rv32.T0, 100)
-	a.BNE(rv32.T1, rv32.X0, "small")
-	a.LI(rv32.A0, 1)
-	a.SW(rv32.A0, rv32.X0, 4)
-	a.Halt()
-	a.Label("small")
-	a.LI(rv32.A0, 2)
-	a.SW(rv32.A0, rv32.X0, 4)
-	a.Halt()
-	p, err := dr5.Build(a.MustAssemble())
-	if err != nil {
-		t.Fatal(err)
-	}
-	symbolic, err := core.Analyze(p, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bsp, err := bespoke.Generate(symbolic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The concrete run pins the input to 7.
-	rep, err := bespoke.Validate(symbolic, bsp, p, []core.MemInit{{Mem: "dmem", Word: 0, Val: logic.NewVecUint64(32, 7)}}, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ExercisedConcrete == 0 || rep.SubsetViolations != 0 {
-		t.Fatalf("exercised %d nets concretely, %d outside the symbolic set", rep.ExercisedConcrete, rep.SubsetViolations)
+	for _, tc := range []struct {
+		name   string
+		prog   func(a *rv32.Asm)
+		inputs []uint64 // the value of the X word, one concrete run each
+	}{
+		{"branch", func(a *rv32.Asm) {
+			a.XWord(0)
+			a.LW(rv32.T0, rv32.X0, 0)
+			a.SLTI(rv32.T1, rv32.T0, 100)
+			a.BNE(rv32.T1, rv32.X0, "small")
+			a.LI(rv32.A0, 1)
+			a.SW(rv32.A0, rv32.X0, 4)
+			a.Halt()
+			a.Label("small")
+			a.LI(rv32.A0, 2)
+			a.SW(rv32.A0, rv32.X0, 4)
+			a.Halt()
+		}, []uint64{7}},
+		// A store through an X address: word 1 or word 2 gets the 7. A rule
+		// that dropped the write would leave word 1 known 0, so the branch
+		// on it would always skip to done, and input 0, which stores to
+		// word 1, would run code the symbolic run marked unexercisable.
+		{"X-address store", func(a *rv32.Asm) {
+			a.XWord(0)
+			a.Word(1, 0)
+			a.Word(2, 0)
+			a.LW(rv32.T0, rv32.X0, 0)
+			a.ANDI(rv32.T0, rv32.T0, 1)
+			a.SLLI(rv32.T0, rv32.T0, 2)
+			a.LI(rv32.A0, 7)
+			a.SW(rv32.A0, rv32.T0, 4)
+			a.LW(rv32.T1, rv32.X0, 4)
+			a.BEQ(rv32.T1, rv32.X0, "done")
+			a.SRA(rv32.A1, rv32.A0, rv32.T0)
+			a.SW(rv32.A1, rv32.X0, 12)
+			a.Label("done")
+			a.Halt()
+		}, []uint64{0, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := rv32.NewAsm()
+			tc.prog(a)
+			p, err := dr5.Build(a.MustAssemble())
+			if err != nil {
+				t.Fatal(err)
+			}
+			symbolic, err := core.Analyze(p, core.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bsp, err := bespoke.Generate(symbolic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, in := range tc.inputs {
+				rep, err := bespoke.Validate(symbolic, bsp, p, []core.MemInit{{Mem: "dmem", Word: 0, Val: logic.NewVecUint64(32, in)}}, 1<<20)
+				if err != nil {
+					t.Fatalf("input %d: %v", in, err)
+				}
+				if rep.ExercisedConcrete == 0 || rep.SubsetViolations != 0 {
+					t.Fatalf("input %d: exercised %d nets concretely, %d outside the symbolic set", in, rep.ExercisedConcrete, rep.SubsetViolations)
+				}
+			}
+		})
 	}
 }
 

@@ -101,7 +101,7 @@ func (s *scalarLane) Sweeps() uint64 { return s.sim.Sweeps() }
 // Under EngineBatch it is the compiled kernel: the batch data layout lives
 // only in BatchSim.
 func (x *explorer) newSimulator(trace *vvp.Trace) *vvp.Simulator {
-	opts := vvp.Options{MemX: x.cfg.MemX, Engine: x.cfg.Engine, Trace: trace}
+	opts := vvp.Options{Engine: x.cfg.Engine, Trace: trace}
 	if opts.Engine == vvp.EngineBatch {
 		opts.Engine = vvp.EngineKernel
 	}
@@ -240,7 +240,7 @@ func (x *explorer) restore(fresh uint64) error {
 		} else {
 			if x.eng == nil {
 				if x.cfg.Engine == vvp.EngineBatch {
-					b := vvp.NewBatchSim(x.p.Design, vvp.BatchOptions{MemX: x.cfg.MemX, Lanes: x.cfg.Lanes})
+					b := vvp.NewBatchSim(x.p.Design, vvp.BatchOptions{Lanes: x.cfg.Lanes})
 					b.SetMonitorX(&x.p.Monitor)
 					b.BindStimulus(x.p.Stimulus())
 					x.setEngine(b, false)

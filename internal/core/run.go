@@ -260,11 +260,11 @@ type Source interface {
 // Explore drives segments of a run whose state lives behind src: the same
 // admit → restore → step → retire loop AnalyzeContext runs locally, over
 // the engine cfg selects, until src has nothing to admit and every lane
-// has settled. Of cfg it reads the driver's half — Engine, Lanes, MemX,
-// OnHalt, Trace, Metrics and the lint fields; policy, budgets,
-// checkpointing and progress belong to the state. A fatal error
-// (a simulator fault, the per-path cycle limit, undecodable work) is
-// returned with the segments admitted so far left unsettled.
+// has settled. Of cfg it reads the driver's half — Engine, Lanes, OnHalt,
+// Trace, Metrics and the lint fields; policy, budgets, checkpointing and
+// progress belong to the state. A fatal error (a simulator fault, the
+// per-path cycle limit, undecodable work) is returned with the segments
+// admitted so far left unsettled.
 func Explore(p *Platform, cfg Config, src Source) error {
 	if err := prepare(p, &cfg); err != nil {
 		return err

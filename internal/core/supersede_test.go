@@ -94,7 +94,6 @@ func sameExport(a, b []csm.SavedState) bool {
 // bug or a new arrival-order effect that DESIGN.md §5 must name.
 func TestSupersessionABOracle(t *testing.T) {
 	engines := []vvp.Engine{vvp.EngineKernel, vvp.EngineBatch}
-	memxs := []vvp.MemXPolicy{vvp.MemXVerilog, vvp.MemXSound}
 	designs := report.Designs
 	if raceDetector {
 		// Instrumented runs are ~20x slower and these are one-worker runs
@@ -113,40 +112,38 @@ func TestSupersessionABOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, pol := range abPolicies {
-					for _, memx := range memxs {
-						for _, eng := range engines {
-							cell := fmt.Sprintf("%s/memx=%v/%v", pol.name, memx, eng)
-							cfg := core.Config{MemX: memx, Engine: eng}
-							off, offCSM := abRun(t, p, core.KeepSuperseded(cfg), pol.mk)
-							on, onCSM := abRun(t, p, cfg, pol.mk)
+					for _, eng := range engines {
+						cell := fmt.Sprintf("%s/%v", pol.name, eng)
+						cfg := core.Config{Engine: eng}
+						off, offCSM := abRun(t, p, core.KeepSuperseded(cfg), pol.mk)
+						on, onCSM := abRun(t, p, cfg, pol.mk)
 
-							if off.PathsSuperseded != 0 {
-								t.Errorf("%s: plain run superseded %d entries", cell, off.PathsSuperseded)
+						if off.PathsSuperseded != 0 {
+							t.Errorf("%s: plain run superseded %d entries", cell, off.PathsSuperseded)
+						}
+						if field := sameDichotomy(off, on); field != "" {
+							t.Errorf("%s: %s differs with supersession on", cell, field)
+						}
+						if pol.name == "merge-all" && !sameExport(offCSM, onCSM) {
+							t.Errorf("%s: CSM export differs with supersession on", cell)
+						}
+						if on.SimulatedCycles > off.SimulatedCycles {
+							t.Errorf("%s: cycles rose %d -> %d", cell, off.SimulatedCycles, on.SimulatedCycles)
+						}
+						// One worker pops LIFO, so a wider sibling and all its
+						// descendants are explored before the narrower entry
+						// comes up. Under merge-all everything the narrower
+						// one could halt in is by then covered, so in the
+						// plain run it forks nothing: each superseded entry
+						// is exactly one plain-run segment that ended
+						// subsumed or finished.
+						if pol.name == "merge-all" && eng == vvp.EngineKernel {
+							if on.PathsCreated != off.PathsCreated || len(on.Paths)+on.PathsSuperseded != len(off.Paths) {
+								t.Errorf("%s: created %d, %d segments + %d superseded; plain run created %d, %d segments",
+									cell, on.PathsCreated, len(on.Paths), on.PathsSuperseded, off.PathsCreated, len(off.Paths))
 							}
-							if field := sameDichotomy(off, on); field != "" {
-								t.Errorf("%s: %s differs with supersession on", cell, field)
-							}
-							if pol.name == "merge-all" && !sameExport(offCSM, onCSM) {
-								t.Errorf("%s: CSM export differs with supersession on", cell)
-							}
-							if on.SimulatedCycles > off.SimulatedCycles {
-								t.Errorf("%s: cycles rose %d -> %d", cell, off.SimulatedCycles, on.SimulatedCycles)
-							}
-							// One worker pops LIFO, so a wider sibling and all its
-							// descendants are explored before the narrower entry
-							// comes up. Under merge-all everything the narrower
-							// one could halt in is by then covered, so in the
-							// plain run it forks nothing: each superseded entry
-							// is exactly one plain-run segment that ended
-							// subsumed or finished.
-							if pol.name == "merge-all" && eng == vvp.EngineKernel {
-								if on.PathsCreated != off.PathsCreated || len(on.Paths)+on.PathsSuperseded != len(off.Paths) {
-									t.Errorf("%s: created %d, %d segments + %d superseded; plain run created %d, %d segments",
-										cell, on.PathsCreated, len(on.Paths), on.PathsSuperseded, off.PathsCreated, len(off.Paths))
-								}
-								if bench != "mult" && on.PathsSuperseded == 0 {
-									t.Errorf("%s: fork-heavy cell superseded nothing", cell)
-								}
+							if bench != "mult" && on.PathsSuperseded == 0 {
+								t.Errorf("%s: fork-heavy cell superseded nothing", cell)
 							}
 						}
 					}

@@ -17,7 +17,6 @@ import (
 	"io/fs"
 	"math/rand"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -125,30 +124,9 @@ type Rule struct {
 	Latency time.Duration
 }
 
-func (r Rule) String() string {
-	s := fmt.Sprintf("%s@%d", r.Op, r.Nth)
-	if r.Match != "" {
-		s += "~" + r.Match
-	}
-	s += "=" + string(r.Kind)
-	if r.Kind == KindLatency && r.Latency > 0 {
-		s += ":" + r.Latency.String()
-	}
-	return s
-}
-
 // Plan is an ordered set of armed fault rules.
 type Plan struct {
 	Rules []Rule
-}
-
-// String renders the plan in the ParsePlan DSL.
-func (p *Plan) String() string {
-	parts := make([]string, len(p.Rules))
-	for i, r := range p.Rules {
-		parts[i] = r.String()
-	}
-	return strings.Join(parts, ",")
 }
 
 // PlanFromSeed derives a deterministic error plan: n rules drawn from a
@@ -182,99 +160,6 @@ func PlanFromSeed(seed int64, n, maxNth int) *Plan {
 // Nth filesystem operation of any kind.
 func CrashPlan(nthOp int) *Plan {
 	return &Plan{Rules: []Rule{{Op: OpAny, Nth: nthOp, Kind: KindCrash}}}
-}
-
-// ParsePlan parses the plan DSL:
-//
-//	plan  = spec *("," spec)
-//	spec  = rule | "seed:" int [":" count]
-//	rule  = op "@" nth ["~" substr] "=" kind [":" duration]
-//
-// e.g. "rename@2=eio", "write@1~cache=short", "readfile@3=latency:50ms",
-// "any@17=crash", "seed:7:4". Seed specs expand to PlanFromSeed rules
-// in place.
-func ParsePlan(spec string) (*Plan, error) {
-	p := &Plan{}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if rest, ok := strings.CutPrefix(part, "seed:"); ok {
-			fields := strings.SplitN(rest, ":", 2)
-			seed, err := strconv.ParseInt(fields[0], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("fault: bad seed %q: %v", rest, err)
-			}
-			n := 3
-			if len(fields) == 2 {
-				if n, err = strconv.Atoi(fields[1]); err != nil || n <= 0 {
-					return nil, fmt.Errorf("fault: bad seed rule count %q", fields[1])
-				}
-			}
-			p.Rules = append(p.Rules, PlanFromSeed(seed, n, 8).Rules...)
-			continue
-		}
-		rule, err := parseRule(part)
-		if err != nil {
-			return nil, err
-		}
-		p.Rules = append(p.Rules, rule)
-	}
-	if len(p.Rules) == 0 {
-		return nil, fmt.Errorf("fault: empty plan %q", spec)
-	}
-	return p, nil
-}
-
-func parseRule(s string) (Rule, error) {
-	lhs, rhs, ok := strings.Cut(s, "=")
-	if !ok {
-		return Rule{}, fmt.Errorf("fault: rule %q: want op@nth[~substr]=kind", s)
-	}
-	opPart, nthPart, ok := strings.Cut(lhs, "@")
-	if !ok {
-		return Rule{}, fmt.Errorf("fault: rule %q: missing @nth", s)
-	}
-	r := Rule{Op: Op(strings.ToLower(opPart))}
-	switch r.Op {
-	case OpAny, OpMkdirAll, OpReadFile, OpReadDir, OpStat, OpCreateTemp, OpWrite, OpClose, OpRename, OpRemove:
-	default:
-		return Rule{}, fmt.Errorf("fault: rule %q: unknown op %q", s, opPart)
-	}
-	if match, found := splitMatch(&nthPart); found {
-		r.Match = match
-	}
-	n, err := strconv.Atoi(nthPart)
-	if err != nil || n <= 0 {
-		return Rule{}, fmt.Errorf("fault: rule %q: bad occurrence %q", s, nthPart)
-	}
-	r.Nth = n
-	kindPart, durPart, hasDur := strings.Cut(rhs, ":")
-	r.Kind = Kind(strings.ToLower(kindPart))
-	switch r.Kind {
-	case KindEIO, KindENOSPC, KindShort, KindCrash:
-	case KindLatency:
-		r.Latency = time.Millisecond
-		if hasDur {
-			if r.Latency, err = time.ParseDuration(durPart); err != nil {
-				return Rule{}, fmt.Errorf("fault: rule %q: bad latency %q", s, durPart)
-			}
-		}
-	default:
-		return Rule{}, fmt.Errorf("fault: rule %q: unknown kind %q", s, kindPart)
-	}
-	return r, nil
-}
-
-// splitMatch strips a trailing "~substr" from the nth field, if present.
-func splitMatch(nth *string) (string, bool) {
-	if i := strings.IndexByte(*nth, '~'); i >= 0 {
-		m := (*nth)[i+1:]
-		*nth = (*nth)[:i]
-		return m, true
-	}
-	return "", false
 }
 
 // Injector is an FS that executes a Plan over an inner filesystem. Every

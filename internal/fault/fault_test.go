@@ -11,73 +11,24 @@ import (
 	"time"
 )
 
-func mustPlan(t *testing.T, spec string) *Plan {
-	t.Helper()
-	p, err := ParsePlan(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-func TestParsePlanRoundTrip(t *testing.T) {
-	for _, spec := range []string{
-		"rename@2=eio",
-		"write@1~cache=short",
-		"readfile@3=latency:50ms",
-		"any@17=crash",
-		"rename@2=eio,write@1=enospc,close@4~jobs=eio",
-	} {
-		p := mustPlan(t, spec)
-		again := mustPlan(t, p.String())
-		if !reflect.DeepEqual(p, again) {
-			t.Errorf("%q: String round trip %q parsed differently:\n %+v\n %+v", spec, p.String(), p, again)
-		}
-	}
-}
-
-func TestParsePlanRejectsMalformed(t *testing.T) {
-	for _, spec := range []string{
-		"",
-		"rename@2",                    // no kind
-		"rename=eio",                  // no occurrence
-		"frobnicate@1=eio",            // unknown op
-		"rename@0=eio",                // occurrence must be positive
-		"rename@x=eio",                // non-numeric occurrence
-		"rename@1=exploding",          // unknown kind
-		"readfile@1=latency:sideways", // bad duration
-		"seed:notanumber",
-		"seed:1:0", // zero rule count
-	} {
-		if _, err := ParsePlan(spec); err == nil {
-			t.Errorf("ParsePlan(%q) accepted, want error", spec)
-		}
-	}
-}
-
 func TestSeededPlansAreDeterministic(t *testing.T) {
 	a := PlanFromSeed(42, 5, 10)
 	b := PlanFromSeed(42, 5, 10)
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("same seed, different plans:\n %s\n %s", a, b)
+		t.Errorf("same seed, different plans:\n %+v\n %+v", a, b)
 	}
 	c := PlanFromSeed(43, 5, 10)
 	if reflect.DeepEqual(a, c) {
-		t.Errorf("seeds 42 and 43 produced identical plans: %s", a)
-	}
-	// Seed specs in the DSL expand to the same rules (DSL uses maxNth 8).
-	d := mustPlan(t, "seed:42:5")
-	e := PlanFromSeed(42, 5, 8)
-	if !reflect.DeepEqual(e, d) {
-		t.Errorf("seed:42:5 != PlanFromSeed(42,5,8):\n %s\n %s", e, d)
+		t.Errorf("seeds 42 and 43 produced identical plans: %+v", a)
 	}
 }
 
-func TestSeededPlanMatchesDSLExpansion(t *testing.T) {
+// TestSeededPlanDefaults: a non-positive rule count or occurrence bound
+// falls back to three rules over the first eight matching calls.
+func TestSeededPlanDefaults(t *testing.T) {
 	want := PlanFromSeed(7, 3, 8)
-	got := mustPlan(t, "seed:7")
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("seed:7 expansion mismatch:\n %s\n %s", want, got)
+	if got := PlanFromSeed(7, 0, 0); !reflect.DeepEqual(want, got) {
+		t.Errorf("PlanFromSeed(7, 0, 0) = %+v, want %+v", got, want)
 	}
 }
 
@@ -87,7 +38,7 @@ func TestInjectorNthOccurrence(t *testing.T) {
 	if err := os.WriteFile(path, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	in := NewInjector(nil, mustPlan(t, "readfile@2=eio"))
+	in := NewInjector(nil, &Plan{Rules: []Rule{{Op: OpReadFile, Nth: 2, Kind: KindEIO}}})
 	if _, err := in.ReadFile(path); err != nil {
 		t.Fatalf("first read: %v", err)
 	}
@@ -110,7 +61,7 @@ func TestInjectorMatchSubstring(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	in := NewInjector(nil, mustPlan(t, "readfile@1~cache=enospc"))
+	in := NewInjector(nil, &Plan{Rules: []Rule{{Op: OpReadFile, Match: "cache", Nth: 1, Kind: KindENOSPC}}})
 	if _, err := in.ReadFile(filepath.Join(dir, "jobs.bin")); err != nil {
 		t.Fatalf("non-matching path faulted: %v", err)
 	}
@@ -121,7 +72,7 @@ func TestInjectorMatchSubstring(t *testing.T) {
 
 func TestInjectorShortWrite(t *testing.T) {
 	dir := t.TempDir()
-	in := NewInjector(nil, mustPlan(t, "write@1=short"))
+	in := NewInjector(nil, &Plan{Rules: []Rule{{Op: OpWrite, Nth: 1, Kind: KindShort}}})
 	f, err := in.CreateTemp(dir, "t*")
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +135,7 @@ func TestInjectorCrashMode(t *testing.T) {
 
 func TestInjectorCrashOnWriteTearsBuffer(t *testing.T) {
 	dir := t.TempDir()
-	in := NewInjector(nil, mustPlan(t, "write@1=crash"))
+	in := NewInjector(nil, &Plan{Rules: []Rule{{Op: OpWrite, Nth: 1, Kind: KindCrash}}})
 	f, err := in.CreateTemp(dir, "t*")
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +158,7 @@ func TestInjectorLatencySucceeds(t *testing.T) {
 	if err := os.WriteFile(path, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	in := NewInjector(nil, mustPlan(t, "readfile@1=latency:10ms"))
+	in := NewInjector(nil, &Plan{Rules: []Rule{{Op: OpReadFile, Nth: 1, Kind: KindLatency, Latency: 10 * time.Millisecond}}})
 	start := time.Now()
 	data, err := in.ReadFile(path)
 	if err != nil || string(data) != "x" {
@@ -223,7 +174,7 @@ func TestInjectorLatencySucceeds(t *testing.T) {
 
 func TestIsNotExistSeparatesMissFromFault(t *testing.T) {
 	dir := t.TempDir()
-	in := NewInjector(nil, mustPlan(t, "readfile@2=eio"))
+	in := NewInjector(nil, &Plan{Rules: []Rule{{Op: OpReadFile, Nth: 2, Kind: KindEIO}}})
 	_, err := in.ReadFile(filepath.Join(dir, "absent"))
 	if !IsNotExist(err) {
 		t.Errorf("true miss: IsNotExist = false (%v)", err)

@@ -518,10 +518,7 @@ func TestTransitionTable(t *testing.T) {
 	// served from memory and the record on disk stays where it was — never
 	// a done record without its result file.
 	t.Run("degraded store", func(t *testing.T) {
-		plan, err := fault.ParsePlan("createtemp@1~results=eio")
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := &fault.Plan{Rules: []fault.Rule{{Op: fault.OpCreateTemp, Match: "results", Nth: 1, Kind: fault.KindEIO}}}
 		f := newTransitionFixture(t, fault.NewInjector(nil, plan))
 		j := f.place(StateRunning, "key", nil, true)
 		before := scrapeCounters(t, f.svc)
@@ -549,16 +546,13 @@ func TestTransitionTable(t *testing.T) {
 		to   State
 		why  cause
 		data []byte
-		plan string
+		dir  string // the store directory whose first temp file fails
 	}{
-		{"refused/queued", StateQueued, causeAccept, nil, "createtemp@1~jobs=eio"},
-		{"refused/done-cached", StateDone, causeCacheHit, result, "createtemp@1~results=eio"},
+		{"refused/queued", StateQueued, causeAccept, nil, "jobs"},
+		{"refused/done-cached", StateDone, causeCacheHit, result, "results"},
 	} {
 		t.Run(first.name, func(t *testing.T) {
-			plan, err := fault.ParsePlan(first.plan)
-			if err != nil {
-				t.Fatal(err)
-			}
+			plan := &fault.Plan{Rules: []fault.Rule{{Op: fault.OpCreateTemp, Match: first.dir, Nth: 1, Kind: fault.KindEIO}}}
 			f := newTransitionFixture(t, fault.NewInjector(nil, plan))
 			j := f.place("", "key", nil, false)
 			before := scrapeCounters(t, f.svc)

@@ -25,10 +25,7 @@ import (
 func TestRefusedSubmitIsNotAccepted(t *testing.T) {
 	// The first CreateTemp under jobs/ fails, so the first submission is
 	// refused with ErrDegraded; the fault budget is then spent.
-	plan, err := fault.ParsePlan("createtemp@1~jobs=eio")
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := &fault.Plan{Rules: []fault.Rule{{Op: fault.OpCreateTemp, Match: "jobs", Nth: 1, Kind: fault.KindEIO}}}
 	gate := make(chan struct{})
 	svc, err := New(Config{
 		DataDir:       t.TempDir(),

@@ -84,7 +84,7 @@ type job struct {
 	cancelRequested bool
 	// cpuSeconds accumulates the analysis' BusyTime (summed path-segment
 	// wall time — the job's CPU attribution) across run segments.
-	// In-memory only: the job record (SYMSIMJ2) does not carry it, so the
+	// In-memory only: the job record (SYMSIMJ3) does not carry it, so the
 	// figure resets on daemon restart.
 	cpuSeconds float64
 	// attempt is the lease epoch: it increments each time a worker starts
@@ -296,11 +296,20 @@ func New(cfg Config) (*Service, error) {
 		// Crash/drain recovery: a record stuck in "running" was
 		// interrupted without a clean finish. It goes back to the queue;
 		// if its checkpoint survived, the analysis resumes from it
-		// instead of restarting.
+		// instead of restarting — unless the checkpoint was taken under
+		// the dropped Verilog X-address rule, whose missing X's a resumed
+		// run could keep.
+		repair := rec.State == StateRunning || rec.droppedRule
 		if rec.State == StateRunning {
 			rec.State = StateQueued
 			rec.Started = 0
 			rec.Resumable = st.hasCheckpoint(rec.ID)
+		}
+		if rec.droppedRule {
+			st.removeCheckpoint(rec.ID)
+			rec.Resumable = false
+		}
+		if repair {
 			if err := st.saveJob(rec); err != nil {
 				// Degrade, don't die: the in-memory state is repaired and
 				// the job still runs; the stale on-disk "running" record

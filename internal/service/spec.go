@@ -69,14 +69,14 @@ func policyKey(spec JobSpec) string {
 // memory's contents, so the program image is covered and a submission
 // hashes the image, not the netlist), the design/bench pair that selected
 // the platform harness
-// (monitors, stimulus, state spec), the CSM policy with its parameters and
-// the memory-X semantics. Engine, worker count and budgets are deliberately
-// excluded: engines are result-identical, parallelism does not change the
-// dichotomy, and budget-degraded (incomplete) results are never cached.
+// (monitors, stimulus, state spec) and the CSM policy with its parameters.
+// Engine, worker count and budgets are deliberately excluded: engines are
+// result-identical, parallelism does not change the dichotomy, and
+// budget-degraded (incomplete) results are never cached.
 func cacheKey(designHash netlist.Digest, spec JobSpec) string {
 	h := sha256.New()
 	h.Write([]byte(wire.CacheKeyMagic))
-	for _, part := range []string{spec.Design, spec.Bench, designHash.String(), policyKey(spec), spec.MemX} {
+	for _, part := range []string{spec.Design, spec.Bench, designHash.String(), policyKey(spec)} {
 		var n [4]byte
 		n[0], n[1], n[2], n[3] = byte(len(part)), byte(len(part)>>8), byte(len(part)>>16), byte(len(part)>>24)
 		h.Write(n[:])

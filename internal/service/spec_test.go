@@ -18,13 +18,13 @@ import (
 )
 
 func TestNormalizeFillsDefaults(t *testing.T) {
-	def := JobSpec{Policy: "clustered", K: 8, Engine: "batch", MemX: "sound", Workers: 3, DeadlineMS: 1000}
+	def := JobSpec{Policy: "clustered", K: 8, Engine: "batch", Workers: 3, DeadlineMS: 1000}
 	got, err := normalize(JobSpec{Design: "dr5", Bench: "tea8"}, &def)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := JobSpec{Design: "dr5", Bench: "tea8", Policy: "clustered", K: 8,
-		Engine: "batch", MemX: "sound", Workers: 3, DeadlineMS: 1000}
+		Engine: "batch", Workers: 3, DeadlineMS: 1000}
 	if got != want {
 		t.Errorf("normalize = %+v, want %+v", got, want)
 	}
@@ -35,7 +35,7 @@ func TestNormalizeBuiltinFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Policy != "merge-all" || got.Engine != "kernel" || got.MemX != "verilog" || got.Workers != 1 {
+	if got.Policy != "merge-all" || got.Engine != "kernel" || got.Workers != 1 {
 		t.Errorf("fallbacks wrong: %+v", got)
 	}
 }
@@ -74,7 +74,6 @@ func TestNormalizeRejects(t *testing.T) {
 		{"exact needs budget", JobSpec{Design: "d", Bench: "b", Policy: "exact", MaxStates: -1}, "maxStates > 0"},
 		{"bad engine", JobSpec{Design: "d", Bench: "b", Engine: "vhdl"}, "engine"},
 		{"interpreter not selectable", JobSpec{Design: "d", Bench: "b", Engine: "interp"}, "want kernel | batch"},
-		{"bad memx", JobSpec{Design: "d", Bench: "b", MemX: "maybe"}, "memx"},
 		{"negative budget", JobSpec{Design: "d", Bench: "b", MaxForks: -1}, "negative"},
 		{"lanes over cap", JobSpec{Design: "d", Bench: "b", Lanes: 65}, "lanes"},
 		{"negative lanes", JobSpec{Design: "d", Bench: "b", Lanes: -1}, "lanes"},
@@ -95,10 +94,10 @@ func TestNormalizeRejects(t *testing.T) {
 }
 
 // The cache key must cover exactly the result-affecting inputs: design
-// content, design/bench selection, policy (with its live parameters) and
-// memory-X semantics — and nothing else.
+// content, design/bench selection and policy (with its live parameters) —
+// and nothing else.
 func TestCacheKeySensitivity(t *testing.T) {
-	base := JobSpec{Design: "dr5", Bench: "tea8", Policy: "clustered", K: 4, Engine: "kernel", MemX: "verilog", Workers: 1}
+	base := JobSpec{Design: "dr5", Bench: "tea8", Policy: "clustered", K: 4, Engine: "kernel", Workers: 1}
 	var h1, h2 netlist.Digest
 	h2[0] = 1
 	key := cacheKey(h1, base)
@@ -115,10 +114,9 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 
 	diff("design hash", base, h2)
-	diff("bench", JobSpec{Design: "dr5", Bench: "mult", Policy: "clustered", K: 4, MemX: "verilog"}, h1)
-	diff("policy", JobSpec{Design: "dr5", Bench: "tea8", Policy: "merge-all", MemX: "verilog"}, h1)
-	diff("policy param", JobSpec{Design: "dr5", Bench: "tea8", Policy: "clustered", K: 8, MemX: "verilog"}, h1)
-	diff("memx", JobSpec{Design: "dr5", Bench: "tea8", Policy: "clustered", K: 4, MemX: "sound"}, h1)
+	diff("bench", JobSpec{Design: "dr5", Bench: "mult", Policy: "clustered", K: 4}, h1)
+	diff("policy", JobSpec{Design: "dr5", Bench: "tea8", Policy: "merge-all"}, h1)
+	diff("policy param", JobSpec{Design: "dr5", Bench: "tea8", Policy: "clustered", K: 8}, h1)
 
 	eng := base
 	eng.Engine = "batch"
@@ -142,9 +140,12 @@ func TestCacheKeySensitivity(t *testing.T) {
 // into cliflags: testdata/spec_golden.json was captured at the commit
 // before it (PR 23) — request bodies, the daemon flags they met, and what
 // that commit's normalize, cacheKey and record encoder made of them. Every
-// request the job API accepted then must normalize to the same spec, the
-// same SYMSIMK2 key and the same SYMSIMJ2 record bytes now, and the old
-// record bytes must load.
+// request the job API accepted then must normalize to the same spec less
+// its X-address write rule, which is gone, and the old record bytes must
+// load. The record written now is the SYMSIMJ3 image of the same record:
+// the old SYMSIMJ2 bytes less the rule. Its key must differ from the old
+// SYMSIMK2 key, so a result computed under the dropped Verilog rule is
+// never served.
 func TestSpecGoldenFromParent(t *testing.T) {
 	data, err := os.ReadFile("testdata/spec_golden.json")
 	if err != nil {
@@ -195,16 +196,23 @@ func TestSpecGoldenFromParent(t *testing.T) {
 			if err := json.Compact(&want, tc.Normalized); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, want.Bytes()) {
-				t.Errorf("normalized spec\n got %s\nwant %s", got, want.Bytes())
+			var parent struct {
+				Rule string `json:"memx"`
 			}
-			if key := cacheKey(hash, n); key != tc.CacheKey {
-				t.Errorf("cache key %s, want %s", key, tc.CacheKey)
+			if err := json.Unmarshal(tc.Normalized, &parent); err != nil {
+				t.Fatal(err)
+			}
+			lessRule := bytes.Replace(want.Bytes(), []byte(`"memx":"`+parent.Rule+`",`), nil, 1)
+			if !bytes.Equal(got, lessRule) {
+				t.Errorf("normalized spec\n got %s\nwant %s", got, lessRule)
+			}
+			if key := cacheKey(hash, n); key == tc.CacheKey {
+				t.Errorf("cache key %s is the parent's", key)
 			}
 			rec := &jobRecord{ID: "0123456789abcdef01234567", Spec: n, State: StateQueued,
 				Submitted: 1_722_000_000_000_000_001, CacheKey: tc.CacheKey, DesignHash: hash.String()}
-			if got := hex.EncodeToString(rec.encode()); got != tc.Record {
-				t.Errorf("record bytes\n got %s\nwant %s", got, tc.Record)
+			if got := hex.EncodeToString(legacyImage(t, rec, jobMagicV2, parent.Rule)); got != tc.Record {
+				t.Errorf("record bytes with the rule put back\n got %s\nwant %s", got, tc.Record)
 			}
 			old, err := hex.DecodeString(tc.Record)
 			if err != nil {
@@ -214,8 +222,11 @@ func TestSpecGoldenFromParent(t *testing.T) {
 			if err != nil {
 				t.Fatalf("the parent's record does not load: %v", err)
 			}
-			if loaded.Spec != n {
-				t.Errorf("loaded spec %+v, want %+v", loaded.Spec, n)
+			if loaded.Spec != n || loaded.droppedRule != (parent.Rule == "verilog") {
+				t.Errorf("loaded spec %+v (dropped rule %v), want %+v under %s", loaded.Spec, loaded.droppedRule, n, parent.Rule)
+			}
+			if !bytes.Equal(loaded.encode(), rec.encode()) {
+				t.Error("the parent's record does not re-encode as its version-3 image")
 			}
 		})
 	}

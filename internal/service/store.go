@@ -60,12 +60,21 @@ type jobRecord struct {
 	Cached bool
 	// Resumable marks a queued job with a usable checkpoint on disk.
 	Resumable bool
+
+	// droppedRule marks a version-1 or version-2 record whose spec chose
+	// the Verilog X-address write rule, which dropped the writes the one
+	// rule now merges. A checkpoint taken under it can hold known values
+	// where the run must see X, so recovery restarts the job instead of
+	// resuming it. Read from the old record, never written.
+	droppedRule bool
 }
 
-// jobMagic identifies the job record format written: version 2.
-// jobMagicV1 records, which lack Spec.Lanes, are still read.
+// jobMagic identifies the job record format written: version 3. Records
+// of version 2, which carry the X-address write rule, and of version 1,
+// which carry that rule and lack Spec.Lanes, are still read.
 const (
-	jobMagic   = wire.JobMagic2
+	jobMagic   = wire.JobMagic3
+	jobMagicV2 = wire.JobMagic2
 	jobMagicV1 = wire.JobMagic
 )
 
@@ -75,7 +84,7 @@ var ErrJobRecordCorrupt = errors.New("service: corrupt job record")
 
 func (r *jobRecord) encode() []byte {
 	b := []byte(jobMagic)
-	for _, s := range []string{r.ID, r.Spec.Design, r.Spec.Bench, r.Spec.Policy, r.Spec.Engine, r.Spec.MemX} {
+	for _, s := range []string{r.ID, r.Spec.Design, r.Spec.Bench, r.Spec.Policy, r.Spec.Engine} {
 		b = wire.AppendString(b, s)
 	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(r.Spec.K))
@@ -114,12 +123,12 @@ func (r *jobRecord) encode() []byte {
 
 // decodeJobRecord parses a job record image; malformed input yields an
 // error wrapping ErrJobRecordCorrupt, never a panic, and any accepted
-// input re-encodes byte-identically — a version-1 input as the version-2
-// image of the same record.
+// input re-encodes byte-identically — a version-1 or version-2 input as the
+// version-3 image of the same record.
 func decodeJobRecord(data []byte) (*jobRecord, error) {
 	r := wire.NewReader(data, ErrJobRecordCorrupt)
 	magic := string(r.Bytes(len(jobMagic)))
-	if r.Err() == nil && magic != jobMagic && magic != jobMagicV1 {
+	if r.Err() == nil && magic != jobMagic && magic != jobMagicV2 && magic != jobMagicV1 {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrJobRecordCorrupt, magic)
 	}
 	rec := &jobRecord{}
@@ -128,11 +137,13 @@ func decodeJobRecord(data []byte) (*jobRecord, error) {
 	rec.Spec.Bench = r.Str()
 	rec.Spec.Policy = r.Str()
 	rec.Spec.Engine = r.Str()
-	rec.Spec.MemX = r.Str()
+	if magic != jobMagic {
+		rec.droppedRule = r.Str() != "sound"
+	}
 	rec.Spec.K = int(r.U32())
 	rec.Spec.MaxStates = int(r.U32())
 	rec.Spec.Workers = int(r.U32())
-	if magic == jobMagic {
+	if magic != jobMagicV1 {
 		rec.Spec.Lanes = int(r.U32())
 	}
 	rec.Spec.Priority = int(int32(r.U32()))
@@ -165,7 +176,7 @@ func decodeJobRecord(data []byte) (*jobRecord, error) {
 
 // store lays the service's durable state out under one root directory:
 //
-//	jobs/<id>.job      canonical job records (SYMSIMJ2)
+//	jobs/<id>.job      canonical job records (SYMSIMJ3)
 //	results/<id>.json  per-job result summaries
 //	cache/<key>.json   content-addressed complete results
 //	ckpt/<id>.ckpt     per-job exploration checkpoints (SYMSIMC1)

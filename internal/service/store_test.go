@@ -3,10 +3,18 @@ package service
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
+
+	"symsim/internal/core"
+	"symsim/internal/obs"
+	"symsim/internal/wire"
 )
 
 func sampleRecord() *jobRecord {
@@ -14,7 +22,7 @@ func sampleRecord() *jobRecord {
 		ID: "a1b2c3",
 		Spec: JobSpec{
 			Design: "dr5", Bench: "tea8", Policy: "clustered", K: 4,
-			Engine: "batch", MemX: "verilog", Workers: 2, Lanes: 4, Priority: -3,
+			Engine: "batch", Workers: 2, Lanes: 4, Priority: -3,
 			DeadlineMS: 90_000, MaxCycles: 1 << 40, MaxForks: 7, MaxCSMStates: 11,
 		},
 		State:      StateQueued,
@@ -44,26 +52,32 @@ func TestJobRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// v1Image rewrites a version-2 record image into the version-1 layout:
-// the old magic, and no lane count after the worker count.
-func v1Image(t testing.TB, rec *jobRecord) []byte {
+// legacyImage rewrites a current record image into the layout of an older
+// version: its magic, the X-address write rule after the engine, and for
+// version 1 no lane count after the worker count.
+func legacyImage(t testing.TB, rec *jobRecord, magic, rule string) []byte {
 	t.Helper()
-	v2 := rec.encode()
-	lanes := len(jobMagic)
-	for _, s := range []string{rec.ID, rec.Spec.Design, rec.Spec.Bench, rec.Spec.Policy, rec.Spec.Engine, rec.Spec.MemX} {
-		lanes += 4 + len(s)
+	cur := rec.encode()
+	at := len(jobMagic)
+	for _, s := range []string{rec.ID, rec.Spec.Design, rec.Spec.Bench, rec.Spec.Policy, rec.Spec.Engine} {
+		at += 4 + len(s)
 	}
-	lanes += 3 * 4 // K, MaxStates, Workers
-	v1 := append([]byte(jobMagicV1), v2[len(jobMagic):lanes]...)
-	return append(v1, v2[lanes+4:]...)
+	img := wire.AppendString(append([]byte(magic), cur[len(jobMagic):at]...), rule)
+	lanes := at + 3*4 // K, MaxStates, Workers
+	img = append(img, cur[at:lanes]...)
+	if magic == jobMagicV1 {
+		return append(img, cur[lanes+4:]...)
+	}
+	return append(img, cur[lanes:]...)
 }
 
 // A record written before Lanes was persisted still decodes, with the
-// engine-default lane count, and is rewritten in the current version.
+// engine-default lane count, its X-address write rule read and dropped,
+// and is rewritten in the current version.
 func TestJobRecordVersion1StillDecodes(t *testing.T) {
 	want := sampleRecord()
 	want.Spec.Lanes = 0
-	got, err := decodeJobRecord(v1Image(t, sampleRecord()))
+	got, err := decodeJobRecord(legacyImage(t, want, jobMagicV1, "sound"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +85,27 @@ func TestJobRecordVersion1StillDecodes(t *testing.T) {
 		t.Errorf("version-1 decode:\n got %+v\nwant %+v", got, want)
 	}
 	if !bytes.Equal(got.encode(), want.encode()) {
-		t.Error("version-1 record does not re-encode as its version-2 image")
+		t.Error("version-1 record does not re-encode as its version-3 image")
+	}
+}
+
+// A version-2 record decodes to the same spec, less its X-address write
+// rule; one that chose the dropped Verilog rule is marked so that recovery
+// does not resume its checkpoint.
+func TestJobRecordVersion2StillDecodes(t *testing.T) {
+	for _, rule := range []string{"sound", "verilog"} {
+		want := sampleRecord()
+		got, err := decodeJobRecord(legacyImage(t, want, jobMagicV2, rule))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.droppedRule = rule == "verilog"
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("version-2 decode under %s:\n got %+v\nwant %+v", rule, got, want)
+		}
+		if !bytes.Equal(got.encode(), want.encode()) {
+			t.Errorf("version-2 record under %s does not re-encode as its version-3 image", rule)
+		}
 	}
 }
 
@@ -126,12 +160,13 @@ func TestJobRecordBitFlips(t *testing.T) {
 
 func FuzzJobRecordRoundTrip(f *testing.F) {
 	f.Add(sampleRecord().encode())
-	f.Add(v1Image(f, sampleRecord()))
+	f.Add(legacyImage(f, sampleRecord(), jobMagicV1, "sound"))
 	f.Add([]byte(jobMagic))
 	f.Add([]byte(jobMagicV1))
 	f.Add([]byte("SYMSIMJ9junk"))
 	trunc := sampleRecord().encode()
 	f.Add(trunc[:len(trunc)-3])
+	f.Add(legacyImage(f, sampleRecord(), jobMagicV2, "verilog"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeJobRecord(data)
 		if err != nil {
@@ -141,11 +176,13 @@ func FuzzJobRecordRoundTrip(f *testing.F) {
 			return
 		}
 		enc := rec.encode()
-		if bytes.HasPrefix(data, []byte(jobMagicV1)) {
-			// A version-1 input is rewritten as version 2: same record.
+		if bytes.HasPrefix(data, []byte(jobMagicV1)) || bytes.HasPrefix(data, []byte(jobMagicV2)) {
+			// An old-version input is rewritten as version 3: the same
+			// record, less the X-address write rule it no longer carries.
 			again, err := decodeJobRecord(enc)
+			rec.droppedRule = false
 			if err != nil || !reflect.DeepEqual(again, rec) {
-				t.Fatalf("version-1 input does not survive its rewrite: %v", err)
+				t.Fatalf("old-version input does not survive its rewrite: %v", err)
 			}
 			return
 		}
@@ -236,5 +273,72 @@ func TestLoadJobsRejectsRenamedRecord(t *testing.T) {
 	recs, errs := st.loadJobs()
 	if len(recs) != 0 || len(errs) != 1 {
 		t.Errorf("recs=%v errs=%v, want rejection", recs, errs)
+	}
+}
+
+// TestDroppedRuleCheckpointIsNotResumed: a version-2 job a crash left
+// running with a checkpoint on disk resumes from it under the sound rule,
+// but restarts from the beginning under the dropped Verilog rule, whose
+// checkpoint can hold known values where the run must see X — and that
+// checkpoint goes.
+func TestDroppedRuleCheckpointIsNotResumed(t *testing.T) {
+	dir := t.TempDir()
+	st, _, _, err := openStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := normalize(JobSpec{Design: "dr5", Bench: "loop", Workers: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rule := range []string{"sound", "verilog"} {
+		rec := &jobRecord{ID: rule, Spec: spec, State: StateRunning, Submitted: int64(i + 1), CacheKey: rule}
+		if err := os.WriteFile(st.jobPath(rec.ID), legacyImage(t, rec, jobMagicV2, rule), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(st.checkpointPath(rec.ID), []byte("ck"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The run a worker starts waits at the gate, so nothing writes a new
+	// checkpoint before the checks.
+	gate := make(chan struct{})
+	var (
+		mu   sync.Mutex
+		logs []string
+	)
+	svc, err := New(Config{
+		DataDir:       dir,
+		Workers:       1,
+		BuildPlatform: loopPlatform(t, 0x1),
+		Metrics:       obs.NewRegistry(),
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		},
+		tuneConfig: func(string, *core.Config) { <-gate },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	defer close(gate)
+	mu.Lock()
+	for _, want := range []string{"recovered job sound (resumable=true)", "recovered job verilog (resumable=false)"} {
+		if !slices.ContainsFunc(logs, func(l string) bool { return strings.HasSuffix(l, want) }) {
+			t.Errorf("no log line %q in %q", want, logs)
+		}
+	}
+	mu.Unlock()
+	if !st.hasCheckpoint("sound") || st.hasCheckpoint("verilog") {
+		t.Errorf("checkpoints left: sound %v, verilog %v; want only the sound rule's", st.hasCheckpoint("sound"), st.hasCheckpoint("verilog"))
+	}
+	data, err := os.ReadFile(st.jobPath("verilog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := decodeJobRecord(data); err != nil || !bytes.HasPrefix(data, []byte(jobMagic)) || rec.Resumable {
+		t.Errorf("repaired record: %+v, %v; want a version-3 record that is not resumable", rec, err)
 	}
 }

@@ -221,10 +221,7 @@ func TestCrashBetweenCreateTempAndRenameReapsOrphan(t *testing.T) {
 
 	// Crash exactly at the rename: CreateTemp, Write and Close succeed,
 	// so a fully written temp file is stranded next to the intact record.
-	plan, err := fault.ParsePlan("rename@1=crash")
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := &fault.Plan{Rules: []fault.Rule{{Op: fault.OpRename, Nth: 1, Kind: fault.KindCrash}}}
 	crashed, _, _, err := openStore(dir, fault.NewInjector(nil, plan))
 	if err != nil {
 		t.Fatal(err)
@@ -385,10 +382,7 @@ func TestSubmitRefusedWhileStoreDown(t *testing.T) {
 	dir := t.TempDir()
 	// The first CreateTemp under jobs/ fails: the first submission's
 	// record can't be written; the fault budget is then spent.
-	plan, err := fault.ParsePlan("createtemp@1~jobs=eio")
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := &fault.Plan{Rules: []fault.Rule{{Op: fault.OpCreateTemp, Match: "jobs", Nth: 1, Kind: fault.KindEIO}}}
 	svc, err := New(Config{
 		DataDir:       dir,
 		Workers:       1,

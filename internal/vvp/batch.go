@@ -68,8 +68,6 @@ const BatchLanes = 64
 
 // BatchOptions configure a BatchSim.
 type BatchOptions struct {
-	// MemX selects X-address write semantics, as on the scalar engines.
-	MemX MemXPolicy
 	// Lanes caps the usable lanes, 1..64. Zero means the full 64. The cap
 	// bounds admission (RestoreLane rejects lanes at or above it); the
 	// plane layout is always 64 wide.
@@ -627,8 +625,8 @@ func (s *BatchSim) laneBits(nets []netlist.NetID, l int) (a, x uint64) {
 // time on the lane's own image: a known-0 enable skips, a known-1 enable
 // with a known address writes the word exactly, an unknown enable merges it
 // conservatively (agreeing known bits kept, X otherwise), and an unknown
-// address follows the MemX policy — dropped, or merged into every word the
-// address could be.
+// address merges into every word the address could be, as on the scalar
+// engines.
 //
 //symsim:hotpath
 func (s *BatchSim) memWriteB(m *netlist.Mem, ms *batchMem, pe uint64) {
@@ -636,9 +634,6 @@ func (s *BatchSim) memWriteB(m *netlist.Mem, ms *batchMem, pe uint64) {
 	for lanes := pe & (weA | weX); lanes != 0; lanes &= lanes - 1 {
 		l := bits.TrailingZeros64(lanes)
 		addr, addrX := s.laneBits(m.WAddr, l)
-		if addrX != 0 && s.opts.MemX == MemXVerilog {
-			continue // iverilog semantics: an unknown-address write is dropped
-		}
 		// The words the ternary address could name: one, or a scan.
 		lo, hi := 0, m.Words
 		if addrX == 0 {

@@ -134,19 +134,15 @@ func checkLaneVsFresh(t *testing.T, ctx string, b *BatchSim, lane int, sp *State
 // not bit-identical; ROADMAP open item 2). So on such a trial a lane of the
 // multi-lane batch must cover its scalar shadow (checkLaneCovers) rather
 // than equal it, its halt and finish decisions and exit snapshots are not
-// compared, and the X-address policy has to be the monotone one, MemXSound;
-// the one-lane batch beside it, which has nobody to share a schedule with,
+// compared; the one-lane batch beside it, which has nobody to share a schedule with,
 // stays bit-identical to the interpreter and the bare kernel, decisions
 // included.
-func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy, xReset bool) {
+func batchDiffTrial(t *testing.T, seed int64, xReset bool) {
 	r := rand.New(rand.NewSource(seed))
 	n, ins := randMemCircuit(r, 2+r.Intn(3), 2+r.Intn(4), 10+r.Intn(40), r.Intn(2) == 0)
 	st := randStimulus(r, n, ins, 40)
 	checkLaneVsRef := checkLane
 	if xReset {
-		if memx != MemXSound {
-			t.Fatalf("seed %d: an X reset trial needs MemXSound", seed)
-		}
 		twistStimulus(r, st, n, ins, 40, stimXReset)
 		checkLaneVsRef = checkLaneCovers
 	}
@@ -170,13 +166,13 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy, xReset bool) {
 		}
 	}
 
-	b := NewBatchSim(n, BatchOptions{MemX: memx})
+	b := NewBatchSim(n, BatchOptions{})
 	b.BindStimulus(st)
 	b.SetMonitorX(spec)
 	// b1 is lane 0 of b on a BatchSim of its own: with one occupant its
 	// lane-agnostic schedule is that scenario's, so it must match the bare
 	// kernel's — the two embeddings of dirtySet side by side.
-	b1 := NewBatchSim(n, BatchOptions{MemX: memx, Lanes: 1})
+	b1 := NewBatchSim(n, BatchOptions{Lanes: 1})
 	b1.BindStimulus(st)
 	b1.SetMonitorX(spec)
 
@@ -193,7 +189,7 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy, xReset bool) {
 	// with flip set it steps on until the clock is at the other level than
 	// lane flipLane currently holds.
 	warmSnap := func(warm int, flip bool, flipLane int, ctx string) State {
-		w := New(n, Options{Engine: EngineInterp, MemX: memx})
+		w := New(n, Options{Engine: EngineInterp})
 		w.BindStimulus(st)
 		for i := 0; i < warm; i++ {
 			if _, err := w.Step(); err != nil {
@@ -209,10 +205,10 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy, xReset bool) {
 	}
 
 	admit := func(lane int, snap State, ctx string) {
-		ref := New(n, Options{Engine: EngineInterp, MemX: memx})
+		ref := New(n, Options{Engine: EngineInterp})
 		ref.BindStimulus(st)
 		ref.SetMonitorX(spec)
-		kref := New(n, Options{Engine: EngineKernel, MemX: memx})
+		kref := New(n, Options{Engine: EngineKernel})
 		kref.BindStimulus(st)
 		kref.SetMonitorX(spec)
 		for _, s := range []*Simulator{ref, kref} {
@@ -407,30 +403,25 @@ func batchDiffTrial(t *testing.T, seed int64, memx MemXPolicy, xReset bool) {
 }
 
 // TestBatchMatchesInterpreterPerLane is the always-on per-lane differential
-// sweep: many random circuits, both X-address policies.
+// sweep: many random circuits, each also under an X reset.
 func TestBatchMatchesInterpreterPerLane(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		batchDiffTrial(t, seed, MemXVerilog, false)
-		batchDiffTrial(t, seed, MemXSound, false)
+		batchDiffTrial(t, seed, false)
 		// Seeds 0 and 16 run a lane ahead of its scalar shadow; on seed 13 a
 		// quiet computed over one lane leaves a lane knowing a value its
 		// scalar run has lost.
-		batchDiffTrial(t, seed, MemXSound, true)
+		batchDiffTrial(t, seed, true)
 	}
 }
 
 // FuzzBatchVsInterpreter lets the fuzzer hunt for lane interference beyond
 // the fixed sweep.
 func FuzzBatchVsInterpreter(f *testing.F) {
-	f.Add(uint64(1), false, false)
-	f.Add(uint64(42), true, false)
-	f.Add(uint64(13), true, true)
-	f.Fuzz(func(t *testing.T, seed uint64, sound, xReset bool) {
-		memx := MemXVerilog
-		if sound || xReset {
-			memx = MemXSound // the only policy an X reset trial can hold a lane to
-		}
-		batchDiffTrial(t, int64(seed%(1<<62)), memx, xReset)
+	f.Add(uint64(1), false)
+	f.Add(uint64(42), false)
+	f.Add(uint64(13), true)
+	f.Fuzz(func(t *testing.T, seed uint64, xReset bool) {
+		batchDiffTrial(t, int64(seed%(1<<62)), xReset)
 	})
 }
 

@@ -21,7 +21,7 @@ import (
 // commit traces at the end. each, when non-nil, runs before every step.
 func lockstep(t *testing.T, n *netlist.Netlist, st *Stimulus, steps int, each func(step int, si, sk *Simulator)) (si, sk *Simulator) {
 	t.Helper()
-	si, sk, ti, tk := enginePair(n, st, MemXVerilog)
+	si, sk, ti, tk := enginePair(n, st)
 	for step := 0; step < steps; step++ {
 		if each != nil {
 			each(step, si, sk)
@@ -55,7 +55,7 @@ func lockstep(t *testing.T, n *netlist.Netlist, st *Stimulus, steps int, each fu
 // at the end.
 func trio(t *testing.T, n *netlist.Netlist, st *Stimulus, steps int, prep func(s *Simulator), each func(step int, si, sk, sb *Simulator)) (si, sk, sb *Simulator) {
 	t.Helper()
-	si, sk, ti, tk := enginePair(n, st, MemXVerilog)
+	si, sk, ti, tk := enginePair(n, st)
 	sb = New(n, Options{})
 	sb.BindStimulus(st)
 	for _, s := range []*Simulator{si, sk, sb} {
@@ -186,7 +186,7 @@ func TestRestoreAtEitherPhaseFiresNoEdge(t *testing.T) {
 		snap := src.Snapshot(sp)
 		want, _ := src.VecValue(q).Uint64()
 
-		si, sk, ti, tk := enginePair(n, st, MemXVerilog)
+		si, sk, ti, tk := enginePair(n, st)
 		for i := 0; i < tc.dstRun; i++ {
 			si.Step()
 			sk.Step()

@@ -14,7 +14,6 @@ import (
 // RAM under test is a primary input, so the model needs no gates.
 type portModel struct {
 	words [][]logic.Value
-	memx  MemXPolicy
 }
 
 func foldZ(v logic.Value) logic.Value {
@@ -51,7 +50,7 @@ func allKnown(vs []logic.Value) bool {
 }
 
 func (pm *portModel) write(we logic.Value, addr, data []logic.Value) {
-	if we == logic.Lo || (!allKnown(addr) && pm.memx == MemXVerilog) {
+	if we == logic.Lo {
 		return
 	}
 	exact := we == logic.Hi && allKnown(addr)
@@ -86,8 +85,7 @@ func (pm *portModel) read(addr []logic.Value) []logic.Value {
 
 // TestPortsAgainstBitwiseModel drives a RAM whose every pin is a primary
 // input with random 0/1/X/Z and compares read data and contents with the
-// bitwise model after every step, under both X-address policies and on both
-// engines. The geometries cover a word of several 64-bit chunks with a
+// bitwise model after every step, on both engines. The geometries cover a word of several 64-bit chunks with a
 // ragged tail, an address space larger than the word count, and the shipped
 // shape.
 func TestPortsAgainstBitwiseModel(t *testing.T) {
@@ -115,72 +113,70 @@ func TestPortsAgainstBitwiseModel(t *testing.T) {
 		if err := n.Freeze(); err != nil {
 			t.Fatal(err)
 		}
-		for _, memx := range []MemXPolicy{MemXVerilog, MemXSound} {
-			for _, eng := range []Engine{EngineKernel, EngineInterp} {
-				ctx := fmt.Sprintf("%dx%d/%d memx=%d %v", g.words, g.dataBits, g.addrBits, memx, eng)
-				r := rand.New(rand.NewSource(int64(g.dataBits)))
-				// Mostly known values, so writes land and addresses resolve,
-				// with enough X and Z to reach every branch.
-				draw := func() logic.Value {
-					return []logic.Value{logic.Lo, logic.Hi, logic.Lo, logic.Hi, logic.Lo, logic.Hi, logic.X, logic.Z}[r.Intn(8)]
-				}
-				const cycles = 300
-				st := NewStimulus(clk, hp)
-				for c := 0; c < cycles; c++ {
-					at := uint64(2*hp*c) + 1 // while the clock is low
-					st.At(at, we, draw())
-					for _, pin := range [][]netlist.NetID{raddr, waddr, wdata} {
-						for _, in := range pin {
-							st.At(at, in, draw())
-						}
+		for _, eng := range []Engine{EngineKernel, EngineInterp} {
+			ctx := fmt.Sprintf("%dx%d/%d %v", g.words, g.dataBits, g.addrBits, eng)
+			r := rand.New(rand.NewSource(int64(g.dataBits)))
+			// Mostly known values, so writes land and addresses resolve,
+			// with enough X and Z to reach every branch.
+			draw := func() logic.Value {
+				return []logic.Value{logic.Lo, logic.Hi, logic.Lo, logic.Hi, logic.Lo, logic.Hi, logic.X, logic.Z}[r.Intn(8)]
+			}
+			const cycles = 300
+			st := NewStimulus(clk, hp)
+			for c := 0; c < cycles; c++ {
+				at := uint64(2*hp*c) + 1 // while the clock is low
+				st.At(at, we, draw())
+				for _, pin := range [][]netlist.NetID{raddr, waddr, wdata} {
+					for _, in := range pin {
+						st.At(at, in, draw())
 					}
 				}
-				st.Finalize()
-				s := New(n, Options{Engine: eng, MemX: memx})
-				s.BindStimulus(st)
-				pm := &portModel{memx: memx}
-				for w := 0; w < g.words; w++ {
-					word := make([]logic.Value, g.dataBits)
+			}
+			st.Finalize()
+			s := New(n, Options{Engine: eng})
+			s.BindStimulus(st)
+			pm := &portModel{}
+			for w := 0; w < g.words; w++ {
+				word := make([]logic.Value, g.dataBits)
+				for i := range word {
+					word[i] = logic.X
+				}
+				pm.words = append(pm.words, word)
+			}
+			vals := func(nets []netlist.NetID) []logic.Value {
+				var vs []logic.Value
+				for _, id := range nets {
+					vs = append(vs, s.Value(id))
+				}
+				return vs
+			}
+			writes := 0
+			for step := 0; step < 3*cycles-1; step++ {
+				wasLow := s.Value(clk) == logic.Lo
+				if _, err := s.Step(); err != nil {
+					t.Fatal(err)
+				}
+				if wasLow && s.Value(clk) == logic.Hi {
+					pm.write(s.Value(we), vals(waddr), vals(wdata))
+					writes++
+				}
+				want := pm.read(vals(raddr))
+				for i, d := range rdata {
+					if got := s.Value(d); got != want[i] {
+						t.Fatalf("%s step %d: read data bit %d = %v, model says %v", ctx, step, i, got, want[i])
+					}
+				}
+				for w, word := range pm.words {
+					got := s.MemWord(0, w)
 					for i := range word {
-						word[i] = logic.X
-					}
-					pm.words = append(pm.words, word)
-				}
-				vals := func(nets []netlist.NetID) []logic.Value {
-					var vs []logic.Value
-					for _, id := range nets {
-						vs = append(vs, s.Value(id))
-					}
-					return vs
-				}
-				writes := 0
-				for step := 0; step < 3*cycles-1; step++ {
-					wasLow := s.Value(clk) == logic.Lo
-					if _, err := s.Step(); err != nil {
-						t.Fatal(err)
-					}
-					if wasLow && s.Value(clk) == logic.Hi {
-						pm.write(s.Value(we), vals(waddr), vals(wdata))
-						writes++
-					}
-					want := pm.read(vals(raddr))
-					for i, d := range rdata {
-						if got := s.Value(d); got != want[i] {
-							t.Fatalf("%s step %d: read data bit %d = %v, model says %v", ctx, step, i, got, want[i])
-						}
-					}
-					for w, word := range pm.words {
-						got := s.MemWord(0, w)
-						for i := range word {
-							if got.Get(i) != word[i] {
-								t.Fatalf("%s step %d: word %d bit %d = %v, model says %v", ctx, step, w, i, got.Get(i), word[i])
-							}
+						if got.Get(i) != word[i] {
+							t.Fatalf("%s step %d: word %d bit %d = %v, model says %v", ctx, step, w, i, got.Get(i), word[i])
 						}
 					}
 				}
-				if writes < cycles-1 {
-					t.Fatalf("%s: saw %d rising edges, want %d", ctx, writes, cycles-1)
-				}
+			}
+			if writes < cycles-1 {
+				t.Fatalf("%s: saw %d rising edges, want %d", ctx, writes, cycles-1)
 			}
 		}
 	}

@@ -117,27 +117,11 @@ func (e Engine) String() string {
 	return fmt.Sprintf("Engine(%d)", uint8(e))
 }
 
-// MemXPolicy selects the semantics of a memory write whose address contains
-// X bits (paper §3.3 discussion; see DESIGN.md substitution table).
-type MemXPolicy uint8
-
-const (
-	// MemXVerilog drops writes with unknown addresses and reads X, the
-	// behaviour of iverilog's reg arrays and therefore of the paper's
-	// tool. This is the default.
-	MemXVerilog MemXPolicy = iota
-	// MemXSound conservatively merges the written data into every word
-	// the unknown address could select.
-	MemXSound
-)
-
 // Options configure a Simulator.
 type Options struct {
 	// Engine selects the evaluation machinery. The zero value is the
 	// compiled kernel; EngineInterp selects the reference interpreter.
 	Engine Engine
-	// MemX selects X-address write semantics. Default MemXVerilog.
-	MemX MemXPolicy
 	// Trace, when non-nil, records every net value commit. Used by the
 	// baseline-equivalence validation of paper §5.0.1.
 	Trace *Trace
@@ -746,8 +730,9 @@ func (s *Simulator) evalMem(id netlist.MemID) {
 // memWrite performs the write port on a rising clock: a known-0 enable
 // skips, a known-1 enable with a known address writes the word exactly, an
 // unknown enable merges into it (agreeing known bits kept, X otherwise), and
-// an unknown address follows the MemX policy — dropped, or merged into every
-// word the address could name. Address and data come straight from val, the
+// an unknown address merges into every word the address could name — unlike
+// iverilog, which drops the write and so keeps a word known that a concrete
+// run can change (DESIGN §2). Address and data come straight from val, the
 // data in chunks of at most 64 bits (netlist.AddMem keeps an address under
 // 63).
 //
@@ -758,9 +743,6 @@ func (s *Simulator) memWrite(m *netlist.Mem, ms *memState) {
 		return
 	}
 	addr, addrX := s.busBits(m.WAddr)
-	if addrX != 0 && s.opts.MemX == MemXVerilog {
-		return // iverilog reg-array semantics: the write is dropped
-	}
 	lo, hi := uint64(0), uint64(m.Words)
 	if addrX == 0 {
 		lo, hi = addr, min(addr+1, hi)

@@ -260,29 +260,9 @@ func TestRAMWriteRead(t *testing.T) {
 	}
 }
 
-func TestRAMXAddrWriteVerilogDropped(t *testing.T) {
-	d, raddr, _, wdata, wen, rdata := ramDesign(t)
-	s := New(d, Options{MemX: MemXVerilog})
-	st := NewStimulus(d.Inputs[0], hp)
-	st.At(1, d.Inputs[1], logic.Hi)
-	st.At(1, raddr[0], logic.Lo)
-	st.At(1, raddr[1], logic.Lo)
-	// waddr stays X; wen on.
-	st.At(1, wen, logic.Hi)
-	for i := range wdata {
-		st.At(1, wdata[i], logic.Hi)
-	}
-	st.Finalize()
-	s.BindStimulus(st)
-	stepCycles(t, s, 2)
-	if v, ok := s.VecValue(rdata).Uint64(); !ok || v != 0 {
-		t.Fatalf("Verilog X-addr write corrupted word 0: %s", s.VecValue(rdata))
-	}
-}
-
 func TestRAMXAddrWriteSoundMerges(t *testing.T) {
 	d, raddr, _, wdata, wen, rdata := ramDesign(t)
-	s := New(d, Options{MemX: MemXSound})
+	s := New(d, Options{})
 	st := NewStimulus(d.Inputs[0], hp)
 	st.At(1, d.Inputs[1], logic.Hi)
 	st.At(1, raddr[0], logic.Lo)
@@ -294,8 +274,9 @@ func TestRAMXAddrWriteSoundMerges(t *testing.T) {
 	st.Finalize()
 	s.BindStimulus(st)
 	stepCycles(t, s, 2)
-	// Word 0 was 0; write data is 0xF with unknown address: sound mode
-	// merges, so every bit that differs becomes X.
+	// Word 0 was 0; write data is 0xF with unknown address: the write
+	// merges into every word it could name, so every bit that differs
+	// becomes X.
 	if got := s.VecValue(rdata); got.CountX() != 4 {
 		t.Fatalf("sound X-addr write: word0 = %s, want xxxx", got)
 	}

@@ -26,16 +26,23 @@ const (
 	// (internal/service store.go): one fully-validated record per job,
 	// crash-repaired on daemon restart.
 	JobMagic = "SYMSIMJ1"
-	// JobMagic2 identifies version 2 of the durable job record, the one
-	// written: version 1 plus the spec's lane count. Version-1 records
-	// still decode, with Lanes 0 (the engine default).
+	// JobMagic2 identifies version 2 of the durable job record: version 1
+	// plus the spec's lane count. Version-1 records still decode, with
+	// Lanes 0 (the engine default).
 	JobMagic2 = "SYMSIMJ2"
-	// CacheKeyMagic identifies version 2 of the content-addressed result
+	// JobMagic3 identifies version 3 of the durable job record, the one
+	// written: version 2 less the spec's X-address write rule, of which
+	// one is left. Version-1 and version-2 records still decode; their
+	// rule is read and dropped.
+	JobMagic3 = "SYMSIMJ3"
+	// CacheKeyMagic identifies version 3 of the content-addressed result
 	// cache key (internal/service spec.go): a digest over the canonical
 	// netlist hash plus normalized analysis parameters. Digest-only —
 	// keys are derived, never decoded. Version 1 (SYMSIMK1) was keyed on
-	// the version-1 netlist hash; its entries can no longer be reached.
-	CacheKeyMagic = "SYMSIMK2"
+	// the version-1 netlist hash, version 2 (SYMSIMK2) on the X-address
+	// write rule too, whose Verilog setting dropped writes the one rule
+	// merges; neither's entries can be reached.
+	CacheKeyMagic = "SYMSIMK3"
 	// HashMagic identifies version 2 of the canonical netlist content
 	// hash construction (internal/netlist hash.go): a structure digest
 	// that leaves the memory contents out, combined with one digest per
@@ -73,7 +80,8 @@ var Formats = []Format{
 	{Magic: CheckpointMagic, Name: "checkpoint", Package: "symsim/internal/core", Fuzz: "FuzzCheckpointRoundTrip"},
 	{Magic: HashMagic, Name: "netlist content hash", Package: "symsim/internal/netlist", DigestOnly: true},
 	{Magic: JobMagic, Name: "job record v1", Package: "symsim/internal/service", Fuzz: "FuzzJobRecordRoundTrip"},
-	{Magic: JobMagic2, Name: "job record", Package: "symsim/internal/service", Fuzz: "FuzzJobRecordRoundTrip"},
+	{Magic: JobMagic2, Name: "job record v2", Package: "symsim/internal/service", Fuzz: "FuzzJobRecordRoundTrip"},
+	{Magic: JobMagic3, Name: "job record", Package: "symsim/internal/service", Fuzz: "FuzzJobRecordRoundTrip"},
 	{Magic: CacheKeyMagic, Name: "result cache key", Package: "symsim/internal/service", DigestOnly: true},
 	{Magic: OutcomeMagic, Name: "segment outcome", Package: "symsim/internal/core", Fuzz: "FuzzSegmentRoundTrip"},
 	{Magic: WorkMagic, Name: "segment work", Package: "symsim/internal/core", Fuzz: "FuzzSegmentRoundTrip"},

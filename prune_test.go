@@ -1,7 +1,6 @@
 package symsim_test
 
 import (
-	"fmt"
 	"testing"
 
 	"symsim"
@@ -26,10 +25,10 @@ func tHoldPruneFacts(t testing.TB, p *symsim.Platform) []symsim.Constraint {
 }
 
 // TestConstraintPruningReducesPathsSoundly is the acceptance gate of the
-// pre-fork pruner: with the tHold fact, every engine x MemX cell must
-// create strictly fewer paths with pruning on — the pinned created-path
-// counts, off and on — and produce the byte-identical tie-off list, because
-// the pruned children are redundant under the fact. DisablePrune is the
+// pre-fork pruner: with the tHold fact, every engine must create strictly
+// fewer paths with pruning on — the pinned created-path counts, off and on
+// — and produce the byte-identical tie-off list, because the pruned
+// children are redundant under the fact. DisablePrune is the
 // only knob flipped between the two runs, so any divergence is the
 // pruner's.
 func TestConstraintPruningReducesPathsSoundly(t *testing.T) {
@@ -38,54 +37,52 @@ func TestConstraintPruningReducesPathsSoundly(t *testing.T) {
 		t.Fatal(err)
 	}
 	cons := tHoldPruneFacts(t, p)
-	for _, memx := range []symsim.MemXPolicy{symsim.MemXVerilog, symsim.MemXSound} {
-		for _, eng := range []struct {
-			name    string
-			e       symsim.SimEngine
-			off, on int // paths created without and with pruning
-		}{
-			{"interp", symsim.EngineInterp, 95, 78},
-			{"kernel", symsim.EngineKernel, 95, 78},
-			{"batch", symsim.EngineBatch, 175, 154},
-		} {
-			t.Run(fmt.Sprintf("memx=%v/%s", memx, eng.name), func(t *testing.T) {
-				run := func(disable bool) *symsim.Result {
-					pol, err := symsim.ConstrainedPolicy(p.Spec.Bits(), cons)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := symsim.Analyze(p, symsim.Config{
-						Policy: pol, Engine: eng.e, MemX: memx, DisablePrune: disable,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !res.Complete {
-						t.Fatalf("run degraded: %+v", res.Degradation)
-					}
-					return res
+	for _, eng := range []struct {
+		name    string
+		e       symsim.SimEngine
+		off, on int // paths created without and with pruning
+	}{
+		{"interp", symsim.EngineInterp, 95, 78},
+		{"kernel", symsim.EngineKernel, 95, 78},
+		{"batch", symsim.EngineBatch, 175, 154},
+	} {
+		t.Run(eng.name, func(t *testing.T) {
+			run := func(disable bool) *symsim.Result {
+				pol, err := symsim.ConstrainedPolicy(p.Spec.Bits(), cons)
+				if err != nil {
+					t.Fatal(err)
 				}
-				off, on := run(true), run(false)
-				if off.PathsPruned != 0 {
-					t.Errorf("DisablePrune run pruned %d paths", off.PathsPruned)
+				res, err := symsim.Analyze(p, symsim.Config{
+					Policy: pol, Engine: eng.e, DisablePrune: disable,
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				if on.PathsPruned == 0 {
-					t.Error("pruning run pruned nothing")
+				if !res.Complete {
+					t.Fatalf("run degraded: %+v", res.Degradation)
 				}
-				if off.PathsCreated != eng.off || on.PathsCreated != eng.on {
-					t.Errorf("paths created: unpruned %d, pruned %d — pinned %d, %d",
-						off.PathsCreated, on.PathsCreated, eng.off, eng.on)
+				return res
+			}
+			off, on := run(true), run(false)
+			if off.PathsPruned != 0 {
+				t.Errorf("DisablePrune run pruned %d paths", off.PathsPruned)
+			}
+			if on.PathsPruned == 0 {
+				t.Error("pruning run pruned nothing")
+			}
+			if off.PathsCreated != eng.off || on.PathsCreated != eng.on {
+				t.Errorf("paths created: unpruned %d, pruned %d — pinned %d, %d",
+					off.PathsCreated, on.PathsCreated, eng.off, eng.on)
+			}
+			toOff, toOn := off.TieOffs(), on.TieOffs()
+			if len(toOff) != len(toOn) {
+				t.Fatalf("tie-off counts diverged: unpruned %d, pruned %d", len(toOff), len(toOn))
+			}
+			for i := range toOff {
+				if toOff[i] != toOn[i] {
+					t.Fatalf("tie-off %d diverged: unpruned %+v, pruned %+v", i, toOff[i], toOn[i])
 				}
-				toOff, toOn := off.TieOffs(), on.TieOffs()
-				if len(toOff) != len(toOn) {
-					t.Fatalf("tie-off counts diverged: unpruned %d, pruned %d", len(toOff), len(toOn))
-				}
-				for i := range toOff {
-					if toOff[i] != toOn[i] {
-						t.Fatalf("tie-off %d diverged: unpruned %+v, pruned %+v", i, toOff[i], toOn[i])
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -287,19 +287,6 @@ const (
 	EngineBatch = vvp.EngineBatch
 )
 
-// MemXPolicy selects the semantics of memory writes with unknown
-// addresses.
-type MemXPolicy = vvp.MemXPolicy
-
-// Memory X-address write semantics.
-const (
-	// MemXVerilog drops X-address writes (iverilog reg-array behaviour,
-	// the default and what the paper's tool does).
-	MemXVerilog = vvp.MemXVerilog
-	// MemXSound conservatively merges the data into every candidate word.
-	MemXSound = vvp.MemXSound
-)
-
 // NewSimulator creates a simulator for a frozen netlist.
 func NewSimulator(d *Netlist, opts SimOptions) *Simulator { return vvp.New(d, opts) }
 
