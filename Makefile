@@ -48,7 +48,7 @@ benchmark-check:
 chaos:
 	$(GO) test -race -timeout 15m -count=1 ./internal/fault/
 	$(GO) test -race -timeout 15m -count=1 \
-		-run 'TestStoreCrashPointSweep|TestStoreSeededFaultSweep|TestCrashBetweenCreateTempAndRenameReapsOrphan|TestCorruptCache|TestSubmitRefusedWhileStoreDown|TestLease' \
+		-run 'TestStoreCrashPointSweep|TestStoreSeededFaultSweep|TestCrashBetweenCreateTempAndRenameReapsOrphan|TestCorruptCache|TestSubmitRefusedWhileStoreDown' \
 		./internal/service/
 	$(GO) test -race -timeout 5m -count=1 ./cmd/symsim/
 

@@ -24,7 +24,7 @@
 // min=0x0 max=0x3f) or a bit relation (pc=0x1e rel=dff:a[0]!=dff:b[0]);
 // pc=* applies the fact at every PC. Facts also prove forked children
 // infeasible before they are scheduled, pruning the path explosion at
-// its source; -no-prune disables only that pruning for A/B comparison:
+// its source:
 //
 //	symsim -design omsp430 -bench tHold -policy constrained -constraints facts.txt
 //
@@ -107,8 +107,6 @@ func analyzeMain(args []string, printStats bool) {
 		// one-shot CLI and the daemon cannot drift.
 		tuning = cliflags.Register(fs)
 
-		noPrune = fs.Bool("no-prune", false, "disable constraint-aware pre-fork pruning (A/B comparison; pruning is sound and on by default)")
-
 		ckptPath  = fs.String("checkpoint", "", "periodically checkpoint the exploration state to this file (atomic writes)")
 		ckptEvery = fs.Duration("checkpoint-every", 30*time.Second, "minimum interval between periodic checkpoints")
 		resume    = fs.Bool("resume", false, "resume from the -checkpoint file instead of starting fresh")
@@ -163,7 +161,6 @@ func analyzeMain(args []string, printStats bool) {
 	if err != nil {
 		fatal(err)
 	}
-	cfg.DisablePrune = *noPrune
 	if *verbose {
 		// The structural pre-check always runs (errors abort the
 		// analysis); -v additionally surfaces its warnings.

@@ -2,8 +2,8 @@
 // jobs are queued (priority FIFO, bounded with backpressure), executed by
 // a worker pool of symbolic co-analyses, checkpointed on shutdown and
 // resumed on restart, with complete results kept in a content-addressed
-// cache keyed by the canonical netlist hash — identical submissions return
-// instantly.
+// cache keyed by the canonical netlist hash — a submission identical to a
+// finished analysis returns instantly; any other accepted job runs.
 //
 // Usage:
 //
@@ -57,7 +57,6 @@ func main() {
 		ckptEvery  = flag.Duration("checkpoint-every", 15*time.Second, "periodic checkpoint interval for running jobs")
 		progress   = flag.Duration("progress-every", 250*time.Millisecond, "progress heartbeat interval streamed to subscribers")
 		keepAlive  = flag.Duration("sse-keepalive", 15*time.Second, "SSE comment-line keep-alive interval (defeats proxy idle timeouts)")
-		leaseTTL   = flag.Duration("lease-ttl", 0, "job lease TTL: a running job making no observable progress this long is requeued under a new lease; the watchdog sweeps every quarter of it (0 = watchdog off)")
 		debug      = flag.String("debug", "", "debug listen address for net/http/pprof (e.g. localhost:8467; empty = off)")
 		defaults   = cliflags.Register(flag.CommandLine)
 		clusterCfg = cliflags.RegisterCluster(flag.CommandLine)
@@ -75,7 +74,6 @@ func main() {
 		CheckpointEvery: *ckptEvery,
 		ProgressEvery:   *progress,
 		SSEKeepAlive:    *keepAlive,
-		LeaseTTL:        *leaseTTL,
 		Defaults:        &defaults.Spec,
 		Logf:            func(format string, args ...any) { logger.Printf(format, args...) },
 	})

@@ -164,15 +164,14 @@ type Config struct {
 	// `symsim explain`. Nil disables tracing at the cost of one pointer
 	// test per segment.
 	Tracer *obs.Tracer
-	// DisablePrune turns off constraint-aware fork pruning: when the
+
+	// disablePrune turns off constraint-aware fork pruning: when the
 	// policy can prove a forked child infeasible under the user's
 	// application facts (csm.Pruner), the scheduler normally drops the
 	// child before it is ever created. Pruning is sound by construction —
 	// only states contradicting a designer-supplied fact are dropped — so
-	// this knob exists for A/B comparison (prune_test.go runs
-	// openMSP430/tHold with pruning off and on), not as a safety valve.
-	DisablePrune bool
-
+	// only the A/B test in _test.go sets it.
+	disablePrune bool
 	// keepSuperseded makes admit simulate the entries the frontier reports
 	// superseded, i.e. plain Algorithm 1; only the A/B oracle in _test.go
 	// sets it.
@@ -535,7 +534,7 @@ type analysis struct {
 	ckptErr     error
 
 	// pruner is the policy's pre-fork feasibility test (nil when the
-	// policy has none or Config.DisablePrune is set). Immutable after
+	// policy has none or pruning is disabled). Immutable after
 	// Open; FeasibleChild is safe without a.mu but classify happens to
 	// hold it anyway.
 	pruner csm.Pruner

@@ -12,6 +12,13 @@ func KeepSuperseded(cfg Config) Config {
 	return cfg
 }
 
+// DisablePrune returns cfg with constraint-aware fork pruning turned off,
+// so a test can compare a constrained run against the unpruned one.
+func DisablePrune(cfg Config) Config {
+	cfg.disablePrune = true
+	return cfg
+}
+
 // SkipLint returns cfg with the structural pre-check turned off, so a test
 // can reach what Freeze and the engines do with a design lint rejects.
 func SkipLint(cfg Config) Config {

@@ -127,18 +127,6 @@ type Progress struct {
 	CSMStates int
 }
 
-// Fingerprint hashes everything in the snapshot except Elapsed. It is the
-// one definition of lease liveness: heartbeat tickers fire even when every
-// explorer is wedged, and Elapsed always moves, so only a changing
-// fingerprint counts as progress.
-func (p Progress) Fingerprint() uint64 {
-	fp := uint64(p.PathsDone)
-	for _, v := range [...]uint64{uint64(p.PathsPending), uint64(p.PathsInFlight), p.SimulatedCycles, uint64(p.CSMStates)} {
-		fp = fp*1099511628211 + v
-	}
-	return fp
-}
-
 // ValidationError reports an invalid Platform or Config field, detected
 // up front so a misconfigured run fails with a typed error instead of a
 // silent default or a panic deep inside a path worker.

@@ -98,30 +98,6 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// The lease-liveness fingerprint must ignore the passage of time and
-// notice every other kind of progress.
-func TestProgressFingerprint(t *testing.T) {
-	base := core.Progress{Elapsed: time.Second, PathsDone: 3, PathsPending: 5, PathsInFlight: 2, SimulatedCycles: 700, CSMStates: 4}
-	later := base
-	later.Elapsed += time.Hour
-	if later.Fingerprint() != base.Fingerprint() {
-		t.Error("Elapsed alone moved the fingerprint")
-	}
-	for name, bump := range map[string]func(*core.Progress){
-		"PathsDone":       func(p *core.Progress) { p.PathsDone++ },
-		"PathsPending":    func(p *core.Progress) { p.PathsPending++ },
-		"PathsInFlight":   func(p *core.Progress) { p.PathsInFlight++ },
-		"SimulatedCycles": func(p *core.Progress) { p.SimulatedCycles++ },
-		"CSMStates":       func(p *core.Progress) { p.CSMStates++ },
-	} {
-		moved := base
-		bump(&moved)
-		if moved.Fingerprint() == base.Fingerprint() {
-			t.Errorf("%s moved but the fingerprint did not", name)
-		}
-	}
-}
-
 // Per-path statistics must come back in path-ID order regardless of the
 // nondeterministic completion order of parallel workers.
 func TestPathsSortedByIDUnderParallelWorkers(t *testing.T) {

@@ -1,9 +1,13 @@
-package symsim_test
+package core_test
 
 import (
 	"testing"
 
-	"symsim"
+	"symsim/internal/core"
+	"symsim/internal/csm"
+	"symsim/internal/logic"
+	"symsim/internal/report"
+	"symsim/internal/vvp"
 )
 
 // tHoldPruneFacts is the worked example of constraint-aware forking on
@@ -15,46 +19,47 @@ import (
 // the JEQ-taken child infeasible before it forks. The pruned path is
 // control-flow redundant — the JNC-taken path drives the same skip code —
 // so the dichotomy cannot move, only the path count.
-func tHoldPruneFacts(t testing.TB, p *symsim.Platform) []symsim.Constraint {
+func tHoldPruneFacts(t testing.TB, p *core.Platform) []csm.Constraint {
 	t.Helper()
 	srz := p.Spec.BitOfNet("sr_z")
 	if srz < 0 {
 		t.Fatal("no state bit for sr_z")
 	}
-	return []symsim.Constraint{{PC: 0x1e, Bit: srz, Val: symsim.Lo}}
+	return []csm.Constraint{{PC: 0x1e, Bit: srz, Val: logic.Lo}}
 }
 
 // TestConstraintPruningReducesPathsSoundly is the acceptance gate of the
 // pre-fork pruner: with the tHold fact, every engine must create strictly
 // fewer paths with pruning on — the pinned created-path counts, off and on
 // — and produce the byte-identical tie-off list, because the pruned
-// children are redundant under the fact. DisablePrune is the
-// only knob flipped between the two runs, so any divergence is the
-// pruner's.
+// children are redundant under the fact. DisablePrune is the only knob
+// flipped between the two runs, so any divergence is the pruner's.
 func TestConstraintPruningReducesPathsSoundly(t *testing.T) {
-	p, err := symsim.BuildPlatform(symsim.OMSP430, "tHold")
+	p, err := report.BuildPlatform(report.OMSP430, "tHold")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cons := tHoldPruneFacts(t, p)
 	for _, eng := range []struct {
 		name    string
-		e       symsim.SimEngine
+		e       vvp.Engine
 		off, on int // paths created without and with pruning
 	}{
-		{"interp", symsim.EngineInterp, 95, 78},
-		{"kernel", symsim.EngineKernel, 95, 78},
-		{"batch", symsim.EngineBatch, 175, 154},
+		{"interp", vvp.EngineInterp, 95, 78},
+		{"kernel", vvp.EngineKernel, 95, 78},
+		{"batch", vvp.EngineBatch, 175, 154},
 	} {
 		t.Run(eng.name, func(t *testing.T) {
-			run := func(disable bool) *symsim.Result {
-				pol, err := symsim.ConstrainedPolicy(p.Spec.Bits(), cons)
+			run := func(disable bool) *core.Result {
+				pol, err := csm.NewConstrained(p.Spec.Bits(), cons)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := symsim.Analyze(p, symsim.Config{
-					Policy: pol, Engine: eng.e, DisablePrune: disable,
-				})
+				cfg := core.Config{Policy: pol, Engine: eng.e}
+				if disable {
+					cfg = core.DisablePrune(cfg)
+				}
+				res, err := core.Analyze(p, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

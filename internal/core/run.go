@@ -41,7 +41,7 @@ func Open(ctx context.Context, p *Platform, cfg Config) (*Run, error) {
 	a := &analysis{p: p, cfg: cfg, inflight: make(map[int]entry), done: make(chan struct{})}
 	a.cond = sync.NewCond(&a.mu)
 	a.m = newCoreMetrics(cfg.Metrics)
-	if !cfg.DisablePrune {
+	if !cfg.disablePrune {
 		a.pruner, _ = cfg.Policy.(csm.Pruner)
 	}
 	a.res = &Result{

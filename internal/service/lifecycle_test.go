@@ -120,21 +120,9 @@ func TestEveryAcceptedJobIsCountedOnce(t *testing.T) {
 	close(holdRun)
 	waitState(t, svc, running.ID, StateCanceled)
 
-	// A complete leader, one follower done with its bytes, one canceled
-	// while parked.
-	holdLead := make(chan struct{})
-	gates.Store("lead", holdLead)
-	leader := submit(JobSpec{Bench: "lead"})
-	waitState(t, svc, leader.ID, StateRunning)
-	follower := submit(JobSpec{Bench: "lead"})
-	dropped := submit(JobSpec{Bench: "lead"})
-	cancel(dropped.ID)
-	waitState(t, svc, dropped.ID, StateCanceled)
-	close(holdLead)
-	waitState(t, svc, leader.ID, StateDone)
-	waitState(t, svc, follower.ID, StateDone)
-
-	if hit := submit(JobSpec{Bench: "lead"}); !hit.Cached || hit.State != StateDone {
+	complete := submit(JobSpec{Bench: "complete"})
+	waitState(t, svc, complete.ID, StateDone)
+	if hit := submit(JobSpec{Bench: "complete"}); !hit.Cached || hit.State != StateDone {
 		t.Fatalf("resubmission not served from the cache: %+v", hit)
 	}
 	degraded := submit(JobSpec{Bench: "budget", MaxForks: 2})
@@ -145,8 +133,8 @@ func TestEveryAcceptedJobIsCountedOnce(t *testing.T) {
 	c := scrapeCounters(t, svc)
 	get := func(name string) uint64 { return c["symsim_service_"+name+"_total"] }
 	want := map[string]uint64{
-		"jobs_accepted": 9, "cache_hits": 1, "jobs_done": 2, "jobs_degraded": 1, "jobs_failed": 1, "jobs_canceled": 4,
-		"cache_misses": 8, "coalesced": 2,
+		"jobs_accepted": 7, "cache_hits": 1, "jobs_done": 1, "jobs_degraded": 1, "jobs_failed": 1, "jobs_canceled": 3,
+		"cache_misses": 6,
 	}
 	for name, n := range want {
 		if get(name) != n {
@@ -263,19 +251,18 @@ func newTransitionFixture(t *testing.T, vfs fault.FS) *transitionFixture {
 }
 
 // place puts a job in state from the way the service would have: record on
-// disk, one event on its stream and — unless it is parked behind leader —
-// the lead of its cache key. A running job holds a cancel handle and, like
-// any job with run history, a checkpoint. A job in no state yet is what
-// Submit holds before its first move: nothing on disk, no event, unknown
-// to the service.
-func (f *transitionFixture) place(from State, key string, leader *job, checkpoint bool) *job {
+// disk and one event on its stream. A running job holds a cancel handle
+// and, like any job with run history, a checkpoint. A job in no state yet
+// is what Submit holds before its first move: nothing on disk, no event,
+// unknown to the service.
+func (f *transitionFixture) place(from State, checkpoint bool) *job {
 	f.t.Helper()
 	s := f.svc
-	spec, err := normalize(JobSpec{Design: "dr5", Bench: key, Workers: 1}, nil)
+	spec, err := normalize(JobSpec{Design: "dr5", Bench: "key", Workers: 1}, nil)
 	if err != nil {
 		f.t.Fatal(err)
 	}
-	j := &job{rec: &jobRecord{ID: newJobID(), Spec: spec, State: from, Submitted: time.Now().UnixNano(), CacheKey: key}}
+	j := &job{rec: &jobRecord{ID: newJobID(), Spec: spec, State: from, Submitted: time.Now().UnixNano(), CacheKey: "key"}}
 	if from == StateRunning {
 		j.rec.Started = 1
 		j.cancel = func() {}
@@ -294,18 +281,13 @@ func (f *transitionFixture) place(from State, key string, leader *job, checkpoin
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.jobs[j.rec.ID] = j
-	if leader != nil {
-		s.followers[leader.rec.ID] = append(s.followers[leader.rec.ID], j.rec.ID)
-	} else {
-		s.inflightByKey[key] = j.rec.ID
-	}
 	s.hub.Publish(Event{Type: "state", Job: j.rec.ID, State: from})
 	return j
 }
 
 // move makes one transition under the service's lock. Nothing else moves a
-// placed job — the workers are idle and there is no watchdog — so a test
-// reads it afterwards without the lock.
+// placed job — the workers are idle — so a test reads it afterwards
+// without the lock.
 func (f *transitionFixture) move(j *job, to State, why cause, data []byte) (landed bool) {
 	f.svc.mu.Lock()
 	defer f.svc.mu.Unlock()
@@ -365,8 +347,7 @@ func (f *transitionFixture) checkMoved(j *job, to, disk State, seqBefore uint64,
 
 // TestTransitionTable walks every edge of the job lifecycle through the one
 // transition: what is stamped, what lands on disk and in which state, the
-// event, the one counter the cause owns, and who leads the cache key
-// afterwards.
+// event and the one counter the cause owns.
 func TestTransitionTable(t *testing.T) {
 	result := []byte(`{"complete":true}`)
 	const prefix = "symsim_service_"
@@ -406,13 +387,6 @@ func TestTransitionTable(t *testing.T) {
 					t.Errorf("started %d resumable %v, want a resumable job that has not started", r.Started, r.Resumable)
 				}
 			}},
-		{name: "running→queued-by-lease", from: StateRunning, to: StateQueued, why: causeLease,
-			counter: "lease_expiries_total",
-			stamps: func(t *testing.T, r *jobRecord) {
-				if r.Started != 0 || r.Resumable {
-					t.Errorf("started %d resumable %v, want a fresh start: there is no checkpoint", r.Started, r.Resumable)
-				}
-			}},
 		{name: "queued→canceled", from: StateQueued, to: StateCanceled, why: causeCancel, checkpoint: true,
 			counter: "jobs_canceled_total",
 			stamps: func(t *testing.T, r *jobRecord) {
@@ -437,7 +411,7 @@ func TestTransitionTable(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			f := newTransitionFixture(t, nil)
-			j := f.place(row.from, "key", nil, row.checkpoint)
+			j := f.place(row.from, row.checkpoint)
 			seq := uint64(1)
 			if row.from == "" {
 				seq = 0
@@ -460,59 +434,8 @@ func TestTransitionTable(t *testing.T) {
 			if moved := movedCounters(before, scrapeCounters(t, f.svc)); !reflect.DeepEqual(moved, want) {
 				t.Errorf("counters moved = %v, want %v", moved, want)
 			}
-			// (Who leads after an acceptance is Submit's to say.)
-			lead, leads := f.svc.inflightByKey["key"]
-			if row.from != "" && terminal(row.to) == leads {
-				t.Errorf("after %s the cache key is led by %q; a job leads its key exactly while it can still produce the result", row.to, lead)
-			}
 		})
 	}
-
-	// A complete leader hands its bytes to every follower (queued→done-
-	// coalesced); any other end promotes the first follower and leaves the
-	// rest behind it.
-	t.Run("coalition/complete", func(t *testing.T) {
-		f := newTransitionFixture(t, nil)
-		leader := f.place(StateRunning, "key", nil, true)
-		f1 := f.place(StateQueued, "key", leader, false)
-		f2 := f.place(StateQueued, "key", leader, false)
-		before := scrapeCounters(t, f.svc)
-		f.move(leader, StateDone, causeComplete, result)
-		for _, j := range []*job{leader, f1, f2} {
-			f.checkMoved(j, StateDone, StateDone, 1, result)
-		}
-		if !f1.rec.Cached || f1.rec.Started != f1.rec.Finished || leader.rec.Cached {
-			t.Errorf("follower %+v, leader %+v: want the followers cached and the leader not", f1.rec, leader.rec)
-		}
-		if len(f.svc.inflightByKey) != 0 || len(f.svc.followers) != 0 {
-			t.Errorf("coalition not dissolved: inflight %v followers %v", f.svc.inflightByKey, f.svc.followers)
-		}
-		moved := movedCounters(before, scrapeCounters(t, f.svc))
-		if want := map[string]uint64{prefix + "jobs_done_total": 3}; !reflect.DeepEqual(moved, want) {
-			t.Errorf("counters moved = %v, want %v", moved, want)
-		}
-	})
-	t.Run("coalition/promote", func(t *testing.T) {
-		f := newTransitionFixture(t, nil)
-		leader := f.place(StateRunning, "key", nil, true)
-		f1 := f.place(StateQueued, "key", leader, false)
-		f2 := f.place(StateQueued, "key", leader, false)
-		// The promoted follower is in the queue and the idle worker will take
-		// it: hold the lock over the assertions.
-		f.svc.mu.Lock()
-		defer f.svc.mu.Unlock()
-		f.svc.moveLocked(leader, StateDone, causeBudget, result)
-		f.checkMoved(leader, StateDone, StateDone, 1, result)
-		if f1.rec.State != StateQueued || f2.rec.State != StateQueued {
-			t.Errorf("followers = %s, %s; a degraded result is not theirs to share", f1.rec.State, f2.rec.State)
-		}
-		if got := f.svc.inflightByKey["key"]; got != f1.rec.ID {
-			t.Errorf("cache key led by %q, want the first follower", got)
-		}
-		if got := f.svc.followers[f1.rec.ID]; len(f.svc.followers) != 1 || len(got) != 1 || got[0] != f2.rec.ID {
-			t.Errorf("followers = %v, want the second follower behind the first", f.svc.followers)
-		}
-	})
 
 	// The degraded-store arm: the result cannot be written, so the bytes are
 	// served from memory and the record on disk stays where it was — never
@@ -520,7 +443,7 @@ func TestTransitionTable(t *testing.T) {
 	t.Run("degraded store", func(t *testing.T) {
 		plan := &fault.Plan{Rules: []fault.Rule{{Op: fault.OpCreateTemp, Match: "results", Nth: 1, Kind: fault.KindEIO}}}
 		f := newTransitionFixture(t, fault.NewInjector(nil, plan))
-		j := f.place(StateRunning, "key", nil, true)
+		j := f.place(StateRunning, true)
 		before := scrapeCounters(t, f.svc)
 		if f.move(j, StateDone, causeComplete, result) {
 			t.Error("the move reports it landed; the result file was refused")
@@ -554,7 +477,7 @@ func TestTransitionTable(t *testing.T) {
 		t.Run(first.name, func(t *testing.T) {
 			plan := &fault.Plan{Rules: []fault.Rule{{Op: fault.OpCreateTemp, Match: first.dir, Nth: 1, Kind: fault.KindEIO}}}
 			f := newTransitionFixture(t, fault.NewInjector(nil, plan))
-			j := f.place("", "key", nil, false)
+			j := f.place("", false)
 			before := scrapeCounters(t, f.svc)
 			if f.move(j, first.to, first.why, first.data) {
 				t.Fatal("a first move that wrote no record reports it landed")

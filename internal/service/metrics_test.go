@@ -104,9 +104,9 @@ func counterSamples(t *testing.T, text string) map[string]uint64 {
 
 // TestScrapeWhileMutating is what the retired lock-scope rule (SA003)
 // claimed to protect, as a test: counters are incremented under s.mu, and
-// a scrape renders GaugeFuncs that take s.mu themselves. Submissions,
-// cancels and lease sweeps run from several goroutines while another
-// scrapes in a loop; nothing may deadlock and no counter may go backwards.
+// a scrape renders GaugeFuncs that take s.mu themselves. Submissions and
+// cancels run from several goroutines while another scrapes in a loop;
+// nothing may deadlock and no counter may go backwards.
 // Run under -race (make race, the CI step of the same name).
 func TestScrapeWhileMutating(t *testing.T) {
 	svc, err := New(Config{
@@ -114,12 +114,8 @@ func TestScrapeWhileMutating(t *testing.T) {
 		Workers:       2,
 		QueueCap:      8,
 		ProgressEvery: time.Millisecond,
-		// A short TTL and a watchdog that never ticks: the sweeps below are
-		// the only ones, and some of them find a lease to expire.
-		LeaseTTL:        5 * time.Millisecond,
-		LeaseCheckEvery: time.Hour,
-		BuildPlatform:   loopPlatform(t, 0x1),
-		Metrics:         obs.NewRegistry(),
+		BuildPlatform: loopPlatform(t, 0x1),
+		Metrics:       obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +137,8 @@ func TestScrapeWhileMutating(t *testing.T) {
 		g, i := g, 0
 		spawn(func() {
 			i++
-			// Four benches a goroutine: resubmissions hit the cache or
-			// coalesce, the rest queue or bounce off the full queue.
+			// Four benches a goroutine: resubmissions hit the cache, the
+			// rest queue or bounce off the full queue.
 			view, err := svc.Submit(JobSpec{Design: "dr5", Bench: fmt.Sprintf("b%d-%d", g, i%4), Workers: 1})
 			switch {
 			case errors.Is(err, ErrQueueFull):
@@ -156,10 +152,6 @@ func TestScrapeWhileMutating(t *testing.T) {
 			}
 		})
 	}
-	spawn(func() {
-		svc.leaseSweep()
-		time.Sleep(time.Millisecond)
-	})
 	scrapes := 0
 	last := map[string]uint64{}
 	spawn(func() {
@@ -237,7 +229,6 @@ func TestServiceMetricsCatalog(t *testing.T) {
 		"symsim_segment_cycles",
 		"symsim_service_cache_hits_total",
 		"symsim_service_cache_misses_total",
-		"symsim_service_coalesced_total",
 		"symsim_service_degraded",
 		"symsim_service_jobs_accepted_total",
 		"symsim_service_jobs_canceled_total",
@@ -247,7 +238,6 @@ func TestServiceMetricsCatalog(t *testing.T) {
 		"symsim_service_jobs_requeued_total",
 		"symsim_service_jobs_resumed_total",
 		"symsim_service_jobs_running",
-		"symsim_service_lease_expiries_total",
 		"symsim_service_queue_depth",
 		"symsim_service_store_faults_total",
 		"symsim_service_tmp_reaped_total",

@@ -54,17 +54,6 @@ type Config struct {
 	// core analysis) publishes into, served at /metrics in Prometheus
 	// text format. Nil selects obs.Default.
 	Metrics *obs.Registry
-	// LeaseTTL enables the job-lease watchdog: a running job whose
-	// analysis makes no observable progress for LeaseTTL is presumed
-	// wedged, its context is canceled, and the job re-queues under a new
-	// lease (resuming from its checkpoint when one exists). Zero disables
-	// the watchdog. Liveness is measured on the Progress snapshot
-	// *content* — the heartbeat ticker keeps firing when a path worker is
-	// stuck, so only advancing counters count as a heartbeat.
-	LeaseTTL time.Duration
-	// LeaseCheckEvery is the watchdog sweep interval: LeaseTTL/4, at least
-	// 10ms, unless a test sets it to drive sweeps its own way.
-	LeaseCheckEvery time.Duration
 
 	// tuneConfig, when non-nil, is applied to each job's core.Config just
 	// before the analysis starts — a test seam for installing hooks
@@ -87,16 +76,6 @@ type job struct {
 	// In-memory only: the job record (SYMSIMJ3) does not carry it, so the
 	// figure resets on daemon restart.
 	cpuSeconds float64
-	// attempt is the lease epoch: it increments each time a worker starts
-	// the job, and a finishing worker whose attempt is stale (the lease
-	// watchdog re-queued the job, or a newer attempt ran) must not touch
-	// the record. In-memory only, like cpuSeconds.
-	attempt int
-	// beat is the last observed-liveness time (unix nanos) and progFP the
-	// progress-snapshot fingerprint it was derived from; both are written
-	// by the heartbeat callback without taking Service.mu.
-	beat   atomic.Int64
-	progFP atomic.Uint64
 	// resultData is the degraded-mode fallback: when the store cannot
 	// persist a finished job's result, the bytes are kept here so Result
 	// still serves them — the daemon degrades instead of failing the job.
@@ -115,20 +94,8 @@ type Service struct {
 	reg   *obs.Registry
 	om    *svcObs
 
-	mu   sync.Mutex
-	jobs map[string]*job
-	// inflightByKey maps a cache key to the job currently running (or
-	// queued to run) that analysis — the coalescing leader. followers maps
-	// a leader's ID to the coalesced duplicate submissions parked behind
-	// it: durable queued records that are deliberately NOT in the queue.
-	// When the leader lands a complete result every follower settles done
-	// with the same bytes; any other outcome promotes the first follower
-	// to leader and releases the rest behind it. Coalescing state is
-	// in-memory only — after a restart the recovered records simply all
-	// queue (and the first to run re-primes the cache for the rest).
-	inflightByKey map[string]string
-	followers     map[string][]string
-
+	mu       sync.Mutex
+	jobs     map[string]*job
 	draining bool
 	wg       sync.WaitGroup
 
@@ -136,8 +103,6 @@ type Service struct {
 	// success; degradedReason (mu-guarded) carries the last failure.
 	degraded       atomic.Bool
 	degradedReason string
-	// stopLease ends the lease watchdog on drain.
-	stopLease chan struct{}
 
 	// engines accumulates per-engine throughput for Metrics (mu-guarded).
 	engines map[string]*engineStat
@@ -149,7 +114,6 @@ type svcObs struct {
 	accepted    *obs.Counter
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
-	coalesced   *obs.Counter
 	degraded    *obs.Counter
 	resumed     *obs.Counter
 	requeued    *obs.Counter
@@ -157,7 +121,6 @@ type svcObs struct {
 	done        *obs.Counter
 	canceled    *obs.Counter
 	storeFaults *obs.Counter
-	leaseExpiry *obs.Counter
 	tmpReaped   *obs.Counter
 }
 
@@ -166,7 +129,6 @@ func newSvcObs(reg *obs.Registry) *svcObs {
 		accepted:    reg.Counter("symsim_service_jobs_accepted_total", "Jobs accepted by Submit."),
 		cacheHits:   reg.Counter("symsim_service_cache_hits_total", "Submissions satisfied from the result cache."),
 		cacheMisses: reg.Counter("symsim_service_cache_misses_total", "Submissions that had to run."),
-		coalesced:   reg.Counter("symsim_service_coalesced_total", "Cache-miss submissions coalesced behind an identical in-flight job."),
 		degraded:    reg.Counter("symsim_service_jobs_degraded_total", "Jobs finished with a budget-degraded result."),
 		resumed:     reg.Counter("symsim_service_jobs_resumed_total", "Jobs resumed from a checkpoint."),
 		requeued:    reg.Counter("symsim_service_jobs_requeued_total", "Jobs re-queued by a drain."),
@@ -174,7 +136,6 @@ func newSvcObs(reg *obs.Registry) *svcObs {
 		done:        reg.Counter("symsim_service_jobs_done_total", "Jobs finished successfully."),
 		canceled:    reg.Counter("symsim_service_jobs_canceled_total", "Jobs canceled before completing."),
 		storeFaults: reg.Counter("symsim_service_store_faults_total", "Durable-store I/O failures observed (each one trips or extends degraded mode)."),
-		leaseExpiry: reg.Counter("symsim_service_lease_expiries_total", "Running jobs re-queued by the lease watchdog after their worker stopped making progress."),
 		tmpReaped:   reg.Counter("symsim_service_tmp_reaped_total", "Orphan temp files reaped from the store at startup."),
 	}
 }
@@ -238,9 +199,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.Default
 	}
-	if cfg.LeaseTTL > 0 && cfg.LeaseCheckEvery <= 0 {
-		cfg.LeaseCheckEvery = max(cfg.LeaseTTL/4, 10*time.Millisecond)
-	}
 
 	st, reaped, reapErrs, err := openStore(cfg.DataDir, cfg.fs)
 	if err != nil {
@@ -253,16 +211,13 @@ func New(cfg Config) (*Service, error) {
 		cfg.Logf("service: reaped %d orphan temp file(s) from interrupted writes", reaped)
 	}
 	s := &Service{
-		cfg:           cfg,
-		store:         st,
-		queue:         newJobQueue(cfg.QueueCap),
-		hub:           newHub(),
-		reg:           cfg.Metrics,
-		jobs:          make(map[string]*job),
-		inflightByKey: make(map[string]string),
-		followers:     make(map[string][]string),
-		stopLease:     make(chan struct{}),
-		engines:       make(map[string]*engineStat),
+		cfg:     cfg,
+		store:   st,
+		queue:   newJobQueue(cfg.QueueCap),
+		hub:     newHub(),
+		reg:     cfg.Metrics,
+		jobs:    make(map[string]*job),
+		engines: make(map[string]*engineStat),
 	}
 	s.om = newSvcObs(s.reg)
 	s.om.tmpReaped.Add(uint64(reaped))
@@ -333,10 +288,6 @@ func New(cfg Config) (*Service, error) {
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
 	}
-	if cfg.LeaseTTL > 0 {
-		s.wg.Add(1)
-		go s.leaseWatchdog()
-	}
 	return s, nil
 }
 
@@ -397,43 +348,28 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 		s.noteStoreFaultLocked(cacheErr)
 	}
 
-	// Single-flight: when an identical analysis is already in flight the
-	// submission parks behind it instead of queueing a duplicate run — its
-	// durable record is saved (a restart would just re-queue it), but no
-	// worker will pick it up until the leader settles.
-	leaderID, coalesce := s.inflightByKey[key]
-	queue := !hit && !coalesce
-	if queue {
-		// No worker gets to the job before this function returns: runJob
-		// starts by taking s.mu.
-		if err := s.queue.Push(id, spec.Priority, false); err != nil {
-			return JobView{}, err
-		}
-	}
+	// A miss is queued before its first move, so a full queue refuses it
+	// with nothing written; no worker gets to the job before this function
+	// returns, because runJob starts by taking s.mu.
 	to, why := StateQueued, causeAccept
 	if hit {
 		// Content-addressed hit: the exact analysis already ran to
 		// completion. Serve the stored result without spending a cycle.
 		to, why = StateDone, causeCacheHit
+	} else if err := s.queue.Push(id, spec.Priority, false); err != nil {
+		return JobView{}, err
 	}
 	if !s.moveLocked(j, to, why, data) { // data is nil on a miss
 		// Refuse rather than accept a job the daemon could lose on
 		// restart: with no durable record, a crash would silently drop it.
-		if queue {
+		if !hit {
 			s.queue.Remove(id)
 		}
 		return JobView{}, fmt.Errorf("%w: %s", ErrDegraded, s.degradedReason)
 	}
 	s.jobs[id] = j
 	s.om.accepted.Inc()
-	switch {
-	case hit:
-	case coalesce:
-		s.followers[leaderID] = append(s.followers[leaderID], id)
-		s.om.coalesced.Inc()
-		s.om.cacheMisses.Inc()
-	default:
-		s.inflightByKey[key] = id
+	if !hit {
 		s.om.cacheMisses.Inc()
 	}
 	return viewOf(j), nil
@@ -445,16 +381,14 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 type cause int
 
 const (
-	causeAccept    cause = iota // Submit, the job's first move (Submit counts what a submission is: accepted, miss, coalesced)
-	causeStart                  // a worker took the job off the queue (no counter)
-	causeComplete               // the analysis explored every path: jobs_done
-	causeBudget                 // a budget tripped, the result is sound but over-approximate: jobs_degraded
-	causeCacheHit               // Submit found the finished analysis in the cache: cache_hits
-	causeCoalesced              // the leader this job was parked behind completed: jobs_done
-	causeError                  // the analysis (or encoding its result) failed: jobs_failed
-	causeCancel                 // a client asked: jobs_canceled
-	causeDrain                  // shutdown interrupted the analysis: jobs_requeued
-	causeLease                  // the watchdog saw no progress for LeaseTTL: lease_expiries
+	causeAccept   cause = iota // Submit, the job's first move (Submit counts what a submission is: accepted, miss)
+	causeStart                 // a worker took the job off the queue (no counter)
+	causeComplete              // the analysis explored every path: jobs_done
+	causeBudget                // a budget tripped, the result is sound but over-approximate: jobs_degraded
+	causeCacheHit              // Submit found the finished analysis in the cache: cache_hits
+	causeError                 // the analysis (or encoding its result) failed: jobs_failed
+	causeCancel                // a client asked: jobs_canceled
+	causeDrain                 // shutdown interrupted the analysis: jobs_requeued
 )
 
 // moveLocked is the one place a job changes state once New's recovery loop
@@ -462,9 +396,8 @@ const (
 // (non-nil exactly on the way to done) it stamps the record's times, writes
 // result then record, counts the cause, publishes the state event, drops
 // the cancel handle of the state being left and, for a terminal job,
-// removes the checkpoint and dissolves its coalition. Callers say where to
-// and why, and do only what is theirs alone: the queue, the cache, the
-// error text.
+// removes the checkpoint. Callers say where to and why, and do only what
+// is theirs alone: the queue, the cache, the error text.
 //
 // It reports whether the move landed: the record on disk shows the new
 // state. An accepted job moves in memory either way — the daemon degrades,
@@ -480,15 +413,14 @@ func (s *Service) moveLocked(j *job, to State, why cause, data []byte) (landed b
 	case to == StateQueued:
 		if from == StateRunning {
 			// Queued with history: a drain wrote its final checkpoint
-			// before the core returned, a lapsed lease may have a periodic
-			// one, and the next run resumes from whichever survived.
+			// before the core returned, and the next run resumes from it.
 			rec.Started = 0
 			rec.Resumable = s.store.hasCheckpoint(rec.ID)
 		}
 	default:
 		rec.Finished = now
 		if from != StateRunning && to == StateDone {
-			// Served without running, from the cache or a leader's bytes.
+			// Served without running, from the cache.
 			rec.Cached, rec.Started = true, now
 		}
 	}
@@ -523,7 +455,7 @@ func (s *Service) moveLocked(j *job, to State, why cause, data []byte) (landed b
 	}
 
 	switch why {
-	case causeComplete, causeCoalesced:
+	case causeComplete:
 		s.om.done.Inc()
 	case causeBudget:
 		s.om.degraded.Inc()
@@ -535,47 +467,12 @@ func (s *Service) moveLocked(j *job, to State, why cause, data []byte) (landed b
 		s.om.canceled.Inc()
 	case causeDrain:
 		s.om.requeued.Inc()
-	case causeLease:
-		s.om.leaseExpiry.Inc()
 	}
 	s.hub.Publish(Event{Type: "state", Job: rec.ID, State: to})
 
-	if !terminal(to) {
-		// A job back in the queue will run again: it keeps its checkpoint
-		// and is still its coalition's leader.
-		return landed
-	}
-	s.store.removeCheckpoint(rec.ID)
-	followers := s.followers[rec.ID]
-	delete(s.followers, rec.ID)
-	if s.inflightByKey[rec.CacheKey] == rec.ID {
-		delete(s.inflightByKey, rec.CacheKey)
-	}
-	if why == causeComplete {
-		// The coalescing payoff: every follower is done with the same bytes.
-		for _, fid := range followers {
-			s.moveLocked(s.jobs[fid], StateDone, causeCoalesced, data)
-		}
-		return landed
-	}
-	if len(followers) == 0 {
-		return landed
-	}
-	// No complete result to share (failure, cancel, budget degradation):
-	// the first follower becomes the leader for the cache key and runs; the
-	// rest stay coalesced behind it, so at most one duplicate analysis runs
-	// at a time no matter how the leader ends.
-	first := s.jobs[followers[0]]
-	s.inflightByKey[rec.CacheKey] = first.rec.ID
-	if len(followers) > 1 {
-		s.followers[first.rec.ID] = followers[1:]
-	}
-	// Recovered=true: the job was already accepted; releasing it must not
-	// bounce off a full queue.
-	if err := s.queue.Push(first.rec.ID, first.rec.Spec.Priority, true); err != nil {
-		// Push only fails after Close (drain); the durable queued record
-		// re-queues on restart.
-		s.cfg.Logf("service: releasing coalesced job %s: %v", first.rec.ID, err)
+	// A job back in the queue will run again and keeps its checkpoint.
+	if terminal(to) {
+		s.store.removeCheckpoint(rec.ID)
 	}
 	return landed
 }
@@ -590,7 +487,7 @@ func (s *Service) runJob(id string) {
 		return
 	}
 	if j.cancelRequested {
-		// Cancel found the job neither queued nor parked: this worker had
+		// Cancel did not find the job in the queue: this worker had
 		// already popped it.
 		s.moveLocked(j, StateCanceled, causeCancel, nil)
 		s.mu.Unlock()
@@ -599,24 +496,19 @@ func (s *Service) runJob(id string) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s.moveLocked(j, StateRunning, causeStart, nil)
 	j.cancel = cancel
-	// A fresh lease: the attempt epoch marks this worker's run, and the
-	// liveness beat starts now.
-	j.attempt++
-	attempt := j.attempt
-	j.beat.Store(time.Now().UnixNano())
 	resumable := j.rec.Resumable
 	spec := j.rec.Spec
 	s.mu.Unlock()
 	defer cancel()
 
-	res, err := s.analyze(ctx, j, id, spec, resumable)
-	s.finishJob(id, attempt, res, err)
+	res, err := s.analyze(ctx, id, spec, resumable)
+	s.finishJob(id, res, err)
 }
 
 // analyze maps a job spec onto a core run: platform, policy, budgets,
 // periodic checkpoints to the job's checkpoint file, resume from a
 // surviving checkpoint, and progress heartbeats published to the hub.
-func (s *Service) analyze(ctx context.Context, jb *job, id string, spec JobSpec, resumable bool) (*core.Result, error) {
+func (s *Service) analyze(ctx context.Context, id string, spec JobSpec, resumable bool) (*core.Result, error) {
 	p, err := s.cfg.BuildPlatform(spec.Design, spec.Bench)
 	if err != nil {
 		return nil, err
@@ -629,14 +521,7 @@ func (s *Service) analyze(ctx context.Context, jb *job, id string, spec JobSpec,
 	cc.ProgressEvery = s.cfg.ProgressEvery
 	cc.Metrics = s.reg
 	cc.Progress = func(pr core.Progress) {
-		prCopy := pr
-		// Lease heartbeat: the snapshot ticker fires even when every path
-		// worker is wedged, so only a *changing* snapshot counts as
-		// liveness (see core.Progress.Fingerprint).
-		if fp := pr.Fingerprint(); jb.progFP.Swap(fp) != fp {
-			jb.beat.Store(time.Now().UnixNano())
-		}
-		s.hub.Publish(Event{Type: "progress", Job: id, Progress: &prCopy})
+		s.hub.Publish(Event{Type: "progress", Job: id, Progress: &pr})
 	}
 	if resumable {
 		ckpt, err := core.LoadCheckpoint(s.store.checkpointPath(id))
@@ -658,24 +543,10 @@ func (s *Service) analyze(ctx context.Context, jb *job, id string, spec JobSpec,
 
 // finishJob decides where a finished analysis goes — a terminal state, or
 // back into the queue when a drain interrupted it — and moves it there.
-// attempt is the lease epoch the finishing worker ran under; a stale epoch
-// means the lease watchdog re-queued the job (or a newer attempt ran it),
-// and the stale result is discarded without touching the record.
-func (s *Service) finishJob(id string, attempt int, res *core.Result, err error) {
+func (s *Service) finishJob(id string, res *core.Result, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j := s.jobs[id]
-	if j == nil {
-		return
-	}
-	if j.attempt != attempt || j.rec.State != StateRunning {
-		// The lease expired and the job re-queued (state queued, same
-		// epoch) or already re-ran (newer epoch): this worker unwedged
-		// too late and its outcome is void.
-		s.cfg.Logf("service: job %s: discarding stale result from expired lease (attempt %d, current %d, state %s)",
-			id, attempt, j.attempt, j.rec.State)
-		return
-	}
 	if res != nil {
 		// Accumulate across segments: a drained-and-resumed job keeps the
 		// CPU it already spent.
@@ -721,21 +592,6 @@ func (s *Service) finishJob(id string, attempt int, res *core.Result, err error)
 	}
 }
 
-// removeFollowerLocked withdraws id from whichever coalition holds it (mu
-// held), reporting whether it was a parked follower — a queued record that
-// is not in the queue, so Cancel must settle it directly.
-func (s *Service) removeFollowerLocked(id string) bool {
-	for leader, ids := range s.followers {
-		for i, fid := range ids {
-			if fid == id {
-				s.followers[leader] = append(ids[:i:i], ids[i+1:]...)
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // noteEngineLocked accrues per-engine throughput counters (mu held).
 func (s *Service) noteEngineLocked(rec *jobRecord, res *core.Result) {
 	st := s.engines[rec.Spec.Engine]
@@ -770,69 +626,6 @@ func (s *Service) noteStoreOKLocked() {
 	}
 }
 
-// leaseWatchdog periodically sweeps running jobs for expired leases.
-// Runs on its own goroutine (registered on s.wg) until drain.
-func (s *Service) leaseWatchdog() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.LeaseCheckEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopLease:
-			return
-		case <-t.C:
-			s.leaseSweep()
-		}
-	}
-}
-
-// leaseSweep expires the lease of every running job whose analysis has
-// made no observable progress for LeaseTTL: the wedged attempt's context
-// is canceled, the job re-queues (resuming from its checkpoint when one
-// exists), and a replacement worker is spawned so a pool fully occupied
-// by wedged workers still drains the queue. If the old worker ever
-// unwedges, finishJob finds its attempt epoch stale and discards its
-// outcome.
-func (s *Service) leaseSweep() {
-	now := time.Now()
-	var expired []string
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return
-	}
-	for id, j := range s.jobs {
-		if j.rec.State != StateRunning {
-			continue
-		}
-		if now.Sub(time.Unix(0, j.beat.Load())) < s.cfg.LeaseTTL {
-			continue
-		}
-		if j.cancel != nil {
-			j.cancel()
-		}
-		s.moveLocked(j, StateQueued, causeLease, nil)
-		if err := s.queue.Push(id, j.rec.Spec.Priority, true); err != nil {
-			// Push only fails after Close; the restart repair path will
-			// re-queue this job from its durable record then.
-			s.cfg.Logf("service: lease requeue of job %s: %v", id, err)
-		}
-		expired = append(expired, id)
-	}
-	s.mu.Unlock()
-	for _, id := range expired {
-		s.cfg.Logf("service: lease expired for job %s: no progress for %v, requeued", id, s.cfg.LeaseTTL)
-		// The wedged worker still occupies its pool slot (blocked inside
-		// the analysis), so spawn a replacement. The pool can transiently
-		// exceed Workers if the wedged worker later revives; the extra
-		// goroutines drain once the queue closes. Safe to Add here: the
-		// watchdog itself holds a wg slot, so the counter cannot have
-		// reached zero.
-		s.wg.Add(1)
-		go s.worker()
-	}
-}
-
 // Cancel stops a job: a queued job is withdrawn, a running one has its
 // analysis context canceled (the core drains soundly and the job settles
 // as canceled).
@@ -846,11 +639,11 @@ func (s *Service) Cancel(id string) error {
 	switch j.rec.State {
 	case StateQueued:
 		j.cancelRequested = true
-		if s.queue.Remove(id) || s.removeFollowerLocked(id) {
+		if s.queue.Remove(id) {
 			s.moveLocked(j, StateCanceled, causeCancel, nil)
 		}
-		// If both misses, a worker has already popped the ID and will
-		// observe cancelRequested in runJob.
+		// Otherwise a worker has already popped the ID and will observe
+		// cancelRequested in runJob.
 		return nil
 	case StateRunning:
 		j.cancelRequested = true
@@ -941,7 +734,6 @@ func (s *Service) beginDrain() {
 		return
 	}
 	s.draining = true
-	close(s.stopLease)
 	for _, j := range s.jobs {
 		if j.rec.State == StateRunning && j.cancel != nil {
 			j.cancel()
@@ -984,10 +776,6 @@ type JobView struct {
 	// across drain/resume segments. In-memory only — it resets to zero on
 	// daemon restart (the durable record format is unchanged).
 	CPUSeconds float64 `json:"cpuSeconds,omitempty"`
-	// Attempts is the number of lease epochs (worker runs) this job has
-	// started; >1 means the lease watchdog or a drain re-ran it.
-	// In-memory only, like CPUSeconds.
-	Attempts int `json:"attempts,omitempty"`
 }
 
 func viewOf(j *job) JobView {
@@ -1005,7 +793,6 @@ func viewOf(j *job) JobView {
 		DesignHash: r.DesignHash,
 		CacheKey:   r.CacheKey,
 		CPUSeconds: j.cpuSeconds,
-		Attempts:   j.attempt,
 	}
 }
 
@@ -1018,23 +805,18 @@ type Metrics struct {
 	CacheHits    uint64        `json:"cacheHits"`
 	CacheMisses  uint64        `json:"cacheMisses"`
 	CacheHitRate float64       `json:"cacheHitRate"`
-	// Coalesced counts cache-miss submissions parked behind an identical
-	// in-flight job instead of running their own analysis.
-	Coalesced uint64 `json:"coalesced"`
-	Degraded  uint64 `json:"degraded"`
-	Resumed   uint64 `json:"resumed"`
-	Requeued  uint64 `json:"requeued"`
-	Failed    uint64 `json:"failed"`
+	Degraded     uint64        `json:"degraded"`
+	Resumed      uint64        `json:"resumed"`
+	Requeued     uint64        `json:"requeued"`
+	Failed       uint64        `json:"failed"`
 	// StoreFaults counts durable-store I/O failures the service observed
 	// (each one trips or extends degraded mode); StoreDegraded is the
 	// current degraded-mode gauge.
 	StoreFaults   uint64 `json:"storeFaults"`
 	StoreDegraded bool   `json:"storeDegraded"`
-	// LeaseExpiries counts running jobs re-queued by the lease watchdog;
 	// TmpReaped counts orphan temp files reaped at startup.
-	LeaseExpiries uint64                   `json:"leaseExpiries"`
-	TmpReaped     uint64                   `json:"tmpReaped"`
-	Engines       map[string]EngineMetrics `json:"engines"`
+	TmpReaped uint64                   `json:"tmpReaped"`
+	Engines   map[string]EngineMetrics `json:"engines"`
 }
 
 // EngineMetrics is accumulated per-engine throughput.
@@ -1057,14 +839,12 @@ func (s *Service) MetricsSnapshot() Metrics {
 		Accepted:      s.om.accepted.Value(),
 		CacheHits:     s.om.cacheHits.Value(),
 		CacheMisses:   s.om.cacheMisses.Value(),
-		Coalesced:     s.om.coalesced.Value(),
 		Degraded:      s.om.degraded.Value(),
 		Resumed:       s.om.resumed.Value(),
 		Requeued:      s.om.requeued.Value(),
 		Failed:        s.om.failed.Value(),
 		StoreFaults:   s.om.storeFaults.Value(),
 		StoreDegraded: s.degraded.Load(),
-		LeaseExpiries: s.om.leaseExpiry.Value(),
 		TmpReaped:     s.om.tmpReaped.Value(),
 		Engines:       make(map[string]EngineMetrics),
 	}

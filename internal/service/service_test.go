@@ -524,134 +524,83 @@ func TestDegradedResultIsServedButNotCached(t *testing.T) {
 	}
 }
 
-// TestCoalescedSubmissionsSingleFlight gates a running job, submits the
-// identical spec twice more, and checks both duplicates coalesce behind
-// the in-flight leader: neither enters the queue, one is cancelable while
-// parked, and when the leader lands its complete result the survivor
-// settles done with byte-identical bytes without a second analysis.
-func TestCoalescedSubmissionsSingleFlight(t *testing.T) {
-	gate := make(chan struct{})
-	svc, err := New(Config{
-		DataDir:       t.TempDir(),
-		Workers:       2, // idle second worker must NOT pick up a follower
-		ProgressEvery: time.Millisecond,
-		BuildPlatform: loopPlatform(t, 0x7),
-		Metrics:       obs.NewRegistry(),
-		tuneConfig:    func(string, *core.Config) { <-gate },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-
-	spec := JobSpec{Design: "dr5", Bench: "loop", Workers: 1}
-	leader, err := svc.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, svc, leader.ID, StateRunning)
-
-	f1, err := svc.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := svc.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []JobView{f1, f2} {
-		if v.State != StateQueued || v.Cached {
-			t.Fatalf("duplicate not parked queued: %+v", v)
-		}
-	}
-	// Give the idle worker a chance to (incorrectly) pop a follower.
-	time.Sleep(20 * time.Millisecond)
-	if v, _ := svc.Job(f1.ID); v.State != StateQueued {
-		t.Fatalf("follower ran before leader settled: %s", v.State)
-	}
-
-	// A parked follower is cancelable even though it is not in the queue.
-	if err := svc.Cancel(f2.ID); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := svc.Job(f2.ID); v.State != StateCanceled {
-		t.Fatalf("canceled follower state = %s", v.State)
-	}
-
-	close(gate)
-	waitState(t, svc, leader.ID, StateDone)
-	waitState(t, svc, f1.ID, StateDone)
-	v1, _ := svc.Job(f1.ID)
-	if !v1.Cached {
-		t.Error("settled follower not marked cached")
-	}
-	d0, err := svc.Result(leader.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, err := svc.Result(f1.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(d0, d1) {
-		t.Error("coalesced result differs from the leader's")
-	}
-
-	m := svc.MetricsSnapshot()
-	if m.Coalesced != 2 {
-		t.Errorf("coalesced = %d, want 2", m.Coalesced)
-	}
-	if m.Engines[v1.Spec.Engine].SimulatedCycles == 0 {
-		t.Error("no engine cycles recorded for the leader")
-	}
-	// Exactly one analysis ran: a second run would double the cycle total
-	// of an identical spec, and the canceled follower must burn none.
-	if ref, errRef := core.Analyze(buildLoop(t, 0x7), core.Config{Workers: 1}); errRef != nil {
-		t.Fatal(errRef)
-	} else if got := m.Engines[v1.Spec.Engine].SimulatedCycles; got != ref.SimulatedCycles {
-		t.Errorf("engine cycles = %d, want one run's %d", got, ref.SimulatedCycles)
-	}
-}
-
-// TestCoalescedFollowerPromotedOnLeaderCancel parks a duplicate behind a
-// running leader, cancels the leader, and checks the follower is promoted
-// and runs to done on its own — a failed leader must not strand its
-// coalition.
-func TestCoalescedFollowerPromotedOnLeaderCancel(t *testing.T) {
+// TestIdenticalSubmissionsEachRun: one worker, a gated first job, and the
+// same spec submitted twice more while it runs. Each duplicate is queued
+// like any other job, and the one left queued runs once the gate opens: it is not served from the cache
+// and its bytes equal the first job's. A canceled duplicate leaves the
+// queue. Only a submission after a finished analysis is a cache hit.
+func TestIdenticalSubmissionsEachRun(t *testing.T) {
 	gate := make(chan struct{})
 	var gateOnce sync.Once
 	svc, err := New(Config{
 		DataDir:       t.TempDir(),
 		Workers:       1,
 		ProgressEvery: time.Millisecond,
-		BuildPlatform: loopPlatform(t, 0x3),
+		BuildPlatform: loopPlatform(t, 0x7),
 		Metrics:       obs.NewRegistry(),
-		// Gate only the first (leader) run; the promoted follower runs free.
+		// Gate only the first analysis; the duplicate behind it runs free.
 		tuneConfig: func(string, *core.Config) { gateOnce.Do(func() { <-gate }) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate) }) }
+	defer release() // before Close: a failed check must not leave the worker gated
 
 	spec := JobSpec{Design: "dr5", Bench: "loop", Workers: 1}
-	leader, err := svc.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
+	submit := func() JobView {
+		t.Helper()
+		v, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
-	waitState(t, svc, leader.ID, StateRunning)
-	follower, err := svc.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
+	first := submit()
+	waitState(t, svc, first.ID, StateRunning)
+	second, third := submit(), submit()
+	for _, v := range []JobView{second, third} {
+		if v.State != StateQueued || v.Cached {
+			t.Fatalf("duplicate not queued: %+v", v)
+		}
+	}
+	if d := svc.MetricsSnapshot().QueueDepth; d != 2 {
+		t.Fatalf("queue depth = %d, want both duplicates in the queue", d)
 	}
 
-	if err := svc.Cancel(leader.ID); err != nil {
+	if err := svc.Cancel(third.ID); err != nil {
 		t.Fatal(err)
 	}
-	close(gate)
-	waitState(t, svc, leader.ID, StateCanceled)
-	waitState(t, svc, follower.ID, StateDone)
-	if v, _ := svc.Job(follower.ID); v.Cached {
-		t.Error("promoted follower should have run, not served from cache")
+	waitState(t, svc, third.ID, StateCanceled)
+	if d := svc.MetricsSnapshot().QueueDepth; d != 1 {
+		t.Fatalf("queue depth after the cancel = %d, want 1", d)
+	}
+
+	release()
+	var results [][]byte
+	for _, v := range []JobView{first, second} {
+		if done := waitState(t, svc, v.ID, StateDone); done.Cached {
+			t.Errorf("job %s was served from the cache; it should have run", v.ID)
+		}
+		data, err := svc.Result(v.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, data)
+	}
+	if !bytes.Equal(results[0], results[1]) {
+		t.Error("two runs of one spec produced different results")
+	}
+
+	c := scrapeCounters(t, svc)
+	for name, want := range map[string]uint64{"cache_misses": 3, "jobs_done": 2, "jobs_canceled": 1, "cache_hits": 0} {
+		if got := c["symsim_service_"+name+"_total"]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if hit := submit(); !hit.Cached || hit.State != StateDone {
+		t.Errorf("submission after a finished analysis = %+v, want a cache hit", hit)
 	}
 }

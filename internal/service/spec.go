@@ -3,9 +3,11 @@
 // bounded priority queue, a durable on-disk job store, per-job budgets and
 // cancellation, SSE-streamed progress heartbeats, graceful drain that
 // checkpoints in-flight jobs and resumes them on restart, and a
-// content-addressed result cache keyed by the canonical netlist hash —
-// identical submissions return instantly and the Table-4 sweep becomes
-// incremental.
+// content-addressed result cache keyed by the canonical netlist hash — a
+// submission identical to a finished analysis returns instantly and the
+// Table-4 sweep becomes incremental. Every other accepted job is queued
+// once and run by the worker that pops it, even while an identical one is
+// still running.
 //
 // The package is transport-agnostic at its core (Submit/Cancel/Drain on a
 // Service) with a stdlib net/http front end (Handler); cmd/symsimd wraps

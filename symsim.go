@@ -183,7 +183,7 @@ type ConstraintError = csm.ConstraintError
 // rejects malformed facts (out-of-range bits, inverted ranges) up front
 // with a *ConstraintError rather than silently skipping them at observe
 // time. The returned policy also proves forked children infeasible before
-// the engine schedules them (see Config.DisablePrune).
+// the engine schedules them; pruning is sound, so it is always on.
 func ConstrainedPolicy(bits int, cons []Constraint) (Policy, error) {
 	return csm.NewConstrained(bits, cons)
 }
