@@ -301,15 +301,11 @@ func printJobTable(data []byte) error {
 	}
 	fmt.Printf("%-26s %-9s %-10s %-12s %s\n", "ID", "STATE", "DESIGN", "BENCH", "FLAGS")
 	for _, v := range views {
-		var notes []string
+		flags := ""
 		if v.Cached {
-			notes = append(notes, "cached")
+			flags = "cached"
 		}
-		if v.Resumable {
-			notes = append(notes, "resumable")
-		}
-		fmt.Printf("%-26s %-9s %-10s %-12s %s\n",
-			v.ID, v.State, v.Spec.Design, v.Spec.Bench, strings.Join(notes, ","))
+		fmt.Printf("%-26s %-9s %-10s %-12s %s\n", v.ID, v.State, v.Spec.Design, v.Spec.Bench, flags)
 	}
 	return nil
 }

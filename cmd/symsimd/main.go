@@ -1,9 +1,10 @@
 // Command symsimd runs symsim as a long-lived analysis daemon: submitted
 // jobs are queued (priority FIFO, bounded with backpressure), executed by
-// a worker pool of symbolic co-analyses, checkpointed on shutdown and
-// resumed on restart, with complete results kept in a content-addressed
-// cache keyed by the canonical netlist hash — a submission identical to a
-// finished analysis returns instantly; any other accepted job runs.
+// a worker pool of symbolic co-analyses, with complete results kept in a
+// content-addressed cache keyed by the canonical netlist hash — a
+// submission identical to a finished analysis returns instantly; any other
+// accepted job runs. A job that a shutdown or a crash interrupts runs
+// again from the beginning on the next start.
 //
 // Usage:
 //
@@ -16,9 +17,9 @@
 // submission that leaves a field empty gets the daemon's value, then the
 // flag default. POST /cluster/runs (-coordinator) fills from the flag
 // defaults alone, so a run means the same analysis on every coordinator.
-// SIGINT/SIGTERM drain gracefully: the HTTP listener
-// stops, running jobs are canceled and checkpointed, and the queue is
-// preserved on disk for the next start.
+// SIGINT/SIGTERM drain gracefully: the HTTP listener stops, running jobs
+// are canceled and re-queued, losing the work they had done, and the queue
+// is preserved on disk for the next start.
 //
 // GET /metrics on the main listener serves Prometheus text exposition
 // (the JSON snapshot moved to /metrics.json); -debug starts a second,
@@ -51,10 +52,9 @@ import (
 func main() {
 	var (
 		listen     = flag.String("listen", "localhost:8466", "HTTP listen address")
-		dataDir    = flag.String("data", "symsimd-data", "durable state directory (jobs, results, cache, checkpoints)")
+		dataDir    = flag.String("data", "symsimd-data", "durable state directory (jobs, results, cache)")
 		jobs       = flag.Int("jobs", 2, "concurrent analysis jobs (each job additionally uses its own -workers path workers)")
 		queueCap   = flag.Int("queue", 64, "pending-job queue capacity; submissions beyond it get HTTP 429")
-		ckptEvery  = flag.Duration("checkpoint-every", 15*time.Second, "periodic checkpoint interval for running jobs")
 		progress   = flag.Duration("progress-every", 250*time.Millisecond, "progress heartbeat interval streamed to subscribers")
 		keepAlive  = flag.Duration("sse-keepalive", 15*time.Second, "SSE comment-line keep-alive interval (defeats proxy idle timeouts)")
 		debug      = flag.String("debug", "", "debug listen address for net/http/pprof (e.g. localhost:8467; empty = off)")
@@ -68,14 +68,13 @@ func main() {
 		logger.Fatalf("-coordinator and -worker are mutually exclusive: a daemon either hosts the runs' state or drives it")
 	}
 	svc, err := service.New(service.Config{
-		DataDir:         *dataDir,
-		Workers:         *jobs,
-		QueueCap:        *queueCap,
-		CheckpointEvery: *ckptEvery,
-		ProgressEvery:   *progress,
-		SSEKeepAlive:    *keepAlive,
-		Defaults:        &defaults.Spec,
-		Logf:            func(format string, args ...any) { logger.Printf(format, args...) },
+		DataDir:       *dataDir,
+		Workers:       *jobs,
+		QueueCap:      *queueCap,
+		ProgressEvery: *progress,
+		SSEKeepAlive:  *keepAlive,
+		Defaults:      &defaults.Spec,
+		Logf:          func(format string, args ...any) { logger.Printf(format, args...) },
 	})
 	if err != nil {
 		logger.Fatal(err)
@@ -153,8 +152,7 @@ func main() {
 	}
 
 	// Stop accepting HTTP first, then drain: running analyses are
-	// canceled, write their final checkpoints and re-queue; the next start
-	// resumes them.
+	// canceled and re-queue; the next start runs them from the beginning.
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := server.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {

@@ -571,3 +571,17 @@ func TestPeriodicCheckpointRoundTripsThroughDisk(t *testing.T) {
 		}
 	})
 }
+
+// A final checkpoint that cannot be written fails the run the way a failed
+// periodic one does. The hour-long interval leaves the write at the end of
+// the budget-tripped run as the only one.
+func TestFinalCheckpointErrorIsReturned(t *testing.T) {
+	ck := t.TempDir() + "/missing/run.ckpt"
+	res, err := core.Analyze(buildLoop(t, 0xF), core.Config{
+		Checkpoint: &core.CheckpointConfig{Path: ck, Interval: time.Hour},
+		Budget:     core.Budget{MaxForks: 5},
+	})
+	if err == nil {
+		t.Fatalf("run with an unwritable final checkpoint returned no error (complete=%v)", res.Complete)
+	}
+}

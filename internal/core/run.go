@@ -218,10 +218,12 @@ func (r *Run) Wait() (*Result, error) {
 	if a.fatal != nil {
 		return nil, a.fatal
 	}
+	if a.ckptErr == nil {
+		a.finish() // writes the final checkpoint of an incomplete run
+	}
 	if a.ckptErr != nil {
 		return nil, a.ckptErr
 	}
-	a.finish()
 	return a.res, nil
 }
 

@@ -29,7 +29,6 @@ type FS interface {
 	MkdirAll(path string, perm os.FileMode) error
 	ReadFile(path string) ([]byte, error)
 	ReadDir(path string) ([]os.DirEntry, error)
-	Stat(path string) (os.FileInfo, error)
 	CreateTemp(dir, pattern string) (File, error)
 	Rename(oldpath, newpath string) error
 	Remove(path string) error
@@ -48,7 +47,6 @@ type OS struct{}
 func (OS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 func (OS) ReadFile(path string) ([]byte, error)         { return os.ReadFile(path) }
 func (OS) ReadDir(path string) ([]os.DirEntry, error)   { return os.ReadDir(path) }
-func (OS) Stat(path string) (os.FileInfo, error)        { return os.Stat(path) }
 func (OS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (OS) Remove(path string) error                     { return os.Remove(path) }
 func (OS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
@@ -62,7 +60,6 @@ const (
 	OpMkdirAll   Op = "mkdirall"
 	OpReadFile   Op = "readfile"
 	OpReadDir    Op = "readdir"
-	OpStat       Op = "stat"
 	OpCreateTemp Op = "createtemp"
 	OpWrite      Op = "write"
 	OpClose      Op = "close"
@@ -71,7 +68,7 @@ const (
 )
 
 // ops lists every concrete operation, in a fixed order for seeded plans.
-var ops = []Op{OpMkdirAll, OpReadFile, OpReadDir, OpStat, OpCreateTemp, OpWrite, OpClose, OpRename, OpRemove}
+var ops = []Op{OpMkdirAll, OpReadFile, OpReadDir, OpCreateTemp, OpWrite, OpClose, OpRename, OpRemove}
 
 // Kind is the fault a triggered rule injects.
 type Kind string
@@ -281,16 +278,6 @@ func (in *Injector) ReadDir(path string) ([]os.DirEntry, error) {
 		return nil, d.err
 	}
 	return in.inner.ReadDir(path)
-}
-
-func (in *Injector) Stat(path string) (os.FileInfo, error) {
-	if d := in.check(OpStat, path); d.err != nil {
-		// Stat faults surface as non-existence plus the injected error
-		// shape callers already handle; fs.ErrNotExist is deliberately NOT
-		// wrapped so a faulted Stat is distinguishable from a miss.
-		return nil, d.err
-	}
-	return in.inner.Stat(path)
 }
 
 func (in *Injector) Rename(oldpath, newpath string) error {

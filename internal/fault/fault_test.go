@@ -104,11 +104,10 @@ func TestInjectorCrashMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := NewInjector(nil, CrashPlan(3))
-	if _, err := in.ReadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.Stat(path); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := in.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if in.Crashed() {
 		t.Fatal("crashed before the crash point")
@@ -212,9 +211,6 @@ func TestOSPassthrough(t *testing.T) {
 	}
 	if data, err := v.ReadFile(final); err != nil || string(data) != "hi" {
 		t.Fatalf("ReadFile = %q, %v", data, err)
-	}
-	if _, err := v.Stat(final); err != nil {
-		t.Fatal(err)
 	}
 	entries, err := v.ReadDir(filepath.Join(dir, "a"))
 	if err != nil || len(entries) != 2 {

@@ -13,7 +13,6 @@ import (
 	"symsim/internal/core"
 	"symsim/internal/fault"
 	"symsim/internal/obs"
-	"symsim/internal/vvp"
 )
 
 // scrapeCounters reads every *_total sample of the service's registry.
@@ -147,87 +146,6 @@ func TestEveryAcceptedJobIsCountedOnce(t *testing.T) {
 	}
 }
 
-// TestCancelQueuedResumableRemovesCheckpoint: a job a drain left queued
-// with its checkpoint on disk is canceled before it runs again. The
-// checkpoint goes with it — once only a finishing run removed checkpoints,
-// and this one stayed on disk forever.
-func TestCancelQueuedResumableRemovesCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	midRun := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	svc1, err := New(Config{
-		DataDir:         dir,
-		Workers:         1,
-		CheckpointEvery: time.Millisecond,
-		ProgressEvery:   time.Millisecond,
-		BuildPlatform:   loopPlatform(t, 0x7),
-		tuneConfig: func(id string, cc *core.Config) {
-			cc.OnHalt = func(int, vvp.State) {
-				once.Do(func() {
-					close(midRun)
-					<-release
-				})
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumable, err := svc1.Submit(JobSpec{Design: "dr5", Bench: "resumable", Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-midRun
-	// Queued behind the interrupted job, and ahead of it after the restart.
-	ahead, err := svc1.Submit(JobSpec{Design: "dr5", Bench: "ahead", Workers: 1, Priority: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc1.beginDrain()
-	close(release)
-	svc1.waitIdle()
-
-	gate := make(chan struct{})
-	svc2, err := New(Config{
-		DataDir:       dir,
-		Workers:       1,
-		ProgressEvery: time.Millisecond,
-		BuildPlatform: loopPlatform(t, 0x7),
-		tuneConfig:    func(string, *core.Config) { <-gate },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, svc2, ahead.ID, StateRunning)
-	if v, _ := svc2.Job(resumable.ID); v.State != StateQueued || !v.Resumable || !svc2.store.hasCheckpoint(resumable.ID) {
-		t.Fatalf("recovered job = %+v (checkpoint %v), want queued and resumable with its checkpoint on disk",
-			v, svc2.store.hasCheckpoint(resumable.ID))
-	}
-	if err := svc2.Cancel(resumable.ID); err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, svc2, resumable.ID, StateCanceled)
-	if svc2.store.hasCheckpoint(resumable.ID) {
-		t.Error("checkpoint of a job canceled while queued is still on disk")
-	}
-	close(gate)
-	waitState(t, svc2, ahead.ID, StateDone)
-	svc2.Close()
-
-	svc3, err := New(Config{DataDir: dir, Workers: 1, BuildPlatform: loopPlatform(t, 0x7)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc3.Close()
-	if v, _ := svc3.Job(resumable.ID); v.State != StateCanceled {
-		t.Errorf("canceled job after restart = %s, want canceled", v.State)
-	}
-	if svc3.store.hasCheckpoint(resumable.ID) {
-		t.Error("checkpoint of the canceled job is back after a restart")
-	}
-}
-
 // transitionFixture is a service with idle workers whose jobs the table
 // test places by hand, so each row makes exactly one transition.
 type transitionFixture struct {
@@ -251,11 +169,10 @@ func newTransitionFixture(t *testing.T, vfs fault.FS) *transitionFixture {
 }
 
 // place puts a job in state from the way the service would have: record on
-// disk and one event on its stream. A running job holds a cancel handle
-// and, like any job with run history, a checkpoint. A job in no state yet
-// is what Submit holds before its first move: nothing on disk, no event,
-// unknown to the service.
-func (f *transitionFixture) place(from State, checkpoint bool) *job {
+// disk and one event on its stream. A running job holds a cancel handle. A
+// job in no state yet is what Submit holds before its first move: nothing
+// on disk, no event, unknown to the service.
+func (f *transitionFixture) place(from State) *job {
 	f.t.Helper()
 	s := f.svc
 	spec, err := normalize(JobSpec{Design: "dr5", Bench: "key", Workers: 1}, nil)
@@ -272,11 +189,6 @@ func (f *transitionFixture) place(from State, checkpoint bool) *job {
 	}
 	if err := s.store.saveJob(j.rec); err != nil {
 		f.t.Fatal(err)
-	}
-	if checkpoint {
-		if err := os.WriteFile(s.store.checkpointPath(j.rec.ID), []byte("ckpt"), 0o644); err != nil {
-			f.t.Fatal(err)
-		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -310,8 +222,7 @@ func (f *transitionFixture) diskRecord(j *job) *jobRecord {
 
 // checkMoved asserts what every transition owes its job: the record on disk
 // (disk is the state it must show), the result file exactly when the job is
-// done there, no checkpoint once terminal, and one "state" event numbered
-// next on the job's stream.
+// done there, and one "state" event numbered next on the job's stream.
 func (f *transitionFixture) checkMoved(j *job, to, disk State, seqBefore uint64, result []byte) {
 	f.t.Helper()
 	s := f.svc
@@ -336,9 +247,6 @@ func (f *transitionFixture) checkMoved(j *job, to, disk State, seqBefore uint64,
 	} else if err == nil {
 		f.t.Errorf("a %s record has a result file", disk)
 	}
-	if terminal(to) && s.store.hasCheckpoint(j.rec.ID) {
-		f.t.Errorf("checkpoint survived the move to %s", to)
-	}
 	events, latest, _ := s.hub.since(j.rec.ID, seqBefore)
 	if len(events) != 1 || events[0].Type != "state" || events[0].State != to || events[0].Seq != seqBefore+1 || latest != seqBefore+1 {
 		f.t.Errorf("events after the move = %+v (latest %d), want one state event %s numbered %d", events, latest, to, seqBefore+1)
@@ -352,42 +260,41 @@ func TestTransitionTable(t *testing.T) {
 	result := []byte(`{"complete":true}`)
 	const prefix = "symsim_service_"
 	rows := []struct {
-		name       string
-		from, to   State
-		why        cause
-		data       []byte
-		checkpoint bool
-		counter    string // "" when the edge owns none
+		name     string
+		from, to State
+		why      cause
+		data     []byte
+		counter  string // "" when the edge owns none
 		// stamps checks the times and flags of the moved record.
 		stamps func(t *testing.T, r *jobRecord)
 	}{
-		{name: "queued→running", from: StateQueued, to: StateRunning, why: causeStart, checkpoint: true,
+		{name: "queued→running", from: StateQueued, to: StateRunning, why: causeStart,
 			stamps: func(t *testing.T, r *jobRecord) {
 				if r.Started == 0 || r.Finished != 0 {
 					t.Errorf("started %d finished %d, want started only", r.Started, r.Finished)
 				}
 			}},
-		{name: "running→done", from: StateRunning, to: StateDone, why: causeComplete, data: result, checkpoint: true,
+		{name: "running→done", from: StateRunning, to: StateDone, why: causeComplete, data: result,
 			counter: "jobs_done_total",
 			stamps: func(t *testing.T, r *jobRecord) {
 				if r.Started != 1 || r.Finished == 0 || r.Cached {
 					t.Errorf("started %d finished %d cached %v, want the run's start kept, finished now, not cached", r.Started, r.Finished, r.Cached)
 				}
 			}},
-		{name: "running→done-degraded", from: StateRunning, to: StateDone, why: causeBudget, data: result, checkpoint: true,
+		{name: "running→done-degraded", from: StateRunning, to: StateDone, why: causeBudget, data: result,
 			counter: "jobs_degraded_total"},
-		{name: "running→failed", from: StateRunning, to: StateFailed, why: causeError, checkpoint: true,
+		{name: "running→failed", from: StateRunning, to: StateFailed, why: causeError,
 			counter: "jobs_failed_total"},
-		{name: "running→canceled", from: StateRunning, to: StateCanceled, why: causeCancel, checkpoint: true,
+		{name: "running→canceled", from: StateRunning, to: StateCanceled, why: causeCancel,
 			counter: "jobs_canceled_total"},
-		{name: "running→queued-by-drain", from: StateRunning, to: StateQueued, why: causeDrain, checkpoint: true,
+		{name: "running→queued-by-drain", from: StateRunning, to: StateQueued, why: causeDrain,
 			counter: "jobs_requeued_total",
 			stamps: func(t *testing.T, r *jobRecord) {
-				if r.Started != 0 || !r.Resumable {
-					t.Errorf("started %d resumable %v, want a resumable job that has not started", r.Started, r.Resumable)
+				if r.Started != 0 || r.Finished != 0 {
+					t.Errorf("started %d finished %d, want a job that runs again from the beginning", r.Started, r.Finished)
 				}
 			}},
-		{name: "queued→canceled", from: StateQueued, to: StateCanceled, why: causeCancel, checkpoint: true,
+		{name: "queued→canceled", from: StateQueued, to: StateCanceled, why: causeCancel,
 			counter: "jobs_canceled_total",
 			stamps: func(t *testing.T, r *jobRecord) {
 				if r.Started != 0 || r.Finished == 0 {
@@ -396,8 +303,8 @@ func TestTransitionTable(t *testing.T) {
 			}},
 		{name: "new→queued", to: StateQueued, why: causeAccept,
 			stamps: func(t *testing.T, r *jobRecord) {
-				if r.Started != 0 || r.Finished != 0 || r.Resumable {
-					t.Errorf("started %d finished %d resumable %v, want a job with no history", r.Started, r.Finished, r.Resumable)
+				if r.Started != 0 || r.Finished != 0 {
+					t.Errorf("started %d finished %d, want a job with no history", r.Started, r.Finished)
 				}
 			}},
 		{name: "new→done-cached", to: StateDone, why: causeCacheHit, data: result,
@@ -411,7 +318,7 @@ func TestTransitionTable(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			f := newTransitionFixture(t, nil)
-			j := f.place(row.from, row.checkpoint)
+			j := f.place(row.from)
 			seq := uint64(1)
 			if row.from == "" {
 				seq = 0
@@ -423,9 +330,6 @@ func TestTransitionTable(t *testing.T) {
 			f.checkMoved(j, row.to, row.to, seq, row.data)
 			if row.stamps != nil {
 				row.stamps(t, j.rec)
-			}
-			if !terminal(row.to) && row.checkpoint && !f.svc.store.hasCheckpoint(j.rec.ID) {
-				t.Error("checkpoint of a job that will run again was removed")
 			}
 			want := map[string]uint64{}
 			if row.counter != "" {
@@ -443,7 +347,7 @@ func TestTransitionTable(t *testing.T) {
 	t.Run("degraded store", func(t *testing.T) {
 		plan := &fault.Plan{Rules: []fault.Rule{{Op: fault.OpCreateTemp, Match: "results", Nth: 1, Kind: fault.KindEIO}}}
 		f := newTransitionFixture(t, fault.NewInjector(nil, plan))
-		j := f.place(StateRunning, true)
+		j := f.place(StateRunning)
 		before := scrapeCounters(t, f.svc)
 		if f.move(j, StateDone, causeComplete, result) {
 			t.Error("the move reports it landed; the result file was refused")
@@ -477,7 +381,7 @@ func TestTransitionTable(t *testing.T) {
 		t.Run(first.name, func(t *testing.T) {
 			plan := &fault.Plan{Rules: []fault.Rule{{Op: fault.OpCreateTemp, Match: first.dir, Nth: 1, Kind: fault.KindEIO}}}
 			f := newTransitionFixture(t, fault.NewInjector(nil, plan))
-			j := f.place("", false)
+			j := f.place("")
 			before := scrapeCounters(t, f.svc)
 			if f.move(j, first.to, first.why, first.data) {
 				t.Fatal("a first move that wrote no record reports it landed")

@@ -236,7 +236,6 @@ func TestServiceMetricsCatalog(t *testing.T) {
 		"symsim_service_jobs_done_total",
 		"symsim_service_jobs_failed_total",
 		"symsim_service_jobs_requeued_total",
-		"symsim_service_jobs_resumed_total",
 		"symsim_service_jobs_running",
 		"symsim_service_queue_depth",
 		"symsim_service_store_faults_total",

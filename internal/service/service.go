@@ -21,8 +21,8 @@ import (
 
 // Config configures a Service.
 type Config struct {
-	// DataDir is the root of the durable store (jobs, results, cache,
-	// checkpoints). Required.
+	// DataDir is the root of the durable store (jobs, results, cache).
+	// Required.
 	DataDir string
 	// Workers is the job worker pool size (concurrent analyses); each job
 	// additionally uses its own spec.Workers path workers. Default 2.
@@ -30,10 +30,6 @@ type Config struct {
 	// QueueCap bounds the pending-job queue; submissions beyond it get
 	// ErrQueueFull (HTTP 429). Default 64.
 	QueueCap int
-	// CheckpointEvery is the periodic checkpoint interval for running
-	// jobs. The final checkpoint on drain/degradation is written
-	// regardless. Default 15s.
-	CheckpointEvery time.Duration
 	// ProgressEvery is the heartbeat interval streamed to subscribers.
 	// Default 250ms.
 	ProgressEvery time.Duration
@@ -72,9 +68,9 @@ type job struct {
 	cancel          context.CancelFunc
 	cancelRequested bool
 	// cpuSeconds accumulates the analysis' BusyTime (summed path-segment
-	// wall time — the job's CPU attribution) across run segments.
-	// In-memory only: the job record (SYMSIMJ3) does not carry it, so the
-	// figure resets on daemon restart.
+	// wall time — the job's CPU attribution) across its runs, a drained
+	// run's included. In-memory only: the job record (SYMSIMJ3) does not
+	// carry it, so the figure resets on daemon restart.
 	cpuSeconds float64
 	// resultData is the degraded-mode fallback: when the store cannot
 	// persist a finished job's result, the bytes are kept here so Result
@@ -115,7 +111,6 @@ type svcObs struct {
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
 	degraded    *obs.Counter
-	resumed     *obs.Counter
 	requeued    *obs.Counter
 	failed      *obs.Counter
 	done        *obs.Counter
@@ -130,7 +125,6 @@ func newSvcObs(reg *obs.Registry) *svcObs {
 		cacheHits:   reg.Counter("symsim_service_cache_hits_total", "Submissions satisfied from the result cache."),
 		cacheMisses: reg.Counter("symsim_service_cache_misses_total", "Submissions that had to run."),
 		degraded:    reg.Counter("symsim_service_jobs_degraded_total", "Jobs finished with a budget-degraded result."),
-		resumed:     reg.Counter("symsim_service_jobs_resumed_total", "Jobs resumed from a checkpoint."),
 		requeued:    reg.Counter("symsim_service_jobs_requeued_total", "Jobs re-queued by a drain."),
 		failed:      reg.Counter("symsim_service_jobs_failed_total", "Jobs finished in error."),
 		done:        reg.Counter("symsim_service_jobs_done_total", "Jobs finished successfully."),
@@ -167,8 +161,7 @@ var ErrDegraded = errors.New("service: store degraded, submission refused")
 
 // New opens (or creates) the durable store under cfg.DataDir, recovers
 // jobs interrupted by a crash or drain — running records return to the
-// queue, resumable ones will continue from their checkpoint — and starts
-// the worker pool.
+// queue, to run again from cold boot — and starts the worker pool.
 func New(cfg Config) (*Service, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("service: Config.DataDir is required")
@@ -178,9 +171,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 15 * time.Second
 	}
 	if cfg.ProgressEvery <= 0 {
 		cfg.ProgressEvery = 250 * time.Millisecond
@@ -248,23 +238,12 @@ func New(cfg Config) (*Service, error) {
 		cfg.Logf("service: skipping unreadable job record: %v", e)
 	}
 	for _, rec := range recs {
-		// Crash/drain recovery: a record stuck in "running" was
-		// interrupted without a clean finish. It goes back to the queue;
-		// if its checkpoint survived, the analysis resumes from it
-		// instead of restarting — unless the checkpoint was taken under
-		// the dropped Verilog X-address rule, whose missing X's a resumed
-		// run could keep.
-		repair := rec.State == StateRunning || rec.droppedRule
+		// Crash recovery: a record stuck in "running" was interrupted
+		// without a clean finish. It goes back to the queue and runs
+		// again from the beginning.
 		if rec.State == StateRunning {
 			rec.State = StateQueued
 			rec.Started = 0
-			rec.Resumable = st.hasCheckpoint(rec.ID)
-		}
-		if rec.droppedRule {
-			st.removeCheckpoint(rec.ID)
-			rec.Resumable = false
-		}
-		if repair {
 			if err := st.saveJob(rec); err != nil {
 				// Degrade, don't die: the in-memory state is repaired and
 				// the job still runs; the stale on-disk "running" record
@@ -280,7 +259,7 @@ func New(cfg Config) (*Service, error) {
 			if err := s.queue.Push(rec.ID, rec.Spec.Priority, true); err != nil {
 				return nil, err
 			}
-			cfg.Logf("service: recovered job %s (resumable=%v)", rec.ID, rec.Resumable)
+			cfg.Logf("service: recovered job %s", rec.ID)
 		}
 	}
 
@@ -395,9 +374,8 @@ const (
 // is over (mu held). From the target state, the cause and the result bytes
 // (non-nil exactly on the way to done) it stamps the record's times, writes
 // result then record, counts the cause, publishes the state event, drops
-// the cancel handle of the state being left and, for a terminal job,
-// removes the checkpoint. Callers say where to and why, and do only what
-// is theirs alone: the queue, the cache, the error text.
+// the cancel handle of the state being left. Callers say where to and why,
+// and do only what is theirs alone: the queue, the cache, the error text.
 //
 // It reports whether the move landed: the record on disk shows the new
 // state. An accepted job moves in memory either way — the daemon degrades,
@@ -411,12 +389,8 @@ func (s *Service) moveLocked(j *job, to State, why cause, data []byte) (landed b
 	case to == StateRunning:
 		rec.Started = now
 	case to == StateQueued:
-		if from == StateRunning {
-			// Queued with history: a drain wrote its final checkpoint
-			// before the core returned, and the next run resumes from it.
-			rec.Started = 0
-			rec.Resumable = s.store.hasCheckpoint(rec.ID)
-		}
+		// Back from a drain, the job will run again from cold boot.
+		rec.Started = 0
 	default:
 		rec.Finished = now
 		if from != StateRunning && to == StateDone {
@@ -469,11 +443,6 @@ func (s *Service) moveLocked(j *job, to State, why cause, data []byte) (landed b
 		s.om.requeued.Inc()
 	}
 	s.hub.Publish(Event{Type: "state", Job: rec.ID, State: to})
-
-	// A job back in the queue will run again and keeps its checkpoint.
-	if terminal(to) {
-		s.store.removeCheckpoint(rec.ID)
-	}
 	return landed
 }
 
@@ -496,19 +465,17 @@ func (s *Service) runJob(id string) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s.moveLocked(j, StateRunning, causeStart, nil)
 	j.cancel = cancel
-	resumable := j.rec.Resumable
 	spec := j.rec.Spec
 	s.mu.Unlock()
 	defer cancel()
 
-	res, err := s.analyze(ctx, id, spec, resumable)
+	res, err := s.analyze(ctx, id, spec)
 	s.finishJob(id, res, err)
 }
 
-// analyze maps a job spec onto a core run: platform, policy, budgets,
-// periodic checkpoints to the job's checkpoint file, resume from a
-// surviving checkpoint, and progress heartbeats published to the hub.
-func (s *Service) analyze(ctx context.Context, id string, spec JobSpec, resumable bool) (*core.Result, error) {
+// analyze maps a job spec onto a core run from cold boot: platform,
+// policy, budgets, and progress heartbeats published to the hub.
+func (s *Service) analyze(ctx context.Context, id string, spec JobSpec) (*core.Result, error) {
 	p, err := s.cfg.BuildPlatform(spec.Design, spec.Bench)
 	if err != nil {
 		return nil, err
@@ -517,23 +484,10 @@ func (s *Service) analyze(ctx context.Context, id string, spec JobSpec, resumabl
 	if err != nil {
 		return nil, err
 	}
-	cc.Checkpoint = &core.CheckpointConfig{Path: s.store.checkpointPath(id), Interval: s.cfg.CheckpointEvery}
 	cc.ProgressEvery = s.cfg.ProgressEvery
 	cc.Metrics = s.reg
 	cc.Progress = func(pr core.Progress) {
 		s.hub.Publish(Event{Type: "progress", Job: id, Progress: &pr})
-	}
-	if resumable {
-		ckpt, err := core.LoadCheckpoint(s.store.checkpointPath(id))
-		if err != nil {
-			// A corrupt or missing checkpoint degrades to a fresh run;
-			// the analysis result is identical, only slower.
-			s.cfg.Logf("service: job %s: checkpoint unusable, restarting: %v", id, err)
-		} else {
-			cc.Resume = ckpt
-			s.om.resumed.Inc()
-			s.cfg.Logf("service: job %s: resuming from checkpoint (%d pending paths)", id, len(ckpt.Pending))
-		}
 	}
 	if s.cfg.tuneConfig != nil {
 		s.cfg.tuneConfig(id, &cc)
@@ -548,7 +502,7 @@ func (s *Service) finishJob(id string, res *core.Result, err error) {
 	defer s.mu.Unlock()
 	j := s.jobs[id]
 	if res != nil {
-		// Accumulate across segments: a drained-and-resumed job keeps the
+		// Accumulate across runs: a drained-and-restarted job keeps the
 		// CPU it already spent.
 		j.cpuSeconds += res.BusyTime.Seconds()
 	}
@@ -684,7 +638,7 @@ func (s *Service) Jobs() []JobView {
 // Result returns the stored result JSON for a done job. When the durable
 // store faulted at finish time, the in-memory fallback copy is served
 // instead — a finished job's result survives a failing disk (but not a
-// daemon restart; the job would then re-run from its checkpoint).
+// daemon restart; the job would then run again).
 func (s *Service) Result(id string) ([]byte, error) {
 	s.mu.Lock()
 	j := s.jobs[id]
@@ -725,8 +679,8 @@ func (s *Service) Health() HealthView {
 
 // beginDrain makes the shutdown decision visible everywhere at once:
 // submissions are refused, blocked workers wake and exit, and every
-// running analysis is canceled — the core writes its final checkpoint
-// before returning, so finishJob re-queues those jobs resumable.
+// running analysis is canceled — finishJob re-queues those jobs, which
+// lose the work they had done and run again from cold boot.
 func (s *Service) beginDrain() {
 	s.mu.Lock()
 	if s.draining {
@@ -747,7 +701,7 @@ func (s *Service) beginDrain() {
 func (s *Service) waitIdle() { s.wg.Wait() }
 
 // Drain gracefully shuts the service down: no new jobs, running analyses
-// checkpoint and re-queue, workers exit. Safe to call more than once.
+// stop and re-queue, workers exit. Safe to call more than once.
 func (s *Service) Drain() {
 	s.beginDrain()
 	s.waitIdle()
@@ -766,14 +720,12 @@ type JobView struct {
 	Finished  int64   `json:"finishedUnixNs,omitempty"`
 	Error     string  `json:"error,omitempty"`
 	// Cached marks a submission satisfied from the result cache.
-	Cached bool `json:"cached,omitempty"`
-	// Resumable marks a queued job that will continue from a checkpoint.
-	Resumable  bool   `json:"resumable,omitempty"`
+	Cached     bool   `json:"cached,omitempty"`
 	DesignHash string `json:"designHash,omitempty"`
 	CacheKey   string `json:"cacheKey,omitempty"`
 	// CPUSeconds is the analysis CPU-time attribution: wall time summed
 	// over the job's path segments (core.Result.BusyTime), accumulated
-	// across drain/resume segments. In-memory only — it resets to zero on
+	// across the runs a drain interrupted. In-memory only — it resets to zero on
 	// daemon restart (the durable record format is unchanged).
 	CPUSeconds float64 `json:"cpuSeconds,omitempty"`
 }
@@ -789,7 +741,6 @@ func viewOf(j *job) JobView {
 		Finished:   r.Finished,
 		Error:      r.Error,
 		Cached:     r.Cached,
-		Resumable:  r.Resumable,
 		DesignHash: r.DesignHash,
 		CacheKey:   r.CacheKey,
 		CPUSeconds: j.cpuSeconds,
@@ -806,7 +757,6 @@ type Metrics struct {
 	CacheMisses  uint64        `json:"cacheMisses"`
 	CacheHitRate float64       `json:"cacheHitRate"`
 	Degraded     uint64        `json:"degraded"`
-	Resumed      uint64        `json:"resumed"`
 	Requeued     uint64        `json:"requeued"`
 	Failed       uint64        `json:"failed"`
 	// StoreFaults counts durable-store I/O failures the service observed
@@ -840,7 +790,6 @@ func (s *Service) MetricsSnapshot() Metrics {
 		CacheHits:     s.om.cacheHits.Value(),
 		CacheMisses:   s.om.cacheMisses.Value(),
 		Degraded:      s.om.degraded.Value(),
-		Resumed:       s.om.resumed.Value(),
 		Requeued:      s.om.requeued.Value(),
 		Failed:        s.om.failed.Value(),
 		StoreFaults:   s.om.storeFaults.Value(),

@@ -1,9 +1,9 @@
 // Package service exposes symsim as a long-lived analysis daemon: the
-// paper's hours-long co-analyses (Table 4) become submitted jobs with a
-// bounded priority queue, a durable on-disk job store, per-job budgets and
+// paper's co-analyses (Table 4) become submitted jobs with a bounded
+// priority queue, a durable on-disk job store, per-job budgets and
 // cancellation, SSE-streamed progress heartbeats, graceful drain that
-// checkpoints in-flight jobs and resumes them on restart, and a
-// content-addressed result cache keyed by the canonical netlist hash — a
+// re-queues in-flight jobs to run again from cold boot on restart (as a
+// crash does), and a content-addressed result cache keyed by the canonical netlist hash — a
 // submission identical to a finished analysis returns instantly and the
 // Table-4 sweep becomes incremental. Every other accepted job is queued
 // once and run by the worker that pops it, even while an identical one is

@@ -222,8 +222,8 @@ func TestSpecGoldenFromParent(t *testing.T) {
 			if err != nil {
 				t.Fatalf("the parent's record does not load: %v", err)
 			}
-			if loaded.Spec != n || loaded.droppedRule != (parent.Rule == "verilog") {
-				t.Errorf("loaded spec %+v (dropped rule %v), want %+v under %s", loaded.Spec, loaded.droppedRule, n, parent.Rule)
+			if loaded.Spec != n {
+				t.Errorf("loaded spec %+v, want %+v under %s", loaded.Spec, n, parent.Rule)
 			}
 			if !bytes.Equal(loaded.encode(), rec.encode()) {
 				t.Error("the parent's record does not re-encode as its version-3 image")

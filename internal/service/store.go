@@ -18,17 +18,17 @@ import (
 // rename) with the same canonical-codec discipline as the SYMSIMC1
 // checkpoint format — a fixed magic, fully validated decode that never
 // panics on malformed input, and byte-identical re-encoding of anything it
-// accepts (fuzzed by FuzzJobRecordRoundTrip). The daemon therefore
-// survives a crash without losing accepted jobs: on restart the store is
-// scanned, interrupted jobs return to the queue, and jobs with a
-// checkpoint resume from it.
+// accepts but an old daemon's retired flag bit (fuzzed by
+// FuzzJobRecordRoundTrip). The daemon therefore survives a crash without
+// losing accepted jobs: on restart the store is scanned and interrupted
+// jobs return to the queue, to run again from cold boot.
 
 // State is a job's lifecycle state.
 type State string
 
 // Job lifecycle states. A drained or crashed job goes back to StateQueued
-// (with Resumable set when a checkpoint exists) rather than getting a
-// distinct state: queued-with-history is exactly what it is.
+// with Started cleared rather than getting a distinct state: it runs again
+// from the beginning, like any queued job.
 const (
 	StateQueued   State = "queued"
 	StateRunning  State = "running"
@@ -58,20 +58,12 @@ type jobRecord struct {
 	DesignHash string
 	// Cached marks a job satisfied instantly from the result cache.
 	Cached bool
-	// Resumable marks a queued job with a usable checkpoint on disk.
-	Resumable bool
-
-	// droppedRule marks a version-1 or version-2 record whose spec chose
-	// the Verilog X-address write rule, which dropped the writes the one
-	// rule now merges. A checkpoint taken under it can hold known values
-	// where the run must see X, so recovery restarts the job instead of
-	// resuming it. Read from the old record, never written.
-	droppedRule bool
 }
 
 // jobMagic identifies the job record format written: version 3. Records
 // of version 2, which carry the X-address write rule, and of version 1,
-// which carry that rule and lack Spec.Lanes, are still read.
+// which carry that rule and lack Spec.Lanes, are still read; the rule is
+// dropped, since a job runs again from cold boot under the one rule.
 const (
 	jobMagic   = wire.JobMagic3
 	jobMagicV2 = wire.JobMagic2
@@ -114,9 +106,6 @@ func (r *jobRecord) encode() []byte {
 	if r.Cached {
 		flags |= 1
 	}
-	if r.Resumable {
-		flags |= 2
-	}
 	b = append(b, flags)
 	return b
 }
@@ -124,7 +113,8 @@ func (r *jobRecord) encode() []byte {
 // decodeJobRecord parses a job record image; malformed input yields an
 // error wrapping ErrJobRecordCorrupt, never a panic, and any accepted
 // input re-encodes byte-identically — a version-1 or version-2 input as the
-// version-3 image of the same record.
+// version-3 image of the same record, and one with retiredFlag set without
+// it.
 func decodeJobRecord(data []byte) (*jobRecord, error) {
 	r := wire.NewReader(data, ErrJobRecordCorrupt)
 	magic := string(r.Bytes(len(jobMagic)))
@@ -138,7 +128,7 @@ func decodeJobRecord(data []byte) (*jobRecord, error) {
 	rec.Spec.Policy = r.Str()
 	rec.Spec.Engine = r.Str()
 	if magic != jobMagic {
-		rec.droppedRule = r.Str() != "sound"
+		r.Str() // the X-address write rule
 	}
 	rec.Spec.K = int(r.U32())
 	rec.Spec.MaxStates = int(r.U32())
@@ -166,20 +156,23 @@ func decodeJobRecord(data []byte) (*jobRecord, error) {
 		return nil, fmt.Errorf("%w: unknown state code %d", ErrJobRecordCorrupt, code)
 	}
 	rec.State = stateCodes[code]
-	if flags > 3 {
+	if flags&^(1|retiredFlag) != 0 {
 		return nil, fmt.Errorf("%w: unknown flag bits %#x", ErrJobRecordCorrupt, flags)
 	}
 	rec.Cached = flags&1 != 0
-	rec.Resumable = flags&2 != 0
 	return rec, nil
 }
+
+// retiredFlag marked a queued job with a checkpoint to resume from. Daemons
+// that restart every interrupted job never set it; a record an older one
+// wrote with it still loads, and its job runs from cold boot.
+const retiredFlag = 2
 
 // store lays the service's durable state out under one root directory:
 //
 //	jobs/<id>.job      canonical job records (SYMSIMJ3)
 //	results/<id>.json  per-job result summaries
 //	cache/<key>.json   content-addressed complete results
-//	ckpt/<id>.ckpt     per-job exploration checkpoints (SYMSIMC1)
 //
 // Every filesystem touch goes through the fault.FS seam, so the torture
 // matrix can inject I/O errors, torn writes and crash-points into any
@@ -191,7 +184,7 @@ type store struct {
 
 // storeDirs lists the store's subdirectories, shared by openStore's
 // mkdir/reap sweep and the test-side litter checks.
-var storeDirs = []string{"jobs", "results", "cache", "ckpt"}
+var storeDirs = []string{"jobs", "results", "cache"}
 
 // openStore opens (or creates) the layout under root on vfs and reaps any
 // orphan temp files a crash mid-atomic-write left behind, returning how
@@ -235,10 +228,9 @@ func openStore(root string, vfs fault.FS) (st *store, reaped int, errs []error, 
 	return st, reaped, errs, nil
 }
 
-func (s *store) jobPath(id string) string        { return filepath.Join(s.root, "jobs", id+".job") }
-func (s *store) resultPath(id string) string     { return filepath.Join(s.root, "results", id+".json") }
-func (s *store) cachePath(key string) string     { return filepath.Join(s.root, "cache", key+".json") }
-func (s *store) checkpointPath(id string) string { return filepath.Join(s.root, "ckpt", id+".ckpt") }
+func (s *store) jobPath(id string) string    { return filepath.Join(s.root, "jobs", id+".job") }
+func (s *store) resultPath(id string) string { return filepath.Join(s.root, "results", id+".json") }
+func (s *store) cachePath(key string) string { return filepath.Join(s.root, "cache", key+".json") }
 
 func (s *store) saveJob(r *jobRecord) error { return s.atomicWrite(s.jobPath(r.ID), r.encode()) }
 
@@ -314,16 +306,6 @@ func (s *store) readCache(key string) (data []byte, ok bool, faultErr error) {
 		return nil, false, fmt.Errorf("%w: cache entry %s quarantined (invalid JSON)", ErrJobRecordCorrupt, key)
 	}
 	return data, true, nil
-}
-
-// removeCheckpoint is best-effort: a checkpoint that survives a failed
-// Remove is overwritten by the job's next run or ignored, costing disk
-// only — so the error is deliberately discarded.
-func (s *store) removeCheckpoint(id string) { _ = s.fs.Remove(s.checkpointPath(id)) }
-
-func (s *store) hasCheckpoint(id string) bool {
-	_, err := s.fs.Stat(s.checkpointPath(id))
-	return err == nil
 }
 
 // atomicWrite lands data in a temp file in the target's directory and

@@ -3,16 +3,11 @@ package service
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
-	"strings"
-	"sync"
 	"testing"
 
-	"symsim/internal/core"
 	"symsim/internal/obs"
 	"symsim/internal/wire"
 )
@@ -33,7 +28,6 @@ func sampleRecord() *jobRecord {
 		CacheKey:   "deadbeef",
 		DesignHash: "cafe",
 		Cached:     false,
-		Resumable:  true,
 	}
 }
 
@@ -90,8 +84,7 @@ func TestJobRecordVersion1StillDecodes(t *testing.T) {
 }
 
 // A version-2 record decodes to the same spec, less its X-address write
-// rule; one that chose the dropped Verilog rule is marked so that recovery
-// does not resume its checkpoint.
+// rule, whichever rule it chose.
 func TestJobRecordVersion2StillDecodes(t *testing.T) {
 	for _, rule := range []string{"sound", "verilog"} {
 		want := sampleRecord()
@@ -99,7 +92,6 @@ func TestJobRecordVersion2StillDecodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want.droppedRule = rule == "verilog"
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("version-2 decode under %s:\n got %+v\nwant %+v", rule, got, want)
 		}
@@ -135,6 +127,14 @@ func TestDecodeJobRecordRejectsMalformed(t *testing.T) {
 	}
 }
 
+// withoutRetiredFlag is the image a version-3 record re-encodes as: itself,
+// less the retired flag bit (the flags byte is last).
+func withoutRetiredFlag(img []byte) []byte {
+	img = append([]byte{}, img...)
+	img[len(img)-1] &^= retiredFlag
+	return img
+}
+
 // Every single-bit flip of a valid record must either decode to something
 // that re-encodes canonically or fail with ErrJobRecordCorrupt — never
 // panic, never round-trip inconsistently.
@@ -151,7 +151,7 @@ func TestJobRecordBitFlips(t *testing.T) {
 				}
 				continue
 			}
-			if !bytes.Equal(rec.encode(), mut) {
+			if !bytes.Equal(rec.encode(), withoutRetiredFlag(mut)) {
 				t.Fatalf("flip %d/%d: accepted input does not re-encode canonically", i, bit)
 			}
 		}
@@ -167,6 +167,9 @@ func FuzzJobRecordRoundTrip(f *testing.F) {
 	trunc := sampleRecord().encode()
 	f.Add(trunc[:len(trunc)-3])
 	f.Add(legacyImage(f, sampleRecord(), jobMagicV2, "verilog"))
+	retired := sampleRecord().encode()
+	retired[len(retired)-1] |= retiredFlag
+	f.Add(retired)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeJobRecord(data)
 		if err != nil {
@@ -180,14 +183,13 @@ func FuzzJobRecordRoundTrip(f *testing.F) {
 			// An old-version input is rewritten as version 3: the same
 			// record, less the X-address write rule it no longer carries.
 			again, err := decodeJobRecord(enc)
-			rec.droppedRule = false
 			if err != nil || !reflect.DeepEqual(again, rec) {
 				t.Fatalf("old-version input does not survive its rewrite: %v", err)
 			}
 			return
 		}
-		if !bytes.Equal(enc, data) {
-			t.Fatal("accepted input does not re-encode byte-identically")
+		if !bytes.Equal(enc, withoutRetiredFlag(data)) {
+			t.Fatal("accepted input does not re-encode byte-identically, less the retired flag")
 		}
 	})
 }
@@ -230,28 +232,15 @@ func TestStoreLayoutAndAtomicWrite(t *testing.T) {
 	if _, ok, err := st.readCache("missing"); ok || err != nil {
 		t.Errorf("cache miss reported as hit (ok=%v err=%v)", ok, err)
 	}
-	if st.hasCheckpoint(rec.ID) {
-		t.Error("phantom checkpoint")
-	}
-	if err := st.atomicWrite(st.checkpointPath(rec.ID), []byte("ck")); err != nil {
-		t.Fatal(err)
-	}
-	if !st.hasCheckpoint(rec.ID) {
-		t.Error("checkpoint not seen")
-	}
-	st.removeCheckpoint(rec.ID)
-	if st.hasCheckpoint(rec.ID) {
-		t.Error("checkpoint survived removal")
-	}
 
 	// No temp litter after atomic writes.
-	for _, sub := range []string{"jobs", "results", "cache", "ckpt"} {
+	for _, sub := range []string{"jobs", "results", "cache"} {
 		entries, err := os.ReadDir(filepath.Join(dir, sub))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range entries {
-			if filepath.Ext(e.Name()) != ".job" && filepath.Ext(e.Name()) != ".json" && filepath.Ext(e.Name()) != ".ckpt" {
+			if filepath.Ext(e.Name()) != ".job" && filepath.Ext(e.Name()) != ".json" {
 				t.Errorf("unexpected file %s/%s", sub, e.Name())
 			}
 		}
@@ -276,12 +265,11 @@ func TestLoadJobsRejectsRenamedRecord(t *testing.T) {
 	}
 }
 
-// TestDroppedRuleCheckpointIsNotResumed: a version-2 job a crash left
-// running with a checkpoint on disk resumes from it under the sound rule,
-// but restarts from the beginning under the dropped Verilog rule, whose
-// checkpoint can hold known values where the run must see X — and that
-// checkpoint goes.
-func TestDroppedRuleCheckpointIsNotResumed(t *testing.T) {
+// TestRetiredFlagJobRestarts: a version-3 record an older daemon wrote with
+// the retired flag set — a queued job it meant to resume from the
+// checkpoint in its ckpt/ directory — decodes, re-encodes without the bit,
+// and its job runs from cold boot to done; the checkpoint is never read.
+func TestRetiredFlagJobRestarts(t *testing.T) {
 	dir := t.TempDir()
 	st, _, _, err := openStore(dir, nil)
 	if err != nil {
@@ -291,54 +279,40 @@ func TestDroppedRuleCheckpointIsNotResumed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, rule := range []string{"sound", "verilog"} {
-		rec := &jobRecord{ID: rule, Spec: spec, State: StateRunning, Submitted: int64(i + 1), CacheKey: rule}
-		if err := os.WriteFile(st.jobPath(rec.ID), legacyImage(t, rec, jobMagicV2, rule), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(st.checkpointPath(rec.ID), []byte("ck"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	rec := &jobRecord{ID: "drained", Spec: spec, State: StateQueued, Submitted: 1, CacheKey: "drained"}
+	img := rec.encode()
+	img[len(img)-1] |= retiredFlag
+	got, err := decodeJobRecord(img)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The run a worker starts waits at the gate, so nothing writes a new
-	// checkpoint before the checks.
-	gate := make(chan struct{})
-	var (
-		mu   sync.Mutex
-		logs []string
-	)
-	svc, err := New(Config{
-		DataDir:       dir,
-		Workers:       1,
-		BuildPlatform: loopPlatform(t, 0x1),
-		Metrics:       obs.NewRegistry(),
-		Logf: func(format string, args ...any) {
-			mu.Lock()
-			defer mu.Unlock()
-			logs = append(logs, fmt.Sprintf(format, args...))
-		},
-		tuneConfig: func(string, *core.Config) { <-gate },
-	})
+	if !reflect.DeepEqual(got, rec) {
+		t.Errorf("decode with the retired flag:\n got %+v\nwant %+v", got, rec)
+	}
+	if !bytes.Equal(got.encode(), withoutRetiredFlag(img)) {
+		t.Error("record with the retired flag does not re-encode without it")
+	}
+	if err := os.WriteFile(st.jobPath(rec.ID), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "ckpt"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "ckpt", rec.ID+".ckpt"), []byte("not a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(Config{DataDir: dir, Workers: 1, BuildPlatform: loopPlatform(t, 0x1), Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	defer close(gate)
-	mu.Lock()
-	for _, want := range []string{"recovered job sound (resumable=true)", "recovered job verilog (resumable=false)"} {
-		if !slices.ContainsFunc(logs, func(l string) bool { return strings.HasSuffix(l, want) }) {
-			t.Errorf("no log line %q in %q", want, logs)
-		}
-	}
-	mu.Unlock()
-	if !st.hasCheckpoint("sound") || st.hasCheckpoint("verilog") {
-		t.Errorf("checkpoints left: sound %v, verilog %v; want only the sound rule's", st.hasCheckpoint("sound"), st.hasCheckpoint("verilog"))
-	}
-	data, err := os.ReadFile(st.jobPath("verilog"))
+	waitState(t, svc, rec.ID, StateDone)
+	assertValidResult(t, svc, rec.ID)
+	data, err := os.ReadFile(st.jobPath(rec.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec, err := decodeJobRecord(data); err != nil || !bytes.HasPrefix(data, []byte(jobMagic)) || rec.Resumable {
-		t.Errorf("repaired record: %+v, %v; want a version-3 record that is not resumable", rec, err)
+	if data[len(data)-1]&retiredFlag != 0 {
+		t.Error("the finished job's record still carries the retired flag")
 	}
 }

@@ -7,11 +7,15 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"symsim/internal/core"
 	"symsim/internal/fault"
 	"symsim/internal/obs"
+	"symsim/internal/vvp"
 )
 
 // This file is the store torture matrix: every filesystem operation the
@@ -28,20 +32,36 @@ import (
 
 // runTortureLifetime runs one daemon lifetime over dir through vfs:
 // submit three jobs (two distinct, one duplicate to exercise the cache
-// read path), wait bounded for the accepted ones to settle, drain. A
-// Submit refusal under fault (degraded store) is legal and simply skips
-// that job; any other API error fails the test.
+// read path), wait bounded for the accepted ones to settle, then submit a
+// fourth and drain while it runs, so the drain's re-queue is one of the
+// store's writes too. A Submit refusal under fault (degraded store) is
+// legal and simply skips that job; any other API error fails the test.
 func runTortureLifetime(t *testing.T, dir string, vfs fault.FS) (accepted []string) {
 	t.Helper()
+	var (
+		hold    atomic.Bool
+		once    sync.Once
+		midRun  = make(chan struct{})
+		release = make(chan struct{})
+	)
 	svc, err := New(Config{
 		DataDir:       dir,
 		Workers:       1,
 		ProgressEvery: time.Millisecond,
-		// Keep periodic checkpoint traffic out of the op schedule: the
-		// final drain checkpoint is the one that matters here.
-		CheckpointEvery: time.Hour,
-		BuildPlatform:   loopPlatform(t, 0x3),
-		fs:              vfs,
+		BuildPlatform: loopPlatform(t, 0x3),
+		fs:            vfs,
+		// Once hold is set, the job that runs waits at its first saved
+		// halt state until the drain has begun.
+		tuneConfig: func(_ string, cc *core.Config) {
+			if hold.Load() {
+				cc.OnHalt = func(int, vvp.State) {
+					once.Do(func() {
+						close(midRun)
+						<-release
+					})
+				}
+			}
+		},
 	})
 	if err != nil {
 		// The injected fault killed the store open itself — a legal
@@ -49,15 +69,19 @@ func runTortureLifetime(t *testing.T, dir string, vfs fault.FS) (accepted []stri
 		return nil
 	}
 	defer svc.Drain()
-	for _, bench := range []string{"a", "b", "a"} {
+	submit := func(bench string) bool {
 		view, err := svc.Submit(JobSpec{Design: "dr5", Bench: bench, Workers: 1})
 		if err != nil {
 			if errors.Is(err, ErrDegraded) || errors.Is(err, ErrQueueFull) {
-				continue
+				return false
 			}
 			t.Fatalf("submit %s: %v", bench, err)
 		}
 		accepted = append(accepted, view.ID)
+		return true
+	}
+	for _, bench := range []string{"a", "b", "a"} {
+		submit(bench)
 	}
 	// The in-memory lifecycle completes even when every store write
 	// fails, so accepted jobs always settle.
@@ -77,6 +101,16 @@ func runTortureLifetime(t *testing.T, dir string, vfs fault.FS) (accepted []stri
 			time.Sleep(time.Millisecond)
 		}
 	}
+	hold.Store(true)
+	if submit("drained") {
+		select {
+		case <-midRun:
+		case <-time.After(30 * time.Second):
+			t.Fatal("the job to drain never reached a halt state")
+		}
+	}
+	svc.beginDrain()
+	close(release)
 	return accepted
 }
 
@@ -158,9 +192,17 @@ func assertValidResult(t *testing.T, svc *Service, id string) {
 // restart invariants.
 func TestStoreCrashPointSweep(t *testing.T) {
 	probe := fault.NewInjector(nil, nil)
-	accepted := runTortureLifetime(t, t.TempDir(), probe)
-	if len(accepted) == 0 {
-		t.Fatal("fault-free probe accepted no jobs")
+	probeDir := t.TempDir()
+	accepted := runTortureLifetime(t, probeDir, probe)
+	if len(accepted) != 4 {
+		t.Fatalf("fault-free probe accepted %d jobs, want 4", len(accepted))
+	}
+	st, _, _, err := openStore(probeDir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, errs := st.loadJobs(); len(errs) != 0 || len(recs) != 4 || recs[3].State != StateQueued || recs[3].Started != 0 {
+		t.Fatalf("after the probe's drain the store holds %+v (%v), want the last job queued and not started", recs, errs)
 	}
 	m := probe.Ops()
 	if m < 20 {
