@@ -70,7 +70,7 @@ func BenchmarkAblationMergePolicy(b *testing.B) {
 		b.Run(pol.name, func(b *testing.B) {
 			var res *symsim.Result
 			for i := 0; i < b.N; i++ {
-				res = analyzeOnce(b, symsim.DR5, "mult", symsim.Config{Policy: pol.mk(), MaxPaths: 100000})
+				res = analyzeOnce(b, symsim.DR5, "mult", symsim.Config{Policy: pol.mk()})
 			}
 			b.ReportMetric(float64(res.PathsCreated), "paths")
 			b.ReportMetric(float64(res.ExercisableCount), "gates")

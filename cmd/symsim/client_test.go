@@ -202,8 +202,8 @@ func TestBackoffBoundsAndJitter(t *testing.T) {
 
 // Every tuning flag of the shared vocabulary reaches the server: submit
 // builds its body with the mapping the daemon applies to its own defaults,
-// so a flag cannot be known to one and dropped by the other (-lanes was).
-func TestSubmitSendsLanes(t *testing.T) {
+// so a flag cannot be known to one and dropped by the other.
+func TestSubmitSendsTheSharedFlags(t *testing.T) {
 	var body atomic.Value
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		b, _ := io.ReadAll(r.Body)
@@ -212,11 +212,14 @@ func TestSubmitSendsLanes(t *testing.T) {
 		fmt.Fprint(w, `{"id":"j1","state":"queued"}`)
 	}))
 	defer ts.Close()
-	if code := submitCmd([]string{"-server", ts.URL, "-design", "dr5", "-bench", "tea8", "-engine", "batch", "-lanes", "8"}); code != 0 {
+	if code := submitCmd([]string{"-server", ts.URL, "-design", "dr5", "-bench", "tea8",
+		"-policy", "clustered", "-k", "3", "-workers", "2", "-deadline", "2s",
+		"-max-sim-cycles", "1000", "-max-forks", "5", "-max-csm-states", "9"}); code != 0 {
 		t.Fatalf("submit exited %d", code)
 	}
 	got, _ := body.Load().(string)
-	for _, want := range []string{`"lanes":8`, `"engine":"batch"`, `"design":"dr5"`, `"bench":"tea8"`} {
+	for _, want := range []string{`"design":"dr5"`, `"bench":"tea8"`, `"policy":"clustered"`, `"k":3`, `"workers":2`,
+		`"deadlineMs":2000`, `"maxCycles":1000`, `"maxForks":5`, `"maxCsmStates":9`} {
 		if !strings.Contains(got, want) {
 			t.Errorf("submitted spec %s lacks %s", got, want)
 		}

@@ -1,7 +1,9 @@
 // Command symsim runs one symbolic hardware/software co-analysis: a
 // benchmark application on one of the three evaluation processors, under a
-// selectable conservative-state policy. It prints the exercisable-gate
-// dichotomy and the path/cycle statistics of the run.
+// selectable conservative-state policy, on the compiled kernel. It prints
+// the exercisable-gate dichotomy and the path/cycle statistics of the run.
+// (The bit-parallel batch engine is a library option, core.Config.Engine,
+// with no flag: it gives the same dichotomy more slowly.)
 //
 // Usage:
 //
@@ -102,9 +104,9 @@ func analyzeMain(args []string, printStats bool) {
 		dumpDir = fs.String("dump-states", "", "write every saved halt state to this directory (sim_state.log files in the vvp.State binary encoding checkpoints embed; vvp.DecodeState reads them)")
 		vcdOut  = fs.String("vcd", "", "dump the initial symbolic path's waveform (X values visible) to this file")
 
-		// The analysis-tuning flags (policy, engine, workers, lanes and the
-		// budget family) are shared with cmd/symsimd via cliflags, so the
-		// one-shot CLI and the daemon cannot drift.
+		// The analysis-tuning flags (policy, workers and the budget
+		// family) are shared with cmd/symsimd via cliflags, so the one-shot
+		// CLI and the daemon cannot drift.
 		tuning = cliflags.Register(fs)
 
 		ckptPath  = fs.String("checkpoint", "", "periodically checkpoint the exploration state to this file (atomic writes)")

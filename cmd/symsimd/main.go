@@ -11,11 +11,13 @@
 //	symsimd -listen localhost:8466 -data /var/lib/symsimd
 //	symsimd -jobs 4 -queue 128 -policy clustered -k 4   # server-side defaults
 //
-// The analysis-tuning flags (policy, engine, workers, lanes, budgets) are
-// the same vocabulary as cmd/symsim's (internal/cliflags, which is also the
-// JSON spec of both APIs). Here they are defaults for POST /jobs: a
-// submission that leaves a field empty gets the daemon's value, then the
-// flag default. POST /cluster/runs (-coordinator) fills from the flag
+// The analysis-tuning flags (policy, workers, budgets) are the same
+// vocabulary as cmd/symsim's (internal/cliflags, which is also the JSON
+// spec of both APIs). Here they are defaults for POST /jobs: a submission
+// that leaves a field empty gets the daemon's value, then the flag
+// default. Every job and every fleet slot runs on the compiled kernel;
+// there is no -engine or -lanes, and a body that names them is read
+// without them. POST /cluster/runs (-coordinator) fills from the flag
 // defaults alone, so a run means the same analysis on every coordinator.
 // SIGINT/SIGTERM drain gracefully: the HTTP listener stops, running jobs
 // are canceled and re-queued, losing the work they had done, and the queue

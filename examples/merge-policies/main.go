@@ -35,7 +35,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := symsim.Analyze(p, symsim.Config{Policy: r.policy(), MaxPaths: 100000})
+		res, err := symsim.Analyze(p, symsim.Config{Policy: r.policy()})
 		if err != nil {
 			log.Fatal(err)
 		}

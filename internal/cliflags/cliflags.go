@@ -6,7 +6,9 @@
 // a lease carries to a worker. One Normalize fills what a request left out
 // and rejects what no door accepts, and one Config maps the result to a
 // core.Config, so a request means the same analysis whichever door it
-// came through.
+// came through. Every door runs the compiled kernel, one path segment per
+// explorer: the spec names neither an engine nor a lane count, and a JSON
+// body from an older client that names them is read as if it did not.
 package cliflags
 
 import (
@@ -39,13 +41,10 @@ type Spec struct {
 	K         int    `json:"k,omitempty"`
 	MaxStates int    `json:"maxStates,omitempty"`
 
-	// Engine (kernel | batch), Workers and Lanes tune the simulation
-	// machinery. They never change a complete result, so they do not
-	// enter the cache key. Lanes caps the scenarios the batch engine packs
-	// per sweep (1..64, 0 = 64); the kernel ignores it.
-	Engine  string `json:"engine,omitempty"`
-	Workers int    `json:"workers,omitempty"`
-	Lanes   int    `json:"lanes,omitempty"`
+	// Workers is the number of parallel path explorers. It never changes
+	// a complete result, so it does not enter the cache key. Every door
+	// runs the compiled kernel: the spec names no engine.
+	Workers int `json:"workers,omitempty"`
 
 	// Priority orders the job queue: higher runs first, FIFO within a
 	// level. Not a flag of the shared vocabulary (symsim submit has it).
@@ -77,8 +76,6 @@ func Register(fs *flag.FlagSet) *Analysis {
 	fs.IntVar(&a.MaxStates, "max-states", 4096, "state budget for the exact policy")
 	fs.StringVar(&a.Constraints, "constraints", "", "constraint file for the constrained policy")
 	fs.IntVar(&a.Workers, "workers", 1, "parallel path workers")
-	fs.StringVar(&a.Engine, "engine", "kernel", "simulation engine: kernel (compiled) | batch (bit-parallel, up to 64 paths per sweep)")
-	fs.IntVar(&a.Lanes, "lanes", 0, "scenario lanes the batch engine packs per sweep, 1..64 (0 = 64; ignored by the kernel)")
 	fs.Func("deadline", "wall-clock budget; on expiry the run degrades soundly instead of erroring", func(s string) error {
 		d, err := time.ParseDuration(s)
 		if err == nil && d%time.Millisecond != 0 {
@@ -118,9 +115,7 @@ func (s Spec) Normalize(def *Spec) (Spec, error) {
 	s.Policy = cmp.Or(s.Policy, d.Policy, f.Policy)
 	s.K = cmp.Or(s.K, d.K, f.K)
 	s.MaxStates = cmp.Or(s.MaxStates, d.MaxStates, f.MaxStates)
-	s.Engine = cmp.Or(s.Engine, d.Engine, f.Engine)
 	s.Workers = cmp.Or(s.Workers, d.Workers, f.Workers)
-	s.Lanes = cmp.Or(s.Lanes, d.Lanes, f.Lanes)
 	s.DeadlineMS = cmp.Or(s.DeadlineMS, d.DeadlineMS, f.DeadlineMS)
 	s.MaxCycles = cmp.Or(s.MaxCycles, d.MaxCycles, f.MaxCycles)
 	s.MaxForks = cmp.Or(s.MaxForks, d.MaxForks, f.MaxForks)
@@ -139,26 +134,22 @@ func (s Spec) Normalize(def *Spec) (Spec, error) {
 	if s.Workers < 0 || s.DeadlineMS < 0 || s.MaxForks < 0 || s.MaxCSMStates < 0 {
 		return s, errors.New("negative budget or worker count")
 	}
-	if s.Lanes < 0 || s.Lanes > vvp.BatchLanes {
-		return s, fmt.Errorf("lanes %d out of range [0,%d]", s.Lanes, vvp.BatchLanes)
-	}
 	if s.Priority < -1<<20 || s.Priority > 1<<20 {
 		return s, fmt.Errorf("priority %d out of range", s.Priority)
 	}
 	return s, nil
 }
 
-// Config maps a spec to the core.Config it describes: policy, engine,
-// workers, lanes and budgets. It is the one such mapping; the job service,
-// the coordinator and its workers add only what is theirs (checkpoints,
-// progress, metrics). A name or policy parameter
-// outside the vocabulary is an error, so a spec that did not come through
+// Config maps a spec to the core.Config it describes: policy, workers
+// and budgets, on the compiled kernel. It is the one such mapping; the job
+// service, the coordinator and its workers add only what is theirs
+// (progress, metrics). A name or policy parameter outside the vocabulary
+// is an error, so a spec that did not come through
 // Normalize — a lease from another version's coordinator — cannot panic
 // the policy constructors.
 func (s Spec) Config() (core.Config, error) {
 	cfg := core.Config{
 		Workers: s.Workers,
-		Lanes:   s.Lanes,
 		Budget: core.Budget{
 			WallClock:    time.Duration(s.DeadlineMS) * time.Millisecond,
 			MaxCycles:    s.MaxCycles,
@@ -167,10 +158,7 @@ func (s Spec) Config() (core.Config, error) {
 		},
 	}
 	var err error
-	if cfg.Policy, err = NewPolicy(s.Policy, s.K, s.MaxStates); err != nil {
-		return cfg, err
-	}
-	cfg.Engine, err = ParseEngine(s.Engine)
+	cfg.Policy, err = NewPolicy(s.Policy, s.K, s.MaxStates)
 	return cfg, err
 }
 
@@ -193,19 +181,6 @@ func RegisterCluster(fs *flag.FlagSet) *Cluster {
 	fs.DurationVar(&c.LeaseTTL, "shard-lease-ttl", 10*time.Second, "path-segment lease TTL: a leased segment with no progress heartbeat this long is put back and leased again under a new epoch (coordinator mode)")
 	fs.IntVar(&c.Slots, "worker-slots", 1, "explorers this worker runs concurrently (worker mode)")
 	return c
-}
-
-// ParseEngine maps an -engine flag value to its engine. The reference
-// interpreter (vvp.EngineInterp) is the oracle of the differential suites,
-// not something a request can select.
-func ParseEngine(s string) (vvp.Engine, error) {
-	switch s {
-	case "kernel":
-		return vvp.EngineKernel, nil
-	case "batch":
-		return vvp.EngineBatch, nil
-	}
-	return 0, fmt.Errorf("unknown -engine %q (want kernel | batch)", s)
 }
 
 // NewPolicy constructs the CSM manager a policy name and its parameter

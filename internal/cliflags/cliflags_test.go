@@ -24,8 +24,8 @@ import (
 // both register exactly this analysis flag vocabulary through Register,
 // so a flag added or renamed in only one place fails here.
 var sharedFlagNames = []string{
-	"constraints", "deadline", "engine", "k", "lanes", "max-csm-states",
-	"max-forks", "max-sim-cycles", "max-states", "policy", "workers",
+	"constraints", "deadline", "k", "max-csm-states", "max-forks",
+	"max-sim-cycles", "max-states", "policy", "workers",
 }
 
 // clusterFlagNames is the cmd/symsimd cluster-mode vocabulary registered
@@ -60,7 +60,6 @@ func TestBothCommandsParseTheSameFlagSet(t *testing.T) {
 
 	args := []string{
 		"-policy", "clustered", "-k", "7", "-workers", "3",
-		"-engine", "batch",
 		"-deadline", "90s", "-max-sim-cycles", "123456",
 		"-max-forks", "9", "-max-csm-states", "11",
 	}
@@ -121,7 +120,7 @@ func TestClusterFlagsPinnedAndDisjoint(t *testing.T) {
 func TestConfigInterpretsFlags(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	a := cliflags.Register(fs)
-	if err := fs.Parse([]string{"-policy", "exact", "-max-states", "32", "-engine", "batch", "-workers", "2", "-max-forks", "5", "-deadline", "1500ms"}); err != nil {
+	if err := fs.Parse([]string{"-policy", "exact", "-max-states", "32", "-workers", "2", "-max-forks", "5", "-deadline", "1500ms"}); err != nil {
 		t.Fatal(err)
 	}
 	a.Design, a.Bench = "dr5", "tea8"
@@ -132,7 +131,7 @@ func TestConfigInterpretsFlags(t *testing.T) {
 	if cfg.Policy.Name() != "exact" {
 		t.Errorf("policy = %q", cfg.Policy.Name())
 	}
-	if cfg.Engine != vvp.EngineBatch || cfg.Workers != 2 {
+	if cfg.Engine != vvp.EngineKernel || cfg.Workers != 2 {
 		t.Errorf("config = %+v", cfg)
 	}
 	if want := (core.Budget{MaxForks: 5, WallClock: 1500 * time.Millisecond}); cfg.Budget != want {
@@ -140,29 +139,28 @@ func TestConfigInterpretsFlags(t *testing.T) {
 	}
 }
 
-// TestBatchEngineFlags pins the batch-engine vocabulary: -engine=batch
-// parses to vvp.EngineBatch, -lanes flows into Config.Lanes, and the
-// unknown-engine error names the two engines a request may select — the
-// interpreter is the differential suites' oracle, not an option.
+// TestBatchEngineFlags pins that the batch engine has no flags: the shared
+// vocabulary registers neither -engine nor -lanes, so naming either is a
+// parse error at every command that registers it, and what the flags map
+// to runs on the compiled kernel.
 func TestBatchEngineFlags(t *testing.T) {
+	for _, args := range [][]string{{"-engine", "batch"}, {"-lanes", "8"}} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		cliflags.Register(fs)
+		if err := fs.Parse(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: parse error %v, want an undefined flag", args, err)
+		}
+	}
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	a := cliflags.Register(fs)
-	if err := fs.Parse([]string{"-engine", "batch", "-lanes", "16"}); err != nil {
-		t.Fatal(err)
-	}
 	a.Design, a.Bench = "dr5", "tea8"
 	cfg, err := a.Config(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Engine != vvp.EngineBatch || cfg.Lanes != 16 {
-		t.Errorf("config = engine %v lanes %d, want batch/16", cfg.Engine, cfg.Lanes)
-	}
-	for _, name := range []string{"warp", "interp"} {
-		if _, err := cliflags.ParseEngine(name); err == nil ||
-			!strings.Contains(err.Error(), "want kernel | batch") {
-			t.Errorf("-engine %s: error should list the selectable engines, got %v", name, err)
-		}
+	if cfg.Engine != vvp.EngineKernel {
+		t.Errorf("config engine = %v, want the kernel", cfg.Engine)
 	}
 }
 
@@ -176,11 +174,9 @@ func TestConfigRejectsBadValues(t *testing.T) {
 		t.Error("-deadline 500us accepted")
 	}
 	for _, args := range [][]string{
-		{"-engine", "bogus"},
 		{"-policy", "bogus"},
 		{"-policy", "constrained"}, // no spec/constraint file
 		{"-policy", "clustered", "-k", "-1"},
-		{"-lanes", "65"},
 		{"-max-forks", "-1"},
 	} {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)

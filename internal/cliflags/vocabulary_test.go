@@ -1,6 +1,7 @@
 package cliflags_test
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"io"
@@ -17,7 +18,10 @@ import (
 // (Register → Normalize/Config), POST /jobs (Service.Submit, on a service
 // with no daemon defaults) and POST /cluster/runs (Coordinator.NewRun) —
 // and requires one answer: the same normalized spec, echoed alike by the
-// job view and the run status, or a rejection from all three.
+// job view and the run status, or a rejection from all three. A body is
+// decoded as the two HTTP doors decode it, so a field the spec no longer
+// has — an older client's engine or lane count — is ignored there, and
+// the flags cannot say it (TestBatchEngineFlags).
 func TestOneVocabulary(t *testing.T) {
 	svc, err := service.New(service.Config{DataDir: t.TempDir(), Workers: 1, Metrics: obs.NewRegistry()})
 	if err != nil {
@@ -27,7 +31,7 @@ func TestOneVocabulary(t *testing.T) {
 	coord := cluster.NewCoordinator(cluster.Config{Metrics: obs.NewRegistry()})
 	defer coord.Close()
 
-	base := cliflags.Spec{Design: "dr5", Bench: "tea8", Policy: "merge-all", Engine: "kernel", Workers: 1}
+	base := cliflags.Spec{Design: "dr5", Bench: "tea8", Policy: "merge-all", Workers: 1}
 	with := func(edit func(*cliflags.Spec)) *cliflags.Spec {
 		s := base
 		edit(&s)
@@ -35,27 +39,28 @@ func TestOneVocabulary(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		args []string      // the request as symsim flags
-		spec cliflags.Spec // the same request as a JSON body (design/bench added below)
+		args []string // the request as symsim flags
+		body string   // the same request as a JSON body (design/bench added below)
 		want *cliflags.Spec
 	}{
-		{"nothing said", nil, cliflags.Spec{}, &base},
-		{"clustered without k", []string{"-policy", "clustered"}, cliflags.Spec{Policy: "clustered"},
+		{"nothing said", nil, `{}`, &base},
+		{"clustered without k", []string{"-policy", "clustered"}, `{"policy":"clustered"}`,
 			with(func(s *cliflags.Spec) { s.Policy, s.K = "clustered", 4 })},
-		{"exact without maxStates", []string{"-policy", "exact"}, cliflags.Spec{Policy: "exact"},
+		{"exact without maxStates", []string{"-policy", "exact"}, `{"policy":"exact"}`,
 			with(func(s *cliflags.Spec) { s.Policy, s.MaxStates = "exact", 4096 })},
-		{"merge-all with stray k", []string{"-k", "9", "-max-states", "77"}, cliflags.Spec{Policy: "merge-all", K: 9, MaxStates: 77}, &base},
-		{"clustered with stray maxStates", []string{"-policy", "clustered", "-k", "2", "-max-states", "77"}, cliflags.Spec{Policy: "clustered", K: 2, MaxStates: 77},
+		{"merge-all with stray k", []string{"-k", "9", "-max-states", "77"}, `{"policy":"merge-all","k":9,"maxStates":77}`, &base},
+		{"clustered with stray maxStates", []string{"-policy", "clustered", "-k", "2", "-max-states", "77"}, `{"policy":"clustered","k":2,"maxStates":77}`,
 			with(func(s *cliflags.Spec) { s.Policy, s.K = "clustered", 2 })},
-		{"batch with lanes", []string{"-engine", "batch", "-lanes", "8"}, cliflags.Spec{Engine: "batch", Lanes: 8},
-			with(func(s *cliflags.Spec) { s.Engine, s.Lanes = "batch", 8 })},
-		{"negative k", []string{"-policy", "clustered", "-k", "-1"}, cliflags.Spec{Policy: "clustered", K: -1}, nil},
-		{"negative maxStates", []string{"-policy", "exact", "-max-states", "-5"}, cliflags.Spec{Policy: "exact", MaxStates: -5}, nil},
-		{"lanes over the cap", []string{"-lanes", "65"}, cliflags.Spec{Lanes: 65}, nil},
-		{"unknown engine", []string{"-engine", "warp"}, cliflags.Spec{Engine: "warp"}, nil},
-		{"the interpreter", []string{"-engine", "interp"}, cliflags.Spec{Engine: "interp"}, nil},
-		{"unknown policy", []string{"-policy", "bogus"}, cliflags.Spec{Policy: "bogus"}, nil},
-		{"constrained without its file", []string{"-policy", "constrained"}, cliflags.Spec{Policy: "constrained"}, nil},
+		// An older client's engine and lane count, including values its
+		// daemon refused, mean the analysis without them.
+		{"batch with lanes", nil, `{"engine":"batch","lanes":8}`, &base},
+		{"negative k", []string{"-policy", "clustered", "-k", "-1"}, `{"policy":"clustered","k":-1}`, nil},
+		{"negative maxStates", []string{"-policy", "exact", "-max-states", "-5"}, `{"policy":"exact","maxStates":-5}`, nil},
+		{"lanes over the cap", nil, `{"lanes":65}`, &base},
+		{"unknown engine", nil, `{"engine":"warp"}`, &base},
+		{"the interpreter", nil, `{"engine":"interp"}`, &base},
+		{"unknown policy", []string{"-policy", "bogus"}, `{"policy":"bogus"}`, nil},
+		{"constrained without its file", []string{"-policy", "constrained"}, `{"policy":"constrained"}`, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := flag.NewFlagSet("symsim", flag.ContinueOnError)
@@ -65,17 +70,21 @@ func TestOneVocabulary(t *testing.T) {
 				t.Fatal(err)
 			}
 			a.Design, a.Bench = base.Design, base.Bench
-			tc.spec.Design, tc.spec.Bench = base.Design, base.Bench
+			var spec cliflags.Spec
+			if err := json.Unmarshal([]byte(tc.body), &spec); err != nil {
+				t.Fatal(err)
+			}
+			spec.Design, spec.Bench = base.Design, base.Bench
 
 			_, flagErr := a.Config(nil)
-			view, jobErr := svc.Submit(tc.spec)
+			view, jobErr := svc.Submit(spec)
 			if jobErr == nil {
 				// Only the spec is wanted; the analysis need not run.
 				if err := svc.Cancel(view.ID); err != nil && !errors.Is(err, service.ErrJobFinished) {
 					t.Error(err)
 				}
 			}
-			id, runErr := coord.NewRun(tc.spec)
+			id, runErr := coord.NewRun(spec)
 
 			if tc.want == nil {
 				var bad *service.BadSpecError

@@ -104,16 +104,15 @@ func (cc *coordClient) lease(worker string) (*leaseResponse, bool, error) {
 	return &ls, true, nil
 }
 
-// report settles a segment and returns the slot's next work. The outcome
+// report settles a segment and returns the slot's next segment. The outcome
 // is the request body as it is — it is the bulk of the fleet's traffic, and
 // base64 inside JSON cost more than the settle it carried — with the lease
 // it belongs to in the query.
-func (cc *coordClient) report(runID, worker string, id, epoch int, outcome []byte, want int) (*reportResponse, error) {
+func (cc *coordClient) report(runID, worker string, id, epoch int, outcome []byte) (*reportResponse, error) {
 	q := url.Values{
 		"worker": {worker},
 		"path":   {strconv.Itoa(id)},
 		"epoch":  {strconv.Itoa(epoch)},
-		"want":   {strconv.Itoa(want)},
 	}
 	var resp reportResponse
 	_, err := cc.call(http.MethodPost, "/cluster/runs/"+url.PathEscape(runID)+"/report?"+q.Encode(), outcome, &resp)

@@ -7,10 +7,11 @@
 // what core.Run.Admit handed out, and what it reports is what
 // core.Run.Settle absorbs, forks and publishes (DESIGN.md §14).
 //
-//   - A lease is one path segment per free lane of the asking worker slot:
-//     a path ID, the work encoding of its frontier entry, and a lease epoch.
-//     A report settles one segment and its response carries the slot's next
-//     segments, so a busy worker costs one round trip per segment.
+//   - A lease is one path segment for the asking worker slot: a path ID,
+//     the work encoding of its frontier entry, and a lease epoch. A slot
+//     holds one segment at a time, on the compiled kernel. A report settles
+//     it and its response carries the slot's next segment, so a busy worker
+//     costs one round trip per segment.
 //   - Leases lapse like the job leases of internal/service: a segment whose
 //     worker stops heartbeating is put back on the frontier and handed out
 //     again under the same path ID and epoch+1, and every RPC from the dead
@@ -70,19 +71,18 @@ type segment struct {
 	Work  []byte `json:"work"`
 }
 
-// leaseResponse grants segments of one run, at most one per lane of the
-// engine its spec selects, and the spec the slot explores them under.
+// leaseResponse grants a segment of one run and the spec the slot
+// explores it under.
 type leaseResponse struct {
 	RunID      string    `json:"runId"`
 	LeaseTTLMS int64     `json:"leaseTtlMs"`
 	Spec       RunSpec   `json:"spec"`
-	Lanes      int       `json:"lanes"`
 	Segments   []segment `json:"segments"`
 }
 
 // reportResponse acknowledges a report — POST .../report with the lease in
 // the query and the segment's outcome, in the encoding core.Run.Settle
-// takes, as the raw body — and carries the slot's next work.
+// takes, as the raw body — and carries the slot's next segment, if any.
 type reportResponse struct {
 	Segments []segment `json:"segments,omitempty"`
 }

@@ -220,7 +220,7 @@ func (c *Coordinator) NewRun(spec RunSpec) (string, error) {
 
 	go c.await(r)
 	c.om.runs.Inc()
-	c.cfg.Logf("cluster: run %s: %s/%s policy=%s engine=%s", r.id, spec.Design, spec.Bench, spec.Policy, spec.Engine)
+	c.cfg.Logf("cluster: run %s: %s/%s policy=%s", r.id, spec.Design, spec.Bench, spec.Policy)
 	return r.id, nil
 }
 
@@ -253,9 +253,9 @@ func (c *Coordinator) await(r *run) {
 	}
 }
 
-// Lease hands out work for one worker slot — up to one segment per lane of
-// one run's engine — long-polling up to wait for work to appear. It returns
-// (nil, nil) when none materialized within wait.
+// Lease hands out work for one worker slot — one segment of one run —
+// long-polling up to wait for work to appear. It returns (nil, nil) when
+// none materialized within wait.
 func (c *Coordinator) Lease(ctx context.Context, worker string, wait time.Duration) (*leaseResponse, error) {
 	deadline := time.Now().Add(wait)
 	// cond.Wait cannot time out; these wakers make the long-poll bounded
@@ -297,7 +297,7 @@ func (c *Coordinator) Lease(ctx context.Context, worker string, wait time.Durati
 func (c *Coordinator) leaseLocked(worker string) *leaseResponse {
 	for i := 0; i < len(c.order); i++ {
 		r := c.runs[c.order[(c.rr+i)%len(c.order)]]
-		segs := c.grantLocked(r, worker, r.h.Lanes())
+		segs := c.grantLocked(r, worker)
 		if len(segs) == 0 {
 			continue
 		}
@@ -306,39 +306,34 @@ func (c *Coordinator) leaseLocked(worker string) *leaseResponse {
 			RunID:      r.id,
 			LeaseTTLMS: c.cfg.LeaseTTL.Milliseconds(),
 			Spec:       r.spec,
-			Lanes:      r.h.Lanes(),
 			Segments:   segs,
 		}
 	}
 	return nil
 }
 
-// grantLocked admits up to n segments of r and leases them to worker. A
-// path ID seen before — put back after its lease lapsed — goes out under
-// the next epoch. Caller holds c.mu.
-func (c *Coordinator) grantLocked(r *run, worker string, n int) []segment {
+// grantLocked admits a segment of r, if one is pending, and leases it to
+// worker. A path ID seen before — put back after its lease lapsed — goes
+// out under the next epoch. Caller holds c.mu.
+func (c *Coordinator) grantLocked(r *run, worker string) []segment {
 	if r.state != "running" {
 		return nil
 	}
-	var segs []segment
-	for len(segs) < n {
-		id, work, ok := r.h.Admit()
-		if !ok {
-			break
-		}
-		l := r.leases[id]
-		if l == nil {
-			l = &lease{}
-			r.leases[id] = l
-		}
-		l.epoch++
-		l.attempts++
-		l.out = true
-		l.worker = worker
-		l.deadline = time.Now().Add(c.cfg.LeaseTTL)
-		segs = append(segs, segment{ID: id, Epoch: l.epoch, Work: work})
+	id, work, ok := r.h.Admit()
+	if !ok {
+		return nil
 	}
-	return segs
+	l := r.leases[id]
+	if l == nil {
+		l = &lease{}
+		r.leases[id] = l
+	}
+	l.epoch++
+	l.attempts++
+	l.out = true
+	l.worker = worker
+	l.deadline = time.Now().Add(c.cfg.LeaseTTL)
+	return []segment{{ID: id, Epoch: l.epoch, Work: work}}
 }
 
 // heldLocked fences an RPC about a segment: the run must be live and the
@@ -351,11 +346,11 @@ func (r *run) heldLocked(id, epoch int) *lease {
 }
 
 // Report settles a leased segment with its outcome — core.Run.Settle:
-// absorb, classify, fork — and leases the reporting slot up to want more
-// segments of the same run. A report of the epoch that already settled the
-// segment (the worker lost the first response and retried) is acknowledged
-// without absorbing anything; any other epoch is stale.
-func (c *Coordinator) Report(runID, worker string, id, epoch int, outcome []byte, want int) (*reportResponse, error) {
+// absorb, classify, fork — and leases the reporting slot its next segment
+// of the same run. A report of the epoch that already settled the segment
+// (the worker lost the first response and retried) is acknowledged without
+// absorbing anything; any other epoch is stale.
+func (c *Coordinator) Report(runID, worker string, id, epoch int, outcome []byte) (*reportResponse, error) {
 	c.mu.Lock()
 	r, ok := c.runs[runID]
 	if !ok {
@@ -396,7 +391,7 @@ func (c *Coordinator) Report(runID, worker string, id, epoch int, outcome []byte
 	}
 
 	c.mu.Lock()
-	segs := c.grantLocked(r, worker, want)
+	segs := c.grantLocked(r, worker)
 	// The settle may have forked more than this slot takes.
 	c.cond.Broadcast()
 	c.mu.Unlock()

@@ -96,7 +96,7 @@ func TestSweepMultiUnitExhaustionFailsRunOnce(t *testing.T) {
 	// Settle the cold-boot segment for real: it forks, and its two children
 	// go out as two simultaneous leases.
 	genesis := leaseOne(t, coord, "doomed")
-	resp, err := coord.Report(id, "doomed", genesis.ID, genesis.Epoch, simulate(t, genesis), 1)
+	resp, err := coord.Report(id, "doomed", genesis.ID, genesis.Epoch, simulate(t, genesis))
 	if err != nil || len(resp.Segments) != 1 {
 		t.Fatalf("report: resp=%+v err=%v", resp, err)
 	}
@@ -153,21 +153,22 @@ func TestReportRetryIsAcknowledgedNotAbsorbedTwice(t *testing.T) {
 	genesis := leaseOne(t, coord, "w")
 	outcome := simulate(t, genesis)
 
-	if _, err := coord.Report(id, "w", genesis.ID, genesis.Epoch+1, outcome, 0); !errors.Is(err, ErrStale) {
+	if _, err := coord.Report(id, "w", genesis.ID, genesis.Epoch+1, outcome); !errors.Is(err, ErrStale) {
 		t.Fatalf("report under a foreign epoch: err = %v, want ErrStale", err)
 	}
-	if _, err := coord.Report(id, "w", genesis.ID, genesis.Epoch, outcome, 0); err != nil {
+	if _, err := coord.Report(id, "w", genesis.ID, genesis.Epoch, outcome); err != nil {
 		t.Fatal(err)
 	}
 	first, err := coord.Status(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.PathsDone != 1 || first.PathsPending != 2 {
-		t.Fatalf("after one report: %+v, want 1 path done and its 2 children pending", first)
+	// The report's response leased one child to the reporting slot.
+	if first.PathsDone != 1 || first.PathsPending != 1 || first.PathsInFlight != 1 {
+		t.Fatalf("after one report: %+v, want 1 path done, 1 child pending and 1 leased", first)
 	}
 
-	retry, err := coord.Report(id, "w", genesis.ID, genesis.Epoch, outcome, 1)
+	retry, err := coord.Report(id, "w", genesis.ID, genesis.Epoch, outcome)
 	if err != nil {
 		t.Fatalf("retried report: %v", err)
 	}
@@ -191,10 +192,10 @@ func TestReportRetryIsAcknowledgedNotAbsorbedTwice(t *testing.T) {
 
 	// Garbage is refused without costing the segment its lease.
 	child := retry.Segments[0]
-	if _, err := coord.Report(id, "w", child.ID, child.Epoch, outcome[:len(outcome)/2], 0); !errors.Is(err, ErrBadPayload) {
+	if _, err := coord.Report(id, "w", child.ID, child.Epoch, outcome[:len(outcome)/2]); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("truncated outcome: err = %v, want ErrBadPayload", err)
 	}
-	if _, err := coord.Report(id, "w", child.ID, child.Epoch, simulate(t, child), 0); err != nil {
+	if _, err := coord.Report(id, "w", child.ID, child.Epoch, simulate(t, child)); err != nil {
 		t.Fatalf("report after a refused one: %v", err)
 	}
 }
@@ -281,7 +282,7 @@ func TestScrapeWhileMutating(t *testing.T) {
 					t.Errorf("simulate: %v", err)
 					return
 				}
-				resp, err := coord.Report(ls.RunID, name, sg.ID, sg.Epoch, outcome, 1)
+				resp, err := coord.Report(ls.RunID, name, sg.ID, sg.Epoch, outcome)
 				if err != nil {
 					if !errors.Is(err, ErrStale) {
 						t.Errorf("report: %v", err)

@@ -35,6 +35,12 @@ type testCluster struct {
 // startCluster spins the fleet up and registers its teardown on t.
 func startCluster(t *testing.T, cfg Config, n int) *testCluster {
 	t.Helper()
+	return startClusterSlots(t, cfg, n, 1)
+}
+
+// startClusterSlots is startCluster with slots explorers per worker.
+func startClusterSlots(t *testing.T, cfg Config, n, slots int) *testCluster {
+	t.Helper()
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
@@ -47,6 +53,7 @@ func startCluster(t *testing.T, cfg Config, n int) *testCluster {
 		w := &Worker{
 			Coordinator: ts.URL,
 			Name:        fmt.Sprintf("w%d", i),
+			Slots:       slots,
 			Metrics:     obs.NewRegistry(),
 			PollEvery:   10 * time.Millisecond,
 		}
@@ -182,7 +189,7 @@ func TestClusterEquivalenceEndToEnd(t *testing.T) {
 				}
 
 				id, err := tc.coord.NewRun(RunSpec{
-					Design: string(d), Bench: "tHold", Engine: "kernel",
+					Design: string(d), Bench: "tHold",
 					Policy: v.policy, K: v.k, MaxStates: v.max,
 				})
 				if err != nil {
@@ -210,11 +217,11 @@ func TestClusterEquivalenceEndToEnd(t *testing.T) {
 }
 
 // TestClusterPolicySweep runs the non-default policies on a 2-worker fleet
-// whose slots explore on the batch engine — several segments per lease,
-// several reports per retire round: clustered and exact runs must each
-// match their single-node counterpart's dichotomy.
+// of two slots each — four explorers, two per worker, each holding one
+// segment: clustered and exact runs must each match their single-node
+// counterpart's dichotomy.
 func TestClusterPolicySweep(t *testing.T) {
-	tc := startCluster(t, Config{}, 2)
+	tc := startClusterSlots(t, Config{}, 2, 2)
 	for _, pc := range []struct {
 		policy string
 		k      int
@@ -240,7 +247,7 @@ func TestClusterPolicySweep(t *testing.T) {
 			}
 
 			id, err := tc.coord.NewRun(RunSpec{
-				Design: "dr5", Bench: "tHold", Engine: "batch", Lanes: 4,
+				Design: "dr5", Bench: "tHold",
 				Policy: pc.policy, K: pc.k, MaxStates: pc.max,
 			})
 			if err != nil {
@@ -268,7 +275,6 @@ func TestClusterRejectsBadSpecs(t *testing.T) {
 		{Design: "nope", Bench: "tHold"}, // unknown design
 		{Design: "dr5", Bench: "tHold", Policy: "constrained"}, // needs local file
 		{Design: "dr5", Bench: "tHold", Policy: "nope"},
-		{Design: "dr5", Bench: "tHold", Engine: "batch", Lanes: 65},
 		{Design: "dr5", Bench: "tHold", Workers: 2}, // a slot is one explorer
 	} {
 		if _, err := coord.NewRun(spec); err == nil {
@@ -346,7 +352,7 @@ func TestClusterRunOverHTTP(t *testing.T) {
 			t.Fatalf("run %s: state %q, error %q", created.ID, st.State, st.Error)
 		}
 	}
-	if want := (RunSpec{Design: "dr5", Bench: "tHold", Policy: "merge-all", Engine: "kernel", Workers: 1}); st.Spec != want {
+	if want := (RunSpec{Design: "dr5", Bench: "tHold", Policy: "merge-all", Workers: 1}); st.Spec != want {
 		t.Errorf("status echoes spec %+v, want the normalized %+v", st.Spec, want)
 	}
 	resp, err = http.Get(tc.ts.URL + "/cluster/runs/" + created.ID + "/result")

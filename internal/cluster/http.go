@@ -21,8 +21,8 @@ import (
 //	GET  /cluster/runs/{id}              run status
 //	GET  /cluster/runs/{id}/result      the report.ResultSummary /jobs/{id}/result serves (409 until done)
 //	POST /cluster/lease                 long-poll segments for one slot (204 = none)
-//	POST /cluster/runs/{id}/report      settle a segment (?worker&path&epoch&want, body = its
-//	                                    outcome, raw) -> the slot's next segments
+//	POST /cluster/runs/{id}/report      settle a segment (?worker&path&epoch, body = its
+//	                                    outcome, raw) -> the slot's next segment
 //	POST /cluster/runs/{id}/fail        hand a segment back for another attempt
 //	POST /cluster/runs/{id}/heartbeat   extend the leases of advancing segments
 //
@@ -87,16 +87,15 @@ func (c *Coordinator) Handler() http.Handler {
 		q := r.URL.Query()
 		id, err1 := strconv.Atoi(q.Get("path"))
 		epoch, err2 := strconv.Atoi(q.Get("epoch"))
-		want, err3 := strconv.Atoi(q.Get("want"))
 		// A body of the declared length in one allocation; io.ReadAll would
 		// make several per report on its way there.
 		outcome := make([]byte, max(0, min(r.ContentLength, 64<<20)))
-		_, err4 := io.ReadFull(r.Body, outcome)
-		if err := errors.Join(err1, err2, err3, err4); err != nil {
+		_, err3 := io.ReadFull(r.Body, outcome)
+		if err := errors.Join(err1, err2, err3); err != nil {
 			httpx.WriteErr(w, http.StatusBadRequest, fmt.Errorf("decoding report: %w", err))
 			return
 		}
-		resp, err := c.Report(r.PathValue("id"), q.Get("worker"), id, epoch, outcome, want)
+		resp, err := c.Report(r.PathValue("id"), q.Get("worker"), id, epoch, outcome)
 		if err != nil {
 			httpx.WriteErr(w, statusOf(err), err)
 			return

@@ -136,7 +136,7 @@ func (w *Worker) platform(design, bench string) (*core.Platform, error) {
 // back with each report, through core.Explore — the same loop a single-node
 // run's explorers execute — until the run has nothing more for this slot.
 func (w *Worker) explore(ctx context.Context, cc *coordClient, name string, ls *leaseResponse) {
-	src := &leased{w: w, cc: cc, name: name, runID: ls.RunID, ctx: ctx, lanes: ls.Lanes, queue: ls.Segments, held: make(map[int]int)}
+	src := &leased{w: w, cc: cc, name: name, runID: ls.RunID, ctx: ctx, queue: ls.Segments, held: make(map[int]int)}
 	for _, sg := range ls.Segments {
 		src.held[sg.ID] = sg.Epoch
 	}
@@ -146,9 +146,9 @@ func (w *Worker) explore(ctx context.Context, cc *coordClient, name string, ls *
 		return
 	}
 
-	// Heartbeats keep the leases alive only while the explorer's lanes
-	// advance: a wedged simulation stops beating and the coordinator puts
-	// its segments back.
+	// Heartbeats keep the lease alive only while the explorer advances: a
+	// wedged simulation stops beating and the coordinator puts its segment
+	// back.
 	ttl := time.Duration(ls.LeaseTTLMS) * time.Millisecond
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
@@ -196,20 +196,18 @@ func (w *Worker) engine(ls *leaseResponse) (*core.Platform, core.Config, error) 
 	return p, cfg, nil
 }
 
-// leased is a worker slot's core.Source: the segments of one run the
+// leased is a worker slot's core.Source: the segment of one run the
 // coordinator has leased to it. Admit hands the explorer what the last
 // lease or report response carried; Settle reports an outcome and takes
-// the response's segments in turn — one round trip per segment.
+// the response's segment in turn — one round trip per segment.
 type leased struct {
 	w     *Worker
 	cc    *coordClient
 	name  string
 	runID string
 	ctx   context.Context
-	lanes int
-	// moved records that the lanes advanced since the last heartbeat tick.
-	// The lanes of one engine step together, so it speaks for every
-	// segment the slot holds.
+	// moved records that the explorer advanced since the last heartbeat
+	// tick.
 	moved atomic.Bool
 
 	// mu guards queue and held against the heartbeat goroutine.
@@ -233,10 +231,9 @@ func (s *leased) Settle(id int, outcome []byte) {
 	s.mu.Lock()
 	epoch := s.held[id]
 	delete(s.held, id)
-	want := s.lanes - len(s.held)
 	s.mu.Unlock()
 
-	resp, err := s.cc.report(s.runID, s.name, id, epoch, outcome, want)
+	resp, err := s.cc.report(s.runID, s.name, id, epoch, outcome)
 	switch {
 	case errors.Is(err, ErrStale):
 		// The lease lapsed mid-segment (this worker stalled and recovered)
@@ -260,7 +257,8 @@ func (s *leased) Settle(id int, outcome []byte) {
 func (s *leased) Stopping() bool { return s.ctx.Err() != nil }
 func (s *leased) Advance(uint64) { s.moved.Store(true) }
 
-// heartbeat extends the held leases if the lanes advanced since last asked.
+// heartbeat extends the held lease if the explorer advanced since last
+// asked.
 func (s *leased) heartbeat() {
 	if !s.moved.Swap(false) {
 		return

@@ -105,13 +105,9 @@ type Config struct {
 	// negative values are rejected by validation. EngineBatch always runs
 	// one explorer: its parallelism is the lanes.
 	Workers int
-	// MaxPaths bounds total created paths; 0 means 1<<20. Exhausting it
-	// is a hard error ("no silent caps"); use Budget.MaxForks for the
-	// gracefully-degrading bound.
-	MaxPaths int
 	// Engine selects the simulation machinery the explorers run on: the
 	// compiled kernel (default), the reference interpreter, or the
-	// bit-parallel batch engine, which packs up to Lanes pending paths into
+	// bit-parallel batch engine, which packs up to 64 pending paths into
 	// one simulator. The gate dichotomy and the tie-offs are identical on
 	// all three. Kernel and interpreter also agree on every path and cycle
 	// count; the batch engine admits entries a round at a time, so it
@@ -119,9 +115,6 @@ type Config struct {
 	// in testdata/table4_counts.json). The cold-boot path always runs on a
 	// scalar simulator.
 	Engine vvp.Engine
-	// Lanes caps the scenarios the batch engine pipelines per sweep,
-	// 1..64; 0 means 64. Ignored by the scalar engines.
-	Lanes int
 	// Budget bounds the run with graceful degradation: on exhaustion the
 	// result is still sound, just over-approximate (Complete=false).
 	Budget Budget
@@ -184,6 +177,15 @@ type Config struct {
 	// it is a hard error (a runaway path is a platform bug, not a budget);
 	// only tests in _test.go lower it.
 	maxCyclesPerPath uint64
+	// maxPaths bounds total created paths; 0 means 1<<20. Exhausting it
+	// is a hard error ("no silent caps"; Budget.MaxForks is the
+	// gracefully-degrading bound); only tests in _test.go lower it.
+	maxPaths int
+	// lanes is the number of segments one explorer drives at a time:
+	// prepare resolves it to 1 for the scalar engines and to
+	// vvp.BatchLanes for the batch engine; only tests in _test.go set a
+	// tighter batch cap.
+	lanes int
 }
 
 // PathEnd describes how one simulated path segment terminated.
@@ -458,8 +460,8 @@ func prepare(p *Platform, cfg *Config) error {
 	if cfg.maxCyclesPerPath == 0 {
 		cfg.maxCyclesPerPath = 1 << 20
 	}
-	if cfg.MaxPaths == 0 {
-		cfg.MaxPaths = 1 << 20
+	if cfg.maxPaths == 0 {
+		cfg.maxPaths = 1 << 20
 	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
@@ -468,14 +470,14 @@ func prepare(p *Platform, cfg *Config) error {
 		cfg.Metrics = obs.Default
 	}
 	// An explorer drives as many lanes as its engine has: one for a scalar
-	// simulator, up to Lanes for the batch engine, whose single explorer
-	// gets its parallelism from the lanes instead of from goroutines.
+	// simulator, all 64 for the batch engine, whose single explorer gets
+	// its parallelism from the lanes instead of from goroutines.
 	if cfg.Engine != vvp.EngineBatch {
-		cfg.Lanes = 1
+		cfg.lanes = 1
 	} else {
 		cfg.Workers = 1
-		if cfg.Lanes == 0 {
-			cfg.Lanes = vvp.BatchLanes
+		if cfg.lanes == 0 {
+			cfg.lanes = vvp.BatchLanes
 		}
 	}
 	// Structural pre-check before Freeze: lint tolerates broken designs
@@ -826,8 +828,8 @@ func (a *analysis) classify(out *pathOutcome) {
 		}
 		children = kept
 	}
-	if a.res.PathsCreated+len(children) > a.cfg.MaxPaths {
-		a.failLocked(fmt.Errorf("core: path budget %d exhausted", a.cfg.MaxPaths))
+	if a.res.PathsCreated+len(children) > a.cfg.maxPaths {
+		a.failLocked(fmt.Errorf("core: path budget %d exhausted", a.cfg.maxPaths))
 		return
 	}
 	for _, ch := range children {

@@ -96,7 +96,7 @@ func TestXBranchForksAndExploresBothSides(t *testing.T) {
 // xLoop: a loop whose trip count is an input. The CSM must converge via
 // conservative-state merging rather than unrolling forever.
 func TestXLoopConvergesViaMerging(t *testing.T) {
-	res := analyze(t, core.Config{MaxPaths: 5000}, func(a *rv32.Asm) {
+	res := analyze(t, core.Config{}, func(a *rv32.Asm) {
 		a.XWord(0)
 		a.LW(rv32.T0, rv32.X0, 0)
 		a.ANDI(rv32.T0, rv32.T0, 0xF) // bound the counter to [0,15]
@@ -241,7 +241,7 @@ func TestExactPolicyEnumerates(t *testing.T) {
 // With a tiny state budget the exact policy degrades to merging and an
 // input-bound loop still converges instead of enumerating forever.
 func TestExactPolicySafetyValveConverges(t *testing.T) {
-	res := analyze(t, core.Config{Policy: csm.NewExact(8), MaxPaths: 3000}, func(a *rv32.Asm) {
+	res := analyze(t, core.Config{Policy: csm.NewExact(8)}, func(a *rv32.Asm) {
 		a.XWord(0)
 		a.LW(rv32.T0, rv32.X0, 0)
 		a.ANDI(rv32.T0, rv32.T0, 0x3)
@@ -348,7 +348,7 @@ func TestPathBudgetExhaustionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.Analyze(p, core.Config{MaxPaths: 2}); err == nil {
+	if _, err := core.Analyze(p, core.MaxPaths(core.Config{}, 2)); err == nil {
 		t.Fatal("exhausted path budget did not error")
 	}
 }
@@ -472,7 +472,7 @@ func TestBatchEngineMatchesKernelDichotomy(t *testing.T) {
 	}
 	ref := analyze(t, core.Config{Engine: vvp.EngineKernel}, prog)
 	for _, lanes := range []int{0, 3} { // full-width and a tight lane cap
-		res := analyze(t, core.Config{Engine: vvp.EngineBatch, Lanes: lanes}, prog)
+		res := analyze(t, core.Lanes(core.Config{Engine: vvp.EngineBatch}, lanes), prog)
 		if res.ExercisableCount != ref.ExercisableCount {
 			t.Errorf("lanes=%d: exercisable %d, kernel %d", lanes, res.ExercisableCount, ref.ExercisableCount)
 		}

@@ -18,7 +18,7 @@ import (
 // retires, retire through settle — over a lane engine (DESIGN.md §13). The
 // scalar engines are the one-lane case: each explorer pops, simulates and
 // settles a single entry per round, which is the paper's LIFO order. The
-// batch engine packs up to Config.Lanes entries into one simulator and a
+// batch engine packs up to 64 entries into one simulator and a
 // diverging lane costs one slot, not the whole batch.
 
 // laneEngine is what the explorer needs from a simulator: restore a saved
@@ -169,7 +169,7 @@ type explorer struct {
 // or a fatal error ends the run. A fatal error is returned with the
 // occupied lanes unsettled: the run yields the error and no result.
 func (x *explorer) explore() error {
-	x.lane = make([]segment, x.cfg.Lanes)
+	x.lane = make([]segment, x.cfg.lanes)
 	for {
 		fresh, ok := x.admit()
 		if !ok {
@@ -206,7 +206,7 @@ func (x *explorer) explore() error {
 // ok is false when the explorer is done: its lanes are empty and nothing
 // is left (or allowed) to fill them.
 func (x *explorer) admit() (fresh uint64, ok bool) {
-	for bits.OnesCount64(x.occupied) < x.cfg.Lanes {
+	for bits.OnesCount64(x.occupied) < x.cfg.lanes {
 		id, e, got := x.src.admit(x.occupied == 0)
 		if !got {
 			break
@@ -240,7 +240,7 @@ func (x *explorer) restore(fresh uint64) error {
 		} else {
 			if x.eng == nil {
 				if x.cfg.Engine == vvp.EngineBatch {
-					b := vvp.NewBatchSim(x.p.Design, vvp.BatchOptions{Lanes: x.cfg.Lanes})
+					b := vvp.NewBatchSim(x.p.Design, vvp.BatchOptions{Lanes: x.cfg.lanes})
 					b.SetMonitorX(&x.p.Monitor)
 					b.BindStimulus(x.p.Stimulus())
 					x.setEngine(b, false)
@@ -261,7 +261,7 @@ func (x *explorer) restore(fresh uint64) error {
 		}
 		x.eng.StartRecordingLane(l)
 	}
-	if x.cfg.Lanes > 1 && !x.cold && fresh != 0 {
+	if x.cfg.lanes > 1 && !x.cold && fresh != 0 {
 		x.laneOcc.Observe(float64(bits.OnesCount64(x.occupied)))
 	}
 	return nil

@@ -33,6 +33,20 @@ func MaxCyclesPerPath(cfg Config, n uint64) Config {
 	return cfg
 }
 
+// MaxPaths returns cfg with the created-path cap lowered to n, so a test
+// can exhaust it on a short program.
+func MaxPaths(cfg Config, n int) Config {
+	cfg.maxPaths = n
+	return cfg
+}
+
+// Lanes returns cfg with the batch engine's lane cap set to n (1..64), so
+// a test can drive the explorer with fewer lanes than segments.
+func Lanes(cfg Config, n int) Config {
+	cfg.lanes = n
+	return cfg
+}
+
 // StrandSuperseded replaces r's frontier with one forked child that a
 // strictly wider sibling — already popped — supersedes: the next Admit
 // drops it and finds the run exhausted.

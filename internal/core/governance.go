@@ -166,9 +166,6 @@ func validate(p *Platform, cfg *Config) error {
 	if cfg.Workers < 0 {
 		return &ValidationError{Field: "Config.Workers", Reason: fmt.Sprintf("negative (%d)", cfg.Workers)}
 	}
-	if cfg.MaxPaths < 0 {
-		return &ValidationError{Field: "Config.MaxPaths", Reason: fmt.Sprintf("negative (%d)", cfg.MaxPaths)}
-	}
 	if cfg.Budget.WallClock < 0 {
 		return &ValidationError{Field: "Config.Budget.WallClock", Reason: "negative duration"}
 	}
@@ -191,9 +188,6 @@ func validate(p *Platform, cfg *Config) error {
 	}
 	if cfg.Engine != vvp.EngineKernel && cfg.Engine != vvp.EngineInterp && cfg.Engine != vvp.EngineBatch {
 		return &ValidationError{Field: "Config.Engine", Reason: fmt.Sprintf("unknown engine %d", cfg.Engine)}
-	}
-	if cfg.Lanes < 0 || cfg.Lanes > vvp.BatchLanes {
-		return &ValidationError{Field: "Config.Lanes", Reason: fmt.Sprintf("%d out of range [0,%d]", cfg.Lanes, vvp.BatchLanes)}
 	}
 	return nil
 }

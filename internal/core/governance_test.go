@@ -77,7 +77,6 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 		{"nil spec", &core.Platform{Design: good.Design, HalfPeriod: 5}, core.Config{}, "Platform.Spec"},
 		{"zero half-period", &core.Platform{Design: good.Design, Spec: good.Spec}, core.Config{}, "Platform.HalfPeriod"},
 		{"negative workers", good, core.Config{Workers: -1}, "Config.Workers"},
-		{"negative max paths", good, core.Config{MaxPaths: -2}, "Config.MaxPaths"},
 		{"negative wall clock", good, core.Config{Budget: core.Budget{WallClock: -time.Second}}, "Config.Budget.WallClock"},
 		{"negative fork budget", good, core.Config{Budget: core.Budget{MaxForks: -1}}, "Config.Budget.MaxForks"},
 		{"empty checkpoint path", good, core.Config{Checkpoint: &core.CheckpointConfig{}}, "Config.Checkpoint.Path"},

@@ -180,10 +180,6 @@ func (r *Run) PutBack(id int) bool {
 // Progress returns a heartbeat snapshot of the run.
 func (r *Run) Progress() Progress { return r.a.progress() }
 
-// Lanes is the number of segments one explorer of the run's engine drives
-// at a time: Config.Lanes as resolved for Config.Engine.
-func (r *Run) Lanes() int { return r.a.cfg.Lanes }
-
 // Wait blocks until the run is over — the frontier exhausted with nothing
 // in flight (Algorithm 1 line 11), a budget tripped, ctx canceled, or a
 // fatal error — and returns what AnalyzeContext returns: the final Result,
@@ -262,7 +258,7 @@ type Source interface {
 // Explore drives segments of a run whose state lives behind src: the same
 // admit → restore → step → retire loop AnalyzeContext runs locally, over
 // the engine cfg selects, until src has nothing to admit and every lane
-// has settled. Of cfg it reads the driver's half — Engine, Lanes, OnHalt,
+// has settled. Of cfg it reads the driver's half — Engine, OnHalt,
 // Trace, Metrics and the lint fields; policy, budgets, checkpointing and
 // progress belong to the state. A fatal error (a simulator fault, the
 // per-path cycle limit, undecodable work) is returned with the segments

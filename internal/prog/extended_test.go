@@ -58,7 +58,7 @@ func TestExtendedSymbolicShapes(t *testing.T) {
 	}
 	for _, target := range allISAs {
 		p, _ := buildPlatform(t, "crc8", target, nil)
-		res, err := core.Analyze(p, core.Config{MaxPaths: 100000})
+		res, err := core.Analyze(p, core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -277,7 +277,7 @@ func TestSymbolicConvergenceAll(t *testing.T) {
 			t.Run(fmt.Sprintf("%s-%s", b.Name, target), func(t *testing.T) {
 				t.Parallel()
 				p, _ := buildPlatform(t, b.Name, target, nil)
-				res, err := core.Analyze(p, core.Config{MaxPaths: 200000})
+				res, err := core.Analyze(p, core.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}

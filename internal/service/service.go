@@ -100,8 +100,10 @@ type Service struct {
 	degraded       atomic.Bool
 	degradedReason string
 
-	// engines accumulates per-engine throughput for Metrics (mu-guarded).
-	engines map[string]*engineStat
+	// simulatedCycles and busySeconds accumulate the finished analyses'
+	// throughput for Metrics (mu-guarded).
+	simulatedCycles uint64
+	busySeconds     float64
 }
 
 // svcObs caches the service's counters: the one set behind both the
@@ -132,11 +134,6 @@ func newSvcObs(reg *obs.Registry) *svcObs {
 		storeFaults: reg.Counter("symsim_service_store_faults_total", "Durable-store I/O failures observed (each one trips or extends degraded mode)."),
 		tmpReaped:   reg.Counter("symsim_service_tmp_reaped_total", "Orphan temp files reaped from the store at startup."),
 	}
-}
-
-type engineStat struct {
-	cycles  uint64
-	seconds float64
 }
 
 // ErrUnknownJob is returned for operations on a job ID the service has
@@ -201,13 +198,12 @@ func New(cfg Config) (*Service, error) {
 		cfg.Logf("service: reaped %d orphan temp file(s) from interrupted writes", reaped)
 	}
 	s := &Service{
-		cfg:     cfg,
-		store:   st,
-		queue:   newJobQueue(cfg.QueueCap),
-		hub:     newHub(),
-		reg:     cfg.Metrics,
-		jobs:    make(map[string]*job),
-		engines: make(map[string]*engineStat),
+		cfg:   cfg,
+		store: st,
+		queue: newJobQueue(cfg.QueueCap),
+		hub:   newHub(),
+		reg:   cfg.Metrics,
+		jobs:  make(map[string]*job),
 	}
 	s.om = newSvcObs(s.reg)
 	s.om.tmpReaped.Add(uint64(reaped))
@@ -531,7 +527,7 @@ func (s *Service) finishJob(id string, res *core.Result, err error) {
 	}
 	landed := s.moveLocked(j, to, why, data)
 	if to == StateDone {
-		s.noteEngineLocked(j.rec, res)
+		s.noteThroughputLocked(j.rec, res)
 	}
 	// Only complete results enter the content cache: a degraded dichotomy
 	// is sound but over-approximate, and caching it would freeze the
@@ -546,16 +542,12 @@ func (s *Service) finishJob(id string, res *core.Result, err error) {
 	}
 }
 
-// noteEngineLocked accrues per-engine throughput counters (mu held).
-func (s *Service) noteEngineLocked(rec *jobRecord, res *core.Result) {
-	st := s.engines[rec.Spec.Engine]
-	if st == nil {
-		st = &engineStat{}
-		s.engines[rec.Spec.Engine] = st
-	}
-	st.cycles += res.SimulatedCycles
+// noteThroughputLocked accrues a finished analysis's cycles and run time
+// (mu held).
+func (s *Service) noteThroughputLocked(rec *jobRecord, res *core.Result) {
+	s.simulatedCycles += res.SimulatedCycles
 	if rec.Finished > rec.Started && rec.Started > 0 {
-		st.seconds += time.Duration(rec.Finished - rec.Started).Seconds()
+		s.busySeconds += time.Duration(rec.Finished - rec.Started).Seconds()
 	}
 }
 
@@ -765,12 +757,9 @@ type Metrics struct {
 	StoreFaults   uint64 `json:"storeFaults"`
 	StoreDegraded bool   `json:"storeDegraded"`
 	// TmpReaped counts orphan temp files reaped at startup.
-	TmpReaped uint64                   `json:"tmpReaped"`
-	Engines   map[string]EngineMetrics `json:"engines"`
-}
-
-// EngineMetrics is accumulated per-engine throughput.
-type EngineMetrics struct {
+	TmpReaped uint64 `json:"tmpReaped"`
+	// SimulatedCycles and BusySeconds sum the finished analyses' simulated
+	// cycles and run time; CyclesPerSec is their ratio.
 	SimulatedCycles uint64  `json:"simulatedCycles"`
 	BusySeconds     float64 `json:"busySeconds"`
 	CyclesPerSec    float64 `json:"cyclesPerSec"`
@@ -795,7 +784,6 @@ func (s *Service) MetricsSnapshot() Metrics {
 		StoreFaults:   s.om.storeFaults.Value(),
 		StoreDegraded: s.degraded.Load(),
 		TmpReaped:     s.om.tmpReaped.Value(),
-		Engines:       make(map[string]EngineMetrics),
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -809,12 +797,9 @@ func (s *Service) MetricsSnapshot() Metrics {
 	if lookups := m.CacheHits + m.CacheMisses; lookups > 0 {
 		m.CacheHitRate = float64(m.CacheHits) / float64(lookups)
 	}
-	for name, st := range s.engines {
-		em := EngineMetrics{SimulatedCycles: st.cycles, BusySeconds: st.seconds}
-		if st.seconds > 0 {
-			em.CyclesPerSec = float64(st.cycles) / st.seconds
-		}
-		m.Engines[name] = em
+	m.SimulatedCycles, m.BusySeconds = s.simulatedCycles, s.busySeconds
+	if m.BusySeconds > 0 {
+		m.CyclesPerSec = float64(m.SimulatedCycles) / m.BusySeconds
 	}
 	return m
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -14,7 +15,8 @@ import (
 )
 
 // TestDaemonSmoke is the end-to-end service test over the real binaries:
-// it builds cmd/symsimd and cmd/symsim, boots the daemon on a loopback
+// it builds cmd/symsimd and cmd/symsim, checks that both refuse the
+// retired -engine and -lanes flags, boots the daemon on a loopback
 // port, submits a dr5/tea8 job with the CLI client in -follow mode,
 // verifies the streamed run completes with a result, checks that an
 // identical resubmission is a cache hit, and shuts the daemon down with
@@ -37,6 +39,20 @@ func TestDaemonSmoke(t *testing.T) {
 		cmd := exec.Command("go", "build", "-o", b.out, b.pkg)
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("building %s: %v\n%s", b.pkg, err, out)
+		}
+	}
+
+	// The engine and its lanes are no flags at either command: naming one
+	// is a usage error (exit 2) before an analysis runs or a port is bound.
+	for _, args := range [][]string{
+		{cliBin, "-design", "dr5", "-bench", "tea8", "-engine", "batch"},
+		{cliBin, "submit", "-design", "dr5", "-bench", "tea8", "-lanes", "8"},
+		{daemonBin, "-lanes", "8"},
+	} {
+		out, err := exec.Command(args[0], args[1:]...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined") {
+			t.Errorf("%s %s: %v, want a usage error (exit 2)\n%s", filepath.Base(args[0]), strings.Join(args[1:], " "), err, out)
 		}
 	}
 

@@ -72,9 +72,9 @@ func policyKey(spec JobSpec) string {
 // hashes the image, not the netlist), the design/bench pair that selected
 // the platform harness
 // (monitors, stimulus, state spec) and the CSM policy with its parameters.
-// Engine, worker count and budgets are deliberately excluded: engines are
-// result-identical, parallelism does not change the dichotomy, and
-// budget-degraded (incomplete) results are never cached.
+// Worker count, priority and budgets are deliberately excluded:
+// parallelism does not change the dichotomy, and budget-degraded
+// (incomplete) results are never cached.
 func cacheKey(designHash netlist.Digest, spec JobSpec) string {
 	h := sha256.New()
 	h.Write([]byte(wire.CacheKeyMagic))

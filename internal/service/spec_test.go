@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -18,13 +19,13 @@ import (
 )
 
 func TestNormalizeFillsDefaults(t *testing.T) {
-	def := JobSpec{Policy: "clustered", K: 8, Engine: "batch", Workers: 3, DeadlineMS: 1000}
+	def := JobSpec{Policy: "clustered", K: 8, Workers: 3, DeadlineMS: 1000}
 	got, err := normalize(JobSpec{Design: "dr5", Bench: "tea8"}, &def)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := JobSpec{Design: "dr5", Bench: "tea8", Policy: "clustered", K: 8,
-		Engine: "batch", Workers: 3, DeadlineMS: 1000}
+		Workers: 3, DeadlineMS: 1000}
 	if got != want {
 		t.Errorf("normalize = %+v, want %+v", got, want)
 	}
@@ -35,7 +36,7 @@ func TestNormalizeBuiltinFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Policy != "merge-all" || got.Engine != "kernel" || got.Workers != 1 {
+	if got.Policy != "merge-all" || got.Workers != 1 {
 		t.Errorf("fallbacks wrong: %+v", got)
 	}
 }
@@ -72,11 +73,7 @@ func TestNormalizeRejects(t *testing.T) {
 		{"constrained unsupported", JobSpec{Design: "d", Bench: "b", Policy: "constrained"}, "policy"},
 		{"clustered needs k", JobSpec{Design: "d", Bench: "b", Policy: "clustered", K: -1}, "k > 0"},
 		{"exact needs budget", JobSpec{Design: "d", Bench: "b", Policy: "exact", MaxStates: -1}, "maxStates > 0"},
-		{"bad engine", JobSpec{Design: "d", Bench: "b", Engine: "vhdl"}, "engine"},
-		{"interpreter not selectable", JobSpec{Design: "d", Bench: "b", Engine: "interp"}, "want kernel | batch"},
 		{"negative budget", JobSpec{Design: "d", Bench: "b", MaxForks: -1}, "negative"},
-		{"lanes over cap", JobSpec{Design: "d", Bench: "b", Lanes: 65}, "lanes"},
-		{"negative lanes", JobSpec{Design: "d", Bench: "b", Lanes: -1}, "lanes"},
 		{"priority range", JobSpec{Design: "d", Bench: "b", Priority: 1 << 21}, "priority"},
 	}
 	for _, tc := range cases {
@@ -97,7 +94,7 @@ func TestNormalizeRejects(t *testing.T) {
 // content, design/bench selection and policy (with its live parameters) —
 // and nothing else.
 func TestCacheKeySensitivity(t *testing.T) {
-	base := JobSpec{Design: "dr5", Bench: "tea8", Policy: "clustered", K: 4, Engine: "kernel", Workers: 1}
+	base := JobSpec{Design: "dr5", Bench: "tea8", Policy: "clustered", K: 4, Workers: 1}
 	var h1, h2 netlist.Digest
 	h2[0] = 1
 	key := cacheKey(h1, base)
@@ -118,15 +115,9 @@ func TestCacheKeySensitivity(t *testing.T) {
 	diff("policy", JobSpec{Design: "dr5", Bench: "tea8", Policy: "merge-all"}, h1)
 	diff("policy param", JobSpec{Design: "dr5", Bench: "tea8", Policy: "clustered", K: 8}, h1)
 
-	eng := base
-	eng.Engine = "batch"
-	same("engine", eng)
 	wrk := base
 	wrk.Workers = 8
 	same("workers", wrk)
-	lns := base
-	lns.Lanes = 16
-	same("lanes", lns)
 	bud := base
 	bud.DeadlineMS = 5000
 	bud.MaxForks = 100
@@ -136,16 +127,63 @@ func TestCacheKeySensitivity(t *testing.T) {
 	same("priority", pri)
 }
 
+// TestRetiredSpecFieldsAreIgnored: a POST /jobs body naming the engine or
+// the lane count, as a client of an older daemon may send, is accepted
+// (201) as the analysis without them: the same normalized spec and the
+// same cache key, whatever values it names — the parent refused the last
+// two.
+func TestRetiredSpecFieldsAreIgnored(t *testing.T) {
+	svc, err := New(Config{DataDir: t.TempDir(), Workers: 1, Metrics: obs.NewRegistry(), BuildPlatform: loopPlatform(t, 0x1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(Handler(svc))
+	defer ts.Close()
+
+	var plain JobView
+	for i, body := range []string{
+		`{"design":"dr5","bench":"loop"}`,
+		`{"design":"dr5","bench":"loop","engine":"batch","lanes":8}`,
+		`{"design":"dr5","bench":"loop","engine":"kernel","lanes":0}`,
+		`{"design":"dr5","bench":"loop","engine":"interp","lanes":65}`,
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var view JobView
+		err = json.NewDecoder(resp.Body).Decode(&view)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated || err != nil {
+			t.Fatalf("%s: status %s, decode %v", body, resp.Status, err)
+		}
+		if i == 0 {
+			plain = view
+			continue
+		}
+		if view.Spec != plain.Spec || view.CacheKey != plain.CacheKey {
+			t.Errorf("%s: spec %+v key %s, want the plain body's %+v key %s", body, view.Spec, view.CacheKey, plain.Spec, plain.CacheKey)
+		}
+	}
+}
+
+// retiredSpecFields matches, in compact JSON, the spec fields a parent
+// normalized and this tree no longer has.
+var retiredSpecFields = regexp.MustCompile(`"(memx|engine)":"[^"]*",|"lanes":\d+,`)
+
 // TestSpecGoldenFromParent pins compatibility across the move of the spec
 // into cliflags: testdata/spec_golden.json was captured at the commit
 // before it (PR 23) — request bodies, the daemon flags they met, and what
 // that commit's normalize, cacheKey and record encoder made of them. Every
 // request the job API accepted then must normalize to the same spec less
-// its X-address write rule, which is gone, and the old record bytes must
-// load. The record written now is the SYMSIMJ3 image of the same record:
-// the old SYMSIMJ2 bytes less the rule. Its key must differ from the old
-// SYMSIMK2 key, so a result computed under the dropped Verilog rule is
-// never served.
+// its X-address write rule, engine and lane count, which are gone (a
+// daemon flag naming the engine or the lanes is dropped too: symsimd no
+// longer has it), and the old record bytes must load. The record written
+// now is the SYMSIMJ3 image of the same record: the old SYMSIMJ2 bytes
+// less the rule, with the engine and lane slots emptied. Its key must
+// differ from the old SYMSIMK2 key, so a result computed under the dropped
+// Verilog rule is never served.
 func TestSpecGoldenFromParent(t *testing.T) {
 	data, err := os.ReadFile("testdata/spec_golden.json")
 	if err != nil {
@@ -175,7 +213,15 @@ func TestSpecGoldenFromParent(t *testing.T) {
 			if tc.Flags != nil {
 				fs := flag.NewFlagSet("symsimd", flag.ContinueOnError)
 				a := cliflags.Register(fs)
-				if err := fs.Parse(tc.Flags); err != nil {
+				var flags []string
+				for i := 0; i < len(tc.Flags); i++ {
+					if f := tc.Flags[i]; f == "-engine" || f == "-lanes" {
+						i++ // and its value
+						continue
+					}
+					flags = append(flags, tc.Flags[i])
+				}
+				if err := fs.Parse(flags); err != nil {
 					t.Fatal(err)
 				}
 				def = &a.Spec
@@ -196,34 +242,36 @@ func TestSpecGoldenFromParent(t *testing.T) {
 			if err := json.Compact(&want, tc.Normalized); err != nil {
 				t.Fatal(err)
 			}
-			var parent struct {
-				Rule string `json:"memx"`
+			var old struct {
+				Rule   string `json:"memx"`
+				Engine string `json:"engine"`
+				Lanes  int    `json:"lanes"`
 			}
-			if err := json.Unmarshal(tc.Normalized, &parent); err != nil {
+			if err := json.Unmarshal(tc.Normalized, &old); err != nil {
 				t.Fatal(err)
 			}
-			lessRule := bytes.Replace(want.Bytes(), []byte(`"memx":"`+parent.Rule+`",`), nil, 1)
-			if !bytes.Equal(got, lessRule) {
-				t.Errorf("normalized spec\n got %s\nwant %s", got, lessRule)
+			less := retiredSpecFields.ReplaceAll(want.Bytes(), nil)
+			if !bytes.Equal(got, less) {
+				t.Errorf("normalized spec\n got %s\nwant %s", got, less)
 			}
 			if key := cacheKey(hash, n); key == tc.CacheKey {
 				t.Errorf("cache key %s is the parent's", key)
 			}
 			rec := &jobRecord{ID: "0123456789abcdef01234567", Spec: n, State: StateQueued,
 				Submitted: 1_722_000_000_000_000_001, CacheKey: tc.CacheKey, DesignHash: hash.String()}
-			if got := hex.EncodeToString(legacyImage(t, rec, jobMagicV2, parent.Rule)); got != tc.Record {
-				t.Errorf("record bytes with the rule put back\n got %s\nwant %s", got, tc.Record)
+			if got := hex.EncodeToString(parent{magic: jobMagicV2, engine: old.Engine, rule: old.Rule, lanes: old.Lanes}.image(rec)); got != tc.Record {
+				t.Errorf("record bytes with the rule, engine and lanes put back\n got %s\nwant %s", got, tc.Record)
 			}
-			old, err := hex.DecodeString(tc.Record)
+			img, err := hex.DecodeString(tc.Record)
 			if err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := decodeJobRecord(old)
+			loaded, err := decodeJobRecord(img)
 			if err != nil {
 				t.Fatalf("the parent's record does not load: %v", err)
 			}
 			if loaded.Spec != n {
-				t.Errorf("loaded spec %+v, want %+v under %s", loaded.Spec, n, parent.Rule)
+				t.Errorf("loaded spec %+v, want %+v under %s", loaded.Spec, n, old.Rule)
 			}
 			if !bytes.Equal(loaded.encode(), rec.encode()) {
 				t.Error("the parent's record does not re-encode as its version-3 image")

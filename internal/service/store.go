@@ -18,7 +18,7 @@ import (
 // rename) with the same canonical-codec discipline as the SYMSIMC1
 // checkpoint format — a fixed magic, fully validated decode that never
 // panics on malformed input, and byte-identical re-encoding of anything it
-// accepts but an old daemon's retired flag bit (fuzzed by
+// accepts but what an old daemon wrote in the retired slots (fuzzed by
 // FuzzJobRecordRoundTrip). The daemon therefore survives a crash without
 // losing accepted jobs: on restart the store is scanned and interrupted
 // jobs return to the queue, to run again from cold boot.
@@ -62,8 +62,14 @@ type jobRecord struct {
 
 // jobMagic identifies the job record format written: version 3. Records
 // of version 2, which carry the X-address write rule, and of version 1,
-// which carry that rule and lack Spec.Lanes, are still read; the rule is
-// dropped, since a job runs again from cold boot under the one rule.
+// which carry that rule and lack the lane slot, are still read; the rule
+// is dropped, since a job runs again from cold boot under the one rule.
+//
+// Two version-3 slots are retired: the engine name after the policy and
+// the lane count after the worker count, which an older daemon filled from
+// its spec. The writer puts an empty name and 0 there and the reader drops
+// what it finds, so a job an older daemon accepted on any engine runs on
+// the kernel like every other.
 const (
 	jobMagic   = wire.JobMagic3
 	jobMagicV2 = wire.JobMagic2
@@ -76,13 +82,13 @@ var ErrJobRecordCorrupt = errors.New("service: corrupt job record")
 
 func (r *jobRecord) encode() []byte {
 	b := []byte(jobMagic)
-	for _, s := range []string{r.ID, r.Spec.Design, r.Spec.Bench, r.Spec.Policy, r.Spec.Engine} {
+	for _, s := range []string{r.ID, r.Spec.Design, r.Spec.Bench, r.Spec.Policy, ""} { // "": the retired engine
 		b = wire.AppendString(b, s)
 	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(r.Spec.K))
 	b = binary.LittleEndian.AppendUint32(b, uint32(r.Spec.MaxStates))
 	b = binary.LittleEndian.AppendUint32(b, uint32(r.Spec.Workers))
-	b = binary.LittleEndian.AppendUint32(b, uint32(r.Spec.Lanes))
+	b = binary.LittleEndian.AppendUint32(b, 0) // the retired lane count
 	b = binary.LittleEndian.AppendUint32(b, uint32(int32(r.Spec.Priority)))
 	b = binary.LittleEndian.AppendUint64(b, uint64(r.Spec.DeadlineMS))
 	b = binary.LittleEndian.AppendUint64(b, r.Spec.MaxCycles)
@@ -113,8 +119,8 @@ func (r *jobRecord) encode() []byte {
 // decodeJobRecord parses a job record image; malformed input yields an
 // error wrapping ErrJobRecordCorrupt, never a panic, and any accepted
 // input re-encodes byte-identically — a version-1 or version-2 input as the
-// version-3 image of the same record, and one with retiredFlag set without
-// it.
+// version-3 image of the same record, and one with retiredFlag set or the
+// retired engine and lane slots filled without them.
 func decodeJobRecord(data []byte) (*jobRecord, error) {
 	r := wire.NewReader(data, ErrJobRecordCorrupt)
 	magic := string(r.Bytes(len(jobMagic)))
@@ -126,7 +132,7 @@ func decodeJobRecord(data []byte) (*jobRecord, error) {
 	rec.Spec.Design = r.Str()
 	rec.Spec.Bench = r.Str()
 	rec.Spec.Policy = r.Str()
-	rec.Spec.Engine = r.Str()
+	r.Str() // the retired engine
 	if magic != jobMagic {
 		r.Str() // the X-address write rule
 	}
@@ -134,7 +140,7 @@ func decodeJobRecord(data []byte) (*jobRecord, error) {
 	rec.Spec.MaxStates = int(r.U32())
 	rec.Spec.Workers = int(r.U32())
 	if magic != jobMagicV1 {
-		rec.Spec.Lanes = int(r.U32())
+		r.U32() // the retired lane count
 	}
 	rec.Spec.Priority = int(int32(r.U32()))
 	rec.Spec.DeadlineMS = int64(r.U64())

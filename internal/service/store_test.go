@@ -2,6 +2,8 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -17,7 +19,7 @@ func sampleRecord() *jobRecord {
 		ID: "a1b2c3",
 		Spec: JobSpec{
 			Design: "dr5", Bench: "tea8", Policy: "clustered", K: 4,
-			Engine: "batch", Workers: 2, Lanes: 4, Priority: -3,
+			Workers: 2, Priority: -3,
 			DeadlineMS: 90_000, MaxCycles: 1 << 40, MaxForks: 7, MaxCSMStates: 11,
 		},
 		State:      StateQueued,
@@ -46,32 +48,42 @@ func TestJobRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// legacyImage rewrites a current record image into the layout of an older
-// version: its magic, the X-address write rule after the engine, and for
-// version 1 no lane count after the worker count.
-func legacyImage(t testing.TB, rec *jobRecord, magic, rule string) []byte {
-	t.Helper()
-	cur := rec.encode()
-	at := len(jobMagic)
-	for _, s := range []string{rec.ID, rec.Spec.Design, rec.Spec.Bench, rec.Spec.Policy, rec.Spec.Engine} {
-		at += 4 + len(s)
-	}
-	img := wire.AppendString(append([]byte(magic), cur[len(jobMagic):at]...), rule)
-	lanes := at + 3*4 // K, MaxStates, Workers
-	img = append(img, cur[at:lanes]...)
-	if magic == jobMagicV1 {
-		return append(img, cur[lanes+4:]...)
-	}
-	return append(img, cur[lanes:]...)
+// parent is what an older daemon wrote into a record beside the current
+// image: its magic, the engine name and lane count of its spec in the
+// slots version 3 retired, and for versions 1 and 2 the X-address write
+// rule after the engine.
+type parent struct {
+	magic, engine, rule string
+	lanes               int
 }
 
-// A record written before Lanes was persisted still decodes, with the
-// engine-default lane count, its X-address write rule read and dropped,
-// and is rewritten in the current version.
+// image rewrites rec's current image into the layout p's daemon wrote:
+// version 1 has no lane count after the worker count.
+func (p parent) image(rec *jobRecord) []byte {
+	cur := rec.encode()
+	at := len(jobMagic)
+	for _, s := range []string{rec.ID, rec.Spec.Design, rec.Spec.Bench, rec.Spec.Policy} {
+		at += 4 + len(s)
+	}
+	img := wire.AppendString(append([]byte(p.magic), cur[len(jobMagic):at]...), p.engine)
+	if p.magic != jobMagic {
+		img = wire.AppendString(img, p.rule)
+	}
+	at += 4           // the empty engine
+	lanes := at + 3*4 // K, MaxStates, Workers
+	img = append(img, cur[at:lanes]...)
+	if p.magic != jobMagicV1 {
+		img = binary.LittleEndian.AppendUint32(img, uint32(p.lanes))
+	}
+	return append(img, cur[lanes+4:]...)
+}
+
+// A record written before the lane count was persisted still decodes, its
+// engine and X-address write rule read and dropped, and is rewritten in
+// the current version.
 func TestJobRecordVersion1StillDecodes(t *testing.T) {
 	want := sampleRecord()
-	want.Spec.Lanes = 0
-	got, err := decodeJobRecord(legacyImage(t, want, jobMagicV1, "sound"))
+	got, err := decodeJobRecord(parent{magic: jobMagicV1, engine: "batch", rule: "sound"}.image(want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +95,12 @@ func TestJobRecordVersion1StillDecodes(t *testing.T) {
 	}
 }
 
-// A version-2 record decodes to the same spec, less its X-address write
-// rule, whichever rule it chose.
+// A version-2 record decodes to the same spec, less its engine, lane count
+// and X-address write rule, whichever rule it chose.
 func TestJobRecordVersion2StillDecodes(t *testing.T) {
 	for _, rule := range []string{"sound", "verilog"} {
 		want := sampleRecord()
-		got, err := decodeJobRecord(legacyImage(t, want, jobMagicV2, rule))
+		got, err := decodeJobRecord(parent{magic: jobMagicV2, engine: "batch", rule: rule, lanes: 4}.image(want))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,19 +139,29 @@ func TestDecodeJobRecordRejectsMalformed(t *testing.T) {
 	}
 }
 
-// withoutRetiredFlag is the image a version-3 record re-encodes as: itself,
-// less the retired flag bit (the flags byte is last).
-func withoutRetiredFlag(img []byte) []byte {
-	img = append([]byte{}, img...)
-	img[len(img)-1] &^= retiredFlag
-	return img
+// reencoded is the image an accepted version-3 record re-encodes as:
+// itself, with the retired engine and lane slots emptied and less the
+// retired flag bit (the flags byte is last).
+func reencoded(img []byte) []byte {
+	at := len(jobMagic)
+	for range 4 { // ID, Design, Bench, Policy
+		at += 4 + int(binary.LittleEndian.Uint32(img[at:]))
+	}
+	rest := img[at+4+int(binary.LittleEndian.Uint32(img[at:])):]
+	out := wire.AppendString(append([]byte{}, img[:at]...), "")
+	out = append(out, rest[:3*4]...) // K, MaxStates, Workers
+	out = binary.LittleEndian.AppendUint32(out, 0)
+	out = append(out, rest[4*4:]...)
+	out[len(out)-1] &^= retiredFlag
+	return out
 }
 
-// Every single-bit flip of a valid record must either decode to something
-// that re-encodes canonically or fail with ErrJobRecordCorrupt — never
-// panic, never round-trip inconsistently.
+// Every single-bit flip of a valid record — one an older daemon wrote, its
+// retired slots filled — must either decode to something that re-encodes
+// canonically or fail with ErrJobRecordCorrupt — never panic, never
+// round-trip inconsistently.
 func TestJobRecordBitFlips(t *testing.T) {
-	good := sampleRecord().encode()
+	good := parent{magic: jobMagic, engine: "batch", lanes: 4}.image(sampleRecord())
 	for i := range good {
 		for bit := 0; bit < 8; bit++ {
 			mut := append([]byte{}, good...)
@@ -151,7 +173,7 @@ func TestJobRecordBitFlips(t *testing.T) {
 				}
 				continue
 			}
-			if !bytes.Equal(rec.encode(), withoutRetiredFlag(mut)) {
+			if !bytes.Equal(rec.encode(), reencoded(mut)) {
 				t.Fatalf("flip %d/%d: accepted input does not re-encode canonically", i, bit)
 			}
 		}
@@ -160,14 +182,16 @@ func TestJobRecordBitFlips(t *testing.T) {
 
 func FuzzJobRecordRoundTrip(f *testing.F) {
 	f.Add(sampleRecord().encode())
-	f.Add(legacyImage(f, sampleRecord(), jobMagicV1, "sound"))
+	f.Add(parent{magic: jobMagicV1, engine: "kernel", rule: "sound"}.image(sampleRecord()))
 	f.Add([]byte(jobMagic))
 	f.Add([]byte(jobMagicV1))
 	f.Add([]byte("SYMSIMJ9junk"))
 	trunc := sampleRecord().encode()
 	f.Add(trunc[:len(trunc)-3])
-	f.Add(legacyImage(f, sampleRecord(), jobMagicV2, "verilog"))
-	retired := sampleRecord().encode()
+	f.Add(parent{magic: jobMagicV2, engine: "batch", rule: "verilog", lanes: 8}.image(sampleRecord()))
+	retired := parent{magic: jobMagic, engine: "batch", lanes: 4}.image(sampleRecord())
+	f.Add(retired)
+	retired = sampleRecord().encode()
 	retired[len(retired)-1] |= retiredFlag
 	f.Add(retired)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -188,8 +212,8 @@ func FuzzJobRecordRoundTrip(f *testing.F) {
 			}
 			return
 		}
-		if !bytes.Equal(enc, withoutRetiredFlag(data)) {
-			t.Fatal("accepted input does not re-encode byte-identically, less the retired flag")
+		if !bytes.Equal(enc, reencoded(data)) {
+			t.Fatal("accepted input does not re-encode byte-identically, less the retired slots and flag")
 		}
 	})
 }
@@ -289,7 +313,7 @@ func TestRetiredFlagJobRestarts(t *testing.T) {
 	if !reflect.DeepEqual(got, rec) {
 		t.Errorf("decode with the retired flag:\n got %+v\nwant %+v", got, rec)
 	}
-	if !bytes.Equal(got.encode(), withoutRetiredFlag(img)) {
+	if !bytes.Equal(got.encode(), reencoded(img)) {
 		t.Error("record with the retired flag does not re-encode without it")
 	}
 	if err := os.WriteFile(st.jobPath(rec.ID), img, 0o644); err != nil {
@@ -314,5 +338,72 @@ func TestRetiredFlagJobRestarts(t *testing.T) {
 	}
 	if data[len(data)-1]&retiredFlag != 0 {
 		t.Error("the finished job's record still carries the retired flag")
+	}
+}
+
+// TestParentEngineAndLanesJobRuns: a version-3 record an older daemon
+// wrote for a batch submission with four lanes loads as the plain spec,
+// and its job runs to done on the kernel with the tie-off list a plain
+// submission of the same cell gets from a fresh service.
+func TestParentEngineAndLanesJobRuns(t *testing.T) {
+	const mask = 0x7
+	tieOffs := func(svc *Service, id string) json.RawMessage {
+		t.Helper()
+		waitState(t, svc, id, StateDone)
+		data, err := svc.Result(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum struct {
+			TieOffs json.RawMessage `json:"tieOffs"`
+		}
+		if err := json.Unmarshal(data, &sum); err != nil {
+			t.Fatal(err)
+		}
+		return sum.TieOffs
+	}
+
+	dir := t.TempDir()
+	st, _, _, err := openStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := normalize(JobSpec{Design: "dr5", Bench: "loop"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &jobRecord{ID: "batch4", Spec: spec, State: StateQueued, Submitted: 1, CacheKey: "batch4"}
+	img := parent{magic: jobMagic, engine: "batch", lanes: 4}.image(rec)
+	got, err := decodeJobRecord(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, rec) {
+		t.Errorf("decode of the parent's record:\n got %+v\nwant %+v", got, rec)
+	}
+	if !bytes.Equal(got.encode(), reencoded(img)) {
+		t.Error("the parent's record does not re-encode with its retired slots emptied")
+	}
+	if err := os.WriteFile(st.jobPath(rec.ID), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(Config{DataDir: dir, Workers: 1, BuildPlatform: loopPlatform(t, mask), Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	restarted := tieOffs(svc, rec.ID)
+
+	fresh, err := New(Config{DataDir: t.TempDir(), Workers: 1, BuildPlatform: loopPlatform(t, mask), Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	view, err := fresh.Submit(JobSpec{Design: "dr5", Bench: "loop"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain := tieOffs(fresh, view.ID); len(plain) == 0 || !bytes.Equal(restarted, plain) {
+		t.Errorf("tie-offs of the parent's batch job differ from a plain submission's:\n parent %s\n plain  %s", restarted, plain)
 	}
 }

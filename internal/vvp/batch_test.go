@@ -131,7 +131,7 @@ func checkLaneVsFresh(t *testing.T, ctx string, b *BatchSim, lane int, sp *State
 // evaluated, and the schedule is shared: another lane's D can bring the
 // lane's X forward, past the point where a scalar run of that lane alone
 // would have kept the captured value (as old as the engine, and sound — but
-// not bit-identical; ROADMAP open item 2). So on such a trial a lane of the
+// not bit-identical; ROADMAP open item 3). So on such a trial a lane of the
 // multi-lane batch must cover its scalar shadow (checkLaneCovers) rather
 // than equal it, its halt and finish decisions and exit snapshots are not
 // compared; the one-lane batch beside it, which has nobody to share a schedule with,
@@ -641,7 +641,7 @@ func TestBatchLaneRetireCompaction(t *testing.T) {
 	step(5)
 }
 
-// TestBatchLaneCap pins the -lanes cap: admission beyond the cap is
+// TestBatchLaneCap pins BatchOptions.Lanes: admission beyond the cap is
 // rejected, admission below it succeeds.
 func TestBatchLaneCap(t *testing.T) {
 	r := rand.New(rand.NewSource(5))

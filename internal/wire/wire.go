@@ -27,13 +27,15 @@ const (
 	// crash-repaired on daemon restart.
 	JobMagic = "SYMSIMJ1"
 	// JobMagic2 identifies version 2 of the durable job record: version 1
-	// plus the spec's lane count. Version-1 records still decode, with
-	// Lanes 0 (the engine default).
+	// plus a lane-count slot after the worker count. Version-1 records
+	// still decode.
 	JobMagic2 = "SYMSIMJ2"
 	// JobMagic3 identifies version 3 of the durable job record, the one
 	// written: version 2 less the spec's X-address write rule, of which
-	// one is left. Version-1 and version-2 records still decode; their
-	// rule is read and dropped.
+	// one is left. Its engine and lane-count slots are retired: written
+	// empty and 0, and read and dropped, since every job runs on the
+	// compiled kernel. Version-1 and version-2 records still decode; their
+	// rule, engine and lane count are read and dropped.
 	JobMagic3 = "SYMSIMJ3"
 	// CacheKeyMagic identifies version 3 of the content-addressed result
 	// cache key (internal/service spec.go): a digest over the canonical

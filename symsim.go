@@ -283,7 +283,8 @@ const (
 	EngineInterp = vvp.EngineInterp
 	// EngineBatch is the bit-parallel batched kernel: up to 64 pending
 	// paths packed into two bitplanes per net and swept together in one
-	// pass over the levelized design (Config.Lanes caps the packing).
+	// pass over the levelized design. Only Config.Engine selects it; no
+	// command-line flag or job spec does.
 	EngineBatch = vvp.EngineBatch
 )
 
