@@ -28,34 +28,50 @@ func measureAllocs(f func()) (bytes, mallocs uint64) {
 	return bytes, mallocs
 }
 
+// The sinks keep a measured allocation reachable, so the compiler cannot
+// drop it; they are typed, so storing into them boxes nothing.
+var (
+	tieSink  []symsim.TieOff
+	byteSink []byte
+)
+
 // TestAllocationBudget pins what one Analyze allocates (kernel engine, one
 // worker, merge-all) on the fork-heavy inSort cells and on bm32's single
-// path: a segment allocates what the frontier and the CSM keep — one state
-// vector per fork, two where the platform specializes its children — and a
-// run builds one simulator. The byte budgets sit ~7 % above what a run
-// measures (the race detector adds ~3 %), below what a second simulator per
-// run or a second state copy per fork would add, so either coming back
-// fails here. Before the fork path stopped re-allocating the machine the
-// four cells measured 1,811,056 B / 7,250 objects, 613,360 / 6,251,
-// 1,519,072 / 7,249 and 258,032 / 2,646.
+// path: its Result, one simulator, and what the frontier and the CSM keep —
+// one state vector per fork, two where the platform specializes its
+// children. A segment allocates nothing else: no trace record without a
+// tracer, no outcome on the heap. The budgets sit ~7 % above what a run
+// measures (the race detector adds ~3 % to the bytes), below what a second
+// simulator per run, a second state copy per fork or one heap object per
+// segment (191, 95 and 191 segments on the inSort cells) would add, so any
+// of them coming back fails here. Before the fork path stopped
+// re-allocating the machine the four cells measured 1,811,056 B / 7,250
+// objects, 613,360 / 6,251, 1,519,072 / 7,249 and 258,032 / 2,646; before
+// the trace records and the outcome left the segment's heap, 503,376 /
+// 668, 216,512 / 423, 363,984 / 667 and 147,104 / 71.
+//
+// The tie-off list is one slice of its final length: Result.TieOffs makes
+// one allocation of at most 8 B per tie-off, rounded up as the allocator
+// rounds a request of that size.
 func TestAllocationBudget(t *testing.T) {
 	for _, c := range []struct {
 		design         symsim.Design
 		bench          string
 		bytes, mallocs uint64
 	}{
-		{symsim.BM32, "inSort", 560_000, 1_100},
-		{symsim.OMSP430, "inSort", 255_000, 650},
-		{symsim.DR5, "inSort", 408_000, 1_100},
-		{symsim.BM32, "tea8", 180_000, 100},
+		{symsim.BM32, "inSort", 470_000, 199},
+		{symsim.OMSP430, "inSort", 198_000, 195},
+		{symsim.DR5, "inSort", 321_000, 199},
+		{symsim.BM32, "tea8", 158_000, 72},
 	} {
 		p, err := symsim.BuildPlatform(c.design, c.bench)
 		if err != nil {
 			t.Fatal(err)
 		}
 		reg := obs.NewRegistry()
+		var res *symsim.Result
 		bytes, mallocs := measureAllocs(func() {
-			if _, err := symsim.Analyze(p, symsim.Config{Metrics: reg}); err != nil {
+			if res, err = symsim.Analyze(p, symsim.Config{Metrics: reg}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -63,6 +79,15 @@ func TestAllocationBudget(t *testing.T) {
 		if bytes > c.bytes || mallocs > c.mallocs {
 			t.Errorf("%s/%s: Analyze allocated %d B in %d objects, budget %d B in %d",
 				c.design, c.bench, bytes, mallocs, c.bytes, c.mallocs)
+		}
+
+		n := res.TotalGates - res.ExercisableCount
+		want, _ := measureAllocs(func() { byteSink = make([]byte, 8*n) })
+		bytes, mallocs = measureAllocs(func() { tieSink = res.TieOffs() })
+		t.Logf("%s/%s: TieOffs %d B, %d mallocs for %d tie-offs", c.design, c.bench, bytes, mallocs, n)
+		if got := len(res.TieOffs()); got != n || mallocs != 1 || bytes > want {
+			t.Errorf("%s/%s: TieOffs listed %d of %d tie-offs in %d B and %d objects, budget %d B in 1",
+				c.design, c.bench, got, n, bytes, mallocs, want)
 		}
 	}
 

@@ -77,15 +77,14 @@ func TestCoordinatorMetricsCatalog(t *testing.T) {
 		"symsim_segment_cycles",
 		"symsim_vvp_gate_evals_total",
 		"symsim_vvp_kernel_sweeps_total",
-		"symsim_vvp_lane_occupancy",
 	}
 	if got := familyNames(t, tc.coord.cfg.Metrics); !reflect.DeepEqual(got, want) {
 		t.Errorf("coordinator families:\n got %q\nwant %q", got, want)
 	}
 }
 
-// The catalog of a worker's registry: its own series and the lane occupancy
-// of the explorers it drives.
+// The catalog of a worker's registry: its own series. The explorers it
+// drives run the kernel, which has no lanes to count.
 func TestWorkerMetricsCatalog(t *testing.T) {
 	tc := catalogRun(t)
 	want := []string{
@@ -95,7 +94,6 @@ func TestWorkerMetricsCatalog(t *testing.T) {
 		"symsim_cluster_worker_units_failed_total",
 		"symsim_cluster_worker_units_reported_total",
 		"symsim_cluster_worker_units_stale_total",
-		"symsim_vvp_lane_occupancy",
 	}
 	if got := familyNames(t, tc.workers[0].Metrics); !reflect.DeepEqual(got, want) {
 		t.Errorf("worker families:\n got %q\nwant %q", got, want)

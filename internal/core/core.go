@@ -18,8 +18,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -441,7 +443,7 @@ func AnalyzeContext(ctx context.Context, p *Platform, cfg Config) (*Result, erro
 		a.drivers.Add(1)
 		go func() {
 			defer a.drivers.Done()
-			x := explorer{p: p, cfg: &a.cfg, src: a, laneOcc: a.m.laneOcc}
+			x := explorer{p: p, cfg: &a.cfg, src: a}
 			if err := x.explore(); err != nil {
 				a.fail(err)
 			}
@@ -563,7 +565,7 @@ func (a *analysis) tripStop(t Trip) {
 // holds a.mu.
 func (a *analysis) recordTrip(t Trip) {
 	a.m.trips.With(t.String()).Inc()
-	a.cfg.Tracer.Emit(obs.TripRec{
+	obs.Emit(a.cfg.Tracer, obs.TripRec{
 		T:         obs.RecTrip,
 		Trip:      t.String(),
 		ElapsedMS: time.Since(a.start).Milliseconds(),
@@ -645,7 +647,7 @@ func (a *analysis) admitLocked() (id int, e entry, ok bool) {
 		}
 		a.res.PathsSuperseded++
 		a.m.paths.With(obs.EndSuperseded).Inc()
-		a.cfg.Tracer.Emit(obs.Span{
+		obs.Emit(a.cfg.Tracer, obs.Span{
 			T:       obs.RecSpan,
 			ID:      -1,
 			Parent:  e.parent,
@@ -753,7 +755,7 @@ func (a *analysis) settle(out *pathOutcome, wall time.Duration) bool {
 	if out.quarantine != nil {
 		a.m.quarantines.Inc()
 	}
-	a.cfg.Tracer.Emit(obs.Span{
+	obs.Emit(a.cfg.Tracer, obs.Span{
 		T:       obs.RecSpan,
 		ID:      out.stat.ID,
 		Parent:  e.parent,
@@ -958,7 +960,7 @@ func (a *analysis) finish() {
 		a.res.Complete = true
 	}
 
-	sort.Slice(a.res.Paths, func(i, j int) bool { return a.res.Paths[i].ID < a.res.Paths[j].ID })
+	slices.SortFunc(a.res.Paths, func(p, q PathStat) int { return cmp.Compare(p.ID, q.ID) })
 
 	a.res.ExercisableGates = make([]bool, len(a.p.Design.Gates))
 	for gi := range a.p.Design.Gates {
@@ -973,7 +975,7 @@ func (a *analysis) finish() {
 	if a.res.Complete {
 		a.m.runsComplete.Inc()
 	}
-	a.cfg.Tracer.Emit(obs.Done{
+	obs.Emit(a.cfg.Tracer, obs.Done{
 		T:               obs.RecDone,
 		Complete:        a.res.Complete,
 		PathsCreated:    a.res.PathsCreated,
@@ -1102,8 +1104,15 @@ func (a *analysis) loadResume(c *Checkpoint) error {
 // TieOffs derives the bespoke tie-off list from a result: one constant per
 // unexercisable gate (paper §3: "fanout values of pruned gates are set to
 // the constant value seen during the symbolic simulation").
+//
+// The list is one slice of exactly its final length; it is nil when every
+// gate is exercisable.
 func (r *Result) TieOffs() []netlist.TieOff {
-	var ties []netlist.TieOff
+	n := len(r.Design.Gates) - r.ExercisableCount
+	if n == 0 {
+		return nil
+	}
+	ties := make([]netlist.TieOff, 0, n)
 	for gi := range r.Design.Gates {
 		if !r.ExercisableGates[gi] {
 			ties = append(ties, netlist.TieOff{

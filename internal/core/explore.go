@@ -138,7 +138,8 @@ type explorer struct {
 	p   *Platform
 	cfg *Config
 	src source
-	// laneOcc is symsim_vvp_lane_occupancy in the driver's registry.
+	// laneOcc is symsim_vvp_lane_occupancy in the driver's registry, nil
+	// unless the engine is batch.
 	laneOcc *obs.Histogram
 	// eng is built on first use and dropped when a panic escapes it.
 	eng laneEngine
@@ -151,12 +152,14 @@ type explorer struct {
 	occupied uint64
 	lane     []segment
 	// toggled, endVals and halt are the scratch every outcome's profile and
-	// halt state are read into: the source's settle absorbs, copies or
-	// encodes them and retains none. A scalar engine hands out its own
-	// toggle and value storage instead and leaves the first two nil.
+	// halt state are read into, and out the outcome itself: the source's
+	// settle absorbs, copies or encodes them and retains none. A scalar
+	// engine hands out its own toggle and value storage instead and leaves
+	// the first two nil.
 	toggled []bool
 	endVals []logic.Value
 	halt    vvp.State
+	out     pathOutcome
 	// Attribution marks. Lanes share each engine pass, so a settled
 	// segment is charged the engine effort and wall time since this
 	// explorer's previous settlement; the sums over a run are exact.
@@ -170,6 +173,7 @@ type explorer struct {
 // occupied lanes unsettled: the run yields the error and no result.
 func (x *explorer) explore() error {
 	x.lane = make([]segment, x.cfg.lanes)
+	x.laneOcc = laneOccupancy(x.cfg)
 	for {
 		fresh, ok := x.admit()
 		if !ok {
@@ -335,11 +339,10 @@ func (x *explorer) retire(m, fin, hal uint64) {
 	for ; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros64(m)
 		bit := uint64(1) << uint(l)
-		var out pathOutcome
-		if !x.contain(func() { out = x.outcome(l, fin&bit != 0, hal&bit != 0) }) {
+		if !x.contain(func() { x.out = x.outcome(l, fin&bit != 0, hal&bit != 0) }) {
 			return // the panic quarantined this lane and every one after it
 		}
-		x.settle(l, &out)
+		x.settle(l, &x.out)
 	}
 	if x.cold && x.occupied == 0 {
 		x.eng, x.cold = nil, false

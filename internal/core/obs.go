@@ -24,7 +24,6 @@ type coreMetrics struct {
 	cycles       *obs.Counter
 	evals        *obs.Counter
 	sweeps       *obs.Counter
-	laneOcc      *obs.Histogram
 	trips        *obs.CounterVec // by trip cause
 	quarantines  *obs.Counter
 	pruned       *obs.Counter
@@ -48,7 +47,6 @@ func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 			"Gate evaluations executed by the simulation engines."),
 		sweeps: reg.Counter("symsim_vvp_kernel_sweeps_total",
 			"Level bitmap rounds executed by the compiled kernel."),
-		laneOcc: laneOccupancy(reg),
 		trips: reg.CounterVec("symsim_budget_trips_total",
 			"Governance stops by cause.", "trip"),
 		quarantines: reg.Counter("symsim_quarantines_total",
@@ -58,10 +56,14 @@ func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 	}
 }
 
-// laneOccupancy is the one series an explorer publishes itself; a driver
-// away from the run's state (Explore) registers it alone.
-func laneOccupancy(reg *obs.Registry) *obs.Histogram {
-	return reg.Histogram("symsim_vvp_lane_occupancy",
+// laneOccupancy is the one series an explorer publishes itself. Only a
+// batch explorer has lanes to count, so the series is registered only when
+// the run's engine is batch; otherwise it is nil and observes nothing.
+func laneOccupancy(cfg *Config) *obs.Histogram {
+	if cfg.Engine != vvp.EngineBatch {
+		return nil
+	}
+	return cfg.Metrics.Histogram("symsim_vvp_lane_occupancy",
 		"Occupied lanes per batch-engine admission round.", obs.ExpBuckets(1, 2, 7))
 }
 
@@ -80,7 +82,7 @@ func (a *analysis) onDecision(path int, st vvp.State, d csm.Decision) {
 		}
 	}
 	a.m.decisions.With(verdict).Inc()
-	a.cfg.Tracer.Emit(obs.Decision{
+	obs.Emit(a.cfg.Tracer, obs.Decision{
 		T:       obs.RecDecision,
 		Path:    path,
 		PC:      st.PC,

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -284,12 +285,9 @@ func familyNames(t *testing.T, reg *obs.Registry) []string {
 
 // The catalog of a core run's registry (DESIGN §10). Each series sums over
 // the runs sharing the registry; a new one is added here, deliberately,
-// along with the test or benchmark metric that reads it.
+// along with the test or benchmark metric that reads it. Lane occupancy is
+// registered only by a batch run: no other engine has lanes to count.
 func TestCoreMetricsCatalog(t *testing.T) {
-	reg := obs.NewRegistry()
-	if _, err := core.Analyze(buildLoop(t, 0x3), core.Config{Metrics: reg}); err != nil {
-		t.Fatal(err)
-	}
 	want := []string{
 		"symsim_budget_trips_total",
 		"symsim_csm_decisions_total",
@@ -303,10 +301,21 @@ func TestCoreMetricsCatalog(t *testing.T) {
 		"symsim_segment_cycles",
 		"symsim_vvp_gate_evals_total",
 		"symsim_vvp_kernel_sweeps_total",
-		"symsim_vvp_lane_occupancy",
 	}
-	if got := familyNames(t, reg); !reflect.DeepEqual(got, want) {
-		t.Errorf("core families:\n got %q\nwant %q", got, want)
+	for _, c := range []struct {
+		engine vvp.Engine
+		want   []string
+	}{
+		{vvp.EngineKernel, want},
+		{vvp.EngineBatch, append(slices.Clone(want), "symsim_vvp_lane_occupancy")},
+	} {
+		reg := obs.NewRegistry()
+		if _, err := core.Analyze(buildLoop(t, 0x3), core.Config{Metrics: reg, Engine: c.engine}); err != nil {
+			t.Fatal(err)
+		}
+		if got := familyNames(t, reg); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s core families:\n got %q\nwant %q", c.engine, got, c.want)
+		}
 	}
 }
 

@@ -64,7 +64,7 @@ func Open(ctx context.Context, p *Platform, cfg Config) (*Run, error) {
 	}
 
 	a.m.runs.Inc()
-	cfg.Tracer.Emit(obs.Meta{
+	obs.Emit(cfg.Tracer, obs.Meta{
 		T:       obs.RecMeta,
 		Design:  p.Design.Name,
 		Bench:   p.Bench,
@@ -268,7 +268,7 @@ func Explore(p *Platform, cfg Config, src Source) error {
 		return err
 	}
 	w := &wireSource{p: p, src: src}
-	x := explorer{p: p, cfg: &cfg, src: w, laneOcc: laneOccupancy(cfg.Metrics)}
+	x := explorer{p: p, cfg: &cfg, src: w}
 	return errors.Join(x.explore(), w.err)
 }
 

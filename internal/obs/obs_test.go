@@ -157,14 +157,14 @@ func TestPrometheusExpositionShape(t *testing.T) {
 func TestTracerRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
-	tr.Emit(Meta{T: RecMeta, Design: "cpu8", Bench: "fib", Policy: "exact", Engine: "kernel", Workers: 4})
-	tr.Emit(Span{T: RecSpan, ID: 0, Parent: -1, End: "forked", HaltPC: 0x10, Cycles: 100, WallUS: 1500})
-	tr.Emit(Span{T: RecSpan, ID: 1, Parent: 0, StartPC: 0x10, Forced: "1", End: "finished", Cycles: 50, WallUS: 800})
-	tr.Emit(Span{T: RecSpan, ID: 2, Parent: 0, StartPC: 0x10, Forced: "0", End: "subsumed", HaltPC: 0x10, Cycles: 10, WallUS: 90})
-	tr.Emit(Decision{T: RecDecision, Path: 2, PC: 0x10, Verdict: "subsumed", States: 1})
-	tr.Emit(Decision{T: RecDecision, Path: 1, PC: 0x20, Verdict: "merged", XGained: 3, States: 2})
-	tr.Emit(TripRec{T: RecTrip, Trip: "wall clock budget", ElapsedMS: 42})
-	tr.Emit(Done{T: RecDone, Complete: true, PathsCreated: 3, PathsSkipped: 1, Cycles: 160, Exercisable: 5, TotalGates: 9, CSMStates: 2, ElapsedMS: 7})
+	Emit(tr, Meta{T: RecMeta, Design: "cpu8", Bench: "fib", Policy: "exact", Engine: "kernel", Workers: 4})
+	Emit(tr, Span{T: RecSpan, ID: 0, Parent: -1, End: "forked", HaltPC: 0x10, Cycles: 100, WallUS: 1500})
+	Emit(tr, Span{T: RecSpan, ID: 1, Parent: 0, StartPC: 0x10, Forced: "1", End: "finished", Cycles: 50, WallUS: 800})
+	Emit(tr, Span{T: RecSpan, ID: 2, Parent: 0, StartPC: 0x10, Forced: "0", End: "subsumed", HaltPC: 0x10, Cycles: 10, WallUS: 90})
+	Emit(tr, Decision{T: RecDecision, Path: 2, PC: 0x10, Verdict: "subsumed", States: 1})
+	Emit(tr, Decision{T: RecDecision, Path: 1, PC: 0x20, Verdict: "merged", XGained: 3, States: 2})
+	Emit(tr, TripRec{T: RecTrip, Trip: "wall clock budget", ElapsedMS: 42})
+	Emit(tr, Done{T: RecDone, Complete: true, PathsCreated: 3, PathsSkipped: 1, Cycles: 160, Exercisable: 5, TotalGates: 9, CSMStates: 2, ElapsedMS: 7})
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -216,12 +216,30 @@ func TestReadTraceMalformed(t *testing.T) {
 
 func TestNilTracer(t *testing.T) {
 	var tr *Tracer
-	tr.Emit(Span{})
+	Emit(tr, Span{})
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNilTracerEmitAllocatesNothing pins that an untraced run pays no
+// allocation per record: Emit returns on a nil tracer before the record is
+// boxed into the encoder's interface.
+func TestNilTracerEmitAllocatesNothing(t *testing.T) {
+	var tr *Tracer
+	for name, emit := range map[string]func(){
+		"meta":     func() { Emit(tr, Meta{T: RecMeta, Design: "cpu8", Policy: "exact", Engine: "kernel", Workers: 1}) },
+		"span":     func() { Emit(tr, Span{T: RecSpan, ID: 1, End: "forked", Cycles: 50}) },
+		"decision": func() { Emit(tr, Decision{T: RecDecision, Path: 1, Verdict: "merged", XGained: 3}) },
+		"trip":     func() { Emit(tr, TripRec{T: RecTrip, Trip: "wall clock budget"}) },
+		"done":     func() { Emit(tr, Done{T: RecDone, Complete: true, PathsCreated: 3}) },
+	} {
+		if n := testing.AllocsPerRun(100, emit); n != 0 {
+			t.Errorf("%s record to a nil tracer: %v allocations, want 0", name, n)
+		}
 	}
 }
 

@@ -129,9 +129,16 @@ func NewTracer(w io.Writer) *Tracer {
 	return &Tracer{w: bw, enc: json.NewEncoder(bw)}
 }
 
-// Emit writes one record. The first write error is retained (see Err) and
-// later records are dropped.
-func (t *Tracer) Emit(rec any) {
+// Record is the set of trace record types.
+type Record interface {
+	Meta | Span | Decision | TripRec | Done
+}
+
+// Emit writes one record to t, the one way a trace record is written. A nil
+// t returns before the record is boxed, so an untraced run allocates
+// nothing here. The first write error is retained (see Err) and later
+// records are dropped.
+func Emit[R Record](t *Tracer, rec R) {
 	if t == nil {
 		return
 	}

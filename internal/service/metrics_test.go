@@ -242,7 +242,6 @@ func TestServiceMetricsCatalog(t *testing.T) {
 		"symsim_service_tmp_reaped_total",
 		"symsim_vvp_gate_evals_total",
 		"symsim_vvp_kernel_sweeps_total",
-		"symsim_vvp_lane_occupancy",
 	}
 	if got := familyNames(t, reg); !reflect.DeepEqual(got, want) {
 		t.Errorf("service families:\n got %q\nwant %q", got, want)

@@ -242,7 +242,7 @@ func (s *BatchSim) setQuiet() {
 // Design returns the netlist under simulation.
 func (s *BatchSim) Design() *netlist.Netlist { return s.d }
 
-// LaneCap returns the admissible lane count (the -lanes cap, default 64).
+// LaneCap returns the admissible lane count (BatchOptions.Lanes, default 64).
 func (s *BatchSim) LaneCap() int { return s.laneCap }
 
 // ActiveLanes returns the mask of occupied lanes.
