@@ -13,12 +13,12 @@
 //
 // The analysis-tuning flags (policy, workers, budgets) are the same
 // vocabulary as cmd/symsim's (internal/cliflags, which is also the JSON
-// spec of both APIs). Here they are defaults for POST /jobs: a submission
+// body of POST /jobs). Here they are defaults for POST /jobs: a submission
 // that leaves a field empty gets the daemon's value, then the flag
-// default. Every job and every fleet slot runs on the compiled kernel;
-// there is no -engine or -lanes, and a body that names them is read
-// without them. POST /cluster/runs (-coordinator) fills from the flag
-// defaults alone, so a run means the same analysis on every coordinator.
+// default. Every job runs on the compiled kernel; there is no -engine or
+// -lanes, and a body that names them is read without them. The daemon
+// serves jobs only: it has no fleet mode, and the distributed explorer
+// (internal/cluster) is a library the benchmark drives.
 // SIGINT/SIGTERM drain gracefully: the HTTP listener stops, running jobs
 // are canceled and re-queued, losing the work they had done, and the queue
 // is preserved on disk for the next start.
@@ -47,28 +47,23 @@ import (
 	"time"
 
 	"symsim/internal/cliflags"
-	"symsim/internal/cluster"
 	"symsim/internal/service"
 )
 
 func main() {
 	var (
-		listen     = flag.String("listen", "localhost:8466", "HTTP listen address")
-		dataDir    = flag.String("data", "symsimd-data", "durable state directory (jobs, results, cache)")
-		jobs       = flag.Int("jobs", 2, "concurrent analysis jobs (each job additionally uses its own -workers path workers)")
-		queueCap   = flag.Int("queue", 64, "pending-job queue capacity; submissions beyond it get HTTP 429")
-		progress   = flag.Duration("progress-every", 250*time.Millisecond, "progress heartbeat interval streamed to subscribers")
-		keepAlive  = flag.Duration("sse-keepalive", 15*time.Second, "SSE comment-line keep-alive interval (defeats proxy idle timeouts)")
-		debug      = flag.String("debug", "", "debug listen address for net/http/pprof (e.g. localhost:8467; empty = off)")
-		defaults   = cliflags.Register(flag.CommandLine)
-		clusterCfg = cliflags.RegisterCluster(flag.CommandLine)
+		listen    = flag.String("listen", "localhost:8466", "HTTP listen address")
+		dataDir   = flag.String("data", "symsimd-data", "durable state directory (jobs, results, cache)")
+		jobs      = flag.Int("jobs", 2, "concurrent analysis jobs (each job additionally uses its own -workers path workers)")
+		queueCap  = flag.Int("queue", 64, "pending-job queue capacity; submissions beyond it get HTTP 429")
+		progress  = flag.Duration("progress-every", 250*time.Millisecond, "progress heartbeat interval streamed to subscribers")
+		keepAlive = flag.Duration("sse-keepalive", 15*time.Second, "SSE comment-line keep-alive interval (defeats proxy idle timeouts)")
+		debug     = flag.String("debug", "", "debug listen address for net/http/pprof (e.g. localhost:8467; empty = off)")
+		defaults  = cliflags.Register(flag.CommandLine)
 	)
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "symsimd: ", log.LstdFlags)
-	if clusterCfg.Coordinator && clusterCfg.Worker != "" {
-		logger.Fatalf("-coordinator and -worker are mutually exclusive: a daemon either hosts the runs' state or drives it")
-	}
 	svc, err := service.New(service.Config{
 		DataDir:       *dataDir,
 		Workers:       *jobs,
@@ -82,22 +77,7 @@ func main() {
 		logger.Fatal(err)
 	}
 
-	handler := service.Handler(svc)
-	var coord *cluster.Coordinator
-	if clusterCfg.Coordinator {
-		// Coordinator mode mounts the cluster API next to the job API.
-		coord = cluster.NewCoordinator(cluster.Config{
-			LeaseTTL: clusterCfg.LeaseTTL,
-			Logf:     func(format string, args ...any) { logger.Printf(format, args...) },
-		})
-		mux := http.NewServeMux()
-		mux.Handle("/cluster/", coord.Handler())
-		mux.Handle("/", handler)
-		handler = mux
-		logger.Printf("cluster coordinator enabled (lease TTL %v)", clusterCfg.LeaseTTL)
-	}
-
-	server := &http.Server{Addr: *listen, Handler: handler}
+	server := &http.Server{Addr: *listen, Handler: service.Handler(svc)}
 
 	if *debug != "" {
 		// pprof lives on its own listener (normally loopback-only) so
@@ -127,23 +107,6 @@ func main() {
 	go func() { errCh <- server.ListenAndServe() }()
 	logger.Printf("listening on %s (data %s, %d job workers, queue %d)", *listen, *dataDir, *jobs, *queueCap)
 
-	workerDone := make(chan struct{})
-	if clusterCfg.Worker != "" {
-		w := &cluster.Worker{
-			Coordinator: clusterCfg.Worker,
-			Slots:       clusterCfg.Slots,
-			Name:        *listen,
-			Logf:        func(format string, args ...any) { logger.Printf(format, args...) },
-		}
-		go func() {
-			defer close(workerDone)
-			_ = w.Run(ctx) // returns ctx.Err() once the drain signal fires
-		}()
-		logger.Printf("cluster worker enabled: pulling from %s (%d slots)", clusterCfg.Worker, clusterCfg.Slots)
-	} else {
-		close(workerDone)
-	}
-
 	select {
 	case <-ctx.Done():
 		logger.Printf("shutdown signal: draining")
@@ -159,18 +122,6 @@ func main() {
 	defer cancel()
 	if err := server.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Printf("http shutdown: %v", err)
-	}
-	// The worker's lease loop stops with the signal context; wait for its
-	// explorers to hand their segments back (settled as interrupted, partial
-	// progress included) before draining. A segment that does not make it
-	// simply lease-expires at the coordinator — by design, nothing is lost.
-	select {
-	case <-workerDone:
-	case <-shutdownCtx.Done():
-		logger.Printf("worker did not settle in time; its leases will expire at the coordinator")
-	}
-	if coord != nil {
-		coord.Close()
 	}
 	svc.Drain()
 	logger.Printf("drained, bye")

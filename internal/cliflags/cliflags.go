@@ -1,9 +1,9 @@
 // Package cliflags is the single definition of the analysis vocabulary:
 // what analysis to run, written once as Spec. The same struct is the flag
 // set cmd/symsim and cmd/symsimd register (Register), the JSON body of
-// POST /jobs and POST /cluster/runs (service.JobSpec and cluster.RunSpec
-// are aliases of it), the spec a durable job record persists and the spec
-// a lease carries to a worker. One Normalize fills what a request left out
+// POST /jobs (service.JobSpec is an alias of it), the spec a durable job
+// record persists, and the spec the distributed explorer's library API
+// takes (cluster.RunSpec) and its leases carry to a worker. One Normalize fills what a request left out
 // and rejects what no door accepts, and one Config maps the result to a
 // core.Config, so a request means the same analysis whichever door it
 // came through. Every door runs the compiled kernel, one path segment per
@@ -160,27 +160,6 @@ func (s Spec) Config() (core.Config, error) {
 	var err error
 	cfg.Policy, err = NewPolicy(s.Policy, s.K, s.MaxStates)
 	return cfg, err
-}
-
-// Cluster holds the parsed cluster-mode flags (cmd/symsimd only): one
-// daemon serves the coordination API, the others pull work from it.
-type Cluster struct {
-	Coordinator bool
-	Worker      string
-	LeaseTTL    time.Duration
-	Slots       int
-}
-
-// RegisterCluster installs the cluster-mode flags on fs. Like Register,
-// it is the single definition of the vocabulary, so the flag parity test
-// pins these names too.
-func RegisterCluster(fs *flag.FlagSet) *Cluster {
-	c := &Cluster{}
-	fs.BoolVar(&c.Coordinator, "coordinator", false, "serve the cluster coordination API under /cluster/ next to the job API: the state of every distributed run (frontier, CSM, toggle profile)")
-	fs.StringVar(&c.Worker, "worker", "", "lease path segments from the coordinator at this base URL (e.g. http://host:8466), simulate them and report back")
-	fs.DurationVar(&c.LeaseTTL, "shard-lease-ttl", 10*time.Second, "path-segment lease TTL: a leased segment with no progress heartbeat this long is put back and leased again under a new epoch (coordinator mode)")
-	fs.IntVar(&c.Slots, "worker-slots", 1, "explorers this worker runs concurrently (worker mode)")
-	return c
 }
 
 // NewPolicy constructs the CSM manager a policy name and its parameter

@@ -28,12 +28,6 @@ var sharedFlagNames = []string{
 	"max-sim-cycles", "max-states", "policy", "workers",
 }
 
-// clusterFlagNames is the cmd/symsimd cluster-mode vocabulary registered
-// through RegisterCluster, pinned the same way.
-var clusterFlagNames = []string{
-	"coordinator", "shard-lease-ttl", "worker", "worker-slots",
-}
-
 func registered(fs *flag.FlagSet) []string {
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
@@ -74,46 +68,6 @@ func TestBothCommandsParseTheSameFlagSet(t *testing.T) {
 	}
 	if aCLI.DeadlineMS != 90_000 || aCLI.K != 7 {
 		t.Errorf("parsed values wrong: %+v", aCLI)
-	}
-}
-
-// TestClusterFlagsPinnedAndDisjoint registers the daemon's full flag
-// surface the way cmd/symsimd does — shared analysis flags plus the
-// cluster-mode flags — and checks (a) RegisterCluster's vocabulary is
-// exactly the documented one, (b) it never collides with the shared
-// analysis names (both register on one FlagSet in the daemon; a collision
-// panics at startup), and (c) the values parse where they should.
-func TestClusterFlagsPinnedAndDisjoint(t *testing.T) {
-	fs := flag.NewFlagSet("symsimd", flag.ContinueOnError)
-	cliflags.Register(fs)
-	cl := cliflags.RegisterCluster(fs)
-
-	want := append(append([]string{}, sharedFlagNames...), clusterFlagNames...)
-	sort.Strings(want)
-	if got := registered(fs); !reflect.DeepEqual(got, want) {
-		t.Errorf("daemon flag surface drifted:\n got %v\nwant %v", got, want)
-	}
-
-	if err := fs.Parse([]string{
-		"-coordinator", "-shard-lease-ttl", "3s", "-worker-slots", "2",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !cl.Coordinator || cl.LeaseTTL != 3*time.Second || cl.Slots != 2 {
-		t.Errorf("parsed cluster flags = %+v", cl)
-	}
-	if cl.Worker != "" {
-		t.Errorf("worker URL should default empty, got %q", cl.Worker)
-	}
-
-	fs2 := flag.NewFlagSet("symsimd", flag.ContinueOnError)
-	cliflags.Register(fs2)
-	cl2 := cliflags.RegisterCluster(fs2)
-	if err := fs2.Parse([]string{"-worker", "http://coord:8466"}); err != nil {
-		t.Fatal(err)
-	}
-	if cl2.Worker != "http://coord:8466" || cl2.Coordinator {
-		t.Errorf("parsed worker flags = %+v", cl2)
 	}
 }
 

@@ -14,14 +14,14 @@ import (
 )
 
 // TestOneVocabulary drives under- and mis-specified requests through the
-// three doors an analysis can come in by — the flags of cmd/symsim
-// (Register → Normalize/Config), POST /jobs (Service.Submit, on a service
-// with no daemon defaults) and POST /cluster/runs (Coordinator.NewRun) —
-// and requires one answer: the same normalized spec, echoed alike by the
-// job view and the run status, or a rejection from all three. A body is
-// decoded as the two HTTP doors decode it, so a field the spec no longer
-// has — an older client's engine or lane count — is ignored there, and
-// the flags cannot say it (TestBatchEngineFlags).
+// two doors an analysis can come in by — the flags of cmd/symsim
+// (Register → Normalize/Config) and POST /jobs (Service.Submit, on a
+// service with no daemon defaults) — and through the fleet library's
+// Coordinator.NewRun, and requires one answer: the same normalized spec,
+// echoed alike by the job view and the run status, or a rejection from all
+// three. A body is decoded as the HTTP door decodes it, so a field the
+// spec no longer has — an older client's engine or lane count — is
+// ignored there, and the flags cannot say it (TestBatchEngineFlags).
 func TestOneVocabulary(t *testing.T) {
 	svc, err := service.New(service.Config{DataDir: t.TempDir(), Workers: 1, Metrics: obs.NewRegistry()})
 	if err != nil {
@@ -89,12 +89,12 @@ func TestOneVocabulary(t *testing.T) {
 			if tc.want == nil {
 				var bad *service.BadSpecError
 				if flagErr == nil || !errors.As(jobErr, &bad) || !errors.Is(runErr, cluster.ErrBadPayload) {
-					t.Fatalf("want a rejection at every door, got flags: %v, /jobs: %v, /cluster/runs: %v", flagErr, jobErr, runErr)
+					t.Fatalf("want a rejection from all three, got flags: %v, /jobs: %v, NewRun: %v", flagErr, jobErr, runErr)
 				}
 				return
 			}
 			if flagErr != nil || jobErr != nil || runErr != nil {
-				t.Fatalf("want every door open, got flags: %v, /jobs: %v, /cluster/runs: %v", flagErr, jobErr, runErr)
+				t.Fatalf("want all three to accept, got flags: %v, /jobs: %v, NewRun: %v", flagErr, jobErr, runErr)
 			}
 			fromFlags, err := a.Normalize(nil)
 			if err != nil {
@@ -105,7 +105,7 @@ func TestOneVocabulary(t *testing.T) {
 				t.Fatal(err)
 			}
 			if fromFlags != *tc.want || view.Spec != *tc.want || st.Spec != *tc.want {
-				t.Errorf("normalized spec\n flags         %+v\n /jobs         %+v\n /cluster/runs %+v\n want          %+v", fromFlags, view.Spec, st.Spec, *tc.want)
+				t.Errorf("normalized spec\n flags  %+v\n /jobs  %+v\n NewRun %+v\n want   %+v", fromFlags, view.Spec, st.Spec, *tc.want)
 			}
 		})
 	}

@@ -22,14 +22,10 @@ import (
 // segment already put back bounces off the epoch fence.
 type coordClient struct {
 	base string
-	hc   *http.Client
 }
 
-func newCoordClient(base string, hc *http.Client) *coordClient {
-	if hc == nil {
-		hc = httpx.Unary
-	}
-	return &coordClient{base: strings.TrimRight(base, "/"), hc: hc}
+func newCoordClient(base string) *coordClient {
+	return &coordClient{base: strings.TrimRight(base, "/")}
 }
 
 // call issues one request with idempotent-retry semantics and maps the
@@ -44,7 +40,7 @@ func (cc *coordClient) call(method, path string, in, out any) (int, error) {
 			return 0, err
 		}
 	}
-	resp, err := httpx.Do(cc.hc, func() (*http.Request, error) {
+	resp, err := httpx.Do(httpx.Unary, func() (*http.Request, error) {
 		var rd io.Reader
 		if in != nil {
 			rd = bytes.NewReader(body)
@@ -139,7 +135,7 @@ func (cc *coordClient) heartbeat(runID string, refs []leaseRef) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := cc.hc.Do(req)
+	resp, err := httpx.Unary.Do(req)
 	if err != nil {
 		return err
 	}

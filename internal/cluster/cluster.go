@@ -1,26 +1,32 @@
-// Package cluster runs one symbolic co-analysis across a fleet of symsimd
-// processes by splitting Algorithm 1 where internal/core already splits it,
-// at admit and settle: a coordinator hosts the run's state — core.Run: the
-// frontier, the Conservative State Manager, the toggle profile, path IDs —
-// and workers run the driver, core.Explore, against it over HTTP. There is
-// no second frontier, fork rule or profile fold: what a worker leases is
-// what core.Run.Admit handed out, and what it reports is what
+// Package cluster runs one symbolic co-analysis across a fleet of
+// explorers over HTTP by splitting Algorithm 1 where internal/core already
+// splits it, at admit and settle: a coordinator hosts the run's state —
+// core.Run: the frontier, the Conservative State Manager, the toggle
+// profile, path IDs — and workers run the driver, core.Explore, against it.
+// There is no second frontier, fork rule or profile fold: what a worker
+// leases is what core.Run.Admit handed out, and what it reports is what
 // core.Run.Settle absorbs, forks and publishes (DESIGN.md §14).
+//
+// The package is a library with no user-facing entry point: no command
+// starts a coordinator or a worker, and a run is opened with NewRun and
+// collected with Wait in the coordinator's own process. It is kept for the
+// benchmark's fleet workload, which has not measured it faster than the
+// in-process explorers of core.Analyze (DESIGN.md §14).
 //
 //   - A lease is one path segment for the asking worker slot: a path ID,
 //     the work encoding of its frontier entry, and a lease epoch. A slot
 //     holds one segment at a time, on the compiled kernel. A report settles
 //     it and its response carries the slot's next segment, so a busy worker
 //     costs one round trip per segment.
-//   - Leases lapse like the job leases of internal/service: a segment whose
-//     worker stops heartbeating is put back on the frontier and handed out
-//     again under the same path ID and epoch+1, and every RPC from the dead
-//     epoch is fenced with 409. A segment is absorbed exactly once because
-//     settling takes it out of flight, whatever the retries.
-//   - A run is requested with the job API's spec (RunSpec) and answered
-//     with the job API's result view, tie-off list included.
+//   - A lease lapses when its worker stops heartbeating: the segment is put
+//     back on the frontier and handed out again under the same path ID and
+//     epoch+1, and every RPC from the dead epoch is fenced with 409. A
+//     segment is absorbed exactly once because settling takes it out of
+//     flight, whatever the retries.
+//   - A run is requested with the job API's spec (RunSpec), normalized by
+//     the same Normalize, and answered with a core.Result.
 //
-// Transport is the stdlib HTTP the daemon already speaks, through the
+// Transport between worker and coordinator is stdlib HTTP, through the
 // shared hardened client in internal/httpx (real timeouts, jittered
 // retries).
 package cluster
@@ -38,7 +44,7 @@ import (
 // The normalized spec rides with every lease.
 type RunSpec = cliflags.Spec
 
-// Errors the coordinator API maps onto HTTP statuses (and back).
+// Errors the worker RPCs map onto HTTP statuses (and back).
 var (
 	// ErrUnknownRun is returned for operations on a run ID the
 	// coordinator has never seen (404).
@@ -49,13 +55,11 @@ var (
 	ErrStale = errors.New("cluster: stale lease epoch")
 	// ErrClosed is returned once the coordinator has shut down (503).
 	ErrClosed = errors.New("cluster: coordinator closed")
-	// ErrNotDone is returned by Result for a run still exploring (409).
-	ErrNotDone = errors.New("cluster: run has no result yet")
 	// ErrBadPayload tags malformed request payloads (400).
 	ErrBadPayload = errors.New("cluster: bad payload")
 )
 
-// --- wire messages (JSON bodies of the /cluster endpoints; the one
+// --- wire messages (JSON bodies of the worker RPCs; the one
 // exception is the report request, see reportResponse) ---
 
 // leaseRequest asks for work for one worker slot.

@@ -12,7 +12,7 @@ import (
 )
 
 // Config tunes a Coordinator. The zero value is usable: platforms build
-// through the report catalogue and leases default to DefaultLeaseTTL.
+// through the report catalogue and metrics go to obs.Default.
 type Config struct {
 	// BuildPlatform constructs the platform for a run spec's design and
 	// bench names. Nil uses the report catalogue (bm32 | omsp430 | dr5 ×
@@ -21,24 +21,23 @@ type Config struct {
 	// Metrics receives coordinator metrics and the exploration metrics of
 	// every run it hosts; nil uses obs.Default.
 	Metrics *obs.Registry
-	// LeaseTTL is how long a leased segment may go without a heartbeat
+
+	// leaseTTL is how long a leased segment may go without a heartbeat
 	// before it is put back and leased again under a new epoch
-	// (DefaultLeaseTTL).
-	LeaseTTL time.Duration
-	// SweepEvery is the lease-expiry scan period: LeaseTTL/4, at least
+	// (defaultLeaseTTL). Test seam, like sweepEvery and maxAttempts.
+	leaseTTL time.Duration
+	// sweepEvery is the lease-expiry scan period: leaseTTL/4, at least
 	// 10ms, unless a test sets it to drive sweeps its own way.
-	SweepEvery time.Duration
-	// MaxAttempts bounds lease attempts per segment before the whole run
-	// is failed (DefaultMaxAttempts).
-	MaxAttempts int
-	// Logf receives operational logging; nil discards.
-	Logf func(format string, args ...any)
+	sweepEvery time.Duration
+	// maxAttempts bounds lease attempts per segment before the whole run
+	// is failed (defaultMaxAttempts).
+	maxAttempts int
 }
 
 // Defaults for the zero Config.
 const (
-	DefaultLeaseTTL    = 10 * time.Second
-	DefaultMaxAttempts = 5
+	defaultLeaseTTL    = 10 * time.Second
+	defaultMaxAttempts = 5
 )
 
 // Coordinator hosts the state of a set of distributed runs — one core.Run
@@ -105,17 +104,14 @@ func NewCoordinator(cfg Config) *Coordinator {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.Default
 	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = DefaultLeaseTTL
+	if cfg.leaseTTL <= 0 {
+		cfg.leaseTTL = defaultLeaseTTL
 	}
-	if cfg.SweepEvery <= 0 {
-		cfg.SweepEvery = max(cfg.LeaseTTL/4, 10*time.Millisecond)
+	if cfg.sweepEvery <= 0 {
+		cfg.sweepEvery = max(cfg.leaseTTL/4, 10*time.Millisecond)
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = DefaultMaxAttempts
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
+	if cfg.maxAttempts <= 0 {
+		cfg.maxAttempts = defaultMaxAttempts
 	}
 	c := &Coordinator{
 		cfg:       cfg,
@@ -159,7 +155,7 @@ func (c *Coordinator) NewRun(spec RunSpec) (string, error) {
 		return "", fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
 	if spec.Workers > 1 {
-		return "", fmt.Errorf("%w: workers=%d: a worker slot is one explorer; raise the fleet's -worker-slots instead", ErrBadPayload, spec.Workers)
+		return "", fmt.Errorf("%w: workers=%d: a worker slot is one explorer; run more worker slots instead", ErrBadPayload, spec.Workers)
 	}
 	for _, f := range []struct {
 		name string
@@ -172,7 +168,7 @@ func (c *Coordinator) NewRun(spec RunSpec) (string, error) {
 		{"maxCsmStates", spec.MaxCSMStates != 0},
 	} {
 		if f.set {
-			return "", fmt.Errorf("%w: %s: the cluster API has no queue and carries no budgets", ErrBadPayload, f.name)
+			return "", fmt.Errorf("%w: %s: a fleet has no queue and carries no budgets", ErrBadPayload, f.name)
 		}
 	}
 	cc, err := spec.Config()
@@ -220,7 +216,6 @@ func (c *Coordinator) NewRun(spec RunSpec) (string, error) {
 
 	go c.await(r)
 	c.om.runs.Inc()
-	c.cfg.Logf("cluster: run %s: %s/%s policy=%s", r.id, spec.Design, spec.Bench, spec.Policy)
 	return r.id, nil
 }
 
@@ -248,8 +243,6 @@ func (c *Coordinator) await(r *run) {
 		close(r.doneCh)
 		c.cond.Broadcast()
 		c.om.runsDone.Inc()
-		c.cfg.Logf("cluster: run %s done: %d/%d gates exercisable, %d paths, %d csm states",
-			r.id, res.ExercisableCount, res.TotalGates, res.PathsCreated, res.CSMStates)
 	}
 }
 
@@ -304,7 +297,7 @@ func (c *Coordinator) leaseLocked(worker string) *leaseResponse {
 		c.rr = (c.rr + i + 1) % len(c.order)
 		return &leaseResponse{
 			RunID:      r.id,
-			LeaseTTLMS: c.cfg.LeaseTTL.Milliseconds(),
+			LeaseTTLMS: c.cfg.leaseTTL.Milliseconds(),
 			Spec:       r.spec,
 			Segments:   segs,
 		}
@@ -332,7 +325,7 @@ func (c *Coordinator) grantLocked(r *run, worker string) []segment {
 	l.attempts++
 	l.out = true
 	l.worker = worker
-	l.deadline = time.Now().Add(c.cfg.LeaseTTL)
+	l.deadline = time.Now().Add(c.cfg.leaseTTL)
 	return []segment{{ID: id, Epoch: l.epoch, Work: work}}
 }
 
@@ -413,7 +406,6 @@ func (c *Coordinator) Fail(runID string, id, epoch int, reason string) error {
 		c.om.staleRPCs.Inc()
 		return ErrStale
 	}
-	c.cfg.Logf("cluster: run %s: path %d failed by %s (epoch %d): %s", r.id, id, l.worker, epoch, reason)
 	c.putBackLocked(r, id, l, reason)
 	return nil
 }
@@ -430,7 +422,7 @@ func (c *Coordinator) Heartbeat(runID string, refs []leaseRef) error {
 	held := 0
 	for _, ref := range refs {
 		if l := r.heldLocked(ref.ID, ref.Epoch); l != nil {
-			l.deadline = time.Now().Add(c.cfg.LeaseTTL)
+			l.deadline = time.Now().Add(c.cfg.leaseTTL)
 			held++
 		}
 	}
@@ -448,7 +440,7 @@ func (c *Coordinator) Heartbeat(runID string, refs []leaseRef) error {
 // holds c.mu.
 func (c *Coordinator) putBackLocked(r *run, id int, l *lease, reason string) {
 	l.out = false
-	if l.attempts >= c.cfg.MaxAttempts {
+	if l.attempts >= c.cfg.maxAttempts {
 		c.failRunLocked(r, fmt.Sprintf("path %d exhausted %d attempts (last: %s)", id, l.attempts, reason))
 		return
 	}
@@ -470,7 +462,6 @@ func (c *Coordinator) failRunLocked(r *run, msg string) {
 	r.cancel()
 	close(r.doneCh)
 	c.cond.Broadcast() // parked lease waiters must re-check the state
-	c.cfg.Logf("cluster: run %s FAILED: %s", r.id, msg)
 	c.om.runsFailed.Inc()
 }
 
@@ -480,7 +471,7 @@ func (c *Coordinator) failRunLocked(r *run, msg string) {
 // the next epoch while every RPC from the dead epoch bounces off 409.
 func (c *Coordinator) sweeper() {
 	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.SweepEvery)
+	t := time.NewTicker(c.cfg.sweepEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -507,7 +498,6 @@ func (c *Coordinator) sweep(now time.Time) {
 			if !l.out || l.deadline.After(now) {
 				continue
 			}
-			c.cfg.Logf("cluster: run %s: path %d lease expired (worker %s, epoch %d)", r.id, id, l.worker, l.epoch)
 			c.om.expiries.Inc()
 			c.putBackLocked(r, id, l, "lease expired")
 		}
@@ -530,25 +520,9 @@ func (c *Coordinator) Status(runID string) (RunStatusView, error) {
 	return v, nil
 }
 
-// Result returns a finished run's result. The returned Result is owned by
-// the coordinator; callers must not mutate it.
-func (c *Coordinator) Result(runID string) (*core.Result, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.runs[runID]
-	if !ok {
-		return nil, ErrUnknownRun
-	}
-	switch r.state {
-	case "done":
-		return r.res, nil
-	case "failed":
-		return nil, fmt.Errorf("cluster: run %s failed: %s", r.id, r.errMsg)
-	}
-	return nil, ErrNotDone
-}
-
-// Wait blocks until the run finishes (or ctx ends) and returns its result.
+// Wait blocks until the run is done or failed (or ctx ends) and returns
+// its result. The returned Result is owned by the coordinator; callers
+// must not mutate it.
 func (c *Coordinator) Wait(ctx context.Context, runID string) (*core.Result, error) {
 	c.mu.Lock()
 	r, ok := c.runs[runID]
@@ -561,5 +535,10 @@ func (c *Coordinator) Wait(ctx context.Context, runID string) (*core.Result, err
 		return nil, ctx.Err()
 	case <-r.doneCh:
 	}
-	return c.Result(runID)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if r.state == "failed" {
+		return nil, fmt.Errorf("cluster: run %s failed: %s", r.id, r.errMsg)
+	}
+	return r.res, nil
 }

@@ -83,9 +83,9 @@ func leaseOne(t *testing.T, coord *Coordinator, worker string) segment {
 func TestSweepMultiUnitExhaustionFailsRunOnce(t *testing.T) {
 	coord := NewCoordinator(Config{
 		Metrics:     obs.NewRegistry(),
-		MaxAttempts: 1,
-		LeaseTTL:    time.Hour, // the test drives sweep by hand
-		SweepEvery:  time.Hour,
+		maxAttempts: 1,
+		leaseTTL:    time.Hour, // the test drives sweep by hand
+		sweepEvery:  time.Hour,
 	})
 	t.Cleanup(coord.Close)
 	id, err := coord.NewRun(RunSpec{Design: "dr5", Bench: "tHold"})
@@ -231,9 +231,9 @@ func TestScrapeWhileMutating(t *testing.T) {
 	reg := obs.NewRegistry()
 	coord := NewCoordinator(Config{
 		Metrics:     reg,
-		MaxAttempts: 1 << 20, // expiries below must not fail the run
-		LeaseTTL:    time.Hour,
-		SweepEvery:  time.Hour, // the test drives sweep by hand
+		maxAttempts: 1 << 20, // expiries below must not fail the run
+		leaseTTL:    time.Hour,
+		sweepEvery:  time.Hour, // the test drives sweep by hand
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,7 +18,6 @@ import (
 	"symsim/internal/core"
 	"symsim/internal/obs"
 	"symsim/internal/report"
-	"symsim/internal/service"
 	"symsim/internal/vvp"
 )
 
@@ -326,101 +324,58 @@ func TestClusterRejectsWhatItCannotHonour(t *testing.T) {
 	}
 }
 
-// TestClusterRunOverHTTP drives the fleet's user-facing surface the way
-// curl does — POST /cluster/runs, poll GET /cluster/runs/{id}, GET
-// .../result — against a coordinator with one worker, and holds the
-// answer to the job API's: the tie-off list, the product of the whole
-// tool, is byte for byte the one /jobs/{id}/result serves for the cell.
+// TestClusterRunOverHTTP pins the coordinator's HTTP surface: the worker
+// RPCs and nothing else. The run-management routes a daemon once mounted —
+// POST /cluster/runs, GET /cluster/runs/{id}, GET .../result — are gone (a
+// run is opened with NewRun and collected with Wait), so they answer 404
+// or 405, while a lease and a report sent to the handler are served and
+// move the run.
 func TestClusterRunOverHTTP(t *testing.T) {
-	tc := startCluster(t, Config{}, 1)
-	body := `{"design":"dr5","bench":"tHold","policy":"merge-all","k":7}`
-	resp, err := http.Post(tc.ts.URL+"/cluster/runs", "application/json", strings.NewReader(body))
+	coord := NewCoordinator(Config{Metrics: obs.NewRegistry()})
+	ts := httptest.NewServer(coord.Handler())
+	t.Cleanup(func() { coord.Close(); ts.Close() })
+	id, err := coord.NewRun(RunSpec{Design: "dr5", Bench: "tHold"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var created struct{ ID string }
-	decodeBody(t, resp, http.StatusCreated, &created)
 
-	var st RunStatusView
-	for deadline := time.Now().Add(3 * time.Minute); st.State != "done"; time.Sleep(5 * time.Millisecond) {
-		resp, err := http.Get(tc.ts.URL + "/cluster/runs/" + created.ID)
+	for _, req := range []struct{ method, path string }{
+		{http.MethodPost, "/cluster/runs"},
+		{http.MethodGet, "/cluster/runs/" + id},
+		{http.MethodGet, "/cluster/runs/" + id + "/result"},
+	} {
+		r, err := http.NewRequest(req.method, ts.URL+req.path, strings.NewReader(`{"design":"dr5","bench":"tHold"}`))
 		if err != nil {
 			t.Fatal(err)
 		}
-		decodeBody(t, resp, http.StatusOK, &st)
-		if st.State == "failed" || time.Now().After(deadline) {
-			t.Fatalf("run %s: state %q, error %q", created.ID, st.State, st.Error)
-		}
-	}
-	if want := (RunSpec{Design: "dr5", Bench: "tHold", Policy: "merge-all", Workers: 1}); st.Spec != want {
-		t.Errorf("status echoes spec %+v, want the normalized %+v", st.Spec, want)
-	}
-	resp, err = http.Get(tc.ts.URL + "/cluster/runs/" + created.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fleet struct {
-		report.ResultSummary
-		TieOffs json.RawMessage `json:"tieOffs"`
-	}
-	decodeBody(t, resp, http.StatusOK, &fleet)
-
-	svc, err := service.New(service.Config{DataDir: t.TempDir(), Workers: 1, Metrics: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	js := httptest.NewServer(service.Handler(svc))
-	defer js.Close()
-	resp, err = http.Post(js.URL+"/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var view service.JobView
-	decodeBody(t, resp, http.StatusCreated, &view)
-	if view.Spec != st.Spec {
-		t.Errorf("job view echoes spec %+v, run status %+v", view.Spec, st.Spec)
-	}
-	var job struct {
-		report.ResultSummary
-		TieOffs json.RawMessage `json:"tieOffs"`
-	}
-	for deadline := time.Now().Add(3 * time.Minute); ; time.Sleep(5 * time.Millisecond) {
-		resp, err := http.Get(js.URL + "/jobs/" + view.ID + "/result")
+		resp, err := http.DefaultClient.Do(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode == http.StatusConflict && time.Now().Before(deadline) {
-			resp.Body.Close()
-			continue
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: status %s, want 404 or 405", req.method, req.path, resp.Status)
 		}
-		decodeBody(t, resp, http.StatusOK, &job)
-		break
 	}
-	if !bytes.Equal(fleet.TieOffs, job.TieOffs) {
-		t.Errorf("tie-off lists differ: fleet %d bytes, job API %d bytes", len(fleet.TieOffs), len(job.TieOffs))
-	}
-	f, j := fleet.ResultSummary, job.ResultSummary
-	var ties []report.TieOffView
-	if err := json.Unmarshal(fleet.TieOffs, &ties); err != nil || len(ties) == 0 || len(ties) != f.TotalGates-f.ExercisableCount {
-		t.Errorf("fleet result lists %d tie-offs (err %v) for %d of %d gates exercisable", len(ties), err, f.ExercisableCount, f.TotalGates)
-	}
-	if f.Design != j.Design || f.Bench != j.Bench || f.Policy != j.Policy || !f.Complete || !j.Complete ||
-		f.TotalGates != j.TotalGates || f.ExercisableCount != j.ExercisableCount || f.ReductionPct != j.ReductionPct {
-		t.Errorf("dichotomy differs:\n fleet %+v\n job   %+v", f, j)
-	}
-}
 
-// decodeBody checks a response's status and decodes its JSON body into v.
-func decodeBody(t *testing.T, resp *http.Response, status int, v any) {
-	t.Helper()
-	defer resp.Body.Close()
-	if resp.StatusCode != status {
-		msg, _ := io.ReadAll(resp.Body)
-		t.Fatalf("%s %s: status %s, want %d: %s", resp.Request.Method, resp.Request.URL.Path, resp.Status, status, msg)
+	cc := newCoordClient(ts.URL)
+	ls, ok, err := cc.lease("w")
+	if err != nil || !ok || ls.RunID != id || len(ls.Segments) != 1 {
+		t.Fatalf("lease over HTTP: ls=%+v ok=%v err=%v", ls, ok, err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		t.Fatalf("%s %s: %v", resp.Request.Method, resp.Request.URL.Path, err)
+	sg := ls.Segments[0]
+	resp, err := cc.report(id, "w", sg.ID, sg.Epoch, simulate(t, sg))
+	if err != nil {
+		t.Fatalf("report over HTTP: %v", err)
+	}
+	// dr5/tHold's cold-boot segment forks; the report's response leases one
+	// child to the reporting slot.
+	st, err := coord.Status(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Segments) != 1 || st.PathsDone != 1 || st.PathsInFlight != 1 {
+		t.Errorf("after one report: handed %d segments, status %+v; want 1 segment, 1 path done, 1 leased", len(resp.Segments), st)
 	}
 }
 

@@ -10,58 +10,23 @@ import (
 	"time"
 
 	"symsim/internal/httpx"
-	"symsim/internal/report"
 )
 
-// Handler serves the coordinator's cluster API (stdlib net/http, JSON
-// bodies, absolute /cluster/... patterns so it mounts next to the job
-// API without prefix stripping):
+// Handler serves the worker RPCs (stdlib net/http, JSON bodies, absolute
+// /cluster/... patterns):
 //
-//	POST /cluster/runs                   register a RunSpec -> {id}
-//	GET  /cluster/runs/{id}              run status
-//	GET  /cluster/runs/{id}/result      the report.ResultSummary /jobs/{id}/result serves (409 until done)
 //	POST /cluster/lease                 long-poll segments for one slot (204 = none)
 //	POST /cluster/runs/{id}/report      settle a segment (?worker&path&epoch, body = its
 //	                                    outcome, raw) -> the slot's next segment
 //	POST /cluster/runs/{id}/fail        hand a segment back for another attempt
 //	POST /cluster/runs/{id}/heartbeat   extend the leases of advancing segments
 //
-// Error mapping: bad payload -> 400, unknown run -> 404, stale epoch or
-// not-done result -> 409, coordinator closed -> 503.
+// Runs are opened with NewRun and collected with Wait in the coordinator's
+// process; the handler serves no run management. Error mapping: bad
+// payload -> 400, unknown run -> 404, stale epoch -> 409, coordinator
+// closed -> 503.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /cluster/runs", func(w http.ResponseWriter, r *http.Request) {
-		c.om.rpcs.With("runs").Inc()
-		var spec RunSpec
-		if !httpx.ReadJSON(w, r, &spec) {
-			return
-		}
-		id, err := c.NewRun(spec)
-		if err != nil {
-			httpx.WriteErr(w, statusOf(err), err)
-			return
-		}
-		httpx.WriteJSON(w, http.StatusCreated, map[string]string{"id": id})
-	})
-	mux.HandleFunc("GET /cluster/runs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		c.om.rpcs.With("status").Inc()
-		v, err := c.Status(r.PathValue("id"))
-		if err != nil {
-			httpx.WriteErr(w, statusOf(err), err)
-			return
-		}
-		httpx.WriteJSON(w, http.StatusOK, v)
-	})
-	mux.HandleFunc("GET /cluster/runs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		c.om.rpcs.With("result").Inc()
-		res, err := c.Result(r.PathValue("id"))
-		if err != nil {
-			httpx.WriteErr(w, statusOf(err), err)
-			return
-		}
-		st, _ := c.Status(r.PathValue("id"))
-		httpx.WriteJSON(w, http.StatusOK, report.Summarize(st.Spec.Design, st.Spec.Bench, res))
-	})
 	mux.HandleFunc("POST /cluster/lease", func(w http.ResponseWriter, r *http.Request) {
 		c.om.rpcs.With("lease").Inc()
 		var req leaseRequest
@@ -133,7 +98,7 @@ func statusOf(err error) int {
 	switch {
 	case errors.Is(err, ErrUnknownRun):
 		return http.StatusNotFound
-	case errors.Is(err, ErrStale), errors.Is(err, ErrNotDone):
+	case errors.Is(err, ErrStale):
 		return http.StatusConflict
 	case errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable

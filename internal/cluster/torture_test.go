@@ -35,8 +35,8 @@ func TestClusterWorkerCrashMidShard(t *testing.T) {
 
 	coord := NewCoordinator(Config{
 		Metrics:    obs.NewRegistry(),
-		LeaseTTL:   300 * time.Millisecond,
-		SweepEvery: 50 * time.Millisecond,
+		leaseTTL:   300 * time.Millisecond,
+		sweepEvery: 50 * time.Millisecond,
 	})
 	ts := httptest.NewServer(coord.Handler())
 	t.Cleanup(func() { coord.Close(); ts.Close() })
@@ -149,13 +149,13 @@ func TestClusterWorkerCrashMidShard(t *testing.T) {
 
 // TestClusterUnitExhaustsAttemptsFailsRun pins the other side of the
 // put-back policy: a segment that keeps dying doesn't spin forever — after
-// MaxAttempts leases the run fails loudly, with the error naming the
+// maxAttempts leases the run fails loudly, with the error naming the
 // path, and Wait returns the failure.
 func TestClusterUnitExhaustsAttemptsFailsRun(t *testing.T) {
 	coord := NewCoordinator(Config{
 		Metrics:     obs.NewRegistry(),
-		LeaseTTL:    time.Hour, // failures drive the put-back, not expiry
-		MaxAttempts: 3,
+		leaseTTL:    time.Hour, // failures drive the put-back, not expiry
+		maxAttempts: 3,
 	})
 	ts := httptest.NewServer(coord.Handler())
 	t.Cleanup(func() { coord.Close(); ts.Close() })
@@ -164,7 +164,7 @@ func TestClusterUnitExhaustsAttemptsFailsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := newCoordClient(ts.URL, nil)
+	cc := newCoordClient(ts.URL)
 	for i := 0; i < 3; i++ {
 		ls, ok, err := cc.lease("crashy")
 		if err != nil || !ok || len(ls.Segments) != 1 {

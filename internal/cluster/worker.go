@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,27 +15,21 @@ import (
 
 // Worker leases path segments from a coordinator and drives them with
 // core.Explore, the single-node explorer loop, reporting each outcome
-// back. One Worker runs Slots explorers concurrently; a symsimd in worker
-// mode embeds exactly one.
+// back. One Worker runs Slots explorers concurrently; its RPCs go through
+// the shared hardened unary client (internal/httpx).
 type Worker struct {
 	// Coordinator is the coordinator's base URL, e.g. "http://host:8466".
 	Coordinator string
-	// Client overrides the HTTP client; nil uses the shared hardened
-	// unary client (internal/httpx).
-	Client *http.Client
 	// BuildPlatform constructs platforms for leased specs; nil uses the
 	// report catalogue. Platforms are cached per design/bench, so the
 	// compiled kernel is built once per worker, not once per lease.
 	BuildPlatform func(design, bench string) (*core.Platform, error)
-	// Name identifies the worker in coordinator logs.
+	// Name identifies the worker's slots in their leases.
 	Name string
 	// Slots is the number of explorers run concurrently (default 1).
 	Slots int
-	// Metrics receives worker metrics, the explorers' lane occupancy
-	// among them. Nil uses obs.Default.
+	// Metrics receives worker metrics. Nil uses obs.Default.
 	Metrics *obs.Registry
-	// Logf receives operational logging; nil discards.
-	Logf func(format string, args ...any)
 	// PollEvery is the idle delay between empty lease polls (default
 	// 250ms; the coordinator additionally long-polls server-side).
 	PollEvery time.Duration
@@ -62,9 +55,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	if w.PollEvery <= 0 {
 		w.PollEvery = 250 * time.Millisecond
 	}
-	if w.Logf == nil {
-		w.Logf = func(string, ...any) {}
-	}
 	if w.BuildPlatform == nil {
 		w.BuildPlatform = func(design, bench string) (*core.Platform, error) {
 			return report.BuildPlatform(report.Design(design), bench)
@@ -72,7 +62,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	w.om = newWorkerMetrics(w.Metrics)
 	w.platforms = make(map[string]*core.Platform)
-	cc := newCoordClient(w.Coordinator, w.Client)
+	cc := newCoordClient(w.Coordinator)
 
 	var wg sync.WaitGroup
 	for s := 0; s < w.Slots; s++ {
@@ -100,7 +90,6 @@ func (w *Worker) pull(ctx context.Context, cc *coordClient, slot int) {
 				return
 			}
 			w.om.rpcErrors.With("lease").Inc()
-			w.Logf("cluster: %s: lease: %v", name, err)
 			ok = false
 		}
 		if !ok {
@@ -151,7 +140,7 @@ func (w *Worker) explore(ctx context.Context, cc *coordClient, name string, ls *
 	// back.
 	ttl := time.Duration(ls.LeaseTTLMS) * time.Millisecond
 	if ttl <= 0 {
-		ttl = DefaultLeaseTTL
+		ttl = defaultLeaseTTL
 	}
 	every := max(ttl/4, 10*time.Millisecond)
 	beatDone := make(chan struct{})
@@ -239,10 +228,9 @@ func (s *leased) Settle(id int, outcome []byte) {
 		// The lease lapsed mid-segment (this worker stalled and recovered)
 		// or the run is over: the segment is someone else's now.
 		s.w.om.unitsStale.Inc()
-		s.w.Logf("cluster: %s: run %s path %d: report fenced as stale", s.name, s.runID, id)
 	case err != nil:
+		// The lease will lapse and the segment go out again.
 		s.w.om.rpcErrors.With("report").Inc()
-		s.w.Logf("cluster: %s: run %s path %d: report: %v (lease will lapse)", s.name, s.runID, id, err)
 	default:
 		s.w.om.unitsReported.Inc()
 		s.mu.Lock()
@@ -273,9 +261,8 @@ func (s *leased) heartbeat() {
 		return
 	}
 	s.w.om.heartbeats.Inc()
-	if err := s.cc.heartbeat(s.runID, refs); err != nil {
-		s.w.Logf("cluster: %s: heartbeat: %v", s.name, err)
-	}
+	// Best effort: a lease whose every beat misses lapses, as it should.
+	_ = s.cc.heartbeat(s.runID, refs)
 }
 
 // failHeld hands every lease the slot still holds back to the coordinator.
@@ -290,11 +277,10 @@ func (s *leased) failHeld(reason string) {
 		case errors.Is(err, ErrStale):
 			s.w.om.unitsStale.Inc()
 		case err != nil:
+			// The lease will lapse instead.
 			s.w.om.rpcErrors.With("fail").Inc()
-			s.w.Logf("cluster: %s: run %s path %d: fail RPC: %v (lease will lapse)", s.name, s.runID, id, err)
 		default:
 			s.w.om.unitsFailed.Inc()
-			s.w.Logf("cluster: %s: run %s path %d handed back: %s", s.name, s.runID, id, reason)
 		}
 	}
 }

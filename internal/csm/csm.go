@@ -19,7 +19,7 @@ package csm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"symsim/internal/logic"
@@ -184,7 +184,7 @@ func (t *table) Export() []SavedState {
 	for pc := range t.states {
 		pcs = append(pcs, pc)
 	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
+	slices.Sort(pcs)
 	var out []SavedState
 	for _, pc := range pcs {
 		for _, v := range t.states[pc] {

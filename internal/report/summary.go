@@ -5,9 +5,8 @@ import (
 )
 
 // ResultSummary is the JSON-serializable digest of a finished analysis:
-// what the job service persists, caches and serves at /jobs/{id}/result
-// and what the coordinator serves at /cluster/runs/{id}/result. It carries
-// the paper's dichotomy metrics plus the full tie-off list, so the
+// what the job service persists, caches and serves at /jobs/{id}/result.
+// It carries the paper's dichotomy metrics plus the full tie-off list, so the
 // bespoke-pruning flow can run from a served result without re-analyzing.
 type ResultSummary struct {
 	Design string `json:"design"`

@@ -16,7 +16,8 @@ import (
 
 // TestDaemonSmoke is the end-to-end service test over the real binaries:
 // it builds cmd/symsimd and cmd/symsim, checks that both refuse the
-// retired -engine and -lanes flags, boots the daemon on a loopback
+// retired -engine and -lanes flags and the daemon its retired fleet
+// flags, boots the daemon on a loopback
 // port, submits a dr5/tea8 job with the CLI client in -follow mode,
 // verifies the streamed run completes with a result, checks that an
 // identical resubmission is a cache hit, and shuts the daemon down with
@@ -42,12 +43,15 @@ func TestDaemonSmoke(t *testing.T) {
 		}
 	}
 
-	// The engine and its lanes are no flags at either command: naming one
-	// is a usage error (exit 2) before an analysis runs or a port is bound.
+	// The engine and its lanes are no flags at either command, and the
+	// daemon has no fleet mode: naming one is a usage error (exit 2)
+	// before an analysis runs or a port is bound.
 	for _, args := range [][]string{
 		{cliBin, "-design", "dr5", "-bench", "tea8", "-engine", "batch"},
 		{cliBin, "submit", "-design", "dr5", "-bench", "tea8", "-lanes", "8"},
 		{daemonBin, "-lanes", "8"},
+		{daemonBin, "-coordinator"},
+		{daemonBin, "-worker", "http://127.0.0.1:1"},
 	} {
 		out, err := exec.Command(args[0], args[1:]...).CombinedOutput()
 		var exit *exec.ExitError

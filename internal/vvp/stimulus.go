@@ -1,7 +1,8 @@
 package vvp
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"symsim/internal/logic"
 	"symsim/internal/netlist"
@@ -39,9 +40,9 @@ func (st *Stimulus) At(time uint64, net netlist.NetID, val logic.Value) {
 }
 
 // Finalize sorts the event schedule by time (stable, preserving insertion
-// order within one time point).
+// order within one time point). It allocates nothing.
 func (st *Stimulus) Finalize() {
-	sort.SliceStable(st.Events, func(i, j int) bool { return st.Events[i].Time < st.Events[j].Time })
+	slices.SortStableFunc(st.Events, func(a, b InputEvent) int { return cmp.Compare(a.Time, b.Time) })
 }
 
 // clockValueAt returns the clock level for times in [t, t+HalfPeriod) where

@@ -122,3 +122,23 @@ func newTestCounter(t *testing.T) *testCounter {
 	st.Finalize()
 	return &testCounter{d: d, q: q, stim: st}
 }
+
+// TestStimulusFinalizeAllocatesNothing: Platform.Stimulus finalizes one
+// stimulus per analysis, so the sort must not allocate (sort.SliceStable
+// made a reflect swapper each call). The stimulus is long enough for the
+// stable sort to merge blocks, and its ties must keep insertion order.
+func TestStimulusFinalizeAllocatesNothing(t *testing.T) {
+	st := NewStimulus(0, 5)
+	for i := 0; i < 50; i++ {
+		st.At(uint64(50-i)%7, netlist.NetID(i), logic.Hi)
+	}
+	if n := testing.AllocsPerRun(10, st.Finalize); n != 0 {
+		t.Errorf("Finalize allocates %v times, want 0", n)
+	}
+	for i := 1; i < len(st.Events); i++ {
+		a, b := st.Events[i-1], st.Events[i]
+		if a.Time > b.Time || a.Time == b.Time && a.Net > b.Net {
+			t.Fatalf("events %d and %d out of stable order: %+v, %+v", i-1, i, a, b)
+		}
+	}
+}
