@@ -68,7 +68,6 @@ func submitCmd(args []string) int {
 	server := serverFlag(fs)
 	design := fs.String("design", "", "processor: bm32 | omsp430 | dr5 (required)")
 	bench := fs.String("bench", "", "benchmark to analyze (required)")
-	priority := fs.Int("priority", 0, "queue priority (higher runs first)")
 	follow := fs.Bool("follow", false, "stream progress until the job finishes, then print the result")
 	tuning := cliflags.Register(fs)
 	fs.Parse(args)
@@ -78,7 +77,7 @@ func submitCmd(args []string) int {
 	}
 
 	spec := tuning.Spec
-	spec.Design, spec.Bench, spec.Priority = *design, *bench, *priority
+	spec.Design, spec.Bench = *design, *bench
 	body, err := json.Marshal(spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "symsim:", err)

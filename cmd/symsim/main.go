@@ -164,9 +164,16 @@ func analyzeMain(args []string, printStats bool) {
 		fatal(err)
 	}
 	if *verbose {
-		// The structural pre-check always runs (errors abort the
-		// analysis); -v additionally surfaces its warnings.
-		cfg.LintWarn = func(d lint.Diag) { fmt.Fprintln(os.Stderr, "symsim: lint:", d) }
+		// The structural pre-check in Analyze reads this same cached
+		// result: errors refuse the analysis, and -v surfaces the
+		// warnings of one it runs.
+		if lr := p.Lint(); !lr.HasErrors() {
+			for _, d := range lr.Diags {
+				if d.Sev == lint.SevWarn {
+					fmt.Fprintln(os.Stderr, "symsim: lint:", d)
+				}
+			}
+		}
 	}
 
 	if *dumpDir != "" {

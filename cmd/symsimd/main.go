@@ -1,5 +1,5 @@
 // Command symsimd runs symsim as a long-lived analysis daemon: submitted
-// jobs are queued (priority FIFO, bounded with backpressure), executed by
+// jobs are queued (FIFO, bounded with backpressure), executed by
 // a worker pool of symbolic co-analyses, with complete results kept in a
 // content-addressed cache keyed by the canonical netlist hash — a
 // submission identical to a finished analysis returns instantly; any other
@@ -16,7 +16,10 @@
 // body of POST /jobs). Here they are defaults for POST /jobs: a submission
 // that leaves a field empty gets the daemon's value, then the flag
 // default. Every job runs on the compiled kernel; there is no -engine or
-// -lanes, and a body that names them is read without them. The daemon
+// -lanes, and a body that names them is read without them. Jobs run in
+// the order they were accepted: there is no priority, and a body that
+// names one is read without it. A running job streams a progress
+// heartbeat to its subscribers every 250 ms. The daemon
 // serves jobs only: it has no fleet mode, and the distributed explorer
 // (internal/cluster) is a library the benchmark drives.
 // SIGINT/SIGTERM drain gracefully: the HTTP listener stops, running jobs
@@ -56,7 +59,6 @@ func main() {
 		dataDir   = flag.String("data", "symsimd-data", "durable state directory (jobs, results, cache)")
 		jobs      = flag.Int("jobs", 2, "concurrent analysis jobs (each job additionally uses its own -workers path workers)")
 		queueCap  = flag.Int("queue", 64, "pending-job queue capacity; submissions beyond it get HTTP 429")
-		progress  = flag.Duration("progress-every", 250*time.Millisecond, "progress heartbeat interval streamed to subscribers")
 		keepAlive = flag.Duration("sse-keepalive", 15*time.Second, "SSE comment-line keep-alive interval (defeats proxy idle timeouts)")
 		debug     = flag.String("debug", "", "debug listen address for net/http/pprof (e.g. localhost:8467; empty = off)")
 		defaults  = cliflags.Register(flag.CommandLine)
@@ -65,13 +67,12 @@ func main() {
 
 	logger := log.New(os.Stderr, "symsimd: ", log.LstdFlags)
 	svc, err := service.New(service.Config{
-		DataDir:       *dataDir,
-		Workers:       *jobs,
-		QueueCap:      *queueCap,
-		ProgressEvery: *progress,
-		SSEKeepAlive:  *keepAlive,
-		Defaults:      &defaults.Spec,
-		Logf:          func(format string, args ...any) { logger.Printf(format, args...) },
+		DataDir:      *dataDir,
+		Workers:      *jobs,
+		QueueCap:     *queueCap,
+		SSEKeepAlive: *keepAlive,
+		Defaults:     &defaults.Spec,
+		Logf:         func(format string, args ...any) { logger.Printf(format, args...) },
 	})
 	if err != nil {
 		logger.Fatal(err)

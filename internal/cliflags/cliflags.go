@@ -7,8 +7,9 @@
 // and rejects what no door accepts, and one Config maps the result to a
 // core.Config, so a request means the same analysis whichever door it
 // came through. Every door runs the compiled kernel, one path segment per
-// explorer: the spec names neither an engine nor a lane count, and a JSON
-// body from an older client that names them is read as if it did not.
+// explorer: the spec names neither an engine nor a lane count, and it
+// names no queue priority (symsimd's queue is a FIFO); a JSON body from an
+// older client that names any of them is read as if it did not.
 package cliflags
 
 import (
@@ -45,10 +46,6 @@ type Spec struct {
 	// a complete result, so it does not enter the cache key. Every door
 	// runs the compiled kernel: the spec names no engine.
 	Workers int `json:"workers,omitempty"`
-
-	// Priority orders the job queue: higher runs first, FIFO within a
-	// level. Not a flag of the shared vocabulary (symsim submit has it).
-	Priority int `json:"priority,omitempty"`
 
 	// Budgets (graceful degradation, see core.Budget). DeadlineMS is the
 	// wall-clock budget in milliseconds.
@@ -133,9 +130,6 @@ func (s Spec) Normalize(def *Spec) (Spec, error) {
 	}
 	if s.Workers < 0 || s.DeadlineMS < 0 || s.MaxForks < 0 || s.MaxCSMStates < 0 {
 		return s, errors.New("negative budget or worker count")
-	}
-	if s.Priority < -1<<20 || s.Priority > 1<<20 {
-		return s, fmt.Errorf("priority %d out of range", s.Priority)
 	}
 	return s, nil
 }

@@ -88,9 +88,9 @@ func (cc *coordClient) finish(resp *http.Response, out any) (int, error) {
 
 // lease long-polls for work for one slot; ok is false when the coordinator
 // had none within its poll window.
-func (cc *coordClient) lease(worker string) (*leaseResponse, bool, error) {
+func (cc *coordClient) lease() (*leaseResponse, bool, error) {
 	var ls leaseResponse
-	status, err := cc.call(http.MethodPost, "/cluster/lease", leaseRequest{Worker: worker}, &ls)
+	status, err := cc.call(http.MethodPost, "/cluster/lease", nil, &ls)
 	if err != nil {
 		return nil, false, err
 	}
@@ -104,11 +104,10 @@ func (cc *coordClient) lease(worker string) (*leaseResponse, bool, error) {
 // is the request body as it is — it is the bulk of the fleet's traffic, and
 // base64 inside JSON cost more than the settle it carried — with the lease
 // it belongs to in the query.
-func (cc *coordClient) report(runID, worker string, id, epoch int, outcome []byte) (*reportResponse, error) {
+func (cc *coordClient) report(runID string, id, epoch int, outcome []byte) (*reportResponse, error) {
 	q := url.Values{
-		"worker": {worker},
-		"path":   {strconv.Itoa(id)},
-		"epoch":  {strconv.Itoa(epoch)},
+		"path":  {strconv.Itoa(id)},
+		"epoch": {strconv.Itoa(epoch)},
 	}
 	var resp reportResponse
 	_, err := cc.call(http.MethodPost, "/cluster/runs/"+url.PathEscape(runID)+"/report?"+q.Encode(), outcome, &resp)

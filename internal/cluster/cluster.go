@@ -40,7 +40,7 @@ import (
 // RunSpec describes one distributed co-analysis. It is the analysis spec
 // of the shared vocabulary (cliflags.Spec), normalized exactly as a job's
 // is; what a fleet cannot honour — more than one explorer per slot, the
-// constrained policy, budgets, a queue priority — NewRun rejects by name.
+// constrained policy, budgets — NewRun rejects by name.
 // The normalized spec rides with every lease.
 type RunSpec = cliflags.Spec
 
@@ -61,11 +61,6 @@ var (
 
 // --- wire messages (JSON bodies of the worker RPCs; the one
 // exception is the report request, see reportResponse) ---
-
-// leaseRequest asks for work for one worker slot.
-type leaseRequest struct {
-	Worker string `json:"worker,omitempty"`
-}
 
 // segment is one leased path segment: its path ID, the lease epoch every
 // RPC about it must echo, and the work core.Run.Admit encoded.

@@ -83,15 +83,14 @@ type run struct {
 	doneCh chan struct{}
 }
 
-// lease is the coordinator's record of one path ID: who holds it, under
-// which epoch, until when. out is false while the segment sits on the
+// lease is the coordinator's record of one path ID: under which epoch it
+// is out, and until when. out is false while the segment sits on the
 // frontier again after a put-back; its next admission is epoch+1.
 type lease struct {
 	epoch    int
 	attempts int
 	out      bool
 	deadline time.Time
-	worker   string
 }
 
 // NewCoordinator starts a coordinator and its lease-expiry sweeper.
@@ -161,14 +160,13 @@ func (c *Coordinator) NewRun(spec RunSpec) (string, error) {
 		name string
 		set  bool
 	}{
-		{"priority", spec.Priority != 0},
 		{"deadlineMs", spec.DeadlineMS != 0},
 		{"maxCycles", spec.MaxCycles != 0},
 		{"maxForks", spec.MaxForks != 0},
 		{"maxCsmStates", spec.MaxCSMStates != 0},
 	} {
 		if f.set {
-			return "", fmt.Errorf("%w: %s: a fleet has no queue and carries no budgets", ErrBadPayload, f.name)
+			return "", fmt.Errorf("%w: %s: a fleet carries no budgets", ErrBadPayload, f.name)
 		}
 	}
 	cc, err := spec.Config()
@@ -249,7 +247,7 @@ func (c *Coordinator) await(r *run) {
 // Lease hands out work for one worker slot — one segment of one run —
 // long-polling up to wait for work to appear. It returns (nil, nil) when
 // none materialized within wait.
-func (c *Coordinator) Lease(ctx context.Context, worker string, wait time.Duration) (*leaseResponse, error) {
+func (c *Coordinator) Lease(ctx context.Context, wait time.Duration) (*leaseResponse, error) {
 	deadline := time.Now().Add(wait)
 	// cond.Wait cannot time out; these wakers make the long-poll bounded
 	// by wait and by the caller's context. They broadcast with c.mu held:
@@ -272,7 +270,7 @@ func (c *Coordinator) Lease(ctx context.Context, worker string, wait time.Durati
 			c.mu.Unlock()
 			return nil, ErrClosed
 		}
-		if ls := c.leaseLocked(worker); ls != nil {
+		if ls := c.leaseLocked(); ls != nil {
 			c.mu.Unlock()
 			c.om.leases.Add(uint64(len(ls.Segments)))
 			return ls, nil
@@ -287,10 +285,10 @@ func (c *Coordinator) Lease(ctx context.Context, worker string, wait time.Durati
 
 // leaseLocked scans runs round-robin for work, so a fleet spreads across
 // concurrent runs instead of piling onto the oldest. Caller holds c.mu.
-func (c *Coordinator) leaseLocked(worker string) *leaseResponse {
+func (c *Coordinator) leaseLocked() *leaseResponse {
 	for i := 0; i < len(c.order); i++ {
 		r := c.runs[c.order[(c.rr+i)%len(c.order)]]
-		segs := c.grantLocked(r, worker)
+		segs := c.grantLocked(r)
 		if len(segs) == 0 {
 			continue
 		}
@@ -305,10 +303,10 @@ func (c *Coordinator) leaseLocked(worker string) *leaseResponse {
 	return nil
 }
 
-// grantLocked admits a segment of r, if one is pending, and leases it to
-// worker. A path ID seen before — put back after its lease lapsed — goes
+// grantLocked admits a segment of r, if one is pending, and leases it
+// out. A path ID seen before — put back after its lease lapsed — goes
 // out under the next epoch. Caller holds c.mu.
-func (c *Coordinator) grantLocked(r *run, worker string) []segment {
+func (c *Coordinator) grantLocked(r *run) []segment {
 	if r.state != "running" {
 		return nil
 	}
@@ -324,7 +322,6 @@ func (c *Coordinator) grantLocked(r *run, worker string) []segment {
 	l.epoch++
 	l.attempts++
 	l.out = true
-	l.worker = worker
 	l.deadline = time.Now().Add(c.cfg.leaseTTL)
 	return []segment{{ID: id, Epoch: l.epoch, Work: work}}
 }
@@ -343,7 +340,7 @@ func (r *run) heldLocked(id, epoch int) *lease {
 // of the same run. A report of the epoch that already settled the segment
 // (the worker lost the first response and retried) is acknowledged without
 // absorbing anything; any other epoch is stale.
-func (c *Coordinator) Report(runID, worker string, id, epoch int, outcome []byte) (*reportResponse, error) {
+func (c *Coordinator) Report(runID string, id, epoch int, outcome []byte) (*reportResponse, error) {
 	c.mu.Lock()
 	r, ok := c.runs[runID]
 	if !ok {
@@ -384,7 +381,7 @@ func (c *Coordinator) Report(runID, worker string, id, epoch int, outcome []byte
 	}
 
 	c.mu.Lock()
-	segs := c.grantLocked(r, worker)
+	segs := c.grantLocked(r)
 	// The settle may have forked more than this slot takes.
 	c.cond.Broadcast()
 	c.mu.Unlock()

@@ -64,9 +64,9 @@ func simulateSegment(sg segment) ([]byte, error) {
 }
 
 // leaseOne takes the single segment a one-lane lease grants.
-func leaseOne(t *testing.T, coord *Coordinator, worker string) segment {
+func leaseOne(t *testing.T, coord *Coordinator) segment {
 	t.Helper()
-	ls, err := coord.Lease(context.Background(), worker, time.Second)
+	ls, err := coord.Lease(context.Background(), time.Second)
 	if err != nil || ls == nil || len(ls.Segments) != 1 {
 		t.Fatalf("lease: ls=%+v err=%v", ls, err)
 	}
@@ -95,12 +95,12 @@ func TestSweepMultiUnitExhaustionFailsRunOnce(t *testing.T) {
 
 	// Settle the cold-boot segment for real: it forks, and its two children
 	// go out as two simultaneous leases.
-	genesis := leaseOne(t, coord, "doomed")
-	resp, err := coord.Report(id, "doomed", genesis.ID, genesis.Epoch, simulate(t, genesis))
+	genesis := leaseOne(t, coord)
+	resp, err := coord.Report(id, genesis.ID, genesis.Epoch, simulate(t, genesis))
 	if err != nil || len(resp.Segments) != 1 {
 		t.Fatalf("report: resp=%+v err=%v", resp, err)
 	}
-	leaseOne(t, coord, "doomed")
+	leaseOne(t, coord)
 
 	coord.mu.Lock()
 	r := coord.runs[id]
@@ -150,13 +150,13 @@ func TestReportRetryIsAcknowledgedNotAbsorbedTwice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	genesis := leaseOne(t, coord, "w")
+	genesis := leaseOne(t, coord)
 	outcome := simulate(t, genesis)
 
-	if _, err := coord.Report(id, "w", genesis.ID, genesis.Epoch+1, outcome); !errors.Is(err, ErrStale) {
+	if _, err := coord.Report(id, genesis.ID, genesis.Epoch+1, outcome); !errors.Is(err, ErrStale) {
 		t.Fatalf("report under a foreign epoch: err = %v, want ErrStale", err)
 	}
-	if _, err := coord.Report(id, "w", genesis.ID, genesis.Epoch, outcome); err != nil {
+	if _, err := coord.Report(id, genesis.ID, genesis.Epoch, outcome); err != nil {
 		t.Fatal(err)
 	}
 	first, err := coord.Status(id)
@@ -168,7 +168,7 @@ func TestReportRetryIsAcknowledgedNotAbsorbedTwice(t *testing.T) {
 		t.Fatalf("after one report: %+v, want 1 path done, 1 child pending and 1 leased", first)
 	}
 
-	retry, err := coord.Report(id, "w", genesis.ID, genesis.Epoch, outcome)
+	retry, err := coord.Report(id, genesis.ID, genesis.Epoch, outcome)
 	if err != nil {
 		t.Fatalf("retried report: %v", err)
 	}
@@ -192,10 +192,10 @@ func TestReportRetryIsAcknowledgedNotAbsorbedTwice(t *testing.T) {
 
 	// Garbage is refused without costing the segment its lease.
 	child := retry.Segments[0]
-	if _, err := coord.Report(id, "w", child.ID, child.Epoch, outcome[:len(outcome)/2]); !errors.Is(err, ErrBadPayload) {
+	if _, err := coord.Report(id, child.ID, child.Epoch, outcome[:len(outcome)/2]); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("truncated outcome: err = %v, want ErrBadPayload", err)
 	}
-	if _, err := coord.Report(id, "w", child.ID, child.Epoch, simulate(t, child)); err != nil {
+	if _, err := coord.Report(id, child.ID, child.Epoch, simulate(t, child)); err != nil {
 		t.Fatalf("report after a refused one: %v", err)
 	}
 }
@@ -258,10 +258,10 @@ func TestScrapeWhileMutating(t *testing.T) {
 			t.Errorf("run %s: %v", id, err)
 		}
 	})
-	for w := 0; w < 3; w++ {
-		name, n := fmt.Sprintf("w%d", w), 0
+	for range 3 {
+		n := 0
 		spawn(func() {
-			ls, err := coord.Lease(ctx, name, 10*time.Millisecond)
+			ls, err := coord.Lease(ctx, 10*time.Millisecond)
 			if err != nil || ls == nil {
 				return
 			}
@@ -282,7 +282,7 @@ func TestScrapeWhileMutating(t *testing.T) {
 					t.Errorf("simulate: %v", err)
 					return
 				}
-				resp, err := coord.Report(ls.RunID, name, sg.ID, sg.Epoch, outcome)
+				resp, err := coord.Report(ls.RunID, sg.ID, sg.Epoch, outcome)
 				if err != nil {
 					if !errors.Is(err, ErrStale) {
 						t.Errorf("report: %v", err)

@@ -304,8 +304,9 @@ func TestClusterRejectsConstrainedActionably(t *testing.T) {
 }
 
 // TestClusterRejectsWhatItCannotHonour: the run spec is the job spec, but a
-// fleet has no queue and carries no budgets. A field it would have to
-// ignore is a 400 that names the field, not a silently different analysis.
+// fleet carries no budgets and runs one explorer per slot. A field it would
+// have to ignore is a 400 that names the field, not a silently different
+// analysis.
 func TestClusterRejectsWhatItCannotHonour(t *testing.T) {
 	coord := NewCoordinator(Config{Metrics: obs.NewRegistry()})
 	defer coord.Close()
@@ -314,7 +315,6 @@ func TestClusterRejectsWhatItCannotHonour(t *testing.T) {
 		"maxCycles":    {Design: "dr5", Bench: "tHold", MaxCycles: 1 << 20},
 		"maxForks":     {Design: "dr5", Bench: "tHold", MaxForks: 10},
 		"maxCsmStates": {Design: "dr5", Bench: "tHold", MaxCSMStates: 10},
-		"priority":     {Design: "dr5", Bench: "tHold", Priority: 3},
 		"workers":      {Design: "dr5", Bench: "tHold", Workers: 2},
 	} {
 		_, err := coord.NewRun(spec)
@@ -359,12 +359,12 @@ func TestClusterRunOverHTTP(t *testing.T) {
 	}
 
 	cc := newCoordClient(ts.URL)
-	ls, ok, err := cc.lease("w")
+	ls, ok, err := cc.lease()
 	if err != nil || !ok || ls.RunID != id || len(ls.Segments) != 1 {
 		t.Fatalf("lease over HTTP: ls=%+v ok=%v err=%v", ls, ok, err)
 	}
 	sg := ls.Segments[0]
-	resp, err := cc.report(id, "w", sg.ID, sg.Epoch, simulate(t, sg))
+	resp, err := cc.report(id, sg.ID, sg.Epoch, simulate(t, sg))
 	if err != nil {
 		t.Fatalf("report over HTTP: %v", err)
 	}

@@ -16,7 +16,7 @@ import (
 // /cluster/... patterns):
 //
 //	POST /cluster/lease                 long-poll segments for one slot (204 = none)
-//	POST /cluster/runs/{id}/report      settle a segment (?worker&path&epoch, body = its
+//	POST /cluster/runs/{id}/report      settle a segment (?path&epoch, body = its
 //	                                    outcome, raw) -> the slot's next segment
 //	POST /cluster/runs/{id}/fail        hand a segment back for another attempt
 //	POST /cluster/runs/{id}/heartbeat   extend the leases of advancing segments
@@ -29,14 +29,10 @@ func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /cluster/lease", func(w http.ResponseWriter, r *http.Request) {
 		c.om.rpcs.With("lease").Inc()
-		var req leaseRequest
-		if !httpx.ReadJSON(w, r, &req) {
-			return
-		}
 		// Long-poll server-side well under the client's overall timeout.
 		ctx, cancel := context.WithTimeout(r.Context(), time.Second)
 		defer cancel()
-		ls, err := c.Lease(ctx, req.Worker, time.Second)
+		ls, err := c.Lease(ctx, time.Second)
 		if err != nil {
 			httpx.WriteErr(w, statusOf(err), err)
 			return
@@ -60,7 +56,7 @@ func (c *Coordinator) Handler() http.Handler {
 			httpx.WriteErr(w, http.StatusBadRequest, fmt.Errorf("decoding report: %w", err))
 			return
 		}
-		resp, err := c.Report(r.PathValue("id"), q.Get("worker"), id, epoch, outcome)
+		resp, err := c.Report(r.PathValue("id"), id, epoch, outcome)
 		if err != nil {
 			httpx.WriteErr(w, statusOf(err), err)
 			return

@@ -166,7 +166,7 @@ func TestClusterUnitExhaustsAttemptsFailsRun(t *testing.T) {
 	}
 	cc := newCoordClient(ts.URL)
 	for i := 0; i < 3; i++ {
-		ls, ok, err := cc.lease("crashy")
+		ls, ok, err := cc.lease()
 		if err != nil || !ok || len(ls.Segments) != 1 {
 			t.Fatalf("lease %d: ls=%+v ok=%v err=%v", i, ls, ok, err)
 		}

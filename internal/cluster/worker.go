@@ -24,7 +24,8 @@ type Worker struct {
 	// report catalogue. Platforms are cached per design/bench, so the
 	// compiled kernel is built once per worker, not once per lease.
 	BuildPlatform func(design, bench string) (*core.Platform, error)
-	// Name identifies the worker's slots in their leases.
+	// Name labels the worker for its caller. Nothing in the fleet reads
+	// it: a lease goes to whichever slot asks, and no RPC carries a name.
 	Name string
 	// Slots is the number of explorers run concurrently (default 1).
 	Slots int
@@ -65,26 +66,21 @@ func (w *Worker) Run(ctx context.Context) error {
 	cc := newCoordClient(w.Coordinator)
 
 	var wg sync.WaitGroup
-	for s := 0; s < w.Slots; s++ {
+	for range w.Slots {
 		wg.Add(1)
-		go func(slot int) {
+		go func() {
 			defer wg.Done()
-			w.pull(ctx, cc, slot)
-		}(s)
+			w.pull(ctx, cc)
+		}()
 	}
 	wg.Wait()
 	return ctx.Err()
 }
 
 // pull is one slot's lease loop.
-func (w *Worker) pull(ctx context.Context, cc *coordClient, slot int) {
-	name := w.Name
-	if name == "" {
-		name = "worker"
-	}
-	name = fmt.Sprintf("%s/%d", name, slot)
+func (w *Worker) pull(ctx context.Context, cc *coordClient) {
 	for ctx.Err() == nil {
-		ls, ok, err := cc.lease(name)
+		ls, ok, err := cc.lease()
 		if err != nil {
 			if ctx.Err() != nil || errors.Is(err, ErrClosed) {
 				return
@@ -101,7 +97,7 @@ func (w *Worker) pull(ctx context.Context, cc *coordClient, slot int) {
 			}
 			continue
 		}
-		w.explore(ctx, cc, name, ls)
+		w.explore(ctx, cc, ls)
 	}
 }
 
@@ -124,8 +120,8 @@ func (w *Worker) platform(design, bench string) (*core.Platform, error) {
 // explore drives the leased segments, and whatever the coordinator hands
 // back with each report, through core.Explore — the same loop a single-node
 // run's explorers execute — until the run has nothing more for this slot.
-func (w *Worker) explore(ctx context.Context, cc *coordClient, name string, ls *leaseResponse) {
-	src := &leased{w: w, cc: cc, name: name, runID: ls.RunID, ctx: ctx, queue: ls.Segments, held: make(map[int]int)}
+func (w *Worker) explore(ctx context.Context, cc *coordClient, ls *leaseResponse) {
+	src := &leased{w: w, cc: cc, runID: ls.RunID, ctx: ctx, queue: ls.Segments, held: make(map[int]int)}
 	for _, sg := range ls.Segments {
 		src.held[sg.ID] = sg.Epoch
 	}
@@ -192,7 +188,6 @@ func (w *Worker) engine(ls *leaseResponse) (*core.Platform, core.Config, error) 
 type leased struct {
 	w     *Worker
 	cc    *coordClient
-	name  string
 	runID string
 	ctx   context.Context
 	// moved records that the explorer advanced since the last heartbeat
@@ -222,7 +217,7 @@ func (s *leased) Settle(id int, outcome []byte) {
 	delete(s.held, id)
 	s.mu.Unlock()
 
-	resp, err := s.cc.report(s.runID, s.name, id, epoch, outcome)
+	resp, err := s.cc.report(s.runID, id, epoch, outcome)
 	switch {
 	case errors.Is(err, ErrStale):
 		// The lease lapsed mid-segment (this worker stalled and recovered)

@@ -95,8 +95,10 @@ func (p *Platform) Lint() *lint.Result {
 }
 
 // Config tunes one co-analysis run. The zero value selects the paper's
-// defaults: merge-all conservative states, a single worker (the
-// deterministic Algorithm 1 ordering), and Verilog memory-X semantics.
+// defaults: merge-all conservative states and a single worker (the
+// deterministic Algorithm 1 ordering). There is one memory-X rule and no
+// setting for it: a write through an unknown address merges into every
+// word the address could name (DESIGN §2).
 type Config struct {
 	// Policy is the conservative state manager; nil selects MergeAll.
 	Policy csm.Manager
@@ -142,11 +144,6 @@ type Config struct {
 	// (cold-boot) path — enough for a symbolic waveform showing the Xs
 	// flowing from the application inputs to the first fork.
 	Trace *vvp.Trace
-	// LintWarn, when non-nil, receives every warning-severity finding of
-	// the structural pre-check that guards simulator construction.
-	// Error-severity findings always abort Analyze; warnings are
-	// tolerated and, with a nil LintWarn, silently dropped.
-	LintWarn func(lint.Diag)
 	// Metrics selects the registry the run publishes exploration metrics
 	// into (paths by end, CSM verdicts, segment cycles, engine effort,
 	// budget trips); nil selects obs.Default. Every series is a sum the runs
@@ -400,8 +397,9 @@ func (p *Platform) LintOptions() lint.Options {
 
 // preCheck runs the structural lint pass that guards simulator
 // construction: error-severity findings abort the analysis with a full
-// diagnostic list; warnings go to cfg.LintWarn (nil drops them).
-func preCheck(p *Platform, cfg *Config) error {
+// diagnostic list; warnings are tolerated. The result is the platform's
+// cached Lint(), so a caller that shows the warnings reads the same one.
+func preCheck(p *Platform) error {
 	lr := p.Lint()
 	if lr.HasErrors() {
 		var sb strings.Builder
@@ -410,13 +408,6 @@ func preCheck(p *Platform, cfg *Config) error {
 		}
 		return fmt.Errorf("core: design %q failed structural lint with %d errors:%s",
 			p.Design.Name, lr.ErrorCount(), sb.String())
-	}
-	if cfg.LintWarn != nil {
-		for _, d := range lr.Diags {
-			if d.Sev == lint.SevWarn {
-				cfg.LintWarn(d)
-			}
-		}
 	}
 	return nil
 }
@@ -485,7 +476,7 @@ func prepare(p *Platform, cfg *Config) error {
 	// Structural pre-check before Freeze: lint tolerates broken designs
 	// and reports every hazard at once, where Freeze stops at the first.
 	if !cfg.skipLint {
-		if err := preCheck(p, cfg); err != nil {
+		if err := preCheck(p); err != nil {
 			return err
 		}
 	}

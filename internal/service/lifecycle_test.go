@@ -50,7 +50,7 @@ func TestEveryAcceptedJobIsCountedOnce(t *testing.T) {
 	svc, err := New(Config{
 		DataDir:       t.TempDir(),
 		Workers:       1,
-		ProgressEvery: time.Millisecond,
+		progressEvery: time.Millisecond,
 		Metrics:       obs.NewRegistry(),
 		BuildPlatform: func(design, bench string) (*core.Platform, error) {
 			// "fail" builds for Submit and not for the analysis after it.

@@ -31,7 +31,7 @@ func TestRefusedSubmitIsNotAccepted(t *testing.T) {
 		DataDir:       t.TempDir(),
 		Workers:       1,
 		QueueCap:      1,
-		ProgressEvery: time.Millisecond,
+		progressEvery: time.Millisecond,
 		BuildPlatform: loopPlatform(t, 0x3),
 		Metrics:       obs.NewRegistry(),
 		fs:            fault.NewInjector(nil, plan),
@@ -113,7 +113,7 @@ func TestScrapeWhileMutating(t *testing.T) {
 		DataDir:       t.TempDir(),
 		Workers:       2,
 		QueueCap:      8,
-		ProgressEvery: time.Millisecond,
+		progressEvery: time.Millisecond,
 		BuildPlatform: loopPlatform(t, 0x1),
 		Metrics:       obs.NewRegistry(),
 	})

@@ -1,8 +1,8 @@
 package service
 
 import (
-	"container/heap"
 	"errors"
+	"slices"
 	"sync"
 )
 
@@ -14,38 +14,16 @@ var ErrQueueFull = errors.New("service: job queue full")
 // ErrQueueClosed is returned by Push after Close.
 var ErrQueueClosed = errors.New("service: job queue closed")
 
-// queueItem orders jobs by priority (higher first), then submission
-// sequence (FIFO within a priority level).
-type queueItem struct {
-	id       string
-	priority int
-	seq      uint64
-}
-
-type queueHeap []queueItem
-
-func (h queueHeap) Len() int { return len(h) }
-func (h queueHeap) Less(i, j int) bool {
-	if h[i].priority != h[j].priority {
-		return h[i].priority > h[j].priority
-	}
-	return h[i].seq < h[j].seq
-}
-func (h queueHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *queueHeap) Push(x any)   { *h = append(*h, x.(queueItem)) }
-func (h *queueHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-
-// jobQueue is a bounded priority FIFO. Pop blocks until an item is
-// available or the queue is closed; Close wakes every blocked Pop and makes
-// the queue drain-empty immediately (items still queued stay persisted in
-// the job store and are re-enqueued on restart, so dropping them here is
-// safe).
+// jobQueue is a bounded FIFO of job IDs: jobs run in the order they were
+// pushed. Pop blocks until an item is available or the queue is closed;
+// Close wakes every blocked Pop and makes the queue drain-empty
+// immediately (items still queued stay persisted in the job store and are
+// re-enqueued on restart, so dropping them here is safe).
 type jobQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	heap   queueHeap
+	ids    []string
 	cap    int
-	seq    uint64
 	closed bool
 }
 
@@ -58,17 +36,16 @@ func newJobQueue(capacity int) *jobQueue {
 // Push enqueues a job ID. recovered pushes (restart re-enqueue) bypass the
 // capacity check: a job the daemon already accepted must not be rejected
 // by its own restart.
-func (q *jobQueue) Push(id string, priority int, recovered bool) error {
+func (q *jobQueue) Push(id string, recovered bool) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return ErrQueueClosed
 	}
-	if !recovered && len(q.heap) >= q.cap {
+	if !recovered && len(q.ids) >= q.cap {
 		return ErrQueueFull
 	}
-	q.seq++
-	heap.Push(&q.heap, queueItem{id: id, priority: priority, seq: q.seq})
+	q.ids = append(q.ids, id)
 	q.cond.Signal()
 	return nil
 }
@@ -77,32 +54,33 @@ func (q *jobQueue) Push(id string, priority int, recovered bool) error {
 func (q *jobQueue) Pop() (id string, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.heap) == 0 && !q.closed {
+	for len(q.ids) == 0 && !q.closed {
 		q.cond.Wait()
 	}
 	if q.closed {
 		return "", false
 	}
-	return heap.Pop(&q.heap).(queueItem).id, true
+	id = q.ids[0]
+	q.ids = q.ids[1:]
+	return id, true
 }
 
 // Remove deletes a queued job (cancellation before it started).
 func (q *jobQueue) Remove(id string) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for i := range q.heap {
-		if q.heap[i].id == id {
-			heap.Remove(&q.heap, i)
-			return true
-		}
+	i := slices.Index(q.ids, id)
+	if i < 0 {
+		return false
 	}
-	return false
+	q.ids = slices.Delete(q.ids, i, i+1)
+	return true
 }
 
 func (q *jobQueue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.heap)
+	return len(q.ids)
 }
 
 // Close stops the queue: every blocked Pop returns ok=false, further

@@ -30,9 +30,6 @@ type Config struct {
 	// QueueCap bounds the pending-job queue; submissions beyond it get
 	// ErrQueueFull (HTTP 429). Default 64.
 	QueueCap int
-	// ProgressEvery is the heartbeat interval streamed to subscribers.
-	// Default 250ms.
-	ProgressEvery time.Duration
 	// Defaults fills zero-valued tuning fields of submitted specs before
 	// the flag defaults do (typically the daemon's own parsed flags).
 	Defaults *JobSpec
@@ -51,6 +48,10 @@ type Config struct {
 	// text format. Nil selects obs.Default.
 	Metrics *obs.Registry
 
+	// progressEvery, when non-zero, replaces the progress heartbeat
+	// interval streamed to subscribers (defaultProgressEvery) — a test
+	// seam for streams that must heartbeat fast or not at all.
+	progressEvery time.Duration
 	// tuneConfig, when non-nil, is applied to each job's core.Config just
 	// before the analysis starts — a test seam for installing hooks
 	// (e.g. an OnHalt that blocks mid-run to make drain deterministic).
@@ -60,6 +61,10 @@ type Config struct {
 	// for a fault.Injector.
 	fs fault.FS
 }
+
+// defaultProgressEvery is the interval of the progress heartbeats a
+// running job streams to its subscribers.
+const defaultProgressEvery = 250 * time.Millisecond
 
 // job is the in-memory view of one job: its persisted record plus the
 // cancel handle of its running analysis.
@@ -78,7 +83,7 @@ type job struct {
 	resultData []byte
 }
 
-// Service is the analysis daemon core: a bounded priority queue feeding a
+// Service is the analysis daemon core: a bounded FIFO queue feeding a
 // worker pool of core.AnalyzeContext runs, a durable job store, a
 // content-addressed result cache and an event hub for progress streaming.
 // It is transport-agnostic; Handler wraps it in HTTP.
@@ -169,8 +174,8 @@ func New(cfg Config) (*Service, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
 	}
-	if cfg.ProgressEvery <= 0 {
-		cfg.ProgressEvery = 250 * time.Millisecond
+	if cfg.progressEvery <= 0 {
+		cfg.progressEvery = defaultProgressEvery
 	}
 	if cfg.BuildPlatform == nil {
 		cfg.BuildPlatform = func(design, bench string) (*core.Platform, error) {
@@ -252,7 +257,7 @@ func New(cfg Config) (*Service, error) {
 		if rec.State == StateQueued {
 			// Recovered pushes bypass the capacity check: the daemon
 			// must not reject jobs it already accepted.
-			if err := s.queue.Push(rec.ID, rec.Spec.Priority, true); err != nil {
+			if err := s.queue.Push(rec.ID, true); err != nil {
 				return nil, err
 			}
 			cfg.Logf("service: recovered job %s", rec.ID)
@@ -331,7 +336,7 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 		// Content-addressed hit: the exact analysis already ran to
 		// completion. Serve the stored result without spending a cycle.
 		to, why = StateDone, causeCacheHit
-	} else if err := s.queue.Push(id, spec.Priority, false); err != nil {
+	} else if err := s.queue.Push(id, false); err != nil {
 		return JobView{}, err
 	}
 	if !s.moveLocked(j, to, why, data) { // data is nil on a miss
@@ -480,7 +485,7 @@ func (s *Service) analyze(ctx context.Context, id string, spec JobSpec) (*core.R
 	if err != nil {
 		return nil, err
 	}
-	cc.ProgressEvery = s.cfg.ProgressEvery
+	cc.ProgressEvery = s.cfg.progressEvery
 	cc.Metrics = s.reg
 	cc.Progress = func(pr core.Progress) {
 		s.hub.Publish(Event{Type: "progress", Job: id, Progress: &pr})

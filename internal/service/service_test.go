@@ -90,7 +90,7 @@ func TestServiceEndToEndHTTP(t *testing.T) {
 	svc, err := New(Config{
 		DataDir:       t.TempDir(),
 		Workers:       1,
-		ProgressEvery: time.Millisecond,
+		progressEvery: time.Millisecond,
 		BuildPlatform: loopPlatform(t, 0x7),
 		// Own registry: the Prometheus assertions below count this
 		// service's jobs only, not everything else in the test binary.
@@ -342,7 +342,7 @@ func TestDrainRequeuesAndRestartRunsFromColdBoot(t *testing.T) {
 	svc1, err := New(Config{
 		DataDir:       dir,
 		Workers:       1,
-		ProgressEvery: time.Millisecond,
+		progressEvery: time.Millisecond,
 		BuildPlatform: loopPlatform(t, mask),
 		// Block the path worker at its first saved halt state, so the
 		// drain deterministically lands mid-exploration.
@@ -385,7 +385,7 @@ func TestDrainRequeuesAndRestartRunsFromColdBoot(t *testing.T) {
 		DataDir:       dir,
 		Metrics:       obs.NewRegistry(),
 		Workers:       1,
-		ProgressEvery: time.Millisecond,
+		progressEvery: time.Millisecond,
 		BuildPlatform: loopPlatform(t, mask),
 	})
 	if err != nil {
@@ -426,7 +426,7 @@ func TestBackpressureAndCancel(t *testing.T) {
 		DataDir:       t.TempDir(),
 		Workers:       1,
 		QueueCap:      1,
-		ProgressEvery: time.Millisecond,
+		progressEvery: time.Millisecond,
 		BuildPlatform: loopPlatform(t, 0x3),
 		tuneConfig:    func(string, *core.Config) { <-gate },
 	})
@@ -483,7 +483,7 @@ func TestDegradedResultIsServedButNotCached(t *testing.T) {
 		// service alone.
 		Metrics:       obs.NewRegistry(),
 		Workers:       1,
-		ProgressEvery: time.Millisecond,
+		progressEvery: time.Millisecond,
 		BuildPlatform: loopPlatform(t, 0xF),
 	})
 	if err != nil {
@@ -536,7 +536,7 @@ func TestIdenticalSubmissionsEachRun(t *testing.T) {
 	svc, err := New(Config{
 		DataDir:       t.TempDir(),
 		Workers:       1,
-		ProgressEvery: time.Millisecond,
+		progressEvery: time.Millisecond,
 		BuildPlatform: loopPlatform(t, 0x7),
 		Metrics:       obs.NewRegistry(),
 		// Gate only the first analysis; the duplicate behind it runs free.

@@ -16,8 +16,9 @@ import (
 
 // TestDaemonSmoke is the end-to-end service test over the real binaries:
 // it builds cmd/symsimd and cmd/symsim, checks that both refuse the
-// retired -engine and -lanes flags and the daemon its retired fleet
-// flags, boots the daemon on a loopback
+// retired -engine and -lanes flags, the client its retired -priority and
+// the daemon its retired fleet and heartbeat flags, boots the daemon on a
+// loopback
 // port, submits a dr5/tea8 job with the CLI client in -follow mode,
 // verifies the streamed run completes with a result, checks that an
 // identical resubmission is a cache hit, and shuts the daemon down with
@@ -43,15 +44,18 @@ func TestDaemonSmoke(t *testing.T) {
 		}
 	}
 
-	// The engine and its lanes are no flags at either command, and the
+	// The engine and its lanes are no flags at either command, the queue
+	// is a FIFO with no priority, the heartbeat interval is fixed and the
 	// daemon has no fleet mode: naming one is a usage error (exit 2)
-	// before an analysis runs or a port is bound.
+	// before an analysis runs, a job is posted or a port is bound.
 	for _, args := range [][]string{
 		{cliBin, "-design", "dr5", "-bench", "tea8", "-engine", "batch"},
 		{cliBin, "submit", "-design", "dr5", "-bench", "tea8", "-lanes", "8"},
 		{daemonBin, "-lanes", "8"},
 		{daemonBin, "-coordinator"},
 		{daemonBin, "-worker", "http://127.0.0.1:1"},
+		{cliBin, "submit", "-server", "http://127.0.0.1:1", "-design", "dr5", "-bench", "tea8", "-priority", "3"},
+		{daemonBin, "-progress-every", "50ms"},
 	} {
 		out, err := exec.Command(args[0], args[1:]...).CombinedOutput()
 		var exit *exec.ExitError
@@ -70,7 +74,7 @@ func TestDaemonSmoke(t *testing.T) {
 	server := "http://" + addr
 
 	data := t.TempDir()
-	daemon := exec.Command(daemonBin, "-listen", addr, "-data", data, "-progress-every", "50ms")
+	daemon := exec.Command(daemonBin, "-listen", addr, "-data", data)
 	var daemonLog strings.Builder
 	daemon.Stdout = &daemonLog
 	daemon.Stderr = &daemonLog

@@ -1,6 +1,6 @@
 // Package service exposes symsim as a long-lived analysis daemon: the
 // paper's co-analyses (Table 4) become submitted jobs with a bounded
-// priority queue, a durable on-disk job store, per-job budgets and
+// FIFO queue (jobs run in the order they were accepted), a durable on-disk job store, per-job budgets and
 // cancellation, SSE-streamed progress heartbeats, graceful drain that
 // re-queues in-flight jobs to run again from cold boot on restart (as a
 // crash does), and a content-addressed result cache keyed by the canonical netlist hash — a
@@ -16,7 +16,7 @@
 //
 // What a job asks for and what it answers are not defined here: the spec
 // is cliflags.Spec (one Normalize, one Config, shared with the CLI and the
-// fleet API) and the result view report.ResultSummary. This file derives
+// fleet library) and the result view report.ResultSummary. This file derives
 // the content address of a normalized spec's complete result.
 package service
 
@@ -72,7 +72,7 @@ func policyKey(spec JobSpec) string {
 // hashes the image, not the netlist), the design/bench pair that selected
 // the platform harness
 // (monitors, stimulus, state spec) and the CSM policy with its parameters.
-// Worker count, priority and budgets are deliberately excluded:
+// Worker count and budgets are deliberately excluded:
 // parallelism does not change the dichotomy, and budget-degraded
 // (incomplete) results are never cached.
 func cacheKey(designHash netlist.Digest, spec JobSpec) string {

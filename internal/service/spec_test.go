@@ -74,7 +74,6 @@ func TestNormalizeRejects(t *testing.T) {
 		{"clustered needs k", JobSpec{Design: "d", Bench: "b", Policy: "clustered", K: -1}, "k > 0"},
 		{"exact needs budget", JobSpec{Design: "d", Bench: "b", Policy: "exact", MaxStates: -1}, "maxStates > 0"},
 		{"negative budget", JobSpec{Design: "d", Bench: "b", MaxForks: -1}, "negative"},
-		{"priority range", JobSpec{Design: "d", Bench: "b", Priority: 1 << 21}, "priority"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,16 +121,14 @@ func TestCacheKeySensitivity(t *testing.T) {
 	bud.DeadlineMS = 5000
 	bud.MaxForks = 100
 	same("budgets", bud)
-	pri := base
-	pri.Priority = 10
-	same("priority", pri)
 }
 
-// TestRetiredSpecFieldsAreIgnored: a POST /jobs body naming the engine or
-// the lane count, as a client of an older daemon may send, is accepted
-// (201) as the analysis without them: the same normalized spec and the
-// same cache key, whatever values it names — the parent refused the last
-// two.
+// TestRetiredSpecFieldsAreIgnored: a POST /jobs body naming the engine,
+// the lane count or a queue priority, as a client of an older daemon may
+// send, is accepted (201) as the analysis without them: the same
+// normalized spec and the same cache key, whatever values it names — an
+// older daemon refused the last two engine/lane bodies and the out-of-range
+// priority.
 func TestRetiredSpecFieldsAreIgnored(t *testing.T) {
 	svc, err := New(Config{DataDir: t.TempDir(), Workers: 1, Metrics: obs.NewRegistry(), BuildPlatform: loopPlatform(t, 0x1)})
 	if err != nil {
@@ -147,6 +144,8 @@ func TestRetiredSpecFieldsAreIgnored(t *testing.T) {
 		`{"design":"dr5","bench":"loop","engine":"batch","lanes":8}`,
 		`{"design":"dr5","bench":"loop","engine":"kernel","lanes":0}`,
 		`{"design":"dr5","bench":"loop","engine":"interp","lanes":65}`,
+		`{"design":"dr5","bench":"loop","priority":3}`,
+		`{"design":"dr5","bench":"loop","priority":-2097152,"engine":"batch"}`,
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -170,20 +169,20 @@ func TestRetiredSpecFieldsAreIgnored(t *testing.T) {
 
 // retiredSpecFields matches, in compact JSON, the spec fields a parent
 // normalized and this tree no longer has.
-var retiredSpecFields = regexp.MustCompile(`"(memx|engine)":"[^"]*",|"lanes":\d+,`)
+var retiredSpecFields = regexp.MustCompile(`"(memx|engine)":"[^"]*",|,"(lanes|priority)":-?\d+`)
 
 // TestSpecGoldenFromParent pins compatibility across the move of the spec
 // into cliflags: testdata/spec_golden.json was captured at the commit
 // before it (PR 23) — request bodies, the daemon flags they met, and what
 // that commit's normalize, cacheKey and record encoder made of them. Every
 // request the job API accepted then must normalize to the same spec less
-// its X-address write rule, engine and lane count, which are gone (a
-// daemon flag naming the engine or the lanes is dropped too: symsimd no
-// longer has it), and the old record bytes must load. The record written
-// now is the SYMSIMJ3 image of the same record: the old SYMSIMJ2 bytes
-// less the rule, with the engine and lane slots emptied. Its key must
-// differ from the old SYMSIMK2 key, so a result computed under the dropped
-// Verilog rule is never served.
+// its X-address write rule, engine, lane count and queue priority, which
+// are gone (a daemon flag naming the engine or the lanes is dropped too:
+// symsimd no longer has it), and the old record bytes must load. The
+// record written now is the SYMSIMJ3 image of the same record: the old
+// SYMSIMJ2 bytes less the rule, with the engine, lane and priority slots
+// emptied. Its key must differ from the old SYMSIMK2 key, so a result
+// computed under the dropped Verilog rule is never served.
 func TestSpecGoldenFromParent(t *testing.T) {
 	data, err := os.ReadFile("testdata/spec_golden.json")
 	if err != nil {
@@ -243,9 +242,10 @@ func TestSpecGoldenFromParent(t *testing.T) {
 				t.Fatal(err)
 			}
 			var old struct {
-				Rule   string `json:"memx"`
-				Engine string `json:"engine"`
-				Lanes  int    `json:"lanes"`
+				Rule     string `json:"memx"`
+				Engine   string `json:"engine"`
+				Lanes    int    `json:"lanes"`
+				Priority int    `json:"priority"`
 			}
 			if err := json.Unmarshal(tc.Normalized, &old); err != nil {
 				t.Fatal(err)
@@ -259,8 +259,8 @@ func TestSpecGoldenFromParent(t *testing.T) {
 			}
 			rec := &jobRecord{ID: "0123456789abcdef01234567", Spec: n, State: StateQueued,
 				Submitted: 1_722_000_000_000_000_001, CacheKey: tc.CacheKey, DesignHash: hash.String()}
-			if got := hex.EncodeToString(parent{magic: jobMagicV2, engine: old.Engine, rule: old.Rule, lanes: old.Lanes}.image(rec)); got != tc.Record {
-				t.Errorf("record bytes with the rule, engine and lanes put back\n got %s\nwant %s", got, tc.Record)
+			if got := hex.EncodeToString(parent{magic: jobMagicV2, engine: old.Engine, rule: old.Rule, lanes: old.Lanes, priority: old.Priority}.image(rec)); got != tc.Record {
+				t.Errorf("record bytes with the rule, engine, lanes and priority put back\n got %s\nwant %s", got, tc.Record)
 			}
 			img, err := hex.DecodeString(tc.Record)
 			if err != nil {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"symsim/internal/core"
+	"symsim/internal/obs"
 )
 
 func progressEv(job string, n int) Event {
@@ -150,7 +151,7 @@ func TestSSEStreamTerminatesForSlowClient(t *testing.T) {
 	svc, err := New(Config{
 		DataDir:       t.TempDir(),
 		Workers:       1,
-		ProgressEvery: 100 * time.Microsecond,
+		progressEvery: 100 * time.Microsecond,
 		BuildPlatform: loopPlatform(t, 0x7),
 		tuneConfig:    func(string, *core.Config) { <-gate },
 	})
@@ -318,7 +319,7 @@ func TestSSEReconnectWithLastEventID(t *testing.T) {
 	svc, err := New(Config{
 		DataDir:       t.TempDir(),
 		Workers:       1,
-		ProgressEvery: time.Hour, // lifecycle events only: deterministic stream
+		progressEvery: time.Hour, // lifecycle events only: deterministic stream
 		BuildPlatform: loopPlatform(t, 0x3),
 		tuneConfig:    func(string, *core.Config) { <-gate },
 	})
@@ -436,7 +437,7 @@ func TestSSEIDsMonotonic(t *testing.T) {
 	svc, err := New(Config{
 		DataDir:       t.TempDir(),
 		Workers:       1,
-		ProgressEvery: time.Millisecond,
+		progressEvery: time.Millisecond,
 		BuildPlatform: loopPlatform(t, 0x7),
 	})
 	if err != nil {
@@ -482,7 +483,7 @@ func TestSSEKeepAliveComments(t *testing.T) {
 	svc, err := New(Config{
 		DataDir:       t.TempDir(),
 		Workers:       1,
-		ProgressEvery: time.Hour, // no heartbeats: only pings break the silence
+		progressEvery: time.Hour, // no heartbeats: only pings break the silence
 		SSEKeepAlive:  5 * time.Millisecond,
 		BuildPlatform: loopPlatform(t, 0x3),
 		tuneConfig:    func(string, *core.Config) { <-gate },
@@ -529,5 +530,31 @@ func TestSSEKeepAliveComments(t *testing.T) {
 	}
 	if !sawDone {
 		t.Error("stream ended without terminal state")
+	}
+}
+
+// TestHeartbeatEvery250ms: with no test seam set, every job's analysis
+// streams its progress heartbeats every 250 ms — the one interval symsimd
+// has.
+func TestHeartbeatEvery250ms(t *testing.T) {
+	got := make(chan time.Duration, 1)
+	svc, err := New(Config{
+		DataDir:       t.TempDir(),
+		Workers:       1,
+		Metrics:       obs.NewRegistry(),
+		BuildPlatform: loopPlatform(t, 0x1),
+		tuneConfig:    func(_ string, cc *core.Config) { got <- cc.ProgressEvery },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	view, err := svc.Submit(JobSpec{Design: "dr5", Bench: "loop"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, svc, view.ID, StateDone)
+	if every := <-got; every != 250*time.Millisecond {
+		t.Errorf("job heartbeat interval %v, want 250ms", every)
 	}
 }

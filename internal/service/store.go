@@ -65,11 +65,12 @@ type jobRecord struct {
 // which carry that rule and lack the lane slot, are still read; the rule
 // is dropped, since a job runs again from cold boot under the one rule.
 //
-// Two version-3 slots are retired: the engine name after the policy and
-// the lane count after the worker count, which an older daemon filled from
-// its spec. The writer puts an empty name and 0 there and the reader drops
-// what it finds, so a job an older daemon accepted on any engine runs on
-// the kernel like every other.
+// Three version-3 slots are retired: the engine name after the policy,
+// the lane count after the worker count and the queue priority after it,
+// which an older daemon filled from its spec. The writer puts an empty
+// name and 0s there and the reader drops what it finds, so a job an older
+// daemon accepted on any engine runs on the kernel like every other, in
+// its turn in the one FIFO queue.
 const (
 	jobMagic   = wire.JobMagic3
 	jobMagicV2 = wire.JobMagic2
@@ -89,7 +90,7 @@ func (r *jobRecord) encode() []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(r.Spec.MaxStates))
 	b = binary.LittleEndian.AppendUint32(b, uint32(r.Spec.Workers))
 	b = binary.LittleEndian.AppendUint32(b, 0) // the retired lane count
-	b = binary.LittleEndian.AppendUint32(b, uint32(int32(r.Spec.Priority)))
+	b = binary.LittleEndian.AppendUint32(b, 0) // the retired priority
 	b = binary.LittleEndian.AppendUint64(b, uint64(r.Spec.DeadlineMS))
 	b = binary.LittleEndian.AppendUint64(b, r.Spec.MaxCycles)
 	b = binary.LittleEndian.AppendUint32(b, uint32(r.Spec.MaxForks))
@@ -120,7 +121,7 @@ func (r *jobRecord) encode() []byte {
 // error wrapping ErrJobRecordCorrupt, never a panic, and any accepted
 // input re-encodes byte-identically — a version-1 or version-2 input as the
 // version-3 image of the same record, and one with retiredFlag set or the
-// retired engine and lane slots filled without them.
+// retired engine, lane and priority slots filled without them.
 func decodeJobRecord(data []byte) (*jobRecord, error) {
 	r := wire.NewReader(data, ErrJobRecordCorrupt)
 	magic := string(r.Bytes(len(jobMagic)))
@@ -142,7 +143,7 @@ func decodeJobRecord(data []byte) (*jobRecord, error) {
 	if magic != jobMagicV1 {
 		r.U32() // the retired lane count
 	}
-	rec.Spec.Priority = int(int32(r.U32()))
+	r.U32() // the retired priority
 	rec.Spec.DeadlineMS = int64(r.U64())
 	rec.Spec.MaxCycles = r.U64()
 	rec.Spec.MaxForks = int(r.U32())

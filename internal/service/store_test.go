@@ -19,7 +19,7 @@ func sampleRecord() *jobRecord {
 		ID: "a1b2c3",
 		Spec: JobSpec{
 			Design: "dr5", Bench: "tea8", Policy: "clustered", K: 4,
-			Workers: 2, Priority: -3,
+			Workers:    2,
 			DeadlineMS: 90_000, MaxCycles: 1 << 40, MaxForks: 7, MaxCSMStates: 11,
 		},
 		State:      StateQueued,
@@ -49,12 +49,12 @@ func TestJobRecordRoundTrip(t *testing.T) {
 }
 
 // parent is what an older daemon wrote into a record beside the current
-// image: its magic, the engine name and lane count of its spec in the
-// slots version 3 retired, and for versions 1 and 2 the X-address write
-// rule after the engine.
+// image: its magic, the engine name, lane count and queue priority of its
+// spec in the slots version 3 retired, and for versions 1 and 2 the
+// X-address write rule after the engine.
 type parent struct {
 	magic, engine, rule string
-	lanes               int
+	lanes, priority     int
 }
 
 // image rewrites rec's current image into the layout p's daemon wrote:
@@ -75,15 +75,16 @@ func (p parent) image(rec *jobRecord) []byte {
 	if p.magic != jobMagicV1 {
 		img = binary.LittleEndian.AppendUint32(img, uint32(p.lanes))
 	}
-	return append(img, cur[lanes+4:]...)
+	img = binary.LittleEndian.AppendUint32(img, uint32(int32(p.priority)))
+	return append(img, cur[lanes+2*4:]...)
 }
 
 // A record written before the lane count was persisted still decodes, its
-// engine and X-address write rule read and dropped, and is rewritten in
-// the current version.
+// engine, X-address write rule and priority read and dropped, and is
+// rewritten in the current version.
 func TestJobRecordVersion1StillDecodes(t *testing.T) {
 	want := sampleRecord()
-	got, err := decodeJobRecord(parent{magic: jobMagicV1, engine: "batch", rule: "sound"}.image(want))
+	got, err := decodeJobRecord(parent{magic: jobMagicV1, engine: "batch", rule: "sound", priority: -3}.image(want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +96,12 @@ func TestJobRecordVersion1StillDecodes(t *testing.T) {
 	}
 }
 
-// A version-2 record decodes to the same spec, less its engine, lane count
-// and X-address write rule, whichever rule it chose.
+// A version-2 record decodes to the same spec, less its engine, lane count,
+// priority and X-address write rule, whichever rule it chose.
 func TestJobRecordVersion2StillDecodes(t *testing.T) {
 	for _, rule := range []string{"sound", "verilog"} {
 		want := sampleRecord()
-		got, err := decodeJobRecord(parent{magic: jobMagicV2, engine: "batch", rule: rule, lanes: 4}.image(want))
+		got, err := decodeJobRecord(parent{magic: jobMagicV2, engine: "batch", rule: rule, lanes: 4, priority: 5}.image(want))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,8 +141,8 @@ func TestDecodeJobRecordRejectsMalformed(t *testing.T) {
 }
 
 // reencoded is the image an accepted version-3 record re-encodes as:
-// itself, with the retired engine and lane slots emptied and less the
-// retired flag bit (the flags byte is last).
+// itself, with the retired engine, lane and priority slots emptied and
+// less the retired flag bit (the flags byte is last).
 func reencoded(img []byte) []byte {
 	at := len(jobMagic)
 	for range 4 { // ID, Design, Bench, Policy
@@ -149,9 +150,10 @@ func reencoded(img []byte) []byte {
 	}
 	rest := img[at+4+int(binary.LittleEndian.Uint32(img[at:])):]
 	out := wire.AppendString(append([]byte{}, img[:at]...), "")
-	out = append(out, rest[:3*4]...) // K, MaxStates, Workers
-	out = binary.LittleEndian.AppendUint32(out, 0)
-	out = append(out, rest[4*4:]...)
+	out = append(out, rest[:3*4]...)               // K, MaxStates, Workers
+	out = binary.LittleEndian.AppendUint32(out, 0) // lanes
+	out = binary.LittleEndian.AppendUint32(out, 0) // priority
+	out = append(out, rest[5*4:]...)
 	out[len(out)-1] &^= retiredFlag
 	return out
 }
@@ -161,7 +163,7 @@ func reencoded(img []byte) []byte {
 // canonically or fail with ErrJobRecordCorrupt — never panic, never
 // round-trip inconsistently.
 func TestJobRecordBitFlips(t *testing.T) {
-	good := parent{magic: jobMagic, engine: "batch", lanes: 4}.image(sampleRecord())
+	good := parent{magic: jobMagic, engine: "batch", lanes: 4, priority: -3}.image(sampleRecord())
 	for i := range good {
 		for bit := 0; bit < 8; bit++ {
 			mut := append([]byte{}, good...)
@@ -188,9 +190,10 @@ func FuzzJobRecordRoundTrip(f *testing.F) {
 	f.Add([]byte("SYMSIMJ9junk"))
 	trunc := sampleRecord().encode()
 	f.Add(trunc[:len(trunc)-3])
-	f.Add(parent{magic: jobMagicV2, engine: "batch", rule: "verilog", lanes: 8}.image(sampleRecord()))
+	f.Add(parent{magic: jobMagicV2, engine: "batch", rule: "verilog", lanes: 8, priority: 5}.image(sampleRecord()))
 	retired := parent{magic: jobMagic, engine: "batch", lanes: 4}.image(sampleRecord())
 	f.Add(retired)
+	f.Add(parent{magic: jobMagic, priority: 7}.image(sampleRecord()))
 	retired = sampleRecord().encode()
 	retired[len(retired)-1] |= retiredFlag
 	f.Add(retired)
@@ -342,9 +345,10 @@ func TestRetiredFlagJobRestarts(t *testing.T) {
 }
 
 // TestParentEngineAndLanesJobRuns: a version-3 record an older daemon
-// wrote for a batch submission with four lanes loads as the plain spec,
-// and its job runs to done on the kernel with the tie-off list a plain
-// submission of the same cell gets from a fresh service.
+// wrote for a batch submission with four lanes and queue priority 7 loads
+// as the plain spec, re-encodes with those slots emptied, and its job runs
+// to done on the kernel with the tie-off list a plain submission of the
+// same cell gets from a fresh service.
 func TestParentEngineAndLanesJobRuns(t *testing.T) {
 	const mask = 0x7
 	tieOffs := func(svc *Service, id string) json.RawMessage {
@@ -373,7 +377,7 @@ func TestParentEngineAndLanesJobRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &jobRecord{ID: "batch4", Spec: spec, State: StateQueued, Submitted: 1, CacheKey: "batch4"}
-	img := parent{magic: jobMagic, engine: "batch", lanes: 4}.image(rec)
+	img := parent{magic: jobMagic, engine: "batch", lanes: 4, priority: 7}.image(rec)
 	got, err := decodeJobRecord(img)
 	if err != nil {
 		t.Fatal(err)

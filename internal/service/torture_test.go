@@ -47,7 +47,7 @@ func runTortureLifetime(t *testing.T, dir string, vfs fault.FS) (accepted []stri
 	svc, err := New(Config{
 		DataDir:       dir,
 		Workers:       1,
-		ProgressEvery: time.Millisecond,
+		progressEvery: time.Millisecond,
 		BuildPlatform: loopPlatform(t, 0x3),
 		fs:            vfs,
 		// Once hold is set, the job that runs waits at its first saved
@@ -141,7 +141,7 @@ func verifyRestartConsistency(t *testing.T, dir string, accepted []string) {
 	svc, err := New(Config{
 		DataDir:       dir,
 		Workers:       1,
-		ProgressEvery: time.Millisecond,
+		progressEvery: time.Millisecond,
 		BuildPlatform: loopPlatform(t, 0x3),
 	})
 	if err != nil {
@@ -356,7 +356,7 @@ func TestCorruptCacheEndToEnd(t *testing.T) {
 	svc, err := New(Config{
 		DataDir:       dir,
 		Workers:       1,
-		ProgressEvery: time.Millisecond,
+		progressEvery: time.Millisecond,
 		BuildPlatform: loopPlatform(t, 0x3),
 	})
 	if err != nil {
@@ -386,7 +386,7 @@ func TestCorruptCacheEndToEnd(t *testing.T) {
 		// service alone.
 		Metrics:       obs.NewRegistry(),
 		Workers:       1,
-		ProgressEvery: time.Millisecond,
+		progressEvery: time.Millisecond,
 		BuildPlatform: loopPlatform(t, 0x3),
 	})
 	if err != nil {
@@ -428,7 +428,7 @@ func TestSubmitRefusedWhileStoreDown(t *testing.T) {
 	svc, err := New(Config{
 		DataDir:       dir,
 		Workers:       1,
-		ProgressEvery: time.Millisecond,
+		progressEvery: time.Millisecond,
 		BuildPlatform: loopPlatform(t, 0x3),
 		fs:            fault.NewInjector(nil, plan),
 	})

@@ -20,7 +20,9 @@ package wire
 const (
 	// CheckpointMagic identifies version 1 of the analysis checkpoint
 	// file (internal/core checkpoint.go): the consistent-cut snapshot
-	// that `symsim -resume` and the symsimd drain protocol restart from.
+	// that `symsim -checkpoint` writes and `symsim -resume` restarts from.
+	// symsimd writes none: a drained or crashed job runs again from cold
+	// boot.
 	CheckpointMagic = "SYMSIMC1"
 	// JobMagic identifies version 1 of the durable job record
 	// (internal/service store.go): one fully-validated record per job,
@@ -32,10 +34,11 @@ const (
 	JobMagic2 = "SYMSIMJ2"
 	// JobMagic3 identifies version 3 of the durable job record, the one
 	// written: version 2 less the spec's X-address write rule, of which
-	// one is left. Its engine and lane-count slots are retired: written
-	// empty and 0, and read and dropped, since every job runs on the
-	// compiled kernel. Version-1 and version-2 records still decode; their
-	// rule, engine and lane count are read and dropped.
+	// one is left. Its engine, lane-count and priority slots are
+	// retired: written empty and 0, and read and dropped, since every job
+	// runs on the compiled kernel in the order the FIFO queue took it.
+	// Version-1 and version-2 records still decode; their rule, engine,
+	// lane count and priority are read and dropped.
 	JobMagic3 = "SYMSIMJ3"
 	// CacheKeyMagic identifies version 3 of the content-addressed result
 	// cache key (internal/service spec.go): a digest over the canonical
