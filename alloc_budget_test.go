@@ -48,7 +48,9 @@ var (
 // re-allocating the machine the four cells measured 1,811,056 B / 7,250
 // objects, 613,360 / 6,251, 1,519,072 / 7,249 and 258,032 / 2,646; before
 // the trace records and the outcome left the segment's heap, 503,376 /
-// 668, 216,512 / 423, 363,984 / 667 and 147,104 / 71.
+// 668, 216,512 / 423, 363,984 / 667 and 147,104 / 71; before the toggle
+// profile and the analysis's net sets became bitmaps, 438,320 / 182,
+// 184,224 / 177, 299,024 / 182 and 146,864 / 63.
 //
 // The tie-off list is one slice of its final length: Result.TieOffs makes
 // one allocation of at most 8 B per tie-off, rounded up as the allocator
@@ -59,10 +61,10 @@ func TestAllocationBudget(t *testing.T) {
 		bench          string
 		bytes, mallocs uint64
 	}{
-		{symsim.BM32, "inSort", 470_000, 199},
-		{symsim.OMSP430, "inSort", 198_000, 195},
-		{symsim.DR5, "inSort", 321_000, 199},
-		{symsim.BM32, "tea8", 158_000, 72},
+		{symsim.BM32, "inSort", 440_000, 195},
+		{symsim.OMSP430, "inSort", 187_000, 190},
+		{symsim.DR5, "inSort", 312_000, 195},
+		{symsim.BM32, "tea8", 128_000, 68},
 	} {
 		p, err := symsim.BuildPlatform(c.design, c.bench)
 		if err != nil {
@@ -92,17 +94,19 @@ func TestAllocationBudget(t *testing.T) {
 	}
 
 	// A simulator is the machine's mutable state and nothing else: net
-	// values, flip-flop clocks, dirty bitmaps, the RAM slab. The ROM is the
-	// view's own Init, shared (160,360 B in 2,588 objects when every ROM and
-	// RAM word was cloned on its own).
+	// values, flip-flop clocks, dirty bitmaps, the toggle profile and moved
+	// set at a bit per net, the RAM slab. The ROM is the view's own Init,
+	// shared (160,360 B in 2,588 objects when every ROM and RAM word was
+	// cloned on its own; 68,000 B in 15 when the profile took a byte per
+	// net).
 	p, err := symsim.BuildPlatform(symsim.BM32, "tea8")
 	if err != nil {
 		t.Fatal(err)
 	}
 	bytes, mallocs := measureAllocs(func() { vvp.New(p.Design, vvp.Options{}) })
 	t.Logf("vvp.New on bm32: %d B, %d mallocs", bytes, mallocs)
-	if bytes > 100<<10 || mallocs > 40 {
-		t.Errorf("vvp.New on bm32 allocated %d B in %d objects, budget %d B in 40", bytes, mallocs, 100<<10)
+	if bytes > 58_000 || mallocs > 40 {
+		t.Errorf("vvp.New on bm32 allocated %d B in %d objects, budget %d B in 40", bytes, mallocs, 58_000)
 	}
 }
 

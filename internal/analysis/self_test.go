@@ -32,7 +32,8 @@ func TestRepoIsClean(t *testing.T) {
 }
 
 // TestKernelSweepIsHot pins the SA001 coverage contract: the compiled
-// kernel's sweep and the logic primitives it leans on must be in the
+// kernel's sweep, the logic primitives it leans on and the per-segment
+// loops of a restore, a recording start and an absorb must be in the
 // hotpath-reachable set, so a future allocation there is caught at vet
 // time, not at benchmark time.
 func TestKernelSweepIsHot(t *testing.T) {
@@ -51,6 +52,9 @@ func TestKernelSweepIsHot(t *testing.T) {
 		"symsim/internal/vvp.(dirtySet).markRuns",
 		"symsim/internal/vvp.(dirtySet).markGate",
 		"symsim/internal/vvp.(Simulator).commit",
+		"symsim/internal/vvp.(Simulator).StartRecording",
+		"symsim/internal/vvp.(Simulator).assertState",
+		"symsim/internal/core.(analysis).absorbProfile",
 		"symsim/internal/logic.(Vec).Get",
 		"symsim/internal/logic.(Vec).Set",
 	} {

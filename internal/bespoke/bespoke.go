@@ -193,8 +193,9 @@ func Validate(sym *core.Result, bsp *Result, p *core.Platform, inputs []core.Mem
 
 	// Exercised-subset check: a net the run changed, or left unknown (the
 	// profile holds only the first; core's absorb has the rule).
-	for n, togg := range orig.Toggled() {
-		if !togg && orig.Value(netlist.NetID(n)).IsKnown() {
+	toggled := orig.Toggled()
+	for n := range sym.ToggledNets {
+		if toggled[n>>6]>>(n&63)&1 == 0 && orig.Value(netlist.NetID(n)).IsKnown() {
 			continue
 		}
 		rep.ExercisedConcrete++

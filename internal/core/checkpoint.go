@@ -324,6 +324,16 @@ func appendBitmap(b []byte, bits []bool) []byte {
 	return b
 }
 
+// appendWords packs the first n bits of a bitmap with nothing set past them
+// (net n is bit n&63 of word n>>6) as appendBitmap packs n bools.
+func appendWords(b []byte, words []uint64, n int) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	for i := 0; i < (n+7)/8; i++ {
+		b = append(b, byte(words[i>>3]>>(8*(i&7))))
+	}
+	return b
+}
+
 // appendValues packs a []logic.Value as 2 bits per entry, LSB first.
 func appendValues(b []byte, vals []logic.Value) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(vals)))

@@ -21,6 +21,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -168,6 +169,10 @@ type Config struct {
 	// superseded, i.e. plain Algorithm 1; only the A/B oracle in _test.go
 	// sets it.
 	keepSuperseded bool
+	// allMoved makes every segment's outcome name every net moved, so
+	// absorb reads every net that is not yet exercisable; only the A/B
+	// oracle in _test.go sets it.
+	allMoved bool
 	// skipLint disables the structural pre-check (the netlist is then only
 	// validated by Freeze, whose first-failure errors are far less
 	// descriptive); only tests in _test.go set it.
@@ -319,12 +324,16 @@ type entry struct {
 }
 
 // pathOutcome carries what one simulated segment produced: toggled marks
-// the nets that changed while it recorded and endVals is every net's value
-// at its end; absorb reads the two together.
+// the nets that changed while it recorded, moved the nets its simulator
+// committed otherwise since its profile was last absorbed (nil: every net),
+// both one bit per net as vvp.Simulator.Toggled lays them out, and endVals
+// is every net's value at its end; absorb reads the three together and
+// consumes the first two.
 type pathOutcome struct {
 	stat       PathStat
 	halt       vvp.State
-	toggled    []bool
+	toggled    []uint64
+	moved      []uint64
 	endVals    []logic.Value
 	err        error
 	quarantine *Quarantine
@@ -508,14 +517,20 @@ type analysis struct {
 	aux     sync.WaitGroup
 	drivers sync.WaitGroup
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	front     frontier
-	inflight  map[int]entry
-	active    int
-	fatal     error
-	constSeen []bool
-	nextID    int
+	mu       sync.Mutex
+	cond     *sync.Cond
+	front    frontier
+	inflight map[int]entry
+	active   int
+	fatal    error
+	// exercisable and constSeen are Result.ToggledNets and the nets whose
+	// tie-off constant is recorded in Result.ConstNets, net n being bit n&63
+	// of word n>>6; finish and checkpoints unpack them. The bits of
+	// exercisable past the last net are set, so its complement names nets
+	// only.
+	exercisable []uint64
+	constSeen   []uint64
+	nextID      int
 	// anchored reports that at least one segment was absorbed. Each carries
 	// a full net valuation (possibly of partial progress), so untoggled-net
 	// constants are grounded in a real observation.
@@ -861,26 +876,59 @@ func (a *analysis) absorb(out pathOutcome) {
 	a.res.SimulatedCycles += out.stat.Cycles
 	a.res.Paths = append(a.res.Paths, out.stat)
 	a.anchored = true
-	exercisable := a.res.ToggledNets
-	for n, t := range out.toggled {
-		if exercisable[n] {
-			// Nothing this path saw can change that, and nothing reads the
-			// constant of a toggled net.
-			continue
+	a.absorbProfile(out.toggled, out.moved, out.endVals)
+}
+
+// absorbProfile is absorb's word loop over the nets of toggled | moved that
+// are not yet exercisable — every net that is not, when moved is nil — and
+// it consumes the profile: both bitmaps are zero when it returns. A net
+// outside toggled | moved holds the value it had when the same simulator's
+// profile was last absorbed, which left the net exercisable or its tie-off
+// constant equal to that value, and neither can be undone (DESIGN.md §8
+// "The moved set").
+//
+//symsim:hotpath
+func (a *analysis) absorbProfile(toggled, moved []uint64, endVals []logic.Value) {
+	exercisable, seen, consts := a.exercisable, a.constSeen, a.res.ConstNets
+	for i, t := range toggled {
+		look := ^exercisable[i]
+		if moved != nil {
+			look &= t | moved[i]
+			moved[i] = 0
 		}
-		v := out.endVals[n]
-		if t || !v.IsKnown() {
-			exercisable[n] = true
-			continue
+		toggled[i] = 0
+		for ; look != 0; look &= look - 1 {
+			j := bits.TrailingZeros64(look)
+			bit, n := uint64(1)<<j, i<<6|j
+			switch v := endVals[n]; {
+			case t&bit != 0 || !v.IsKnown():
+				exercisable[i] |= bit
+			case seen[i]&bit == 0:
+				seen[i] |= bit
+				consts[n] = v
+			case consts[n] != v:
+				// The net is constant within each path but differs between
+				// paths: no single tie-off value exists, so it counts as
+				// exercisable.
+				exercisable[i] |= bit
+			}
 		}
-		if !a.constSeen[n] {
-			a.constSeen[n] = true
-			a.res.ConstNets[n] = v
-		} else if a.res.ConstNets[n] != v {
-			// The net is constant within each path but differs between
-			// paths: no single tie-off value exists, so it counts as
-			// exercisable.
-			exercisable[n] = true
+	}
+}
+
+// unpackBits writes the first len(dst) bits of b into dst.
+func unpackBits(dst []bool, b []uint64) []bool {
+	for n := range dst {
+		dst[n] = b[n>>6]>>(n&63)&1 != 0
+	}
+	return dst
+}
+
+// packBits ORs the marks of src into b.
+func packBits(b []uint64, src []bool) {
+	for n, v := range src {
+		if v {
+			b[n>>6] |= 1 << (n & 63)
 		}
 	}
 }
@@ -889,6 +937,7 @@ func (a *analysis) absorb(out pathOutcome) {
 // degradation drain for incomplete runs, the exercisable-gate dichotomy,
 // and deterministic ordering of the per-path statistics. Caller holds a.mu.
 func (a *analysis) finish() {
+	unpackBits(a.res.ToggledNets, a.exercisable)
 	pending := a.front.len()
 	if pending > 0 || len(a.quarantined) > 0 {
 		a.res.Complete = false
@@ -1028,8 +1077,8 @@ func (a *analysis) snapshotLocked() *Checkpoint {
 		DesignHash:      a.p.Design.Hash(),
 		Policy:          a.cfg.Policy.Name(),
 		CSM:             a.cfg.Policy.Export(),
-		Toggled:         append([]bool(nil), a.res.ToggledNets...),
-		ConstSeen:       append([]bool(nil), a.constSeen...),
+		Toggled:         unpackBits(make([]bool, len(a.res.ToggledNets)), a.exercisable),
+		ConstSeen:       unpackBits(make([]bool, len(a.res.ToggledNets)), a.constSeen),
 		ConstVals:       append([]logic.Value(nil), a.res.ConstNets...),
 		PathsCreated:    a.res.PathsCreated,
 		PathsSkipped:    a.res.PathsSkipped,
@@ -1067,8 +1116,8 @@ func (a *analysis) loadResume(c *Checkpoint) error {
 	if err := a.cfg.Policy.Import(c.CSM); err != nil {
 		return err
 	}
-	copy(a.res.ToggledNets, c.Toggled)
-	copy(a.constSeen, c.ConstSeen)
+	packBits(a.exercisable, c.Toggled)
+	packBits(a.constSeen, c.ConstSeen)
 	copy(a.res.ConstNets, c.ConstVals)
 	for n := range c.Toggled {
 		if c.Toggled[n] || c.ConstSeen[n] {

@@ -37,11 +37,15 @@ type laneEngine interface {
 	CyclesLane(lane int) uint64
 	// ToggledLane, LaneNetValues and SnapshotLane return the lane's toggle
 	// profile — the nets that changed since StartRecordingLane, which starts
-	// it empty; a net that is X throughout is in the valuation, not here —
-	// net valuation and machine state. dst is storage the engine
-	// may use or ignore; the result is only valid until the engine next
-	// steps or restores, or the same call is made again.
-	ToggledLane(lane int, dst []bool) []bool
+	// it empty, one bit per net as vvp.Simulator.Toggled lays them out; a net
+	// that is X throughout is in the valuation, not here — net valuation and
+	// machine state. dst is storage the engine may use or ignore; the result
+	// is only valid until the engine next steps or restores, or the same call
+	// is made again. MovedLane returns the lane's moved set, or nil when the
+	// engine keeps none and every net counts as moved; absorb consumes the
+	// profile and the moved set it is handed (vvp.Simulator.Toggled).
+	ToggledLane(lane int, dst []uint64) []uint64
+	MovedLane(lane int) []uint64
 	LaneNetValues(lane int, dst []logic.Value) []logic.Value
 	SnapshotLane(sp *vvp.StateSpec, lane int, dst vvp.State) vvp.State
 	RetireLane(lane int)
@@ -85,7 +89,9 @@ func (s *scalarLane) StepAll() (finished, halted uint64, err error) {
 
 func (s *scalarLane) CyclesLane(int) uint64 { return s.sim.Cycles() - s.base }
 
-func (s *scalarLane) ToggledLane(int, []bool) []bool { return s.sim.Toggled() }
+func (s *scalarLane) ToggledLane(int, []uint64) []uint64 { return s.sim.Toggled() }
+
+func (s *scalarLane) MovedLane(int) []uint64 { return s.sim.Moved() }
 
 func (s *scalarLane) LaneNetValues(int, []logic.Value) []logic.Value { return s.sim.Values() }
 
@@ -156,7 +162,7 @@ type explorer struct {
 	// settle absorbs, copies or encodes them and retains none. A scalar
 	// engine hands out its own toggle and value storage instead and leaves
 	// the first two nil.
-	toggled []bool
+	toggled []uint64
 	endVals []logic.Value
 	halt    vvp.State
 	out     pathOutcome
@@ -357,6 +363,9 @@ func (x *explorer) outcome(l int, fin, hal bool) pathOutcome {
 		stat:    PathStat{ID: x.lane[l].id, Cycles: x.eng.CyclesLane(l)},
 		toggled: x.toggled,
 		endVals: x.endVals,
+	}
+	if !x.cfg.allMoved {
+		out.moved = x.eng.MovedLane(l)
 	}
 	switch {
 	case fin:

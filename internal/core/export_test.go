@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"time"
+
 	"symsim/internal/logic"
 	"symsim/internal/vvp"
 )
@@ -9,6 +12,14 @@ import (
 // test can compare a run against plain Algorithm 1.
 func KeepSuperseded(cfg Config) Config {
 	cfg.keepSuperseded = true
+	return cfg
+}
+
+// AllMoved returns cfg with every segment's outcome naming every net moved,
+// so a test can compare absorb over the moved set against absorb over
+// every net that is not yet exercisable.
+func AllMoved(cfg Config) Config {
+	cfg.allMoved = true
 	return cfg
 }
 
@@ -58,4 +69,41 @@ func StrandSuperseded(r *Run) {
 	a.front = frontier{}
 	a.front.pushFork(entry{state: narrow, forced: logic.Hi, hasForce: true})
 	a.front.latest[forkKey{narrow.PC, logic.Hi}] = logic.MustVec("XX")
+}
+
+// dropSource is an analysis as the source of its one explorer, except that
+// the segment with path ID drop is put back, as a lapsed lease puts one
+// back, just before its first settle: that settle finds it no longer in
+// flight and drops its outcome unabsorbed. The entry is admitted again
+// under its ID and simulated anew.
+type dropSource struct {
+	*analysis
+	drop    int
+	dropped bool
+}
+
+func (d *dropSource) settle(out *pathOutcome, wall time.Duration) bool {
+	if out.stat.ID == d.drop && !d.dropped {
+		d.dropped = true
+		d.mu.Lock()
+		d.putBack(out.stat.ID)
+		d.mu.Unlock()
+	}
+	return d.analysis.settle(out, wall)
+}
+
+// AnalyzeDropping is Analyze with one explorer that drops the outcome of
+// path drop unabsorbed once (dropSource), and reports whether it did.
+func AnalyzeDropping(p *Platform, cfg Config, drop int) (*Result, bool, error) {
+	r, err := Open(context.Background(), p, cfg)
+	if err != nil {
+		return nil, false, err
+	}
+	src := &dropSource{analysis: r.a, drop: drop}
+	x := explorer{p: p, cfg: &r.a.cfg, src: src}
+	if err := x.explore(); err != nil {
+		r.a.fail(err)
+	}
+	res, err := r.Wait()
+	return res, src.dropped, err
 }

@@ -51,7 +51,13 @@ func Open(ctx context.Context, p *Platform, cfg Config) (*Run, error) {
 		TotalGates:  len(p.Design.Gates),
 		Policy:      cfg.Policy.Name(),
 	}
-	a.constSeen = make([]bool, len(p.Design.Nets))
+	nets := len(p.Design.Nets)
+	words := (nets + 63) / 64
+	sets := make([]uint64, 2*words)
+	a.exercisable, a.constSeen = sets[:words:words], sets[words:]
+	if r := nets & 63; r != 0 {
+		a.exercisable[words-1] = ^uint64(0) << r
+	}
 
 	if cfg.Resume != nil {
 		if err := a.loadResume(cfg.Resume); err != nil {

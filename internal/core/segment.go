@@ -67,7 +67,7 @@ func appendOutcome(b []byte, out *pathOutcome, wall time.Duration) []byte {
 		b = wire.AppendString(b, q.Stack)
 	default:
 		b = append(b, outcomeProfiled)
-		b = appendBitmap(b, out.toggled)
+		b = appendWords(b, out.toggled, len(out.endVals))
 		b = appendValues(b, out.endVals)
 		if out.stat.End == EndForked {
 			b = out.halt.AppendBinary(b)
@@ -103,7 +103,10 @@ func decodeOutcome(nets, stateBits int, data []byte) (out pathOutcome, wall time
 	case shape == outcomeQuarantined && end == EndQuarantined:
 		out.quarantine = &Quarantine{PC: r.U64(), Time: r.U64(), Panic: r.Str(), Stack: r.Str()}
 	case shape == outcomeProfiled && end <= EndInterrupted && end != EndSubsumed:
-		out.toggled = r.bitmap(nets)
+		// moved stays nil: what the remote explorer's simulator held before
+		// the segment is unknown here, so absorb reads every net.
+		out.toggled = make([]uint64, (nets+63)/64)
+		packBits(out.toggled, r.bitmap(nets))
 		out.endVals = r.values(nets)
 		if end == EndForked {
 			// classify files the halt under its PC; an X there is the

@@ -38,7 +38,7 @@ func sampleWork() [][]byte {
 // sampleOutcomes is one encoding per shape and end: a fork with its halt
 // state, a finished and an interrupted profile, a fatal error, a quarantine.
 func sampleOutcomes() [][]byte {
-	toggled := []bool{true, false, true, false, false, false, true, false, false, false, true}
+	toggled := []uint64{0b100_0100_0101}
 	vals := []logic.Value{0, logic.Hi, 0, logic.Lo, logic.X, logic.Hi, 0, logic.Lo, logic.Lo, logic.Hi, logic.Z}
 	profile := func(end PathEnd) pathOutcome {
 		return pathOutcome{stat: PathStat{Cycles: 700, End: end}, toggled: toggled, endVals: vals, evals: 12345, sweeps: 67}
@@ -99,11 +99,28 @@ func TestSegmentCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.stat.End != EndForked || out.stat.Cycles != 700 || out.evals != 12345 || out.sweeps != 67 ||
-		wall != 1500*time.Microsecond || !out.toggled[10] || out.endVals[4] != logic.X || out.halt.PC != 0x44 {
+		wall != 1500*time.Microsecond || out.toggled[0]>>10&1 == 0 || out.endVals[4] != logic.X || out.halt.PC != 0x44 {
 		t.Errorf("forked outcome lost fields: %+v wall %v", out, wall)
 	}
 	if out, _, err = decodeOutcome(sampleNets, sampleStateBits, sampleOutcomes()[4]); err != nil || out.quarantine == nil || out.quarantine.Panic != "boom" {
 		t.Errorf("quarantined outcome lost its record: %+v, %v", out, err)
+	}
+}
+
+// An outcome's toggle profile travels in the checkpoint's bitmap encoding:
+// appendWords of packed marks is appendBitmap of the marks, for every
+// length across two words.
+func TestOutcomeProfileEncodingUnchanged(t *testing.T) {
+	for n := 0; n <= 130; n++ {
+		marks := make([]bool, n)
+		for i := range marks {
+			marks[i] = (i*7+n)%3 == 0
+		}
+		words := make([]uint64, (n+63)/64)
+		packBits(words, marks)
+		if got, want := appendWords(nil, words, n), appendBitmap(nil, marks); !bytes.Equal(got, want) {
+			t.Fatalf("%d nets: %x, want %x", n, got, want)
+		}
 	}
 }
 

@@ -283,8 +283,9 @@ func (v *Vec) MergeInPlace(o Vec) {
 // CopyBitsFrom overwrites n bits of v starting at dstOff with the n bits
 // of src starting at srcOff, without allocating. Both planes are moved in
 // word-sized chunks, so restoring a few thousand memory bits costs a few
-// dozen word operations instead of per-bit Get/Set pairs. Out-of-range
-// spans panic.
+// dozen word operations instead of per-bit Get/Set pairs; once the
+// destination is word-aligned, a whole word is one funnel shift of two
+// source words. Out-of-range spans panic.
 //
 //symsim:hotpath
 func (v *Vec) CopyBitsFrom(dstOff int, src Vec, srcOff, n int) {
@@ -293,6 +294,17 @@ func (v *Vec) CopyBitsFrom(dstOff int, src Vec, srcOff, n int) {
 		panic(fmt.Sprintf("logic: CopyBitsFrom [%d,%d)<-[%d,%d) out of range (dst %d, src %d bits)", dstOff, dstOff+n, srcOff, srcOff+n, v.width, src.width))
 	}
 	for n > 0 {
+		if dstOff&63 == 0 && n >= 64 {
+			dw, sw, sb := dstOff>>6, srcOff>>6, uint(srcOff&63)
+			k, x := src.known[sw]>>sb, src.val[sw]>>sb
+			if sb != 0 {
+				k |= src.known[sw+1] << (64 - sb)
+				x |= src.val[sw+1] << (64 - sb)
+			}
+			v.known[dw], v.val[dw] = k, x
+			dstOff, srcOff, n = dstOff+64, srcOff+64, n-64
+			continue
+		}
 		dw, db := dstOff/64, uint(dstOff%64)
 		c := 64 - int(db)
 		if c > n {

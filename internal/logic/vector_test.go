@@ -304,13 +304,19 @@ func TestVecCopyBitsFrom(t *testing.T) {
 		}
 		return v
 	}
-	for trial := 0; trial < 500; trial++ {
+	for trial := 0; trial < 700; trial++ {
 		dw := 1 + r.Intn(200)
 		sw := 1 + r.Intn(200)
 		dst, src := randVec(dw), randVec(sw)
 		n := r.Intn(min(dw, sw) + 1)
 		dOff := r.Intn(dw - n + 1)
 		sOff := r.Intn(sw - n + 1)
+		if trial >= 500 {
+			// Whole words from every source bit offset, as Restore copies
+			// a RAM image out of a state.
+			dst, src = randVec(200), randVec(270)
+			n, dOff, sOff = 64*(1+r.Intn(3)), 0, r.Intn(64)
+		}
 
 		want := dst.Clone()
 		for i := 0; i < n; i++ {

@@ -308,18 +308,27 @@ func (s *BatchSim) StartRecordingLane(lane int) {
 	}
 }
 
-// ToggledLane copies lane lane's toggle profile into dst (allocated when
-// nil or mis-sized) and returns it.
-func (s *BatchSim) ToggledLane(lane int, dst []bool) []bool {
-	if len(dst) != len(s.toggledP) {
-		dst = make([]bool, len(s.toggledP))
+// ToggledLane packs lane lane's toggle profile into dst (allocated when nil
+// or mis-sized) in Simulator.Toggled's layout, net n being bit n&63 of word
+// n>>6, and returns it.
+func (s *BatchSim) ToggledLane(lane int, dst []uint64) []uint64 {
+	if words := (len(s.toggledP) + 63) / 64; len(dst) != words {
+		dst = make([]uint64, words)
+	} else {
+		clear(dst)
 	}
 	lm := uint64(1) << uint(lane)
 	for i, w := range s.toggledP {
-		dst[i] = w&lm != 0
+		if w&lm != 0 {
+			dst[i>>6] |= 1 << (i & 63)
+		}
 	}
 	return dst
 }
+
+// MovedLane returns nil: a lane keeps no moved set, so every net counts as
+// moved (see Simulator.Toggled).
+func (s *BatchSim) MovedLane(int) []uint64 { return nil }
 
 // forceAt returns the position of net id in the sorted forces slice and
 // whether a force on id is there; without one, the position is where it

@@ -67,10 +67,11 @@ func compareLane(t *testing.T, ctx string, b *BatchSim, ref *Simulator, lane int
 		}
 	}
 	tg := b.ToggledLane(lane, nil)
-	for id, want := range ref.toggled {
-		if tg[id] != want && !(cover && (tg[id] || b.LaneValue(netlist.NetID(id), lane) == logic.X)) {
+	for id := range ref.val {
+		got, want := bitSet(tg, id), bitSet(ref.toggled, id)
+		if got != want && !(cover && (got || b.LaneValue(netlist.NetID(id), lane) == logic.X)) {
 			t.Fatalf("%s: lane %d toggle profile diverged on %s: %v vs %v",
-				ctx, lane, ref.d.NetName(netlist.NetID(id)), tg[id], want)
+				ctx, lane, ref.d.NetName(netlist.NetID(id)), got, want)
 		}
 	}
 }

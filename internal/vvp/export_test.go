@@ -1,6 +1,11 @@
 package vvp
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+
+	"symsim/internal/netlist"
+)
 
 // CheckInvariants is checkInvariants for the external tests, which reach
 // the processors.
@@ -8,3 +13,10 @@ func (s *Simulator) CheckInvariants(t testing.TB, ctx string) { s.checkInvariant
 
 // CheckInvariants is checkInvariants for the external tests.
 func (s *BatchSim) CheckInvariants(t testing.TB, ctx string) { s.checkInvariants(t, ctx) }
+
+// MovedTrial is movedTrial for the external tests, which reach the
+// processors.
+func MovedTrial(t testing.TB, ctx string, r *rand.Rand, s *Simulator, sp *StateSpec, states []State, force netlist.NetID, hp uint64, segments, steps int) {
+	t.Helper()
+	movedTrial(t, ctx, r, s, sp, states, force, hp, segments, steps)
+}

@@ -2,6 +2,7 @@ package vvp_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"symsim/internal/core"
@@ -124,4 +125,55 @@ func invariantPath(t *testing.T, ctx string, p *core.Platform, from *vvp.State, 
 	}
 	t.Fatalf("%s: no halt or finish in 5000 cycles", ctx)
 	return vvp.Running, vvp.State{}
+}
+
+// TestMovedCoversEveryChangeOnProcessors is TestMovedCoversEveryChange on
+// the three processors, each on both scalar engines: segments restore the
+// state just past reset, the first halt of tHold and that halt's two
+// children, force the branch condition half the time, and are absorbed or
+// dropped at random (DESIGN.md §8 "The moved set").
+func TestMovedCoversEveryChangeOnProcessors(t *testing.T) {
+	for _, c := range []struct {
+		isa   prog.ISA
+		build func(*isa.Image) (*core.Platform, error)
+	}{
+		{prog.ISAMips, bm32.Build},
+		{prog.ISAMsp430, omsp430.Build},
+		{prog.ISARV32, dr5.Build},
+	} {
+		img, err := prog.Build("tHold", c.isa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := c.build(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boot := vvp.New(p.Design, vvp.Options{})
+		boot.SetMonitorX(&p.Monitor)
+		boot.BindStimulus(p.Stimulus())
+		for resetEnd := uint64(2*p.ResetCycles)*p.HalfPeriod + 1; boot.Now() <= resetEnd; {
+			if _, err := boot.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		states := []vvp.State{boot.Snapshot(p.Spec)}
+		status, err := boot.Run(5000)
+		if err != nil || status != vvp.HaltX {
+			t.Fatalf("%s: the cold boot ended %v, %v; want a halt", p.Name, status, err)
+		}
+		halt := boot.Snapshot(p.Spec)
+		states = append(states, halt)
+		for _, taken := range []bool{true, false} {
+			if p.Specialize != nil {
+				states = append(states, p.Specialize(halt.Clone(), taken))
+			}
+		}
+		for _, eng := range []vvp.Engine{vvp.EngineKernel, vvp.EngineInterp} {
+			s := vvp.New(p.Design, vvp.Options{Engine: eng})
+			s.BindStimulus(p.Stimulus())
+			vvp.MovedTrial(t, fmt.Sprintf("%s/tHold %v", p.Name, eng), rand.New(rand.NewSource(1)),
+				s, p.Spec, states, p.Monitor.Cond, p.HalfPeriod, 10, 40)
+		}
+	}
 }

@@ -25,7 +25,10 @@ import (
 //     memState.lastClk;
 //   - quiet is true exactly on the kernel with every RSTN pin at 1;
 //   - zSeen is set whenever some net holds Z;
-//   - follow implies a clock-domain table;
+//   - follow implies a clock-domain table, and that every flip-flop's CLK
+//     pin is the domain clock;
+//   - the toggle profile and the moved set have one bit per net and none
+//     past the last;
 //   - edgePending is false, edgeNet is NoNet and both queues are empty;
 //   - the schedule agrees with itself (checkSet), the interpreter's
 //     buckets with its in-queue flags.
@@ -38,6 +41,13 @@ func (s *Simulator) checkInvariants(t testing.TB, ctx string) {
 	if s.follow && (s.prog == nil || s.prog.Clock == nil) {
 		t.Fatalf("%s: clock samples follow a clock with no clock-domain table", ctx)
 	}
+	words := (len(s.val) + 63) / 64
+	if len(s.toggled) != words || len(s.moved) != words {
+		t.Fatalf("%s: %d and %d profile words for %d nets", ctx, len(s.toggled), len(s.moved), len(s.val))
+	}
+	if tail := len(s.val) & 63; tail != 0 && (s.toggled[words-1]|s.moved[words-1])>>tail != 0 {
+		t.Fatalf("%s: a profile bit is set past the last net", ctx)
+	}
 	if !s.zSeen && slices.Contains(s.val, logic.Z) {
 		t.Fatalf("%s: a net holds z and zSeen is not set", ctx)
 	}
@@ -49,6 +59,10 @@ func (s *Simulator) checkInvariants(t testing.TB, ctx string) {
 		}
 		if s.val[gt.In[netlist.DFFPinRstn]] != logic.Hi {
 			quiet = false
+		}
+		if s.follow && gt.In[netlist.DFFPinClk] != s.prog.Clock.Net {
+			t.Fatalf("%s: clock samples follow %s and DFF %s is clocked by %s",
+				ctx, s.d.NetName(s.prog.Clock.Net), s.d.NetName(gt.Out), s.d.NetName(gt.In[netlist.DFFPinClk]))
 		}
 		k := s.gidx(netlist.GateID(g))
 		if s.prog == nil && s.inQ[k] || s.prog != nil && s.dirtyW[k>>6]>>(k&63)&1 != 0 {
@@ -186,3 +200,6 @@ func count[E comparable](s []E, v E) int {
 	}
 	return n
 }
+
+// bitSet reports whether bit n of a one-bit-per-net bitmap is set.
+func bitSet(b []uint64, n int) bool { return b[n>>6]>>(n&63)&1 != 0 }

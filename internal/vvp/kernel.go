@@ -76,7 +76,7 @@ func (s *Simulator) kernelLevel(lvl int32) error {
 					continue
 				}
 				val[d.Out] = v
-				toggled[d.Out] = true
+				toggled[d.Out>>6] |= 1 << (d.Out & 63)
 				add := r.Mask &^ dirtyW[r.Word]
 				dirtyW[r.Word] |= add
 				lvlW[uint32(r.Level)>>6] |= uint64(1) << (uint32(r.Level) & 63)

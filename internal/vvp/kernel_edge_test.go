@@ -228,6 +228,57 @@ func TestRestoreAtEitherPhaseFiresNoEdge(t *testing.T) {
 	}
 }
 
+// TestRestoreUnderResetTakesTwoPasses: Restore settles once and asserts the
+// saved flip-flop outputs a second time unless the samples follow the clock
+// and every reset is at 1 (DESIGN.md §8 "Restore under follow"). A state
+// restored at a time when the reset is low is reset by the first settle, so
+// the second pass commits the saved outputs again and the reset takes them
+// back: the kernel, which has a clock-domain table here, must commit what
+// the interpreter commits. Restored with the reset at 1, the kernel takes
+// one pass, holds the snapshot and still commits what the interpreter does.
+func TestRestoreUnderResetTakesTwoPasses(t *testing.T) {
+	n, q := counterDesign(t)
+	if n.Program().Clock == nil {
+		t.Fatal("the counter has no clock-domain table")
+	}
+	sp, err := SpecFor(n, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := resetStimulus(n)
+	st.Finalize()
+	src := New(n, Options{})
+	src.BindStimulus(st)
+	for i := 0; i < 13; i++ {
+		if _, err := src.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := src.Snapshot(sp)
+	want, _ := src.VecValue(q).Uint64()
+	for _, at := range []uint64{snap.Time, hp} { // reset is low at t=hp
+		saved := snap
+		saved.Time = at
+		si, sk, ti, tk := enginePair(n, st)
+		for _, s := range []*Simulator{si, sk} {
+			if err := s.Restore(sp, saved); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx := fmt.Sprintf("restored at t=%d", at)
+		checkAgreement(t, ctx, si, sk)
+		sk.checkInvariants(t, ctx)
+		if !ti.Equal(tk) {
+			t.Fatalf("%s: commit traces diverged\ninterp:\n%s\nkernel:\n%s", ctx, ti.Dump(n), tk.Dump(n))
+		}
+		got, _ := sk.VecValue(q).Uint64()
+		low := sk.Value(n.Inputs[1]) == logic.Lo
+		if low != (at == hp) || low && got != 0 || !low && got != want {
+			t.Fatalf("%s: reset %v, counter %d, snapshot %d", ctx, sk.Value(n.Inputs[1]), got, want)
+		}
+	}
+}
+
 // TestForceAcrossCapturingEdge: a force on a flip-flop's input cone and one
 // on its output, each held over capturing edges the fast path takes. The
 // capture must read the forced D, and a forced Q must hold against it.

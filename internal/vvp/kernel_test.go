@@ -296,9 +296,9 @@ func checkAgreement(t *testing.T, ctx string, si, sk *Simulator) {
 			}
 		}
 	}
-	for id := range si.toggled {
-		if si.toggled[id] != sk.toggled[id] {
-			t.Fatalf("%s: toggle profile diverged on %s", ctx, si.d.NetName(netlist.NetID(id)))
+	for id := range si.val {
+		if bitSet(si.toggled, id) != bitSet(sk.toggled, id) || bitSet(si.moved, id) != bitSet(sk.moved, id) {
+			t.Fatalf("%s: toggle profile or moved set diverged on %s", ctx, si.d.NetName(netlist.NetID(id)))
 		}
 	}
 	if sk.opts.CountActivity {

@@ -231,9 +231,14 @@ type Simulator struct {
 	stim       *Stimulus
 	stimCursor int
 
-	// Activity profiling (paper Algorithm 1 toggle profile).
+	// Activity profiling (paper Algorithm 1 toggle profile), one bit per
+	// net, net n being bit n&63 of word n>>6: toggled names the nets
+	// committed since StartRecording, moved every other net committed since
+	// a reader last consumed the two, and every net of a fresh simulator
+	// (Toggled; DESIGN.md §8 "The moved set").
 	recording bool
-	toggled   []bool
+	toggled   []uint64
+	moved     []uint64
 
 	// Switching-activity counters (enabled by Options.CountActivity):
 	// per-net commit counts plus per-cycle totals for peak tracking —
@@ -289,13 +294,19 @@ type nbaAssign struct {
 // frozen (Freeze validates single drivers and acyclicity, which the engine
 // relies on for termination).
 func New(d *netlist.Netlist, opts Options) *Simulator {
+	words := (len(d.Nets) + 63) / 64
+	profile := make([]uint64, 2*words)
 	s := &Simulator{
 		d:       d,
 		opts:    opts,
 		val:     make([]logic.Value, len(d.Nets)),
 		lastClk: make([]logic.Value, len(d.Gates)),
-		toggled: make([]bool, len(d.Nets)),
+		toggled: profile[:words:words],
+		moved:   profile[words:],
 		edgeNet: netlist.NoNet,
+	}
+	for n := range d.Nets {
+		s.moved[n>>6] |= 1 << (n & 63)
 	}
 	if opts.Engine != EngineInterp {
 		s.prog = d.Program()
@@ -476,26 +487,49 @@ func (s *Simulator) PeakActivity() (toggles, cycle uint64) {
 // line 4–5). A net that is X now is exercisable too — an unknown means some
 // input could toggle it — but it needs no mark here: it either changes, and
 // is marked then, or is still X at the end of the path, which is where the
-// reader of the profile looks (core's absorb).
+// reader of the profile looks (core's absorb). The profile it clears is
+// ORed into the moved set first: a reader that dropped it has not consumed
+// it (DESIGN.md §8 "The moved set").
+//
+//symsim:hotpath
 func (s *Simulator) StartRecording() {
 	s.recording = true
-	clear(s.toggled)
+	moved := s.moved
+	for i, t := range s.toggled {
+		moved[i] |= t
+		s.toggled[i] = 0
+	}
 	if s.opts.CountActivity {
-		if len(s.toggleCount) == len(s.d.Nets) {
-			clear(s.toggleCount)
-		} else {
-			s.toggleCount = make([]uint64, len(s.d.Nets))
-		}
-		s.cycleToggles, s.peakToggles, s.peakCycle = 0, 0, 0
+		s.resetActivity()
 	}
 }
 
-// Toggled returns the per-net activity profile accumulated since
-// StartRecording: the nets whose value changed. A net that never changed and
-// is unknown (see Values) is exercisable all the same. The returned slice
-// aliases internal state; callers must copy it if they outlive the
-// simulator.
-func (s *Simulator) Toggled() []bool { return s.toggled }
+// resetActivity zeroes the activity counters and the peak, allocating the
+// counters on first use.
+//
+//symsim:coldpath
+func (s *Simulator) resetActivity() {
+	if len(s.toggleCount) == len(s.d.Nets) {
+		clear(s.toggleCount)
+	} else {
+		s.toggleCount = make([]uint64, len(s.d.Nets))
+	}
+	s.cycleToggles, s.peakToggles, s.peakCycle = 0, 0, 0
+}
+
+// Toggled returns the toggle profile, net n being bit n&63 of word n>>6:
+// the nets committed since StartRecording. A net that never changed and is
+// unknown (see Values) is exercisable all the same. Moved returns, in the
+// same layout, every other net committed since a reader last consumed the
+// two, and every net on a fresh simulator. A reader consumes them by
+// zeroing both once it has taken account of the value of every net either
+// names: from then on, a net that is in neither holds the value it had then
+// (core's absorb; DESIGN.md §8 "The moved set"). Both alias simulator
+// storage; callers must copy them if they outlive the simulator.
+func (s *Simulator) Toggled() []uint64 { return s.toggled }
+
+// Moved returns the moved set (see Toggled).
+func (s *Simulator) Moved() []uint64 { return s.moved }
 
 // forceAt returns the position of net id in the sorted forces slice and
 // whether a force on id is there; without one, the position is where it
@@ -584,11 +618,13 @@ func (s *Simulator) commit(id netlist.NetID, v logic.Value, region Region) {
 		s.zSeen = true
 	}
 	if s.recording {
-		s.toggled[id] = true
+		s.toggled[id>>6] |= 1 << (id & 63)
 		if s.toggleCount != nil {
 			s.toggleCount[id]++
 			s.cycleToggles++
 		}
+	} else {
+		s.moved[id>>6] |= 1 << (id & 63)
 	}
 	if s.opts.Trace != nil {
 		s.opts.Trace.record(s.now, region, id, old, v)

@@ -245,6 +245,12 @@ func (s *Simulator) Restore(sp *StateSpec, st State) error {
 	if err := s.settle(); err != nil {
 		return err
 	}
+	if s.follow && s.quiet {
+		// Every sample is the clock's level and every reset is at 1, so the
+		// settle moved no Q and a second pass would commit nothing
+		// (DESIGN.md §8 "Restore under follow").
+		return nil
+	}
 	// Re-assert flip-flop outputs: combinational settling may have rippled
 	// through DFF evaluation paths, but Q values are state and must equal
 	// the snapshot exactly.
@@ -253,19 +259,24 @@ func (s *Simulator) Restore(sp *StateSpec, st State) error {
 }
 
 // assertState commits the saved flip-flop outputs, 64 to a read of the saved
-// planes, and samples each flip-flop's clock so no spurious edge fires on
-// the next settle. Restore has dropped every force, so an output already at
-// its saved value needs no commit: the cost past the clock samples is
-// proportional to what differs.
+// planes, and makes each flip-flop's clock sample its clock's level so no
+// spurious edge fires on the next settle: by setting follow when the
+// clock-domain table holds every flip-flop, by storing every sample
+// otherwise. Restore has dropped every force, so an output already at its
+// saved value needs no commit: the cost is proportional to what differs.
 //
 //symsim:hotpath
 func (s *Simulator) assertState(sp *StateSpec, st State) {
 	val, lastClk := s.val, s.lastClk
+	follow := s.prog != nil && s.prog.Clock != nil
+	s.follow = follow
 	for i := 0; i < len(sp.DFFs); i += 64 {
 		c := min(64, len(sp.DFFs)-i)
 		known, level := st.Bits.Word(i, c)
 		for j, out := range sp.outs[i : i+c] {
-			lastClk[s.gidx(sp.DFFs[i+j])] = val[sp.clks[i+j]]
+			if !follow {
+				lastClk[s.gidx(sp.DFFs[i+j])] = val[sp.clks[i+j]]
+			}
 			if q := logic.PlaneBit(known, level, j); val[out] != q {
 				s.commit(out, q, RegionActive)
 			}
