@@ -154,7 +154,7 @@ func followJob(server, id string) (service.State, error) {
 		// job API directly before reconnecting: a resumed stream ends
 		// silently when this client already saw the terminal event, and a
 		// job may finish while the stream is down.
-		if view, verr := fetchJob(server, id); verr == nil && terminalState(view.State) {
+		if view, verr := fetchJob(server, id); verr == nil && view.State.Terminal() {
 			if lastEventID == "" {
 				// No event ever printed the state; say it once here.
 				fmt.Fprintf(os.Stderr, "symsim: job %s %s\n", id, view.State)
@@ -218,16 +218,12 @@ func streamEventsOnce(server, id string, lastEventID *string) (gotAny bool, st s
 			}
 		case "state":
 			fmt.Fprintf(os.Stderr, "symsim: job %s %s\n", id, ev.State)
-			if terminalState(ev.State) {
+			if ev.State.Terminal() {
 				return gotAny, ev.State, nil
 			}
 		}
 	}
 	return gotAny, "", sc.Err()
-}
-
-func terminalState(st service.State) bool {
-	return st == service.StateDone || st == service.StateFailed || st == service.StateCanceled
 }
 
 // fetchJob reads one job's view (with idempotent-GET retry).

@@ -93,8 +93,8 @@ func lintMain(args []string) int {
 		t.opts.MaxPerCode = *maxDiags
 		r := lint.Run(t.n, t.opts)
 		// The canonical content hash identifies the design independent of
-		// net/gate names and declaration order — the same digest keys the
-		// symsimd result cache, so lint output and cached analyses can be
+		// net, gate and memory names — the same digest keys the symsimd
+		// result cache, so lint output and cached analyses can be
 		// correlated.
 		hash := t.n.Hash()
 		if *jsonOut {

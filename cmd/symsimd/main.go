@@ -1,9 +1,10 @@
 // Command symsimd runs symsim as a long-lived analysis daemon: submitted
 // jobs are queued (FIFO, bounded with backpressure), executed by
 // a worker pool of symbolic co-analyses, with complete results kept in a
-// content-addressed cache keyed by the canonical netlist hash — a
-// submission identical to a finished analysis returns instantly; any other
-// accepted job runs. A job that a shutdown or a crash interrupts runs
+// content-addressed cache keyed by the canonical netlist hash (a
+// positional digest, stable across restarts because elaboration is
+// deterministic) — a submission identical to a finished analysis returns
+// instantly; any other accepted job runs. A job that a shutdown or a crash interrupts runs
 // again from the beginning on the next start.
 //
 // Usage:
@@ -19,7 +20,8 @@
 // -lanes, and a body that names them is read without them. Jobs run in
 // the order they were accepted: there is no priority, and a body that
 // names one is read without it. A running job streams a progress
-// heartbeat to its subscribers every 250 ms. The daemon
+// heartbeat to its subscribers every 250 ms, and an event stream carries a
+// ": ping" comment line every 15 s. The daemon
 // serves jobs only: it has no fleet mode, and the distributed explorer
 // (internal/cluster) is a library the benchmark drives.
 // SIGINT/SIGTERM drain gracefully: the HTTP listener stops, running jobs
@@ -55,24 +57,22 @@ import (
 
 func main() {
 	var (
-		listen    = flag.String("listen", "localhost:8466", "HTTP listen address")
-		dataDir   = flag.String("data", "symsimd-data", "durable state directory (jobs, results, cache)")
-		jobs      = flag.Int("jobs", 2, "concurrent analysis jobs (each job additionally uses its own -workers path workers)")
-		queueCap  = flag.Int("queue", 64, "pending-job queue capacity; submissions beyond it get HTTP 429")
-		keepAlive = flag.Duration("sse-keepalive", 15*time.Second, "SSE comment-line keep-alive interval (defeats proxy idle timeouts)")
-		debug     = flag.String("debug", "", "debug listen address for net/http/pprof (e.g. localhost:8467; empty = off)")
-		defaults  = cliflags.Register(flag.CommandLine)
+		listen   = flag.String("listen", "localhost:8466", "HTTP listen address")
+		dataDir  = flag.String("data", "symsimd-data", "durable state directory (jobs, results, cache)")
+		jobs     = flag.Int("jobs", 2, "concurrent analysis jobs (each job additionally uses its own -workers path workers)")
+		queueCap = flag.Int("queue", 64, "pending-job queue capacity; submissions beyond it get HTTP 429")
+		debug    = flag.String("debug", "", "debug listen address for net/http/pprof (e.g. localhost:8467; empty = off)")
+		defaults = cliflags.Register(flag.CommandLine)
 	)
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "symsimd: ", log.LstdFlags)
 	svc, err := service.New(service.Config{
-		DataDir:      *dataDir,
-		Workers:      *jobs,
-		QueueCap:     *queueCap,
-		SSEKeepAlive: *keepAlive,
-		Defaults:     &defaults.Spec,
-		Logf:         func(format string, args ...any) { logger.Printf(format, args...) },
+		DataDir:  *dataDir,
+		Workers:  *jobs,
+		QueueCap: *queueCap,
+		Defaults: &defaults.Spec,
+		Logf:     func(format string, args ...any) { logger.Printf(format, args...) },
 	})
 	if err != nil {
 		logger.Fatal(err)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -374,6 +376,60 @@ func TestSharedDesignConcurrent(t *testing.T) {
 					t.Errorf("%s/%s engine %v: tie-offs differ from the kernel's", d, bench, eng)
 				}
 			}
+		}
+	}
+}
+
+// hashOutEnv names the file a child process of
+// TestDesignHashStableAcrossProcesses writes its hashes to.
+const hashOutEnv = "SYMSIM_DESIGN_HASH_OUT"
+
+// TestDesignHashStableAcrossProcesses: the hash is positional, so a cache
+// entry or a checkpoint trailer written by one process matches a design
+// another process elaborated only because elaboration is deterministic.
+// The test re-runs its own binary, which elaborates all 18 cells afresh
+// and writes their hashes to a file, and compares them with this
+// process's.
+func TestDesignHashStableAcrossProcesses(t *testing.T) {
+	hashes := map[string]string{}
+	for _, c := range cells() {
+		p, err := symsim.BuildPlatform(c.Design, c.Bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashes[string(c.Design)+"/"+c.Bench] = p.Design.Hash().String()
+	}
+	b, err := json.Marshal(hashes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := os.Getenv(hashOutEnv); out != "" {
+		if err := os.WriteFile(out, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+
+	out := filepath.Join(t.TempDir(), "hashes.json")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestDesignHashStableAcrossProcesses$", "-test.count=1")
+	cmd.Env = append(os.Environ(), hashOutEnv+"="+out)
+	if msg, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("child process: %v\n%s", err, msg)
+	}
+	child, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]string
+	if err := json.Unmarshal(child, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(hashes) {
+		t.Errorf("child process hashed %d cells, this one %d", len(got), len(hashes))
+	}
+	for cell, h := range hashes {
+		if got[cell] != h {
+			t.Errorf("%s: hashes %s here, %s in a second process", cell, h, got[cell])
 		}
 	}
 }

@@ -85,7 +85,6 @@ func TestBindHashMatchesIndependentNetlist(t *testing.T) {
 	}
 	o := baseOpts("other_")
 	o.memWord = 1
-	o.swapped = true
 	want := hashDesign(t, o).Hash()
 	v, err := base.Bind(map[string][]logic.Vec{"u_ram": words(1, 1, 1)})
 	if err != nil {

@@ -10,12 +10,10 @@ import (
 )
 
 // hashDesign builds a small but representative design — inputs, comb
-// logic, a DFF and a RAM — with caller-controlled net names and element
-// insertion order, so the tests below can prove rename- and
-// declaration-order stability on the exact same structure.
+// logic, a DFF and a RAM — with caller-controlled net names, so the tests
+// below can prove rename stability on the exact same structure.
 type hashOpts struct {
 	prefix   string // net name prefix ("" = auto-generated names)
-	swapped  bool   // add the two AND/OR gates in the opposite order
 	gateKind netlist.GateKind
 	dffInit  logic.Value
 	memWord  uint64 // init value of RAM word 0 (the "program input")
@@ -37,13 +35,8 @@ func hashDesign(t *testing.T, o hashOpts) *netlist.Netlist {
 	x := n.AddNet(name("x"))
 	y := n.AddNet(name("y"))
 	q := n.AddNet(name("q"))
-	if o.swapped {
-		n.AddGate(netlist.KindOr, y, x, b)
-		n.AddGate(o.gateKind, x, a, b)
-	} else {
-		n.AddGate(o.gateKind, x, a, b)
-		n.AddGate(netlist.KindOr, y, x, b)
-	}
+	n.AddGate(o.gateKind, x, a, b)
+	n.AddGate(netlist.KindOr, y, x, b)
 	en := n.AddNet(name("en"))
 	n.AddGate(netlist.KindConst1, en)
 	n.AddDFF(q, y, clk, en, rst, o.dffInit)
@@ -73,16 +66,6 @@ func TestHashRenameStable(t *testing.T) {
 	h3 := hashDesign(t, baseOpts("")).Hash() // auto-generated names
 	if h1 != h2 || h1 != h3 {
 		t.Errorf("renaming nets changed the hash: %s / %s / %s", h1, h2, h3)
-	}
-}
-
-func TestHashDeclarationOrderIndependent(t *testing.T) {
-	o := baseOpts("u_")
-	o.swapped = true
-	h1 := hashDesign(t, baseOpts("u_")).Hash()
-	h2 := hashDesign(t, o).Hash()
-	if h1 != h2 {
-		t.Errorf("permuting gate insertion order changed the hash: %s vs %s", h1, h2)
 	}
 }
 
@@ -133,8 +116,7 @@ func TestHashStableAcrossCallsAndFreeze(t *testing.T) {
 	}
 }
 
-// Two nets carrying identical labels (a symmetric pair of AND gates fed by
-// the same inputs) must not collapse the multiset: duplicating logic
+// Duplicating logic (a symmetric pair of AND gates fed by the same inputs)
 // changes the hash.
 func TestHashCountsDuplicateStructure(t *testing.T) {
 	build := func(dup bool) *netlist.Netlist {
@@ -159,8 +141,8 @@ func TestHashCountsDuplicateStructure(t *testing.T) {
 
 // Hash must be total over raw (unvalidated) designs: lint hashes files
 // read with ReadRaw, where gate pins, inputs and outputs may reference
-// nets that do not exist. Dangling references hash under a distinct tag
-// instead of panicking.
+// nets that do not exist. Dangling references hash as the numbers they
+// are instead of panicking.
 func TestHashToleratesDanglingReferences(t *testing.T) {
 	raw := `{
 		"name": "broken",
@@ -222,11 +204,9 @@ func TestHashSensitiveToEveryInitWord(t *testing.T) {
 
 // twoROMs builds two ROMs of one geometry whose read data drive the two
 // outputs in order. With shared the ROMs sit behind the same address net,
-// so nothing upstream tells them apart (the labels flow from drivers to
-// readers only); otherwise each has its own address input. second declares
-// the memories in the opposite order, contents and outputs staying with
-// their ROM.
-func twoROMs(shared, second bool, first, other uint64) *netlist.Netlist {
+// so nothing upstream tells them apart; otherwise each has its own address
+// input.
+func twoROMs(shared bool, first, other uint64) *netlist.Netlist {
 	n := netlist.New("roms")
 	_ = n.AddInput("clk")
 	_ = n.AddInput("rst")
@@ -244,34 +224,22 @@ func twoROMs(shared, second bool, first, other uint64) *netlist.Netlist {
 			Clk: netlist.NoNet, WEn: netlist.NoNet,
 		}
 	}
-	m0, m1 := rom("rom0", a, rd0, first), rom("rom1", b, rd1, other)
-	if second {
-		n.AddMem(m1)
-		n.AddMem(m0)
-	} else {
-		n.AddMem(m0)
-		n.AddMem(m1)
-	}
+	n.AddMem(rom("rom0", a, rd0, first))
+	n.AddMem(rom("rom1", b, rd1, other))
 	n.MarkOutput(rd0)
 	n.MarkOutput(rd1)
 	return n
 }
 
 // Two structurally identical memories with swapped contents are a
-// different machine — whether the structure level can tell the memories
-// apart (own address inputs) or not (one address net, where the contents
-// have to be folded into the labels to reach the outputs) — while
-// declaring them in the other order is the same machine.
+// different machine, whether their address inputs tell them apart or not.
 func TestHashBindsContentsToTheirMemory(t *testing.T) {
 	for _, shared := range []bool{false, true} {
-		base := twoROMs(shared, false, 0, 1).Hash()
-		if twoROMs(shared, false, 1, 0).Hash() == base {
+		base := twoROMs(shared, 0, 1).Hash()
+		if twoROMs(shared, 1, 0).Hash() == base {
 			t.Errorf("shared address=%v: swapping the contents of two same-geometry ROMs did not change the hash", shared)
 		}
-		if twoROMs(shared, true, 0, 1).Hash() != base {
-			t.Errorf("shared address=%v: declaring the ROMs in the other order changed the hash", shared)
-		}
-		if twoROMs(shared, false, 1, 1).Hash() == base {
+		if twoROMs(shared, 1, 1).Hash() == base {
 			t.Errorf("shared address=%v: changing one ROM word did not change the hash", shared)
 		}
 	}

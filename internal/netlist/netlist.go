@@ -192,7 +192,7 @@ type tables struct {
 	// structure is the content digest of everything but the memory
 	// contents (see Hash).
 	structOnce sync.Once
-	structure  structure
+	structure  Digest
 
 	// derived caches structure-determined analyses of other packages
 	// (see Derived).

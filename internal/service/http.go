@@ -124,7 +124,7 @@ func submitStatus(err error) int {
 // connect, or a stale cursor, starts from a snapshot of the job's current
 // state (so late subscribers see where it stands). The stream closes once
 // the job reaches a terminal state or the client disconnects. Between
-// events it emits SSE comment lines every Config.SSEKeepAlive so proxy
+// events it emits SSE comment lines every defaultSSEKeepAlive so proxy
 // idle timeouts don't sever streams of long-quiet jobs (e.g. queued
 // behind a full pool).
 func serveEvents(s *Service, w http.ResponseWriter, r *http.Request) {
@@ -149,7 +149,7 @@ func serveEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	keepAlive := time.NewTicker(s.cfg.SSEKeepAlive)
+	keepAlive := time.NewTicker(s.cfg.sseKeepAlive)
 	defer keepAlive.Stop()
 	for {
 		// The state is read before the log: a transition sets the state and
@@ -178,11 +178,11 @@ func serveEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 			}
 			flusher.Flush()
 			cursor = ev.Seq
-			if ev.Type == "state" && terminal(ev.State) {
+			if ev.Type == "state" && ev.State.Terminal() {
 				return
 			}
 		}
-		if terminal(view.State) {
+		if view.State.Terminal() {
 			// No terminal event after the cursor, yet the job is terminal:
 			// the client saw that event before it disconnected (state
 			// events are never shed while heartbeats remain), so the stream
@@ -200,8 +200,4 @@ func serveEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 		case <-wake:
 		}
 	}
-}
-
-func terminal(st State) bool {
-	return st == StateDone || st == StateFailed || st == StateCanceled
 }

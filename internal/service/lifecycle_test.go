@@ -52,7 +52,7 @@ func TestEveryAcceptedJobIsCountedOnce(t *testing.T) {
 		Workers:       1,
 		progressEvery: time.Millisecond,
 		Metrics:       obs.NewRegistry(),
-		BuildPlatform: func(design, bench string) (*core.Platform, error) {
+		buildPlatform: func(design, bench string) (*core.Platform, error) {
 			// "fail" builds for Submit and not for the analysis after it.
 			if bench == "fail" && failBuilds.Add(1) > 1 {
 				return nil, errors.New("platform went away")
@@ -157,7 +157,7 @@ func newTransitionFixture(t *testing.T, vfs fault.FS) *transitionFixture {
 	svc, err := New(Config{
 		DataDir:       t.TempDir(),
 		Workers:       1,
-		BuildPlatform: loopPlatform(t, 0x1),
+		buildPlatform: loopPlatform(t, 0x1),
 		Metrics:       obs.NewRegistry(),
 		fs:            vfs,
 	})

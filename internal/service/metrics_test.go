@@ -32,7 +32,7 @@ func TestRefusedSubmitIsNotAccepted(t *testing.T) {
 		Workers:       1,
 		QueueCap:      1,
 		progressEvery: time.Millisecond,
-		BuildPlatform: loopPlatform(t, 0x3),
+		buildPlatform: loopPlatform(t, 0x3),
 		Metrics:       obs.NewRegistry(),
 		fs:            fault.NewInjector(nil, plan),
 		tuneConfig:    func(string, *core.Config) { <-gate },
@@ -114,7 +114,7 @@ func TestScrapeWhileMutating(t *testing.T) {
 		Workers:       2,
 		QueueCap:      8,
 		progressEvery: time.Millisecond,
-		BuildPlatform: loopPlatform(t, 0x1),
+		buildPlatform: loopPlatform(t, 0x1),
 		Metrics:       obs.NewRegistry(),
 	})
 	if err != nil {
@@ -206,7 +206,7 @@ func familyNames(t *testing.T, reg *obs.Registry) []string {
 // deliberately, along with the test or benchmark metric that reads it.
 func TestServiceMetricsCatalog(t *testing.T) {
 	reg := obs.NewRegistry()
-	svc, err := New(Config{DataDir: t.TempDir(), Workers: 1, BuildPlatform: loopPlatform(t, 0x3), Metrics: reg})
+	svc, err := New(Config{DataDir: t.TempDir(), Workers: 1, buildPlatform: loopPlatform(t, 0x3), Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

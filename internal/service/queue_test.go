@@ -68,7 +68,7 @@ func TestRecoveredJobsRunInSubmittedOrder(t *testing.T) {
 	gate := make(chan struct{})
 	var mu sync.Mutex
 	var ran []string
-	svc, err := New(Config{DataDir: dir, Workers: 1, BuildPlatform: loopPlatform(t, 0x1), Metrics: obs.NewRegistry(),
+	svc, err := New(Config{DataDir: dir, Workers: 1, buildPlatform: loopPlatform(t, 0x1), Metrics: obs.NewRegistry(),
 		tuneConfig: func(id string, _ *core.Config) {
 			<-gate
 			mu.Lock()

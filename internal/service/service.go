@@ -33,16 +33,8 @@ type Config struct {
 	// Defaults fills zero-valued tuning fields of submitted specs before
 	// the flag defaults do (typically the daemon's own parsed flags).
 	Defaults *JobSpec
-	// BuildPlatform resolves a design/bench pair to a platform. Nil means
-	// the shipped evaluation platforms (report.BuildPlatform). Tests
-	// inject small synthetic platforms here.
-	BuildPlatform func(design, bench string) (*core.Platform, error)
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
-	// SSEKeepAlive is the interval at which event streams emit SSE
-	// comment lines (": ping") so proxy/LB idle timeouts don't sever
-	// streams of long-quiet jobs. Default 15s.
-	SSEKeepAlive time.Duration
 	// Metrics is the observability registry the service (and every job's
 	// core analysis) publishes into, served at /metrics in Prometheus
 	// text format. Nil selects obs.Default.
@@ -52,6 +44,15 @@ type Config struct {
 	// interval streamed to subscribers (defaultProgressEvery) — a test
 	// seam for streams that must heartbeat fast or not at all.
 	progressEvery time.Duration
+	// sseKeepAlive, when non-zero, replaces the interval of the ": ping"
+	// comment lines event streams emit (defaultSSEKeepAlive) — a test seam
+	// for a stream that must show its pings quickly.
+	sseKeepAlive time.Duration
+	// buildPlatform, when non-nil, resolves a design/bench pair to a
+	// platform instead of the shipped evaluation platforms
+	// (report.BuildPlatform) — the seam through which tests run small
+	// synthetic platforms.
+	buildPlatform func(design, bench string) (*core.Platform, error)
 	// tuneConfig, when non-nil, is applied to each job's core.Config just
 	// before the analysis starts — a test seam for installing hooks
 	// (e.g. an OnHalt that blocks mid-run to make drain deterministic).
@@ -65,6 +66,11 @@ type Config struct {
 // defaultProgressEvery is the interval of the progress heartbeats a
 // running job streams to its subscribers.
 const defaultProgressEvery = 250 * time.Millisecond
+
+// defaultSSEKeepAlive is the interval of the ": ping" comment lines an
+// event stream emits between events, so proxy and load-balancer idle
+// timeouts do not sever the streams of long-quiet jobs.
+const defaultSSEKeepAlive = 15 * time.Second
 
 // job is the in-memory view of one job: its persisted record plus the
 // cancel handle of its running analysis.
@@ -177,16 +183,16 @@ func New(cfg Config) (*Service, error) {
 	if cfg.progressEvery <= 0 {
 		cfg.progressEvery = defaultProgressEvery
 	}
-	if cfg.BuildPlatform == nil {
-		cfg.BuildPlatform = func(design, bench string) (*core.Platform, error) {
+	if cfg.sseKeepAlive <= 0 {
+		cfg.sseKeepAlive = defaultSSEKeepAlive
+	}
+	if cfg.buildPlatform == nil {
+		cfg.buildPlatform = func(design, bench string) (*core.Platform, error) {
 			return report.BuildPlatform(report.Design(design), bench)
 		}
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
-	}
-	if cfg.SSEKeepAlive <= 0 {
-		cfg.SSEKeepAlive = 15 * time.Second
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.Default
@@ -295,7 +301,7 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 	if err != nil {
 		return JobView{}, err
 	}
-	p, err := s.cfg.BuildPlatform(spec.Design, spec.Bench)
+	p, err := s.cfg.buildPlatform(spec.Design, spec.Bench)
 	if err != nil {
 		return JobView{}, &BadSpecError{Reason: err.Error()}
 	}
@@ -477,7 +483,7 @@ func (s *Service) runJob(id string) {
 // analyze maps a job spec onto a core run from cold boot: platform,
 // policy, budgets, and progress heartbeats published to the hub.
 func (s *Service) analyze(ctx context.Context, id string, spec JobSpec) (*core.Result, error) {
-	p, err := s.cfg.BuildPlatform(spec.Design, spec.Bench)
+	p, err := s.cfg.buildPlatform(spec.Design, spec.Bench)
 	if err != nil {
 		return nil, err
 	}

@@ -50,7 +50,7 @@ func buildLoop(t *testing.T, mask int) *core.Platform {
 	return p
 }
 
-// loopPlatform adapts buildLoop to the service's BuildPlatform seam. A
+// loopPlatform adapts buildLoop to the service's buildPlatform seam. A
 // fresh platform is built per call, like the real report.BuildPlatform.
 func loopPlatform(t *testing.T, mask int) func(design, bench string) (*core.Platform, error) {
 	return func(design, bench string) (*core.Platform, error) {
@@ -72,7 +72,7 @@ func waitState(t *testing.T, s *Service, id string, want State) JobView {
 		if v.State == want {
 			return v
 		}
-		if terminal(v.State) && v.State != want {
+		if v.State.Terminal() && v.State != want {
 			t.Fatalf("job %s settled as %s (error %q), want %s", id, v.State, v.Error, want)
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -91,7 +91,7 @@ func TestServiceEndToEndHTTP(t *testing.T) {
 		DataDir:       t.TempDir(),
 		Workers:       1,
 		progressEvery: time.Millisecond,
-		BuildPlatform: loopPlatform(t, 0x7),
+		buildPlatform: loopPlatform(t, 0x7),
 		// Own registry: the Prometheus assertions below count this
 		// service's jobs only, not everything else in the test binary.
 		Metrics:    obs.NewRegistry(),
@@ -158,7 +158,7 @@ func TestServiceEndToEndHTTP(t *testing.T) {
 				t.Error("progress event without payload")
 			}
 		case "state":
-			if terminal(ev.State) {
+			if ev.State.Terminal() {
 				final = ev.State
 			}
 		}
@@ -343,7 +343,7 @@ func TestDrainRequeuesAndRestartRunsFromColdBoot(t *testing.T) {
 		DataDir:       dir,
 		Workers:       1,
 		progressEvery: time.Millisecond,
-		BuildPlatform: loopPlatform(t, mask),
+		buildPlatform: loopPlatform(t, mask),
 		// Block the path worker at its first saved halt state, so the
 		// drain deterministically lands mid-exploration.
 		tuneConfig: func(id string, cc *core.Config) {
@@ -386,7 +386,7 @@ func TestDrainRequeuesAndRestartRunsFromColdBoot(t *testing.T) {
 		Metrics:       obs.NewRegistry(),
 		Workers:       1,
 		progressEvery: time.Millisecond,
-		BuildPlatform: loopPlatform(t, mask),
+		buildPlatform: loopPlatform(t, mask),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -427,7 +427,7 @@ func TestBackpressureAndCancel(t *testing.T) {
 		Workers:       1,
 		QueueCap:      1,
 		progressEvery: time.Millisecond,
-		BuildPlatform: loopPlatform(t, 0x3),
+		buildPlatform: loopPlatform(t, 0x3),
 		tuneConfig:    func(string, *core.Config) { <-gate },
 	})
 	if err != nil {
@@ -484,7 +484,7 @@ func TestDegradedResultIsServedButNotCached(t *testing.T) {
 		Metrics:       obs.NewRegistry(),
 		Workers:       1,
 		progressEvery: time.Millisecond,
-		BuildPlatform: loopPlatform(t, 0xF),
+		buildPlatform: loopPlatform(t, 0xF),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -537,7 +537,7 @@ func TestIdenticalSubmissionsEachRun(t *testing.T) {
 		DataDir:       t.TempDir(),
 		Workers:       1,
 		progressEvery: time.Millisecond,
-		BuildPlatform: loopPlatform(t, 0x7),
+		buildPlatform: loopPlatform(t, 0x7),
 		Metrics:       obs.NewRegistry(),
 		// Gate only the first analysis; the duplicate behind it runs free.
 		tuneConfig: func(string, *core.Config) { gateOnce.Do(func() { <-gate }) },

@@ -66,12 +66,13 @@ func policyKey(spec JobSpec) string {
 
 // cacheKey derives the content address of a job's complete result. It
 // covers everything that can change a *complete* analysis outcome: the
-// canonical design content hash (netlist.Hash: the structure digest of the
-// processor, computed once per process, combined with the digest of each
-// memory's contents, so the program image is covered and a submission
-// hashes the image, not the netlist), the design/bench pair that selected
-// the platform harness
-// (monitors, stimulus, state spec) and the CSM policy with its parameters.
+// canonical design content hash (netlist.Hash: the positional structure
+// digest of the processor, computed once per process, combined with the
+// digest of each memory's contents, so the program image is covered and a
+// submission hashes the image, not the netlist; a key written before a
+// restart is found again because elaboration is deterministic), the
+// design/bench pair that selected the platform harness (monitors,
+// stimulus, state spec) and the CSM policy with its parameters.
 // Worker count and budgets are deliberately excluded:
 // parallelism does not change the dichotomy, and budget-degraded
 // (incomplete) results are never cached.

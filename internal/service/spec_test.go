@@ -130,7 +130,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 // older daemon refused the last two engine/lane bodies and the out-of-range
 // priority.
 func TestRetiredSpecFieldsAreIgnored(t *testing.T) {
-	svc, err := New(Config{DataDir: t.TempDir(), Workers: 1, Metrics: obs.NewRegistry(), BuildPlatform: loopPlatform(t, 0x1)})
+	svc, err := New(Config{DataDir: t.TempDir(), Workers: 1, Metrics: obs.NewRegistry(), buildPlatform: loopPlatform(t, 0x1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestSpecGoldenFromParent(t *testing.T) {
 // of whitespace in front of a valid spec is refused without creating a job
 // (the unbounded decoder read it all and accepted the job).
 func TestSubmitBodyIsBounded(t *testing.T) {
-	svc, err := New(Config{DataDir: t.TempDir(), Workers: 1, Metrics: obs.NewRegistry(), BuildPlatform: loopPlatform(t, 0x1)})
+	svc, err := New(Config{DataDir: t.TempDir(), Workers: 1, Metrics: obs.NewRegistry(), buildPlatform: loopPlatform(t, 0x1)})
 	if err != nil {
 		t.Fatal(err)
 	}

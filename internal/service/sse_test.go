@@ -125,7 +125,7 @@ func TestPublishConcurrentWithReceive(t *testing.T) {
 					t.Errorf("event %d came back at cursor %d", ev.Seq, cursor)
 				}
 				cursor = ev.Seq
-				if ev.Type == "state" && terminal(ev.State) {
+				if ev.Type == "state" && ev.State.Terminal() {
 					close(gotState)
 					return
 				}
@@ -152,7 +152,7 @@ func TestSSEStreamTerminatesForSlowClient(t *testing.T) {
 		DataDir:       t.TempDir(),
 		Workers:       1,
 		progressEvery: 100 * time.Microsecond,
-		BuildPlatform: loopPlatform(t, 0x7),
+		buildPlatform: loopPlatform(t, 0x7),
 		tuneConfig:    func(string, *core.Config) { <-gate },
 	})
 	if err != nil {
@@ -320,7 +320,7 @@ func TestSSEReconnectWithLastEventID(t *testing.T) {
 		DataDir:       t.TempDir(),
 		Workers:       1,
 		progressEvery: time.Hour, // lifecycle events only: deterministic stream
-		BuildPlatform: loopPlatform(t, 0x3),
+		buildPlatform: loopPlatform(t, 0x3),
 		tuneConfig:    func(string, *core.Config) { <-gate },
 	})
 	if err != nil {
@@ -438,7 +438,7 @@ func TestSSEIDsMonotonic(t *testing.T) {
 		DataDir:       t.TempDir(),
 		Workers:       1,
 		progressEvery: time.Millisecond,
-		BuildPlatform: loopPlatform(t, 0x7),
+		buildPlatform: loopPlatform(t, 0x7),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -484,8 +484,8 @@ func TestSSEKeepAliveComments(t *testing.T) {
 		DataDir:       t.TempDir(),
 		Workers:       1,
 		progressEvery: time.Hour, // no heartbeats: only pings break the silence
-		SSEKeepAlive:  5 * time.Millisecond,
-		BuildPlatform: loopPlatform(t, 0x3),
+		sseKeepAlive:  5 * time.Millisecond,
+		buildPlatform: loopPlatform(t, 0x3),
 		tuneConfig:    func(string, *core.Config) { <-gate },
 	})
 	if err != nil {
@@ -542,7 +542,7 @@ func TestHeartbeatEvery250ms(t *testing.T) {
 		DataDir:       t.TempDir(),
 		Workers:       1,
 		Metrics:       obs.NewRegistry(),
-		BuildPlatform: loopPlatform(t, 0x1),
+		buildPlatform: loopPlatform(t, 0x1),
 		tuneConfig:    func(_ string, cc *core.Config) { got <- cc.ProgressEvery },
 	})
 	if err != nil {

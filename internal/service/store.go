@@ -37,6 +37,12 @@ const (
 	StateCanceled State = "canceled"
 )
 
+// Terminal reports whether s is a state a job never leaves: done, failed
+// or canceled.
+func (s State) Terminal() bool {
+	return s == StateDone || s == StateFailed || s == StateCanceled
+}
+
 // stateCodes maps states to their on-disk encoding. Append only.
 var stateCodes = []State{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled}
 

@@ -328,7 +328,7 @@ func TestRetiredFlagJobRestarts(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "ckpt", rec.ID+".ckpt"), []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(Config{DataDir: dir, Workers: 1, BuildPlatform: loopPlatform(t, 0x1), Metrics: obs.NewRegistry()})
+	svc, err := New(Config{DataDir: dir, Workers: 1, buildPlatform: loopPlatform(t, 0x1), Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,14 +391,14 @@ func TestParentEngineAndLanesJobRuns(t *testing.T) {
 	if err := os.WriteFile(st.jobPath(rec.ID), img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(Config{DataDir: dir, Workers: 1, BuildPlatform: loopPlatform(t, mask), Metrics: obs.NewRegistry()})
+	svc, err := New(Config{DataDir: dir, Workers: 1, buildPlatform: loopPlatform(t, mask), Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 	restarted := tieOffs(svc, rec.ID)
 
-	fresh, err := New(Config{DataDir: t.TempDir(), Workers: 1, BuildPlatform: loopPlatform(t, mask), Metrics: obs.NewRegistry()})
+	fresh, err := New(Config{DataDir: t.TempDir(), Workers: 1, buildPlatform: loopPlatform(t, mask), Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func runTortureLifetime(t *testing.T, dir string, vfs fault.FS) (accepted []stri
 		DataDir:       dir,
 		Workers:       1,
 		progressEvery: time.Millisecond,
-		BuildPlatform: loopPlatform(t, 0x3),
+		buildPlatform: loopPlatform(t, 0x3),
 		fs:            vfs,
 		// Once hold is set, the job that runs waits at its first saved
 		// halt state until the drain has begun.
@@ -92,7 +92,7 @@ func runTortureLifetime(t *testing.T, dir string, vfs fault.FS) (accepted []stri
 			if err != nil {
 				t.Fatal(err)
 			}
-			if terminal(v.State) {
+			if v.State.Terminal() {
 				break
 			}
 			if !time.Now().Before(deadline) {
@@ -142,7 +142,7 @@ func verifyRestartConsistency(t *testing.T, dir string, accepted []string) {
 		DataDir:       dir,
 		Workers:       1,
 		progressEvery: time.Millisecond,
-		BuildPlatform: loopPlatform(t, 0x3),
+		buildPlatform: loopPlatform(t, 0x3),
 	})
 	if err != nil {
 		t.Fatalf("restart over crashed store: %v", err)
@@ -357,7 +357,7 @@ func TestCorruptCacheEndToEnd(t *testing.T) {
 		DataDir:       dir,
 		Workers:       1,
 		progressEvery: time.Millisecond,
-		BuildPlatform: loopPlatform(t, 0x3),
+		buildPlatform: loopPlatform(t, 0x3),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +387,7 @@ func TestCorruptCacheEndToEnd(t *testing.T) {
 		Metrics:       obs.NewRegistry(),
 		Workers:       1,
 		progressEvery: time.Millisecond,
-		BuildPlatform: loopPlatform(t, 0x3),
+		buildPlatform: loopPlatform(t, 0x3),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -429,7 +429,7 @@ func TestSubmitRefusedWhileStoreDown(t *testing.T) {
 		DataDir:       dir,
 		Workers:       1,
 		progressEvery: time.Millisecond,
-		BuildPlatform: loopPlatform(t, 0x3),
+		buildPlatform: loopPlatform(t, 0x3),
 		fs:            fault.NewInjector(nil, plan),
 	})
 	if err != nil {

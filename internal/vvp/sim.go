@@ -104,7 +104,8 @@ const (
 	EngineBatch
 )
 
-// String returns the engine name used by CLI flags.
+// String returns the engine name, as the meta record of a trace carries
+// it.
 func (e Engine) String() string {
 	switch e {
 	case EngineKernel:

@@ -48,13 +48,14 @@ const (
 	// write rule too, whose Verilog setting dropped writes the one rule
 	// merges; neither's entries can be reached.
 	CacheKeyMagic = "SYMSIMK3"
-	// HashMagic identifies version 2 of the canonical netlist content
-	// hash construction (internal/netlist hash.go): a structure digest
-	// that leaves the memory contents out, combined with one digest per
-	// memory image. Digest-only — bump it whenever the label refinement
-	// changes. Version 1 (SYMSIMH1) folded the contents into the memory
-	// labels.
-	HashMagic = "SYMSIMH2"
+	// HashMagic identifies version 3 of the canonical netlist content
+	// hash construction (internal/netlist hash.go): one positional digest
+	// of the structure in declaration order, names left out, combined with
+	// one digest per memory image. Digest-only — bump it whenever what is
+	// hashed changes. Version 2 (SYMSIMH2) refined Weisfeiler–Lehman
+	// labels so that declaration order did not matter; version 1
+	// (SYMSIMH1) also folded the contents into the memory labels.
+	HashMagic = "SYMSIMH3"
 	// WorkMagic and OutcomeMagic identify version 1 of the two halves of
 	// the segment encoding (internal/core segment.go): one frontier entry
 	// on its way from a run's state to a driver in another process, and

@@ -373,11 +373,13 @@ const (
 type NetID = netlist.NetID
 
 // Digest is the canonical content hash of a netlist, returned by
-// (*Netlist).Hash: rename-stable, declaration-order independent, and
-// sensitive to any logic, parameter or memory-initialization change (the
-// program image lives in ROM init, so it is covered). It is the identity
-// under which symsimd caches analysis results and `symsim lint` reports
-// designs.
+// (*Netlist).Hash: a positional digest of the structure in declaration
+// order, rename-stable, and sensitive to any logic, parameter or
+// memory-initialization change (the program image lives in ROM init, so
+// it is covered). It is the identity under which symsimd caches analysis
+// results, a checkpoint names its platform and `symsim lint` reports
+// designs; elaboration is deterministic, so a built-in design hashes alike
+// in every process.
 type Digest = netlist.Digest
 
 // TieOff is one never-exercisable gate with the constant its output
