@@ -32,17 +32,42 @@ func main() {
 		bench    = flag.String("bench", "tHold", "benchmark name")
 		workers  = flag.Int("workers", 1, "parallel path workers")
 		validate = flag.Bool("validate", false, "run the fixed-input equivalence validation")
-		inputs   = flag.String("inputs", "", "comma-separated input words for -validate/-power (fills the benchmark's X words in order)")
+		inputs   = flag.String("inputs", "", "comma-separated input words for -validate/-power/-vcd, one per X word of the benchmark, in order")
 		outJSON  = flag.String("o", "", "write the bespoke netlist as interchange JSON to this file")
 		outVlog  = flag.String("verilog", "", "write the bespoke netlist as structural Verilog to this file")
 		powerRep = flag.Bool("power", false, "measure switching activity of the concrete run (needs -inputs)")
 		vcdOut   = flag.String("vcd", "", "dump the concrete run's waveform (needs -inputs)")
 	)
 	flag.Parse()
+	if (*powerRep || *vcdOut != "") && *inputs == "" {
+		fmt.Fprintln(os.Stderr, "bespoke: -power and -vcd need -inputs")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	p, err := report.BuildPlatform(report.Design(*design), *bench)
 	if err != nil {
 		fatal(err)
+	}
+	// Pin the benchmark's input words before the analysis, so a malformed
+	// -inputs fails at once: rebuild the image to learn its X word indices.
+	var mi []core.MemInit
+	if *validate || *powerRep || *vcdOut != "" {
+		target, err := report.ISAOf(report.Design(*design))
+		if err != nil {
+			fatal(err)
+		}
+		img, err := prog.Build(*bench, target)
+		if err != nil {
+			fatal(err)
+		}
+		dmem, ok := p.Design.MemByName("dmem")
+		if !ok {
+			fatal(fmt.Errorf("design %s has no dmem", p.Name))
+		}
+		if mi, err = parseInputs(*inputs, img.XWords, p.Design.Mems[dmem].DataBits); err != nil {
+			fatal(err)
+		}
 	}
 	res, err := core.Analyze(p, core.Config{Workers: *workers})
 	if err != nil {
@@ -74,38 +99,6 @@ func main() {
 		fmt.Printf("wrote             %s (structural Verilog)\n", *outVlog)
 	}
 
-	if !*validate && !*powerRep && *vcdOut == "" {
-		return
-	}
-	var mi []core.MemInit
-	if *inputs != "" {
-		// Re-derive the benchmark's input words: rebuild the image to
-		// learn the X word indices, then pin them in order.
-		target, err := report.ISAOf(report.Design(*design))
-		if err != nil {
-			fatal(err)
-		}
-		img, err := prog.Build(*bench, target)
-		if err != nil {
-			fatal(err)
-		}
-		dmem, ok := p.Design.MemByName("dmem")
-		if !ok {
-			fatal(fmt.Errorf("design %s has no dmem", p.Name))
-		}
-		width := p.Design.Mems[dmem].DataBits
-		vals := strings.Split(*inputs, ",")
-		for i, w := range img.XWords {
-			if i >= len(vals) {
-				break
-			}
-			v, err := strconv.ParseUint(strings.TrimSpace(vals[i]), 0, 64)
-			if err != nil {
-				fatal(fmt.Errorf("bad input %q: %w", vals[i], err))
-			}
-			mi = append(mi, core.MemInit{Mem: "dmem", Word: w, Val: logic.NewVecUint64(width, v)})
-		}
-	}
 	if *validate {
 		rep, err := bespoke.Validate(res, bsp, p, mi, 1<<22)
 		if err != nil {
@@ -113,8 +106,14 @@ func main() {
 		}
 		fmt.Printf("validation        PASS: %d cycles, %d output samples equal, %d memory words equal,\n",
 			rep.Cycles, rep.OutputsCompared, rep.MemWordsCompared)
-		fmt.Printf("                  exercised(%d) ⊆ exercisable(%d), 0 violations\n",
-			rep.ExercisedConcrete, res.ExercisableCount)
+		exercisable := 0
+		for _, t := range res.ToggledNets {
+			if t {
+				exercisable++
+			}
+		}
+		fmt.Printf("                  exercised(%d) ⊆ exercisable(%d) nets, 0 violations\n",
+			rep.ExercisedConcrete, exercisable)
 	}
 	if *powerRep {
 		pf, err := power.Measure(p, mi, 1<<22)
@@ -133,6 +132,28 @@ func main() {
 		}
 		fmt.Printf("wrote             %s (waveform)\n", *vcdOut)
 	}
+}
+
+// parseInputs pins the benchmark's X data words, in order, to the
+// comma-separated values of list. It wants exactly one value per X word,
+// each fitting the data memory's width bits.
+func parseInputs(list string, xwords []int, width int) ([]core.MemInit, error) {
+	var vals []string
+	if list != "" {
+		vals = strings.Split(list, ",")
+	}
+	if len(vals) != len(xwords) {
+		return nil, fmt.Errorf("-inputs has %d values, want %d (one per X word of the benchmark)", len(vals), len(xwords))
+	}
+	mi := make([]core.MemInit, len(xwords))
+	for i, w := range xwords {
+		v, err := strconv.ParseUint(strings.TrimSpace(vals[i]), 0, width)
+		if err != nil {
+			return nil, fmt.Errorf("bad input %q: %w", vals[i], err)
+		}
+		mi[i] = core.MemInit{Mem: "dmem", Word: w, Val: logic.NewVecUint64(width, v)}
+	}
+	return mi, nil
 }
 
 // writeFile creates path and streams gen into it.

@@ -135,8 +135,8 @@ func sampleOutputs(dst []logic.Value, sim *vvp.Simulator) []logic.Value {
 // Validate reruns the application with fixed known inputs on both the
 // original and the bespoke netlist and compares cycle-by-cycle primary
 // outputs and final data memory (paper §5.0.1). It also verifies that the
-// set of gates exercised by the fixed-input run is a subset of the set of
-// exercisable gates reported by the symbolic analysis.
+// nets the fixed-input run exercised are a subset of the nets the symbolic
+// analysis marks exercisable (sym.ToggledNets).
 func Validate(sym *core.Result, bsp *Result, p *core.Platform, inputs []core.MemInit, maxCycles uint64) (*ValidationReport, error) {
 	bp, err := bespokePlatform(p, bsp.Bespoke)
 	if err != nil {

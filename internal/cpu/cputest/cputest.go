@@ -1,6 +1,6 @@
 // Package cputest provides the readers the processor packages' functional
-// tests (and cmd/asm) use on a finished concrete run,
-// core.Platform.RunConcrete: memory words and buses by name.
+// tests use on a finished concrete run, core.Platform.RunConcrete: memory
+// words and buses by name.
 package cputest
 
 import (

@@ -38,6 +38,27 @@ func TestGoldenEncodings(t *testing.T) {
 		{func(a *Asm) { a.LUI(T0, 0x1234) }, 0x3C081234},
 		{func(a *Asm) { a.LW(T0, SP, 16) }, 0x8FA80010},
 		{func(a *Asm) { a.SW(T0, SP, 16) }, 0xAFA80010},
+		{func(a *Asm) { a.ADD(T2, T0, T1) }, 0x01095020},
+		{func(a *Asm) { a.SUB(T2, T0, T1) }, 0x01095022},
+		{func(a *Asm) { a.XOR(T2, T0, T1) }, 0x01095026},
+		{func(a *Asm) { a.NOR(T2, T0, T1) }, 0x01095027},
+		{func(a *Asm) { a.SLTU(T2, T0, T1) }, 0x0109502B},
+		{func(a *Asm) { a.SRL(T2, T1, 4) }, 0x00095102},
+		{func(a *Asm) { a.SRA(T2, T1, 4) }, 0x00095103},
+		{func(a *Asm) { a.SLLV(T2, T1, T0) }, 0x01095004}, // sllv $10,$9,$8
+		{func(a *Asm) { a.SRLV(T2, T1, T0) }, 0x01095006},
+		{func(a *Asm) { a.SRAV(T2, T1, T0) }, 0x01095007},
+		{func(a *Asm) { a.MULT(T0, T1) }, 0x01090018},
+		{func(a *Asm) { a.ADDI(T0, ZERO, -5) }, 0x2008FFFB},
+		{func(a *Asm) { a.SLTI(T0, T1, -5) }, 0x2928FFFB},
+		{func(a *Asm) { a.SLTIU(T0, T1, 100) }, 0x2D280064},
+		{func(a *Asm) { a.XORI(T0, T1, 0xFFFF) }, 0x3928FFFF},
+		// Control transfers to a label two words on: branch offset +1,
+		// jump target word 2.
+		{func(a *Asm) { a.BEQ(T0, T1, "l"); a.NOP(); a.Label("l") }, 0x11090001},
+		{func(a *Asm) { a.BNE(T0, T1, "l"); a.NOP(); a.Label("l") }, 0x15090001},
+		{func(a *Asm) { a.J("l"); a.NOP(); a.Label("l") }, 0x08000002},
+		{func(a *Asm) { a.JAL("l"); a.NOP(); a.Label("l") }, 0x0C000002},
 	}
 	for i, c := range cases {
 		if got := word(t, c.build); got != c.want {

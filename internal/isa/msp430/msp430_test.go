@@ -53,6 +53,11 @@ func TestImmediateModeUsesPCAutoincrement(t *testing.T) {
 	if got[1] != 0x1234 {
 		t.Errorf("extension word = %#04x", got[1])
 	}
+	got = words(t, func(a *Asm) { a.ADDI(-3, R6) })
+	// ADD #-3, R6: opcode 5 -> 0x5036; the extension word is two's complement.
+	if got[0] != 0x5036 || got[1] != 0xFFFD {
+		t.Errorf("ADDI = %#04x %#04x, want 0x5036 0xfffd", got[0], got[1])
+	}
 }
 
 func TestIndexedModes(t *testing.T) {
@@ -108,6 +113,14 @@ func TestJumpEncodings(t *testing.T) {
 	})
 	if got[0] != 0x3C01 {
 		t.Errorf("jmp end = %#04x, want 0x3C01", got[0])
+	}
+	// JEQ to the next word: condition 1, offset 0.
+	got = words(t, func(a *Asm) {
+		a.JEQ("next")
+		a.Label("next")
+	})
+	if got[0] != 0x2400 {
+		t.Errorf("jeq next = %#04x, want 0x2400", got[0])
 	}
 }
 

@@ -21,8 +21,8 @@ func lintCounts(n *netlist.Netlist) map[lint.Code]int {
 
 // TestCPUExporters drives every serializer over the three evaluation
 // processors: the JSON interchange must round-trip to a structurally
-// identical design (lint as the oracle), and the Verilog and DOT views
-// must be shaped like Verilog and DOT.
+// identical design (lint as the oracle), and the Verilog view must be
+// shaped like Verilog.
 func TestCPUExporters(t *testing.T) {
 	for _, d := range report.Designs {
 		d := d
@@ -71,19 +71,6 @@ func TestCPUExporters(t *testing.T) {
 				if !strings.Contains(v, want) {
 					t.Errorf("verilog missing %q", want)
 				}
-			}
-
-			// DOT view: one graph, balanced braces, every gate drawn.
-			buf.Reset()
-			if err := n.WriteDOT(&buf); err != nil {
-				t.Fatalf("WriteDOT: %v", err)
-			}
-			dot := buf.String()
-			if !strings.HasPrefix(dot, "digraph ") {
-				t.Errorf("DOT output does not start a digraph: %.40q", dot)
-			}
-			if open, close := strings.Count(dot, "{"), strings.Count(dot, "}"); open != close || open == 0 {
-				t.Errorf("DOT braces unbalanced: %d open, %d close", open, close)
 			}
 		})
 	}

@@ -422,55 +422,3 @@ func sanitize(name string) string {
 	}
 	return s
 }
-
-// WriteDOT emits a Graphviz view of the netlist: gates and memories as
-// nodes, nets as edges. Intended for small designs and cone debugging;
-// a full processor renders but is unreadable.
-func (n *Netlist) WriteDOT(w io.Writer) error {
-	var sb strings.Builder
-	sb.WriteString("digraph " + sanitize(n.Name) + " {\n  rankdir=LR;\n")
-	for _, in := range n.Inputs {
-		fmt.Fprintf(&sb, "  %q [shape=triangle,label=%q];\n", "net"+sanitize(n.Nets[in].Name), n.Nets[in].Name)
-	}
-	for gi, g := range n.Gates {
-		shape := "box"
-		if g.Kind == KindDFF {
-			shape = "box3d"
-		}
-		fmt.Fprintf(&sb, "  g%d [shape=%s,label=\"%s\"];\n", gi, shape, g.Kind)
-	}
-	for mi, m := range n.Mems {
-		fmt.Fprintf(&sb, "  m%d [shape=cylinder,label=%q];\n", mi, m.Name)
-	}
-	// Edges: driver -> consumer, labelled with the net name.
-	driverOf := func(id NetID) string {
-		if d := n.Nets[id].Driver; d != NoGate {
-			return fmt.Sprintf("g%d", d)
-		}
-		for mi, m := range n.Mems {
-			for _, rd := range m.RData {
-				if rd == id {
-					return fmt.Sprintf("m%d", mi)
-				}
-			}
-		}
-		return "net" + sanitize(n.Nets[id].Name)
-	}
-	for gi, g := range n.Gates {
-		for _, in := range g.In {
-			fmt.Fprintf(&sb, "  %q -> g%d [label=%q];\n", driverOf(in), gi, n.Nets[in].Name)
-		}
-	}
-	for mi, m := range n.Mems {
-		for _, p := range memInputPins(m) {
-			fmt.Fprintf(&sb, "  %q -> m%d [label=%q];\n", driverOf(p), mi, n.Nets[p].Name)
-		}
-	}
-	for _, o := range n.Outputs {
-		fmt.Fprintf(&sb, "  %q -> %q;\n", driverOf(o), "out_"+sanitize(n.Nets[o].Name))
-		fmt.Fprintf(&sb, "  %q [shape=invtriangle,label=%q];\n", "out_"+sanitize(n.Nets[o].Name), n.Nets[o].Name)
-	}
-	sb.WriteString("}\n")
-	_, err := io.WriteString(w, sb.String())
-	return err
-}

@@ -179,20 +179,6 @@ func TestRoundTripKeepsDesignUsable(t *testing.T) {
 	}
 }
 
-func TestWriteDOT(t *testing.T) {
-	n := ioToy(t)
-	var buf bytes.Buffer
-	if err := n.WriteDOT(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dot := buf.String()
-	for _, want := range []string{"digraph iotoy", "shape=box3d", "shape=cylinder", "rankdir=LR", "->"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT missing %q", want)
-		}
-	}
-}
-
 // Multi-driven nets cannot be built via the construction API, but a
 // hand-written interchange file can contain them: the strict reader must
 // reject such a file with an error naming the net, while the tolerant
