@@ -169,6 +169,9 @@ type Config struct {
 	// superseded, i.e. plain Algorithm 1; only the A/B oracle in _test.go
 	// sets it.
 	keepSuperseded bool
+	// noReplay runs every segment of the scalar kernel in full, with no
+	// recording; only the A/B oracle in _test.go sets it.
+	noReplay bool
 	// allMoved makes every segment's outcome name every net moved, so
 	// absorb reads every net that is not yet exercisable; only the A/B
 	// oracle in _test.go sets it.
@@ -341,6 +344,9 @@ type pathOutcome struct {
 	// explorer's attribution marks), published as counters once it ends.
 	evals  uint64
 	sweeps uint64
+	// replayed counts the segment's time steps the kernel replayed
+	// (vvp.Replay), published in the segment's span.
+	replayed uint64
 	// pruned counts fork children classify dropped as fact-infeasible,
 	// published with the other segment counters and in the segment's span
 	// after the lock is released.
@@ -443,7 +449,7 @@ func AnalyzeContext(ctx context.Context, p *Platform, cfg Config) (*Result, erro
 		a.drivers.Add(1)
 		go func() {
 			defer a.drivers.Done()
-			x := explorer{p: p, cfg: &a.cfg, src: a}
+			x := explorer{p: p, cfg: &a.cfg, src: a, replays: true}
 			if err := x.explore(); err != nil {
 				a.fail(err)
 			}
@@ -507,6 +513,10 @@ type analysis struct {
 	// in their lanes and exit, nothing more is admitted, and the pending
 	// frontier is handled by finish().
 	stop atomic.Bool
+	// ctx is the caller's context; a cancellation becomes a drain request
+	// through the watcher goroutine (govern) and at the next admission,
+	// whichever sees it first.
+	ctx context.Context
 	// liveCycles tracks simulated cycles including partial in-flight
 	// segments, for the cycle budget and progress heartbeats.
 	liveCycles atomic.Uint64
@@ -639,6 +649,11 @@ func (a *analysis) admit(idle bool) (id int, e entry, ok bool) {
 // the frontier is empty or the run is stopping (pending entries then stay
 // put for the drain). Caller holds a.mu.
 func (a *analysis) admitLocked() (id int, e entry, ok bool) {
+	if !a.stop.Load() && a.ctx != nil && a.ctx.Err() != nil {
+		// A driver fast enough to finish the run before the watcher
+		// goroutine wakes would otherwise never see the cancellation.
+		a.tripStopLocked(TripCanceled)
+	}
 	if a.stop.Load() {
 		return 0, entry{}, false
 	}
@@ -772,6 +787,7 @@ func (a *analysis) settle(out *pathOutcome, wall time.Duration) bool {
 		Cycles:  out.stat.Cycles,
 		WallUS:  wall.Microseconds(),
 		Pruned:  out.pruned,
+		Replay:  out.replayed,
 	})
 	if out.stat.End != EndInterrupted {
 		a.maybeCheckpoint()

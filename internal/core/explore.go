@@ -56,28 +56,85 @@ type laneEngine interface {
 // scalarLane is a scalar simulator seen as a one-lane engine. Restore
 // overrides the entire processor and simulator state (the paper's
 // $initialize_state), so one simulator serves every segment an explorer
-// runs; the lane argument is always 0.
+// runs; the lane argument is always 0. On the kernel of a local analysis it
+// drives the simulator through a Replay (replay.go): a segment forked at a
+// key records its trajectory and follows the key's last absorbed log.
 type scalarLane struct {
 	sim  *vvp.Simulator
 	base uint64 // sim.Cycles() when the current segment started
+	// store is the explorer's replay store, nil when segments neither
+	// record nor replay; rep its Replay bound to sim. The running segment
+	// records into out (nil: it records nothing) for key, and replayed is
+	// rep.Replayed() when it started.
+	store    *replayStore
+	rep      *vvp.Replay
+	out      *vvp.ReplayLog
+	key      forkKey
+	replayed uint64
+}
+
+// begin prepares the lane for the next RestoreLane: a segment forked at key
+// when keyed, the cold boot or a resumed entry otherwise.
+func (s *scalarLane) begin(key forkKey, keyed bool) {
+	s.out = nil
+	if s.store != nil && keyed {
+		s.key, s.out = key, s.store.log()
+	}
 }
 
 func (s *scalarLane) RestoreLane(sp *vvp.StateSpec, st vvp.State, _ int) error {
-	err := s.sim.Restore(sp, st)
+	var err error
+	if s.rep != nil {
+		s.replayed = s.rep.Replayed()
+		var ref *vvp.ReplayLog
+		if s.out != nil {
+			ref = s.store.logs[s.key]
+		}
+		err = s.rep.Restore(sp, st, ref, s.out)
+	} else {
+		err = s.sim.Restore(sp, st)
+	}
 	s.base = s.sim.Cycles()
 	return err
+}
+
+// end closes the running segment's recording. Its log becomes the key's
+// when the source absorbed the outcome; a dropped outcome's trajectory is
+// not in the result, so no later segment may follow it.
+func (s *scalarLane) end(absorbed bool) {
+	if s.rep == nil {
+		return
+	}
+	s.rep.Done()
+	if s.out != nil {
+		if absorbed {
+			s.store.keep(s.key, s.out)
+		} else {
+			s.store.spare = append(s.store.spare, s.out)
+		}
+		s.out = nil
+	}
 }
 
 func (s *scalarLane) NowLane(int) uint64 { return s.sim.Now() }
 
 func (s *scalarLane) ForceLane(id netlist.NetID, v logic.Value, _ int, release uint64) {
+	if s.rep != nil {
+		s.rep.Force(id, v, release)
+		return
+	}
 	s.sim.Force(id, v, release)
 }
 
 func (s *scalarLane) StartRecordingLane(int) { s.sim.StartRecording() }
 
 func (s *scalarLane) StepAll() (finished, halted uint64, err error) {
-	st, err := s.sim.Step()
+	var st vvp.Status
+	if s.rep != nil {
+		st, err = s.rep.Step()
+	} else {
+		st, err = s.sim.Step()
+	}
 	switch st {
 	case vvp.Finished:
 		finished = 1
@@ -171,6 +228,12 @@ type explorer struct {
 	// explorer's previous settlement; the sums over a run are exact.
 	evals, sweeps uint64
 	mark          time.Time
+	// replays is set by the drivers whose source reports truthfully
+	// whether it absorbed an outcome, which a log must have been to be
+	// followed; store is the replay store, taken at the first forked
+	// segment of a scalar kernel run and handed back when explore returns.
+	replays bool
+	store   *replayStore
 }
 
 // explore is the body of every driver (Algorithm 1 lines 11–27): admit →
@@ -180,6 +243,13 @@ type explorer struct {
 func (x *explorer) explore() error {
 	x.lane = make([]segment, x.cfg.lanes)
 	x.laneOcc = laneOccupancy(x.cfg)
+	defer func() {
+		if x.store != nil {
+			x.store.rep.Reset(nil)
+			x.p.replays().put(x.store)
+			x.store = nil
+		}
+	}()
 	for {
 		fresh, ok := x.admit()
 		if !ok {
@@ -258,6 +328,12 @@ func (x *explorer) restore(fresh uint64) error {
 					x.setEngine(&scalarLane{sim: x.newSimulator(nil)}, false)
 				}
 			}
+			if sl, ok := x.eng.(*scalarLane); ok {
+				if s.e.hasForce && sl.rep == nil {
+					x.attachReplay(sl)
+				}
+				sl.begin(forkKey{s.e.state.PC, s.e.forced}, s.e.hasForce)
+			}
 			if err := x.eng.RestoreLane(x.p.Spec, s.e.state, l); err != nil {
 				return x.pathErr(l, err)
 			}
@@ -275,6 +351,18 @@ func (x *explorer) restore(fresh uint64) error {
 		x.laneOcc.Observe(float64(bits.OnesCount64(x.occupied)))
 	}
 	return nil
+}
+
+// attachReplay gives sl the explorer's replay store when the driver allows
+// replay and the engine is the kernel; the explorer does so at the first
+// forked segment the lane runs, so a run that never forks takes no store.
+func (x *explorer) attachReplay(sl *scalarLane) {
+	if x.replays && !x.cfg.noReplay && x.cfg.Engine == vvp.EngineKernel {
+		if x.store == nil {
+			x.store = x.p.replays().get()
+		}
+		sl.store, sl.rep = x.store, x.store.bind(sl.sim)
+	}
 }
 
 // setEngine installs eng and rebases the effort marks on its counters.
@@ -367,6 +455,9 @@ func (x *explorer) outcome(l int, fin, hal bool) pathOutcome {
 	if !x.cfg.allMoved {
 		out.moved = x.eng.MovedLane(l)
 	}
+	if sl, ok := x.eng.(*scalarLane); ok && sl.rep != nil {
+		out.replayed = sl.rep.Replayed() - sl.replayed
+	}
 	switch {
 	case fin:
 		out.stat.End = EndFinished
@@ -406,7 +497,10 @@ func (x *explorer) settle(l int, out *pathOutcome) {
 	now := time.Now()
 	wall := now.Sub(x.mark)
 	x.mark = now
-	x.src.settle(out, wall)
+	absorbed := x.src.settle(out, wall)
+	if sl, ok := x.eng.(*scalarLane); ok {
+		sl.end(absorbed)
+	}
 }
 
 // contain runs f — any part of a segment between admission and settle: the

@@ -23,6 +23,13 @@ func AllMoved(cfg Config) Config {
 	return cfg
 }
 
+// NoReplay returns cfg with the replay of widened segments turned off, so a
+// test can compare every segment run in full against the replay.
+func NoReplay(cfg Config) Config {
+	cfg.noReplay = true
+	return cfg
+}
+
 // DisablePrune returns cfg with constraint-aware fork pruning turned off,
 // so a test can compare a constrained run against the unpruned one.
 func DisablePrune(cfg Config) Config {
@@ -100,10 +107,27 @@ func AnalyzeDropping(p *Platform, cfg Config, drop int) (*Result, bool, error) {
 		return nil, false, err
 	}
 	src := &dropSource{analysis: r.a, drop: drop}
-	x := explorer{p: p, cfg: &r.a.cfg, src: src}
+	x := explorer{p: p, cfg: &r.a.cfg, src: src, replays: true}
 	if err := x.explore(); err != nil {
 		r.a.fail(err)
 	}
 	res, err := r.Wait()
 	return res, src.dropped, err
+}
+
+// ReplayBytes returns the log storage each replay store the pool of p's
+// design holds keeps.
+func ReplayBytes(p *Platform) []int {
+	rp := p.replays()
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	var out []int
+	for _, rs := range rp.free {
+		n := 0
+		for _, l := range rs.all {
+			n += l.Bytes()
+		}
+		out = append(out, n)
+	}
+	return out
 }

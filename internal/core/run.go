@@ -86,6 +86,7 @@ func Open(ctx context.Context, p *Platform, cfg Config) (*Run, error) {
 // watcher that turns context cancellation and the wall-clock budget into a
 // drain request, and the progress heartbeat.
 func (a *analysis) govern(ctx context.Context) {
+	a.ctx = ctx
 	a.start = time.Now()
 	a.lastCkpt = a.start
 

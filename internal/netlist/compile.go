@@ -210,6 +210,10 @@ func (p *Program) SlowCommit(id NetID) bool {
 	return p.slowBits[uint32(id)>>6]>>(uint32(id)&63)&1 != 0
 }
 
+// SlowBits returns the bitmap SlowCommit reads, net id being bit id&63 of
+// word id>>6, for a loop that tests many nets.
+func (p *Program) SlowBits() []uint64 { return p.slowBits }
+
 // Program returns the compiled form of the netlist, building it on first
 // use (the build is linear in design size and cached: every simulator of
 // this netlist and of its views shares one Program). It panics when the netlist is not

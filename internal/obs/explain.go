@@ -36,9 +36,9 @@ func Explain(w io.Writer, log *TraceLog) error {
 
 	if hs := hotSpots(log.Decisions, log.Spans); len(hs) > 0 {
 		ew.printf("\ncsm decisions by PC (%d total):\n", len(log.Decisions))
-		ew.printf("  %-12s %8s %8s %8s %10s %8s\n", "pc", "subsumed", "merged", "new", "xGained", "pruned")
+		ew.printf("  %-12s %8s %8s %8s %10s %8s %8s\n", "pc", "subsumed", "merged", "new", "xGained", "pruned", "replayed")
 		for _, h := range hs {
-			ew.printf("  0x%08x %8d %8d %8d %10d %8d\n", h.pc, h.subsumed, h.merged, h.new, h.xGained, h.pruned)
+			ew.printf("  0x%08x %8d %8d %8d %10d %8d %8d\n", h.pc, h.subsumed, h.merged, h.new, h.xGained, h.pruned, h.replayed)
 		}
 	}
 
@@ -144,10 +144,12 @@ type pcStat struct {
 	new      int
 	xGained  int
 	pruned   uint64
+	replayed uint64
 }
 
-// hotSpots aggregates decisions, and the children pruned at each fork, per
-// PC, ordered by total decisions so the PCs where merging concentrates come
+// hotSpots aggregates decisions, the children pruned at each fork, and the
+// time steps replayed by the segments forked at each branch, per PC,
+// ordered by total decisions so the PCs where merging concentrates come
 // first.
 func hotSpots(decisions []Decision, spans []Span) []pcStat {
 	agg := make(map[uint64]*pcStat)
@@ -162,6 +164,9 @@ func hotSpots(decisions []Decision, spans []Span) []pcStat {
 	for _, sp := range spans {
 		if sp.Pruned > 0 {
 			at(sp.HaltPC).pruned += sp.Pruned
+		}
+		if sp.Replay > 0 {
+			at(sp.StartPC).replayed += sp.Replay
 		}
 	}
 	for _, d := range decisions {

@@ -347,13 +347,14 @@ func TestExplainCyclicTrace(t *testing.T) {
 }
 
 // The per-PC table carries the children pruned at each fork, read from the
-// forked spans.
+// forked spans, and the steps the segments forked at each branch replayed,
+// read from their spans.
 func TestExplainPrunedColumn(t *testing.T) {
 	log := &TraceLog{
 		Spans: []Span{
 			{ID: 0, Parent: -1, End: "forked", HaltPC: 0x1e, Pruned: 1},
-			{ID: 1, Parent: 0, End: "forked", HaltPC: 0x1e, Pruned: 1},
-			{ID: 2, Parent: 1, End: "finished"},
+			{ID: 1, Parent: 0, StartPC: 0x1e, End: "forked", HaltPC: 0x1e, Pruned: 1, Replay: 7},
+			{ID: 2, Parent: 1, StartPC: 0x1e, End: "finished", Replay: 5},
 		},
 		Decisions: []Decision{
 			{Path: 0, PC: 0x1e, Verdict: "new", States: 1},
@@ -366,8 +367,8 @@ func TestExplainPrunedColumn(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"subsumed   merged      new    xGained   pruned",
-		"0x0000001e        0        1        1          0        2",
+		"subsumed   merged      new    xGained   pruned replayed",
+		"0x0000001e        0        1        1          0        2       12",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)

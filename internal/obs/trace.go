@@ -66,6 +66,10 @@ type Span struct {
 	// Pruned is the number of children of this segment's fork (at HaltPC)
 	// proven infeasible under the application facts and never created.
 	Pruned uint64 `json:"pruned,omitempty"`
+	// Replay is the number of this segment's time steps the kernel
+	// replayed from the last segment forked at the same branch and
+	// direction instead of simulating them in full.
+	Replay uint64 `json:"replay,omitempty"`
 }
 
 // Decision records one CSM verdict: the decision log entry behind the

@@ -957,27 +957,34 @@ func (s *Simulator) Step() (Status, error) {
 	// events, as in Figure 2.
 
 	// Symbolic region (the paper's extension; always last).
+	return s.symbolic(), nil
+}
+
+// symbolic runs the Symbolic region at the end of a time step: it reports
+// Finished when the design's terminating condition is high and HaltX when a
+// PC-changing instruction resolves on an X.
+func (s *Simulator) symbolic() Status {
 	if s.opts.DisableSymbolic || s.monitorSpc == nil {
-		return Running, nil
+		return Running
 	}
 	sp := s.monitorSpc
 	if sp.Finish != netlist.NoNet && s.val[sp.Finish] == logic.Hi {
-		return Finished, nil
+		return Finished
 	}
 	if sp.BranchActive != netlist.NoNet && s.val[sp.BranchActive] == logic.Hi && !s.Forced(sp.Cond) {
 		for _, w := range sp.Watch {
 			if !s.val[w].IsKnown() {
-				return HaltX, nil
+				return HaltX
 			}
 		}
 		// The decision wire itself may be X even when every watched bit
 		// is known (e.g. a condition derived from an X flag that is not
 		// watched); halt then too, or the fork below would capture X.
 		if !s.val[sp.Cond].IsKnown() {
-			return HaltX, nil
+			return HaltX
 		}
 	}
-	return Running, nil
+	return Running
 }
 
 // applyStimulus commits all input assignments scheduled at the current

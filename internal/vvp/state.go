@@ -3,6 +3,7 @@ package vvp
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"symsim/internal/logic"
 	"symsim/internal/netlist"
@@ -258,12 +259,15 @@ func (s *Simulator) Restore(sp *StateSpec, st State) error {
 	return s.settle()
 }
 
-// assertState commits the saved flip-flop outputs, 64 to a read of the saved
-// planes, and makes each flip-flop's clock sample its clock's level so no
-// spurious edge fires on the next settle: by setting follow when the
-// clock-domain table holds every flip-flop, by storing every sample
-// otherwise. Restore has dropped every force, so an output already at its
-// saved value needs no commit: the cost is proportional to what differs.
+// assertState commits the saved flip-flop outputs and makes each flip-flop's
+// clock sample its clock's level so no spurious edge fires on the next
+// settle: by setting follow when the clock-domain table holds every
+// flip-flop, by storing every sample otherwise. It compares 64 outputs at a
+// time — one busBits read against one read of the saved planes — and
+// commits only the outputs that differ. busBits reads Z as X, so once a Z
+// has been committed the outputs the state holds at X are looked at one by
+// one. Restore has dropped every force, so an output already at its saved
+// value needs no commit: the cost is proportional to what differs.
 //
 //symsim:hotpath
 func (s *Simulator) assertState(sp *StateSpec, st State) {
@@ -272,13 +276,25 @@ func (s *Simulator) assertState(sp *StateSpec, st State) {
 	s.follow = follow
 	for i := 0; i < len(sp.DFFs); i += 64 {
 		c := min(64, len(sp.DFFs)-i)
-		known, level := st.Bits.Word(i, c)
-		for j, out := range sp.outs[i : i+c] {
-			if !follow {
+		outs := sp.outs[i : i+c]
+		if !follow {
+			for j := range outs {
 				lastClk[s.gidx(sp.DFFs[i+j])] = val[sp.clks[i+j]]
 			}
-			if q := logic.PlaneBit(known, level, j); val[out] != q {
-				s.commit(out, q, RegionActive)
+		}
+		known, level := st.Bits.Word(i, c)
+		a, x := s.busBits(outs)
+		diff := x ^ ^known | (a^level)&known
+		if s.zSeen {
+			diff |= x &^ known
+		}
+		if c < 64 {
+			diff &= uint64(1)<<uint(c) - 1
+		}
+		for ; diff != 0; diff &= diff - 1 {
+			j := bits.TrailingZeros64(diff)
+			if q := logic.PlaneBit(known, level, j); val[outs[j]] != q {
+				s.commit(outs[j], q, RegionActive)
 			}
 		}
 	}
