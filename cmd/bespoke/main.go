@@ -30,7 +30,6 @@ func main() {
 	var (
 		design   = flag.String("design", "omsp430", "processor: bm32 | omsp430 | dr5")
 		bench    = flag.String("bench", "tHold", "benchmark name")
-		workers  = flag.Int("workers", 1, "parallel path workers")
 		validate = flag.Bool("validate", false, "run the fixed-input equivalence validation")
 		inputs   = flag.String("inputs", "", "comma-separated input words for -validate/-power/-vcd, one per X word of the benchmark, in order")
 		outJSON  = flag.String("o", "", "write the bespoke netlist as interchange JSON to this file")
@@ -69,7 +68,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	res, err := core.Analyze(p, core.Config{Workers: *workers})
+	res, err := core.Analyze(p, core.Config{})
 	if err != nil {
 		fatal(err)
 	}

@@ -9,7 +9,9 @@
 //	paper -fig 6               # one figure (5 or 6)
 //	paper -csv                 # raw sweep data as CSV
 //	paper -bench Div,tea8      # restrict the sweep
-//	paper -workers 4           # parallel path exploration
+//
+// Every cell runs the paper's analysis: merge-all on one explorer, so the
+// path and cycle counts of Table 4 are the same on every run.
 package main
 
 import (
@@ -18,19 +20,17 @@ import (
 	"os"
 	"strings"
 
-	"symsim/internal/core"
 	"symsim/internal/report"
 )
 
 func main() {
 	var (
-		all     = flag.Bool("all", false, "regenerate every table and figure")
-		table   = flag.Int("table", 0, "regenerate one table (1..4)")
-		fig     = flag.Int("fig", 0, "regenerate one figure (5 or 6)")
-		csv     = flag.Bool("csv", false, "print the sweep as CSV")
-		bench   = flag.String("bench", "", "comma-separated benchmark subset (default: all six)")
-		workers = flag.Int("workers", 1, "parallel path workers per analysis")
-		quiet   = flag.Bool("q", false, "suppress per-cell progress")
+		all   = flag.Bool("all", false, "regenerate every table and figure")
+		table = flag.Int("table", 0, "regenerate one table (1..4)")
+		fig   = flag.Int("fig", 0, "regenerate one figure (5 or 6)")
+		csv   = flag.Bool("csv", false, "print the sweep as CSV")
+		bench = flag.String("bench", "", "comma-separated benchmark subset (default: all six)")
+		quiet = flag.Bool("q", false, "suppress per-cell progress")
 	)
 	flag.Parse()
 	if !*all && *table == 0 && *fig == 0 && !*csv {
@@ -53,7 +53,7 @@ func main() {
 		return
 	}
 
-	opt := report.Options{Config: core.Config{Workers: *workers}}
+	var opt report.Options
 	if *bench != "" {
 		opt.Benchmarks = strings.Split(*bench, ",")
 	}

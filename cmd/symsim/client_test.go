@@ -201,8 +201,9 @@ func TestBackoffBoundsAndJitter(t *testing.T) {
 }
 
 // Every tuning flag of the shared vocabulary reaches the server: submit
-// builds its body with the mapping the daemon applies to its own defaults,
-// so a flag cannot be known to one and dropped by the other.
+// marshals the spec its flags parse into, which is the body the daemon
+// decodes, so a flag cannot be known to one and dropped by the other. A
+// worker count is no flag.
 func TestSubmitSendsTheSharedFlags(t *testing.T) {
 	var body atomic.Value
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -213,15 +214,18 @@ func TestSubmitSendsTheSharedFlags(t *testing.T) {
 	}))
 	defer ts.Close()
 	if code := submitCmd([]string{"-server", ts.URL, "-design", "dr5", "-bench", "tea8",
-		"-policy", "clustered", "-k", "3", "-workers", "2", "-deadline", "2s",
+		"-policy", "clustered", "-k", "3", "-deadline", "2s",
 		"-max-sim-cycles", "1000", "-max-forks", "5", "-max-csm-states", "9"}); code != 0 {
 		t.Fatalf("submit exited %d", code)
 	}
 	got, _ := body.Load().(string)
-	for _, want := range []string{`"design":"dr5"`, `"bench":"tea8"`, `"policy":"clustered"`, `"k":3`, `"workers":2`,
+	for _, want := range []string{`"design":"dr5"`, `"bench":"tea8"`, `"policy":"clustered"`, `"k":3`,
 		`"deadlineMs":2000`, `"maxCycles":1000`, `"maxForks":5`, `"maxCsmStates":9`} {
 		if !strings.Contains(got, want) {
 			t.Errorf("submitted spec %s lacks %s", got, want)
 		}
+	}
+	if strings.Contains(got, `"workers"`) {
+		t.Errorf("submitted spec %s names a worker count", got)
 	}
 }

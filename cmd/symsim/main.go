@@ -9,7 +9,7 @@
 //
 //	symsim -design omsp430 -bench tHold
 //	symsim -design dr5 -bench mult -policy clustered -k 4
-//	symsim -design bm32 -bench Div -workers 8 -v
+//	symsim -design bm32 -bench Div -v
 //
 // Long co-analyses are governed: -deadline bounds wall-clock time (the
 // run degrades soundly instead of erroring), -checkpoint periodically
@@ -104,9 +104,9 @@ func analyzeMain(args []string, printStats bool) {
 		dumpDir = fs.String("dump-states", "", "write every saved halt state to this directory (sim_state.log files in the vvp.State binary encoding checkpoints embed; vvp.DecodeState reads them)")
 		vcdOut  = fs.String("vcd", "", "dump the initial symbolic path's waveform (X values visible) to this file")
 
-		// The analysis-tuning flags (policy, workers and the budget
-		// family) are shared with cmd/symsimd via cliflags, so the one-shot
-		// CLI and the daemon cannot drift.
+		// The analysis-tuning flags (policy and the budget family) are
+		// shared with symsim submit via cliflags, which is also the body
+		// of POST /jobs, so the one-shot CLI and the daemon cannot drift.
 		tuning = cliflags.Register(fs)
 
 		ckptPath  = fs.String("checkpoint", "", "periodically checkpoint the exploration state to this file (atomic writes)")
@@ -241,7 +241,7 @@ func analyzeMain(args []string, printStats bool) {
 		cfg.Tracer = obs.NewTracer(f)
 	}
 
-	// SIGINT/SIGTERM drain the run cleanly: workers stop, the pending
+	// SIGINT/SIGTERM drain the run cleanly: the explorer stops, the pending
 	// frontier is checkpointed (when -checkpoint is set) and force-merged,
 	// and the partial — still sound — dichotomy is printed.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

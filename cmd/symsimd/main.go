@@ -10,16 +10,16 @@
 // Usage:
 //
 //	symsimd -listen localhost:8466 -data /var/lib/symsimd
-//	symsimd -jobs 4 -queue 128 -policy clustered -k 4   # server-side defaults
+//	symsimd -jobs 4 -queue 128
 //
-// The analysis-tuning flags (policy, workers, budgets) are the same
-// vocabulary as cmd/symsim's (internal/cliflags, which is also the JSON
-// body of POST /jobs). Here they are defaults for POST /jobs: a submission
-// that leaves a field empty gets the daemon's value, then the flag
-// default. Every job runs on the compiled kernel; there is no -engine or
-// -lanes, and a body that names them is read without them. Jobs run in
-// the order they were accepted: there is no priority, and a body that
-// names one is read without it. A running job streams a progress
+// The daemon takes no analysis flags: a POST /jobs body is the whole
+// analysis (internal/cliflags, the vocabulary of cmd/symsim's flags), and
+// a field it leaves out gets the flag default, as on the command line, so
+// the same request is the same analysis on every daemon. Every job runs
+// one explorer on the compiled kernel; a body that names a worker count,
+// an engine or a lane count is read without them. Jobs run in the order
+// they were accepted: there is no priority, and a body that names one is
+// read without it. A running job streams a progress
 // heartbeat to its subscribers every 250 ms, and an event stream carries a
 // ": ping" comment line every 15 s. The daemon
 // serves jobs only: it has no fleet mode, and the distributed explorer
@@ -51,7 +51,6 @@ import (
 	"syscall"
 	"time"
 
-	"symsim/internal/cliflags"
 	"symsim/internal/service"
 )
 
@@ -59,10 +58,9 @@ func main() {
 	var (
 		listen   = flag.String("listen", "localhost:8466", "HTTP listen address")
 		dataDir  = flag.String("data", "symsimd-data", "durable state directory (jobs, results, cache)")
-		jobs     = flag.Int("jobs", 2, "concurrent analysis jobs (each job additionally uses its own -workers path workers)")
+		jobs     = flag.Int("jobs", 2, "concurrent analysis jobs (each runs one path explorer)")
 		queueCap = flag.Int("queue", 64, "pending-job queue capacity; submissions beyond it get HTTP 429")
 		debug    = flag.String("debug", "", "debug listen address for net/http/pprof (e.g. localhost:8467; empty = off)")
-		defaults = cliflags.Register(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -71,7 +69,6 @@ func main() {
 		DataDir:  *dataDir,
 		Workers:  *jobs,
 		QueueCap: *queueCap,
-		Defaults: &defaults.Spec,
 		Logf:     func(format string, args ...any) { logger.Printf(format, args...) },
 	})
 	if err != nil {

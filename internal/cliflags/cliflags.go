@@ -1,15 +1,16 @@
 // Package cliflags is the single definition of the analysis vocabulary:
 // what analysis to run, written once as Spec. The same struct is the flag
-// set cmd/symsim and cmd/symsimd register (Register), the JSON body of
-// POST /jobs (service.JobSpec is an alias of it), the spec a durable job
-// record persists, and the spec the distributed explorer's library API
-// takes (cluster.RunSpec) and its leases carry to a worker. One Normalize fills what a request left out
-// and rejects what no door accepts, and one Config maps the result to a
-// core.Config, so a request means the same analysis whichever door it
-// came through. Every door runs the compiled kernel, one path segment per
-// explorer: the spec names neither an engine nor a lane count, and it
-// names no queue priority (symsimd's queue is a FIFO); a JSON body from an
-// older client that names any of them is read as if it did not.
+// set cmd/symsim and its submit subcommand register (Register), the JSON
+// body of POST /jobs (service.JobSpec is an alias of it), the spec a
+// durable job record persists, and the spec the distributed explorer's
+// library API takes (cluster.RunSpec) and its leases carry to a worker.
+// One Normalize fills what a request left out from the flag defaults — a
+// request means only what it says, whichever door it came through — and
+// rejects what no door accepts, and one Config maps the result to a
+// core.Config. Every door runs one explorer on the compiled kernel: the
+// spec names no worker count, no engine, no lane count and no queue
+// priority (symsimd's queue is a FIFO); a JSON body from an older client
+// that names any of them is read as if it did not.
 package cliflags
 
 import (
@@ -42,9 +43,10 @@ type Spec struct {
 	K         int    `json:"k,omitempty"`
 	MaxStates int    `json:"maxStates,omitempty"`
 
-	// Workers is the number of parallel path explorers. It never changes
-	// a complete result, so it does not enter the cache key. Every door
-	// runs the compiled kernel: the spec names no engine.
+	// Workers is read by nothing: every door runs one explorer, Normalize
+	// zeroes it and Config does not map it, so a body naming "workers" is
+	// the same request as one that does not. The field stays only because
+	// the benchmark module names it in a cluster.RunSpec literal.
 	Workers int `json:"workers,omitempty"`
 
 	// Budgets (graceful degradation, see core.Budget). DeadlineMS is the
@@ -72,7 +74,6 @@ func Register(fs *flag.FlagSet) *Analysis {
 	fs.IntVar(&a.K, "k", 4, "states per PC for the clustered policy")
 	fs.IntVar(&a.MaxStates, "max-states", 4096, "state budget for the exact policy")
 	fs.StringVar(&a.Constraints, "constraints", "", "constraint file for the constrained policy")
-	fs.IntVar(&a.Workers, "workers", 1, "parallel path workers")
 	fs.Func("deadline", "wall-clock budget; on expiry the run degrades soundly instead of erroring", func(s string) error {
 		d, err := time.ParseDuration(s)
 		if err == nil && d%time.Millisecond != 0 {
@@ -92,31 +93,22 @@ func Register(fs *flag.FlagSet) *Analysis {
 var flagDefaults = Register(flag.NewFlagSet("defaults", flag.ContinueOnError)).Spec
 
 // Normalize returns the canonical form of s: zero tuning fields are filled
-// from def (a daemon's own flags; nil for none) and then from the flag
-// defaults, the parameters the chosen policy ignores are zeroed, so two
-// requests meaning the same analysis normalize to identical specs (and one
-// cache key), and the result is validated: what Normalize accepts, Config
-// maps.
-func (s Spec) Normalize(def *Spec) (Spec, error) {
+// from the flag defaults, the parameters the chosen policy ignores and the
+// retired worker count are zeroed, so two requests meaning the same
+// analysis normalize to identical specs (and one cache key), and the
+// result is validated: what Normalize accepts, Config maps.
+func (s Spec) Normalize() (Spec, error) {
 	if s.Design == "" {
 		return s, errors.New("missing design")
 	}
 	if s.Bench == "" {
 		return s, errors.New("missing bench")
 	}
-	var d Spec
-	if def != nil {
-		d = *def
-	}
 	f := &flagDefaults
-	s.Policy = cmp.Or(s.Policy, d.Policy, f.Policy)
-	s.K = cmp.Or(s.K, d.K, f.K)
-	s.MaxStates = cmp.Or(s.MaxStates, d.MaxStates, f.MaxStates)
-	s.Workers = cmp.Or(s.Workers, d.Workers, f.Workers)
-	s.DeadlineMS = cmp.Or(s.DeadlineMS, d.DeadlineMS, f.DeadlineMS)
-	s.MaxCycles = cmp.Or(s.MaxCycles, d.MaxCycles, f.MaxCycles)
-	s.MaxForks = cmp.Or(s.MaxForks, d.MaxForks, f.MaxForks)
-	s.MaxCSMStates = cmp.Or(s.MaxCSMStates, d.MaxCSMStates, f.MaxCSMStates)
+	s.Policy = cmp.Or(s.Policy, f.Policy)
+	s.K = cmp.Or(s.K, f.K)
+	s.MaxStates = cmp.Or(s.MaxStates, f.MaxStates)
+	s.Workers = 0
 	switch s.Policy {
 	case "clustered":
 		s.MaxStates = 0
@@ -128,22 +120,21 @@ func (s Spec) Normalize(def *Spec) (Spec, error) {
 	if _, err := s.Config(); err != nil {
 		return s, err
 	}
-	if s.Workers < 0 || s.DeadlineMS < 0 || s.MaxForks < 0 || s.MaxCSMStates < 0 {
-		return s, errors.New("negative budget or worker count")
+	if s.DeadlineMS < 0 || s.MaxForks < 0 || s.MaxCSMStates < 0 {
+		return s, errors.New("negative budget")
 	}
 	return s, nil
 }
 
-// Config maps a spec to the core.Config it describes: policy, workers
-// and budgets, on the compiled kernel. It is the one such mapping; the job
-// service, the coordinator and its workers add only what is theirs
-// (progress, metrics). A name or policy parameter outside the vocabulary
-// is an error, so a spec that did not come through
-// Normalize — a lease from another version's coordinator — cannot panic
-// the policy constructors.
+// Config maps a spec to the core.Config it describes: policy and
+// budgets, on one explorer over the compiled kernel. It is the one such
+// mapping; the job service, the coordinator and its workers add only what
+// is theirs (progress, metrics). A name or policy parameter outside the
+// vocabulary is an error, so a spec that did not come through Normalize —
+// a lease from another version's coordinator — cannot panic the policy
+// constructors.
 func (s Spec) Config() (core.Config, error) {
 	cfg := core.Config{
-		Workers: s.Workers,
 		Budget: core.Budget{
 			WallClock:    time.Duration(s.DeadlineMS) * time.Millisecond,
 			MaxCycles:    s.MaxCycles,
@@ -218,7 +209,7 @@ func (a *Analysis) Config(spec *vvp.StateSpec) (core.Config, error) {
 	if a.Policy == "constrained" {
 		s.Policy = "merge-all"
 	}
-	s, err := s.Normalize(nil)
+	s, err := s.Normalize()
 	if err != nil {
 		return core.Config{}, err
 	}

@@ -20,12 +20,12 @@ import (
 	"symsim/internal/vvp"
 )
 
-// sharedFlagNames is the contract between cmd/symsim and cmd/symsimd:
-// both register exactly this analysis flag vocabulary through Register,
-// so a flag added or renamed in only one place fails here.
+// sharedFlagNames is the contract between symsim and symsim submit: both
+// register exactly this analysis flag vocabulary through Register, so a
+// flag added or renamed in only one place fails here.
 var sharedFlagNames = []string{
 	"constraints", "deadline", "k", "max-csm-states", "max-forks",
-	"max-sim-cycles", "max-states", "policy", "workers",
+	"max-sim-cycles", "max-states", "policy",
 }
 
 func registered(fs *flag.FlagSet) []string {
@@ -36,35 +36,35 @@ func registered(fs *flag.FlagSet) []string {
 }
 
 // TestBothCommandsParseTheSameFlagSet registers the shared flags the way
-// cmd/symsim and cmd/symsimd each do and checks (a) the two flag sets are
+// symsim and symsim submit each do and checks (a) the two flag sets are
 // identical and match the documented vocabulary, and (b) parsing the same
 // arguments yields the same Analysis either way.
 func TestBothCommandsParseTheSameFlagSet(t *testing.T) {
 	cli := flag.NewFlagSet("symsim", flag.ContinueOnError)
-	daemon := flag.NewFlagSet("symsimd", flag.ContinueOnError)
+	submit := flag.NewFlagSet("symsim submit", flag.ContinueOnError)
 	aCLI := cliflags.Register(cli)
-	aDaemon := cliflags.Register(daemon)
+	aSubmit := cliflags.Register(submit)
 
 	if got := registered(cli); !reflect.DeepEqual(got, sharedFlagNames) {
-		t.Errorf("cmd/symsim flag set drifted:\n got %v\nwant %v", got, sharedFlagNames)
+		t.Errorf("symsim flag set drifted:\n got %v\nwant %v", got, sharedFlagNames)
 	}
-	if got, want := registered(daemon), registered(cli); !reflect.DeepEqual(got, want) {
-		t.Errorf("daemon flag set differs from CLI flag set: %v vs %v", got, want)
+	if got, want := registered(submit), registered(cli); !reflect.DeepEqual(got, want) {
+		t.Errorf("submit flag set differs from CLI flag set: %v vs %v", got, want)
 	}
 
 	args := []string{
-		"-policy", "clustered", "-k", "7", "-workers", "3",
+		"-policy", "clustered", "-k", "7",
 		"-deadline", "90s", "-max-sim-cycles", "123456",
 		"-max-forks", "9", "-max-csm-states", "11",
 	}
 	if err := cli.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	if err := daemon.Parse(args); err != nil {
+	if err := submit.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(aCLI, aDaemon) {
-		t.Errorf("same args parsed differently:\n cli    %+v\n daemon %+v", aCLI, aDaemon)
+	if !reflect.DeepEqual(aCLI, aSubmit) {
+		t.Errorf("same args parsed differently:\n cli    %+v\n submit %+v", aCLI, aSubmit)
 	}
 	if aCLI.DeadlineMS != 90_000 || aCLI.K != 7 {
 		t.Errorf("parsed values wrong: %+v", aCLI)
@@ -74,7 +74,7 @@ func TestBothCommandsParseTheSameFlagSet(t *testing.T) {
 func TestConfigInterpretsFlags(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	a := cliflags.Register(fs)
-	if err := fs.Parse([]string{"-policy", "exact", "-max-states", "32", "-workers", "2", "-max-forks", "5", "-deadline", "1500ms"}); err != nil {
+	if err := fs.Parse([]string{"-policy", "exact", "-max-states", "32", "-max-forks", "5", "-deadline", "1500ms"}); err != nil {
 		t.Fatal(err)
 	}
 	a.Design, a.Bench = "dr5", "tea8"
@@ -85,7 +85,7 @@ func TestConfigInterpretsFlags(t *testing.T) {
 	if cfg.Policy.Name() != "exact" {
 		t.Errorf("policy = %q", cfg.Policy.Name())
 	}
-	if cfg.Engine != vvp.EngineKernel || cfg.Workers != 2 {
+	if cfg.Engine != vvp.EngineKernel || cfg.Workers > 1 {
 		t.Errorf("config = %+v", cfg)
 	}
 	if want := (core.Budget{MaxForks: 5, WallClock: 1500 * time.Millisecond}); cfg.Budget != want {
@@ -93,12 +93,13 @@ func TestConfigInterpretsFlags(t *testing.T) {
 	}
 }
 
-// TestBatchEngineFlags pins that the batch engine has no flags: the shared
-// vocabulary registers neither -engine nor -lanes, so naming either is a
-// parse error at every command that registers it, and what the flags map
-// to runs on the compiled kernel.
+// TestBatchEngineFlags pins that the batch engine and parallel explorers
+// have no flags: the shared vocabulary registers neither -engine nor
+// -lanes nor -workers, so naming one is a parse error at every command that
+// registers it, and what the flags map to runs one explorer on the
+// compiled kernel.
 func TestBatchEngineFlags(t *testing.T) {
-	for _, args := range [][]string{{"-engine", "batch"}, {"-lanes", "8"}} {
+	for _, args := range [][]string{{"-engine", "batch"}, {"-lanes", "8"}, {"-workers", "2"}} {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		cliflags.Register(fs)
@@ -113,8 +114,8 @@ func TestBatchEngineFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Engine != vvp.EngineKernel {
-		t.Errorf("config engine = %v, want the kernel", cfg.Engine)
+	if cfg.Engine != vvp.EngineKernel || cfg.Workers > 1 {
+		t.Errorf("config engine = %v on %d explorers, want the kernel on one", cfg.Engine, cfg.Workers)
 	}
 }
 

@@ -16,12 +16,13 @@ import (
 // TestOneVocabulary drives under- and mis-specified requests through the
 // two doors an analysis can come in by — the flags of cmd/symsim
 // (Register → Normalize/Config) and POST /jobs (Service.Submit, on a
-// service with no daemon defaults) — and through the fleet library's
-// Coordinator.NewRun, and requires one answer: the same normalized spec,
-// echoed alike by the job view and the run status, or a rejection from all
-// three. A body is decoded as the HTTP door decodes it, so a field the
-// spec no longer has — an older client's engine or lane count — is
-// ignored there, and the flags cannot say it (TestBatchEngineFlags).
+// service, which takes no defaults of its own) — and through the fleet
+// library's Coordinator.NewRun, and requires one answer: the same
+// normalized spec, echoed alike by the job view and the run status, or a
+// rejection from all three. A body is decoded as the HTTP door decodes it,
+// so a field the spec no longer has or no longer reads — an older client's
+// engine, lane count or worker count — is ignored there, and the flags
+// cannot say it (TestBatchEngineFlags).
 func TestOneVocabulary(t *testing.T) {
 	svc, err := service.New(service.Config{DataDir: t.TempDir(), Workers: 1, Metrics: obs.NewRegistry()})
 	if err != nil {
@@ -31,7 +32,7 @@ func TestOneVocabulary(t *testing.T) {
 	coord := cluster.NewCoordinator(cluster.Config{Metrics: obs.NewRegistry()})
 	defer coord.Close()
 
-	base := cliflags.Spec{Design: "dr5", Bench: "tea8", Policy: "merge-all", Workers: 1}
+	base := cliflags.Spec{Design: "dr5", Bench: "tea8", Policy: "merge-all"}
 	with := func(edit func(*cliflags.Spec)) *cliflags.Spec {
 		s := base
 		edit(&s)
@@ -59,6 +60,10 @@ func TestOneVocabulary(t *testing.T) {
 		{"lanes over the cap", nil, `{"lanes":65}`, &base},
 		{"unknown engine", nil, `{"engine":"warp"}`, &base},
 		{"the interpreter", nil, `{"engine":"interp"}`, &base},
+		// A worker count, which the fleet refused above one and every door
+		// refused below zero, means the analysis without it.
+		{"two workers", nil, `{"workers":2}`, &base},
+		{"negative workers", nil, `{"workers":-1}`, &base},
 		{"unknown policy", []string{"-policy", "bogus"}, `{"policy":"bogus"}`, nil},
 		{"constrained without its file", []string{"-policy", "constrained"}, `{"policy":"constrained"}`, nil},
 	} {
@@ -96,7 +101,7 @@ func TestOneVocabulary(t *testing.T) {
 			if flagErr != nil || jobErr != nil || runErr != nil {
 				t.Fatalf("want all three to accept, got flags: %v, /jobs: %v, NewRun: %v", flagErr, jobErr, runErr)
 			}
-			fromFlags, err := a.Normalize(nil)
+			fromFlags, err := a.Normalize()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -39,8 +39,8 @@ import (
 
 // RunSpec describes one distributed co-analysis. It is the analysis spec
 // of the shared vocabulary (cliflags.Spec), normalized exactly as a job's
-// is; what a fleet cannot honour — more than one explorer per slot, the
-// constrained policy, budgets — NewRun rejects by name.
+// is; what a fleet cannot honour — the constrained policy, budgets —
+// NewRun rejects by name.
 // The normalized spec rides with every lease.
 type RunSpec = cliflags.Spec
 

@@ -149,12 +149,9 @@ func (c *Coordinator) Close() {
 // by name, rather than ignored. It returns the run ID workers will see in
 // their leases.
 func (c *Coordinator) NewRun(spec RunSpec) (string, error) {
-	spec, err := spec.Normalize(nil)
+	spec, err := spec.Normalize()
 	if err != nil {
 		return "", fmt.Errorf("%w: %v", ErrBadPayload, err)
-	}
-	if spec.Workers > 1 {
-		return "", fmt.Errorf("%w: workers=%d: a worker slot is one explorer; run more worker slots instead", ErrBadPayload, spec.Workers)
 	}
 	for _, f := range []struct {
 		name string

@@ -273,7 +273,6 @@ func TestClusterRejectsBadSpecs(t *testing.T) {
 		{Design: "nope", Bench: "tHold"}, // unknown design
 		{Design: "dr5", Bench: "tHold", Policy: "constrained"}, // needs local file
 		{Design: "dr5", Bench: "tHold", Policy: "nope"},
-		{Design: "dr5", Bench: "tHold", Workers: 2}, // a slot is one explorer
 	} {
 		if _, err := coord.NewRun(spec); err == nil {
 			t.Errorf("spec %+v accepted", spec)
@@ -304,9 +303,9 @@ func TestClusterRejectsConstrainedActionably(t *testing.T) {
 }
 
 // TestClusterRejectsWhatItCannotHonour: the run spec is the job spec, but a
-// fleet carries no budgets and runs one explorer per slot. A field it would
-// have to ignore is a 400 that names the field, not a silently different
-// analysis.
+// fleet carries no budgets. A field it would have to ignore is a 400 that
+// names the field, not a silently different analysis. (A worker count is
+// read by no door, so it is dropped here as everywhere: TestOneVocabulary.)
 func TestClusterRejectsWhatItCannotHonour(t *testing.T) {
 	coord := NewCoordinator(Config{Metrics: obs.NewRegistry()})
 	defer coord.Close()
@@ -315,7 +314,6 @@ func TestClusterRejectsWhatItCannotHonour(t *testing.T) {
 		"maxCycles":    {Design: "dr5", Bench: "tHold", MaxCycles: 1 << 20},
 		"maxForks":     {Design: "dr5", Bench: "tHold", MaxForks: 10},
 		"maxCsmStates": {Design: "dr5", Bench: "tHold", MaxCSMStates: 10},
-		"workers":      {Design: "dr5", Bench: "tHold", Workers: 2},
 	} {
 		_, err := coord.NewRun(spec)
 		if !errors.Is(err, ErrBadPayload) || !strings.Contains(err.Error(), field) {

@@ -108,7 +108,11 @@ type Config struct {
 	// launching these processes in parallel can drastically improve
 	// simulation time"). 0 or 1 runs the deterministic sequential order;
 	// negative values are rejected by validation. EngineBatch always runs
-	// one explorer: its parallelism is the lanes.
+	// one explorer: its parallelism is the lanes. No door sets it — every
+	// command and the job API run one explorer — because more than one
+	// gives the same dichotomy and tie-offs but path and cycle counts that
+	// vary from run to run, and has not run faster; it is the library
+	// path the benchmark module and the race tests drive.
 	Workers int
 	// Engine selects the simulation machinery the explorers run on: the
 	// compiled kernel (default), the reference interpreter, or the
@@ -139,7 +143,8 @@ type Config struct {
 	// OnHalt, when non-nil, receives every saved halt state before the
 	// CSM classifies it — the hook behind on-disk state dumps (the
 	// "sim_state.log" files of the paper's flow). Called from the
-	// explorers; must be safe for concurrent use when Workers > 1.
+	// explorers; must be safe for concurrent use when Workers > 1, which no
+	// door sets.
 	OnHalt func(pathID int, st vvp.State)
 	// Trace, when non-nil, records the event list of the initial
 	// (cold-boot) path — enough for a symbolic waveform showing the Xs
@@ -285,8 +290,9 @@ type Result struct {
 	PathsCreated, PathsSkipped, PathsSuperseded, PathsPruned int
 	// SimulatedCycles sums clock cycles over all simulated paths.
 	SimulatedCycles uint64
-	// Paths lists the per-segment statistics sorted by path ID, so
-	// reports are reproducible under Workers > 1.
+	// Paths lists the per-segment statistics sorted by path ID. Under
+	// Workers > 1 the list itself, like the path and cycle counts, varies
+	// from run to run; the dichotomy and the tie-offs do not.
 	Paths []PathStat
 	// Policy names the CSM policy used.
 	Policy string

@@ -16,7 +16,6 @@ import (
 	"symsim/internal/cpu/bm32"
 	"symsim/internal/cpu/dr5"
 	"symsim/internal/cpu/omsp430"
-	"symsim/internal/csm"
 	"symsim/internal/prog"
 )
 
@@ -98,10 +97,9 @@ type Cell struct {
 	Wall time.Duration
 }
 
-// Sweep holds the full evaluation matrix.
+// Sweep holds the full evaluation matrix, every cell analysed merge-all.
 type Sweep struct {
-	Cells  []Cell
-	Policy string
+	Cells []Cell
 }
 
 // Options configure a sweep.
@@ -110,13 +108,13 @@ type Options struct {
 	Benchmarks []string
 	// Designs defaults to the three of Table 2.
 	Designs []Design
-	// Config is passed to every analysis (Policy nil = merge-all).
-	Config core.Config
 	// Progress, when non-nil, receives one line per finished cell.
 	Progress func(string)
 }
 
-// Run executes the sweep: one symbolic co-analysis per benchmark x design.
+// Run executes the sweep: one symbolic co-analysis per benchmark x design,
+// each the paper's — merge-all on one explorer — so its path and cycle
+// counts are the same on every run.
 func Run(opt Options) (*Sweep, error) {
 	if opt.Benchmarks == nil {
 		for _, b := range prog.Benchmarks {
@@ -126,7 +124,6 @@ func Run(opt Options) (*Sweep, error) {
 	if opt.Designs == nil {
 		opt.Designs = Designs
 	}
-	policy := opt.Config.Policy
 	sweep := &Sweep{}
 	for _, b := range opt.Benchmarks {
 		for _, d := range opt.Designs {
@@ -134,12 +131,8 @@ func Run(opt Options) (*Sweep, error) {
 			if err != nil {
 				return nil, fmt.Errorf("report: %s/%s: %w", b, d, err)
 			}
-			cfg := opt.Config
-			if policy == nil {
-				cfg.Policy = csm.NewMergeAll()
-			}
 			start := time.Now()
-			res, err := core.Analyze(p, cfg)
+			res, err := core.Analyze(p, core.Config{})
 			if err != nil {
 				return nil, fmt.Errorf("report: %s/%s: %w", b, d, err)
 			}
@@ -156,7 +149,6 @@ func Run(opt Options) (*Sweep, error) {
 				Wall:            time.Since(start),
 			}
 			sweep.Cells = append(sweep.Cells, cell)
-			sweep.Policy = res.Policy
 			if opt.Progress != nil {
 				opt.Progress(fmt.Sprintf("%-9s %-8s %6d/%6d gates (%.1f%%)  %5d paths  %7d cycles  %s",
 					b, d, cell.Exercisable, cell.TotalGates, cell.ReductionPct,

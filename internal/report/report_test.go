@@ -3,18 +3,13 @@ package report
 import (
 	"strings"
 	"testing"
-
-	"symsim/internal/core"
 )
 
 // miniSweep runs a reduced sweep (fast benchmarks only) shared by the
 // rendering tests.
 func miniSweep(t *testing.T) *Sweep {
 	t.Helper()
-	s, err := Run(Options{
-		Benchmarks: []string{"mult", "tea8"},
-		Config:     core.Config{},
-	})
+	s, err := Run(Options{Benchmarks: []string{"mult", "tea8"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,9 +28,6 @@ func TestRunSweepShape(t *testing.T) {
 		if c.ReductionPct <= 0 || c.ReductionPct >= 100 {
 			t.Errorf("%s/%s reduction %.1f", c.Benchmark, c.Design, c.ReductionPct)
 		}
-	}
-	if s.Policy != "merge-all" {
-		t.Errorf("policy = %q", s.Policy)
 	}
 }
 

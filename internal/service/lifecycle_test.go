@@ -76,7 +76,7 @@ func TestEveryAcceptedJobIsCountedOnce(t *testing.T) {
 	defer svc.Close()
 	submit := func(spec JobSpec) JobView {
 		t.Helper()
-		spec.Design, spec.Workers = "dr5", 1
+		spec.Design = "dr5"
 		v, err := svc.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -175,7 +175,7 @@ func newTransitionFixture(t *testing.T, vfs fault.FS) *transitionFixture {
 func (f *transitionFixture) place(from State) *job {
 	f.t.Helper()
 	s := f.svc
-	spec, err := normalize(JobSpec{Design: "dr5", Bench: "key", Workers: 1}, nil)
+	spec, err := normalize(JobSpec{Design: "dr5", Bench: "key"})
 	if err != nil {
 		f.t.Fatal(err)
 	}

@@ -48,22 +48,22 @@ func TestRefusedSubmitIsNotAccepted(t *testing.T) {
 		}
 	}
 
-	if _, err := svc.Submit(JobSpec{Design: "dr5", Bench: "a", Workers: 1}); !errors.Is(err, ErrDegraded) {
+	if _, err := svc.Submit(JobSpec{Design: "dr5", Bench: "a"}); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("submit with the store down = %v, want ErrDegraded", err)
 	}
 	wantCounts("after ErrDegraded", 0, 0)
 
-	running, err := svc.Submit(JobSpec{Design: "dr5", Bench: "a", Workers: 1})
+	running, err := svc.Submit(JobSpec{Design: "dr5", Bench: "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, svc, running.ID, StateRunning)
-	if _, err := svc.Submit(JobSpec{Design: "dr5", Bench: "b", Workers: 1}); err != nil {
+	if _, err := svc.Submit(JobSpec{Design: "dr5", Bench: "b"}); err != nil {
 		t.Fatal(err)
 	}
 	wantCounts("one running, one queued", 2, 2)
 
-	if _, err := svc.Submit(JobSpec{Design: "dr5", Bench: "c", Workers: 1}); !errors.Is(err, ErrQueueFull) {
+	if _, err := svc.Submit(JobSpec{Design: "dr5", Bench: "c"}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("submit over capacity = %v, want ErrQueueFull", err)
 	}
 	wantCounts("after ErrQueueFull", 2, 2)
@@ -76,7 +76,7 @@ func TestRefusedSubmitIsNotAccepted(t *testing.T) {
 
 	close(gate)
 	svc.Drain()
-	if _, err := svc.Submit(JobSpec{Design: "dr5", Bench: "d", Workers: 1}); !errors.Is(err, ErrDraining) {
+	if _, err := svc.Submit(JobSpec{Design: "dr5", Bench: "d"}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit while draining = %v, want ErrDraining", err)
 	}
 	wantCounts("after ErrDraining", 2, 2)
@@ -139,7 +139,7 @@ func TestScrapeWhileMutating(t *testing.T) {
 			i++
 			// Four benches a goroutine: resubmissions hit the cache, the
 			// rest queue or bounce off the full queue.
-			view, err := svc.Submit(JobSpec{Design: "dr5", Bench: fmt.Sprintf("b%d-%d", g, i%4), Workers: 1})
+			view, err := svc.Submit(JobSpec{Design: "dr5", Bench: fmt.Sprintf("b%d-%d", g, i%4)})
 			switch {
 			case errors.Is(err, ErrQueueFull):
 				time.Sleep(time.Millisecond)
@@ -211,7 +211,7 @@ func TestServiceMetricsCatalog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	job, err := svc.Submit(JobSpec{Design: "dr5", Bench: "loop", Workers: 1})
+	job, err := svc.Submit(JobSpec{Design: "dr5", Bench: "loop"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func TestRecoveredJobsRunInSubmittedOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := normalize(JobSpec{Design: "dr5", Bench: "loop"}, nil)
+	spec, err := normalize(JobSpec{Design: "dr5", Bench: "loop"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,15 +24,12 @@ type Config struct {
 	// DataDir is the root of the durable store (jobs, results, cache).
 	// Required.
 	DataDir string
-	// Workers is the job worker pool size (concurrent analyses); each job
-	// additionally uses its own spec.Workers path workers. Default 2.
+	// Workers is the job worker pool size (concurrent analyses, each on
+	// one explorer). Default 2.
 	Workers int
 	// QueueCap bounds the pending-job queue; submissions beyond it get
 	// ErrQueueFull (HTTP 429). Default 64.
 	QueueCap int
-	// Defaults fills zero-valued tuning fields of submitted specs before
-	// the flag defaults do (typically the daemon's own parsed flags).
-	Defaults *JobSpec
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 	// Metrics is the observability registry the service (and every job's
@@ -297,7 +294,7 @@ func (s *Service) worker() {
 // *BadSpecError. Only a submission that comes back as a JobView counts as
 // accepted (and, unless the cache served it, as a cache miss).
 func (s *Service) Submit(spec JobSpec) (JobView, error) {
-	spec, err := normalize(spec, s.cfg.Defaults)
+	spec, err := normalize(spec)
 	if err != nil {
 		return JobView{}, err
 	}

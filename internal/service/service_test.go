@@ -110,7 +110,7 @@ func TestServiceEndToEndHTTP(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	spec := `{"design":"dr5","bench":"loop","workers":1}`
+	spec := `{"design":"dr5","bench":"loop"}`
 	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +316,7 @@ func readSummary(t *testing.T, resp *http.Response) ([]byte, *ResultSummary) {
 // to an uninterrupted run, and no checkpoint directory in the store.
 func TestDrainRequeuesAndRestartRunsFromColdBoot(t *testing.T) {
 	const mask = 0x7
-	spec := JobSpec{Design: "dr5", Bench: "loop", Workers: 1}
+	spec := JobSpec{Design: "dr5", Bench: "loop"}
 
 	// Uninterrupted reference run.
 	refRes, err := core.Analyze(buildLoop(t, mask), core.Config{Workers: 1})
@@ -326,7 +326,7 @@ func TestDrainRequeuesAndRestartRunsFromColdBoot(t *testing.T) {
 	if !refRes.Complete {
 		t.Fatal("reference run incomplete")
 	}
-	normSpec, err := normalize(spec, nil)
+	normSpec, err := normalize(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,17 +435,17 @@ func TestBackpressureAndCancel(t *testing.T) {
 	}
 	defer svc.Close()
 
-	running, err := svc.Submit(JobSpec{Design: "dr5", Bench: "a", Workers: 1})
+	running, err := svc.Submit(JobSpec{Design: "dr5", Bench: "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, svc, running.ID, StateRunning)
 
-	queued, err := svc.Submit(JobSpec{Design: "dr5", Bench: "b", Workers: 1})
+	queued, err := svc.Submit(JobSpec{Design: "dr5", Bench: "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Submit(JobSpec{Design: "dr5", Bench: "c", Workers: 1}); !errors.Is(err, ErrQueueFull) {
+	if _, err := svc.Submit(JobSpec{Design: "dr5", Bench: "c"}); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("submit over capacity = %v, want ErrQueueFull", err)
 	}
 
@@ -491,7 +491,7 @@ func TestDegradedResultIsServedButNotCached(t *testing.T) {
 	}
 	defer svc.Close()
 
-	spec := JobSpec{Design: "dr5", Bench: "loop", Workers: 1, MaxForks: 2}
+	spec := JobSpec{Design: "dr5", Bench: "loop", MaxForks: 2}
 	view, err := svc.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -550,7 +550,7 @@ func TestIdenticalSubmissionsEachRun(t *testing.T) {
 	release := func() { releaseOnce.Do(func() { close(gate) }) }
 	defer release() // before Close: a failed check must not leave the worker gated
 
-	spec := JobSpec{Design: "dr5", Bench: "loop", Workers: 1}
+	spec := JobSpec{Design: "dr5", Bench: "loop"}
 	submit := func() JobView {
 		t.Helper()
 		v, err := svc.Submit(spec)

@@ -31,9 +31,9 @@ import (
 	"symsim/internal/wire"
 )
 
-// JobSpec is the shared analysis spec: zero-valued tuning fields inherit the
-// daemon's defaults, then the flag defaults, at submission time, and the
-// normalized spec is what gets persisted and keyed. ResultSummary is the
+// JobSpec is the shared analysis spec: zero-valued tuning fields take the
+// flag defaults at submission time, and the normalized spec is what gets
+// persisted and keyed. ResultSummary is the
 // digest of a finished analysis the service persists, caches and serves,
 // TieOffView one entry of its tie-off list.
 type (
@@ -42,10 +42,10 @@ type (
 	TieOffView    = report.TieOffView
 )
 
-// normalize is the shared Normalize as the job API applies it: def is the
-// daemon's own flags (nil for none) and every rejection a *BadSpecError.
-func normalize(spec JobSpec, def *JobSpec) (JobSpec, error) {
-	spec, err := spec.Normalize(def)
+// normalize is the shared Normalize as the job API applies it: every
+// rejection a *BadSpecError.
+func normalize(spec JobSpec) (JobSpec, error) {
+	spec, err := spec.Normalize()
 	if err != nil {
 		return spec, &BadSpecError{Reason: err.Error()}
 	}
@@ -73,9 +73,8 @@ func policyKey(spec JobSpec) string {
 // restart is found again because elaboration is deterministic), the
 // design/bench pair that selected the platform harness (monitors,
 // stimulus, state spec) and the CSM policy with its parameters.
-// Worker count and budgets are deliberately excluded:
-// parallelism does not change the dichotomy, and budget-degraded
-// (incomplete) results are never cached.
+// Budgets are deliberately excluded: budget-degraded (incomplete) results
+// are never cached.
 func cacheKey(designHash netlist.Digest, spec JobSpec) string {
 	h := sha256.New()
 	h.Write([]byte(wire.CacheKeyMagic))

@@ -18,25 +18,26 @@ import (
 	"symsim/internal/obs"
 )
 
+// TestNormalizeFillsDefaults: what a body leaves out takes the flag
+// default, whatever daemon it reaches, and a worker count it names is
+// dropped — every door runs one explorer.
 func TestNormalizeFillsDefaults(t *testing.T) {
-	def := JobSpec{Policy: "clustered", K: 8, Workers: 3, DeadlineMS: 1000}
-	got, err := normalize(JobSpec{Design: "dr5", Bench: "tea8"}, &def)
+	got, err := normalize(JobSpec{Design: "dr5", Bench: "tea8", Policy: "clustered", Workers: 3, DeadlineMS: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := JobSpec{Design: "dr5", Bench: "tea8", Policy: "clustered", K: 8,
-		Workers: 3, DeadlineMS: 1000}
+	want := JobSpec{Design: "dr5", Bench: "tea8", Policy: "clustered", K: 4, DeadlineMS: 1000}
 	if got != want {
 		t.Errorf("normalize = %+v, want %+v", got, want)
 	}
 }
 
 func TestNormalizeBuiltinFallbacks(t *testing.T) {
-	got, err := normalize(JobSpec{Design: "dr5", Bench: "mult"}, nil)
+	got, err := normalize(JobSpec{Design: "dr5", Bench: "mult"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Policy != "merge-all" || got.Workers != 1 {
+	if got.Policy != "merge-all" || got.Workers != 0 {
 		t.Errorf("fallbacks wrong: %+v", got)
 	}
 }
@@ -44,11 +45,11 @@ func TestNormalizeBuiltinFallbacks(t *testing.T) {
 // Parameters irrelevant to the selected policy must be normalized away, so
 // equivalent submissions share one canonical spec (and one cache key).
 func TestNormalizeCanonicalizesPolicyParams(t *testing.T) {
-	a, err := normalize(JobSpec{Design: "d", Bench: "b", Policy: "merge-all", K: 9, MaxStates: 77}, nil)
+	a, err := normalize(JobSpec{Design: "d", Bench: "b", Policy: "merge-all", K: 9, MaxStates: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := normalize(JobSpec{Design: "d", Bench: "b", Policy: "merge-all"}, nil)
+	b, err := normalize(JobSpec{Design: "d", Bench: "b", Policy: "merge-all"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestNormalizeRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := normalize(tc.spec, nil)
+			_, err := normalize(tc.spec)
 			var bad *BadSpecError
 			if !errors.As(err, &bad) {
 				t.Fatalf("want BadSpecError, got %v", err)
@@ -93,7 +94,7 @@ func TestNormalizeRejects(t *testing.T) {
 // content, design/bench selection and policy (with its live parameters) —
 // and nothing else.
 func TestCacheKeySensitivity(t *testing.T) {
-	base := JobSpec{Design: "dr5", Bench: "tea8", Policy: "clustered", K: 4, Workers: 1}
+	base := JobSpec{Design: "dr5", Bench: "tea8", Policy: "clustered", K: 4}
 	var h1, h2 netlist.Digest
 	h2[0] = 1
 	key := cacheKey(h1, base)
@@ -124,11 +125,11 @@ func TestCacheKeySensitivity(t *testing.T) {
 }
 
 // TestRetiredSpecFieldsAreIgnored: a POST /jobs body naming the engine,
-// the lane count or a queue priority, as a client of an older daemon may
-// send, is accepted (201) as the analysis without them: the same
-// normalized spec and the same cache key, whatever values it names — an
-// older daemon refused the last two engine/lane bodies and the out-of-range
-// priority.
+// the lane count, a queue priority or a worker count, as a client of an
+// older daemon may send, is accepted (201) as the analysis without them:
+// the same normalized spec and the same cache key, whatever values it
+// names — an older daemon refused the last two engine/lane bodies and the
+// out-of-range priority.
 func TestRetiredSpecFieldsAreIgnored(t *testing.T) {
 	svc, err := New(Config{DataDir: t.TempDir(), Workers: 1, Metrics: obs.NewRegistry(), buildPlatform: loopPlatform(t, 0x1)})
 	if err != nil {
@@ -146,6 +147,9 @@ func TestRetiredSpecFieldsAreIgnored(t *testing.T) {
 		`{"design":"dr5","bench":"loop","engine":"interp","lanes":65}`,
 		`{"design":"dr5","bench":"loop","priority":3}`,
 		`{"design":"dr5","bench":"loop","priority":-2097152,"engine":"batch"}`,
+		`{"design":"dr5","bench":"loop","workers":0}`,
+		`{"design":"dr5","bench":"loop","workers":2}`,
+		`{"design":"dr5","bench":"loop","workers":64,"priority":1}`,
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -167,22 +171,65 @@ func TestRetiredSpecFieldsAreIgnored(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyIsTheBareRequest: the body symsim submit posts when no
+// tuning flag is given — its shared flags' defaults marshalled beside the
+// design and bench, as submitCmd builds it — and a bare
+// {"design","bench"} body are one request: the same normalized spec and
+// the same cache key. No daemon fills either from defaults of its own.
+func TestSubmitBodyIsTheBareRequest(t *testing.T) {
+	svc, err := New(Config{DataDir: t.TempDir(), Workers: 1, Metrics: obs.NewRegistry(), buildPlatform: loopPlatform(t, 0x1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(Handler(svc))
+	defer ts.Close()
+
+	fs := flag.NewFlagSet("symsim submit", flag.ContinueOnError)
+	tuning := cliflags.Register(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	spec := tuning.Spec
+	spec.Design, spec.Bench = "dr5", "loop"
+	submitted, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var views [2]JobView
+	for i, body := range []string{string(submitted), `{"design":"dr5","bench":"loop"}`} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&views[i])
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated || err != nil {
+			t.Fatalf("%s: status %s, decode %v", body, resp.Status, err)
+		}
+	}
+	if views[0].Spec != views[1].Spec || views[0].CacheKey != views[1].CacheKey {
+		t.Errorf("submit's body %s: spec %+v key %s; the bare body: spec %+v key %s",
+			submitted, views[0].Spec, views[0].CacheKey, views[1].Spec, views[1].CacheKey)
+	}
+}
+
 // retiredSpecFields matches, in compact JSON, the spec fields a parent
-// normalized and this tree no longer has.
-var retiredSpecFields = regexp.MustCompile(`"(memx|engine)":"[^"]*",|,"(lanes|priority)":-?\d+`)
+// normalized and this tree no longer has or no longer reads.
+var retiredSpecFields = regexp.MustCompile(`,"(memx|engine)":"[^"]*"|,"(workers|lanes|priority)":-?\d+`)
 
 // TestSpecGoldenFromParent pins compatibility across the move of the spec
 // into cliflags: testdata/spec_golden.json was captured at the commit
-// before it (PR 23) — request bodies, the daemon flags they met, and what
-// that commit's normalize, cacheKey and record encoder made of them. Every
-// request the job API accepted then must normalize to the same spec less
-// its X-address write rule, engine, lane count and queue priority, which
-// are gone (a daemon flag naming the engine or the lanes is dropped too:
-// symsimd no longer has it), and the old record bytes must load. The
-// record written now is the SYMSIMJ3 image of the same record: the old
-// SYMSIMJ2 bytes less the rule, with the engine, lane and priority slots
-// emptied. Its key must differ from the old SYMSIMK2 key, so a result
-// computed under the dropped Verilog rule is never served.
+// before it — request bodies and what that commit's normalize, cacheKey
+// and record encoder made of them on a daemon with no analysis flags of
+// its own (symsimd takes none now). Every request the job API accepted
+// then must normalize to the same spec less its X-address write rule,
+// engine, worker count, lane count and queue priority, which are gone or
+// no longer read, and the old record bytes must load. The record written
+// now is the SYMSIMJ3 image of the same record: the old SYMSIMJ2 bytes
+// less the rule, with the engine, worker, lane and priority slots emptied.
+// Its key must differ from the old SYMSIMK2 key, so a result computed
+// under the dropped Verilog rule is never served.
 func TestSpecGoldenFromParent(t *testing.T) {
 	data, err := os.ReadFile("testdata/spec_golden.json")
 	if err != nil {
@@ -190,7 +237,6 @@ func TestSpecGoldenFromParent(t *testing.T) {
 	}
 	var cases []struct {
 		Name       string          `json:"name"`
-		Flags      []string        `json:"daemonFlags"` // null: a service built with nil Defaults
 		Spec       json.RawMessage `json:"spec"`
 		Normalized json.RawMessage `json:"normalized"`
 		CacheKey   string          `json:"cacheKey"`
@@ -208,28 +254,11 @@ func TestSpecGoldenFromParent(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.Name, func(t *testing.T) {
-			var def *JobSpec
-			if tc.Flags != nil {
-				fs := flag.NewFlagSet("symsimd", flag.ContinueOnError)
-				a := cliflags.Register(fs)
-				var flags []string
-				for i := 0; i < len(tc.Flags); i++ {
-					if f := tc.Flags[i]; f == "-engine" || f == "-lanes" {
-						i++ // and its value
-						continue
-					}
-					flags = append(flags, tc.Flags[i])
-				}
-				if err := fs.Parse(flags); err != nil {
-					t.Fatal(err)
-				}
-				def = &a.Spec
-			}
 			var spec JobSpec
 			if err := json.Unmarshal(tc.Spec, &spec); err != nil {
 				t.Fatal(err)
 			}
-			n, err := normalize(spec, def)
+			n, err := normalize(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,6 +273,7 @@ func TestSpecGoldenFromParent(t *testing.T) {
 			var old struct {
 				Rule     string `json:"memx"`
 				Engine   string `json:"engine"`
+				Workers  int    `json:"workers"`
 				Lanes    int    `json:"lanes"`
 				Priority int    `json:"priority"`
 			}
@@ -259,8 +289,8 @@ func TestSpecGoldenFromParent(t *testing.T) {
 			}
 			rec := &jobRecord{ID: "0123456789abcdef01234567", Spec: n, State: StateQueued,
 				Submitted: 1_722_000_000_000_000_001, CacheKey: tc.CacheKey, DesignHash: hash.String()}
-			if got := hex.EncodeToString(parent{magic: jobMagicV2, engine: old.Engine, rule: old.Rule, lanes: old.Lanes, priority: old.Priority}.image(rec)); got != tc.Record {
-				t.Errorf("record bytes with the rule, engine, lanes and priority put back\n got %s\nwant %s", got, tc.Record)
+			if got := hex.EncodeToString(parent{magic: jobMagicV2, engine: old.Engine, rule: old.Rule, workers: old.Workers, lanes: old.Lanes, priority: old.Priority}.image(rec)); got != tc.Record {
+				t.Errorf("record bytes with the rule, engine, workers, lanes and priority put back\n got %s\nwant %s", got, tc.Record)
 			}
 			img, err := hex.DecodeString(tc.Record)
 			if err != nil {

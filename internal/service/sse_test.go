@@ -162,7 +162,7 @@ func TestSSEStreamTerminatesForSlowClient(t *testing.T) {
 	ts := httptest.NewServer(Handler(svc))
 	defer ts.Close()
 
-	view, err := svc.Submit(JobSpec{Design: "dr5", Bench: "loop", Workers: 1})
+	view, err := svc.Submit(JobSpec{Design: "dr5", Bench: "loop"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestSSEReconnectWithLastEventID(t *testing.T) {
 	ts := httptest.NewServer(Handler(svc))
 	defer ts.Close()
 
-	view, err := svc.Submit(JobSpec{Design: "dr5", Bench: "loop", Workers: 1})
+	view, err := svc.Submit(JobSpec{Design: "dr5", Bench: "loop"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestSSEIDsMonotonic(t *testing.T) {
 	ts := httptest.NewServer(Handler(svc))
 	defer ts.Close()
 
-	view, err := svc.Submit(JobSpec{Design: "dr5", Bench: "loop", Workers: 1})
+	view, err := svc.Submit(JobSpec{Design: "dr5", Bench: "loop"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestSSEKeepAliveComments(t *testing.T) {
 	ts := httptest.NewServer(Handler(svc))
 	defer ts.Close()
 
-	view, err := svc.Submit(JobSpec{Design: "dr5", Bench: "loop", Workers: 1})
+	view, err := svc.Submit(JobSpec{Design: "dr5", Bench: "loop"})
 	if err != nil {
 		t.Fatal(err)
 	}

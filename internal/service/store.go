@@ -71,11 +71,12 @@ type jobRecord struct {
 // which carry that rule and lack the lane slot, are still read; the rule
 // is dropped, since a job runs again from cold boot under the one rule.
 //
-// Three version-3 slots are retired: the engine name after the policy,
-// the lane count after the worker count and the queue priority after it,
-// which an older daemon filled from its spec. The writer puts an empty
-// name and 0s there and the reader drops what it finds, so a job an older
-// daemon accepted on any engine runs on the kernel like every other, in
+// Four version-3 slots are retired: the engine name after the policy,
+// the worker count after the state budget, the lane count after it and
+// the queue priority after that, which an older daemon filled from its
+// spec. The writer puts an empty name and 0s there and the reader drops
+// what it finds, so a job an older daemon accepted on any engine or any
+// number of explorers runs on one kernel explorer like every other, in
 // its turn in the one FIFO queue.
 const (
 	jobMagic   = wire.JobMagic3
@@ -94,7 +95,7 @@ func (r *jobRecord) encode() []byte {
 	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(r.Spec.K))
 	b = binary.LittleEndian.AppendUint32(b, uint32(r.Spec.MaxStates))
-	b = binary.LittleEndian.AppendUint32(b, uint32(r.Spec.Workers))
+	b = binary.LittleEndian.AppendUint32(b, 0) // the retired worker count
 	b = binary.LittleEndian.AppendUint32(b, 0) // the retired lane count
 	b = binary.LittleEndian.AppendUint32(b, 0) // the retired priority
 	b = binary.LittleEndian.AppendUint64(b, uint64(r.Spec.DeadlineMS))
@@ -127,7 +128,7 @@ func (r *jobRecord) encode() []byte {
 // error wrapping ErrJobRecordCorrupt, never a panic, and any accepted
 // input re-encodes byte-identically — a version-1 or version-2 input as the
 // version-3 image of the same record, and one with retiredFlag set or the
-// retired engine, lane and priority slots filled without them.
+// retired engine, worker, lane and priority slots filled without them.
 func decodeJobRecord(data []byte) (*jobRecord, error) {
 	r := wire.NewReader(data, ErrJobRecordCorrupt)
 	magic := string(r.Bytes(len(jobMagic)))
@@ -145,7 +146,7 @@ func decodeJobRecord(data []byte) (*jobRecord, error) {
 	}
 	rec.Spec.K = int(r.U32())
 	rec.Spec.MaxStates = int(r.U32())
-	rec.Spec.Workers = int(r.U32())
+	r.U32() // the retired worker count
 	if magic != jobMagicV1 {
 		r.U32() // the retired lane count
 	}

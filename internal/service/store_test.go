@@ -19,7 +19,6 @@ func sampleRecord() *jobRecord {
 		ID: "a1b2c3",
 		Spec: JobSpec{
 			Design: "dr5", Bench: "tea8", Policy: "clustered", K: 4,
-			Workers:    2,
 			DeadlineMS: 90_000, MaxCycles: 1 << 40, MaxForks: 7, MaxCSMStates: 11,
 		},
 		State:      StateQueued,
@@ -49,12 +48,12 @@ func TestJobRecordRoundTrip(t *testing.T) {
 }
 
 // parent is what an older daemon wrote into a record beside the current
-// image: its magic, the engine name, lane count and queue priority of its
-// spec in the slots version 3 retired, and for versions 1 and 2 the
-// X-address write rule after the engine.
+// image: its magic, the engine name, worker count, lane count and queue
+// priority of its spec in the slots version 3 retired, and for versions 1
+// and 2 the X-address write rule after the engine.
 type parent struct {
-	magic, engine, rule string
-	lanes, priority     int
+	magic, engine, rule      string
+	workers, lanes, priority int
 }
 
 // image rewrites rec's current image into the layout p's daemon wrote:
@@ -69,22 +68,23 @@ func (p parent) image(rec *jobRecord) []byte {
 	if p.magic != jobMagic {
 		img = wire.AppendString(img, p.rule)
 	}
-	at += 4           // the empty engine
-	lanes := at + 3*4 // K, MaxStates, Workers
-	img = append(img, cur[at:lanes]...)
+	at += 4             // the empty engine
+	workers := at + 2*4 // K, MaxStates
+	img = append(img, cur[at:workers]...)
+	img = binary.LittleEndian.AppendUint32(img, uint32(p.workers))
 	if p.magic != jobMagicV1 {
 		img = binary.LittleEndian.AppendUint32(img, uint32(p.lanes))
 	}
 	img = binary.LittleEndian.AppendUint32(img, uint32(int32(p.priority)))
-	return append(img, cur[lanes+2*4:]...)
+	return append(img, cur[workers+3*4:]...)
 }
 
 // A record written before the lane count was persisted still decodes, its
-// engine, X-address write rule and priority read and dropped, and is
-// rewritten in the current version.
+// engine, X-address write rule, worker count and priority read and
+// dropped, and is rewritten in the current version.
 func TestJobRecordVersion1StillDecodes(t *testing.T) {
 	want := sampleRecord()
-	got, err := decodeJobRecord(parent{magic: jobMagicV1, engine: "batch", rule: "sound", priority: -3}.image(want))
+	got, err := decodeJobRecord(parent{magic: jobMagicV1, engine: "batch", rule: "sound", workers: 2, priority: -3}.image(want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +96,13 @@ func TestJobRecordVersion1StillDecodes(t *testing.T) {
 	}
 }
 
-// A version-2 record decodes to the same spec, less its engine, lane count,
-// priority and X-address write rule, whichever rule it chose.
+// A version-2 record decodes to the same spec, less its engine, worker
+// count, lane count, priority and X-address write rule, whichever rule it
+// chose.
 func TestJobRecordVersion2StillDecodes(t *testing.T) {
 	for _, rule := range []string{"sound", "verilog"} {
 		want := sampleRecord()
-		got, err := decodeJobRecord(parent{magic: jobMagicV2, engine: "batch", rule: rule, lanes: 4, priority: 5}.image(want))
+		got, err := decodeJobRecord(parent{magic: jobMagicV2, engine: "batch", rule: rule, workers: 3, lanes: 4, priority: 5}.image(want))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,8 +142,8 @@ func TestDecodeJobRecordRejectsMalformed(t *testing.T) {
 }
 
 // reencoded is the image an accepted version-3 record re-encodes as:
-// itself, with the retired engine, lane and priority slots emptied and
-// less the retired flag bit (the flags byte is last).
+// itself, with the retired engine, worker, lane and priority slots emptied
+// and less the retired flag bit (the flags byte is last).
 func reencoded(img []byte) []byte {
 	at := len(jobMagic)
 	for range 4 { // ID, Design, Bench, Policy
@@ -150,9 +151,10 @@ func reencoded(img []byte) []byte {
 	}
 	rest := img[at+4+int(binary.LittleEndian.Uint32(img[at:])):]
 	out := wire.AppendString(append([]byte{}, img[:at]...), "")
-	out = append(out, rest[:3*4]...)               // K, MaxStates, Workers
-	out = binary.LittleEndian.AppendUint32(out, 0) // lanes
-	out = binary.LittleEndian.AppendUint32(out, 0) // priority
+	out = append(out, rest[:2*4]...) // K, MaxStates
+	for range 3 {                    // workers, lanes, priority
+		out = binary.LittleEndian.AppendUint32(out, 0)
+	}
 	out = append(out, rest[5*4:]...)
 	out[len(out)-1] &^= retiredFlag
 	return out
@@ -163,7 +165,7 @@ func reencoded(img []byte) []byte {
 // canonically or fail with ErrJobRecordCorrupt — never panic, never
 // round-trip inconsistently.
 func TestJobRecordBitFlips(t *testing.T) {
-	good := parent{magic: jobMagic, engine: "batch", lanes: 4, priority: -3}.image(sampleRecord())
+	good := parent{magic: jobMagic, engine: "batch", workers: 2, lanes: 4, priority: -3}.image(sampleRecord())
 	for i := range good {
 		for bit := 0; bit < 8; bit++ {
 			mut := append([]byte{}, good...)
@@ -194,6 +196,7 @@ func FuzzJobRecordRoundTrip(f *testing.F) {
 	retired := parent{magic: jobMagic, engine: "batch", lanes: 4}.image(sampleRecord())
 	f.Add(retired)
 	f.Add(parent{magic: jobMagic, priority: 7}.image(sampleRecord()))
+	f.Add(parent{magic: jobMagic, workers: 8}.image(sampleRecord()))
 	retired = sampleRecord().encode()
 	retired[len(retired)-1] |= retiredFlag
 	f.Add(retired)
@@ -302,7 +305,7 @@ func TestRetiredFlagJobRestarts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := normalize(JobSpec{Design: "dr5", Bench: "loop", Workers: 1}, nil)
+	spec, err := normalize(JobSpec{Design: "dr5", Bench: "loop"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,6 +353,23 @@ func TestRetiredFlagJobRestarts(t *testing.T) {
 // to done on the kernel with the tie-off list a plain submission of the
 // same cell gets from a fresh service.
 func TestParentEngineAndLanesJobRuns(t *testing.T) {
+	parentJobRuns(t, "batch4", parent{magic: jobMagic, engine: "batch", lanes: 4, priority: 7})
+}
+
+// TestParentWorkerSlotJobRuns: a version-3 record an older daemon wrote
+// for a submission with two path workers loads as the plain spec,
+// re-encodes with its worker slot emptied, and its job runs on one
+// explorer to the tie-off list of a plain submission.
+func TestParentWorkerSlotJobRuns(t *testing.T) {
+	parentJobRuns(t, "workers2", parent{magic: jobMagic, workers: 2})
+}
+
+// parentJobRuns writes the record p's daemon wrote for a plain dr5/loop
+// job under id, and requires it to load as the plain spec, re-encode with
+// the retired slots emptied, and run to the tie-off list a fresh service
+// gives the plain submission.
+func parentJobRuns(t *testing.T, id string, p parent) {
+	t.Helper()
 	const mask = 0x7
 	tieOffs := func(svc *Service, id string) json.RawMessage {
 		t.Helper()
@@ -372,12 +392,12 @@ func TestParentEngineAndLanesJobRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := normalize(JobSpec{Design: "dr5", Bench: "loop"}, nil)
+	spec, err := normalize(JobSpec{Design: "dr5", Bench: "loop"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &jobRecord{ID: "batch4", Spec: spec, State: StateQueued, Submitted: 1, CacheKey: "batch4"}
-	img := parent{magic: jobMagic, engine: "batch", lanes: 4, priority: 7}.image(rec)
+	rec := &jobRecord{ID: id, Spec: spec, State: StateQueued, Submitted: 1, CacheKey: id}
+	img := p.image(rec)
 	got, err := decodeJobRecord(img)
 	if err != nil {
 		t.Fatal(err)
@@ -408,6 +428,6 @@ func TestParentEngineAndLanesJobRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if plain := tieOffs(fresh, view.ID); len(plain) == 0 || !bytes.Equal(restarted, plain) {
-		t.Errorf("tie-offs of the parent's batch job differ from a plain submission's:\n parent %s\n plain  %s", restarted, plain)
+		t.Errorf("tie-offs of the parent's job differ from a plain submission's:\n parent %s\n plain  %s", restarted, plain)
 	}
 }

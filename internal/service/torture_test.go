@@ -70,7 +70,7 @@ func runTortureLifetime(t *testing.T, dir string, vfs fault.FS) (accepted []stri
 	}
 	defer svc.Drain()
 	submit := func(bench string) bool {
-		view, err := svc.Submit(JobSpec{Design: "dr5", Bench: bench, Workers: 1})
+		view, err := svc.Submit(JobSpec{Design: "dr5", Bench: bench})
 		if err != nil {
 			if errors.Is(err, ErrDegraded) || errors.Is(err, ErrQueueFull) {
 				return false
@@ -352,7 +352,7 @@ func TestCorruptCacheEntryQuarantined(t *testing.T) {
 // the degraded-mode bookkeeping records the fault.
 func TestCorruptCacheEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	spec := JobSpec{Design: "dr5", Bench: "loop", Workers: 1}
+	spec := JobSpec{Design: "dr5", Bench: "loop"}
 	svc, err := New(Config{
 		DataDir:       dir,
 		Workers:       1,
@@ -439,7 +439,7 @@ func TestSubmitRefusedWhileStoreDown(t *testing.T) {
 	if h := svc.Health(); h.Status != "ok" {
 		t.Fatalf("initial health = %+v", h)
 	}
-	_, err = svc.Submit(JobSpec{Design: "dr5", Bench: "x", Workers: 1})
+	_, err = svc.Submit(JobSpec{Design: "dr5", Bench: "x"})
 	if !errors.Is(err, ErrDegraded) {
 		t.Fatalf("submit with store down = %v, want ErrDegraded", err)
 	}
@@ -453,7 +453,7 @@ func TestSubmitRefusedWhileStoreDown(t *testing.T) {
 
 	// The fault rule is spent: the next submission's write succeeds, the
 	// job is accepted and the service leaves degraded mode.
-	view, err := svc.Submit(JobSpec{Design: "dr5", Bench: "x", Workers: 1})
+	view, err := svc.Submit(JobSpec{Design: "dr5", Bench: "x"})
 	if err != nil {
 		t.Fatalf("submit after store recovery: %v", err)
 	}

@@ -38,6 +38,11 @@ const (
 	shapeWideMem
 	shapeAll         = shapeWideMem<<1 - 1
 	shapeOffFastPath = shapeWideMem - 1
+	// No combinational gate reads the clock, so the clock reaches clock
+	// pins only and a plain design has a clock-domain table on every draw
+	// (the replay needs one). It is no twist: shapeAll leaves it out, so
+	// the differential suites' draws never set it.
+	shapeClockClean = shapeAll + 1
 )
 
 // randMemCircuit builds a random clocked design with k inputs, f DFFs, g
@@ -77,9 +82,13 @@ func randCircuit(r *rand.Rand, k, f, g int, withMem bool, shape circuitShape) (*
 		netlist.KindNand, netlist.KindNor, netlist.KindXnor, netlist.KindNot,
 		netlist.KindBuf, netlist.KindMux2}
 	pick := func() netlist.NetID { return pool[r.Intn(len(pool))] }
-	// Combinational gates also read the clock now and then: logic in the
-	// clock's cone changes in the Active region of the edge itself.
+	// Combinational gates also read the clock now and then, unless the
+	// shape is clock-clean: logic in the clock's cone changes in the Active
+	// region of the edge itself.
 	pickC := func() netlist.NetID {
+		if shape&shapeClockClean != 0 {
+			return pick()
+		}
 		if i := r.Intn(len(pool) + 1); i < len(pool) {
 			return pool[i]
 		}
