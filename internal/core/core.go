@@ -108,11 +108,9 @@ type Config struct {
 	// launching these processes in parallel can drastically improve
 	// simulation time"). 0 or 1 runs the deterministic sequential order;
 	// negative values are rejected by validation. EngineBatch always runs
-	// one explorer: its parallelism is the lanes. No door sets it — every
-	// command and the job API run one explorer — because more than one
-	// gives the same dichotomy and tie-offs but path and cycle counts that
-	// vary from run to run, and has not run faster; it is the library
-	// path the benchmark module and the race tests drive.
+	// one explorer: its parallelism is the lanes. No door sets it: more
+	// explorers keep the dichotomy and tie-offs, not the path and cycle
+	// counts, and ran no faster; the benchmark and the race tests drive it.
 	Workers int
 	// Engine selects the simulation machinery the explorers run on: the
 	// compiled kernel (default), the reference interpreter, or the
@@ -143,8 +141,7 @@ type Config struct {
 	// OnHalt, when non-nil, receives every saved halt state before the
 	// CSM classifies it — the hook behind on-disk state dumps (the
 	// "sim_state.log" files of the paper's flow). Called from the
-	// explorers; must be safe for concurrent use when Workers > 1, which no
-	// door sets.
+	// explorers; must be concurrency-safe when Workers > 1 (no door sets it).
 	OnHalt func(pathID int, st vvp.State)
 	// Trace, when non-nil, records the event list of the initial
 	// (cold-boot) path — enough for a symbolic waveform showing the Xs

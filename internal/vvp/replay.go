@@ -251,11 +251,8 @@ func (r *Replay) Done() {
 
 // Step is Simulator.Step for the running segment. It replays the step when
 // the log it follows took the step on the quiet path, the simulator is about
-// to, and the readers of the difference set are no more than the gates the
-// logged run's full step evaluated; otherwise it runs Simulator.Step. Either
-// way it records the step and brings the difference set up to date. A
-// replayed step that evaluates more gates than the logged full step did
-// ends the following: the two runs have parted too far for it to pay.
+// to, and the step pays (pays); otherwise it runs Simulator.Step. Either way
+// it records the step and brings the difference set up to date.
 func (r *Replay) Step() (Status, error) {
 	s := r.s
 	if r.out == nil && r.log == nil {
@@ -274,9 +271,8 @@ func (r *Replay) Step() (Status, error) {
 	}
 	t, quiet := s.quietNext()
 	following := r.log != nil && k < r.log.steps
-	replay := following && quiet && r.log.quietAt(k) && r.seedCost(int(r.log.est[k]))
-	e0 := s.evals
-	toggled := s.toggled
+	replay := following && quiet && r.log.quietAt(k) && r.pays(k, t)
+	e0, toggled := s.evals, s.toggled
 	s.toggled = r.step
 	var st Status
 	var err error
@@ -296,31 +292,58 @@ func (r *Replay) Step() (Status, error) {
 	}
 	est := uint32(s.evals - e0)
 	if replay {
-		if est > r.log.est[k] {
-			following = false
-			r.dropD()
-			r.log = nil
-		} else {
-			est = r.log.est[k]
-		}
+		est = r.log.est[k]
 	}
 	r.finish(k, following, replay, quiet, est)
 	return st, nil
 }
 
-// seedCost reports whether the readers of the difference set, the most a
-// replayed step can seed, number no more than est, the gates the logged
-// run's full step evaluated: past that the step cannot pay.
-func (r *Replay) seedCost(est int) bool {
-	p, n := r.s.prog, 0
+// pays reports whether logged step k, at t, is worth replaying, taking the
+// step's captures into caps, none unless t is a rising edge. The readers of
+// the difference set, the most a replayed step can seed, must number no more
+// than the gates the logged run's full step evaluated, and each flip-flop
+// the logged step moved to a known value must capture it here. Only one with
+// a pin in the set can part from the logged run, and a known capture agrees
+// with it, this run's start covering the log's; one that captures X over a
+// logged move — a widened run gone X — would have the replay write the
+// logged cone behind it and evaluate it back, gates this run's own full
+// step never touches. Such caps are marked in wrote, clear between steps,
+// and the walk over the step's records stops past the last of them.
+func (r *Replay) pays(k int, t uint64) bool {
+	l, in, n, hi, follow := r.log, r.wrote, 0, -1, true
 	for _, id := range r.d {
-		for _, run := range p.FanRuns(id) {
-			if n += bits.OnesCount64(run.Mask); n > est {
+		for _, run := range r.s.prog.FanRuns(id) {
+			if n += bits.OnesCount64(run.Mask); n > int(l.est[k]) {
 				return false
 			}
 		}
 	}
-	return true
+	if r.caps = r.caps[:0]; r.s.stim.clockValueAt(t) == logic.Hi {
+		r.caps = r.captures(r.caps)
+	}
+	for _, c := range r.caps {
+		if !c.val.IsKnown() {
+			in[c.net>>6] |= 1 << (c.net & 63)
+			hi = max(hi, int(c.net))
+		}
+	}
+	for i, w := int(l.off[k]), 0; follow && w <= hi>>6 && i < int(l.off[k+1]); {
+		g, n := uvarint(l.data, i)
+		w += g
+		gm := uint64(l.data[i+n])
+		for i += n + 1; gm != 0; gm, i = gm&(gm-1), i+3 {
+			if m := uint64(l.data[i]) & (in[w] >> (bits.TrailingZeros64(gm) << 3) & 0xff); m != 0 {
+				v := unpack(uint16(l.data[i+1]) | uint16(l.data[i+2])<<8)
+				for ; m != 0; m &= m - 1 {
+					follow = follow && !logic.Value(v>>(8*bits.TrailingZeros64(m))).IsKnown()
+				}
+			}
+		}
+	}
+	for _, c := range r.caps {
+		in[c.net>>6] = 0
+	}
+	return follow
 }
 
 // quietNext reports whether the next time step, at t, takes the quiet path:
@@ -357,27 +380,22 @@ func (s *Simulator) quietNext() (t uint64, ok bool) {
 }
 
 // replayStep is time step k at t on the replay path (DESIGN.md §8 "Replay
-// of a widened segment"): commit the clock as Step would; on a rising edge,
-// compute the captures of the flip-flops with a pin in the difference set;
-// write the logged values of every net outside the set; commit the
-// captures; mark the readers of the set's nets; and settle. A gate outside
-// what the marks and the commits reach has every input at the logged run's
-// value, so its output is the logged run's too.
+// of a widened segment"): commit the clock as Step would; write the logged
+// values of every net outside the difference set; commit the captures of
+// the flip-flops with a pin in the set, which pays read before the clock,
+// reaching clock pins alone, moved; mark the readers of the set's
+// nets; and settle. A gate outside what the marks and the commits reach has
+// every input at the logged run's value, so its output is the logged run's.
 func (r *Replay) replayStep(k int, t uint64) (Status, error) {
 	s := r.s
 	s.now = t
 	posedge := s.applyStimulus()
-	caps := r.caps[:0]
-	if s.edgePending {
-		s.edgePending = false
-		caps = r.captures(caps)
-	}
-	r.caps = caps
+	s.edgePending = false
 	changed := r.writeLogged(k)
-	for _, c := range caps {
+	for _, c := range r.caps {
 		s.commit(c.net, c.val, RegionNBA)
 	}
-	if changed || len(caps) != 0 {
+	if changed || len(r.caps) != 0 {
 		r.seed()
 	}
 	if err := s.settle(); err != nil {

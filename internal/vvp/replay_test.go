@@ -19,11 +19,10 @@ import (
 // the two must agree on Values, every RAM word and the status; the replay's
 // toggle profile must hold the kernel's and add only nets an earlier run of
 // the trial toggled (which absorb has taken already); and over the widened
-// runs the replay may evaluate no more gates than the kernel. (One run may
-// evaluate more: a replayed step whose difference set sets off a wide
-// cascade of nets the logged run resolved and this one leaves X costs more
-// than the full step, and only after it does the following end.) force, when not NoNet,
-// is forced to v for three half-periods after each restore. It returns the
+// runs the replay may evaluate no more gates than the kernel (the sum over
+// a trial, not each step: a step's replay is chosen on the logged run's
+// cost, which this run's may fall short of). force, when not NoNet, is
+// forced to v for three half-periods after each restore. It returns the
 // steps taken on the replay path.
 func replayTrial(t testing.TB, ctx string, r *rand.Rand, mk func() *Simulator, sp *StateSpec, base State, force netlist.NetID, v logic.Value, hp uint64, gens, steps int) uint64 {
 	t.Helper()
@@ -267,11 +266,17 @@ func TestReplayMatchesKernel(t *testing.T) {
 }
 
 // FuzzReplayVsKernel lets the fuzzer look for a circuit on which the replay
-// and the kernel part.
+// and the kernel part. Past the first three, the seeds are clock-clean
+// draws on which a widened run went X where the logged run moved a
+// flip-flop, and the replay, guarded by the logged run's step cost alone,
+// evaluated more gates over the trial than the kernel (651 against 588 on
+// 3735928267, 227 against 3 on the worst): Replay.pays sends such a step
+// down the full path.
 func FuzzReplayVsKernel(f *testing.F) {
-	f.Add(uint64(1))
-	f.Add(uint64(42))
-	f.Add(uint64(0xdeadbeef))
+	for _, seed := range []uint64{1, 42, 0xdeadbeef, 3735928267,
+		6967, 12021, 13253, 20029, 21581, 25337, 27005, 28693, 32069} {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		replayRandomTrial(t, int64(seed%(1<<62)))
 	})

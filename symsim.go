@@ -83,10 +83,9 @@ func BuildPlatform(d Design, benchmark string) (*Platform, error) {
 // specification, monitored control-flow signals and clocking.
 type Platform = core.Platform
 
-// Config tunes a co-analysis run; the zero value reproduces the paper's
-// defaults (merge-all conservative states, one explorer), which is what
-// every command and the job API run. Workers > 1 keeps the dichotomy and
-// the tie-offs but not the path and cycle counts.
+// Config tunes a co-analysis run; the zero value is the paper's, and every
+// command's and the job API's, one explorer under merge-all. Workers > 1
+// keeps the dichotomy and the tie-offs, not the path and cycle counts.
 type Config = core.Config
 
 // Result is the outcome of a co-analysis: the exercisable/unexercisable
@@ -218,14 +217,12 @@ func ValidateBespoke(sym *Result, bsp *BespokeResult, p *Platform, inputs []MemI
 // Sweep holds a full benchmark x design evaluation matrix.
 type Sweep = report.Sweep
 
-// SweepOptions configure RunSweep: which benchmarks and designs, and a
-// progress callback. They carry no analysis config: every cell is the
-// paper's analysis.
+// SweepOptions configure RunSweep: benchmarks, designs and a progress
+// callback, but no analysis config: every cell is the paper's analysis.
 type SweepOptions = report.Options
 
 // RunSweep reruns the paper's evaluation: one co-analysis per benchmark
-// per design, each merge-all on one explorer, so its Table 4 is the same
-// on every run.
+// per design, each merge-all on one explorer, so Table 4 never varies.
 func RunSweep(opt SweepOptions) (*Sweep, error) { return report.Run(opt) }
 
 // Table1 renders the paper's benchmark table.
